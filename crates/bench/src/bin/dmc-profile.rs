@@ -358,6 +358,18 @@ fn main() {
         if let Some(doc) = &diff_doc {
             print_diff(w.name, &profile, doc);
         }
+        if !json_out {
+            // A ratio far above the nests' depth means some nest loops
+            // over misses (a level the kernel could not make tight).
+            let d = &cap.delta;
+            println!(
+                "{:<10} scan: {} points from {} range evaluations ({:.2} per point)",
+                w.name,
+                d.scan_points,
+                d.scan_range_evals,
+                d.scan_range_evals as f64 / d.scan_points.max(1) as f64
+            );
+        }
 
         if check {
             check_totals(w.name, &cap.ledger, &cap.delta);

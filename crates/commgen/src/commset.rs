@@ -7,6 +7,8 @@
 //! [`CommDims`]; the `p_s ≠ p_r` condition is split into lexicographically
 //! disjoint convex pieces.
 
+use std::ops::ControlFlow;
+
 use dmc_dataflow::{DepLevel, LastWriteTree, LwtLeaf};
 use dmc_decomp::{CompDecomp, DataDecomp};
 use dmc_ir::{Program, StmtInfo};
@@ -435,49 +437,71 @@ fn split_ne(poly: &Polyhedron, dims: &CommDims) -> Result<Vec<Polyhedron>, PolyE
 }
 
 impl CommSet {
-    /// Enumerates every element of the set for concrete parameter values.
-    /// Elements are returned in scan order (`s_iter`, `ps`, `pr`,
-    /// `r_iter`, `a`, aux — outer to inner). Enumeration scans the polyhedron with derived loop bounds
-    /// (cost proportional to the number of elements, not to any bounding
-    /// box). Returns `None` only if the limit is exceeded.
+    /// Visits every element of the set for concrete parameter values, in
+    /// scan order: `s_iter`, `ps`, `pr`, `r_iter`, `a`, then the auxiliary
+    /// dimensions in the order [`CommDims::aux`] lists them (the order the
+    /// §6 passes appended them), outer to inner. The polyhedron is scanned
+    /// with derived loop bounds on the compiled kernel
+    /// ([`dmc_polyhedra::ScanKernel`]): cost proportional to the number of
+    /// elements, not to any bounding box, and an auxiliary pinned by an
+    /// equality — unit or strided — costs an assignment, not a loop.
+    /// `visit` returns [`ControlFlow::Break`] to stop early.
     ///
     /// # Errors
     ///
-    /// Returns [`PolyError::Overflow`] on arithmetic overflow.
+    /// Returns [`PolyError`] (as `E`) on arithmetic overflow or an
+    /// unbounded dimension, and whatever `visit` returns.
+    pub fn for_each<E: From<PolyError>>(
+        &self,
+        param_vals: &[i128],
+        mut visit: impl FnMut(CommElem) -> Result<ControlFlow<()>, E>,
+    ) -> Result<(), E> {
+        assert_eq!(param_vals.len(), self.dims.params.len());
+        let d = &self.dims;
+        let order: Vec<usize> = [&d.s_iter, &d.ps, &d.pr, &d.r_iter, &d.arr, &d.aux]
+            .into_iter()
+            .flatten()
+            .copied()
+            .collect();
+        let nest = dmc_polyhedra::scan_bounds(&self.poly, &order)?;
+        let mut fixed = vec![0i128; self.poly.space().len()];
+        for (k, &p) in d.params.iter().enumerate() {
+            fixed[p] = param_vals[k];
+        }
+        let pick = |dims: &[usize], pt: &[i128]| dims.iter().map(|&x| pt[x]).collect();
+        // The scan visits each solution exactly once; no dedup needed.
+        nest.compile(&fixed)?.for_each(order.len(), |pt| {
+            visit(CommElem {
+                s_iter: pick(&d.s_iter, pt),
+                ps: pick(&d.ps, pt),
+                r_iter: pick(&d.r_iter, pt),
+                pr: pick(&d.pr, pt),
+                arr: pick(&d.arr, pt),
+            })
+        })
+    }
+
+    /// Collects [`CommSet::for_each`] into a vector. Returns `None` only
+    /// if the set has more than `limit` elements.
+    ///
+    /// # Errors
+    ///
+    /// As [`CommSet::for_each`].
     pub fn enumerate(
         &self,
         param_vals: &[i128],
         limit: usize,
     ) -> Result<Option<Vec<CommElem>>, PolyError> {
-        assert_eq!(param_vals.len(), self.dims.params.len());
-        let mut order = Vec::new();
-        order.extend(&self.dims.s_iter);
-        order.extend(&self.dims.ps);
-        order.extend(&self.dims.pr);
-        order.extend(&self.dims.r_iter);
-        order.extend(&self.dims.arr);
-        order.extend(&self.dims.aux);
-        let nest = dmc_polyhedra::scan_bounds(&self.poly, &order)?;
-        let mut fixed = vec![0i128; self.poly.space().len()];
-        for (k, &d) in self.dims.params.iter().enumerate() {
-            fixed[d] = param_vals[k];
-        }
-        let points = nest.enumerate(&fixed, limit.saturating_add(1))?;
-        if points.len() > limit {
-            return Ok(None);
-        }
-        // The scan enumerates each solution exactly once; no dedup needed.
-        let out: Vec<CommElem> = points
-            .iter()
-            .map(|pt| CommElem {
-                s_iter: self.dims.s_iter.iter().map(|&d| pt[d]).collect(),
-                ps: self.dims.ps.iter().map(|&d| pt[d]).collect(),
-                r_iter: self.dims.r_iter.iter().map(|&d| pt[d]).collect(),
-                pr: self.dims.pr.iter().map(|&d| pt[d]).collect(),
-                arr: self.dims.arr.iter().map(|&d| pt[d]).collect(),
+        let mut out = Vec::new();
+        self.for_each(param_vals, |e| {
+            out.push(e);
+            Ok::<_, PolyError>(if out.len() > limit {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
             })
-            .collect();
-        Ok(Some(out))
+        })?;
+        Ok((out.len() <= limit).then_some(out))
     }
 }
 

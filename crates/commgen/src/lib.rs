@@ -30,6 +30,6 @@ pub use commset::{
 };
 pub use opt::{
     aggregate_messages, count_transmissions, eliminate_already_local, eliminate_cross_set_reuse,
-    eliminate_self_reuse, eliminate_self_reuse_from, fold_receivers, is_multicast, unique_sender,
-    Message, OptError,
+    eliminate_self_reuse, eliminate_self_reuse_from, fold_receivers, is_multicast, payload_ident,
+    unique_sender, Message, OptError,
 };

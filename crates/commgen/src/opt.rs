@@ -1,7 +1,8 @@
 //! Communication optimizations (paper §6): redundant-transfer elimination,
 //! message aggregation, and multicast detection.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::ops::ControlFlow;
 
 use dmc_decomp::{DataDecomp, ProcGrid};
 use dmc_obs as obs;
@@ -364,43 +365,48 @@ impl Message {
 /// receiver)`. When `grid` is given, processors are folded to physical
 /// coordinates first and elements whose sender and receiver fold to the
 /// same physical processor are dropped (§6.1.3 — cyclic emulation
-/// redundancy). When `multicast` is set, identical payloads from one
-/// sender+key to different receivers are merged into a single
-/// [`Message`] per receiver group... the returned messages still list every
-/// receiver, but [`count_transmissions`] counts a multicast payload once.
+/// redundancy). Every receiver gets its own [`Message`]; merging identical
+/// payloads into one multicast is the planner's step (see
+/// [`payload_ident`] and [`count_transmissions`]).
 ///
 /// # Errors
 ///
-/// Returns [`OptError`] on arithmetic failure. Returns `Ok(None)` for sets
-/// whose enumeration exceeds `limit`.
+/// Returns [`OptError`] on arithmetic failure or an unbounded dimension.
+/// Returns `Ok(None)` for sets whose enumeration exceeds `limit`.
 pub fn aggregate_messages(
     cs: &CommSet,
     param_vals: &[i128],
     grid: Option<&ProcGrid>,
     limit: usize,
 ) -> Result<Option<Vec<Message>>, OptError> {
-    let Some(elems) = cs.enumerate(param_vals, limit)? else {
-        return Ok(None);
-    };
-    // Elements grouped by (sender, receiver, key).
+    // Elements go straight from the scan into their (sender, key,
+    // receiver) group.
     type GroupKey = (Vec<i128>, Vec<i128>, Vec<i128>);
     let mut groups: BTreeMap<GroupKey, Vec<CommElem>> = BTreeMap::new();
-    for e in elems {
+    let mut scanned = 0usize;
+    cs.for_each(param_vals, |e| {
+        scanned += 1;
+        if scanned > limit {
+            return Ok::<_, OptError>(ControlFlow::Break(()));
+        }
         let (s, r) = match grid {
             Some(g) => (g.fold(&e.ps), g.fold(&e.pr)),
             None => (e.ps.clone(), e.pr.clone()),
         };
-        if s == r {
-            // Same physical processor: local copy, no message (§6.1.3).
-            continue;
+        // Same physical processor: local copy, no message (§6.1.3).
+        if s != r {
+            let mut key: Vec<i128> = e.s_iter.iter().take(cs.prefix_len).copied().collect();
+            // Separate fetches of the same location (location-centric
+            // mode) must stay in separate messages.
+            key.extend(e.r_iter.iter().take(cs.refetch_outer));
+            groups.entry((s, key, r)).or_default().push(e);
         }
-        let mut key: Vec<i128> = e.s_iter.iter().take(cs.prefix_len).copied().collect();
-        // Separate fetches of the same location (location-centric mode)
-        // must stay in separate messages.
-        key.extend(e.r_iter.iter().take(cs.refetch_outer));
-        groups.entry((s, key, r)).or_default().push(e);
+        Ok(ControlFlow::Continue(()))
+    })?;
+    if scanned > limit {
+        return Ok(None);
     }
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(groups.len());
     for ((sender, key, receiver), mut items) in groups {
         // Identical order on both sides: lexicographic by (i_s, i_r, a).
         items.sort();
@@ -410,8 +416,13 @@ pub fn aggregate_messages(
             // may emulate several virtual receivers of the same value;
             // transfer it once (the earliest consuming iteration keeps the
             // item — the sort puts it first).
-            let mut seen = std::collections::BTreeSet::new();
-            items.retain(|e| seen.insert((e.s_iter.clone(), e.arr.clone())));
+            let mut seen = HashSet::new();
+            let first: Vec<bool> = items
+                .iter()
+                .map(|e| seen.insert((&e.s_iter, &e.arr)))
+                .collect();
+            let mut first = first.into_iter();
+            items.retain(|_| first.next().expect("one flag per item"));
         }
         out.push(Message {
             sender,
@@ -536,31 +547,27 @@ pub fn eliminate_cross_set_reuse(sets: &[CommSet]) -> Result<Vec<CommSet>, OptEr
     Ok(out)
 }
 
+/// The multicast identity of a message body: the array elements it
+/// carries, in item order, borrowed. Two messages from one sender under
+/// one aggregation key with equal identities are one multicast — the rule
+/// the planner's merge and [`count_transmissions`] share.
+pub fn payload_ident(items: &[CommElem]) -> Vec<&[i128]> {
+    items.iter().map(|e| e.arr.as_slice()).collect()
+}
+
 /// Counts `(messages, items)` over a batch of messages, merging multicast
-/// payloads when `multicast` is set: payloads identical across receivers
-/// for the same `(sender, key)` count as one transmission.
+/// payloads when `multicast` is set: payloads identical ([`payload_ident`])
+/// across receivers for the same `(sender, key)` count as one transmission.
 pub fn count_transmissions(messages: &[Message], multicast: bool) -> (usize, usize) {
     if !multicast {
-        let items = messages.iter().map(Message::len).sum();
-        return (messages.len(), items);
+        return (messages.len(), messages.iter().map(Message::len).sum());
     }
-    // Multicast identity: (sender, key, payload).
-    type CastKey = (Vec<i128>, Vec<i128>, Vec<(Vec<i128>, Vec<i128>)>);
-    let mut seen: BTreeMap<CastKey, usize> = BTreeMap::new();
-    for m in messages {
-        let payload: Vec<(Vec<i128>, Vec<i128>)> = m
-            .items
-            .iter()
-            .map(|e| (e.s_iter.clone(), e.arr.clone()))
-            .collect();
-        let entry = seen
-            .entry((m.sender.clone(), m.key.clone(), payload))
-            .or_insert(0);
-        *entry += 1;
-    }
-    let msgs = seen.len();
-    let items = seen.keys().map(|(_, _, p)| p.len()).sum();
-    (msgs, items)
+    let distinct: BTreeSet<_> = messages
+        .iter()
+        .map(|m| (&m.sender, &m.key, payload_ident(&m.items)))
+        .collect();
+    let items = distinct.iter().map(|(_, _, p)| p.len()).sum();
+    (distinct.len(), items)
 }
 
 #[cfg(test)]

@@ -2,9 +2,13 @@
 //! optimized message plan → machine schedule.
 
 use std::collections::{BTreeMap, HashMap};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
-use dmc_commgen::{aggregate_messages, is_multicast, CommError, CommSet, Message, OptError};
+use dmc_commgen::{
+    aggregate_messages, is_multicast, payload_ident, CommElem, CommError, CommSet, Message,
+    OptError,
+};
 use dmc_dataflow::{LastWriteTree, LwtError, LwtLeaf};
 use dmc_decomp::{CompDecomp, DataDecomp, ProcGrid};
 use dmc_ir::{Program, StmtInfo};
@@ -96,12 +100,18 @@ impl From<CommError> for CompileError {
 }
 impl From<OptError> for CompileError {
     fn from(e: OptError) -> Self {
-        CompileError::Opt(e)
+        match e {
+            OptError::Poly(p @ PolyError::Unbounded(_)) => p.into(),
+            e => CompileError::Opt(e),
+        }
     }
 }
 impl From<PolyError> for CompileError {
     fn from(e: PolyError) -> Self {
-        CompileError::Poly(e)
+        match e {
+            PolyError::Unbounded(_) => CompileError::Unbounded(e.to_string()),
+            e => CompileError::Poly(e),
+        }
     }
 }
 impl From<SimError> for CompileError {
@@ -227,18 +237,18 @@ pub(crate) fn schedule_message_stats(schedule: &Schedule) -> (u64, u64, u64) {
 }
 
 /// One planned physical message group (multicast-merged when enabled).
-struct PlannedGroup {
+struct PlannedGroup<'a> {
     sender: usize,
     receivers: Vec<usize>,
-    words: u64,
     /// The aggregation key (send-iteration prefix) this message belongs to.
     key: Vec<i128>,
     /// Per-receiver earliest consuming stamp.
     recv_anchor: Vec<Stamp>,
     /// Latest producing stamp (or the pre-loop stamp for initial data).
     send_anchor: Stamp,
-    /// Items: (array, idx, producing stamp).
-    items: Vec<(String, Vec<i128>, Stamp)>,
+    /// The elements carried, borrowed from the raw messages (which the
+    /// legality retries share), in pack/unpack order.
+    items: &'a [CommElem],
 }
 
 /// Enumerates one communication set into per-(sender, receiver) messages
@@ -259,89 +269,75 @@ fn raw_messages(
     })
 }
 
-fn planned_messages(
+fn planned_messages<'a>(
     compiled: &Compiled,
     cs: &CommSet,
-    raw: &[Message],
+    raw: &'a [Message],
     extra_split: usize,
     multicast: Option<bool>,
-) -> Result<Vec<PlannedGroup>, CompileError> {
+) -> Result<Vec<PlannedGroup<'a>>, CompileError> {
     let grid = &compiled.input.grid;
     let stmts = compiled.input.program.statements();
     let read_info = &stmts[cs.read_stmt];
+    let read_depth = read_info.loops.len();
     // Legality refinement: batching at the paper's i_s[0..k-1] prefix can
     // create wait cycles when items from several iterations of the
     // carrying loop share a message (see DESIGN.md); `extra_split` extends
     // the key by that many further send-iteration components. The planner
     // retries with a deeper split on deadlock.
     let key_len = (cs.prefix_len + extra_split).min(cs.dims.s_iter.len());
+    let split_len = if key_len > cs.prefix_len { key_len } else { 0 };
     let mut groups: Vec<PlannedGroup> = Vec::new();
     for m in raw {
-        // When aggregation is off, every element travels alone (one
-        // message per element — the unoptimized baseline of §6).
-        let mut split: Vec<Vec<dmc_commgen::CommElem>> = Vec::new();
-        if !compiled.options.aggregate {
-            split.extend(m.items.iter().map(|e| vec![e.clone()]));
-        } else if key_len <= cs.prefix_len {
-            split.push(m.items.clone());
-        } else {
-            let mut by_key: BTreeMap<Vec<i128>, Vec<dmc_commgen::CommElem>> = BTreeMap::new();
-            for e in &m.items {
-                let k: Vec<i128> = e.s_iter.iter().take(key_len).copied().collect();
-                by_key.entry(k).or_default().push(e.clone());
-            }
-            split.extend(by_key.into_values());
-        }
-        for chunk in &split {
-            let chunk: &[dmc_commgen::CommElem] = chunk;
-            let sender = grid.rank(&m.sender) as usize;
-            let receiver = grid.rank(&m.receiver) as usize;
-            // The send is anchored after the last producing write; for
-            // initial-owner data there is no producer and the send happens
+        let sender = grid.rank(&m.sender) as usize;
+        let receiver = grid.rank(&m.receiver) as usize;
+        // Items are sorted by send iteration first, so those sharing the
+        // extended key are one contiguous run. When aggregation is off,
+        // every element travels alone (the unoptimized baseline of §6).
+        let chunks = m.items.chunk_by(|a, b| {
+            compiled.options.aggregate
+                && a.s_iter
+                    .iter()
+                    .take(split_len)
+                    .eq(b.s_iter.iter().take(split_len))
+        });
+        for chunk in chunks {
+            let (first, last) = (&chunk[0], &chunk[chunk.len() - 1]);
+            // The send is anchored after the last producing write (the
+            // chunk's last item: one statement's stamps order like its
+            // iterations); initial-owner data has no producer and is sent
             // before everything.
             let send_anchor = match cs.write_stmt {
-                Some(_) => chunk
-                    .iter()
-                    .map(|e| producing_stamp(cs, &stmts, e))
-                    .max()
-                    .expect("nonempty message"),
+                Some(_) => producing_stamp(cs, &stmts, last),
                 None => vec![-2],
             };
-            let recv_anchor = chunk
+            // The exact stamp of the first consuming iteration. The
+            // scheduler splits the consuming compute block at this point,
+            // so the receive lands immediately before the data is used
+            // (the paper's "issue the receive just before the data are
+            // used").
+            let first_use = chunk
                 .iter()
-                .map(|e| consuming_stamp(read_info, e))
+                .map(|e| &e.r_iter[..read_depth])
                 .min()
-                .expect("nonempty message");
-            let items = chunk
-                .iter()
-                .map(|e| {
-                    (
-                        cs.array.clone(),
-                        e.arr.clone(),
-                        producing_stamp(cs, &stmts, e),
-                    )
-                })
-                .collect::<Vec<_>>();
+                .expect("nonempty chunk");
             // The effective key includes the extra split components so
             // multicast merging never crosses split boundaries.
             let mut key = m.key.clone();
-            if let Some(first) = chunk.first() {
-                key.extend(
-                    first
-                        .s_iter
-                        .iter()
-                        .skip(cs.prefix_len)
-                        .take(key_len - cs.prefix_len),
-                );
-            }
+            key.extend(
+                first
+                    .s_iter
+                    .iter()
+                    .skip(cs.prefix_len)
+                    .take(key_len - cs.prefix_len),
+            );
             groups.push(PlannedGroup {
                 sender,
                 receivers: vec![receiver],
-                words: chunk.len() as u64,
                 key,
-                recv_anchor: vec![recv_anchor],
+                recv_anchor: vec![dmc_machine::stamp_of(&read_info.position, first_use)],
                 send_anchor,
-                items,
+                items: chunk,
             });
         }
     }
@@ -357,32 +353,29 @@ fn planned_messages(
             Some(m) => m,
             None => is_multicast(cs)?,
         };
-    if merge {
-        let sig = |g: &PlannedGroup| -> Vec<(String, Vec<i128>)> {
-            g.items
-                .iter()
-                .map(|(a, i, _)| (a.clone(), i.clone()))
-                .collect()
-        };
-        let mut merged: Vec<PlannedGroup> = Vec::new();
-        'next: for g in groups {
-            let g_sig = sig(&g);
-            for m in merged.iter_mut() {
-                if m.sender == g.sender
-                    && m.key == g.key
-                    && sig(m) == g_sig
-                    && g.receivers.iter().all(|r| !m.receivers.contains(r))
-                {
-                    m.receivers.extend(g.receivers.iter().copied());
-                    m.recv_anchor.extend(g.recv_anchor.iter().cloned());
-                    continue 'next;
-                }
-            }
-            merged.push(g);
-        }
-        return Ok(merged);
+    if !merge {
+        return Ok(groups);
     }
-    Ok(groups)
+    // Each group joins the first earlier group with its identity and none
+    // of its receivers; the identity borrows the items, it copies nothing.
+    let mut merged: Vec<PlannedGroup> = Vec::new();
+    let mut by_ident: HashMap<_, Vec<usize>> = HashMap::new();
+    for g in groups {
+        let ident = (g.sender, g.key.clone(), payload_ident(g.items));
+        let same = by_ident.entry(ident).or_default();
+        let disjoint = |&i: &usize| g.receivers.iter().all(|r| !merged[i].receivers.contains(r));
+        match same.iter().copied().find(disjoint) {
+            Some(i) => {
+                merged[i].receivers.extend(g.receivers);
+                merged[i].recv_anchor.extend(g.recv_anchor);
+            }
+            None => {
+                same.push(merged.len());
+                merged.push(g);
+            }
+        }
+    }
+    Ok(merged)
 }
 
 /// One pending schedule entry: `(anchor, phase, seq, action)`.
@@ -442,21 +435,11 @@ fn block_actions(
 
 /// The global stamp of the write that produces element `e` of `cs` (or the
 /// initial-data stamp, which matches the simulator's initial placement).
-fn producing_stamp(cs: &CommSet, stmts: &[StmtInfo], e: &dmc_commgen::CommElem) -> Stamp {
+fn producing_stamp(cs: &CommSet, stmts: &[StmtInfo], e: &CommElem) -> Stamp {
     match cs.write_stmt {
         Some(w) => dmc_machine::stamp_of(&stmts[w].position, &e.s_iter),
         None => vec![-1],
     }
-}
-
-/// The exact stamp of the first consuming iteration. The scheduler splits
-/// the consuming compute block at this point, so the receive lands
-/// immediately before the data is used (the paper's "issue the receive
-/// just before the data are used").
-fn consuming_stamp(read_info: &StmtInfo, e: &dmc_commgen::CommElem) -> Stamp {
-    let d = read_info.loops.len();
-    let iter: Vec<i128> = e.r_iter.iter().take(d).copied().collect();
-    dmc_machine::stamp_of(&read_info.position, &iter)
 }
 
 /// Builds the full machine schedule for concrete parameter values.
@@ -695,24 +678,25 @@ fn build_schedule_at(
                             .join(", "),
                     ),
                     obs::field("nrecv", g.receivers.len()),
-                    obs::field("words", g.words),
+                    obs::field("words", g.items.len()),
                     obs::field("steps", cs.steps.join("+")),
                 ]
             });
+            // Only values mode materializes names, subscripts and stamps.
             let payload = values.then(|| {
                 g.items
                     .iter()
-                    .map(|(a, i, s)| PayloadItem {
-                        array: a.clone(),
-                        idx: i.clone(),
-                        stamp: s.clone(),
+                    .map(|e| PayloadItem {
+                        array: cs.array.clone(),
+                        idx: e.arr.clone(),
+                        stamp: producing_stamp(cs, &stmts, e),
                     })
                     .collect::<Vec<_>>()
             });
             schedule.messages.push(MessageSpec {
                 sender: g.sender,
                 receivers: g.receivers.clone(),
-                words: g.words,
+                words: g.items.len() as u64,
                 payload,
             });
             pending[g.sender].push((g.send_anchor.clone(), 1, seq, Action::Send { msg: msg_id }));
@@ -844,86 +828,36 @@ fn compute_blocks(
     // Scan order: proc dims outermost, then loop dims; parameters fixed.
     let mut order = proc_dims.clone();
     order.extend(&loop_dims);
-    let nest = dmc_polyhedra::scan_bounds(&poly, &order).map_err(CompileError::Poly)?;
+    let nest = dmc_polyhedra::scan_bounds(&poly, &order)?;
     let mut fixed = vec![0i128; space.len()];
     for (k, &d) in param_dims.iter().enumerate() {
         fixed[d] = param_vals[k];
     }
+    let kernel = nest.compile(&fixed)?;
 
-    // Walk the nest: enumerate proc dims and all loop dims except the
-    // innermost; the innermost becomes the block range.
-    let depth_total = nest.vars.len();
+    // Visit proc dims and all loop dims except the innermost; the
+    // innermost becomes the block range.
     let n_inner = usize::from(!loop_dims.is_empty());
-    let walk_depth = depth_total - n_inner;
-    let mut point = fixed.clone();
-    if !nest.guard_holds(&point).map_err(CompileError::Poly)? {
-        return Ok(());
-    }
-    walk(
-        &nest,
-        &space,
-        walk_depth,
-        0,
-        &mut point,
-        &mut |point, nest| -> Result<(), CompileError> {
-            // Virtual processor of this block.
-            let virt: Vec<i128> = proc_dims.iter().map(|&d| point[d]).collect();
-            let folded = grid.fold(&virt);
-            let rank = grid.rank(&folded) as usize;
-            let prefix: Vec<i128> = loop_dims
+    kernel.for_each(nest.vars.len() - n_inner, |point| {
+        // Virtual processor of this block.
+        let virt: Vec<i128> = proc_dims.iter().map(|&d| point[d]).collect();
+        let rank = grid.rank(&grid.fold(&virt)) as usize;
+        if loop_dims.is_empty() {
+            let anchor = dmc_machine::stamp_of(&info.position, &[]);
+            emit(rank, Vec::new(), None, flops_per_iter, anchor);
+        } else if let Some((lo, hi)) = kernel.inner_range(point)? {
+            let prefix: Vec<i128> = loop_dims[..loop_dims.len() - 1]
                 .iter()
-                .take(loop_dims.len().saturating_sub(1))
                 .map(|&d| point[d])
                 .collect();
-            if loop_dims.is_empty() {
-                let anchor = dmc_machine::stamp_of(&info.position, &[]);
-                emit(rank, Vec::new(), None, flops_per_iter, anchor);
-                return Ok(());
-            }
-            let vb = nest.vars.last().expect("inner var");
-            let (lo, hi) = vb.range(point).map_err(CompileError::Poly)?;
-            if lo > hi {
-                return Ok(());
-            }
             let mut first = prefix.clone();
             first.push(lo);
             let anchor = dmc_machine::stamp_of(&info.position, &first);
             let count = (hi - lo + 1) as f64;
             emit(rank, prefix, Some((lo, hi)), flops_per_iter * count, anchor);
-            Ok(())
-        },
-    )?;
-    Ok(())
-}
-
-/// Callback for [`walk`]: one fixed prefix point plus the remaining nest.
-type WalkFn<'a> = dyn FnMut(&[i128], &dmc_polyhedra::ScanNest) -> Result<(), CompileError> + 'a;
-
-/// Recursively enumerates the first `walk_depth` scan variables.
-fn walk(
-    nest: &dmc_polyhedra::ScanNest,
-    space: &Space,
-    walk_depth: usize,
-    depth: usize,
-    point: &mut Vec<i128>,
-    cb: &mut WalkFn,
-) -> Result<(), CompileError> {
-    if depth == walk_depth {
-        return cb(point, nest);
-    }
-    let vb = &nest.vars[depth];
-    let (lo, hi) = vb.range(point).map_err(CompileError::Poly)?;
-    if hi - lo > 4_000_000 {
-        return Err(CompileError::Unbounded(format!(
-            "range of {} too large ({lo}..{hi})",
-            space.dim(vb.dim).name()
-        )));
-    }
-    for v in lo..=hi {
-        point[vb.dim] = v;
-        walk(nest, space, walk_depth, depth + 1, point, cb)?;
-    }
-    Ok(())
+        }
+        Ok(ControlFlow::Continue(()))
+    })
 }
 
 /// Compiles, plans, and simulates in one call.

@@ -63,7 +63,7 @@ pub use constraint::{Constraint, ConstraintKind, Normalized};
 pub use lexopt::{lexopt, Direction, LexError, LexOpt, LexPiece};
 pub use linexpr::LinExpr;
 pub use polyhedron::{Feasibility, Polyhedron};
-pub use scan::{scan_bounds, Bound, ScanNest, VarBounds};
+pub use scan::{scan_bounds, Bound, ScanKernel, ScanNest, VarBounds};
 pub use space::{Dim, DimKind, Space};
 pub use stats::PolyStats;
 
@@ -72,12 +72,16 @@ pub use stats::PolyStats;
 pub enum PolyError {
     /// An `i128` coefficient computation overflowed.
     Overflow,
+    /// A scan reached a level of the given dimension with no lower or no
+    /// upper bound, or with a range too wide to iterate.
+    Unbounded(usize),
 }
 
 impl fmt::Display for PolyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PolyError::Overflow => write!(f, "integer coefficient overflow"),
+            PolyError::Unbounded(d) => write!(f, "scan of dimension {d} is unbounded"),
         }
     }
 }

@@ -97,6 +97,33 @@ pub fn mod_floor(a: i128, b: i128) -> i128 {
     a - b * div_floor(a, b)
 }
 
+/// The inverse of `a` modulo `m` in `[0, m)`: `a * mod_inverse(a, m) ≡ 1
+/// (mod m)`. Requires `m > 0` and `gcd(a, m) == 1`.
+///
+/// # Panics
+///
+/// Panics if `m <= 0` or `a` and `m` are not coprime.
+///
+/// # Examples
+///
+/// ```
+/// assert_eq!(dmc_polyhedra::num::mod_inverse(3, 7), 5);
+/// assert_eq!(dmc_polyhedra::num::mod_inverse(-1, 4), 3);
+/// ```
+pub fn mod_inverse(a: i128, m: i128) -> i128 {
+    // Extended Euclid on (a mod m, m), tracking only a's cofactor; every
+    // intermediate is bounded by m in magnitude.
+    let (mut r0, mut r1) = (mod_floor(a, m), m);
+    let (mut s0, mut s1) = (1i128, 0i128);
+    while r1 != 0 {
+        let q = r0 / r1;
+        (r0, r1) = (r1, r0 - q * r1);
+        (s0, s1) = (s1, s0 - q * s1);
+    }
+    assert_eq!(r0, 1, "mod_inverse requires coprime arguments");
+    mod_floor(s0, m)
+}
+
 /// Checked addition lifted to [`PolyError`].
 pub fn add(a: i128, b: i128) -> Result<i128, PolyError> {
     a.checked_add(b).ok_or(PolyError::Overflow)

@@ -8,7 +8,9 @@
 //! dimensions (parameters), obtained by projecting the deeper variables away
 //! with Fourier–Motzkin elimination.
 
-use crate::num;
+use std::ops::ControlFlow;
+
+use crate::{num, stats};
 use crate::{LinExpr, PolyError, Polyhedron};
 
 /// One bound of a scanned loop: `ceil(expr / divisor)` for lower bounds,
@@ -20,26 +22,6 @@ pub struct Bound {
     pub expr: LinExpr,
     /// Positive divisor.
     pub divisor: i128,
-}
-
-impl Bound {
-    /// Evaluates this bound as a lower bound (ceiling division).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PolyError::Overflow`] on overflow.
-    pub fn eval_lower(&self, point: &[i128]) -> Result<i128, PolyError> {
-        Ok(num::div_ceil(self.expr.eval(point)?, self.divisor))
-    }
-
-    /// Evaluates this bound as an upper bound (floor division).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PolyError::Overflow`] on overflow.
-    pub fn eval_upper(&self, point: &[i128]) -> Result<i128, PolyError> {
-        Ok(num::div_floor(self.expr.eval(point)?, self.divisor))
-    }
 }
 
 /// Bounds of one scanned variable.
@@ -57,31 +39,6 @@ pub struct VarBounds {
     pub exact: Option<LinExpr>,
 }
 
-impl VarBounds {
-    /// Evaluates the loop's concrete `(lower, upper)` range at a point that
-    /// fixes all earlier variables and parameters (entries for this variable
-    /// and deeper ones are ignored).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PolyError::Overflow`] on overflow.
-    pub fn range(&self, point: &[i128]) -> Result<(i128, i128), PolyError> {
-        if let Some(e) = &self.exact {
-            let v = e.eval(point)?;
-            return Ok((v, v));
-        }
-        let mut lo = i128::MIN;
-        for b in &self.lowers {
-            lo = lo.max(b.eval_lower(point)?);
-        }
-        let mut hi = i128::MAX;
-        for b in &self.uppers {
-            hi = hi.min(b.eval_upper(point)?);
-        }
-        Ok((lo, hi))
-    }
-}
-
 /// The scan structure of a polyhedron for a fixed variable order: one
 /// [`VarBounds`] per scanned variable, outermost first.
 #[derive(Clone, Debug)]
@@ -96,55 +53,299 @@ pub struct ScanNest {
 impl ScanNest {
     /// Enumerates all solutions with concrete values for the un-scanned
     /// dimensions given in `fixed` (entries at scanned positions are
-    /// ignored/overwritten). Results are full points in the original space.
+    /// ignored/overwritten), at most `limit` of them. Results are full
+    /// points in the original space, in lexicographic scan order.
     ///
-    /// Intended for testing and for the machine simulator's interpreter.
+    /// Collects [`ScanKernel::for_each`] into a vector, for tests, figures
+    /// and examples; the planner visits points in place.
     ///
     /// # Errors
     ///
-    /// Returns [`PolyError::Overflow`] on overflow.
+    /// As [`ScanKernel::for_each`].
     pub fn enumerate(&self, fixed: &[i128], limit: usize) -> Result<Vec<Vec<i128>>, PolyError> {
         let mut out = Vec::new();
-        let mut point = fixed.to_vec();
-        if !self.guard_holds(&point)? {
-            return Ok(out);
-        }
-        self.rec(0, &mut point, &mut out, limit)?;
+        self.compile(fixed)?.for_each(self.vars.len(), |point| {
+            if out.len() < limit {
+                out.push(point.to_vec());
+            }
+            Ok::<_, PolyError>(if out.len() < limit {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break(())
+            })
+        })?;
         Ok(out)
     }
 
-    /// Whether the guard constraints hold at `point`.
+    /// Compiles the nest for concrete values `fixed` of the un-scanned
+    /// dimensions: every bound becomes a sparse list of `(dimension,
+    /// coefficient)` terms over the outer scanned dimensions with the fixed
+    /// part folded into its constant, the guard is decided once, and a
+    /// level pinned by a non-unit equality `d·x == e` hands the congruence
+    /// `e ≡ 0 (mod d)` to the innermost outer level `e` mentions, which
+    /// steps by the solved stride instead of looping over misses (§5.2's
+    /// degenerate loop, generalized to strides).
     ///
     /// # Errors
     ///
     /// Returns [`PolyError::Overflow`] on overflow.
-    pub fn guard_holds(&self, point: &[i128]) -> Result<bool, PolyError> {
-        self.guard.contains(point)
+    pub fn compile(&self, fixed: &[i128]) -> Result<ScanKernel, PolyError> {
+        let mut level_of: Vec<Option<usize>> = vec![None; fixed.len()];
+        let mut levels: Vec<Level> = Vec::with_capacity(self.vars.len());
+        for (k, vb) in self.vars.iter().enumerate() {
+            let sparse = |e: &LinExpr| -> Result<Affine, PolyError> {
+                let mut out = Affine {
+                    terms: Vec::new(),
+                    constant: e.constant_term(),
+                };
+                for (d, &c) in e.coeffs().iter().enumerate().filter(|(_, &c)| c != 0) {
+                    match level_of[d] {
+                        Some(_) => out.terms.push((d, c)),
+                        None => out.constant = num::add(out.constant, num::mul(c, fixed[d])?)?,
+                    }
+                }
+                Ok(out)
+            };
+            let side = |bs: &[Bound]| -> Result<Vec<(Affine, i128)>, PolyError> {
+                bs.iter()
+                    .map(|b| Ok((sparse(&b.expr)?, b.divisor)))
+                    .collect()
+            };
+            let level = Level {
+                dim: vb.dim,
+                exact: vb.exact.as_ref().map(&sparse).transpose()?,
+                lowers: side(&vb.lowers)?,
+                uppers: side(&vb.uppers)?,
+                stride: None,
+            };
+            // A bound that is both a ceiling lower and a floor upper bound
+            // is a non-unit equality `divisor·x == expr`.
+            for (b, (compiled, _)) in vb.lowers.iter().zip(&level.lowers) {
+                if b.divisor == 1 || !vb.uppers.contains(b) {
+                    continue;
+                }
+                let mut rest = compiled.clone();
+                let deepest = rest.terms.iter().filter_map(|&(d, _)| level_of[d]).max();
+                let Some(at) = deepest.filter(|&at| levels[at].stride.is_none()) else {
+                    continue;
+                };
+                let pos = rest
+                    .terms
+                    .iter()
+                    .position(|&(d, _)| d == levels[at].dim)
+                    .expect("the deepest term's dimension");
+                let (_, coeff) = rest.terms.remove(pos);
+                let g = num::gcd(coeff, b.divisor);
+                let modulus = b.divisor / g;
+                levels[at].stride = Some(Stride {
+                    rest,
+                    gcd: g,
+                    modulus,
+                    inverse: num::mod_inverse(coeff / g, modulus),
+                });
+            }
+            levels.push(level);
+            level_of[vb.dim] = Some(k);
+        }
+        Ok(ScanKernel {
+            levels,
+            start: fixed.to_vec(),
+            guard: self.guard.contains(fixed)?,
+        })
+    }
+}
+
+/// The widest range one level may span before it counts as unbounded.
+const MAX_LEVEL_SPAN: i128 = 4_000_000;
+
+/// `constant + Σ coeff·point[dim]` over outer scanned dimensions.
+#[derive(Clone, Debug)]
+struct Affine {
+    terms: Vec<(usize, i128)>,
+    constant: i128,
+}
+
+impl Affine {
+    fn eval(&self, point: &[i128]) -> Result<i128, PolyError> {
+        let mut acc = self.constant;
+        for &(d, c) in &self.terms {
+            acc = num::add(acc, num::mul(c, point[d])?)?;
+        }
+        Ok(acc)
+    }
+}
+
+/// The congruence `coeff·x + rest ≡ 0 (mod gcd·modulus)` a deeper non-unit
+/// equality imposes on this level's variable `x`, pre-solved: it holds iff
+/// `gcd | rest` and `x ≡ −(rest/gcd)·inverse (mod modulus)`.
+#[derive(Clone, Debug)]
+struct Stride {
+    rest: Affine,
+    gcd: i128,
+    modulus: i128,
+    inverse: i128,
+}
+
+#[derive(Clone, Debug)]
+struct Level {
+    dim: usize,
+    exact: Option<Affine>,
+    lowers: Vec<(Affine, i128)>,
+    uppers: Vec<(Affine, i128)>,
+    stride: Option<Stride>,
+}
+
+impl Level {
+    /// The level's `(lower, upper)` range at a point fixing the outer
+    /// levels, before any stride.
+    fn bounds(&self, point: &[i128]) -> Result<(i128, i128), PolyError> {
+        if let Some(e) = &self.exact {
+            let v = e.eval(point)?;
+            return Ok((v, v));
+        }
+        if self.lowers.is_empty() || self.uppers.is_empty() {
+            return Err(PolyError::Unbounded(self.dim));
+        }
+        let mut lo = i128::MIN;
+        for (e, d) in &self.lowers {
+            lo = lo.max(num::div_ceil(e.eval(point)?, *d));
+        }
+        let mut hi = i128::MAX;
+        for (e, d) in &self.uppers {
+            hi = hi.min(num::div_floor(e.eval(point)?, *d));
+        }
+        Ok((lo, hi))
     }
 
-    fn rec(
+    /// The values to iterate as `(first, last, step)`, or `None` when the
+    /// level is empty at this point.
+    fn steps(&self, point: &[i128]) -> Result<Option<(i128, i128, i128)>, PolyError> {
+        let (mut lo, hi) = self.bounds(point)?;
+        let mut step = 1;
+        if let Some(s) = &self.stride {
+            let rest = s.rest.eval(point)?;
+            if rest % s.gcd != 0 {
+                return Ok(None);
+            }
+            let residue = num::mod_floor(rest / s.gcd, s.modulus);
+            let want = num::mul(s.modulus - residue, s.inverse)?;
+            let ahead = num::mod_floor(want.checked_sub(lo).ok_or(PolyError::Overflow)?, s.modulus);
+            lo = num::add(lo, ahead)?;
+            step = s.modulus;
+        }
+        if lo > hi {
+            return Ok(None);
+        }
+        match hi.checked_sub(lo) {
+            Some(span) if span <= MAX_LEVEL_SPAN => Ok(Some((lo, hi, step))),
+            _ => Err(PolyError::Unbounded(self.dim)),
+        }
+    }
+}
+
+/// One enumeration's counts, added to the engine statistics once, on
+/// whichever path the enumeration ends.
+#[derive(Default)]
+struct Tally {
+    points: u64,
+    range_evals: u64,
+}
+
+impl Drop for Tally {
+    fn drop(&mut self) {
+        stats::count_scan(self.points, self.range_evals);
+    }
+}
+
+/// A [`ScanNest`] compiled for fixed parameter values
+/// ([`ScanNest::compile`]): the one enumerator behind the planner's
+/// communication-set and compute-block scans.
+#[derive(Clone, Debug)]
+pub struct ScanKernel {
+    levels: Vec<Level>,
+    start: Vec<i128>,
+    guard: bool,
+}
+
+impl ScanKernel {
+    /// Calls `visit` with every solution of the outermost `depth` levels,
+    /// in lexicographic scan order, as a full point in the original space
+    /// (entries of deeper scanned dimensions are unspecified). `visit`
+    /// returns [`ControlFlow::Break`] to stop early.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PolyError::Unbounded`] when a level that is reached has no
+    /// lower or no upper bound or spans more than four million values,
+    /// [`PolyError::Overflow`] on overflow, and whatever `visit` returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `depth` exceeds the number of levels.
+    pub fn for_each<E: From<PolyError>>(
         &self,
         depth: usize,
-        point: &mut Vec<i128>,
-        out: &mut Vec<Vec<i128>>,
-        limit: usize,
-    ) -> Result<(), PolyError> {
-        if depth == self.vars.len() {
-            if out.len() < limit {
-                out.push(point.clone());
-            }
+        mut visit: impl FnMut(&[i128]) -> Result<ControlFlow<()>, E>,
+    ) -> Result<(), E> {
+        let levels = &self.levels[..depth];
+        if !self.guard {
             return Ok(());
         }
-        let vb = &self.vars[depth];
-        let (lo, hi) = vb.range(point)?;
-        for v in lo..=hi {
-            point[vb.dim] = v;
-            self.rec(depth + 1, point, out, limit)?;
-            if out.len() >= limit {
-                break;
+        let mut tally = Tally::default();
+        let mut point = self.start.clone();
+        if levels.is_empty() {
+            tally.points += 1;
+            return visit(&point).map(drop);
+        }
+        // Per level: the last value and the step of the running loop.
+        let mut loops = vec![(0i128, 1i128); depth];
+        let (mut k, mut entering) = (0, true);
+        loop {
+            let dim = levels[k].dim;
+            let next = if entering {
+                tally.range_evals += 1;
+                levels[k].steps(&point)?.map(|(lo, hi, step)| {
+                    loops[k] = (hi, step);
+                    lo
+                })
+            } else {
+                let (hi, step) = loops[k];
+                point[dim].checked_add(step).filter(|&v| v <= hi)
+            };
+            let Some(v) = next else {
+                if k == 0 {
+                    return Ok(());
+                }
+                (k, entering) = (k - 1, false);
+                continue;
+            };
+            point[dim] = v;
+            entering = k + 1 < depth;
+            if entering {
+                k += 1;
+            } else {
+                tally.points += 1;
+                if visit(&point)?.is_break() {
+                    return Ok(());
+                }
             }
         }
-        Ok(())
+    }
+
+    /// The `(lower, upper)` range of the innermost level at a point fixing
+    /// every outer level, `None` when empty — for consumers that take the
+    /// innermost loop as one block instead of visiting it.
+    ///
+    /// # Errors
+    ///
+    /// As [`ScanKernel::for_each`], without the span limit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the kernel has no levels.
+    pub fn inner_range(&self, point: &[i128]) -> Result<Option<(i128, i128)>, PolyError> {
+        let inner = self.levels.last().expect("a scanned level");
+        Ok(Some(inner.bounds(point)?).filter(|(lo, hi)| lo <= hi))
     }
 }
 
@@ -270,6 +471,68 @@ mod tests {
         Constraint::ge(LinExpr::from_coeffs(coeffs, c))
     }
 
+    /// The dense reference: a level's `(lower, upper)` range straight from
+    /// the [`VarBounds`], every bound a full-width checked evaluation.
+    fn dense_range(vb: &VarBounds, point: &[i128]) -> (i128, i128) {
+        if let Some(e) = &vb.exact {
+            let v = e.eval(point).unwrap();
+            return (v, v);
+        }
+        let lower = |b: &Bound| num::div_ceil(b.expr.eval(point).unwrap(), b.divisor);
+        let upper = |b: &Bound| num::div_floor(b.expr.eval(point).unwrap(), b.divisor);
+        (
+            vb.lowers.iter().map(lower).max().unwrap_or(i128::MIN),
+            vb.uppers.iter().map(upper).min().unwrap_or(i128::MAX),
+        )
+    }
+
+    /// The recursive enumerator the kernel replaced, kept as the
+    /// differential oracle: one loop per level, misses and all.
+    fn dense_rec(nest: &ScanNest, depth: usize, point: &mut Vec<i128>, out: &mut Vec<Vec<i128>>) {
+        if depth == nest.vars.len() {
+            out.push(point.clone());
+            return;
+        }
+        let vb = &nest.vars[depth];
+        let (lo, hi) = dense_range(vb, point);
+        for v in lo..=hi {
+            point[vb.dim] = v;
+            dense_rec(nest, depth + 1, point, out);
+        }
+    }
+
+    fn dense(nest: &ScanNest, fixed: &[i128]) -> Vec<Vec<i128>> {
+        let mut out = Vec::new();
+        if nest.guard.contains(fixed).unwrap() {
+            dense_rec(nest, 0, &mut fixed.to_vec(), &mut out);
+        }
+        out
+    }
+
+    /// Kernel ≡ oracle: same points, same order; a `limit` keeps a prefix.
+    fn assert_kernel_matches_dense(p: &Polyhedron, order: &[usize], fixed: &[i128]) -> usize {
+        let nest = scan_bounds(p, order).unwrap();
+        let want = dense(&nest, fixed);
+        assert_eq!(nest.enumerate(fixed, usize::MAX).unwrap(), want);
+        for limit in [0, 1, want.len() / 2, want.len()] {
+            let got = nest.enumerate(fixed, limit).unwrap();
+            assert_eq!(got, want[..limit.min(want.len())], "limit {limit}");
+        }
+        want.len()
+    }
+
+    /// `pr == ext·q + f`, `0 <= f < ext`, `0 <= pr <= top` — the shape
+    /// `fold_receivers` appends — over `(pr, f, q)`.
+    fn folded(ext: i128, top: i128) -> Polyhedron {
+        let mut p = Polyhedron::universe(sp(&["pr", "f", "q"]));
+        p.add(ge(vec![1, 0, 0], 0));
+        p.add(ge(vec![-1, 0, 0], top));
+        p.add(ge(vec![0, 1, 0], 0));
+        p.add(ge(vec![0, -1, 0], ext - 1));
+        p.add(Constraint::eq(LinExpr::from_coeffs(vec![1, -1, -ext], 0)));
+        p
+    }
+
     /// The 2-D polyhedron of Figure 6 in the paper:
     /// `1 <= i <= 6`, `1 <= j`, `j <= i`, `2j <= i + 12` — scanned in
     /// `(i, j)` and `(j, i)` orders.
@@ -326,8 +589,8 @@ mod tests {
         p.add(ge(vec![1, 0], 0));
         p.add(ge(vec![-1, 1], 0));
         let nest = scan_bounds(&p, &[0]).unwrap();
-        assert!(nest.guard_holds(&[0, 5]).unwrap());
-        assert!(!nest.guard_holds(&[0, -1]).unwrap());
+        assert!(nest.guard.contains(&[0, 5]).unwrap());
+        assert!(!nest.guard.contains(&[0, -1]).unwrap());
         let pts = nest.enumerate(&[0, 3], 100).unwrap();
         assert_eq!(pts.len(), 4);
     }
@@ -366,5 +629,127 @@ mod tests {
         let nest = scan_bounds(&p, &[0]).unwrap();
         let pts = nest.enumerate(&[0], 100).unwrap();
         assert!(pts.is_empty());
+    }
+
+    #[test]
+    fn kernel_matches_dense_recursion() {
+        // Figure 6, both orders.
+        assert_eq!(
+            assert_kernel_matches_dense(&figure6(), &[0, 1], &[0, 0]),
+            21
+        );
+        assert_eq!(
+            assert_kernel_matches_dense(&figure6(), &[1, 0], &[0, 0]),
+            21
+        );
+        // Non-unit equality i == 2k: pinned dim last, then first (the
+        // stride moves to the loop that would otherwise miss).
+        let mut p = Polyhedron::universe(sp(&["k", "i"]));
+        p.add(ge(vec![1, 0], 0));
+        p.add(ge(vec![-1, 0], 3));
+        p.add(Constraint::eq(LinExpr::from_coeffs(vec![2, -1], 0)));
+        assert_eq!(assert_kernel_matches_dense(&p, &[0, 1], &[0, 0]), 4);
+        assert_eq!(assert_kernel_matches_dense(&p, &[1, 0], &[0, 0]), 4);
+        // A stride whose coefficient shares a factor with the modulus:
+        // 6k == 4i + 3j over (j, i, k) needs j even, then i ≡ 0 (mod 3).
+        let mut p = Polyhedron::universe(sp(&["j", "i", "k"]));
+        for d in 0..2 {
+            let mut unit = vec![0, 0, 0];
+            unit[d] = 1;
+            p.add(ge(unit.clone(), 6));
+            unit[d] = -1;
+            p.add(ge(unit, 6));
+        }
+        p.add(Constraint::eq(LinExpr::from_coeffs(vec![3, 4, -6], 0)));
+        assert_eq!(assert_kernel_matches_dense(&p, &[0, 1, 2], &[0; 3]), 35);
+        let kernel = scan_bounds(&p, &[0, 1, 2]).unwrap().compile(&[0; 3]);
+        let stride = kernel.unwrap().levels[1].stride.clone().expect("strided");
+        assert_eq!((stride.gcd, stride.modulus), (2, 3));
+        // The fold_receivers shape in every order.
+        for order in [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ] {
+            assert_eq!(
+                assert_kernel_matches_dense(&folded(4, 13), &order, &[0; 3]),
+                14
+            );
+        }
+        // Single point, empty, and guard-false (N = -1 in 0 <= i <= N).
+        let mut p = Polyhedron::universe(sp(&["i", "j"]));
+        p.add(Constraint::eq(LinExpr::from_coeffs(vec![1, 0], -3)));
+        p.add(Constraint::eq(LinExpr::from_coeffs(vec![1, -1], 1)));
+        assert_eq!(assert_kernel_matches_dense(&p, &[0, 1], &[0, 0]), 1);
+        p.add(ge(vec![0, 1], -9));
+        assert_eq!(assert_kernel_matches_dense(&p, &[0, 1], &[0, 0]), 0);
+        let mut p = Polyhedron::universe(sp(&["i", "N"]));
+        p.add(ge(vec![1, 0], 0));
+        p.add(ge(vec![-1, 1], 0));
+        assert_eq!(assert_kernel_matches_dense(&p, &[0], &[0, 3]), 4);
+        assert_eq!(assert_kernel_matches_dense(&p, &[0], &[0, -1]), 0);
+    }
+
+    #[test]
+    fn strided_level_costs_an_assignment_not_a_loop() {
+        // Scanning f before q, the dense recursion evaluates q's range for
+        // all 16 values of f per pr and finds it empty for 15 of them. The
+        // kernel solves f ≡ pr (mod 16): one range evaluation per level.
+        let nest = scan_bounds(&folded(16, 63), &[0, 1, 2]).unwrap();
+        let kernel = nest.compile(&[0; 3]).unwrap();
+        let (mut points, mut evals) = (0u64, 0u64);
+        // Count through the level ranges directly; the process-wide
+        // statistics also see the other tests' scans.
+        let mut point = vec![0i128; 3];
+        let (lo, hi, step) = kernel.levels[0].steps(&point).unwrap().unwrap();
+        assert_eq!((lo, hi, step), (0, 63, 1));
+        for pr in lo..=hi {
+            point[0] = pr;
+            evals += 1;
+            let (f, f_hi, step) = kernel.levels[1].steps(&point).unwrap().unwrap();
+            assert_eq!((f, step), (pr % 16, 16));
+            assert!(f + step > f_hi, "one trip");
+            point[1] = f;
+            evals += 1;
+            let (q, q_hi, _) = kernel.levels[2].steps(&point).unwrap().unwrap();
+            assert_eq!((q, q_hi), (pr / 16, pr / 16));
+            points += 1;
+        }
+        assert_eq!((points, evals), (64, 128));
+        assert_eq!(
+            nest.enumerate(&[0; 3], 1000).unwrap(),
+            dense(&nest, &[0; 3])
+        );
+    }
+
+    #[test]
+    fn unbounded_level_is_a_typed_error() {
+        // p is unconstrained: formerly `for v in i128::MIN..=hi`.
+        let mut poly = Polyhedron::universe(sp(&["p", "i"]));
+        poly.add(ge(vec![0, 1], 0));
+        poly.add(ge(vec![0, -1], 5));
+        let nest = scan_bounds(&poly, &[0, 1]).unwrap();
+        assert_eq!(nest.enumerate(&[0, 0], 10), Err(PolyError::Unbounded(0)));
+        // One-sided, and two-sided but too wide to iterate.
+        poly.add(ge(vec![1, 0], 0));
+        let nest = scan_bounds(&poly, &[0, 1]).unwrap();
+        assert_eq!(nest.enumerate(&[0, 0], 10), Err(PolyError::Unbounded(0)));
+        poly.add(ge(vec![-1, 0], MAX_LEVEL_SPAN + 1));
+        let nest = scan_bounds(&poly, &[0, 1]).unwrap();
+        assert_eq!(nest.enumerate(&[0, 0], 10), Err(PolyError::Unbounded(0)));
+        // A level that is never reached is not an error: the guard fails.
+        let mut poly = Polyhedron::universe(sp(&["p", "N"]));
+        poly.add(ge(vec![0, 1], 0));
+        let nest = scan_bounds(&poly, &[0]).unwrap();
+        assert_eq!(nest.enumerate(&[0, -1], 10), Ok(vec![]));
+        // The innermost block range has no span limit, only sidedness.
+        let mut poly = Polyhedron::universe(sp(&["i"]));
+        poly.add(ge(vec![1], 0));
+        poly.add(ge(vec![-1], 10 * MAX_LEVEL_SPAN));
+        let kernel = scan_bounds(&poly, &[0]).unwrap().compile(&[0]).unwrap();
+        assert_eq!(kernel.inner_range(&[0]), Ok(Some((0, 10 * MAX_LEVEL_SPAN))));
     }
 }

@@ -75,6 +75,8 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static CONS_CLONED: AtomicU64 = AtomicU64::new(0);
 static INLINE_SPILLS: AtomicU64 = AtomicU64::new(0);
 static BATCH_SAVED: AtomicU64 = AtomicU64::new(0);
+static SCAN_POINTS: AtomicU64 = AtomicU64::new(0);
+static SCAN_RANGE_EVALS: AtomicU64 = AtomicU64::new(0);
 
 static CACHE_ENABLED: AtomicBool = AtomicBool::new(true);
 static PREFILTERS_ENABLED: AtomicBool = AtomicBool::new(true);
@@ -152,6 +154,13 @@ pub struct PolyStats {
     /// [`batch_feasibility`](crate::batch_feasibility) instead of by the
     /// solver.
     pub batch_saved: u64,
+    /// Points emitted by the scan kernel
+    /// ([`ScanKernel::for_each`](crate::ScanKernel::for_each)).
+    pub scan_points: u64,
+    /// Level ranges the scan kernel evaluated to emit them; a ratio to
+    /// [`scan_points`](Self::scan_points) far above a nest's depth means
+    /// the nest loops over misses.
+    pub scan_range_evals: u64,
 }
 
 impl PolyStats {
@@ -189,6 +198,10 @@ impl PolyStats {
             cons_cloned: self.cons_cloned.saturating_sub(earlier.cons_cloned),
             inline_spills: self.inline_spills.saturating_sub(earlier.inline_spills),
             batch_saved: self.batch_saved.saturating_sub(earlier.batch_saved),
+            scan_points: self.scan_points.saturating_sub(earlier.scan_points),
+            scan_range_evals: self
+                .scan_range_evals
+                .saturating_sub(earlier.scan_range_evals),
         }
     }
 }
@@ -215,6 +228,8 @@ pub fn snapshot() -> PolyStats {
         cons_cloned: CONS_CLONED.load(R),
         inline_spills: INLINE_SPILLS.load(R),
         batch_saved: BATCH_SAVED.load(R),
+        scan_points: SCAN_POINTS.load(R),
+        scan_range_evals: SCAN_RANGE_EVALS.load(R),
     }
 }
 
@@ -240,6 +255,8 @@ pub fn reset() {
         &CONS_CLONED,
         &INLINE_SPILLS,
         &BATCH_SAVED,
+        &SCAN_POINTS,
+        &SCAN_RANGE_EVALS,
     ] {
         c.store(0, R);
     }
@@ -311,6 +328,12 @@ pub(crate) fn count_inline_spill() {
 }
 pub(crate) fn count_batch_saved() {
     BATCH_SAVED.fetch_add(1, R);
+}
+
+/// One finished enumeration's totals, added once (not per node).
+pub(crate) fn count_scan(points: u64, range_evals: u64) {
+    SCAN_POINTS.fetch_add(points, R);
+    SCAN_RANGE_EVALS.fetch_add(range_evals, R);
 }
 
 /// This thread's cumulative allocation count. The work ledger reads it on
