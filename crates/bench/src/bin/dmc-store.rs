@@ -18,10 +18,16 @@
 //!    the same requests against the populated store produces
 //!    byte-identical schedules, recomputes nothing, and serves at least
 //!    half of its stage lookups from disk (in practice: all of them).
-//! 2. **Eviction correctness.** Under a deliberately tiny byte bound the
+//! 2. **The index is a log, and a short one.** Eight more warm sweeps,
+//!    each through a fresh open of the same directory, stay
+//!    byte-identical; each appends exactly one `index.tsv` line per disk
+//!    hit unless it compacts, the file never holds more than
+//!    `2 × entries + 1024` lines, and a final reopen finds the same
+//!    entry set — the count-based guard that a load costs O(1).
+//! 3. **Eviction correctness.** Under a deliberately tiny byte bound the
 //!    store honors the bound, evicts deterministically, and a partially
 //!    warm session still compiles byte-identically.
-//! 3. **Corruption is a miss.** With every artifact file bit-flipped, a
+//! 4. **Corruption is a miss.** With every artifact file bit-flipped, a
 //!    fresh session still produces byte-identical schedules — corrupt
 //!    payloads are quarantined and recomputed, never trusted.
 //!
@@ -114,6 +120,14 @@ fn sweep(store: DiskStore) -> (Vec<String>, dmc_core::SessionStats, dmc_core::St
     (schedules, stats, store_stats)
 }
 
+/// Record lines in the store's `index.tsv` (the header is not one).
+fn index_lines(dir: &Path) -> u64 {
+    match std::fs::read_to_string(dir.join("index.tsv")) {
+        Ok(text) => (text.lines().count() as u64).saturating_sub(1),
+        Err(e) => fail(format!("cannot read index.tsv: {e}")),
+    }
+}
+
 /// Flips one payload byte in every artifact file under `shards/`.
 fn corrupt_all(dir: &Path) -> usize {
     let mut corrupted = 0;
@@ -189,6 +203,49 @@ fn run_check(dir: &Path) {
     println!(
         "warm: byte-identical schedules, {}/{} lookups from disk, 0 recomputed",
         warm_stats.stage_disk_hits, lookups
+    );
+
+    // Index sweep: the index is an append-only log, so a warm sweep may
+    // add one line per disk hit and nothing else, and compaction keeps
+    // the file within a constant of twice the entry set.
+    let entries = open_store(dir, None).keys();
+    let line_bound = 2 * entries.len() as u64 + 1024;
+    let mut lines = index_lines(dir);
+    for round in 1..=8 {
+        let (schedules, stats, store) = sweep(open_store(dir, None));
+        check!(
+            schedules == cold_schedules,
+            "index sweep {round}: schedules diverge from the cold pass"
+        );
+        check!(
+            stats.stage_misses == 0 && store.corrupt == 0,
+            "index sweep {round}: {} stage(s) recomputed, {} corrupt",
+            stats.stage_misses,
+            store.corrupt
+        );
+        let now = index_lines(dir);
+        check!(
+            now <= line_bound,
+            "index sweep {round}: index.tsv holds {now} lines, over 2 x {} entries + 1024",
+            entries.len()
+        );
+        let appended = lines + store.hits;
+        let compacted = now < appended && now >= store.entries;
+        check!(
+            now == appended || compacted,
+            "index sweep {round}: {} disk hit(s) took index.tsv from {lines} to {now} lines",
+            store.hits
+        );
+        lines = now;
+    }
+    check!(
+        open_store(dir, None).keys() == entries,
+        "index sweeps changed the entry set"
+    );
+    println!(
+        "index: 8 warm sweeps byte-identical, index.tsv at {lines} line(s) for {} entries \
+         (bound {line_bound}), entry set unchanged",
+        entries.len()
     );
 
     // Pass 3: a tiny byte bound forces evictions; the bound must hold,

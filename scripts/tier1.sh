@@ -65,7 +65,9 @@ cargo run --release -p dmc-bench --bin dmc-session -- \
 
 # Persistent artifact store: cold/warm byte identity over all four
 # workloads (a fresh process serves everything from disk and recomputes
-# nothing), deterministic LRU eviction under a tiny byte bound, and
+# nothing), eight more warm sweeps each adding one index-log line per
+# disk hit (the count-based guard that a load costs O(1), not
+# O(entries)), deterministic LRU eviction under a tiny byte bound, and
 # corruption-as-miss (every bit-flipped artifact is quarantined and
 # recomputed, never trusted).
 cargo run --release -p dmc-bench --bin dmc-store -- \
