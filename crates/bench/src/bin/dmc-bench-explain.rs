@@ -44,8 +44,8 @@ use dmc_bench::history::{
     parse_history, render_history, HistoryRecord, ReuseSummary, WorkloadSummary, SCHEMA,
 };
 use dmc_bench::html::render_dashboard;
-use dmc_bench::{figure2_input, lu_input, stencil_input, xy_input};
-use dmc_core::{build_schedule, compile, options_fingerprint, CompileInput, Options, Session};
+use dmc_bench::workloads;
+use dmc_core::{build_schedule, compile, options_fingerprint, Options, Session};
 use dmc_machine::{critpath, MachineConfig};
 use dmc_polyhedra::ledger;
 
@@ -65,16 +65,6 @@ macro_rules! drift {
         eprintln!("bench-explain: {}", format_args!($($arg)*));
         return ExitCode::from(1);
     }};
-}
-
-/// The benchmark request set, matching the perfstats harness.
-fn check_requests() -> Vec<(&'static str, CompileInput, Vec<i128>)> {
-    vec![
-        ("lu", lu_input(8), vec![48]),
-        ("stencil", stencil_input(32, 4), vec![4, 127]),
-        ("figure2", figure2_input(4), vec![3, 127]),
-        ("xy", xy_input(4), vec![47]),
-    ]
 }
 
 /// The commit id of the working tree, read from `.git` without invoking
@@ -213,12 +203,13 @@ fn summarize(threads: usize) -> Result<(Vec<WorkloadSummary>, ReuseSummary), Str
         threads,
         ..Options::full()
     };
-    let mut workloads = Vec::new();
-    for (name, input, params) in check_requests() {
+    let mut summaries = Vec::new();
+    for w in workloads() {
+        let name = w.name;
         ledger::start();
-        let compiled =
-            compile(input, opts).map_err(|e| format!("{name}: compile failed: {e:?}"))?;
-        let schedule = build_schedule(&compiled, &params, false, LIMIT)
+        let compiled = compile((w.input)(w.nproc), opts)
+            .map_err(|e| format!("{name}: compile failed: {e:?}"))?;
+        let schedule = build_schedule(&compiled, &w.params, false, LIMIT)
             .map_err(|e| format!("{name}: schedule failed: {e:?}"))?;
         let work_units = ledger::finish().charged_work();
         let crit = critpath::analyze(&schedule, &MachineConfig::ipsc860())
@@ -233,7 +224,7 @@ fn summarize(threads: usize) -> Result<(Vec<WorkloadSummary>, ReuseSummary), Str
             .iter()
             .map(|m| m.words * m.receivers.len() as u64)
             .sum();
-        workloads.push(WorkloadSummary {
+        summaries.push(WorkloadSummary {
             name: name.to_owned(),
             nproc: schedule.procs.len() as u64,
             messages: schedule.messages.len() as u64,
@@ -253,10 +244,10 @@ fn summarize(threads: usize) -> Result<(Vec<WorkloadSummary>, ReuseSummary), Str
     }
     let mut session = Session::scoped("explain-check");
     ledger::start();
-    for (name, input, params) in check_requests() {
+    for w in workloads() {
         session
-            .serve(name, input, opts, &params, LIMIT)
-            .map_err(|e| format!("{name}: serve failed: {e:?}"))?;
+            .serve(w.name, (w.input)(w.nproc), opts, &w.params, LIMIT)
+            .map_err(|e| format!("{}: serve failed: {e:?}", w.name))?;
     }
     let session_work = ledger::finish().charged_work();
     let stats = session.stats();
@@ -270,7 +261,7 @@ fn summarize(threads: usize) -> Result<(Vec<WorkloadSummary>, ReuseSummary), Str
             .map(|(k, c)| ((*k).to_owned(), c.hits, c.misses))
             .collect(),
     };
-    Ok((workloads, reuse))
+    Ok((summaries, reuse))
 }
 
 /// A record for the thread-determinism check: real metrics, synthetic

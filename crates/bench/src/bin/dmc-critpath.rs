@@ -27,43 +27,12 @@
 
 use std::path::PathBuf;
 
-use dmc_bench::{figure2_input, lu_input, stencil_input, xy_input};
-use dmc_core::{build_schedule, compile, run, CompileInput, Options};
+use dmc_bench::{workloads, Workload};
+use dmc_core::{build_schedule, compile, run, Options};
 use dmc_machine::{critpath, MachineConfig, Schedule, SimStats};
 use dmc_obs as obs;
 
 const LIMIT: usize = 50_000_000;
-
-struct Workload {
-    name: &'static str,
-    input: CompileInput,
-    params: Vec<i128>,
-}
-
-fn workloads() -> Vec<Workload> {
-    vec![
-        Workload {
-            name: "lu",
-            input: lu_input(8),
-            params: vec![48],
-        },
-        Workload {
-            name: "stencil",
-            input: stencil_input(32, 4),
-            params: vec![4, 127],
-        },
-        Workload {
-            name: "figure2",
-            input: figure2_input(4),
-            params: vec![3, 127],
-        },
-        Workload {
-            name: "xy",
-            input: xy_input(4),
-            params: vec![47],
-        },
-    ]
-}
 
 struct Captured {
     trace: obs::Trace,
@@ -80,7 +49,7 @@ fn capture(w: &Workload, threads: usize) -> Captured {
         ..Options::full()
     };
     obs::start_capture();
-    let compiled = compile(w.input.clone(), options).expect("compiles");
+    let compiled = compile((w.input)(w.nproc), options).expect("compiles");
     let schedule = build_schedule(&compiled, &w.params, false, LIMIT).expect("schedules");
     let result = run(
         &compiled,

@@ -32,7 +32,7 @@
 use std::process::ExitCode;
 
 use dmc_bench::diff::diff_journals;
-use dmc_bench::{figure2_input, lu_input, stencil_input, xy_input};
+use dmc_bench::workloads;
 use dmc_core::{CompileInput, Options, Session};
 use dmc_obs::journal::parse_journal;
 use dmc_obs::JournalRecord;
@@ -58,31 +58,21 @@ macro_rules! drift {
     }};
 }
 
-/// The benchmark request set `--check` journals: the same four workloads
-/// and parameters as the perfstats harness.
-fn check_requests() -> Vec<(&'static str, CompileInput, Vec<i128>)> {
-    vec![
-        ("lu", lu_input(8), vec![48]),
-        ("stencil", stencil_input(32, 4), vec![4, 127]),
-        ("figure2", figure2_input(4), vec![3, 127]),
-        ("xy", xy_input(4), vec![47]),
-    ]
-}
-
 /// Reconstructs the compile input a journal record describes. Replay
 /// only knows the benchmark workloads; the record's fingerprints then
 /// verify the reconstruction (a wrong input cannot silently pass — its
 /// program/decomposition/grid fingerprints diverge).
 fn input_for(workload: &str, nproc: u64) -> Result<CompileInput, String> {
-    let nproc = nproc as i128;
-    match workload {
-        "lu" => Ok(lu_input(nproc)),
-        "stencil" => Ok(stencil_input(32, nproc)),
-        "figure2" => Ok(figure2_input(nproc)),
-        "xy" => Ok(xy_input(nproc)),
-        other => Err(format!(
-            "no such workload {other:?} (lu, stencil, figure2, xy)"
-        )),
+    let known = workloads();
+    match known.iter().find(|w| w.name == workload) {
+        Some(w) => Ok((w.input)(nproc as i128)),
+        None => {
+            let names: Vec<&str> = known.iter().map(|w| w.name).collect();
+            Err(format!(
+                "no such workload {workload:?} ({})",
+                names.join(", ")
+            ))
+        }
     }
 }
 
@@ -209,9 +199,10 @@ fn main() -> ExitCode {
     // through disk, replay it through a fresh session, and self-diff.
     let mut session = Session::scoped("check");
     session.set_journal(true);
-    for (name, input, params) in check_requests() {
-        if let Err(e) = session.serve(name, input, Options::full(), &params, LIMIT) {
-            fail!("{name}: compile failed: {e:?}");
+    for w in workloads() {
+        let input = (w.input)(w.nproc);
+        if let Err(e) = session.serve(w.name, input, Options::full(), &w.params, LIMIT) {
+            fail!("{}: compile failed: {e:?}", w.name);
         }
     }
     let text = session.journal_text();

@@ -17,43 +17,12 @@
 
 use std::path::PathBuf;
 
-use dmc_bench::{figure2_input, lu_input, stencil_input, xy_input};
-use dmc_core::{compile, run, CompileInput, Options};
+use dmc_bench::{workloads, Workload};
+use dmc_core::{compile, run, Options};
 use dmc_machine::MachineConfig;
 use dmc_obs as obs;
 
 const LIMIT: usize = 50_000_000;
-
-struct Workload {
-    name: &'static str,
-    input: CompileInput,
-    params: Vec<i128>,
-}
-
-fn workloads() -> Vec<Workload> {
-    vec![
-        Workload {
-            name: "lu",
-            input: lu_input(8),
-            params: vec![48],
-        },
-        Workload {
-            name: "stencil",
-            input: stencil_input(32, 4),
-            params: vec![4, 127],
-        },
-        Workload {
-            name: "figure2",
-            input: figure2_input(4),
-            params: vec![3, 127],
-        },
-        Workload {
-            name: "xy",
-            input: xy_input(4),
-            params: vec![47],
-        },
-    ]
-}
 
 /// The value of the unique sample whose line starts with `prefix` (the
 /// full `name{labels}` key), or the sum over all matching samples when
@@ -91,7 +60,7 @@ fn main() {
 
     for w in &selected {
         obs::start_capture();
-        let compiled = compile(w.input.clone(), Options::full()).expect("compiles");
+        let compiled = compile((w.input)(w.nproc), Options::full()).expect("compiles");
         let result = run(
             &compiled,
             &w.params,
@@ -151,7 +120,7 @@ fn main() {
                 "{}: traffic matrix total disagrees with words delivered",
                 w.name
             );
-            let nproc = w.input.grid.len() as usize;
+            let nproc = w.nproc as usize;
             let proc_lines = report
                 .lines()
                 .filter(|l| l.starts_with("- p") && l.contains(": compute "))

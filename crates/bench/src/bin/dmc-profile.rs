@@ -30,8 +30,8 @@
 
 use std::path::PathBuf;
 
-use dmc_bench::{figure2_input, lu_input, stencil_input, xy_input};
-use dmc_core::{build_schedule, compile, run, CompileInput, Options};
+use dmc_bench::{workloads, Workload};
+use dmc_core::{build_schedule, compile, run, Options};
 use dmc_machine::MachineConfig;
 use dmc_obs as obs;
 use dmc_obs::json::{self, Json};
@@ -39,37 +39,6 @@ use dmc_polyhedra::ledger::{self, CacheOutcome, Ledger};
 use dmc_polyhedra::{stats, PolyStats};
 
 const LIMIT: usize = 50_000_000;
-
-struct Workload {
-    name: &'static str,
-    input: CompileInput,
-    params: Vec<i128>,
-}
-
-fn workloads() -> Vec<Workload> {
-    vec![
-        Workload {
-            name: "lu",
-            input: lu_input(8),
-            params: vec![48],
-        },
-        Workload {
-            name: "stencil",
-            input: stencil_input(32, 4),
-            params: vec![4, 127],
-        },
-        Workload {
-            name: "figure2",
-            input: figure2_input(4),
-            params: vec![3, 127],
-        },
-        Workload {
-            name: "xy",
-            input: xy_input(4),
-            params: vec![47],
-        },
-    ]
-}
 
 struct Captured {
     trace: obs::Trace,
@@ -89,7 +58,7 @@ fn capture(w: &Workload, threads: usize) -> Captured {
     ledger::start();
     let before = stats::snapshot();
     obs::start_capture();
-    let compiled = compile(w.input.clone(), options).expect("compiles");
+    let compiled = compile((w.input)(w.nproc), options).expect("compiles");
     let schedule = build_schedule(&compiled, &w.params, false, LIMIT).expect("schedules");
     let delta = stats::snapshot().since(&before);
     let ledger = ledger::finish();
@@ -410,7 +379,7 @@ fn main() {
                 threads,
                 ..Options::full()
             };
-            let compiled = compile(w.input.clone(), options).expect("compiles");
+            let compiled = compile((w.input)(w.nproc), options).expect("compiles");
             let plain = build_schedule(&compiled, &w.params, false, LIMIT).expect("schedules");
             assert_eq!(
                 plain, cap.schedule,

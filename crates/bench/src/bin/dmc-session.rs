@@ -30,36 +30,10 @@
 
 use std::path::PathBuf;
 
-use dmc_bench::{figure2_input, lu_input, stencil_input, xy_input};
-use dmc_core::{compile, CompileInput, Options, Session};
+use dmc_bench::{workloads, Workload};
+use dmc_core::{compile, Options, Session};
 use dmc_obs as obs;
 use dmc_store::DiskStore;
-
-struct Workload {
-    name: &'static str,
-    input: fn(i128) -> CompileInput,
-}
-
-fn workloads() -> Vec<Workload> {
-    vec![
-        Workload {
-            name: "lu",
-            input: lu_input,
-        },
-        Workload {
-            name: "stencil",
-            input: |nproc| stencil_input(32, nproc),
-        },
-        Workload {
-            name: "figure2",
-            input: figure2_input,
-        },
-        Workload {
-            name: "xy",
-            input: xy_input,
-        },
-    ]
-}
 
 const NPROCS: [i128; 4] = [2, 4, 8, 16];
 

@@ -36,44 +36,11 @@
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
-use dmc_bench::{figure2_input, lu_input, stencil_input, xy_input};
-use dmc_core::{CompileInput, Options, Session};
+use dmc_bench::workloads;
+use dmc_core::{Options, Session};
 use dmc_store::DiskStore;
 
 const LIMIT: usize = 50_000_000;
-
-struct Workload {
-    name: &'static str,
-    input: fn() -> CompileInput,
-    params: Vec<i128>,
-}
-
-/// The perfstats workload set: every benchmark program at its standard
-/// processor count and parameter values.
-fn workloads() -> Vec<Workload> {
-    vec![
-        Workload {
-            name: "lu",
-            input: || lu_input(8),
-            params: vec![48],
-        },
-        Workload {
-            name: "stencil",
-            input: || stencil_input(32, 4),
-            params: vec![4, 127],
-        },
-        Workload {
-            name: "figure2",
-            input: || figure2_input(4),
-            params: vec![3, 127],
-        },
-        Workload {
-            name: "xy",
-            input: || xy_input(4),
-            params: vec![47],
-        },
-    ]
-}
 
 fn fail(msg: String) -> ! {
     eprintln!("dmc-store: {msg}");
@@ -111,7 +78,13 @@ fn sweep(store: DiskStore) -> (Vec<String>, dmc_core::SessionStats, dmc_core::St
     let mut schedules = Vec::new();
     for w in workloads() {
         let outcome = session
-            .serve(w.name, (w.input)(), Options::full(), &w.params, LIMIT)
+            .serve(
+                w.name,
+                (w.input)(w.nproc),
+                Options::full(),
+                &w.params,
+                LIMIT,
+            )
             .unwrap_or_else(|e| fail(format!("{}: serve failed: {e:?}", w.name)));
         schedules.push(format!("{:?}", outcome.schedule));
     }

@@ -19,43 +19,12 @@
 
 use std::path::PathBuf;
 
-use dmc_bench::{figure2_input, lu_input, stencil_input, xy_input};
-use dmc_core::{build_schedule, compile, message_stats, run, CompileInput, Options};
+use dmc_bench::{workloads, Workload};
+use dmc_core::{build_schedule, compile, message_stats, run, Options};
 use dmc_machine::MachineConfig;
 use dmc_obs as obs;
 
 const LIMIT: usize = 50_000_000;
-
-struct Workload {
-    name: &'static str,
-    input: CompileInput,
-    params: Vec<i128>,
-}
-
-fn workloads() -> Vec<Workload> {
-    vec![
-        Workload {
-            name: "lu",
-            input: lu_input(8),
-            params: vec![48],
-        },
-        Workload {
-            name: "stencil",
-            input: stencil_input(32, 4),
-            params: vec![4, 127],
-        },
-        Workload {
-            name: "figure2",
-            input: figure2_input(4),
-            params: vec![3, 127],
-        },
-        Workload {
-            name: "xy",
-            input: xy_input(4),
-            params: vec![47],
-        },
-    ]
-}
 
 /// Captures one workload's full pipeline (compile → message stats →
 /// schedule + simulate) and returns the trace plus the final schedule's
@@ -66,7 +35,7 @@ fn capture(w: &Workload, threads: usize) -> (obs::Trace, usize) {
         ..Options::full()
     };
     obs::start_capture();
-    let compiled = compile(w.input.clone(), options).expect("compiles");
+    let compiled = compile((w.input)(w.nproc), options).expect("compiles");
     let _ = message_stats(&compiled, &w.params, LIMIT).expect("stats");
     let schedule = build_schedule(&compiled, &w.params, false, LIMIT).expect("schedules");
     let _ = run(
@@ -136,7 +105,7 @@ fn main() {
             );
             // One sim lane per processor plus the dedicated critical-path
             // lane the post-run analysis emits at index nproc.
-            let nproc = w.input.grid.len() as usize;
+            let nproc = w.nproc as usize;
             let sim_lanes = trace
                 .lanes
                 .iter()

@@ -1,9 +1,9 @@
-//! Performance harness for the polyhedral-engine fast paths: times the
-//! full compile + schedule pipeline on the paper's workloads with the
-//! fast paths (memo caches + redundancy pre-filters) on and off, checks
-//! that both configurations produce identical schedules, message counts
-//! and simulation results, and writes the numbers (including the engine's
-//! operation counters) to `BENCH_pipeline.json`.
+//! Performance harness for the pipeline: times the full compile +
+//! schedule pipeline on the paper's workloads from cold memo caches,
+//! checks that running each again over the now-warm caches produces
+//! identical schedules, message counts and simulation results, and writes
+//! the numbers (including the engine's operation counters) to
+//! `BENCH_pipeline.json`.
 //!
 //! ```sh
 //! cargo run --release -p dmc-bench --bin perfstats
@@ -14,10 +14,9 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use dmc_bench::{figure2_input, lu_input, stencil_input, xy_input};
+use dmc_bench::{lu_input, workloads, Workload};
 use dmc_core::{
-    build_schedule, compile, message_stats, options_fingerprint, run, CompileInput, Options,
-    Session,
+    build_schedule, compile, message_stats, options_fingerprint, run, Options, Session,
 };
 use dmc_machine::{critpath, MachineConfig};
 use dmc_obs as obs;
@@ -30,37 +29,6 @@ use dmc_store::DiskStore;
 const REPS: usize = 3;
 const LIMIT: usize = 50_000_000;
 
-struct Workload {
-    name: &'static str,
-    input: CompileInput,
-    params: Vec<i128>,
-}
-
-fn workloads() -> Vec<Workload> {
-    vec![
-        Workload {
-            name: "lu",
-            input: lu_input(8),
-            params: vec![48],
-        },
-        Workload {
-            name: "stencil",
-            input: stencil_input(32, 4),
-            params: vec![4, 127],
-        },
-        Workload {
-            name: "figure2",
-            input: figure2_input(4),
-            params: vec![3, 127],
-        },
-        Workload {
-            name: "xy",
-            input: xy_input(4),
-            params: vec![47],
-        },
-    ]
-}
-
 struct Measured {
     compile_ms: f64,
     schedule_ms: f64,
@@ -70,38 +38,44 @@ struct Measured {
     sim: dmc_machine::SimStats,
 }
 
-/// Compiles + schedules `reps` times from a cold per-thread cache and
-/// keeps the best rep (counters come from the best rep too).
+/// Compiles, schedules and simulates once over whatever this thread's memo
+/// caches hold.
+fn run_once(w: &Workload, options: Options) -> Measured {
+    let before = stats::snapshot();
+    let t0 = Instant::now();
+    let compiled = compile((w.input)(w.nproc), options).expect("compiles");
+    let compile_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let t1 = Instant::now();
+    let schedule = build_schedule(&compiled, &w.params, false, LIMIT).expect("schedules");
+    let schedule_ms = t1.elapsed().as_secs_f64() * 1e3;
+    let delta = stats::snapshot().since(&before);
+    let messages = message_stats(&compiled, &w.params, LIMIT).expect("stats");
+    let sim = run(
+        &compiled,
+        &w.params,
+        &MachineConfig::ipsc860(),
+        false,
+        LIMIT,
+    )
+    .expect("simulates")
+    .stats;
+    Measured {
+        compile_ms,
+        schedule_ms,
+        stats: delta,
+        schedule,
+        messages,
+        sim,
+    }
+}
+
+/// [`run_once`] `reps` times, each from a cold per-thread cache; keeps the
+/// best rep (counters come from the best rep too).
 fn measure(w: &Workload, options: Options, reps: usize) -> Measured {
     let mut best: Option<Measured> = None;
     for _ in 0..reps {
         cache::clear_thread_caches();
-        let before = stats::snapshot();
-        let t0 = Instant::now();
-        let compiled = compile(w.input.clone(), options).expect("compiles");
-        let compile_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let t1 = Instant::now();
-        let schedule = build_schedule(&compiled, &w.params, false, LIMIT).expect("schedules");
-        let schedule_ms = t1.elapsed().as_secs_f64() * 1e3;
-        let delta = stats::snapshot().since(&before);
-        let messages = message_stats(&compiled, &w.params, LIMIT).expect("stats");
-        let sim = run(
-            &compiled,
-            &w.params,
-            &MachineConfig::ipsc860(),
-            false,
-            LIMIT,
-        )
-        .expect("simulates")
-        .stats;
-        let m = Measured {
-            compile_ms,
-            schedule_ms,
-            stats: delta,
-            schedule,
-            messages,
-            sim,
-        };
+        let m = run_once(w, options);
         let total = m.compile_ms + m.schedule_ms;
         if best
             .as_ref()
@@ -173,7 +147,7 @@ fn work_units(w: &Workload) -> WorkMeasure {
         threads: 1,
         ..Options::full()
     };
-    let compiled = compile(w.input.clone(), options).expect("compiles");
+    let compiled = compile((w.input)(w.nproc), options).expect("compiles");
     let _ = build_schedule(&compiled, &w.params, false, LIMIT).expect("schedules");
     let allocs = stats::snapshot().since(&before).allocs;
     let ledger = ledger::finish();
@@ -376,21 +350,25 @@ fn mode_json(m: &Measured) -> String {
     )
 }
 
+fn usage() -> ! {
+    eprintln!("usage: perfstats [--out PATH] [--cache-dir PATH] [--quick]");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut args = std::env::args().skip(1);
     let mut out_path = String::from("BENCH_pipeline.json");
     let mut cache_dir = std::path::PathBuf::from("target/perfstats-store");
     let mut reps = REPS;
     while let Some(a) = args.next() {
-        if a == "--out" {
-            out_path = args.next().expect("--out needs a path");
-        } else if a == "--cache-dir" {
-            cache_dir = std::path::PathBuf::from(args.next().expect("--cache-dir needs a path"));
-        } else if a == "--quick" {
-            // Smoke mode (tier-1): one rep per configuration. Timings get
+        match a.as_str() {
+            "--out" => out_path = args.next().unwrap_or_else(|| usage()),
+            "--cache-dir" => cache_dir = args.next().unwrap_or_else(|| usage()).into(),
+            // Smoke mode (tier-1): one rep per workload. Timings get
             // noisier but every identity check and every deterministic
             // field (work units, contexts, allocs, polyops) is unchanged.
-            reps = 1;
+            "--quick" => reps = 1,
+            _ => usage(),
         }
     }
 
@@ -399,40 +377,29 @@ fn main() {
     let mut all_identical = true;
 
     println!(
-        "{:<10} {:>12} {:>12} {:>9} {:>10} {:>10}",
-        "workload", "fast (ms)", "base (ms)", "speedup", "identical", "cache hits"
+        "{:<10} {:>12} {:>12} {:>10} {:>10}",
+        "workload", "cold (ms)", "warm (ms)", "identical", "cache hits"
     );
     for (k, w) in workloads().iter().enumerate() {
-        let fast = measure(
-            w,
-            Options {
-                poly_fast_paths: true,
-                ..Options::full()
-            },
-            reps,
-        );
-        let base = measure(
-            w,
-            Options {
-                poly_fast_paths: false,
-                ..Options::full()
-            },
-            reps,
-        );
+        // Best cold rep, then the same again over the caches it warmed:
+        // a memo hit may change time, never an output.
+        let fast = measure(w, Options::full(), reps);
+        let warm = run_once(w, Options::full());
 
-        let identical = fast.schedule == base.schedule
-            && fast.messages == base.messages
-            && fast.sim == base.sim;
+        let identical = fast.schedule == warm.schedule
+            && fast.messages == warm.messages
+            && fast.sim == warm.sim;
         all_identical &= identical;
 
-        let fast_total = fast.compile_ms + fast.schedule_ms;
-        let base_total = base.compile_ms + base.schedule_ms;
-        let speedup = base_total / fast_total;
         let hits =
             fast.stats.feas_cache_hits + fast.stats.proj_cache_hits + fast.stats.redund_cache_hits;
         println!(
-            "{:<10} {:>12.2} {:>12.2} {:>8.2}x {:>10} {:>10}",
-            w.name, fast_total, base_total, speedup, identical, hits
+            "{:<10} {:>12.2} {:>12.2} {:>10} {:>10}",
+            w.name,
+            fast.compile_ms + fast.schedule_ms,
+            warm.compile_ms + warm.schedule_ms,
+            identical,
+            hits
         );
 
         let params: Vec<String> = w.params.iter().map(|p| p.to_string()).collect();
@@ -451,8 +418,7 @@ fn main() {
             concat!(
                 "    {{\"name\": \"{}\", \"params\": [{}], \"nproc\": {},\n",
                 "     \"fast\": {},\n",
-                "     \"baseline\": {},\n",
-                "     \"speedup\": {:.3}, \"identical\": {},\n",
+                "     \"identical\": {},\n",
                 "     \"messages\": {}, \"transmissions\": {}, \"words\": {}, ",
                 "\"work_units\": {}, \"allocs\": {}, \"sim_time_s\": {:.6},\n",
                 "     \"critpath\": {},\n",
@@ -461,10 +427,8 @@ fn main() {
             ),
             w.name,
             params.join(", "),
-            w.input.grid.len(),
+            w.nproc,
             mode_json(&fast),
-            mode_json(&base),
-            speedup,
             identical,
             fast.messages.0,
             fast.messages.1,
@@ -494,7 +458,7 @@ fn main() {
         threads: if avail > 1 { 0 } else { 2 },
         ..Options::full()
     };
-    let workers_used = dmc_core::planned_workers(&w.input, &par_opts);
+    let workers_used = dmc_core::planned_workers(&(w.input)(w.nproc), &par_opts);
     assert!(
         workers_used <= avail,
         "planned workers must respect the host"
@@ -595,14 +559,26 @@ fn main() {
     jsession.set_journal(true);
     for w in &workloads() {
         jsession
-            .serve(w.name, w.input.clone(), Options::full(), &w.params, LIMIT)
+            .serve(
+                w.name,
+                (w.input)(w.nproc),
+                Options::full(),
+                &w.params,
+                LIMIT,
+            )
             .expect("journal serves");
     }
     let mut jreplay = Session::scoped("replay");
     jreplay.set_journal(true);
     for w in &workloads() {
         jreplay
-            .serve(w.name, w.input.clone(), Options::full(), &w.params, LIMIT)
+            .serve(
+                w.name,
+                (w.input)(w.nproc),
+                Options::full(),
+                &w.params,
+                LIMIT,
+            )
             .expect("journal replays");
     }
     let jrecords = jsession.journal();
@@ -655,7 +631,13 @@ fn main() {
     let mut cold_schedules: Vec<String> = Vec::new();
     for w in &workloads() {
         let out = cold
-            .serve(w.name, w.input.clone(), Options::full(), &w.params, LIMIT)
+            .serve(
+                w.name,
+                (w.input)(w.nproc),
+                Options::full(),
+                &w.params,
+                LIMIT,
+            )
             .expect("cold serves");
         cold_schedules.push(format!("{:?}", out.schedule));
     }
@@ -668,7 +650,13 @@ fn main() {
     let mut warm_schedules: Vec<String> = Vec::new();
     for w in &workloads() {
         let out = warm
-            .serve(w.name, w.input.clone(), Options::full(), &w.params, LIMIT)
+            .serve(
+                w.name,
+                (w.input)(w.nproc),
+                Options::full(),
+                &w.params,
+                LIMIT,
+            )
             .expect("warm serves");
         warm_schedules.push(format!("{:?}", out.schedule));
     }
@@ -762,5 +750,8 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write JSON");
     println!("wrote {out_path}");
 
-    assert!(all_identical, "fast paths or threading changed an output");
+    assert!(
+        all_identical,
+        "cache warmth, threading or a store changed an output"
+    );
 }

@@ -7,11 +7,16 @@
 //! - **Correctness fields are exact.** `messages`, `transmissions`,
 //!   `words` and `sim_time_s` come from a deterministic compiler +
 //!   simulator, so *any* change — better or worse — is a finding. The
-//!   `identical` / `all_identical` flags must stay `true`.
-//! - **Timing fields tolerate noise.** `compile_ms`, `schedule_ms`,
-//!   `total_ms` and `sequential_ms` only regress when the new value
-//!   exceeds the old by more than the relative tolerance; improvements
-//!   always pass.
+//!   `identical` / `all_identical` flags must stay `true` (per workload:
+//!   a cold-cache run and the same run over warm caches agree).
+//! - **Timing fields tolerate noise.** The `fast` section's `compile_ms`,
+//!   `schedule_ms`, `total_ms` and the threads section's `sequential_ms`
+//!   only regress when the new value exceeds the old by more than the
+//!   relative tolerance; improvements always pass. The per-workload
+//!   `baseline` section and `speedup` of older snapshots (the engine with
+//!   its memo caches switched off, a mode that no longer exists) are
+//!   retired: never read, so an old snapshot that carries them diffs
+//!   clean against a new one that does not.
 //! - **Work units are exact.** `work_units` is the workload's top-level
 //!   charged work total from the polyhedral ledger — deterministic across
 //!   hosts, worker counts and cache states — so *any* change (an extra
@@ -272,16 +277,16 @@ pub fn diff_snapshots(
             }
         }
         if !is_true(&nw, "identical") {
-            findings.push(format!("{name}: fast/baseline outputs no longer identical"));
+            findings.push(format!(
+                "{name}: cold- and warm-cache outputs no longer identical"
+            ));
         }
-        // Timing: tolerant, per mode.
-        for mode in ["fast", "baseline"] {
-            match (ow.get(mode), nw.get(mode)) {
-                (Some(om), Some(nm)) => {
-                    diff_timings(&mut findings, &format!("{name}.{mode}"), om, nm, tol)
-                }
-                _ => findings.push(format!("{name}: missing {mode} section")),
+        // Timing: tolerant.
+        match (ow.get("fast"), nw.get("fast")) {
+            (Some(om), Some(nm)) => {
+                diff_timings(&mut findings, &format!("{name}.fast"), om, nm, tol)
             }
+            _ => findings.push(format!("{name}: missing fast section")),
         }
     }
 
@@ -646,8 +651,7 @@ mod tests {
       "workloads": [
         {"name": "w", "params": [4], "nproc": 2,
          "fast": {"compile_ms": 2.0, "schedule_ms": 10.0, "total_ms": 12.0},
-         "baseline": {"compile_ms": 2.0, "schedule_ms": 15.0, "total_ms": 17.0},
-         "speedup": 1.4, "identical": true,
+         "identical": true,
          "messages": 5, "transmissions": 7, "words": 30, "work_units": 12345,
          "allocs": 77, "sim_time_s": 0.001500,
          "critpath": {"events": 40, "critical_events": 9, "length": 8,
@@ -1126,6 +1130,31 @@ mod tests {
         let changed = with_tilings.replace("\"fold_receivers\": 1", "\"fold_receivers\": 2");
         let d = diff_snapshots(&with_tilings, &changed, &Tolerances::default()).unwrap();
         assert!(d.is_empty(), "comm_passes are diagnostic, not gated: {d:?}");
+    }
+
+    /// `baseline` and `speedup` are retired: a snapshot from before the
+    /// uncached engine mode was deleted diffs clean against one without
+    /// them (and back), however slow its baseline was — while the `fast`
+    /// section still may not vanish.
+    #[test]
+    fn retired_baseline_and_speedup_never_gate() {
+        let with_baseline = SNAP.replace(
+            "\"identical\": true,\n",
+            "\"baseline\": {\"compile_ms\": 2.0, \"schedule_ms\": 15.0, \"total_ms\": 17.0},\n         \
+             \"speedup\": 1.4, \"identical\": true,\n",
+        );
+        assert_ne!(with_baseline, SNAP);
+        let d = diff_snapshots(&with_baseline, SNAP, &Tolerances::default()).unwrap();
+        assert!(d.is_empty(), "retiring baseline must gate clean: {d:?}");
+        let d = diff_snapshots(SNAP, &with_baseline, &Tolerances::default()).unwrap();
+        assert!(d.is_empty(), "{d:?}");
+
+        let no_fast = SNAP.replace("\"fast\":", "\"fast_old\":");
+        let d = diff_snapshots(SNAP, &no_fast, &Tolerances::default()).unwrap();
+        assert!(
+            d.iter().any(|f| f.contains("missing fast section")),
+            "{d:?}"
+        );
     }
 
     #[test]

@@ -126,6 +126,49 @@ pub fn stencil_input(block: i128, nproc: i128) -> CompileInput {
     }
 }
 
+/// One benchmark workload: an input generator with the processor count
+/// and parameter values every harness measures it at.
+pub struct Workload {
+    /// Short name (`--workload` argument, snapshot key).
+    pub name: &'static str,
+    /// The standard processor count.
+    pub nproc: i128,
+    /// Builds the compile input for a processor count.
+    pub input: fn(i128) -> CompileInput,
+    /// The standard parameter values, in the program's `param` order.
+    pub params: Vec<i128>,
+}
+
+/// The workload set every harness binary and the snapshot share.
+pub fn workloads() -> Vec<Workload> {
+    vec![
+        Workload {
+            name: "lu",
+            nproc: 8,
+            input: lu_input,
+            params: vec![48],
+        },
+        Workload {
+            name: "stencil",
+            nproc: 4,
+            input: |nproc| stencil_input(32, nproc),
+            params: vec![4, 127],
+        },
+        Workload {
+            name: "figure2",
+            nproc: 4,
+            input: figure2_input,
+            params: vec![3, 127],
+        },
+        Workload {
+            name: "xy",
+            nproc: 4,
+            input: xy_input,
+            params: vec![47],
+        },
+    ]
+}
+
 /// One workload's row in [`profile_json`]: name, exact charged work-unit
 /// total, and per-context charged work sorted by descending units.
 pub type ProfileRow = (String, u64, Vec<(String, u64)>);

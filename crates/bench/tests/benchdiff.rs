@@ -108,3 +108,31 @@ fn correctness_drift_fails_regardless_of_tolerance() {
     );
     assert!(String::from_utf8_lossy(&out.stderr).contains("words changed"));
 }
+
+/// Snapshots from before the uncached engine mode was deleted carry a
+/// per-workload `baseline` section and a `speedup`; both are retired, so
+/// such a snapshot gates clean against the committed one however slow its
+/// baseline was.
+#[test]
+fn pre_retirement_snapshot_with_baseline_gates_clean() {
+    let committed = std::fs::read_to_string(snapshot_path()).expect("read snapshot");
+    assert!(!committed.contains("\"baseline\""), "baseline is retired");
+    let old = committed.replace(
+        "     \"identical\": true,\n",
+        "     \"baseline\": {\"compile_ms\": 1.0, \"schedule_ms\": 1.0, \"total_ms\": 2.0},\n     \
+         \"speedup\": 0.01, \"identical\": true,\n",
+    );
+    assert_ne!(old, committed, "every workload gained a baseline");
+
+    let dir = std::env::temp_dir().join("dmc-benchdiff-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let fixture = dir.join("BENCH_with_baseline.json");
+    std::fs::write(&fixture, old).expect("write fixture");
+    let snap = snapshot_path();
+    let out = bench_diff(&[fixture.to_str().unwrap(), snap.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "retired fields must not gate:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}

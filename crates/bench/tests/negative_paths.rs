@@ -224,8 +224,7 @@ fn bench_diff_fails_cleanly() {
                 "  {{\"name\": \"w\", \"identical\": true, \"messages\": 1, ",
                 "\"transmissions\": 1, \"words\": 1, \"work_units\": {}, ",
                 "\"sim_time_s\": 0.5,\n",
-                "   \"fast\": {{\"compile_ms\": 1.0, \"schedule_ms\": 1.0, \"total_ms\": 2.0}},\n",
-                "   \"baseline\": {{\"compile_ms\": 2.0, \"schedule_ms\": 2.0, \"total_ms\": 4.0}}}}\n",
+                "   \"fast\": {{\"compile_ms\": 1.0, \"schedule_ms\": 1.0, \"total_ms\": 2.0}}}}\n",
                 "], \"all_identical\": true}}\n"
             ),
             work
@@ -254,6 +253,35 @@ fn bench_diff_fails_cleanly() {
         out.status.code(),
         Some(0),
         "identical snapshots must pass with exit 0: {out:?}"
+    );
+}
+
+/// `perfstats` rejects what it cannot parse — an unknown flag, a flag
+/// without its value — with one usage line and exit **2**, before
+/// measuring anything (a typo must never run the harness and overwrite
+/// the committed snapshot).
+#[test]
+fn perfstats_usage_errors_exit_2() {
+    let bin = env!("CARGO_BIN_EXE_perfstats");
+    let out_path = tmpdir().join("perfstats-must-not-write.json");
+    let _ = std::fs::remove_file(&out_path);
+    let out = run(bin, &["--qiuck", "--out", out_path.to_str().unwrap()]);
+    assert_code(&out, 2, "usage: perfstats", "perfstats with unknown flag");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr).lines().count(),
+        1,
+        "usage is a one-line diagnostic: {out:?}"
+    );
+    assert!(
+        !out_path.exists(),
+        "a usage error must not measure or write"
+    );
+    let out = run(bin, &["--out"]);
+    assert_code(
+        &out,
+        2,
+        "usage: perfstats",
+        "perfstats with value-less flag",
     );
 }
 

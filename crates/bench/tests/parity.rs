@@ -1,28 +1,12 @@
-//! Output-parity tests for the engine fast paths and the pipeline thread
-//! fan-out: neither may change a compiled schedule, a message count, or a
+//! Output-parity tests for the pipeline thread fan-out and the feasibility
+//! budget: neither may change a compiled schedule, a message count, or a
 //! simulation result — only wall-clock time.
 
-use std::sync::Mutex;
-
-use dmc_bench::{figure2_input, lu_input, stencil_input, xy_input};
+use dmc_bench::{figure2_input, workloads};
 use dmc_core::{build_schedule, compile, message_stats, run, CompileInput, Options};
 use dmc_machine::MachineConfig;
 
 const LIMIT: usize = 50_000_000;
-
-/// The engine tunables are process-wide ([`Options::apply_tuning`] inside
-/// `compile`), so tests that compile under *different* options must not
-/// overlap — each takes this lock.
-static KNOBS: Mutex<()> = Mutex::new(());
-
-fn cases() -> Vec<(&'static str, CompileInput, Vec<i128>)> {
-    vec![
-        ("lu", lu_input(4), vec![16]),
-        ("stencil", stencil_input(16, 4), vec![3, 63]),
-        ("figure2", figure2_input(4), vec![3, 63]),
-        ("xy", xy_input(4), vec![15]),
-    ]
-}
 
 fn outputs(
     input: &CompileInput,
@@ -42,81 +26,20 @@ fn outputs(
     (schedule, stats, sim)
 }
 
-/// The memo caches and redundancy pre-filters never change what the
-/// compiler produces.
-#[test]
-fn fast_paths_do_not_change_outputs() {
-    let _g = KNOBS.lock().unwrap_or_else(|e| e.into_inner());
-    for (name, input, params) in cases() {
-        let fast = outputs(
-            &input,
-            &params,
-            Options {
-                poly_fast_paths: true,
-                ..Options::full()
-            },
-        );
-        // Run the cached configuration twice: the second pass answers out
-        // of warm caches and must still match.
-        let warm = outputs(
-            &input,
-            &params,
-            Options {
-                poly_fast_paths: true,
-                ..Options::full()
-            },
-        );
-        let base = outputs(
-            &input,
-            &params,
-            Options {
-                poly_fast_paths: false,
-                ..Options::full()
-            },
-        );
-        assert_eq!(fast.0, base.0, "{name}: schedule differs with fast paths");
-        assert_eq!(
-            fast.1, base.1,
-            "{name}: message stats differ with fast paths"
-        );
-        assert_eq!(fast.2, base.2, "{name}: simulation differs with fast paths");
-        assert_eq!(fast.0, warm.0, "{name}: warm-cache schedule differs");
-        assert_eq!(fast.1, warm.1, "{name}: warm-cache message stats differ");
-    }
-    // Leave the process-wide knobs at their defaults for other tests.
-    Options::default().apply_tuning();
-}
-
 /// Any worker count produces the same compiled output as the sequential
 /// pipeline (jobs are independent and merged in textual order).
 #[test]
 fn thread_fanout_is_deterministic() {
-    let _g = KNOBS.lock().unwrap_or_else(|e| e.into_inner());
-    for (name, input, params) in cases() {
-        let seq = outputs(
-            &input,
-            &params,
-            Options {
-                threads: 1,
+    for w in workloads() {
+        let (name, input) = (w.name, (w.input)(w.nproc));
+        let at = |threads| {
+            let options = Options {
+                threads,
                 ..Options::full()
-            },
-        );
-        let par4 = outputs(
-            &input,
-            &params,
-            Options {
-                threads: 4,
-                ..Options::full()
-            },
-        );
-        let auto = outputs(
-            &input,
-            &params,
-            Options {
-                threads: 0,
-                ..Options::full()
-            },
-        );
+            };
+            outputs(&input, &w.params, options)
+        };
+        let (seq, par4, auto) = (at(1), at(4), at(0));
         assert_eq!(seq.0, par4.0, "{name}: schedule differs at threads=4");
         assert_eq!(seq.1, par4.1, "{name}: message stats differ at threads=4");
         assert_eq!(seq.2, par4.2, "{name}: simulation differs at threads=4");
@@ -126,30 +49,28 @@ fn thread_fanout_is_deterministic() {
             "{name}: message stats differ at threads=auto"
         );
     }
-    Options::default().apply_tuning();
 }
 
 /// The feasibility budget flows from [`Options`] into the engine, and an
 /// exhausted budget yields a counted `Unknown` answer, never an error.
 #[test]
 fn feasibility_budget_is_configurable() {
-    let _g = KNOBS.lock().unwrap_or_else(|e| e.into_inner());
+    use dmc_polyhedra::stats;
     let input = figure2_input(4);
     let full = outputs(&input, &[3, 63], Options::full());
 
-    // compile() scopes the Options budget into the process-wide knob for
-    // the duration of the pipeline and restores the surrounding value on
-    // exit (KnobGuard); a roomier budget changes no answer here.
-    let ambient = dmc_polyhedra::stats::feasibility_budget();
+    // compile() pushes the Options budget onto its own thread for the
+    // duration of the pipeline and pops it on exit; a roomier budget
+    // changes no answer here.
     let big = Options {
         feasibility_budget: 123_456,
         ..Options::full()
     };
     let roomier = outputs(&input, &[3, 63], big);
     assert_eq!(
-        dmc_polyhedra::stats::feasibility_budget(),
-        ambient,
-        "compile must restore the surrounding budget on exit"
+        stats::feasibility_budget(),
+        stats::DEFAULT_FEASIBILITY_BUDGET,
+        "compile must pop its budget on exit"
     );
     assert_eq!(
         full.0, roomier.0,
@@ -160,24 +81,23 @@ fn feasibility_budget_is_configurable() {
     // (Querying directly — a whole compile under a tripped budget keeps
     // every unresolvable constraint and explodes combinatorially.)
     use dmc_polyhedra::{Constraint, DimKind, Feasibility, LinExpr, Polyhedron, Space};
-    Options {
+    let tripped = Options {
         feasibility_budget: 0,
-        poly_fast_paths: false,
         ..Options::full()
     }
-    .apply_tuning();
-    let before = dmc_polyhedra::stats::snapshot();
+    .push_tuning_scoped();
+    let before = stats::snapshot();
     let mut p = Polyhedron::universe(Space::from_dims([("x", DimKind::Index)]));
     p.add(Constraint::ge(LinExpr::from_coeffs(vec![1], 0)));
     p.add(Constraint::ge(LinExpr::from_coeffs(vec![-1], 3)));
     assert_eq!(p.integer_feasibility().unwrap(), Feasibility::Unknown);
-    let delta = dmc_polyhedra::stats::snapshot().since(&before);
+    let delta = stats::snapshot().since(&before);
     assert!(
         delta.feasibility_unknown >= 1,
         "tripped budget must be counted"
     );
+    drop(tripped);
 
-    Options::default().apply_tuning();
     let again = outputs(&input, &[3, 63], Options::full());
     assert_eq!(full.0, again.0, "default budget must be restored");
 }

@@ -46,25 +46,6 @@ pub struct Options {
     /// polyhedral engine. Exhausting it yields a conservative `Unknown`
     /// answer (counted in [`dmc_polyhedra::PolyStats`]).
     pub feasibility_budget: u32,
-    /// Enables the polyhedral engine's fast paths: memoized
-    /// feasibility/projection/redundancy results and the cheap redundancy
-    /// pre-filters. Off reproduces the unmemoized engine exactly (the
-    /// fast paths never change answers, only time).
-    pub poly_fast_paths: bool,
-    /// Minimum constraint count for a polyhedron to be admitted to the
-    /// memo caches. Tiny systems are cheaper to re-solve than to hash and
-    /// look up, so queries below this size bypass the caches (counted as
-    /// `cache_bypasses` in [`dmc_polyhedra::PolyStats`]). `0` admits
-    /// everything. Only meaningful while `poly_fast_paths` is on.
-    pub cache_min_constraints: u32,
-    /// Caps the number of trace records a capture keeps (`0` =
-    /// unbounded). Installed thread-locally alongside the engine tuning
-    /// ([`Options::push_tuning_scoped`]), so a server can leave capture
-    /// always-on with bounded memory; dropped records are counted in
-    /// [`dmc_obs::ObsOverhead::dropped`]. Never enters any stage
-    /// fingerprint — like `threads`, it can change observability, never
-    /// answers.
-    pub obs_record_cap: u64,
 }
 
 impl Default for Options {
@@ -79,9 +60,6 @@ impl Default for Options {
             multicast: true,
             threads: 0,
             feasibility_budget: dmc_polyhedra::stats::DEFAULT_FEASIBILITY_BUDGET,
-            poly_fast_paths: true,
-            cache_min_constraints: dmc_polyhedra::stats::DEFAULT_CACHE_MIN_CONSTRAINTS,
-            obs_record_cap: 0,
         }
     }
 }
@@ -114,57 +92,20 @@ impl Options {
         }
     }
 
-    /// Pushes the engine tunables (`feasibility_budget`, `poly_fast_paths`)
-    /// into the process-wide polyhedral-engine knobs. [`compile`] calls
-    /// this; standalone polyhedral work can call it directly.
-    ///
-    /// [`compile`]: crate::compile
-    pub fn apply_tuning(&self) {
-        dmc_polyhedra::stats::set_feasibility_budget(self.feasibility_budget);
-        dmc_polyhedra::stats::set_cache_enabled(self.poly_fast_paths);
-        dmc_polyhedra::stats::set_prefilters_enabled(self.poly_fast_paths);
-        dmc_polyhedra::stats::set_cache_min_constraints(self.cache_min_constraints);
-    }
-
-    /// Like [`Options::apply_tuning`], but returns an RAII guard that
-    /// restores the previous knob values when dropped — including on panic
-    /// or early return — so one compile's tuning can never leak into the
-    /// next. This mutates the *process-wide* knobs; the pipeline itself
-    /// uses the thread-local [`Options::push_tuning_scoped`] instead, so
-    /// concurrent sessions with different options cannot race.
-    pub fn apply_tuning_scoped(&self) -> dmc_polyhedra::stats::KnobGuard {
-        let guard = dmc_polyhedra::stats::KnobGuard::capture();
-        self.apply_tuning();
-        guard
-    }
-
-    /// These options' engine tunables as a [`dmc_polyhedra::stats::Tuning`]
-    /// value.
-    pub fn tuning(&self) -> dmc_polyhedra::stats::Tuning {
-        dmc_polyhedra::stats::Tuning {
-            feasibility_budget: self.feasibility_budget,
-            cache_enabled: self.poly_fast_paths,
-            prefilters_enabled: self.poly_fast_paths,
-            cache_min_constraints: self.cache_min_constraints,
-        }
-    }
-
-    /// Installs the engine tunables as a *thread-local* override for the
-    /// returned guard's lifetime, together with the tracer's record cap
-    /// (`obs_record_cap`). This is how [`compile`] and
-    /// [`build_schedule`] scope their knobs (each analysis worker pushes
-    /// its own): unlike [`Options::apply_tuning_scoped`], nothing
-    /// process-wide changes, so concurrent compilations with different
-    /// options cannot observe each other's tuning.
+    /// Installs the feasibility budget as a *thread-local* tuning of the
+    /// polyhedral engine for the returned guard's lifetime. This is how
+    /// [`compile`] and [`build_schedule`] scope it (each analysis worker
+    /// pushes its own): nothing process-wide changes, so concurrent
+    /// compilations with different options cannot observe each other's
+    /// budget.
     ///
     /// [`compile`]: crate::compile
     /// [`build_schedule`]: crate::build_schedule
     #[must_use = "the tuning is uninstalled when the guard drops"]
     pub fn push_tuning_scoped(&self) -> ScopedTuning {
-        ScopedTuning {
-            _engine: dmc_polyhedra::stats::push_thread_tuning(self.tuning()),
-            _obs_cap: dmc_obs::push_record_cap(self.obs_record_cap),
-        }
+        dmc_polyhedra::stats::push_thread_tuning(dmc_polyhedra::stats::Tuning {
+            feasibility_budget: self.feasibility_budget,
+        })
     }
 
     /// The concrete worker count `threads` resolves to: `0` → available
@@ -183,14 +124,9 @@ impl Options {
     }
 }
 
-/// The thread-local tuning installation of one compile: the polyhedral
-/// engine knobs plus the tracer's record cap, all restored when the
-/// guard drops. `!Send` (both members are thread-bound).
-#[must_use = "the tuning is uninstalled when the guard drops"]
-pub struct ScopedTuning {
-    _engine: dmc_polyhedra::stats::ThreadTuningGuard,
-    _obs_cap: dmc_obs::RecordCapGuard,
-}
+/// The thread-local engine tuning of one compile, restored when the guard
+/// drops (`!Send`).
+pub type ScopedTuning = dmc_polyhedra::stats::ThreadTuningGuard;
 
 #[cfg(test)]
 mod tests {
@@ -210,14 +146,9 @@ mod tests {
     fn tuning_knobs() {
         let d = Options::default();
         assert_eq!(d.threads, 0);
-        assert!(d.poly_fast_paths);
         assert_eq!(
             d.feasibility_budget,
             dmc_polyhedra::stats::DEFAULT_FEASIBILITY_BUDGET
-        );
-        assert_eq!(
-            d.cache_min_constraints,
-            dmc_polyhedra::stats::DEFAULT_CACHE_MIN_CONSTRAINTS
         );
         assert!(d.effective_threads() >= 1);
         let avail = std::thread::available_parallelism()
@@ -226,24 +157,6 @@ mod tests {
         assert_eq!(
             Options { threads: 3, ..d }.effective_threads(),
             3.min(avail)
-        );
-        // naive() disables §6 optimizations but not the engine fast paths.
-        assert!(Options::naive().poly_fast_paths);
-
-        // The knobs are process-wide and other tests compile concurrently
-        // (compile() re-applies its own tuning), so exercise the push but
-        // only assert global state that every concurrent writer agrees on.
-        // The value-level checks live in dmc_polyhedra::stats' own tests.
-        Options {
-            feasibility_budget: 1234,
-            poly_fast_paths: false,
-            ..d
-        }
-        .apply_tuning();
-        d.apply_tuning();
-        assert_eq!(
-            dmc_polyhedra::stats::feasibility_budget(),
-            dmc_polyhedra::stats::DEFAULT_FEASIBILITY_BUDGET
         );
     }
 

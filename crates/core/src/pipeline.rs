@@ -274,8 +274,8 @@ fn planned_messages<'a>(
     cs: &CommSet,
     raw: &'a [Message],
     extra_split: usize,
-    multicast: Option<bool>,
-) -> Result<Vec<PlannedGroup<'a>>, CompileError> {
+    multicast: bool,
+) -> Vec<PlannedGroup<'a>> {
     let grid = &compiled.input.grid;
     let stmts = compiled.input.program.statements();
     let read_info = &stmts[cs.read_stmt];
@@ -344,17 +344,10 @@ fn planned_messages<'a>(
     // Multicast merge: same sender + same aggregation key + same payload
     // -> one group with several receivers. Never merges two messages to
     // the same receiver (those are deliberate repeats of the unoptimized
-    // plan), and only applies together with aggregation. The multicast
-    // analysis itself is independent of the split depth; the fast path
-    // precomputes it once per set and passes it in.
-    let merge = compiled.options.multicast
-        && compiled.options.aggregate
-        && match multicast {
-            Some(m) => m,
-            None => is_multicast(cs)?,
-        };
-    if !merge {
-        return Ok(groups);
+    // plan), and only applies together with aggregation — `multicast` is
+    // the set's verdict from the hoisted plan, false when either is off.
+    if !multicast {
+        return groups;
     }
     // Each group joins the first earlier group with its identity and none
     // of its receivers; the identity borrows the items, it copies nothing.
@@ -375,17 +368,17 @@ fn planned_messages<'a>(
             }
         }
     }
-    Ok(merged)
+    merged
 }
 
 /// One pending schedule entry: `(anchor, phase, seq, action)`.
 type PendingAction = (Stamp, i8, usize, Action);
 
 /// Split-depth-independent planning state, computed once per
-/// [`build_schedule`] call (fast paths on) and shared across the legality
-/// retries: the per-statement compute-block actions and the per-set
-/// multicast verdicts. A retry then replays only the delta — the deeper
-/// message split — instead of re-deriving the whole tableau.
+/// [`build_schedule`] call and shared across the legality retries: the
+/// per-statement compute-block actions and the per-set multicast
+/// verdicts. A retry then replays only the delta — the deeper message
+/// split — instead of re-deriving the whole tableau.
 struct HoistedPlan {
     /// Per communication set: may its messages be multicast-merged?
     multicast: Vec<bool>,
@@ -462,33 +455,26 @@ pub fn build_schedule(
 }
 
 /// The planner behind [`build_schedule`] and [`Session::build_schedule`]:
-/// when a session is supplied (and the fast paths are on — with them off
-/// the planner reproduces the original re-enumerating behavior exactly),
-/// the raw per-set message enumeration (`aggregate` stage) and the final
-/// legality-refined plan (`schedule` stage) are served from and admitted
-/// to the session store.
+/// when a session is supplied, the raw per-set message enumeration
+/// (`aggregate` stage) and the final legality-refined plan (`schedule`
+/// stage) are served from and admitted to the session store.
 pub(crate) fn build_schedule_inner(
     compiled: &Compiled,
     param_vals: &[i128],
     values: bool,
     limit: usize,
-    mut session: Option<&mut Session>,
+    session: Option<&mut Session>,
 ) -> Result<Schedule, CompileError> {
-    // Scope the engine knobs here too: scheduling re-enters the polyhedral
-    // engine (enumeration, multicast checks), and `compile`'s tuning has
-    // already been popped by now.
+    // Scope the feasibility budget here too: scheduling re-enters the
+    // polyhedral engine (enumeration, multicast checks), and `compile`'s
+    // tuning has already been popped by now.
     let _lane = obs::lane(obs::main_lane(), "pipeline");
     let _tuning = compiled.options.push_tuning_scoped();
     // Stage keys cover everything the plan is a function of; the schedule
     // key adds the payload mode on top of the aggregate chain.
-    let agg_key = match &session {
-        Some(_) if compiled.options.poly_fast_paths => {
-            Some(aggregate_fp(compiled, param_vals, limit))
-        }
-        _ => None,
-    };
-    if let (Some(s), Some(k)) = (session.as_deref_mut(), agg_key) {
-        if let Some(cached) = s.schedule_stage(schedule_fp(k, values)) {
+    let mut staged = session.map(|s| (s, aggregate_fp(compiled, param_vals, limit)));
+    if let Some((s, k)) = &mut staged {
+        if let Some(cached) = s.schedule_stage(schedule_fp(*k, values)) {
             return Ok((*cached).clone());
         }
     }
@@ -496,7 +482,7 @@ pub(crate) fn build_schedule_inner(
     // Explicit sessions root ledger attribution under a `session` frame
     // (matching the per-read jobs); the classic wrapper path does not.
     let _sess_ctx =
-        matches!(&session, Some(s) if s.is_explicit()).then(|| ledger::push_context("session"));
+        matches!(&staged, Some((s, _)) if s.is_explicit()).then(|| ledger::push_context("session"));
     let _lctx = ledger::push_context("schedule");
     // Legality-refinement loop: build at the paper's aggregation level;
     // when the dry run deadlocks (batching across carrying-loop iterations
@@ -509,44 +495,33 @@ pub(crate) fn build_schedule_inner(
         .max()
         .unwrap_or(0);
     // The raw per-set message enumeration is independent of the split
-    // depth, so the fast path computes it once and shares it across
-    // retries (and, in a session, across compilations via the `aggregate`
-    // stage); disabled, every attempt re-enumerates (the original
-    // behavior).
-    let hoisted: Option<Arc<Vec<Vec<Message>>>> = if compiled.options.poly_fast_paths {
-        let cached = match (session.as_deref_mut(), agg_key) {
-            (Some(s), Some(k)) => s.aggregate_stage(k),
-            _ => None,
-        };
-        match cached {
-            Some(raw) => Some(raw),
-            None => {
-                let _s = obs::span_f("aggregate", || {
-                    vec![obs::field("sets", compiled.comm.len())]
-                });
-                let _c = ledger::push_context("aggregate");
-                let raw: Vec<Vec<Message>> = compiled
-                    .comm
-                    .iter()
-                    .map(|cs| raw_messages(compiled, cs, param_vals, limit))
-                    .collect::<Result<_, _>>()?;
-                let raw = Arc::new(raw);
-                if let (Some(s), Some(k)) = (session.as_deref_mut(), agg_key) {
-                    s.admit_aggregate(k, raw.clone());
-                }
-                Some(raw)
+    // depth: computed once and shared across retries (and, in a session,
+    // across compilations via the `aggregate` stage).
+    let cached = staged.as_mut().and_then(|(s, k)| s.aggregate_stage(*k));
+    let hoisted: Arc<Vec<Vec<Message>>> = match cached {
+        Some(raw) => raw,
+        None => {
+            let _s = obs::span_f("aggregate", || {
+                vec![obs::field("sets", compiled.comm.len())]
+            });
+            let _c = ledger::push_context("aggregate");
+            let raw: Vec<Vec<Message>> = compiled
+                .comm
+                .iter()
+                .map(|cs| raw_messages(compiled, cs, param_vals, limit))
+                .collect::<Result<_, _>>()?;
+            let raw = Arc::new(raw);
+            if let Some((s, k)) = &mut staged {
+                s.admit_aggregate(*k, raw.clone());
             }
+            raw
         }
-    } else {
-        None
     };
-    let hoisted_slices: Option<&[Vec<Message>]> = hoisted.as_ref().map(|a| a.as_slice());
     // The compute-block nests and the per-set multicast verdicts are also
-    // independent of the split depth; the fast path derives both once,
-    // before the retry loop, so a legality retry replays only the delta
-    // (the deeper message split). Disabled, every attempt re-derives them
-    // (the original behavior).
-    let plan: Option<HoistedPlan> = if compiled.options.poly_fast_paths {
+    // independent of the split depth; both are derived once, before the
+    // retry loop, so a legality retry replays only the delta (the deeper
+    // message split).
+    let plan = {
         let _s = obs::span_f("plan", || vec![obs::field("sets", compiled.comm.len())]);
         let _c = ledger::push_context("plan");
         let multicast = if compiled.options.multicast && compiled.options.aggregate {
@@ -559,13 +534,11 @@ pub(crate) fn build_schedule_inner(
             vec![false; compiled.comm.len()]
         };
         let (blocks, block_seq) = block_actions(compiled, param_vals)?;
-        Some(HoistedPlan {
+        HoistedPlan {
             multicast,
             blocks,
             block_seq,
-        })
-    } else {
-        None
+        }
     };
     let mut last_err = None;
     for extra in 0..=max_depth {
@@ -573,15 +546,7 @@ pub(crate) fn build_schedule_inner(
             vec![obs::field("extra_split", extra)]
         });
         let _actx = ledger::push_context(format!("attempt{extra}"));
-        let schedule = build_schedule_at(
-            compiled,
-            param_vals,
-            values,
-            limit,
-            extra,
-            hoisted_slices,
-            plan.as_ref(),
-        )?;
+        let schedule = build_schedule_at(compiled, values, extra, &hoisted, &plan);
         // Cheap deadlock dry-run (timing semantics on the same schedule).
         let params: HashMap<String, i128> = compiled
             .input
@@ -608,8 +573,8 @@ pub(crate) fn build_schedule_inner(
         };
         match dry {
             Ok(_) => {
-                if let (Some(s), Some(k)) = (session.as_deref_mut(), agg_key) {
-                    s.admit_schedule(schedule_fp(k, values), Arc::new(schedule.clone()));
+                if let Some((s, k)) = &mut staged {
+                    s.admit_schedule(schedule_fp(*k, values), Arc::new(schedule.clone()));
                 }
                 return Ok(schedule);
             }
@@ -628,36 +593,22 @@ pub(crate) fn build_schedule_inner(
 
 fn build_schedule_at(
     compiled: &Compiled,
-    param_vals: &[i128],
     values: bool,
-    limit: usize,
     extra_split: usize,
-    hoisted: Option<&[Vec<Message>]>,
-    plan: Option<&HoistedPlan>,
-) -> Result<Schedule, CompileError> {
+    hoisted: &[Vec<Message>],
+    plan: &HoistedPlan,
+) -> Schedule {
     let input = &compiled.input;
     let nproc = input.grid.len() as usize;
     let stmts = input.program.statements();
     let mut schedule = Schedule::new(nproc);
 
-    // 1. Compute blocks (hoisted across retries by the fast path).
-    let (mut pending, mut seq) = match plan {
-        Some(p) => (p.blocks.clone(), p.block_seq),
-        None => block_actions(compiled, param_vals)?,
-    };
+    // 1. Compute blocks (hoisted across retries).
+    let (mut pending, mut seq) = (plan.blocks.clone(), plan.block_seq);
 
     // 2. Messages.
     for (k, cs) in compiled.comm.iter().enumerate() {
-        let raw_local;
-        let raw: &[Message] = match hoisted {
-            Some(r) => &r[k],
-            None => {
-                raw_local = raw_messages(compiled, cs, param_vals, limit)?;
-                &raw_local
-            }
-        };
-        let groups =
-            planned_messages(compiled, cs, raw, extra_split, plan.map(|p| p.multicast[k]))?;
+        let groups = planned_messages(compiled, cs, &hoisted[k], extra_split, plan.multicast[k]);
         for g in groups {
             let msg_id = schedule.messages.len();
             // Provenance: which (statement, read) created this message and
@@ -789,7 +740,7 @@ fn build_schedule_at(
         split.sort_by(|a, b| (&a.0, a.1, a.2).cmp(&(&b.0, b.1, b.2)));
         schedule.procs[p] = split.into_iter().map(|(_, _, _, a)| a).collect();
     }
-    Ok(schedule)
+    schedule
 }
 
 /// Sink for one enumerated compute block:

@@ -37,10 +37,9 @@
 //!
 //! `feasibility_budget` appears everywhere because exhausting it yields a
 //! conservative `Unknown` that can change analysis results. Deliberately
-//! **excluded** everywhere: `threads`, `poly_fast_paths`, and
-//! `cache_min_constraints` — those change time, never answers (the PR-1
-//! parity suite is the evidence), so flipping them between compiles still
-//! hits the store.
+//! **excluded** everywhere: `threads` — it changes time, never answers
+//! (`thread_fanout_is_deterministic` in the bench parity suite is the
+//! evidence), so changing it between compiles still hits the store.
 //!
 //! The **skeleton** hash ([`dmc_ir::fp::skeleton_fp`]) covers parameters,
 //! array declarations, loop structure, and every statement's *written*
@@ -480,8 +479,7 @@ impl Session {
             .map(|s| s.install());
         // Lane first so every record of this compile lands in the main
         // pipeline lane; the engine tuning is thread-local (installed
-        // per worker below), so concurrent sessions cannot race on the
-        // process-wide knobs.
+        // per worker below), so concurrent sessions cannot race on it.
         let _lane = obs::lane(obs::main_lane(), "pipeline");
         let _tuning = options.push_tuning_scoped();
         let _span = obs::span_f("compile", || {
@@ -629,7 +627,7 @@ impl Session {
                     scope.spawn(|| {
                         let _obs = obs_ctx.install();
                         let _scope = ledger_scope.install();
-                        // Workers consult the engine knobs themselves, so
+                        // Workers read the feasibility budget themselves, so
                         // each installs the compile's tuning thread-locally.
                         let _tuning = options.push_tuning_scoped();
                         loop {
@@ -1046,7 +1044,7 @@ fn stmt_info_fp(program: &Program) -> Fingerprint {
 
 /// Feeds the analysis-relevant options: strategy and the feasibility
 /// budget (an exhausted budget yields conservative `Unknown` answers that
-/// can change results). Fast-path knobs are deliberately absent.
+/// can change results). `threads` is deliberately absent.
 fn analysis_options_fp(options: &Options, h: &mut Fp) {
     h.tag(strategy_tag(options.strategy));
     h.u64(u64::from(options.feasibility_budget));

@@ -1,19 +1,17 @@
 //! The pipeline's scoped engine tuning: `compile` and `build_schedule`
-//! push their `Options` knobs into the process-wide polyhedral engine for
-//! their own duration only, restoring the surrounding values on every exit
-//! path — so two compiles with different tunings can interleave in one
-//! process without contaminating each other.
-//!
-//! The knobs are process-wide, so every test here serializes on one mutex.
+//! push their `Options` feasibility budget onto their own thread (and each
+//! analysis worker's) for their own duration only — so compiles with
+//! different budgets can overlap in one process without seeing each other,
+//! and nothing outlives a compile, a nested scope, or a panic.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Mutex;
+use std::sync::Barrier;
 
-use dmc_core::{build_schedule, compile, CompileInput, Options};
+use dmc_core::{build_schedule, compile, CompileInput, Compiled, Options};
 use dmc_decomp::{CompDecomp, ProcGrid};
-use dmc_polyhedra::{cache, stats};
-
-static SERIAL: Mutex<()> = Mutex::new(());
+use dmc_machine::Schedule;
+use dmc_polyhedra::ledger::LedgerScope;
+use dmc_polyhedra::stats::{self, DEFAULT_FEASIBILITY_BUDGET};
 
 /// Figure 2's pipeline kernel (one statement, one read).
 fn figure2_input(block: i128, nproc: i128) -> CompileInput {
@@ -56,139 +54,131 @@ fn xy_input(nproc: i128) -> CompileInput {
     }
 }
 
-/// Two compiles with different tunings, interleaved with schedule builds:
-/// after every pipeline entry the ambient knob values are back, and each
-/// compile still produces its normal output.
+fn budget(feasibility_budget: u32, threads: usize) -> Options {
+    Options {
+        feasibility_budget,
+        threads,
+        ..Options::full()
+    }
+}
+
+/// Compile + schedule, rendered for comparison (`Compiled` has no `Eq`).
+fn pipeline(input: CompileInput, params: &[i128], options: Options) -> (String, Schedule) {
+    let compiled: Compiled = compile(input, options).expect("compiles");
+    let schedule = build_schedule(&compiled, params, false, 1_000_000).expect("schedules");
+    assert!(!schedule.messages.is_empty());
+    (format!("{:?} {:?}", compiled.lwts, compiled.comm), schedule)
+}
+
+/// Two threads compile at the same time under different budgets. The
+/// barriers force the overlap: each thread reads its budget only once both
+/// pushes are live, runs the whole pipeline inside that scope (the
+/// pipeline's own pushes nest in it), reads it again, and reads the
+/// default after the pop. Outputs match the solo runs.
 #[test]
-fn interleaved_compiles_restore_ambient_knobs() {
-    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = stats::KnobGuard::capture();
-    // Ambient settings unlike either compile's.
-    stats::set_feasibility_budget(777);
-    stats::set_cache_enabled(false);
-    stats::set_prefilters_enabled(false);
-
-    let a = Options {
-        feasibility_budget: 5_000,
-        poly_fast_paths: true,
-        ..Options::full()
+fn concurrent_compiles_read_their_own_budget() {
+    let a = (figure2_input(32, 4), vec![3, 63], budget(5_000, 1));
+    let b = (xy_input(4), vec![15], budget(1_234, 2));
+    let solo = |(input, params, options): &(CompileInput, Vec<i128>, Options)| {
+        pipeline(input.clone(), params, *options)
     };
-    let b = Options {
-        feasibility_budget: 1_234,
-        poly_fast_paths: true,
-        threads: 2,
-        ..Options::full()
+    let (solo_a, solo_b) = (solo(&a), solo(&b));
+
+    let both_pushed = Barrier::new(2);
+    let both_done = Barrier::new(2);
+    // Returns what it read instead of asserting: a panic between the
+    // barriers would leave the other thread waiting forever.
+    let run = |(input, params, options): (CompileInput, Vec<i128>, Options)| {
+        let scope = options.push_tuning_scoped();
+        both_pushed.wait();
+        let before = stats::feasibility_budget();
+        let out = pipeline(input, &params, options);
+        let after = stats::feasibility_budget();
+        both_done.wait();
+        drop(scope);
+        ([before, after, stats::feasibility_budget()], out)
     };
-
-    let ca = compile(figure2_input(32, 4), a).expect("compiles");
+    let (conc_a, conc_b) = std::thread::scope(|s| {
+        let ta = s.spawn(|| run(a));
+        let tb = s.spawn(|| run(b));
+        (ta.join().expect("thread a"), tb.join().expect("thread b"))
+    });
+    assert_eq!(conc_a.0, [5_000, 5_000, DEFAULT_FEASIBILITY_BUDGET]);
+    assert_eq!(conc_b.0, [1_234, 1_234, DEFAULT_FEASIBILITY_BUDGET]);
     assert_eq!(
-        stats::feasibility_budget(),
-        777,
-        "compile A must restore the budget"
+        conc_a.1, solo_a,
+        "budget 5000 compile changed under overlap"
     );
-    assert!(
-        !stats::cache_enabled(),
-        "compile A must restore the cache switch"
-    );
-
-    let cb = compile(xy_input(4), b).expect("compiles");
     assert_eq!(
-        stats::feasibility_budget(),
-        777,
-        "compile B must restore the budget"
-    );
-    assert!(
-        !stats::prefilters_enabled(),
-        "compile B must restore the pre-filter switch"
-    );
-
-    // build_schedule scopes its own tuning too (compile's guard is long
-    // gone by now).
-    let sa = build_schedule(&ca, &[3, 63], false, 1_000_000).expect("schedules");
-    assert!(!sa.messages.is_empty());
-    assert_eq!(
-        stats::feasibility_budget(),
-        777,
-        "build_schedule must restore the budget"
-    );
-    let sb = build_schedule(&cb, &[15], false, 1_000_000).expect("schedules");
-    assert!(!sb.messages.is_empty());
-    assert!(
-        !stats::cache_enabled(),
-        "build_schedule must restore the cache switch"
+        conc_b.1, solo_b,
+        "budget 1234 compile changed under overlap"
     );
 }
 
-/// Nested scoped tunings unwind in order: the inner scope restores the
-/// outer compile's knobs, not the process defaults.
+/// Nested scoped tunings unwind in order — the inner scope restores the
+/// outer compile's budget, not the default — and a panic unwinds them too.
 #[test]
-fn nested_scoped_tunings_unwind_in_order() {
-    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = stats::KnobGuard::capture();
-    stats::set_feasibility_budget(111);
-
-    let outer = Options {
-        feasibility_budget: 222,
-        ..Options::full()
-    };
-    let inner = Options {
-        feasibility_budget: 333,
-        poly_fast_paths: false,
-        ..Options::full()
-    };
-
-    let g_outer = outer.apply_tuning_scoped();
+fn nested_scoped_tunings_unwind_in_order_and_on_panic() {
+    let g_outer = budget(222, 1).push_tuning_scoped();
     assert_eq!(stats::feasibility_budget(), 222);
     {
-        let _g_inner = inner.apply_tuning_scoped();
+        let _g_inner = budget(333, 1).push_tuning_scoped();
         assert_eq!(stats::feasibility_budget(), 333);
-        assert!(!stats::cache_enabled());
     }
     assert_eq!(
         stats::feasibility_budget(),
         222,
         "inner scope restores the outer tuning"
     );
-    assert!(stats::cache_enabled());
+
+    let result = std::panic::catch_unwind(|| {
+        let _g = budget(7, 1).push_tuning_scoped();
+        panic!("mid-compile failure");
+    });
+    assert!(result.is_err());
+    assert_eq!(
+        stats::feasibility_budget(),
+        222,
+        "budget restored across panic"
+    );
+
     drop(g_outer);
     assert_eq!(
         stats::feasibility_budget(),
-        111,
-        "outer scope restores the ambient value"
+        DEFAULT_FEASIBILITY_BUDGET,
+        "outer scope restores the default"
     );
 }
 
 /// `PolyStats::since` snapshot diffs observe the work of `compile`'s
-/// worker threads: the counters are process-global, so the parent's diff
-/// covers the whole fan-out — and with the fast paths off (no caches, no
-/// pre-filters) the counted work is *identical* for every worker count.
+/// worker threads (the counters are process-global, so the parent's diff
+/// covers the whole fan-out), and the ledger's charged work — which
+/// replays a memo hit's original cost — is *identical* for every worker
+/// count, however the per-thread caches split the raw work.
 #[test]
 fn threaded_fanout_counters_land_in_parent_diff() {
-    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = stats::KnobGuard::capture();
-
-    let opts = |threads| Options {
-        threads,
-        poly_fast_paths: false,
-        ..Options::full()
+    // A ledger scope of our own: other tests compile concurrently.
+    let scope = LedgerScope::new();
+    let _installed = scope.install();
+    let measure = |threads| {
+        let before = stats::snapshot();
+        scope.start();
+        let compiled =
+            compile(xy_input(4), budget(DEFAULT_FEASIBILITY_BUDGET, threads)).expect("compiles");
+        let charged = scope.finish().charged_work();
+        (compiled, charged, stats::snapshot().since(&before))
     };
+    let (seq, charged_seq, d_seq) = measure(1);
+    let (par, charged_par, d_par) = measure(4);
+    for d in [d_seq, d_par] {
+        assert!(d.fm_steps > 0, "analysis must project: {d:?}");
+        assert!(
+            d.feasibility_calls > 0,
+            "analysis must test feasibility: {d:?}"
+        );
+    }
 
-    cache::clear_thread_caches();
-    let before = stats::snapshot();
-    let seq = compile(xy_input(4), opts(1)).expect("compiles");
-    let d_seq = stats::snapshot().since(&before);
-    assert!(d_seq.fm_steps > 0, "analysis must project: {d_seq:?}");
-    assert!(
-        d_seq.feasibility_calls > 0,
-        "analysis must test feasibility: {d_seq:?}"
-    );
-
-    cache::clear_thread_caches();
-    let before = stats::snapshot();
-    let par = compile(xy_input(4), opts(4)).expect("compiles");
-    let d_par = stats::snapshot().since(&before);
-
-    let shape = |c: &dmc_core::Compiled| -> Vec<(String, usize, usize, Vec<&'static str>)> {
+    let shape = |c: &Compiled| -> Vec<(String, usize, usize, Vec<&'static str>)> {
         c.comm
             .iter()
             .map(|cs| (cs.array.clone(), cs.read_stmt, cs.read_no, cs.steps.clone()))
@@ -202,8 +192,9 @@ fn threaded_fanout_counters_land_in_parent_diff() {
     let s_seq = build_schedule(&seq, &[15], false, 1_000_000).expect("schedules");
     let s_par = build_schedule(&par, &[15], false, 1_000_000).expect("schedules");
     assert_eq!(s_seq, s_par, "fan-out must not change the schedule");
+    assert!(charged_seq > 0, "the ledger must have recorded the compile");
     assert_eq!(
-        d_seq, d_par,
-        "with caches and pre-filters off, worker threads do exactly the sequential work"
+        charged_seq, charged_par,
+        "charged work must not depend on the worker count"
     );
 }

@@ -202,8 +202,8 @@ fn proc_count_sweep_reuses_analysis_stages() {
 }
 
 /// Options that can change analysis answers (strategy, feasibility
-/// budget) are part of the stage keys; fast-path knobs that only change
-/// time (threads, memo caches) are not.
+/// budget) are part of the stage keys; `threads`, which only changes
+/// time, is not.
 #[test]
 fn option_relevance_is_reflected_in_stage_keys() {
     let mut session = Session::new();
@@ -212,10 +212,9 @@ fn option_relevance_is_reflected_in_stage_keys() {
         .expect("first");
     let baseline = session.stats().stage_misses;
 
-    // Irrelevant knobs: everything hits.
+    // An irrelevant knob: everything hits.
     let opts = Options {
         threads: 1,
-        cache_min_constraints: 0,
         ..Options::full()
     };
     session.compile(xy_input(1, 4), opts).expect("threads=1");

@@ -19,8 +19,8 @@
 //!
 //! Caches are thread-local (no locks on the hot path; each worker of the
 //! parallel pipeline warms its own), bounded (cleared wholesale past a size
-//! cap), and invalidated whenever an engine knob changes (see
-//! [`stats`](crate::stats)'s epoch).
+//! cap), and invalidated whenever the effective feasibility budget changes
+//! or the work ledger turns on (see [`stats`](crate::stats)'s epoch).
 
 use std::cell::RefCell;
 use std::collections::HashMap;

@@ -117,8 +117,8 @@ impl OpKind {
 /// How an operation interacted with the memo caches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CacheOutcome {
-    /// The operation does not consult a cache, the caches were off, or the
-    /// system was below the size threshold.
+    /// The operation does not consult a cache, or the system was below the
+    /// memoization size threshold.
     Uncached,
     /// Answered from a memo cache.
     Hit,

@@ -475,9 +475,9 @@ impl Polyhedron {
     /// Results are memoized per thread (keyed on the exact constraint
     /// sequence plus `dims`), so repeated projections of the same system —
     /// ubiquitous across LWT resolution and comm-set construction — are
-    /// answered without re-running the elimination. Systems below the
-    /// [`stats::cache_min_constraints`] size threshold skip the cache:
-    /// they are re-solved faster than their key can be built and hashed.
+    /// answered without re-running the elimination. Systems of fewer than
+    /// 8 constraints skip the cache: they are re-solved faster than their
+    /// key can be built and hashed.
     ///
     /// # Errors
     ///
@@ -634,8 +634,7 @@ impl Polyhedron {
     /// replace a constraint with its negation; if the system then has no
     /// integer solution, the constraint was implied and can be dropped.
     ///
-    /// Two cheap pre-filters run before the exact test on each constraint
-    /// (when enabled via [`stats::set_prefilters_enabled`]):
+    /// Two cheap pre-filters run before the exact test on each constraint:
     ///
     /// 1. a **rational bound check** — if the constraint's minimum over the
     ///    box implied by the other single-variable constraints is already
@@ -645,8 +644,8 @@ impl Polyhedron {
     ///    the probe, the constraint is provably non-redundant and kept
     ///    without a branch-and-bound query.
     ///
-    /// Results are memoized per thread; systems below the
-    /// [`stats::cache_min_constraints`] size threshold skip the cache.
+    /// Results are memoized per thread; systems of fewer than 8
+    /// constraints skip the cache.
     ///
     /// # Errors
     ///
@@ -697,7 +696,6 @@ impl Polyhedron {
         if base.contradiction {
             return Ok((base, 0));
         }
-        let prefilter = stats::prefilters_enabled();
         let n = self.space.len();
         let mut negations: u64 = 0;
         let mut kept: Vec<Constraint> = base.cons.clone();
@@ -707,20 +705,18 @@ impl Polyhedron {
                 i += 1;
                 continue;
             }
-            if prefilter {
-                match prefilter_verdict(&kept, i, n) {
-                    PreVerdict::Implied => {
-                        stats::count_prefilter_drop();
-                        kept.remove(i);
-                        continue;
-                    }
-                    PreVerdict::Witnessed => {
-                        stats::count_prefilter_keep();
-                        i += 1;
-                        continue;
-                    }
-                    PreVerdict::Inconclusive => {}
+            match prefilter_verdict(&kept, i, n) {
+                PreVerdict::Implied => {
+                    stats::count_prefilter_drop();
+                    kept.remove(i);
+                    continue;
                 }
+                PreVerdict::Witnessed => {
+                    stats::count_prefilter_keep();
+                    i += 1;
+                    continue;
+                }
+                PreVerdict::Inconclusive => {}
             }
             stats::count_negation_test();
             negations += 1;
@@ -766,8 +762,8 @@ impl Polyhedron {
     /// real/dark shadow pair and bounded branch-and-bound in the gray zone.
     ///
     /// All dimensions are treated existentially. The branch-and-bound
-    /// budget comes from [`stats::feasibility_budget`] (settable via
-    /// [`stats::set_feasibility_budget`]); definite answers are memoized
+    /// budget comes from [`stats::feasibility_budget`] (pushed per thread
+    /// via [`stats::push_thread_tuning`]); definite answers are memoized
     /// per thread, keyed on [`Polyhedron::canonical_key`], while `Unknown`
     /// answers are never cached (they depend on the budget).
     ///
@@ -1743,9 +1739,7 @@ mod tests {
             let scratch = p.eliminate_dims_uncached(&dims).unwrap();
             let cold = p.eliminate_dims(&dims).unwrap();
             let warm = p.eliminate_dims(&dims).unwrap();
-            // The three paths must agree constraint-for-constraint,
-            // whatever the ambient cache knob says (another test may
-            // toggle it concurrently — both settings must be identical).
+            // The three paths must agree constraint-for-constraint.
             assert_eq!(
                 scratch.to_string(),
                 cold.to_string(),
@@ -1776,6 +1770,104 @@ mod tests {
                 break;
             }
         }
+    }
+
+    /// The §5.1 negation test alone — no pre-filters, no memo caches — the
+    /// reference `remove_redundant` is compared against.
+    fn remove_redundant_exact(p: &Polyhedron) -> Polyhedron {
+        let base = p.remove_redundant_cheap();
+        if base.contradiction {
+            return base;
+        }
+        let mut kept = base.cons.clone();
+        let mut i = 0;
+        while i < kept.len() {
+            if kept[i].is_eq() {
+                i += 1;
+                continue;
+            }
+            let mut probe = Polyhedron::universe(p.space.clone());
+            for (j, c) in kept.iter().enumerate() {
+                probe.add(if j == i { c.negate_ge() } else { c.clone() });
+            }
+            if feasibility_uncached(&probe) == Feasibility::Infeasible {
+                kept.remove(i);
+            } else {
+                i += 1;
+            }
+        }
+        let mut out = Polyhedron::universe(p.space.clone());
+        out.cons = kept;
+        out
+    }
+
+    fn feasibility_uncached(p: &Polyhedron) -> Feasibility {
+        let mut budget = stats::DEFAULT_FEASIBILITY_BUDGET;
+        p.integer_feasibility_budget(&mut budget).unwrap()
+    }
+
+    /// Differential property over 64 random boxed systems (6–10
+    /// constraints, so both sides of the memoization size gate are
+    /// covered): the memoized, pre-filtered engine answers exactly like
+    /// the uncached, exact-negation-only one, from cold caches and warm.
+    #[test]
+    fn differential_memoized_prefiltered_engine_equals_exact_uncached() {
+        // xorshift64* with the seed and draw order of the generator in
+        // `tests/properties.rs`.
+        let mut state = 0xCAC4Eu64;
+        let mut next = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        let (n, b) = (3usize, 4i128);
+        let before = stats::snapshot();
+        for case in 0..64 {
+            let names = (0..n).map(|k| (format!("x{k}"), DimKind::Index));
+            let mut p = Polyhedron::universe(Space::from_dims(names));
+            for k in 0..n {
+                let mut c = vec![0i128; n];
+                c[k] = 1;
+                p.add(ge(c.clone(), b)); // x_k >= -b
+                c[k] = -1;
+                p.add(ge(c, b)); // x_k <= b
+            }
+            for _ in 0..next() % 5 {
+                let coeffs: Vec<i128> = (0..n).map(|_| (next() % 7) as i128 - 3).collect();
+                let c = (next() % 13) as i128 - 6;
+                p.add(if next() & 1 == 0 {
+                    eq(coeffs, c)
+                } else {
+                    ge(coeffs, c)
+                });
+            }
+
+            crate::cache::clear_thread_caches();
+            let run = |p: &Polyhedron| {
+                (
+                    p.integer_feasibility().unwrap(),
+                    p.eliminate_dims(&[1, 2]).unwrap(),
+                    p.remove_redundant().unwrap(),
+                )
+            };
+            let cold = run(&p);
+            let warm = run(&p);
+            let exact = (
+                feasibility_uncached(&p),
+                p.eliminate_dims_uncached(&[1, 2]).unwrap(),
+                remove_redundant_exact(&p),
+            );
+            assert_eq!(cold, warm, "case {case}: warm caches changed an answer");
+            // The pre-filters may only skip exact tests, never change the
+            // surviving constraint list.
+            assert_eq!(cold, exact, "case {case}: differs from the exact engine");
+        }
+        // Not vacuous: the warm runs were served from all three caches.
+        let d = stats::snapshot().since(&before);
+        assert!(d.feas_cache_hits > 0 && d.proj_cache_hits > 0 && d.redund_cache_hits > 0);
+        assert!(d.cache_bypasses > 0, "small systems must skip the caches");
+        assert!(d.prefilter_drops + d.prefilter_keeps > 0);
     }
 
     #[test]

@@ -371,44 +371,6 @@ fn redundancy_removal_preserves_set() {
     }
 }
 
-/// The memoized fast paths answer exactly like the uncached engine, and
-/// the pre-filtered redundancy removal matches the pure negation test.
-#[test]
-fn fast_paths_match_uncached_engine() {
-    use dmc_polyhedra::stats;
-    let mut rng = Rng::new(0xCAC4E);
-    for case in 0..64 {
-        let p = gen_polyhedron(&mut rng, 3, 4, 4);
-
-        stats::set_cache_enabled(true);
-        stats::set_prefilters_enabled(true);
-        let feas_on = p.integer_feasibility().unwrap();
-        let feas_on2 = p.integer_feasibility().unwrap(); // cached answer
-        let proj_on = p.eliminate_dims(&[1, 2]).unwrap();
-        let proj_on2 = p.eliminate_dims(&[1, 2]).unwrap();
-        let red_on = p.remove_redundant().unwrap();
-        let red_on2 = p.remove_redundant().unwrap();
-
-        stats::set_cache_enabled(false);
-        stats::set_prefilters_enabled(false);
-        let feas_off = p.integer_feasibility().unwrap();
-        let proj_off = p.eliminate_dims(&[1, 2]).unwrap();
-        let red_off = p.remove_redundant().unwrap();
-
-        stats::set_cache_enabled(true);
-        stats::set_prefilters_enabled(true);
-
-        assert_eq!(feas_on, feas_off, "case {case}: feasibility differs");
-        assert_eq!(feas_on, feas_on2, "case {case}: feasibility cache unstable");
-        assert_eq!(proj_on, proj_off, "case {case}: projection differs");
-        assert_eq!(proj_on, proj_on2, "case {case}: projection cache unstable");
-        assert_eq!(red_on2, red_on, "case {case}: redundancy cache unstable");
-        // The pre-filters may only skip exact tests, never change the
-        // surviving constraint list.
-        assert_eq!(red_on, red_off, "case {case}: redundancy removal differs");
-    }
-}
-
 /// The canonical key identifies equal systems regardless of insertion
 /// order, and separates different ones.
 #[test]

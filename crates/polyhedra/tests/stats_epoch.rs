@@ -1,132 +1,64 @@
-//! Epoch-based memo-cache invalidation and knob-guard panic safety.
+//! Epoch-based memo-cache invalidation: a feasibility-budget change that
+//! takes effect on a thread invalidates that thread's warm cache.
 //!
-//! The engine knobs and the cache epoch are process-wide, so every test in
-//! this file serializes on one mutex (other test binaries are separate
-//! processes and cannot interfere).
+//! This file holds one test, so the process-wide counter deltas it reads
+//! are exactly its own.
 
-use std::sync::Mutex;
+use dmc_polyhedra::stats::{self, Tuning};
+use dmc_polyhedra::{cache, Constraint, DimKind, LinExpr, Polyhedron, Space};
 
-use dmc_polyhedra::{cache, stats, Constraint, DimKind, LinExpr, Polyhedron, Space};
-
-static SERIAL: Mutex<()> = Mutex::new(());
-
-/// A small feasible system: 0 <= x <= 3, x + y = 5, 0 <= y <= 9. Cheap to
-/// decide but nontrivial enough to go through the memo cache.
+/// A small feasible system — the box 0 <= x, y, z <= 5 plus x + y + z = 7
+/// and x <= y: nine constraints, enough to pass the memoization size gate.
 fn sample() -> Polyhedron {
     let mut p = Polyhedron::universe(Space::from_dims([
         ("x", DimKind::Index),
         ("y", DimKind::Index),
+        ("z", DimKind::Index),
     ]));
-    p.add(Constraint::ge(LinExpr::from_coeffs(vec![1, 0], 0)));
-    p.add(Constraint::ge(LinExpr::from_coeffs(vec![-1, 0], 3)));
-    p.add(Constraint::eq(LinExpr::from_coeffs(vec![1, 1], -5)));
-    p.add(Constraint::ge(LinExpr::from_coeffs(vec![0, 1], 0)));
-    p.add(Constraint::ge(LinExpr::from_coeffs(vec![0, -1], 9)));
+    for k in 0..3 {
+        let mut c = vec![0i128; 3];
+        c[k] = 1;
+        p.add(Constraint::ge(LinExpr::from_coeffs(c.clone(), 0)));
+        c[k] = -1;
+        p.add(Constraint::ge(LinExpr::from_coeffs(c, 5)));
+    }
+    p.add(Constraint::eq(LinExpr::from_coeffs(vec![1, 1, 1], -7)));
+    p.add(Constraint::ge(LinExpr::from_coeffs(vec![-1, 1, 0], 0)));
+    assert!(p.constraints().len() >= 8, "must be admitted to the caches");
     p
 }
 
-/// A warm cache answers a repeated query out of memory; changing any knob
-/// mid-process bumps the epoch and the same query misses again.
-#[test]
-fn knob_change_invalidates_warm_cache_mid_process() {
-    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = stats::KnobGuard::capture();
-    stats::set_cache_enabled(true);
-    stats::set_prefilters_enabled(true);
-    stats::set_feasibility_budget(stats::DEFAULT_FEASIBILITY_BUDGET);
-    // The sample is below the default memoization size threshold; admit
-    // everything so the queries exercise the cache.
-    stats::set_cache_min_constraints(0);
-    cache::clear_thread_caches();
-
-    let p = sample();
+/// `(hits, misses)` the feasibility cache counted for one more query.
+fn query(p: &Polyhedron) -> (u64, u64) {
     let before = stats::snapshot();
-    p.integer_feasibility().expect("feasibility");
-    let cold = stats::snapshot().since(&before);
-    assert!(
-        cold.feas_cache_misses >= 1,
-        "cold query must miss: {cold:?}"
-    );
-
-    let before = stats::snapshot();
-    p.integer_feasibility().expect("feasibility");
-    let warm = stats::snapshot().since(&before);
-    assert!(
-        warm.feas_cache_hits >= 1,
-        "repeated query must hit: {warm:?}"
-    );
-    assert_eq!(
-        warm.feas_cache_misses, 0,
-        "repeated query must not miss: {warm:?}"
-    );
-
-    // Any knob change invalidates: the budget here.
-    stats::set_feasibility_budget(stats::DEFAULT_FEASIBILITY_BUDGET + 1);
-    let before = stats::snapshot();
-    p.integer_feasibility().expect("feasibility");
-    let after_bump = stats::snapshot().since(&before);
-    assert!(
-        after_bump.feas_cache_misses >= 1,
-        "a knob change must invalidate the warm entry: {after_bump:?}"
-    );
-}
-
-/// Disabling the caches stops both hits and misses from accruing; the
-/// engine still answers (identically, per the parity tests elsewhere).
-#[test]
-fn disabled_cache_counts_nothing() {
-    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = stats::KnobGuard::capture();
-    stats::set_cache_enabled(false);
-    cache::clear_thread_caches();
-
-    let p = sample();
-    let before = stats::snapshot();
-    p.integer_feasibility().expect("feasibility");
     p.integer_feasibility().expect("feasibility");
     let d = stats::snapshot().since(&before);
-    assert_eq!(d.feas_cache_hits, 0, "{d:?}");
-    assert_eq!(d.feas_cache_misses, 0, "{d:?}");
-    assert!(d.feasibility_calls >= 2, "both queries ran for real: {d:?}");
+    (d.feas_cache_hits, d.feas_cache_misses)
 }
 
-/// `KnobGuard` restores every knob during unwinding, so a panicking
-/// compile cannot leak its tuning into the next in-process one.
+/// A warm cache answers a repeated query out of memory; pushing a
+/// different budget makes the same query miss again, popping it makes it
+/// miss once more, and pushing the already-effective budget is free.
 #[test]
-fn knob_guard_restores_on_panic() {
-    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let budget = stats::feasibility_budget();
-    let cache_on = stats::cache_enabled();
-    let prefilters_on = stats::prefilters_enabled();
-    let min_constraints = stats::cache_min_constraints();
+fn budget_change_invalidates_warm_cache() {
+    const HIT: (u64, u64) = (1, 0);
+    const MISS: (u64, u64) = (0, 1);
+    cache::clear_thread_caches();
+    let p = sample();
+    assert_eq!(query(&p), MISS, "cold query must miss");
+    assert_eq!(query(&p), HIT, "repeated query must hit");
 
-    let result = std::panic::catch_unwind(|| {
-        let _k = stats::KnobGuard::capture();
-        stats::set_feasibility_budget(7);
-        stats::set_cache_enabled(!cache_on);
-        stats::set_prefilters_enabled(!prefilters_on);
-        stats::set_cache_min_constraints(min_constraints + 11);
-        panic!("mid-compile failure");
+    let same = stats::push_thread_tuning(Tuning::default());
+    assert_eq!(query(&p), HIT, "pushing the effective budget is free");
+    drop(same);
+    assert_eq!(query(&p), HIT, "and so is popping it");
+
+    let other = stats::push_thread_tuning(Tuning {
+        feasibility_budget: stats::DEFAULT_FEASIBILITY_BUDGET + 1,
     });
-    assert!(result.is_err());
-    assert_eq!(
-        stats::feasibility_budget(),
-        budget,
-        "budget restored across panic"
-    );
-    assert_eq!(
-        stats::cache_enabled(),
-        cache_on,
-        "cache switch restored across panic"
-    );
-    assert_eq!(
-        stats::prefilters_enabled(),
-        prefilters_on,
-        "prefilters restored across panic"
-    );
-    assert_eq!(
-        stats::cache_min_constraints(),
-        min_constraints,
-        "size threshold restored across panic"
-    );
+    assert_eq!(query(&p), MISS, "a budget change must invalidate");
+    assert_eq!(query(&p), HIT, "then the new epoch warms up");
+    drop(other);
+    assert_eq!(query(&p), MISS, "the pop changes the budget back");
+    assert_eq!(query(&p), HIT);
 }

@@ -90,9 +90,10 @@ cargo run --release -p dmc-bench --bin dmc-session -- \
 cargo run --release -p dmc-bench --bin dmc-journal -- \
     --check --out-dir target/journal-tier1
 
-# Bench regression gate: re-measure the pipeline (--quick: one timing
-# rep — every deterministic field is rep-independent) and diff against
-# the committed snapshot. Correctness fields (message/transmission/word
+# Bench regression gate: re-measure the pipeline (--quick: one cold-cache
+# timing rep per workload, plus the warm-cache rerun its identity flag
+# compares against — every deterministic field is rep-independent) and
+# diff against the committed snapshot. Correctness fields (message/transmission/word
 # counts, simulated time, identity flags) and the deterministic
 # work-unit, allocation and polyops totals must match exactly; the
 # timing tolerance is generous (150%) because tier-1 runs on arbitrary
