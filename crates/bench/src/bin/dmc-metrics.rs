@@ -17,12 +17,13 @@
 
 use std::path::PathBuf;
 
-use dmc_bench::{workloads, Workload};
+use dmc_bench::{usage_error, workloads, Workload};
 use dmc_core::{compile, run, Options};
 use dmc_machine::MachineConfig;
 use dmc_obs as obs;
 
 const LIMIT: usize = 50_000_000;
+const USAGE: &str = "usage: dmc-metrics [--workload NAME|all] [--out-dir PATH] [--check]";
 
 /// The value of the unique sample whose line starts with `prefix` (the
 /// full `name{labels}` key), or the sum over all matching samples when
@@ -40,11 +41,12 @@ fn main() {
     let mut out_dir = PathBuf::from("target/dmc-metrics");
     let mut check = false;
     while let Some(a) = args.next() {
+        let mut value = || args.next().unwrap_or_else(|| usage_error(USAGE));
         match a.as_str() {
-            "--workload" => which = Some(args.next().expect("--workload needs a name")),
-            "--out-dir" => out_dir = PathBuf::from(args.next().expect("--out-dir needs a path")),
+            "--workload" => which = Some(value()),
+            "--out-dir" => out_dir = PathBuf::from(value()),
             "--check" => check = true,
-            other => panic!("unknown argument: {other} (try --workload/--out-dir/--check)"),
+            _ => usage_error(USAGE),
         }
     }
 

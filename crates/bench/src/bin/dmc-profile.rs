@@ -22,15 +22,14 @@
 //!   operation kind and cache counter;
 //! * **attribution** — at least 90% of top-level charged work units carry
 //!   a (statement, read, pass) or schedule context;
-//! * **determinism** — re-capturing with `threads: 1` and `threads: 4`
-//!   must produce byte-identical collapsed-stack files (charged work is
-//!   cache-state- and worker-count-independent);
+//! * **determinism** — a second capture must produce a byte-identical
+//!   collapsed-stack file;
 //! * **transparency** — the compiled schedule with the ledger on equals
 //!   the one compiled with it off (recording must not steer the engine).
 
 use std::path::PathBuf;
 
-use dmc_bench::{workloads, Workload};
+use dmc_bench::{usage_error, workloads, Workload};
 use dmc_core::{build_schedule, compile, run, Options};
 use dmc_machine::MachineConfig;
 use dmc_obs as obs;
@@ -39,6 +38,8 @@ use dmc_polyhedra::ledger::{self, CacheOutcome, Ledger};
 use dmc_polyhedra::{stats, PolyStats};
 
 const LIMIT: usize = 50_000_000;
+const USAGE: &str = "usage: dmc-profile [--workload NAME|all] [--out-dir PATH] [--check] \
+                     [--top N] [--diff SNAPSHOT] [--json]";
 
 struct Captured {
     trace: obs::Trace,
@@ -50,15 +51,11 @@ struct Captured {
 
 /// Runs one workload's pipeline (compile → schedule → machine run) with
 /// both the tracer and the work ledger on.
-fn capture(w: &Workload, threads: usize) -> Captured {
-    let options = Options {
-        threads,
-        ..Options::full()
-    };
+fn capture(w: &Workload) -> Captured {
     ledger::start();
     let before = stats::snapshot();
     obs::start_capture();
-    let compiled = compile((w.input)(w.nproc), options).expect("compiles");
+    let compiled = compile((w.input)(w.nproc), Options::full()).expect("compiles");
     let schedule = build_schedule(&compiled, &w.params, false, LIMIT).expect("schedules");
     let delta = stats::snapshot().since(&before);
     let ledger = ledger::finish();
@@ -241,36 +238,19 @@ fn main() {
     let mut which: Option<String> = None;
     let mut out_dir = PathBuf::from("target/dmc-profile");
     let mut check = false;
-    let mut threads = 0usize;
     let mut top: Option<usize> = None;
     let mut diff: Option<String> = None;
     let mut json_out = false;
     while let Some(a) = args.next() {
+        let mut value = || args.next().unwrap_or_else(|| usage_error(USAGE));
         match a.as_str() {
-            "--workload" => which = Some(args.next().expect("--workload needs a name")),
-            "--out-dir" => out_dir = PathBuf::from(args.next().expect("--out-dir needs a path")),
+            "--workload" => which = Some(value()),
+            "--out-dir" => out_dir = PathBuf::from(value()),
             "--check" => check = true,
             "--json" => json_out = true,
-            "--threads" => {
-                threads = args
-                    .next()
-                    .expect("--threads needs a count")
-                    .parse()
-                    .expect("number")
-            }
-            "--top" => {
-                top = Some(
-                    args.next()
-                        .expect("--top needs a count")
-                        .parse()
-                        .expect("number"),
-                )
-            }
-            "--diff" => diff = Some(args.next().expect("--diff needs a snapshot path")),
-            other => panic!(
-                "unknown argument: {other} \
-                 (try --workload/--out-dir/--check/--threads/--top/--diff/--json)"
-            ),
+            "--top" => top = Some(value().parse().unwrap_or_else(|_| usage_error(USAGE))),
+            "--diff" => diff = Some(value()),
+            _ => usage_error(USAGE),
         }
     }
     let diff_doc: Option<Json> = diff.map(|path| {
@@ -291,7 +271,7 @@ fn main() {
 
     let mut json_rows: Vec<dmc_bench::ProfileRow> = Vec::new();
     for w in &selected {
-        let cap = capture(w, threads);
+        let cap = capture(w);
         let profile = profile_of(w.name, &cap.ledger);
         if json_out {
             json_rows.push((
@@ -355,31 +335,17 @@ fn main() {
                 w.name
             );
 
-            // Determinism: charged work units are cache-state- and
-            // worker-count-independent, so sequential and 4-worker
-            // captures must collapse to byte-identical files.
-            let c1 = capture(w, 1);
-            let c4 = capture(w, 4);
-            let s1 = profile_of(w.name, &c1.ledger).collapsed_stack();
-            let s4 = profile_of(w.name, &c4.ledger).collapsed_stack();
+            // Determinism: a second capture collapses to the same bytes.
+            let again = profile_of(w.name, &capture(w).ledger).collapsed_stack();
             assert_eq!(
-                s1, s4,
-                "{}: collapsed stack differs between threads=1 and threads=4",
-                w.name
-            );
-            assert_eq!(
-                collapsed, s1,
-                "{}: collapsed stack differs between captures (cache-state dependence?)",
+                collapsed, again,
+                "{}: collapsed stack differs between captures",
                 w.name
             );
 
             // Transparency: the ledger must observe, never steer — the
             // schedule compiled with it off is the one compiled with it on.
-            let options = Options {
-                threads,
-                ..Options::full()
-            };
-            let compiled = compile((w.input)(w.nproc), options).expect("compiles");
+            let compiled = compile((w.input)(w.nproc), Options::full()).expect("compiles");
             let plain = build_schedule(&compiled, &w.params, false, LIMIT).expect("schedules");
             assert_eq!(
                 plain, cap.schedule,
@@ -389,7 +355,7 @@ fn main() {
 
             println!(
                 "{:<10} ok: {} work units, {} ops, {:.1}% attributed; \
-                 totals == PolyStats; 1-vs-4-thread collapsed identical; output unchanged",
+                 totals == PolyStats; recapture collapsed identical; output unchanged",
                 w.name,
                 profile.total_work(),
                 cap.ledger.records().count(),

@@ -30,12 +30,14 @@
 
 use std::path::PathBuf;
 
-use dmc_bench::{workloads, Workload};
+use dmc_bench::{usage_error, workloads, Workload};
 use dmc_core::{compile, Options, Session};
 use dmc_obs as obs;
 use dmc_store::DiskStore;
 
 const NPROCS: [i128; 4] = [2, 4, 8, 16];
+const USAGE: &str =
+    "usage: dmc-session [--workload NAME|all] [--out-dir PATH] [--cache-dir PATH] [--check]";
 
 fn outputs(c: &dmc_core::Compiled) -> String {
     format!("{:?} {:?}", c.lwts, c.comm)
@@ -48,18 +50,13 @@ fn main() {
     let mut cache_dir: Option<PathBuf> = None;
     let mut check = false;
     while let Some(a) = args.next() {
+        let mut value = || args.next().unwrap_or_else(|| usage_error(USAGE));
         match a.as_str() {
-            "--workload" => which = Some(args.next().expect("--workload needs a name")),
-            "--out-dir" => out_dir = PathBuf::from(args.next().expect("--out-dir needs a path")),
-            "--cache-dir" => {
-                cache_dir = Some(PathBuf::from(
-                    args.next().expect("--cache-dir needs a path"),
-                ));
-            }
+            "--workload" => which = Some(value()),
+            "--out-dir" => out_dir = PathBuf::from(value()),
+            "--cache-dir" => cache_dir = Some(PathBuf::from(value())),
             "--check" => check = true,
-            other => {
-                panic!("unknown argument: {other} (try --workload/--out-dir/--cache-dir/--check)")
-            }
+            _ => usage_error(USAGE),
         }
     }
 

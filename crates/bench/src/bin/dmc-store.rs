@@ -36,7 +36,7 @@
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
-use dmc_bench::workloads;
+use dmc_bench::{usage_error, workloads};
 use dmc_core::{Options, Session};
 use dmc_store::DiskStore;
 
@@ -55,13 +55,10 @@ macro_rules! check {
     };
 }
 
-fn usage() -> ! {
-    eprintln!("usage: dmc-store [--cache-dir PATH] [--max-bytes N] [--check]");
-    eprintln!("  default mode populates PATH (required) with a workload sweep;");
-    eprintln!("  --check clears PATH (default target/dmc-store-check) and");
-    eprintln!("  verifies cold/warm identity, eviction and corruption handling");
-    exit(2);
-}
+const USAGE: &str = "usage: dmc-store [--cache-dir PATH] [--max-bytes N] [--check]
+  default mode populates PATH (required) with a workload sweep;
+  --check clears PATH (default target/dmc-store-check) and
+  verifies cold/warm identity, eviction and corruption handling";
 
 fn open_store(dir: &Path, max_bytes: Option<u64>) -> DiskStore {
     match DiskStore::open(dir, max_bytes) {
@@ -299,14 +296,14 @@ fn main() {
         match a.as_str() {
             "--cache-dir" => match args.next() {
                 Some(p) => cache_dir = Some(PathBuf::from(p)),
-                None => usage(),
+                None => usage_error(USAGE),
             },
             "--max-bytes" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(n) => max_bytes = Some(n),
-                None => usage(),
+                None => usage_error(USAGE),
             },
             "--check" => check = true,
-            _ => usage(),
+            _ => usage_error(USAGE),
         }
     }
 
@@ -316,7 +313,9 @@ fn main() {
         return;
     }
 
-    let Some(dir) = cache_dir else { usage() };
+    let Some(dir) = cache_dir else {
+        usage_error(USAGE)
+    };
     let (_, stats, store_stats) = sweep(open_store(&dir, max_bytes));
     println!(
         "served {} workload(s): {} stage hit(s) ({} from disk), {} miss(es)",

@@ -14,7 +14,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use dmc_bench::{lu_input, workloads, Workload};
+use dmc_bench::{lu_input, usage_error, workloads, Workload};
 use dmc_core::{
     build_schedule, compile, message_stats, options_fingerprint, run, Options, Session,
 };
@@ -115,20 +115,19 @@ fn stats_json(s: &PolyStats) -> String {
 }
 
 /// The deterministic work fields of one workload, from one untimed
-/// single-threaded ledger pass over the full-options pipeline.
+/// ledger pass over the full-options pipeline.
 struct WorkMeasure {
-    /// Top-level **charged** work units. Independent of the host, worker
-    /// count and cache state (cache hits replay the charged cost of the
+    /// Top-level **charged** work units. Independent of the host and the
+    /// cache state (cache hits replay the charged cost of the
     /// original computation), so `dmc-bench-diff` gates it exactly,
     /// unlike the noisy wall-clock timings.
     units: u64,
     /// Charged work per attribution context, `";"`-joined path → units,
     /// sorted by descending work. The input of `dmc-profile --diff`.
     contexts: Vec<(String, u64)>,
-    /// `LinExpr` heap allocations during the pass. Deterministic only
-    /// because the pass is pinned to one thread from cold caches (the
-    /// per-thread memo caches make multi-threaded totals partition-
-    /// dependent), which is why it is measured here and not in `measure`.
+    /// `LinExpr` heap allocations during the pass. Deterministic because
+    /// the pass starts from cold caches (`ledger::start` invalidates
+    /// them), which is why it is measured here and not in `measure`.
     allocs: u64,
     /// Messages per §6 optimization pass chain, from the provenance
     /// events the schedule build emits (`", "`-joined pass names,
@@ -137,17 +136,13 @@ struct WorkMeasure {
     comm_passes: Vec<(String, u64)>,
 }
 
-/// One untimed ledger pass over the full-options pipeline, single-threaded
-/// so the allocation count is reproducible. See [`WorkMeasure`].
+/// One untimed ledger pass over the full-options pipeline. See
+/// [`WorkMeasure`].
 fn work_units(w: &Workload) -> WorkMeasure {
     obs::start_capture();
     ledger::start();
     let before = stats::snapshot();
-    let options = Options {
-        threads: 1,
-        ..Options::full()
-    };
-    let compiled = compile((w.input)(w.nproc), options).expect("compiles");
+    let compiled = compile((w.input)(w.nproc), Options::full()).expect("compiles");
     let _ = build_schedule(&compiled, &w.params, false, LIMIT).expect("schedules");
     let allocs = stats::snapshot().since(&before).allocs;
     let ledger = ledger::finish();
@@ -350,10 +345,7 @@ fn mode_json(m: &Measured) -> String {
     )
 }
 
-fn usage() -> ! {
-    eprintln!("usage: perfstats [--out PATH] [--cache-dir PATH] [--quick]");
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: perfstats [--out PATH] [--cache-dir PATH] [--quick]";
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -362,13 +354,13 @@ fn main() {
     let mut reps = REPS;
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--out" => out_path = args.next().unwrap_or_else(|| usage()),
-            "--cache-dir" => cache_dir = args.next().unwrap_or_else(|| usage()).into(),
+            "--out" => out_path = args.next().unwrap_or_else(|| usage_error(USAGE)),
+            "--cache-dir" => cache_dir = args.next().unwrap_or_else(|| usage_error(USAGE)).into(),
             // Smoke mode (tier-1): one rep per workload. Timings get
             // noisier but every identity check and every deterministic
             // field (work units, contexts, allocs, polyops) is unchanged.
             "--quick" => reps = 1,
-            _ => usage(),
+            _ => usage_error(USAGE),
         }
     }
 
@@ -443,65 +435,11 @@ fn main() {
         .expect("write");
     }
 
-    // Thread fan-out: any worker count must reproduce the sequential
-    // schedule exactly. Worker requests clamp to the host's available
-    // parallelism (`Options::effective_threads`), so `workers_used` never
-    // exceeds `available`; on a single-CPU host the request resolves to
-    // one worker and the sequential-vs-parallel *timing* comparison is
-    // skipped (it would measure scheduling noise, not speedup) while the
-    // identity check still runs.
-    let avail = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let w = &workloads()[0];
-    let par_opts = Options {
-        threads: if avail > 1 { 0 } else { 2 },
-        ..Options::full()
-    };
-    let workers_used = dmc_core::planned_workers(&(w.input)(w.nproc), &par_opts);
-    assert!(
-        workers_used <= avail,
-        "planned workers must respect the host"
-    );
-    let seq = measure(
-        w,
-        Options {
-            threads: 1,
-            ..Options::full()
-        },
-        reps,
-    );
-    let par = measure(w, par_opts, reps);
-    let threads_identical = seq.schedule == par.schedule && seq.messages == par.messages;
-    all_identical &= threads_identical;
-    let seq_ms = seq.compile_ms + seq.schedule_ms;
-    let par_ms = par.compile_ms + par.schedule_ms;
-    if avail > 1 {
-        println!(
-            "threads: sequential {seq_ms:.2} ms, {workers_used} workers {par_ms:.2} ms, \
-             identical schedules: {threads_identical}"
-        );
-    } else {
-        println!(
-            "threads: single-CPU host — timing comparison skipped; \
-             {workers_used}-worker fan-out identical schedules: {threads_identical}"
-        );
-    }
-    let (parallel_ms, comparison) = if avail > 1 {
-        (format!("{par_ms:.3}"), "measured")
-    } else {
-        (
-            "null".to_owned(),
-            "skipped: single-CPU host (parallel timing would be noise)",
-        )
-    };
-
     // Stage-graph sweep: LU at four processor counts through ONE session.
     // The grid only enters the stage keys at the `opt` stage (receiver
     // folding), so every step after the first reuses the statement info
     // and all per-read Last Write Trees and communication sets — only the
-    // five `opt` stages re-run. Hit/miss totals are resolved on the main
-    // thread before worker fan-out, so they are deterministic and
+    // five `opt` stages re-run. Hit/miss totals are deterministic, so
     // `dmc-bench-diff` gates them exactly, like `work_units`; the message
     // counts come from the classic (non-session) `message_stats`, pinning
     // the cached artifacts to the one-shot pipeline.
@@ -619,8 +557,8 @@ fn main() {
     // writing through to a fresh on-disk store, then a second session
     // with COLD memory warm-starting from that store. Every gated field
     // is deterministic: the payload encodings are canonical (so entry
-    // and byte counts replay exactly), lookups resolve on the main
-    // thread (so hit splits replay exactly), and the warm schedules
+    // and byte counts replay exactly), lookups resolve in textual order
+    // (so hit splits replay exactly), and the warm schedules
     // must be byte-identical to the cold ones — the store can change
     // speed, never output.
     let _ = std::fs::remove_dir_all(&cache_dir);
@@ -711,7 +649,7 @@ fn main() {
             "\"wall_ms\": {}}}"
         ),
         options_fingerprint(&Options::full()),
-        avail,
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
         run_start.elapsed().as_millis(),
     );
 
@@ -723,8 +661,6 @@ fn main() {
             "  \"meta\": {},\n",
             "  \"reps\": {},\n",
             "  \"workloads\": [\n{}\n  ],\n",
-            "  \"threads\": {{\"available\": {}, \"workers_used\": {}, \"sequential_ms\": {:.3}, ",
-            "\"parallel_ms\": {}, \"comparison\": \"{}\", \"identical\": {}}},\n",
             "  \"sweep\": {},\n",
             "  \"journal\": {},\n",
             "  \"store\": {},\n",
@@ -735,12 +671,6 @@ fn main() {
         meta_json,
         reps,
         body,
-        avail,
-        workers_used,
-        seq_ms,
-        parallel_ms,
-        comparison,
-        threads_identical,
         sweep_json,
         journal_json,
         store_json,
@@ -750,8 +680,5 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write JSON");
     println!("wrote {out_path}");
 
-    assert!(
-        all_identical,
-        "cache warmth, threading or a store changed an output"
-    );
+    assert!(all_identical, "cache warmth or a store changed an output");
 }

@@ -10,21 +10,22 @@
 //!   `identical` / `all_identical` flags must stay `true` (per workload:
 //!   a cold-cache run and the same run over warm caches agree).
 //! - **Timing fields tolerate noise.** The `fast` section's `compile_ms`,
-//!   `schedule_ms`, `total_ms` and the threads section's `sequential_ms`
-//!   only regress when the new value exceeds the old by more than the
-//!   relative tolerance; improvements always pass. The per-workload
-//!   `baseline` section and `speedup` of older snapshots (the engine with
-//!   its memo caches switched off, a mode that no longer exists) are
-//!   retired: never read, so an old snapshot that carries them diffs
-//!   clean against a new one that does not.
+//!   `schedule_ms` and `total_ms` only regress when the new value exceeds
+//!   the old by more than the relative tolerance; improvements always
+//!   pass. The per-workload `baseline` section and `speedup` of older
+//!   snapshots (the engine with its memo caches switched off) and their
+//!   top-level `threads` section (a sequential against a fanned-out
+//!   compile) measured modes that no longer exist and are retired: never
+//!   read, so an old snapshot that carries them diffs clean against a new
+//!   one that does not.
 //! - **Work units are exact.** `work_units` is the workload's top-level
 //!   charged work total from the polyhedral ledger — deterministic across
-//!   hosts, worker counts and cache states — so *any* change (an extra
+//!   hosts and cache states — so *any* change (an extra
 //!   projection, a lost memo hit charged differently, a new feasibility
 //!   query) is a finding with zero tolerance. This is the noise-free
 //!   regression signal the wall-clock timings cannot provide.
 //! - **Heap-allocation counts are exact.** `allocs` counts the `LinExpr`
-//!   heap allocations of the same single-threaded, cold-cache ledger pass
+//!   heap allocations of the same cold-cache ledger pass
 //!   that produces `work_units`, so it is deterministic too: any drift
 //!   means constraint storage started (or stopped) spilling out of the
 //!   inline representation — a storage regression wall-clock timings
@@ -54,9 +55,8 @@
 //!   holds every field exact in both directions; the section may appear
 //!   over a pre-critpath snapshot but never vanish.
 //! - **Stage-graph sweep counts are exact.** The `sweep` section's
-//!   `stage_hits` / `stage_misses` come from fingerprint lookups resolved
-//!   on the main thread before any worker fan-out, so they are
-//!   deterministic across hosts and worker counts: any drift means a
+//!   `stage_hits` / `stage_misses` come from fingerprint lookups made in
+//!   textual order, so they are deterministic across hosts: any drift means a
 //!   stage key started (or stopped) covering an input it shouldn't — a
 //!   correctness finding either way. Its `messages` list and `identical`
 //!   flag pin the cached artifacts to the one-shot pipeline's outputs,
@@ -72,9 +72,6 @@
 //!   (warm schedules byte-identical to cold), report zero corrupt loads,
 //!   and serve at least half of warm stage lookups from disk. The section
 //!   may appear over a pre-store snapshot but never vanish.
-//! - The reported worker count must never exceed the host's available
-//!   parallelism (new snapshots only — that is an internal consistency
-//!   bug, not a comparison).
 //! - **The `meta` block is identity, not content.** Where a snapshot was
 //!   taken (schema version, config fingerprint, host parallelism,
 //!   wall-clock) never gates: an old snapshot without the block diffs
@@ -495,31 +492,6 @@ pub fn diff_snapshots(
             }
         }
     }
-    if let Some(threads) = new.get("threads") {
-        if !is_true(threads, "identical") {
-            findings.push("threads: fan-out no longer reproduces sequential outputs".to_owned());
-        }
-        if let (Some(avail), Some(used)) = (num(threads, "available"), num(threads, "workers_used"))
-        {
-            if used > avail {
-                findings.push(format!(
-                    "threads: workers_used {used} exceeds available parallelism {avail}"
-                ));
-            }
-        }
-        if let (Some(o), Some(n)) = (
-            old.get("threads").and_then(|t| num(t, "sequential_ms")),
-            num(threads, "sequential_ms"),
-        ) {
-            if n > o * (1.0 + tol.time_rel) {
-                findings.push(format!(
-                    "threads: sequential_ms regressed {o:.3} ms -> {n:.3} ms \
-                     (tolerance {:.1}%)",
-                    tol.time_rel * 100.0
-                ));
-            }
-        }
-    }
     Ok(findings)
 }
 
@@ -661,8 +633,6 @@ mod tests {
           "top_whatif": {"msg": 3, "scenario": "eliminate", "win_ns": 120000}},
          "work_contexts": {"schedule;lwt": 9000, "schedule;comm": 3345}}
       ],
-      "threads": {"available": 4, "workers_used": 2, "sequential_ms": 12.0,
-                  "parallel_ms": null, "comparison": "measured", "identical": true},
       "sweep": {"workload": "w", "params": [4], "nprocs": [2, 4],
                 "stage_hits": 11, "stage_misses": 9, "messages": [5, 5],
                 "work_units": 2222, "identical": true},
@@ -959,7 +929,7 @@ mod tests {
         );
 
         // Reuse below 50% in the new snapshot is a finding even when the
-        // old snapshot agreed (internal consistency, like workers_used).
+        // old snapshot agreed (internal consistency).
         let low = SNAP
             .replace("\"stage_hits\": 11", "\"stage_hits\": 8")
             .replace("\"stage_misses\": 9", "\"stage_misses\": 12");
@@ -1157,19 +1127,36 @@ mod tests {
         );
     }
 
+    /// The top-level `threads` section is retired with the per-read
+    /// fan-out it measured: whatever an old snapshot's section says — a
+    /// slow sequential time, a broken identity flag, an over-reported
+    /// worker count — it diffs clean against a snapshot without one (and
+    /// back), while every other section still may not vanish.
     #[test]
-    fn identity_flags_and_worker_overreport_are_findings() {
+    fn retired_threads_section_never_gates() {
+        let with_threads = SNAP.replace(
+            "      \"sweep\":",
+            "      \"threads\": {\"available\": 4, \"workers_used\": 9, \"sequential_ms\": 900.0,\n                  \
+             \"parallel_ms\": null, \"comparison\": \"measured\", \"identical\": false},\n      \"sweep\":",
+        );
+        assert_ne!(with_threads, SNAP);
+        let d = diff_snapshots(&with_threads, SNAP, &Tolerances::default()).unwrap();
+        assert!(d.is_empty(), "retiring threads must gate clean: {d:?}");
+        let d = diff_snapshots(SNAP, &with_threads, &Tolerances::default()).unwrap();
+        assert!(d.is_empty(), "{d:?}");
+
+        for section in ["sweep", "journal", "polyops", "store"] {
+            let gone = SNAP.replace(&format!("\"{section}\":"), &format!("\"{section}_old\":"));
+            let d = diff_snapshots(SNAP, &gone, &Tolerances::default()).unwrap();
+            assert!(!d.is_empty(), "{section} vanished without a finding");
+        }
+    }
+
+    #[test]
+    fn identity_flags_are_findings() {
         let broken = SNAP.replace("\"identical\": true,\n", "\"identical\": false,\n");
         let d = diff_snapshots(SNAP, &broken, &Tolerances::default()).unwrap();
         assert!(!d.is_empty(), "{d:?}");
-
-        let over = SNAP.replace("\"workers_used\": 2", "\"workers_used\": 9");
-        let d = diff_snapshots(SNAP, &over, &Tolerances::default()).unwrap();
-        assert!(
-            d.iter()
-                .any(|f| f.contains("exceeds available parallelism")),
-            "{d:?}"
-        );
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! The bytes are a pure function of the records' **deterministic**
 //! fields: identity meta (host, commit, parallelism, wall-clock, record
 //! time) is never rendered, so two histories recorded on different
-//! hosts — or with different worker counts — produce identical pages
-//! when their metrics agree. `dmc-bench-explain --check` holds the
-//! renderer to that: the page for a 1-thread recording must be
-//! byte-identical to the page for a 4-thread recording.
+//! hosts produce identical pages when their metrics agree.
+//! `dmc-bench-explain --check` holds the renderer to that: two records
+//! of the same metrics under different identity meta must render
+//! byte-identical pages.
 
 use dmc_obs::svg::{self, Series};
 

@@ -169,6 +169,14 @@ pub fn workloads() -> Vec<Workload> {
     ]
 }
 
+/// The harness binaries' answer to a command line they cannot parse (an
+/// unknown flag, a flag without its value, a malformed value): `usage` on
+/// stderr and exit code **2**, before anything is measured or written.
+pub fn usage_error(usage: &str) -> ! {
+    eprintln!("{usage}");
+    std::process::exit(2)
+}
+
 /// One workload's row in [`profile_json`]: name, exact charged work-unit
 /// total, and per-context charged work sorted by descending units.
 pub type ProfileRow = (String, u64, Vec<(String, u64)>);

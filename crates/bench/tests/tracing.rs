@@ -76,37 +76,6 @@ fn tracing_does_not_change_outputs() {
     }
 }
 
-/// The deterministic view is worker-count independent: threads=1 and
-/// threads=2 captures merge to the same structure (only timestamps and
-/// diagnostic records differ, and both are excluded from the view).
-#[test]
-fn deterministic_view_is_worker_count_independent() {
-    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    // xy has three reads, so two workers genuinely split the fan-out.
-    let input = xy_input(4);
-    let (_, t1) = traced_outputs(
-        &input,
-        &[15],
-        Options {
-            threads: 1,
-            ..Options::full()
-        },
-    );
-    let (_, t2) = traced_outputs(
-        &input,
-        &[15],
-        Options {
-            threads: 2,
-            ..Options::full()
-        },
-    );
-    assert_eq!(
-        t1.deterministic_view(),
-        t2.deterministic_view(),
-        "merged trace structure must not depend on the worker count"
-    );
-}
-
 /// A real stencil capture exports to a valid Chrome trace that contains
 /// the pipeline spans and one provenance event per scheduled message.
 #[test]

@@ -59,8 +59,7 @@ mod tests;
 
 pub use options::{Options, ScopedTuning, Strategy};
 pub use pipeline::{
-    analysis_jobs, build_schedule, compile, message_stats, planned_workers, run, CompileError,
-    CompileInput, Compiled,
+    build_schedule, compile, message_stats, run, CompileError, CompileInput, Compiled,
 };
 pub use session::{options_fingerprint, ServeOutcome, Session, SessionStats, StageCount};
 pub use store::{

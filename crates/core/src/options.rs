@@ -35,13 +35,6 @@ pub struct Options {
     /// §6.2.1 — merge identical payloads to different receivers into
     /// multicasts.
     pub multicast: bool,
-    /// Worker threads for per-read analysis fan-out. `0` = use the
-    /// machine's available parallelism; `1` = sequential (bit-for-bit the
-    /// single-threaded pipeline). Requests beyond the machine's available
-    /// parallelism are clamped — extra workers would only contend. Any
-    /// value produces identical results — per-read jobs are independent
-    /// and merged in textual order.
-    pub threads: usize,
     /// Branch-and-bound budget for integer-feasibility queries in the
     /// polyhedral engine. Exhausting it yields a conservative `Unknown`
     /// answer (counted in [`dmc_polyhedra::PolyStats`]).
@@ -58,7 +51,6 @@ impl Default for Options {
             unique_sender: true,
             aggregate: true,
             multicast: true,
-            threads: 0,
             feasibility_budget: dmc_polyhedra::stats::DEFAULT_FEASIBILITY_BUDGET,
         }
     }
@@ -94,10 +86,9 @@ impl Options {
 
     /// Installs the feasibility budget as a *thread-local* tuning of the
     /// polyhedral engine for the returned guard's lifetime. This is how
-    /// [`compile`] and [`build_schedule`] scope it (each analysis worker
-    /// pushes its own): nothing process-wide changes, so concurrent
-    /// compilations with different options cannot observe each other's
-    /// budget.
+    /// [`compile`] and [`build_schedule`] scope it: nothing process-wide
+    /// changes, so compilations that overlap in one process under
+    /// different options cannot observe each other's budget.
     ///
     /// [`compile`]: crate::compile
     /// [`build_schedule`]: crate::build_schedule
@@ -106,21 +97,6 @@ impl Options {
         dmc_polyhedra::stats::push_thread_tuning(dmc_polyhedra::stats::Tuning {
             feasibility_budget: self.feasibility_budget,
         })
-    }
-
-    /// The concrete worker count `threads` resolves to: `0` → available
-    /// parallelism; explicit requests are clamped to the machine's
-    /// available parallelism (minimum 1), so reported worker counts never
-    /// exceed what the host can actually run.
-    pub fn effective_threads(&self) -> usize {
-        let avail = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if self.threads == 0 {
-            avail
-        } else {
-            self.threads.min(avail)
-        }
     }
 }
 
@@ -140,43 +116,9 @@ mod tests {
             Options::location_centric().strategy,
             Strategy::LocationCentric
         );
-    }
-
-    #[test]
-    fn tuning_knobs() {
-        let d = Options::default();
-        assert_eq!(d.threads, 0);
         assert_eq!(
-            d.feasibility_budget,
+            Options::default().feasibility_budget,
             dmc_polyhedra::stats::DEFAULT_FEASIBILITY_BUDGET
-        );
-        assert!(d.effective_threads() >= 1);
-        let avail = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        assert_eq!(
-            Options { threads: 3, ..d }.effective_threads(),
-            3.min(avail)
-        );
-    }
-
-    /// Asking for more workers than the host has must never over-report:
-    /// `effective_threads` caps at available parallelism.
-    #[test]
-    fn effective_threads_clamps_to_available_parallelism() {
-        let avail = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let d = Options::default();
-        assert_eq!(d.effective_threads(), avail);
-        assert_eq!(Options { threads: 1, ..d }.effective_threads(), 1);
-        assert_eq!(
-            Options {
-                threads: avail + 64,
-                ..d
-            }
-            .effective_threads(),
-            avail
         );
     }
 }

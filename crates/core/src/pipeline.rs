@@ -135,24 +135,6 @@ pub struct Compiled {
     pub comm: Vec<CommSet>,
 }
 
-/// The number of independent per-(statement, read) analysis jobs in
-/// `input` — the ceiling on [`compile`]'s useful fan-out width.
-pub fn analysis_jobs(input: &CompileInput) -> usize {
-    input
-        .program
-        .statements()
-        .iter()
-        .map(|s| s.stmt.rhs.reads().len())
-        .sum()
-}
-
-/// The worker count [`compile`] actually uses for `input` under `options`:
-/// the `threads` resolution clamped to the job count. Benchmarks report
-/// this instead of the host's nominal parallelism.
-pub fn planned_workers(input: &CompileInput, options: &Options) -> usize {
-    options.effective_threads().min(analysis_jobs(input).max(1))
-}
-
 /// Runs analysis and communication generation/optimization.
 ///
 /// This is a thin wrapper over [`Session::compile`] with a throwaway
@@ -161,11 +143,10 @@ pub fn planned_workers(input: &CompileInput, options: &Options) -> usize {
 /// store starts (and stays) empty for each call — every stage misses, so
 /// outputs, traces, and profiles match the monolithic pipeline exactly.
 ///
-/// Per-(statement, read) analysis jobs are independent, so they fan out
-/// across [`Options::threads`] workers; results are merged back in textual
-/// order, making the output identical for every worker count (and the
-/// first in-textual-order error is the one reported). `threads: 1`
-/// reproduces the sequential pipeline bit for bit.
+/// The per-(statement, read) analysis jobs run in textual order on the
+/// calling thread, sharing its memoized feasibility and projection
+/// answers; the first error in textual order is the one reported. To use
+/// several cores, compile different inputs on different threads.
 ///
 /// # Errors
 ///

@@ -36,10 +36,8 @@
 //! | schedule  | aggregate chain + values flag          | §6 flags, budget   |
 //!
 //! `feasibility_budget` appears everywhere because exhausting it yields a
-//! conservative `Unknown` that can change analysis results. Deliberately
-//! **excluded** everywhere: `threads` — it changes time, never answers
-//! (`thread_fanout_is_deterministic` in the bench parity suite is the
-//! evidence), so changing it between compiles still hits the store.
+//! conservative `Unknown` that can change analysis results. Every field
+//! of [`Options`] is in at least one stage key: none only changes time.
 //!
 //! The **skeleton** hash ([`dmc_ir::fp::skeleton_fp`]) covers parameters,
 //! array declarations, loop structure, and every statement's *written*
@@ -50,10 +48,11 @@
 //!
 //! ## Determinism
 //!
-//! Stage hits and misses are resolved on the main thread before the
-//! worker fan-out, so hit counts are deterministic and the store needs no
-//! locks; only miss jobs are fanned out, through the same textual-order
-//! merge as always. Cache events (`stage.hit` / `stage.miss`) are emitted
+//! A compile runs on the calling thread from start to finish: every
+//! job's stage chain is looked up first, the misses then run in textual
+//! order, and their artifacts are admitted in that order afterwards, so
+//! hit counts and store traffic are deterministic and the store needs no
+//! locks. Cache events (`stage.hit` / `stage.miss`) are emitted
 //! as non-deterministic diagnostics — their presence depends on session
 //! history — so [`dmc_obs`]'s deterministic trace view, the parity
 //! guarantees from the tracing/profiling PRs, and the byte-identical
@@ -62,8 +61,7 @@
 //! wrapper's collapsed-stack profiles unchanged.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use dmc_commgen::{comm_from_initial, comm_from_leaf, CommSet, Message};
 use dmc_dataflow::{build_lwt, LastWriteTree};
@@ -216,10 +214,10 @@ impl Session {
     }
 
     /// Opens a session with its own [`obs::ObsContext`]: captures started
-    /// on that context observe this session's compiles (worker threads
-    /// inherit the context across the fan-out) and nothing else, so any
-    /// number of scoped sessions can compile concurrently with isolated
-    /// traces. `label` names the session in health snapshots.
+    /// on that context observe this session's compiles and nothing else,
+    /// so any number of scoped sessions can compile concurrently, each on
+    /// its own thread, with isolated traces. `label` names the session in
+    /// health snapshots.
     pub fn scoped(label: impl Into<String>) -> Self {
         Session {
             explicit: true,
@@ -478,8 +476,8 @@ impl Session {
             .filter(|s| s.is_recording())
             .map(|s| s.install());
         // Lane first so every record of this compile lands in the main
-        // pipeline lane; the engine tuning is thread-local (installed
-        // per worker below), so concurrent sessions cannot race on it.
+        // pipeline lane; the engine tuning is thread-local, so concurrent
+        // sessions cannot race on it.
         let _lane = obs::lane(obs::main_lane(), "pipeline");
         let _tuning = options.push_tuning_scoped();
         let _span = obs::span_f("compile", || {
@@ -512,9 +510,8 @@ impl Session {
             .flat_map(|(si, s)| (0..s.stmt.rhs.reads().len()).map(move |r| (si, r)))
             .collect();
 
-        // Resolve every job's stage chain on this thread: hit counts stay
-        // deterministic, the store stays lock-free, and only misses fan
-        // out to workers.
+        // Resolve every job's stage chain before running any job: the
+        // lookups of one compile never see its own admits.
         let mut slots: Vec<JobSlot> = Vec::with_capacity(jobs.len());
         for &(si, r) in &jobs {
             let array = stmts[si].stmt.rhs.reads()[r].array.clone();
@@ -589,62 +586,14 @@ impl Session {
                 JobSlot::Cached { .. } => None,
             })
             .collect();
-        let workers = options.effective_threads().min(plans.len().max(1));
-        // The worker count depends on the host (and the `threads` option),
-        // so the event is diagnostic — excluded from the deterministic
-        // trace view, which must be identical for every worker count.
-        obs::event_nondet(
-            "compile.workers",
-            vec![
-                obs::field("threads", options.threads),
-                obs::field("workers", workers),
-                obs::field("jobs", jobs.len()),
-                obs::field("cached", jobs.len() - plans.len()),
-            ],
-        );
-
-        let explicit = self.explicit;
-        let results: Vec<ReadResult> = if workers <= 1 {
+        // Run the misses in textual order on this thread, whose memo
+        // caches every later job (and every later compile) then shares.
+        // Explicit sessions root the attribution under a `session` frame.
+        let results: Vec<ReadResult> = {
+            let _sess_ctx = self.explicit.then(|| ledger::push_context("session"));
             plans
                 .iter()
-                .map(|p| run_read_job(&input, options, &stmts, p, explicit))
-                .collect()
-        } else {
-            // Work-queue fan-out: each worker pops the next job index and
-            // writes into that job's slot, so result order never depends
-            // on scheduling.
-            let next = AtomicUsize::new(0);
-            let out: Vec<Mutex<Option<ReadResult>>> =
-                plans.iter().map(|_| Mutex::new(None)).collect();
-            // Workers inherit the spawning thread's observability
-            // context and ledger scope, so a scoped session's fan-out
-            // records into that session's capture — not the default
-            // context — and concurrent sessions stay isolated.
-            let obs_ctx = obs::ObsContext::current();
-            let ledger_scope = ledger::LedgerScope::current();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| {
-                        let _obs = obs_ctx.install();
-                        let _scope = ledger_scope.install();
-                        // Workers read the feasibility budget themselves, so
-                        // each installs the compile's tuning thread-locally.
-                        let _tuning = options.push_tuning_scoped();
-                        loop {
-                            let j = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(plan) = plans.get(j) else { break };
-                            let res = run_read_job(&input, options, &stmts, plan, explicit);
-                            *out[j].lock().expect("slot lock") = Some(res);
-                        }
-                    });
-                }
-            });
-            out.into_iter()
-                .map(|m| {
-                    m.into_inner()
-                        .expect("slot lock")
-                        .expect("worker filled every slot")
-                })
+                .map(|p| run_read_job(&input, options, &stmts, p))
                 .collect()
         };
 
@@ -857,18 +806,13 @@ fn run_read_job(
     options: Options,
     stmts: &[StmtInfo],
     plan: &JobPlan,
-    explicit: bool,
 ) -> ReadResult {
     let (si, r) = (plan.si, plan.r);
     let s = &stmts[si];
     let reads = s.stmt.rhs.reads();
     let read = &reads[r];
-    // Explicit sessions root the attribution under a `session` frame;
-    // each job pushes it itself so attribution is identical for every
-    // worker count.
-    let _sess_ctx = explicit.then(|| ledger::push_context("session"));
-    // Keyed by textual order, so the merged trace is identical for every
-    // worker count — each job's records stay contiguous in its own lane.
+    // Keyed by textual order: each job's records stay contiguous in its
+    // own lane.
     let _lane = obs::lane(obs::read_lane(si, r), format!("read S{}#{r}", s.id));
     // Work-ledger attribution mirrors the lane key: every polyhedral
     // operation this job performs is charged to stmt<i> → read<j> → pass.
@@ -1044,7 +988,7 @@ fn stmt_info_fp(program: &Program) -> Fingerprint {
 
 /// Feeds the analysis-relevant options: strategy and the feasibility
 /// budget (an exhausted budget yields conservative `Unknown` answers that
-/// can change results). `threads` is deliberately absent.
+/// can change results).
 fn analysis_options_fp(options: &Options, h: &mut Fp) {
     h.tag(strategy_tag(options.strategy));
     h.u64(u64::from(options.feasibility_budget));

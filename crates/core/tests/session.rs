@@ -202,8 +202,7 @@ fn proc_count_sweep_reuses_analysis_stages() {
 }
 
 /// Options that can change analysis answers (strategy, feasibility
-/// budget) are part of the stage keys; `threads`, which only changes
-/// time, is not.
+/// budget) are part of the stage keys.
 #[test]
 fn option_relevance_is_reflected_in_stage_keys() {
     let mut session = Session::new();
@@ -211,19 +210,6 @@ fn option_relevance_is_reflected_in_stage_keys() {
         .compile(xy_input(1, 4), Options::full())
         .expect("first");
     let baseline = session.stats().stage_misses;
-
-    // An irrelevant knob: everything hits.
-    let opts = Options {
-        threads: 1,
-        ..Options::full()
-    };
-    session.compile(xy_input(1, 4), opts).expect("threads=1");
-    assert_eq!(
-        session.stats().stage_misses,
-        baseline,
-        "{:?}",
-        session.stats()
-    );
 
     // A different feasibility budget can change answers: full re-run of
     // the per-read chains (stmt-info is options-independent and hits).
@@ -238,7 +224,7 @@ fn option_relevance_is_reflected_in_stage_keys() {
         "{:?}",
         session.stats()
     );
-    assert_eq!(stage(&session, "stmt-info"), (2, 1));
+    assert_eq!(stage(&session, "stmt-info"), (1, 1));
 }
 
 /// `Session::build_schedule` and `Session::message_stats` reuse the

@@ -25,7 +25,7 @@
 //! asserts the agreement against a [`SimStats`]. On the grid, the
 //! telescoping sums and the forward/backward passes are exact, making
 //! every `--check` invariant a strict equality, byte-identical across
-//! hosts and worker counts.
+//! hosts.
 
 use std::collections::HashMap;
 

@@ -47,7 +47,7 @@ pub struct JournalRecord {
     /// Session stage-cache misses this request added.
     pub stage_misses: u64,
     /// Charged polyhedral work units this request cost (deterministic
-    /// across cache states and worker counts).
+    /// across cache states).
     pub work_units: u64,
     /// Distinct messages in the built schedule.
     pub messages: u64,

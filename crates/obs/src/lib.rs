@@ -13,23 +13,21 @@
 //! functions [`start_capture`]/[`finish_capture`] operate on a process
 //! default context, preserving the classic global API byte-for-byte;
 //! [`ObsContext::install`] makes a context current for the calling
-//! thread, and `dmc_core::Session` propagates the installing thread's
-//! context to every worker it spawns, so concurrent sessions trace in
-//! isolation. Each capture's self-cost is accounted in [`ObsOverhead`]
+//! thread — a `dmc_core::Session` compiles on its caller's thread — so
+//! sessions running on different threads trace in isolation. Each capture's self-cost is accounted in [`ObsOverhead`]
 //! (kept records, approximate bytes, emit-path nanoseconds, records
 //! dropped by the [`push_record_cap`] cap).
 //!
-//! ## Lanes: determinism under the parallel fan-out
+//! ## Lanes: a deterministic order
 //!
 //! Records are not ordered by wall-clock time — that would make a trace
-//! taken with `threads: 4` differ from one taken with `threads: 1`.
-//! Instead every record belongs to a **lane**, a logical ordering key
-//! (e.g. `main`, or `read/⟨stmt⟩/⟨read⟩` for one (statement, read)
-//! analysis job of the pipeline fan-out). Within a lane, records keep the
-//! order in which the owning code emitted them; lanes are merged sorted
-//! by key. Because each per-read job is sequential regardless of which
-//! worker thread runs it, the merged trace is identical for every worker
-//! count — only the timestamps move.
+//! depend on which thread emitted what when. Instead every record belongs
+//! to a **lane**, a logical ordering key (e.g. `main`, or
+//! `read/⟨stmt⟩/⟨read⟩` for one (statement, read) analysis job of the
+//! pipeline). Within a lane, records keep the order in which the owning
+//! code emitted them; lanes are merged sorted by key, so the merged trace
+//! is the same however its emitters were spread over threads — only the
+//! timestamps move.
 //!
 //! Records carry a `det` flag: structural records (spans, provenance
 //! events) are deterministic and participate in

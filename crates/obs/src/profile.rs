@@ -10,15 +10,15 @@
 //! * [`WorkProfile::collapsed_stack`] — the standard collapsed-stack
 //!   format (`frame;frame;frame weight`) consumed by `flamegraph.pl`,
 //!   inferno, speedscope, etc. Weighted by **top-level charged work
-//!   units**, not time, so the file is byte-identical across runs, worker
-//!   counts, and cache states (see the ledger's charged-work scheme).
+//!   units**, not time, so the file is byte-identical across runs and
+//!   cache states (see the ledger's charged-work scheme).
 //! * [`WorkProfile::hotspots_markdown`] — a "Hotspots" section for the
 //!   explain report: top contexts by work, FM growth ratios flagging
 //!   projection blow-ups, and per-context cache effectiveness.
 //!
 //! The aggregation is order-insensitive (a `BTreeMap` keyed on the
-//! context path), so the nondeterministic interleaving of worker-thread
-//! ledger flushes never reaches the output.
+//! context path), so the order in which threads flushed their ledger
+//! buffers never reaches the output.
 //!
 //! This crate stays zero-dependency: records are fed in as plain
 //! [`ProfileOp`] values rather than ledger types.

@@ -22,7 +22,7 @@
 //! A lane buffer opened by any thread is registered with its owning
 //! context. `finish_capture` first disables the context, then drains
 //! every still-registered lane buffer (in lane-key order) into the store
-//! before taking the merged trace, so records emitted by worker threads
+//! before taking the merged trace, so records emitted by other threads
 //! that happened-before the finish are never dropped. Records emitted
 //! *after* the finish land in buffers stamped with a stale capture epoch
 //! and are discarded at flush — they can never cross-attach to the next
@@ -153,7 +153,7 @@ pub struct Record {
     /// Nanoseconds since the capture started (monotonic clock).
     pub ts_ns: u64,
     /// Whether the record is part of the deterministic trace structure
-    /// (identical across worker counts and cache states). Diagnostic
+    /// (identical across hosts and cache states). Diagnostic
     /// records set this to `false` and are excluded from
     /// [`Trace::deterministic_view`].
     pub det: bool,
@@ -189,8 +189,8 @@ pub fn main_lane() -> LaneKey {
     vec![0]
 }
 
-/// The lane of one (statement, read) analysis job of the pipeline
-/// fan-out, keyed by textual order so every worker count merges the same.
+/// The lane of one (statement, read) analysis job of the pipeline,
+/// keyed by textual order.
 pub fn read_lane(stmt_idx: usize, read_no: usize) -> LaneKey {
     vec![1, stmt_idx as u64, read_no as u64]
 }
@@ -230,8 +230,8 @@ pub struct Trace {
 impl Trace {
     /// The deterministic skeleton of the trace: one rendered line per
     /// deterministic record, timestamps stripped. Two captures of the
-    /// same compilation — regardless of worker count, memo-cache state,
-    /// or wall-clock speed — produce equal views.
+    /// same compilation — regardless of memo-cache state or wall-clock
+    /// speed — produce equal views.
     pub fn deterministic_view(&self) -> Vec<String> {
         let mut out = Vec::new();
         for lane in &self.lanes {
@@ -446,10 +446,9 @@ fn with_current<T>(f: impl FnOnce(&Arc<CtxInner>) -> T) -> T {
 /// (an `Arc`); clones refer to the same context.
 ///
 /// A context only receives records from threads it is
-/// [`install`](Self::install)ed on. The compile fan-out in
-/// `dmc_core::Session` installs the calling thread's current context on
-/// every worker it spawns, so a context installed around a `compile`
-/// call observes the whole pipeline.
+/// [`install`](Self::install)ed on. `dmc_core::Session` compiles on its
+/// caller's thread, so a context installed around a `compile` call
+/// observes the whole pipeline.
 #[derive(Clone)]
 pub struct ObsContext {
     inner: Arc<CtxInner>,
@@ -599,8 +598,7 @@ thread_local! {
 /// and events on this thread are dropped (and counted in
 /// [`ObsOverhead::dropped`]). `0` restores unbounded recording. The cap
 /// is thread-local and restored when the guard drops — the same
-/// discipline as the engine's thread-local tuning, so worker threads
-/// install it alongside their tuning scope.
+/// discipline as the engine's thread-local tuning.
 ///
 /// Span guards that already emitted a begin record still emit their end
 /// record past the cap, keeping every lane balanced; the capture can

@@ -17,8 +17,9 @@
 //!   uncached computation would produce, keeping cached and uncached
 //!   pipelines byte-identical.
 //!
-//! Caches are thread-local (no locks on the hot path; each worker of the
-//! parallel pipeline warms its own), bounded (cleared wholesale past a size
+//! Caches are thread-local (no locks on the hot path; a compile runs on
+//! one thread, so every stage of it — and every later compile on that
+//! thread — shares them), bounded (cleared wholesale past a size
 //! cap), and invalidated whenever the effective feasibility budget changes
 //! or the work ledger turns on (see [`stats`](crate::stats)'s epoch).
 

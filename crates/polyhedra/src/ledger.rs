@@ -29,8 +29,8 @@
 //!   charged cost is a property of the *query*, not of the cache state: a
 //!   warm cache answers instantly but still charges the logical cost.
 //!   This makes top-level charged work deterministic — identical across
-//!   runs, worker counts, and cache states — which is what lets collapsed
-//!   stacks be compared byte-for-byte and work totals be gated exactly.
+//!   runs and cache states — which is what lets collapsed stacks be
+//!   compared byte-for-byte and work totals be gated exactly.
 //!
 //! # Overhead
 //!
@@ -45,7 +45,7 @@
 //! context stack empties (one lock per pipeline job). Records made with no
 //! context at all go straight to the store's orphan list. [`finish`]
 //! drains the store; aggregation downstream is order-insensitive, so the
-//! nondeterministic interleaving of worker flushes never shows.
+//! order in which threads sharing a scope flushed never shows.
 //!
 //! Storage is per-[`LedgerScope`]: each scope owns an enabled flag and a
 //! store, and a thread records into its *current* scope (the process
@@ -218,8 +218,8 @@ impl Ledger {
     }
 
     /// Total charged units of top-level records: the run's logical work.
-    /// Deterministic for a given input — identical across runs, worker
-    /// counts, and cache states.
+    /// Deterministic for a given input — identical across runs and cache
+    /// states.
     pub fn charged_work(&self) -> u64 {
         self.records()
             .filter(|r| r.top_level)
@@ -430,9 +430,9 @@ impl LedgerScope {
     }
 
     /// Stops recording and returns everything captured since
-    /// [`start`](Self::start). Call after worker threads have been
-    /// joined (the pipeline's scoped fan-out guarantees this); the
-    /// calling thread's residue is flushed here.
+    /// [`start`](Self::start). The calling thread's residue is flushed
+    /// here; any other thread the scope is installed on must have
+    /// popped its attribution frames (which flushes its own) first.
     pub fn finish(&self) -> Ledger {
         self.inner.finish()
     }
@@ -440,8 +440,8 @@ impl LedgerScope {
     /// Takes everything recorded so far and leaves the scope recording —
     /// the per-request accounting primitive: one long-lived enablement
     /// (so memoized charges stay valid), drained once per served
-    /// compile. Flushes the calling thread's residue first; as with
-    /// [`finish`](Self::finish), workers must already be joined.
+    /// compile. Flushes the calling thread's residue first, as
+    /// [`finish`](Self::finish) does.
     pub fn drain(&self) -> Ledger {
         self.inner.take()
     }
@@ -492,9 +492,8 @@ pub fn start() {
 }
 
 /// Stops the default scope's recording and returns everything captured
-/// since [`start`]. Call after worker threads have been joined (the
-/// pipeline's scoped fan-out guarantees this); the calling thread's
-/// residue is flushed here.
+/// since [`start`]. The calling thread's residue is flushed here, as in
+/// [`LedgerScope::finish`].
 pub fn finish() -> Ledger {
     default_scope().finish()
 }

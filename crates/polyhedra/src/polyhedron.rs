@@ -997,7 +997,7 @@ impl Polyhedron {
     /// downstream answers (schedules, redundancy removals, explain reports)
     /// are unchanged — only the charged branch-and-bound node counts
     /// shrink. Being a pure function of the queried system, the saving is
-    /// identical across runs, worker counts, and cache states.
+    /// identical across runs and cache states.
     fn quick_verdict(&self) -> Option<Feasibility> {
         let n = self.space.len();
         let mut lo: Vec<Option<i128>> = vec![None; n];

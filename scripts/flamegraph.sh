@@ -9,8 +9,8 @@
 # The .collapsed files are in Brendan Gregg's folded-stack format, with
 # frames being attribution contexts (workload;stmt;read;pass;operation)
 # and weights being deterministic charged work units — NOT wall-clock
-# samples — so graphs are byte-identical across hosts, worker counts and
-# cache states, and two graphs from different commits diff meaningfully.
+# samples — so graphs are byte-identical across hosts and cache states,
+# and two graphs from different commits diff meaningfully.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -36,9 +36,9 @@ cargo run --release -p dmc-bench --bin dmc-metrics -- \
 # Work-ledger profiler: profile the stencil and lu workloads and
 # self-validate the ledger (totals reconcile exactly with the engine's
 # PolyStats counters, >= 90% of work units carry an attribution context,
-# and the collapsed-stack flamegraph is byte-identical for 1 and 4
-# workers). lu is the workload that spills past the inline constraint
-# buffer, so it also exercises the heap-allocation accounting.
+# and a second capture collapses to a byte-identical flamegraph). lu is
+# the workload that spills past the inline constraint buffer, so it also
+# exercises the heap-allocation accounting.
 cargo run --release -p dmc-bench --bin dmc-profile -- \
     --workload stencil --out-dir target/profile-tier1 --check
 cargo run --release -p dmc-bench --bin dmc-profile -- \
@@ -47,9 +47,9 @@ cargo run --release -p dmc-bench --bin dmc-profile -- \
 # Critical-path & blame analysis: rebuild the simulated run as an exact
 # integer-nanosecond event DAG and assert every invariant (longest path
 # == simulator finish, zero slack iff critical, blame tiles the makespan
-# per processor, incremental what-ifs match brute force, byte-identical
-# reports across worker counts). stencil is the cheap smoke; lu is the
-# multicast-heavy workload with real link contention.
+# per processor, incremental what-ifs match brute force). stencil is the
+# cheap smoke; lu is the multicast-heavy workload with real link
+# contention.
 cargo run --release -p dmc-bench --bin dmc-critpath -- \
     --workload stencil --out-dir target/critpath-tier1 --check
 cargo run --release -p dmc-bench --bin dmc-critpath -- \
@@ -109,8 +109,22 @@ cargo run --release -p dmc-bench --bin dmc-bench-diff -- \
 # messages, per-stage counts tile the session totals), a self-explain
 # must be empty, the history must round-trip byte-identically through
 # disk, injected drift must explain with zero residue, and the HTML
-# dashboard must render byte-identically for 1- and 4-thread recordings.
+# dashboard must render byte-identically for two records that differ
+# only in identity meta.
 cargo run --release -p dmc-bench --bin dmc-bench-explain -- --check
+
+# Repo benchmark smoke: benchmark/ is its own package, so the workspace
+# build above never compiles it and a removed `pub` item could break the
+# gated benchmark unnoticed. Build it, run every workload at its smoke
+# size (each must exit 0), and check that an injected fault still fails.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+for workload in lu_plan symbolic_corpus store_cold store_warm verify_values; do
+    bash benchmark/run.sh --workload "$workload" --small --seed 1 --trace 0
+done
+if bash benchmark/run.sh --workload store_warm --small --inject-fault >/dev/null 2>&1; then
+    echo "benchmark: --inject-fault must exit non-zero" >&2
+    exit 1
+fi
 
 # Flamegraph wrapper smoke: the stencil profile must leave a non-empty
 # collapsed-stack file (the script exits nonzero otherwise).
