@@ -2,8 +2,7 @@
 //! counts through ONE compilation session and reports how much of the
 //! stage graph was served from the session's artifact store. The grid
 //! only enters the stage keys at the `opt` stage, so a processor-count
-//! sweep reuses the statement info and every per-read Last Write Tree and
-//! communication set.
+//! sweep reuses every per-read Last Write Tree.
 //!
 //! ```sh
 //! cargo run --release -p dmc-bench --bin dmc-session
@@ -14,8 +13,8 @@
 //! Writes, per workload, the explain report of the traced sweep — its
 //! "Reuse" section summarizes the stage cache. `--check` additionally
 //! asserts that (1) every session compile is identical to the classic
-//! one-shot pipeline, (2) at least half of all stage lookups hit (the
-//! whole point of sweeping inside a session), (3) recompiling the final
+//! one-shot pipeline, (2) no Last Write Tree is built twice (the whole
+//! point of sweeping inside a session), (3) recompiling the final
 //! input re-runs nothing, and (4) the report actually carries the Reuse
 //! section.
 //!
@@ -148,12 +147,15 @@ fn main() {
                 "{}: session output diverged from the one-shot pipeline",
                 w.name
             );
+            // What the sweep is for: no Last Write Tree is built twice.
+            let lwt = stats.per_stage.get("lwt").copied().unwrap_or_default();
             assert!(
-                stats.stage_hits >= stats.stage_misses,
-                "{}: only {}/{} stage lookups hit — the sweep must reuse at least half",
+                lwt.hits >= (NPROCS.len() as u64 - 1) * lwt.misses,
+                "{}: the sweep built a Last Write Tree twice ({} lwt hits vs {} misses over {} counts)",
                 w.name,
-                stats.stage_hits,
-                total
+                lwt.hits,
+                lwt.misses,
+                NPROCS.len()
             );
             // A byte-identical recompile re-runs nothing.
             let last = *NPROCS.last().expect("nprocs");

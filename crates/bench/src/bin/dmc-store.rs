@@ -16,8 +16,10 @@
 //!
 //! 1. **Cold→warm byte identity.** A fresh process (cold memory) serving
 //!    the same requests against the populated store produces
-//!    byte-identical schedules, recomputes nothing, and serves at least
-//!    half of its stage lookups from disk (in practice: all of them).
+//!    byte-identical schedules, recomputes nothing, serves at least
+//!    half of its stage lookups from disk (in practice: all of them) and
+//!    loads exactly what the cold pass wrote — as many artifacts, as many
+//!    bytes: a stage no request reads back fails here.
 //! 2. **The index is a log, and a short one.** Eight more warm sweeps,
 //!    each through a fresh open of the same directory, stay
 //!    byte-identical; each appends exactly one `index.tsv` line per disk
@@ -170,9 +172,20 @@ fn run_check(dir: &Path) {
         warm_store.corrupt == 0,
         "warm pass flagged corruption in a clean store"
     );
+    // Store what a request loads: every artifact the cold pass wrote, the
+    // warm pass of the same requests reads back.
+    check!(
+        warm_store.hits == cold_store.entries && warm_store.bytes_read == cold_store.bytes_written,
+        "warm pass loaded {} artifact(s) / {} byte(s) of the {} / {} the cold pass wrote",
+        warm_store.hits,
+        warm_store.bytes_read,
+        cold_store.entries,
+        cold_store.bytes_written
+    );
     println!(
-        "warm: byte-identical schedules, {}/{} lookups from disk, 0 recomputed",
-        warm_stats.stage_disk_hits, lookups
+        "warm: byte-identical schedules, {}/{} lookups from disk, 0 recomputed, \
+         {} byte(s) read = written",
+        warm_stats.stage_disk_hits, lookups, warm_store.bytes_read
     );
 
     // Index sweep: the index is an append-only log, so a warm sweep may

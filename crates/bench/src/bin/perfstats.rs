@@ -437,12 +437,12 @@ fn main() {
 
     // Stage-graph sweep: LU at four processor counts through ONE session.
     // The grid only enters the stage keys at the `opt` stage (receiver
-    // folding), so every step after the first reuses the statement info
-    // and all per-read Last Write Trees and communication sets — only the
-    // five `opt` stages re-run. Hit/miss totals are deterministic, so
-    // `dmc-bench-diff` gates them exactly, like `work_units`; the message
-    // counts come from the classic (non-session) `message_stats`, pinning
-    // the cached artifacts to the one-shot pipeline.
+    // folding), so every step after the first reuses all five per-read
+    // Last Write Trees — only the `opt` stages re-run. Hit/miss totals are
+    // deterministic, so `dmc-bench-diff` gates them exactly, like
+    // `work_units`; the message counts come from the classic
+    // (non-session) `message_stats`, pinning the cached artifacts to the
+    // one-shot pipeline.
     let sweep_nprocs: [i128; 4] = [2, 4, 8, 16];
     let sweep_params: [i128; 1] = [48];
     let mut session = Session::new();
@@ -466,10 +466,19 @@ fn main() {
          ({reused_pct:.0}% reused), identical: {sweep_identical}",
         sweep_nprocs
     );
+    // What the sweep is for: no Last Write Tree is built twice.
+    let lwt = session
+        .stats()
+        .per_stage
+        .get("lwt")
+        .copied()
+        .unwrap_or_default();
     assert!(
-        sweep_hits >= sweep_misses,
-        "the sweep must reuse at least half of its stage lookups \
-         ({sweep_hits} hits vs {sweep_misses} misses)"
+        lwt.hits >= (sweep_nprocs.len() as u64 - 1) * lwt.misses,
+        "the sweep built a Last Write Tree twice ({} lwt hits vs {} misses over {} counts)",
+        lwt.hits,
+        lwt.misses,
+        sweep_nprocs.len()
     );
     let sweep_json = format!(
         concat!(

@@ -61,7 +61,9 @@
 //!   correctness finding either way. Its `messages` list and `identical`
 //!   flag pin the cached artifacts to the one-shot pipeline's outputs,
 //!   and its `work_units` (the charged work of the whole session sweep)
-//!   is exact like the per-workload totals.
+//!   is exact like the per-workload totals. A new snapshot must also show
+//!   what the sweep is for — no Last Write Tree is built twice: its
+//!   `per_stage.lwt` row has at least (|`nprocs`| − 1) hits per miss.
 //! - **Persistent-store traffic is exact.** The `store` section replays
 //!   the workload set against an on-disk artifact cache twice — a cold
 //!   pass that populates it and a warm pass in a fresh session that must
@@ -80,8 +82,10 @@
 //!   for `dmc-bench-explain`, which keys the bench *history* on it.
 //!   Likewise the per-§6-pass `comm_passes` and per-stage `per_stage`
 //!   tilings are diagnostic (they localize a `messages` or
-//!   `stage_hits` finding) and are not gated separately, like
-//!   `work_contexts`.
+//!   `stage_hits` finding) and their counts are not gated separately,
+//!   like `work_contexts`. A `per_stage` *row* may appear but not vanish
+//!   — except the rows of the three retired stages (`stmt-info`,
+//!   `commsets`, `aggregate`), which no new snapshot carries.
 
 use dmc_obs::json::{parse, Json};
 
@@ -112,6 +116,24 @@ fn num(v: &Json, key: &str) -> Option<f64> {
 
 fn is_true(v: &Json, key: &str) -> bool {
     matches!(v.get(key), Some(Json::Bool(true)))
+}
+
+/// Stages that were removed from the session's stage graph: their
+/// `per_stage` rows may vanish from a new snapshot.
+const RETIRED_STAGES: [&str; 3] = ["stmt-info", "commsets", "aggregate"];
+
+/// Every `per_stage` row of `old` must still be a row of `new`, unless
+/// its stage is retired. Counts are diagnostic and not compared.
+fn diff_stage_rows(findings: &mut Vec<String>, ctx: &str, old: &Json, new: &Json) {
+    let rows = old.get("per_stage").and_then(Json::as_obj).unwrap_or(&[]);
+    for (stage, _) in rows {
+        let kept = new.get("per_stage").and_then(|p| p.get(stage)).is_some();
+        if !kept && !RETIRED_STAGES.contains(&stage.as_str()) {
+            findings.push(format!(
+                "{ctx}: per_stage row \"{stage}\" missing from new snapshot"
+            ));
+        }
+    }
 }
 
 /// One mode's timing fields, compared with the relative tolerance.
@@ -319,6 +341,7 @@ pub fn diff_snapshots(
                     msgs(ns)
                 ));
             }
+            diff_stage_rows(&mut findings, "sweep", os, ns);
         }
         (None, None) | (None, Some(_)) => {}
         (Some(_), None) => {
@@ -330,11 +353,18 @@ pub fn diff_snapshots(
             findings
                 .push("sweep: session outputs no longer match the one-shot pipeline".to_owned());
         }
-        if let (Some(h), Some(m)) = (num(ns, "stage_hits"), num(ns, "stage_misses")) {
-            if h < m {
+        // What the sweep is for: no Last Write Tree is built twice.
+        let lwt = ns.get("per_stage").and_then(|p| p.get("lwt"));
+        let counts = ns.get("nprocs").and_then(Json::as_arr).map(<[Json]>::len);
+        if let (Some(h), Some(m), Some(counts)) = (
+            lwt.and_then(|l| num(l, "hits")),
+            lwt.and_then(|l| num(l, "misses")),
+            counts,
+        ) {
+            if h < (counts as f64 - 1.0) * m {
                 findings.push(format!(
-                    "sweep: stage_hits {h} below stage_misses {m} \
-                     (the sweep must reuse at least half of its stage lookups)"
+                    "sweep: {h} lwt hits vs {m} misses over {counts} processor counts \
+                     (the sweep must build no Last Write Tree twice)"
                 ));
             }
         }
@@ -369,6 +399,7 @@ pub fn diff_snapshots(
                     fps(nj)
                 ));
             }
+            diff_stage_rows(&mut findings, "journal", oj, nj);
         }
         (None, None) | (None, Some(_)) => {}
         (Some(_), None) => {
@@ -460,6 +491,9 @@ pub fn diff_snapshots(
                          (store traffic is deterministic; must match exactly)"
                     ));
                 }
+            }
+            if let (Some(ow), Some(nw)) = (os.get("warm"), ns.get("warm")) {
+                diff_stage_rows(&mut findings, "store.warm", ow, nw);
             }
         }
         (None, None) | (None, Some(_)) => {}
@@ -635,7 +669,9 @@ mod tests {
       ],
       "sweep": {"workload": "w", "params": [4], "nprocs": [2, 4],
                 "stage_hits": 11, "stage_misses": 9, "messages": [5, 5],
-                "work_units": 2222, "identical": true},
+                "work_units": 2222, "identical": true,
+                "per_stage": {"lwt": {"hits": 5, "misses": 5},
+                              "opt": {"hits": 6, "misses": 4}}},
       "journal": {"requests": 4, "stage_hits": 3, "stage_misses": 17,
                   "work_units": 4444,
                   "schedule_fps": ["aaaa", "bbbb", "cccc", "dddd"],
@@ -928,13 +964,24 @@ mod tests {
             "{d:?}"
         );
 
-        // Reuse below 50% in the new snapshot is a finding even when the
-        // old snapshot agreed (internal consistency).
-        let low = SNAP
-            .replace("\"stage_hits\": 11", "\"stage_hits\": 8")
-            .replace("\"stage_misses\": 9", "\"stage_misses\": 12");
+        // A Last Write Tree built twice in the new snapshot is a finding
+        // even when the old snapshot agreed (internal consistency): two
+        // processor counts need one lwt hit per miss.
+        let low = SNAP.replace(
+            "\"lwt\": {\"hits\": 5, \"misses\": 5}",
+            "\"lwt\": {\"hits\": 4, \"misses\": 6}",
+        );
+        assert_ne!(low, SNAP);
         let d = diff_snapshots(&low, &low, &Tolerances::default()).unwrap();
-        assert!(d.iter().any(|f| f.contains("below stage_misses")), "{d:?}");
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].contains("no Last Write Tree twice"), "{d:?}");
+        // Total reuse below one half is not one, as long as the trees hit.
+        let few = SNAP.replace(
+            "\"opt\": {\"hits\": 6, \"misses\": 4}",
+            "\"opt\": {\"hits\": 0, \"misses\": 10}",
+        );
+        let d = diff_snapshots(&few, &few, &Tolerances::default()).unwrap();
+        assert!(d.is_empty(), "{d:?}");
 
         let work = SNAP.replace("\"work_units\": 2222,", "\"work_units\": 2223,");
         let d = diff_snapshots(SNAP, &work, &Tolerances::default()).unwrap();
@@ -1090,16 +1137,24 @@ mod tests {
                  \"work_contexts\":",
             )
             .replace(
-                "\"work_units\": 2222, \"identical\": true",
-                "\"work_units\": 2222, \"identical\": true, \
-                 \"per_stage\": {\"opt\": {\"hits\": 11, \"misses\": 9}}",
+                "\"replay_identical\": true",
+                "\"replay_identical\": true, \
+                 \"per_stage\": {\"opt\": {\"hits\": 3, \"misses\": 17}}",
             );
         assert_ne!(with_tilings, SNAP);
         let d = diff_snapshots(SNAP, &with_tilings, &Tolerances::default()).unwrap();
         assert!(d.is_empty(), "tiling addition must gate clean: {d:?}");
-        let changed = with_tilings.replace("\"fold_receivers\": 1", "\"fold_receivers\": 2");
+        let changed = with_tilings
+            .replace("\"fold_receivers\": 1", "\"fold_receivers\": 2")
+            .replace(
+                "{\"hits\": 3, \"misses\": 17}",
+                "{\"hits\": 2, \"misses\": 18}",
+            );
         let d = diff_snapshots(&with_tilings, &changed, &Tolerances::default()).unwrap();
-        assert!(d.is_empty(), "comm_passes are diagnostic, not gated: {d:?}");
+        assert!(
+            d.is_empty(),
+            "tiling counts are diagnostic, not gated: {d:?}"
+        );
     }
 
     /// `baseline` and `speedup` are retired: a snapshot from before the
@@ -1150,6 +1205,38 @@ mod tests {
             let d = diff_snapshots(SNAP, &gone, &Tolerances::default()).unwrap();
             assert!(!d.is_empty(), "{section} vanished without a finding");
         }
+    }
+
+    /// The `stmt-info`, `commsets` and `aggregate` stages are retired with
+    /// the artifacts they stored: an old snapshot whose `per_stage`
+    /// tilings carry their rows diffs clean against a new one without
+    /// them (and back) — while no other row may vanish.
+    #[test]
+    fn retired_stage_rows_never_gate() {
+        let with_retired = SNAP.replace(
+            "\"per_stage\": {\"lwt\":",
+            "\"per_stage\": {\"stmt-info\": {\"hits\": 1, \"misses\": 1},\n                              \
+             \"commsets\": {\"hits\": 5, \"misses\": 5},\n                              \
+             \"aggregate\": {\"hits\": 0, \"misses\": 2},\n                              \
+             \"lwt\":",
+        );
+        assert_ne!(with_retired, SNAP);
+        let d = diff_snapshots(&with_retired, SNAP, &Tolerances::default()).unwrap();
+        assert!(d.is_empty(), "retiring stage rows must gate clean: {d:?}");
+        let d = diff_snapshots(SNAP, &with_retired, &Tolerances::default()).unwrap();
+        assert!(d.is_empty(), "{d:?}");
+
+        let no_opt = SNAP.replace(
+            ",\n                              \"opt\": {\"hits\": 6, \"misses\": 4}",
+            "",
+        );
+        assert_ne!(no_opt, SNAP);
+        let d = diff_snapshots(SNAP, &no_opt, &Tolerances::default()).unwrap();
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].contains("per_stage row \"opt\" missing"), "{d:?}");
+        // A row may appear.
+        let d = diff_snapshots(&no_opt, SNAP, &Tolerances::default()).unwrap();
+        assert!(d.is_empty(), "{d:?}");
     }
 
     #[test]

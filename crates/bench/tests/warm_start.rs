@@ -2,8 +2,9 @@
 //! session's artifacts across process boundaries. The first `dmc-session`
 //! process populates a cache directory; a second process with cold memory
 //! must serve at least half of its stage lookups from disk, recompute
-//! nothing, and still match the one-shot pipeline byte for byte
-//! (`--check` enforces the identity oracle in both runs).
+//! nothing, load every artifact the first one computed, and still match
+//! the one-shot pipeline byte for byte (`--check` enforces the identity
+//! oracle in both runs).
 
 use std::path::PathBuf;
 use std::process::Output;
@@ -100,6 +101,14 @@ fn second_process_serves_from_disk_byte_identically() {
         2 * warm_disk >= warm_hits + warm_misses,
         "warm process served only {warm_disk}/{} lookups from disk:\n{warm_out}",
         warm_hits + warm_misses
+    );
+    // Store what a request loads: every stage the first process computed
+    // (and wrote through), the second one reads back — once, the memory
+    // layer serves the repeats. A stage nobody reads fails here.
+    assert_eq!(
+        warm_disk, cold_misses,
+        "the warm process loaded {warm_disk} of the {cold_misses} artifact(s) the cold one \
+         stored:\n{warm_out}"
     );
 
     // Both processes compiled the same inputs identically, so the traced

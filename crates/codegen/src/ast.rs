@@ -56,7 +56,7 @@ impl IntExpr {
         }
     }
 
-    /// Builds an affine expression from a positional [`LinExpr`] and its
+    /// Builds an affine expression from a positional [`dmc_polyhedra::LinExpr`] and its
     /// space (dimension names become variable names).
     pub fn from_linexpr(e: &dmc_polyhedra::LinExpr, space: &dmc_polyhedra::Space) -> IntExpr {
         let mut terms = Vec::new();

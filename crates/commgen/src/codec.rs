@@ -1,6 +1,6 @@
 //! [`Codec`] impls for communication artifacts: the per-read
-//! [`CommSet`]s (with their §6 provenance trails) and the aggregated
-//! [`Message`] plans. Encoding discipline as in `dmc_polyhedra::codec`.
+//! [`CommSet`]s with their §6 provenance trails. Encoding discipline as
+//! in `dmc_polyhedra::codec`.
 //!
 //! [`CommSet::steps`] holds `&'static str` pass names; decoding interns
 //! the stored names against [`KNOWN_STEPS`] — the closed set of §6 pass
@@ -12,8 +12,7 @@ use dmc_dataflow::DepLevel;
 use dmc_polyhedra::codec::{Codec, CodecError, Dec, Enc};
 use dmc_polyhedra::Polyhedron;
 
-use crate::commset::{CommDims, CommElem, CommSet, SenderKind};
-use crate::opt::Message;
+use crate::commset::{CommDims, CommSet, SenderKind};
 
 /// The closed set of §6 pass names a provenance trail can carry, in
 /// pipeline order. Kept in sync with the pass list in `dmc-core`'s
@@ -121,42 +120,6 @@ impl Codec for CommSet {
     }
 }
 
-impl Codec for CommElem {
-    fn encode(&self, e: &mut Enc) {
-        self.s_iter.encode(e);
-        self.ps.encode(e);
-        self.r_iter.encode(e);
-        self.pr.encode(e);
-        self.arr.encode(e);
-    }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(CommElem {
-            s_iter: Vec::<i128>::decode(d)?,
-            ps: Vec::<i128>::decode(d)?,
-            r_iter: Vec::<i128>::decode(d)?,
-            pr: Vec::<i128>::decode(d)?,
-            arr: Vec::<i128>::decode(d)?,
-        })
-    }
-}
-
-impl Codec for Message {
-    fn encode(&self, e: &mut Enc) {
-        self.sender.encode(e);
-        self.receiver.encode(e);
-        self.key.encode(e);
-        self.items.encode(e);
-    }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(Message {
-            sender: Vec::<i128>::decode(d)?,
-            receiver: Vec::<i128>::decode(d)?,
-            key: Vec::<i128>::decode(d)?,
-            items: Vec::<CommElem>::decode(d)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use dmc_polyhedra::codec::{decode_from_slice, encode_to_vec};
@@ -207,26 +170,5 @@ mod tests {
         let n = bytes.len();
         bytes[n - 1] ^= 0xFF;
         assert!(decode_from_slice::<CommSet>(&bytes).is_err());
-    }
-
-    /// Aggregated message plans round-trip byte-identically.
-    #[test]
-    fn message_round_trips() {
-        let m = Message {
-            sender: vec![0],
-            receiver: vec![3],
-            key: vec![1, 2],
-            items: vec![CommElem {
-                s_iter: vec![1, 2],
-                ps: vec![0],
-                r_iter: vec![1, 5],
-                pr: vec![3],
-                arr: vec![5],
-            }],
-        };
-        let bytes = encode_to_vec(&vec![vec![m.clone()]]);
-        let back: Vec<Vec<Message>> = decode_from_slice(&bytes).expect("decodes");
-        assert_eq!(back, vec![vec![m]]);
-        assert_eq!(encode_to_vec(&back), bytes);
     }
 }

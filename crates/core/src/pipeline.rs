@@ -21,7 +21,7 @@ use dmc_polyhedra::ledger;
 use dmc_polyhedra::{DimKind, PolyError, Space};
 
 use crate::options::Options;
-use crate::session::{aggregate_fp, schedule_fp, Session};
+use crate::session::{schedule_fp, Session};
 
 /// Everything the compiler needs: the program, one computation
 /// decomposition per statement, initial data decompositions (the homes of
@@ -436,9 +436,8 @@ pub fn build_schedule(
 }
 
 /// The planner behind [`build_schedule`] and [`Session::build_schedule`]:
-/// when a session is supplied, the raw per-set message enumeration
-/// (`aggregate` stage) and the final legality-refined plan (`schedule`
-/// stage) are served from and admitted to the session store.
+/// when a session is supplied, the final legality-refined plan
+/// (`schedule` stage) is served from and admitted to the session store.
 pub(crate) fn build_schedule_inner(
     compiled: &Compiled,
     param_vals: &[i128],
@@ -451,11 +450,10 @@ pub(crate) fn build_schedule_inner(
     // tuning has already been popped by now.
     let _lane = obs::lane(obs::main_lane(), "pipeline");
     let _tuning = compiled.options.push_tuning_scoped();
-    // Stage keys cover everything the plan is a function of; the schedule
-    // key adds the payload mode on top of the aggregate chain.
-    let mut staged = session.map(|s| (s, aggregate_fp(compiled, param_vals, limit)));
+    // The stage key covers everything the plan is a function of.
+    let mut staged = session.map(|s| (s, schedule_fp(compiled, param_vals, values, limit)));
     if let Some((s, k)) = &mut staged {
-        if let Some(cached) = s.schedule_stage(schedule_fp(*k, values)) {
+        if let Some(cached) = s.schedule_stage(*k) {
             return Ok((*cached).clone());
         }
     }
@@ -476,27 +474,17 @@ pub(crate) fn build_schedule_inner(
         .max()
         .unwrap_or(0);
     // The raw per-set message enumeration is independent of the split
-    // depth: computed once and shared across retries (and, in a session,
-    // across compilations via the `aggregate` stage).
-    let cached = staged.as_mut().and_then(|(s, k)| s.aggregate_stage(*k));
-    let hoisted: Arc<Vec<Vec<Message>>> = match cached {
-        Some(raw) => raw,
-        None => {
-            let _s = obs::span_f("aggregate", || {
-                vec![obs::field("sets", compiled.comm.len())]
-            });
-            let _c = ledger::push_context("aggregate");
-            let raw: Vec<Vec<Message>> = compiled
-                .comm
-                .iter()
-                .map(|cs| raw_messages(compiled, cs, param_vals, limit))
-                .collect::<Result<_, _>>()?;
-            let raw = Arc::new(raw);
-            if let Some((s, k)) = &mut staged {
-                s.admit_aggregate(*k, raw.clone());
-            }
-            raw
-        }
+    // depth: computed once and shared across retries.
+    let hoisted: Vec<Vec<Message>> = {
+        let _s = obs::span_f("aggregate", || {
+            vec![obs::field("sets", compiled.comm.len())]
+        });
+        let _c = ledger::push_context("aggregate");
+        compiled
+            .comm
+            .iter()
+            .map(|cs| raw_messages(compiled, cs, param_vals, limit))
+            .collect::<Result<_, _>>()?
     };
     // The compute-block nests and the per-set multicast verdicts are also
     // independent of the split depth; both are derived once, before the
@@ -555,7 +543,7 @@ pub(crate) fn build_schedule_inner(
         match dry {
             Ok(_) => {
                 if let Some((s, k)) = &mut staged {
-                    s.admit_schedule(schedule_fp(*k, values), Arc::new(schedule.clone()));
+                    s.admit_schedule(*k, Arc::new(schedule.clone()));
                 }
                 return Ok(schedule);
             }

@@ -5,7 +5,7 @@
 //! through an explicit stage graph
 //!
 //! ```text
-//! parse → stmt-info → per-read { lwt → commsets → opt } → aggregate → schedule
+//! parse → per-read { lwt → opt } → schedule
 //! ```
 //!
 //! Every stage is keyed by a structural [`Fingerprint`] of exactly the
@@ -14,6 +14,13 @@
 //! output. Compiling the same input twice in one session re-runs nothing;
 //! compiling a *related* input (a different processor count, an edited
 //! read) re-runs only the stages whose fingerprints changed.
+//!
+//! A stage is an artifact some later request *loads*. The pipeline has
+//! more phases than that — the per-statement contexts, each read's raw
+//! communication sets (the `commsets` span) and the raw message
+//! enumeration (the `aggregate` span) — and those are recomputed where
+//! they are needed: storing them cost more than re-deriving them, and a
+//! warm start never read them back (EXPERIMENTS.md P18).
 //!
 //! [`compile`](crate::compile) is a thin wrapper that opens a throwaway
 //! session, so the classic API is byte-for-byte the session path with an
@@ -25,15 +32,12 @@
 //! sweeps cheap. A knob is included in a stage's fingerprint iff it can
 //! change that stage's *answer*:
 //!
-//! | stage     | program inputs                         | options            |
-//! |-----------|----------------------------------------|--------------------|
-//! | parse     | source text                            | —                  |
-//! | stmt-info | whole program                          | —                  |
-//! | lwt       | program *skeleton* + the one read      | strategy, budget   |
-//! | commsets  | lwt chain + comps + initial[array]     | strategy, budget   |
-//! | opt       | commsets chain + per-pass declarations | §6 flags, budget   |
-//! | aggregate | opt inputs + grid + params + limit     | §6 flags, budget   |
-//! | schedule  | aggregate chain + values flag          | §6 flags, budget   |
+//! | stage    | program inputs                                     | options          |
+//! |----------|----------------------------------------------------|------------------|
+//! | parse    | source text                                        | —                |
+//! | lwt      | program *skeleton* + the one read                  | strategy, budget |
+//! | opt      | lwt chain + comps + array's home + per-pass decls  | §6 flags, budget |
+//! | schedule | whole input + grid + params + limit + values flag  | every knob       |
 //!
 //! `feasibility_budget` appears everywhere because exhausting it yields a
 //! conservative `Unknown` that can change analysis results. Every field
@@ -44,12 +48,19 @@
 //! access but no right-hand side — Last Write Trees cannot see other
 //! reads, so editing one read leaves every other read's chain untouched.
 //! The grid enters only at the `opt` stage (receiver folding) and later:
-//! a processor-count sweep reuses every lwt and commsets artifact.
+//! a processor-count sweep builds no Last Write Tree twice.
+//!
+//! ## One job per read
+//!
+//! A (statement, read) job is: the `lwt`, cached or built; stop if `opt`
+//! is cached; derive the communication sets from the tree; optimise them.
+//! The two strategies differ only in how the tree is built and how sets
+//! come out of it.
 //!
 //! ## Determinism
 //!
 //! A compile runs on the calling thread from start to finish: every
-//! job's stage chain is looked up first, the misses then run in textual
+//! job's two stages are looked up first, the misses then run in textual
 //! order, and their artifacts are admitted in that order afterwards, so
 //! hit counts and store traffic are deterministic and the store needs no
 //! locks. Cache events (`stage.hit` / `stage.miss`) are emitted
@@ -63,10 +74,10 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use dmc_commgen::{comm_from_initial, comm_from_leaf, CommSet, Message};
+use dmc_commgen::{comm_from_initial, comm_from_leaf, CommSet};
 use dmc_dataflow::{build_lwt, LastWriteTree};
 use dmc_ir::fp::{skeleton_fp, Fingerprint, Fingerprintable, Fp};
-use dmc_ir::{ParseError, Program, StmtInfo};
+use dmc_ir::{ArrayRef, ParseError, Program, StmtInfo};
 use dmc_machine::{MachineConfig, Schedule, SimResult};
 use dmc_obs as obs;
 use dmc_polyhedra::ledger;
@@ -80,16 +91,10 @@ use crate::store::{Artifact, ArtifactStore, MemStore, StageId, StoreSource, Stor
 pub mod stage {
     /// Source text → [`dmc_ir::Program`].
     pub const PARSE: &str = "parse";
-    /// Program → per-statement contexts ([`dmc_ir::StmtInfo`]).
-    pub const STMT_INFO: &str = "stmt-info";
     /// One read's Last Write Tree (§3.1).
     pub const LWT: &str = "lwt";
-    /// One read's communication sets (Theorems 3/4).
-    pub const COMMSETS: &str = "commsets";
-    /// One read's §6-optimized sets.
+    /// One read's communication sets (Theorems 3/4) after the §6 passes.
     pub const OPT: &str = "opt";
-    /// Raw per-set message enumeration at the aggregation prefix (§6.2).
-    pub const AGGREGATE: &str = "aggregate";
     /// The legality-refined machine schedule (the SPMD program).
     pub const SCHEDULE: &str = "schedule";
 }
@@ -253,29 +258,30 @@ impl Session {
         self.disk.as_ref().map(|d| d.stats())
     }
 
-    /// Layered lookup: memory, then the attached backend (promoting its
-    /// hit into memory). Returns the artifact and which layer served it.
-    fn lookup(&mut self, stage: StageId, key: Fingerprint) -> Option<(Artifact, StoreSource)> {
-        if let Some(a) = self.mem.load(stage, key) {
-            return Some((a, StoreSource::Memory));
-        }
-        if let Some(disk) = &mut self.disk {
-            if let Some(a) = disk.load(stage, key) {
-                self.mem.store(stage, key, &a);
-                return Some((a, StoreSource::Disk));
+    /// Layered, counted lookup: memory, then the attached backend (a disk
+    /// hit is promoted into memory). Every call is one hit or one miss of
+    /// `stage` in [`SessionStats`].
+    fn lookup(&mut self, stage: StageId, key: Fingerprint) -> Option<Artifact> {
+        let found = match self.mem.load(stage, key) {
+            Some(a) => Some((a, StoreSource::Memory)),
+            None => self
+                .disk
+                .as_mut()
+                .and_then(|disk| disk.load(stage, key))
+                .map(|a| {
+                    self.mem.store(stage, key, &a);
+                    (a, StoreSource::Disk)
+                }),
+        };
+        match found {
+            Some((a, src)) => {
+                self.stats.hit(stage.name(), key, src);
+                Some(a)
             }
-        }
-        None
-    }
-
-    /// Layered existence probe, without loading or promoting.
-    fn probe(&mut self, stage: StageId, key: Fingerprint) -> Option<StoreSource> {
-        if self.mem.contains(stage, key) {
-            return Some(StoreSource::Memory);
-        }
-        match &mut self.disk {
-            Some(disk) => disk.contains(stage, key).then_some(StoreSource::Disk),
-            None => None,
+            None => {
+                self.stats.miss(stage.name(), key);
+                None
+            }
         }
     }
 
@@ -286,25 +292,6 @@ impl Session {
             disk.store(stage, key, &artifact);
         }
         self.mem.store(stage, key, &artifact);
-    }
-
-    fn lookup_lwt(&mut self, key: Fingerprint) -> Option<(Arc<LastWriteTree>, StoreSource)> {
-        match self.lookup(StageId::Lwt, key)? {
-            (Artifact::Lwt(a), src) => Some((a, src)),
-            _ => None,
-        }
-    }
-
-    /// Typed lookup for the two set-valued stages (`commsets` / `opt`).
-    fn lookup_sets(
-        &mut self,
-        stage: StageId,
-        key: Fingerprint,
-    ) -> Option<(Arc<Vec<CommSet>>, StoreSource)> {
-        match self.lookup(stage, key)? {
-            (Artifact::CommSets(a), src) => Some((a, src)),
-            _ => None,
-        }
     }
 
     /// The session's own observability context, if it was opened with
@@ -443,11 +430,9 @@ impl Session {
         h.tag(50);
         h.str(source);
         let key = h.finish();
-        if let Some((Artifact::Program(p), src)) = self.lookup(StageId::Parse, key) {
-            self.stats.hit(stage::PARSE, key, src);
+        if let Some(Artifact::Program(p)) = self.lookup(StageId::Parse, key) {
             return Ok((*p).clone());
         }
-        self.stats.miss(stage::PARSE, key);
         let p = dmc_ir::parse(source)?;
         self.admit(StageId::Parse, key, Artifact::Program(Arc::new(p.clone())));
         Ok(p)
@@ -484,112 +469,44 @@ impl Session {
             vec![obs::field("strategy", format!("{:?}", options.strategy))]
         });
 
-        // Stage: stmt-info (per-statement contexts for the whole program).
-        let si_key = stmt_info_fp(&input.program);
-        let stmts: Arc<Vec<StmtInfo>> = match self.lookup(StageId::StmtInfo, si_key) {
-            Some((Artifact::StmtInfo(a), src)) => {
-                self.stats.hit(stage::STMT_INFO, si_key, src);
-                a
-            }
-            _ => {
-                self.stats.miss(stage::STMT_INFO, si_key);
-                let a = Arc::new(input.program.statements());
-                self.admit(StageId::StmtInfo, si_key, Artifact::StmtInfo(a.clone()));
-                a
-            }
-        };
-        for s in stmts.iter() {
+        let stmts = input.program.statements();
+        for s in &stmts {
             if !input.comps.contains_key(&s.id) {
                 return Err(CompileError::MissingComp(s.id));
             }
         }
 
-        let jobs: Vec<(usize, usize)> = stmts
-            .iter()
-            .enumerate()
-            .flat_map(|(si, s)| (0..s.stmt.rhs.reads().len()).map(move |r| (si, r)))
-            .collect();
-
-        // Resolve every job's stage chain before running any job: the
-        // lookups of one compile never see its own admits.
-        let mut slots: Vec<JobSlot> = Vec::with_capacity(jobs.len());
-        for &(si, r) in &jobs {
-            let array = stmts[si].stmt.rhs.reads()[r].array.clone();
-            let lwt_key = lwt_fp(&input, &options, &stmts, si, r);
-            let comm_key = commsets_fp(lwt_key, &input, &array);
-            let opt_key = opt_fp(comm_key, &input, &options);
-            let cached_opt = self.lookup_sets(StageId::Opt, opt_key);
-            let cached_lwt = self.lookup_lwt(lwt_key);
-            if let (Some((opt, opt_src)), Some((lwt, lwt_src))) = (&cached_opt, &cached_lwt) {
-                // The whole chain is served: nothing to run. The memory
-                // layer never evicts, so in a memory-only session a
-                // cached opt artifact always lands here; with a bounded
-                // disk backend the lwt may be gone, in which case the
-                // job runs below with the cached opt short-circuiting
-                // everything after the lwt rebuild.
-                self.stats.hit(stage::LWT, lwt_key, *lwt_src);
-                // The intermediate commsets artifact is not needed (the
-                // opt output supersedes it); count it as a hit only if a
-                // layer still holds it — never as a miss, since nothing
-                // recomputes it.
-                if let Some(src) = self.probe(StageId::CommSets, comm_key) {
-                    self.stats.hit(stage::COMMSETS, comm_key, src);
-                }
-                self.stats.hit(stage::OPT, opt_key, *opt_src);
-                slots.push(JobSlot::Cached {
-                    lwt: lwt.clone(),
-                    opt: opt.clone(),
+        // Look up both stages of every (statement, read) job before
+        // running any job: the lookups of one compile never see its own
+        // admits.
+        let mut plans: Vec<JobPlan> = Vec::new();
+        for (si, s) in stmts.iter().enumerate() {
+            for (r, read) in s.stmt.rhs.reads().into_iter().enumerate() {
+                let lwt_key = lwt_fp(&input, &options, si, r, read);
+                let opt_key = opt_fp(lwt_key, &input, &options, &read.array);
+                let lwt = match self.lookup(StageId::Lwt, lwt_key) {
+                    Some(Artifact::Lwt(a)) => Some(a),
+                    _ => None,
+                };
+                let opt = match self.lookup(StageId::Opt, opt_key) {
+                    Some(Artifact::CommSets(a)) => Some(a),
+                    _ => None,
+                };
+                plans.push(JobPlan {
+                    si,
+                    r,
+                    lwt_key,
+                    opt_key,
+                    lwt,
+                    opt,
                 });
-                continue;
             }
-            // The commsets input is only needed when the opt output is
-            // not already cached.
-            let cached_comm = match cached_opt {
-                Some(_) => None,
-                None => self.lookup_sets(StageId::CommSets, comm_key),
-            };
-            match &cached_lwt {
-                Some((_, src)) => self.stats.hit(stage::LWT, lwt_key, *src),
-                None => self.stats.miss(stage::LWT, lwt_key),
-            }
-            match (&cached_opt, &cached_comm) {
-                // Opt cached: commsets is neither served nor recomputed;
-                // count a hit only if still resident (as above).
-                (Some(_), _) => {
-                    if let Some(src) = self.probe(StageId::CommSets, comm_key) {
-                        self.stats.hit(stage::COMMSETS, comm_key, src);
-                    }
-                }
-                (None, Some((_, src))) => self.stats.hit(stage::COMMSETS, comm_key, *src),
-                (None, None) => self.stats.miss(stage::COMMSETS, comm_key),
-            }
-            match &cached_opt {
-                Some((_, src)) => self.stats.hit(stage::OPT, opt_key, *src),
-                None => self.stats.miss(stage::OPT, opt_key),
-            }
-            slots.push(JobSlot::Run(JobPlan {
-                si,
-                r,
-                lwt_key,
-                comm_key,
-                opt_key,
-                cached_lwt: cached_lwt.map(|(a, _)| a),
-                cached_comm: cached_comm.map(|(a, _)| a),
-                cached_opt: cached_opt.map(|(a, _)| a),
-            }));
         }
 
-        let plans: Vec<&JobPlan> = slots
-            .iter()
-            .filter_map(|s| match s {
-                JobSlot::Run(p) => Some(p),
-                JobSlot::Cached { .. } => None,
-            })
-            .collect();
-        // Run the misses in textual order on this thread, whose memo
-        // caches every later job (and every later compile) then shares.
-        // Explicit sessions root the attribution under a `session` frame.
-        let results: Vec<ReadResult> = {
+        // Run the jobs in textual order on this thread, whose memo caches
+        // every later job (and every later compile) then shares. Explicit
+        // sessions root the attribution under a `session` frame.
+        let outs: Vec<Result<JobOut, CompileError>> = {
             let _sess_ctx = self.explicit.then(|| ledger::push_context("session"));
             plans
                 .iter()
@@ -597,49 +514,30 @@ impl Session {
                 .collect()
         };
 
-        // Merge in textual order and admit the new artifacts.
+        // Merge in textual order and admit the new artifacts. What a
+        // lookup served is already resident in every layer.
         let mut lwts = Vec::new();
         let mut comm: Vec<CommSet> = Vec::new();
-        let mut results = results.into_iter();
-        for slot in slots {
-            match slot {
-                JobSlot::Cached { lwt, opt } => {
-                    lwts.push((*lwt).clone());
-                    comm.extend(opt.iter().cloned());
+        for (plan, out) in plans.into_iter().zip(outs) {
+            let out = out?;
+            let lwt = match out.lwt {
+                Some(l) => {
+                    let a = Arc::new(l);
+                    self.admit(StageId::Lwt, plan.lwt_key, Artifact::Lwt(a.clone()));
+                    a
                 }
-                JobSlot::Run(plan) => {
-                    let out = results.next().expect("one result per planned job")?;
-                    let lwt_arc = match out.new_lwt {
-                        Some(l) => {
-                            let a = Arc::new(l);
-                            self.admit(StageId::Lwt, plan.lwt_key, Artifact::Lwt(a.clone()));
-                            a
-                        }
-                        None => plan.cached_lwt.clone().expect("lwt cached or computed"),
-                    };
-                    if let Some(sets) = out.new_comm {
-                        self.admit(
-                            StageId::CommSets,
-                            plan.comm_key,
-                            Artifact::CommSets(Arc::new(sets)),
-                        );
-                    }
-                    let opt_arc = match (plan.cached_opt, out.opt) {
-                        // Served from the store: already resident in
-                        // every layer (lookup promoted it), nothing to
-                        // re-admit.
-                        (Some(a), _) => a,
-                        (None, Some(v)) => {
-                            let a = Arc::new(v);
-                            self.admit(StageId::Opt, plan.opt_key, Artifact::CommSets(a.clone()));
-                            a
-                        }
-                        (None, None) => unreachable!("job computes opt unless it was cached"),
-                    };
-                    lwts.push((*lwt_arc).clone());
-                    comm.extend(opt_arc.iter().cloned());
+                None => plan.lwt.expect("lwt cached or built"),
+            };
+            let opt = match out.opt {
+                Some(v) => {
+                    let a = Arc::new(v);
+                    self.admit(StageId::Opt, plan.opt_key, Artifact::CommSets(a.clone()));
+                    a
                 }
-            }
+                None => plan.opt.expect("opt cached or computed"),
+            };
+            lwts.push((*lwt).clone());
+            comm.extend(opt.iter().cloned());
         }
         Ok(Compiled {
             input,
@@ -649,8 +547,8 @@ impl Session {
         })
     }
 
-    /// Session-aware [`crate::build_schedule`]: reuses the `aggregate`
-    /// (raw message enumeration) and `schedule` stages across calls.
+    /// Session-aware [`crate::build_schedule`]: reuses the `schedule`
+    /// stage across calls.
     ///
     /// # Errors
     ///
@@ -706,35 +604,11 @@ impl Session {
         crate::pipeline::simulate_schedule(compiled, param_vals, config, values, &schedule)
     }
 
-    /// Looks up the `aggregate` stage, counting a hit or miss.
-    pub(crate) fn aggregate_stage(&mut self, key: Fingerprint) -> Option<Arc<Vec<Vec<Message>>>> {
-        match self.lookup(StageId::Aggregate, key) {
-            Some((Artifact::Messages(a), src)) => {
-                self.stats.hit(stage::AGGREGATE, key, src);
-                Some(a)
-            }
-            _ => {
-                self.stats.miss(stage::AGGREGATE, key);
-                None
-            }
-        }
-    }
-
-    pub(crate) fn admit_aggregate(&mut self, key: Fingerprint, value: Arc<Vec<Vec<Message>>>) {
-        self.admit(StageId::Aggregate, key, Artifact::Messages(value));
-    }
-
     /// Looks up the `schedule` stage, counting a hit or miss.
     pub(crate) fn schedule_stage(&mut self, key: Fingerprint) -> Option<Arc<Schedule>> {
-        match self.lookup(StageId::Schedule, key) {
-            Some((Artifact::Schedule(a), src)) => {
-                self.stats.hit(stage::SCHEDULE, key, src);
-                Some(a)
-            }
-            _ => {
-                self.stats.miss(stage::SCHEDULE, key);
-                None
-            }
+        match self.lookup(StageId::Schedule, key)? {
+            Artifact::Schedule(a) => Some(a),
+            _ => None,
         }
     }
 
@@ -764,53 +638,44 @@ pub struct ServeOutcome {
     pub words: u64,
 }
 
-/// One job's resolution: fully served from the store, or planned to run.
-enum JobSlot {
-    Cached {
-        lwt: Arc<LastWriteTree>,
-        opt: Arc<Vec<CommSet>>,
-    },
-    Run(JobPlan),
-}
-
-/// A planned (stmt, read) job with its chain keys and cached prefixes.
-/// `cached_opt` arises only with an evicting disk backend: the final
-/// stage survived but the lwt did not, so the job rebuilds the lwt and
-/// short-circuits the rest.
+/// One (statement, read) job: its two stage keys and what the store
+/// already holds for them. `opt` without `lwt` arises only with an
+/// evicting disk backend: the job rebuilds the tree and stops there.
 struct JobPlan {
     si: usize,
     r: usize,
     lwt_key: Fingerprint,
-    comm_key: Fingerprint,
     opt_key: Fingerprint,
-    cached_lwt: Option<Arc<LastWriteTree>>,
-    cached_comm: Option<Arc<Vec<CommSet>>>,
-    cached_opt: Option<Arc<Vec<CommSet>>>,
+    lwt: Option<Arc<LastWriteTree>>,
+    opt: Option<Arc<Vec<CommSet>>>,
 }
 
-/// What a job computed (stages it skipped return `None`; `opt` is `None`
-/// exactly when the plan's `cached_opt` supersedes it).
+/// What a job computed: each stage is `Some` exactly when the plan did
+/// not already hold it.
+#[derive(Default)]
 struct JobOut {
-    new_lwt: Option<LastWriteTree>,
-    new_comm: Option<Vec<CommSet>>,
+    lwt: Option<LastWriteTree>,
     opt: Option<Vec<CommSet>>,
 }
 
-type ReadResult = Result<JobOut, CompileError>;
-
-/// Runs the non-cached stages of one (statement, read) job. Emits the
-/// same lane / span / ledger structure as the classic pipeline for every
-/// stage it actually runs.
+/// Runs one (statement, read) job: the Last Write Tree, cached or built;
+/// stop if `opt` is cached; derive the communication sets from the tree;
+/// optimise them. Emits the same lane / span / ledger structure as the
+/// classic pipeline for every phase it actually runs — none at all when
+/// both stages were served.
 fn run_read_job(
     input: &CompileInput,
     options: Options,
     stmts: &[StmtInfo],
     plan: &JobPlan,
-) -> ReadResult {
+) -> Result<JobOut, CompileError> {
+    if plan.lwt.is_some() && plan.opt.is_some() {
+        return Ok(JobOut::default());
+    }
     let (si, r) = (plan.si, plan.r);
     let s = &stmts[si];
     let reads = s.stmt.rhs.reads();
-    let read = &reads[r];
+    let read = reads[r];
     // Keyed by textual order: each job's records stay contiguous in its
     // own lane.
     let _lane = obs::lane(obs::read_lane(si, r), format!("read S{}#{r}", s.id));
@@ -826,150 +691,89 @@ fn run_read_job(
             obs::field("access", format!("{read}")),
         ]
     });
-    match options.strategy {
-        Strategy::ValueCentric => {
-            let new_lwt = match &plan.cached_lwt {
-                Some(_) => None,
-                None => {
-                    let lwt = {
-                        let _s = obs::span("lwt");
-                        let _c = ledger::push_context("lwt");
-                        build_lwt(&input.program, s.id, r)?
-                    };
-                    obs::event_f("lwt.done", || {
-                        vec![
-                            obs::field("leaves", lwt.leaves.len()),
-                            obs::field("approximate", lwt.approximate),
-                        ]
-                    });
-                    Some(lwt)
-                }
+    let new_lwt = match (&plan.lwt, options.strategy) {
+        (Some(_), _) => None,
+        (None, Strategy::ValueCentric) => {
+            let lwt = {
+                let _s = obs::span("lwt");
+                let _c = ledger::push_context("lwt");
+                build_lwt(&input.program, s.id, r)?
             };
-            // A cached opt output supersedes everything downstream of
-            // the lwt: stop here.
-            if plan.cached_opt.is_some() {
-                return Ok(JobOut {
-                    new_lwt,
-                    new_comm: None,
-                    opt: None,
-                });
-            }
-            let lwt: &LastWriteTree = plan
-                .cached_lwt
-                .as_deref()
-                .or(new_lwt.as_ref())
-                .expect("lwt cached or computed");
+            obs::event_f("lwt.done", || {
+                vec![
+                    obs::field("leaves", lwt.leaves.len()),
+                    obs::field("approximate", lwt.approximate),
+                ]
+            });
+            Some(lwt)
+        }
+        // Theorem 2: every read fetches from the owner under the static
+        // data decomposition, with no value information — a whole-domain
+        // ⊥ leaf.
+        (None, Strategy::LocationCentric) => {
+            Some(whole_domain_tree(&input.program, s, r, &read.array))
+        }
+    };
+    // A cached opt output supersedes everything downstream of the tree.
+    if plan.opt.is_some() {
+        return Ok(JobOut {
+            lwt: new_lwt,
+            opt: None,
+        });
+    }
+    let lwt: &LastWriteTree = plan
+        .lwt
+        .as_deref()
+        .or(new_lwt.as_ref())
+        .expect("lwt cached or built");
 
-            let new_comm = match &plan.cached_comm {
-                Some(_) => None,
-                None => {
-                    let _commsets_span = obs::span("commsets");
-                    let _commsets_ctx = ledger::push_context("commsets");
-                    let mut tree_sets: Vec<CommSet> = Vec::new();
-                    for leaf in &lwt.leaves {
-                        match &leaf.source {
-                            Some(src) => {
-                                let winfo = &stmts[src.write_stmt];
-                                let comp_r = &input.comps[&s.id];
-                                let comp_w = &input.comps[&winfo.id];
-                                let sets = comm_from_leaf(
-                                    &input.program,
-                                    lwt,
-                                    leaf,
-                                    s,
-                                    winfo,
-                                    comp_r,
-                                    comp_w,
-                                )?;
-                                tree_sets.extend(sets);
-                            }
-                            None => {
-                                // Live-in data: if the array has a declared
-                                // home, Theorem 4 communication; otherwise
-                                // it is replicated and local.
-                                if let Some(d) = input.initial.get(&read.array) {
-                                    let comp_r = &input.comps[&s.id];
-                                    let sets =
-                                        comm_from_initial(&input.program, lwt, leaf, s, comp_r, d)?;
-                                    tree_sets.extend(sets);
-                                }
-                            }
-                        }
+    let comp_r = &input.comps[&s.id];
+    let home = input.initial.get(&read.array);
+    let sets = match options.strategy {
+        Strategy::ValueCentric => {
+            let _s = obs::span("commsets");
+            let _c = ledger::push_context("commsets");
+            let mut sets: Vec<CommSet> = Vec::new();
+            for leaf in &lwt.leaves {
+                match (&leaf.source, home) {
+                    (Some(src), _) => {
+                        let winfo = &stmts[src.write_stmt];
+                        let comp_w = &input.comps[&winfo.id];
+                        sets.extend(comm_from_leaf(
+                            &input.program,
+                            lwt,
+                            leaf,
+                            s,
+                            winfo,
+                            comp_r,
+                            comp_w,
+                        )?);
                     }
-                    drop(_commsets_ctx);
-                    drop(_commsets_span);
-                    obs::event_f("commsets.done", || {
-                        vec![obs::field("sets", tree_sets.len())]
-                    });
-                    Some(tree_sets)
+                    // Live-in data: if the array has a declared home,
+                    // Theorem 4 communication; otherwise it is replicated
+                    // and local.
+                    (None, Some(d)) => {
+                        sets.extend(comm_from_initial(&input.program, lwt, leaf, s, comp_r, d)?);
+                    }
+                    (None, None) => {}
                 }
-            };
-            let sets_in: Vec<CommSet> = plan
-                .cached_comm
-                .as_deref()
-                .or(new_comm.as_ref())
-                .expect("commsets cached or computed")
-                .clone();
-            // §6.1 optimizations, per tree.
-            let opt = optimize_sets(sets_in, input, options)?;
-            Ok(JobOut {
-                new_lwt,
-                new_comm,
-                opt: Some(opt),
-            })
+            }
+            sets
         }
         Strategy::LocationCentric => {
-            // Theorem 2: every read fetches from the owner under
-            // the static data decomposition, with no value
-            // information — build a whole-domain ⊥ leaf.
-            let new_lwt = match &plan.cached_lwt {
-                Some(_) => None,
-                None => Some(whole_domain_tree(&input.program, s, r, &read.array)),
-            };
-            if plan.cached_opt.is_some() {
-                return Ok(JobOut {
-                    new_lwt,
-                    new_comm: None,
-                    opt: None,
-                });
-            }
-            let lwt: &LastWriteTree = plan
-                .cached_lwt
-                .as_deref()
-                .or(new_lwt.as_ref())
-                .expect("lwt cached or computed");
-            let new_comm = match &plan.cached_comm {
-                Some(_) => None,
-                None => {
-                    let d = input
-                        .initial
-                        .get(&read.array)
-                        .ok_or_else(|| CompileError::MissingInitial(read.array.clone()))?;
-                    let leaf = &lwt.leaves[0];
-                    let comp_r = &input.comps[&s.id];
-                    let sets = {
-                        let _s = obs::span("commsets");
-                        let _c = ledger::push_context("commsets");
-                        comm_from_initial(&input.program, lwt, leaf, s, comp_r, d)?
-                    };
-                    obs::event_f("commsets.done", || vec![obs::field("sets", sets.len())]);
-                    Some(sets)
-                }
-            };
-            let sets_in: Vec<CommSet> = plan
-                .cached_comm
-                .as_deref()
-                .or(new_comm.as_ref())
-                .expect("commsets cached or computed")
-                .clone();
-            let opt = optimize_sets(sets_in, input, options)?;
-            Ok(JobOut {
-                new_lwt,
-                new_comm,
-                opt: Some(opt),
-            })
+            let d = home.ok_or_else(|| CompileError::MissingInitial(read.array.clone()))?;
+            let _s = obs::span("commsets");
+            let _c = ledger::push_context("commsets");
+            comm_from_initial(&input.program, lwt, &lwt.leaves[0], s, comp_r, d)?
         }
-    }
+    };
+    obs::event_f("commsets.done", || vec![obs::field("sets", sets.len())]);
+    // §6.1 optimizations, per tree.
+    let opt = optimize_sets(sets, input, options)?;
+    Ok(JobOut {
+        lwt: new_lwt,
+        opt: Some(opt),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -977,14 +781,6 @@ fn run_read_job(
 //
 // Tags 50–59 are reserved for stage-key discriminators so no stage key can
 // collide with a plain value fingerprint or with another stage's key.
-
-/// The `stmt-info` stage key: the whole program.
-fn stmt_info_fp(program: &Program) -> Fingerprint {
-    let mut h = Fp::new();
-    h.tag(51);
-    program.fp(&mut h);
-    h.finish()
-}
 
 /// Feeds the analysis-relevant options: strategy and the feasibility
 /// budget (an exhausted budget yields conservative `Unknown` answers that
@@ -1000,34 +796,73 @@ fn analysis_options_fp(options: &Options, h: &mut Fp) {
 fn lwt_fp(
     input: &CompileInput,
     options: &Options,
-    stmts: &[StmtInfo],
     si: usize,
     r: usize,
+    read: &ArrayRef,
 ) -> Fingerprint {
     let mut h = Fp::new();
     h.tag(52);
     skeleton_fp(&input.program, &mut h);
     h.usize(si);
     h.usize(r);
-    stmts[si].stmt.rhs.reads()[r].fp(&mut h);
+    read.fp(&mut h);
     analysis_options_fp(options, &mut h);
     h.finish()
 }
 
-/// The per-read `commsets` stage key: the lwt chain plus every
-/// computation decomposition (writer statements contribute theirs) and
-/// the read array's initial decomposition. Still grid-free.
-fn commsets_fp(lwt_key: Fingerprint, input: &CompileInput, array: &str) -> Fingerprint {
-    let mut h = Fp::new();
-    h.tag(53);
-    h.fingerprint(lwt_key);
+/// Feeds every computation decomposition, keyed by statement id.
+fn comps_fp(input: &CompileInput, h: &mut Fp) {
     h.usize(input.comps.len());
     for (id, comp) in &input.comps {
         h.usize(*id);
-        comp.fp(&mut h);
+        comp.fp(h);
     }
-    // The read's array identity is already pinned by the lwt chain; what
-    // matters here is where that array's live-in data resides.
+}
+
+/// Feeds every decomposition of the input: the computation ones, then
+/// the initial data ones sorted by array name.
+fn decomps_fp(input: &CompileInput, h: &mut Fp) {
+    comps_fp(input, h);
+    let mut entries: Vec<_> = input.initial.iter().collect();
+    entries.sort_by_key(|(name, _)| *name);
+    h.usize(entries.len());
+    for (name, d) in entries {
+        h.str(name);
+        d.fp(h);
+    }
+}
+
+/// Feeds the six §6 flags.
+fn opt_flags_fp(o: &Options, h: &mut Fp) {
+    for flag in [
+        o.self_reuse,
+        o.cross_set_reuse,
+        o.already_local,
+        o.unique_sender,
+        o.aggregate,
+        o.multicast,
+    ] {
+        h.bool(flag);
+    }
+}
+
+/// The per-read `opt` stage key, in two links. The inner one (tag 53) is
+/// what the communication sets are a function of: the lwt chain plus
+/// every computation decomposition (writer statements contribute theirs)
+/// and where the read array's live-in data resides (its identity is
+/// already pinned by the lwt chain) — still grid-free. The outer one adds
+/// each declared pass's enablement and self-declared fingerprint (grid
+/// extents enter here, via receiver folding).
+fn opt_fp(
+    lwt_key: Fingerprint,
+    input: &CompileInput,
+    options: &Options,
+    array: &str,
+) -> Fingerprint {
+    let mut h = Fp::new();
+    h.tag(53);
+    h.fingerprint(lwt_key);
+    comps_fp(input, &mut h);
     match input.initial.get(array) {
         Some(d) => {
             h.tag(1);
@@ -1035,16 +870,10 @@ fn commsets_fp(lwt_key: Fingerprint, input: &CompileInput, array: &str) -> Finge
         }
         None => h.tag(0),
     }
-    h.finish()
-}
-
-/// The per-read `opt` stage key: the commsets chain plus each declared
-/// pass's enablement and self-declared fingerprint (grid extents enter
-/// here, via receiver folding).
-fn opt_fp(comm_key: Fingerprint, input: &CompileInput, options: &Options) -> Fingerprint {
+    let sets_key = h.finish();
     let mut h = Fp::new();
     h.tag(54);
-    h.fingerprint(comm_key);
+    h.fingerprint(sets_key);
     for pass in OPT_PASSES {
         h.str(pass.name);
         let on = (pass.enabled)(options);
@@ -1056,53 +885,34 @@ fn opt_fp(comm_key: Fingerprint, input: &CompileInput, options: &Options) -> Fin
     h.finish()
 }
 
-/// The `aggregate` stage key: everything the optimized communication
-/// sets are a deterministic function of (program, decompositions, grid,
+/// The `schedule` stage key, in two links. The inner one (tag 55) is what
+/// the raw message enumeration is a function of: everything the optimized
+/// communication sets depend on (program, decompositions, grid,
 /// answer-relevant options) plus the concrete parameters and the
-/// enumeration limit.
-pub(crate) fn aggregate_fp(compiled: &Compiled, param_vals: &[i128], limit: usize) -> Fingerprint {
+/// enumeration limit. The outer one adds the payload mode.
+pub(crate) fn schedule_fp(
+    compiled: &Compiled,
+    param_vals: &[i128],
+    values: bool,
+    limit: usize,
+) -> Fingerprint {
     let mut h = Fp::new();
     h.tag(55);
     let input = &compiled.input;
     input.program.fp(&mut h);
-    h.usize(input.comps.len());
-    for (id, comp) in &input.comps {
-        h.usize(*id);
-        comp.fp(&mut h);
-    }
-    let mut entries: Vec<_> = input.initial.iter().collect();
-    entries.sort_by_key(|(name, _)| *name);
-    h.usize(entries.len());
-    for (name, d) in entries {
-        h.str(name);
-        d.fp(&mut h);
-    }
+    decomps_fp(input, &mut h);
     input.grid.fp(&mut h);
-    let o = &compiled.options;
-    analysis_options_fp(o, &mut h);
-    for flag in [
-        o.self_reuse,
-        o.cross_set_reuse,
-        o.already_local,
-        o.unique_sender,
-        o.aggregate,
-        o.multicast,
-    ] {
-        h.bool(flag);
-    }
+    analysis_options_fp(&compiled.options, &mut h);
+    opt_flags_fp(&compiled.options, &mut h);
     h.usize(param_vals.len());
     for &v in param_vals {
         h.i128(v);
     }
     h.usize(limit);
-    h.finish()
-}
-
-/// The `schedule` stage key: the aggregate chain plus the payload mode.
-pub(crate) fn schedule_fp(agg_key: Fingerprint, values: bool) -> Fingerprint {
+    let messages_key = h.finish();
     let mut h = Fp::new();
     h.tag(56);
-    h.fingerprint(agg_key);
+    h.fingerprint(messages_key);
     h.bool(values);
     h.finish()
 }
@@ -1127,18 +937,7 @@ fn decomp_only_fp(input: &CompileInput) -> Fingerprint {
     let mut h = Fp::new();
     h.tag(57);
     h.u64(1);
-    h.usize(input.comps.len());
-    for (id, comp) in &input.comps {
-        h.usize(*id);
-        comp.fp(&mut h);
-    }
-    let mut entries: Vec<_> = input.initial.iter().collect();
-    entries.sort_by_key(|(name, _)| *name);
-    h.usize(entries.len());
-    for (name, d) in entries {
-        h.str(name);
-        d.fp(&mut h);
-    }
+    decomps_fp(input, &mut h);
     h.finish()
 }
 
@@ -1159,16 +958,7 @@ fn options_only_fp(options: &Options) -> Fingerprint {
     h.tag(57);
     h.u64(3);
     analysis_options_fp(options, &mut h);
-    for flag in [
-        options.self_reuse,
-        options.cross_set_reuse,
-        options.already_local,
-        options.unique_sender,
-        options.aggregate,
-        options.multicast,
-    ] {
-        h.bool(flag);
-    }
+    opt_flags_fp(options, &mut h);
     h.finish()
 }
 

@@ -26,10 +26,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dmc_commgen::{CommSet, Message};
+use dmc_commgen::CommSet;
 use dmc_dataflow::LastWriteTree;
 use dmc_ir::fp::Fingerprint;
-use dmc_ir::{Program, StmtInfo};
+use dmc_ir::Program;
 use dmc_machine::Schedule;
 use dmc_obs as obs;
 use dmc_polyhedra::codec::{decode_from_slice, Codec, CodecError, Enc};
@@ -43,34 +43,31 @@ pub const CODEC_VERSION: u8 = 1;
 
 /// A stage in the session's compilation DAG, as a store key component.
 /// The numeric [tag](StageId::tag) is part of the persisted payload
-/// framing, so variants must never be renumbered — only appended.
+/// framing and of the on-disk file names, so a tag is never renumbered
+/// and never reused. Tags 1, 3 and 5 are **retired**: they belonged to
+/// the `stmt-info`, `commsets` and `aggregate` stages, whose artifacts
+/// cost more to store than any request saved by loading them. A store
+/// directory written while they existed still holds such entries; no
+/// [`StageId`] names them, so they are never looked up and a bounded
+/// store evicts them like any other entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum StageId {
     /// Source text → [`Program`].
     Parse,
-    /// Program → per-statement contexts.
-    StmtInfo,
     /// One read's Last Write Tree.
     Lwt,
-    /// One read's raw communication sets.
-    CommSets,
-    /// One read's §6-optimized sets.
+    /// One read's §6-optimized communication sets.
     Opt,
-    /// Raw per-set message enumeration.
-    Aggregate,
     /// The legality-refined machine schedule.
     Schedule,
 }
 
 impl StageId {
     /// Every stage, in pipeline order.
-    pub const ALL: [StageId; 7] = [
+    pub const ALL: [StageId; 4] = [
         StageId::Parse,
-        StageId::StmtInfo,
         StageId::Lwt,
-        StageId::CommSets,
         StageId::Opt,
-        StageId::Aggregate,
         StageId::Schedule,
     ];
 
@@ -78,16 +75,14 @@ impl StageId {
     pub fn tag(self) -> u8 {
         match self {
             StageId::Parse => 0,
-            StageId::StmtInfo => 1,
             StageId::Lwt => 2,
-            StageId::CommSets => 3,
             StageId::Opt => 4,
-            StageId::Aggregate => 5,
             StageId::Schedule => 6,
         }
     }
 
-    /// The inverse of [`StageId::tag`].
+    /// The inverse of [`StageId::tag`]; `None` for a retired or unknown
+    /// tag.
     pub fn from_tag(tag: u8) -> Option<StageId> {
         StageId::ALL.into_iter().find(|s| s.tag() == tag)
     }
@@ -96,31 +91,23 @@ impl StageId {
     pub fn name(self) -> &'static str {
         match self {
             StageId::Parse => stage::PARSE,
-            StageId::StmtInfo => stage::STMT_INFO,
             StageId::Lwt => stage::LWT,
-            StageId::CommSets => stage::COMMSETS,
             StageId::Opt => stage::OPT,
-            StageId::Aggregate => stage::AGGREGATE,
             StageId::Schedule => stage::SCHEDULE,
         }
     }
 }
 
 /// One cached stage output, shared out as [`Arc`] clones. The variant is
-/// determined by the stage: `CommSets` serves both the `commsets` and
-/// `opt` stages (same value type, different keys).
+/// determined by the stage.
 #[derive(Clone, Debug)]
 pub enum Artifact {
     /// A parsed program (`parse`).
     Program(Arc<Program>),
-    /// Per-statement contexts (`stmt-info`).
-    StmtInfo(Arc<Vec<StmtInfo>>),
     /// One read's Last Write Tree (`lwt`).
     Lwt(Arc<LastWriteTree>),
-    /// One read's communication sets (`commsets` and `opt`).
+    /// One read's optimized communication sets (`opt`).
     CommSets(Arc<Vec<CommSet>>),
-    /// Aggregated message plans (`aggregate`).
-    Messages(Arc<Vec<Vec<Message>>>),
     /// A machine schedule (`schedule`).
     Schedule(Arc<Schedule>),
 }
@@ -135,10 +122,8 @@ impl Artifact {
         e.u8(stage.tag());
         match self {
             Artifact::Program(v) => v.encode(&mut e),
-            Artifact::StmtInfo(v) => v.encode(&mut e),
             Artifact::Lwt(v) => v.encode(&mut e),
             Artifact::CommSets(v) => v.encode(&mut e),
-            Artifact::Messages(v) => v.encode(&mut e),
             Artifact::Schedule(v) => v.encode(&mut e),
         }
         e.into_bytes()
@@ -166,12 +151,8 @@ impl Artifact {
         }
         Ok(match stage {
             StageId::Parse => Artifact::Program(Arc::new(decode_from_slice(body)?)),
-            StageId::StmtInfo => Artifact::StmtInfo(Arc::new(decode_from_slice(body)?)),
             StageId::Lwt => Artifact::Lwt(Arc::new(decode_from_slice(body)?)),
-            StageId::CommSets | StageId::Opt => {
-                Artifact::CommSets(Arc::new(decode_from_slice(body)?))
-            }
-            StageId::Aggregate => Artifact::Messages(Arc::new(decode_from_slice(body)?)),
+            StageId::Opt => Artifact::CommSets(Arc::new(decode_from_slice(body)?)),
             StageId::Schedule => Artifact::Schedule(Arc::new(decode_from_slice(body)?)),
         })
     }
@@ -343,7 +324,11 @@ mod tests {
         for s in StageId::ALL {
             assert_eq!(StageId::from_tag(s.tag()), Some(s));
         }
-        assert_eq!(StageId::from_tag(7), None);
+        assert_eq!(StageId::ALL.map(StageId::tag), [0, 2, 4, 6]);
+        // Retired tags (1, 3, 5) and unknown ones name no stage.
+        for tag in [1, 3, 5, 7] {
+            assert_eq!(StageId::from_tag(tag), None);
+        }
     }
 
     #[test]

@@ -96,8 +96,8 @@ fn recompile_is_all_hits_and_byte_identical() {
         .expect("fresh compile");
     let (h0, m0) = (session.stats().stage_hits, session.stats().stage_misses);
     assert_eq!(h0, 0, "an empty session has nothing to hit");
-    // 1 stmt-info + 5 reads x (lwt + commsets + opt).
-    assert_eq!(m0, 16, "{:?}", session.stats());
+    // 5 reads x (lwt + opt).
+    assert_eq!(m0, 10, "{:?}", session.stats());
 
     let again = session
         .compile(lu_input(4), Options::full())
@@ -109,7 +109,7 @@ fn recompile_is_all_hits_and_byte_identical() {
     );
     assert_eq!(
         session.stats().stage_hits,
-        16,
+        10,
         "every stage lookup must be served from the store: {:?}",
         session.stats()
     );
@@ -135,27 +135,26 @@ fn session_output_matches_wrapper() {
     }
 }
 
-/// Editing one read's subscript re-runs only that read's chain (plus the
-/// whole-program stmt-info stage): the other read's Last Write Tree is
-/// keyed by the program *skeleton*, which ignores right-hand sides.
+/// Editing one read's subscript re-runs only that read's chain: the other
+/// read's Last Write Tree is keyed by the program *skeleton*, which
+/// ignores right-hand sides.
 #[test]
 fn single_read_edit_reruns_only_that_chain() {
     let mut session = Session::new();
     session
         .compile(xy_input(1, 4), Options::full())
         .expect("first");
-    // 1 stmt-info + 2 reads x 3 stages.
-    assert_eq!(session.stats().stage_misses, 7, "{:?}", session.stats());
+    // 2 reads x (lwt + opt).
+    assert_eq!(session.stats().stage_misses, 4, "{:?}", session.stats());
 
     let edited = session
         .compile(xy_input(2, 4), Options::full())
         .expect("edited");
-    // Changed: stmt-info (whole program) + the X read's lwt/commsets/opt.
-    assert_eq!(session.stats().stage_misses, 7 + 4, "{:?}", session.stats());
+    // Changed: the X read's lwt and opt.
+    assert_eq!(session.stats().stage_misses, 4 + 2, "{:?}", session.stats());
     // Unchanged: the Y[j] read's full chain.
-    assert_eq!(session.stats().stage_hits, 3, "{:?}", session.stats());
+    assert_eq!(session.stats().stage_hits, 2, "{:?}", session.stats());
     assert_eq!(stage(&session, "lwt"), (1, 3));
-    assert_eq!(stage(&session, "commsets"), (1, 3));
     assert_eq!(stage(&session, "opt"), (1, 3));
 
     // And the edited result equals a from-scratch compile of the edited
@@ -164,37 +163,37 @@ fn single_read_edit_reruns_only_that_chain() {
     assert_eq!(outputs(&edited), outputs(&scratch));
 }
 
-/// A processor-count sweep reuses everything grid-independent: the Last
-/// Write Trees and communication sets are keyed without the grid (it only
-/// enters at the `opt` stage, via receiver folding).
+/// A processor-count sweep builds no Last Write Tree twice: the trees are
+/// keyed without the grid (it only enters at the `opt` stage, via receiver
+/// folding).
 #[test]
 fn proc_count_sweep_reuses_analysis_stages() {
     let mut session = Session::new();
     session
         .compile(lu_input(2), Options::full())
         .expect("nproc=2");
-    assert_eq!(session.stats().stage_misses, 16);
+    assert_eq!(session.stats().stage_misses, 10);
 
     for (k, nproc) in [4i128, 8].into_iter().enumerate() {
         let swept = session
             .compile(lu_input(nproc), Options::full())
             .expect("swept");
         let done = k as u64 + 2;
-        // Per extra compile: stmt-info + 5 lwt + 5 commsets hit; 5 opt miss.
+        // Per extra compile: 5 lwt hit; 5 opt miss.
         assert_eq!(
             session.stats().stage_hits,
-            11 * (done - 1),
+            5 * (done - 1),
             "{:?}",
             session.stats()
         );
         assert_eq!(
             session.stats().stage_misses,
-            16 + 5 * (done - 1),
+            10 + 5 * (done - 1),
             "{:?}",
             session.stats()
         );
         assert_eq!(stage(&session, "lwt"), (5 * (done - 1), 5));
-        assert_eq!(stage(&session, "stmt-info"), (done - 1, 1));
+        assert_eq!(stage(&session, "opt"), (0, 5 * done));
 
         let scratch = compile(lu_input(nproc), Options::full()).expect("scratch");
         assert_eq!(outputs(&swept), outputs(&scratch));
@@ -212,7 +211,7 @@ fn option_relevance_is_reflected_in_stage_keys() {
     let baseline = session.stats().stage_misses;
 
     // A different feasibility budget can change answers: full re-run of
-    // the per-read chains (stmt-info is options-independent and hits).
+    // the per-read chains.
     let opts = Options {
         feasibility_budget: 77,
         ..Options::full()
@@ -220,15 +219,14 @@ fn option_relevance_is_reflected_in_stage_keys() {
     session.compile(xy_input(1, 4), opts).expect("budget");
     assert_eq!(
         session.stats().stage_misses,
-        baseline + 6,
+        baseline + 4,
         "{:?}",
         session.stats()
     );
-    assert_eq!(stage(&session, "stmt-info"), (1, 1));
 }
 
 /// `Session::build_schedule` and `Session::message_stats` reuse the
-/// aggregate and schedule stages — and agree with the classic functions.
+/// schedule stage — and agree with the classic functions.
 #[test]
 fn schedule_stages_are_cached_and_equivalent() {
     let input = lu_input(4);
@@ -240,32 +238,24 @@ fn schedule_stages_are_cached_and_equivalent() {
         .message_stats(&compiled, &[10], 1_000_000)
         .expect("session stats");
     assert_eq!(first, classic);
-    assert_eq!(stage(&session, "aggregate"), (0, 1));
     assert_eq!(stage(&session, "schedule"), (0, 1));
 
     let second = session
         .message_stats(&compiled, &[10], 1_000_000)
         .expect("cached stats");
     assert_eq!(second, classic);
-    assert_eq!(
-        stage(&session, "aggregate"),
-        (0, 1),
-        "schedule hit short-circuits aggregate"
-    );
     assert_eq!(stage(&session, "schedule"), (1, 1));
 
-    // Different parameter values are a different aggregate chain.
+    // Different parameter values are a different schedule.
     session
         .message_stats(&compiled, &[12], 1_000_000)
         .expect("new params");
-    assert_eq!(stage(&session, "aggregate"), (0, 2));
     assert_eq!(stage(&session, "schedule"), (1, 2));
 
-    // Values mode shares the aggregate stage but not the schedule.
+    // So is values mode.
     let sched = session
         .build_schedule(&compiled, &[12], true, 1_000_000)
         .expect("values");
-    assert_eq!(stage(&session, "aggregate"), (1, 2));
     assert_eq!(stage(&session, "schedule"), (1, 3));
     let classic_sched =
         dmc_core::build_schedule(&compiled, &[12], true, 1_000_000).expect("classic");

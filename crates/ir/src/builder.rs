@@ -1,4 +1,4 @@
-//! Ergonomic constructors for building [`Program`]s in Rust code.
+//! Ergonomic constructors for building [`crate::Program`]s in Rust code.
 //!
 //! These free functions keep example and test programs close to the paper's
 //! notation:

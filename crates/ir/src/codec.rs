@@ -1,5 +1,5 @@
-//! [`Codec`] impls for the IR: programs, statements and the
-//! per-statement contexts (`StmtInfo`) the `stmt-info` stage caches.
+//! [`Codec`] impls for the IR: programs and their statements, what the
+//! `parse` stage persists.
 //!
 //! See `dmc_polyhedra::codec` for the encoding discipline (fixed field
 //! order, length prefixes, fixed-width little-endian integers). Every
@@ -9,9 +9,7 @@
 use dmc_polyhedra::codec::{Codec, CodecError, Dec, Enc};
 
 use crate::aff::Aff;
-use crate::program::{
-    ArrayDecl, ArrayRef, BinOp, Loop, LoopMeta, Node, Program, ScalarExpr, Statement, StmtInfo,
-};
+use crate::program::{ArrayDecl, ArrayRef, BinOp, Loop, Node, Program, ScalarExpr, Statement};
 
 impl Codec for Aff {
     fn encode(&self, e: &mut Enc) {
@@ -194,40 +192,6 @@ impl Codec for Program {
     }
 }
 
-impl Codec for LoopMeta {
-    fn encode(&self, e: &mut Enc) {
-        e.usize(self.id);
-        e.str(&self.var);
-        self.lower.encode(e);
-        self.upper.encode(e);
-    }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(LoopMeta {
-            id: d.usize()?,
-            var: d.str()?,
-            lower: Aff::decode(d)?,
-            upper: Aff::decode(d)?,
-        })
-    }
-}
-
-impl Codec for StmtInfo {
-    fn encode(&self, e: &mut Enc) {
-        e.usize(self.id);
-        self.loops.encode(e);
-        self.position.encode(e);
-        self.stmt.encode(e);
-    }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(StmtInfo {
-            id: d.usize()?,
-            loops: Vec::<LoopMeta>::decode(d)?,
-            position: Vec::<usize>::decode(d)?,
-            stmt: Statement::decode(d)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use dmc_polyhedra::codec::{decode_from_slice, encode_to_vec};
@@ -342,8 +306,7 @@ mod tests {
     }
 
     /// Random nested programs: encode → decode → re-encode is the
-    /// identity on bytes and values, and the derived per-statement
-    /// contexts round-trip too.
+    /// identity on bytes and values.
     #[test]
     fn program_round_trips() {
         let mut rng = XorShift::new(0xA11CE);
@@ -353,12 +316,6 @@ mod tests {
             let back: Program = decode_from_slice(&bytes).expect("program decodes");
             assert_eq!(back, p);
             assert_eq!(encode_to_vec(&back), bytes, "byte-identical re-encode");
-
-            let stmts = p.statements();
-            let sbytes = encode_to_vec(&stmts);
-            let sback: Vec<StmtInfo> = decode_from_slice(&sbytes).expect("stmt-info decodes");
-            assert_eq!(sback, stmts);
-            assert_eq!(encode_to_vec(&sback), sbytes);
         }
     }
 

@@ -101,7 +101,7 @@ impl Member {
 /// Integer feasibility of every system in `polys`, exploiting shared
 /// coefficient matrices: one solver query can resolve a whole dominance
 /// chain of a uniformly-generated family. `out[i]` corresponds to
-/// `polys[i]`. See the [module docs](self) for the grouping and
+/// `polys[i]`. See the `batch` module docs for the grouping and
 /// propagation rules.
 ///
 /// # Errors

@@ -21,7 +21,7 @@
 //! one thread, so every stage of it — and every later compile on that
 //! thread — shares them), bounded (cleared wholesale past a size
 //! cap), and invalidated whenever the effective feasibility budget changes
-//! or the work ledger turns on (see [`stats`](crate::stats)'s epoch).
+//! or the work ledger turns on (see [`stats`]'s epoch).
 
 use std::cell::RefCell;
 use std::collections::HashMap;

@@ -1,6 +1,6 @@
 //! Work ledger: per-operation profiling records for the polyhedral engine.
 //!
-//! [`stats`](crate::stats) counts *how much* work the engine did; the
+//! [`stats`] counts *how much* work the engine did; the
 //! ledger records *which operation* did it and *on whose behalf*. When
 //! enabled (see [`start`]) every Fourier–Motzkin step, projection,
 //! integer-feasibility query, redundancy pass, and parametric-lexmax case

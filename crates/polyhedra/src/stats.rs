@@ -15,7 +15,7 @@
 //! push a thread runs under [`DEFAULT_FEASIBILITY_BUDGET`].
 //!
 //! A budget change that takes effect bumps a thread-local epoch, and
-//! turning the work ledger on bumps a process-wide one; [`epoch`] is their
+//! turning the work ledger on bumps a process-wide one; `epoch` is their
 //! sum, so a memoized answer is served only under the budget and ledger
 //! state it was computed in. Pushing the already-effective budget is free
 //! (no invalidation).

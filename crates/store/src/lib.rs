@@ -288,7 +288,9 @@ impl DiskStore {
     }
 
     /// Resident keys, sorted (stage tag, fingerprint) — a deterministic
-    /// inventory for checks and reports.
+    /// inventory for checks and reports. Entries under a retired stage
+    /// tag stay in the index (and in [`StoreStats`]) until evicted, but
+    /// have no [`StageId`] and are not listed.
     pub fn keys(&self) -> Vec<(StageId, Fingerprint)> {
         let mut keys: Vec<_> = self.index.entries.keys().copied().collect();
         keys.sort_unstable();
@@ -312,11 +314,17 @@ impl DiskStore {
 
     /// The artifact file path for a key.
     pub fn path_of(&self, stage: StageId, key: Fingerprint) -> PathBuf {
-        let hex = format!("{:032x}", key.0);
+        self.shard_path((stage.tag(), key.0))
+    }
+
+    /// The artifact file path of an index key, whether or not its tag
+    /// still names a stage.
+    fn shard_path(&self, (tag, fp): Key) -> PathBuf {
+        let hex = format!("{fp:032x}");
         self.root
             .join("shards")
             .join(&hex[..2])
-            .join(format!("{:02x}-{hex}.art", stage.tag()))
+            .join(format!("{tag:02x}-{hex}.art"))
     }
 
     fn log_is_long(&self) -> bool {
@@ -454,7 +462,9 @@ impl DiskStore {
 
     /// Evicts lowest-sequence entries until the byte bound holds. The
     /// bound is hard: the just-written entry has the highest sequence,
-    /// so it is evicted only when it alone exceeds the bound.
+    /// so it is evicted only when it alone exceeds the bound. An entry
+    /// under a tag no [`StageId`] names (a retired stage's) goes the same
+    /// way, file and all.
     fn evict_to_bound(&mut self) {
         let Some(max) = self.max_bytes else { return };
         while self.index.bytes_total > max {
@@ -465,10 +475,8 @@ impl DiskStore {
                 .min_by_key(|&(&key, e)| (e.seq, key))
                 .map(|(&key, _)| key);
             let Some(key) = victim else { break };
-            if let Some(stage) = StageId::from_tag(key.0) {
-                let _ = fs::remove_file(self.path_of(stage, Fingerprint(key.1)));
-                self.evictions += 1;
-            }
+            let _ = fs::remove_file(self.shard_path(key));
+            self.evictions += 1;
             self.drop_entry(key);
         }
     }
@@ -588,6 +596,16 @@ mod tests {
         Artifact::Program(Arc::new(dmc_ir::parse(&src).expect("parses")))
     }
 
+    /// An empty Last Write Tree, decoded from its payload because this
+    /// crate cannot name the type: five zero `u64`s (two ids, then the
+    /// lengths of an empty array name, of no read dims and of no leaves)
+    /// and `approximate = false`.
+    fn lwt_artifact() -> Artifact {
+        let mut payload = vec![dmc_core::CODEC_VERSION, StageId::Lwt.tag()];
+        payload.extend([0u8; 5 * 8 + 1]);
+        Artifact::decode_payload(StageId::Lwt, &payload).expect("an empty tree decodes")
+    }
+
     fn key(i: u128) -> Fingerprint {
         Fingerprint(i.wrapping_mul(0x9e3779b97f4a7c15) | 1)
     }
@@ -661,6 +679,48 @@ mod tests {
         assert_eq!(t.stats().evictions, 1);
     }
 
+    /// A directory written while tags 1, 3 and 5 were stages holds
+    /// entries no `StageId` names. Under a byte bound they are evicted
+    /// like any other entry: file removed, eviction counted, bound held.
+    #[test]
+    fn retired_tag_entries_are_evicted_with_their_files() {
+        let dir = tmpdir("evict-retired");
+        let art = program_artifact(1);
+        let one = payload_len(&art);
+        {
+            let mut s = DiskStore::open(&dir, None).unwrap();
+            s.store(StageId::Parse, key(1), &art);
+        }
+        // What the previous version left behind: three index lines, older
+        // than the `Parse` entry, and the files they name.
+        let retired: Vec<Key> = [1u8, 3, 5].map(|tag| (tag, key(2).0)).to_vec();
+        let mut log = String::from(LOG_HEADER);
+        for (seq, &(tag, fp)) in retired.iter().enumerate() {
+            let _ = writeln!(log, "{seq}\t{tag}\t{fp:032x}\t{one}");
+        }
+        let _ = writeln!(log, "3\t0\t{:032x}\t{one}", key(1).0);
+        fs::write(dir.join("index.tsv"), log).unwrap();
+
+        // Room for two payloads: the next store pushes all three out.
+        let mut s = DiskStore::open(&dir, Some(2 * one)).unwrap();
+        let files: Vec<PathBuf> = retired.iter().map(|&k| s.shard_path(k)).collect();
+        for f in &files {
+            fs::create_dir_all(f.parent().unwrap()).unwrap();
+            fs::write(f, b"a retired stage's artifact").unwrap();
+        }
+        assert_eq!((s.stats().entries, s.stats().bytes), (4, 4 * one));
+        assert_eq!(s.keys(), [(StageId::Parse, key(1))]);
+
+        s.store(StageId::Parse, key(3), &art);
+        assert_eq!(s.stats().evictions, 3);
+        assert_eq!((s.stats().entries, s.stats().bytes), (2, 2 * one));
+        for f in &files {
+            assert!(!f.exists(), "{} leaked", f.display());
+        }
+        assert!(s.load(StageId::Parse, key(1)).is_some());
+        assert!(s.load(StageId::Parse, key(3)).is_some());
+    }
+
     #[test]
     fn corruption_quarantines_and_misses_cleanly() {
         let dir = tmpdir("corrupt");
@@ -686,18 +746,12 @@ mod tests {
     #[test]
     fn truncation_is_corruption() {
         let dir = tmpdir("truncate");
-        let art = program_artifact(2);
         let mut s = DiskStore::open(&dir, None).unwrap();
-        s.store(StageId::StmtInfo, key(9), &{
-            let Artifact::Program(p) = &art else {
-                unreachable!()
-            };
-            Artifact::StmtInfo(Arc::new(p.statements()))
-        });
-        let path = s.path_of(StageId::StmtInfo, key(9));
+        s.store(StageId::Lwt, key(9), &lwt_artifact());
+        let path = s.path_of(StageId::Lwt, key(9));
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-        assert!(s.load(StageId::StmtInfo, key(9)).is_none());
+        assert!(s.load(StageId::Lwt, key(9)).is_none());
         assert_eq!(s.stats().corrupt, 1);
         assert_eq!(s.quarantined().unwrap().len(), 1);
     }
@@ -921,14 +975,13 @@ mod tests {
                 (9, 0, key(1).0, 7),
             ]
         );
+        // The tag-1 line is a retired stage's (`stmt-info`): the entry
+        // and its 64 bytes stay in the index, `keys()` omits it.
         assert_eq!((s.index.next_seq, s.stats().bytes), (10, 191));
+        assert_eq!(s.stats().entries, 3);
         assert_eq!(
             s.keys(),
-            [
-                (StageId::Parse, key(1)),
-                (StageId::Parse, key(3)),
-                (StageId::StmtInfo, key(2)),
-            ]
+            [(StageId::Parse, key(1)), (StageId::Parse, key(3))]
         );
     }
 

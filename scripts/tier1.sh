@@ -20,6 +20,11 @@ cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 
+# Doc gate: a dangling or private intra-doc link is a failure. `--lib`
+# because the `dmc-store` library and the binary of that name in
+# crates/bench would otherwise both write `dmc_store/index.html`.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
+
 # Observability smoke: trace the stencil workload and validate the Chrome
 # export (well-formed JSON, balanced begin/end pairs, monotonic per-lane
 # timestamps) plus full message attribution in the explain report.
@@ -57,19 +62,19 @@ cargo run --release -p dmc-bench --bin dmc-critpath -- \
 
 # Stage-graph sessions: sweep every workload over four processor counts
 # inside one compilation session and verify that the cached artifacts are
-# identical to the one-shot pipeline's, that at least half of all stage
-# lookups hit, that recompiling an identical input re-runs nothing, and
-# that the explain report carries the Reuse section.
+# identical to the one-shot pipeline's, that no Last Write Tree is built
+# twice, that recompiling an identical input re-runs nothing, and that
+# the explain report carries the Reuse section.
 cargo run --release -p dmc-bench --bin dmc-session -- \
     --out-dir target/session-tier1 --check
 
 # Persistent artifact store: cold/warm byte identity over all four
-# workloads (a fresh process serves everything from disk and recomputes
-# nothing), eight more warm sweeps each adding one index-log line per
-# disk hit (the count-based guard that a load costs O(1), not
-# O(entries)), deterministic LRU eviction under a tiny byte bound, and
-# corruption-as-miss (every bit-flipped artifact is quarantined and
-# recomputed, never trusted).
+# workloads (a fresh process serves everything from disk, recomputes
+# nothing and loads exactly what the cold pass wrote), eight more warm
+# sweeps each adding one index-log line per disk hit (the count-based
+# guard that a load costs O(1), not O(entries)), deterministic LRU
+# eviction under a tiny byte bound, and corruption-as-miss (every
+# bit-flipped artifact is quarantined and recomputed, never trusted).
 cargo run --release -p dmc-bench --bin dmc-store -- \
     --check --cache-dir target/dmc-store-tier1
 
