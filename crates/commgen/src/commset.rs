@@ -420,10 +420,9 @@ fn split_ne(poly: &Polyhedron, dims: &CommDims) -> Result<Vec<Polyhedron>, PolyE
         let ps = LinExpr::var(n, dims.ps[k]);
         for (lhs, rhs) in [(&ps, &pr), (&pr, &ps)] {
             // lhs < rhs: rhs - lhs - 1 >= 0.
-            let mut piece = prefix.clone();
             let mut diff = rhs.sub(lhs)?;
             diff.set_constant(diff.constant_term() - 1);
-            piece.add(Constraint::ge(diff));
+            let piece = prefix.with_row(prefix.constraints().len(), Constraint::ge(diff));
             if piece.integer_feasibility()?.possibly_feasible() {
                 out.push(piece);
             }

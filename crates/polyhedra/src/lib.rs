@@ -58,7 +58,6 @@ mod scan;
 mod space;
 
 pub use batch::batch_feasibility;
-pub use cache::CanonicalKey;
 pub use constraint::{Constraint, ConstraintKind, Normalized};
 pub use lexopt::{lexopt, Direction, LexError, LexOpt, LexPiece};
 pub use linexpr::LinExpr;

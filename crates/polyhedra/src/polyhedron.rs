@@ -6,7 +6,7 @@
 use std::collections::HashSet;
 use std::fmt;
 
-use crate::cache::{self, CachedPoly, CanonicalKey, SeqKey};
+use crate::cache::{self, CachedPoly};
 use crate::constraint::Normalized;
 use crate::ledger;
 use crate::num;
@@ -173,37 +173,22 @@ impl Polyhedron {
         }
     }
 
-    /// An order-insensitive, hashable fingerprint of this polyhedron's
-    /// constraint system (arity + sorted normalized rows). Two polyhedra
-    /// with equal keys describe the same integer set regardless of
-    /// dimension names; the feasibility memo cache is keyed on this.
-    pub fn canonical_key(&self) -> CanonicalKey {
-        let mut rows: Vec<(bool, Vec<i128>, i128)> = self
-            .cons
-            .iter()
-            .map(|c| {
-                (
-                    c.is_eq(),
-                    c.expr().coeffs().to_vec(),
-                    c.expr().constant_term(),
-                )
-            })
-            .collect();
-        rows.sort_unstable();
-        CanonicalKey {
-            dims: self.space.len(),
-            contradiction: self.contradiction,
-            rows,
-        }
+    /// The order-insensitive exact encoding of this polyhedron's constraint
+    /// system (arity, contradiction flag, rows sorted by their encoding —
+    /// see [`crate::cache`]). Two polyhedra have equal keys exactly when
+    /// they hold the same constraint set over the same arity, whatever the
+    /// insertion order or the dimension names; the feasibility memo cache
+    /// is keyed on these bytes.
+    pub fn canonical_key(&self) -> Box<[u8]> {
+        cache::canonical_key(self.system())
     }
 
-    /// Exact-sequence cache key (see [`crate::cache`] on why projection
-    /// results must be keyed order-sensitively).
-    fn seq_key(&self) -> SeqKey {
-        SeqKey {
+    /// What the memo caches key this polyhedron by.
+    fn system(&self) -> cache::System<'_> {
+        cache::System {
             dims: self.space.len(),
             contradiction: self.contradiction,
-            rows: self.cons.clone(),
+            rows: &self.cons,
         }
     }
 
@@ -215,6 +200,49 @@ impl Polyhedron {
             contradiction: c.contradiction,
             index: HashSet::new(),
         }
+    }
+
+    /// A copy of this system with `c` as row `at`: in place of that row, or
+    /// appended when `at` is the row count. The copy holds what
+    /// [`add`](Polyhedron::add)ing those rows one by one to an empty
+    /// polyhedron builds — `c` normalized (a tautology dropped, a
+    /// contradiction recorded), every row kept unless an equal one precedes
+    /// it — which is what `clone()` + `add(c)` leaves whenever `c` adds a
+    /// row, but the hash index is neither copied nor built: duplicates are
+    /// found by linear scan and the copy starts with an empty index that
+    /// the next `add` re-syncs. This is how
+    /// the probing loops build the one-row variations of a system
+    /// (`poly ∧ (e − 1 ≥ 0)`, a row swapped for its negation) that they
+    /// query once and drop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` exceeds the row count or `c` is over another space.
+    pub fn with_row(&self, at: usize, c: Constraint) -> Polyhedron {
+        assert!(at <= self.cons.len(), "row index out of range");
+        assert_eq!(
+            c.expr().len(),
+            self.space.len(),
+            "constraint space mismatch"
+        );
+        let mut out = Polyhedron::universe(self.space.clone());
+        out.contradiction = self.contradiction;
+        out.cons.reserve(self.cons.len() + 1);
+        let new = match c.normalize() {
+            Normalized::Tautology => None,
+            Normalized::Contradiction => {
+                out.contradiction = true;
+                None
+            }
+            Normalized::Constraint(n) => Some(n),
+        };
+        let after = self.cons.get(at + 1..).unwrap_or_default();
+        for r in self.cons[..at].iter().chain(&new).chain(after) {
+            if !out.cons.contains(r) {
+                out.cons.push(r.clone());
+            }
+        }
+        out
     }
 
     /// Adds every constraint from an iterator.
@@ -476,8 +504,7 @@ impl Polyhedron {
     /// sequence plus `dims`), so repeated projections of the same system —
     /// ubiquitous across LWT resolution and comm-set construction — are
     /// answered without re-running the elimination. Systems of fewer than
-    /// 8 constraints skip the cache: they are re-solved faster than their
-    /// key can be built and hashed.
+    /// 4 constraints skip the cache (see [`crate::stats`]'s size gate).
     ///
     /// # Errors
     ///
@@ -491,18 +518,20 @@ impl Polyhedron {
             op.finish();
             return Ok(out);
         }
-        let key = (self.seq_key(), dims.to_vec());
-        if let Some(hit) = cache::proj_get(&key) {
-            stats::count_proj_cache(true);
-            ledger::record_hit(
-                ledger::OpKind::Projection,
-                self.cons.len(),
-                hit.cons.len(),
-                dims.len(),
-                hit.charged,
-            );
-            return Ok(self.reconstitute_cached(hit));
-        }
+        let key = match cache::proj_lookup(self.system(), dims) {
+            Ok(hit) => {
+                stats::count_proj_cache(true);
+                ledger::record_hit(
+                    ledger::OpKind::Projection,
+                    self.cons.len(),
+                    hit.cons.len(),
+                    dims.len(),
+                    hit.charged,
+                );
+                return Ok(self.reconstitute_cached(hit));
+            }
+            Err(key) => key,
+        };
         stats::count_proj_cache(false);
         let mut op = ledger::op(ledger::OpKind::Projection, self.cons.len());
         op.set_dims_eliminated(dims.len());
@@ -644,7 +673,7 @@ impl Polyhedron {
     ///    the probe, the constraint is provably non-redundant and kept
     ///    without a branch-and-bound query.
     ///
-    /// Results are memoized per thread; systems of fewer than 8
+    /// Results are memoized per thread; systems of fewer than 4
     /// constraints skip the cache.
     ///
     /// # Errors
@@ -659,18 +688,20 @@ impl Polyhedron {
             op.finish();
             return Ok(out);
         }
-        let key = self.seq_key();
-        if let Some(hit) = cache::redund_get(&key) {
-            stats::count_redund_cache(true);
-            ledger::record_hit(
-                ledger::OpKind::Redundancy,
-                self.cons.len(),
-                hit.cons.len(),
-                0,
-                hit.charged,
-            );
-            return Ok(self.reconstitute_cached(hit));
-        }
+        let key = match cache::redund_lookup(self.system()) {
+            Ok(hit) => {
+                stats::count_redund_cache(true);
+                ledger::record_hit(
+                    ledger::OpKind::Redundancy,
+                    self.cons.len(),
+                    hit.cons.len(),
+                    0,
+                    hit.charged,
+                );
+                return Ok(self.reconstitute_cached(hit));
+            }
+            Err(key) => key,
+        };
         stats::count_redund_cache(false);
         let mut op = ledger::op(ledger::OpKind::Redundancy, self.cons.len());
         op.set_cache_miss();
@@ -698,17 +729,17 @@ impl Polyhedron {
         }
         let n = self.space.len();
         let mut negations: u64 = 0;
-        let mut kept: Vec<Constraint> = base.cons.clone();
+        let mut kept = base;
         let mut i = 0;
-        while i < kept.len() {
-            if kept[i].is_eq() {
+        while i < kept.cons.len() {
+            if kept.cons[i].is_eq() {
                 i += 1;
                 continue;
             }
-            match prefilter_verdict(&kept, i, n) {
+            match prefilter_verdict(&kept.cons, i, n) {
                 PreVerdict::Implied => {
                     stats::count_prefilter_drop();
-                    kept.remove(i);
+                    kept.cons.remove(i);
                     continue;
                 }
                 PreVerdict::Witnessed => {
@@ -720,23 +751,14 @@ impl Polyhedron {
             }
             stats::count_negation_test();
             negations += 1;
-            let mut probe = Polyhedron::universe(self.space.clone());
-            for (j, c) in kept.iter().enumerate() {
-                if j == i {
-                    probe.add(c.negate_ge());
-                } else {
-                    probe.add(c.clone());
-                }
-            }
+            let probe = kept.with_row(i, kept.cons[i].negate_ge());
             if probe.integer_feasibility()? == Feasibility::Infeasible {
-                kept.remove(i);
+                kept.cons.remove(i);
             } else {
                 i += 1;
             }
         }
-        let mut out = Polyhedron::universe(self.space.clone());
-        out.cons = kept;
-        Ok((out, negations))
+        Ok((kept, negations))
     }
 
     // ------------------------------------------------------------------
@@ -792,12 +814,14 @@ impl Polyhedron {
             }
             return Ok(f);
         }
-        let key = self.canonical_key();
-        if let Some((f, charged)) = cache::feas_get(&key) {
-            stats::count_feas_cache(true);
-            ledger::record_hit(ledger::OpKind::Feasibility, self.cons.len(), 0, 0, charged);
-            return Ok(f);
-        }
+        let key = match cache::feas_lookup(self.system()) {
+            Ok((f, charged)) => {
+                stats::count_feas_cache(true);
+                ledger::record_hit(ledger::OpKind::Feasibility, self.cons.len(), 0, 0, charged);
+                return Ok(f);
+            }
+            Err(key) => key,
+        };
         stats::count_feas_cache(false);
         let mut op = ledger::op(ledger::OpKind::Feasibility, self.cons.len());
         op.set_cache_miss();
@@ -1868,6 +1892,54 @@ mod tests {
         assert!(d.feas_cache_hits > 0 && d.proj_cache_hits > 0 && d.redund_cache_hits > 0);
         assert!(d.cache_bypasses > 0, "small systems must skip the caches");
         assert!(d.prefilter_drops + d.prefilter_keeps > 0);
+    }
+
+    /// `with_row` builds exactly the constraint list of the `add` calls it
+    /// replaces: `clone` + `add` when appending, a fresh universe re-`add`ing
+    /// every row when one is swapped — on index-synced systems and on
+    /// directly built ones that still hold duplicate rows.
+    #[test]
+    fn with_row_equals_the_adds_it_replaces() {
+        let mut synced = Polyhedron::universe(sp(&["x", "y"]));
+        synced.add(ge(vec![1, 0], 0));
+        synced.add(eq(vec![1, -1], 2));
+        synced.add(ge(vec![0, -1], 9));
+        let mut stale = synced.clone();
+        stale.cons.push(synced.cons[1].clone());
+        stale.cons.push(synced.cons[0].clone());
+        let extras = [
+            ge(vec![2, 4], -3),  // normalizes to x + 2y - 2 >= 0
+            ge(vec![0, -1], 9),  // already present
+            ge(vec![0, 0], 5),   // tautology
+            eq(vec![2, 0], -1),  // contradiction
+            ge(vec![-1, 0], -1), // the negation of row 0
+        ];
+        for p in [&synced, &stale] {
+            for c in &extras {
+                let mut appended = p.clone();
+                appended.add(c.clone());
+                let got = p.with_row(p.cons.len(), c.clone());
+                // `add` leaves duplicates alone when it adds nothing.
+                if matches!(c.normalize(), Normalized::Constraint(_)) {
+                    assert_eq!(got, appended, "{p:?} ∧ {c:?}");
+                }
+                assert_eq!(got.contradiction, appended.contradiction);
+                assert!(got.index.is_empty());
+
+                for at in 0..p.cons.len() {
+                    let mut swapped = Polyhedron::universe(p.space.clone());
+                    for (j, r) in p.cons.iter().enumerate() {
+                        swapped.add(if j == at { c.clone() } else { r.clone() });
+                    }
+                    assert_eq!(p.with_row(at, c.clone()), swapped, "{p:?}[{at}] := {c:?}");
+                }
+            }
+        }
+        // The copy's empty index re-syncs on the next `add`.
+        let mut grown = stale.with_row(0, extras[0].clone());
+        grown.add(ge(vec![1, 1], 0));
+        grown.add(ge(vec![1, 1], 0));
+        assert_eq!((grown.cons.len(), grown.index.len()), (5, 5));
     }
 
     #[test]

@@ -443,10 +443,9 @@ fn promote_tight_inequalities(poly: &Polyhedron, order: &[usize]) -> Result<Poly
     }
     for c in poly.constraints() {
         let promote = !c.is_eq() && order.iter().any(|&d| c.coeff(d) != 0) && {
-            let mut probe = poly.clone();
             let mut strict = c.expr().clone();
             strict.set_constant(strict.constant_term() - 1);
-            probe.add(crate::Constraint::ge(strict));
+            let probe = poly.with_row(poly.constraints().len(), crate::Constraint::ge(strict));
             probe.integer_feasibility()? == crate::Feasibility::Infeasible
         };
         if promote {

@@ -72,11 +72,14 @@ thread_local! {
 /// [`Polyhedron::integer_feasibility`](crate::Polyhedron::integer_feasibility).
 pub const DEFAULT_FEASIBILITY_BUDGET: u32 = 4_000;
 
-/// Minimum constraint count for a system to be worth memoizing. Tiny
-/// systems are solved faster than their canonical cache key can be built
-/// and hashed, so the caches skip them (counted as
-/// [`PolyStats::cache_bypasses`]).
-const CACHE_MIN_CONSTRAINTS: usize = 8;
+/// Minimum constraint count for a system to be memoized; smaller ones are
+/// solved afresh (counted as [`PolyStats::cache_bypasses`]). Set by a
+/// sweep over {1, 2, 4, 6, 8} on the repo benchmark (EXPERIMENTS.md P19):
+/// a warm `symbolic_corpus` pass takes 0.58 s at 8, 0.45 s at 6, 0.39 s at
+/// 4 and the same 0.39 s at 2 and at 1 — systems that small cost as much
+/// to encode and look up as to solve — so 4 it is, the fewest resident
+/// entries among the fastest settings.
+const CACHE_MIN_CONSTRAINTS: usize = 4;
 
 /// A snapshot of the engine's cumulative counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -108,7 +111,7 @@ pub struct PolyStats {
     /// Constraints kept by a verified witness point (no exact test needed).
     pub prefilter_keeps: u64,
     /// Memo-cache consults skipped because the system was too small to be
-    /// worth memoizing (fewer than 8 constraints).
+    /// worth memoizing (fewer than 4 constraints).
     pub cache_bypasses: u64,
     /// Parametric-lexmax case splits explored (one per non-empty piece of
     /// [`lexopt`](crate::lexopt)'s which-bound-is-tight disjunction).

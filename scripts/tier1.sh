@@ -126,6 +126,10 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 for workload in lu_plan symbolic_corpus store_cold store_warm verify_values; do
     bash benchmark/run.sh --workload "$workload" --small --seed 1 --trace 0
 done
+# One traced run: its ledger pass bumps the memo epoch, the one place the
+# engine's memo stores are wiped and refilled mid-process while the
+# span-tiling check is on.
+bash benchmark/run.sh --workload symbolic_corpus --small --seed 1 --trace 1
 if bash benchmark/run.sh --workload store_warm --small --inject-fault >/dev/null 2>&1; then
     echo "benchmark: --inject-fault must exit non-zero" >&2
     exit 1
