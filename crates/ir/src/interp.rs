@@ -112,6 +112,11 @@ impl ArrayStore {
     pub fn as_slice(&self) -> &[f64] {
         &self.data
     }
+
+    /// Mutable flat view of the data, in the order of [`Self::as_slice`].
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
 }
 
 /// All arrays of a program instance.

@@ -8,12 +8,21 @@
 //! simulator runs a fully resolved [`Schedule`] in one of two fidelities:
 //!
 //! * **values mode** proves the compiler's communication plan correct: all
-//!   compute blocks execute for real against local stores, messages carry
-//!   actual values, a read of an undelivered value is a hard error, and
-//!   the merged final memory must match the sequential interpreter.
+//!   compute blocks execute for real against local memories, messages
+//!   carry actual values, a read of an undelivered value is a hard error,
+//!   and the merged final memory must match the sequential interpreter. A
+//!   local memory is dense: every array element has the same slot number
+//!   on every processor, and a processor holds per slot a value, a
+//!   presence mark (absent until placed, written or received) and the
+//!   write stamp of its copy as a fixed-width row, padded so that rows
+//!   compare as the stamps do. Array names, subscripts, parameters and
+//!   payload items are resolved to slots and coefficient rows once, on
+//!   entry — what cannot be resolved is refused there with a typed error —
+//!   so executing an element hashes, compares and allocates nothing.
 //! * **timing mode** reproduces the paper's performance experiments
 //!   (Figure 14) at large problem sizes, advancing clocks by flop counts
-//!   and message costs only.
+//!   and message costs only. It builds no memory and resolves nothing, so
+//!   its cost is independent of the array extents.
 
 #![warn(missing_docs)]
 
@@ -304,5 +313,275 @@ mod tests {
             true,
         );
         assert!(r.is_ok(), "{r:?}");
+    }
+
+    // ---- the dense local memories ----------------------------------------
+
+    /// A values-mode run of `sched` on a line of as many processors as it
+    /// has action lists.
+    fn run_values(
+        program: &dmc_ir::Program,
+        env: &HashMap<String, i128>,
+        sched: &Schedule,
+        initial: &InitialPlacement,
+    ) -> Result<SimResult, SimError> {
+        let grid = ProcGrid::line(sched.procs.len() as i128);
+        let cfg = MachineConfig::ipsc860();
+        simulate(program, env, &grid, sched, &cfg, initial, true)
+    }
+
+    fn block(stmt: usize, lo: i128, hi: i128) -> Action {
+        Action::Block {
+            stmt,
+            prefix: vec![],
+            inner_range: Some((lo, hi)),
+            flops: 0.0,
+        }
+    }
+
+    /// One message carrying `A[idx]` under `stamp`.
+    fn message_of(
+        sender: usize,
+        receiver: usize,
+        array: &str,
+        idx: i128,
+        stamp: &[i128],
+    ) -> MessageSpec {
+        MessageSpec {
+            sender,
+            receivers: vec![receiver],
+            words: 1,
+            payload: Some(vec![PayloadItem {
+                array: array.into(),
+                idx: vec![idx],
+                stamp: stamp.to_vec(),
+            }]),
+        }
+    }
+
+    /// The text of the `MalformedSchedule` the run is refused with.
+    fn refusal(program: &dmc_ir::Program, env: &HashMap<String, i128>, sched: &Schedule) -> String {
+        match run_values(program, env, sched, &InitialPlacement::Replicated) {
+            Err(SimError::MalformedSchedule(why)) => why,
+            other => panic!("expected a malformed-schedule refusal, got {other:?}"),
+        }
+    }
+
+    const COPY: &str = "param N, M; array A[N]; array B[N];
+         for i = 0 to N - 1 { B[i] = A[i + M]; }";
+
+    #[test]
+    fn unbound_parameter_is_refused() {
+        let program = parse(COPY).unwrap();
+        let mut sched = Schedule::new(1);
+        sched.procs[0].push(block(0, 0, 2));
+        // In an extent: no memory can be laid out.
+        let why = refusal(&program, &params(&[("M", 0)]), &sched);
+        assert!(why.contains('N'), "{why}");
+        // In a subscript of a scheduled statement.
+        let why = refusal(&program, &params(&[("N", 3)]), &sched);
+        assert!(why.contains("S0") && why.contains('M'), "{why}");
+        // The interpreter refuses the same program.
+        assert!(dmc_ir::interp::run(&program, &params(&[("N", 3)])).is_err());
+    }
+
+    #[test]
+    fn block_prefix_must_fit_the_statement() {
+        let program = parse(COPY).unwrap();
+        let env = params(&[("N", 3), ("M", 0)]);
+        for (prefix, inner_range) in [(vec![], None), (vec![1], Some((0, 2))), (vec![1, 2], None)] {
+            let mut sched = Schedule::new(1);
+            sched.procs[0].push(Action::Block {
+                stmt: 0,
+                prefix,
+                inner_range,
+                flops: 0.0,
+            });
+            let why = refusal(&program, &env, &sched);
+            assert!(why.contains("S0"), "{why}");
+        }
+    }
+
+    #[test]
+    fn statement_on_unknown_array_or_rank_is_refused() {
+        let env = params(&[("N", 3)]);
+        let mut sched = Schedule::new(1);
+        sched.procs[0].push(block(0, 0, 2));
+        for (rhs, culprit) in [("C[i]", 'C'), ("A[i][i]", 'A')] {
+            let text = format!("param N; array A[N]; for i = 0 to N - 1 {{ A[i] = {rhs}; }}");
+            let why = refusal(&parse(&text).unwrap(), &env, &sched);
+            assert!(why.contains("S0") && why.contains(culprit), "{why}");
+        }
+    }
+
+    #[test]
+    fn payload_item_of_undeclared_array_is_refused() {
+        let program = parse(COPY).unwrap();
+        let env = params(&[("N", 3), ("M", 0)]);
+        let mut sched = Schedule::new(2);
+        sched.messages.push(message_of(0, 1, "C", 0, &[-1]));
+        // Refused while resolving: no action ever names the message.
+        let why = refusal(&program, &env, &sched);
+        assert!(why.contains("message 0") && why.contains('C'), "{why}");
+    }
+
+    #[test]
+    fn payload_item_of_wrong_rank_is_refused() {
+        let program = parse(COPY).unwrap();
+        let env = params(&[("N", 3), ("M", 0)]);
+        let mut sched = Schedule::new(2);
+        sched.messages.push(message_of(0, 1, "A", 0, &[-1]));
+        sched.messages.push(message_of(0, 1, "A", 0, &[-1]));
+        sched.messages[1].payload.as_mut().unwrap()[0].idx = vec![0, 0];
+        let why = refusal(&program, &env, &sched);
+        assert!(why.contains("message 1") && why.contains('A'), "{why}");
+    }
+
+    #[test]
+    fn payload_stamp_that_fits_no_row_is_refused() {
+        // The deepest nest has one loop: rows are three wide.
+        let program = parse(COPY).unwrap();
+        let env = params(&[("N", 3), ("M", 0)]);
+        for stamp in [vec![0, 1, 0, 0], vec![0, i128::MIN, 0]] {
+            let mut sched = Schedule::new(2);
+            sched.messages.push(message_of(0, 1, "A", 0, &stamp));
+            let why = refusal(&program, &env, &sched);
+            assert!(why.contains("message 0") && why.contains("stamp"), "{why}");
+        }
+    }
+
+    #[test]
+    fn out_of_extent_write_is_an_error() {
+        // i runs one past the end of A.
+        let program = parse("param N; array A[N]; for i = 0 to N { A[i] = 1.0; }").unwrap();
+        let env = params(&[("N", 4)]);
+        let mut sched = Schedule::new(2);
+        sched.procs[1].push(block(0, 0, 3));
+        sched.procs[1].push(block(0, 2, 5));
+        let err = run_values(&program, &env, &sched, &InitialPlacement::Replicated).unwrap_err();
+        // The first element outside, not the end of the block.
+        let want = SimError::OutOfBounds {
+            proc: 1,
+            array: "A".into(),
+            idx: vec![4],
+            stmt: 0,
+        };
+        assert_eq!(err, want, "{err}");
+        assert!(matches!(
+            dmc_ir::interp::run(&program, &env),
+            Err(dmc_ir::interp::ExecError::OutOfBounds { .. })
+        ));
+        // The in-extent part alone runs.
+        sched.procs[1].pop();
+        let mem = run_values(&program, &env, &sched, &InitialPlacement::Replicated)
+            .unwrap()
+            .memory
+            .unwrap();
+        assert_eq!(mem.array("A").unwrap().as_slice(), [1.0; 4]);
+    }
+
+    #[test]
+    fn later_stamp_wins_on_receive_and_at_merge() {
+        let program = parse(
+            "param N; array A[N]; array B[N];
+             for i = 0 to N - 1 { A[i] = 1.0; }
+             for j = 0 to N - 1 { A[j] = 2.0; }
+             for k = 0 to N - 1 { B[k] = A[k]; }",
+        )
+        .unwrap();
+        let env = params(&[("N", 6)]);
+        // A in blocks of two: p0 holds A[0..2], p1 A[2..4], p2 A[4..6].
+        let mut owned = HashMap::new();
+        owned.insert(
+            "A".to_string(),
+            dmc_decomp::DataDecomp::block_1d("A", 1, 0, 2),
+        );
+        let mut sched = Schedule::new(3);
+        sched.messages.push(message_of(0, 1, "A", 0, &[0, 0, 0]));
+        sched.messages.push(message_of(0, 1, "A", 2, &[0, 2, 0]));
+        // p0 writes the early copies of A[0], A[2], A[5] and forwards two.
+        sched.procs[0].extend([block(0, 0, 0), block(0, 2, 2), block(0, 5, 5)]);
+        sched.procs[0].extend([Action::Send { msg: 0 }, Action::Send { msg: 1 }]);
+        // p1 holds a later A[0] and a live-in A[2] when they arrive.
+        sched.procs[1].extend([block(1, 0, 0), block(1, 5, 5)]);
+        sched.procs[1].extend([Action::Recv { msg: 0 }, Action::Recv { msg: 1 }]);
+        sched.procs[1].extend([block(2, 0, 0), block(2, 2, 2)]);
+        let mem = run_values(&program, &env, &sched, &InitialPlacement::Owned(owned))
+            .unwrap()
+            .memory
+            .unwrap();
+        let (a, b) = (mem.array("A").unwrap(), mem.array("B").unwrap());
+        // Stale on arrival: p1 kept its own later write.
+        assert_eq!(b.get(&[0]), Some(2.0));
+        // Later than the live-in copy: taken.
+        assert_eq!(b.get(&[2]), Some(1.0));
+        // Merge. A[0]: p1's write beats p0's, p2 never held one. A[5]: p0
+        // early, p1 late, p2 live-in. A[4]: only p2's live-in copy.
+        assert_eq!(a.get(&[0]), Some(2.0));
+        assert_eq!(a.get(&[5]), Some(2.0));
+        assert_eq!(a.get(&[4]), Some(dmc_ir::interp::default_init("A", &[4])));
+        assert_eq!(a.get(&[2]), Some(1.0));
+    }
+
+    #[test]
+    fn missing_value_names_reader_and_sender() {
+        let program = parse(COPY).unwrap();
+        let env = params(&[("N", 4), ("M", 0)]);
+        let mut owned = HashMap::new();
+        owned.insert(
+            "A".to_string(),
+            dmc_decomp::DataDecomp::block_1d("A", 1, 0, 2),
+        );
+        let initial = InitialPlacement::Owned(owned);
+        // p1 holds A[2..4]: reading A[1] fails in the statement…
+        let mut sched = Schedule::new(2);
+        sched.procs[1].push(block(0, 1, 3));
+        let want = SimError::MissingValue {
+            proc: 1,
+            array: "A".into(),
+            idx: vec![1],
+            stmt: 0,
+        };
+        assert_eq!(
+            run_values(&program, &env, &sched, &initial).unwrap_err(),
+            want
+        );
+        // …and forwarding it fails in no statement. So does an element
+        // that lies outside the array.
+        for idx in [1, 9] {
+            let mut sched = Schedule::new(2);
+            sched.messages.push(message_of(1, 0, "A", idx, &[-1]));
+            sched.procs[1].push(Action::Send { msg: 0 });
+            sched.procs[0].push(Action::Recv { msg: 0 });
+            let want = SimError::MissingValue {
+                proc: 1,
+                array: "A".into(),
+                idx: vec![idx],
+                stmt: usize::MAX,
+            };
+            assert_eq!(
+                run_values(&program, &env, &sched, &initial).unwrap_err(),
+                want
+            );
+        }
+    }
+
+    #[test]
+    fn timing_mode_builds_no_memory() {
+        // A layout for 10^12 elements would abort the process.
+        let program = parse(COPY).unwrap();
+        let env = params(&[("N", 1_000_000_000_000), ("M", 0)]);
+        let mut sched = Schedule::new(1);
+        sched.procs[0].push(block(0, 0, 999_999_999_999));
+        let r = simulate(
+            &program,
+            &env,
+            &ProcGrid::line(1),
+            &sched,
+            &MachineConfig::ipsc860(),
+            &InitialPlacement::Replicated,
+            false,
+        );
+        assert!(r.unwrap().memory.is_none());
     }
 }

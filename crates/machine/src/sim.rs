@@ -5,24 +5,64 @@
 //! fidelities:
 //!
 //! * **values mode** — every compute block runs its iterations for real
-//!   against the processor's local store, messages carry actual values, and
-//!   the final global memory (merged by write stamp) must equal the
+//!   against the processor's local memory, messages carry actual values,
+//!   and the final global memory (merged by write stamp) must equal the
 //!   sequential interpreter's result. A read of a value that no planned
 //!   message delivered is a hard error: the simulator *proves* that the
 //!   compiler's communication plan is sufficient.
 //! * **timing mode** — blocks only advance the clock by their flop count
 //!   and messages carry sizes; used for large problem sizes (Figure 14).
+//!   Nothing below is built: no layout, no memory, no lowered statement.
+//!
+//! # Local memories
+//!
+//! A processor's memory is dense. Every declared array gets a row-major
+//! range of *slots* (the same ranges on every processor, so a slot number
+//! means the same element everywhere), and a processor holds per slot an
+//! `f64`, a presence mark and a *stamp row*. Presence is what makes the
+//! memory local: a slot is present once the initial placement, a write or
+//! a received message put a value there, and reading an absent slot is
+//! [`SimError::MissingValue`]. The footprint is
+//! `P × Σ elements × (9 + 16 · W)` bytes for rows of width `W`.
+//!
+//! # Stamp rows
+//!
+//! A copy carries the [`Stamp`] of the write that produced it, and where
+//! two copies meet (a receive, the final merge) the later stamp wins.
+//! Stamps are `Vec`s of length `2 · depth + 1`; a row is the stamp padded
+//! with `i128::MIN` to `W = 2 · (deepest nest) + 1`, stored in place. No
+//! stamp component may be `i128::MIN` (positions are counts, and a payload
+//! stamp holding it is refused), so wherever one stamp ends and another
+//! goes on the padding is the smaller component: a proper prefix sorts
+//! first, exactly as it does between `Vec`s, and comparing two rows as
+//! slices is comparing the two stamps.
+//!
+//! # Resolved once
+//!
+//! Before the first action runs, [`simulate`] resolves every name the
+//! schedule mentions: array names to slot ranges with evaluated extents;
+//! each scheduled statement's subscripts to coefficient rows over its loop
+//! variables with the parameters folded into the constant, and its
+//! right-hand side to postfix code; each message's payload items to slots.
+//! Whatever cannot be resolved — an unbound parameter, a block whose prefix
+//! does not fit its statement, a payload item naming an undeclared array —
+//! is a [`SimError::MalformedSchedule`] here, not a panic later. A block
+//! then checks each of its accesses at the two ends of its inner range (a
+//! subscript is affine, hence monotone, in the innermost variable) and
+//! steps flat slot numbers by a constant stride: an element costs no
+//! hashing, no string comparison and no allocation.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use dmc_decomp::{DataDecomp, ProcGrid};
-use dmc_ir::interp::{default_init, eval_intrinsic, Memory};
-use dmc_ir::{Aff, ArrayRef, BinOp, Program, ScalarExpr, StmtInfo};
+use dmc_ir::interp::{eval_intrinsic, Memory};
+use dmc_ir::{ArrayRef, BinOp, Program, ScalarExpr, StmtInfo};
 
 use dmc_obs as obs;
 
 use crate::config::MachineConfig;
-use crate::schedule::{stamp_of, Action, Schedule, Stamp};
+use crate::schedule::{stamp_of, Action, MessageSpec, Schedule};
 use crate::stats::SimStats;
 
 /// Where live-in data resides before execution.
@@ -57,8 +97,23 @@ pub enum SimError {
         /// Ranks of the blocked processors.
         blocked: Vec<usize>,
     },
-    /// A message's sender/receiver rank is out of range, or a `Send`
-    /// appears on a processor that is not the message's sender.
+    /// A processor wrote an element outside its array's declared extents.
+    OutOfBounds {
+        /// Writing processor rank.
+        proc: usize,
+        /// Array name.
+        array: String,
+        /// Global subscripts.
+        idx: Vec<i128>,
+        /// Statement performing the write.
+        stmt: usize,
+    },
+    /// The schedule does not fit the program or the machine: a rank out of
+    /// range, a `Send` on a processor that is not the message's sender,
+    /// and (values mode) whatever the resolve step cannot resolve — an
+    /// unbound parameter, a block whose prefix does not fit its statement,
+    /// a payload item that names no element slot or carries no usable
+    /// stamp. The text names the statement or message.
     MalformedSchedule(String),
     /// A statement id in a block does not exist.
     NoSuchStatement(usize),
@@ -80,6 +135,15 @@ impl std::fmt::Display for SimError {
             SimError::Deadlock { blocked } => {
                 write!(f, "deadlock: processors {blocked:?} all wait on receives")
             }
+            SimError::OutOfBounds {
+                proc,
+                array,
+                idx,
+                stmt,
+            } => write!(
+                f,
+                "processor {proc} wrote {array}{idx:?} in S{stmt}, outside the declared extents"
+            ),
             SimError::MalformedSchedule(m) => write!(f, "malformed schedule: {m}"),
             SimError::NoSuchStatement(s) => write!(f, "no such statement S{s}"),
         }
@@ -100,21 +164,19 @@ pub struct SimResult {
 struct Proc {
     clock: f64,
     next: usize,
-    store: HashMap<(String, Vec<i128>), (f64, Stamp)>,
     compute_time: f64,
     comm_time: f64,
     idle_time: f64,
 }
-
-/// One transferred value: (array, element index, value, producer stamp).
-type PayloadItem = (String, Vec<i128>, f64, Stamp);
 
 /// In-flight message instance (per receiver).
 struct InFlight {
     arrival: f64,
     /// Sender clock when the send started; latency = completion − sent_at.
     sent_at: f64,
-    payload: Option<Vec<PayloadItem>>,
+    /// The values of the message's payload items, in item order; one
+    /// buffer shared by all receivers of a multicast.
+    payload: Option<Rc<[f64]>>,
     words: u64,
 }
 
@@ -155,17 +217,21 @@ pub fn simulate(
         .map(|_| Proc {
             clock: 0.0,
             next: 0,
-            store: HashMap::new(),
             compute_time: 0.0,
             comm_time: 0.0,
             idle_time: 0.0,
         })
         .collect();
 
-    // Initial placement (values mode only; timing mode never reads).
-    if values {
-        place_initial(program, params, grid, initial, &mut procs);
-    }
+    // Values mode only: layout, lowered statements, resolved payloads and
+    // the placed local memories. Timing mode never reads and builds none.
+    let mut machine = if values {
+        Some(Machine::resolve(
+            program, params, grid, &stmts, schedule, initial,
+        )?)
+    } else {
+        None
+    };
 
     // Mailbox: per (msg id, receiver) the in-flight instance.
     let mut mail: HashMap<(usize, usize), InFlight> = HashMap::new();
@@ -182,8 +248,8 @@ pub fn simulate(
     loop {
         let mut progressed = false;
         let mut all_done = true;
-        for p in 0..nproc {
-            while let Some(action) = schedule.procs[p].get(procs[p].next) {
+        for (p, proc) in procs.iter_mut().enumerate() {
+            while let Some(action) = schedule.procs[p].get(proc.next) {
                 all_done = false;
                 match action {
                     Action::Block {
@@ -192,14 +258,14 @@ pub fn simulate(
                         inner_range,
                         flops,
                     } => {
-                        let info = stmts.get(*stmt).ok_or(SimError::NoSuchStatement(*stmt))?;
-                        if values {
-                            run_block(program, params, info, prefix, *inner_range, p, &mut procs)?;
+                        stmts.get(*stmt).ok_or(SimError::NoSuchStatement(*stmt))?;
+                        if let Some(m) = &mut machine {
+                            m.run_block(p, *stmt, prefix, *inner_range)?;
                         }
                         let dt = flops * config.flop_time;
-                        let t0 = procs[p].clock;
-                        procs[p].clock += dt;
-                        procs[p].compute_time += dt;
+                        let t0 = proc.clock;
+                        proc.clock += dt;
+                        proc.compute_time += dt;
                         stats.flops += flops;
                         if record {
                             let _l = obs::lane(obs::sim_lane(p), format!("sim p{p}"));
@@ -210,7 +276,7 @@ pub fn simulate(
                                     obs::field("stmt", *stmt),
                                     obs::field("flops", *flops),
                                     obs::field("t0", t0),
-                                    obs::field("t1", procs[p].clock),
+                                    obs::field("t1", proc.clock),
                                 ],
                             );
                         }
@@ -228,38 +294,17 @@ pub fn simulate(
                         }
                         let bytes = spec.words * config.word_bytes;
                         let busy = config.send_busy_time(bytes, spec.receivers.len());
-                        // Payload read at send time from the sender store.
-                        // A missing value here means the plan asked a
-                        // processor to forward data it never had.
-                        let payload = match (values, &spec.payload) {
-                            (true, Some(items)) => {
-                                let mut out = Vec::with_capacity(items.len());
-                                for it in items {
-                                    let Some((v, _)) =
-                                        procs[p].store.get(&(it.array.clone(), it.idx.clone()))
-                                    else {
-                                        return Err(SimError::MissingValue {
-                                            proc: p,
-                                            array: it.array.clone(),
-                                            idx: it.idx.clone(),
-                                            stmt: usize::MAX,
-                                        });
-                                    };
-                                    out.push((
-                                        it.array.clone(),
-                                        it.idx.clone(),
-                                        *v,
-                                        it.stamp.clone(),
-                                    ));
-                                }
-                                Some(out)
-                            }
-                            _ => None,
+                        // Payload read at send time from the sender's
+                        // memory. A missing value here means the plan asked
+                        // a processor to forward data it never had.
+                        let payload = match &machine {
+                            Some(m) => m.gather(p, *msg, spec)?,
+                            None => None,
                         };
-                        let t0 = procs[p].clock;
-                        procs[p].clock += busy;
-                        procs[p].comm_time += busy;
-                        let arrival_base = procs[p].clock + config.wire_time(bytes);
+                        let t0 = proc.clock;
+                        proc.clock += busy;
+                        proc.comm_time += busy;
+                        let arrival_base = proc.clock + config.wire_time(bytes);
                         for (k, &r) in spec.receivers.iter().enumerate() {
                             if r >= nproc {
                                 return Err(SimError::MalformedSchedule(format!(
@@ -292,7 +337,7 @@ pub fn simulate(
                                     obs::field("words", spec.words),
                                     obs::field("nrecv", spec.receivers.len()),
                                     obs::field("t0", t0),
-                                    obs::field("t1", procs[p].clock),
+                                    obs::field("t1", proc.clock),
                                 ],
                             );
                         }
@@ -302,12 +347,12 @@ pub fn simulate(
                             // Blocked: try another processor.
                             break;
                         };
-                        let t_block = procs[p].clock;
+                        let t_block = proc.clock;
                         let wait = (inflight.arrival - t_block).max(0.0);
-                        procs[p].idle_time += wait;
-                        procs[p].clock = procs[p].clock.max(inflight.arrival) + config.alpha_recv;
-                        procs[p].comm_time += config.alpha_recv;
-                        let done = procs[p].clock;
+                        proc.idle_time += wait;
+                        proc.clock = proc.clock.max(inflight.arrival) + config.alpha_recv;
+                        proc.comm_time += config.alpha_recv;
+                        let done = proc.clock;
                         stats
                             .latency_us_hist
                             .observe(((done - inflight.sent_at) * 1e6).round() as u64);
@@ -341,24 +386,12 @@ pub fn simulate(
                                 ],
                             );
                         }
-                        if let Some(items) = inflight.payload {
-                            for (array, idx, v, stamp) in items {
-                                let slot = procs[p].store.entry((array, idx));
-                                match slot {
-                                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                                        if e.get().1 < stamp {
-                                            *e.get_mut() = (v, stamp);
-                                        }
-                                    }
-                                    std::collections::hash_map::Entry::Vacant(e) => {
-                                        e.insert((v, stamp));
-                                    }
-                                }
-                            }
+                        if let (Some(m), Some(vals)) = (&mut machine, inflight.payload) {
+                            m.integrate(p, *msg, &schedule.messages[*msg], &vals);
                         }
                     }
                 }
-                procs[p].next += 1;
+                proc.next += 1;
                 progressed = true;
             }
         }
@@ -420,11 +453,7 @@ pub fn simulate(
         }
     }
 
-    let memory = if values {
-        Some(merge_memory(program, params, &procs)?)
-    } else {
-        None
-    };
+    let memory = machine.map(Machine::merge);
     // Per-transmission latency percentiles from the exact log2 histogram:
     // simulated quantities, so deterministic like `simulate.done`.
     if stats.transmissions > 0 {
@@ -452,57 +481,590 @@ pub fn simulate(
     Ok(SimResult { stats, memory })
 }
 
+/// Pads a stamp row past the end of its stamp. Smaller than every
+/// component a stamp may hold, so a stamp sorts before its extensions.
+const PAD: i128 = i128::MIN;
+
+/// The slot of a payload item outside its array's extents: no memory
+/// holds it, so sending it is a `MissingValue`.
+const NO_SLOT: usize = usize::MAX;
+
+/// Writes `stamp` into `row`, padded to the row's width.
+fn write_row(row: &mut [i128], stamp: &[i128]) {
+    let (head, tail) = row.split_at_mut(stamp.len());
+    head.copy_from_slice(stamp);
+    tail.fill(PAD);
+}
+
+/// Whether the stamp held in `row` is earlier than `stamp`. Where the two
+/// agree on `stamp`'s length the row is `stamp` or an extension of it.
+fn row_before(row: &[i128], stamp: &[i128]) -> bool {
+    row[..stamp.len()] < *stamp
+}
+
+/// One declared array's place in every local memory.
+struct ArrayLayout<'a> {
+    name: &'a str,
+    extents: Vec<i128>,
+    /// Slot of element `[0, …, 0]`; the rest follow row-major.
+    base: usize,
+}
+
+/// Where every element of the program lives in a local memory.
+struct Layout<'a> {
+    arrays: Vec<ArrayLayout<'a>>,
+    /// Slots of one memory: Σ elements.
+    slots: usize,
+    /// Stamp row width: 2 · (deepest loop nest) + 1.
+    width: usize,
+}
+
+impl<'a> Layout<'a> {
+    /// Lays the arrays of `program` out in declaration order, with the
+    /// extents `global` was allocated with.
+    fn new(program: &'a Program, global: &Memory, stmts: &[StmtInfo]) -> Self {
+        let mut arrays: Vec<ArrayLayout<'a>> = Vec::new();
+        let mut slots = 0;
+        for decl in &program.arrays {
+            // A redeclaration names the array `global` already holds once.
+            if arrays.iter().any(|a| a.name == decl.name) {
+                continue;
+            }
+            let store = global.array(&decl.name).expect("allocated from program");
+            arrays.push(ArrayLayout {
+                name: &decl.name,
+                extents: store.extents().to_vec(),
+                base: slots,
+            });
+            slots += store.as_slice().len();
+        }
+        let depth = stmts.iter().map(|s| s.loops.len()).max().unwrap_or(0);
+        Layout {
+            arrays,
+            slots,
+            width: 2 * depth + 1,
+        }
+    }
+
+    fn find(&self, name: &str) -> Option<usize> {
+        self.arrays.iter().position(|a| a.name == name)
+    }
+}
+
+/// An array reference of one statement, resolved.
+struct Access {
+    /// Index into [`Layout::arrays`].
+    array: usize,
+    /// Per subscript, `depth + 1` numbers: the constant (parameters folded
+    /// in), then the coefficient of each enclosing loop, outermost first.
+    rows: Vec<i128>,
+}
+
+impl Access {
+    /// Subscript `d` at iteration `prefix ++ [x]`, and how much it moves
+    /// per unit of `x` (`x` is ignored when `prefix` binds every loop).
+    fn subscript(&self, d: usize, depth: usize, prefix: &[i128], x: i128) -> (i128, i128) {
+        let row = &self.rows[d * (depth + 1)..][..depth + 1];
+        let fixed = row[0]
+            + row[1..]
+                .iter()
+                .zip(prefix)
+                .map(|(c, v)| c * v)
+                .sum::<i128>();
+        let step = if prefix.len() < depth { row[depth] } else { 0 };
+        (fixed + step * x, step)
+    }
+
+    fn subscripts(&self, depth: usize, prefix: &[i128], x: i128) -> Vec<i128> {
+        (0..self.rows.len() / (depth + 1))
+            .map(|d| self.subscript(d, depth, prefix, x).0)
+            .collect()
+    }
+}
+
+/// Postfix code of a right-hand side, in the interpreter's evaluation
+/// order (so results are bit-identical to `ir::interp`).
+#[derive(Clone, Copy)]
+enum Op {
+    Lit(f64),
+    /// Push the element under cursor `n` (index into [`Lowered::accesses`]).
+    Read(usize),
+    Bin(BinOp),
+    Neg,
+    /// Replace the top `n` values by the intrinsic of them.
+    Call(usize),
+}
+
+/// A statement as blocks execute it.
+struct Lowered {
+    depth: usize,
+    /// The reads in evaluation order, then the write.
+    accesses: Vec<Access>,
+    code: Vec<Op>,
+    /// The statement's stamp row with every iteration value still 0:
+    /// positions at the even places, padding past `2 · depth`.
+    stamp: Vec<i128>,
+}
+
+impl Lowered {
+    fn new(
+        info: &StmtInfo,
+        layout: &Layout<'_>,
+        params: &HashMap<String, i128>,
+    ) -> Result<Self, SimError> {
+        let depth = info.loops.len();
+        let bad = |why: String| SimError::MalformedSchedule(format!("S{}: {why}", info.id));
+        let access = |r: &ArrayRef| -> Result<Access, SimError> {
+            let array = layout
+                .find(&r.array)
+                .ok_or_else(|| bad(format!("array {} is not declared", r.array)))?;
+            let dims = layout.arrays[array].extents.len();
+            if r.idx.len() != dims {
+                return Err(bad(format!(
+                    "{} subscripts on {dims}-dimensional array {}",
+                    r.idx.len(),
+                    r.array
+                )));
+            }
+            let mut rows = vec![0; dims * (depth + 1)];
+            for (aff, row) in r.idx.iter().zip(rows.chunks_mut(depth + 1)) {
+                row[0] = aff.constant_term();
+                for (v, c) in aff.terms() {
+                    match info.loops.iter().position(|l| l.var == v) {
+                        Some(k) => row[1 + k] += c,
+                        None => {
+                            let value = params
+                                .get(v)
+                                .ok_or_else(|| bad(format!("unbound parameter {v}")))?;
+                            row[0] += c * value;
+                        }
+                    }
+                }
+            }
+            Ok(Access { array, rows })
+        };
+        let mut accesses = Vec::new();
+        let mut code = Vec::new();
+        lower_expr(&info.stmt.rhs, &access, &mut accesses, &mut code)?;
+        accesses.push(access(&info.stmt.write)?);
+        let mut stamp = vec![PAD; layout.width];
+        write_row(&mut stamp, &stamp_of(&info.position, &vec![0; depth]));
+        Ok(Lowered {
+            depth,
+            accesses,
+            code,
+            stamp,
+        })
+    }
+}
+
+fn lower_expr(
+    e: &ScalarExpr,
+    access: &impl Fn(&ArrayRef) -> Result<Access, SimError>,
+    accesses: &mut Vec<Access>,
+    code: &mut Vec<Op>,
+) -> Result<(), SimError> {
+    match e {
+        ScalarExpr::Lit(v) => code.push(Op::Lit(*v)),
+        ScalarExpr::Read(r) => {
+            code.push(Op::Read(accesses.len()));
+            accesses.push(access(r)?);
+        }
+        ScalarExpr::Bin(op, a, b) => {
+            lower_expr(a, access, accesses, code)?;
+            lower_expr(b, access, accesses, code)?;
+            code.push(Op::Bin(*op));
+        }
+        ScalarExpr::Neg(a) => {
+            lower_expr(a, access, accesses, code)?;
+            code.push(Op::Neg);
+        }
+        ScalarExpr::Call(_, args) => {
+            for a in args {
+                lower_expr(a, access, accesses, code)?;
+            }
+            code.push(Op::Call(args.len()));
+        }
+    }
+    Ok(())
+}
+
+/// One processor's memory: per slot a value, whether the processor holds
+/// it, and the stamp row of the write that produced it.
+struct LocalMemory {
+    vals: Vec<f64>,
+    present: Vec<bool>,
+    /// `width` numbers per slot.
+    stamps: Vec<i128>,
+    width: usize,
+}
+
+impl LocalMemory {
+    fn new(slots: usize, width: usize) -> Self {
+        LocalMemory {
+            vals: vec![0.0; slots],
+            present: vec![false; slots],
+            stamps: vec![PAD; slots * width],
+            width,
+        }
+    }
+
+    fn holds(&self, slot: usize) -> bool {
+        self.present.get(slot) == Some(&true)
+    }
+
+    fn row(&self, slot: usize) -> &[i128] {
+        &self.stamps[slot * self.width..][..self.width]
+    }
+
+    /// Marks `slot` present with `value`; returns its stamp row to fill.
+    fn put(&mut self, slot: usize, value: f64) -> &mut [i128] {
+        self.vals[slot] = value;
+        self.present[slot] = true;
+        &mut self.stamps[slot * self.width..][..self.width]
+    }
+}
+
+/// A block's position in one array: the slot of its current element, and
+/// the distance to the next.
+struct Cursor {
+    /// [`NO_SLOT`] when the block leaves the array's extents.
+    slot: usize,
+    stride: isize,
+}
+
+/// What values mode keeps beside the clocks: everything resolved on entry,
+/// and the local memories.
+struct Machine<'a> {
+    layout: Layout<'a>,
+    /// Per program statement; `Some` for those the schedule runs.
+    lowered: Vec<Option<Lowered>>,
+    /// Per message, the slot of each payload item.
+    payload_slots: Vec<Option<Vec<usize>>>,
+    local: Vec<LocalMemory>,
+    /// Initial contents until [`Machine::merge`] overwrites them.
+    global: Memory,
+    // Scratch of `run_block`, kept so a block allocates nothing.
+    cursors: Vec<Cursor>,
+    stack: Vec<f64>,
+}
+
+impl<'a> Machine<'a> {
+    fn resolve(
+        program: &'a Program,
+        params: &HashMap<String, i128>,
+        grid: &ProcGrid,
+        stmts: &[StmtInfo],
+        schedule: &Schedule,
+        initial: &InitialPlacement,
+    ) -> Result<Self, SimError> {
+        let global = Memory::allocate(program, params)
+            .map_err(|e| SimError::MalformedSchedule(e.to_string()))?;
+        let layout = Layout::new(program, &global, stmts);
+
+        let mut lowered: Vec<Option<Lowered>> = stmts.iter().map(|_| None).collect();
+        for (p, actions) in schedule.procs.iter().enumerate() {
+            for action in actions {
+                let Action::Block {
+                    stmt,
+                    prefix,
+                    inner_range,
+                    ..
+                } = action
+                else {
+                    continue;
+                };
+                let info = stmts.get(*stmt).ok_or(SimError::NoSuchStatement(*stmt))?;
+                let bound = prefix.len() + usize::from(inner_range.is_some());
+                if bound != info.loops.len() {
+                    return Err(SimError::MalformedSchedule(format!(
+                        "processor {p}: a block of S{stmt} binds {bound} of {} loop variables",
+                        info.loops.len()
+                    )));
+                }
+                if lowered[*stmt].is_none() {
+                    lowered[*stmt] = Some(Lowered::new(info, &layout, params)?);
+                }
+            }
+        }
+
+        let payload_slots = schedule
+            .messages
+            .iter()
+            .enumerate()
+            .map(|(id, spec)| resolve_payload(&layout, id, spec))
+            .collect::<Result<_, _>>()?;
+
+        let mut local: Vec<LocalMemory> = (0..schedule.procs.len())
+            .map(|_| LocalMemory::new(layout.slots, layout.width))
+            .collect();
+        place_initial(&layout, &global, grid, initial, &mut local);
+
+        Ok(Machine {
+            layout,
+            lowered,
+            payload_slots,
+            local,
+            global,
+            cursors: Vec::new(),
+            stack: Vec::new(),
+        })
+    }
+
+    /// Executes the iterations of one block against processor `p`'s memory.
+    fn run_block(
+        &mut self,
+        p: usize,
+        stmt: usize,
+        prefix: &[i128],
+        inner_range: Option<(i128, i128)>,
+    ) -> Result<(), SimError> {
+        let s = self.lowered[stmt].as_ref().expect("lowered by resolve");
+        let (lo, hi) = inner_range.unwrap_or((0, 0));
+
+        // Each access at the two ends of the range: a subscript is affine
+        // in the inner variable, so inside its extent at both ends means
+        // inside throughout, and the flat slot moves by a constant stride.
+        self.cursors.clear();
+        for access in &s.accesses {
+            let array = &self.layout.arrays[access.array];
+            let (mut offset, mut stride, mut inside) = (0, 0, true);
+            for (d, &extent) in array.extents.iter().enumerate() {
+                let (first, step) = access.subscript(d, s.depth, prefix, lo);
+                let last = first + step * (hi - lo);
+                inside &= (0..extent).contains(&first) && (0..extent).contains(&last);
+                offset = offset * extent + first;
+                stride = stride * extent + step;
+            }
+            self.cursors.push(Cursor {
+                slot: if inside {
+                    array.base + offset as usize
+                } else {
+                    NO_SLOT
+                },
+                stride: stride as isize,
+            });
+        }
+        // A range that leaves an array fails at some element; running the
+        // elements one by one finds the first failure in execution order.
+        if lo < hi && self.cursors.iter().any(|c| c.slot == NO_SLOT) {
+            for x in lo..=hi {
+                self.run_block(p, stmt, prefix, Some((x, x)))?;
+            }
+            return Ok(());
+        }
+
+        let mem = &mut self.local[p];
+        let (write, reads) = s.accesses.split_last().expect("the write");
+        let name = |a: &Access| self.layout.arrays[a.array].name.to_owned();
+        for x in lo..=hi {
+            self.stack.clear();
+            for &op in &s.code {
+                let v = match op {
+                    Op::Lit(v) => v,
+                    Op::Read(n) => {
+                        let slot = self.cursors[n].slot;
+                        if !mem.holds(slot) {
+                            return Err(SimError::MissingValue {
+                                proc: p,
+                                array: name(&reads[n]),
+                                idx: reads[n].subscripts(s.depth, prefix, x),
+                                stmt,
+                            });
+                        }
+                        mem.vals[slot]
+                    }
+                    Op::Bin(op) => {
+                        let b = self.stack.pop().expect("postfix operand");
+                        let a = self.stack.pop().expect("postfix operand");
+                        op.apply(a, b)
+                    }
+                    Op::Neg => -self.stack.pop().expect("postfix operand"),
+                    Op::Call(n) => {
+                        let at = self.stack.len() - n;
+                        let v = eval_intrinsic(&self.stack[at..]);
+                        self.stack.truncate(at);
+                        v
+                    }
+                };
+                self.stack.push(v);
+            }
+            let value = self.stack.pop().expect("postfix result");
+            let slot = self.cursors[reads.len()].slot;
+            if slot == NO_SLOT {
+                return Err(SimError::OutOfBounds {
+                    proc: p,
+                    array: name(write),
+                    idx: write.subscripts(s.depth, prefix, x),
+                    stmt,
+                });
+            }
+            let row = mem.put(slot, value);
+            row.copy_from_slice(&s.stamp);
+            let inner = inner_range.is_some().then_some(&x);
+            for (k, &v) in prefix.iter().chain(inner).enumerate() {
+                row[2 * k + 1] = v;
+            }
+            for c in &mut self.cursors {
+                c.slot = c.slot.wrapping_add_signed(c.stride);
+            }
+        }
+        Ok(())
+    }
+
+    /// The values of message `msg`'s payload, read from sender `p`.
+    fn gather(
+        &self,
+        p: usize,
+        msg: usize,
+        spec: &MessageSpec,
+    ) -> Result<Option<Rc<[f64]>>, SimError> {
+        let (Some(slots), Some(items)) = (&self.payload_slots[msg], &spec.payload) else {
+            return Ok(None);
+        };
+        let mem = &self.local[p];
+        slots
+            .iter()
+            .zip(items)
+            .map(|(&slot, item)| {
+                if mem.holds(slot) {
+                    Ok(mem.vals[slot])
+                } else {
+                    Err(SimError::MissingValue {
+                        proc: p,
+                        array: item.array.clone(),
+                        idx: item.idx.clone(),
+                        stmt: usize::MAX,
+                    })
+                }
+            })
+            .collect::<Result<Rc<[f64]>, _>>()
+            .map(Some)
+    }
+
+    /// Receiver `p` takes each item of message `msg` that is later than
+    /// the copy it holds.
+    fn integrate(&mut self, p: usize, msg: usize, spec: &MessageSpec, vals: &[f64]) {
+        let (Some(slots), Some(items)) = (&self.payload_slots[msg], &spec.payload) else {
+            return;
+        };
+        let mem = &mut self.local[p];
+        for ((&slot, item), &value) in slots.iter().zip(items).zip(vals) {
+            if !mem.present[slot] || row_before(mem.row(slot), &item.stamp) {
+                write_row(mem.put(slot, value), &item.stamp);
+            }
+        }
+    }
+
+    /// Merges the local memories into one global memory: per element, the
+    /// copy with the latest stamp among the processors that hold one.
+    fn merge(mut self) -> Memory {
+        for array in &self.layout.arrays {
+            let out = self
+                .global
+                .array_mut(array.name)
+                .expect("allocated from program")
+                .as_mut_slice();
+            for (slot, out) in (array.base..).zip(out) {
+                let mut latest: Option<&LocalMemory> = None;
+                for m in self.local.iter().filter(|m| m.present[slot]) {
+                    if latest.is_none_or(|best| best.row(slot) < m.row(slot)) {
+                        latest = Some(m);
+                    }
+                }
+                if let Some(m) = latest {
+                    *out = m.vals[slot];
+                }
+            }
+        }
+        self.global
+    }
+}
+
+/// The slot of each payload item of message `id`.
+fn resolve_payload(
+    layout: &Layout<'_>,
+    id: usize,
+    spec: &MessageSpec,
+) -> Result<Option<Vec<usize>>, SimError> {
+    let Some(items) = &spec.payload else {
+        return Ok(None);
+    };
+    let bad = |why: String| SimError::MalformedSchedule(format!("message {id}: {why}"));
+    let mut slots = Vec::with_capacity(items.len());
+    for item in items {
+        let array = layout
+            .find(&item.array)
+            .map(|a| &layout.arrays[a])
+            .ok_or_else(|| bad(format!("array {} is not declared", item.array)))?;
+        if item.idx.len() != array.extents.len() {
+            return Err(bad(format!(
+                "{} subscripts on {}-dimensional array {}",
+                item.idx.len(),
+                array.extents.len(),
+                item.array
+            )));
+        }
+        if item.stamp.len() > layout.width || item.stamp.contains(&PAD) {
+            return Err(bad(format!(
+                "stamp {:?} of {}{:?} does not fit a row of {}",
+                item.stamp, item.array, item.idx, layout.width
+            )));
+        }
+        let mut offset = 0;
+        let inside = item.idx.iter().zip(&array.extents).all(|(&x, &extent)| {
+            offset = offset * extent + x;
+            (0..extent).contains(&x)
+        });
+        slots.push(if inside {
+            array.base + offset as usize
+        } else {
+            NO_SLOT
+        });
+    }
+    Ok(Some(slots))
+}
+
+/// Marks the live-in copies present, with the initial stamp `[-1]`.
 fn place_initial(
-    program: &Program,
-    params: &HashMap<String, i128>,
+    layout: &Layout<'_>,
+    global: &Memory,
     grid: &ProcGrid,
     initial: &InitialPlacement,
-    procs: &mut [Proc],
+    local: &mut [LocalMemory],
 ) {
-    let initial_stamp: Stamp = vec![-1];
-    for a in &program.arrays {
-        let extents: Vec<i128> = a
-            .extents
-            .iter()
-            .map(|e| e.eval(&|v| *params.get(v).expect("unbound param")))
-            .collect();
+    for array in &layout.arrays {
+        let init = global
+            .array(array.name)
+            .expect("allocated from program")
+            .as_slice();
         let owner_decomp = match initial {
             InitialPlacement::Replicated => None,
-            InitialPlacement::Owned(map) => map.get(&a.name),
+            InitialPlacement::Owned(map) => map.get(array.name),
         };
-        let mut idx = vec![0i128; extents.len()];
-        let total: i128 = extents.iter().product::<i128>().max(0);
-        for _ in 0..total {
-            let value = default_init(&a.name, &idx);
+        let place = |m: &mut LocalMemory, slot: usize, value: f64| {
+            write_row(m.put(slot, value), &[-1]);
+        };
+        let mut idx = vec![0i128; array.extents.len()];
+        for (slot, &value) in (array.base..).zip(init) {
             match owner_decomp {
                 None => {
-                    for proc in procs.iter_mut() {
-                        proc.store.insert(
-                            (a.name.clone(), idx.clone()),
-                            (value, initial_stamp.clone()),
-                        );
+                    for m in local.iter_mut() {
+                        place(m, slot, value);
                     }
                 }
                 Some(d) => {
                     // Every physical processor holding a virtual owner gets
                     // a copy; virtual owners fold onto physical ranks.
-                    let owners = virtual_owners(d, &idx);
-                    let mut seen = std::collections::BTreeSet::new();
-                    for v in owners {
-                        let folded = grid.fold(&v);
-                        seen.insert(grid.rank(&folded) as usize);
-                    }
-                    for r in seen {
-                        procs[r].store.insert(
-                            (a.name.clone(), idx.clone()),
-                            (value, initial_stamp.clone()),
-                        );
+                    for v in virtual_owners(d, &idx) {
+                        let rank = grid.rank(&grid.fold(&v)) as usize;
+                        place(&mut local[rank], slot, value);
                     }
                 }
             }
-            for d in (0..extents.len()).rev() {
+            for d in (0..idx.len()).rev() {
                 idx[d] += 1;
-                if idx[d] < extents[d] {
+                if idx[d] < array.extents[d] {
                     break;
                 }
                 idx[d] = 0;
@@ -540,143 +1102,59 @@ fn virtual_owners(d: &DataDecomp, element: &[i128]) -> Vec<Vec<i128>> {
     out
 }
 
-/// Executes the iterations of one block against the processor's store.
-fn run_block(
-    program: &Program,
-    params: &HashMap<String, i128>,
-    info: &StmtInfo,
-    prefix: &[i128],
-    inner_range: Option<(i128, i128)>,
-    p: usize,
-    procs: &mut [Proc],
-) -> Result<(), SimError> {
-    let vars = info.loop_vars();
-    let run_one = |iter: &[i128], procs: &mut [Proc]| -> Result<(), SimError> {
-        let lookup = |v: &str| -> i128 {
-            if let Some(k) = vars.iter().position(|lv| *lv == v) {
-                iter[k]
-            } else {
-                *params
-                    .get(v)
-                    .unwrap_or_else(|| panic!("unbound variable {v}"))
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+
+        /// A stamp of a statement at depth 0–3 (or the initial stamp), cut
+        /// anywhere, with components close enough to tie often.
+        fn stamp(&mut self) -> Vec<i128> {
+            if self.below(8) == 0 {
+                return vec![-1];
             }
+            let depth = self.below(4) as usize;
+            let mut s: Vec<i128> = (0..2 * depth + 1)
+                .map(|_| self.below(3) as i128 - 1)
+                .collect();
+            s.truncate(1 + self.below(s.len() as u64) as usize);
+            s
+        }
+    }
+
+    #[test]
+    fn rows_order_as_stamps_do() {
+        const WIDTH: usize = 7;
+        let row = |stamp: &[i128]| {
+            let mut r = [0; WIDTH];
+            write_row(&mut r, stamp);
+            r
         };
-        let value = eval_scalar(&info.stmt.rhs, &lookup, p, info.id, procs)?;
-        let idx: Vec<i128> = info
-            .stmt
-            .write
-            .idx
-            .iter()
-            .map(|a| eval_aff(a, &lookup))
-            .collect();
-        let stamp = stamp_of(&info.position, iter);
-        procs[p]
-            .store
-            .insert((info.stmt.write.array.clone(), idx), (value, stamp));
-        let _ = program;
-        Ok(())
-    };
-    match inner_range {
-        None => {
-            debug_assert_eq!(prefix.len(), vars.len());
-            run_one(prefix, procs)?;
+        assert!(row(&[0, 1]) < row(&[0, 1, 0]));
+        assert!(row(&[-1]) < row(&[0]));
+        let mut rng = XorShift(0x9E37_79B9_7F4A_7C15);
+        let mut prefixes = 0;
+        for _ in 0..20_000 {
+            let a = rng.stamp();
+            let b = if rng.below(4) == 0 {
+                a[..1 + rng.below(a.len() as u64) as usize].to_vec()
+            } else {
+                rng.stamp()
+            };
+            prefixes += usize::from(a.len() != b.len() && a.starts_with(&b));
+            assert_eq!(row(&a).cmp(&row(&b)), a.cmp(&b), "{a:?} vs {b:?}");
+            assert_eq!(row_before(&row(&a), &b), a < b, "{a:?} vs {b:?}");
+            assert_eq!(row_before(&row(&b), &a), b < a, "{a:?} vs {b:?}");
         }
-        Some((lo, hi)) => {
-            debug_assert_eq!(prefix.len() + 1, vars.len());
-            let mut iter = prefix.to_vec();
-            iter.push(0);
-            for x in lo..=hi {
-                *iter.last_mut().expect("inner var") = x;
-                run_one(&iter, procs)?;
-            }
-        }
+        assert!(prefixes > 1_000, "{prefixes} proper prefixes drawn");
     }
-    Ok(())
-}
-
-fn eval_aff(a: &Aff, lookup: &dyn Fn(&str) -> i128) -> i128 {
-    a.eval(lookup)
-}
-
-fn eval_scalar(
-    e: &ScalarExpr,
-    lookup: &dyn Fn(&str) -> i128,
-    p: usize,
-    stmt: usize,
-    procs: &mut [Proc],
-) -> Result<f64, SimError> {
-    Ok(match e {
-        ScalarExpr::Lit(v) => *v,
-        ScalarExpr::Read(r) => read_elem(r, lookup, p, stmt, procs)?,
-        ScalarExpr::Bin(op, a, b) => {
-            let x = eval_scalar(a, lookup, p, stmt, procs)?;
-            let y = eval_scalar(b, lookup, p, stmt, procs)?;
-            match op {
-                BinOp::Add => x + y,
-                BinOp::Sub => x - y,
-                BinOp::Mul => x * y,
-                BinOp::Div => x / y,
-            }
-        }
-        ScalarExpr::Neg(a) => -eval_scalar(a, lookup, p, stmt, procs)?,
-        ScalarExpr::Call(_, args) => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval_scalar(a, lookup, p, stmt, procs)?);
-            }
-            eval_intrinsic(&vals)
-        }
-    })
-}
-
-fn read_elem(
-    r: &ArrayRef,
-    lookup: &dyn Fn(&str) -> i128,
-    p: usize,
-    stmt: usize,
-    procs: &mut [Proc],
-) -> Result<f64, SimError> {
-    let idx: Vec<i128> = r.idx.iter().map(|a| eval_aff(a, lookup)).collect();
-    match procs[p].store.get(&(r.array.clone(), idx.clone())) {
-        Some(&(v, _)) => Ok(v),
-        None => Err(SimError::MissingValue {
-            proc: p,
-            array: r.array.clone(),
-            idx,
-            stmt,
-        }),
-    }
-}
-
-/// Merges per-processor stores into one global memory by taking, per
-/// element, the value with the latest write stamp.
-fn merge_memory(
-    program: &Program,
-    params: &HashMap<String, i128>,
-    procs: &[Proc],
-) -> Result<Memory, SimError> {
-    let mut mem = Memory::allocate(program, params)
-        .map_err(|e| SimError::MalformedSchedule(e.to_string()))?;
-    let mut best: HashMap<(String, Vec<i128>), (f64, Stamp)> = HashMap::new();
-    for proc in procs {
-        for ((array, idx), (v, stamp)) in &proc.store {
-            let key = (array.clone(), idx.clone());
-            match best.entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    if e.get().1 < *stamp {
-                        *e.get_mut() = (*v, stamp.clone());
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert((*v, stamp.clone()));
-                }
-            }
-        }
-    }
-    for ((array, idx), (v, _)) in best {
-        if let Some(store) = mem.array_mut(&array) {
-            store.set(&idx, v);
-        }
-    }
-    Ok(mem)
 }

@@ -130,10 +130,17 @@ done
 # engine's memo stores are wiped and refilled mid-process while the
 # span-tiling check is on.
 bash benchmark/run.sh --workload symbolic_corpus --small --seed 1 --trace 1
-if bash benchmark/run.sh --workload store_warm --small --inject-fault >/dev/null 2>&1; then
-    echo "benchmark: --inject-fault must exit non-zero" >&2
-    exit 1
-fi
+# And one with values mode inside the traced, the obs-capture and the
+# ledger pass: the simulator's local memories under the same tiling check.
+bash benchmark/run.sh --workload verify_values --small --seed 1 --trace 1
+# A fault must still fail: a corrupted store entry, and an interpreter
+# result one element off the simulator's merged memory.
+for workload in store_warm verify_values; do
+    if bash benchmark/run.sh --workload "$workload" --small --inject-fault >/dev/null 2>&1; then
+        echo "benchmark: $workload --inject-fault must exit non-zero" >&2
+        exit 1
+    fi
+done
 
 # Flamegraph wrapper smoke: the stencil profile must leave a non-empty
 # collapsed-stack file (the script exits nonzero otherwise).
