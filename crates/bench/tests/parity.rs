@@ -1,6 +1,7 @@
-//! Output-parity test for the feasibility budget: a roomier budget may
-//! not change a compiled schedule, a message count, or a simulation
-//! result — only wall-clock time.
+//! Output-parity tests. The feasibility budget: a roomier budget may not
+//! change a compiled schedule, a message count, or a simulation result —
+//! only wall-clock time. The interpreter: its lowered `run` and its
+//! tree-walking `run_traced` leave the same bits in every element.
 
 use dmc_bench::figure2_input;
 use dmc_core::{build_schedule, compile, message_stats, run, CompileInput, Options};
@@ -75,4 +76,28 @@ fn feasibility_budget_is_configurable() {
 
     let again = outputs(&input, &[3, 63], Options::full());
     assert_eq!(full.0, again.0, "default budget must be restored");
+}
+
+/// On every workload of the registry, at its standard parameters, the
+/// lowered interpreter and the tree walk agree bit for bit.
+#[test]
+fn interpreter_paths_agree_on_the_registry() {
+    for w in dmc_bench::workloads() {
+        let program = (w.input)(w.nproc).program;
+        let env = program
+            .params
+            .iter()
+            .cloned()
+            .zip(w.params.iter().copied())
+            .collect();
+        let lowered = dmc_ir::interp::run(&program, &env).expect("runs");
+        let (walked, trace) = dmc_ir::interp::run_traced(&program, &env).expect("runs");
+        assert!(!trace.reads.is_empty(), "{}: nothing ran", w.name);
+        for (name, a) in lowered.iter() {
+            let b = walked.array(name).expect("same arrays");
+            let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(a.extents(), b.extents(), "{} {name}", w.name);
+            assert_eq!(bits(a.as_slice()), bits(b.as_slice()), "{} {name}", w.name);
+        }
+    }
 }

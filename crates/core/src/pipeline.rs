@@ -20,7 +20,7 @@ use dmc_obs as obs;
 use dmc_polyhedra::ledger;
 use dmc_polyhedra::{DimKind, PolyError, Space};
 
-use crate::options::Options;
+use crate::options::{Options, Strategy};
 use crate::session::{schedule_fp, Session};
 
 /// Everything the compiler needs: the program, one computation
@@ -61,6 +61,14 @@ pub enum CompileError {
     TooLarge(String),
     /// Simulation failed.
     Sim(SimError),
+    /// A values-mode schedule was asked of a location-centric compile that
+    /// fetches the named array, which the program also writes. The
+    /// location-centric plan is a traffic model: it sends every fetched
+    /// location from its initial owner ahead of the loop nest, stamped as
+    /// live-in data, so a location the program writes would arrive with
+    /// its initial value. Timing mode, and arrays the program only reads,
+    /// are unaffected.
+    LocationCentricValues(String),
 }
 
 impl std::fmt::Display for CompileError {
@@ -82,6 +90,11 @@ impl std::fmt::Display for CompileError {
             CompileError::Unbounded(m) => write!(f, "unbounded range while planning: {m}"),
             CompileError::TooLarge(m) => write!(f, "planning limit exceeded: {m}"),
             CompileError::Sim(e) => write!(f, "simulation failed: {e}"),
+            CompileError::LocationCentricValues(a) => write!(
+                f,
+                "the location-centric plan fetches {a}, which the program writes: \
+                 it counts traffic and cannot carry values"
+            ),
         }
     }
 }
@@ -383,11 +396,21 @@ fn block_actions(
     let mut seq = 0usize;
     for info in &stmts {
         let comp = &input.comps[&info.id];
+        // A run of the innermost loop is one block only where nothing else
+        // runs between its iterations: no other statement is inside that
+        // loop. Otherwise (`X[i] = …; for j { … }` under `for i`) each
+        // iteration is a block of its own, ordered by its stamp.
+        let batch = info.loops.last().is_none_or(|inner| {
+            stmts
+                .iter()
+                .all(|o| o.id == info.id || o.loops.iter().all(|l| l.id != inner.id))
+        });
         compute_blocks(
             input,
             info,
             comp,
             param_vals,
+            batch,
             &mut |proc, prefix, inner, flops, anchor| {
                 pending[proc].push((
                     anchor,
@@ -424,8 +447,10 @@ fn producing_stamp(cs: &CommSet, stmts: &[StmtInfo], e: &CommElem) -> Stamp {
 /// # Errors
 ///
 /// Returns [`CompileError::Unbounded`] if a processor or loop range cannot
-/// be bounded, [`CompileError::TooLarge`] past `limit`, or other analysis
-/// errors.
+/// be bounded, [`CompileError::TooLarge`] past `limit`,
+/// [`CompileError::LocationCentricValues`] for a values-mode schedule of a
+/// location-centric compile that fetches an array the program writes, or
+/// other analysis errors.
 pub fn build_schedule(
     compiled: &Compiled,
     param_vals: &[i128],
@@ -449,6 +474,13 @@ pub(crate) fn build_schedule_inner(
     // polyhedral engine (enumeration, multicast checks), and `compile`'s
     // tuning has already been popped by now.
     let _lane = obs::lane(obs::main_lane(), "pipeline");
+    if values && compiled.options.strategy == Strategy::LocationCentric {
+        let stmts = compiled.input.program.statements();
+        let written = |array: &str| stmts.iter().any(|s| s.stmt.write.array == array);
+        if let Some(cs) = compiled.comm.iter().find(|cs| written(&cs.array)) {
+            return Err(CompileError::LocationCentricValues(cs.array.clone()));
+        }
+    }
     let _tuning = compiled.options.push_tuning_scoped();
     // The stage key covers everything the plan is a function of.
     let mut staged = session.map(|s| (s, schedule_fp(compiled, param_vals, values, limit)));
@@ -716,12 +748,14 @@ fn build_schedule_at(
 /// `(processor, virtual iteration, inner range, flops, stamp)`.
 type BlockSink<'a> = dyn FnMut(usize, Vec<i128>, Option<(i128, i128)>, f64, Stamp) + 'a;
 
-/// Enumerates the compute blocks of one statement on every processor.
+/// Enumerates the compute blocks of one statement on every processor: one
+/// per run of the innermost loop when `batch`, one per iteration otherwise.
 fn compute_blocks(
     input: &CompileInput,
     info: &StmtInfo,
     comp: &CompDecomp,
     param_vals: &[i128],
+    batch: bool,
     emit: &mut BlockSink,
 ) -> Result<(), CompileError> {
     let program = &input.program;
@@ -770,11 +804,18 @@ fn compute_blocks(
                 .iter()
                 .map(|&d| point[d])
                 .collect();
-            let mut first = prefix.clone();
-            first.push(lo);
-            let anchor = dmc_machine::stamp_of(&info.position, &first);
-            let count = (hi - lo + 1) as f64;
-            emit(rank, prefix, Some((lo, hi)), flops_per_iter * count, anchor);
+            let mut block = |prefix: Vec<i128>, lo: i128, hi: i128| {
+                let mut first = prefix.clone();
+                first.push(lo);
+                let anchor = dmc_machine::stamp_of(&info.position, &first);
+                let count = (hi - lo + 1) as f64;
+                emit(rank, prefix, Some((lo, hi)), flops_per_iter * count, anchor);
+            };
+            if batch {
+                block(prefix, lo, hi);
+            } else {
+                (lo..=hi).for_each(|x| block(prefix.clone(), x, x));
+            }
         }
         Ok(ControlFlow::Continue(()))
     })

@@ -240,35 +240,65 @@ fn location_centric_counts_more_traffic() {
     );
 }
 
-// ROADMAP 2a: values-mode runs that do not match the sequential
-// interpreter. Reproductions, not fixes — each fails with an element-wise
-// mismatch from `check_end_to_end` (EXPERIMENTS.md "Known deviations" has
-// the cause found so far). The first has one processor and no messages:
-// `compute_blocks` runs `X[i] = 1.5` for its whole `i` range as one block
-// ahead of the `j` loop it should interleave with.
+// Values-mode runs that did not match the sequential interpreter until
+// `compute_blocks` stopped batching a statement's innermost-loop range
+// across the other statements that loop encloses (the first has one
+// processor and no messages: `X[i] = 1.5` ran for its whole `i` range ahead
+// of the `j` loop it interleaves with). EXPERIMENTS.md P21 has the history.
 
 #[test]
-#[ignore = "ROADMAP 2a"]
 fn known_mismatch_xy_single_processor() {
     check_end_to_end(xy_input(1, false), Options::full(), &[7]);
 }
 
 #[test]
-#[ignore = "ROADMAP 2a"]
 fn known_mismatch_xy_naive_two_processors() {
     check_end_to_end(xy_input(2, false), Options::naive(), &[7]);
 }
 
 #[test]
-#[ignore = "ROADMAP 2a"]
 fn known_mismatch_xy_initial_decomp_four_processors() {
     check_end_to_end(xy_input(4, true), Options::full(), &[15]);
 }
 
+/// The location-centric plan ships every fetched location ahead of the
+/// loop nest, stamped live-in: a values-mode schedule of it is refused
+/// where that would be wrong (the fetched array is written), served where
+/// it is right, and timing mode never asks.
 #[test]
-#[ignore = "ROADMAP 2a"]
 fn known_mismatch_lu_location_centric() {
-    check_end_to_end(lu_input(4), Options::location_centric(), &[12]);
+    let compiled = compile(lu_input(4), Options::location_centric()).unwrap();
+    for attempt in [
+        build_schedule(&compiled, &[12], true, 2_000_000).map(drop),
+        run(&compiled, &[12], &MachineConfig::ipsc860(), true, 2_000_000).map(drop),
+    ] {
+        match attempt {
+            Err(crate::CompileError::LocationCentricValues(array)) => assert_eq!(array, "X"),
+            other => panic!("expected the typed refusal, got {other:?}"),
+        }
+    }
+    build_schedule(&compiled, &[12], false, 2_000_000).expect("timing mode is untouched");
+    message_stats(&compiled, &[12], 2_000_000).expect("traffic is still counted");
+
+    // The preset alone is not refused: a transpose only reads what it
+    // fetches, and its location-centric run equals the interpreter.
+    let program = parse(
+        "param N; array A[N + 1][N + 1]; array B[N + 1][N + 1];
+         for i = 0 to N { for j = 0 to N { B[i][j] = A[j][i]; } }",
+    )
+    .unwrap();
+    let mut comps = BTreeMap::new();
+    comps.insert(0, CompDecomp::block_1d(0, "i", 4));
+    let mut initial = HashMap::new();
+    initial.insert("A".to_string(), DataDecomp::block_1d("A", 2, 0, 4));
+    let input = CompileInput {
+        program,
+        comps,
+        initial,
+        grid: ProcGrid::line(3),
+    };
+    let stats = check_end_to_end(input, Options::location_centric(), &[10]);
+    assert!(stats.messages > 0, "the transpose communicates");
 }
 
 #[test]

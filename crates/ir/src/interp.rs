@@ -10,9 +10,11 @@
 //! (`dmc-dataflow`) is tested against.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt;
 
 use crate::aff::Aff;
+use crate::lower::{eval_row, lower_aff, Access, Cursor, LoweredStmt, NO_ARRAY, NO_SLOT};
 use crate::program::{ArrayRef, Node, Program, ScalarExpr};
 
 /// Errors raised while interpreting a program.
@@ -233,11 +235,199 @@ fn eval_aff(
     Ok(acc)
 }
 
+/// A statement of the lowered loop tree.
+struct StmtCode {
+    code: LoweredStmt,
+    /// Per access, what evaluating it raises before any bounds check: an
+    /// unbound name in a subscript, or an undeclared array. Raised when an
+    /// instance reaches the access, so a zero-trip loop hides it.
+    faults: Vec<Option<ExecError>>,
+}
+
+/// A loop of the lowered tree: its bounds as rows over the enclosing loops.
+struct LoopCode {
+    /// `(lower, upper)`, or the unbound name evaluating them raises.
+    bounds: Result<(Vec<i128>, Vec<i128>), ExecError>,
+    body: Vec<Code>,
+}
+
+enum Code {
+    Loop(LoopCode),
+    Stmt(StmtCode),
+}
+
+/// Lowers `nodes`, which `loops` (outermost first) enclose; an array's
+/// number is its place in `arrays`.
+fn lower_nodes<'a>(
+    nodes: &'a [Node],
+    loops: &mut Vec<&'a str>,
+    arrays: &[(String, ArrayStore)],
+    params: &HashMap<String, i128>,
+) -> Vec<Code> {
+    let unbound = |v: &str| ExecError::UnboundParam(v.to_owned());
+    let mut out = Vec::with_capacity(nodes.len());
+    for node in nodes {
+        out.push(match node {
+            Node::Loop(l) => {
+                let row = |aff| {
+                    let mut row = vec![0; loops.len() + 1];
+                    lower_aff(aff, loops, params, &mut row).map_err(unbound)?;
+                    Ok(row)
+                };
+                let bounds = row(&l.lower).and_then(|lo| Ok((lo, row(&l.upper)?)));
+                loops.push(&l.var);
+                let body = lower_nodes(&l.body, loops, arrays, params);
+                loops.pop();
+                Code::Loop(LoopCode { bounds, body })
+            }
+            Node::Stmt(s) => {
+                let mut faults = Vec::new();
+                // The tree walk evaluates the subscripts, then looks the
+                // array up: an unbound name is raised first.
+                let code = LoweredStmt::new(s, |r| {
+                    let array = arrays.iter().position(|(name, _)| *name == r.array);
+                    let array = array.unwrap_or(NO_ARRAY);
+                    let (access, fault) = match Access::new(r, array, loops, params) {
+                        Err(v) => (Access::unresolved(loops.len()), Some(unbound(v))),
+                        Ok(access) if array == NO_ARRAY => {
+                            let fault = ExecError::UndeclaredArray(r.array.clone());
+                            (access, Some(fault))
+                        }
+                        Ok(access) => (access, None),
+                    };
+                    faults.push(fault);
+                    Ok::<_, Infallible>(access)
+                });
+                let Ok(code) = code;
+                Code::Stmt(StmtCode { code, faults })
+            }
+        });
+    }
+    out
+}
+
+/// What [`run`] executes against: the arrays by number, and the scratch an
+/// instance reuses.
+struct Exec {
+    /// `(name, store)` in declaration order, out of [`Memory`]'s map.
+    stores: Vec<(String, ArrayStore)>,
+    /// Values of the enclosing loops, outermost first.
+    env: Vec<i128>,
+    cursors: Vec<Cursor>,
+    stack: Vec<f64>,
+}
+
+impl Exec {
+    fn exec(&mut self, nodes: &[Code]) -> Result<(), ExecError> {
+        for node in nodes {
+            match node {
+                Code::Stmt(s) => self.run_stmt(s, None)?,
+                Code::Loop(l) => {
+                    let (lower, upper) = l.bounds.as_ref().map_err(Clone::clone)?;
+                    let lo = eval_row(lower, &self.env);
+                    let hi = eval_row(upper, &self.env);
+                    if lo > hi {
+                        continue;
+                    }
+                    // A loop around one statement runs it as one range.
+                    if let [Code::Stmt(s)] = &l.body[..] {
+                        self.run_stmt(s, Some((lo, hi)))?;
+                        continue;
+                    }
+                    for x in lo..=hi {
+                        self.env.push(x);
+                        self.exec(&l.body)?;
+                        self.env.pop();
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs `s` at `env`, which binds every loop around it, or over `range`
+    /// of its innermost loop at `env`, which binds the others.
+    fn run_stmt(&mut self, s: &StmtCode, range: Option<(i128, i128)>) -> Result<(), ExecError> {
+        let (lo, hi) = range.unwrap_or((0, 0));
+        let stores = &self.stores;
+        let array = |a: usize| stores.get(a).map(|(_, store)| (store.extents(), 0));
+        let inside = s.code.place(&self.env, (lo, hi), array, &mut self.cursors);
+        // A range that leaves an array fails at some instance; running the
+        // instances one by one finds the first failure in execution order.
+        if lo < hi && !inside {
+            for x in lo..=hi {
+                self.run_stmt(s, Some((x, x)))?;
+            }
+            return Ok(());
+        }
+        let accesses = &s.code.accesses;
+        let write = s.code.write();
+        for x in lo..=hi {
+            let (stores, cursors, env) = (&mut self.stores, &self.cursors, &self.env);
+            // The element under cursor `n`, or what the tree walk raises
+            // for that access at this instance.
+            let slot = |n: usize| match cursors[n].slot {
+                NO_SLOT => Err(s.faults[n].clone().unwrap_or_else(|| {
+                    let a: &Access = &accesses[n];
+                    ExecError::OutOfBounds {
+                        array: stores[a.array].0.clone(),
+                        idx: a.subscripts(env, x),
+                    }
+                })),
+                slot => Ok(slot),
+            };
+            let value = s.code.eval(&mut self.stack, |n| {
+                let at = slot(n)?;
+                Ok(stores[accesses[n].array].1.data[at])
+            })?;
+            let at = slot(write)?;
+            stores[accesses[write].array].1.data[at] = value;
+            self.cursors.iter_mut().for_each(Cursor::step);
+        }
+        Ok(())
+    }
+}
+
+/// Runs `program` sequentially with the given parameter values and returns
+/// the final memory.
+///
+/// The program is lowered once ([`crate::lower`]): loop bounds and
+/// subscripts to rows over loop slots with the parameters folded in,
+/// right-hand sides to postfix code, arrays to numbers. An instance then
+/// costs no hashing, no string comparison and no allocation, and raises
+/// exactly what the tree walk of [`run_traced`] raises for it.
+///
+/// # Errors
+///
+/// Propagates [`ExecError`] on out-of-bounds accesses or unbound names.
+pub fn run(program: &Program, params: &HashMap<String, i128>) -> Result<Memory, ExecError> {
+    let mut mem = Memory::allocate(program, params)?;
+    // A redeclared name is one array (the map holds its last declaration).
+    let stores: Vec<(String, ArrayStore)> = program
+        .arrays
+        .iter()
+        .filter_map(|decl| mem.arrays.remove_entry(&decl.name))
+        .collect();
+    let code = lower_nodes(&program.body, &mut Vec::new(), &stores, params);
+    let mut exec = Exec {
+        stores,
+        env: Vec::new(),
+        cursors: Vec::new(),
+        stack: Vec::new(),
+    };
+    exec.exec(&code)?;
+    mem.arrays.extend(exec.stores);
+    Ok(mem)
+}
+
+/// The tree-walking interpreter behind [`run_traced`]: names looked up per
+/// access, every read attributed to its writer. Independent of
+/// [`crate::lower`], which makes it the reference [`run`] is tested against.
 struct Interp<'a> {
     params: &'a HashMap<String, i128>,
     mem: Memory,
     env: Vec<(String, i128)>,
-    trace: Option<Trace>,
+    trace: Trace,
     last_writer: HashMap<(String, Vec<i128>), WriterId>,
 }
 
@@ -269,20 +459,18 @@ impl Interp<'_> {
             array: r.array.clone(),
             idx: idx.clone(),
         })?;
-        if let Some(t) = &mut self.trace {
-            let writer = self
-                .last_writer
-                .get(&(r.array.clone(), idx.clone()))
-                .cloned();
-            t.reads.push(ReadEvent {
-                stmt,
-                iter: iter.to_vec(),
-                read_no,
-                array: r.array.clone(),
-                idx,
-                writer,
-            });
-        }
+        let writer = self
+            .last_writer
+            .get(&(r.array.clone(), idx.clone()))
+            .cloned();
+        self.trace.reads.push(ReadEvent {
+            stmt,
+            iter: iter.to_vec(),
+            read_no,
+            array: r.array.clone(),
+            idx,
+            writer,
+        });
         Ok(v)
     }
 
@@ -317,16 +505,6 @@ impl Interp<'_> {
     }
 }
 
-/// Runs `program` sequentially with the given parameter values and returns
-/// the final memory.
-///
-/// # Errors
-///
-/// Propagates [`ExecError`] on out-of-bounds accesses or unbound names.
-pub fn run(program: &Program, params: &HashMap<String, i128>) -> Result<Memory, ExecError> {
-    Ok(run_impl(program, params, false)?.0)
-}
-
 /// Runs `program` sequentially and also records the exact producing write
 /// of every dynamic read (the analysis ground truth).
 ///
@@ -337,21 +515,11 @@ pub fn run_traced(
     program: &Program,
     params: &HashMap<String, i128>,
 ) -> Result<(Memory, Trace), ExecError> {
-    let (mem, trace) = run_impl(program, params, true)?;
-    Ok((mem, trace.expect("tracing was enabled")))
-}
-
-fn run_impl(
-    program: &Program,
-    params: &HashMap<String, i128>,
-    traced: bool,
-) -> Result<(Memory, Option<Trace>), ExecError> {
-    let mem = Memory::allocate(program, params)?;
     let mut interp = Interp {
         params,
-        mem,
+        mem: Memory::allocate(program, params)?,
         env: Vec::new(),
-        trace: traced.then(Trace::default),
+        trace: Trace::default(),
         last_writer: HashMap::new(),
     };
     run_with_static_ids(&mut interp, &program.body, &mut 0)?;
@@ -404,11 +572,9 @@ fn run_with_static_ids(
                         idx,
                     });
                 }
-                if interp.trace.is_some() {
-                    interp
-                        .last_writer
-                        .insert((s.write.array.clone(), idx), (stmt_id, iter));
-                }
+                interp
+                    .last_writer
+                    .insert((s.write.array.clone(), idx), (stmt_id, iter));
             }
         }
     }
@@ -584,5 +750,224 @@ mod tests {
             m1.array("A").unwrap().get(&[0]),
             m2.array("A").unwrap().get(&[0])
         );
+    }
+
+    /// `run` (lowered) against `run_traced` (tree walk): the same error, or
+    /// the same bits in every element.
+    fn assert_same(p: &Program, env: &HashMap<String, i128>) -> Result<Memory, ExecError> {
+        let lowered = run(p, env);
+        let walked = run_traced(p, env).map(|(mem, _)| mem);
+        match (&lowered, &walked) {
+            (Err(a), Err(b)) => assert_eq!(a, b, "{p}"),
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a.arrays.len(), b.arrays.len(), "{p}");
+                for (name, x) in a.iter() {
+                    let y = b.array(name).expect("same arrays");
+                    assert_eq!(x.extents(), y.extents(), "{name} of {p}");
+                    let bits = |s: &ArrayStore| -> Vec<u64> {
+                        s.as_slice().iter().map(|v| v.to_bits()).collect()
+                    };
+                    assert_eq!(bits(x), bits(y), "{name} of {p}");
+                }
+            }
+            _ => panic!("lowered {lowered:?} but walked {walked:?} on {p}"),
+        }
+        lowered
+    }
+
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+
+        fn pick<T: Copy>(&mut self, of: &[T]) -> T {
+            of[self.below(of.len() as u64) as usize]
+        }
+
+        /// A bound (`subscript == false`) or a subscript: mostly `v + c`
+        /// over the loops in scope, now and then a second variable, a
+        /// coefficient or a parameter. A subscript is moved into the
+        /// arrays' extents (`6N + 12`) eleven times in twelve and names
+        /// the unbound `Q` once in forty.
+        fn aff(&mut self, scope: &[&str], subscript: bool) -> Aff {
+            let mut a = Aff::constant(self.pick(&[0, 0, 0, 1, 1, -1, 2]));
+            if let Some(inner) = scope.last().filter(|_| self.below(8) != 0) {
+                a = a + Aff::var(*inner) * self.pick(&[1, 1, 1, 1, -1, 2]);
+            }
+            if scope.len() > 1 && self.below(3) == 0 {
+                a = a + Aff::var(scope[self.below(scope.len() as u64 - 1) as usize]);
+            }
+            if self.below(6) == 0 {
+                a = a + Aff::var(self.pick(&["N", "M"])) * self.pick(&[1, -1]);
+            }
+            if subscript && self.below(12) != 0 {
+                a = a + Aff::var("N") * 2 + Aff::constant(4);
+            }
+            if subscript && self.below(40) == 0 {
+                a = a + Aff::var("Q");
+            }
+            a
+        }
+
+        fn array_ref(&mut self, scope: &[&str]) -> ArrayRef {
+            match self.below(if scope.is_empty() { 20 } else { 60 }) {
+                0 => ArrayRef::new("C", vec![self.aff(scope, true)]),
+                1 => ArrayRef::new("A", vec![self.aff(scope, true), self.aff(scope, true)]),
+                k if k % 2 == 0 => ArrayRef::new("A", vec![self.aff(scope, true)]),
+                _ => ArrayRef::new("B", vec![self.aff(scope, true), self.aff(scope, true)]),
+            }
+        }
+
+        fn expr(&mut self, scope: &[&str], depth: u32) -> ScalarExpr {
+            use crate::program::BinOp::*;
+            match self.below(if depth == 0 { 2 } else { 6 }) {
+                0 => lit(self.below(7) as f64 * 0.375 - 1.0),
+                1 => ScalarExpr::Read(self.array_ref(scope)),
+                2 => ScalarExpr::Neg(Box::new(self.expr(scope, depth - 1))),
+                3 => {
+                    let n = self.below(4);
+                    call("f", (0..n).map(|_| self.expr(scope, depth - 1)).collect())
+                }
+                _ => ScalarExpr::Bin(
+                    self.pick(&[Add, Sub, Mul, Div]),
+                    Box::new(self.expr(scope, depth - 1)),
+                    Box::new(self.expr(scope, depth - 1)),
+                ),
+            }
+        }
+
+        /// A body at `scope`: statements, sibling loops and loops
+        /// enclosing further statements, `budget` statements in all.
+        fn body(&mut self, scope: &mut Vec<&'static str>, budget: &mut u32) -> Vec<Node> {
+            const VARS: [&str; 3] = ["i", "j", "k"];
+            let mut out = Vec::new();
+            for _ in 0..1 + self.below(3) {
+                if *budget == 0 {
+                    break;
+                }
+                if scope.len() < 3 && self.below(3) != 0 {
+                    // `M` as a loop variable shadows the parameter.
+                    let var = if self.below(8) == 0 {
+                        "M"
+                    } else {
+                        VARS[scope.len()]
+                    };
+                    let lower = self.aff(&scope[..scope.len().min(1)], false);
+                    let upper = match self.below(8) {
+                        0 => lower.clone() - Aff::constant(1),
+                        1 | 2 if !scope.is_empty() => Aff::var(scope[0]) + Aff::constant(1),
+                        _ => Aff::var("N") - Aff::constant(self.below(2) as i128),
+                    };
+                    scope.push(var);
+                    let inner = self.body(scope, budget);
+                    scope.pop();
+                    out.push(for_loop(var, lower, upper, inner));
+                } else {
+                    *budget -= 1;
+                    let write = self.array_ref(scope);
+                    out.push(assign(write, self.expr(scope, 3)));
+                }
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn lowered_run_equals_tree_walk() {
+        let mut rng = XorShift(0x2545_F491_4F6C_DD1D);
+        let (mut ok, mut oob, mut undeclared, mut unbound, mut instances) = (0, 0, 0, 0, 0usize);
+        for _ in 0..3_000 {
+            let mut p = Program::new(["N", "M"]);
+            let extent = Aff::var("N") * 6 + Aff::constant(12);
+            p.declare_array("A", vec![extent.clone()]);
+            p.declare_array("B", vec![extent.clone(), extent + Aff::constant(1)]);
+            let mut budget = 1 + rng.below(3) as u32;
+            p.body = rng.body(&mut Vec::new(), &mut budget);
+            let env = params(&[("N", 2 + rng.below(4) as i128), ("M", rng.below(3) as i128)]);
+            match assert_same(&p, &env) {
+                Ok(_) => {
+                    ok += 1;
+                    instances += run_traced(&p, &env).expect("ran").1.reads.len();
+                }
+                Err(ExecError::OutOfBounds { .. }) => oob += 1,
+                Err(ExecError::UndeclaredArray(_)) => undeclared += 1,
+                Err(ExecError::UnboundParam(_)) => unbound += 1,
+            }
+        }
+        // Every outcome is drawn often enough to mean something.
+        assert!(
+            ok > 300 && instances > 10_000,
+            "{ok} ran, {instances} reads"
+        );
+        assert!(oob > 300, "{oob} out of bounds");
+        assert!(undeclared > 20 && unbound > 20, "{undeclared} / {unbound}");
+    }
+
+    #[test]
+    fn errors_are_raised_where_the_tree_walk_raises_them() {
+        let env = params(&[("N", 4)]);
+        let check = |body: &str| {
+            let text = format!("param N, M; array A[N]; array B[N][N]; {body}");
+            assert_same(&crate::parse(&text).expect("parses"), &env)
+        };
+        let oob = |array: &str, idx: &[i128]| {
+            Err(ExecError::OutOfBounds {
+                array: array.to_owned(),
+                idx: idx.to_vec(),
+            })
+        };
+        // The first failing instance in execution order, not the range's end.
+        assert_eq!(check("for i = 0 to 9 { A[i] = 1.0; }"), oob("A", &[4]));
+        assert_eq!(check("for i = 0 to 9 { A[3 - i] = 1.0; }"), oob("A", &[-1]));
+        // Within an instance: reads in evaluation order, then the write.
+        assert_eq!(
+            check("for i = 3 to 4 { A[i + 1] = A[i + 2] - A[i + 3]; }"),
+            oob("A", &[5])
+        );
+        assert_eq!(
+            check("for i = 3 to 4 { A[i + 1] = f(1.0, A[i]); }"),
+            oob("A", &[4])
+        );
+        // A wrong number of subscripts is out of bounds at its instance.
+        assert_eq!(check("for i = 2 to 3 { A[i] = B[i]; }"), oob("B", &[2]));
+        // Subscripts are evaluated before the array is looked up, and an
+        // earlier read's bounds before a later read's names.
+        let unbound = |v: &str| Err(ExecError::UnboundParam(v.to_owned()));
+        let undeclared = |a: &str| Err(ExecError::UndeclaredArray(a.to_owned()));
+        assert_eq!(check("A[0] = C[M];"), unbound("M"));
+        assert_eq!(check("A[0] = C[1];"), undeclared("C"));
+        assert_eq!(check("C[M] = A[0];"), unbound("M"));
+        assert_eq!(check("A[0] = A[7] + C[M];"), oob("A", &[7]));
+        assert_eq!(check("A[0] = C[0] + A[7];"), undeclared("C"));
+        // A loop bound: lower first, on reaching the loop.
+        assert_eq!(check("for i = M to Q { A[0] = 1.0; }"), unbound("M"));
+        assert_eq!(
+            check("A[9] = 1.0; for i = 0 to M { A[0] = 1.0; }"),
+            oob("A", &[9])
+        );
+        // Nothing inside a zero-trip loop is evaluated.
+        for hidden in [
+            "C[0] = 1.0;",
+            "A[M] = 1.0;",
+            "A[0] = A[9];",
+            "for j = 0 to M { A[0] = 1.0; }",
+        ] {
+            assert!(
+                check(&format!("for i = 1 to 0 {{ {hidden} }}")).is_ok(),
+                "{hidden}"
+            );
+            assert!(
+                check(&format!("for i = 0 to 0 {{ {hidden} }}")).is_err(),
+                "{hidden}"
+            );
+        }
+        // A loop variable shadows a parameter, and an inner loop an outer.
+        assert!(check("for N = 0 to N - 1 { A[N] = 2.0; }").is_ok());
+        assert!(check("for M = 0 to 3 { for M = M to 3 { B[M][M] = B[M][M] / 3.0; } }").is_ok());
     }
 }

@@ -44,6 +44,7 @@ pub mod builder;
 pub mod codec;
 pub mod fp;
 pub mod interp;
+pub mod lower;
 mod parser;
 mod program;
 

@@ -51,13 +51,21 @@
 //! subscript is affine, hence monotone, in the innermost variable) and
 //! steps flat slot numbers by a constant stride: an element costs no
 //! hashing, no string comparison and no allocation.
+//!
+//! The lowered forms and their arithmetic — rows, postfix code, cursors —
+//! are [`dmc_ir::lower`], the evaluator `dmc_ir::interp::run` executes
+//! too: `a * b + c` is computed by one piece of code on both sides of the
+//! oracle. Everything a distributed run can get wrong stays here and is
+//! not shared: which processor runs a block and when, presence, stamps,
+//! what a message carries and which copy wins.
 
 use std::collections::HashMap;
 use std::rc::Rc;
 
 use dmc_decomp::{DataDecomp, ProcGrid};
-use dmc_ir::interp::{eval_intrinsic, Memory};
-use dmc_ir::{ArrayRef, BinOp, Program, ScalarExpr, StmtInfo};
+use dmc_ir::interp::Memory;
+use dmc_ir::lower::{Access, Cursor, LoweredStmt, NO_SLOT};
+use dmc_ir::{ArrayRef, Program, StmtInfo};
 
 use dmc_obs as obs;
 
@@ -485,10 +493,6 @@ pub fn simulate(
 /// component a stamp may hold, so a stamp sorts before its extensions.
 const PAD: i128 = i128::MIN;
 
-/// The slot of a payload item outside its array's extents: no memory
-/// holds it, so sending it is a `MissingValue`.
-const NO_SLOT: usize = usize::MAX;
-
 /// Writes `stamp` into `row`, padded to the row's width.
 fn write_row(row: &mut [i128], stamp: &[i128]) {
     let (head, tail) = row.split_at_mut(stamp.len());
@@ -551,56 +555,10 @@ impl<'a> Layout<'a> {
     }
 }
 
-/// An array reference of one statement, resolved.
-struct Access {
-    /// Index into [`Layout::arrays`].
-    array: usize,
-    /// Per subscript, `depth + 1` numbers: the constant (parameters folded
-    /// in), then the coefficient of each enclosing loop, outermost first.
-    rows: Vec<i128>,
-}
-
-impl Access {
-    /// Subscript `d` at iteration `prefix ++ [x]`, and how much it moves
-    /// per unit of `x` (`x` is ignored when `prefix` binds every loop).
-    fn subscript(&self, d: usize, depth: usize, prefix: &[i128], x: i128) -> (i128, i128) {
-        let row = &self.rows[d * (depth + 1)..][..depth + 1];
-        let fixed = row[0]
-            + row[1..]
-                .iter()
-                .zip(prefix)
-                .map(|(c, v)| c * v)
-                .sum::<i128>();
-        let step = if prefix.len() < depth { row[depth] } else { 0 };
-        (fixed + step * x, step)
-    }
-
-    fn subscripts(&self, depth: usize, prefix: &[i128], x: i128) -> Vec<i128> {
-        (0..self.rows.len() / (depth + 1))
-            .map(|d| self.subscript(d, depth, prefix, x).0)
-            .collect()
-    }
-}
-
-/// Postfix code of a right-hand side, in the interpreter's evaluation
-/// order (so results are bit-identical to `ir::interp`).
-#[derive(Clone, Copy)]
-enum Op {
-    Lit(f64),
-    /// Push the element under cursor `n` (index into [`Lowered::accesses`]).
-    Read(usize),
-    Bin(BinOp),
-    Neg,
-    /// Replace the top `n` values by the intrinsic of them.
-    Call(usize),
-}
-
-/// A statement as blocks execute it.
+/// A statement as blocks execute it: its subscripts and right-hand side
+/// lowered by [`dmc_ir::lower`], the evaluator the interpreter runs too.
 struct Lowered {
-    depth: usize,
-    /// The reads in evaluation order, then the write.
-    accesses: Vec<Access>,
-    code: Vec<Op>,
+    code: LoweredStmt,
     /// The statement's stamp row with every iteration value still 0:
     /// positions at the even places, padding past `2 · depth`.
     stamp: Vec<i128>,
@@ -613,8 +571,9 @@ impl Lowered {
         params: &HashMap<String, i128>,
     ) -> Result<Self, SimError> {
         let depth = info.loops.len();
+        let loops = info.loop_vars();
         let bad = |why: String| SimError::MalformedSchedule(format!("S{}: {why}", info.id));
-        let access = |r: &ArrayRef| -> Result<Access, SimError> {
+        let code = LoweredStmt::new(&info.stmt, |r: &ArrayRef| {
             let array = layout
                 .find(&r.array)
                 .ok_or_else(|| bad(format!("array {} is not declared", r.array)))?;
@@ -626,67 +585,12 @@ impl Lowered {
                     r.array
                 )));
             }
-            let mut rows = vec![0; dims * (depth + 1)];
-            for (aff, row) in r.idx.iter().zip(rows.chunks_mut(depth + 1)) {
-                row[0] = aff.constant_term();
-                for (v, c) in aff.terms() {
-                    match info.loops.iter().position(|l| l.var == v) {
-                        Some(k) => row[1 + k] += c,
-                        None => {
-                            let value = params
-                                .get(v)
-                                .ok_or_else(|| bad(format!("unbound parameter {v}")))?;
-                            row[0] += c * value;
-                        }
-                    }
-                }
-            }
-            Ok(Access { array, rows })
-        };
-        let mut accesses = Vec::new();
-        let mut code = Vec::new();
-        lower_expr(&info.stmt.rhs, &access, &mut accesses, &mut code)?;
-        accesses.push(access(&info.stmt.write)?);
+            Access::new(r, array, &loops, params).map_err(|v| bad(format!("unbound parameter {v}")))
+        })?;
         let mut stamp = vec![PAD; layout.width];
         write_row(&mut stamp, &stamp_of(&info.position, &vec![0; depth]));
-        Ok(Lowered {
-            depth,
-            accesses,
-            code,
-            stamp,
-        })
+        Ok(Lowered { code, stamp })
     }
-}
-
-fn lower_expr(
-    e: &ScalarExpr,
-    access: &impl Fn(&ArrayRef) -> Result<Access, SimError>,
-    accesses: &mut Vec<Access>,
-    code: &mut Vec<Op>,
-) -> Result<(), SimError> {
-    match e {
-        ScalarExpr::Lit(v) => code.push(Op::Lit(*v)),
-        ScalarExpr::Read(r) => {
-            code.push(Op::Read(accesses.len()));
-            accesses.push(access(r)?);
-        }
-        ScalarExpr::Bin(op, a, b) => {
-            lower_expr(a, access, accesses, code)?;
-            lower_expr(b, access, accesses, code)?;
-            code.push(Op::Bin(*op));
-        }
-        ScalarExpr::Neg(a) => {
-            lower_expr(a, access, accesses, code)?;
-            code.push(Op::Neg);
-        }
-        ScalarExpr::Call(_, args) => {
-            for a in args {
-                lower_expr(a, access, accesses, code)?;
-            }
-            code.push(Op::Call(args.len()));
-        }
-    }
-    Ok(())
 }
 
 /// One processor's memory: per slot a value, whether the processor holds
@@ -723,14 +627,6 @@ impl LocalMemory {
         self.present[slot] = true;
         &mut self.stamps[slot * self.width..][..self.width]
     }
-}
-
-/// A block's position in one array: the slot of its current element, and
-/// the distance to the next.
-struct Cursor {
-    /// [`NO_SLOT`] when the block leaves the array's extents.
-    slot: usize,
-    stride: isize,
 }
 
 /// What values mode keeps beside the clocks: everything resolved on entry,
@@ -821,33 +717,12 @@ impl<'a> Machine<'a> {
     ) -> Result<(), SimError> {
         let s = self.lowered[stmt].as_ref().expect("lowered by resolve");
         let (lo, hi) = inner_range.unwrap_or((0, 0));
-
-        // Each access at the two ends of the range: a subscript is affine
-        // in the inner variable, so inside its extent at both ends means
-        // inside throughout, and the flat slot moves by a constant stride.
-        self.cursors.clear();
-        for access in &s.accesses {
-            let array = &self.layout.arrays[access.array];
-            let (mut offset, mut stride, mut inside) = (0, 0, true);
-            for (d, &extent) in array.extents.iter().enumerate() {
-                let (first, step) = access.subscript(d, s.depth, prefix, lo);
-                let last = first + step * (hi - lo);
-                inside &= (0..extent).contains(&first) && (0..extent).contains(&last);
-                offset = offset * extent + first;
-                stride = stride * extent + step;
-            }
-            self.cursors.push(Cursor {
-                slot: if inside {
-                    array.base + offset as usize
-                } else {
-                    NO_SLOT
-                },
-                stride: stride as isize,
-            });
-        }
+        let arrays = &self.layout.arrays;
+        let array = |a: usize| Some((&arrays[a].extents[..], arrays[a].base));
+        let inside = s.code.place(prefix, (lo, hi), array, &mut self.cursors);
         // A range that leaves an array fails at some element; running the
         // elements one by one finds the first failure in execution order.
-        if lo < hi && self.cursors.iter().any(|c| c.slot == NO_SLOT) {
+        if lo < hi && !inside {
             for x in lo..=hi {
                 self.run_block(p, stmt, prefix, Some((x, x)))?;
             }
@@ -855,47 +730,30 @@ impl<'a> Machine<'a> {
         }
 
         let mem = &mut self.local[p];
-        let (write, reads) = s.accesses.split_last().expect("the write");
-        let name = |a: &Access| self.layout.arrays[a.array].name.to_owned();
+        let accesses = &s.code.accesses;
+        let write = s.code.write();
+        let name = |a: &Access| arrays[a.array].name.to_owned();
         for x in lo..=hi {
-            self.stack.clear();
-            for &op in &s.code {
-                let v = match op {
-                    Op::Lit(v) => v,
-                    Op::Read(n) => {
-                        let slot = self.cursors[n].slot;
-                        if !mem.holds(slot) {
-                            return Err(SimError::MissingValue {
-                                proc: p,
-                                array: name(&reads[n]),
-                                idx: reads[n].subscripts(s.depth, prefix, x),
-                                stmt,
-                            });
-                        }
-                        mem.vals[slot]
-                    }
-                    Op::Bin(op) => {
-                        let b = self.stack.pop().expect("postfix operand");
-                        let a = self.stack.pop().expect("postfix operand");
-                        op.apply(a, b)
-                    }
-                    Op::Neg => -self.stack.pop().expect("postfix operand"),
-                    Op::Call(n) => {
-                        let at = self.stack.len() - n;
-                        let v = eval_intrinsic(&self.stack[at..]);
-                        self.stack.truncate(at);
-                        v
-                    }
-                };
-                self.stack.push(v);
-            }
-            let value = self.stack.pop().expect("postfix result");
-            let slot = self.cursors[reads.len()].slot;
+            let cursors = &self.cursors;
+            let value = s.code.eval(&mut self.stack, |n| {
+                let slot = cursors[n].slot;
+                if mem.holds(slot) {
+                    Ok(mem.vals[slot])
+                } else {
+                    Err(SimError::MissingValue {
+                        proc: p,
+                        array: name(&accesses[n]),
+                        idx: accesses[n].subscripts(prefix, x),
+                        stmt,
+                    })
+                }
+            })?;
+            let slot = cursors[write].slot;
             if slot == NO_SLOT {
                 return Err(SimError::OutOfBounds {
                     proc: p,
-                    array: name(write),
-                    idx: write.subscripts(s.depth, prefix, x),
+                    array: name(&accesses[write]),
+                    idx: accesses[write].subscripts(prefix, x),
                     stmt,
                 });
             }
@@ -905,9 +763,7 @@ impl<'a> Machine<'a> {
             for (k, &v) in prefix.iter().chain(inner).enumerate() {
                 row[2 * k + 1] = v;
             }
-            for c in &mut self.cursors {
-                c.slot = c.slot.wrapping_add_signed(c.stride);
-            }
+            self.cursors.iter_mut().for_each(Cursor::step);
         }
         Ok(())
     }
@@ -1016,6 +872,8 @@ fn resolve_payload(
             offset = offset * extent + x;
             (0..extent).contains(&x)
         });
+        // No memory holds an item outside its array: sending it is a
+        // `MissingValue`.
         slots.push(if inside {
             array.base + offset as usize
         } else {

@@ -15,6 +15,13 @@ cargo build --release
 cargo build --release --examples
 cargo test -q --workspace
 
+# No parked tests: an `#[ignore]`d test is a known failure nobody has to
+# look at. Fix it, or assert the refusal it should be.
+if grep -rn '#\[ignore' crates tests; then
+    echo "tier-1: the tests above are #[ignore]d" >&2
+    exit 1
+fi
+
 # Lint gates: the workspace (every target, examples and benches included)
 # must be clippy-clean at -D warnings and rustfmt-clean.
 cargo clippy --workspace --all-targets -- -D warnings

@@ -273,6 +273,23 @@ fn sec22_comparisons() {
     // re-fetches it every outer iteration (O(N)).
     assert!(w_vc * 2 <= w_lc, "vc {w_vc} vs lc {w_lc}");
 
+    // The value-centric plan moves the right values, not just fewer words:
+    // its distributed run leaves X and Y as the sequential program does.
+    let dist = run(&vc, &[n], &MachineConfig::ipsc860(), true, 1_000_000).unwrap();
+    let dist = dist.memory.expect("values mode returns memory");
+    let env: HashMap<String, i128> = [("N".to_string(), n)].into_iter().collect();
+    let seq = dmc_ir::interp::run(&program, &env).unwrap();
+    for name in ["X", "Y"] {
+        let (got, want) = (dist.array(name).unwrap(), seq.array(name).unwrap());
+        assert_eq!(got.as_slice(), want.as_slice(), "{name}");
+    }
+    // The location-centric plan is a traffic count: asked for values, it
+    // says so instead of shipping X's initial contents.
+    assert!(matches!(
+        run(&lc, &[n], &MachineConfig::ipsc860(), true, 1_000_000),
+        Err(dmc_core::CompileError::LocationCentricValues(a)) if a == "X"
+    ));
+
     // §2.2.1: the owner-computes rule rejects replicated written data.
     let stmts = program.statements();
     let overlapped = DataDecomp::from_maps(
