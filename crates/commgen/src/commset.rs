@@ -83,7 +83,9 @@ pub struct CommSet {
     pub steps: Vec<&'static str>,
 }
 
-/// One concrete element of a communication set.
+/// One concrete element of a communication set, owned — what
+/// [`CommSet::enumerate`] hands to tests and figures. The planner works on
+/// [`ElemRow`]s of an [`ElemTable`] instead.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CommElem {
     /// Producer iteration (empty for initial-owner sets).
@@ -96,6 +98,155 @@ pub struct CommElem {
     pub pr: Vec<i128>,
     /// Array element.
     pub arr: Vec<i128>,
+}
+
+/// The column layout of a set's element rows (see [`ElemRow`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct ElemLayout {
+    /// Where each of the five column groups ends.
+    ends: [usize; 5],
+}
+
+impl ElemLayout {
+    /// Columns per row.
+    pub(crate) fn width(&self) -> usize {
+        self.ends[4]
+    }
+
+    /// The columns of group `g` (0 = `s_iter` … 4 = `arr`).
+    fn group(&self, g: usize) -> std::ops::Range<usize> {
+        g.checked_sub(1).map_or(0, |p| self.ends[p])..self.ends[g]
+    }
+
+    /// The `s_iter` columns.
+    pub(crate) fn s_iter(&self) -> std::ops::Range<usize> {
+        self.group(0)
+    }
+
+    /// The `ps` columns.
+    pub(crate) fn ps(&self) -> std::ops::Range<usize> {
+        self.group(1)
+    }
+
+    /// The `r_iter` columns.
+    pub(crate) fn r_iter(&self) -> std::ops::Range<usize> {
+        self.group(2)
+    }
+
+    /// The `pr` columns.
+    pub(crate) fn pr(&self) -> std::ops::Range<usize> {
+        self.group(3)
+    }
+
+    /// The `arr` columns.
+    pub(crate) fn arr(&self) -> std::ops::Range<usize> {
+        self.group(4)
+    }
+}
+
+/// One element of a communication set as a borrowed row: the columns
+/// `s_iter | ps | r_iter | pr | arr`, the field order of [`CommElem`], so
+/// the rows of one set compare as slices ([`ElemRow::cols`]) the way the
+/// owned elements compare by their derived `Ord`.
+#[derive(Clone, Copy, Debug)]
+pub struct ElemRow<'a> {
+    cols: &'a [i128],
+    layout: ElemLayout,
+}
+
+impl<'a> ElemRow<'a> {
+    /// The whole row, in layout order.
+    pub fn cols(&self) -> &'a [i128] {
+        self.cols
+    }
+
+    /// Producer iteration (empty for initial-owner sets).
+    pub fn s_iter(&self) -> &'a [i128] {
+        &self.cols[self.layout.s_iter()]
+    }
+
+    /// Sender virtual processor.
+    pub fn ps(&self) -> &'a [i128] {
+        &self.cols[self.layout.ps()]
+    }
+
+    /// Consumer iteration.
+    pub fn r_iter(&self) -> &'a [i128] {
+        &self.cols[self.layout.r_iter()]
+    }
+
+    /// Receiver virtual processor.
+    pub fn pr(&self) -> &'a [i128] {
+        &self.cols[self.layout.pr()]
+    }
+
+    /// Array element.
+    pub fn arr(&self) -> &'a [i128] {
+        &self.cols[self.layout.arr()]
+    }
+
+    /// The owned form.
+    pub fn to_elem(&self) -> CommElem {
+        CommElem {
+            s_iter: self.s_iter().to_vec(),
+            ps: self.ps().to_vec(),
+            r_iter: self.r_iter().to_vec(),
+            pr: self.pr().to_vec(),
+            arr: self.arr().to_vec(),
+        }
+    }
+}
+
+/// Elements of one communication set as fixed-width rows in one vector.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ElemTable {
+    layout: ElemLayout,
+    /// Distance between rows: the layout's width, or more when the rows
+    /// carry columns of their producer's after the element's.
+    stride: usize,
+    data: Vec<i128>,
+}
+
+impl ElemTable {
+    /// A table over `data`: rows `stride` apart, each starting with the
+    /// `layout` columns.
+    pub(crate) fn from_rows(layout: ElemLayout, stride: usize, data: Vec<i128>) -> Self {
+        assert!(stride >= layout.width() && data.len().is_multiple_of(stride.max(1)));
+        ElemTable {
+            layout,
+            stride,
+            data,
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.data.len() / self.stride.max(1)
+    }
+
+    /// Whether the table has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.data.is_empty()
+    }
+
+    /// Row `i`.
+    pub fn row(&self, i: usize) -> ElemRow<'_> {
+        ElemRow {
+            cols: &self.data[i * self.stride..][..self.layout.width()],
+            layout: self.layout,
+        }
+    }
+
+    /// The multicast identity of message bodies (§6.2.1), decided on the
+    /// columns: two row ranges carry the same payload when they hold the
+    /// same array elements in the same order. Two messages from one sender
+    /// under one aggregation key with the same payload are one multicast —
+    /// the planner's merge rule.
+    pub fn same_payload(&self, a: std::ops::Range<usize>, b: std::ops::Range<usize>) -> bool {
+        a.len() == b.len()
+            && a.zip(b)
+                .all(|(x, y)| self.row(x).arr() == self.row(y).arr())
+    }
 }
 
 /// Errors from communication-set construction.
@@ -436,6 +587,21 @@ fn split_ne(poly: &Polyhedron, dims: &CommDims) -> Result<Vec<Polyhedron>, PolyE
 }
 
 impl CommSet {
+    /// The column layout of this set's element rows.
+    pub(crate) fn layout(&self) -> ElemLayout {
+        let d = &self.dims;
+        let mut ends = [0; 5];
+        let mut end = 0;
+        for (e, group) in ends
+            .iter_mut()
+            .zip([&d.s_iter, &d.ps, &d.r_iter, &d.pr, &d.arr])
+        {
+            end += group.len();
+            *e = end;
+        }
+        ElemLayout { ends }
+    }
+
     /// Visits every element of the set for concrete parameter values, in
     /// scan order: `s_iter`, `ps`, `pr`, `r_iter`, `a`, then the auxiliary
     /// dimensions in the order [`CommDims::aux`] lists them (the order the
@@ -444,7 +610,8 @@ impl CommSet {
     /// ([`dmc_polyhedra::ScanKernel`]): cost proportional to the number of
     /// elements, not to any bounding box, and an auxiliary pinned by an
     /// equality — unit or strided — costs an assignment, not a loop.
-    /// `visit` returns [`ControlFlow::Break`] to stop early.
+    /// `visit` is lent each element as a row of one reused buffer and
+    /// returns [`ControlFlow::Break`] to stop early.
     ///
     /// # Errors
     ///
@@ -453,7 +620,7 @@ impl CommSet {
     pub fn for_each<E: From<PolyError>>(
         &self,
         param_vals: &[i128],
-        mut visit: impl FnMut(CommElem) -> Result<ControlFlow<()>, E>,
+        mut visit: impl FnMut(ElemRow<'_>) -> Result<ControlFlow<()>, E>,
     ) -> Result<(), E> {
         assert_eq!(param_vals.len(), self.dims.params.len());
         let d = &self.dims;
@@ -467,15 +634,21 @@ impl CommSet {
         for (k, &p) in d.params.iter().enumerate() {
             fixed[p] = param_vals[k];
         }
-        let pick = |dims: &[usize], pt: &[i128]| dims.iter().map(|&x| pt[x]).collect();
+        let layout = self.layout();
+        let source: Vec<usize> = [&d.s_iter, &d.ps, &d.r_iter, &d.pr, &d.arr]
+            .into_iter()
+            .flatten()
+            .copied()
+            .collect();
+        let mut cols = vec![0i128; source.len()];
         // The scan visits each solution exactly once; no dedup needed.
         nest.compile(&fixed)?.for_each(order.len(), |pt| {
-            visit(CommElem {
-                s_iter: pick(&d.s_iter, pt),
-                ps: pick(&d.ps, pt),
-                r_iter: pick(&d.r_iter, pt),
-                pr: pick(&d.pr, pt),
-                arr: pick(&d.arr, pt),
+            for (c, &x) in cols.iter_mut().zip(&source) {
+                *c = pt[x];
+            }
+            visit(ElemRow {
+                cols: &cols,
+                layout,
             })
         })
     }
@@ -493,7 +666,7 @@ impl CommSet {
     ) -> Result<Option<Vec<CommElem>>, PolyError> {
         let mut out = Vec::new();
         self.for_each(param_vals, |e| {
-            out.push(e);
+            out.push(e.to_elem());
             Ok::<_, PolyError>(if out.len() > limit {
                 ControlFlow::Break(())
             } else {

@@ -26,10 +26,11 @@ mod commset;
 mod opt;
 
 pub use commset::{
-    comm_from_initial, comm_from_leaf, CommDims, CommElem, CommError, CommSet, SenderKind,
+    comm_from_initial, comm_from_leaf, CommDims, CommElem, CommError, CommSet, ElemRow, ElemTable,
+    SenderKind,
 };
 pub use opt::{
-    aggregate_messages, count_transmissions, eliminate_already_local, eliminate_cross_set_reuse,
-    eliminate_self_reuse, eliminate_self_reuse_from, fold_receivers, is_multicast, payload_ident,
-    unique_sender, Message, OptError,
+    aggregate_messages, eliminate_already_local, eliminate_cross_set_reuse, eliminate_self_reuse,
+    eliminate_self_reuse_from, fold_receivers, is_multicast, unique_sender, Message, Messages,
+    OptError,
 };

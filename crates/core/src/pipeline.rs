@@ -1,13 +1,13 @@
 //! The compiler pipeline: program + decompositions → communication sets →
 //! optimized message plan → machine schedule.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 use std::sync::Arc;
 
 use dmc_commgen::{
-    aggregate_messages, is_multicast, payload_ident, CommElem, CommError, CommSet, Message,
-    OptError,
+    aggregate_messages, is_multicast, CommError, CommSet, ElemTable, Messages, OptError,
 };
 use dmc_dataflow::{LastWriteTree, LwtError, LwtLeaf};
 use dmc_decomp::{CompDecomp, DataDecomp, ProcGrid};
@@ -47,6 +47,17 @@ pub enum CompileError {
     /// The location-centric strategy needs a data decomposition for every
     /// array read.
     MissingInitial(String),
+    /// The physical grid's rank differs from the processor-space rank of
+    /// a computation decomposition or of an initial data decomposition:
+    /// folding its virtual processors onto the grid is undefined.
+    GridRank {
+        /// Dimensions of the grid.
+        grid: usize,
+        /// The decomposition at fault (`statement 0`, `array X`).
+        of: String,
+        /// Processor dimensions it maps onto.
+        rank: usize,
+    },
     /// Last Write Tree analysis failed.
     Lwt(LwtError),
     /// Communication-set construction failed.
@@ -83,6 +94,10 @@ impl std::fmt::Display for CompileError {
                     "location-centric strategy needs a data decomposition for {a}"
                 )
             }
+            CompileError::GridRank { grid, of, rank } => write!(
+                f,
+                "the grid has {grid} dimension(s) but the decomposition of {of} has {rank}"
+            ),
             CompileError::Lwt(e) => write!(f, "dataflow analysis failed: {e}"),
             CompileError::Comm(e) => write!(f, "communication generation failed: {e}"),
             CompileError::Opt(e) => write!(f, "communication optimization failed: {e}"),
@@ -231,7 +246,8 @@ pub(crate) fn schedule_message_stats(schedule: &Schedule) -> (u64, u64, u64) {
 }
 
 /// One planned physical message group (multicast-merged when enabled).
-struct PlannedGroup<'a> {
+#[derive(Debug, PartialEq)]
+struct PlannedGroup {
     sender: usize,
     receivers: Vec<usize>,
     /// The aggregation key (send-iteration prefix) this message belongs to.
@@ -240,9 +256,9 @@ struct PlannedGroup<'a> {
     recv_anchor: Vec<Stamp>,
     /// Latest producing stamp (or the pre-loop stamp for initial data).
     send_anchor: Stamp,
-    /// The elements carried, borrowed from the raw messages (which the
-    /// legality retries share), in pack/unpack order.
-    items: &'a [CommElem],
+    /// The elements carried, in pack/unpack order: a row range of the
+    /// set's table (which the legality retries share).
+    items: Range<usize>,
 }
 
 /// Enumerates one communication set into per-(sender, receiver) messages
@@ -253,7 +269,7 @@ fn raw_messages(
     cs: &CommSet,
     param_vals: &[i128],
     limit: usize,
-) -> Result<Vec<Message>, CompileError> {
+) -> Result<Messages, CompileError> {
     let grid = &compiled.input.grid;
     aggregate_messages(cs, param_vals, Some(grid), limit)?.ok_or_else(|| {
         CompileError::TooLarge(format!(
@@ -263,13 +279,13 @@ fn raw_messages(
     })
 }
 
-fn planned_messages<'a>(
+fn planned_messages(
     compiled: &Compiled,
     cs: &CommSet,
-    raw: &'a [Message],
+    raw: &Messages,
     extra_split: usize,
     multicast: bool,
-) -> Vec<PlannedGroup<'a>> {
+) -> Vec<PlannedGroup> {
     let grid = &compiled.input.grid;
     let stmts = compiled.input.program.statements();
     let read_info = &stmts[cs.read_stmt];
@@ -281,83 +297,93 @@ fn planned_messages<'a>(
     // retries with a deeper split on deadlock.
     let key_len = (cs.prefix_len + extra_split).min(cs.dims.s_iter.len());
     let split_len = if key_len > cs.prefix_len { key_len } else { 0 };
+    let rows = raw.rows();
     let mut groups: Vec<PlannedGroup> = Vec::new();
-    for m in raw {
+    for m in raw.iter() {
         let sender = grid.rank(&m.sender) as usize;
         let receiver = grid.rank(&m.receiver) as usize;
-        // Items are sorted by send iteration first, so those sharing the
-        // extended key are one contiguous run. When aggregation is off,
-        // every element travels alone (the unoptimized baseline of §6).
-        let chunks = m.items.chunk_by(|a, b| {
-            compiled.options.aggregate
-                && a.s_iter
-                    .iter()
-                    .take(split_len)
-                    .eq(b.s_iter.iter().take(split_len))
-        });
-        for chunk in chunks {
-            let (first, last) = (&chunk[0], &chunk[chunk.len() - 1]);
-            // The send is anchored after the last producing write (the
-            // chunk's last item: one statement's stamps order like its
-            // iterations); initial-owner data has no producer and is sent
-            // before everything.
-            let send_anchor = match cs.write_stmt {
-                Some(_) => producing_stamp(cs, &stmts, last),
-                None => vec![-2],
-            };
+        let mut start = m.items.start;
+        while start < m.items.end {
+            // Rows are sorted by send iteration first, so those sharing
+            // the extended key are one contiguous run. When aggregation is
+            // off, every element travels alone (the unoptimized baseline
+            // of §6).
+            let first = rows.row(start);
             // The exact stamp of the first consuming iteration. The
             // scheduler splits the consuming compute block at this point,
             // so the receive lands immediately before the data is used
             // (the paper's "issue the receive just before the data are
             // used").
-            let first_use = chunk
-                .iter()
-                .map(|e| &e.r_iter[..read_depth])
-                .min()
-                .expect("nonempty chunk");
+            let mut first_use = &first.r_iter()[..read_depth];
+            let mut end = start + 1;
+            while end < m.items.end && compiled.options.aggregate {
+                let e = rows.row(end);
+                if e.s_iter()[..split_len] != first.s_iter()[..split_len] {
+                    break;
+                }
+                first_use = first_use.min(&e.r_iter()[..read_depth]);
+                end += 1;
+            }
+            // The send is anchored after the last producing write (the
+            // run's last row: one statement's stamps order like its
+            // iterations); initial-owner data has no producer and is sent
+            // before everything.
+            let send_anchor = match cs.write_stmt {
+                Some(_) => producing_stamp(cs, &stmts, rows.row(end - 1).s_iter()),
+                None => vec![-2],
+            };
             // The effective key includes the extra split components so
             // multicast merging never crosses split boundaries.
             let mut key = m.key.clone();
-            key.extend(
-                first
-                    .s_iter
-                    .iter()
-                    .skip(cs.prefix_len)
-                    .take(key_len - cs.prefix_len),
-            );
+            key.extend(&first.s_iter()[cs.prefix_len.min(key_len)..key_len]);
             groups.push(PlannedGroup {
                 sender,
                 receivers: vec![receiver],
                 key,
                 recv_anchor: vec![dmc_machine::stamp_of(&read_info.position, first_use)],
                 send_anchor,
-                items: chunk,
+                items: start..end,
             });
+            start = end;
         }
     }
-    // Multicast merge: same sender + same aggregation key + same payload
-    // -> one group with several receivers. Never merges two messages to
-    // the same receiver (those are deliberate repeats of the unoptimized
-    // plan), and only applies together with aggregation — `multicast` is
-    // the set's verdict from the hoisted plan, false when either is off.
+    // `multicast` is the set's verdict from the hoisted plan, false when
+    // multicast or aggregation is off.
     if !multicast {
         return groups;
     }
-    // Each group joins the first earlier group with its identity and none
-    // of its receivers; the identity borrows the items, it copies nothing.
+    merge_multicast(rows, groups, |g| payload_hash(rows, g))
+}
+
+/// Multicast merge: same sender + same aggregation key + same payload
+/// ([`ElemTable::same_payload`]) -> one group with several receivers. Each
+/// group joins the first earlier group it equals in all three that has
+/// none of its receivers (two messages to one receiver are deliberate
+/// repeats of the unoptimized plan). `hash` only narrows the search: equal
+/// columns decide, never an equal hash.
+fn merge_multicast(
+    rows: &ElemTable,
+    groups: Vec<PlannedGroup>,
+    hash: impl Fn(&PlannedGroup) -> u64,
+) -> Vec<PlannedGroup> {
     let mut merged: Vec<PlannedGroup> = Vec::new();
-    let mut by_ident: HashMap<_, Vec<usize>> = HashMap::new();
+    let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::new();
     for g in groups {
-        let ident = (g.sender, g.key.clone(), payload_ident(g.items));
-        let same = by_ident.entry(ident).or_default();
-        let disjoint = |&i: &usize| g.receivers.iter().all(|r| !merged[i].receivers.contains(r));
-        match same.iter().copied().find(disjoint) {
+        let candidates = by_hash.entry(hash(&g)).or_default();
+        let joins = |&i: &usize| {
+            let m = &merged[i];
+            m.sender == g.sender
+                && m.key == g.key
+                && rows.same_payload(m.items.clone(), g.items.clone())
+                && g.receivers.iter().all(|r| !m.receivers.contains(r))
+        };
+        match candidates.iter().copied().find(joins) {
             Some(i) => {
                 merged[i].receivers.extend(g.receivers);
                 merged[i].recv_anchor.extend(g.recv_anchor);
             }
             None => {
-                same.push(merged.len());
+                candidates.push(merged.len());
                 merged.push(g);
             }
         }
@@ -365,18 +391,37 @@ fn planned_messages<'a>(
     merged
 }
 
-/// One pending schedule entry: `(anchor, phase, seq, action)`.
-type PendingAction = (Stamp, i8, usize, Action);
+/// A word hash of what [`merge_multicast`] compares: sender, key and the
+/// array elements carried.
+fn payload_hash(rows: &ElemTable, g: &PlannedGroup) -> u64 {
+    let mut h = g.sender as u64;
+    let mut mix = |v: i128| {
+        h = (h.rotate_left(5) ^ v as u64 ^ (v >> 64) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    };
+    g.key.iter().copied().for_each(&mut mix);
+    for r in g.items.clone() {
+        rows.row(r).arr().iter().copied().for_each(&mut mix);
+    }
+    h
+}
+
+/// One pending schedule entry: `(anchor, phase, seq, action)`. An attempt's
+/// entries borrow the anchors of the hoisted blocks they do not split.
+type PendingAction<S = Stamp> = (S, i8, usize, Action);
 
 /// Split-depth-independent planning state, computed once per
-/// [`build_schedule`] call and shared across the legality retries: the
-/// per-statement compute-block actions and the per-set multicast
-/// verdicts. A retry then replays only the delta — the deeper message
-/// split — instead of re-deriving the whole tableau.
+/// [`build_schedule`] call and shared across the legality retries: every
+/// set's element table and raw messages, the per-set multicast verdicts
+/// and the per-processor compute-block actions, sorted. A retry then
+/// replays only the delta — the deeper message split — and reads the rest.
 struct HoistedPlan {
+    /// Per communication set: its messages at the paper's aggregation
+    /// prefix, over one element table.
+    raw: Vec<Messages>,
     /// Per communication set: may its messages be multicast-merged?
     multicast: Vec<bool>,
-    /// Per processor: the compute-block actions (identical at any depth).
+    /// Per processor: the compute-block actions (identical at any depth),
+    /// in `(anchor, phase, seq)` order.
     blocks: Vec<Vec<PendingAction>>,
     /// The sequence counter after the block actions; message actions
     /// continue from here so retries number actions identically.
@@ -430,11 +475,12 @@ fn block_actions(
     Ok((pending, seq))
 }
 
-/// The global stamp of the write that produces element `e` of `cs` (or the
-/// initial-data stamp, which matches the simulator's initial placement).
-fn producing_stamp(cs: &CommSet, stmts: &[StmtInfo], e: &CommElem) -> Stamp {
+/// The global stamp of the write at send iteration `s_iter` that produces
+/// an element of `cs` (or the initial-data stamp, which matches the
+/// simulator's initial placement).
+fn producing_stamp(cs: &CommSet, stmts: &[StmtInfo], s_iter: &[i128]) -> Stamp {
     match cs.write_stmt {
-        Some(w) => dmc_machine::stamp_of(&stmts[w].position, &e.s_iter),
+        Some(w) => dmc_machine::stamp_of(&stmts[w].position, s_iter),
         None => vec![-1],
     }
 }
@@ -505,49 +551,14 @@ pub(crate) fn build_schedule_inner(
         .map(|cs| cs.dims.s_iter.len().saturating_sub(cs.prefix_len))
         .max()
         .unwrap_or(0);
-    // The raw per-set message enumeration is independent of the split
-    // depth: computed once and shared across retries.
-    let hoisted: Vec<Vec<Message>> = {
-        let _s = obs::span_f("aggregate", || {
-            vec![obs::field("sets", compiled.comm.len())]
-        });
-        let _c = ledger::push_context("aggregate");
-        compiled
-            .comm
-            .iter()
-            .map(|cs| raw_messages(compiled, cs, param_vals, limit))
-            .collect::<Result<_, _>>()?
-    };
-    // The compute-block nests and the per-set multicast verdicts are also
-    // independent of the split depth; both are derived once, before the
-    // retry loop, so a legality retry replays only the delta (the deeper
-    // message split).
-    let plan = {
-        let _s = obs::span_f("plan", || vec![obs::field("sets", compiled.comm.len())]);
-        let _c = ledger::push_context("plan");
-        let multicast = if compiled.options.multicast && compiled.options.aggregate {
-            compiled
-                .comm
-                .iter()
-                .map(is_multicast)
-                .collect::<Result<Vec<_>, _>>()?
-        } else {
-            vec![false; compiled.comm.len()]
-        };
-        let (blocks, block_seq) = block_actions(compiled, param_vals)?;
-        HoistedPlan {
-            multicast,
-            blocks,
-            block_seq,
-        }
-    };
+    let plan = hoist(compiled, param_vals, limit)?;
     let mut last_err = None;
     for extra in 0..=max_depth {
         let _attempt = obs::span_f("schedule.attempt", || {
             vec![obs::field("extra_split", extra)]
         });
         let _actx = ledger::push_context(format!("attempt{extra}"));
-        let schedule = build_schedule_at(compiled, values, extra, &hoisted, &plan);
+        let schedule = build_schedule_at(compiled, values, extra, &plan);
         // Cheap deadlock dry-run (timing semantics on the same schedule).
         let params: HashMap<String, i128> = compiled
             .input
@@ -592,11 +603,67 @@ pub(crate) fn build_schedule_inner(
     ))
 }
 
+/// Everything [`build_schedule`]'s legality loop derives once, before its
+/// first attempt: the raw per-set message enumeration, the per-set
+/// multicast verdicts and the compute-block nests are all independent of
+/// the split depth.
+fn hoist(
+    compiled: &Compiled,
+    param_vals: &[i128],
+    limit: usize,
+) -> Result<HoistedPlan, CompileError> {
+    let raw: Vec<Messages> = {
+        let _s = obs::span_f("aggregate", || {
+            vec![obs::field("sets", compiled.comm.len())]
+        });
+        let _c = ledger::push_context("aggregate");
+        compiled
+            .comm
+            .iter()
+            .map(|cs| raw_messages(compiled, cs, param_vals, limit))
+            .collect::<Result<_, _>>()?
+    };
+    let _s = obs::span_f("plan", || vec![obs::field("sets", compiled.comm.len())]);
+    let _c = ledger::push_context("plan");
+    let multicast = if compiled.options.multicast && compiled.options.aggregate {
+        compiled
+            .comm
+            .iter()
+            .map(is_multicast)
+            .collect::<Result<Vec<_>, _>>()?
+    } else {
+        vec![false; compiled.comm.len()]
+    };
+    let (mut blocks, block_seq) = block_actions(compiled, param_vals)?;
+    for acts in &mut blocks {
+        acts.sort_by(|a, b| pending_key(a).cmp(&pending_key(b)));
+    }
+    Ok(HoistedPlan {
+        raw,
+        multicast,
+        blocks,
+        block_seq,
+    })
+}
+
+/// What a processor's pending actions are ordered by.
+fn pending_key<S: AsRef<[i128]>>(a: &PendingAction<S>) -> (&[i128], i8, usize) {
+    (a.0.as_ref(), a.1, a.2)
+}
+
+/// Whether stamp `a` sorts before every stamp `prefix ++ [x, ..]` with
+/// `x > v`.
+fn sorts_up_to(a: &[i128], prefix: &[i128], v: i128) -> bool {
+    match a.get(..prefix.len()) {
+        Some(head) if head == prefix => a.get(prefix.len()).is_none_or(|&x| x <= v),
+        _ => a < prefix,
+    }
+}
+
 fn build_schedule_at(
     compiled: &Compiled,
     values: bool,
     extra_split: usize,
-    hoisted: &[Vec<Message>],
     plan: &HoistedPlan,
 ) -> Schedule {
     let input = &compiled.input;
@@ -604,12 +671,13 @@ fn build_schedule_at(
     let stmts = input.program.statements();
     let mut schedule = Schedule::new(nproc);
 
-    // 1. Compute blocks (hoisted across retries).
-    let (mut pending, mut seq) = (plan.blocks.clone(), plan.block_seq);
-
-    // 2. Messages.
+    // 1. Messages. Their actions continue the numbering of the compute
+    // blocks', which are hoisted across retries.
+    let mut pending: Vec<Vec<PendingAction<Cow<[i128]>>>> = vec![Vec::new(); nproc];
+    let mut seq = plan.block_seq;
     for (k, cs) in compiled.comm.iter().enumerate() {
-        let groups = planned_messages(compiled, cs, &hoisted[k], extra_split, plan.multicast[k]);
+        let rows = plan.raw[k].rows();
+        let groups = planned_messages(compiled, cs, &plan.raw[k], extra_split, plan.multicast[k]);
         for g in groups {
             let msg_id = schedule.messages.len();
             // Provenance: which (statement, read) created this message and
@@ -636,46 +704,50 @@ fn build_schedule_at(
             });
             // Only values mode materializes names, subscripts and stamps.
             let payload = values.then(|| {
-                g.items
-                    .iter()
+                (g.items.clone())
+                    .map(|r| rows.row(r))
                     .map(|e| PayloadItem {
                         array: cs.array.clone(),
-                        idx: e.arr.clone(),
-                        stamp: producing_stamp(cs, &stmts, e),
+                        idx: e.arr().to_vec(),
+                        stamp: producing_stamp(cs, &stmts, e.s_iter()),
                     })
                     .collect::<Vec<_>>()
             });
+            pending[g.sender].push((
+                Cow::Owned(g.send_anchor),
+                1,
+                seq,
+                Action::Send { msg: msg_id },
+            ));
+            seq += 1;
+            for (&r, anchor) in g.receivers.iter().zip(g.recv_anchor) {
+                pending[r].push((Cow::Owned(anchor), -1, seq, Action::Recv { msg: msg_id }));
+                seq += 1;
+            }
             schedule.messages.push(MessageSpec {
                 sender: g.sender,
-                receivers: g.receivers.clone(),
+                receivers: g.receivers,
                 words: g.items.len() as u64,
                 payload,
             });
-            pending[g.sender].push((g.send_anchor.clone(), 1, seq, Action::Send { msg: msg_id }));
-            seq += 1;
-            for (k, &r) in g.receivers.iter().enumerate() {
-                pending[r].push((
-                    g.recv_anchor[k].clone(),
-                    -1,
-                    seq,
-                    Action::Recv { msg: msg_id },
-                ));
-                seq += 1;
-            }
         }
     }
 
+    // 2. Per processor: the message actions, sorted, then the compute
+    // blocks — split at receive anchors so each receive executes
+    // immediately before the first use of its data, not before the whole
+    // block (otherwise mutually-feeding processors deadlock) — merged in.
     for (p, mut acts) in pending.into_iter().enumerate() {
-        // Split compute blocks at receive anchors so each receive executes
-        // immediately before the first use of its data, not before the
-        // whole block (otherwise mutually-feeding processors deadlock).
-        let recv_anchors: Vec<Stamp> = acts
+        acts.sort_by(|a, b| pending_key(a).cmp(&pending_key(b)));
+        let recv_anchors: Vec<&[i128]> = acts
             .iter()
             .filter(|(_, phase, _, _)| *phase == -1)
-            .map(|(a, _, _, _)| a.clone())
+            .map(|(a, _, _, _)| a.as_ref())
             .collect();
-        let mut split: Vec<(Stamp, i8, usize, Action)> = Vec::new();
-        for (anchor, phase, sq, act) in acts.drain(..) {
+        let mut blocks: Vec<PendingAction<Cow<[i128]>>> =
+            Vec::with_capacity(plan.blocks[p].len() + acts.len());
+        for (anchor, phase, sq, act) in &plan.blocks[p] {
+            let (phase, sq) = (*phase, *sq);
             match act {
                 Action::Block {
                     stmt,
@@ -683,63 +755,54 @@ fn build_schedule_at(
                     inner_range: Some((lo, hi)),
                     flops,
                 } if hi > lo => {
-                    let info = &stmts[stmt];
+                    let (stmt, lo, hi) = (*stmt, *lo, *hi);
                     let per_iter = flops / (hi - lo + 1) as f64;
-                    // Find interior split points: anchors of the shape
-                    // stamp_of(position, prefix ++ [v]) with lo < v <= hi.
-                    let probe = |v: i128| {
-                        let mut it = prefix.clone();
-                        it.push(v);
-                        dmc_machine::stamp_of(&info.position, &it)
-                    };
-                    let lo_stamp = probe(lo);
-                    let mut cuts: Vec<i128> = Vec::new();
-                    for a in &recv_anchors {
-                        if a.len() != lo_stamp.len() {
-                            continue;
-                        }
-                        let k = a.len() - 2;
-                        if a[..k] == lo_stamp[..k] && a[k + 1..] == lo_stamp[k + 1..] {
-                            let v = a[k];
-                            if v > lo && v <= hi {
-                                cuts.push(v);
-                            }
-                        }
-                    }
-                    cuts.sort_unstable();
+                    // Interior split points: anchors of the shape
+                    // stamp_of(position, prefix ++ [v]) with lo < v <= hi
+                    // — those that differ from the block's own anchor in
+                    // `v` alone. In the sorted anchors, every stamp that
+                    // continues the block's up to `v` with such a value
+                    // is in one run.
+                    let k = anchor.len() - 2;
+                    let from = recv_anchors.partition_point(|a| sorts_up_to(a, &anchor[..k], lo));
+                    let to = recv_anchors.partition_point(|a| sorts_up_to(a, &anchor[..k], hi));
+                    let mut cuts: Vec<i128> = recv_anchors[from..to]
+                        .iter()
+                        .filter(|a| a.len() == anchor.len() && a[k + 1..] == anchor[k + 1..])
+                        .map(|a| a[k])
+                        .collect();
                     cuts.dedup();
                     let mut start = lo;
-                    for &c in &cuts {
-                        split.push((
-                            probe(start),
+                    for end in cuts.into_iter().map(|c| c - 1).chain([hi]) {
+                        let at = if start == lo {
+                            Cow::Borrowed(&anchor[..])
+                        } else {
+                            let mut at = anchor.clone();
+                            at[k] = start;
+                            Cow::Owned(at)
+                        };
+                        blocks.push((
+                            at,
                             phase,
                             sq,
                             Action::Block {
                                 stmt,
                                 prefix: prefix.clone(),
-                                inner_range: Some((start, c - 1)),
-                                flops: per_iter * (c - start) as f64,
+                                inner_range: Some((start, end)),
+                                flops: per_iter * (end - start + 1) as f64,
                             },
                         ));
-                        start = c;
+                        start = end + 1;
                     }
-                    split.push((
-                        probe(start),
-                        phase,
-                        sq,
-                        Action::Block {
-                            stmt,
-                            prefix,
-                            inner_range: Some((start, hi)),
-                            flops: per_iter * (hi - start + 1) as f64,
-                        },
-                    ));
                 }
-                other => split.push((anchor, phase, sq, other)),
+                other => blocks.push((Cow::Borrowed(&anchor[..]), phase, sq, other.clone())),
             }
         }
-        split.sort_by(|a, b| (&a.0, a.1, a.2).cmp(&(&b.0, b.1, b.2)));
-        schedule.procs[p] = split.into_iter().map(|(_, _, _, a)| a).collect();
+        // Two sorted runs, unless the pieces of a split block interleave
+        // with a neighbour's: the stable sort merges runs it finds sorted.
+        blocks.append(&mut acts);
+        blocks.sort_by(|a, b| pending_key(a).cmp(&pending_key(b)));
+        schedule.procs[p] = blocks.into_iter().map(|(_, _, _, a)| a).collect();
     }
     schedule
 }
@@ -795,7 +858,7 @@ fn compute_blocks(
     kernel.for_each(nest.vars.len() - n_inner, |point| {
         // Virtual processor of this block.
         let virt: Vec<i128> = proc_dims.iter().map(|&d| point[d]).collect();
-        let rank = grid.rank(&grid.fold(&virt)) as usize;
+        let rank = grid.fold_rank(&virt) as usize;
         if loop_dims.is_empty() {
             let anchor = dmc_machine::stamp_of(&info.position, &[]);
             emit(rank, Vec::new(), None, flops_per_iter, anchor);
@@ -878,4 +941,60 @@ pub(crate) fn simulate_schedule(
         }
     }
     Ok(result)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tests::lu_input;
+
+    const LIMIT: usize = 2_000_000;
+
+    /// The legality attempts only read the hoisted plan: in any order over
+    /// one plan they build what they build over a fresh one, and the one
+    /// `build_schedule` returns is LU's second.
+    #[test]
+    fn attempts_share_one_hoisted_plan() {
+        let compiled = compile(lu_input(4), Options::full()).unwrap();
+        let shared = hoist(&compiled, &[12], LIMIT).unwrap();
+        let mut on_shared = Vec::new();
+        for extra in [0, 1, 0] {
+            let fresh = hoist(&compiled, &[12], LIMIT).unwrap();
+            let schedule = build_schedule_at(&compiled, true, extra, &shared);
+            assert_eq!(
+                schedule,
+                build_schedule_at(&compiled, true, extra, &fresh),
+                "extra split {extra}"
+            );
+            on_shared.push(schedule);
+        }
+        assert_ne!(on_shared[0], on_shared[1], "the split changes the plan");
+        let built = build_schedule(&compiled, &[12], true, LIMIT).unwrap();
+        assert_eq!(built, on_shared[1]);
+    }
+
+    /// Under a hasher that puts every group in one bucket the merge is the
+    /// one the word hash gives: payloads that differ stay apart.
+    #[test]
+    fn multicast_merge_is_decided_by_the_columns_not_the_hash() {
+        let compiled = compile(lu_input(4), Options::full()).unwrap();
+        let plan = hoist(&compiled, &[12], LIMIT).unwrap();
+        let mut merges = 0;
+        for (k, cs) in compiled.comm.iter().enumerate() {
+            let rows = plan.raw[k].rows();
+            let unmerged = || planned_messages(&compiled, cs, &plan.raw[k], 1, false);
+            let hashed = merge_multicast(rows, unmerged(), |g| payload_hash(rows, g));
+            let constant = merge_multicast(rows, unmerged(), |_| 0);
+            assert_eq!(constant, hashed, "set {k}");
+            for g in &constant {
+                let payloads = unmerged()
+                    .into_iter()
+                    .filter(|u| (u.sender, &u.key) == (g.sender, &g.key))
+                    .filter(|u| rows.same_payload(u.items.clone(), g.items.clone()));
+                assert_eq!(payloads.count(), g.receivers.len(), "set {k}: {g:?}");
+            }
+            merges += unmerged().len() - constant.len();
+        }
+        assert!(merges > 0, "LU's pivot rows are multicast");
+    }
 }

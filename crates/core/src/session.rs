@@ -475,6 +475,22 @@ impl Session {
                 return Err(CompileError::MissingComp(s.id));
             }
         }
+        // Every virtual processor is folded onto the grid dimension by
+        // dimension: check the ranks once, here, not per element.
+        let grid = input.grid.ndim();
+        let comp = stmts
+            .iter()
+            .map(|s| (s.id, input.comps[&s.id].proc_ndim()))
+            .find(|&(_, rank)| rank != grid)
+            .map(|(id, rank)| (format!("statement {id}"), rank));
+        let home = || {
+            let off = input.initial.iter().filter(|(_, d)| d.proc_ndim() != grid);
+            off.min_by_key(|(array, _)| *array)
+                .map(|(array, d)| (format!("array {array}"), d.proc_ndim()))
+        };
+        if let Some((of, rank)) = comp.or_else(home) {
+            return Err(CompileError::GridRank { grid, of, rank });
+        }
 
         // Look up both stages of every (statement, read) job before
         // running any job: the lookups of one compile never see its own

@@ -94,7 +94,7 @@ fn figure2_with_initial_decomposition() {
     check_end_to_end(input, Options::full(), &[2, 9]);
 }
 
-fn lu_input(nproc: i128) -> CompileInput {
+pub(crate) fn lu_input(nproc: i128) -> CompileInput {
     let program = parse(
         "param N; array X[N + 1][N + 1];
          for i1 = 0 to N {
@@ -320,4 +320,38 @@ fn missing_comp_is_reported() {
         compile(input, Options::full()),
         Err(crate::CompileError::MissingComp(0))
     ));
+}
+
+/// A grid of the wrong rank is a typed error at `compile`, through the
+/// one-shot call and through a session, not a panic while planning.
+#[test]
+fn grid_rank_mismatch_is_reported() {
+    let mut input = lu_input(4);
+    input.grid = ProcGrid::new(vec![2, 2]);
+    for attempt in [
+        compile(input.clone(), Options::full()).map(drop),
+        crate::Session::new()
+            .serve("lu", input.clone(), Options::full(), &[12], 2_000_000)
+            .map(drop),
+    ] {
+        match attempt {
+            Err(crate::CompileError::GridRank { grid, of, rank }) => {
+                assert_eq!((grid, of.as_str(), rank), (2, "statement 0", 1));
+            }
+            other => panic!("expected the typed refusal, got {other:?}"),
+        }
+    }
+    // An initial data decomposition is checked too.
+    let mut input = lu_input(4);
+    let wide = vec![
+        dmc_decomp::DimMap::cyclic(dmc_ir::Aff::var("a0")),
+        dmc_decomp::DimMap::cyclic(dmc_ir::Aff::var("a1")),
+    ];
+    let home = DataDecomp::from_maps("X", 2, wide);
+    input.initial.insert("X".to_string(), home);
+    let err = compile(input, Options::full()).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "the grid has 1 dimension(s) but the decomposition of array X has 2"
+    );
 }

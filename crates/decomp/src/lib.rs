@@ -519,6 +519,16 @@ impl ProcGrid {
             .collect()
     }
 
+    /// The rank of the physical processor a virtual processor folds onto:
+    /// [`ProcGrid::rank`] of [`ProcGrid::fold`], without the intermediate
+    /// coordinate vector.
+    pub fn fold_rank(&self, virt: &[i128]) -> i128 {
+        assert_eq!(virt.len(), self.extents.len());
+        virt.iter()
+            .zip(&self.extents)
+            .fold(0, |r, (&v, &e)| r * e + dmc_polyhedra::num::mod_floor(v, e))
+    }
+
     /// Linearizes a physical processor coordinate to a rank in
     /// `0..self.len()` (row-major).
     pub fn rank(&self, phys: &[i128]) -> i128 {
@@ -745,6 +755,9 @@ mod tests {
             assert_eq!(g.rank(&g.coords(r)), r);
         }
         assert_eq!(g.fold(&[5, -1]), vec![2, 3]);
+        for virt in [[5, -1], [0, 0], [-7, 9], [2, 3]] {
+            assert_eq!(g.fold_rank(&virt), g.rank(&g.fold(&virt)), "{virt:?}");
+        }
     }
 
     #[test]

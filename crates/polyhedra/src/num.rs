@@ -58,8 +58,11 @@ pub fn lcm(a: i128, b: i128) -> Result<i128, PolyError> {
 /// ```
 pub fn div_floor(a: i128, b: i128) -> i128 {
     assert!(b > 0, "div_floor requires a positive divisor");
+    if b == 1 {
+        return a;
+    }
     let q = a / b;
-    if a % b < 0 {
+    if a - q * b < 0 {
         q - 1
     } else {
         q
@@ -80,8 +83,11 @@ pub fn div_floor(a: i128, b: i128) -> i128 {
 /// ```
 pub fn div_ceil(a: i128, b: i128) -> i128 {
     assert!(b > 0, "div_ceil requires a positive divisor");
+    if b == 1 {
+        return a;
+    }
     let q = a / b;
-    if a % b > 0 {
+    if a - q * b > 0 {
         q + 1
     } else {
         q
@@ -94,7 +100,13 @@ pub fn div_ceil(a: i128, b: i128) -> i128 {
 ///
 /// Panics if `b <= 0`.
 pub fn mod_floor(a: i128, b: i128) -> i128 {
-    a - b * div_floor(a, b)
+    assert!(b > 0, "mod_floor requires a positive divisor");
+    let r = a % b;
+    if r < 0 {
+        r + b
+    } else {
+        r
+    }
 }
 
 /// The inverse of `a` modulo `m` in `[0, m)`: `a * mod_inverse(a, m) ≡ 1

@@ -106,10 +106,19 @@ impl ScanNest {
                 }
                 Ok(out)
             };
-            let side = |bs: &[Bound]| -> Result<Vec<(Affine, i128)>, PolyError> {
-                bs.iter()
-                    .map(|b| Ok((sparse(&b.expr)?, b.divisor)))
-                    .collect()
+            // Bounds that share a divisor share one division: rounding is
+            // monotone, so the tightest quotient is the quotient of the
+            // tightest numerator.
+            let side = |bs: &[Bound]| -> Result<Vec<(i128, Vec<Affine>)>, PolyError> {
+                let mut by_divisor: Vec<(i128, Vec<Affine>)> = Vec::new();
+                for b in bs {
+                    let e = sparse(&b.expr)?;
+                    match by_divisor.iter_mut().find(|(d, _)| *d == b.divisor) {
+                        Some((_, es)) => es.push(e),
+                        None => by_divisor.push((b.divisor, vec![e])),
+                    }
+                }
+                Ok(by_divisor)
             };
             let level = Level {
                 dim: vb.dim,
@@ -120,11 +129,11 @@ impl ScanNest {
             };
             // A bound that is both a ceiling lower and a floor upper bound
             // is a non-unit equality `divisor·x == expr`.
-            for (b, (compiled, _)) in vb.lowers.iter().zip(&level.lowers) {
+            for b in &vb.lowers {
                 if b.divisor == 1 || !vb.uppers.contains(b) {
                     continue;
                 }
-                let mut rest = compiled.clone();
+                let mut rest = sparse(&b.expr)?;
                 let deepest = rest.terms.iter().filter_map(|&(d, _)| level_of[d]).max();
                 let Some(at) = deepest.filter(|&at| levels[at].stride.is_none()) else {
                     continue;
@@ -169,7 +178,13 @@ impl Affine {
     fn eval(&self, point: &[i128]) -> Result<i128, PolyError> {
         let mut acc = self.constant;
         for &(d, c) in &self.terms {
-            acc = num::add(acc, num::mul(c, point[d])?)?;
+            // Loop bounds are mostly sums and differences of indices.
+            let term = match c {
+                1 => point[d],
+                -1 => point[d].checked_neg().ok_or(PolyError::Overflow)?,
+                _ => num::mul(c, point[d])?,
+            };
+            acc = num::add(acc, term)?;
         }
         Ok(acc)
     }
@@ -190,12 +205,19 @@ struct Stride {
 struct Level {
     dim: usize,
     exact: Option<Affine>,
-    lowers: Vec<(Affine, i128)>,
-    uppers: Vec<(Affine, i128)>,
+    /// The bounds of each side, by divisor.
+    lowers: Vec<(i128, Vec<Affine>)>,
+    uppers: Vec<(i128, Vec<Affine>)>,
     stride: Option<Stride>,
 }
 
 impl Level {
+    /// Whether the level takes exactly one value wherever it is reached: a
+    /// unit equality, and no congruence from a deeper level to filter it.
+    fn pinned(&self) -> bool {
+        self.exact.is_some() && self.stride.is_none()
+    }
+
     /// The level's `(lower, upper)` range at a point fixing the outer
     /// levels, before any stride.
     fn bounds(&self, point: &[i128]) -> Result<(i128, i128), PolyError> {
@@ -207,12 +229,20 @@ impl Level {
             return Err(PolyError::Unbounded(self.dim));
         }
         let mut lo = i128::MIN;
-        for (e, d) in &self.lowers {
-            lo = lo.max(num::div_ceil(e.eval(point)?, *d));
+        for (d, es) in &self.lowers {
+            let mut tightest = i128::MIN;
+            for e in es {
+                tightest = tightest.max(e.eval(point)?);
+            }
+            lo = lo.max(num::div_ceil(tightest, *d));
         }
         let mut hi = i128::MAX;
-        for (e, d) in &self.uppers {
-            hi = hi.min(num::div_floor(e.eval(point)?, *d));
+        for (d, es) in &self.uppers {
+            let mut tightest = i128::MAX;
+            for e in es {
+                tightest = tightest.min(e.eval(point)?);
+            }
+            hi = hi.min(num::div_floor(tightest, *d));
         }
         Ok((lo, hi))
     }
@@ -223,11 +253,14 @@ impl Level {
         let (mut lo, hi) = self.bounds(point)?;
         let mut step = 1;
         if let Some(s) = &self.stride {
-            let rest = s.rest.eval(point)?;
-            if rest % s.gcd != 0 {
-                return Ok(None);
+            let mut rest = s.rest.eval(point)?;
+            if s.gcd != 1 {
+                if rest % s.gcd != 0 {
+                    return Ok(None);
+                }
+                rest /= s.gcd;
             }
-            let residue = num::mod_floor(rest / s.gcd, s.modulus);
+            let residue = num::mod_floor(rest, s.modulus);
             let want = num::mul(s.modulus - residue, s.inverse)?;
             let ahead = num::mod_floor(want.checked_sub(lo).ok_or(PolyError::Overflow)?, s.modulus);
             lo = num::add(lo, ahead)?;
@@ -293,36 +326,52 @@ impl ScanKernel {
         }
         let mut tally = Tally::default();
         let mut point = self.start.clone();
-        if levels.is_empty() {
+        // A level pinned by a unit equality is §5.2's assignment: it runs
+        // straight-line under the looping level above it (or, ahead of the
+        // first one, once), not as a one-trip loop of the state machine.
+        let assign = |run: &[Level], point: &mut [i128], tally: &mut Tally| {
+            for level in run {
+                let exact = level.exact.as_ref().expect("a pinned level");
+                tally.range_evals += 1;
+                point[level.dim] = exact.eval(point)?;
+            }
+            Ok::<_, PolyError>(())
+        };
+        let looping: Vec<usize> = (0..depth).filter(|&k| !levels[k].pinned()).collect();
+        let run_end = |j: usize| looping.get(j).copied().unwrap_or(depth);
+        assign(&levels[..run_end(0)], &mut point, &mut tally)?;
+        if looping.is_empty() {
             tally.points += 1;
             return visit(&point).map(drop);
         }
-        // Per level: the last value and the step of the running loop.
-        let mut loops = vec![(0i128, 1i128); depth];
-        let (mut k, mut entering) = (0, true);
+        // Per looping level: the last value and the step of the running loop.
+        let mut loops = vec![(0i128, 1i128); looping.len()];
+        let (mut j, mut entering) = (0, true);
         loop {
+            let k = looping[j];
             let dim = levels[k].dim;
             let next = if entering {
                 tally.range_evals += 1;
                 levels[k].steps(&point)?.map(|(lo, hi, step)| {
-                    loops[k] = (hi, step);
+                    loops[j] = (hi, step);
                     lo
                 })
             } else {
-                let (hi, step) = loops[k];
+                let (hi, step) = loops[j];
                 point[dim].checked_add(step).filter(|&v| v <= hi)
             };
             let Some(v) = next else {
-                if k == 0 {
+                if j == 0 {
                     return Ok(());
                 }
-                (k, entering) = (k - 1, false);
+                (j, entering) = (j - 1, false);
                 continue;
             };
             point[dim] = v;
-            entering = k + 1 < depth;
+            assign(&levels[k + 1..run_end(j + 1)], &mut point, &mut tally)?;
+            entering = j + 1 < looping.len();
             if entering {
-                k += 1;
+                j += 1;
             } else {
                 tally.points += 1;
                 if visit(&point)?.is_break() {

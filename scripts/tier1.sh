@@ -140,6 +140,10 @@ bash benchmark/run.sh --workload symbolic_corpus --small --seed 1 --trace 1
 # And one with values mode inside the traced, the obs-capture and the
 # ledger pass: the simulator's local memories under the same tiling check.
 bash benchmark/run.sh --workload verify_values --small --seed 1 --trace 1
+# And the planner's own: the probe phase calls aggregate_messages and
+# is_multicast directly on every final communication set, and the ledger
+# pass re-plans LU under the span-tiling check.
+bash benchmark/run.sh --workload lu_plan --small --seed 1 --trace 1
 # A fault must still fail: a corrupted store entry, and an interpreter
 # result one element off the simulator's merged memory.
 for workload in store_warm verify_values; do
