@@ -84,8 +84,8 @@ pub struct CommSet {
 }
 
 /// One concrete element of a communication set, owned — what
-/// [`CommSet::enumerate`] hands to tests and figures. The planner works on
-/// [`ElemRow`]s of an [`ElemTable`] instead.
+/// [`CommSet::enumerate`] hands to tests and figures. The planner folds
+/// the borrowed [`ElemRow`]s [`CommSet::for_each`] lends instead.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CommElem {
     /// Producer iteration (empty for initial-owner sets).
@@ -100,152 +100,64 @@ pub struct CommElem {
     pub arr: Vec<i128>,
 }
 
-/// The column layout of a set's element rows (see [`ElemRow`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct ElemLayout {
-    /// Where each of the five column groups ends.
-    ends: [usize; 5],
-}
-
-impl ElemLayout {
-    /// Columns per row.
-    pub(crate) fn width(&self) -> usize {
-        self.ends[4]
-    }
-
-    /// The columns of group `g` (0 = `s_iter` … 4 = `arr`).
-    fn group(&self, g: usize) -> std::ops::Range<usize> {
-        g.checked_sub(1).map_or(0, |p| self.ends[p])..self.ends[g]
-    }
-
-    /// The `s_iter` columns.
-    pub(crate) fn s_iter(&self) -> std::ops::Range<usize> {
-        self.group(0)
-    }
-
-    /// The `ps` columns.
-    pub(crate) fn ps(&self) -> std::ops::Range<usize> {
-        self.group(1)
-    }
-
-    /// The `r_iter` columns.
-    pub(crate) fn r_iter(&self) -> std::ops::Range<usize> {
-        self.group(2)
-    }
-
-    /// The `pr` columns.
-    pub(crate) fn pr(&self) -> std::ops::Range<usize> {
-        self.group(3)
-    }
-
-    /// The `arr` columns.
-    pub(crate) fn arr(&self) -> std::ops::Range<usize> {
-        self.group(4)
-    }
-}
-
-/// One element of a communication set as a borrowed row: the columns
-/// `s_iter | ps | r_iter | pr | arr`, the field order of [`CommElem`], so
-/// the rows of one set compare as slices ([`ElemRow::cols`]) the way the
-/// owned elements compare by their derived `Ord`.
+/// One element of a communication set, borrowed from the scan: what
+/// [`CommSet::for_each`] lends its visitor.
 #[derive(Clone, Copy, Debug)]
 pub struct ElemRow<'a> {
-    cols: &'a [i128],
-    layout: ElemLayout,
+    s_iter: &'a [i128],
+    ps: &'a [i128],
+    r_iter: &'a [i128],
+    pr: &'a [i128],
+    arr: &'a [i128],
 }
 
 impl<'a> ElemRow<'a> {
-    /// The whole row, in layout order.
-    pub fn cols(&self) -> &'a [i128] {
-        self.cols
+    /// The row of `buf` whose five groups lie at `spans`.
+    fn over(buf: &'a [i128], spans: &[std::ops::Range<usize>; 5]) -> Self {
+        let [s_iter, ps, r_iter, pr, arr] = spans.clone().map(|r| &buf[r]);
+        ElemRow {
+            s_iter,
+            ps,
+            r_iter,
+            pr,
+            arr,
+        }
     }
 
     /// Producer iteration (empty for initial-owner sets).
     pub fn s_iter(&self) -> &'a [i128] {
-        &self.cols[self.layout.s_iter()]
+        self.s_iter
     }
 
     /// Sender virtual processor.
     pub fn ps(&self) -> &'a [i128] {
-        &self.cols[self.layout.ps()]
+        self.ps
     }
 
     /// Consumer iteration.
     pub fn r_iter(&self) -> &'a [i128] {
-        &self.cols[self.layout.r_iter()]
+        self.r_iter
     }
 
     /// Receiver virtual processor.
     pub fn pr(&self) -> &'a [i128] {
-        &self.cols[self.layout.pr()]
+        self.pr
     }
 
     /// Array element.
     pub fn arr(&self) -> &'a [i128] {
-        &self.cols[self.layout.arr()]
+        self.arr
     }
 
     /// The owned form.
     pub fn to_elem(&self) -> CommElem {
         CommElem {
-            s_iter: self.s_iter().to_vec(),
-            ps: self.ps().to_vec(),
-            r_iter: self.r_iter().to_vec(),
-            pr: self.pr().to_vec(),
-            arr: self.arr().to_vec(),
+            s_iter: self.s_iter.to_vec(),
+            ps: self.ps.to_vec(),
+            r_iter: self.r_iter.to_vec(),
+            pr: self.pr.to_vec(),
+            arr: self.arr.to_vec(),
         }
-    }
-}
-
-/// Elements of one communication set as fixed-width rows in one vector.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ElemTable {
-    layout: ElemLayout,
-    /// Distance between rows: the layout's width, or more when the rows
-    /// carry columns of their producer's after the element's.
-    stride: usize,
-    data: Vec<i128>,
-}
-
-impl ElemTable {
-    /// A table over `data`: rows `stride` apart, each starting with the
-    /// `layout` columns.
-    pub(crate) fn from_rows(layout: ElemLayout, stride: usize, data: Vec<i128>) -> Self {
-        assert!(stride >= layout.width() && data.len().is_multiple_of(stride.max(1)));
-        ElemTable {
-            layout,
-            stride,
-            data,
-        }
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.data.len() / self.stride.max(1)
-    }
-
-    /// Whether the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Row `i`.
-    pub fn row(&self, i: usize) -> ElemRow<'_> {
-        ElemRow {
-            cols: &self.data[i * self.stride..][..self.layout.width()],
-            layout: self.layout,
-        }
-    }
-
-    /// The multicast identity of message bodies (§6.2.1), decided on the
-    /// columns: two row ranges carry the same payload when they hold the
-    /// same array elements in the same order. Two messages from one sender
-    /// under one aggregation key with the same payload are one multicast —
-    /// the planner's merge rule.
-    pub fn same_payload(&self, a: std::ops::Range<usize>, b: std::ops::Range<usize>) -> bool {
-        a.len() == b.len()
-            && a.zip(b)
-                .all(|(x, y)| self.row(x).arr() == self.row(y).arr())
     }
 }
 
@@ -587,21 +499,6 @@ fn split_ne(poly: &Polyhedron, dims: &CommDims) -> Result<Vec<Polyhedron>, PolyE
 }
 
 impl CommSet {
-    /// The column layout of this set's element rows.
-    pub(crate) fn layout(&self) -> ElemLayout {
-        let d = &self.dims;
-        let mut ends = [0; 5];
-        let mut end = 0;
-        for (e, group) in ends
-            .iter_mut()
-            .zip([&d.s_iter, &d.ps, &d.r_iter, &d.pr, &d.arr])
-        {
-            end += group.len();
-            *e = end;
-        }
-        ElemLayout { ends }
-    }
-
     /// Visits every element of the set for concrete parameter values, in
     /// scan order: `s_iter`, `ps`, `pr`, `r_iter`, `a`, then the auxiliary
     /// dimensions in the order [`CommDims::aux`] lists them (the order the
@@ -609,8 +506,9 @@ impl CommSet {
     /// with derived loop bounds on the compiled kernel
     /// ([`dmc_polyhedra::ScanKernel`]): cost proportional to the number of
     /// elements, not to any bounding box, and an auxiliary pinned by an
-    /// equality — unit or strided — costs an assignment, not a loop.
-    /// `visit` is lent each element as a row of one reused buffer and
+    /// equality — unit or strided — costs an assignment, not a loop, or
+    /// nothing when only pinned levels follow it.
+    /// `visit` is lent each element, borrowed from the scan's point, and
     /// returns [`ControlFlow::Break`] to stop early.
     ///
     /// # Errors
@@ -634,22 +532,36 @@ impl CommSet {
         for (k, &p) in d.params.iter().enumerate() {
             fixed[p] = param_vals[k];
         }
-        let layout = self.layout();
-        let source: Vec<usize> = [&d.s_iter, &d.ps, &d.r_iter, &d.pr, &d.arr]
-            .into_iter()
-            .flatten()
-            .copied()
-            .collect();
-        let mut cols = vec![0i128; source.len()];
-        // The scan visits each solution exactly once; no dedup needed.
-        nest.compile(&fixed)?.for_each(order.len(), |pt| {
+        // Each group is a run of consecutive dimensions in every set the
+        // passes build, and a row borrows the point; a group that is not is
+        // gathered into a buffer first.
+        let groups = [&d.s_iter, &d.ps, &d.r_iter, &d.pr, &d.arr];
+        let gather = !groups
+            .iter()
+            .all(|g| g.windows(2).all(|w| w[1] == w[0] + 1));
+        let mut at = 0;
+        let spans = groups.map(|g| match (gather, g.first()) {
+            (true, _) => {
+                at += g.len();
+                at - g.len()..at
+            }
+            (false, first) => first.map_or(0..0, |&f| f..f + g.len()),
+        });
+        let source: Vec<usize> = groups.into_iter().flatten().copied().collect();
+        let mut cols = vec![0i128; if gather { source.len() } else { 0 }];
+        // The scan visits each solution exactly once; no dedup needed. The
+        // auxiliary dimensions are never lent out, so trailing ones pinned
+        // by an equality are not assigned.
+        let kernel = nest.compile(&fixed)?;
+        let depth = kernel.looping_depth().max(order.len() - d.aux.len());
+        kernel.for_each(depth, |pt| {
+            if !gather {
+                return visit(ElemRow::over(pt, &spans));
+            }
             for (c, &x) in cols.iter_mut().zip(&source) {
                 *c = pt[x];
             }
-            visit(ElemRow {
-                cols: &cols,
-                layout,
-            })
+            visit(ElemRow::over(&cols, &spans))
         })
     }
 

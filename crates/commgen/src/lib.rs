@@ -15,7 +15,9 @@
 //! * [`eliminate_self_reuse`] (§6.1.1), [`eliminate_already_local`] /
 //!   [`unique_sender`] (§6.1.3) — redundant-transfer elimination;
 //! * [`aggregate_messages`] (§6.2) — message aggregation at the dependence
-//!   level, with identical pack/unpack orders;
+//!   level, with identical pack/unpack orders, and [`fold_messages`], the
+//!   planner's one pass from a set's scan to its chunks, legality splits,
+//!   multicast groups and payloads;
 //! * [`is_multicast`] (§6.2.1) — multicast detection.
 
 #![warn(missing_docs)]
@@ -23,12 +25,13 @@
 pub mod codec;
 
 mod commset;
+mod fold;
 mod opt;
 
 pub use commset::{
-    comm_from_initial, comm_from_leaf, CommDims, CommElem, CommError, CommSet, ElemRow, ElemTable,
-    SenderKind,
+    comm_from_initial, comm_from_leaf, CommDims, CommElem, CommError, CommSet, ElemRow, SenderKind,
 };
+pub use fold::{fold_messages, Chunk, FoldSpec, Folded};
 pub use opt::{
     aggregate_messages, eliminate_already_local, eliminate_cross_set_reuse, eliminate_self_reuse,
     eliminate_self_reuse_from, fold_receivers, is_multicast, unique_sender, Message, Messages,

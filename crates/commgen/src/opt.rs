@@ -1,7 +1,7 @@
 //! Communication optimizations (paper §6): redundant-transfer elimination,
 //! message aggregation, and multicast detection.
 
-use std::ops::{ControlFlow, Range};
+use std::ops::Range;
 
 use dmc_decomp::{DataDecomp, ProcGrid};
 use dmc_obs as obs;
@@ -9,7 +9,8 @@ use dmc_polyhedra::{
     batch_feasibility, lexopt, Constraint, Direction, LexError, LinExpr, PolyError, Polyhedron,
 };
 
-use crate::commset::{CommSet, ElemTable, SenderKind};
+use crate::commset::{CommSet, SenderKind};
+use crate::fold::{fold_messages, FoldSpec};
 
 /// Records the outcome of one §6 pass on one input set: appends the pass
 /// to the survivors' provenance trail and, when tracing is active, emits a
@@ -339,28 +340,22 @@ pub struct Message {
     pub sender: Vec<i128>,
     /// Receiver (same convention as `sender`).
     pub receiver: Vec<i128>,
-    /// The aggregation key: the first `prefix_len` send-iteration values.
+    /// The aggregation key: the first `prefix_len` send-iteration values
+    /// (and, for location-centric sets, the re-fetch prefix of the receive
+    /// iteration).
     pub key: Vec<i128>,
-    /// The message's items as a row range of [`Messages::rows`], ordered
-    /// identically on both sides (lexicographic by `(i_s, p_s, i_r, p_r,
-    /// a)`).
+    /// The message's words, as positions in the set's stream of messages:
+    /// message after message, `items.len()` words each.
     pub items: Range<usize>,
 }
 
-/// The messages of one communication set ([`aggregate_messages`]): one
-/// table of element rows in pack order, and per message its row range.
+/// The messages of one communication set ([`aggregate_messages`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Messages {
-    rows: ElemTable,
     messages: Vec<Message>,
 }
 
 impl Messages {
-    /// The element rows of every message, message after message.
-    pub fn rows(&self) -> &ElemTable {
-        &self.rows
-    }
-
     /// The messages, by `(sender, key, receiver)`.
     pub fn iter(&self) -> std::slice::Iter<'_, Message> {
         self.messages.iter()
@@ -377,121 +372,16 @@ impl Messages {
     }
 }
 
-/// Where a scanned row holds what its message is grouped by: the sender,
-/// the aggregation prefix of `s_iter`, for location-centric sets the
-/// `r_iter` prefix that keeps separate fetches of one location in separate
-/// messages, and the receiver.
-struct GroupCols {
-    sender: Range<usize>,
-    key_s: Range<usize>,
-    key_r: Range<usize>,
-    receiver: Range<usize>,
-}
-
-impl GroupCols {
-    /// `(sender, key, receiver)` of a row, in message order.
-    fn of<'a>(&self, row: &'a [i128]) -> [&'a [i128]; 4] {
-        [&self.sender, &self.key_s, &self.key_r, &self.receiver].map(|c| &row[c.clone()])
-    }
-}
-
-/// Row `i` of a flat table of `stride`-wide rows.
-fn row_at(data: &[i128], stride: usize, i: usize) -> &[i128] {
-    &data[i * stride..][..stride]
-}
-
-/// Reorders the rows of a flat table in place: row `j` becomes the old row
-/// `order[j]`. Follows each cycle of the permutation, holding one row, and
-/// leaves `order` the identity.
-fn permute_rows(data: &mut [i128], stride: usize, order: &mut [usize]) {
-    let mut held = vec![0; stride];
-    for first in 0..order.len() {
-        if order[first] == first {
-            continue;
-        }
-        held.copy_from_slice(row_at(data, stride, first));
-        let mut to = first;
-        loop {
-            // A placed row is marked as its own source.
-            let from = std::mem::replace(&mut order[to], to);
-            if from == first {
-                data[to * stride..][..stride].copy_from_slice(&held);
-                break;
-            }
-            data.copy_within(from * stride..(from + 1) * stride, to * stride);
-            to = from;
-        }
-    }
-}
-
-/// Stable counting sort of row indices by a rank in `0..n`.
-fn sort_by_rank(order: &mut Vec<usize>, n: usize, rank: impl Fn(usize) -> usize) {
-    let mut at = vec![0usize; n + 1];
-    for &i in order.iter() {
-        at[rank(i) + 1] += 1;
-    }
-    for r in 0..n {
-        at[r + 1] += at[r];
-    }
-    let mut sorted = vec![0; order.len()];
-    for &i in order.iter() {
-        let slot = &mut at[rank(i)];
-        sorted[*slot] = i;
-        *slot += 1;
-    }
-    *order = sorted;
-}
-
-/// Sorts the scanned rows by `(sender, receiver, key)` and, within a
-/// message, in the order both sides pack and unpack in: lexicographic by
-/// `(i_s, p_s, i_r, p_r, a)`, the first `base` columns. Under a grid of
-/// `nproc` processors two stable counting sorts bring the rows of one
-/// (sender, receiver) pair together, still in scan order — `(i_s, p_s, p_r,
-/// i_r, a)`, which the stable sort of the pair then finds all but sorted.
-/// Without one the table is one chunk.
-fn sort_rows(data: &mut [i128], stride: usize, by: &GroupCols, base: usize, nproc: Option<usize>) {
-    let n = data.len() / stride.max(1);
-    let (sender, receiver) = (by.sender.start, by.receiver.start);
-    if let Some(nproc) = nproc {
-        let mut order: Vec<usize> = (0..n).collect();
-        for col in [receiver, sender] {
-            sort_by_rank(&mut order, nproc, |i| row_at(data, stride, i)[col] as usize);
-        }
-        permute_rows(data, stride, &mut order);
-    }
-    let mut order = Vec::new();
-    let mut start = 0;
-    while start < n {
-        let first = row_at(data, stride, start);
-        let same_pair = |r: &[i128]| r[sender] == first[sender] && r[receiver] == first[receiver];
-        let end = match nproc {
-            Some(_) => (start + 1..n).find(|&i| !same_pair(row_at(data, stride, i))),
-            None => None,
-        }
-        .unwrap_or(n);
-        let pair = &mut data[start * stride..end * stride];
-        order.clear();
-        order.extend(0..end - start);
-        order.sort_by(|&a, &b| {
-            let (a, b) = (row_at(pair, stride, a), row_at(pair, stride, b));
-            (by.of(a).cmp(&by.of(b))).then_with(|| a[..base].cmp(&b[..base]))
-        });
-        permute_rows(pair, stride, &mut order);
-        start = end;
-    }
-}
-
 /// Aggregates a communication set into messages (§6.2) for concrete
 /// parameter values: one message per `(sender, i_s[0..prefix_len],
 /// receiver)`. When `grid` is given, processors are folded to physical
 /// coordinates first and elements whose sender and receiver fold to the
 /// same physical processor are dropped (§6.1.3 — cyclic emulation
 /// redundancy). Every receiver gets its own [`Message`]; merging identical
-/// payloads ([`ElemTable::same_payload`]) into one multicast is the
-/// planner's step.
+/// payloads into one multicast is the planner's step.
 ///
-/// Elements go from the scan into one flat table; grouping is a sort of
-/// row indices, and the result is that table, permuted in place.
+/// This is [`fold_messages`] at the paper's prefix, without a split,
+/// multicast or payloads.
 ///
 /// # Errors
 ///
@@ -503,111 +393,36 @@ pub fn aggregate_messages(
     grid: Option<&ProcGrid>,
     limit: usize,
 ) -> Result<Option<Messages>, OptError> {
-    let layout = cs.layout();
-    let base = layout.width();
-    // A scanned row is the element's columns and, under a grid, the ranks
-    // its sender and receiver fold to (row-major: ranks order like the
-    // folded coordinates).
-    let (stride, sender, receiver) = match grid {
-        Some(_) => (base + 2, base..base + 1, base + 1..base + 2),
-        None => (base, layout.ps(), layout.pr()),
+    let spec = FoldSpec {
+        grid,
+        splits: &[0],
+        read_depth: 0,
+        aggregate: true,
+        multicast: false,
+        payloads: false,
     };
-    let (s_iter, r_iter) = (layout.s_iter(), layout.r_iter());
-    let by = GroupCols {
-        sender,
-        key_s: 0..cs.prefix_len.min(s_iter.len()),
-        key_r: r_iter.start..r_iter.start + cs.refetch_outer.min(r_iter.len()),
-        receiver,
-    };
-    let mut data: Vec<i128> = Vec::new();
-    let mut scanned = 0usize;
-    cs.for_each(param_vals, |e| {
-        scanned += 1;
-        if scanned > limit {
-            return Ok::<_, OptError>(ControlFlow::Break(()));
-        }
-        data.extend_from_slice(e.cols());
-        if let Some(g) = grid {
-            data.extend([g.fold_rank(e.ps()), g.fold_rank(e.pr())]);
-        }
-        // Same physical processor: local copy, no message (§6.1.3).
-        let row = &data[data.len() - stride..];
-        if row[by.sender.clone()] == row[by.receiver.clone()] {
-            data.truncate(data.len() - stride);
-        }
-        Ok(ControlFlow::Continue(()))
-    })?;
-    if scanned > limit {
+    let Some(folded) = fold_messages(cs, param_vals, &spec, limit)? else {
         return Ok(None);
-    }
-    let n = data.len() / stride.max(1);
-    sort_rows(&mut data, stride, &by, base, grid.map(|g| g.len() as usize));
-
-    // One pass over the sorted rows drops the redundant ones — without a
-    // grid only identical rows — closes the gaps and finds the messages. A
-    // run is the rows of one message that share a send iteration.
-    let (s_iter, arr) = (layout.s_iter(), layout.arr());
-    let mut messages: Vec<Message> = Vec::new();
-    let mut kept = 0;
-    let (mut redundant, mut by_arr) = (Vec::new(), Vec::new());
-    let mut start = 0;
-    while start < n {
-        let first = row_at(&data, stride, start);
-        let in_run =
-            |r: &[i128]| r[s_iter.clone()] == first[s_iter.clone()] && by.of(r) == by.of(first);
-        let end = (start + 1..n)
-            .find(|&i| !in_run(row_at(&data, stride, i)))
-            .unwrap_or(n);
-        redundant.clear();
-        redundant.resize(end - start, false);
-        if grid.is_none() {
-            for i in start + 1..end {
-                redundant[i - start] = row_at(&data, stride, i) == row_at(&data, stride, i - 1);
+    };
+    let coords = |cols: &[i128]| match grid {
+        Some(g) => g.coords(cols[0]),
+        None => cols.to_vec(),
+    };
+    let mut at = 0;
+    let messages = folded[0]
+        .chunks()
+        .map(|c| {
+            let items = at..at + c.words as usize;
+            at = items.end;
+            Message {
+                sender: coords(c.sender),
+                receiver: coords(c.receiver),
+                key: c.key.to_vec(),
+                items,
             }
-        } else if end - start > 1 {
-            // §6.1.3 — cyclic-emulation redundancy: one physical processor
-            // may emulate several virtual receivers of the same value;
-            // transfer it once (the earliest consuming iteration keeps the
-            // item — the sort puts it first): a stable sort of the run by
-            // array element puts each element's first row ahead of its
-            // repeats, identical rows among them.
-            let arr = |i: usize| &row_at(&data, stride, i)[arr.clone()];
-            by_arr.clear();
-            by_arr.extend(start..end);
-            by_arr.sort_by(|&a, &b| arr(a).cmp(arr(b)));
-            for w in by_arr.windows(2) {
-                redundant[w[1] - start] = arr(w[0]) == arr(w[1]);
-            }
-        }
-        let continues = messages
-            .last()
-            .is_some_and(|m| by.of(row_at(&data, stride, m.items.start)) == by.of(first));
-        if !continues {
-            let coords = |cols: &[i128]| match grid {
-                Some(g) => g.coords(cols[0]),
-                None => cols.to_vec(),
-            };
-            messages.push(Message {
-                sender: coords(&first[by.sender.clone()]),
-                receiver: coords(&first[by.receiver.clone()]),
-                key: [&first[by.key_s.clone()], &first[by.key_r.clone()]].concat(),
-                items: kept..kept,
-            });
-        }
-        for i in (start..end).filter(|i| !redundant[i - start]) {
-            data.copy_within(i * stride..(i + 1) * stride, kept * stride);
-            kept += 1;
-        }
-        messages.last_mut().expect("the run's message").items.end = kept;
-        start = end;
-    }
-    data.truncate(kept * stride);
-    // The pairs are in (sender, receiver) order; messages go by (sender,
-    // key, receiver).
-    messages
-        .sort_by(|a, b| (&a.sender, &a.key, &a.receiver).cmp(&(&b.sender, &b.key, &b.receiver)));
-    let rows = ElemTable::from_rows(layout, stride, data);
-    Ok(Some(Messages { rows, messages }))
+        })
+        .collect();
+    Ok(Some(Messages { messages }))
 }
 
 /// §6.2.1 — multicast detection: a communication set can use a multicast
@@ -892,11 +707,26 @@ mod tests {
         for m in msgs.iter() {
             assert_eq!(m.items.len(), 3, "{m:?}");
             assert_eq!(m.sender[0], m.receiver[0] - 1);
-            // Pack order equals unpack order: rows sorted as `CommElem`s.
-            let items: Vec<_> = (m.items.clone())
-                .map(|r| msgs.rows().row(r).to_elem())
-                .collect();
+        }
+        // Pack order equals unpack order: items sorted by send iteration,
+        // then array element (`(i_s, p_s, i_r, p_r, a)` for these sets).
+        let spec = FoldSpec {
+            grid: None,
+            splits: &[0],
+            read_depth: 2,
+            aggregate: true,
+            multicast: false,
+            payloads: true,
+        };
+        let folded = fold_messages(&sets[0], &[1, 95], &spec, 100_000)
+            .unwrap()
+            .unwrap();
+        assert_eq!(folded[0].len(), 4);
+        for c in folded[0].chunks() {
+            let items: Vec<_> = folded[0].payload(c.payload).collect();
+            assert_eq!(items.len() as u64, c.words);
             assert!(items.is_sorted(), "{items:?}");
+            assert_eq!(c.last_send, items[2].0);
         }
     }
 

@@ -3,12 +3,10 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
-use std::ops::{ControlFlow, Range};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
-use dmc_commgen::{
-    aggregate_messages, is_multicast, CommError, CommSet, ElemTable, Messages, OptError,
-};
+use dmc_commgen::{fold_messages, is_multicast, CommError, CommSet, FoldSpec, Folded, OptError};
 use dmc_dataflow::{LastWriteTree, LwtError, LwtLeaf};
 use dmc_decomp::{CompDecomp, DataDecomp, ProcGrid};
 use dmc_ir::{Program, StmtInfo};
@@ -44,6 +42,14 @@ pub struct CompileInput {
 pub enum CompileError {
     /// A statement has no computation decomposition.
     MissingComp(usize),
+    /// Planning was given a number of parameter values other than the
+    /// number of the program's symbolic constants.
+    ParamCount {
+        /// Parameters the program declares.
+        want: usize,
+        /// Values supplied.
+        got: usize,
+    },
     /// The location-centric strategy needs a data decomposition for every
     /// array read.
     MissingInitial(String),
@@ -88,6 +94,10 @@ impl std::fmt::Display for CompileError {
             CompileError::MissingComp(s) => {
                 write!(f, "no computation decomposition for statement {s}")
             }
+            CompileError::ParamCount { want, got } => write!(
+                f,
+                "the program has {want} parameter(s) but {got} value(s) were given"
+            ),
             CompileError::MissingInitial(a) => {
                 write!(
                     f,
@@ -245,180 +255,24 @@ pub(crate) fn schedule_message_stats(schedule: &Schedule) -> (u64, u64, u64) {
     (messages, transmissions, words)
 }
 
-/// One planned physical message group (multicast-merged when enabled).
-#[derive(Debug, PartialEq)]
-struct PlannedGroup {
-    sender: usize,
-    receivers: Vec<usize>,
-    /// The aggregation key (send-iteration prefix) this message belongs to.
-    key: Vec<i128>,
-    /// Per-receiver earliest consuming stamp.
-    recv_anchor: Vec<Stamp>,
-    /// Latest producing stamp (or the pre-loop stamp for initial data).
-    send_anchor: Stamp,
-    /// The elements carried, in pack/unpack order: a row range of the
-    /// set's table (which the legality retries share).
-    items: Range<usize>,
-}
-
-/// Enumerates one communication set into per-(sender, receiver) messages
-/// at the paper's aggregation prefix. Independent of the legality-split
-/// depth, so [`build_schedule`]'s retry loop can compute it once.
-fn raw_messages(
-    compiled: &Compiled,
-    cs: &CommSet,
-    param_vals: &[i128],
-    limit: usize,
-) -> Result<Messages, CompileError> {
-    let grid = &compiled.input.grid;
-    aggregate_messages(cs, param_vals, Some(grid), limit)?.ok_or_else(|| {
-        CompileError::TooLarge(format!(
-            "communication set for {} exceeds {limit} elements",
-            cs.array
-        ))
-    })
-}
-
-fn planned_messages(
-    compiled: &Compiled,
-    cs: &CommSet,
-    raw: &Messages,
-    extra_split: usize,
-    multicast: bool,
-) -> Vec<PlannedGroup> {
-    let grid = &compiled.input.grid;
-    let stmts = compiled.input.program.statements();
-    let read_info = &stmts[cs.read_stmt];
-    let read_depth = read_info.loops.len();
-    // Legality refinement: batching at the paper's i_s[0..k-1] prefix can
-    // create wait cycles when items from several iterations of the
-    // carrying loop share a message (see DESIGN.md); `extra_split` extends
-    // the key by that many further send-iteration components. The planner
-    // retries with a deeper split on deadlock.
-    let key_len = (cs.prefix_len + extra_split).min(cs.dims.s_iter.len());
-    let split_len = if key_len > cs.prefix_len { key_len } else { 0 };
-    let rows = raw.rows();
-    let mut groups: Vec<PlannedGroup> = Vec::new();
-    for m in raw.iter() {
-        let sender = grid.rank(&m.sender) as usize;
-        let receiver = grid.rank(&m.receiver) as usize;
-        let mut start = m.items.start;
-        while start < m.items.end {
-            // Rows are sorted by send iteration first, so those sharing
-            // the extended key are one contiguous run. When aggregation is
-            // off, every element travels alone (the unoptimized baseline
-            // of §6).
-            let first = rows.row(start);
-            // The exact stamp of the first consuming iteration. The
-            // scheduler splits the consuming compute block at this point,
-            // so the receive lands immediately before the data is used
-            // (the paper's "issue the receive just before the data are
-            // used").
-            let mut first_use = &first.r_iter()[..read_depth];
-            let mut end = start + 1;
-            while end < m.items.end && compiled.options.aggregate {
-                let e = rows.row(end);
-                if e.s_iter()[..split_len] != first.s_iter()[..split_len] {
-                    break;
-                }
-                first_use = first_use.min(&e.r_iter()[..read_depth]);
-                end += 1;
-            }
-            // The send is anchored after the last producing write (the
-            // run's last row: one statement's stamps order like its
-            // iterations); initial-owner data has no producer and is sent
-            // before everything.
-            let send_anchor = match cs.write_stmt {
-                Some(_) => producing_stamp(cs, &stmts, rows.row(end - 1).s_iter()),
-                None => vec![-2],
-            };
-            // The effective key includes the extra split components so
-            // multicast merging never crosses split boundaries.
-            let mut key = m.key.clone();
-            key.extend(&first.s_iter()[cs.prefix_len.min(key_len)..key_len]);
-            groups.push(PlannedGroup {
-                sender,
-                receivers: vec![receiver],
-                key,
-                recv_anchor: vec![dmc_machine::stamp_of(&read_info.position, first_use)],
-                send_anchor,
-                items: start..end,
-            });
-            start = end;
-        }
-    }
-    // `multicast` is the set's verdict from the hoisted plan, false when
-    // multicast or aggregation is off.
-    if !multicast {
-        return groups;
-    }
-    merge_multicast(rows, groups, |g| payload_hash(rows, g))
-}
-
-/// Multicast merge: same sender + same aggregation key + same payload
-/// ([`ElemTable::same_payload`]) -> one group with several receivers. Each
-/// group joins the first earlier group it equals in all three that has
-/// none of its receivers (two messages to one receiver are deliberate
-/// repeats of the unoptimized plan). `hash` only narrows the search: equal
-/// columns decide, never an equal hash.
-fn merge_multicast(
-    rows: &ElemTable,
-    groups: Vec<PlannedGroup>,
-    hash: impl Fn(&PlannedGroup) -> u64,
-) -> Vec<PlannedGroup> {
-    let mut merged: Vec<PlannedGroup> = Vec::new();
-    let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::new();
-    for g in groups {
-        let candidates = by_hash.entry(hash(&g)).or_default();
-        let joins = |&i: &usize| {
-            let m = &merged[i];
-            m.sender == g.sender
-                && m.key == g.key
-                && rows.same_payload(m.items.clone(), g.items.clone())
-                && g.receivers.iter().all(|r| !m.receivers.contains(r))
-        };
-        match candidates.iter().copied().find(joins) {
-            Some(i) => {
-                merged[i].receivers.extend(g.receivers);
-                merged[i].recv_anchor.extend(g.recv_anchor);
-            }
-            None => {
-                candidates.push(merged.len());
-                merged.push(g);
-            }
-        }
-    }
-    merged
-}
-
-/// A word hash of what [`merge_multicast`] compares: sender, key and the
-/// array elements carried.
-fn payload_hash(rows: &ElemTable, g: &PlannedGroup) -> u64 {
-    let mut h = g.sender as u64;
-    let mut mix = |v: i128| {
-        h = (h.rotate_left(5) ^ v as u64 ^ (v >> 64) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    };
-    g.key.iter().copied().for_each(&mut mix);
-    for r in g.items.clone() {
-        rows.row(r).arr().iter().copied().for_each(&mut mix);
-    }
-    h
-}
-
 /// One pending schedule entry: `(anchor, phase, seq, action)`. An attempt's
 /// entries borrow the anchors of the hoisted blocks they do not split.
 type PendingAction<S = Stamp> = (S, i8, usize, Action);
 
+/// The legality splits [`hoist`] folds every set at, in one scan: the
+/// paper's prefix and one component deeper — LU's two attempts. A deeper
+/// attempt folds the sets it reaches again ([`HoistedPlan::refold`]).
+const HOISTED_SPLITS: [usize; 2] = [0, 1];
+
 /// Split-depth-independent planning state, computed once per
 /// [`build_schedule`] call and shared across the legality retries: every
-/// set's element table and raw messages, the per-set multicast verdicts
-/// and the per-processor compute-block actions, sorted. A retry then
-/// replays only the delta — the deeper message split — and reads the rest.
+/// set's fold at the hoisted splits, the per-set multicast verdicts and the
+/// per-processor compute-block actions, sorted. An attempt reads the fold
+/// of its split and merges in the blocks.
 struct HoistedPlan {
-    /// Per communication set: its messages at the paper's aggregation
-    /// prefix, over one element table.
-    raw: Vec<Messages>,
-    /// Per communication set: may its messages be multicast-merged?
+    /// Per communication set: its folds, one per split folded.
+    folds: Vec<Vec<Folded>>,
+    /// Per communication set: may its chunks be multicast-merged?
     multicast: Vec<bool>,
     /// Per processor: the compute-block actions (identical at any depth),
     /// in `(anchor, phase, seq)` order.
@@ -426,6 +280,81 @@ struct HoistedPlan {
     /// The sequence counter after the block actions; message actions
     /// continue from here so retries number actions identically.
     block_seq: usize,
+}
+
+impl HoistedPlan {
+    /// Set `k`'s fold at legality split `extra`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set was not folded at that split.
+    fn fold(&self, k: usize, cs: &CommSet, extra: usize) -> &Folded {
+        let split = cs.split_depth(extra);
+        self.folds[k]
+            .iter()
+            .find(|f| f.split() == split)
+            .expect("the attempt's split was folded")
+    }
+
+    /// Folds, at split `extra`, every set the folds so far do not reach.
+    fn refold(
+        &mut self,
+        compiled: &Compiled,
+        param_vals: &[i128],
+        limit: usize,
+        values: bool,
+        extra: usize,
+    ) -> Result<(), CompileError> {
+        for (k, cs) in compiled.comm.iter().enumerate() {
+            let split = cs.split_depth(extra);
+            if self.folds[k].iter().all(|f| f.split() != split) {
+                obs::event(
+                    "schedule.refold",
+                    vec![obs::field("extra_split", extra), obs::field("set", k)],
+                );
+                let folded = fold_set(
+                    compiled,
+                    cs,
+                    param_vals,
+                    limit,
+                    &[extra],
+                    self.multicast[k],
+                    values,
+                )?;
+                self.folds[k].extend(folded);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Folds one communication set at `splits` under the physical grid, with
+/// its multicast verdict, keeping payloads in values mode.
+fn fold_set(
+    compiled: &Compiled,
+    cs: &CommSet,
+    param_vals: &[i128],
+    limit: usize,
+    splits: &[usize],
+    multicast: bool,
+    values: bool,
+) -> Result<Vec<Folded>, CompileError> {
+    let spec = FoldSpec {
+        grid: Some(&compiled.input.grid),
+        splits,
+        read_depth: compiled.input.program.statements()[cs.read_stmt]
+            .loops
+            .len(),
+        aggregate: compiled.options.aggregate,
+        multicast,
+        payloads: values,
+    };
+    fold_messages(cs, param_vals, &spec, limit)?.ok_or_else(|| {
+        CompileError::TooLarge(format!(
+            "communication set for {} exceeds {limit} elements",
+            cs.array
+        ))
+    })
 }
 
 /// Enumerates every statement's compute blocks into per-processor pending
@@ -520,6 +449,13 @@ pub(crate) fn build_schedule_inner(
     // polyhedral engine (enumeration, multicast checks), and `compile`'s
     // tuning has already been popped by now.
     let _lane = obs::lane(obs::main_lane(), "pipeline");
+    let want = compiled.input.program.params.len();
+    if param_vals.len() != want {
+        return Err(CompileError::ParamCount {
+            want,
+            got: param_vals.len(),
+        });
+    }
     if values && compiled.options.strategy == Strategy::LocationCentric {
         let stmts = compiled.input.program.statements();
         let written = |array: &str| stmts.iter().any(|s| s.stmt.write.array == array);
@@ -551,13 +487,14 @@ pub(crate) fn build_schedule_inner(
         .map(|cs| cs.dims.s_iter.len().saturating_sub(cs.prefix_len))
         .max()
         .unwrap_or(0);
-    let plan = hoist(compiled, param_vals, limit)?;
+    let mut plan = hoist(compiled, param_vals, limit, values)?;
     let mut last_err = None;
     for extra in 0..=max_depth {
         let _attempt = obs::span_f("schedule.attempt", || {
             vec![obs::field("extra_split", extra)]
         });
         let _actx = ledger::push_context(format!("attempt{extra}"));
+        plan.refold(compiled, param_vals, limit, values, extra)?;
         let schedule = build_schedule_at(compiled, values, extra, &plan);
         // Cheap deadlock dry-run (timing semantics on the same schedule).
         let params: HashMap<String, i128> = compiled
@@ -604,15 +541,30 @@ pub(crate) fn build_schedule_inner(
 }
 
 /// Everything [`build_schedule`]'s legality loop derives once, before its
-/// first attempt: the raw per-set message enumeration, the per-set
-/// multicast verdicts and the compute-block nests are all independent of
-/// the split depth.
+/// first attempt: the per-set multicast verdicts, each set's fold at the
+/// hoisted splits ([`HOISTED_SPLITS`]) and the compute-block nests.
 fn hoist(
     compiled: &Compiled,
     param_vals: &[i128],
     limit: usize,
+    values: bool,
 ) -> Result<HoistedPlan, CompileError> {
-    let raw: Vec<Messages> = {
+    // The verdicts go first: the fold refines payload classes only for
+    // sets that may multicast.
+    let multicast = {
+        let _s = obs::span_f("plan", || vec![obs::field("sets", compiled.comm.len())]);
+        let _c = ledger::push_context("plan");
+        if compiled.options.multicast && compiled.options.aggregate {
+            compiled
+                .comm
+                .iter()
+                .map(is_multicast)
+                .collect::<Result<Vec<_>, _>>()?
+        } else {
+            vec![false; compiled.comm.len()]
+        }
+    };
+    let folds = {
         let _s = obs::span_f("aggregate", || {
             vec![obs::field("sets", compiled.comm.len())]
         });
@@ -620,26 +572,18 @@ fn hoist(
         compiled
             .comm
             .iter()
-            .map(|cs| raw_messages(compiled, cs, param_vals, limit))
+            .zip(&multicast)
+            .map(|(cs, &m)| fold_set(compiled, cs, param_vals, limit, &HOISTED_SPLITS, m, values))
             .collect::<Result<_, _>>()?
     };
     let _s = obs::span_f("plan", || vec![obs::field("sets", compiled.comm.len())]);
     let _c = ledger::push_context("plan");
-    let multicast = if compiled.options.multicast && compiled.options.aggregate {
-        compiled
-            .comm
-            .iter()
-            .map(is_multicast)
-            .collect::<Result<Vec<_>, _>>()?
-    } else {
-        vec![false; compiled.comm.len()]
-    };
     let (mut blocks, block_seq) = block_actions(compiled, param_vals)?;
     for acts in &mut blocks {
         acts.sort_by(|a, b| pending_key(a).cmp(&pending_key(b)));
     }
     Ok(HoistedPlan {
-        raw,
+        folds,
         multicast,
         blocks,
         block_seq,
@@ -671,14 +615,20 @@ fn build_schedule_at(
     let stmts = input.program.statements();
     let mut schedule = Schedule::new(nproc);
 
-    // 1. Messages. Their actions continue the numbering of the compute
-    // blocks', which are hoisted across retries.
+    // 1. Messages, one per group of the attempt's folds. Their actions
+    // continue the numbering of the compute blocks', which are hoisted
+    // across retries. Under the grid a chunk's processors are ranks.
+    let rank = |cols: &[i128]| cols[0] as usize;
     let mut pending: Vec<Vec<PendingAction<Cow<[i128]>>>> = vec![Vec::new(); nproc];
     let mut seq = plan.block_seq;
     for (k, cs) in compiled.comm.iter().enumerate() {
-        let rows = plan.raw[k].rows();
-        let groups = planned_messages(compiled, cs, &plan.raw[k], extra_split, plan.multicast[k]);
-        for g in groups {
+        let fold = plan.fold(k, cs, extra_split);
+        let read_position = &stmts[cs.read_stmt].position;
+        for members in fold.groups() {
+            let chunks = || members.iter().map(|&i| fold.chunk(i as usize));
+            let first = fold.chunk(members[0] as usize);
+            let (sender, words) = (rank(first.sender), first.words);
+            let receivers: Vec<usize> = chunks().map(|c| rank(c.receiver)).collect();
             let msg_id = schedule.messages.len();
             // Provenance: which (statement, read) created this message and
             // which §6 passes its communication set survived.
@@ -688,46 +638,62 @@ fn build_schedule_at(
                     obs::field("array", cs.array.as_str()),
                     obs::field("stmt", cs.read_stmt),
                     obs::field("read", cs.read_no),
-                    obs::field("sender", g.sender),
+                    obs::field("sender", sender),
                     obs::field(
                         "receivers",
-                        g.receivers
+                        receivers
                             .iter()
                             .map(|r| r.to_string())
                             .collect::<Vec<_>>()
                             .join(", "),
                     ),
-                    obs::field("nrecv", g.receivers.len()),
-                    obs::field("words", g.items.len()),
+                    obs::field("nrecv", receivers.len()),
+                    obs::field("words", words),
                     obs::field("steps", cs.steps.join("+")),
                 ]
             });
             // Only values mode materializes names, subscripts and stamps.
             let payload = values.then(|| {
-                (g.items.clone())
-                    .map(|r| rows.row(r))
-                    .map(|e| PayloadItem {
+                fold.payload(first.payload)
+                    .map(|(s_iter, arr)| PayloadItem {
                         array: cs.array.clone(),
-                        idx: e.arr().to_vec(),
-                        stamp: producing_stamp(cs, &stmts, e.s_iter()),
+                        idx: arr.to_vec(),
+                        stamp: producing_stamp(cs, &stmts, s_iter),
                     })
                     .collect::<Vec<_>>()
             });
-            pending[g.sender].push((
-                Cow::Owned(g.send_anchor),
+            // The send goes after the last producing write (one
+            // statement's stamps order like its iterations); initial-owner
+            // data has no producer and is sent before everything.
+            let send_anchor = match cs.write_stmt {
+                Some(_) => producing_stamp(cs, &stmts, first.last_send),
+                None => vec![-2],
+            };
+            pending[sender].push((
+                Cow::Owned(send_anchor),
                 1,
                 seq,
                 Action::Send { msg: msg_id },
             ));
             seq += 1;
-            for (&r, anchor) in g.receivers.iter().zip(g.recv_anchor) {
-                pending[r].push((Cow::Owned(anchor), -1, seq, Action::Recv { msg: msg_id }));
+            // Each receive lands immediately before the first use of its
+            // data: the scheduler splits the consuming compute block at
+            // that stamp (the paper's "issue the receive just before the
+            // data are used").
+            for c in chunks() {
+                let anchor = dmc_machine::stamp_of(read_position, c.first_use);
+                pending[rank(c.receiver)].push((
+                    Cow::Owned(anchor),
+                    -1,
+                    seq,
+                    Action::Recv { msg: msg_id },
+                ));
                 seq += 1;
             }
             schedule.messages.push(MessageSpec {
-                sender: g.sender,
-                receivers: g.receivers,
-                words: g.items.len() as u64,
+                sender,
+                receivers,
+                words,
                 payload,
             });
         }
@@ -951,15 +917,21 @@ mod tests {
     const LIMIT: usize = 2_000_000;
 
     /// The legality attempts only read the hoisted plan: in any order over
-    /// one plan they build what they build over a fresh one, and the one
+    /// one plan they build what they build over a fresh one, an attempt
+    /// deeper than the hoisted splits folds again first, and the one
     /// `build_schedule` returns is LU's second.
     #[test]
     fn attempts_share_one_hoisted_plan() {
         let compiled = compile(lu_input(4), Options::full()).unwrap();
-        let shared = hoist(&compiled, &[12], LIMIT).unwrap();
-        let mut on_shared = Vec::new();
-        for extra in [0, 1, 0] {
-            let fresh = hoist(&compiled, &[12], LIMIT).unwrap();
+        let mut shared = hoist(&compiled, &[12], LIMIT, true).unwrap();
+        let folds = |p: &HoistedPlan| p.folds.iter().map(Vec::len).sum::<usize>();
+        let (mut on_shared, mut refolded) = (Vec::new(), Vec::new());
+        for extra in [0, 1, 2, 0] {
+            let mut fresh = hoist(&compiled, &[12], LIMIT, true).unwrap();
+            let before = folds(&shared);
+            shared.refold(&compiled, &[12], LIMIT, true, extra).unwrap();
+            refolded.push(folds(&shared) > before);
+            fresh.refold(&compiled, &[12], LIMIT, true, extra).unwrap();
             let schedule = build_schedule_at(&compiled, true, extra, &shared);
             assert_eq!(
                 schedule,
@@ -968,33 +940,10 @@ mod tests {
             );
             on_shared.push(schedule);
         }
+        assert_eq!(refolded, [false, false, true, false]);
         assert_ne!(on_shared[0], on_shared[1], "the split changes the plan");
+        assert_eq!(on_shared[0], on_shared[3]);
         let built = build_schedule(&compiled, &[12], true, LIMIT).unwrap();
         assert_eq!(built, on_shared[1]);
-    }
-
-    /// Under a hasher that puts every group in one bucket the merge is the
-    /// one the word hash gives: payloads that differ stay apart.
-    #[test]
-    fn multicast_merge_is_decided_by_the_columns_not_the_hash() {
-        let compiled = compile(lu_input(4), Options::full()).unwrap();
-        let plan = hoist(&compiled, &[12], LIMIT).unwrap();
-        let mut merges = 0;
-        for (k, cs) in compiled.comm.iter().enumerate() {
-            let rows = plan.raw[k].rows();
-            let unmerged = || planned_messages(&compiled, cs, &plan.raw[k], 1, false);
-            let hashed = merge_multicast(rows, unmerged(), |g| payload_hash(rows, g));
-            let constant = merge_multicast(rows, unmerged(), |_| 0);
-            assert_eq!(constant, hashed, "set {k}");
-            for g in &constant {
-                let payloads = unmerged()
-                    .into_iter()
-                    .filter(|u| (u.sender, &u.key) == (g.sender, &g.key))
-                    .filter(|u| rows.same_payload(u.items.clone(), g.items.clone()));
-                assert_eq!(payloads.count(), g.receivers.len(), "set {k}: {g:?}");
-            }
-            merges += unmerged().len() - constant.len();
-        }
-        assert!(merges > 0, "LU's pivot rows are multicast");
     }
 }

@@ -7,7 +7,7 @@ use dmc_decomp::{CompDecomp, DataDecomp, ProcGrid};
 use dmc_ir::{interp, parse, Program};
 use dmc_machine::MachineConfig;
 
-use crate::{build_schedule, compile, message_stats, run, CompileInput, Options};
+use crate::{build_schedule, compile, message_stats, run, CompileError, CompileInput, Options};
 
 fn params_map(program: &Program, vals: &[i128]) -> HashMap<String, i128> {
     program
@@ -354,4 +354,29 @@ fn grid_rank_mismatch_is_reported() {
         err.to_string(),
         "the grid has 1 dimension(s) but the decomposition of array X has 2"
     );
+}
+
+/// Planning with too few or too many parameter values is a typed refusal,
+/// in both modes and through a session, not a panic while scanning.
+#[test]
+fn wrong_parameter_count_is_reported() {
+    let compiled = compile(lu_input(4), Options::full()).unwrap();
+    for params in [&[][..], &[8, 9]] {
+        let got = params.len();
+        for values in [false, true] {
+            match build_schedule(&compiled, params, values, 2_000_000) {
+                Err(CompileError::ParamCount { want: 1, got: g }) if g == got => {}
+                other => panic!("expected the typed refusal, got {other:?}"),
+            }
+        }
+        let served =
+            crate::Session::new().serve("lu", lu_input(4), Options::full(), params, 2_000_000);
+        match served {
+            Err(e @ CompileError::ParamCount { .. }) => assert_eq!(
+                e.to_string(),
+                format!("the program has 1 parameter(s) but {got} value(s) were given")
+            ),
+            other => panic!("expected the typed refusal, got {other:?}"),
+        }
+    }
 }

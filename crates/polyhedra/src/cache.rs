@@ -177,9 +177,11 @@ pub(crate) fn canonical_key(sys: System<'_>) -> Box<[u8]> {
 
 /// Hashes a key eight bytes at a time: one multiply per word, folded so
 /// every input bit reaches both the bucket index and the control byte.
-/// The keys are this process's own constraint systems, not outside input,
-/// so nothing is lost by not being keyed like the default SipHash.
-struct WordHasher(u64);
+/// For keys a process derives itself, not outside input — here its
+/// constraint systems, in the planner's fold its message lanes — so
+/// nothing is lost by not being keyed like the default SipHash.
+#[derive(Clone, Copy, Debug)]
+pub struct WordHasher(u64);
 
 impl Default for WordHasher {
     fn default() -> Self {

@@ -77,14 +77,69 @@ impl ScanNest {
         Ok(out)
     }
 
+    /// The recursive enumerator [`ScanKernel`] replaced, kept as the
+    /// differential oracle of its tests: one loop per level straight from
+    /// the [`VarBounds`], misses and all, every bound a full-width checked
+    /// evaluation. Same points, same order as [`ScanNest::enumerate`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PolyError::Unbounded`] when a level that is reached has no
+    /// lower or no upper bound, and [`PolyError::Overflow`] on overflow.
+    #[doc(hidden)]
+    pub fn enumerate_dense(&self, fixed: &[i128]) -> Result<Vec<Vec<i128>>, PolyError> {
+        let mut out = Vec::new();
+        if self.guard.contains(fixed)? {
+            self.dense_rec(0, &mut fixed.to_vec(), &mut out)?;
+        }
+        Ok(out)
+    }
+
+    fn dense_rec(
+        &self,
+        depth: usize,
+        point: &mut [i128],
+        out: &mut Vec<Vec<i128>>,
+    ) -> Result<(), PolyError> {
+        let Some(vb) = self.vars.get(depth) else {
+            out.push(point.to_vec());
+            return Ok(());
+        };
+        let (lo, hi) = match &vb.exact {
+            Some(e) => {
+                let v = e.eval(point)?;
+                (v, v)
+            }
+            None => {
+                let mut lo = None;
+                for b in &vb.lowers {
+                    let v = num::div_ceil(b.expr.eval(point)?, b.divisor);
+                    lo = Some(lo.map_or(v, |l: i128| l.max(v)));
+                }
+                let mut hi = None;
+                for b in &vb.uppers {
+                    let v = num::div_floor(b.expr.eval(point)?, b.divisor);
+                    hi = Some(hi.map_or(v, |h: i128| h.min(v)));
+                }
+                lo.zip(hi).ok_or(PolyError::Unbounded(vb.dim))?
+            }
+        };
+        for v in lo..=hi {
+            point[vb.dim] = v;
+            self.dense_rec(depth + 1, point, out)?;
+        }
+        Ok(())
+    }
+
     /// Compiles the nest for concrete values `fixed` of the un-scanned
     /// dimensions: every bound becomes a sparse list of `(dimension,
     /// coefficient)` terms over the outer scanned dimensions with the fixed
     /// part folded into its constant, the guard is decided once, and a
     /// level pinned by a non-unit equality `d·x == e` hands the congruence
     /// `e ≡ 0 (mod d)` to the innermost outer level `e` mentions, which
-    /// steps by the solved stride instead of looping over misses (§5.2's
-    /// degenerate loop, generalized to strides).
+    /// steps by the solved stride instead of looping over misses, and is
+    /// itself assigned `x = e / d` (§5.2's degenerate loop, generalized to
+    /// strides).
     ///
     /// # Errors
     ///
@@ -120,9 +175,9 @@ impl ScanNest {
                 }
                 Ok(by_divisor)
             };
-            let level = Level {
+            let mut level = Level {
                 dim: vb.dim,
-                exact: vb.exact.as_ref().map(&sparse).transpose()?,
+                exact: vb.exact.as_ref().map(&sparse).transpose()?.map(|e| (e, 1)),
                 lowers: side(&vb.lowers)?,
                 uppers: side(&vb.uppers)?,
                 stride: None,
@@ -138,6 +193,14 @@ impl ScanNest {
                 let Some(at) = deepest.filter(|&at| levels[at].stride.is_none()) else {
                     continue;
                 };
+                // With the congruence on an outer level, `expr / divisor`
+                // is an integer wherever this level is reached, and the
+                // outer point lies in the rational projection, so that
+                // quotient meets every bound: one evaluation and one exact
+                // division, as a unit equality is one evaluation.
+                if level.exact.is_none() {
+                    level.exact = Some((rest.clone(), b.divisor));
+                }
                 let pos = rest
                     .terms
                     .iter()
@@ -204,7 +267,9 @@ struct Stride {
 #[derive(Clone, Debug)]
 struct Level {
     dim: usize,
-    exact: Option<Affine>,
+    /// `x == expr / divisor` exactly: a unit equality (divisor 1), or a
+    /// non-unit one whose congruence an outer level's stride enforces.
+    exact: Option<(Affine, i128)>,
     /// The bounds of each side, by divisor.
     lowers: Vec<(i128, Vec<Affine>)>,
     uppers: Vec<(i128, Vec<Affine>)>,
@@ -212,17 +277,30 @@ struct Level {
 }
 
 impl Level {
-    /// Whether the level takes exactly one value wherever it is reached: a
-    /// unit equality, and no congruence from a deeper level to filter it.
+    /// Whether the level takes exactly one value wherever it is reached: an
+    /// exact equality, and no congruence from a deeper level to filter it.
     fn pinned(&self) -> bool {
         self.exact.is_some() && self.stride.is_none()
+    }
+
+    /// The value of an exact level at a point fixing the outer levels.
+    fn exact_value(&self, point: &[i128]) -> Result<Option<i128>, PolyError> {
+        let Some((e, divisor)) = &self.exact else {
+            return Ok(None);
+        };
+        let v = e.eval(point)?;
+        debug_assert_eq!(
+            num::mod_floor(v, *divisor),
+            0,
+            "the outer stride makes it exact"
+        );
+        Ok(Some(num::div_floor(v, *divisor)))
     }
 
     /// The level's `(lower, upper)` range at a point fixing the outer
     /// levels, before any stride.
     fn bounds(&self, point: &[i128]) -> Result<(i128, i128), PolyError> {
-        if let Some(e) = &self.exact {
-            let v = e.eval(point)?;
+        if let Some(v) = self.exact_value(point)? {
             return Ok((v, v));
         }
         if self.lowers.is_empty() || self.uppers.is_empty() {
@@ -326,14 +404,13 @@ impl ScanKernel {
         }
         let mut tally = Tally::default();
         let mut point = self.start.clone();
-        // A level pinned by a unit equality is §5.2's assignment: it runs
+        // A level pinned by an exact equality is §5.2's assignment: it runs
         // straight-line under the looping level above it (or, ahead of the
         // first one, once), not as a one-trip loop of the state machine.
         let assign = |run: &[Level], point: &mut [i128], tally: &mut Tally| {
             for level in run {
-                let exact = level.exact.as_ref().expect("a pinned level");
                 tally.range_evals += 1;
-                point[level.dim] = exact.eval(point)?;
+                point[level.dim] = level.exact_value(point)?.expect("a pinned level");
             }
             Ok::<_, PolyError>(())
         };
@@ -379,6 +456,17 @@ impl ScanKernel {
                 }
             }
         }
+    }
+
+    /// How many outer levels [`ScanKernel::for_each`] must run to visit
+    /// every solution: each level past them is pinned, one value wherever
+    /// it is reached, so a visitor that reads none of their dimensions
+    /// sees the same solutions, once each, at this depth.
+    pub fn looping_depth(&self) -> usize {
+        self.levels
+            .iter()
+            .rposition(|l| !l.pinned())
+            .map_or(0, |k| k + 1)
     }
 
     /// The `(lower, upper)` range of the innermost level at a point fixing
@@ -519,48 +607,10 @@ mod tests {
         Constraint::ge(LinExpr::from_coeffs(coeffs, c))
     }
 
-    /// The dense reference: a level's `(lower, upper)` range straight from
-    /// the [`VarBounds`], every bound a full-width checked evaluation.
-    fn dense_range(vb: &VarBounds, point: &[i128]) -> (i128, i128) {
-        if let Some(e) = &vb.exact {
-            let v = e.eval(point).unwrap();
-            return (v, v);
-        }
-        let lower = |b: &Bound| num::div_ceil(b.expr.eval(point).unwrap(), b.divisor);
-        let upper = |b: &Bound| num::div_floor(b.expr.eval(point).unwrap(), b.divisor);
-        (
-            vb.lowers.iter().map(lower).max().unwrap_or(i128::MIN),
-            vb.uppers.iter().map(upper).min().unwrap_or(i128::MAX),
-        )
-    }
-
-    /// The recursive enumerator the kernel replaced, kept as the
-    /// differential oracle: one loop per level, misses and all.
-    fn dense_rec(nest: &ScanNest, depth: usize, point: &mut Vec<i128>, out: &mut Vec<Vec<i128>>) {
-        if depth == nest.vars.len() {
-            out.push(point.clone());
-            return;
-        }
-        let vb = &nest.vars[depth];
-        let (lo, hi) = dense_range(vb, point);
-        for v in lo..=hi {
-            point[vb.dim] = v;
-            dense_rec(nest, depth + 1, point, out);
-        }
-    }
-
-    fn dense(nest: &ScanNest, fixed: &[i128]) -> Vec<Vec<i128>> {
-        let mut out = Vec::new();
-        if nest.guard.contains(fixed).unwrap() {
-            dense_rec(nest, 0, &mut fixed.to_vec(), &mut out);
-        }
-        out
-    }
-
     /// Kernel ≡ oracle: same points, same order; a `limit` keeps a prefix.
     fn assert_kernel_matches_dense(p: &Polyhedron, order: &[usize], fixed: &[i128]) -> usize {
         let nest = scan_bounds(p, order).unwrap();
-        let want = dense(&nest, fixed);
+        let want = nest.enumerate_dense(fixed).unwrap();
         assert_eq!(nest.enumerate(fixed, usize::MAX).unwrap(), want);
         for limit in [0, 1, want.len() / 2, want.len()] {
             let got = nest.enumerate(fixed, limit).unwrap();
@@ -767,9 +817,25 @@ mod tests {
             points += 1;
         }
         assert_eq!((points, evals), (64, 128));
+        // With the congruence on f, q is pinned: q = (pr − f) / 16, one
+        // exact division in place of its bounds.
+        let q = &kernel.levels[2];
+        assert!(matches!(q.exact, Some((_, 16))) && q.pinned(), "{q:?}");
+        let all = nest.enumerate(&[0; 3], 1000).unwrap();
+        assert_eq!(all, nest.enumerate_dense(&[0; 3]).unwrap());
+        // Nothing loops past f: a visitor that does not read q stops there
+        // and sees the same points.
+        assert_eq!(kernel.looping_depth(), 2);
+        let mut outer = Vec::new();
+        kernel
+            .for_each(2, |p| {
+                outer.push(p[..2].to_vec());
+                Ok::<_, PolyError>(ControlFlow::Continue(()))
+            })
+            .unwrap();
         assert_eq!(
-            nest.enumerate(&[0; 3], 1000).unwrap(),
-            dense(&nest, &[0; 3])
+            outer,
+            all.iter().map(|p| p[..2].to_vec()).collect::<Vec<_>>()
         );
     }
 

@@ -6,8 +6,7 @@
 //! the exact same case set — failures reproduce by case number.
 
 use dmc_polyhedra::{
-    lexopt, num, scan_bounds, Bound, Constraint, DimKind, Direction, Feasibility, LinExpr,
-    Polyhedron, ScanNest, Space,
+    lexopt, scan_bounds, Constraint, DimKind, Direction, Feasibility, LinExpr, Polyhedron, Space,
 };
 
 /// xorshift64* — deterministic, seedable, good enough for test-case
@@ -214,39 +213,13 @@ fn scan_is_exact() {
     }
 }
 
-/// The dense recursion the scan kernel replaced, rebuilt from the public
-/// bounds: one loop per level, every bound a full-width evaluation, a
-/// level pinned by a non-unit equality looping over its misses.
-fn dense_scan(nest: &ScanNest, depth: usize, point: &mut Vec<i128>, out: &mut Vec<Vec<i128>>) {
-    let Some(vb) = nest.vars.get(depth) else {
-        out.push(point.clone());
-        return;
-    };
-    let (lo, hi) = match &vb.exact {
-        Some(e) => {
-            let v = e.eval(point).unwrap();
-            (v, v)
-        }
-        None => {
-            let lower = |b: &Bound| num::div_ceil(b.expr.eval(point).unwrap(), b.divisor);
-            let upper = |b: &Bound| num::div_floor(b.expr.eval(point).unwrap(), b.divisor);
-            (
-                vb.lowers.iter().map(lower).max().expect("boxed"),
-                vb.uppers.iter().map(upper).min().expect("boxed"),
-            )
-        }
-    };
-    for v in lo..=hi {
-        point[vb.dim] = v;
-        dense_scan(nest, depth + 1, point, out);
-    }
-}
-
-/// The compiled kernel enumerates what the dense recursion does — same
-/// points, same order — for random 2–4-dim polyhedra (equalities with
-/// non-unit coefficients included) under random scan orders, so pinned
-/// dimensions land before, between and after the dimensions that pin
-/// them; and both are exact against brute force.
+/// The compiled kernel enumerates what the dense recursion it replaced
+/// (`ScanNest::enumerate_dense`: a level pinned by a non-unit equality
+/// loops over its misses) does — same points, same order — for random
+/// 2–4-dim polyhedra (equalities with non-unit coefficients included)
+/// under random scan orders, so pinned dimensions land before, between and
+/// after the dimensions that pin them; and both are exact against brute
+/// force.
 #[test]
 fn scan_kernel_matches_dense_recursion() {
     let mut rng = Rng::new(0x5CA9);
@@ -265,10 +238,7 @@ fn scan_kernel_matches_dense_recursion() {
                 .any(|b| b.divisor > 1 && vb.uppers.contains(b))
         }));
         let fixed = vec![0i128; n];
-        let mut dense = Vec::new();
-        if nest.guard.contains(&fixed).unwrap() {
-            dense_scan(&nest, 0, &mut fixed.clone(), &mut dense);
-        }
+        let dense = nest.enumerate_dense(&fixed).unwrap();
         let scanned = nest.enumerate(&fixed, 100_000).unwrap();
         assert_eq!(scanned, dense, "case {case}: order {order:?}");
         let half = scanned.len() / 2;

@@ -15,6 +15,11 @@ cargo build --release
 cargo build --release --examples
 cargo test -q --workspace
 
+# The paper's LU end to end through the planner's fold: the values check
+# against the sequential interpreter at N = 24 and the Figure 14 series on
+# P = 1..32 at two sizes (six grids each).
+cargo run --release --example lu -- 96 192
+
 # No parked tests: an `#[ignore]`d test is a known failure nobody has to
 # look at. Fix it, or assert the refusal it should be.
 if grep -rn '#\[ignore' crates tests; then
