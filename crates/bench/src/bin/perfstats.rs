@@ -92,8 +92,9 @@ fn stats_json(s: &PolyStats) -> String {
         concat!(
             "{{\"fm_steps\": {}, \"feasibility_calls\": {}, \"feasibility_unknown\": {}, ",
             "\"bnb_nodes\": {}, \"feas_cache_hits\": {}, \"feas_cache_misses\": {}, ",
-            "\"proj_cache_hits\": {}, \"proj_cache_misses\": {}, \"redund_cache_hits\": {}, ",
-            "\"redund_cache_misses\": {}, \"cache_bypasses\": {}, \"negation_tests\": {}, ",
+            "\"proj_cache_hits\": {}, \"proj_cache_misses\": {}, \"scan_cache_hits\": {}, ",
+            "\"scan_cache_misses\": {}, \"lex_cache_hits\": {}, \"lex_cache_misses\": {}, ",
+            "\"cache_bypasses\": {}, \"negation_tests\": {}, ",
             "\"prefilter_drops\": {}, \"prefilter_keeps\": {}, \"lex_splits\": {}}}"
         ),
         s.fm_steps,
@@ -104,8 +105,10 @@ fn stats_json(s: &PolyStats) -> String {
         s.feas_cache_misses,
         s.proj_cache_hits,
         s.proj_cache_misses,
-        s.redund_cache_hits,
-        s.redund_cache_misses,
+        s.scan_cache_hits,
+        s.scan_cache_misses,
+        s.lex_cache_hits,
+        s.lex_cache_misses,
         s.cache_bypasses,
         s.negation_tests,
         s.prefilter_drops,
@@ -383,8 +386,8 @@ fn main() {
             && fast.sim == warm.sim;
         all_identical &= identical;
 
-        let hits =
-            fast.stats.feas_cache_hits + fast.stats.proj_cache_hits + fast.stats.redund_cache_hits;
+        let s = &fast.stats;
+        let hits = s.feas_cache_hits + s.proj_cache_hits + s.scan_cache_hits + s.lex_cache_hits;
         println!(
             "{:<10} {:>12.2} {:>12.2} {:>10} {:>10}",
             w.name,

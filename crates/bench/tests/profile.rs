@@ -107,15 +107,17 @@ fn ledger_totals_match_polystats_on_all_workloads() {
                 t.proj_cache_misses,
                 delta.proj_cache_misses,
             ),
+            ("scan_cache_hits", t.scan_cache_hits, delta.scan_cache_hits),
             (
-                "redund_cache_hits",
-                t.redund_cache_hits,
-                delta.redund_cache_hits,
+                "scan_cache_misses",
+                t.scan_cache_misses,
+                delta.scan_cache_misses,
             ),
+            ("lex_cache_hits", t.lex_cache_hits, delta.lex_cache_hits),
             (
-                "redund_cache_misses",
-                t.redund_cache_misses,
-                delta.redund_cache_misses,
+                "lex_cache_misses",
+                t.lex_cache_misses,
+                delta.lex_cache_misses,
             ),
         ];
         for (field, ledger_v, stats_v) in pairs {

@@ -14,7 +14,8 @@ use crate::scan::loops_from_nest;
 ///
 /// # Errors
 ///
-/// Returns [`PolyError::Overflow`] on overflow.
+/// Returns [`PolyError::Overflow`] on overflow and
+/// [`PolyError::Unbounded`] if a scanned dimension is unbounded.
 pub fn recv_code(cs: &CommSet, comm_id: usize) -> Result<Vec<SpmdStmt>, PolyError> {
     let mut order = Vec::new();
     order.extend(&cs.dims.r_iter);
@@ -23,11 +24,11 @@ pub fn recv_code(cs: &CommSet, comm_id: usize) -> Result<Vec<SpmdStmt>, PolyErro
     order.extend(&cs.dims.arr);
     order.extend(&cs.dims.aux);
     let nest = scan_bounds(&cs.poly, &order)?;
-    Ok(loops_from_nest(
+    loops_from_nest(
         &nest,
         cs.poly.space(),
         vec![SpmdStmt::Recv { comm: comm_id }],
-    ))
+    )
 }
 
 /// Generates the plain send code: scanned in `(i_s, p_r, i_r, a)` order
@@ -35,7 +36,7 @@ pub fn recv_code(cs: &CommSet, comm_id: usize) -> Result<Vec<SpmdStmt>, PolyErro
 ///
 /// # Errors
 ///
-/// Returns [`PolyError::Overflow`] on overflow.
+/// As [`recv_code`].
 pub fn send_code(cs: &CommSet, comm_id: usize) -> Result<Vec<SpmdStmt>, PolyError> {
     let mut order = Vec::new();
     order.extend(&cs.dims.s_iter);
@@ -44,11 +45,11 @@ pub fn send_code(cs: &CommSet, comm_id: usize) -> Result<Vec<SpmdStmt>, PolyErro
     order.extend(&cs.dims.arr);
     order.extend(&cs.dims.aux);
     let nest = scan_bounds(&cs.poly, &order)?;
-    Ok(loops_from_nest(
+    loops_from_nest(
         &nest,
         cs.poly.space(),
         vec![SpmdStmt::Send { comm: comm_id }],
-    ))
+    )
 }
 
 /// Generates the aggregated send code of §6.2 (Figure 10): scanning in
@@ -58,7 +59,7 @@ pub fn send_code(cs: &CommSet, comm_id: usize) -> Result<Vec<SpmdStmt>, PolyErro
 ///
 /// # Errors
 ///
-/// Returns [`PolyError::Overflow`] on overflow.
+/// As [`recv_code`].
 pub fn send_code_aggregated(cs: &CommSet, comm_id: usize) -> Result<Vec<SpmdStmt>, PolyError> {
     let k = cs.prefix_len.min(cs.dims.s_iter.len());
     let mut order = Vec::new();
@@ -90,14 +91,7 @@ pub fn send_code_aggregated(cs: &CommSet, comm_id: usize) -> Result<Vec<SpmdStmt
             .map(|&d| IntExpr::Var(space.dim(d).name().to_owned()))
             .collect(),
     }];
-    Ok(loops_with_boundary(
-        &nest,
-        space,
-        boundary,
-        pre,
-        vec![pack],
-        post,
-    ))
+    loops_with_boundary(&nest, space, boundary, pre, vec![pack], post)
 }
 
 /// Generates the aggregated receive code of §6.2 (Figure 10): scanning in
@@ -107,7 +101,7 @@ pub fn send_code_aggregated(cs: &CommSet, comm_id: usize) -> Result<Vec<SpmdStmt
 ///
 /// # Errors
 ///
-/// Returns [`PolyError::Overflow`] on overflow.
+/// As [`recv_code`].
 pub fn recv_code_aggregated(cs: &CommSet, comm_id: usize) -> Result<Vec<SpmdStmt>, PolyError> {
     let k = cs.prefix_len.min(cs.dims.s_iter.len());
     let kr = cs.prefix_len.min(cs.dims.r_iter.len());
@@ -143,14 +137,7 @@ pub fn recv_code_aggregated(cs: &CommSet, comm_id: usize) -> Result<Vec<SpmdStmt
         },
         SpmdStmt::ResetIndex,
     ];
-    Ok(loops_with_boundary(
-        &nest,
-        space,
-        boundary,
-        pre,
-        vec![unpack],
-        vec![],
-    ))
+    loops_with_boundary(&nest, space, boundary, pre, vec![unpack], vec![])
 }
 
 /// Assembles a scanned nest with a message boundary: the loops for the
@@ -163,13 +150,13 @@ fn loops_with_boundary(
     pre: Vec<SpmdStmt>,
     inner_body: Vec<SpmdStmt>,
     post: Vec<SpmdStmt>,
-) -> Vec<SpmdStmt> {
+) -> Result<Vec<SpmdStmt>, PolyError> {
     // Split the nest into outer and inner portions.
     let inner_nest = dmc_polyhedra::ScanNest {
         vars: nest.vars[boundary..].to_vec(),
         guard: dmc_polyhedra::Polyhedron::universe(space.clone()),
     };
-    let inner = loops_from_nest(&inner_nest, space, inner_body);
+    let inner = loops_from_nest(&inner_nest, space, inner_body)?;
     let mut mid = pre;
     mid.extend(inner);
     mid.extend(post);
@@ -189,6 +176,7 @@ mod tests {
     use dmc_dataflow::build_lwt;
     use dmc_decomp::CompDecomp;
     use dmc_ir::parse;
+    use dmc_polyhedra::Polyhedron;
 
     fn figure5_set() -> CommSet {
         let p = parse(
@@ -261,5 +249,37 @@ mod tests {
             .collect();
         assert_eq!(packed, vec![29, 30, 31]);
         assert_eq!(packed, unpacked, "pack and unpack orders must agree");
+    }
+
+    /// `figure5_set` with every constraint on one of its dimensions
+    /// dropped, and that dimension.
+    fn figure5_freed(dim: fn(&CommSet) -> usize) -> (CommSet, usize) {
+        let mut cs = figure5_set();
+        let d = dim(&cs);
+        let mut free = Polyhedron::universe(cs.poly.space().clone());
+        free.add_all(
+            cs.poly
+                .constraints()
+                .iter()
+                .filter(|c| c.coeff(d) == 0)
+                .cloned(),
+        );
+        cs.poly = free;
+        (cs, d)
+    }
+
+    #[test]
+    fn an_unbounded_scanned_dimension_is_an_error_not_a_panic() {
+        // The send side scans p_r: with it freed, both send entry points
+        // report it, while the receive side, where p_r stays symbolic,
+        // still emits its code.
+        let (cs, pr) = figure5_freed(|cs| cs.dims.pr[0]);
+        assert_eq!(send_code(&cs, 0), Err(PolyError::Unbounded(pr)));
+        assert_eq!(send_code_aggregated(&cs, 0), Err(PolyError::Unbounded(pr)));
+        assert!(recv_code(&cs, 0).is_ok() && recv_code_aggregated(&cs, 0).is_ok());
+        // The receive side scans p_s.
+        let (cs, ps) = figure5_freed(|cs| cs.dims.ps[0]);
+        assert_eq!(recv_code(&cs, 0), Err(PolyError::Unbounded(ps)));
+        assert_eq!(recv_code_aggregated(&cs, 0), Err(PolyError::Unbounded(ps)));
     }
 }

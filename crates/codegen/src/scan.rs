@@ -57,45 +57,39 @@ pub(crate) fn bounds_as_exprs(vb: &VarBounds, space: &Space) -> (Option<IntExpr>
     (lo, hi)
 }
 
-/// Converts one variable's scan bounds into loop-bound expressions.
-fn bounds_to_exprs(vb: &VarBounds, space: &Space) -> (IntExpr, IntExpr, Option<IntExpr>) {
-    let exact = vb.exact.as_ref().map(|e| IntExpr::from_linexpr(e, space));
-    let (lo, hi) = bounds_as_exprs(vb, space);
-    let name = space.dim(vb.dim).name();
-    (
-        lo.unwrap_or_else(|| panic!("unbounded scan dimension {name}")),
-        hi.unwrap_or_else(|| panic!("unbounded scan dimension {name}")),
-        exact,
-    )
-}
-
 /// Builds the loop nest that scans `nest` (as produced by
 /// [`dmc_polyhedra::scan_bounds`]), with `body` innermost. Degenerate
 /// dimensions (pinned by an equality) become assignments instead of loops
 /// (§5.2 extension). The nest guard (constraints on un-scanned dimensions)
 /// wraps the whole thing.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if a scanned dimension is unbounded.
-pub fn loops_from_nest(nest: &ScanNest, space: &Space, body: Vec<SpmdStmt>) -> Vec<SpmdStmt> {
+/// Returns [`PolyError::Unbounded`] if a scanned dimension has no lower or
+/// no upper bound.
+pub fn loops_from_nest(
+    nest: &ScanNest,
+    space: &Space,
+    body: Vec<SpmdStmt>,
+) -> Result<Vec<SpmdStmt>, PolyError> {
     let mut inner = body;
     for vb in nest.vars.iter().rev() {
-        let name = space.dim(vb.dim).name().to_owned();
-        let (lo, hi, exact) = bounds_to_exprs(vb, space);
-        inner = match exact {
-            Some(value) => {
-                let mut block = vec![SpmdStmt::Let { var: name, value }];
-                block.extend(inner);
-                block
-            }
-            None => vec![SpmdStmt::For {
-                var: name,
+        let var = space.dim(vb.dim).name().to_owned();
+        inner = if let Some(e) = &vb.exact {
+            let value = IntExpr::from_linexpr(e, space);
+            let mut block = vec![SpmdStmt::Let { var, value }];
+            block.extend(inner);
+            block
+        } else if let (Some(lo), Some(hi)) = bounds_as_exprs(vb, space) {
+            vec![SpmdStmt::For {
+                var,
                 lo,
                 hi,
                 step: 1,
                 body: inner,
-            }],
+            }]
+        } else {
+            return Err(PolyError::Unbounded(vb.dim));
         };
     }
     let guard: Vec<CondAtom> = nest
@@ -111,14 +105,14 @@ pub fn loops_from_nest(nest: &ScanNest, space: &Space, body: Vec<SpmdStmt>) -> V
             }
         })
         .collect();
-    if guard.is_empty() {
+    Ok(if guard.is_empty() {
         inner
     } else {
         vec![SpmdStmt::If {
             cond: guard,
             then: inner,
         }]
-    }
+    })
 }
 
 /// Scans `poly` in `order` (dimension indices, outermost first) and wraps
@@ -127,18 +121,15 @@ pub fn loops_from_nest(nest: &ScanNest, space: &Space, body: Vec<SpmdStmt>) -> V
 ///
 /// # Errors
 ///
-/// Returns [`PolyError::Overflow`] on overflow.
-///
-/// # Panics
-///
-/// Panics if a scanned dimension is unbounded in `poly`.
+/// Returns [`PolyError::Overflow`] on overflow and
+/// [`PolyError::Unbounded`] if a scanned dimension is unbounded in `poly`.
 pub fn scan_to_loops(
     poly: &Polyhedron,
     order: &[usize],
     body: Vec<SpmdStmt>,
 ) -> Result<Vec<SpmdStmt>, PolyError> {
     let nest = scan_bounds(poly, order)?;
-    Ok(loops_from_nest(&nest, poly.space(), body))
+    loops_from_nest(&nest, poly.space(), body)
 }
 
 /// Turns the outermost loop of `stmts` (which must scan a *virtual*
@@ -279,6 +270,18 @@ pub(crate) mod tests {
         let code = scan_to_loops(&poly, &[1], vec![SpmdStmt::Recv { comm: 0 }]).unwrap();
         let text = render(&code);
         assert!(text.contains("ps = pr - 1;"), "{text}");
+    }
+
+    #[test]
+    fn an_unbounded_dimension_is_an_error_not_a_panic() {
+        // 0 <= i: no upper bound to loop to.
+        let mut poly = Polyhedron::universe(Space::from_dims([("i", DimKind::Index)]));
+        poly.add(Constraint::ge(LinExpr::from_coeffs(vec![1], 0)));
+        let body = vec![SpmdStmt::Compute { stmt: 0 }];
+        assert_eq!(
+            scan_to_loops(&poly, &[0], body),
+            Err(PolyError::Unbounded(0))
+        );
     }
 
     #[test]

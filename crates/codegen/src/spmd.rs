@@ -19,7 +19,8 @@ pub fn proc_dim_names(q: usize) -> Vec<String> {
 ///
 /// # Errors
 ///
-/// Returns [`PolyError::Overflow`] on overflow.
+/// Returns [`PolyError::Overflow`] on overflow and
+/// [`PolyError::Unbounded`] if a loop of the statement is unbounded.
 pub fn computation_code(
     program: &Program,
     info: &StmtInfo,
@@ -40,11 +41,7 @@ pub fn computation_code(
     let mut poly = info.domain(&space, &[]);
     comp.constrain(&mut poly, &[], &proc_dims);
     let nest = scan_bounds(&poly, &loop_dims)?;
-    Ok(loops_from_nest(
-        &nest,
-        &space,
-        vec![SpmdStmt::Compute { stmt: info.id }],
-    ))
+    loops_from_nest(&nest, &space, vec![SpmdStmt::Compute { stmt: info.id }])
 }
 
 /// A complete per-processor program: local declarations (as comments),
@@ -81,7 +78,7 @@ impl SpmdProgram {
 mod tests {
     use super::*;
     use crate::scan::tests::eval_iterations;
-    use dmc_ir::parse;
+    use dmc_ir::{parse, Aff};
 
     #[test]
     fn figure7a_for_real_program() {
@@ -102,6 +99,23 @@ mod tests {
         // A processor beyond the data range does nothing.
         let envs = eval_iterations(&code, &[("p0", 4), ("T", 2), ("N", 95)]);
         assert!(envs.is_empty());
+    }
+
+    #[test]
+    fn an_unbounded_loop_is_an_error_not_a_panic() {
+        let p = parse(
+            "param T, N; array X[N + 1];
+             for t = 0 to T { for i = 3 to N { X[i] = X[i - 3]; } }",
+        )
+        .unwrap();
+        let mut info = p.statements()[0].clone();
+        // `for t = 0 to t`: the upper bound no longer bounds anything.
+        info.loops[0].upper = Aff::var("t");
+        let comp = CompDecomp::block_1d(0, "i", 32);
+        assert_eq!(
+            computation_code(&p, &info, &comp),
+            Err(PolyError::Unbounded(0))
+        );
     }
 
     #[test]

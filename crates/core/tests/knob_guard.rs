@@ -168,15 +168,18 @@ fn warm_caches_change_neither_outputs_nor_charged_work() {
     assert_eq!(cold, warm, "cache state must not change the outputs");
     let (cold_totals, warm_totals) = (cold_ledger.totals(), warm_ledger.totals());
     assert!(cold_totals.feas_cache_misses > 0 && cold_totals.proj_cache_misses > 0);
+    assert!(cold_totals.scan_cache_misses > 0 && cold_totals.lex_cache_misses > 0);
     assert_eq!(
         (
             warm_totals.feas_cache_misses,
             warm_totals.proj_cache_misses,
-            warm_totals.redund_cache_misses
+            warm_totals.scan_cache_misses,
+            warm_totals.lex_cache_misses
         ),
-        (0, 0, 0),
+        (0, 0, 0, 0),
         "the second compile must be served by the first one's entries"
     );
+    assert!(warm_totals.scan_cache_hits > 0 && warm_totals.lex_cache_hits > 0);
     assert!(cold_ledger.charged_work() > 0);
     assert_eq!(
         cold_ledger.charged_work(),

@@ -1,10 +1,14 @@
 //! Per-thread memoization of the expensive polyhedral queries.
 //!
-//! Every pipeline stage (Last Write Trees, communication sets, the §5.1
-//! negation test, scanning) bottoms out in the same three primitives —
-//! integer feasibility, Fourier–Motzkin projection, redundancy removal —
-//! and the pipeline re-asks the *same* queries many times: per constraint,
-//! per statement, per read. This module caches their answers.
+//! The pipeline re-asks the *same* polyhedral questions many times — per
+//! constraint, per statement, per read, and in a serving process per
+//! request. Four maps answer a repeated question from memory: two
+//! primitives every stage bottoms out in (integer feasibility,
+//! Fourier–Motzkin projection) and the two compound queries the paper's
+//! engine is built from, memoized whole so a repeated request re-runs
+//! neither their control flow nor their steps: polyhedron scanning
+//! ([`scan_bounds`](crate::scan_bounds), §5.2) and parametric
+//! lexicographic optimization ([`lexopt`](crate::lexopt), §3.1).
 //!
 //! # One encoding, two row orders
 //!
@@ -14,25 +18,27 @@
 //! signed values, the full `i128` range):
 //!
 //! ```text
-//! arity · (rows << 1 | contradiction) · eliminated count · eliminated dims…
+//! arity · (rows << 1 | contradiction) · argument count · arguments…
 //! then per row:  (dimension + 2 · coefficient)… · is_eq · constant
 //! ```
 //!
-//! A row lists its non-zero coefficients only; `is_eq` (0 or 1, below
-//! every `dimension + 2`) ends the list. Counts precede what they count,
-//! so the encoding parses back unambiguously: two systems have equal keys
-//! exactly when they have the same arity, flag, eliminated-dimension list
-//! and row sequence. Only the order the rows are written in differs
-//! between the maps:
+//! The arguments are the query's own: the eliminated dimensions of a
+//! projection, the variable order of a scan, the direction (0 max, 1 min)
+//! followed by the optimized dimensions of a lexopt, nothing for
+//! feasibility. A row lists its non-zero coefficients only; `is_eq` (0 or
+//! 1, below every `dimension + 2`) ends the list. Counts precede what they
+//! count, so the encoding parses back unambiguously (`Reader`): two
+//! queries have equal keys exactly when they have the same arity, flag,
+//! arguments and row sequence. Only the order the rows are written in
+//! differs between the maps:
 //!
 //! * **Feasibility** depends only on the constraint *set*, so its rows are
 //!   sorted by their encoding — differently-built but equal systems share
 //!   one entry.
-//! * **Projection and redundancy removal** return constraint *lists* whose
-//!   order feeds downstream code generation, so their rows stay in
-//!   construction order (projection adds the eliminated dimensions). A hit
-//!   returns bit-for-bit the value the uncached computation would produce,
-//!   keeping cached and uncached pipelines byte-identical.
+//! * **Projection, scan and lexopt** return constraint *lists* whose order
+//!   feeds downstream code generation, so their rows stay in construction
+//!   order. A hit returns bit-for-bit the value the uncached computation
+//!   would produce, keeping cached and uncached pipelines byte-identical.
 //!
 //! A key is built in a per-map scratch buffer that is reused from lookup to
 //! lookup and the map is probed with the borrowed bytes, so a *hit
@@ -41,23 +47,43 @@
 //! hash (`WordHasher`, eight bytes per step) only picks the bucket, and a
 //! store built over a hasher that returns a constant still answers exactly.
 //!
+//! # Compact, space-free values
+//!
+//! Values hold no dimension names: the caller's space is re-attached on a
+//! hit (projection and scanning never change a space; a lexopt appends its
+//! auxiliary dimensions, which a hit names again exactly as the
+//! computation did, from the caller's names — see [`lexopt`](crate::lexopt)).
+//! Every value but feasibility's is stored in the keys' own row encoding
+//! — its charged work, then the projected rows, the nest's bounds and
+//! guard, or the pieces' contexts and solutions — and read back by the
+//! `Reader` that parses a key: a `ScanNest` kept as a clone costs ≈ 13 KB,
+//! encoded a few hundred bytes.
+//!
+//! There is no map for redundancy removal. Its product callers are the
+//! scan, which is now answered whole, and the multicast test, whose
+//! systems a compile asks about once; a map keyed on every intermediate
+//! system a scan passes through only paid when a process served the same
+//! request twice, and then held the most bytes of any map.
+//!
 //! Caches are thread-local (no locks on the hot path; a compile runs on
 //! one thread, so every stage of it — and every later compile on that
-//! thread — shares them), bounded in bytes (each map is cleared wholesale
-//! when its keys and values pass `BUDGET_BYTES`), and invalidated whenever
-//! the effective feasibility budget changes or the work ledger turns on
-//! (see [`stats`]'s epoch).
+//! thread — shares them), admit systems of at least four constraints (see
+//! [`stats`]), are bounded in bytes (each map is cleared wholesale when its
+//! keys and values pass `BUDGET_BYTES`), and are invalidated whenever the
+//! effective feasibility budget changes or the work ledger turns on (see
+//! [`stats`]'s epoch).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::mem::size_of;
 use std::ops::Range;
+use std::thread::LocalKey;
 
-use crate::linexpr::INLINE_DIMS;
+use crate::ledger::{self, OpKind};
 use crate::polyhedron::Feasibility;
 use crate::stats;
-use crate::Constraint;
+use crate::{Constraint, LinExpr};
 
 /// The part of a polyhedron its memoized answers depend on (dimension
 /// names are irrelevant to the arithmetic).
@@ -87,7 +113,7 @@ struct Scratch {
     spans: Vec<(u64, Range<usize>)>,
 }
 
-fn put_uint(buf: &mut Vec<u8>, v: u128) {
+pub(crate) fn put_uint(buf: &mut Vec<u8>, v: u128) {
     if v < 0x80 {
         buf.push(v as u8);
     } else {
@@ -104,26 +130,95 @@ fn put_uint_long(buf: &mut Vec<u8>, mut v: u128) {
     buf.push(v as u8);
 }
 
-fn put_int(buf: &mut Vec<u8>, v: i128) {
+pub(crate) fn put_int(buf: &mut Vec<u8>, v: i128) {
     // Zig-zag: small magnitudes of either sign stay short.
     put_uint(buf, ((v << 1) ^ (v >> 127)) as u128);
 }
 
-fn put_row(buf: &mut Vec<u8>, c: &Constraint) {
-    for (d, &a) in c.expr().coeffs().iter().enumerate() {
+/// One row: `e`'s non-zero `(dimension + 2, coefficient)` pairs, `tag`
+/// (0 or 1 — below every `dimension + 2`, so it ends the list), and the
+/// constant. A constraint's tag is `is_eq`.
+pub(crate) fn put_expr(buf: &mut Vec<u8>, e: &LinExpr, tag: bool) {
+    for (d, &a) in e.coeffs().iter().enumerate() {
         if a != 0 {
             put_uint(buf, d as u128 + 2);
             put_int(buf, a);
         }
     }
-    buf.push(u8::from(c.is_eq()));
-    put_int(buf, c.expr().constant_term());
+    buf.push(u8::from(tag));
+    put_int(buf, e.constant_term());
+}
+
+fn put_row(buf: &mut Vec<u8>, c: &Constraint) {
+    put_expr(buf, c.expr(), c.is_eq());
+}
+
+/// A constraint list the way a key writes it: `rows << 1 | contradiction`,
+/// then the rows in order.
+pub(crate) fn put_rows(buf: &mut Vec<u8>, rows: &[Constraint], contradiction: bool) {
+    put_uint(buf, (rows.len() as u128) << 1 | u128::from(contradiction));
+    for c in rows {
+        put_row(buf, c);
+    }
+}
+
+/// Reads back what the `put_*` functions wrote, in the same order. The
+/// bytes a reader is handed were written by this crate, so a malformed
+/// encoding is a bug and panics.
+pub(crate) struct Reader<'a>(&'a [u8]);
+
+impl Reader<'_> {
+    pub(crate) fn uint(&mut self) -> u128 {
+        let mut v = 0u128;
+        for shift in (0..).step_by(7) {
+            let (&b, rest) = self.0.split_first().expect("truncated integer");
+            self.0 = rest;
+            v |= u128::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                break;
+            }
+        }
+        v
+    }
+
+    pub(crate) fn int(&mut self) -> i128 {
+        let z = self.uint();
+        (z >> 1) as i128 ^ -((z & 1) as i128)
+    }
+
+    pub(crate) fn usize(&mut self) -> usize {
+        self.uint() as usize
+    }
+
+    /// A row written by [`put_expr`], over `dims` dimensions, and its tag.
+    pub(crate) fn expr(&mut self, dims: usize) -> (LinExpr, bool) {
+        let mut e = LinExpr::zero(dims);
+        let tag = loop {
+            match self.uint() {
+                tag @ 0..=1 => break tag == 1,
+                d => e.set_coeff(d as usize - 2, self.int()),
+            }
+        };
+        e.set_constant(self.int());
+        (e, tag)
+    }
+
+    /// A list written by [`put_rows`]: the rows and the contradiction flag.
+    pub(crate) fn rows(&mut self, dims: usize) -> (Vec<Constraint>, bool) {
+        let head = self.uint();
+        let rows = (0..head >> 1)
+            .map(|_| match self.expr(dims) {
+                (e, true) => Constraint::eq(e),
+                (e, false) => Constraint::ge(e),
+            })
+            .collect();
+        (rows, head & 1 == 1)
+    }
 }
 
 impl Scratch {
-    /// Leaves the encoding of `sys` (and, for a projection, the dimensions
-    /// it eliminates) in `self.key`.
-    fn encode(&mut self, sys: System<'_>, eliminated: &[usize], order: RowOrder) {
+    /// Leaves the encoding of `sys` and the query's `args` in `self.key`.
+    fn encode(&mut self, sys: System<'_>, args: &[usize], order: RowOrder) {
         let key = &mut self.key;
         key.clear();
         put_uint(key, sys.dims as u128);
@@ -131,9 +226,9 @@ impl Scratch {
             key,
             (sys.rows.len() as u128) << 1 | u128::from(sys.contradiction),
         );
-        put_uint(key, eliminated.len() as u128);
-        for &d in eliminated {
-            put_uint(key, d as u128);
+        put_uint(key, args.len() as u128);
+        for &a in args {
+            put_uint(key, a as u128);
         }
         match order {
             RowOrder::Construction => {
@@ -220,18 +315,6 @@ impl Hasher for WordHasher {
     }
 }
 
-/// A cached result polyhedron, stored space-free (the caller re-attaches
-/// its own space; projection and redundancy removal never change spaces).
-#[derive(Clone)]
-pub(crate) struct CachedPoly {
-    pub(crate) cons: Vec<Constraint>,
-    pub(crate) contradiction: bool,
-    /// Charged work units of the original (miss) computation, replayed by
-    /// the [`ledger`](crate::ledger) on every hit so charged work stays
-    /// cache-state-independent.
-    pub(crate) charged: u64,
-}
-
 /// What a cached value keeps on the heap, for the byte budget.
 trait HeapBytes {
     fn heap_bytes(&self) -> usize;
@@ -243,24 +326,18 @@ impl HeapBytes for (Feasibility, u64) {
     }
 }
 
-impl HeapBytes for CachedPoly {
+impl HeapBytes for Box<[u8]> {
     fn heap_bytes(&self) -> usize {
-        let spilled = |c: &Constraint| match c.expr().len() {
-            n if n > INLINE_DIMS => n * size_of::<i128>(),
-            _ => 0,
-        };
-        self.cons
-            .iter()
-            .map(|c| size_of::<Constraint>() + spilled(c))
-            .sum()
+        self.len()
     }
 }
 
 /// Key and value bytes one thread-local map may hold before it is dropped
-/// wholesale: twice the largest map any benchmark workload leaves resident
-/// (the redundancy map of `symbolic_corpus`, 11.3 MB; EXPERIMENTS.md P19
-/// lists every map on every workload), so no measured traffic reaches it
-/// and what lies beyond is bounded without guessing at an eviction order.
+/// wholesale: twice the largest map a benchmark workload once left
+/// resident (the redundancy map of `symbolic_corpus`, 11.3 MB, since
+/// removed; EXPERIMENTS.md P19 and P26 list every map on every workload),
+/// so no measured traffic reaches it and what lies beyond is bounded
+/// without guessing at an eviction order.
 const BUDGET_BYTES: usize = 24 << 20;
 
 /// One exact, byte-bounded memo map and the scratch its keys are built in.
@@ -272,7 +349,7 @@ struct Store<V, S = BuildHasherDefault<WordHasher>> {
     scratch: Scratch,
 }
 
-impl<V: Clone + HeapBytes, S: BuildHasher + Default> Store<V, S> {
+impl<V: HeapBytes, S: BuildHasher + Default> Store<V, S> {
     fn new(budget: usize) -> Self {
         Store {
             map: HashMap::default(),
@@ -292,12 +369,12 @@ impl<V: Clone + HeapBytes, S: BuildHasher + Default> Store<V, S> {
     fn lookup(
         &mut self,
         sys: System<'_>,
-        eliminated: &[usize],
+        args: &[usize],
         order: RowOrder,
-    ) -> Result<V, Box<[u8]>> {
-        self.scratch.encode(sys, eliminated, order);
+    ) -> Result<&V, Box<[u8]>> {
+        self.scratch.encode(sys, args, order);
         let key = self.scratch.key.as_slice();
-        self.map.get(key).cloned().ok_or_else(|| key.into())
+        self.map.get(key).ok_or_else(|| key.into())
     }
 
     fn put(&mut self, key: Box<[u8]>, v: V) {
@@ -321,7 +398,7 @@ struct Local<V> {
     store: Store<V>,
 }
 
-impl<V: Clone + HeapBytes> Local<V> {
+impl<V: HeapBytes> Local<V> {
     fn new() -> RefCell<Self> {
         RefCell::new(Local {
             epoch: stats::epoch(),
@@ -339,36 +416,115 @@ impl<V: Clone + HeapBytes> Local<V> {
     }
 }
 
+type Map<V> = RefCell<Local<V>>;
+
 thread_local! {
-    static FEAS: RefCell<Local<(Feasibility, u64)>> = Local::new();
-    static PROJ: RefCell<Local<CachedPoly>> = Local::new();
-    static REDUND: RefCell<Local<CachedPoly>> = Local::new();
+    static FEAS: Map<(Feasibility, u64)> = Local::new();
+    static PROJ: Map<Box<[u8]>> = Local::new();
+    static SCAN: Map<Box<[u8]>> = Local::new();
+    static LEX: Map<Box<[u8]>> = Local::new();
 }
 
 pub(crate) fn feas_lookup(sys: System<'_>) -> Result<(Feasibility, u64), Box<[u8]>> {
-    FEAS.with(|c| c.borrow_mut().current().lookup(sys, &[], RowOrder::Sorted))
+    FEAS.with(|c| {
+        c.borrow_mut()
+            .current()
+            .lookup(sys, &[], RowOrder::Sorted)
+            .copied()
+    })
 }
 
 pub(crate) fn feas_put(key: Box<[u8]>, v: (Feasibility, u64)) {
     FEAS.with(|c| c.borrow_mut().current().put(key, v));
 }
 
-pub(crate) fn proj_lookup(sys: System<'_>, eliminated: &[usize]) -> Result<CachedPoly, Box<[u8]>> {
-    let order = RowOrder::Construction;
-    PROJ.with(|c| c.borrow_mut().current().lookup(sys, eliminated, order))
+/// A query whose answer is stored encoded, with the work it was charged.
+#[derive(Clone, Copy)]
+pub(crate) enum Query {
+    /// [`Polyhedron::eliminate_dims`](crate::Polyhedron::eliminate_dims);
+    /// the arguments are the eliminated dimensions.
+    Projection,
+    /// [`scan_bounds`](crate::scan_bounds); the arguments are the order.
+    Scan,
+    /// [`lexopt`](crate::lexopt); the arguments are the direction, then
+    /// the optimized dimensions.
+    LexOpt,
 }
 
-pub(crate) fn proj_put(key: Box<[u8]>, v: CachedPoly) {
-    PROJ.with(|c| c.borrow_mut().current().put(key, v));
+impl Query {
+    fn map(self) -> &'static LocalKey<Map<Box<[u8]>>> {
+        match self {
+            Query::Projection => &PROJ,
+            Query::Scan => &SCAN,
+            Query::LexOpt => &LEX,
+        }
+    }
+
+    fn kind(self) -> OpKind {
+        match self {
+            Query::Projection => OpKind::Projection,
+            Query::Scan => OpKind::Scan,
+            Query::LexOpt => OpKind::LexOpt,
+        }
+    }
+
+    fn count(self, hit: bool) {
+        match self {
+            Query::Projection => stats::count_proj_cache(hit),
+            Query::Scan => stats::count_scan_cache(hit),
+            Query::LexOpt => stats::count_lex_cache(hit),
+        }
+    }
 }
 
-pub(crate) fn redund_lookup(sys: System<'_>) -> Result<CachedPoly, Box<[u8]>> {
-    let order = RowOrder::Construction;
-    REDUND.with(|c| c.borrow_mut().current().lookup(sys, &[], order))
-}
-
-pub(crate) fn redund_put(key: Box<[u8]>, v: CachedPoly) {
-    REDUND.with(|c| c.borrow_mut().current().put(key, v));
+/// Answers `query` on `sys` and `args` from this thread's map, or runs
+/// `compute` and stores what it returns — `encode`d after the work the
+/// ledger charged it, which a hit replays before `decode` reads the
+/// answer back. Errors are returned, not stored. Either way the query is
+/// one ledger record of its kind, charged its nested operations plus its
+/// kind's own unit.
+pub(crate) fn memoized<T, E>(
+    query: Query,
+    sys: System<'_>,
+    args: &[usize],
+    compute: impl FnOnce() -> Result<T, E>,
+    encode: impl FnOnce(&T, &mut Vec<u8>),
+    decode: impl FnOnce(&mut Reader<'_>) -> T,
+) -> Result<T, E> {
+    let n = sys.rows.len();
+    if !stats::cache_admits(n) {
+        let op = ledger::op(query.kind(), n);
+        let out = compute();
+        op.finish();
+        return out;
+    }
+    let looked_up = query.map().with(|c| {
+        let mut local = c.borrow_mut();
+        let value = local.current().lookup(sys, args, RowOrder::Construction)?;
+        let mut r = Reader(value);
+        let charged = r.uint() as u64;
+        Ok((decode(&mut r), charged))
+    });
+    let key = match looked_up {
+        Ok((hit, charged)) => {
+            query.count(true);
+            ledger::record_hit(query.kind(), n, charged);
+            return Ok(hit);
+        }
+        Err(key) => key,
+    };
+    query.count(false);
+    let mut op = ledger::op(query.kind(), n);
+    op.set_cache_miss();
+    let out = compute()?;
+    let charged = op.finish();
+    let mut value = Vec::new();
+    put_uint(&mut value, u128::from(charged));
+    encode(&out, &mut value);
+    query
+        .map()
+        .with(|c| c.borrow_mut().current().put(key, value.into()));
+    Ok(out)
 }
 
 /// Drops this thread's memo caches (counters are untouched). Mostly useful
@@ -376,7 +532,8 @@ pub(crate) fn redund_put(key: Box<[u8]>, v: CachedPoly) {
 pub fn clear_thread_caches() {
     FEAS.with(|c| c.borrow_mut().store.clear());
     PROJ.with(|c| c.borrow_mut().store.clear());
-    REDUND.with(|c| c.borrow_mut().store.clear());
+    SCAN.with(|c| c.borrow_mut().store.clear());
+    LEX.with(|c| c.borrow_mut().store.clear());
 }
 
 #[cfg(test)]
@@ -400,9 +557,9 @@ mod tests {
         }
     }
 
-    fn key(sys: System<'_>, eliminated: &[usize], order: RowOrder) -> Vec<u8> {
+    fn key(sys: System<'_>, args: &[usize], order: RowOrder) -> Vec<u8> {
         let mut scratch = Scratch::default();
-        scratch.encode(sys, eliminated, order);
+        scratch.encode(sys, args, order);
         scratch.key
     }
 
@@ -410,46 +567,24 @@ mod tests {
         key(sys, &[], RowOrder::Construction)
     }
 
-    fn get_uint(key: &mut &[u8]) -> u128 {
-        let mut v = 0u128;
-        for shift in (0..).step_by(7) {
-            let (&b, rest) = key.split_first().expect("truncated integer");
-            *key = rest;
-            v |= u128::from(b & 0x7f) << shift;
-            if b < 0x80 {
-                break;
-            }
-        }
-        v
-    }
-
-    fn get_int(key: &mut &[u8]) -> i128 {
-        let z = get_uint(key);
-        (z >> 1) as i128 ^ -((z & 1) as i128)
-    }
-
     type Row = (bool, Vec<(usize, i128)>, i128);
 
-    /// Reads an encoding back: `(arity, contradiction, eliminated, rows)`.
-    /// That this is possible at all is what makes key equality exact.
-    fn decode(mut key: &[u8]) -> (usize, bool, Vec<usize>, Vec<Row>) {
-        let key = &mut key;
-        let dims = get_uint(key) as usize;
-        let head = get_uint(key);
-        let eliminated = (0..get_uint(key)).map(|_| get_uint(key) as usize).collect();
+    /// Reads a key back with the values' [`Reader`]: `(arity,
+    /// contradiction, args, rows)`. That this is possible at all is what
+    /// makes key equality exact.
+    fn decode(key: &[u8]) -> (usize, bool, Vec<usize>, Vec<Row>) {
+        let mut r = Reader(key);
+        let dims = r.usize();
+        let head = r.uint();
+        let args = (0..r.usize()).map(|_| r.usize()).collect();
         let rows = (0..head >> 1)
-            .map(|_| {
-                let mut pairs = Vec::new();
-                loop {
-                    match get_uint(key) {
-                        is_eq @ 0..=1 => break (is_eq == 1, pairs, get_int(key)),
-                        d => pairs.push((d as usize - 2, get_int(key))),
-                    }
-                }
+            .map(|_| match r.expr(dims) {
+                (e, true) => sparse(&Constraint::eq(e)),
+                (e, false) => sparse(&Constraint::ge(e)),
             })
             .collect();
-        assert!(key.is_empty(), "trailing bytes");
-        (dims, head & 1 == 1, eliminated, rows)
+        assert!(r.0.is_empty(), "trailing bytes");
+        (dims, head & 1 == 1, args, rows)
     }
 
     fn sparse(c: &Constraint) -> Row {
@@ -481,9 +616,9 @@ mod tests {
             contradiction: true,
             ..sys(3, &base)
         }));
-        // The eliminated dimensions: none, one, another, two, two reordered.
-        for eliminated in [&[0usize][..], &[1], &[0, 1], &[1, 0]] {
-            keys.push(key(sys(3, &base), eliminated, RowOrder::Construction));
+        // The arguments: none, one, another, two, two reordered.
+        for args in [&[0usize][..], &[1], &[0, 1], &[1, 0]] {
+            keys.push(key(sys(3, &base), args, RowOrder::Construction));
         }
         for (i, a) in keys.iter().enumerate() {
             for b in &keys[i + 1..] {
@@ -502,9 +637,8 @@ mod tests {
             ge(&[63, -64, 64], -65),
         ];
         for order in [RowOrder::Construction, RowOrder::Sorted] {
-            let (dims, contradiction, eliminated, mut got) =
-                decode(&key(sys(3, &rows), &[2, 0], order));
-            assert_eq!((dims, contradiction, eliminated), (3, false, vec![2, 0]));
+            let (dims, contradiction, args, mut got) = decode(&key(sys(3, &rows), &[2, 0], order));
+            assert_eq!((dims, contradiction, args), (3, false, vec![2, 0]));
             let mut want: Vec<Row> = rows.iter().map(sparse).collect();
             if matches!(order, RowOrder::Sorted) {
                 got.sort();
@@ -518,6 +652,31 @@ mod tests {
         (wide[0], wide[13], wide[199]) = (1, -2, 3);
         let rows = [ge(&wide, 5)];
         assert_eq!(decode(&seq_key(sys(200, &rows))).3, [sparse(&rows[0])]);
+    }
+
+    /// A value is written with the keys' row encoding and read back by the
+    /// same reader: expressions, their tags, and a constraint list with its
+    /// flag come back equal, the extremes of `i128` included.
+    #[test]
+    fn values_round_trip_through_the_key_encoding() {
+        let rows = [
+            eq(&[i128::MAX, -i128::MAX, 0], i128::MIN),
+            ge(&[0, 0, i128::MIN], i128::MAX),
+            ge(&[1, -1, 0], 0),
+        ];
+        for contradiction in [false, true] {
+            let mut buf = Vec::new();
+            put_uint(&mut buf, u128::MAX);
+            put_expr(&mut buf, rows[1].expr(), true);
+            put_int(&mut buf, i128::MIN);
+            put_rows(&mut buf, &rows, contradiction);
+            let mut r = Reader(&buf);
+            assert_eq!(r.uint(), u128::MAX);
+            assert_eq!(r.expr(3), (rows[1].expr().clone(), true));
+            assert_eq!(r.int(), i128::MIN);
+            assert_eq!(r.rows(3), (rows.to_vec(), contradiction));
+            assert!(r.0.is_empty(), "trailing bytes");
+        }
     }
 
     #[test]
@@ -549,7 +708,8 @@ mod tests {
     fn put_nth<S: BuildHasher + Default>(store: &mut Store<(Feasibility, u64), S>, k: u64) {
         let rows = [ge(&[1], i128::from(k))];
         let key = store.lookup(sys(1, &rows), &[], RowOrder::Sorted);
-        store.put(key.expect_err("not stored yet"), (Feasibility::Feasible, k));
+        let key = key.expect_err("not stored yet");
+        store.put(key, (Feasibility::Feasible, k));
     }
 
     fn get_nth<S: BuildHasher + Default>(
@@ -557,7 +717,10 @@ mod tests {
         k: u64,
     ) -> Option<(Feasibility, u64)> {
         let rows = [ge(&[1], i128::from(k))];
-        store.lookup(sys(1, &rows), &[], RowOrder::Sorted).ok()
+        store
+            .lookup(sys(1, &rows), &[], RowOrder::Sorted)
+            .ok()
+            .copied()
     }
 
     #[test]
@@ -591,17 +754,11 @@ mod tests {
         assert!(clears >= 2, "the budget was passed more than once");
 
         // An entry that alone exceeds the budget is not kept.
-        let mut tiny = Store::<CachedPoly>::new(64);
+        let mut tiny = Store::<Box<[u8]>>::new(64);
         let rows = [ge(&[1], 0)];
         let key = tiny.lookup(sys(1, &rows), &[], RowOrder::Construction);
-        tiny.put(
-            key.err().expect("empty store"),
-            CachedPoly {
-                cons: rows.to_vec(),
-                contradiction: false,
-                charged: 1,
-            },
-        );
+        let key = key.expect_err("empty store");
+        tiny.put(key, vec![0; 64].into());
         assert!(tiny.map.is_empty() && tiny.bytes == 0);
     }
 }

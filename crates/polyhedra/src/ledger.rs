@@ -3,10 +3,10 @@
 //! [`stats`] counts *how much* work the engine did; the
 //! ledger records *which operation* did it and *on whose behalf*. When
 //! enabled (see [`start`]) every Fourier–Motzkin step, projection,
-//! integer-feasibility query, redundancy pass, and parametric-lexmax case
-//! split appends a compact [`OpRecord`] — operation kind, constraint
-//! counts in and out, dimensions eliminated, branch-and-bound nodes,
-//! negation tests, cache outcome, wall-clock duration — tagged with the
+//! integer-feasibility query, redundancy pass, scan, parametric lexopt and
+//! lexopt case split appends a compact [`OpRecord`] — operation kind,
+//! constraint counts in and out, branch-and-bound nodes, negation tests,
+//! cache outcome, wall-clock duration — tagged with the
 //! ambient *attribution context*: a stack of frames pushed by the caller
 //! ([`push_context`], used by `dmc_core`'s pipeline) naming the
 //! statement/read/pass (or schedule phase) the engine is working for,
@@ -19,9 +19,12 @@
 //!
 //! * **self units** — work the operation itself performed: 1 per FM step /
 //!   projection / lexmax split, 1 + branch-and-bound nodes per feasibility
-//!   query, 1 + negation tests per redundancy pass. Record counts and the
-//!   summed node/test fields reconcile *exactly* against
-//!   [`PolyStats`](crate::PolyStats) deltas taken over the same region.
+//!   query, 1 + negation tests per redundancy pass, and 0 per scan or
+//!   lexopt — those two compound queries are charged exactly the
+//!   operations they run, so wrapping them in a record moves no total.
+//!   Record counts and the summed node/test fields reconcile *exactly*
+//!   against [`PolyStats`](crate::PolyStats) deltas taken over the same
+//!   region.
 //! * **charged units** — self units plus the charged units of every
 //!   *nested* recorded operation; on a memo-cache **hit**, the charged
 //!   units the original (miss) computation accumulated. Because every
@@ -90,16 +93,22 @@ pub enum OpKind {
     Redundancy,
     /// One explored piece of a parametric-lexmax case split.
     LexSplit,
+    /// A polyhedron scan ([`scan_bounds`](crate::scan_bounds)).
+    Scan,
+    /// A parametric lexicographic optimum ([`lexopt`](crate::lexopt)).
+    LexOpt,
 }
 
 impl OpKind {
     /// Every kind, in the order used by reports.
-    pub const ALL: [OpKind; 5] = [
+    pub const ALL: [OpKind; 7] = [
         OpKind::FmStep,
         OpKind::Projection,
         OpKind::Feasibility,
         OpKind::Redundancy,
         OpKind::LexSplit,
+        OpKind::Scan,
+        OpKind::LexOpt,
     ];
 
     /// Stable lower-case name (used as the leaf frame of collapsed stacks).
@@ -110,6 +119,18 @@ impl OpKind {
             OpKind::Feasibility => "feasibility",
             OpKind::Redundancy => "redundancy",
             OpKind::LexSplit => "lex_split",
+            OpKind::Scan => "scan",
+            OpKind::LexOpt => "lexopt",
+        }
+    }
+
+    /// The unit an operation of this kind is charged for itself: 0 for
+    /// the compound queries (a scan, a lexopt), whose cost is exactly the
+    /// operations they run, 1 for every other kind.
+    fn base_units(self) -> u64 {
+        match self {
+            OpKind::Scan | OpKind::LexOpt => 0,
+            _ => 1,
         }
     }
 }
@@ -133,10 +154,9 @@ pub struct OpRecord {
     pub kind: OpKind,
     /// Constraints in the input system.
     pub cons_in: u32,
-    /// Constraints in the result (0 where there is no result system).
+    /// Constraints in the result of an FM step or redundancy pass (0 for
+    /// the other kinds).
     pub cons_out: u32,
-    /// Dimensions eliminated (FM steps and projections).
-    pub dims_eliminated: u32,
     /// Branch-and-bound nodes visited (feasibility queries).
     pub bnb_nodes: u64,
     /// Exact negation tests run (redundancy passes).
@@ -191,7 +211,7 @@ pub struct LedgerTotals {
     pub feasibility_calls: u64,
     /// Σ branch-and-bound nodes (≡ `PolyStats::bnb_nodes`).
     pub bnb_nodes: u64,
-    /// Redundancy records answered uncached or by a miss.
+    /// Redundancy records (the pass is not memoized).
     pub redundancy_passes: u64,
     /// Σ negation tests (≡ `PolyStats::negation_tests`).
     pub negation_tests: u64,
@@ -205,10 +225,14 @@ pub struct LedgerTotals {
     pub proj_cache_hits: u64,
     /// Projection cache misses (≡ `PolyStats::proj_cache_misses`).
     pub proj_cache_misses: u64,
-    /// Redundancy cache hits (≡ `PolyStats::redund_cache_hits`).
-    pub redund_cache_hits: u64,
-    /// Redundancy cache misses (≡ `PolyStats::redund_cache_misses`).
-    pub redund_cache_misses: u64,
+    /// Scan cache hits (≡ `PolyStats::scan_cache_hits`).
+    pub scan_cache_hits: u64,
+    /// Scan cache misses (≡ `PolyStats::scan_cache_misses`).
+    pub scan_cache_misses: u64,
+    /// Lexopt cache hits (≡ `PolyStats::lex_cache_hits`).
+    pub lex_cache_hits: u64,
+    /// Lexopt cache misses (≡ `PolyStats::lex_cache_misses`).
+    pub lex_cache_misses: u64,
 }
 
 impl Ledger {
@@ -253,17 +277,20 @@ impl Ledger {
                     }
                 }
                 OpKind::Redundancy => {
-                    if r.cache != CacheOutcome::Hit {
-                        t.redundancy_passes += 1;
-                    }
+                    t.redundancy_passes += 1;
                     t.negation_tests += r.negation_tests;
-                    match r.cache {
-                        CacheOutcome::Hit => t.redund_cache_hits += 1,
-                        CacheOutcome::Miss => t.redund_cache_misses += 1,
-                        CacheOutcome::Uncached => {}
-                    }
                 }
                 OpKind::LexSplit => t.lex_splits += 1,
+                OpKind::Scan => match r.cache {
+                    CacheOutcome::Hit => t.scan_cache_hits += 1,
+                    CacheOutcome::Miss => t.scan_cache_misses += 1,
+                    CacheOutcome::Uncached => {}
+                },
+                OpKind::LexOpt => match r.cache {
+                    CacheOutcome::Hit => t.lex_cache_hits += 1,
+                    CacheOutcome::Miss => t.lex_cache_misses += 1,
+                    CacheOutcome::Uncached => {}
+                },
             }
         }
         t
@@ -554,7 +581,6 @@ pub(crate) struct OpenOp {
     allocs_at_open: u64,
     cons_in: u32,
     cons_out: u32,
-    dims_eliminated: u32,
     bnb_nodes: u64,
     negation_tests: u64,
     cache: CacheOutcome,
@@ -577,7 +603,6 @@ pub(crate) fn op(kind: OpKind, cons_in: usize) -> OpScope {
         allocs_at_open: stats::thread_allocs(),
         cons_in: cons_in as u32,
         cons_out: 0,
-        dims_eliminated: 0,
         bnb_nodes: 0,
         negation_tests: 0,
         cache: CacheOutcome::Uncached,
@@ -588,11 +613,6 @@ impl OpScope {
     pub(crate) fn set_cons_out(&mut self, n: usize) {
         if let Some(o) = &mut self.0 {
             o.cons_out = n as u32;
-        }
-    }
-    pub(crate) fn set_dims_eliminated(&mut self, n: usize) {
-        if let Some(o) = &mut self.0 {
-            o.dims_eliminated = n as u32;
         }
     }
     pub(crate) fn set_bnb_nodes(&mut self, n: u64) {
@@ -628,7 +648,7 @@ impl Drop for OpScope {
 fn close(o: OpenOp) -> u64 {
     let duration_ns = o.start.elapsed().as_nanos() as u64;
     let allocs = stats::thread_allocs().saturating_sub(o.allocs_at_open);
-    let self_units = 1 + o.bnb_nodes + o.negation_tests;
+    let self_units = o.kind.base_units() + o.bnb_nodes + o.negation_tests;
     STATE.with(|s| {
         let mut st = s.borrow_mut();
         let children = st.open.pop().map_or(0, |f| f.children);
@@ -643,7 +663,6 @@ fn close(o: OpenOp) -> u64 {
                 kind: o.kind,
                 cons_in: o.cons_in,
                 cons_out: o.cons_out,
-                dims_eliminated: o.dims_eliminated,
                 bnb_nodes: o.bnb_nodes,
                 negation_tests: o.negation_tests,
                 cache: o.cache,
@@ -661,13 +680,7 @@ fn close(o: OpenOp) -> u64 {
 /// Records a memo-cache hit: no work of its own, but the memoized charged
 /// cost flows to the enclosing operation (and to the context's profile)
 /// exactly as if the result had been recomputed.
-pub(crate) fn record_hit(
-    kind: OpKind,
-    cons_in: usize,
-    cons_out: usize,
-    dims_eliminated: usize,
-    charged: u64,
-) {
+pub(crate) fn record_hit(kind: OpKind, cons_in: usize, charged: u64) {
     if !enabled() {
         return;
     }
@@ -682,8 +695,7 @@ pub(crate) fn record_hit(
             OpRecord {
                 kind,
                 cons_in: cons_in as u32,
-                cons_out: cons_out as u32,
-                dims_eliminated: dims_eliminated as u32,
+                cons_out: 0,
                 bnb_nodes: 0,
                 negation_tests: 0,
                 cache: CacheOutcome::Hit,
@@ -715,7 +727,7 @@ mod tests {
         assert_eq!(inner.finish(), 8); // 1 + 7 nodes
         let charged = outer.finish();
         assert_eq!(charged, 1 + 8);
-        record_hit(OpKind::Projection, 10, 3, 2, charged);
+        record_hit(OpKind::Projection, 10, charged);
         drop(_ctx);
         let ledger = finish();
         assert_eq!(ledger.segments.len(), 1);
@@ -739,6 +751,36 @@ mod tests {
         assert_eq!(ledger.charged_work(), 18);
     }
 
+    /// A scan or lexopt record is charged its nested operations and no
+    /// unit of its own, so wrapping a query in one moves no total; its hit
+    /// replays that charge.
+    #[test]
+    fn compound_queries_charge_exactly_what_they_run() {
+        let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        start();
+        let _ctx = push_context("unit");
+        let mut scan = op(OpKind::Scan, 6);
+        scan.set_cache_miss();
+        op(OpKind::FmStep, 6).finish();
+        let mut feas = op(OpKind::Feasibility, 5);
+        feas.set_bnb_nodes(2);
+        feas.finish();
+        let charged = scan.finish();
+        assert_eq!(charged, 1 + 3);
+        record_hit(OpKind::Scan, 6, charged);
+        drop(_ctx);
+        let ledger = finish();
+        let scans: Vec<(u64, u64, bool)> = ledger
+            .records()
+            .filter(|r| r.kind == OpKind::Scan)
+            .map(|r| (r.self_units, r.charged_units, r.top_level))
+            .collect();
+        assert_eq!(scans, [(0, 4, true), (0, 4, true)]);
+        assert_eq!(ledger.charged_work(), 8);
+        let t = ledger.totals();
+        assert_eq!((t.scan_cache_hits, t.scan_cache_misses), (1, 1));
+    }
+
     #[test]
     fn disabled_sites_record_nothing() {
         let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -746,7 +788,7 @@ mod tests {
         let _ctx = push_context("off");
         let scope = op(OpKind::FmStep, 3);
         assert_eq!(scope.finish(), 0);
-        record_hit(OpKind::Feasibility, 1, 1, 0, 99);
+        record_hit(OpKind::Feasibility, 1, 99);
         drop(_ctx);
         start();
         let ledger = finish();

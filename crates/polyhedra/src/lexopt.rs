@@ -11,7 +11,8 @@
 //! (`q`, `r` with `c·q <= e <= c·q + c − 1`), exactly as the paper does for
 //! modulo constraints in last-write relations (§4.4.2).
 
-use crate::{ledger, stats, Constraint, LinExpr, PolyError, Polyhedron};
+use crate::cache::{self, put_expr, put_rows, put_uint, Query, Reader};
+use crate::{ledger, stats, Constraint, DimKind, LinExpr, PolyError, Polyhedron, Space};
 
 /// Direction of optimization.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,9 +42,47 @@ pub struct LexPiece {
 pub struct LexOpt {
     /// The space every piece lives in: the input space followed by any
     /// auxiliary dimensions introduced for exact division.
-    pub space: crate::Space,
+    pub space: Space,
     /// Disjoint pieces covering every context that admits a solution.
     pub pieces: Vec<LexPiece>,
+}
+
+impl LexOpt {
+    /// Writes the optimum as its memo value: how many auxiliary dimensions
+    /// it appended to the caller's `base` ones, then per piece the
+    /// context's rows and the solution rows.
+    fn encode(&self, base: usize, buf: &mut Vec<u8>) {
+        put_uint(buf, (self.space.len() - base) as u128);
+        put_uint(buf, self.pieces.len() as u128);
+        for p in &self.pieces {
+            put_rows(buf, p.context.constraints(), p.context.is_obviously_empty());
+            put_uint(buf, p.solution.len() as u128);
+            for e in &p.solution {
+                put_expr(buf, e, false);
+            }
+        }
+    }
+
+    /// Reads back what [`LexOpt::encode`] wrote for a caller over `base`.
+    /// The auxiliary dimensions are named as [`add_aux`] named them: by
+    /// [`Space::add_aux`], one after another, from the caller's names.
+    fn decode(r: &mut Reader<'_>, base: &Space) -> LexOpt {
+        let mut space = base.clone();
+        for _ in 0..r.usize() {
+            space.add_aux();
+        }
+        let dims = space.len();
+        let pieces = (0..r.usize())
+            .map(|_| {
+                let (cons, contradiction) = r.rows(dims);
+                LexPiece {
+                    context: Polyhedron::unindexed(space.clone(), cons, contradiction),
+                    solution: (0..r.usize()).map(|_| r.expr(dims).0).collect(),
+                }
+            })
+            .collect();
+        LexOpt { space, pieces }
+    }
 }
 
 /// Errors specific to lexicographic optimization.
@@ -81,6 +120,12 @@ impl std::error::Error for LexError {}
 /// Returned pieces are pairwise disjoint in context; a context not covered
 /// by any piece has no solution (the polyhedron is empty there).
 ///
+/// The answer is memoized per thread, keyed on the system's rows in
+/// construction order, the direction and `opt_dims` (see [`crate::cache`]):
+/// a repeated query is one lookup, and returns exactly what the
+/// computation would — the auxiliary dimensions' names included, which
+/// depend only on the caller's names and how many were added.
+///
 /// # Errors
 ///
 /// * [`LexError::Unbounded`] if some optimization dimension has no bound in
@@ -104,6 +149,32 @@ impl std::error::Error for LexError {}
 /// assert_eq!(r.pieces[0].solution[0], LinExpr::from_coeffs(vec![1, 0], 0));
 /// ```
 pub fn lexopt(poly: &Polyhedron, opt_dims: &[usize], dir: Direction) -> Result<LexOpt, LexError> {
+    let dir_arg = match dir {
+        Direction::Max => 0,
+        Direction::Min => 1,
+    };
+    let args: Vec<usize> = std::iter::once(dir_arg)
+        .chain(opt_dims.iter().copied())
+        .collect();
+    let base = poly.space().len();
+    cache::memoized(
+        Query::LexOpt,
+        poly.system(),
+        &args,
+        || lexopt_uncached(poly, opt_dims, dir),
+        |opt, buf| opt.encode(base, buf),
+        |r| LexOpt::decode(r, poly.space()),
+    )
+}
+
+/// The computation [`lexopt`] memoizes, for the tests that hold its
+/// answers to it.
+#[doc(hidden)]
+pub fn lexopt_uncached(
+    poly: &Polyhedron,
+    opt_dims: &[usize],
+    dir: Direction,
+) -> Result<LexOpt, LexError> {
     let mut out = Vec::new();
     let mut budget: u32 = 512;
     rec(
@@ -129,7 +200,7 @@ pub fn lexopt(poly: &Polyhedron, opt_dims: &[usize], dir: Direction) -> Result<L
             if extra == 0 {
                 p
             } else {
-                let mut tail = crate::Space::new();
+                let mut tail = Space::new();
                 for k in p.context.space().len()..widest.len() {
                     tail.add_dim(widest.dim(k).name().to_owned(), widest.dim(k).kind());
                 }
@@ -321,20 +392,12 @@ fn rec(
     Ok(())
 }
 
-/// Appends a fresh auxiliary dimension, returning the extended polyhedron
-/// and the new dimension's index.
+/// Appends a fresh auxiliary dimension, named by [`Space::add_aux`],
+/// returning the extended polyhedron and the new dimension's index.
 fn add_aux(p: &Polyhedron) -> (Polyhedron, usize) {
-    let mut tail = crate::Space::new();
-    let mut k = p.space().len();
-    let name = loop {
-        let cand = format!("$q{k}");
-        if p.space().index_of(&cand).is_none() {
-            break cand;
-        }
-        k += 1;
-    };
-    tail.add_dim(name, crate::DimKind::Aux);
-    let q = p.space().len();
+    let mut space = p.space().clone();
+    let q = space.add_aux();
+    let tail = Space::from_dims([(space.dim(q).name(), DimKind::Aux)]);
     (p.extend_space(&tail), q)
 }
 

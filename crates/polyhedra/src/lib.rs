@@ -59,10 +59,10 @@ mod space;
 
 pub use batch::batch_feasibility;
 pub use constraint::{Constraint, ConstraintKind, Normalized};
-pub use lexopt::{lexopt, Direction, LexError, LexOpt, LexPiece};
+pub use lexopt::{lexopt, lexopt_uncached, Direction, LexError, LexOpt, LexPiece};
 pub use linexpr::LinExpr;
 pub use polyhedron::{Feasibility, Polyhedron};
-pub use scan::{scan_bounds, Bound, ScanKernel, ScanNest, VarBounds};
+pub use scan::{scan_bounds, scan_bounds_uncached, Bound, ScanKernel, ScanNest, VarBounds};
 pub use space::{Dim, DimKind, Space};
 pub use stats::PolyStats;
 

@@ -6,7 +6,7 @@
 use std::collections::HashSet;
 use std::fmt;
 
-use crate::cache::{self, CachedPoly};
+use crate::cache::{self, put_rows, Query};
 use crate::constraint::Normalized;
 use crate::ledger;
 use crate::num;
@@ -184,7 +184,7 @@ impl Polyhedron {
     }
 
     /// What the memo caches key this polyhedron by.
-    fn system(&self) -> cache::System<'_> {
+    pub(crate) fn system(&self) -> cache::System<'_> {
         cache::System {
             dims: self.space.len(),
             contradiction: self.contradiction,
@@ -192,12 +192,13 @@ impl Polyhedron {
         }
     }
 
-    /// Reconstitutes a cached result over this polyhedron's space.
-    fn reconstitute_cached(&self, c: CachedPoly) -> Polyhedron {
+    /// A memoized answer over `space`: the rows a `Polyhedron` held, in
+    /// its order, with the hash index left for the next `add` to build.
+    pub(crate) fn unindexed(space: Space, cons: Vec<Constraint>, contradiction: bool) -> Self {
         Polyhedron {
-            space: self.space.clone(),
-            cons: c.cons,
-            contradiction: c.contradiction,
+            space,
+            cons,
+            contradiction,
             index: HashSet::new(),
         }
     }
@@ -352,7 +353,6 @@ impl Polyhedron {
     fn eliminate_dim_shadow(&self, dim: usize, shadow: Shadow) -> Result<Polyhedron, PolyError> {
         stats::count_fm_step();
         let mut op = ledger::op(ledger::OpKind::FmStep, self.cons.len());
-        op.set_dims_eliminated(1);
         let out = self.eliminate_dim_shadow_impl(dim, shadow)?;
         op.set_cons_out(out.cons.len());
         op.finish();
@@ -510,44 +510,17 @@ impl Polyhedron {
     ///
     /// Returns [`PolyError::Overflow`] on overflow.
     pub fn eliminate_dims(&self, dims: &[usize]) -> Result<Polyhedron, PolyError> {
-        if !stats::cache_admits(self.cons.len()) {
-            let mut op = ledger::op(ledger::OpKind::Projection, self.cons.len());
-            op.set_dims_eliminated(dims.len());
-            let out = self.eliminate_dims_uncached(dims)?;
-            op.set_cons_out(out.cons.len());
-            op.finish();
-            return Ok(out);
-        }
-        let key = match cache::proj_lookup(self.system(), dims) {
-            Ok(hit) => {
-                stats::count_proj_cache(true);
-                ledger::record_hit(
-                    ledger::OpKind::Projection,
-                    self.cons.len(),
-                    hit.cons.len(),
-                    dims.len(),
-                    hit.charged,
-                );
-                return Ok(self.reconstitute_cached(hit));
-            }
-            Err(key) => key,
-        };
-        stats::count_proj_cache(false);
-        let mut op = ledger::op(ledger::OpKind::Projection, self.cons.len());
-        op.set_dims_eliminated(dims.len());
-        op.set_cache_miss();
-        let out = self.eliminate_dims_uncached(dims)?;
-        op.set_cons_out(out.cons.len());
-        let charged = op.finish();
-        cache::proj_put(
-            key,
-            CachedPoly {
-                cons: out.cons.clone(),
-                contradiction: out.contradiction,
-                charged,
+        cache::memoized(
+            Query::Projection,
+            self.system(),
+            dims,
+            || self.eliminate_dims_uncached(dims),
+            |out, buf| put_rows(buf, &out.cons, out.contradiction),
+            |r| {
+                let (cons, contradiction) = r.rows(self.space.len());
+                Polyhedron::unindexed(self.space.clone(), cons, contradiction)
             },
-        );
-        Ok(out)
+        )
     }
 
     fn eliminate_dims_uncached(&self, dims: &[usize]) -> Result<Polyhedron, PolyError> {
@@ -673,92 +646,53 @@ impl Polyhedron {
     ///    the probe, the constraint is provably non-redundant and kept
     ///    without a branch-and-bound query.
     ///
-    /// Results are memoized per thread; systems of fewer than 4
-    /// constraints skip the cache.
+    /// The pass is not memoized: its callers are the scan, which is
+    /// answered whole by its own memo map ([`scan_bounds`](crate::scan_bounds)),
+    /// and the multicast test, whose systems a compile asks about once. The
+    /// feasibility queries of its negation tests are memoized as usual.
     ///
     /// # Errors
     ///
     /// Returns [`PolyError::Overflow`] on overflow.
     pub fn remove_redundant(&self) -> Result<Polyhedron, PolyError> {
-        if !stats::cache_admits(self.cons.len()) {
-            let mut op = ledger::op(ledger::OpKind::Redundancy, self.cons.len());
-            let (out, negations) = self.remove_redundant_uncached()?;
-            op.set_negation_tests(negations);
-            op.set_cons_out(out.cons.len());
-            op.finish();
-            return Ok(out);
-        }
-        let key = match cache::redund_lookup(self.system()) {
-            Ok(hit) => {
-                stats::count_redund_cache(true);
-                ledger::record_hit(
-                    ledger::OpKind::Redundancy,
-                    self.cons.len(),
-                    hit.cons.len(),
-                    0,
-                    hit.charged,
-                );
-                return Ok(self.reconstitute_cached(hit));
-            }
-            Err(key) => key,
-        };
-        stats::count_redund_cache(false);
         let mut op = ledger::op(ledger::OpKind::Redundancy, self.cons.len());
-        op.set_cache_miss();
-        let (out, negations) = self.remove_redundant_uncached()?;
-        op.set_negation_tests(negations);
-        op.set_cons_out(out.cons.len());
-        let charged = op.finish();
-        cache::redund_put(
-            key,
-            CachedPoly {
-                cons: out.cons.clone(),
-                contradiction: out.contradiction,
-                charged,
-            },
-        );
-        Ok(out)
-    }
-
-    /// Returns the cleaned polyhedron plus the number of exact negation
-    /// tests run, so the enclosing ledger record can carry the count.
-    fn remove_redundant_uncached(&self) -> Result<(Polyhedron, u64), PolyError> {
-        let base = self.remove_redundant_cheap();
-        if base.contradiction {
-            return Ok((base, 0));
-        }
-        let n = self.space.len();
-        let mut negations: u64 = 0;
-        let mut kept = base;
-        let mut i = 0;
-        while i < kept.cons.len() {
-            if kept.cons[i].is_eq() {
-                i += 1;
-                continue;
-            }
-            match prefilter_verdict(&kept.cons, i, n) {
-                PreVerdict::Implied => {
-                    stats::count_prefilter_drop();
-                    kept.cons.remove(i);
-                    continue;
-                }
-                PreVerdict::Witnessed => {
-                    stats::count_prefilter_keep();
+        let mut kept = self.remove_redundant_cheap();
+        if !kept.contradiction {
+            let n = self.space.len();
+            let mut negations: u64 = 0;
+            let mut i = 0;
+            while i < kept.cons.len() {
+                if kept.cons[i].is_eq() {
                     i += 1;
                     continue;
                 }
-                PreVerdict::Inconclusive => {}
+                match prefilter_verdict(&kept.cons, i, n) {
+                    PreVerdict::Implied => {
+                        stats::count_prefilter_drop();
+                        kept.cons.remove(i);
+                        continue;
+                    }
+                    PreVerdict::Witnessed => {
+                        stats::count_prefilter_keep();
+                        i += 1;
+                        continue;
+                    }
+                    PreVerdict::Inconclusive => {}
+                }
+                stats::count_negation_test();
+                negations += 1;
+                let probe = kept.with_row(i, kept.cons[i].negate_ge());
+                if probe.integer_feasibility()? == Feasibility::Infeasible {
+                    kept.cons.remove(i);
+                } else {
+                    i += 1;
+                }
             }
-            stats::count_negation_test();
-            negations += 1;
-            let probe = kept.with_row(i, kept.cons[i].negate_ge());
-            if probe.integer_feasibility()? == Feasibility::Infeasible {
-                kept.cons.remove(i);
-            } else {
-                i += 1;
-            }
+            op.set_negation_tests(negations);
         }
-        Ok((kept, negations))
+        op.set_cons_out(kept.cons.len());
+        op.finish();
+        Ok(kept)
     }
 
     // ------------------------------------------------------------------
@@ -817,7 +751,7 @@ impl Polyhedron {
         let key = match cache::feas_lookup(self.system()) {
             Ok((f, charged)) => {
                 stats::count_feas_cache(true);
-                ledger::record_hit(ledger::OpKind::Feasibility, self.cons.len(), 0, 0, charged);
+                ledger::record_hit(ledger::OpKind::Feasibility, self.cons.len(), charged);
                 return Ok(f);
             }
             Err(key) => key,
@@ -1833,7 +1767,8 @@ mod tests {
     /// Differential property over 64 random boxed systems (6–10
     /// constraints, so both sides of the memoization size gate are
     /// covered): the memoized, pre-filtered engine answers exactly like
-    /// the uncached, exact-negation-only one, from cold caches and warm.
+    /// the uncached, exact-negation-only one, from cold caches and warm —
+    /// feasibility, projection, redundancy removal, and a whole scan.
     #[test]
     fn differential_memoized_prefiltered_engine_equals_exact_uncached() {
         // xorshift64* with the seed and draw order of the generator in
@@ -1873,6 +1808,7 @@ mod tests {
                     p.integer_feasibility().unwrap(),
                     p.eliminate_dims(&[1, 2]).unwrap(),
                     p.remove_redundant().unwrap(),
+                    format!("{:?}", crate::scan_bounds(p, &[2, 0, 1])),
                 )
             };
             let cold = run(&p);
@@ -1881,15 +1817,17 @@ mod tests {
                 feasibility_uncached(&p),
                 p.eliminate_dims_uncached(&[1, 2]).unwrap(),
                 remove_redundant_exact(&p),
+                format!("{:?}", crate::scan::scan_bounds_uncached(&p, &[2, 0, 1])),
             );
             assert_eq!(cold, warm, "case {case}: warm caches changed an answer");
             // The pre-filters may only skip exact tests, never change the
             // surviving constraint list.
             assert_eq!(cold, exact, "case {case}: differs from the exact engine");
         }
-        // Not vacuous: the warm runs were served from all three caches.
+        // Not vacuous: the warm runs were served from the feasibility,
+        // projection and scan caches.
         let d = stats::snapshot().since(&before);
-        assert!(d.feas_cache_hits > 0 && d.proj_cache_hits > 0 && d.redund_cache_hits > 0);
+        assert!(d.feas_cache_hits > 0 && d.proj_cache_hits > 0 && d.scan_cache_hits > 0);
         assert!(d.cache_bypasses > 0, "small systems must skip the caches");
         assert!(d.prefilter_drops + d.prefilter_keeps > 0);
     }

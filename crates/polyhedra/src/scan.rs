@@ -10,8 +10,9 @@
 
 use std::ops::ControlFlow;
 
+use crate::cache::{self, put_expr, put_int, put_rows, put_uint, Query, Reader};
 use crate::{num, stats};
-use crate::{LinExpr, PolyError, Polyhedron};
+use crate::{LinExpr, PolyError, Polyhedron, Space};
 
 /// One bound of a scanned loop: `ceil(expr / divisor)` for lower bounds,
 /// `floor(expr / divisor)` for upper bounds. `divisor >= 1`.
@@ -51,6 +52,58 @@ pub struct ScanNest {
 }
 
 impl ScanNest {
+    /// Writes the nest as its memo value: per level the dimension, the
+    /// lower and upper bounds (row, divisor) and the optional exact value,
+    /// then the guard's rows.
+    fn encode(&self, buf: &mut Vec<u8>) {
+        put_uint(buf, self.vars.len() as u128);
+        for vb in &self.vars {
+            put_uint(buf, vb.dim as u128);
+            for side in [&vb.lowers, &vb.uppers] {
+                put_uint(buf, side.len() as u128);
+                for b in side {
+                    put_expr(buf, &b.expr, false);
+                    put_int(buf, b.divisor);
+                }
+            }
+            put_uint(buf, u128::from(vb.exact.is_some()));
+            if let Some(e) = &vb.exact {
+                put_expr(buf, e, false);
+            }
+        }
+        put_rows(
+            buf,
+            self.guard.constraints(),
+            self.guard.is_obviously_empty(),
+        );
+    }
+
+    /// Reads back what [`ScanNest::encode`] wrote, over `space`.
+    fn decode(r: &mut Reader<'_>, space: &Space) -> ScanNest {
+        let dims = space.len();
+        let bounds = |r: &mut Reader<'_>| -> Vec<Bound> {
+            (0..r.usize())
+                .map(|_| Bound {
+                    expr: r.expr(dims).0,
+                    divisor: r.int(),
+                })
+                .collect()
+        };
+        let vars = (0..r.usize())
+            .map(|_| VarBounds {
+                dim: r.usize(),
+                lowers: bounds(r),
+                uppers: bounds(r),
+                exact: (r.usize() == 1).then(|| r.expr(dims).0),
+            })
+            .collect();
+        let (cons, contradiction) = r.rows(dims);
+        ScanNest {
+            vars,
+            guard: Polyhedron::unindexed(space.clone(), cons, contradiction),
+        }
+    }
+
     /// Enumerates all solutions with concrete values for the un-scanned
     /// dimensions given in `fixed` (entries at scanned positions are
     /// ignored/overwritten), at most `limit` of them. Results are full
@@ -496,10 +549,28 @@ impl ScanKernel {
 /// negation test after each projection so the emitted `max`/`min` lists stay
 /// small.
 ///
+/// The whole nest is memoized per thread, keyed on the system's rows in
+/// construction order and `order` (see [`crate::cache`]): a repeated scan
+/// is one lookup, and returns exactly what the computation would.
+///
 /// # Errors
 ///
 /// Returns [`PolyError::Overflow`] on overflow.
 pub fn scan_bounds(poly: &Polyhedron, order: &[usize]) -> Result<ScanNest, PolyError> {
+    cache::memoized(
+        Query::Scan,
+        poly.system(),
+        order,
+        || scan_bounds_uncached(poly, order),
+        ScanNest::encode,
+        |r| ScanNest::decode(r, poly.space()),
+    )
+}
+
+/// The computation [`scan_bounds`] memoizes, for the tests that hold its
+/// answers to it.
+#[doc(hidden)]
+pub fn scan_bounds_uncached(poly: &Polyhedron, order: &[usize]) -> Result<ScanNest, PolyError> {
     let mut cur = poly.remove_redundant()?;
     cur = promote_tight_inequalities(&cur, order)?;
     let mut vars_rev: Vec<VarBounds> = Vec::with_capacity(order.len());

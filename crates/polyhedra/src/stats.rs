@@ -41,8 +41,10 @@ static FEAS_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
 static FEAS_CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
 static PROJ_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
 static PROJ_CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-static REDUND_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static REDUND_CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
+static SCAN_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
+static SCAN_CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
+static LEX_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
+static LEX_CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
 static NEGATION_TESTS: AtomicU64 = AtomicU64::new(0);
 static PREFILTER_DROPS: AtomicU64 = AtomicU64::new(0);
 static PREFILTER_KEEPS: AtomicU64 = AtomicU64::new(0);
@@ -100,10 +102,14 @@ pub struct PolyStats {
     pub proj_cache_hits: u64,
     /// Projection memo-cache misses.
     pub proj_cache_misses: u64,
-    /// Redundancy-removal memo-cache hits.
-    pub redund_cache_hits: u64,
-    /// Redundancy-removal memo-cache misses.
-    pub redund_cache_misses: u64,
+    /// Scan ([`scan_bounds`](crate::scan_bounds)) memo-cache hits.
+    pub scan_cache_hits: u64,
+    /// Scan memo-cache misses.
+    pub scan_cache_misses: u64,
+    /// Parametric-lexopt ([`lexopt`](crate::lexopt)) memo-cache hits.
+    pub lex_cache_hits: u64,
+    /// Parametric-lexopt memo-cache misses.
+    pub lex_cache_misses: u64,
     /// Exact negation tests run by `remove_redundant`.
     pub negation_tests: u64,
     /// Constraints dropped by the cheap pre-filters (no exact test needed).
@@ -159,12 +165,14 @@ impl PolyStats {
             proj_cache_misses: self
                 .proj_cache_misses
                 .saturating_sub(earlier.proj_cache_misses),
-            redund_cache_hits: self
-                .redund_cache_hits
-                .saturating_sub(earlier.redund_cache_hits),
-            redund_cache_misses: self
-                .redund_cache_misses
-                .saturating_sub(earlier.redund_cache_misses),
+            scan_cache_hits: self.scan_cache_hits.saturating_sub(earlier.scan_cache_hits),
+            scan_cache_misses: self
+                .scan_cache_misses
+                .saturating_sub(earlier.scan_cache_misses),
+            lex_cache_hits: self.lex_cache_hits.saturating_sub(earlier.lex_cache_hits),
+            lex_cache_misses: self
+                .lex_cache_misses
+                .saturating_sub(earlier.lex_cache_misses),
             negation_tests: self.negation_tests.saturating_sub(earlier.negation_tests),
             prefilter_drops: self.prefilter_drops.saturating_sub(earlier.prefilter_drops),
             prefilter_keeps: self.prefilter_keeps.saturating_sub(earlier.prefilter_keeps),
@@ -193,8 +201,10 @@ pub fn snapshot() -> PolyStats {
         feas_cache_misses: FEAS_CACHE_MISSES.load(R),
         proj_cache_hits: PROJ_CACHE_HITS.load(R),
         proj_cache_misses: PROJ_CACHE_MISSES.load(R),
-        redund_cache_hits: REDUND_CACHE_HITS.load(R),
-        redund_cache_misses: REDUND_CACHE_MISSES.load(R),
+        scan_cache_hits: SCAN_CACHE_HITS.load(R),
+        scan_cache_misses: SCAN_CACHE_MISSES.load(R),
+        lex_cache_hits: LEX_CACHE_HITS.load(R),
+        lex_cache_misses: LEX_CACHE_MISSES.load(R),
         negation_tests: NEGATION_TESTS.load(R),
         prefilter_drops: PREFILTER_DROPS.load(R),
         prefilter_keeps: PREFILTER_KEEPS.load(R),
@@ -220,8 +230,10 @@ pub fn reset() {
         &FEAS_CACHE_MISSES,
         &PROJ_CACHE_HITS,
         &PROJ_CACHE_MISSES,
-        &REDUND_CACHE_HITS,
-        &REDUND_CACHE_MISSES,
+        &SCAN_CACHE_HITS,
+        &SCAN_CACHE_MISSES,
+        &LEX_CACHE_HITS,
+        &LEX_CACHE_MISSES,
         &NEGATION_TESTS,
         &PREFILTER_DROPS,
         &PREFILTER_KEEPS,
@@ -272,11 +284,19 @@ pub(crate) fn count_proj_cache(hit: bool) {
     }
     .fetch_add(1, R);
 }
-pub(crate) fn count_redund_cache(hit: bool) {
+pub(crate) fn count_scan_cache(hit: bool) {
     if hit {
-        &REDUND_CACHE_HITS
+        &SCAN_CACHE_HITS
     } else {
-        &REDUND_CACHE_MISSES
+        &SCAN_CACHE_MISSES
+    }
+    .fetch_add(1, R);
+}
+pub(crate) fn count_lex_cache(hit: bool) {
+    if hit {
+        &LEX_CACHE_HITS
+    } else {
+        &LEX_CACHE_MISSES
     }
     .fetch_add(1, R);
 }

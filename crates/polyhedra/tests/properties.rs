@@ -6,7 +6,8 @@
 //! the exact same case set — failures reproduce by case number.
 
 use dmc_polyhedra::{
-    lexopt, scan_bounds, Constraint, DimKind, Direction, Feasibility, LinExpr, Polyhedron, Space,
+    cache, lexopt, lexopt_uncached, scan_bounds, scan_bounds_uncached, stats, Constraint, DimKind,
+    Direction, Feasibility, LinExpr, Polyhedron, Space,
 };
 
 /// xorshift64* — deterministic, seedable, good enough for test-case
@@ -318,6 +319,120 @@ fn lexopt_matches_brute_force() {
             assert!(hits <= 1, "case {case}: pieces overlap at x0={x0}");
             assert_eq!(got, brute, "case {case}: lexmax mismatch at x0={x0}");
         }
+    }
+}
+
+/// What `scan_bounds` and `lexopt` answer for one query, printed.
+fn answers(p: &Polyhedron, order: &[usize], opt: &[usize], dir: Direction) -> [String; 2] {
+    [
+        format!("{:?}", scan_bounds(p, order)),
+        format!("{:?}", lexopt(p, opt, dir)),
+    ]
+}
+
+/// What their computation answers, memo maps aside.
+fn computed(p: &Polyhedron, order: &[usize], opt: &[usize], dir: Direction) -> [String; 2] {
+    [
+        format!("{:?}", scan_bounds_uncached(p, order)),
+        format!("{:?}", lexopt_uncached(p, opt, dir)),
+    ]
+}
+
+/// The whole-query memo maps answer exactly what the computation does.
+/// Over random systems × scan orders × optimized dimensions × directions,
+/// from cold maps: the miss, the warm hit after it and the computation
+/// print identically. The same rows over a second space with other names
+/// — one of them `$q<n>`, the name `lexopt` tries first for an auxiliary
+/// dimension — hit the first space's entries and must come back in their
+/// own names, the auxiliary ones renamed around the collision.
+#[test]
+fn memoized_scans_and_optima_equal_their_computation() {
+    let mut rng = Rng::new(0x3E30);
+    let before = stats::snapshot();
+    let (mut hits_wanted, mut with_aux) = (0, 0);
+    for case in 0..96 {
+        let n = rng.range(2, 4) as usize;
+        let p = gen_polyhedron(&mut rng, n, 3, 3);
+        let names = (0..n).map(|k| match k {
+            0 => (format!("$q{n}"), DimKind::Param),
+            _ => (format!("y{k}"), DimKind::Index),
+        });
+        let renamed = Polyhedron::from_parts(
+            Space::from_dims(names),
+            p.constraints().to_vec(),
+            p.is_obviously_empty(),
+        );
+        let mut order: Vec<usize> = (0..n).collect();
+        for k in (1..n).rev() {
+            order.swap(k, rng.range(0, k as i128) as usize);
+        }
+        let opt = order[..rng.range(1, n as i128) as usize].to_vec();
+        let dir = if rng.chance() {
+            Direction::Max
+        } else {
+            Direction::Min
+        };
+        cache::clear_thread_caches();
+        for q in [&p, &renamed] {
+            let want = computed(q, &order, &opt, dir);
+            for round in ["first", "second"] {
+                let got = answers(q, &order, &opt, dir);
+                assert_eq!(got, want, "case {case}: {round} answer over {}", q.space());
+            }
+        }
+        // Three of the four calls per query hit: every one but the first.
+        let solved = lexopt(&p, &opt, dir);
+        hits_wanted += 3 * u64::from(solved.is_ok());
+        with_aux += usize::from(solved.is_ok_and(|s| s.space.len() > n));
+    }
+    let d = stats::snapshot().since(&before);
+    assert!(d.scan_cache_hits >= 3 * 96 && d.lex_cache_hits >= hits_wanted);
+    assert!(
+        with_aux >= 8,
+        "only {with_aux} optima needed an auxiliary dimension"
+    );
+}
+
+/// The extremes of `i128` through the value codec: a scan whose level is
+/// assigned `n + i128::MIN` under a guard of `±i128::MAX` coefficients
+/// (equalities only, which no negation test touches; the scan alone, as
+/// integer feasibility overflows on such rows), and optima at `i128::MAX`
+/// and `-i128::MAX`. Cold, warm and computed agree.
+#[test]
+fn extreme_values_survive_the_memo_maps() {
+    let (max, min) = (i128::MAX, i128::MIN);
+    let space = |names: &[&str]| Space::from_dims(names.iter().map(|&n| (n, DimKind::Index)));
+    let mut scan = Polyhedron::universe(space(&["x", "n", "m", "k"]));
+    scan.add(Constraint::eq(LinExpr::from_coeffs(vec![-1, 1, 0, 0], min)));
+    scan.add(Constraint::eq(LinExpr::from_coeffs(
+        vec![0, max, max - 1, 0],
+        0,
+    )));
+    scan.add(Constraint::eq(LinExpr::from_coeffs(
+        vec![0, 0, -max, 1],
+        max,
+    )));
+    scan.add(Constraint::eq(LinExpr::from_coeffs(vec![0, 0, 0, 1], -3)));
+    let mut top = Polyhedron::universe(space(&["n", "x"]));
+    top.add(Constraint::ge(LinExpr::from_coeffs(vec![0, 1], 0)));
+    top.add(Constraint::ge(LinExpr::from_coeffs(vec![0, -1], max)));
+    top.add(Constraint::ge(LinExpr::from_coeffs(vec![1, 0], 0)));
+    top.add(Constraint::ge(LinExpr::from_coeffs(vec![-1, 0], 5)));
+    let mut bottom = Polyhedron::universe(space(&["n", "x"]));
+    bottom.add(Constraint::ge(LinExpr::from_coeffs(vec![0, 1], max)));
+    bottom.add(Constraint::ge(LinExpr::from_coeffs(vec![0, -1], 0)));
+    bottom.add(Constraint::ge(LinExpr::from_coeffs(vec![1, 0], 0)));
+    bottom.add(Constraint::ge(LinExpr::from_coeffs(vec![-1, 0], 5)));
+    cache::clear_thread_caches();
+    let scanned = || format!("{:?}", scan_bounds(&scan, &[0]));
+    let want = format!("{:?}", scan_bounds_uncached(&scan, &[0]));
+    assert!(want.contains(&min.to_string()), "{want}");
+    assert_eq!([scanned(), scanned()], [want.as_str(); 2]);
+    for (p, dir, extreme) in [(&top, Direction::Max, max), (&bottom, Direction::Min, -max)] {
+        let solved = || format!("{:?}", lexopt(p, &[1], dir));
+        let want = format!("{:?}", lexopt_uncached(p, &[1], dir));
+        assert!(want.contains(&extreme.to_string()), "{want}");
+        assert_eq!([solved(), solved()], [want.as_str(); 2]);
     }
 }
 

@@ -50,16 +50,15 @@ cargo run --release -p dmc-bench --bin dmc-trace -- \
 cargo run --release -p dmc-bench --bin dmc-metrics -- \
     --workload stencil --out-dir target/metrics-tier1 --check
 
-# Work-ledger profiler: profile the stencil and lu workloads and
+# Work-ledger profiler: profile all four registry workloads and
 # self-validate the ledger (totals reconcile exactly with the engine's
-# PolyStats counters, >= 90% of work units carry an attribution context,
-# and a second capture collapses to a byte-identical flamegraph). lu is
-# the workload that spills past the inline constraint buffer, so it also
-# exercises the heap-allocation accounting.
+# PolyStats counters — every cache's hits and misses, the scan and lexopt
+# maps' charged replays included — >= 90% of work units carry an
+# attribution context, and a second capture collapses to a byte-identical
+# flamegraph). lu is the workload that spills past the inline constraint
+# buffer, so it also exercises the heap-allocation accounting.
 cargo run --release -p dmc-bench --bin dmc-profile -- \
-    --workload stencil --out-dir target/profile-tier1 --check
-cargo run --release -p dmc-bench --bin dmc-profile -- \
-    --workload lu --out-dir target/profile-tier1-lu --check
+    --workload all --out-dir target/profile-tier1 --check
 
 # Critical-path & blame analysis: rebuild the simulated run as an exact
 # integer-nanosecond event DAG and assert every invariant (longest path
