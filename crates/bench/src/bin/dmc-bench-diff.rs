@@ -1,12 +1,9 @@
 //! Bench regression gate: compares two `BENCH_pipeline.json` snapshots
-//! (and optionally two Prometheus metric exports) and exits nonzero when
-//! anything regressed beyond tolerance.
+//! and exits nonzero when anything regressed beyond tolerance.
 //!
 //! ```sh
 //! cargo run --release -p dmc-bench --bin dmc-bench-diff -- \
 //!     BENCH_pipeline.json target/new/BENCH_pipeline.json --time-tol 0.15
-//! cargo run --release -p dmc-bench --bin dmc-bench-diff -- old.json new.json \
-//!     --metrics old.prom new.prom
 //! ```
 //!
 //! Correctness fields (message/transmission/word counts, simulated time,
@@ -23,7 +20,7 @@
 
 use std::process::ExitCode;
 
-use dmc_bench::diff::{diff_prom, diff_snapshots, Tolerances};
+use dmc_bench::diff::{diff_snapshots, Tolerances};
 
 /// Prints the problem and exits 2 (usage/parse — the gate could not
 /// run; no panic backtrace: this binary is a CI gate, its stderr is
@@ -38,7 +35,6 @@ macro_rules! fail {
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let mut paths: Vec<String> = Vec::new();
-    let mut metrics: Option<(String, String)> = None;
     let mut tol = Tolerances::default();
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -51,26 +47,10 @@ fn main() -> ExitCode {
                 };
                 tol.time_rel = r;
             }
-            "--gauge-tol" => {
-                let Some(v) = args.next() else {
-                    fail!("--gauge-tol needs a ratio")
-                };
-                let Ok(r) = v.parse() else {
-                    fail!("--gauge-tol: {v:?} is not a number")
-                };
-                tol.gauge_rel = r;
-            }
-            "--metrics" => {
-                let (Some(old), Some(new)) = (args.next(), args.next()) else {
-                    fail!("--metrics needs OLD.prom NEW.prom")
-                };
-                metrics = Some((old, new));
-            }
             other if !other.starts_with('-') => paths.push(other.to_owned()),
             other => fail!(
                 "unknown argument: {other} \
-                 (usage: dmc-bench-diff OLD.json NEW.json [--time-tol R] \
-                 [--metrics OLD.prom NEW.prom] [--gauge-tol R])"
+                 (usage: dmc-bench-diff OLD.json NEW.json [--time-tol R])"
             ),
         }
     }
@@ -87,21 +67,10 @@ fn main() -> ExitCode {
         let new = read(&paths[1])?;
         diff_snapshots(&old, &new, &tol)
     })();
-    let mut findings = match snapshots {
+    let findings = match snapshots {
         Ok(f) => f,
         Err(e) => fail!("{e}"),
     };
-    if let Some((old, new)) = &metrics {
-        let prom = (|| {
-            let old = read(old)?;
-            let new = read(new)?;
-            diff_prom(&old, &new, &tol)
-        })();
-        match prom {
-            Ok(f) => findings.extend(f),
-            Err(e) => fail!("{e}"),
-        }
-    }
 
     if findings.is_empty() {
         println!(

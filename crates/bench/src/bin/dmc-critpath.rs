@@ -2,8 +2,7 @@
 //! the full pipeline, rebuilds each simulated run as an exact
 //! integer-nanosecond event-dependency DAG (`dmc_machine::critpath`), and
 //! writes per workload a blame report (the explain report with its
-//! `## Critical path` section) plus the `dmc_sim_critpath_*` Prometheus
-//! gauges.
+//! `## Critical path` section).
 //!
 //! ```sh
 //! cargo run --release -p dmc-bench --bin dmc-critpath
@@ -19,11 +18,11 @@
 //! - an event has zero slack iff it lies on a critical path, and the
 //!   canonical critical chain is gapless from time 0 to the makespan;
 //! - every processor's six blame categories (compute, α, β, contention,
-//!   recv-wait, drain) sum exactly to the makespan;
+//!   recv-wait, drain) sum exactly to the makespan, and the machine
+//!   total the snapshot reports to `nproc × makespan`;
 //! - every what-if's incremental DAG re-evaluation matches a brute-force
 //!   full forward pass, including slack-pruned ones;
-//! - the Prometheus export validates and the explain report carries the
-//!   critical-path section.
+//! - the explain report carries the critical-path section.
 
 use std::path::PathBuf;
 
@@ -101,19 +100,11 @@ fn main() {
         let report_path = out_dir.join(format!("critpath_{}.md", w.name));
         std::fs::write(&report_path, &report).expect("write report");
 
-        let mut reg = obs::Registry::new();
-        crit.export_metrics(&mut reg, &[("workload", w.name)]);
-        let prom = reg.render();
-        let prom_path = out_dir.join(format!("critpath_{}.prom", w.name));
-        std::fs::write(&prom_path, &prom).expect("write metrics");
-
         if check {
             crit.verify(&cap.stats)
                 .unwrap_or_else(|e| panic!("{}: invariant violated: {e}", w.name));
             crit.verify_what_ifs()
                 .unwrap_or_else(|e| panic!("{}: what-if mismatch: {e}", w.name));
-            obs::validate_prometheus(&prom)
-                .unwrap_or_else(|e| panic!("{}: invalid Prometheus doc: {e}", w.name));
             assert!(
                 report.contains("## Critical path"),
                 "{}: report is missing the critical-path section",
@@ -153,11 +144,7 @@ fn main() {
                     wi.win_ns as f64 / 1e6
                 );
             }
-            println!(
-                "           -> {} + {}",
-                report_path.display(),
-                prom_path.display()
-            );
+            println!("           -> {}", report_path.display());
         }
     }
 }

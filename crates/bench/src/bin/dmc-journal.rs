@@ -80,7 +80,7 @@ fn input_for(workload: &str, nproc: u64) -> Result<CompileInput, String> {
 /// session and returns every deterministic-field divergence (empty =
 /// byte-identical replay).
 fn replay(records: &[JournalRecord]) -> Result<Vec<String>, String> {
-    let mut session = Session::scoped("replay");
+    let mut session = Session::new();
     session.set_journal(true);
     for rec in records {
         let input = input_for(&rec.workload, rec.nproc)?;
@@ -197,7 +197,7 @@ fn main() -> ExitCode {
 
     // --check: journal the benchmark request set, round-trip the journal
     // through disk, replay it through a fresh session, and self-diff.
-    let mut session = Session::scoped("check");
+    let mut session = Session::new();
     session.set_journal(true);
     for w in workloads() {
         let input = (w.input)(w.nproc);
@@ -249,15 +249,15 @@ fn main() -> ExitCode {
         }
         Ok(_) => {}
     }
-    let health = session.health();
+    let stats = session.stats();
     println!(
         "dmc-journal check ok: {} record(s) -> {} ({} stage hit(s), {} miss(es), \
          {} work unit(s)); round-trip, self-diff and fresh-session replay all clean",
         records.len(),
         path.display(),
-        health.stage_hits,
-        health.stage_misses,
-        health.work_units,
+        stats.stage_hits,
+        stats.stage_misses,
+        records.iter().map(|r| r.work_units).sum::<u64>(),
     );
     ExitCode::SUCCESS
 }

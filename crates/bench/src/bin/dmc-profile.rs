@@ -20,6 +20,9 @@
 //! * **totals** — record counts and summed per-record fields must equal
 //!   the `PolyStats` counter deltas taken over the same capture, for every
 //!   operation kind and cache counter;
+//! * **tiling** — the per-context charged work sums exactly to the
+//!   ledger's charged total (the snapshot's `work_contexts` tile its
+//!   `work_units`);
 //! * **attribution** — at least 90% of top-level charged work units carry
 //!   a (statement, read, pass) or schedule context;
 //! * **determinism** — a second capture must produce a byte-identical
@@ -324,6 +327,15 @@ fn main() {
 
         if check {
             check_totals(w.name, &cap.ledger, &cap.delta);
+            // The snapshot's `work_contexts` tile its `work_units`.
+            let ctx_sum: u64 = profile.context_totals().iter().map(|(_, u)| u).sum();
+            assert_eq!(
+                ctx_sum,
+                cap.ledger.charged_work(),
+                "{}: per-context work sums to {ctx_sum}, the ledger charged {}",
+                w.name,
+                cap.ledger.charged_work()
+            );
             let attributed = profile.attributed_fraction();
             assert!(
                 attributed >= 0.90,

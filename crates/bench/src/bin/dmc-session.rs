@@ -23,9 +23,7 @@
 //! directory layout `dmc-store` and `perfstats --cache-dir` use), and
 //! the per-stage table splits hits by source: served from this
 //! process's memory vs. decoded from the on-disk store. Run it twice
-//! against one directory to watch a cold store turn warm. Store traffic
-//! is also exported per workload as the `dmc_store_*` Prometheus family
-//! (`store_<name>.prom` in the out dir).
+//! against one directory to watch a cold store turn warm.
 
 use std::path::PathBuf;
 
@@ -96,25 +94,6 @@ fn main() {
         let report = obs::explain_report(&trace, w.name);
         let report_path = out_dir.join(format!("session_{}.md", w.name));
         std::fs::write(&report_path, &report).expect("write session report");
-
-        // With a persistent backend attached, export its traffic as the
-        // dmc_store_* Prometheus family alongside the report.
-        if let Some(store_stats) = session.store_stats() {
-            let mut reg = obs::Registry::new();
-            dmc_core::store_metrics(&mut reg, "disk", &store_stats);
-            let doc = reg.render();
-            if check {
-                obs::validate_prometheus(&doc)
-                    .unwrap_or_else(|e| panic!("{}: invalid store metrics: {e}", w.name));
-                assert!(
-                    doc.contains("dmc_store_hits_total{"),
-                    "{}: store metrics export is missing dmc_store_hits_total",
-                    w.name
-                );
-            }
-            let prom_path = out_dir.join(format!("store_{}.prom", w.name));
-            std::fs::write(&prom_path, &doc).expect("write store metrics");
-        }
 
         let stats = session.stats().clone();
         let total = stats.stage_hits + stats.stage_misses;

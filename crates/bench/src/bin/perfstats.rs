@@ -15,9 +15,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use dmc_bench::{lu_input, usage_error, workloads, Workload};
-use dmc_core::{
-    build_schedule, compile, message_stats, options_fingerprint, run, Options, Session,
-};
+use dmc_core::{build_schedule, compile, message_stats, run, Options, Session};
 use dmc_machine::{critpath, MachineConfig};
 use dmc_obs as obs;
 use dmc_polyhedra::{
@@ -135,7 +133,7 @@ struct WorkMeasure {
     /// Messages per §6 optimization pass chain, from the provenance
     /// events the schedule build emits (`", "`-joined pass names,
     /// `"(none)"` for untouched sets). Sums to the schedule's message
-    /// count exactly — the tiling `dmc-bench-explain` narrates.
+    /// count exactly, which `main` asserts.
     comm_passes: Vec<(String, u64)>,
 }
 
@@ -367,7 +365,6 @@ fn main() {
         }
     }
 
-    let run_start = Instant::now();
     let mut body = String::new();
     let mut all_identical = true;
 
@@ -505,7 +502,7 @@ fn main() {
     // hits/misses, charged work units, message statistics, the schedule
     // fingerprint), so the replay must reproduce all of them and
     // `dmc-bench-diff` gates the totals exactly, like the sweep.
-    let mut jsession = Session::scoped("perfstats");
+    let mut jsession = Session::new();
     jsession.set_journal(true);
     for w in &workloads() {
         jsession
@@ -518,7 +515,7 @@ fn main() {
             )
             .expect("journal serves");
     }
-    let mut jreplay = Session::scoped("replay");
+    let mut jreplay = Session::new();
     jreplay.set_journal(true);
     for w in &workloads() {
         jreplay
@@ -649,28 +646,11 @@ fn main() {
         store_identical,
     );
 
-    // The meta block: where and how this snapshot was taken. Diagnostic
-    // identity, not gated content — `dmc-bench-diff` ignores it, while
-    // `dmc-bench-explain --record` keys the history on it. The schema
-    // version and config fingerprint are deterministic; parallelism and
-    // wall-clock vary by host and are excluded from deterministic
-    // comparisons downstream.
-    let meta_json = format!(
-        concat!(
-            "{{\"schema\": 1, \"config_fp\": \"{}\", \"host_parallelism\": {}, ",
-            "\"wall_ms\": {}}}"
-        ),
-        options_fingerprint(&Options::full()),
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-        run_start.elapsed().as_millis(),
-    );
-
     let json = format!(
         concat!(
             "{{\n",
             "  \"bench\": \"pipeline\",\n",
             "  \"harness\": \"perfstats\",\n",
-            "  \"meta\": {},\n",
             "  \"reps\": {},\n",
             "  \"workloads\": [\n{}\n  ],\n",
             "  \"sweep\": {},\n",
@@ -680,7 +660,6 @@ fn main() {
             "  \"all_identical\": {}\n",
             "}}\n"
         ),
-        meta_json,
         reps,
         body,
         sweep_json,

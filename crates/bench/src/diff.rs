@@ -1,6 +1,6 @@
 //! Bench regression gate: field-by-field comparison of two
-//! `BENCH_pipeline.json` snapshots (and optionally two Prometheus metric
-//! exports) with per-field tolerances.
+//! `BENCH_pipeline.json` snapshots with per-field tolerances, and of two
+//! compile journals record by record.
 //!
 //! Policy:
 //!
@@ -74,39 +74,31 @@
 //!   (warm schedules byte-identical to cold), report zero corrupt loads,
 //!   and serve at least half of warm stage lookups from disk. The section
 //!   may appear over a pre-store snapshot but never vanish.
-//! - **The `meta` block is identity, not content.** Where a snapshot was
-//!   taken (schema version, config fingerprint, host parallelism,
-//!   wall-clock) never gates: an old snapshot without the block diffs
-//!   clean against a new one that has it, and two snapshots recorded on
-//!   different hosts compare on their metrics alone. The block exists
-//!   for `dmc-bench-explain`, which keys the bench *history* on it.
-//!   Likewise the per-§6-pass `comm_passes` and per-stage `per_stage`
-//!   tilings are diagnostic (they localize a `messages` or
-//!   `stage_hits` finding) and their counts are not gated separately,
+//! - **The `meta` block is retired.** Older snapshots carry one (schema
+//!   version, config fingerprint, host parallelism, wall-clock); it was
+//!   identity, never content, and is never read, so it may appear or
+//!   vanish without a finding.
+//! - **Tilings are diagnostic.** The per-§6-pass `comm_passes` and
+//!   per-stage `per_stage` tilings localize a `messages` or
+//!   `stage_hits` finding; their counts are not gated separately,
 //!   like `work_contexts`. A `per_stage` *row* may appear but not vanish
 //!   — except the rows of the three retired stages (`stmt-info`,
 //!   `commsets`, `aggregate`), which no new snapshot carries.
 
 use dmc_obs::json::{parse, Json};
 
-/// Per-field tolerances for [`diff_snapshots`] and [`diff_prom`].
+/// Per-field tolerances for [`diff_snapshots`].
 #[derive(Clone, Copy, Debug)]
 pub struct Tolerances {
     /// Relative tolerance for timing fields: `new > old * (1 + time_rel)`
     /// is a regression. Benchmark timings on shared hosts are noisy, so
     /// gates that run on every commit should pass a generous value.
     pub time_rel: f64,
-    /// Relative tolerance for gauge samples in a Prometheus diff.
-    /// Counters and histogram samples are always exact.
-    pub gauge_rel: f64,
 }
 
 impl Default for Tolerances {
     fn default() -> Self {
-        Tolerances {
-            time_rel: 0.15,
-            gauge_rel: 1e-9,
-        }
+        Tolerances { time_rel: 0.15 }
     }
 }
 
@@ -524,95 +516,6 @@ pub fn diff_snapshots(
                     ));
                 }
             }
-        }
-    }
-    Ok(findings)
-}
-
-/// One parsed Prometheus sample: `(family, full sample name + labels,
-/// value)`.
-type PromSample = (String, String, f64);
-/// A `# TYPE` declaration: `(family, kind)`.
-type PromType = (String, String);
-
-fn prom_samples(doc: &str) -> Result<(Vec<PromSample>, Vec<PromType>), String> {
-    let mut types: Vec<(String, String)> = Vec::new();
-    let mut samples = Vec::new();
-    for line in doc.lines() {
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let mut it = rest.split_whitespace();
-            let name = it.next().ok_or("empty TYPE line")?.to_owned();
-            let kind = it.next().ok_or("TYPE line without kind")?.to_owned();
-            types.push((name, kind));
-            continue;
-        }
-        if line.starts_with('#') || line.trim().is_empty() {
-            continue;
-        }
-        let cut = line
-            .rfind(' ')
-            .ok_or_else(|| format!("malformed sample: {line}"))?;
-        let (key, val) = (line[..cut].to_owned(), &line[cut + 1..]);
-        let value: f64 = val
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad value in sample: {line}"))?;
-        let base = key.split('{').next().unwrap_or(&key);
-        // Histogram child samples belong to the family without the suffix.
-        let family = types
-            .iter()
-            .find(|(n, k)| {
-                k == "histogram"
-                    && (base == format!("{n}_bucket")
-                        || base == format!("{n}_count")
-                        || base == format!("{n}_sum"))
-            })
-            .map(|(n, _)| n.clone())
-            .unwrap_or_else(|| base.to_owned());
-        samples.push((family, key, value));
-    }
-    Ok((samples, types))
-}
-
-/// Compares two Prometheus text-format exports: counter and histogram
-/// samples must match exactly; gauges within `tol.gauge_rel`. Returns the
-/// list of differences (empty = gate passes).
-///
-/// # Errors
-///
-/// Returns an error string when either document is malformed (run them
-/// through [`dmc_obs::validate_prometheus`] first for precise diagnostics).
-pub fn diff_prom(old_text: &str, new_text: &str, tol: &Tolerances) -> Result<Vec<String>, String> {
-    let (old_samples, old_types) = prom_samples(old_text)?;
-    let (new_samples, _) = prom_samples(new_text)?;
-    let kind_of = |types: &[(String, String)], family: &str| -> String {
-        types
-            .iter()
-            .find(|(n, _)| n == family)
-            .map(|(_, k)| k.clone())
-            .unwrap_or_else(|| "untyped".to_owned())
-    };
-
-    let mut findings = Vec::new();
-    for (family, key, old_v) in &old_samples {
-        let Some((_, _, new_v)) = new_samples.iter().find(|(_, k, _)| k == key) else {
-            findings.push(format!("{key}: sample missing from new export"));
-            continue;
-        };
-        let kind = kind_of(&old_types, family);
-        let matches = if kind == "gauge" {
-            let scale = old_v.abs().max(new_v.abs()).max(f64::MIN_POSITIVE);
-            (old_v - new_v).abs() <= tol.gauge_rel * scale
-        } else {
-            old_v == new_v
-        };
-        if !matches {
-            findings.push(format!("{key}: {kind} changed {old_v} -> {new_v}"));
-        }
-    }
-    for (_, key, _) in &new_samples {
-        if !old_samples.iter().any(|(_, k, _)| k == key) {
-            findings.push(format!("{key}: sample not present in old export"));
         }
     }
     Ok(findings)
@@ -1097,11 +1000,12 @@ mod tests {
         assert!(err.contains("journal line 1"), "{err}");
     }
 
-    /// The `meta` block and the diagnostic tilings (`comm_passes`,
-    /// `per_stage`) never gate: a pre-meta snapshot diffs clean against
-    /// a new one carrying all of them, and meta churn (new host, new
-    /// wall-clock, even a new config fingerprint) is invisible to the
-    /// gate — `dmc-bench-explain` keys the history on it instead.
+    /// The retired `meta` block and the diagnostic tilings
+    /// (`comm_passes`, `per_stage`) never gate: a pre-meta snapshot diffs
+    /// clean against a new one carrying all of them, a snapshot that
+    /// dropped `meta` diffs clean against one that has it, and meta churn
+    /// (new host, new wall-clock, even a new config fingerprint) is
+    /// invisible to the gate.
     #[test]
     fn meta_and_diagnostic_tilings_never_gate() {
         let with_meta = SNAP.replace(
@@ -1244,36 +1148,5 @@ mod tests {
         let broken = SNAP.replace("\"identical\": true,\n", "\"identical\": false,\n");
         let d = diff_snapshots(SNAP, &broken, &Tolerances::default()).unwrap();
         assert!(!d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn prom_diff_counters_exact_gauges_tolerant() {
-        let old = "# HELP m_total c.\n# TYPE m_total counter\nm_total 5\n\
-                   # HELP g v.\n# TYPE g gauge\ng 1.0\n";
-        let d = diff_prom(old, old, &Tolerances::default()).unwrap();
-        assert!(d.is_empty(), "{d:?}");
-
-        let counter_off = old.replace("m_total 5", "m_total 6");
-        let d = diff_prom(old, &counter_off, &Tolerances::default()).unwrap();
-        assert!(d.iter().any(|f| f.contains("counter changed")), "{d:?}");
-
-        let gauge_near = old.replace("g 1.0", "g 1.000000000001");
-        let tol = Tolerances {
-            gauge_rel: 1e-9,
-            ..Tolerances::default()
-        };
-        let d = diff_prom(old, &gauge_near, &tol).unwrap();
-        assert!(d.is_empty(), "tiny gauge drift within tolerance: {d:?}");
-
-        let gauge_far = old.replace("g 1.0", "g 1.5");
-        let d = diff_prom(old, &gauge_far, &tol).unwrap();
-        assert!(d.iter().any(|f| f.contains("gauge changed")), "{d:?}");
-
-        let missing = "# HELP m_total c.\n# TYPE m_total counter\nm_total 5\n";
-        let d = diff_prom(old, missing, &Tolerances::default()).unwrap();
-        assert!(
-            d.iter().any(|f| f.contains("missing from new export")),
-            "{d:?}"
-        );
     }
 }

@@ -2,12 +2,10 @@
 //! programs (Figure 2, Figure 8, Figure 11 LU, the §2.2 motivating
 //! examples) with their decompositions, ready to compile and measure —
 //! plus the regression gate ([`diff`]) that compares two benchmark
-//! snapshots with per-field tolerances.
+//! snapshots with per-field tolerances, and two compile journals record
+//! by record.
 
 pub mod diff;
-pub mod explain;
-pub mod history;
-pub mod html;
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;

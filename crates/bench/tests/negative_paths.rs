@@ -4,10 +4,10 @@
 //! binary down a failure path via `CARGO_BIN_EXE_*` and asserts both
 //! properties.
 //!
-//! The gate binaries (`dmc-journal`, `dmc-bench-diff`,
-//! `dmc-bench-explain`) additionally follow the shared exit-code
-//! convention — **0** clean, **1** drift, **2** usage-or-parse — and
-//! these tests pin the exact code on every path, so CI can distinguish
+//! The gate binaries (`dmc-journal`, `dmc-bench-diff`) additionally
+//! follow the shared exit-code convention — **0** clean, **1** drift,
+//! **2** usage-or-parse — and these tests pin the exact code on every
+//! path, so CI can distinguish
 //! "a metric regressed" from "the gate itself could not run".
 
 use std::path::PathBuf;
@@ -72,13 +72,6 @@ fn trace_rejects_unknown_workload() {
     assert_fails(&out, "no such workload", "dmc-trace");
 }
 
-/// `dmc-metrics` with an unknown argument: usage on stderr, exit **2**.
-#[test]
-fn metrics_rejects_unknown_argument() {
-    let out = run(env!("CARGO_BIN_EXE_dmc-metrics"), &["--bogus"]);
-    assert_code(&out, 2, "usage: dmc-metrics", "dmc-metrics");
-}
-
 /// The workload harnesses answer a command line they cannot parse — an
 /// unknown flag, a flag without its value, a malformed count — like the
 /// gate binaries do: their usage on stderr and exit **2**, no panic.
@@ -90,7 +83,6 @@ fn harness_usage_errors_exit_2() {
     let retired_flag = concat!("--", "threads");
     let bins = [
         ("dmc-trace", env!("CARGO_BIN_EXE_dmc-trace")),
-        ("dmc-metrics", env!("CARGO_BIN_EXE_dmc-metrics")),
         ("dmc-profile", env!("CARGO_BIN_EXE_dmc-profile")),
         ("dmc-critpath", env!("CARGO_BIN_EXE_dmc-critpath")),
         ("dmc-session", env!("CARGO_BIN_EXE_dmc-session")),
@@ -110,7 +102,7 @@ fn harness_usage_errors_exit_2() {
             );
         }
     }
-    for (name, bin) in [bins[2], bins[3]] {
+    for (name, bin) in [bins[1], bins[2]] {
         let out = run(bin, &["--top", "many"]);
         assert_code(
             &out,
@@ -238,6 +230,14 @@ fn bench_diff_fails_cleanly() {
         2,
         "need exactly OLD.json and NEW.json",
         "bench-diff usage",
+    );
+    // The Prometheus comparison went with the exporters.
+    let out = run(bin, &["a.json", "b.json", "--metrics", "a.prom", "b.prom"]);
+    assert_code(
+        &out,
+        2,
+        "unknown argument: --metrics",
+        "bench-diff --metrics",
     );
 
     let out = run(bin, &["/nonexistent/a.json", "/nonexistent/b.json"]);

@@ -1,29 +1,25 @@
 //! Simulator-telemetry invariants on the perfstats workloads: the traffic
 //! matrix, the size/latency histograms and the per-processor breakdowns
 //! must agree exactly with the aggregate statistics, in both timing and
-//! values mode, and survive the round trip through the metrics registry.
+//! values mode.
 
-use dmc_bench::{figure2_input, lu_input, stencil_input, xy_input};
-use dmc_core::{compile, run, CompileInput, Options};
+use dmc_bench::{workloads, Workload};
+use dmc_core::{compile, run, Options};
 use dmc_machine::{MachineConfig, SimStats};
-use dmc_obs as obs;
 
 const LIMIT: usize = 50_000_000;
 
-fn workloads() -> Vec<(&'static str, CompileInput, Vec<i128>)> {
-    vec![
-        ("lu", lu_input(8), vec![48]),
-        ("stencil", stencil_input(32, 4), vec![4, 127]),
-        ("figure2", figure2_input(4), vec![3, 127]),
-        ("xy", xy_input(4), vec![47]),
-    ]
-}
-
-fn simulate(input: &CompileInput, params: &[i128], values: bool) -> SimStats {
-    let compiled = compile(input.clone(), Options::full()).expect("compiles");
-    run(&compiled, params, &MachineConfig::ipsc860(), values, LIMIT)
-        .expect("simulates")
-        .stats
+fn simulate(w: &Workload, values: bool) -> SimStats {
+    let compiled = compile((w.input)(w.nproc), Options::full()).expect("compiles");
+    run(
+        &compiled,
+        &w.params,
+        &MachineConfig::ipsc860(),
+        values,
+        LIMIT,
+    )
+    .expect("simulates")
+    .stats
 }
 
 /// Every simulated second lands in exactly one bucket: per processor,
@@ -31,9 +27,9 @@ fn simulate(input: &CompileInput, params: &[i128], values: bool) -> SimStats {
 /// accumulation), and no processor finishes after the reported run time.
 #[test]
 fn per_proc_breakdown_sums_to_finish() {
-    for (name, input, params) in workloads() {
-        let s = simulate(&input, &params, false);
-        assert_eq!(s.nproc(), input.grid.len() as usize, "{name}");
+    for w in workloads() {
+        let (name, s) = (w.name, simulate(&w, false));
+        assert_eq!(s.nproc(), w.nproc as usize, "{name}");
         let mut max_finish: f64 = 0.0;
         for (p, proc) in s.per_proc.iter().enumerate() {
             let sum = proc.compute + proc.comm + proc.idle;
@@ -60,8 +56,8 @@ fn per_proc_breakdown_sums_to_finish() {
 /// the aggregate counters.
 #[test]
 fn traffic_matrix_and_histograms_decompose_the_totals() {
-    for (name, input, params) in workloads() {
-        let s = simulate(&input, &params, false);
+    for w in workloads() {
+        let (name, s) = (w.name, simulate(&w, false));
         assert!(s.messages > 0, "{name}: workload should communicate");
         assert_eq!(s.traffic_total(), s.words, "{name}: traffic matrix total");
         assert_eq!(
@@ -90,32 +86,9 @@ fn traffic_matrix_and_histograms_decompose_the_totals() {
 /// same telemetry as timing mode: the cost model only sees word counts.
 #[test]
 fn values_mode_reports_identical_telemetry() {
-    for (name, input, params) in workloads() {
-        let timing = simulate(&input, &params, false);
-        let values = simulate(&input, &params, true);
-        assert_eq!(timing, values, "{name}: timing and values mode diverge");
-    }
-}
-
-/// The registry export round-trips the counters exactly and passes the
-/// strict validator for every workload.
-#[test]
-fn metrics_export_validates_for_every_workload() {
-    for (name, input, params) in workloads() {
-        let s = simulate(&input, &params, false);
-        let mut reg = obs::Registry::new();
-        s.export_metrics(&mut reg, &[("workload", name)]);
-        let doc = reg.render();
-        let check = obs::validate_prometheus(&doc)
-            .unwrap_or_else(|e| panic!("{name}: invalid export: {e}"));
-        assert!(check.histograms >= 2, "{name}: {check:?}");
-        for (family, want) in [
-            ("dmc_sim_messages_total", s.messages),
-            ("dmc_sim_transmissions_total", s.transmissions),
-            ("dmc_sim_words_total", s.words),
-        ] {
-            let line = format!("{family}{{workload=\"{name}\"}} {want}");
-            assert!(doc.contains(&line), "{name}: missing `{line}` in:\n{doc}");
-        }
+    for w in workloads() {
+        let timing = simulate(&w, false);
+        let values = simulate(&w, true);
+        assert_eq!(timing, values, "{}: timing and values mode diverge", w.name);
     }
 }

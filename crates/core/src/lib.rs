@@ -61,8 +61,7 @@ pub use options::{Options, ScopedTuning, Strategy};
 pub use pipeline::{
     build_schedule, compile, message_stats, run, CompileError, CompileInput, Compiled,
 };
-pub use session::{options_fingerprint, ServeOutcome, Session, SessionStats, StageCount};
+pub use session::{ServeOutcome, Session, SessionStats, StageCount};
 pub use store::{
-    store_metrics, Artifact, ArtifactStore, MemStore, StageId, StoreSource, StoreStats,
-    CODEC_VERSION,
+    Artifact, ArtifactStore, MemStore, StageId, StoreSource, StoreStats, CODEC_VERSION,
 };

@@ -198,14 +198,6 @@ pub struct Session {
     journaling: bool,
     /// One record per served request, in order.
     journal: Vec<obs::JournalRecord>,
-    /// Health label (`ctx` metric label).
-    label: String,
-    /// Requests served.
-    compiles: u64,
-    /// Serve wall-latency distribution, microseconds.
-    latency_us: obs::Log2Hist,
-    /// Σ journaled work units.
-    work_units_total: u64,
 }
 
 impl Session {
@@ -213,7 +205,6 @@ impl Session {
     pub fn new() -> Self {
         Session {
             explicit: true,
-            label: "session".to_owned(),
             ..Session::default()
         }
     }
@@ -221,13 +212,11 @@ impl Session {
     /// Opens a session with its own [`obs::ObsContext`]: captures started
     /// on that context observe this session's compiles and nothing else,
     /// so any number of scoped sessions can compile concurrently, each on
-    /// its own thread, with isolated traces. `label` names the session in
-    /// health snapshots.
-    pub fn scoped(label: impl Into<String>) -> Self {
+    /// its own thread, with isolated traces.
+    pub fn scoped() -> Self {
         Session {
             explicit: true,
             obs: Some(obs::ObsContext::new()),
-            label: label.into(),
             ..Session::default()
         }
     }
@@ -300,11 +289,6 @@ impl Session {
         self.obs.as_ref()
     }
 
-    /// The session's health label.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
     /// Turns journaling on or off. While on, every [`Session::serve`]
     /// call appends one [`obs::JournalRecord`]; enabling also opens a
     /// dedicated [`ledger::LedgerScope`] and leaves it recording for the
@@ -331,22 +315,6 @@ impl Session {
     /// The journal as JSONL text (the `dmc-journal` file format).
     pub fn journal_text(&self) -> String {
         obs::journal::render_journal(&self.journal)
-    }
-
-    /// This session's row for a health snapshot: requests served,
-    /// stage-reuse counters, journaled work units, the serve-latency
-    /// histogram, and — for scoped sessions — the recorder's
-    /// self-overhead.
-    pub fn health(&self) -> obs::ContextHealth {
-        obs::ContextHealth {
-            label: self.label.clone(),
-            compiles: self.compiles,
-            stage_hits: self.stats.stage_hits,
-            stage_misses: self.stats.stage_misses,
-            work_units: self.work_units_total,
-            latency_us: self.latency_us.clone(),
-            obs: self.obs.as_ref().map(|c| c.overhead()).unwrap_or_default(),
-        }
     }
 
     /// Serves one compile request end-to-end: compiles `input` through
@@ -380,16 +348,13 @@ impl Session {
         let compiled = self.compile(input, options)?;
         let schedule = self.build_schedule(&compiled, param_vals, false, limit)?;
         let (messages, transmissions, words) = crate::pipeline::schedule_message_stats(&schedule);
-        let wall_us = t0.elapsed().as_micros() as u64;
-        self.compiles += 1;
-        self.latency_us.observe(wall_us);
         if self.journaling {
+            let wall_us = t0.elapsed().as_micros() as u64;
             let work_units = self
                 .ledger_scope
                 .as_ref()
                 .map(|s| s.drain().charged_work())
                 .unwrap_or(0);
-            self.work_units_total += work_units;
             let input = &compiled.input;
             self.journal.push(obs::JournalRecord {
                 seq: self.journal.len() as u64,
@@ -976,14 +941,6 @@ fn options_only_fp(options: &Options) -> Fingerprint {
     analysis_options_fp(options, &mut h);
     opt_flags_fp(options, &mut h);
     h.finish()
-}
-
-/// The configuration fingerprint of a set of [`Options`] — the same
-/// tag-57 hash the compile journal records as `options_fp`, exposed so
-/// snapshot tooling (the bench history store) can key records on the
-/// compile configuration without constructing a full request.
-pub fn options_fingerprint(options: &Options) -> String {
-    options_only_fp(options).to_string()
 }
 
 /// Journal `schedule_fp`: a fingerprint of the schedule's canonical

@@ -31,7 +31,6 @@ use dmc_dataflow::LastWriteTree;
 use dmc_ir::fp::Fingerprint;
 use dmc_ir::Program;
 use dmc_machine::Schedule;
-use dmc_obs as obs;
 use dmc_polyhedra::codec::{decode_from_slice, Codec, CodecError, Enc};
 
 use crate::session::stage;
@@ -259,60 +258,6 @@ impl ArtifactStore for MemStore {
             ..StoreStats::default()
         }
     }
-}
-
-/// Fills the `dmc_store_*` Prometheus family from one backend's
-/// counters. `backend` becomes the metric family's `backend` label.
-pub fn store_metrics(reg: &mut obs::Registry, backend: &str, stats: &StoreStats) {
-    let l = &[("backend", backend)];
-    reg.set_counter(
-        "dmc_store_hits_total",
-        "Artifact store loads served.",
-        l,
-        stats.hits,
-    );
-    reg.set_counter(
-        "dmc_store_misses_total",
-        "Artifact store loads that found nothing.",
-        l,
-        stats.misses,
-    );
-    reg.set_counter(
-        "dmc_store_corrupt_total",
-        "Artifact store loads rejected as corrupt (fingerprint or decode failure).",
-        l,
-        stats.corrupt,
-    );
-    reg.set_counter(
-        "dmc_store_evictions_total",
-        "Artifact store entries evicted to honor the size bound.",
-        l,
-        stats.evictions,
-    );
-    reg.set_gauge(
-        "dmc_store_entries",
-        "Artifact store entries resident.",
-        l,
-        stats.entries as f64,
-    );
-    reg.set_gauge(
-        "dmc_store_bytes",
-        "Artifact store payload bytes resident.",
-        l,
-        stats.bytes as f64,
-    );
-    reg.set_counter(
-        "dmc_store_bytes_written_total",
-        "Artifact store payload bytes written.",
-        l,
-        stats.bytes_written,
-    );
-    reg.set_counter(
-        "dmc_store_bytes_read_total",
-        "Artifact store payload bytes read and accepted.",
-        l,
-        stats.bytes_read,
-    );
 }
 
 #[cfg(test)]

@@ -198,6 +198,14 @@ fn proc_count_sweep_reuses_analysis_stages() {
         let scratch = compile(lu_input(nproc), Options::full()).expect("scratch");
         assert_eq!(outputs(&swept), outputs(&scratch));
     }
+    // The per-stage rows tile the session totals, as the snapshot's
+    // `per_stage` sections report them.
+    let s = session.stats();
+    let tiled = s
+        .per_stage
+        .values()
+        .fold((0, 0), |(h, m), c| (h + c.hits, m + c.misses));
+    assert_eq!(tiled, (s.stage_hits, s.stage_misses), "{s:?}");
 }
 
 /// Options that can change analysis answers (strategy, feasibility

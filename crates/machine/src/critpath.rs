@@ -30,7 +30,6 @@
 use std::collections::HashMap;
 
 use dmc_obs as obs;
-use dmc_obs::metrics::Registry;
 
 use crate::config::MachineConfig;
 use crate::schedule::{Action, Schedule};
@@ -851,7 +850,8 @@ impl CritAnalysis {
     /// - the canonical chain is a gapless source→sink critical path;
     /// - every processor's blame categories sum exactly to the makespan,
     ///   and agree with the simulator's per-processor compute/comm/idle
-    ///   accounting on the grid.
+    ///   accounting on the grid, and the machine total sums to
+    ///   `nproc × makespan`.
     pub fn verify(&self, stats: &SimStats) -> Result<(), String> {
         let n = self.events.len();
         let fail = |msg: String| -> Result<(), String> { Err(msg) };
@@ -986,6 +986,16 @@ impl CritAnalysis {
                 ));
             }
         }
+        // The machine-total blame the snapshot reports tiles
+        // nproc × makespan.
+        if self.total.total() != self.per_proc.len() as u64 * self.makespan_ns {
+            return fail(format!(
+                "machine blame sums to {} != {} procs x makespan {}",
+                self.total.total(),
+                self.per_proc.len(),
+                self.makespan_ns
+            ));
+        }
 
         // Message attribution covers exactly the non-compute, non-drain
         // processor time.
@@ -1092,76 +1102,6 @@ impl CritAnalysis {
                 fields.push(obs::field("stmt", s));
             }
             obs::event("crit.span", fields);
-        }
-    }
-
-    /// Publishes the analysis under the `dmc_sim_critpath_*` metric
-    /// families, attaching `labels` to every sample.
-    pub fn export_metrics(&self, reg: &mut Registry, labels: &[(&str, &str)]) {
-        let with = |extra: &[(&str, String)]| -> Vec<(String, String)> {
-            labels
-                .iter()
-                .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
-                .chain(extra.iter().map(|(k, v)| ((*k).to_owned(), v.clone())))
-                .collect()
-        };
-        let base: Vec<(String, String)> = with(&[]);
-        let base_refs: Vec<(&str, &str)> =
-            base.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-
-        reg.set_gauge(
-            "dmc_sim_critpath_makespan_ns",
-            "Simulated makespan on the exact nanosecond grid.",
-            &base_refs,
-            self.makespan_ns as f64,
-        );
-        reg.set_gauge(
-            "dmc_sim_critpath_dag_events",
-            "Events in the execution dependency DAG.",
-            &base_refs,
-            self.events.len() as f64,
-        );
-        reg.set_gauge(
-            "dmc_sim_critpath_length",
-            "Events on the canonical critical path.",
-            &base_refs,
-            self.chain.len() as f64,
-        );
-        reg.set_gauge(
-            "dmc_sim_critpath_critical_events",
-            "Zero-slack events (on some critical path).",
-            &base_refs,
-            self.critical_events() as f64,
-        );
-        for (cat, v) in self.total.categories() {
-            let owned = with(&[("category", cat.to_owned())]);
-            let refs: Vec<(&str, &str)> = owned
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.as_str()))
-                .collect();
-            reg.set_gauge(
-                "dmc_sim_critpath_blame_ns",
-                "Machine-total blame per category, nanoseconds (each \
-                 processor's categories sum exactly to the makespan).",
-                &refs,
-                v as f64,
-            );
-        }
-        if let Some(top) = self.top_what_if() {
-            let owned = with(&[
-                ("msg", top.msg.to_string()),
-                ("scenario", top.scenario.name().to_owned()),
-            ]);
-            let refs: Vec<(&str, &str)> = owned
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.as_str()))
-                .collect();
-            reg.set_gauge(
-                "dmc_sim_critpath_top_whatif_ns",
-                "Best single-message what-if makespan reduction, ns.",
-                &refs,
-                top.win_ns as f64,
-            );
         }
     }
 }

@@ -1,8 +1,7 @@
 //! Simulation statistics: per-processor time breakdowns, the P×P traffic
-//! matrix, exact log2-bucket size/latency histograms, and the export into
-//! the `dmc-obs` metrics registry (Prometheus text format).
+//! matrix, and exact log2-bucket size/latency histograms.
 
-use dmc_obs::metrics::{Log2Hist, Registry};
+use dmc_obs::Log2Hist;
 
 /// Per-processor time breakdown.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -121,117 +120,6 @@ impl SimStats {
         let busy: f64 = self.per_proc.iter().map(|p| p.compute).sum();
         busy / (self.time * self.per_proc.len() as f64)
     }
-
-    /// Publishes the statistics into a metrics registry under the
-    /// `dmc_sim_*` families, attaching `labels` (e.g. the workload name)
-    /// to every sample. The counter and histogram totals agree exactly
-    /// with the integer fields of `self`.
-    pub fn export_metrics(&self, reg: &mut Registry, labels: &[(&str, &str)]) {
-        let with = |extra: &[(&str, String)]| -> Vec<(String, String)> {
-            labels
-                .iter()
-                .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
-                .chain(extra.iter().map(|(k, v)| ((*k).to_owned(), v.clone())))
-                .collect()
-        };
-        let base: Vec<(String, String)> = with(&[]);
-        let base_refs: Vec<(&str, &str)> =
-            base.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-
-        reg.set_gauge(
-            "dmc_sim_time_seconds",
-            "Simulated completion time (max processor finish), seconds.",
-            &base_refs,
-            self.time,
-        );
-        reg.set_gauge(
-            "dmc_sim_flops",
-            "Floating-point operations executed by the simulated run.",
-            &base_refs,
-            self.flops,
-        );
-        reg.set_counter(
-            "dmc_sim_messages_total",
-            "Logical messages sent (a multicast counts once).",
-            &base_refs,
-            self.messages,
-        );
-        reg.set_counter(
-            "dmc_sim_transmissions_total",
-            "Point-to-point transmissions (a multicast counts per receiver).",
-            &base_refs,
-            self.transmissions,
-        );
-        reg.set_counter(
-            "dmc_sim_words_total",
-            "Payload words delivered, counted per receiver.",
-            &base_refs,
-            self.words,
-        );
-
-        for (p, proc) in self.per_proc.iter().enumerate() {
-            for (kind, v) in [
-                ("compute", proc.compute),
-                ("comm", proc.comm),
-                ("idle", proc.idle),
-                ("finish", proc.finish),
-            ] {
-                let owned = with(&[("proc", p.to_string()), ("kind", kind.to_owned())]);
-                let refs: Vec<(&str, &str)> = owned
-                    .iter()
-                    .map(|(k, v)| (k.as_str(), v.as_str()))
-                    .collect();
-                reg.set_gauge(
-                    "dmc_sim_proc_seconds",
-                    "Per-processor simulated time broken down by kind \
-                     (compute / comm / idle / finish).",
-                    &refs,
-                    v,
-                );
-            }
-        }
-
-        let p = self.nproc();
-        for src in 0..p {
-            for dst in 0..p {
-                let words = self.traffic_words[src * p + dst];
-                if words == 0 {
-                    continue;
-                }
-                let owned = with(&[("src", src.to_string()), ("dst", dst.to_string())]);
-                let refs: Vec<(&str, &str)> = owned
-                    .iter()
-                    .map(|(k, v)| (k.as_str(), v.as_str()))
-                    .collect();
-                reg.set_counter(
-                    "dmc_sim_link_words_total",
-                    "Words delivered over one src -> dst link.",
-                    &refs,
-                    words,
-                );
-                reg.set_counter(
-                    "dmc_sim_link_transmissions_total",
-                    "Transmissions over one src -> dst link.",
-                    &refs,
-                    self.traffic_transmissions[src * p + dst],
-                );
-            }
-        }
-
-        reg.set_histogram(
-            "dmc_sim_message_words",
-            "Payload size per logical message, words (log2 buckets).",
-            &base_refs,
-            &self.msg_words_hist,
-        );
-        reg.set_histogram(
-            "dmc_sim_transmission_latency_us",
-            "Send-start to receive-completion latency per transmission, \
-             rounded microseconds (log2 buckets).",
-            &base_refs,
-            &self.latency_us_hist,
-        );
-    }
 }
 
 #[cfg(test)]
@@ -260,49 +148,5 @@ mod tests {
         assert_eq!(s.traffic_total(), 14);
         assert_eq!(s.top_links(10), vec![(1, 0, 9, 2), (0, 1, 5, 1)]);
         assert_eq!(s.top_links(1).len(), 1);
-    }
-
-    #[test]
-    fn metrics_export_matches_stats_and_validates() {
-        let mut s = SimStats::new(2);
-        s.time = 1.5e-3;
-        s.flops = 100.0;
-        s.messages = 2;
-        s.transmissions = 3;
-        s.words = 12;
-        s.traffic_words = vec![0, 8, 4, 0];
-        s.traffic_transmissions = vec![0, 2, 1, 0];
-        s.msg_words_hist.observe(4);
-        s.msg_words_hist.observe(8);
-        s.latency_us_hist.observe(10);
-        s.latency_us_hist.observe(20);
-        s.latency_us_hist.observe(30);
-
-        let mut reg = Registry::new();
-        s.export_metrics(&mut reg, &[("workload", "unit")]);
-        let doc = reg.render();
-        let check = dmc_obs::validate_prometheus(&doc).unwrap_or_else(|e| panic!("{e}\n{doc}"));
-        assert!(check.families >= 8, "{check:?}");
-        assert!(
-            doc.contains("dmc_sim_messages_total{workload=\"unit\"} 2"),
-            "{doc}"
-        );
-        assert!(
-            doc.contains("dmc_sim_words_total{workload=\"unit\"} 12"),
-            "{doc}"
-        );
-        assert!(
-            doc.contains("dmc_sim_link_words_total{dst=\"1\",src=\"0\",workload=\"unit\"} 8"),
-            "{doc}"
-        );
-        // Histogram counts agree with the aggregate counters.
-        assert!(
-            doc.contains("dmc_sim_message_words_count{workload=\"unit\"} 2"),
-            "{doc}"
-        );
-        assert!(
-            doc.contains("dmc_sim_transmission_latency_us_count{workload=\"unit\"} 3"),
-            "{doc}"
-        );
     }
 }

@@ -8,15 +8,13 @@
 //!
 //! ## Contexts
 //!
-//! Everything the recorder owns — capture store, overhead counters,
-//! metrics registry — lives in a scoped [`ObsContext`]. The free
-//! functions [`start_capture`]/[`finish_capture`] operate on a process
-//! default context, preserving the classic global API byte-for-byte;
+//! Everything the recorder owns — the capture flag and its lane store —
+//! lives in a scoped [`ObsContext`]. The free functions
+//! [`start_capture`]/[`finish_capture`] operate on a process default
+//! context, preserving the classic global API byte-for-byte;
 //! [`ObsContext::install`] makes a context current for the calling
 //! thread — a `dmc_core::Session` compiles on its caller's thread — so
-//! sessions running on different threads trace in isolation. Each capture's self-cost is accounted in [`ObsOverhead`]
-//! (kept records, approximate bytes, emit-path nanoseconds, records
-//! dropped by the [`push_record_cap`] cap).
+//! sessions running on different threads trace in isolation.
 //!
 //! ## Lanes: a deterministic order
 //!
@@ -49,16 +47,15 @@
 //!   the trace carries machine telemetry (`sim.*` records), the report
 //!   gains a machine view (per-processor breakdown, top links, hot
 //!   messages joined with provenance).
-//! * [`metrics`] — a metrics registry (counters / gauges / fixed
-//!   log2-bucket histograms) with Prometheus text-format export and a
-//!   strict self-validator, used by `dmc-machine` to publish simulator
-//!   telemetry.
 //! * [`journal`] — the append-only compile journal: one deterministic
 //!   JSONL record per served compile, strictly parsed, replayable
 //!   byte-for-byte through a fresh session (`dmc-journal`).
-//! * [`health`] — per-context service statistics ([`ContextHealth`])
-//!   aggregated into a [`HealthSnapshot`] rendered as Prometheus text or
-//!   JSON, including the recorder's own `dmc_obs_*` meta-metrics.
+//! * [`profile`] — the work-ledger profile ([`WorkProfile`]): charged
+//!   work per attribution context, collapsed stacks for flamegraphs.
+//!
+//! [`Log2Hist`] is the exact log2-bucket histogram the simulator fills
+//! with message sizes and transmission latencies; the explain report
+//! prints its percentiles.
 //!
 //! ## Machine lanes
 //!
@@ -75,23 +72,19 @@
 
 mod chrome;
 mod explain;
-pub mod health;
+mod hist;
 pub mod journal;
 pub mod json;
-pub mod metrics;
 pub mod profile;
-pub mod svg;
 mod trace;
 
 pub use chrome::{chrome_trace, validate_chrome, TraceCheck};
 pub use explain::{explain_report, explain_report_with_profile, message_pass_counts};
-pub use health::{ContextHealth, HealthSnapshot};
+pub use hist::Log2Hist;
 pub use journal::JournalRecord;
-pub use metrics::{validate_prometheus, Log2Hist, MetricKind, PromCheck, Registry};
 pub use profile::{ProfileOp, WorkProfile};
 pub use trace::{
-    enabled, event, event_f, event_nondet, field, finish_capture, lane, main_lane, push_record_cap,
-    read_lane, record_cap, sim_lane, span, span_f, start_capture, suppress, CtxGuard, LaneGuard,
-    LaneKey, LaneRecords, ObsContext, ObsOverhead, Phase, Record, RecordCapGuard, SpanGuard,
-    SuppressGuard, Trace, Value,
+    enabled, event, event_f, event_nondet, field, finish_capture, lane, main_lane, read_lane,
+    sim_lane, span, span_f, start_capture, suppress, CtxGuard, LaneGuard, LaneKey, LaneRecords,
+    ObsContext, Phase, Record, SpanGuard, SuppressGuard, Trace, Value,
 };

@@ -4,11 +4,10 @@
 //! # Capture contexts
 //!
 //! All recorder state is scoped to an [`ObsContext`]: each context owns
-//! its capture flag, its lane store, its self-overhead counters, and a
-//! metrics [`Registry`]. A process-wide *default context* backs the
-//! classic free-function API ([`start_capture`] / [`finish_capture`] /
-//! [`lane`] / [`span`] / [`event`]), which behaves exactly as it did when
-//! the recorder was a process global. Concurrent sessions each create
+//! its capture flag and its lane store. A process-wide *default context*
+//! backs the classic free-function API ([`start_capture`] /
+//! [`finish_capture`] / [`lane`] / [`span`] / [`event`]), which behaves
+//! exactly as it did when the recorder was a process global. Concurrent sessions each create
 //! their own context and [`install`](ObsContext::install) it on every
 //! thread that works for them; records emitted on a thread go to that
 //! thread's current context, so two captures running at once stay fully
@@ -34,8 +33,6 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-
-use crate::metrics::Registry;
 
 const R: Ordering = Ordering::Relaxed;
 
@@ -73,15 +70,6 @@ impl Value {
             Value::Str(v) => crate::json::quote(v),
             Value::F64(v) if !v.is_finite() => crate::json::quote(&format!("{v}")),
             other => other.render(),
-        }
-    }
-
-    /// Rough in-memory size of the value payload, for the self-overhead
-    /// byte counter.
-    fn weight(&self) -> u64 {
-        match self {
-            Value::Str(v) => v.len() as u64,
-            _ => 8,
         }
     }
 }
@@ -165,17 +153,6 @@ impl Record {
     /// Looks up a field by key.
     pub fn get(&self, key: &str) -> Option<&Value> {
         self.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
-    }
-
-    /// Rough in-memory size of the record, for the self-overhead byte
-    /// counter: name plus header plus field keys and payloads.
-    fn weight(&self) -> u64 {
-        let fields: u64 = self
-            .fields
-            .iter()
-            .map(|(k, v)| k.len() as u64 + v.weight())
-            .sum();
-        self.name.len() as u64 + 16 + fields
     }
 }
 
@@ -309,12 +286,6 @@ struct CtxInner {
     /// Lane buffers currently open on some thread. Drained (in key
     /// order) by `finish_capture`.
     live: Mutex<Vec<Arc<LiveLane>>>,
-    // Self-overhead counters, reset at each start_capture.
-    records: AtomicU64,
-    bytes: AtomicU64,
-    trace_ns: AtomicU64,
-    dropped: AtomicU64,
-    registry: Mutex<Registry>,
 }
 
 impl CtxInner {
@@ -325,11 +296,6 @@ impl CtxInner {
             epoch: AtomicU64::new(0),
             store: Mutex::new(BTreeMap::new()),
             live: Mutex::new(Vec::new()),
-            records: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            trace_ns: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            registry: Mutex::new(Registry::new()),
         }
     }
 
@@ -348,10 +314,6 @@ impl CtxInner {
         // dropping the registry entries is enough — their flushes will
         // discard.
         self.live.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        self.records.store(0, R);
-        self.bytes.store(0, R);
-        self.trace_ns.store(0, R);
-        self.dropped.store(0, R);
         self.start_ns.store(epoch().elapsed().as_nanos() as u64, R);
         if !self.enabled.swap(true, R) {
             ACTIVE.fetch_add(1, R);
@@ -412,15 +374,6 @@ impl CtxInner {
         let entry = store.entry(key).or_insert_with(|| (label, Vec::new()));
         entry.1.extend(records);
     }
-
-    fn overhead(&self) -> ObsOverhead {
-        ObsOverhead {
-            records: self.records.load(R),
-            bytes: self.bytes.load(R),
-            trace_ns: self.trace_ns.load(R),
-            dropped: self.dropped.load(R),
-        }
-    }
 }
 
 fn default_ctx() -> &'static Arc<CtxInner> {
@@ -441,9 +394,8 @@ fn with_current<T>(f: impl FnOnce(&Arc<CtxInner>) -> T) -> T {
     })
 }
 
-/// A scoped observability context: an isolated capture store, overhead
-/// accounting, and a metrics [`Registry`]. Handles are cheap to clone
-/// (an `Arc`); clones refer to the same context.
+/// A scoped observability context: an isolated capture store. Handles
+/// are cheap to clone (an `Arc`); clones refer to the same context.
 ///
 /// A context only receives records from threads it is
 /// [`install`](Self::install)ed on. `dmc_core::Session` compiles on its
@@ -483,9 +435,9 @@ impl ObsContext {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
-    /// Starts a capture in this context: clears the store, re-anchors
-    /// the clock, and resets the overhead counters. Restarting while a
-    /// capture is in progress discards its records.
+    /// Starts a capture in this context: clears the store and re-anchors
+    /// the clock. Restarting while a capture is in progress discards its
+    /// records.
     pub fn start_capture(&self) {
         self.inner.start_capture();
     }
@@ -512,22 +464,6 @@ impl ObsContext {
             _not_send: PhantomData,
         }
     }
-
-    /// The capture's self-overhead counters so far.
-    pub fn overhead(&self) -> ObsOverhead {
-        self.inner.overhead()
-    }
-
-    /// Runs `f` with exclusive access to this context's metrics
-    /// registry.
-    pub fn with_registry<T>(&self, f: impl FnOnce(&mut Registry) -> T) -> T {
-        let mut reg = self
-            .inner
-            .registry
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        f(&mut reg)
-    }
 }
 
 impl Default for ObsContext {
@@ -540,7 +476,6 @@ impl std::fmt::Debug for ObsContext {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ObsContext")
             .field("capturing", &self.is_capturing())
-            .field("overhead", &self.overhead())
             .finish()
     }
 }
@@ -556,87 +491,6 @@ impl Drop for CtxGuard {
     fn drop(&mut self) {
         CURRENT.with(|c| *c.borrow_mut() = self.prev.take());
     }
-}
-
-/// Self-overhead counters of one capture: what the recorder itself
-/// cost. Exported as `dmc_obs_*` meta-metrics by `dmc_obs::health`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ObsOverhead {
-    /// Records kept.
-    pub records: u64,
-    /// Approximate bytes of kept record payloads.
-    pub bytes: u64,
-    /// Nanoseconds spent inside the recorder's emit path.
-    pub trace_ns: u64,
-    /// Records dropped by the record cap (see [`push_record_cap`]).
-    pub dropped: u64,
-}
-
-impl ObsOverhead {
-    /// Field-wise sum, for aggregating contexts into a health snapshot.
-    pub fn merged(&self, other: &ObsOverhead) -> ObsOverhead {
-        ObsOverhead {
-            records: self.records + other.records,
-            bytes: self.bytes + other.bytes,
-            trace_ns: self.trace_ns + other.trace_ns,
-            dropped: self.dropped + other.dropped,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Record cap (sampling knob).
-
-thread_local! {
-    /// Per-thread record cap; 0 means unbounded. Consulted against the
-    /// current context's kept-record count.
-    static RECORD_CAP: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Caps the number of records a capture keeps, as seen from the calling
-/// thread: once the current context holds `cap` records, further spans
-/// and events on this thread are dropped (and counted in
-/// [`ObsOverhead::dropped`]). `0` restores unbounded recording. The cap
-/// is thread-local and restored when the guard drops — the same
-/// discipline as the engine's thread-local tuning.
-///
-/// Span guards that already emitted a begin record still emit their end
-/// record past the cap, keeping every lane balanced; the capture can
-/// therefore exceed the cap by the open-span depth.
-pub fn push_record_cap(cap: u64) -> RecordCapGuard {
-    let prev = RECORD_CAP.with(|c| c.replace(cap));
-    RecordCapGuard {
-        prev,
-        _not_send: PhantomData,
-    }
-}
-
-/// The calling thread's record cap (0 = unbounded).
-pub fn record_cap() -> u64 {
-    RECORD_CAP.with(|c| c.get())
-}
-
-/// Restores the previous record cap on drop. `!Send`.
-pub struct RecordCapGuard {
-    prev: u64,
-    _not_send: PhantomData<*const ()>,
-}
-
-impl Drop for RecordCapGuard {
-    fn drop(&mut self) {
-        RECORD_CAP.with(|c| c.set(self.prev));
-    }
-}
-
-/// Whether the current thread's cap forbids keeping another record in
-/// `ctx`; counts the drop if so.
-fn over_cap(ctx: &CtxInner) -> bool {
-    let cap = RECORD_CAP.with(|c| c.get());
-    if cap != 0 && ctx.records.load(R) >= cap {
-        ctx.dropped.fetch_add(1, R);
-        return true;
-    }
-    false
 }
 
 // ---------------------------------------------------------------------------
@@ -656,9 +510,7 @@ thread_local! {
 }
 
 fn emit(rec: Record) {
-    let t0 = Instant::now();
     with_current(|ctx| {
-        let weight = rec.weight();
         LANES.with(|l| {
             let lanes = l.borrow();
             match lanes.last() {
@@ -680,9 +532,6 @@ fn emit(rec: Record) {
                 ),
             }
         });
-        ctx.records.fetch_add(1, R);
-        ctx.bytes.fetch_add(weight, R);
-        ctx.trace_ns.fetch_add(t0.elapsed().as_nanos() as u64, R);
     });
 }
 
@@ -839,11 +688,6 @@ fn span_with(name: &'static str, fields: Vec<(&'static str, Value)>) -> SpanGuar
     if !enabled() {
         return SpanGuard { name, armed: false };
     }
-    // A span whose begin record is dropped by the cap stays unarmed, so
-    // its end record is dropped with it and lanes stay balanced.
-    if with_current(|ctx| over_cap(ctx)) {
-        return SpanGuard { name, armed: false };
-    }
     let ts_ns = with_current(|ctx| ctx.now_ns());
     emit(Record {
         phase: Phase::Begin,
@@ -877,9 +721,6 @@ impl Drop for SpanGuard {
 }
 
 fn instant(name: &'static str, det: bool, fields: Vec<(&'static str, Value)>) {
-    if with_current(|ctx| over_cap(ctx)) {
-        return;
-    }
     let ts_ns = with_current(|ctx| ctx.now_ns());
     emit(Record {
         phase: Phase::Instant,
@@ -1140,75 +981,5 @@ mod tests {
             assert!(ObsContext::current().same_context(&a));
         }
         assert!(ObsContext::current().same_context(&ObsContext::default_context()));
-    }
-
-    #[test]
-    fn overhead_counts_records_and_cap_drops() {
-        let ctx = ObsContext::new();
-        ctx.start_capture();
-        {
-            let _g = ctx.install();
-            let _lane = lane(main_lane(), "main");
-            let _cap = push_record_cap(3);
-            event("a", vec![field("k", "payload")]);
-            event("b", vec![]);
-            event("c", vec![]); // cap reached after this one
-            event("d", vec![]); // dropped
-            event("e", vec![]); // dropped
-        }
-        let over = ctx.overhead();
-        let t = ctx.finish_capture();
-        assert_eq!(t.len(), 3, "{t:?}");
-        assert_eq!(over.records, 3);
-        assert_eq!(over.dropped, 2);
-        assert!(over.bytes > 0);
-        let names: Vec<&str> = t.lanes[0].records.iter().map(|r| r.name).collect();
-        assert_eq!(names, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn capped_spans_stay_balanced() {
-        let ctx = ObsContext::new();
-        ctx.start_capture();
-        {
-            let _g = ctx.install();
-            let _lane = lane(main_lane(), "main");
-            let _cap = push_record_cap(3);
-            let _outer = span("outer"); // begin = record 1
-            {
-                let _a = span("a"); // begin = 2, end = 3 (cap reached)
-            }
-            {
-                let _b = span("b"); // begin dropped -> end dropped too
-            }
-            event("tail", vec![]); // dropped
-        }
-        let t = ctx.finish_capture();
-        for lane in &t.lanes {
-            let mut depth = 0i64;
-            for r in &lane.records {
-                match r.phase {
-                    Phase::Begin => depth += 1,
-                    Phase::End => depth -= 1,
-                    Phase::Instant => {}
-                }
-                assert!(depth >= 0, "unbalanced: {t:?}");
-            }
-            // "outer" begin was kept; its end is emitted past the cap to
-            // keep the lane balanced.
-            assert_eq!(depth, 0, "unbalanced: {t:?}");
-        }
-        assert_eq!(ctx.overhead().dropped, 2, "b's begin and the tail event");
-    }
-
-    #[test]
-    fn context_registry_is_scoped() {
-        let a = ObsContext::new();
-        let b = ObsContext::new();
-        a.with_registry(|r| r.add_counter("dmc_test_total", "test counter", &[], 1));
-        let ra = a.with_registry(|r| r.render());
-        let rb = b.with_registry(|r| r.render());
-        assert!(ra.contains("dmc_test_total 1"), "{ra}");
-        assert!(!rb.contains("dmc_test_total"), "{rb}");
     }
 }

@@ -801,7 +801,7 @@ impl Polyhedron {
             let mut best: Option<(usize, i128)> = None;
             for d in 0..cur.space.len() {
                 let a = eq.coeff(d);
-                if a != 0 && best.is_none_or(|(_, b)| a.abs() < b.abs()) {
+                if a != 0 && best.is_none_or(|(_, b)| a.unsigned_abs() < b.unsigned_abs()) {
                     best = Some((d, a));
                 }
             }
@@ -809,7 +809,7 @@ impl Polyhedron {
                 // Constant equality; normalization should have caught it.
                 return Ok(Feasibility::Infeasible);
             };
-            if a.abs() == 1 {
+            if a.unsigned_abs() == 1 {
                 // d = -sign(a) * (eq - a*d): exact integer substitution.
                 let mut rest = eq.expr().clone();
                 rest.set_coeff(d, 0);
@@ -825,10 +825,13 @@ impl Polyhedron {
                 // so we can substitute x_k away immediately; the original
                 // equality is rewritten with strictly smaller coefficients,
                 // guaranteeing progress.
-                let m = a.abs() + 1;
+                let m = a
+                    .checked_abs()
+                    .and_then(|b| b.checked_add(1))
+                    .ok_or(PolyError::Overflow)?;
                 let mod_hat = |v: i128| -> i128 {
                     let r = num::mod_floor(v, m);
-                    if r * 2 >= m {
+                    if r >= m - r {
                         r - m
                     } else {
                         r
@@ -1507,6 +1510,22 @@ mod tests {
         p.add(ge(vec![2], -3)); // 2x >= 3
         p.add(ge(vec![-2], 3)); // 2x <= 3
         assert_eq!(p.integer_feasibility().unwrap(), Feasibility::Infeasible);
+    }
+
+    /// Pugh's equality step at the edge of `i128`: the modulus
+    /// `m = |a| + 1` and the symmetric residue's `r ≥ m − r` test stay in
+    /// range or report `Overflow`, never panic.
+    #[test]
+    fn pugh_step_near_i128_max_does_not_panic() {
+        let max = i128::MAX;
+        for coeffs in [vec![max, max - 1], vec![-max, max - 1], vec![max, -max]] {
+            let mut p = Polyhedron::universe(sp(&["x", "y"]));
+            p.add(eq(coeffs.clone(), -1));
+            match p.integer_feasibility() {
+                Ok(_) | Err(PolyError::Overflow) => {}
+                Err(e) => panic!("{coeffs:?}: {e}"),
+            }
+        }
     }
 
     #[test]

@@ -395,9 +395,10 @@ fn memoized_scans_and_optima_equal_their_computation() {
 
 /// The extremes of `i128` through the value codec: a scan whose level is
 /// assigned `n + i128::MIN` under a guard of `±i128::MAX` coefficients
-/// (equalities only, which no negation test touches; the scan alone, as
-/// integer feasibility overflows on such rows), and optima at `i128::MAX`
-/// and `-i128::MAX`. Cold, warm and computed agree.
+/// (equalities only, which no negation test touches), optima at
+/// `i128::MAX` and `-i128::MAX`, and both optima of the guarded system,
+/// whose feasibility tests run Pugh's equality step on those rows. Cold,
+/// warm and computed agree.
 #[test]
 fn extreme_values_survive_the_memo_maps() {
     let (max, min) = (i128::MAX, i128::MIN);
@@ -432,6 +433,11 @@ fn extreme_values_survive_the_memo_maps() {
         let solved = || format!("{:?}", lexopt(p, &[1], dir));
         let want = format!("{:?}", lexopt_uncached(p, &[1], dir));
         assert!(want.contains(&extreme.to_string()), "{want}");
+        assert_eq!([solved(), solved()], [want.as_str(); 2]);
+    }
+    for dir in [Direction::Min, Direction::Max] {
+        let solved = || format!("{:?}", lexopt(&scan, &[0], dir));
+        let want = format!("{:?}", lexopt_uncached(&scan, &[0], dir));
         assert_eq!([solved(), solved()], [want.as_str(); 2]);
     }
 }

@@ -43,13 +43,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
 cargo run --release -p dmc-bench --bin dmc-trace -- \
     --workload stencil --out-dir target/trace-tier1 --check
 
-# Machine telemetry: export the stencil simulation's metrics (traffic
-# matrix, size/latency histograms, per-processor breakdowns) and verify
-# the Prometheus document validates and its totals agree exactly with the
-# simulator's statistics.
-cargo run --release -p dmc-bench --bin dmc-metrics -- \
-    --workload stencil --out-dir target/metrics-tier1 --check
-
 # Work-ledger profiler: profile all four registry workloads and
 # self-validate the ledger (totals reconcile exactly with the engine's
 # PolyStats counters — every cache's hits and misses, the scan and lexopt
@@ -118,16 +111,6 @@ cargo run --release -p dmc-bench --bin dmc-journal -- \
 cargo run --release -p dmc-bench --bin perfstats -- --quick --out target/BENCH_tier1.json
 cargo run --release -p dmc-bench --bin dmc-bench-diff -- \
     BENCH_pipeline.json target/BENCH_tier1.json --time-tol 1.5
-
-# Regression forensics: self-check the bench history + explainer against
-# the committed snapshot — its tilings must be internally exact (contexts
-# tile work_units, blame tiles nproc x makespan, §6 pass counts tile
-# messages, per-stage counts tile the session totals), a self-explain
-# must be empty, the history must round-trip byte-identically through
-# disk, injected drift must explain with zero residue, and the HTML
-# dashboard must render byte-identically for two records that differ
-# only in identity meta.
-cargo run --release -p dmc-bench --bin dmc-bench-explain -- --check
 
 # Repo benchmark smoke: benchmark/ is its own package, so the workspace
 # build above never compiles it and a removed `pub` item could break the
