@@ -17,7 +17,7 @@
 //! * `--replay FILE` re-runs a journal's requests, in order, through a
 //!   fresh session and reports every deterministic-field divergence.
 //! * `--diff OLD NEW` compares two journals with the regression-gate
-//!   semantics of [`dmc_bench::diff::diff_journals`]: appends pass,
+//!   semantics of [`dmc_obs::journal::diff_journals`]: appends pass,
 //!   truncation and any deterministic-field drift fail, wall times move
 //!   freely.
 //!
@@ -31,10 +31,9 @@
 
 use std::process::ExitCode;
 
-use dmc_bench::diff::diff_journals;
 use dmc_bench::workloads;
 use dmc_core::{CompileInput, Options, Session};
-use dmc_obs::journal::parse_journal;
+use dmc_obs::journal::{diff_journals, parse_journal};
 use dmc_obs::JournalRecord;
 
 const LIMIT: usize = 50_000_000;

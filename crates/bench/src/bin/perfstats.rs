@@ -1,35 +1,45 @@
-//! Performance harness for the pipeline: times the full compile +
-//! schedule pipeline on the paper's workloads from cold memo caches,
-//! checks that running each again over the now-warm caches produces
-//! identical schedules, message counts and simulation results, and writes
-//! the numbers (including the engine's operation counters) to
-//! `BENCH_pipeline.json`.
+//! Performance harness for the pipeline: compiles, schedules and
+//! simulates the paper's workloads from cold memo caches, checks that
+//! running each again over the now-warm caches produces identical
+//! schedules, message counts and simulation results, and writes the
+//! deterministic numbers — engine counters, charged work units,
+//! allocations, critical path, sweep, journal and store traffic — to
+//! `BENCH_pipeline.json`. No field depends on the host or on timing, so
+//! the file is an exact golden: `--check` re-measures and fails on any
+//! difference.
 //!
 //! ```sh
-//! cargo run --release -p dmc-bench --bin perfstats
+//! cargo run --release -p dmc-bench --bin perfstats                 # refresh the snapshot
 //! cargo run --release -p dmc-bench --bin perfstats -- --out other.json
-//! cargo run --release -p dmc-bench --bin perfstats -- --quick   # 1 rep smoke
+//! cargo run --release -p dmc-bench --bin perfstats -- --check      # gate against it
 //! ```
+//!
+//! `--check [PATH]` (default `BENCH_pipeline.json`) reads and parses the
+//! committed snapshot, builds a fresh one in memory and compares the two
+//! with [`dmc_obs::json::diff`]: every leaf must be equal, and a missing
+//! or extra key is a finding. Each finding is printed to stderr as
+//! `path: old -> new`. Exit codes follow the gate convention: **0**
+//! clean, **1** drift, **2** usage errors and an unreadable or malformed
+//! snapshot (reported before anything is measured).
 
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::path::Path;
+use std::process::ExitCode;
 
 use dmc_bench::{lu_input, usage_error, workloads, Workload};
 use dmc_core::{build_schedule, compile, message_stats, run, Options, Session};
 use dmc_machine::{critpath, MachineConfig};
 use dmc_obs as obs;
+use dmc_obs::json;
 use dmc_polyhedra::{
     batch_feasibility, cache, ledger, lexopt, stats, Constraint, DimKind, Direction, LinExpr,
     PolyStats, Polyhedron, Space,
 };
 use dmc_store::DiskStore;
 
-const REPS: usize = 3;
 const LIMIT: usize = 50_000_000;
 
 struct Measured {
-    compile_ms: f64,
-    schedule_ms: f64,
     stats: PolyStats,
     schedule: dmc_machine::Schedule,
     messages: (u64, u64, u64),
@@ -38,14 +48,10 @@ struct Measured {
 
 /// Compiles, schedules and simulates once over whatever this thread's memo
 /// caches hold.
-fn run_once(w: &Workload, options: Options) -> Measured {
+fn run_once(w: &Workload) -> Measured {
     let before = stats::snapshot();
-    let t0 = Instant::now();
-    let compiled = compile((w.input)(w.nproc), options).expect("compiles");
-    let compile_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let t1 = Instant::now();
+    let compiled = compile((w.input)(w.nproc), Options::full()).expect("compiles");
     let schedule = build_schedule(&compiled, &w.params, false, LIMIT).expect("schedules");
-    let schedule_ms = t1.elapsed().as_secs_f64() * 1e3;
     let delta = stats::snapshot().since(&before);
     let messages = message_stats(&compiled, &w.params, LIMIT).expect("stats");
     let sim = run(
@@ -58,31 +64,11 @@ fn run_once(w: &Workload, options: Options) -> Measured {
     .expect("simulates")
     .stats;
     Measured {
-        compile_ms,
-        schedule_ms,
         stats: delta,
         schedule,
         messages,
         sim,
     }
-}
-
-/// [`run_once`] `reps` times, each from a cold per-thread cache; keeps the
-/// best rep (counters come from the best rep too).
-fn measure(w: &Workload, options: Options, reps: usize) -> Measured {
-    let mut best: Option<Measured> = None;
-    for _ in 0..reps {
-        cache::clear_thread_caches();
-        let m = run_once(w, options);
-        let total = m.compile_ms + m.schedule_ms;
-        if best
-            .as_ref()
-            .is_none_or(|b| total < b.compile_ms + b.schedule_ms)
-        {
-            best = Some(m);
-        }
-    }
-    best.expect("at least one rep")
 }
 
 fn stats_json(s: &PolyStats) -> String {
@@ -120,15 +106,14 @@ fn stats_json(s: &PolyStats) -> String {
 struct WorkMeasure {
     /// Top-level **charged** work units. Independent of the host and the
     /// cache state (cache hits replay the charged cost of the
-    /// original computation), so `dmc-bench-diff` gates it exactly,
-    /// unlike the noisy wall-clock timings.
+    /// original computation).
     units: u64,
     /// Charged work per attribution context, `";"`-joined path → units,
     /// sorted by descending work. The input of `dmc-profile --diff`.
     contexts: Vec<(String, u64)>,
     /// `LinExpr` heap allocations during the pass. Deterministic because
     /// the pass starts from cold caches (`ledger::start` invalidates
-    /// them), which is why it is measured here and not in `measure`.
+    /// them), which is why it is measured here and not in `run_once`.
     allocs: u64,
     /// Messages per §6 optimization pass chain, from the provenance
     /// events the schedule build emits (`", "`-joined pass names,
@@ -304,7 +289,7 @@ fn sweep_work_units(nprocs: &[i128]) -> u64 {
 /// The critical-path section of one workload: event-DAG size, canonical
 /// path length, exact integer makespan, the six-category blame totals and
 /// the best what-if win. Every field is an exact integer derived from the
-/// deterministic schedule, so `dmc-bench-diff` gates the section exactly.
+/// deterministic schedule.
 fn critpath_json(schedule: &dmc_machine::Schedule, config: &MachineConfig) -> String {
     let crit = critpath::analyze(schedule, config).expect("critpath analysis");
     let blame: Vec<String> = crit
@@ -336,63 +321,86 @@ fn critpath_json(schedule: &dmc_machine::Schedule, config: &MachineConfig) -> St
     )
 }
 
-fn mode_json(m: &Measured) -> String {
-    format!(
-        "{{\"compile_ms\": {:.3}, \"schedule_ms\": {:.3}, \"total_ms\": {:.3}, \"counters\": {}}}",
-        m.compile_ms,
-        m.schedule_ms,
-        m.compile_ms + m.schedule_ms,
-        stats_json(&m.stats)
-    )
-}
+const USAGE: &str = "usage: perfstats [--out PATH | --check [PATH]] [--cache-dir PATH]";
 
-const USAGE: &str = "usage: perfstats [--out PATH] [--cache-dir PATH] [--quick]";
-
-fn main() {
-    let mut args = std::env::args().skip(1);
-    let mut out_path = String::from("BENCH_pipeline.json");
+fn main() -> ExitCode {
+    let mut args = std::env::args().skip(1).peekable();
+    let mut out_path: Option<String> = None;
+    let mut check_path: Option<String> = None;
     let mut cache_dir = std::path::PathBuf::from("target/perfstats-store");
-    let mut reps = REPS;
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--out" => out_path = args.next().unwrap_or_else(|| usage_error(USAGE)),
+            "--out" => out_path = Some(args.next().unwrap_or_else(|| usage_error(USAGE))),
+            "--check" => {
+                let path = args.next_if(|p| !p.starts_with("--"));
+                check_path = Some(path.unwrap_or_else(|| "BENCH_pipeline.json".to_owned()));
+            }
             "--cache-dir" => cache_dir = args.next().unwrap_or_else(|| usage_error(USAGE)).into(),
-            // Smoke mode (tier-1): one rep per workload. Timings get
-            // noisier but every identity check and every deterministic
-            // field (work units, contexts, allocs, polyops) is unchanged.
-            "--quick" => reps = 1,
             _ => usage_error(USAGE),
         }
     }
+    let Some(path) = check_path else {
+        let path = out_path.unwrap_or_else(|| "BENCH_pipeline.json".to_owned());
+        std::fs::write(&path, snapshot(&cache_dir)).expect("write JSON");
+        println!("wrote {path}");
+        return ExitCode::SUCCESS;
+    };
+    if out_path.is_some() {
+        usage_error(USAGE);
+    }
+    let golden = std::fs::read_to_string(&path)
+        .map_err(|e| format!("read {path}: {e}"))
+        .and_then(|text| json::parse(&text).map_err(|e| format!("{path}: {e}")));
+    let golden = match golden {
+        Ok(v) => v,
+        Err(e) => {
+            eprintln!("perfstats: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    let fresh = json::parse(&snapshot(&cache_dir)).expect("the snapshot is valid JSON");
+    let findings = json::diff(&golden, &fresh);
+    if findings.is_empty() {
+        println!("perfstats check ok: {path} reproduced exactly");
+        return ExitCode::SUCCESS;
+    }
+    eprintln!(
+        "perfstats: {} field(s) moved against {path}:",
+        findings.len()
+    );
+    for f in &findings {
+        eprintln!("  {f}");
+    }
+    ExitCode::from(1)
+}
 
+/// Measures every section and renders the snapshot document. Panics if
+/// an invariant the snapshot records fails (cold and warm runs differ, a
+/// Last Write Tree is built twice, the warm store pass recomputes or
+/// loads a corrupt entry).
+fn snapshot(cache_dir: &Path) -> String {
     let mut body = String::new();
     let mut all_identical = true;
 
     println!(
-        "{:<10} {:>12} {:>12} {:>10} {:>10}",
-        "workload", "cold (ms)", "warm (ms)", "identical", "cache hits"
+        "{:<10} {:>10} {:>10}",
+        "workload", "identical", "cache hits"
     );
     for (k, w) in workloads().iter().enumerate() {
-        // Best cold rep, then the same again over the caches it warmed:
-        // a memo hit may change time, never an output.
-        let fast = measure(w, Options::full(), reps);
-        let warm = run_once(w, Options::full());
+        // One run from cold caches, then the same again over the caches
+        // it warmed: a memo hit may change time, never an output.
+        cache::clear_thread_caches();
+        let cold = run_once(w);
+        let warm = run_once(w);
 
-        let identical = fast.schedule == warm.schedule
-            && fast.messages == warm.messages
-            && fast.sim == warm.sim;
+        let identical = cold.schedule == warm.schedule
+            && cold.messages == warm.messages
+            && cold.sim == warm.sim;
         all_identical &= identical;
 
-        let s = &fast.stats;
+        let s = &cold.stats;
         let hits = s.feas_cache_hits + s.proj_cache_hits + s.scan_cache_hits + s.lex_cache_hits;
-        println!(
-            "{:<10} {:>12.2} {:>12.2} {:>10} {:>10}",
-            w.name,
-            fast.compile_ms + fast.schedule_ms,
-            warm.compile_ms + warm.schedule_ms,
-            identical,
-            hits
-        );
+        println!("{:<10} {:>10} {:>10}", w.name, identical, hits);
 
         let params: Vec<String> = w.params.iter().map(|p| p.to_string()).collect();
         if k > 0 {
@@ -401,7 +409,7 @@ fn main() {
         let work = work_units(w);
         let pass_total: u64 = work.comm_passes.iter().map(|(_, n)| n).sum();
         assert_eq!(
-            pass_total, fast.messages.0,
+            pass_total, cold.messages.0,
             "{}: per-pass message counts must tile the message total",
             w.name
         );
@@ -409,7 +417,7 @@ fn main() {
             body,
             concat!(
                 "    {{\"name\": \"{}\", \"params\": [{}], \"nproc\": {},\n",
-                "     \"fast\": {},\n",
+                "     \"counters\": {},\n",
                 "     \"identical\": {},\n",
                 "     \"messages\": {}, \"transmissions\": {}, \"words\": {}, ",
                 "\"work_units\": {}, \"allocs\": {}, \"sim_time_s\": {:.6},\n",
@@ -420,15 +428,15 @@ fn main() {
             w.name,
             params.join(", "),
             w.nproc,
-            mode_json(&fast),
+            stats_json(&cold.stats),
             identical,
-            fast.messages.0,
-            fast.messages.1,
-            fast.messages.2,
+            cold.messages.0,
+            cold.messages.1,
+            cold.messages.2,
             work.units,
             work.allocs,
-            fast.sim.time,
-            critpath_json(&fast.schedule, &MachineConfig::ipsc860()),
+            cold.sim.time,
+            critpath_json(&cold.schedule, &MachineConfig::ipsc860()),
             contexts_json(&work.contexts),
             contexts_json(&work.comm_passes),
         )
@@ -439,10 +447,9 @@ fn main() {
     // The grid only enters the stage keys at the `opt` stage (receiver
     // folding), so every step after the first reuses all five per-read
     // Last Write Trees — only the `opt` stages re-run. Hit/miss totals are
-    // deterministic, so `dmc-bench-diff` gates them exactly, like
-    // `work_units`; the message counts come from the classic
-    // (non-session) `message_stats`, pinning the cached artifacts to the
-    // one-shot pipeline.
+    // deterministic fingerprint lookups; the message counts come from the
+    // classic (non-session) `message_stats`, pinning the cached artifacts
+    // to the one-shot pipeline.
     let sweep_nprocs: [i128; 4] = [2, 4, 8, 16];
     let sweep_params: [i128; 1] = [48];
     let mut session = Session::new();
@@ -500,8 +507,7 @@ fn main() {
     // session, then replayed through a fresh session. Every journal field
     // except the wall time is deterministic (input fingerprints, stage
     // hits/misses, charged work units, message statistics, the schedule
-    // fingerprint), so the replay must reproduce all of them and
-    // `dmc-bench-diff` gates the totals exactly, like the sweep.
+    // fingerprint), so the replay must reproduce all of them.
     let mut jsession = Session::new();
     jsession.set_journal(true);
     for w in &workloads() {
@@ -570,10 +576,10 @@ fn main() {
     // (so hit splits replay exactly), and the warm schedules
     // must be byte-identical to the cold ones — the store can change
     // speed, never output.
-    let _ = std::fs::remove_dir_all(&cache_dir);
+    let _ = std::fs::remove_dir_all(cache_dir);
     let mut cold = Session::new();
     cold.attach_store(Box::new(
-        DiskStore::open(&cache_dir, None).expect("open store"),
+        DiskStore::open(cache_dir, None).expect("open store"),
     ));
     let mut cold_schedules: Vec<String> = Vec::new();
     for w in &workloads() {
@@ -592,7 +598,7 @@ fn main() {
     let cold_store = cold.store_stats().expect("cold store attached");
     let mut warm = Session::new();
     warm.attach_store(Box::new(
-        DiskStore::open(&cache_dir, None).expect("reopen store"),
+        DiskStore::open(cache_dir, None).expect("reopen store"),
     ));
     let mut warm_schedules: Vec<String> = Vec::new();
     for w in &workloads() {
@@ -623,6 +629,10 @@ fn main() {
         warm_stats.stage_disk_hits,
         warm_stats.stage_hits + warm_stats.stage_misses
     );
+    assert_eq!(
+        warm_store.corrupt, 0,
+        "a clean cold/warm pass loaded corrupt store entries"
+    );
     let store_json = format!(
         concat!(
             "{{\"cold\": {{\"stage_hits\": {}, \"stage_misses\": {}, ",
@@ -646,12 +656,12 @@ fn main() {
         store_identical,
     );
 
-    let json = format!(
+    assert!(all_identical, "cache warmth or a store changed an output");
+    format!(
         concat!(
             "{{\n",
             "  \"bench\": \"pipeline\",\n",
             "  \"harness\": \"perfstats\",\n",
-            "  \"reps\": {},\n",
             "  \"workloads\": [\n{}\n  ],\n",
             "  \"sweep\": {},\n",
             "  \"journal\": {},\n",
@@ -660,16 +670,11 @@ fn main() {
             "  \"all_identical\": {}\n",
             "}}\n"
         ),
-        reps,
         body,
         sweep_json,
         journal_json,
         store_json,
         polyops_json(),
         all_identical,
-    );
-    std::fs::write(&out_path, &json).expect("write JSON");
-    println!("wrote {out_path}");
-
-    assert!(all_identical, "cache warmth or a store changed an output");
+    )
 }

@@ -1,11 +1,8 @@
-//! Shared workload generators for the benchmark harness: the paper's
+//! Shared workload generators for the harness binaries: the paper's
 //! programs (Figure 2, Figure 8, Figure 11 LU, the §2.2 motivating
-//! examples) with their decompositions, ready to compile and measure —
-//! plus the regression gate ([`diff`]) that compares two benchmark
-//! snapshots with per-field tolerances, and two compile journals record
-//! by record.
-
-pub mod diff;
+//! examples) with their decompositions, ready to compile and measure.
+//! `perfstats` writes their deterministic fields to `BENCH_pipeline.json`
+//! and, with `--check`, gates a fresh run against that file exactly.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;

@@ -4,7 +4,7 @@
 //! binary down a failure path via `CARGO_BIN_EXE_*` and asserts both
 //! properties.
 //!
-//! The gate binaries (`dmc-journal`, `dmc-bench-diff`) additionally
+//! The gate modes (`dmc-journal`, `perfstats --check`) additionally
 //! follow the shared exit-code convention — **0** clean, **1** drift,
 //! **2** usage-or-parse — and these tests pin the exact code on every
 //! path, so CI can distinguish
@@ -215,87 +215,93 @@ fn journal_fails_cleanly() {
     assert_eq!(out.status.code(), Some(0), "self-diff must exit 0: {out:?}");
 }
 
-/// `dmc-bench-diff` failure paths: missing files, malformed JSON, and a
-/// genuine regression each exit nonzero with the invariant on stderr —
-/// and with no panic backtrace (the stderr is read by humans in CI
-/// logs). Usage/parse paths exit 2; a regression exits 1; clean exits 0.
+/// `perfstats --check` exits 2 before measuring anything on a command line
+/// it cannot parse, a snapshot it cannot read and a snapshot that is not
+/// JSON; a snapshot one field off exits 1 naming the field's path and both
+/// values, without a panic backtrace (the stderr is read by humans in CI
+/// logs).
 #[test]
-fn bench_diff_fails_cleanly() {
-    let bin = env!("CARGO_BIN_EXE_dmc-bench-diff");
+fn perfstats_check_fails_cleanly() {
+    let bin = env!("CARGO_BIN_EXE_perfstats");
     let dir = tmpdir();
 
-    let out = run(bin, &["only-one.json"]);
-    assert_code(
-        &out,
-        2,
-        "need exactly OLD.json and NEW.json",
-        "bench-diff usage",
-    );
-    // The Prometheus comparison went with the exporters.
-    let out = run(bin, &["a.json", "b.json", "--metrics", "a.prom", "b.prom"]);
-    assert_code(
-        &out,
-        2,
-        "unknown argument: --metrics",
-        "bench-diff --metrics",
-    );
+    let out = run(bin, &["--check", "--bogus"]);
+    assert_code(&out, 2, "usage: perfstats", "perfstats --check --bogus");
+    let out = run(bin, &["--check", "a.json", "--out", "b.json"]);
+    assert_code(&out, 2, "usage: perfstats", "perfstats --check --out");
 
-    let out = run(bin, &["/nonexistent/a.json", "/nonexistent/b.json"]);
+    let out = run(bin, &["--check", "/nonexistent/BENCH.json"]);
     assert_code(
         &out,
         2,
-        "read /nonexistent/a.json",
-        "bench-diff missing file",
+        "read /nonexistent/BENCH.json",
+        "perfstats --check missing file",
     );
 
     let garbage = dir.join("garbage.json");
     std::fs::write(&garbage, "not json at all").expect("write fixture");
-    let out = run(bin, &[garbage.to_str().unwrap(), garbage.to_str().unwrap()]);
-    assert_eq!(
-        out.status.code(),
-        Some(2),
-        "malformed snapshot is a parse error, not drift: {out:?}"
+    let garbage = garbage.to_str().unwrap();
+    let out = run(bin, &["--check", garbage]);
+    assert_code(
+        &out,
+        2,
+        &format!("{garbage}: bad literal at line 1 column 1"),
+        "perfstats --check malformed snapshot",
     );
 
-    // A real regression: two otherwise-identical snapshots that disagree
-    // on the deterministic work-unit total.
-    let snap = |work: u64| {
-        format!(
-            concat!(
-                "{{\"bench\": \"pipeline\", \"workloads\": [\n",
-                "  {{\"name\": \"w\", \"identical\": true, \"messages\": 1, ",
-                "\"transmissions\": 1, \"words\": 1, \"work_units\": {}, ",
-                "\"sim_time_s\": 0.5,\n",
-                "   \"fast\": {{\"compile_ms\": 1.0, \"schedule_ms\": 1.0, \"total_ms\": 2.0}}}}\n",
-                "], \"all_identical\": true}}\n"
-            ),
-            work
-        )
-    };
-    let old = dir.join("old.json");
-    let new = dir.join("new.json");
-    std::fs::write(&old, snap(100)).expect("write old");
-    std::fs::write(&new, snap(101)).expect("write new");
-    let out = run(bin, &[old.to_str().unwrap(), new.to_str().unwrap()]);
+    // lu is the first workload; its work_units the first in the file.
+    let committed = std::fs::read_to_string(snapshot_path()).expect("read snapshot");
+    let needle = "\"work_units\": ";
+    let at = committed.find(needle).expect("snapshot has work_units") + needle.len();
+    let end = at + committed[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    let units: u64 = committed[at..end].parse().expect("parse work_units");
+    let drifted = dir.join("BENCH_drifted.json");
+    let text = format!("{}{}{}", &committed[..at], units + 1, &committed[end..]);
+    std::fs::write(&drifted, text).expect("write fixture");
+    let out = perfstats_check(drifted.to_str().unwrap(), "drifted");
     assert_code(
         &out,
         1,
-        "work_units changed 100 -> 101",
-        "bench-diff work-unit gate",
+        &format!("workloads[0].work_units: {} -> {units}", units + 1),
+        "perfstats --check one field off",
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         !stderr.contains("panicked"),
-        "the gate must fail without a panic backtrace:\n{stderr}"
+        "drift must fail without a panic backtrace:\n{stderr}"
     );
+    assert_eq!(stderr.lines().count(), 2, "one finding: {stderr}");
+}
 
-    // And the same snapshots agree with themselves.
-    let out = run(bin, &[old.to_str().unwrap(), old.to_str().unwrap()]);
+/// The committed snapshot is what the code produces: `perfstats --check`
+/// reproduces every field of it and exits 0.
+#[test]
+fn perfstats_check_passes_on_the_committed_snapshot() {
+    let out = perfstats_check(snapshot_path().to_str().unwrap(), "committed");
     assert_eq!(
         out.status.code(),
         Some(0),
-        "identical snapshots must pass with exit 0: {out:?}"
+        "the committed snapshot must reproduce exactly:\n{}",
+        String::from_utf8_lossy(&out.stderr)
     );
+}
+
+fn snapshot_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_pipeline.json")
+}
+
+/// `perfstats --check SNAPSHOT`, with the store pass in its own directory.
+fn perfstats_check(snapshot: &str, name: &str) -> Output {
+    let cache_dir = tmpdir().join(format!("perfstats-store-{name}"));
+    run(
+        env!("CARGO_BIN_EXE_perfstats"),
+        &[
+            "--check",
+            snapshot,
+            "--cache-dir",
+            cache_dir.to_str().unwrap(),
+        ],
+    )
 }
 
 /// `perfstats` rejects what it cannot parse — an unknown flag, a flag
@@ -307,7 +313,7 @@ fn perfstats_usage_errors_exit_2() {
     let bin = env!("CARGO_BIN_EXE_perfstats");
     let out_path = tmpdir().join("perfstats-must-not-write.json");
     let _ = std::fs::remove_file(&out_path);
-    let out = run(bin, &["--qiuck", "--out", out_path.to_str().unwrap()]);
+    let out = run(bin, &["--bogus", "--out", out_path.to_str().unwrap()]);
     assert_code(&out, 2, "usage: perfstats", "perfstats with unknown flag");
     assert_eq!(
         String::from_utf8_lossy(&out.stderr).lines().count(),

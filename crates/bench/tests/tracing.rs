@@ -8,14 +8,16 @@
 //!   lanes, host-dependent records are excluded);
 //! * **well-formedness** — the Chrome export of a real capture passes the
 //!   validator (balanced name-matched begin/end pairs, monotonic
-//!   timestamps per lane).
+//!   timestamps per lane);
+//! * **legality attempts** — how many `schedule.attempt`s each registry
+//!   workload takes is pinned, and a retry names the ranks that deadlocked.
 //!
 //! The capture (like the engine knobs) is process-wide, so every test in
 //! this file serializes on one mutex.
 
 use std::sync::Mutex;
 
-use dmc_bench::{figure2_input, stencil_input, xy_input};
+use dmc_bench::{figure2_input, lu_input, stencil_input, workloads, xy_input};
 use dmc_core::{build_schedule, compile, message_stats, run, CompileInput, Options};
 use dmc_machine::MachineConfig;
 use dmc_obs as obs;
@@ -177,4 +179,62 @@ fn sim_lanes_cover_every_processor() {
         "one machine-view row per processor:\n{report}"
     );
     assert!(report.contains("Top links by traffic:"), "{report}");
+}
+
+/// The records of one timing-mode `build_schedule` of `input`, captured
+/// without the compile, the message statistics or the machine run.
+fn schedule_records(input: CompileInput, params: &[i128], options: Options) -> Vec<obs::Record> {
+    let compiled = compile(input, options).expect("compiles");
+    obs::start_capture();
+    build_schedule(&compiled, params, false, LIMIT).expect("schedules");
+    let trace = obs::finish_capture();
+    trace.lanes.into_iter().flat_map(|l| l.records).collect()
+}
+
+/// A legality retry carries the ranks the dry run found blocked: LU at
+/// (N = 12, P = 4) deadlocks once at the paper's aggregation level.
+#[test]
+fn lu_retry_names_the_blocked_ranks() {
+    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let records = schedule_records(lu_input(4), &[12], Options::full());
+    let retries: Vec<&obs::Record> = records
+        .iter()
+        .filter(|r| r.name == "schedule.retry")
+        .collect();
+    assert_eq!(retries.len(), 1, "{retries:?}");
+    let blocked = retries[0].get("blocked").map(obs::Value::render);
+    assert!(
+        blocked.is_some_and(|b| !b.is_empty()),
+        "the retry must list the blocked ranks: {retries:?}"
+    );
+}
+
+/// The legality loop's attempt count per registry workload, in timing
+/// mode: a change to where the planner aggregates shows here first.
+#[test]
+fn legality_attempts_per_workload_are_pinned() {
+    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let attempts = |input: CompileInput, params: &[i128], options: Options| {
+        schedule_records(input, params, options)
+            .iter()
+            .filter(|r| r.phase == obs::Phase::Begin && r.name == "schedule.attempt")
+            .count()
+    };
+    let got: Vec<(&str, usize, usize)> = workloads()
+        .iter()
+        .map(|w| {
+            let full = attempts((w.input)(w.nproc), &w.params, Options::full());
+            let naive = attempts((w.input)(w.nproc), &w.params, Options::naive());
+            (w.name, full, naive)
+        })
+        .collect();
+    assert_eq!(
+        got,
+        [
+            ("lu", 2, 1),
+            ("stencil", 2, 1),
+            ("figure2", 1, 1),
+            ("xy", 1, 1)
+        ]
+    );
 }

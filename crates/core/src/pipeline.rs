@@ -488,8 +488,10 @@ pub(crate) fn build_schedule_inner(
         .max()
         .unwrap_or(0);
     let mut plan = hoist(compiled, param_vals, limit, values)?;
-    let mut last_err = None;
-    for extra in 0..=max_depth {
+    // Every attempt returns but a deadlock below `max_depth`; one at
+    // `max_depth` is the error, with its blocked ranks.
+    let mut extra = 0;
+    loop {
         let _attempt = obs::span_f("schedule.attempt", || {
             vec![obs::field("extra_split", extra)]
         });
@@ -527,17 +529,20 @@ pub(crate) fn build_schedule_inner(
                 }
                 return Ok(schedule);
             }
-            Err(SimError::Deadlock { .. }) if extra < max_depth => {
-                obs::event("schedule.retry", vec![obs::field("extra_split", extra)]);
-                last_err = Some(SimError::Deadlock { blocked: vec![] });
-                continue;
+            Err(SimError::Deadlock { blocked }) if extra < max_depth => {
+                // The ranks that formed the wait cycle, e.g. `0,1,2,3`.
+                obs::event_f("schedule.retry", || {
+                    let ranks: Vec<String> = blocked.iter().map(usize::to_string).collect();
+                    vec![
+                        obs::field("extra_split", extra),
+                        obs::field("blocked", ranks.join(",")),
+                    ]
+                });
+                extra += 1;
             }
             Err(e) => return Err(CompileError::Sim(e)),
         }
     }
-    Err(CompileError::Sim(
-        last_err.unwrap_or(SimError::Deadlock { blocked: vec![] }),
-    ))
 }
 
 /// Everything [`build_schedule`]'s legality loop derives once, before its

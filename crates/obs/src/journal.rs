@@ -235,6 +235,35 @@ pub fn parse_journal(text: &str) -> Result<Vec<JournalRecord>, String> {
     Ok(out)
 }
 
+/// Compares two JSONL journals record by record. A journal is
+/// append-only, so the new journal may *extend* the old one but never
+/// shrink it, and every record the two share must agree on all
+/// deterministic fields ([`JournalRecord::field_diffs`]). Returns the
+/// differences; empty means the new journal passes.
+///
+/// # Errors
+///
+/// Returns an error when either journal fails to parse (the message
+/// names the offending 1-based line).
+pub fn diff_journals(old_text: &str, new_text: &str) -> Result<Vec<String>, String> {
+    let old = parse_journal(old_text).map_err(|e| format!("old {e}"))?;
+    let new = parse_journal(new_text).map_err(|e| format!("new {e}"))?;
+    let mut findings = Vec::new();
+    if new.len() < old.len() {
+        findings.push(format!(
+            "journal shrank from {} to {} record(s) (append-only journals never lose entries)",
+            old.len(),
+            new.len()
+        ));
+    }
+    for (o, n) in old.iter().zip(&new) {
+        for d in o.field_diffs(n) {
+            findings.push(format!("seq {} ({}): {d}", o.seq, o.workload));
+        }
+    }
+    Ok(findings)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,5 +330,37 @@ mod tests {
         let hole = render_journal(&[sample(0), sample(2)]);
         let err = parse_journal(&hole).unwrap_err();
         assert!(err.contains("out of order"), "{err}");
+    }
+
+    /// Byte-identical journals and clean appends pass; truncation, a
+    /// deterministic field drift, or a parse error are findings — but a
+    /// wall-time change alone is not.
+    #[test]
+    fn journal_files_diff_on_deterministic_fields_only() {
+        let rec = |seq: u64, work: u64, wall: u64| JournalRecord {
+            work_units: work,
+            wall_us: wall,
+            ..sample(seq)
+        };
+        let old = render_journal(&[rec(0, 100, 10), rec(1, 200, 20)]);
+        assert!(diff_journals(&old, &old).unwrap().is_empty());
+
+        // Appending is what journals do: longer new journal passes.
+        let appended = render_journal(&[rec(0, 100, 10), rec(1, 200, 20), rec(2, 300, 30)]);
+        assert!(diff_journals(&old, &appended).unwrap().is_empty());
+        // Truncation is a finding.
+        let d = diff_journals(&appended, &old).unwrap();
+        assert!(d.iter().any(|f| f.contains("shrank")), "{d:?}");
+
+        // Wall time moves freely; work units do not.
+        let slower = render_journal(&[rec(0, 100, 99999), rec(1, 200, 20)]);
+        assert!(diff_journals(&old, &slower).unwrap().is_empty());
+        let work = render_journal(&[rec(0, 100, 10), rec(1, 201, 20)]);
+        let d = diff_journals(&old, &work).unwrap();
+        assert_eq!(d, vec!["seq 1 (lu): work_units: 200 != 201"]);
+
+        // A corrupt journal is an error naming the line, not a finding.
+        let err = diff_journals(&old, "garbage").unwrap_err();
+        assert!(err.contains("journal line 1"), "{err}");
     }
 }

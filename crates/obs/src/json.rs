@@ -1,7 +1,9 @@
 //! A minimal JSON reader/writer without external dependencies — enough
 //! for the Chrome-trace validator to re-parse its own output, and public
-//! so downstream tools (the bench regression gate) can read the snapshot
-//! files this workspace writes.
+//! so downstream tools can read the documents this workspace writes and
+//! compare two of them ([`diff`], the `perfstats --check` gate).
+
+use std::fmt;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -59,6 +61,72 @@ impl Json {
             Json::Obj(v) => Some(v),
             _ => None,
         }
+    }
+}
+
+/// Compact JSON text: no whitespace, numbers in their shortest
+/// round-trip form (`2358`, `0.034626`).
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(v) => write!(f, "{v}"),
+            Json::Num(v) => write!(f, "{v}"),
+            Json::Str(v) => f.write_str(&quote(v)),
+            Json::Arr(items) => {
+                f.write_str("[")?;
+                for (i, v) in items.iter().enumerate() {
+                    write!(f, "{}{v}", if i > 0 { "," } else { "" })?;
+                }
+                f.write_str("]")
+            }
+            Json::Obj(fields) => {
+                f.write_str("{")?;
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    write!(f, "{}{}:{v}", if i > 0 { "," } else { "" }, quote(k))?;
+                }
+                f.write_str("}")
+            }
+        }
+    }
+}
+
+/// Every place two documents disagree, as `path: old -> new` lines in
+/// document order (`workloads[0].work_units: 2358 -> 2359`). A finding is
+/// a leaf that differs, a value whose type changed, or a key or array
+/// element present on one side only (`(none)` on the other). Object keys
+/// are matched by name, so key order is not compared. Empty means equal.
+pub fn diff(old: &Json, new: &Json) -> Vec<String> {
+    let mut out = Vec::new();
+    diff_at(String::new(), Some(old), Some(new), &mut out);
+    out
+}
+
+fn diff_at(path: String, old: Option<&Json>, new: Option<&Json>, out: &mut Vec<String>) {
+    let child = |key: &str| match path.as_str() {
+        "" => key.to_owned(),
+        p => format!("{p}.{key}"),
+    };
+    match (old, new) {
+        (Some(o @ Json::Obj(old_fields)), Some(n @ Json::Obj(new_fields))) => {
+            for (k, v) in old_fields {
+                diff_at(child(k), Some(v), n.get(k), out);
+            }
+            for (k, v) in new_fields.iter().filter(|(k, _)| o.get(k).is_none()) {
+                diff_at(child(k), None, Some(v), out);
+            }
+        }
+        (Some(Json::Arr(o)), Some(Json::Arr(n))) => {
+            for i in 0..o.len().max(n.len()) {
+                diff_at(format!("{path}[{i}]"), o.get(i), n.get(i), out);
+            }
+        }
+        (o, n) if o != n => {
+            let show = |v: Option<&Json>| v.map_or_else(|| "(none)".to_owned(), Json::to_string);
+            let at = if path.is_empty() { "(root)" } else { &path };
+            out.push(format!("{at}: {} -> {}", show(o), show(n)));
+        }
+        _ => {}
     }
 }
 
@@ -357,5 +425,67 @@ mod tests {
         // Missing comma between fields.
         let err = parse("{\"a\": 1\n \"b\": 2}").unwrap_err();
         assert!(err.contains("line 2 column 2"), "{err}");
+    }
+
+    const DOC: &str = r#"{"reps": 3, "workloads": [{"name": "lu", "work_units": 2358,
+        "critpath": {"blame": {"alpha": 5}, "top_whatif": null}}], "ok": true}"#;
+
+    #[test]
+    fn diff_of_a_document_with_itself_is_empty() {
+        let v = parse(DOC).unwrap();
+        assert!(diff(&v, &v).is_empty());
+        // Key order is not compared.
+        let reordered = parse(
+            r#"{"ok": true, "workloads": [{"critpath":
+            {"top_whatif": null, "blame": {"alpha": 5}}, "work_units": 2358, "name": "lu"}],
+            "reps": 3}"#,
+        )
+        .unwrap();
+        assert!(diff(&v, &reordered).is_empty());
+    }
+
+    #[test]
+    fn diff_names_a_changed_leaf_by_path_with_both_values() {
+        let old = parse(DOC).unwrap();
+        for (from, to, finding) in [
+            ("2358", "2359", "workloads[0].work_units: 2358 -> 2359"),
+            (
+                "\"alpha\": 5",
+                "\"alpha\": 5.5",
+                "workloads[0].critpath.blame.alpha: 5 -> 5.5",
+            ),
+            ("\"lu\"", "\"xy\"", "workloads[0].name: \"lu\" -> \"xy\""),
+            ("true", "false", "ok: true -> false"),
+            // A type change is a leaf change.
+            (
+                "null",
+                "{\"msg\": 1}",
+                "workloads[0].critpath.top_whatif: null -> {\"msg\":1}",
+            ),
+        ] {
+            let new = parse(&DOC.replace(from, to)).unwrap();
+            assert_eq!(diff(&old, &new), vec![finding]);
+        }
+    }
+
+    #[test]
+    fn diff_reports_a_missing_and_an_extra_key() {
+        let old = parse(DOC).unwrap();
+        let new = parse(&DOC.replace("\"reps\": 3, ", "")).unwrap();
+        assert_eq!(diff(&old, &new), vec!["reps: 3 -> (none)"]);
+        assert_eq!(diff(&new, &old), vec!["reps: (none) -> 3"]);
+        let grown =
+            parse(&DOC.replace("\"ok\"", "\"counters\": {\"fm_steps\": 1}, \"ok\"")).unwrap();
+        assert_eq!(
+            diff(&old, &grown),
+            vec!["counters: (none) -> {\"fm_steps\":1}"]
+        );
+        // Array elements on one side only are findings too.
+        let (a, b) = (parse("[1, 2]").unwrap(), parse("[1]").unwrap());
+        assert_eq!(diff(&a, &b), vec!["[1]: 2 -> (none)"]);
+        assert_eq!(
+            diff(&Json::Num(1.0), &Json::Null),
+            vec!["(root): 1 -> null"]
+        );
     }
 }

@@ -3,7 +3,7 @@
 # suite, then optionally regenerate the performance-harness JSON.
 #
 #   scripts/tier1.sh           # build + test (offline)
-#   scripts/tier1.sh --bench   # also run perfstats -> BENCH_pipeline.json
+#   scripts/tier1.sh --bench   # also refresh BENCH_pipeline.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -99,18 +99,12 @@ cargo run --release -p dmc-bench --bin dmc-session -- \
 cargo run --release -p dmc-bench --bin dmc-journal -- \
     --check --out-dir target/journal-tier1
 
-# Bench regression gate: re-measure the pipeline (--quick: one cold-cache
-# timing rep per workload, plus the warm-cache rerun its identity flag
-# compares against — every deterministic field is rep-independent) and
-# diff against the committed snapshot. Correctness fields (message/transmission/word
-# counts, simulated time, identity flags) and the deterministic
-# work-unit, allocation and polyops totals must match exactly; the
-# timing tolerance is generous (150%) because tier-1 runs on arbitrary
-# shared hosts where wall-clock is noise — committed-snapshot refreshes
-# use the strict default (15%) via `dmc-bench-diff old new`.
-cargo run --release -p dmc-bench --bin perfstats -- --quick --out target/BENCH_tier1.json
-cargo run --release -p dmc-bench --bin dmc-bench-diff -- \
-    BENCH_pipeline.json target/BENCH_tier1.json --time-tol 1.5
+# Snapshot gate: re-measure the pipeline (one cold run per workload plus
+# the warm rerun its identity flag compares against) and compare it with
+# the committed BENCH_pipeline.json. Every field is deterministic, so
+# every field must match exactly; a moved field is printed as
+# `path: old -> new` and fails the script. Wall-clock lives in benchmark/.
+cargo run --release -p dmc-bench --bin perfstats -- --check
 
 # Repo benchmark smoke: benchmark/ is its own package, so the workspace
 # build above never compiles it and a removed `pub` item could break the
