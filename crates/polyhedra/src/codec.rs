@@ -445,16 +445,14 @@ impl Codec for Space {
         for _ in 0..n {
             dims.push(Dim::decode(d)?);
         }
-        // `Space::add_dim` panics on duplicate names; a corrupted payload
-        // must surface as an error instead.
+        // A space never holds two dimensions of one name; a corrupted
+        // payload must surface as an error instead.
         for i in 1..dims.len() {
             if dims[..i].iter().any(|p: &Dim| p.name() == dims[i].name()) {
                 return Err(CodecError::Invalid("duplicate dimension name"));
             }
         }
-        Ok(Space::from_dims(
-            dims.iter().map(|d| (d.name().to_owned(), d.kind())),
-        ))
+        Ok(Space::from_distinct(dims))
     }
 }
 

@@ -47,23 +47,10 @@ pub enum Normalized {
 /// assert!(!c.satisfied_by(&[2]).unwrap());
 /// assert_eq!(c.display(&s).to_string(), "i - 3 >= 0");
 /// ```
-#[derive(Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Constraint {
     expr: LinExpr,
     kind: ConstraintKind,
-}
-
-/// Manual clone so every constraint copy is visible in
-/// [`stats`](crate::stats) as `cons_cloned` — the tableau-copy volume the
-/// arena representation is meant to keep cheap.
-impl Clone for Constraint {
-    fn clone(&self) -> Constraint {
-        crate::stats::count_cons_cloned();
-        Constraint {
-            expr: self.expr.clone(),
-            kind: self.kind,
-        }
-    }
 }
 
 impl Constraint {

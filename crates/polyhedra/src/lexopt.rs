@@ -76,7 +76,7 @@ impl LexOpt {
             .map(|_| {
                 let (cons, contradiction) = r.rows(dims);
                 LexPiece {
-                    context: Polyhedron::unindexed(space.clone(), cons, contradiction),
+                    context: Polyhedron::from_parts(space.clone(), cons, contradiction),
                     solution: (0..r.usize()).map(|_| r.expr(dims).0).collect(),
                 }
             })

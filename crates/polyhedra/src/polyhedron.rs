@@ -3,7 +3,6 @@
 //! superfluous-constraint removal by the negation test, and integer
 //! feasibility via equality elimination plus branch-and-bound.
 
-use std::collections::HashSet;
 use std::fmt;
 
 use crate::cache::{self, put_rows, Query};
@@ -67,10 +66,11 @@ pub struct Polyhedron {
     space: Space,
     cons: Vec<Constraint>,
     contradiction: bool,
-    /// Hash-backed dedup index for [`Polyhedron::add`]. Invariant: a subset
-    /// of `cons` as a set; rebuilt (and `cons` deduplicated) lazily when the
-    /// lengths disagree after direct constraint-list construction.
-    index: HashSet<Constraint>,
+    /// How many leading rows of `cons` are known pairwise distinct. Lists
+    /// built directly (`extend_space`, `remap`, `from_parts`, ...) start at
+    /// 0, and [`Polyhedron::add`] drops the repeats past this prefix before
+    /// it appends.
+    distinct: usize,
 }
 
 impl PartialEq for Polyhedron {
@@ -90,7 +90,7 @@ impl Polyhedron {
             space,
             cons: Vec::new(),
             contradiction: false,
-            index: HashSet::new(),
+            distinct: 0,
         }
     }
 
@@ -100,7 +100,7 @@ impl Polyhedron {
             space,
             cons: Vec::new(),
             contradiction: true,
-            index: HashSet::new(),
+            distinct: 0,
         }
     }
 
@@ -109,8 +109,8 @@ impl Polyhedron {
     /// [`Polyhedron::is_obviously_empty`]. The constraint list is trusted
     /// verbatim — it must be one a `Polyhedron` previously held (already
     /// normalized and deduplicated), which is exactly what the byte codec
-    /// stores — so no normalization pass runs and the round-trip is
-    /// byte-identical.
+    /// stores, and what the memo maps hand back — so no normalization pass
+    /// runs and the round-trip is byte-identical.
     pub fn from_parts(space: Space, cons: Vec<Constraint>, contradiction: bool) -> Self {
         for c in &cons {
             assert_eq!(
@@ -119,12 +119,11 @@ impl Polyhedron {
                 "constraint space mismatch in from_parts"
             );
         }
-        let index = cons.iter().cloned().collect();
         Polyhedron {
             space,
             cons,
             contradiction,
-            index,
+            distinct: 0,
         }
     }
 
@@ -144,9 +143,10 @@ impl Polyhedron {
         self.contradiction
     }
 
-    /// Adds a constraint (normalizing it first). Duplicates are dropped via
-    /// a hash index, so building a system of `n` constraints is O(n) rather
-    /// than the O(n²) of a linear-scan dedup.
+    /// Adds a constraint (normalizing it first). Duplicates are dropped by a
+    /// linear scan of the rows, which on this compiler's systems is short:
+    /// the largest any `add` sees on the benchmark workloads has 46 rows,
+    /// and none reaches 64.
     pub fn add(&mut self, c: Constraint) {
         assert_eq!(
             c.expr().len(),
@@ -157,18 +157,20 @@ impl Polyhedron {
             Normalized::Tautology => {}
             Normalized::Contradiction => self.contradiction = true,
             Normalized::Constraint(n) => {
-                if self.index.len() != self.cons.len() {
-                    // Re-sync after direct constraint-list construction
-                    // (extend_space / remap / redundancy removal build
-                    // `cons` without touching the index); this also drops
-                    // any exact duplicates those paths introduced.
-                    let mut seen = HashSet::with_capacity(self.cons.len());
-                    self.cons.retain(|c| seen.insert(c.clone()));
-                    self.index = seen;
+                // Rows built directly past the distinct prefix may repeat
+                // earlier ones: keep each first occurrence, in order.
+                let mut kept = self.distinct;
+                for i in self.distinct..self.cons.len() {
+                    if !self.cons[..kept].contains(&self.cons[i]) {
+                        self.cons.swap(kept, i);
+                        kept += 1;
+                    }
                 }
-                if self.index.insert(n.clone()) {
+                self.cons.truncate(kept);
+                if !self.cons.contains(&n) {
                     self.cons.push(n);
                 }
+                self.distinct = self.cons.len();
             }
         }
     }
@@ -192,29 +194,17 @@ impl Polyhedron {
         }
     }
 
-    /// A memoized answer over `space`: the rows a `Polyhedron` held, in
-    /// its order, with the hash index left for the next `add` to build.
-    pub(crate) fn unindexed(space: Space, cons: Vec<Constraint>, contradiction: bool) -> Self {
-        Polyhedron {
-            space,
-            cons,
-            contradiction,
-            index: HashSet::new(),
-        }
-    }
-
     /// A copy of this system with `c` as row `at`: in place of that row, or
     /// appended when `at` is the row count. The copy holds what
     /// [`add`](Polyhedron::add)ing those rows one by one to an empty
     /// polyhedron builds — `c` normalized (a tautology dropped, a
     /// contradiction recorded), every row kept unless an equal one precedes
     /// it — which is what `clone()` + `add(c)` leaves whenever `c` adds a
-    /// row, but the hash index is neither copied nor built: duplicates are
-    /// found by linear scan and the copy starts with an empty index that
-    /// the next `add` re-syncs. This is how
-    /// the probing loops build the one-row variations of a system
-    /// (`poly ∧ (e − 1 ≥ 0)`, a row swapped for its negation) that they
-    /// query once and drop.
+    /// row, built in one pass into one allocation instead of a copy that
+    /// `add` then grows (or, for a swapped row, re-`add`s from scratch).
+    /// This is how the probing loops build the one-row variations of a
+    /// system (`poly ∧ (e − 1 ≥ 0)`, a row swapped for its negation) that
+    /// they query once and drop.
     ///
     /// # Panics
     ///
@@ -243,6 +233,7 @@ impl Polyhedron {
                 out.cons.push(r.clone());
             }
         }
+        out.distinct = out.cons.len();
         out
     }
 
@@ -457,7 +448,6 @@ impl Polyhedron {
                 rest.set_coeff(d, 0);
                 let repl = rest.scale(-a.signum())?;
                 cur.cons.retain(|c| c != &eq);
-                cur.index.clear();
                 cur = cur.substitute_dim(d, &repl)?;
                 continue;
             }
@@ -518,7 +508,7 @@ impl Polyhedron {
             |out, buf| put_rows(buf, &out.cons, out.contradiction),
             |r| {
                 let (cons, contradiction) = r.rows(self.space.len());
-                Polyhedron::unindexed(self.space.clone(), cons, contradiction)
+                Polyhedron::from_parts(self.space.clone(), cons, contradiction)
             },
         )
     }
@@ -815,7 +805,6 @@ impl Polyhedron {
                 rest.set_coeff(d, 0);
                 let replacement = rest.scale(-a.signum())?;
                 cur.cons.remove(eq_idx);
-                cur.index.clear();
                 cur = cur.substitute_dim(d, &replacement)?;
             } else {
                 // Pugh's transformation: introduce sigma with
@@ -1108,7 +1097,6 @@ impl Polyhedron {
     }
 
     fn add_dim_internal(&mut self) -> usize {
-        self.index.clear();
         let d = self.space.add_aux();
         for c in &mut self.cons {
             let e = c.expr().extend(1);
@@ -1853,7 +1841,7 @@ mod tests {
 
     /// `with_row` builds exactly the constraint list of the `add` calls it
     /// replaces: `clone` + `add` when appending, a fresh universe re-`add`ing
-    /// every row when one is swapped — on index-synced systems and on
+    /// every row when one is swapped — on `add`-built systems and on
     /// directly built ones that still hold duplicate rows.
     #[test]
     fn with_row_equals_the_adds_it_replaces() {
@@ -1881,7 +1869,7 @@ mod tests {
                     assert_eq!(got, appended, "{p:?} ∧ {c:?}");
                 }
                 assert_eq!(got.contradiction, appended.contradiction);
-                assert!(got.index.is_empty());
+                assert_eq!(got.distinct, got.cons.len(), "built distinct");
 
                 for at in 0..p.cons.len() {
                     let mut swapped = Polyhedron::universe(p.space.clone());
@@ -1892,11 +1880,12 @@ mod tests {
                 }
             }
         }
-        // The copy's empty index re-syncs on the next `add`.
-        let mut grown = stale.with_row(0, extras[0].clone());
+        // A directly built copy is deduplicated by the next `add`.
+        let mut grown = stale.clone();
+        assert_eq!((grown.cons.len(), grown.distinct), (5, 3));
         grown.add(ge(vec![1, 1], 0));
         grown.add(ge(vec![1, 1], 0));
-        assert_eq!((grown.cons.len(), grown.index.len()), (5, 5));
+        assert_eq!((grown.cons.len(), grown.distinct), (4, 4));
     }
 
     #[test]

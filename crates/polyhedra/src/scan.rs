@@ -100,7 +100,7 @@ impl ScanNest {
         let (cons, contradiction) = r.rows(dims);
         ScanNest {
             vars,
-            guard: Polyhedron::unindexed(space.clone(), cons, contradiction),
+            guard: Polyhedron::from_parts(space.clone(), cons, contradiction),
         }
     }
 

@@ -8,8 +8,16 @@
 //! loop-index variables, symbolic constants (parameters), processor indices,
 //! array subscripts, and auxiliary existential variables introduced for
 //! modulo/divisibility conditions (paper §4.4.2).
+//!
+//! A space's dimensions are shared, not owned: they sit behind one
+//! reference count, so cloning a `Space` (which every polyhedron copy does)
+//! is a count bump, and two clones compare equal by pointer. The first
+//! [`Space::add_dim`], [`Space::add_aux`] or [`Space::product`] on a shared
+//! space copies the dimensions (copy on write); the other holders keep
+//! seeing the old list.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// The role a dimension plays in a polyhedron.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -80,15 +88,31 @@ impl Dim {
 /// assert_eq!(s.dim(t).name(), "t");
 /// assert_eq!(s.index_of("N"), Some(n));
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Debug, Eq, Default)]
 pub struct Space {
-    dims: Vec<Dim>,
+    dims: Arc<Vec<Dim>>,
+}
+
+/// Clones of one space share their dimensions, so equality is first a
+/// pointer test.
+impl PartialEq for Space {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.dims, &other.dims) || self.dims == other.dims
+    }
 }
 
 impl Space {
     /// Creates an empty space.
     pub fn new() -> Self {
-        Space { dims: Vec::new() }
+        Space::default()
+    }
+
+    /// A space over `dims`, whose names the caller has already checked to
+    /// be distinct.
+    pub(crate) fn from_distinct(dims: Vec<Dim>) -> Self {
+        Space {
+            dims: Arc::new(dims),
+        }
     }
 
     /// Creates a space from a list of `(name, kind)` pairs.
@@ -119,8 +143,9 @@ impl Space {
             self.index_of(&name).is_none(),
             "duplicate dimension name {name:?}"
         );
-        self.dims.push(Dim::new(name, kind));
-        self.dims.len() - 1
+        let dims = Arc::make_mut(&mut self.dims);
+        dims.push(Dim::new(name, kind));
+        dims.len() - 1
     }
 
     /// Appends an auxiliary dimension with a fresh generated name and
@@ -241,6 +266,23 @@ mod tests {
         let c = a.product(&b);
         assert_eq!(c.len(), 2);
         assert_eq!(c.index_of("p"), Some(1));
+    }
+
+    #[test]
+    fn clones_share_until_written() {
+        let a = Space::from_dims([("i", DimKind::Index)]);
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(&a.dims, &b.dims));
+        assert_eq!(a, b);
+        b.add_dim("N", DimKind::Param);
+        assert_eq!((a.len(), b.len()), (1, 2), "the write copied");
+        assert_eq!(a.index_of("N"), None);
+        assert_ne!(a, b);
+        // Equal lists compare equal without sharing.
+        assert_eq!(
+            b,
+            Space::from_dims([("i", DimKind::Index), ("N", DimKind::Param)])
+        );
     }
 
     #[test]

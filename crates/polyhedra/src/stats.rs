@@ -51,7 +51,6 @@ static PREFILTER_KEEPS: AtomicU64 = AtomicU64::new(0);
 static CACHE_BYPASSES: AtomicU64 = AtomicU64::new(0);
 static LEX_SPLITS: AtomicU64 = AtomicU64::new(0);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static CONS_CLONED: AtomicU64 = AtomicU64::new(0);
 static INLINE_SPILLS: AtomicU64 = AtomicU64::new(0);
 static BATCH_SAVED: AtomicU64 = AtomicU64::new(0);
 static SCAN_POINTS: AtomicU64 = AtomicU64::new(0);
@@ -127,8 +126,6 @@ pub struct PolyStats {
     /// inline buffer (creation past the inline width, or cloning a
     /// heap-backed row).
     pub allocs: u64,
-    /// [`Constraint`](crate::Constraint) clones (inline or spilled).
-    pub cons_cloned: u64,
     /// Inline-to-heap transitions: an operation on an inline coefficient
     /// row produced one wider than the inline buffer.
     pub inline_spills: u64,
@@ -179,7 +176,6 @@ impl PolyStats {
             cache_bypasses: self.cache_bypasses.saturating_sub(earlier.cache_bypasses),
             lex_splits: self.lex_splits.saturating_sub(earlier.lex_splits),
             allocs: self.allocs.saturating_sub(earlier.allocs),
-            cons_cloned: self.cons_cloned.saturating_sub(earlier.cons_cloned),
             inline_spills: self.inline_spills.saturating_sub(earlier.inline_spills),
             batch_saved: self.batch_saved.saturating_sub(earlier.batch_saved),
             scan_points: self.scan_points.saturating_sub(earlier.scan_points),
@@ -211,7 +207,6 @@ pub fn snapshot() -> PolyStats {
         cache_bypasses: CACHE_BYPASSES.load(R),
         lex_splits: LEX_SPLITS.load(R),
         allocs: ALLOCS.load(R),
-        cons_cloned: CONS_CLONED.load(R),
         inline_spills: INLINE_SPILLS.load(R),
         batch_saved: BATCH_SAVED.load(R),
         scan_points: SCAN_POINTS.load(R),
@@ -240,7 +235,6 @@ pub fn reset() {
         &CACHE_BYPASSES,
         &LEX_SPLITS,
         &ALLOCS,
-        &CONS_CLONED,
         &INLINE_SPILLS,
         &BATCH_SAVED,
         &SCAN_POINTS,
@@ -315,9 +309,6 @@ pub(crate) fn count_lex_split() {
 pub(crate) fn count_alloc() {
     ALLOCS.fetch_add(1, R);
     THREAD_ALLOCS.with(|c| c.set(c.get() + 1));
-}
-pub(crate) fn count_cons_cloned() {
-    CONS_CLONED.fetch_add(1, R);
 }
 pub(crate) fn count_inline_spill() {
     INLINE_SPILLS.fetch_add(1, R);

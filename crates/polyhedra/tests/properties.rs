@@ -481,3 +481,130 @@ fn canonical_key_is_order_insensitive() {
     c.add(Constraint::ge(LinExpr::from_coeffs(vec![1, 0], 1)));
     assert_ne!(a.canonical_key(), c.canonical_key());
 }
+
+/// "Keep the first occurrence; append only if new": the constraint list
+/// `add`ing `rows` one by one must build.
+fn first_occurrences(rows: impl IntoIterator<Item = Constraint>) -> Vec<Constraint> {
+    let mut out: Vec<Constraint> = Vec::new();
+    for r in rows {
+        if !out.contains(&r) {
+            out.push(r);
+        }
+    }
+    out
+}
+
+/// A row with coefficients in `-1..=1`, at least one nonzero, so it is its
+/// own normal form.
+fn unit_row(rng: &mut Rng, n: usize) -> Constraint {
+    let mut coeffs: Vec<i128> = (0..n).map(|_| rng.range(-1, 1)).collect();
+    if coeffs.iter().all(|&c| c == 0) {
+        coeffs[rng.range(0, n as i128 - 1) as usize] = 1;
+    }
+    let e = LinExpr::from_coeffs(coeffs, rng.range(-2, 2));
+    if rng.chance() {
+        Constraint::eq(e)
+    } else {
+        Constraint::ge(e)
+    }
+}
+
+/// `c` with its expression replaced by `e`.
+fn with_expr(c: &Constraint, e: LinExpr) -> Constraint {
+    if c.is_eq() {
+        Constraint::eq(e)
+    } else {
+        Constraint::ge(e)
+    }
+}
+
+/// `p` after `add`ing `rows`, as a constraint list.
+fn after_adds(mut p: Polyhedron, rows: &[Constraint]) -> Vec<Constraint> {
+    p.add_all(rows.iter().cloned());
+    p.constraints().to_vec()
+}
+
+/// Every way a constraint list is built — `add` alone, or `from_parts`,
+/// `extend_space`, `remap` and `with_row`, each followed by `add`s — ends
+/// in the first-occurrence list of the rows it was given, in their order.
+/// The last three run both on a directly built list holding repeats and on
+/// an `add`-built one; a `remap` may send two dimensions to one place, so
+/// rows distinct before it can collide after it.
+#[test]
+fn every_build_path_dedups_to_first_occurrences() {
+    let mut rng = Rng::new(0xDED0);
+    let space = |n: usize, tag: &str| {
+        Space::from_dims((0..n).map(|k| (format!("{tag}{k}"), DimKind::Index)))
+    };
+    let (mut repeats, mut collisions) = (0, 0);
+    for case in 0..1024 {
+        let n = rng.range(1, 4) as usize;
+        let pool: Vec<Constraint> = (0..4).map(|_| unit_row(&mut rng, n)).collect();
+        let mut draw = |lo: i128, hi: i128| -> Vec<Constraint> {
+            (0..rng.range(lo, hi))
+                .map(|_| pool[rng.range(0, 3) as usize].clone())
+                .collect()
+        };
+        // A directly built list is deduplicated by the next `add`, so at
+        // least one follows it.
+        let (rows, adds) = (draw(0, 8), draw(1, 4));
+        repeats += usize::from(first_occurrences(rows.clone()).len() < rows.len());
+        let all = || rows.iter().chain(&adds).cloned();
+
+        let mut added = Polyhedron::universe(space(n, "x"));
+        added.add_all(rows.iter().cloned());
+        assert_eq!(
+            added.constraints(),
+            first_occurrences(rows.clone()),
+            "case {case}: add"
+        );
+        let direct = Polyhedron::from_parts(space(n, "x"), rows.clone(), false);
+        assert_eq!(
+            after_adds(direct.clone(), &adds),
+            first_occurrences(all()),
+            "case {case}: from_parts"
+        );
+
+        let extra = rng.range(1, 2) as usize;
+        let wide = |c: &Constraint| with_expr(c, c.expr().extend(extra));
+        let wide_adds: Vec<Constraint> = adds.iter().map(wide).collect();
+        // Into the first two of n + 1 dimensions: rows can collide.
+        let map: Vec<usize> = (0..n).map(|_| rng.range(0, 1) as usize).collect();
+        let moved = |c: &Constraint| with_expr(c, c.expr().remap(n + 1, &map));
+        let moved_adds: Vec<Constraint> = adds.iter().map(moved).collect();
+        let moved_rows = first_occurrences(added.constraints().iter().map(moved));
+        collisions += usize::from(moved_rows.len() < added.constraints().len());
+        for (base, name) in [(&direct, "direct"), (&added, "added")] {
+            assert_eq!(
+                after_adds(base.extend_space(&space(extra, "e")), &wide_adds),
+                first_occurrences(all().map(|c| wide(&c))),
+                "case {case}: extend_space of the {name} list"
+            );
+            assert_eq!(
+                after_adds(base.remap(space(n + 1, "y"), &map), &moved_adds),
+                first_occurrences(all().map(|c| moved(&c))),
+                "case {case}: remap {map:?} of the {name} list"
+            );
+
+            let held = base.constraints();
+            let at = rng.range(0, held.len() as i128) as usize;
+            let row = pool[rng.range(0, 3) as usize].clone();
+            let mut swapped = held.to_vec();
+            if at == held.len() {
+                swapped.push(row.clone());
+            } else {
+                swapped[at] = row.clone();
+            }
+            assert_eq!(
+                after_adds(base.with_row(at, row), &adds),
+                first_occurrences(swapped.into_iter().chain(adds.iter().cloned())),
+                "case {case}: with_row at {at} of the {name} list"
+            );
+        }
+    }
+    assert!(repeats >= 256, "only {repeats} cases held a repeated row");
+    assert!(
+        collisions >= 16,
+        "only {collisions} remaps made rows collide"
+    );
+}
