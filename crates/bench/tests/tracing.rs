@@ -10,7 +10,10 @@
 //!   validator (balanced name-matched begin/end pairs, monotonic
 //!   timestamps per lane);
 //! * **legality attempts** — how many `schedule.attempt`s each registry
-//!   workload takes is pinned, and a retry names the ranks that deadlocked.
+//!   workload takes is pinned, and a retry names the ranks that deadlocked;
+//! * **multicast verdicts** — how many final sets each registry workload
+//!   multicasts is pinned, and every verdict equals the set-difference
+//!   formula the subset test replaced.
 //!
 //! The capture (like the engine knobs) is process-wide, so every test in
 //! this file serializes on one mutex.
@@ -18,9 +21,11 @@
 use std::sync::Mutex;
 
 use dmc_bench::{figure2_input, lu_input, stencil_input, workloads, xy_input};
+use dmc_commgen::{is_multicast, CommSet};
 use dmc_core::{build_schedule, compile, message_stats, run, CompileInput, Options};
 use dmc_machine::MachineConfig;
 use dmc_obs as obs;
+use dmc_polyhedra::Feasibility;
 
 const LIMIT: usize = 50_000_000;
 
@@ -235,6 +240,70 @@ fn legality_attempts_per_workload_are_pinned() {
             ("stencil", 2, 1),
             ("figure2", 1, 1),
             ("xy", 1, 1)
+        ]
+    );
+}
+
+/// §6.2.1 as `is_multicast` asked it before the subset test: a redundancy
+/// pass on `A`, then every piece of `B \ A`, each checked for a point.
+fn multicast_by_difference(cs: &CommSet) -> bool {
+    let mut drop = cs.dims.r_iter.clone();
+    drop.extend(&cs.dims.aux);
+    let a = cs
+        .poly
+        .eliminate_dims(&drop)
+        .unwrap()
+        .remove_redundant()
+        .unwrap();
+    let payload: Vec<usize> = cs
+        .dims
+        .arr
+        .iter()
+        .chain(cs.dims.s_iter.iter().skip(cs.prefix_len))
+        .copied()
+        .collect();
+    let b = a
+        .eliminate_dims(&payload)
+        .unwrap()
+        .intersect(&a.eliminate_dims(&cs.dims.pr).unwrap());
+    b.subtract(&a)
+        .unwrap()
+        .iter()
+        .all(|piece| piece.integer_feasibility().unwrap() == Feasibility::Infeasible)
+}
+
+/// The multicast verdicts per registry workload under `Options::full()`:
+/// `(name, final sets, sets that multicast)`, and each verdict equal to
+/// the set-difference formula's on the same set.
+#[test]
+fn multicast_verdicts_per_workload_are_pinned() {
+    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let got: Vec<(&str, usize, usize)> = workloads()
+        .iter()
+        .map(|w| {
+            let compiled = compile((w.input)(w.nproc), Options::full()).expect("compiles");
+            let mut multicast = 0;
+            for cs in &compiled.comm {
+                let verdict = is_multicast(cs).expect("multicast test");
+                assert_eq!(
+                    verdict,
+                    multicast_by_difference(cs),
+                    "{}: {:?}",
+                    w.name,
+                    cs.poly
+                );
+                multicast += usize::from(verdict);
+            }
+            (w.name, compiled.comm.len(), multicast)
+        })
+        .collect();
+    assert_eq!(
+        got,
+        [
+            ("lu", 4, 4),
+            ("stencil", 2, 2),
+            ("figure2", 1, 1),
+            ("xy", 2, 2)
         ]
     );
 }

@@ -429,12 +429,21 @@ pub fn aggregate_messages(
 /// when, for a fixed sender and aggregation key, the payload does not
 /// depend on the receiving processor.
 ///
-/// Checked semantically: let `A` be the set with the receive iterations
-/// projected away. If `A` equals the product of its projections onto
-/// "payload" (array subscripts + post-prefix send iterations) and onto the
-/// receiver processors — i.e. the product `B = proj_payload(A) ∧ proj_pr(A)`
-/// adds nothing (`B \ A = ∅`) — the items of a message do not vary with the
-/// receiver and the data can be multicast.
+/// Checked semantically, as one subset test: let `A` be the set with the
+/// receive iterations (and auxiliaries) projected away, and `B` the product
+/// of its projections onto "payload" (array subscripts + post-prefix send
+/// iterations) and onto the receiver processors,
+/// `B = proj_payload(A) ∧ proj_pr(A)`. `B` always contains `A`; when also
+/// `B ⊆ A` ([`Polyhedron::is_subset_of`]), the product adds nothing, the
+/// items of a message do not vary with the receiver, and the data can be
+/// multicast.
+///
+/// `A` is not reduced first. Its superfluous rows change none of its
+/// integer points and can only shrink its rational projections, so `B` is
+/// at most the `B` of the reduced system. Compared with testing a reduced
+/// `A`, a verdict can therefore only become more precise (move from
+/// `false` to `true`), and a `true` stays sound: `B` still contains the
+/// product of `A`'s integer projections.
 ///
 /// # Errors
 ///
@@ -442,7 +451,7 @@ pub fn aggregate_messages(
 pub fn is_multicast(cs: &CommSet) -> Result<bool, OptError> {
     let mut drop = cs.dims.r_iter.clone();
     drop.extend(&cs.dims.aux);
-    let a = cs.poly.eliminate_dims(&drop)?.remove_redundant()?;
+    let a = cs.poly.eliminate_dims(&drop)?;
     let payload: Vec<usize> = cs
         .dims
         .arr
@@ -450,15 +459,10 @@ pub fn is_multicast(cs: &CommSet) -> Result<bool, OptError> {
         .chain(cs.dims.s_iter.iter().skip(cs.prefix_len))
         .copied()
         .collect();
-    let without_payload = a.eliminate_dims(&payload)?;
-    let without_pr = a.eliminate_dims(&cs.dims.pr)?;
-    let b = without_payload.intersect(&without_pr);
-    for piece in b.subtract(&a)? {
-        if piece.integer_feasibility()?.possibly_feasible() {
-            return Ok(false);
-        }
-    }
-    Ok(true)
+    let b = a
+        .eliminate_dims(&payload)?
+        .intersect(&a.eliminate_dims(&cs.dims.pr)?);
+    Ok(b.is_subset_of(&a)?)
 }
 
 /// Cross-context self-reuse elimination: the per-set pass
@@ -790,7 +794,6 @@ mod tests {
         .unwrap();
         let lwt = build_lwt(&p, 1, 2).unwrap();
         let stmts = p.statements();
-        let comp1 = CompDecomp::cyclic_1d(0, "i2");
         let comp2 = CompDecomp::cyclic_1d(1, "i2");
         let leaf = lwt.source_leaves().next().unwrap();
         let sets = comm_from_leaf(&p, &lwt, leaf, &stmts[1], &stmts[1], &comp2, &comp2).unwrap();
@@ -801,7 +804,6 @@ mod tests {
                 "LU pivot row should be multicast"
             );
         }
-        let _ = comp1;
         // Counter-example: one owner scatters *different* elements to each
         // receiver — the payload depends on p_r, so no multicast. (Note
         // that Figure 2's neighbour shift is a degenerate multicast: each

@@ -59,11 +59,12 @@
 //! `Reader` that parses a key: a `ScanNest` kept as a clone costs ≈ 13 KB,
 //! encoded a few hundred bytes.
 //!
-//! There is no map for redundancy removal. Its product callers are the
-//! scan, which is now answered whole, and the multicast test, whose
-//! systems a compile asks about once; a map keyed on every intermediate
-//! system a scan passes through only paid when a process served the same
-//! request twice, and then held the most bytes of any map.
+//! There is no map for redundancy removal. Its one product caller is the
+//! scan, which is now answered whole (the multicast test asks a subset
+//! question, [`Polyhedron::is_subset_of`](crate::Polyhedron::is_subset_of),
+//! and reduces nothing); a map keyed on every intermediate system a scan
+//! passes through only paid when a process served the same request twice,
+//! and then held the most bytes of any map.
 //!
 //! Caches are thread-local (no locks on the hot path; a compile runs on
 //! one thread, so every stage of it — and every later compile on that

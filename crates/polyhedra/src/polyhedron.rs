@@ -636,10 +636,10 @@ impl Polyhedron {
     ///    the probe, the constraint is provably non-redundant and kept
     ///    without a branch-and-bound query.
     ///
-    /// The pass is not memoized: its callers are the scan, which is
-    /// answered whole by its own memo map ([`scan_bounds`](crate::scan_bounds)),
-    /// and the multicast test, whose systems a compile asks about once. The
-    /// feasibility queries of its negation tests are memoized as usual.
+    /// The pass is not memoized: its one caller in the compiler is the
+    /// scan, which is answered whole by its own memo map
+    /// ([`scan_bounds`](crate::scan_bounds)). The feasibility queries of its
+    /// negation tests are memoized as usual.
     ///
     /// # Errors
     ///
@@ -1140,39 +1140,57 @@ impl Polyhedron {
         let mut pieces = Vec::new();
         let mut prefix = self.clone();
         for c in &other.cons {
-            match c.kind() {
-                ConstraintKind::Ge => {
-                    let mut piece = prefix.clone();
-                    piece.add(c.negate_ge());
-                    if piece.integer_feasibility()?.possibly_feasible() {
-                        pieces.push(piece);
-                    }
-                    prefix.add(c.clone());
-                }
-                ConstraintKind::Eq => {
-                    // ¬(e == 0) is e >= 1 or e <= -1.
-                    let mut above = prefix.clone();
-                    let mut e_hi = c.expr().clone();
-                    e_hi.set_constant(e_hi.constant_term() - 1);
-                    above.add(Constraint::ge(e_hi));
-                    if above.integer_feasibility()?.possibly_feasible() {
-                        pieces.push(above);
-                    }
-                    let mut below = prefix.clone();
-                    let mut e_lo = c.expr().scaled(-1);
-                    e_lo.set_constant(e_lo.constant_term() - 1);
-                    below.add(Constraint::ge(e_lo));
-                    if below.integer_feasibility()?.possibly_feasible() {
-                        pieces.push(below);
-                    }
-                    prefix.add(c.clone());
+            for n in complement(c) {
+                let mut piece = prefix.clone();
+                piece.add(n);
+                if piece.integer_feasibility()?.possibly_feasible() {
+                    pieces.push(piece);
                 }
             }
+            prefix.add(c.clone());
             if prefix.contradiction {
                 break;
             }
         }
         Ok(pieces)
+    }
+
+    /// Whether every integer point of `self` lies in `other`.
+    ///
+    /// Asked directly, not as an emptiness test of [`subtract`](Polyhedron::subtract)'s
+    /// pieces: for each row of `other` that is not already a row of `self`,
+    /// one probe `self ∧ ¬row` per row of the complement (one for `e ≥ 0`,
+    /// two for `e = 0`), and the first probe that is possibly feasible
+    /// answers `false`. With exact feasibility answers this is "every piece
+    /// of `self \ other` is empty"; an `Unknown` probe answers `false`, the
+    /// conservative side. An empty `self` is a subset of anything; an empty
+    /// `other` contains `self` only if `self` is infeasible.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PolyError::Overflow`] on overflow.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spaces differ.
+    pub fn is_subset_of(&self, other: &Polyhedron) -> Result<bool, PolyError> {
+        assert_eq!(self.space, other.space, "space mismatch in is_subset_of");
+        if self.contradiction {
+            return Ok(true);
+        }
+        if other.contradiction {
+            return Ok(self.integer_feasibility()? == Feasibility::Infeasible);
+        }
+        let at = self.cons.len();
+        for c in other.cons.iter().filter(|c| !self.cons.contains(c)) {
+            for n in complement(c) {
+                let probe = self.with_row(at, n);
+                if probe.integer_feasibility()?.possibly_feasible() {
+                    return Ok(false);
+                }
+            }
+        }
+        Ok(true)
     }
 
     // ------------------------------------------------------------------
@@ -1233,6 +1251,22 @@ impl Polyhedron {
             Ok(None)
         }
     }
+}
+
+/// The rows whose disjunction is the integer complement of `c`: `−e − 1 ≥ 0`
+/// for `e ≥ 0`, and `e − 1 ≥ 0`, `−e − 1 ≥ 0` (in that order) for `e = 0`.
+fn complement(c: &Constraint) -> impl Iterator<Item = Constraint> {
+    let (first, second) = match c.kind() {
+        ConstraintKind::Ge => (c.negate_ge(), None),
+        ConstraintKind::Eq => {
+            let mut above = c.expr().clone();
+            above.set_constant(above.constant_term() - 1);
+            let mut below = c.expr().scaled(-1);
+            below.set_constant(below.constant_term() - 1);
+            (Constraint::ge(above), Some(Constraint::ge(below)))
+        }
+    };
+    std::iter::once(first).chain(second)
 }
 
 /// Outcome of the cheap redundancy pre-filters on one constraint.

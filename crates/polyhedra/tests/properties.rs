@@ -196,6 +196,61 @@ fn subtraction_partitions() {
     }
 }
 
+/// The subset test answers what the set difference does: `b ⊆ a` exactly
+/// when every piece of `b \ a` is infeasible, and exactly when every point
+/// of `b` lies in `a`. Over random systems with equalities, rows the two
+/// sides share (which the subset test skips), a row repeated inside `b`,
+/// and contradictions on either side.
+#[test]
+fn subset_test_agrees_with_the_difference() {
+    let mut rng = Rng::new(0x5AB5E7);
+    let (mut subsets, mut others) = (0, 0);
+    for case in 0..128 {
+        let n = rng.range(2, 3) as usize;
+        let mut a = gen_polyhedron(&mut rng, n, 3, 3);
+        // b keeps a's box and, with odds 3 in 4, each other row of a, then
+        // adds fresh rows of its own.
+        let mut b = Polyhedron::universe(a.space().clone());
+        for (k, c) in a.constraints().iter().enumerate() {
+            if k < 2 * n || rng.range(0, 3) != 0 {
+                b.add(c.clone());
+            }
+        }
+        for _ in 0..rng.range(0, 2) {
+            b.add(gen_constraint(&mut rng, n));
+        }
+        if rng.chance() {
+            let mut rows = b.constraints().to_vec();
+            rows.push(rows[rng.range(0, rows.len() as i128 - 1) as usize].clone());
+            b = Polyhedron::from_parts(b.space().clone(), rows, b.is_obviously_empty());
+        }
+        let contradiction = Constraint::ge(LinExpr::constant(n, -1));
+        match rng.range(0, 9) {
+            0 => a.add(contradiction),
+            1 => b.add(contradiction),
+            _ => {}
+        }
+        let by_difference = b
+            .subtract(&a)
+            .unwrap()
+            .iter()
+            .all(|p| p.integer_feasibility().unwrap() == Feasibility::Infeasible);
+        let by_points = points_of(&b, 3).iter().all(|pt| a.contains(pt).unwrap());
+        let got = b.is_subset_of(&a).unwrap();
+        assert_eq!(got, by_difference, "case {case}: {b:?} ⊆ {a:?}");
+        assert_eq!(got, by_points, "case {case}: {b:?} ⊆ {a:?} by points");
+        if got {
+            subsets += 1;
+        } else {
+            others += 1;
+        }
+    }
+    assert!(
+        subsets >= 16 && others >= 16,
+        "{subsets} subsets, {others} others"
+    );
+}
+
 /// Scanning enumerates exactly the member points, each once.
 #[test]
 fn scan_is_exact() {
