@@ -230,8 +230,8 @@ fn transpose_2d_input() -> CompileInput {
 
 /// The fold gives the reference's chunks — sender, key, receiver, words,
 /// first use and last send, and in values mode the items — at legality
-/// splits 0 to 3, folded one at a time and all in one pass (3 is deeper
-/// than the planner hoists, so its fold is the planner's refold); its
+/// splits 0 to 3, folded one at a time and all in one pass (one at a time
+/// is how the planner refolds a set its legality rule deepens); its
 /// multicast groups are the reference merge's, with the `(s_iter, arr)`
 /// classes folded for every set agreeing with the `arr`-column merge; and
 /// `aggregate_messages` gives the reference's messages with `limit`

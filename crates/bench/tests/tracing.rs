@@ -9,8 +9,8 @@
 //! * **well-formedness** — the Chrome export of a real capture passes the
 //!   validator (balanced name-matched begin/end pairs, monotonic
 //!   timestamps per lane);
-//! * **legality attempts** — how many `schedule.attempt`s each registry
-//!   workload takes is pinned, and a retry names the ranks that deadlocked;
+//! * **legality splits** — the split each registry set is planned at is
+//!   pinned, and a `schedule.split` names the unsafe chunk that forced it;
 //! * **multicast verdicts** — how many final sets each registry workload
 //!   multicasts is pinned, and every verdict equals the set-difference
 //!   formula the subset test replaced.
@@ -100,9 +100,9 @@ fn stencil_chrome_trace_is_well_formed() {
     assert!(check.spans > 0 && check.events > 0, "{check:?}");
 
     // Every message of the final schedule is attributed by provenance:
-    // the last schedule's last attempt carries exactly one prov.message
-    // per MessageSpec (checked indirectly through the explain report,
-    // which implements that selection).
+    // the last schedule carries exactly one prov.message per MessageSpec
+    // (checked indirectly through the explain report, which implements
+    // that selection).
     let report = obs::explain_report(&trace, "stencil");
     let attributed = report.lines().filter(|l| l.starts_with("- m")).count();
     assert_eq!(
@@ -151,9 +151,8 @@ fn sim_lanes_cover_every_processor() {
             lane.label
         );
     }
-    // The legality dry-runs inside build_schedule are suppressed: only the
-    // machine run's send events appear, so each sim.send corresponds to a
-    // scheduled message of the final run.
+    // Planning simulates nothing: only the machine run's send events
+    // appear, so each sim.send corresponds to a scheduled message.
     let sends: usize = sim_lanes
         .iter()
         .map(|l| l.records.iter().filter(|r| r.name == "sim.send").count())
@@ -196,52 +195,97 @@ fn schedule_records(input: CompileInput, params: &[i128], options: Options) -> V
     trace.lanes.into_iter().flat_map(|l| l.records).collect()
 }
 
-/// A legality retry carries the ranks the dry run found blocked: LU at
-/// (N = 12, P = 4) deadlocks once at the paper's aggregation level.
-#[test]
-fn lu_retry_names_the_blocked_ranks() {
-    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let records = schedule_records(lu_input(4), &[12], Options::full());
-    let retries: Vec<&obs::Record> = records
-        .iter()
-        .filter(|r| r.name == "schedule.retry")
-        .collect();
-    assert_eq!(retries.len(), 1, "{retries:?}");
-    let blocked = retries[0].get("blocked").map(obs::Value::render);
-    assert!(
-        blocked.is_some_and(|b| !b.is_empty()),
-        "the retry must list the blocked ranks: {retries:?}"
-    );
+/// A `schedule.split` field as an unsigned integer.
+fn uint_field(r: &obs::Record, name: &str) -> usize {
+    r.get(name)
+        .map(obs::Value::render)
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("{name} in {r:?}"))
 }
 
-/// The legality loop's attempt count per registry workload, in timing
-/// mode: a change to where the planner aggregates shows here first.
+/// A `schedule.split` iteration field (`"[8, 15]"`) as its components.
+fn iter_field(r: &obs::Record, name: &str) -> Vec<i128> {
+    let text = r.get(name).map(obs::Value::render).unwrap_or_default();
+    let inner = text.trim_start_matches('[').trim_end_matches(']');
+    inner.split(", ").map(|x| x.parse().unwrap()).collect()
+}
+
+/// The legality split of every communication set of one timing-mode
+/// `build_schedule`: the last split its `schedule.split` events name, or
+/// the paper's level (0) without one.
+fn set_splits(input: CompileInput, params: &[i128], options: Options) -> Vec<usize> {
+    let sets = compile(input.clone(), options)
+        .expect("compiles")
+        .comm
+        .len();
+    let mut splits = vec![0; sets];
+    for r in schedule_records(input, params, options) {
+        if r.name == "schedule.split" {
+            let set = uint_field(&r, "set");
+            splits[set] = splits[set].max(uint_field(&r, "split"));
+        }
+    }
+    splits
+}
+
+/// The split each registry set is planned at, in timing mode, under `full`
+/// and `naive`: a change to where the planner aggregates shows here first.
+/// Under `full` the level-1 sets leave the paper's level — LU's two and
+/// the stencil's `X[i + 1]`, whose value crosses a `t` iteration — and
+/// nothing else does; `naive` does not aggregate, so every chunk is safe.
 #[test]
-fn legality_attempts_per_workload_are_pinned() {
+fn legality_splits_per_workload_are_pinned() {
     let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let attempts = |input: CompileInput, params: &[i128], options: Options| {
-        schedule_records(input, params, options)
-            .iter()
-            .filter(|r| r.phase == obs::Phase::Begin && r.name == "schedule.attempt")
-            .count()
-    };
-    let got: Vec<(&str, usize, usize)> = workloads()
+    let got: Vec<(&str, Vec<usize>, Vec<usize>)> = workloads()
         .iter()
         .map(|w| {
-            let full = attempts((w.input)(w.nproc), &w.params, Options::full());
-            let naive = attempts((w.input)(w.nproc), &w.params, Options::naive());
+            let full = set_splits((w.input)(w.nproc), &w.params, Options::full());
+            let naive = set_splits((w.input)(w.nproc), &w.params, Options::naive());
             (w.name, full, naive)
         })
         .collect();
-    assert_eq!(
-        got,
-        [
-            ("lu", 2, 1),
-            ("stencil", 2, 1),
-            ("figure2", 1, 1),
-            ("xy", 1, 1)
-        ]
-    );
+    let want: [(&str, &[usize], &[usize]); 4] = [
+        ("lu", &[1, 0, 1, 0], &[0, 0, 0, 0]),
+        ("stencil", &[0, 1], &[0, 0]),
+        ("figure2", &[0], &[0]),
+        ("xy", &[0, 0], &[0, 0, 0]),
+    ];
+    let want: Vec<(&str, Vec<usize>, Vec<usize>)> = want
+        .iter()
+        .map(|&(name, full, naive)| (name, full.to_vec(), naive.to_vec()))
+        .collect();
+    assert_eq!(got, want);
+}
+
+/// LU at (N = 12, P = 4) splits each of its two level-1 sets once, and
+/// each `schedule.split` names a chunk that is sent no earlier than it is
+/// first used — what the paper's level would have batched.
+#[test]
+fn lu_split_names_the_unsafe_chunk() {
+    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let compiled = compile(lu_input(4), Options::full()).expect("compiles");
+    let records = schedule_records(lu_input(4), &[12], Options::full());
+    let splits: Vec<&obs::Record> = records
+        .iter()
+        .filter(|r| r.name == "schedule.split")
+        .collect();
+    let mut sets: Vec<usize> = splits.iter().map(|r| uint_field(r, "set")).collect();
+    sets.sort_unstable();
+    let level1: Vec<usize> = (0..compiled.comm.len())
+        .filter(|&k| compiled.comm[k].prefix_len == 0 && compiled.comm[k].write_stmt.is_some())
+        .collect();
+    assert_eq!(sets, level1, "{splits:?}");
+    let stmts = compiled.input.program.statements();
+    for r in splits {
+        let cs = &compiled.comm[uint_field(r, "set")];
+        assert_eq!(uint_field(r, "split"), 1, "{r:?}");
+        assert_ne!(uint_field(r, "sender"), uint_field(r, "receiver"), "{r:?}");
+        let writer = &stmts[cs.write_stmt.expect("a produced set")].position;
+        let send = dmc_machine::stamp_of(writer, &iter_field(r, "last_send"));
+        let recv =
+            dmc_machine::stamp_of(&stmts[cs.read_stmt].position, &iter_field(r, "first_use"));
+        assert!(send >= recv, "{r:?}: sent at {send:?}, used at {recv:?}");
+    }
 }
 
 /// §6.2.1 as `is_multicast` asked it before the subset test: a redundancy

@@ -255,20 +255,21 @@ pub(crate) fn schedule_message_stats(schedule: &Schedule) -> (u64, u64, u64) {
     (messages, transmissions, words)
 }
 
-/// One pending schedule entry: `(anchor, phase, seq, action)`. An attempt's
-/// entries borrow the anchors of the hoisted blocks they do not split.
+/// One pending schedule entry: `(anchor, phase, seq, action)`. The
+/// schedule's entries borrow the anchors of the hoisted blocks they do not
+/// split.
 type PendingAction<S = Stamp> = (S, i8, usize, Action);
 
 /// The legality splits [`hoist`] folds every set at, in one scan: the
-/// paper's prefix and one component deeper — LU's two attempts. A deeper
-/// attempt folds the sets it reaches again ([`HoistedPlan::refold`]).
+/// paper's prefix and one component deeper, the split LU's level-1 sets
+/// need. A set deepened further is folded again ([`HoistedPlan::refold`]).
 const HOISTED_SPLITS: [usize; 2] = [0, 1];
 
 /// Split-depth-independent planning state, computed once per
-/// [`build_schedule`] call and shared across the legality retries: every
-/// set's fold at the hoisted splits, the per-set multicast verdicts and the
-/// per-processor compute-block actions, sorted. An attempt reads the fold
-/// of its split and merges in the blocks.
+/// [`build_schedule`] call: every set's fold at the hoisted splits, the
+/// per-set multicast verdicts and the per-processor compute-block actions,
+/// sorted. The legality check and the schedule read each set's fold at its
+/// split and merge in the blocks.
 struct HoistedPlan {
     /// Per communication set: its folds, one per split folded.
     folds: Vec<Vec<Folded>>,
@@ -278,7 +279,7 @@ struct HoistedPlan {
     /// in `(anchor, phase, seq)` order.
     blocks: Vec<Vec<PendingAction>>,
     /// The sequence counter after the block actions; message actions
-    /// continue from here so retries number actions identically.
+    /// continue from here.
     block_seq: usize,
 }
 
@@ -293,39 +294,108 @@ impl HoistedPlan {
         self.folds[k]
             .iter()
             .find(|f| f.split() == split)
-            .expect("the attempt's split was folded")
+            .expect("the set's split was folded")
     }
 
-    /// Folds, at split `extra`, every set the folds so far do not reach.
+    /// Folds set `k` at split `extra`, unless its folds reach it already.
     fn refold(
         &mut self,
         compiled: &Compiled,
+        k: usize,
         param_vals: &[i128],
         limit: usize,
         values: bool,
         extra: usize,
     ) -> Result<(), CompileError> {
-        for (k, cs) in compiled.comm.iter().enumerate() {
-            let split = cs.split_depth(extra);
-            if self.folds[k].iter().all(|f| f.split() != split) {
-                obs::event(
-                    "schedule.refold",
-                    vec![obs::field("extra_split", extra), obs::field("set", k)],
-                );
-                let folded = fold_set(
-                    compiled,
-                    cs,
-                    param_vals,
-                    limit,
-                    &[extra],
-                    self.multicast[k],
-                    values,
-                )?;
-                self.folds[k].extend(folded);
-            }
+        let cs = &compiled.comm[k];
+        let split = cs.split_depth(extra);
+        if self.folds[k].iter().all(|f| f.split() != split) {
+            let folded = fold_set(
+                compiled,
+                cs,
+                param_vals,
+                limit,
+                &[extra],
+                self.multicast[k],
+                values,
+            )?;
+            self.folds[k].extend(folded);
         }
         Ok(())
     }
+}
+
+/// One chunk in its processors' orders: message `msg`, sent by rank
+/// `sender` at stamp `send`, received by rank `receiver` at stamp `recv`.
+#[derive(Debug)]
+struct Anchored {
+    /// The communication set, and the chunk's index in its fold.
+    set: usize,
+    chunk: usize,
+    msg: usize,
+    sender: usize,
+    send: Stamp,
+    receiver: usize,
+    recv: Stamp,
+}
+
+/// Every chunk of every set at legality splits `splits`, in message order
+/// (one message per group of a set's fold), anchored as the schedule
+/// places it. A send goes after the last producing write of the message's
+/// first chunk (one statement's stamps order like its iterations);
+/// initial-owner data has no producer and is sent before everything. A
+/// receive goes immediately before the first use of its data (the paper's
+/// "issue the receive just before the data are used").
+fn anchored_chunks(compiled: &Compiled, plan: &HoistedPlan, splits: &[usize]) -> Vec<Anchored> {
+    let stmts = compiled.input.program.statements();
+    // Under the grid a chunk's processors are ranks.
+    let rank = |cols: &[i128]| cols[0] as usize;
+    let mut out = Vec::new();
+    let mut msg = 0;
+    for (k, cs) in compiled.comm.iter().enumerate() {
+        let fold = plan.fold(k, cs, splits[k]);
+        for members in fold.groups() {
+            let first = fold.chunk(members[0] as usize);
+            let send = match cs.write_stmt {
+                Some(_) => producing_stamp(cs, &stmts, first.last_send),
+                None => vec![-2],
+            };
+            for &i in members {
+                let c = fold.chunk(i as usize);
+                out.push(Anchored {
+                    set: k,
+                    chunk: i as usize,
+                    msg,
+                    sender: rank(first.sender),
+                    send: send.clone(),
+                    receiver: rank(c.receiver),
+                    recv: dmc_machine::stamp_of(&stmts[cs.read_stmt].position, c.first_use),
+                });
+            }
+            msg += 1;
+        }
+    }
+    out
+}
+
+/// Per set, its first chunk that is not *safe*: one whose sender has a
+/// receive anchored at a stamp `t` with `recv ≤ t ≤ send`. A plan whose
+/// chunks are all safe cannot deadlock (DESIGN.md "Aggregation legality").
+fn first_unsafe(nproc: usize, sets: usize, chunks: &[Anchored]) -> Vec<Option<&Anchored>> {
+    let mut recvs: Vec<Vec<&[i128]>> = vec![Vec::new(); nproc];
+    for c in chunks {
+        recvs[c.receiver].push(&c.recv);
+    }
+    recvs.iter_mut().for_each(|r| r.sort_unstable());
+    let mut first = vec![None; sets];
+    for c in chunks {
+        let q = &recvs[c.sender];
+        let at = q.partition_point(|t| *t < &c.recv[..]);
+        if first[c.set].is_none() && q.get(at).is_some_and(|t| *t <= &c.send[..]) {
+            first[c.set] = Some(c);
+        }
+    }
+    first
 }
 
 /// Folds one communication set at `splits` under the physical grid, with
@@ -355,6 +425,51 @@ fn fold_set(
             cs.array
         ))
     })
+}
+
+/// Per set, the legality split the plan uses, and the chunks at those
+/// splits. Every set starts at the paper's level; while some chunk is
+/// unsafe, each set that owns one goes one send-iteration component deeper
+/// and only it is folded again. A deeper split only adds receive anchors,
+/// so no set ever has to go back; at a set's full depth each chunk is one
+/// send iteration, sent before its first use and so safe, and the loop
+/// ends.
+fn legal_splits(
+    compiled: &Compiled,
+    plan: &mut HoistedPlan,
+    param_vals: &[i128],
+    limit: usize,
+    values: bool,
+) -> Result<(Vec<usize>, Vec<Anchored>), CompileError> {
+    let mut splits = vec![0; compiled.comm.len()];
+    loop {
+        let chunks = anchored_chunks(compiled, plan, &splits);
+        let unsafe_chunks = first_unsafe(compiled.input.grid.len() as usize, splits.len(), &chunks);
+        if unsafe_chunks.iter().all(Option::is_none) {
+            return Ok((splits, chunks));
+        }
+        for a in unsafe_chunks.into_iter().flatten() {
+            let (k, cs) = (a.set, &compiled.comm[a.set]);
+            if cs.split_depth(splits[k] + 1) == cs.split_depth(splits[k]) {
+                let why = format!("set {k} at full depth has an unsafe chunk: {a:?}");
+                return Err(CompileError::Sim(SimError::MalformedSchedule(why)));
+            }
+            obs::event_f("schedule.split", || {
+                let c = plan.fold(k, cs, splits[k]).chunk(a.chunk);
+                vec![
+                    obs::field("set", k),
+                    obs::field("array", cs.array.as_str()),
+                    obs::field("split", splits[k] + 1),
+                    obs::field("sender", a.sender),
+                    obs::field("receiver", a.receiver),
+                    obs::field("last_send", format!("{:?}", c.last_send)),
+                    obs::field("first_use", format!("{:?}", c.first_use)),
+                ]
+            });
+            splits[k] += 1;
+            plan.refold(compiled, k, param_vals, limit, values, splits[k])?;
+        }
+    }
 }
 
 /// Enumerates every statement's compute blocks into per-processor pending
@@ -477,77 +592,18 @@ pub(crate) fn build_schedule_inner(
     let _sess_ctx =
         matches!(&staged, Some((s, _)) if s.is_explicit()).then(|| ledger::push_context("session"));
     let _lctx = ledger::push_context("schedule");
-    // Legality-refinement loop: build at the paper's aggregation level;
-    // when the dry run deadlocks (batching across carrying-loop iterations
-    // created a wait cycle), split messages one send-iteration component
-    // deeper and retry.
-    let max_depth = compiled
-        .comm
-        .iter()
-        .map(|cs| cs.dims.s_iter.len().saturating_sub(cs.prefix_len))
-        .max()
-        .unwrap_or(0);
     let mut plan = hoist(compiled, param_vals, limit, values)?;
-    // Every attempt returns but a deadlock below `max_depth`; one at
-    // `max_depth` is the error, with its blocked ranks.
-    let mut extra = 0;
-    loop {
-        let _attempt = obs::span_f("schedule.attempt", || {
-            vec![obs::field("extra_split", extra)]
-        });
-        let _actx = ledger::push_context(format!("attempt{extra}"));
-        plan.refold(compiled, param_vals, limit, values, extra)?;
-        let schedule = build_schedule_at(compiled, values, extra, &plan);
-        // Cheap deadlock dry-run (timing semantics on the same schedule).
-        let params: HashMap<String, i128> = compiled
-            .input
-            .program
-            .params
-            .iter()
-            .cloned()
-            .zip(param_vals.iter().copied())
-            .collect();
-        // The dry run is a planning probe, not the machine run: mute
-        // tracing so its events never land in the per-processor sim lanes
-        // (they would interleave with — and de-monotonize — the real run).
-        let dry = {
-            let _mute = obs::suppress();
-            simulate(
-                &compiled.input.program,
-                &params,
-                &compiled.input.grid,
-                &schedule,
-                &MachineConfig::zero_comm(),
-                &InitialPlacement::Replicated,
-                false,
-            )
-        };
-        match dry {
-            Ok(_) => {
-                if let Some((s, k)) = &mut staged {
-                    s.admit_schedule(*k, Arc::new(schedule.clone()));
-                }
-                return Ok(schedule);
-            }
-            Err(SimError::Deadlock { blocked }) if extra < max_depth => {
-                // The ranks that formed the wait cycle, e.g. `0,1,2,3`.
-                obs::event_f("schedule.retry", || {
-                    let ranks: Vec<String> = blocked.iter().map(usize::to_string).collect();
-                    vec![
-                        obs::field("extra_split", extra),
-                        obs::field("blocked", ranks.join(",")),
-                    ]
-                });
-                extra += 1;
-            }
-            Err(e) => return Err(CompileError::Sim(e)),
-        }
+    let (splits, chunks) = legal_splits(compiled, &mut plan, param_vals, limit, values)?;
+    let schedule = build_schedule_at(compiled, values, &splits, chunks, &plan);
+    if let Some((s, k)) = &mut staged {
+        s.admit_schedule(*k, Arc::new(schedule.clone()));
     }
+    Ok(schedule)
 }
 
-/// Everything [`build_schedule`]'s legality loop derives once, before its
-/// first attempt: the per-set multicast verdicts, each set's fold at the
-/// hoisted splits ([`HOISTED_SPLITS`]) and the compute-block nests.
+/// Everything [`build_schedule`] derives once, whatever the sets' legality
+/// splits: the per-set multicast verdicts, each set's fold at the hoisted
+/// splits ([`HOISTED_SPLITS`]) and the compute-block nests.
 fn hoist(
     compiled: &Compiled,
     param_vals: &[i128],
@@ -609,10 +665,13 @@ fn sorts_up_to(a: &[i128], prefix: &[i128], v: i128) -> bool {
     }
 }
 
+/// The schedule with each set `k` folded at legality split `splits[k]`,
+/// whose chunks, anchored, are `chunks`.
 fn build_schedule_at(
     compiled: &Compiled,
     values: bool,
-    extra_split: usize,
+    splits: &[usize],
+    mut chunks: Vec<Anchored>,
     plan: &HoistedPlan,
 ) -> Schedule {
     let input = &compiled.input;
@@ -620,89 +679,61 @@ fn build_schedule_at(
     let stmts = input.program.statements();
     let mut schedule = Schedule::new(nproc);
 
-    // 1. Messages, one per group of the attempt's folds. Their actions
-    // continue the numbering of the compute blocks', which are hoisted
-    // across retries. Under the grid a chunk's processors are ranks.
-    let rank = |cols: &[i128]| cols[0] as usize;
+    // 1. Messages, in order. Their actions continue the numbering of the
+    // hoisted compute blocks', and take over the chunks' anchors.
     let mut pending: Vec<Vec<PendingAction<Cow<[i128]>>>> = vec![Vec::new(); nproc];
     let mut seq = plan.block_seq;
-    for (k, cs) in compiled.comm.iter().enumerate() {
-        let fold = plan.fold(k, cs, extra_split);
-        let read_position = &stmts[cs.read_stmt].position;
-        for members in fold.groups() {
-            let chunks = || members.iter().map(|&i| fold.chunk(i as usize));
-            let first = fold.chunk(members[0] as usize);
-            let (sender, words) = (rank(first.sender), first.words);
-            let receivers: Vec<usize> = chunks().map(|c| rank(c.receiver)).collect();
-            let msg_id = schedule.messages.len();
-            // Provenance: which (statement, read) created this message and
-            // which §6 passes its communication set survived.
-            obs::event_f("prov.message", || {
-                vec![
-                    obs::field("msg", msg_id),
-                    obs::field("array", cs.array.as_str()),
-                    obs::field("stmt", cs.read_stmt),
-                    obs::field("read", cs.read_no),
-                    obs::field("sender", sender),
-                    obs::field(
-                        "receivers",
-                        receivers
-                            .iter()
-                            .map(|r| r.to_string())
-                            .collect::<Vec<_>>()
-                            .join(", "),
-                    ),
-                    obs::field("nrecv", receivers.len()),
-                    obs::field("words", words),
-                    obs::field("steps", cs.steps.join("+")),
-                ]
-            });
-            // Only values mode materializes names, subscripts and stamps.
-            let payload = values.then(|| {
-                fold.payload(first.payload)
-                    .map(|(s_iter, arr)| PayloadItem {
-                        array: cs.array.clone(),
-                        idx: arr.to_vec(),
-                        stamp: producing_stamp(cs, &stmts, s_iter),
-                    })
-                    .collect::<Vec<_>>()
-            });
-            // The send goes after the last producing write (one
-            // statement's stamps order like its iterations); initial-owner
-            // data has no producer and is sent before everything.
-            let send_anchor = match cs.write_stmt {
-                Some(_) => producing_stamp(cs, &stmts, first.last_send),
-                None => vec![-2],
-            };
-            pending[sender].push((
-                Cow::Owned(send_anchor),
-                1,
-                seq,
-                Action::Send { msg: msg_id },
-            ));
+    for group in chunks.chunk_by_mut(|a, b| a.msg == b.msg) {
+        let send_anchor = std::mem::take(&mut group[0].send);
+        let (head, cs) = (&group[0], &compiled.comm[group[0].set]);
+        let fold = plan.fold(head.set, cs, splits[head.set]);
+        let first = fold.chunk(head.chunk);
+        let (msg_id, sender, words) = (head.msg, head.sender, first.words);
+        let receivers: Vec<usize> = group.iter().map(|a| a.receiver).collect();
+        // Provenance: which (statement, read) created this message and
+        // which §6 passes its communication set survived.
+        obs::event_f("prov.message", || {
+            let listed: Vec<String> = receivers.iter().map(usize::to_string).collect();
+            vec![
+                obs::field("msg", msg_id),
+                obs::field("array", cs.array.as_str()),
+                obs::field("stmt", cs.read_stmt),
+                obs::field("read", cs.read_no),
+                obs::field("sender", sender),
+                obs::field("receivers", listed.join(", ")),
+                obs::field("nrecv", receivers.len()),
+                obs::field("words", words),
+                obs::field("steps", cs.steps.join("+")),
+            ]
+        });
+        // Only values mode materializes names, subscripts and stamps.
+        let payload = values.then(|| {
+            fold.payload(first.payload)
+                .map(|(s_iter, arr)| PayloadItem {
+                    array: cs.array.clone(),
+                    idx: arr.to_vec(),
+                    stamp: producing_stamp(cs, &stmts, s_iter),
+                })
+                .collect::<Vec<_>>()
+        });
+        let send = Action::Send { msg: msg_id };
+        pending[sender].push((Cow::Owned(send_anchor), 1, seq, send));
+        seq += 1;
+        // The scheduler splits the consuming compute block at each
+        // receive's anchor.
+        for a in group {
+            let (recv, anchor) = (Action::Recv { msg: msg_id }, std::mem::take(&mut a.recv));
+            pending[a.receiver].push((Cow::Owned(anchor), -1, seq, recv));
             seq += 1;
-            // Each receive lands immediately before the first use of its
-            // data: the scheduler splits the consuming compute block at
-            // that stamp (the paper's "issue the receive just before the
-            // data are used").
-            for c in chunks() {
-                let anchor = dmc_machine::stamp_of(read_position, c.first_use);
-                pending[rank(c.receiver)].push((
-                    Cow::Owned(anchor),
-                    -1,
-                    seq,
-                    Action::Recv { msg: msg_id },
-                ));
-                seq += 1;
-            }
-            schedule.messages.push(MessageSpec {
-                sender,
-                receivers,
-                words,
-                payload,
-            });
         }
+        schedule.messages.push(MessageSpec {
+            sender,
+            receivers,
+            words,
+            payload,
+        });
     }
+    drop(chunks);
 
     // 2. Per processor: the message actions, sorted, then the compute
     // blocks — split at receive anchors so each receive executes
@@ -904,8 +935,7 @@ pub(crate) fn simulate_schedule(
     )
     .map_err(CompileError::Sim)?;
     // Critical-path & blame analysis over the finished run: deterministic
-    // integer-ns event DAG, emitted only into active captures (dry-run
-    // legality simulations suppress recording and skip this entirely).
+    // integer-ns event DAG, emitted only into active captures.
     if obs::enabled() {
         if let Ok(crit) = dmc_machine::critpath::analyze(schedule, config) {
             crit.emit_events();
@@ -917,38 +947,227 @@ pub(crate) fn simulate_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::lu_input;
+    use crate::tests::{assert_equals_interp, figure2_input, lu_input, xy_input};
 
     const LIMIT: usize = 2_000_000;
 
-    /// The legality attempts only read the hoisted plan: in any order over
-    /// one plan they build what they build over a fresh one, an attempt
-    /// deeper than the hoisted splits folds again first, and the one
-    /// `build_schedule` returns is LU's second.
+    /// Deepening a set refolds that set alone: past the hoisted splits its
+    /// folds gain one, every other set's folds stay as they were, a second
+    /// refold at the same split folds nothing, and the schedule over the
+    /// shared plan is the one over a fresh plan folded the same way. LU
+    /// plans two sets at split 1, and `build_schedule` returns the plan at
+    /// its legal splits.
     #[test]
-    fn attempts_share_one_hoisted_plan() {
+    fn a_deepened_set_refolds_only_itself() {
         let compiled = compile(lu_input(4), Options::full()).unwrap();
-        let mut shared = hoist(&compiled, &[12], LIMIT, true).unwrap();
-        let folds = |p: &HoistedPlan| p.folds.iter().map(Vec::len).sum::<usize>();
-        let (mut on_shared, mut refolded) = (Vec::new(), Vec::new());
-        for extra in [0, 1, 2, 0] {
-            let mut fresh = hoist(&compiled, &[12], LIMIT, true).unwrap();
-            let before = folds(&shared);
-            shared.refold(&compiled, &[12], LIMIT, true, extra).unwrap();
-            refolded.push(folds(&shared) > before);
-            fresh.refold(&compiled, &[12], LIMIT, true, extra).unwrap();
-            let schedule = build_schedule_at(&compiled, true, extra, &shared);
-            assert_eq!(
-                schedule,
-                build_schedule_at(&compiled, true, extra, &fresh),
-                "extra split {extra}"
-            );
-            on_shared.push(schedule);
+        let mut plan = hoist(&compiled, &[12], LIMIT, true).unwrap();
+        let hoisted = plan.folds.clone();
+        let k = (0..compiled.comm.len())
+            .find(|&k| compiled.comm[k].split_depth(2) > compiled.comm[k].split_depth(1))
+            .expect("a set deeper than the hoisted splits");
+        for _ in 0..2 {
+            plan.refold(&compiled, k, &[12], LIMIT, true, 2).unwrap();
         }
-        assert_eq!(refolded, [false, false, true, false]);
-        assert_ne!(on_shared[0], on_shared[1], "the split changes the plan");
-        assert_eq!(on_shared[0], on_shared[3]);
+        for (j, (before, after)) in hoisted.iter().zip(&plan.folds).enumerate() {
+            assert_eq!(after.len(), before.len() + usize::from(j == k), "set {j}");
+            assert_eq!(after[..before.len()], before[..], "set {j}");
+        }
+        let mut splits = vec![0; compiled.comm.len()];
+        splits[k] = 2;
+        let mut fresh = hoist(&compiled, &[12], LIMIT, true).unwrap();
+        fresh.refold(&compiled, k, &[12], LIMIT, true, 2).unwrap();
+        let at = |plan: &HoistedPlan, splits: &[usize]| {
+            let chunks = anchored_chunks(&compiled, plan, splits);
+            build_schedule_at(&compiled, true, splits, chunks, plan)
+        };
+        assert_eq!(at(&plan, &splits), at(&fresh, &splits));
+        let (legal, _) = legal_splits(&compiled, &mut fresh, &[12], LIMIT, true).unwrap();
+        let mut histogram = legal.clone();
+        histogram.sort_unstable();
+        assert_eq!(histogram, [0, 0, 1, 1]);
         let built = build_schedule(&compiled, &[12], true, LIMIT).unwrap();
-        assert_eq!(built, on_shared[1]);
+        assert_eq!(built, at(&plan, &legal));
+    }
+
+    /// Plans `input` under `options` and holds the plan to three oracles:
+    /// every chunk at the legal splits is safe, the timing-mode schedule
+    /// runs to the end on a zero-cost machine, and a values-mode run equals
+    /// the sequential interpreter (where values mode is served). A compile
+    /// the options refuse for want of initial data plans nothing.
+    fn assert_plans_legally(what: &str, input: CompileInput, options: Options, params: &[i128]) {
+        let program = input.program.clone();
+        let compiled = match compile(input, options) {
+            Err(CompileError::MissingInitial(_)) => return,
+            compiled => compiled.unwrap_or_else(|e| panic!("{what}: {e}")),
+        };
+        let mut plan = hoist(&compiled, params, LIMIT, false).unwrap();
+        let (splits, chunks) = legal_splits(&compiled, &mut plan, params, LIMIT, false).unwrap();
+        let nproc = compiled.input.grid.len() as usize;
+        let unsafe_chunks = first_unsafe(nproc, splits.len(), &chunks);
+        assert!(
+            unsafe_chunks.iter().all(Option::is_none),
+            "{what}: {unsafe_chunks:?}"
+        );
+        let schedule = build_schedule_at(&compiled, false, &splits, chunks, &plan);
+        let zero = MachineConfig::zero_comm();
+        simulate_schedule(&compiled, params, &zero, false, &schedule)
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        match run(&compiled, params, &zero, true, LIMIT) {
+            Ok(result) => {
+                let memory = result.memory.expect("values mode returns memory");
+                assert_equals_interp(what, &program, params, &memory);
+            }
+            Err(CompileError::LocationCentricValues(_)) => {}
+            Err(e) => panic!("{what}: {e}"),
+        }
+    }
+
+    /// The corpus families' programs: `(name, source, the decomposed
+    /// loop variable of each statement, arrays with an initial home and
+    /// their ranks, largest N, params as a function of N)`.
+    type Family = (
+        &'static str,
+        String,
+        &'static [&'static str],
+        &'static [(&'static str, usize)],
+        i128,
+        fn(i128) -> Vec<i128>,
+    );
+
+    fn families() -> Vec<Family> {
+        let lu = "param N; array X[N + 1][N + 1];
+            for i1 = 0 to N { for i2 = i1 + 1 to N {
+              X[i2][i1] = X[i2][i1] / X[i1][i1];
+              for i3 = i1 + 1 to N { X[i2][i3] = X[i2][i3] - X[i2][i1] * X[i1][i3]; }
+            } }";
+        let mut out: Vec<Family> = vec![
+            ("lu", lu.to_owned(), &["i2", "i2"], &[("X", 2)], 19, |n| {
+                vec![n]
+            }),
+            (
+                "transpose",
+                "param N; array A[N][N]; array B[N][N];
+                 for i = 0 to N - 1 { for j = 0 to N - 1 { B[i][j] = 0.5 * A[j][i]; } }"
+                    .to_owned(),
+                &["i"],
+                &[("A", 2)],
+                23,
+                |n| vec![n + 1],
+            ),
+        ];
+        for k in 1..=3 {
+            out.push((
+                "shift",
+                format!(
+                    "param T, N; array X[N + 1];
+                     for t = 0 to T {{ for i = {k} to N {{ X[i] = 0.5 * X[i - {k}]; }} }}"
+                ),
+                &["i"],
+                &[],
+                255,
+                |n| vec![2, n],
+            ));
+        }
+        for k in 1..=2 {
+            out.push((
+                "stencil",
+                format!(
+                    "param T, N; array X[N + 1];
+                     for t = 0 to T {{ for i = {k} to N - {k} {{
+                       X[i] = 0.5 * (X[i] + X[i - {k}] + X[i + {k}]); }} }}"
+                ),
+                &["i"],
+                &[],
+                255,
+                |n| vec![2, n],
+            ));
+        }
+        out
+    }
+
+    /// A family's input under block `b` (cyclic for `None`) on `p`
+    /// processors, at the corpus's size: every processor owns one block
+    /// (three elements when cyclic), capped per family.
+    fn family_input(f: &Family, b: Option<i128>, p: i128) -> (CompileInput, Vec<i128>) {
+        let (_, source, vars, homes, max_n, params) = f;
+        let comps = vars.iter().enumerate().map(|(s, &var)| {
+            let comp = match b {
+                Some(b) => CompDecomp::block_1d(s, var, b),
+                None => CompDecomp::cyclic_1d(s, var),
+            };
+            (s, comp)
+        });
+        let initial = homes.iter().map(|&(array, rank)| {
+            let home = match b {
+                Some(b) => DataDecomp::block_1d(array, rank, 0, b),
+                None => DataDecomp::cyclic_1d(array, rank, 0),
+            };
+            (array.to_owned(), home)
+        });
+        let input = CompileInput {
+            program: dmc_ir::parse(source).expect("parses"),
+            comps: comps.collect(),
+            initial: initial.collect(),
+            grid: ProcGrid::line(p),
+        };
+        (input, params((b.unwrap_or(3) * p - 1).min(*max_n)))
+    }
+
+    /// The legality rule against the dry run it replaced, kept as a test
+    /// oracle: the registry under every option set it compiles with, and
+    /// the corpus's LU, shift, stencil and transpose shapes under block 4,
+    /// 8, 16 and 32 and cyclic decompositions on P ∈ {2, 3, 4, 6, 8}, naive
+    /// and full (and location-centric for the transpose, as the corpus
+    /// draws it).
+    #[test]
+    fn safe_chunks_never_deadlock_and_compute_the_program() {
+        let all = [
+            Options::full(),
+            Options::naive(),
+            Options::location_centric(),
+        ];
+        let (stencil, _) = family_input(&families()[5], Some(32), 4);
+        let registry = [
+            ("lu", lu_input(8), vec![48]),
+            ("stencil", stencil, vec![4, 127]),
+            ("figure2", figure2_input(32, 4), vec![3, 127]),
+            ("xy", xy_input(4, true), vec![47]),
+        ];
+        for (name, input, params) in registry {
+            for options in all {
+                let what = format!("{name} {options:?}");
+                assert_plans_legally(&what, input.clone(), options, &params);
+            }
+        }
+        for f in &families() {
+            let options = if f.0 == "transpose" {
+                &all[..]
+            } else {
+                &all[..2]
+            };
+            for b in [Some(4), Some(8), Some(16), Some(32), None] {
+                for p in [2, 3, 4, 6, 8] {
+                    let (input, params) = family_input(f, b, p);
+                    for &options in options {
+                        let what = format!("{} {b:?} P{p} {params:?} {options:?}", f.0);
+                        assert_plans_legally(&what, input.clone(), options, &params);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The case the plain order test (send stamp below receive stamp)
+    /// over-splits: LU with block-16 decompositions at N = 19 on two
+    /// processors plans its 6 messages at the paper's level, not 32.
+    #[test]
+    fn lu_block_16_stays_at_the_papers_level() {
+        let (input, params) = family_input(&families()[0], Some(16), 2);
+        assert_eq!(params, [19]);
+        let compiled = compile(input, Options::full()).unwrap();
+        assert_eq!(
+            message_stats(&compiled, &params, LIMIT).unwrap(),
+            (6, 6, 200)
+        );
     }
 }

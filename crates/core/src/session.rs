@@ -870,7 +870,8 @@ fn opt_fp(
 /// the raw message enumeration is a function of: everything the optimized
 /// communication sets depend on (program, decompositions, grid,
 /// answer-relevant options) plus the concrete parameters and the
-/// enumeration limit. The outer one adds the payload mode.
+/// enumeration limit. The outer one adds the payload mode; its tag names
+/// the planner's legality rule (56 was the dry run's, 58 is per chunk).
 pub(crate) fn schedule_fp(
     compiled: &Compiled,
     param_vals: &[i128],
@@ -892,7 +893,7 @@ pub(crate) fn schedule_fp(
     h.usize(limit);
     let messages_key = h.finish();
     let mut h = Fp::new();
-    h.tag(56);
+    h.tag(58);
     h.fingerprint(messages_key);
     h.bool(values);
     h.finish()

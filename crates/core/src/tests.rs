@@ -4,7 +4,8 @@
 use std::collections::{BTreeMap, HashMap};
 
 use dmc_decomp::{CompDecomp, DataDecomp, ProcGrid};
-use dmc_ir::{interp, parse, Program};
+use dmc_ir::interp::{self, Memory};
+use dmc_ir::{parse, Program};
 use dmc_machine::MachineConfig;
 
 use crate::{build_schedule, compile, message_stats, run, CompileError, CompileInput, Options};
@@ -25,25 +26,30 @@ fn check_end_to_end(input: CompileInput, options: Options, vals: &[i128]) -> dmc
     let compiled = compile(input, options).unwrap();
     let result = run(&compiled, vals, &MachineConfig::ipsc860(), true, 2_000_000).unwrap();
     let mem = result.memory.as_ref().expect("values mode returns memory");
-    let env = params_map(&program, vals);
-    let seq = interp::run(&program, &env).unwrap();
+    assert_equals_interp("", &program, vals, mem);
+    result.stats
+}
+
+/// Asserts a distributed run's merged memory equals the sequential
+/// oracle's on every array element.
+pub(crate) fn assert_equals_interp(what: &str, program: &Program, vals: &[i128], mem: &Memory) {
+    let seq = interp::run(program, &params_map(program, vals)).unwrap();
     for (name, store) in seq.iter() {
         let got = mem.array(name).unwrap();
-        assert_eq!(got.extents(), store.extents(), "{name} extents");
+        assert_eq!(got.extents(), store.extents(), "{what}: {name} extents");
         let a = got.as_slice();
         let b = store.as_slice();
         for (k, (x, y)) in a.iter().zip(b).enumerate() {
             let same = x == y || (x.is_nan() && y.is_nan()) || (x - y).abs() < 1e-12;
             assert!(
                 same,
-                "array {name} flat index {k}: distributed {x} vs sequential {y}"
+                "{what}: array {name} flat index {k}: distributed {x} vs sequential {y}"
             );
         }
     }
-    result.stats
 }
 
-fn figure2_input(block: i128, nproc: i128) -> CompileInput {
+pub(crate) fn figure2_input(block: i128, nproc: i128) -> CompileInput {
     let program = parse(
         "param T, N; array X[N + 1];
          for t = 0 to T { for i = 3 to N { X[i] = X[i - 3]; } }",
@@ -199,7 +205,7 @@ fn naive_options_still_correct() {
 
 /// §2.2.2's X/Y example, block size 4, with or without initial block
 /// data decompositions.
-fn xy_input(nproc: i128, with_initial: bool) -> CompileInput {
+pub(crate) fn xy_input(nproc: i128, with_initial: bool) -> CompileInput {
     let program = parse(
         "param N; array X[N + 2]; array Y[N + 2];
          for i = 0 to N {

@@ -248,7 +248,7 @@ pub fn simulate(
     // Event recording: one obs lane per simulated processor, events
     // stamped with *simulated* seconds (`t0`/`t1` fields). Captured once;
     // a capture cannot start mid-simulation (the pipeline serializes
-    // captures), and dry-run simulations suppress recording entirely.
+    // captures).
     let record = obs::enabled();
 
     // Cooperative scheduling: run any processor whose next action can

@@ -170,15 +170,14 @@ struct MsgInfo {
 /// set no pass touched). The groups partition the schedule's messages,
 /// so the counts sum exactly to the schedule's total message count —
 /// which is what lets the bench explainer tile a `messages` delta over
-/// pass chains with no residue. Follows the same supersession rules as
-/// [`explain_report`]: a new `schedule` span or `schedule.attempt`
-/// discards earlier messages.
+/// pass chains with no residue. Follows the same supersession rule as
+/// [`explain_report`]: a new `schedule` span discards earlier messages.
 pub fn message_pass_counts(trace: &Trace) -> Vec<(String, u64)> {
     let mut messages: Vec<String> = Vec::new();
     for lane in &trace.lanes {
         for r in &lane.records {
             match (r.phase, r.name) {
-                (Phase::Begin, "schedule") | (Phase::Begin, "schedule.attempt") => messages.clear(),
+                (Phase::Begin, "schedule") => messages.clear(),
                 (Phase::Instant, "prov.message") => {
                     let steps = as_str(r.get("steps")).unwrap_or("");
                     messages.push(if steps.is_empty() {
@@ -200,15 +199,15 @@ pub fn message_pass_counts(trace: &Trace) -> Vec<(String, u64)> {
 
 /// Builds the explain report for one captured compilation.
 ///
-/// Reads come from the per-read lane spans; messages come from the **last**
-/// schedule built in the capture (earlier `schedule` spans — e.g. the one
-/// inside `message_stats` — are superseded, and within a schedule only the
-/// final legality-refinement attempt's messages survive).
+/// Reads come from the per-read lane spans; messages, and the sets split
+/// deeper than §6.2's level for legality, come from the **last** schedule
+/// built in the capture (earlier `schedule` spans — e.g. the one inside
+/// `message_stats` — are superseded).
 pub fn explain_report(trace: &Trace, title: &str) -> String {
     let mut reads: BTreeMap<(u64, u64), ReadInfo> = BTreeMap::new();
     let mut stages: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new();
     let mut messages: Vec<MsgInfo> = Vec::new();
-    let mut retries = 0u64;
+    let mut splits: Vec<String> = Vec::new();
     let mut sim_done: Option<Vec<(&'static str, Value)>> = None;
     let mut procs: BTreeMap<u64, ProcView> = BTreeMap::new();
     let mut links: Vec<LinkView> = Vec::new();
@@ -286,7 +285,7 @@ pub fn explain_report(trace: &Trace, title: &str) -> String {
                 }
                 (Phase::Begin, "schedule") => {
                     messages.clear();
-                    retries = 0;
+                    splits.clear();
                 }
                 (Phase::Begin, "simulate") => {
                     // A new simulated run supersedes the previous one's
@@ -325,8 +324,16 @@ pub fn explain_report(trace: &Trace, title: &str) -> String {
                     scenario: as_str(r.get("scenario")).unwrap_or("?").to_owned(),
                     win_ns: as_u64(r.get("win_ns")).unwrap_or(0),
                 }),
-                (Phase::Begin, "schedule.attempt") => messages.clear(),
-                (Phase::Instant, "schedule.retry") => retries += 1,
+                (Phase::Instant, "schedule.split") => {
+                    let f = |k| r.get(k).map(Value::render).unwrap_or_default();
+                    let (set, array, split) = (f("set"), f("array"), f("split"));
+                    let (q, p, last, first) =
+                        (f("sender"), f("receiver"), f("last_send"), f("first_use"));
+                    splits.push(format!(
+                        "(legality: set {set} ({array}) split to {split}: its chunk p{q} -> \
+                         p{p} is last written at {last} and first used at {first})"
+                    ));
+                }
                 (Phase::Instant, "prov.message") => messages.push(MsgInfo {
                     msg: as_u64(r.get("msg")).unwrap_or(0),
                     array: as_str(r.get("array")).unwrap_or("?").to_owned(),
@@ -439,12 +446,8 @@ pub fn explain_report(trace: &Trace, title: &str) -> String {
     }
 
     let _ = writeln!(out, "\n## Surviving messages (final schedule)");
-    if retries > 0 {
-        let _ = writeln!(
-            out,
-            "(aggregation legality: {retries} deadlock retr{} forced a deeper message split)",
-            if retries == 1 { "y" } else { "ies" }
-        );
+    for line in &splits {
+        let _ = writeln!(out, "{line}");
     }
     if messages.is_empty() {
         let _ = writeln!(out, "(no messages: the plan is fully local)");
@@ -679,12 +682,6 @@ pub fn explain_report_with_profile(
     out
 }
 
-/// Convenience used by tests: the records of every lane, flattened.
-#[allow(dead_code)]
-fn all_records(trace: &Trace) -> Vec<&Record> {
-    trace.lanes.iter().flat_map(|l| l.records.iter()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -710,9 +707,17 @@ mod tests {
                     records: vec![
                         rec(Phase::Begin, "schedule", vec![]),
                         rec(
-                            Phase::Begin,
-                            "schedule.attempt",
-                            vec![field("extra_split", 0u64)],
+                            Phase::Instant,
+                            "schedule.split",
+                            vec![
+                                field("set", 1u64),
+                                field("array", "X"),
+                                field("split", 1u64),
+                                field("sender", 1u64),
+                                field("receiver", 2u64),
+                                field("last_send", "[0, 7]"),
+                                field("first_use", "[0, 4]"),
+                            ],
                         ),
                         rec(
                             Phase::Instant,
@@ -729,7 +734,6 @@ mod tests {
                                 field("steps", "self_reuse+fold_receivers"),
                             ],
                         ),
-                        rec(Phase::End, "schedule.attempt", vec![]),
                         rec(Phase::End, "schedule", vec![]),
                     ],
                 },
@@ -775,6 +779,13 @@ mod tests {
             "{report}"
         );
         assert!(report.contains("eliminated by already_local"), "{report}");
+        assert!(
+            report.contains(
+                "(legality: set 1 (X) split to 1: its chunk p1 -> p2 is last written at [0, 7] \
+                 and first used at [0, 4])"
+            ),
+            "{report}"
+        );
     }
 
     #[test]

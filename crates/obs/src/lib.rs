@@ -65,8 +65,6 @@
 //! exporter renders them as complete events on a second process, so a
 //! trace opens as the compiler's wall-clock lanes plus a
 //! one-row-per-processor Gantt chart of the simulated machine.
-//! [`suppress`] mutes recording on the current thread so internal dry-run
-//! simulations (schedule legality probes) don't pollute the timeline.
 
 #![warn(missing_docs)]
 
@@ -85,6 +83,6 @@ pub use journal::JournalRecord;
 pub use profile::{ProfileOp, WorkProfile};
 pub use trace::{
     enabled, event, event_f, event_nondet, field, finish_capture, lane, main_lane, read_lane,
-    sim_lane, span, span_f, start_capture, suppress, CtxGuard, LaneGuard, LaneKey, LaneRecords,
-    ObsContext, Phase, Record, SpanGuard, SuppressGuard, Trace, Value,
+    sim_lane, span, span_f, start_capture, CtxGuard, LaneGuard, LaneKey, LaneRecords, ObsContext,
+    Phase, Record, SpanGuard, Trace, Value,
 };

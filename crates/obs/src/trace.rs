@@ -535,42 +535,11 @@ fn emit(rec: Record) {
     });
 }
 
-thread_local! {
-    /// Suppression depth; see [`suppress`]. Only consulted after the
-    /// `ACTIVE` load succeeds, so the tracing-off fast path stays a
-    /// single relaxed atomic load.
-    static SUPPRESSED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// Whether a capture is in progress in the current thread's context and
-/// the thread is not inside a [`suppress`] scope. When no capture is
-/// running anywhere in the process this is a single relaxed atomic load
-/// — the entire cost of the subsystem.
+/// Whether a capture is in progress in the current thread's context. When
+/// no capture is running anywhere in the process this is a single relaxed
+/// atomic load — the entire cost of the subsystem.
 pub fn enabled() -> bool {
-    ACTIVE.load(R) != 0
-        && SUPPRESSED.with(|s| s.get()) == 0
-        && with_current(|ctx| ctx.enabled.load(R))
-}
-
-/// Mutes recording on the current thread until the guard drops. Used
-/// around internal re-runs of instrumented code — e.g. the schedule
-/// planner's dry-run simulations — whose records would otherwise pollute
-/// (and, for the simulator's per-processor timelines, de-monotonize) the
-/// capture. Nests; only affects the calling thread.
-pub fn suppress() -> SuppressGuard {
-    SUPPRESSED.with(|s| s.set(s.get() + 1));
-    SuppressGuard { _priv: () }
-}
-
-/// Re-enables recording on the current thread when dropped.
-pub struct SuppressGuard {
-    _priv: (),
-}
-
-impl Drop for SuppressGuard {
-    fn drop(&mut self) {
-        SUPPRESSED.with(|s| s.set(s.get().saturating_sub(1)));
-    }
+    ACTIVE.load(R) != 0 && with_current(|ctx| ctx.enabled.load(R))
 }
 
 /// Starts a capture in the *default context*: clears its store and
@@ -818,30 +787,6 @@ mod tests {
             "{view:?}"
         );
         assert!(view.iter().any(|l| l.contains("pass=self_reuse")));
-    }
-
-    #[test]
-    fn suppress_mutes_only_its_scope() {
-        let _g = CAPTURE.lock().unwrap_or_else(|e| e.into_inner());
-        start_capture();
-        {
-            let _lane = lane(main_lane(), "main");
-            event("kept.before", vec![]);
-            {
-                let _mute = suppress();
-                assert!(!enabled());
-                let _inner = suppress(); // nests
-                drop(_inner);
-                assert!(!enabled(), "outer suppression still active");
-                event("muted", vec![]);
-                let _s = span("muted.span");
-            }
-            assert!(enabled());
-            event("kept.after", vec![]);
-        }
-        let t = finish_capture();
-        let names: Vec<&str> = t.lanes[0].records.iter().map(|r| r.name).collect();
-        assert_eq!(names, vec!["kept.before", "kept.after"]);
     }
 
     #[test]

@@ -1699,7 +1699,7 @@ mod tests {
     }
 
     /// Differential property: the memoized projection path — the
-    /// incremental-FM replay a legality retry hits — agrees with a
+    /// incremental-FM replay a repeated projection hits — agrees with a
     /// from-scratch `eliminate_dims` run, cold and warm, over random
     /// banded systems; and the projection never loses a point of the
     /// original system (Fourier–Motzkin only relaxes).
