@@ -18,7 +18,11 @@ pub enum MulticastModel {
     Hardware,
 }
 
-/// Cost parameters of the simulated machine. Times are in seconds.
+/// Cost parameters of the simulated machine. Times are in seconds; the
+/// machine rounds each action's duration once to whole nanoseconds (a
+/// compute block's `flops · flop_time`, a send's busy time, a wire time, a
+/// receive's `alpha_recv`), so constants in whole nanoseconds are charged
+/// exactly.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MachineConfig {
     /// Per-message send software overhead (seconds).

@@ -11,21 +11,17 @@
 //!
 //! ## Exactness: the nanosecond grid
 //!
-//! The simulator advances `f64` clocks in seconds. Critical-path
-//! invariants ("blame sums to the makespan", "zero slack iff on the
-//! critical path") cannot hold *exactly* in floating point — backward
-//! slack passes subtract in a different association order than the
-//! forward clock additions. This module therefore quantizes every event
-//! duration to **integer nanoseconds** and evaluates the DAG in integer
-//! arithmetic. The iPSC/860 cost constants are whole nanoseconds (α_send
-//! = 95 000 ns, α_recv = 15 000 ns, β·4 bytes = 1 440 ns, one flop =
-//! 145 ns, multicast stagger = 1 ns), so the rounded durations are the
-//! true ones and the integer event times agree with the simulator's
-//! float clocks to well under half a nanosecond — [`CritAnalysis::verify`]
-//! asserts the agreement against a [`SimStats`]. On the grid, the
-//! telescoping sums and the forward/backward passes are exact, making
-//! every `--check` invariant a strict equality, byte-identical across
-//! hosts.
+//! The events are the steps of the simulator's own machine loop, which
+//! charges every action's duration once, rounded to whole nanoseconds,
+//! and keeps `u64` clocks: this module adds no clock, mailbox or
+//! scheduling of its own, only the edges, blame and slack built from the
+//! steps. Critical-path invariants ("blame sums to the makespan", "zero
+//! slack iff on the critical path") hold *exactly* in integer arithmetic,
+//! where a floating-point backward pass would subtract in a different
+//! association order than the forward clock additions. So every
+//! `--check` invariant is a strict equality, byte-identical across hosts,
+//! and [`CritAnalysis::verify`] still checks the analysis against the
+//! [`SimStats`] of a real run.
 
 use std::collections::HashMap;
 
@@ -33,13 +29,9 @@ use dmc_obs as obs;
 
 use crate::config::MachineConfig;
 use crate::schedule::{Action, Schedule};
-use crate::sim::SimError;
+pub use crate::sim::ns_of;
+use crate::sim::{run_machine, secs, SimError};
 use crate::stats::SimStats;
-
-/// Rounds simulated seconds onto the integer-nanosecond grid.
-pub fn ns_of(seconds: f64) -> u64 {
-    (seconds * 1e9).round() as u64
-}
 
 /// What one DAG event models.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -275,9 +267,9 @@ pub struct CritAnalysis {
 
 /// Builds the event DAG for `schedule` under `config` and analyzes it.
 ///
-/// Replays the simulator's cooperative scheduling loop (so a schedule the
-/// simulator deadlocks on errors here identically), quantizing every
-/// charged duration to the nanosecond grid.
+/// The events are the steps of the simulator's own machine loop, in the
+/// order it runs them, so a schedule the simulator rejects errors here
+/// identically.
 ///
 /// # Errors
 ///
@@ -286,17 +278,13 @@ pub struct CritAnalysis {
 pub fn analyze(schedule: &Schedule, config: &MachineConfig) -> Result<CritAnalysis, SimError> {
     let nproc = schedule.procs.len();
     let alpha_send_ns = ns_of(config.alpha_send);
-    let alpha_recv_ns = ns_of(config.alpha_recv);
 
     let mut events: Vec<Event> = Vec::new();
-    let mut clock = vec![0u64; nproc];
-    let mut next = vec![0usize; nproc];
     let mut last_event: Vec<Option<u32>> = vec![None; nproc];
     let mut per_proc = vec![Blame::default(); nproc];
-    // Mailbox: per (msg, receiver) the wire event index and its arrival.
-    let mut mail: HashMap<(usize, usize), (u32, u64)> = HashMap::new();
-
     let mut link_wait: HashMap<(usize, usize), u64> = HashMap::new();
+    // Per message, the event of its latest send's first wire.
+    let mut first_wire = vec![0u32; schedule.messages.len()];
 
     let mut messages: Vec<MsgBlame> = schedule
         .messages
@@ -317,168 +305,94 @@ pub fn analyze(schedule: &Schedule, config: &MachineConfig) -> Result<CritAnalys
         })
         .collect();
 
-    // The simulator's cooperative loop: run every processor as far as it
-    // can go; a receive with no mail blocks; no progress at all is a
-    // deadlock. Event times are independent of the visit order (a receive
-    // completes at max(own clock, arrival) either way), so the replay's
-    // integer clocks match the simulator's float clocks on the grid.
-    loop {
-        let mut progressed = false;
-        let mut all_done = true;
-        for p in 0..nproc {
-            while let Some(action) = schedule.procs[p].get(next[p]) {
-                all_done = false;
-                match action {
-                    Action::Block { stmt, flops, .. } => {
-                        let dur = ns_of(flops * config.flop_time);
-                        per_proc[p].compute_ns += dur;
-                        push_event(
-                            &mut events,
-                            &mut clock,
-                            &mut last_event,
-                            p,
-                            Event {
-                                kind: EventKind::Compute,
-                                proc: p,
-                                dst: None,
-                                msg: None,
-                                stmt: Some(*stmt),
-                                start_ns: 0,
-                                finish_ns: 0,
-                                dur_ns: dur,
-                                slack_ns: 0,
-                                preds: Vec::new(),
-                            },
-                        );
-                    }
-                    Action::Send { msg } => {
-                        let spec = schedule
-                            .messages
-                            .get(*msg)
-                            .ok_or_else(|| SimError::MalformedSchedule(format!("message {msg}")))?;
-                        if spec.sender != p {
-                            return Err(SimError::MalformedSchedule(format!(
-                                "processor {p} sends message {msg} owned by {}",
-                                spec.sender
-                            )));
-                        }
-                        let bytes = spec.words * config.word_bytes;
-                        let busy = ns_of(config.send_busy_time(bytes, spec.receivers.len()));
-                        let mb = &mut messages[*msg];
-                        // Exact tiling of the busy time: charge up to one
-                        // α and one β, and call the rest — the extra
-                        // sequential message times of a Linear/Log
-                        // multicast — link contention.
-                        let alpha = mb.alpha_ns.min(busy);
-                        let beta = mb.wire_ns.min(busy - alpha);
-                        per_proc[p].alpha_ns += alpha;
-                        per_proc[p].beta_ns += beta;
-                        per_proc[p].contention_ns += busy - alpha - beta;
-                        mb.send_ns += busy;
-                        let send_idx = push_event(
-                            &mut events,
-                            &mut clock,
-                            &mut last_event,
-                            p,
-                            Event {
-                                kind: EventKind::SendBusy,
-                                proc: p,
-                                dst: None,
-                                msg: Some(*msg),
-                                stmt: None,
-                                start_ns: 0,
-                                finish_ns: 0,
-                                dur_ns: busy,
-                                slack_ns: 0,
-                                preds: Vec::new(),
-                            },
-                        );
-                        messages[*msg].events.push(send_idx);
-                        for (k, &r) in spec.receivers.iter().enumerate() {
-                            if r >= nproc {
-                                return Err(SimError::MalformedSchedule(format!(
-                                    "receiver {r} out of range"
-                                )));
-                            }
-                            // The wire edge: β·bytes plus the k-th
-                            // receiver's 1 ns serialization stagger. Not
-                            // on any processor's timeline — it only binds
-                            // the receive's earliest start.
-                            let wire_dur = messages[*msg].wire_ns + k as u64;
-                            let start = events[send_idx as usize].finish_ns;
-                            let idx = events.len() as u32;
-                            events.push(Event {
-                                kind: EventKind::Wire,
-                                proc: p,
-                                dst: Some(r),
-                                msg: Some(*msg),
-                                stmt: None,
-                                start_ns: start,
-                                finish_ns: start + wire_dur,
-                                dur_ns: wire_dur,
-                                slack_ns: 0,
-                                preds: vec![send_idx],
-                            });
-                            messages[*msg].events.push(idx);
-                            mail.insert((*msg, r), (idx, start + wire_dur));
-                        }
-                    }
-                    Action::Recv { msg } => {
-                        let Some(&(wire_idx, arrival)) = mail.get(&(*msg, p)) else {
-                            break; // Blocked: try another processor.
-                        };
-                        mail.remove(&(*msg, p));
-                        let wait = arrival.saturating_sub(clock[p]);
-                        per_proc[p].recv_wait_ns += wait;
-                        *link_wait
-                            .entry((schedule.messages[*msg].sender, p))
-                            .or_insert(0) += wait;
-                        per_proc[p].alpha_ns += alpha_recv_ns;
-                        let mb = &mut messages[*msg];
-                        mb.wait_ns += wait;
-                        mb.recv_ns += alpha_recv_ns;
-                        let mut preds = Vec::with_capacity(2);
-                        if let Some(prev) = last_event[p] {
-                            preds.push(prev);
-                        }
-                        preds.push(wire_idx);
-                        let start = clock[p].max(arrival);
-                        let idx = events.len() as u32;
-                        events.push(Event {
-                            kind: EventKind::Recv,
-                            proc: p,
-                            dst: Some(p),
-                            msg: Some(*msg),
-                            stmt: None,
-                            start_ns: start,
-                            finish_ns: start + alpha_recv_ns,
-                            dur_ns: alpha_recv_ns,
-                            slack_ns: 0,
-                            preds,
-                        });
-                        messages[*msg].events.push(idx);
-                        clock[p] = start + alpha_recv_ns;
-                        last_event[p] = Some(idx);
-                    }
+    // One event per step on its processor's timeline, after the one
+    // before it; a receive also after the wire that brought its message.
+    let finish = run_machine(schedule, config, |step| {
+        let (p, dur) = (step.proc, step.dur);
+        let idx = events.len() as u32;
+        let finish = step.start + dur;
+        let mut event = Event {
+            kind: EventKind::Compute,
+            proc: p,
+            dst: None,
+            msg: None,
+            stmt: None,
+            start_ns: step.start,
+            finish_ns: finish,
+            dur_ns: dur,
+            slack_ns: 0,
+            preds: last_event[p].into_iter().collect(),
+        };
+        last_event[p] = Some(idx);
+        match step.action {
+            Action::Block { stmt, .. } => {
+                per_proc[p].compute_ns += dur;
+                events.push(Event {
+                    stmt: Some(*stmt),
+                    ..event
+                });
+            }
+            Action::Send { msg } => {
+                let mb = &mut messages[*msg];
+                // Exact tiling of the busy time: charge up to one α and one
+                // β, and call the rest — the extra sequential message times
+                // of a Linear/Log multicast — link contention.
+                let alpha = mb.alpha_ns.min(dur);
+                let beta = mb.wire_ns.min(dur - alpha);
+                per_proc[p].alpha_ns += alpha;
+                per_proc[p].beta_ns += beta;
+                per_proc[p].contention_ns += dur - alpha - beta;
+                mb.send_ns += dur;
+                mb.events.push(idx);
+                events.push(Event {
+                    kind: EventKind::SendBusy,
+                    msg: Some(*msg),
+                    ..event
+                });
+                // The wires: on no processor's timeline, each only binds
+                // its receive's earliest start.
+                first_wire[*msg] = idx + 1;
+                let receivers = &schedule.messages[*msg].receivers;
+                for (&r, &arrival) in receivers.iter().zip(step.arrivals) {
+                    mb.events.push(events.len() as u32);
+                    events.push(Event {
+                        kind: EventKind::Wire,
+                        proc: p,
+                        dst: Some(r),
+                        msg: Some(*msg),
+                        stmt: None,
+                        start_ns: finish,
+                        finish_ns: arrival,
+                        dur_ns: arrival - finish,
+                        slack_ns: 0,
+                        preds: vec![idx],
+                    });
                 }
-                next[p] += 1;
-                progressed = true;
+            }
+            Action::Recv { msg } => {
+                let got = step.delivery.expect("a receive takes a delivery");
+                let mb = &mut messages[*msg];
+                per_proc[p].recv_wait_ns += got.wait;
+                per_proc[p].alpha_ns += dur;
+                *link_wait.entry((mb.sender, p)).or_insert(0) += got.wait;
+                mb.wait_ns += got.wait;
+                mb.recv_ns += dur;
+                event.preds.push(first_wire[*msg] + got.k as u32);
+                mb.events.push(idx);
+                events.push(Event {
+                    kind: EventKind::Recv,
+                    dst: Some(p),
+                    msg: Some(*msg),
+                    ..event
+                });
             }
         }
-        if all_done {
-            break;
-        }
-        if !progressed {
-            let blocked: Vec<usize> = (0..nproc)
-                .filter(|&p| next[p] < schedule.procs[p].len())
-                .collect();
-            return Err(SimError::Deadlock { blocked });
-        }
-    }
+        Ok(())
+    })?;
 
-    let makespan_ns = clock.iter().copied().max().unwrap_or(0);
+    let makespan_ns = finish.iter().copied().max().unwrap_or(0);
     for p in 0..nproc {
-        per_proc[p].drain_ns = makespan_ns - clock[p];
+        per_proc[p].drain_ns = makespan_ns - finish[p];
     }
     let mut total = Blame::default();
     for b in &per_proc {
@@ -576,27 +490,6 @@ pub fn analyze(schedule: &Schedule, config: &MachineConfig) -> Result<CritAnalys
         messages,
         links,
     })
-}
-
-/// Appends a processor-timeline event (compute / send busy / recv) and
-/// advances that processor's clock. Returns the event's index.
-fn push_event(
-    events: &mut Vec<Event>,
-    clock: &mut [u64],
-    last_event: &mut [Option<u32>],
-    p: usize,
-    mut e: Event,
-) -> u32 {
-    let idx = events.len() as u32;
-    if let Some(prev) = last_event[p] {
-        e.preds.push(prev);
-    }
-    e.start_ns = clock[p];
-    e.finish_ns = e.start_ns + e.dur_ns;
-    clock[p] = e.finish_ns;
-    last_event[p] = Some(idx);
-    events.push(e);
-    idx
 }
 
 impl CritAnalysis {
@@ -1092,8 +985,8 @@ impl CritAnalysis {
                 obs::field("kind", e.kind.name()),
                 obs::field("proc", e.proc),
                 obs::field("slack_ns", e.slack_ns),
-                obs::field("t0", e.start_ns as f64 * 1e-9),
-                obs::field("t1", e.finish_ns as f64 * 1e-9),
+                obs::field("t0", secs(e.start_ns)),
+                obs::field("t1", secs(e.finish_ns)),
             ];
             if let Some(m) = e.msg {
                 fields.push(obs::field("msg", m));
@@ -1122,10 +1015,14 @@ mod tests {
         }
     }
 
-    /// Runs the real simulator (timing mode) on `schedule` to get the
-    /// ground-truth stats the analysis must agree with. The program only
-    /// supplies statement ids 0..=2; flops come from the schedule.
-    fn sim_stats(schedule: &Schedule, config: &MachineConfig) -> Result<SimStats, SimError> {
+    /// Runs the real simulator on `schedule` to get the ground-truth stats
+    /// the analysis must agree with. The program only supplies statement
+    /// ids 0..=2; flops come from the schedule.
+    fn sim_stats(
+        schedule: &Schedule,
+        config: &MachineConfig,
+        values: bool,
+    ) -> Result<SimStats, SimError> {
         let program = dmc_ir::parse(
             "array A[8];
              for i = 0 to 2 { A[i] = 1.0; }
@@ -1141,7 +1038,7 @@ mod tests {
             schedule,
             config,
             &InitialPlacement::Replicated,
-            false,
+            values,
         )
         .map(|r| r.stats)
     }
@@ -1181,7 +1078,7 @@ mod tests {
     }
 
     fn check(schedule: &Schedule, config: &MachineConfig) -> CritAnalysis {
-        let stats = sim_stats(schedule, config).expect("simulate");
+        let stats = sim_stats(schedule, config, false).expect("simulate");
         let crit = analyze(schedule, config).expect("analyze");
         crit.verify(&stats).expect("verify");
         crit.verify_what_ifs().expect("what-ifs");
@@ -1284,21 +1181,62 @@ mod tests {
         }
     }
 
+    /// Every error the machine loop raises comes out of `simulate` (both
+    /// modes) and `analyze` alike.
     #[test]
     fn deadlock_matches_simulator() {
-        let mut s = Schedule::new(2);
-        s.messages.push(MessageSpec {
-            sender: 0,
-            receivers: vec![1],
-            words: 1,
-            payload: None,
-        });
-        s.procs[1].push(Action::Recv { msg: 0 });
-        // p0 never sends.
+        // Two processors, one message from p0 to p1 unless `receivers`
+        // says otherwise, and the given actions.
+        let schedule = |receivers: Vec<usize>, p0: Vec<Action>, p1: Vec<Action>| {
+            let mut s = Schedule::new(2);
+            s.messages.push(MessageSpec {
+                sender: 0,
+                receivers,
+                words: 1,
+                payload: None,
+            });
+            s.procs = vec![p0, p1];
+            s
+        };
+        let cases = [
+            (
+                schedule(vec![1], vec![Action::Send { msg: 7 }], vec![]),
+                SimError::MalformedSchedule("message 7".into()),
+            ),
+            (
+                schedule(vec![0], vec![], vec![Action::Send { msg: 0 }]),
+                SimError::MalformedSchedule("processor 1 sends message 0 owned by 0".into()),
+            ),
+            (
+                schedule(vec![1, 2], vec![Action::Send { msg: 0 }], vec![]),
+                SimError::MalformedSchedule("receiver 2 out of range".into()),
+            ),
+            (
+                // p0 waits for p1's message before sending its own, and p1
+                // waits for p0's.
+                {
+                    let mut s = schedule(vec![1], vec![], vec![]);
+                    s.messages.push(MessageSpec {
+                        sender: 1,
+                        receivers: vec![0],
+                        words: 1,
+                        payload: None,
+                    });
+                    s.procs[0] = vec![Action::Recv { msg: 1 }, Action::Send { msg: 0 }];
+                    s.procs[1] = vec![Action::Recv { msg: 0 }, Action::Send { msg: 1 }];
+                    s
+                },
+                SimError::Deadlock {
+                    blocked: vec![0, 1],
+                },
+            ),
+        ];
         let config = MachineConfig::ipsc860();
-        let sim_err = sim_stats(&s, &config).expect_err("deadlock");
-        let crit_err = analyze(&s, &config).expect_err("deadlock");
-        assert_eq!(format!("{sim_err:?}"), format!("{crit_err:?}"));
+        for (s, want) in cases {
+            assert_eq!(sim_stats(&s, &config, false).unwrap_err(), want, "{s:?}");
+            assert_eq!(sim_stats(&s, &config, true).unwrap_err(), want, "{s:?}");
+            assert_eq!(analyze(&s, &config).unwrap_err(), want, "{s:?}");
+        }
     }
 
     #[test]

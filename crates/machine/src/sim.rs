@@ -14,6 +14,16 @@
 //!   and messages carry sizes; used for large problem sizes (Figure 14).
 //!   Nothing below is built: no layout, no memory, no lowered statement.
 //!
+//! # One clock
+//!
+//! `run_machine` is the machine itself, and both [`simulate`] and
+//! [`crate::critpath::analyze`] drive it: the processors and what each
+//! runs next, blocking receives, the mailbox, deadlock, the checks on
+//! message ids and ranks, and each action's cost, rounded once to whole
+//! nanoseconds ([`ns_of`]) and added to `u64` clocks. `simulate` adds what
+//! a run computes (values mode), the [`SimStats`] — nanoseconds × 1e-9 —
+//! and the `sim.*` events; the analysis adds its event DAG.
+//!
 //! # Local memories
 //!
 //! A processor's memory is dense. Every declared array gets a row-major
@@ -72,6 +82,11 @@ use dmc_obs as obs;
 use crate::config::MachineConfig;
 use crate::schedule::{stamp_of, Action, MessageSpec, Schedule};
 use crate::stats::SimStats;
+
+/// Rounds simulated seconds onto the integer-nanosecond grid.
+pub fn ns_of(seconds: f64) -> u64 {
+    (seconds * 1e9).round() as u64
+}
 
 /// Where live-in data resides before execution.
 #[derive(Clone, Debug)]
@@ -169,23 +184,18 @@ pub struct SimResult {
     pub memory: Option<Memory>,
 }
 
-struct Proc {
-    clock: f64,
-    next: usize,
-    compute_time: f64,
-    comm_time: f64,
-    idle_time: f64,
+/// What one processor spent, in nanoseconds.
+#[derive(Clone, Copy, Default)]
+struct Spent {
+    compute: u64,
+    comm: u64,
+    idle: u64,
 }
 
-/// In-flight message instance (per receiver).
-struct InFlight {
-    arrival: f64,
-    /// Sender clock when the send started; latency = completion − sent_at.
-    sent_at: f64,
-    /// The values of the message's payload items, in item order; one
-    /// buffer shared by all receivers of a multicast.
-    payload: Option<Rc<[f64]>>,
-    words: u64,
+/// Nanoseconds on the machine's clock as the seconds [`SimStats`] and the
+/// `sim.*` events report.
+pub(crate) fn secs(ns: u64) -> f64 {
+    ns as f64 * 1e-9
 }
 
 /// Runs `schedule` on the simulated machine.
@@ -221,16 +231,6 @@ pub fn simulate(
     }
     let stmts = program.statements();
 
-    let mut procs: Vec<Proc> = (0..nproc)
-        .map(|_| Proc {
-            clock: 0.0,
-            next: 0,
-            compute_time: 0.0,
-            comm_time: 0.0,
-            idle_time: 0.0,
-        })
-        .collect();
-
     // Values mode only: layout, lowered statements, resolved payloads and
     // the placed local memories. Timing mode never reads and builds none.
     let mut machine = if values {
@@ -240,9 +240,10 @@ pub fn simulate(
     } else {
         None
     };
-
-    // Mailbox: per (msg id, receiver) the in-flight instance.
-    let mut mail: HashMap<(usize, usize), InFlight> = HashMap::new();
+    // Per message, the values its send read; one buffer shared by all
+    // receivers of a multicast.
+    let mut payloads: Vec<Option<Rc<[f64]>>> = vec![None; schedule.messages.len()];
+    let mut spent = vec![Spent::default(); nproc];
     let mut stats = SimStats::new(nproc);
 
     // Event recording: one obs lane per simulated processor, events
@@ -251,192 +252,130 @@ pub fn simulate(
     // captures).
     let record = obs::enabled();
 
-    // Cooperative scheduling: run any processor whose next action can
-    // complete; repeat until all are done or none can move.
-    loop {
-        let mut progressed = false;
-        let mut all_done = true;
-        for (p, proc) in procs.iter_mut().enumerate() {
-            while let Some(action) = schedule.procs[p].get(proc.next) {
-                all_done = false;
-                match action {
-                    Action::Block {
-                        stmt,
-                        prefix,
-                        inner_range,
-                        flops,
-                    } => {
-                        stmts.get(*stmt).ok_or(SimError::NoSuchStatement(*stmt))?;
-                        if let Some(m) = &mut machine {
-                            m.run_block(p, *stmt, prefix, *inner_range)?;
-                        }
-                        let dt = flops * config.flop_time;
-                        let t0 = proc.clock;
-                        proc.clock += dt;
-                        proc.compute_time += dt;
-                        stats.flops += flops;
-                        if record {
-                            let _l = obs::lane(obs::sim_lane(p), format!("sim p{p}"));
-                            obs::event(
-                                "sim.compute",
-                                vec![
-                                    obs::field("proc", p),
-                                    obs::field("stmt", *stmt),
-                                    obs::field("flops", *flops),
-                                    obs::field("t0", t0),
-                                    obs::field("t1", proc.clock),
-                                ],
-                            );
-                        }
-                    }
-                    Action::Send { msg } => {
-                        let spec = schedule
-                            .messages
-                            .get(*msg)
-                            .ok_or_else(|| SimError::MalformedSchedule(format!("message {msg}")))?;
-                        if spec.sender != p {
-                            return Err(SimError::MalformedSchedule(format!(
-                                "processor {p} sends message {msg} owned by {}",
-                                spec.sender
-                            )));
-                        }
-                        let bytes = spec.words * config.word_bytes;
-                        let busy = config.send_busy_time(bytes, spec.receivers.len());
-                        // Payload read at send time from the sender's
-                        // memory. A missing value here means the plan asked
-                        // a processor to forward data it never had.
-                        let payload = match &machine {
-                            Some(m) => m.gather(p, *msg, spec)?,
-                            None => None,
-                        };
-                        let t0 = proc.clock;
-                        proc.clock += busy;
-                        proc.comm_time += busy;
-                        let arrival_base = proc.clock + config.wire_time(bytes);
-                        for (k, &r) in spec.receivers.iter().enumerate() {
-                            if r >= nproc {
-                                return Err(SimError::MalformedSchedule(format!(
-                                    "receiver {r} out of range"
-                                )));
-                            }
-                            mail.insert(
-                                (*msg, r),
-                                InFlight {
-                                    arrival: arrival_base + k as f64 * 1e-9,
-                                    sent_at: t0,
-                                    payload: payload.clone(),
-                                    words: spec.words,
-                                },
-                            );
-                            stats.traffic_words[p * nproc + r] += spec.words;
-                            stats.traffic_transmissions[p * nproc + r] += 1;
-                        }
-                        stats.messages += 1;
-                        stats.transmissions += spec.receivers.len() as u64;
-                        stats.words += spec.words * spec.receivers.len() as u64;
-                        stats.msg_words_hist.observe(spec.words);
-                        if record {
-                            let _l = obs::lane(obs::sim_lane(p), format!("sim p{p}"));
-                            obs::event(
-                                "sim.send",
-                                vec![
-                                    obs::field("proc", p),
-                                    obs::field("msg", *msg),
-                                    obs::field("words", spec.words),
-                                    obs::field("nrecv", spec.receivers.len()),
-                                    obs::field("t0", t0),
-                                    obs::field("t1", proc.clock),
-                                ],
-                            );
-                        }
-                    }
-                    Action::Recv { msg } => {
-                        let Some(inflight) = mail.remove(&(*msg, p)) else {
-                            // Blocked: try another processor.
-                            break;
-                        };
-                        let t_block = proc.clock;
-                        let wait = (inflight.arrival - t_block).max(0.0);
-                        proc.idle_time += wait;
-                        proc.clock = proc.clock.max(inflight.arrival) + config.alpha_recv;
-                        proc.comm_time += config.alpha_recv;
-                        let done = proc.clock;
-                        stats
-                            .latency_us_hist
-                            .observe(((done - inflight.sent_at) * 1e6).round() as u64);
-                        if record {
-                            let sender = schedule
-                                .messages
-                                .get(*msg)
-                                .map(|s| s.sender)
-                                .unwrap_or(usize::MAX);
-                            let _l = obs::lane(obs::sim_lane(p), format!("sim p{p}"));
-                            if wait > 0.0 {
-                                obs::event(
-                                    "sim.recv.wait",
-                                    vec![
-                                        obs::field("proc", p),
-                                        obs::field("msg", *msg),
-                                        obs::field("t0", t_block),
-                                        obs::field("t1", t_block + wait),
-                                    ],
-                                );
-                            }
-                            obs::event(
-                                "sim.recv",
-                                vec![
-                                    obs::field("proc", p),
-                                    obs::field("msg", *msg),
-                                    obs::field("from", sender),
-                                    obs::field("words", inflight.words),
-                                    obs::field("t0", done - config.alpha_recv),
-                                    obs::field("t1", done),
-                                ],
-                            );
-                        }
-                        if let (Some(m), Some(vals)) = (&mut machine, inflight.payload) {
-                            m.integrate(p, *msg, &schedule.messages[*msg], &vals);
-                        }
-                    }
+    let finish = run_machine(schedule, config, |step| {
+        let p = step.proc;
+        let (t0, t1) = (secs(step.start), secs(step.start + step.dur));
+        let _lane = record.then(|| obs::lane(obs::sim_lane(p), format!("sim p{p}")));
+        match step.action {
+            Action::Block {
+                stmt,
+                prefix,
+                inner_range,
+                flops,
+            } => {
+                stmts.get(*stmt).ok_or(SimError::NoSuchStatement(*stmt))?;
+                if let Some(m) = &mut machine {
+                    m.run_block(p, *stmt, prefix, *inner_range)?;
                 }
-                proc.next += 1;
-                progressed = true;
+                spent[p].compute += step.dur;
+                stats.flops += flops;
+                if record {
+                    obs::event(
+                        "sim.compute",
+                        vec![
+                            obs::field("proc", p),
+                            obs::field("stmt", *stmt),
+                            obs::field("flops", *flops),
+                            obs::field("t0", t0),
+                            obs::field("t1", t1),
+                        ],
+                    );
+                }
+            }
+            Action::Send { msg } => {
+                let spec = &schedule.messages[*msg];
+                // Payload read at send time from the sender's memory. A
+                // missing value here means the plan asked a processor to
+                // forward data it never had.
+                if let Some(m) = &machine {
+                    payloads[*msg] = m.gather(p, *msg, spec)?;
+                }
+                spent[p].comm += step.dur;
+                for &r in &spec.receivers {
+                    stats.traffic_words[p * nproc + r] += spec.words;
+                    stats.traffic_transmissions[p * nproc + r] += 1;
+                }
+                stats.messages += 1;
+                stats.transmissions += spec.receivers.len() as u64;
+                stats.words += spec.words * spec.receivers.len() as u64;
+                stats.msg_words_hist.observe(spec.words);
+                if record {
+                    obs::event(
+                        "sim.send",
+                        vec![
+                            obs::field("proc", p),
+                            obs::field("msg", *msg),
+                            obs::field("words", spec.words),
+                            obs::field("nrecv", spec.receivers.len()),
+                            obs::field("t0", t0),
+                            obs::field("t1", t1),
+                        ],
+                    );
+                }
+            }
+            Action::Recv { msg } => {
+                let spec = &schedule.messages[*msg];
+                let got = step.delivery.expect("a receive takes a delivery");
+                spent[p].idle += got.wait;
+                spent[p].comm += step.dur;
+                // Send start to receive completion, in rounded microseconds.
+                let latency_ns = step.start + step.dur - got.sent;
+                stats.latency_us_hist.observe((latency_ns + 500) / 1000);
+                if record {
+                    if got.wait > 0 {
+                        obs::event(
+                            "sim.recv.wait",
+                            vec![
+                                obs::field("proc", p),
+                                obs::field("msg", *msg),
+                                obs::field("t0", secs(step.start - got.wait)),
+                                obs::field("t1", t0),
+                            ],
+                        );
+                    }
+                    obs::event(
+                        "sim.recv",
+                        vec![
+                            obs::field("proc", p),
+                            obs::field("msg", *msg),
+                            obs::field("from", spec.sender),
+                            obs::field("words", spec.words),
+                            obs::field("t0", t0),
+                            obs::field("t1", t1),
+                        ],
+                    );
+                }
+                if let (Some(m), Some(vals)) = (&mut machine, &payloads[*msg]) {
+                    m.integrate(p, *msg, spec, vals);
+                }
             }
         }
-        if all_done {
-            break;
-        }
-        if !progressed {
-            let blocked: Vec<usize> = (0..nproc)
-                .filter(|&p| procs[p].next < schedule.procs[p].len())
-                .collect();
-            return Err(SimError::Deadlock { blocked });
-        }
-    }
+        Ok(())
+    })?;
 
-    for (p, proc) in procs.iter().enumerate() {
-        stats.per_proc[p].compute = proc.compute_time;
-        stats.per_proc[p].comm = proc.comm_time;
-        stats.per_proc[p].idle = proc.idle_time;
-        stats.per_proc[p].finish = proc.clock;
+    for ((proc, s), &f) in stats.per_proc.iter_mut().zip(&spent).zip(&finish) {
+        proc.compute = secs(s.compute);
+        proc.comm = secs(s.comm);
+        proc.idle = secs(s.idle);
+        proc.finish = secs(f);
     }
-    stats.time = procs.iter().map(|p| p.clock).fold(0.0, f64::max);
+    stats.time = secs(finish.iter().copied().max().unwrap_or(0));
 
     if record {
         // End-of-run summaries. One `sim.proc` per processor (also
         // materializing a lane for processors that never acted, so the
         // exported trace always has one display thread per processor),
         // and one `sim.link` per non-zero link in the caller's lane.
-        for (p, proc) in procs.iter().enumerate() {
+        for (p, proc) in stats.per_proc.iter().enumerate() {
             let _l = obs::lane(obs::sim_lane(p), format!("sim p{p}"));
             obs::event(
                 "sim.proc",
                 vec![
                     obs::field("proc", p),
-                    obs::field("compute", proc.compute_time),
-                    obs::field("comm", proc.comm_time),
-                    obs::field("idle", proc.idle_time),
-                    obs::field("t0", proc.clock),
+                    obs::field("compute", proc.compute),
+                    obs::field("comm", proc.comm),
+                    obs::field("idle", proc.idle),
+                    obs::field("t0", proc.finish),
                 ],
             );
         }
@@ -487,6 +426,135 @@ pub fn simulate(
         ]
     });
     Ok(SimResult { stats, memory })
+}
+
+/// One action as the machine ran it, on the nanosecond grid.
+pub(crate) struct Step<'a> {
+    /// The processor that ran it.
+    pub proc: usize,
+    pub action: &'a Action,
+    /// When it started: for a receive, once its message had arrived.
+    pub start: u64,
+    /// What it cost its processor.
+    pub dur: u64,
+    /// A send: when the message reaches each receiver, in receiver order.
+    pub arrivals: &'a [u64],
+    /// A receive: the transmission it took.
+    pub delivery: Option<Delivery>,
+}
+
+/// One transmission of a message, from its send to one receiver.
+#[derive(Clone, Copy)]
+pub(crate) struct Delivery {
+    /// When the send started.
+    pub sent: u64,
+    /// The receiver's place among the message's receivers.
+    pub k: usize,
+    pub arrival: u64,
+    /// How long the receiver waited for it; 0 until it is received.
+    pub wait: u64,
+}
+
+/// The machine: runs `schedule` under `config` and returns each
+/// processor's finish time.
+///
+/// Cooperative scheduling: every processor runs as far as it can; a
+/// receive whose message has not been sent blocks its processor, and a
+/// round in which nobody moves is a deadlock. Each action's duration is
+/// rounded once to whole nanoseconds and clocks are `u64`, so a time does
+/// not depend on the visiting order: a receive starts at its processor's
+/// clock or its message's arrival, whichever is later. `on_step` sees
+/// every action in the order it runs, and its error stops the run.
+pub(crate) fn run_machine(
+    schedule: &Schedule,
+    config: &MachineConfig,
+    mut on_step: impl FnMut(Step<'_>) -> Result<(), SimError>,
+) -> Result<Vec<u64>, SimError> {
+    let nproc = schedule.procs.len();
+    let alpha_recv = ns_of(config.alpha_recv);
+    let mut clock = vec![0u64; nproc];
+    let mut next = vec![0usize; nproc];
+    // Per (message, receiver) the transmission in flight.
+    let mut mail: HashMap<(usize, usize), Delivery> = HashMap::new();
+    let mut arrivals: Vec<u64> = Vec::new();
+    loop {
+        let mut progressed = false;
+        let mut all_done = true;
+        for p in 0..nproc {
+            while let Some(action) = schedule.procs[p].get(next[p]) {
+                all_done = false;
+                arrivals.clear();
+                let (dur, delivery) = match action {
+                    Action::Block { flops, .. } => (ns_of(flops * config.flop_time), None),
+                    Action::Send { msg } => {
+                        let spec = schedule
+                            .messages
+                            .get(*msg)
+                            .ok_or_else(|| SimError::MalformedSchedule(format!("message {msg}")))?;
+                        if spec.sender != p {
+                            return Err(SimError::MalformedSchedule(format!(
+                                "processor {p} sends message {msg} owned by {}",
+                                spec.sender
+                            )));
+                        }
+                        let bytes = spec.words * config.word_bytes;
+                        let busy = ns_of(config.send_busy_time(bytes, spec.receivers.len()));
+                        // The k-th receiver of a multicast is served k ns
+                        // after the first.
+                        let flight = clock[p] + busy + ns_of(config.wire_time(bytes));
+                        for (k, &r) in spec.receivers.iter().enumerate() {
+                            if r >= nproc {
+                                return Err(SimError::MalformedSchedule(format!(
+                                    "receiver {r} out of range"
+                                )));
+                            }
+                            let sent = clock[p];
+                            let (arrival, wait) = (flight + k as u64, 0);
+                            arrivals.push(arrival);
+                            mail.insert(
+                                (*msg, r),
+                                Delivery {
+                                    sent,
+                                    k,
+                                    arrival,
+                                    wait,
+                                },
+                            );
+                        }
+                        (busy, None)
+                    }
+                    Action::Recv { msg } => {
+                        let Some(got) = mail.remove(&(*msg, p)) else {
+                            break; // Blocked: try another processor.
+                        };
+                        let wait = got.arrival.saturating_sub(clock[p]);
+                        (alpha_recv, Some(Delivery { wait, ..got }))
+                    }
+                };
+                let start = clock[p] + delivery.map_or(0, |d| d.wait);
+                on_step(Step {
+                    proc: p,
+                    action,
+                    start,
+                    dur,
+                    arrivals: &arrivals,
+                    delivery,
+                })?;
+                clock[p] = start + dur;
+                next[p] += 1;
+                progressed = true;
+            }
+        }
+        if all_done {
+            return Ok(clock);
+        }
+        if !progressed {
+            let blocked: Vec<usize> = (0..nproc)
+                .filter(|&p| next[p] < schedule.procs[p].len())
+                .collect();
+            return Err(SimError::Deadlock { blocked });
+        }
+    }
 }
 
 /// Pads a stamp row past the end of its stamp. Smaller than every

@@ -4,10 +4,11 @@
 //! Prints the Last Write Trees (Figure 12), the generated computation and
 //! aggregated communication code (Figure 13 artifacts), verifies the
 //! distributed execution against the sequential interpreter at a small
-//! size, and then reproduces the Figure 14 performance series — all
-//! through one compilation [`Session`], so the processor-count series
-//! reuses every grid-independent analysis stage instead of recompiling
-//! from scratch.
+//! size, prints the aggregation level the planner used for each
+//! communication set, and then reproduces the Figure 14 performance
+//! series — all through one compilation [`Session`], so the
+//! processor-count series reuses every grid-independent analysis stage
+//! instead of recompiling from scratch.
 //!
 //! ```sh
 //! cargo run --release --example lu              # default sizes
@@ -16,9 +17,10 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use dmc_core::{CompileInput, Options, Session};
+use dmc_core::{build_schedule, CompileInput, Compiled, Options, Session};
 use dmc_decomp::{CompDecomp, DataDecomp, ProcGrid};
 use dmc_machine::MachineConfig;
+use dmc_obs::Value;
 
 const LU_SRC: &str = "param N; array X[N + 1][N + 1];
 for i1 = 0 to N {
@@ -53,6 +55,24 @@ fn scaled_config(scale: f64) -> MachineConfig {
     let mut c = MachineConfig::ipsc860();
     c.flop_time *= scale;
     c
+}
+
+/// The legality split each communication set of `compiled` is planned at
+/// for size `n`: the last split its `schedule.split` events name, or the
+/// paper's level (0) without one.
+fn legality_splits(compiled: &Compiled, n: i128) -> Vec<u64> {
+    dmc_obs::start_capture();
+    build_schedule(compiled, &[n], false, 10_000_000).expect("schedules");
+    let trace = dmc_obs::finish_capture();
+    let mut splits = vec![0; compiled.comm.len()];
+    for r in trace.lanes.iter().flat_map(|l| &l.records) {
+        if let ("schedule.split", Some(&Value::UInt(set)), Some(&Value::UInt(split))) =
+            (r.name, r.get("set"), r.get("split"))
+        {
+            splits[set as usize] = splits[set as usize].max(split);
+        }
+    }
+    splits
 }
 
 fn main() {
@@ -129,6 +149,19 @@ fn main() {
         .zip(b)
         .all(|(x, y)| x == y || (x.is_nan() && y.is_nan())));
     println!("\nN=24, P=4: distributed LU matches the sequential interpreter ✓\n");
+
+    // --- aggregation legality: where each set leaves the paper's level ---
+    // Split 0 is the paper's aggregation level; each split more cuts a
+    // set's messages one send-iteration component finer.
+    println!("=== legality split per communication set (N=24, P=4) ===");
+    for (k, split) in legality_splits(&compiled, 24).into_iter().enumerate() {
+        let cs = &compiled.comm[k];
+        println!(
+            "set {k} ({} read by S{}): split {split}",
+            cs.array, cs.read_stmt
+        );
+    }
+    println!();
 
     // --- Figure 14: performance series ---
     println!("=== Figure 14: LU performance (simulated iPSC/860, scaled) ===");

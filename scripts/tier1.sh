@@ -53,16 +53,13 @@ cargo run --release -p dmc-bench --bin dmc-trace -- \
 cargo run --release -p dmc-bench --bin dmc-profile -- \
     --workload all --out-dir target/profile-tier1 --check
 
-# Critical-path & blame analysis: rebuild the simulated run as an exact
-# integer-nanosecond event DAG and assert every invariant (longest path
-# == simulator finish, zero slack iff critical, blame tiles the makespan
-# per processor, incremental what-ifs match brute force). stencil is the
-# cheap smoke; lu is the multicast-heavy workload with real link
-# contention.
+# Critical-path & blame analysis on all four workloads: build the event
+# DAG from the machine loop's steps and assert every invariant (makespan
+# == longest path == the simulator's run time, blame agrees with the
+# simulator's compute/comm/idle, zero slack iff critical, blame tiles the
+# makespan per processor, incremental what-ifs match brute force).
 cargo run --release -p dmc-bench --bin dmc-critpath -- \
-    --workload stencil --out-dir target/critpath-tier1 --check
-cargo run --release -p dmc-bench --bin dmc-critpath -- \
-    --workload lu --out-dir target/critpath-tier1-lu --check
+    --workload all --out-dir target/critpath-tier1 --check
 
 # Stage-graph sessions: sweep every workload over four processor counts
 # inside one compilation session and verify that the cached artifacts are
