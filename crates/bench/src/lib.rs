@@ -1,11 +1,18 @@
-//! Shared workload generators for the harness binaries: the paper's
-//! programs (Figure 2, Figure 8, Figure 11 LU, the §2.2 motivating
-//! examples) with their decompositions, ready to compile and measure.
-//! `perfstats` writes their deterministic fields to `BENCH_pipeline.json`
-//! and, with `--check`, gates a fresh run against that file exactly.
+//! The `dmc` harness library: the paper's programs (Figure 2, Figure 8,
+//! Figure 11 LU, the §2.2 motivating examples) with their decompositions,
+//! one registry of the workloads every subcommand measures, and one
+//! battery per subcommand. A battery returns `Ok` with its report lines or
+//! `Err` naming the first invariant that failed; `dmc check` runs them
+//! all in one process, and the integration tests run them at test sizes.
+//!
+//! - [`explain`]: one capture per workload feeds the Chrome trace, the
+//!   explain report (critical path, hotspots) and the collapsed stack.
+//! - [`session`]: a processor-count sweep through one session.
+//! - [`store`]: the persistent store, cold to warm, evicting, corrupted.
+//! - [`journal`]: the compile journal's round trip and replay.
+//! - [`snapshot`]: the deterministic `BENCH_pipeline.json` golden.
 
 use std::collections::{BTreeMap, HashMap};
-use std::fmt::Write as _;
 
 use dmc_core::CompileInput;
 use dmc_decomp::{CompDecomp, DataDecomp, ProcGrid};
@@ -122,7 +129,7 @@ pub fn stencil_input(block: i128, nproc: i128) -> CompileInput {
 }
 
 /// One benchmark workload: an input generator with the processor count
-/// and parameter values every harness measures it at.
+/// and parameter values it is measured at.
 pub struct Workload {
     /// Short name (`--workload` argument, snapshot key).
     pub name: &'static str,
@@ -134,7 +141,7 @@ pub struct Workload {
     pub params: Vec<i128>,
 }
 
-/// The workload set every harness binary and the snapshot share.
+/// The workload set every subcommand and the snapshot share.
 pub fn workloads() -> Vec<Workload> {
     vec![
         Workload {
@@ -164,44 +171,73 @@ pub fn workloads() -> Vec<Workload> {
     ]
 }
 
-/// The harness binaries' answer to a command line they cannot parse (an
-/// unknown flag, a flag without its value, a malformed value): `usage` on
-/// stderr and exit code **2**, before anything is measured or written.
-pub fn usage_error(usage: &str) -> ! {
-    eprintln!("{usage}");
-    std::process::exit(2)
+/// The registry at test sizes: the same four workloads, small enough for
+/// the batteries to run in a debug-build integration test.
+pub fn test_workloads() -> Vec<Workload> {
+    vec![
+        Workload {
+            name: "lu",
+            nproc: 4,
+            input: lu_input,
+            params: vec![16],
+        },
+        Workload {
+            name: "stencil",
+            nproc: 4,
+            input: |nproc| stencil_input(16, nproc),
+            params: vec![3, 63],
+        },
+        Workload {
+            name: "figure2",
+            nproc: 4,
+            input: figure2_input,
+            params: vec![3, 63],
+        },
+        Workload {
+            name: "xy",
+            nproc: 4,
+            input: xy_input,
+            params: vec![15],
+        },
+    ]
 }
 
-/// One workload's row in [`profile_json`]: name, exact charged work-unit
-/// total, and per-context charged work sorted by descending units.
-pub type ProfileRow = (String, u64, Vec<(String, u64)>);
+/// The registry workload called `name`; an unknown name is an error
+/// listing the known ones.
+pub fn workload(name: &str) -> Result<Workload, String> {
+    let all = workloads();
+    let names: Vec<&str> = all.iter().map(|w| w.name).collect();
+    let list = names.join(", ");
+    all.into_iter()
+        .find(|w| w.name == name)
+        .ok_or_else(|| format!("no such workload {name:?} ({list})"))
+}
 
-/// Renders the `dmc-profile --json` document: one object per workload
-/// with its exact work-unit total and per-context charged work, in the
-/// same descending order as the text report. The document round-trips
-/// through `dmc_obs::json::parse`, so downstream tooling (and the
-/// `--diff` mode of a future run) needs no extra parser.
-pub fn profile_json(rows: &[ProfileRow]) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
+/// The workloads a `--workload` argument names: one by name, or every
+/// one for `all` or no argument.
+pub fn select(which: Option<&str>) -> Result<Vec<Workload>, String> {
+    match which {
+        None | Some("all") => Ok(workloads()),
+        Some(name) => workload(name).map(|w| vec![w]),
     }
-    let mut out = String::from("{\n  \"harness\": \"dmc-profile\",\n  \"workloads\": [\n");
-    for (k, (name, units, contexts)) in rows.iter().enumerate() {
-        if k > 0 {
-            out.push_str(",\n");
+}
+
+/// Returns `Err(format!(...))` from the enclosing battery unless `cond`
+/// holds: the one way a battery reports a failed invariant. (Declared
+/// before the battery modules, so it is in scope in each of them.)
+macro_rules! ensure {
+    ($cond:expr, $($fmt:tt)*) => {
+        if !$cond {
+            return Err(format!($($fmt)*));
         }
-        let ctx_rows: Vec<String> = contexts
-            .iter()
-            .map(|(c, u)| format!("\"{}\": {u}", esc(c)))
-            .collect();
-        write!(
-            out,
-            "    {{\"name\": \"{}\", \"work_units\": {units}, \"contexts\": {{{}}}}}",
-            esc(name),
-            ctx_rows.join(", ")
-        )
-        .expect("write");
-    }
-    out.push_str("\n  ]\n}\n");
-    out
+    };
 }
+
+/// The element limit every battery plans and simulates under.
+pub(crate) const LIMIT: usize = 50_000_000;
+
+pub mod explain;
+pub mod journal;
+pub mod session;
+pub mod snapshot;
+pub mod store;

@@ -8,9 +8,8 @@
 //!   through a fresh session reproduces every deterministic journal
 //!   field (fingerprints, stage hits/misses, work units, message
 //!   statistics, schedule fingerprints) byte-for-byte;
-//! * **the `dmc-journal` binary** — `--check`, `--replay` and `--diff`
-//!   succeed on a real journal, and a corrupted journal line fails with
-//!   one stderr line naming the 1-based line number.
+//! * **`dmc journal`** — `--check`, `--replay` and `--diff` succeed on a
+//!   real journal (`negative_paths.rs` pins its failure paths).
 //!
 //! Scoped contexts are the whole point: unlike `tracing.rs`, the
 //! isolation tests here deliberately do NOT serialize on a mutex.
@@ -217,13 +216,14 @@ fn concurrent_scoped_sessions_journal_without_leaking_rows() {
 }
 
 fn run_bin(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_dmc-journal"))
+    Command::new(env!("CARGO_BIN_EXE_dmc"))
+        .arg("journal")
         .args(args)
         .output()
-        .expect("dmc-journal runs")
+        .expect("dmc journal runs")
 }
 
-/// The binary end to end: `--check` writes a journal that `--replay` and
+/// `dmc journal` end to end: `--check` writes a journal that `--replay` and
 /// a self `--diff` both accept.
 #[test]
 fn journal_binary_check_replay_and_diff_pass() {

@@ -1,17 +1,16 @@
-//! Exit-code audit for the validator binaries: every failure path must
-//! exit nonzero *and* print the violated invariant, so shell scripts (and
-//! CI) can gate on them without parsing stdout. Each test drives one
-//! binary down a failure path via `CARGO_BIN_EXE_*` and asserts both
-//! properties.
-//!
-//! The gate modes (`dmc-journal`, `perfstats --check`) additionally
-//! follow the shared exit-code convention — **0** clean, **1** drift,
-//! **2** usage-or-parse — and these tests pin the exact code on every
-//! path, so CI can distinguish
-//! "a metric regressed" from "the gate itself could not run".
+//! Exit-code audit for the `dmc` binary. Every subcommand follows one
+//! convention — **0** clean, **1** an invariant failed, **2** the command
+//! line or an input file could not be used — and every failure names
+//! itself on stderr without a panic, so scripts and CI can gate on the
+//! code and tell "a check failed" apart from "the check could not run".
+//! Each test below is a table over the subcommands.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+
+const SUBCOMMANDS: [&str; 7] = [
+    "figures", "explain", "session", "store", "journal", "snapshot", "check",
+];
 
 fn tmpdir() -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("negative-paths");
@@ -19,235 +18,159 @@ fn tmpdir() -> PathBuf {
     dir
 }
 
-fn run(bin: &str, args: &[&str]) -> Output {
-    Command::new(bin).args(args).output().expect("binary runs")
+fn dmc(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_dmc"))
+        .args(args)
+        .output()
+        .expect("dmc runs")
 }
 
-fn assert_fails(out: &Output, needle: &str, what: &str) {
-    assert!(
-        !out.status.success(),
-        "{what}: expected a nonzero exit, got {:?}\nstdout: {}\nstderr: {}",
-        out.status.code(),
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains(needle),
-        "{what}: stderr must name the invariant (expected {needle:?}):\n{stderr}"
-    );
-}
-
-/// Like [`assert_fails`], but pins the exact exit code (1 = drift,
-/// 2 = usage-or-parse).
+/// Pins the exit code and that stderr names the failure, without a panic.
 fn assert_code(out: &Output, code: i32, needle: &str, what: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(
         out.status.code(),
         Some(code),
-        "{what}: expected exit code {code}\nstdout: {}\nstderr: {}",
+        "{what}: expected exit code {code}\nstdout: {}\nstderr: {stderr}",
         String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
     );
-    let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains(needle),
-        "{what}: stderr must name the invariant (expected {needle:?}):\n{stderr}"
+        "{what}: stderr must name the failure (expected {needle:?}):\n{stderr}"
     );
-}
-
-/// `dmc-trace --check` with an unknown workload: nonzero, names the
-/// accepted set.
-#[test]
-fn trace_rejects_unknown_workload() {
-    let out = run(
-        env!("CARGO_BIN_EXE_dmc-trace"),
-        &[
-            "--workload",
-            "nope",
-            "--out-dir",
-            tmpdir().to_str().unwrap(),
-            "--check",
-        ],
-    );
-    assert_fails(&out, "no such workload", "dmc-trace");
-}
-
-/// The workload harnesses answer a command line they cannot parse — an
-/// unknown flag, a flag without its value, a malformed count — like the
-/// gate binaries do: their usage on stderr and exit **2**, no panic.
-/// The worker-count flag went with the per-read fan-out and is an unknown
-/// flag like any other, not silently accepted.
-#[test]
-fn harness_usage_errors_exit_2() {
-    // In two pieces so that a grep for the flag finds only live uses.
-    let retired_flag = concat!("--", "threads");
-    let bins = [
-        ("dmc-trace", env!("CARGO_BIN_EXE_dmc-trace")),
-        ("dmc-profile", env!("CARGO_BIN_EXE_dmc-profile")),
-        ("dmc-critpath", env!("CARGO_BIN_EXE_dmc-critpath")),
-        ("dmc-session", env!("CARGO_BIN_EXE_dmc-session")),
-    ];
-    for (name, bin) in bins {
-        let usage = format!("usage: {name}");
-        for args in [
-            &["--bogus"][..],
-            &["--out-dir"],
-            &["--workload", "stencil", retired_flag, "4"],
-        ] {
-            let out = run(bin, args);
-            assert_code(&out, 2, &usage, &format!("{name} {args:?}"));
-            assert!(
-                !String::from_utf8_lossy(&out.stderr).contains("panicked"),
-                "{name} {args:?}: a usage error is not a panic: {out:?}"
-            );
-        }
-    }
-    for (name, bin) in [bins[1], bins[2]] {
-        let out = run(bin, &["--top", "many"]);
-        assert_code(
-            &out,
-            2,
-            &format!("usage: {name}"),
-            &format!("{name} --top many"),
-        );
-    }
-}
-
-/// `dmc-profile` with an unknown workload: nonzero, names the accepted set.
-#[test]
-fn profile_rejects_unknown_workload() {
-    let out = run(
-        env!("CARGO_BIN_EXE_dmc-profile"),
-        &[
-            "--workload",
-            "nope",
-            "--out-dir",
-            tmpdir().to_str().unwrap(),
-        ],
-    );
-    assert_fails(&out, "no such workload", "dmc-profile");
-}
-
-/// `dmc-journal` failure paths: usage errors, a missing journal, a
-/// corrupted journal line (one stderr line naming the 1-based line
-/// number, no backtrace), and a journal whose deterministic fields were
-/// tampered with each exit nonzero with the invariant on stderr —
-/// usage/parse paths with code 2, drift with code 1.
-#[test]
-fn journal_fails_cleanly() {
-    let bin = env!("CARGO_BIN_EXE_dmc-journal");
-    let dir = tmpdir();
-
-    let out = run(bin, &["--bogus"]);
-    assert_code(&out, 2, "unknown argument", "dmc-journal usage");
-
-    let out = run(bin, &[]);
-    assert_code(&out, 2, "nothing to do", "dmc-journal no mode");
-
-    let out = run(bin, &["--replay", "/nonexistent/journal.jsonl"]);
-    assert_code(
-        &out,
-        2,
-        "read /nonexistent/journal.jsonl",
-        "dmc-journal missing file",
-    );
-
-    // A corrupted line: strict parsing names the 1-based line and the
-    // gate fails without a panic backtrace.
-    let good = concat!(
-        r#"{"seq":0,"workload":"xy","nproc":4,"params":[15],"#,
-        r#""program_fp":"0123456789abcdef0123456789abcdef","#,
-        r#""decomp_fp":"0123456789abcdef0123456789abcdef","#,
-        r#""grid_fp":"0123456789abcdef0123456789abcdef","#,
-        r#""options_fp":"0123456789abcdef0123456789abcdef","#,
-        r#""stage_hits":0,"stage_misses":9,"work_units":10,"messages":1,"#,
-        r#""transmissions":1,"words":1,"#,
-        r#""schedule_fp":"0123456789abcdef0123456789abcdef","wall_us":5}"#,
-    );
-    let corrupt = dir.join("corrupt.jsonl");
-    std::fs::write(&corrupt, format!("{good}\n{}\n", &good[..good.len() / 2]))
-        .expect("write fixture");
-    let out = run(bin, &["--replay", corrupt.to_str().unwrap()]);
-    assert_code(&out, 2, "journal line 2", "dmc-journal corrupt line");
-    let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         !stderr.contains("panicked"),
-        "corruption must fail without a panic backtrace:\n{stderr}"
+        "{what}: a failure is not a panic:\n{stderr}"
     );
-    assert_eq!(
-        stderr.lines().count(),
-        1,
-        "corruption is a one-line diagnostic:\n{stderr}"
-    );
-
-    // Tampered deterministic field: --diff against the original catches
-    // it and names the field.
-    let tampered = dir.join("tampered.jsonl");
-    std::fs::write(
-        &tampered,
-        format!(
-            "{}\n",
-            good.replace("\"work_units\":10", "\"work_units\":11")
-        ),
-    )
-    .expect("write fixture");
-    let original = dir.join("original.jsonl");
-    std::fs::write(&original, format!("{good}\n")).expect("write fixture");
-    let out = run(
-        bin,
-        &[
-            "--diff",
-            original.to_str().unwrap(),
-            tampered.to_str().unwrap(),
-        ],
-    );
-    assert_code(&out, 1, "work_units: 10 != 11", "dmc-journal diff gate");
-
-    // A clean self-diff exits 0.
-    let out = run(
-        bin,
-        &[
-            "--diff",
-            original.to_str().unwrap(),
-            original.to_str().unwrap(),
-        ],
-    );
-    assert_eq!(out.status.code(), Some(0), "self-diff must exit 0: {out:?}");
 }
 
-/// `perfstats --check` exits 2 before measuring anything on a command line
-/// it cannot parse, a snapshot it cannot read and a snapshot that is not
-/// JSON; a snapshot one field off exits 1 naming the field's path and both
-/// values, without a panic backtrace (the stderr is read by humans in CI
-/// logs).
+/// `dmc` without a subcommand, or with one it does not know, exits 2 and
+/// lists every subcommand.
 #[test]
-fn perfstats_check_fails_cleanly() {
-    let bin = env!("CARGO_BIN_EXE_perfstats");
-    let dir = tmpdir();
+fn missing_or_unknown_subcommand_exits_2_listing_them() {
+    for args in [&[][..], &["bogus"], &["--check"]] {
+        let out = dmc(args);
+        for sub in SUBCOMMANDS {
+            assert_code(&out, 2, &format!("dmc {sub}"), &format!("dmc {args:?}"));
+        }
+    }
+}
 
-    let out = run(bin, &["--check", "--bogus"]);
-    assert_code(&out, 2, "usage: perfstats", "perfstats --check --bogus");
-    let out = run(bin, &["--check", "a.json", "--out", "b.json"]);
-    assert_code(&out, 2, "usage: perfstats", "perfstats --check --out");
-
-    let out = run(bin, &["--check", "/nonexistent/BENCH.json"]);
-    assert_code(
-        &out,
-        2,
-        "read /nonexistent/BENCH.json",
-        "perfstats --check missing file",
+/// A command line a subcommand cannot parse — an unknown flag, a flag
+/// without its value, a malformed number, an unknown workload, no mode,
+/// two modes — exits 2 with its usage before anything is measured. The
+/// worker-count flag went with the per-read fan-out and is an unknown
+/// flag like any other.
+#[test]
+fn usage_errors_exit_2() {
+    // In two pieces so that a grep for the flag finds only live uses.
+    let retired_flag = concat!("--", "threads");
+    let mut cases: Vec<(Vec<&str>, &str)> = Vec::new();
+    for sub in SUBCOMMANDS {
+        cases.push((vec![sub, "--bogus"], ""));
+    }
+    for sub in ["explain", "session"] {
+        cases.push((vec![sub, "--out-dir"], ""));
+        cases.push((vec![sub, "--workload", "stencil", retired_flag, "4"], ""));
+        cases.push((vec![sub, "--workload", "nope"], "no such workload"));
+    }
+    cases.extend([
+        (vec!["explain", "--top", "many"], ""),
+        (vec!["store"], "nothing to do"),
+        (vec!["store", "--cache-dir", "x", "--max-bytes", "lots"], ""),
+        (vec!["journal"], "nothing to do"),
+        (vec!["journal", "--diff", "only-one.jsonl"], ""),
+        (vec!["snapshot", "--check", "--bogus"], ""),
+        (vec!["snapshot", "--check", "a.json", "--out", "b.json"], ""),
+        (vec!["snapshot", "--out"], ""),
+    ]);
+    for (args, why) in cases {
+        let out = dmc(&args);
+        let what = format!("dmc {args:?}");
+        assert_code(&out, 2, &format!("usage: dmc {}", args[0]), &what);
+        assert_code(&out, 2, why, &what);
+        let lines = String::from_utf8_lossy(&out.stderr).lines().count();
+        assert_eq!(lines, 1 + usize::from(!why.is_empty()), "{what}: {out:?}");
+    }
+    // A typo must never run the snapshot and overwrite a file.
+    let out_path = tmpdir().join("snapshot-must-not-write.json");
+    let _ = std::fs::remove_file(&out_path);
+    let out = dmc(&["snapshot", "--bogus", "--out", out_path.to_str().unwrap()]);
+    assert_code(&out, 2, "usage: dmc snapshot", "snapshot with unknown flag");
+    assert!(
+        !out_path.exists(),
+        "a usage error must not measure or write"
     );
+}
 
+/// An input file that cannot be read or parsed exits 2 with one stderr
+/// line naming it, before anything is measured: a missing journal or
+/// snapshot, a corrupted journal line (its 1-based number), a snapshot
+/// that is not JSON.
+#[test]
+fn unreadable_inputs_exit_2() {
+    let dir = tmpdir();
+    let corrupt = dir.join("corrupt.jsonl");
+    std::fs::write(
+        &corrupt,
+        format!("{JOURNAL_LINE}\n{}\n", &JOURNAL_LINE[..60]),
+    )
+    .expect("write fixture");
     let garbage = dir.join("garbage.json");
     std::fs::write(&garbage, "not json at all").expect("write fixture");
-    let garbage = garbage.to_str().unwrap();
-    let out = run(bin, &["--check", garbage]);
-    assert_code(
-        &out,
-        2,
-        &format!("{garbage}: bad literal at line 1 column 1"),
-        "perfstats --check malformed snapshot",
-    );
+    let (corrupt, garbage) = (corrupt.to_str().unwrap(), garbage.to_str().unwrap());
+    let garbage_why = format!("{garbage}: bad literal at line 1 column 1");
+    let cases: [(&[&str], &str); 5] = [
+        (
+            &["journal", "--replay", "/nonexistent/journal.jsonl"],
+            "read /nonexistent/journal.jsonl",
+        ),
+        (&["journal", "--replay", corrupt], "journal line 2"),
+        (
+            &["snapshot", "--check", "/nonexistent/BENCH.json"],
+            "read /nonexistent/BENCH.json",
+        ),
+        (&["snapshot", "--check", garbage], &garbage_why),
+        (
+            &["explain", "--diff", "/nonexistent/BENCH.json"],
+            "read /nonexistent/BENCH.json",
+        ),
+    ];
+    for (args, why) in cases {
+        let out = dmc(args);
+        let what = format!("dmc {args:?}");
+        assert_code(&out, 2, why, &what);
+        let lines = String::from_utf8_lossy(&out.stderr).lines().count();
+        assert_eq!(lines, 1, "{what}: a one-line diagnostic: {out:?}");
+    }
+}
+
+/// One well-formed journal record.
+const JOURNAL_LINE: &str = concat!(
+    r#"{"seq":0,"workload":"xy","nproc":4,"params":[15],"#,
+    r#""program_fp":"0123456789abcdef0123456789abcdef","#,
+    r#""decomp_fp":"0123456789abcdef0123456789abcdef","#,
+    r#""grid_fp":"0123456789abcdef0123456789abcdef","#,
+    r#""options_fp":"0123456789abcdef0123456789abcdef","#,
+    r#""stage_hits":0,"stage_misses":9,"work_units":10,"messages":1,"#,
+    r#""transmissions":1,"words":1,"#,
+    r#""schedule_fp":"0123456789abcdef0123456789abcdef","wall_us":5}"#,
+);
+
+/// A check that runs and finds a difference exits 1 naming it: a journal
+/// with a tampered deterministic field, a store rooted at a file, a
+/// snapshot one field off (one finding, its path and both values). The
+/// same journal against itself exits 0.
+#[test]
+fn failed_invariants_exit_1() {
+    let dir = tmpdir();
+    let original = dir.join("original.jsonl");
+    std::fs::write(&original, format!("{JOURNAL_LINE}\n")).expect("write fixture");
+    let tampered = dir.join("tampered.jsonl");
+    let edited = JOURNAL_LINE.replace("\"work_units\":10", "\"work_units\":11");
+    std::fs::write(&tampered, format!("{edited}\n")).expect("write fixture");
+    let clash = dir.join("store-root-clash");
+    std::fs::write(&clash, b"not a directory").expect("write fixture");
 
     // lu is the first workload; its work_units the first in the file.
     let committed = std::fs::read_to_string(snapshot_path()).expect("read snapshot");
@@ -258,26 +181,26 @@ fn perfstats_check_fails_cleanly() {
     let drifted = dir.join("BENCH_drifted.json");
     let text = format!("{}{}{}", &committed[..at], units + 1, &committed[end..]);
     std::fs::write(&drifted, text).expect("write fixture");
-    let out = perfstats_check(drifted.to_str().unwrap(), "drifted");
-    assert_code(
-        &out,
-        1,
-        &format!("workloads[0].work_units: {} -> {units}", units + 1),
-        "perfstats --check one field off",
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        !stderr.contains("panicked"),
-        "drift must fail without a panic backtrace:\n{stderr}"
-    );
-    assert_eq!(stderr.lines().count(), 2, "one finding: {stderr}");
+    let moved = format!("workloads[0].work_units: {} -> {units}", units + 1);
+
+    let (original, tampered) = (original.to_str().unwrap(), tampered.to_str().unwrap());
+    let out = dmc(&["journal", "--diff", original, original]);
+    assert_eq!(out.status.code(), Some(0), "self-diff must exit 0: {out:?}");
+    let out = dmc(&["journal", "--diff", original, tampered]);
+    assert_code(&out, 1, "work_units: 10 != 11", "journal diff gate");
+    let out = dmc(&["store", "--cache-dir", clash.to_str().unwrap()]);
+    assert_code(&out, 1, "cannot open store", "store rooted at a file");
+    let out = snapshot_check(drifted.to_str().unwrap(), "drifted");
+    assert_code(&out, 1, &moved, "snapshot --check one field off");
+    let lines = String::from_utf8_lossy(&out.stderr).lines().count();
+    assert_eq!(lines, 2, "one finding: {out:?}");
 }
 
-/// The committed snapshot is what the code produces: `perfstats --check`
-/// reproduces every field of it and exits 0.
+/// The committed snapshot is what the code produces: `dmc snapshot
+/// --check` reproduces every field of it and exits 0.
 #[test]
-fn perfstats_check_passes_on_the_committed_snapshot() {
-    let out = perfstats_check(snapshot_path().to_str().unwrap(), "committed");
+fn snapshot_check_passes_on_the_committed_snapshot() {
+    let out = snapshot_check(snapshot_path().to_str().unwrap(), "committed");
     assert_eq!(
         out.status.code(),
         Some(0),
@@ -290,77 +213,15 @@ fn snapshot_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_pipeline.json")
 }
 
-/// `perfstats --check SNAPSHOT`, with the store pass in its own directory.
-fn perfstats_check(snapshot: &str, name: &str) -> Output {
-    let cache_dir = tmpdir().join(format!("perfstats-store-{name}"));
-    run(
-        env!("CARGO_BIN_EXE_perfstats"),
-        &[
-            "--check",
-            snapshot,
-            "--cache-dir",
-            cache_dir.to_str().unwrap(),
-        ],
-    )
-}
-
-/// `perfstats` rejects what it cannot parse — an unknown flag, a flag
-/// without its value — with one usage line and exit **2**, before
-/// measuring anything (a typo must never run the harness and overwrite
-/// the committed snapshot).
-#[test]
-fn perfstats_usage_errors_exit_2() {
-    let bin = env!("CARGO_BIN_EXE_perfstats");
-    let out_path = tmpdir().join("perfstats-must-not-write.json");
-    let _ = std::fs::remove_file(&out_path);
-    let out = run(bin, &["--bogus", "--out", out_path.to_str().unwrap()]);
-    assert_code(&out, 2, "usage: perfstats", "perfstats with unknown flag");
-    assert_eq!(
-        String::from_utf8_lossy(&out.stderr).lines().count(),
-        1,
-        "usage is a one-line diagnostic: {out:?}"
-    );
-    assert!(
-        !out_path.exists(),
-        "a usage error must not measure or write"
-    );
-    let out = run(bin, &["--out"]);
-    assert_code(
-        &out,
-        2,
-        "usage: perfstats",
-        "perfstats with value-less flag",
-    );
-}
-
-/// `dmc-store` follows the shared exit-code convention: **2** for usage
-/// errors (no mode, malformed flags), **1** when the store itself cannot
-/// be opened or a `--check` invariant fails.
-#[test]
-fn store_usage_errors_exit_2() {
-    let bin = env!("CARGO_BIN_EXE_dmc-store");
-    // No --cache-dir and no --check: nothing to do.
-    let out = run(bin, &[]);
-    assert_code(&out, 2, "usage: dmc-store", "store without a mode");
-    // Unknown flag.
-    let out = run(bin, &["--bogus"]);
-    assert_code(&out, 2, "usage: dmc-store", "store with unknown flag");
-    // Malformed byte bound.
-    let out = run(bin, &["--cache-dir", "x", "--max-bytes", "lots"]);
-    assert_code(&out, 2, "usage: dmc-store", "store with bad --max-bytes");
-}
-
-/// `dmc-store` with an unopenable cache directory: exit **1**, stderr
-/// names the path.
-#[test]
-fn store_unopenable_dir_exits_1() {
-    let dir = tmpdir();
-    // A regular file where the store root should be.
-    let clash = dir.join("store-root-clash");
-    std::fs::write(&clash, b"not a directory").expect("write clash file");
-    let out = run(
-        env!("CARGO_BIN_EXE_dmc-store"),
-        &["--cache-dir", clash.to_str().unwrap()],
-    );
-    assert_code(&out, 1, "cannot open store", "store rooted at a file");
+/// `dmc snapshot --check SNAPSHOT`, with the store pass in its own
+/// directory.
+fn snapshot_check(snapshot: &str, name: &str) -> Output {
+    let cache_dir = tmpdir().join(format!("snapshot-store-{name}"));
+    dmc(&[
+        "snapshot",
+        "--check",
+        snapshot,
+        "--cache-dir",
+        cache_dir.to_str().unwrap(),
+    ])
 }

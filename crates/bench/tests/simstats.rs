@@ -1,4 +1,4 @@
-//! Simulator-telemetry invariants on the perfstats workloads: the traffic
+//! Simulator-telemetry invariants on the registry workloads: the traffic
 //! matrix, the size/latency histograms and the per-processor breakdowns
 //! must agree exactly with the aggregate statistics, in both timing and
 //! values mode.

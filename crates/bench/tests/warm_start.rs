@@ -1,5 +1,5 @@
 //! Two-process warm start: the persistent artifact store must carry a
-//! session's artifacts across process boundaries. The first `dmc-session`
+//! session's artifacts across process boundaries. The first `dmc session`
 //! process populates a cache directory; a second process with cold memory
 //! must serve at least half of its stage lookups from disk, recompute
 //! nothing, load every artifact the first one computed, and still match
@@ -17,8 +17,9 @@ fn tmpdir(name: &str) -> PathBuf {
 }
 
 fn run_session(out_dir: &std::path::Path, cache_dir: &std::path::Path) -> Output {
-    std::process::Command::new(env!("CARGO_BIN_EXE_dmc-session"))
+    std::process::Command::new(env!("CARGO_BIN_EXE_dmc"))
         .args([
+            "session",
             "--workload",
             "xy",
             "--out-dir",
@@ -28,7 +29,7 @@ fn run_session(out_dir: &std::path::Path, cache_dir: &std::path::Path) -> Output
             "--check",
         ])
         .output()
-        .expect("dmc-session runs")
+        .expect("dmc session runs")
 }
 
 /// Parses `N hit(s) (M from disk) / K miss(es)` from the summary line.

@@ -312,7 +312,7 @@ impl Session {
         &self.journal
     }
 
-    /// The journal as JSONL text (the `dmc-journal` file format).
+    /// The journal as JSONL text (the `dmc journal` file format).
     pub fn journal_text(&self) -> String {
         obs::journal::render_journal(&self.journal)
     }

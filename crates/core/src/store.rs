@@ -3,7 +3,7 @@
 //! A session's stage artifacts live behind the [`ArtifactStore`] trait:
 //! a typed load/store interface keyed by ([`StageId`], [`Fingerprint`]).
 //! Two backends exist — [`MemStore`], the original in-process map the
-//! classic pipeline uses, and `dmc-store`'s sharded on-disk store — and
+//! classic pipeline uses, and the `dmc-store` crate's sharded on-disk store — and
 //! a session layers them: memory first, then disk, with disk hits
 //! promoted into memory and every new artifact written through to both.
 //!

@@ -669,19 +669,6 @@ pub fn explain_report(trace: &Trace, title: &str) -> String {
     out
 }
 
-/// [`explain_report`] plus the work-ledger "Hotspots" section aggregated
-/// in `profile` (see [`crate::profile::WorkProfile`]).
-pub fn explain_report_with_profile(
-    trace: &Trace,
-    title: &str,
-    profile: &crate::profile::WorkProfile,
-) -> String {
-    let mut out = explain_report(trace, title);
-    let _ = writeln!(out);
-    out.push_str(&profile.hotspots_markdown());
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,7 +10,7 @@
 //! except the wall time is **deterministic**: re-running the journal's
 //! requests, in order, through a fresh session reproduces the
 //! deterministic fields byte-for-byte — which is exactly what the
-//! `dmc-journal --replay` mode asserts. Wall times are recorded for
+//! `dmc journal --replay` mode asserts. Wall times are recorded for
 //! humans and excluded from [`JournalRecord::deterministic_eq`] and
 //! journal diffs.
 //!

@@ -1,7 +1,7 @@
 //! A minimal JSON reader/writer without external dependencies — enough
 //! for the Chrome-trace validator to re-parse its own output, and public
 //! so downstream tools can read the documents this workspace writes and
-//! compare two of them ([`diff`], the `perfstats --check` gate).
+//! compare two of them ([`diff`], the `dmc snapshot --check` gate).
 
 use std::fmt;
 

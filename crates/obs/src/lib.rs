@@ -49,7 +49,7 @@
 //!   messages joined with provenance).
 //! * [`journal`] — the append-only compile journal: one deterministic
 //!   JSONL record per served compile, strictly parsed, replayable
-//!   byte-for-byte through a fresh session (`dmc-journal`).
+//!   byte-for-byte through a fresh session (`dmc journal`).
 //! * [`profile`] — the work-ledger profile ([`WorkProfile`]): charged
 //!   work per attribution context, collapsed stacks for flamegraphs.
 //!
@@ -77,7 +77,7 @@ pub mod profile;
 mod trace;
 
 pub use chrome::{chrome_trace, validate_chrome, TraceCheck};
-pub use explain::{explain_report, explain_report_with_profile, message_pass_counts};
+pub use explain::{explain_report, message_pass_counts};
 pub use hist::Log2Hist;
 pub use journal::JournalRecord;
 pub use profile::{ProfileOp, WorkProfile};

@@ -137,7 +137,7 @@ impl WorkProfile {
     /// Per-context top-level charged totals, summed over operation kinds:
     /// `(context path joined with ";", work units)`, sorted by descending
     /// work (ties by path). The context for unattributed records is
-    /// `"(unattributed)"`. This is the table behind `dmc-profile --top`
+    /// `"(unattributed)"`. This is the table behind `dmc explain --top`
     /// and the `work_contexts` section of the bench snapshot.
     pub fn context_totals(&self) -> Vec<(String, u64)> {
         let mut by_ctx: BTreeMap<&[String], u64> = BTreeMap::new();

@@ -1,6 +1,6 @@
 //! Deterministic, versioned byte codecs for stage artifacts.
 //!
-//! The persistent artifact store (`dmc-store`) keeps compilation-stage
+//! The persistent artifact store (the `dmc-store` crate) keeps compilation-stage
 //! outputs on disk, keyed by the same structural fingerprints the
 //! in-memory session store uses. That only works if serialization is a
 //! *pure function of the value*: two equal artifacts must encode to the

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Work-unit flamegraphs for the polyhedral engine: runs dmc-profile over
+# Work-unit flamegraphs for the polyhedral engine: runs `dmc explain` over
 # the four paper workloads and leaves one collapsed-stack file plus one
-# Hotspots report per workload in target/profile/.
+# explain report (with its Hotspots section) per workload in
+# target/profile/.
 #
 #   scripts/flamegraph.sh              # all workloads
 #   scripts/flamegraph.sh stencil      # one workload
@@ -18,12 +19,12 @@ export CARGO_NET_OFFLINE=true
 workload="${1:-all}"
 out="target/profile"
 
-cargo run --release -p dmc-bench --bin dmc-profile -- \
+cargo run --release -p dmc-bench --bin dmc -- explain \
     --workload "$workload" --out-dir "$out"
 
 # Smoke: every requested workload must have left a non-empty
 # collapsed-stack file — an empty graph means the ledger charged nothing
-# and the profile is useless, however cleanly dmc-profile exited.
+# and the profile is useless, however cleanly `dmc explain` exited.
 if [[ "$workload" == "all" ]]; then
     workloads=(lu stencil figure2 xy)
 else

@@ -3,7 +3,7 @@
 # suite, then optionally regenerate the performance-harness JSON.
 #
 #   scripts/tier1.sh           # build + test (offline)
-#   scripts/tier1.sh --bench   # also refresh BENCH_pipeline.json
+#   scripts/tier1.sh --bench   # also refresh BENCH_pipeline.json (dmc snapshot)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,75 +33,23 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 
 # Doc gate: a dangling or private intra-doc link is a failure. `--lib`
-# because the `dmc-store` library and the binary of that name in
-# crates/bench would otherwise both write `dmc_store/index.html`.
+# because the root `dmc` library and the `dmc` binary in crates/bench
+# would otherwise both write `dmc/index.html`.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
 
-# Observability smoke: trace the stencil workload and validate the Chrome
-# export (well-formed JSON, balanced begin/end pairs, monotonic per-lane
-# timestamps) plus full message attribution in the explain report.
-cargo run --release -p dmc-bench --bin dmc-trace -- \
-    --workload stencil --out-dir target/trace-tier1 --check
-
-# Work-ledger profiler: profile all four registry workloads and
-# self-validate the ledger (totals reconcile exactly with the engine's
-# PolyStats counters — every cache's hits and misses, the scan and lexopt
-# maps' charged replays included — >= 90% of work units carry an
-# attribution context, and a second capture collapses to a byte-identical
-# flamegraph). lu is the workload that spills past the inline constraint
-# buffer, so it also exercises the heap-allocation accounting.
-cargo run --release -p dmc-bench --bin dmc-profile -- \
-    --workload all --out-dir target/profile-tier1 --check
-
-# Critical-path & blame analysis on all four workloads: build the event
-# DAG from the machine loop's steps and assert every invariant (makespan
-# == longest path == the simulator's run time, blame agrees with the
-# simulator's compute/comm/idle, zero slack iff critical, blame tiles the
-# makespan per processor, incremental what-ifs match brute force).
-cargo run --release -p dmc-bench --bin dmc-critpath -- \
-    --workload all --out-dir target/critpath-tier1 --check
-
-# Stage-graph sessions: sweep every workload over four processor counts
-# inside one compilation session and verify that the cached artifacts are
-# identical to the one-shot pipeline's, that no Last Write Tree is built
-# twice, that recompiling an identical input re-runs nothing, and that
-# the explain report carries the Reuse section.
-cargo run --release -p dmc-bench --bin dmc-session -- \
-    --out-dir target/session-tier1 --check
-
-# Persistent artifact store: cold/warm byte identity over all four
-# workloads (a fresh process serves everything from disk, recomputes
-# nothing and loads exactly what the cold pass wrote), eight more warm
-# sweeps each adding one index-log line per disk hit (the count-based
-# guard that a load costs O(1), not O(entries)), deterministic LRU
-# eviction under a tiny byte bound, and corruption-as-miss (every
-# bit-flipped artifact is quarantined and recomputed, never trusted).
-cargo run --release -p dmc-bench --bin dmc-store -- \
-    --check --cache-dir target/dmc-store-tier1
-
-# Warm start across processes: a second dmc-session process against the
-# same cache directory must serve its stage lookups from disk and stay
-# identical to the one-shot pipeline (--check asserts both).
-store_dir="$(mktemp -d)"
-trap 'rm -rf "$store_dir"' EXIT
-cargo run --release -p dmc-bench --bin dmc-session -- \
-    --out-dir target/session-tier1-cold --cache-dir "$store_dir" --check
-cargo run --release -p dmc-bench --bin dmc-session -- \
-    --out-dir target/session-tier1-warm --cache-dir "$store_dir" --check
-
-# Compile journal: serve the four benchmark workloads through one
-# journaling session, write the JSONL journal, and verify it round-trips
-# through disk, self-diffs clean, and replays byte-identically (every
-# deterministic field) through a fresh session.
-cargo run --release -p dmc-bench --bin dmc-journal -- \
-    --check --out-dir target/journal-tier1
-
-# Snapshot gate: re-measure the pipeline (one cold run per workload plus
-# the warm rerun its identity flag compares against) and compare it with
-# the committed BENCH_pipeline.json. Every field is deterministic, so
-# every field must match exactly; a moved field is printed as
-# `path: old -> new` and fails the script. Wall-clock lives in benchmark/.
-cargo run --release -p dmc-bench --bin perfstats -- --check
+# Every harness battery, in one process (`dmc check`): `dmc explain
+# --check` (one capture per workload: a well-formed Chrome trace
+# attributing every message; ledger totals == PolyStats, >= 90% of work
+# attributed, a byte-identical recapture, recording that steers nothing;
+# makespan == longest path == simulator, exact blame, what-ifs == brute
+# force), `dmc session --check` (a processor-count sweep identical to the
+# one-shot pipeline, no Last Write Tree built twice), `dmc store --check`
+# (cold/warm byte identity, one index line per disk hit, eviction under a
+# byte bound, corruption as a miss), `dmc journal --check` (round trip,
+# self-diff, fresh-session replay) and `dmc snapshot --check` (every field
+# of the committed BENCH_pipeline.json reproduced exactly; a moved field
+# is printed as `path: old -> new`). Wall-clock lives in benchmark/.
+cargo run --release -p dmc-bench --bin dmc -- check
 
 # Repo benchmark smoke: benchmark/ is its own package, so the workspace
 # build above never compiles it and a removed `pub` item could break the
@@ -136,7 +84,7 @@ done
 scripts/flamegraph.sh stencil
 
 if [[ "${1:-}" == "--bench" ]]; then
-    cargo run --release -p dmc-bench --bin perfstats
+    cargo run --release -p dmc-bench --bin dmc -- snapshot
 fi
 
 echo "tier-1 OK"
