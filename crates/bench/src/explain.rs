@@ -1,18 +1,24 @@
 //! `dmc explain`: each workload is captured **once** — compile,
-//! `build_schedule`, `message_stats` and the machine run under the
-//! tracer, with the work ledger on over compile + `build_schedule` only
-//! (exactly the region of the snapshot's `work_contexts`) — and that one
-//! capture feeds every view of it: the Chrome trace, the explain report
-//! with its Critical path and Hotspots sections, the work-unit collapsed
-//! stack and the critical-path analysis.
+//! `build_schedule`, `message_stats`, the machine run and its
+//! critical-path analysis under the tracer, with the work ledger on over
+//! compile + `build_schedule` only (exactly the region of the snapshot's
+//! `work_contexts`) — and that one capture feeds every view of it: the
+//! Chrome trace, the explain report, the work-unit collapsed stack and
+//! the critical-path numbers.
+//!
+//! The report is assembled here from typed parts: the trace's
+//! [`obs::Provenance`] renders the Reads, Reuse and Surviving messages
+//! sections; `machine_markdown` renders Simulation, Machine view and
+//! Critical path from the run's [`SimStats`] and [`CritAnalysis`]; the
+//! ledger's profile appends Hotspots.
 //!
 //! [`check`] is the battery. Per workload it asserts:
 //!
 //! - **trace**: the Chrome export is well formed (balanced, name-matched
-//!   begin/end pairs, monotonic per-lane timestamps); the report
-//!   attributes exactly one surviving message per message of the final
-//!   schedule; there is one sim lane per simulated processor plus the
-//!   critical-path lane;
+//!   begin/end pairs, monotonic per-lane timestamps); the provenance
+//!   names every message of the final schedule, by id in order, with the
+//!   schedule's sender, receivers and words; there is one sim lane per
+//!   simulated processor plus the critical-path lane;
 //! - **ledger**: its totals equal the `PolyStats` deltas of the same
 //!   region for every operation kind and cache counter; the per-context
 //!   work tiles the charged total; at least 90 % of the charged work
@@ -25,10 +31,11 @@
 //!   a brute-force pass; the report carries the Critical path and
 //!   Hotspots sections.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use dmc_core::{build_schedule, compile, message_stats, run, Options};
-use dmc_machine::{critpath, CritAnalysis, MachineConfig, Schedule, SimStats};
+use dmc_machine::{critpath, Blame, CritAnalysis, MachineConfig, MsgBlame, Schedule, SimStats};
 use dmc_obs as obs;
 use dmc_obs::json::Json;
 use dmc_polyhedra::ledger::{self, CacheOutcome, Ledger};
@@ -38,8 +45,11 @@ use crate::{Workload, LIMIT};
 
 /// Everything one capture of a workload produced, and its views.
 pub struct Capture {
-    /// The trace of compile, schedule, message statistics and machine run.
+    /// The trace of compile, schedule, message statistics, machine run and
+    /// the critical path's lane.
     pub trace: obs::Trace,
+    /// The compiler's provenance, parsed from `trace`.
+    pub provenance: obs::Provenance,
     /// The work ledger over compile + `build_schedule`.
     pub ledger: Ledger,
     /// `PolyStats` delta over exactly the ledgered region.
@@ -71,23 +81,31 @@ pub fn capture(w: &Workload) -> Result<Capture, String> {
     });
     let delta = stats::snapshot().since(&before);
     let ledger = ledger::finish();
-    let ran = planned.and_then(|(compiled, schedule)| {
-        let messages = message_stats(&compiled, &w.params, LIMIT)?;
-        let config = MachineConfig::ipsc860();
-        let sim = run(&compiled, &w.params, &config, false, LIMIT)?.stats;
-        Ok((schedule, messages, sim))
-    });
+    let config = MachineConfig::ipsc860();
+    let ran = planned
+        .map_err(|e| e.to_string())
+        .and_then(|(compiled, schedule)| {
+            let messages = message_stats(&compiled, &w.params, LIMIT).map_err(|e| e.to_string())?;
+            let sim = run(&compiled, &w.params, &config, false, LIMIT)
+                .map_err(|e| e.to_string())?
+                .stats;
+            let crit = critpath::analyze(&schedule, &config)
+                .map_err(|e| format!("critical-path analysis failed: {e:?}"))?;
+            crit.emit_chain();
+            Ok((schedule, messages, sim, crit))
+        });
     let trace = obs::finish_capture();
-    let (schedule, messages, sim) = ran.map_err(|e| format!("{}: {e}", w.name))?;
-    let crit = critpath::analyze(&schedule, &MachineConfig::ipsc860())
-        .map_err(|e| format!("{}: critical-path analysis failed: {e:?}", w.name))?;
+    let (schedule, messages, sim, crit) = ran.map_err(|e| format!("{}: {e}", w.name))?;
     let profile = profile_of(w.name, &ledger);
     let chrome = obs::chrome_trace(&trace);
-    let mut report = obs::explain_report(&trace, w.name);
+    let provenance = obs::Provenance::parse(&trace);
+    let mut report = provenance.markdown(w.name);
+    report.push_str(&machine_markdown(&sim, &crit, &provenance.messages));
     report.push('\n');
     report.push_str(&profile.hotspots_markdown());
     Ok(Capture {
         trace,
+        provenance,
         ledger,
         delta,
         schedule,
@@ -127,6 +145,223 @@ fn profile_of(name: &str, ledger: &Ledger) -> obs::WorkProfile {
     p
 }
 
+/// The report's Simulation, Machine view and Critical path sections, from
+/// the machine run's statistics and its critical-path analysis; messages
+/// are joined with their provenance by id.
+fn machine_markdown(
+    stats: &SimStats,
+    crit: &CritAnalysis,
+    messages: &[obs::MessageProv],
+) -> String {
+    let mut out = String::new();
+    // The capture runs the machine in timing mode.
+    let _ = writeln!(out, "\n## Simulation");
+    let _ = writeln!(
+        out,
+        "values = false, time = {:?}, flops = {:?}, messages = {}, transmissions = {}, words = {}",
+        stats.time, stats.flops, stats.messages, stats.transmissions, stats.words
+    );
+
+    let ms = |v: f64| format!("{:.3} ms", v * 1e3);
+    let _ = writeln!(out, "\n## Machine view");
+    let _ = writeln!(
+        out,
+        "{} simulated processor(s); simulated time.",
+        stats.nproc()
+    );
+    for (p, v) in stats.per_proc.iter().enumerate() {
+        let shares = pct_shares(&[v.compute, v.comm, v.idle]);
+        let _ = writeln!(
+            out,
+            "- p{p}: compute {}{}, comm {}{}, idle {}{}, finish {}",
+            ms(v.compute),
+            shares[0],
+            ms(v.comm),
+            shares[1],
+            ms(v.idle),
+            shares[2],
+            ms(v.finish)
+        );
+    }
+    if stats.transmissions > 0 {
+        // Bucket upper bounds from the exact log2 latency histogram (see
+        // `Log2Hist::quantile_bound`), hence the `<=`.
+        let h = &stats.latency_us_hist;
+        let _ = writeln!(
+            out,
+            "- latency percentiles over {} transmission(s): \
+             p50 <= {} us, p95 <= {} us, p99 <= {} us",
+            stats.transmissions,
+            h.p50().unwrap_or(0),
+            h.p95().unwrap_or(0),
+            h.p99().unwrap_or(0)
+        );
+    }
+    let links = stats.top_links(usize::MAX);
+    if !links.is_empty() {
+        let _ = writeln!(out, "Top links by traffic:");
+        for (src, dst, words, transmissions) in links.iter().take(8) {
+            let _ = writeln!(
+                out,
+                "- p{src} -> p{dst}: {words} word(s) in {transmissions} transmission(s)"
+            );
+        }
+        if links.len() > 8 {
+            let _ = writeln!(out, "  (+{} more links)", links.len() - 8);
+        }
+    }
+    if !messages.is_empty() {
+        let weight = |m: &obs::MessageProv| m.words * m.receivers.len() as u64;
+        let mut hot: Vec<&obs::MessageProv> = messages.iter().collect();
+        hot.sort_by(|a, b| weight(b).cmp(&weight(a)).then(a.msg.cmp(&b.msg)));
+        let _ = writeln!(out, "Hot messages (by words x receivers):");
+        for m in hot.iter().take(5) {
+            let steps = m.chain().map_or_else(
+                || "(no pass record)".to_owned(),
+                |c| format!("survived {c}"),
+            );
+            let _ = writeln!(
+                out,
+                "  - m{}: {} p{} -> [{}], {} word(s) x {} receiver(s) — {steps}",
+                m.msg,
+                m.array,
+                m.sender,
+                m.receiver_list(),
+                m.words,
+                m.receivers.len()
+            );
+        }
+    }
+
+    let _ = writeln!(out, "\n## Critical path");
+    let _ = writeln!(
+        out,
+        "Exact event-DAG analysis of the simulated run (integer ns): \
+         makespan {} ns, {} event(s), {} critical (zero slack), \
+         canonical path {} event(s).",
+        crit.makespan_ns,
+        crit.events.len(),
+        crit.critical_events(),
+        crit.chain.len()
+    );
+    let blame_row = |b: &Blame, shares: &[String]| -> String {
+        let cells: Vec<String> = b
+            .categories()
+            .iter()
+            .enumerate()
+            .map(|(i, (cat, v))| {
+                let share = shares.get(i).map_or("", String::as_str);
+                format!("{} {v}{share}", cat.replace('_', "-"))
+            })
+            .collect();
+        cells.join(", ")
+    };
+    let total = crit.total.categories().map(|(_, v)| v as f64);
+    let _ = writeln!(
+        out,
+        "Machine blame, ns (categories tile each processor's makespan exactly): {}",
+        blame_row(&crit.total, &pct_shares(&total))
+    );
+    // Indented: the top-level `- p` rows are the Machine view's.
+    for (p, b) in crit.per_proc.iter().enumerate() {
+        let _ = writeln!(out, "  - p{p}: {}", blame_row(b, &[]));
+    }
+    let sent: Vec<&MsgBlame> = crit.messages.iter().filter(|m| m.sent()).collect();
+    if !sent.is_empty() {
+        // Charge per §6 pass chain: each message's charged time joined
+        // with the provenance of its communication set.
+        let steps_of = |id: usize| {
+            messages
+                .iter()
+                .find(|m| m.msg == id)
+                .and_then(obs::MessageProv::chain)
+                .unwrap_or_else(|| "(no pass record)".to_owned())
+        };
+        let mut by_pass: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new();
+        for mb in &sent {
+            let e = by_pass.entry(steps_of(mb.msg)).or_default();
+            e.0 += 1;
+            e.1 += mb.cost_ns();
+            e.2 += u64::from(mb.critical);
+        }
+        let mut pass_rows: Vec<(&String, &(u64, u64, u64))> = by_pass.iter().collect();
+        pass_rows.sort_by(|a, b| b.1 .1.cmp(&a.1 .1).then(a.0.cmp(b.0)));
+        let _ = writeln!(out, "Blame by optimization provenance:");
+        for (steps, (n, ns, ncrit)) in pass_rows {
+            let _ = writeln!(
+                out,
+                "  - {steps}: {n} message(s), {ns} ns charged, {ncrit} critical"
+            );
+        }
+        let mut hot = sent;
+        hot.sort_by(|a, b| b.cost_ns().cmp(&a.cost_ns()).then(a.msg.cmp(&b.msg)));
+        let _ = writeln!(out, "Most expensive messages (charged ns):");
+        for mb in hot.iter().take(5) {
+            let note = if mb.critical {
+                "critical".to_owned()
+            } else {
+                format!("slack {} ns", mb.slack_ns)
+            };
+            let _ = writeln!(
+                out,
+                "  - m{}: p{} -> {} receiver(s), {} ns (send {}, wait {}, recv {}) — {note}",
+                mb.msg,
+                mb.sender,
+                mb.fanout,
+                mb.cost_ns(),
+                mb.send_ns,
+                mb.wait_ns,
+                mb.recv_ns
+            );
+        }
+    }
+    let what_ifs = crit.what_if();
+    if !what_ifs.is_empty() {
+        let _ = writeln!(out, "What-if estimates (exact DAG re-evaluation):");
+        for w in what_ifs.iter().take(5) {
+            let _ = writeln!(
+                out,
+                "  - {} m{}: makespan -{} ns",
+                w.scenario.name(),
+                w.msg,
+                w.win_ns
+            );
+        }
+    }
+    out
+}
+
+/// Renders each part's percentage share (one decimal) of the parts' own
+/// total so the printed shares sum to exactly 100.0: the shares are
+/// apportioned in tenths of a percent by largest remainder. Returns empty
+/// strings when the total is not positive.
+fn pct_shares(parts: &[f64]) -> Vec<String> {
+    let total: f64 = parts.iter().map(|p| p.max(0.0)).sum();
+    if total <= 0.0 || total.is_nan() {
+        return vec![String::new(); parts.len()];
+    }
+    let exact: Vec<f64> = parts.iter().map(|p| 1000.0 * p.max(0.0) / total).collect();
+    let mut tenths: Vec<u64> = exact.iter().map(|x| x.floor() as u64).collect();
+    let mut deficit = 1000i64 - tenths.iter().sum::<u64>() as i64;
+    let mut order: Vec<usize> = (0..parts.len()).collect();
+    order.sort_by(|&a, &b| {
+        let (ra, rb) = (exact[a] - exact[a].floor(), exact[b] - exact[b].floor());
+        rb.partial_cmp(&ra)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.cmp(&b))
+    });
+    let mut i = 0;
+    while deficit > 0 && !order.is_empty() {
+        tenths[order[i % order.len()]] += 1;
+        deficit -= 1;
+        i += 1;
+    }
+    tenths
+        .iter()
+        .map(|t| format!(" ({}.{}%)", t / 10, t % 10))
+        .collect()
+}
+
 /// The battery: every invariant of the module documentation, on one
 /// workload's capture. Captures and compiles the workload again for the
 /// determinism and transparency checks. Returns one line per view.
@@ -136,11 +371,29 @@ pub fn check(w: &Workload, cap: &Capture) -> Result<String, String> {
     let c = obs::validate_chrome(&cap.chrome)
         .map_err(|e| format!("{name}: invalid Chrome trace: {e}"))?;
     let n_messages = cap.schedule.messages.len();
-    let attributed = cap.report.lines().filter(|l| l.starts_with("- m")).count();
+    let provenance = &cap.provenance.messages;
     ensure!(
-        attributed == n_messages,
-        "{name}: explain report attributes {attributed} messages, schedule has {n_messages}"
+        provenance.len() == n_messages,
+        "{name}: provenance names {} messages, schedule has {n_messages}",
+        provenance.len()
     );
+    for (id, (m, spec)) in provenance.iter().zip(&cap.schedule.messages).enumerate() {
+        ensure!(
+            m.msg == id
+                && m.sender == spec.sender
+                && m.receivers == spec.receivers
+                && m.words == spec.words,
+            "{name}: provenance m{} p{} -> {:?}, {} word(s) is not scheduled message m{id} \
+             p{} -> {:?}, {} word(s)",
+            m.msg,
+            m.sender,
+            m.receivers,
+            m.words,
+            spec.sender,
+            spec.receivers,
+            spec.words
+        );
+    }
     let nproc = w.nproc as usize;
     let sim_lanes = cap
         .trace
@@ -391,4 +644,31 @@ pub fn profile_json(profiles: &[(&str, obs::WorkProfile)]) -> String {
         "{{\n  \"harness\": \"dmc explain\",\n  \"workloads\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::pct_shares;
+
+    #[test]
+    fn machine_view_percentages_sum_to_exactly_100() {
+        // 1/3 splits round to 33.3 each under naive rounding (99.9 total);
+        // largest-remainder apportionment hands the extra tenth to the
+        // largest remainder so the shares total exactly 100.0.
+        let shares = pct_shares(&[1.0, 1.0, 1.0]);
+        assert_eq!(shares, vec![" (33.4%)", " (33.3%)", " (33.3%)"]);
+        let shares = pct_shares(&[2.0, 1.0, 1.0, 1.0, 1.0, 1.0]);
+        let total: u64 = shares
+            .iter()
+            .map(|s| {
+                let t = s.trim_start_matches(" (").trim_end_matches("%)");
+                let (a, b) = t.split_once('.').unwrap();
+                a.parse::<u64>().unwrap() * 10 + b.parse::<u64>().unwrap()
+            })
+            .sum();
+        assert_eq!(total, 1000, "{shares:?}");
+        // Degenerate inputs render no percentage at all.
+        assert_eq!(pct_shares(&[0.0, 0.0]), vec!["", ""]);
+        assert_eq!(pct_shares(&[]), Vec::<String>::new());
+    }
 }

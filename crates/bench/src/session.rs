@@ -64,7 +64,7 @@ pub fn sweep(w: &Workload, cache_dir: Option<&Path>) -> Result<Sweep, String> {
         stats: session.stats().clone(),
         session,
         identical,
-        report: obs::explain_report(&trace, w.name),
+        report: obs::Provenance::parse(&trace).markdown(w.name),
     })
 }
 

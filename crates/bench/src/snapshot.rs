@@ -15,7 +15,6 @@ use std::path::Path;
 
 use dmc_core::{build_schedule, compile, message_stats, run, Options, Session};
 use dmc_machine::{CritAnalysis, MachineConfig};
-use dmc_obs as obs;
 use dmc_obs::json::{self, Json};
 use dmc_polyhedra::{
     batch_feasibility, cache, ledger, lexopt, stats, Constraint, DimKind, Direction, LinExpr,
@@ -288,7 +287,7 @@ pub fn document(cache_dir: &Path, log: &mut String) -> Result<String, String> {
         // deterministic), and messages per §6 pass chain from the
         // provenance events of the captured schedule.
         let cap = explain::capture(w)?;
-        let comm_passes = obs::message_pass_counts(&cap.trace);
+        let comm_passes = cap.provenance.message_pass_counts();
         let pass_total: u64 = comm_passes.iter().map(|(_, n)| n).sum();
         ensure!(
             pass_total == cold.messages.0,

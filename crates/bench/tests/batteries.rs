@@ -2,7 +2,8 @@
 //! test sizes ([`dmc_bench::test_workloads`]):
 //!
 //! * **explain** — one capture per workload: a well-formed Chrome trace
-//!   attributing every message, ledger totals ≡ `PolyStats` deltas for
+//!   whose provenance names every scheduled message with the schedule's
+//!   sender, receivers and words, ledger totals ≡ `PolyStats` deltas for
 //!   all thirteen counters, per-context work tiling the charged total,
 //!   ≥ 90 % attribution, a byte-identical recapture, recording that never
 //!   changes a schedule or a message count, and the critical-path
@@ -52,6 +53,10 @@ fn explain_battery_names_the_invariant_it_fails() {
     let err = explain::check(w, &cap).expect_err("a PolyStats delta one off");
     assert!(err.contains("ledger fm_steps"), "{err}");
     cap.delta.fm_steps -= 1;
+    cap.provenance.messages[0].words += 1;
+    let err = explain::check(w, &cap).expect_err("a message attributed with one word too many");
+    assert!(err.contains("is not scheduled message m0"), "{err}");
+    cap.provenance.messages[0].words -= 1;
     cap.report = cap.report.replace("## Hotspots", "## Elsewhere");
     let err = explain::check(w, &cap).expect_err("a report without Hotspots");
     assert!(err.contains("Hotspots"), "{err}");

@@ -23,7 +23,7 @@ use std::sync::Mutex;
 use dmc_bench::{figure2_input, lu_input, stencil_input, workloads, xy_input};
 use dmc_commgen::{is_multicast, CommSet};
 use dmc_core::{build_schedule, compile, message_stats, run, CompileInput, Options};
-use dmc_machine::MachineConfig;
+use dmc_machine::{critpath, MachineConfig};
 use dmc_obs as obs;
 use dmc_polyhedra::Feasibility;
 
@@ -100,32 +100,39 @@ fn stencil_chrome_trace_is_well_formed() {
     assert!(check.spans > 0 && check.events > 0, "{check:?}");
 
     // Every message of the final schedule is attributed by provenance:
-    // the last schedule carries exactly one prov.message per MessageSpec
-    // (checked indirectly through the explain report, which implements
-    // that selection).
-    let report = obs::explain_report(&trace, "stencil");
-    let attributed = report.lines().filter(|l| l.starts_with("- m")).count();
-    assert_eq!(
-        attributed,
-        schedule.messages.len(),
-        "explain report must attribute every surviving message:\n{report}"
-    );
-    // And each surviving line names the §6 passes the set survived.
+    // the last schedule's `prov.message` events name each `MessageSpec`,
+    // by id in order, with its sender, receivers and words.
+    let prov = obs::Provenance::parse(&trace);
+    assert_eq!(prov.messages.len(), schedule.messages.len());
+    for (id, (m, spec)) in prov.messages.iter().zip(&schedule.messages).enumerate() {
+        assert_eq!(
+            (m.msg, m.sender, &m.receivers, m.words),
+            (id, spec.sender, &spec.receivers, spec.words),
+            "provenance of m{id}"
+        );
+    }
+    // And each surviving message names the §6 passes its set survived.
     assert!(
-        report.contains("survived"),
-        "provenance steps missing:\n{report}"
+        prov.messages.iter().all(|m| m.chain().is_some()),
+        "provenance steps missing: {prov:?}"
     );
 }
 
 /// The machine run materializes one sim lane per simulated processor —
-/// including idle ones — and they export as Chrome complete events on the
+/// including idle ones — and the critical-path analysis draws its chain
+/// in one more; they export as Chrome complete events on the
 /// simulated-machine process, leaving the trace well-formed.
 #[test]
 fn sim_lanes_cover_every_processor() {
     let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let input = stencil_input(16, 4);
     let nproc = input.grid.len() as usize;
-    let (_, trace) = traced_outputs(&input, &[3, 63], Options::full());
+    obs::start_capture();
+    let (schedule, _, _) = outputs(&input, &[3, 63], Options::full());
+    critpath::analyze(&schedule, &MachineConfig::ipsc860())
+        .expect("analyzes")
+        .emit_chain();
+    let trace = obs::finish_capture();
 
     let sim_lanes: Vec<_> = trace
         .lanes
@@ -140,8 +147,8 @@ fn sim_lanes_cover_every_processor() {
     for lane in &sim_lanes {
         if lane.key.as_slice() == [2, nproc as u64] {
             assert!(
-                lane.records.iter().any(|r| r.name.starts_with("crit.")),
-                "the critical-path lane carries crit.* records"
+                lane.records.iter().any(|r| r.name == "crit.span"),
+                "the critical-path lane carries crit.span records"
             );
             continue;
         }
@@ -157,7 +164,6 @@ fn sim_lanes_cover_every_processor() {
         .iter()
         .map(|l| l.records.iter().filter(|r| r.name == "sim.send").count())
         .sum();
-    let (schedule, _, _) = outputs(&input, &[3, 63], Options::full());
     assert_eq!(
         sends,
         schedule.messages.len(),
@@ -170,19 +176,6 @@ fn sim_lanes_cover_every_processor() {
         check.lanes >= 2 + nproc,
         "compiler lanes plus {nproc} sim lanes: {check:?}"
     );
-
-    // The explain report joins the telemetry into a machine view.
-    let report = obs::explain_report(&trace, "stencil");
-    assert!(report.contains("## Machine view"), "{report}");
-    let proc_rows = report
-        .lines()
-        .filter(|l| l.starts_with("- p") && l.contains(": compute "))
-        .count();
-    assert_eq!(
-        proc_rows, nproc,
-        "one machine-view row per processor:\n{report}"
-    );
-    assert!(report.contains("Top links by traffic:"), "{report}");
 }
 
 /// The records of one timing-mode `build_schedule` of `input`, captured

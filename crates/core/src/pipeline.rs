@@ -190,7 +190,7 @@ pub struct Compiled {
 ///
 /// Returns [`CompileError`] on any analysis failure.
 pub fn compile(input: CompileInput, options: Options) -> Result<Compiled, CompileError> {
-    Session::throwaway().compile(input, options)
+    Session::new().compile(input, options)
 }
 
 /// Builds a one-⊥-leaf tree covering a statement's whole read domain (the
@@ -587,10 +587,6 @@ pub(crate) fn build_schedule_inner(
         }
     }
     let _span = obs::span_f("schedule", || vec![obs::field("values", values)]);
-    // Explicit sessions root ledger attribution under a `session` frame
-    // (matching the per-read jobs); the classic wrapper path does not.
-    let _sess_ctx =
-        matches!(&staged, Some((s, _)) if s.is_explicit()).then(|| ledger::push_context("session"));
     let _lctx = ledger::push_context("schedule");
     let mut plan = hoist(compiled, param_vals, limit, values)?;
     let (splits, chunks) = legal_splits(compiled, &mut plan, param_vals, limit, values)?;
@@ -924,7 +920,7 @@ pub(crate) fn simulate_schedule(
     } else {
         InitialPlacement::Owned(compiled.input.initial.clone())
     };
-    let result = simulate(
+    simulate(
         &compiled.input.program,
         &params,
         &compiled.input.grid,
@@ -933,15 +929,7 @@ pub(crate) fn simulate_schedule(
         &placement,
         values,
     )
-    .map_err(CompileError::Sim)?;
-    // Critical-path & blame analysis over the finished run: deterministic
-    // integer-ns event DAG, emitted only into active captures.
-    if obs::enabled() {
-        if let Ok(crit) = dmc_machine::critpath::analyze(schedule, config) {
-            crit.emit_events();
-        }
-    }
-    Ok(result)
+    .map_err(CompileError::Sim)
 }
 
 #[cfg(test)]

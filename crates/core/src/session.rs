@@ -2,7 +2,7 @@
 //! reusable stages.
 //!
 //! A [`Session`] owns a content-addressed artifact store and compiles
-//! through an explicit stage graph
+//! through a stage graph
 //!
 //! ```text
 //! parse → per-read { lwt → opt } → schedule
@@ -67,9 +67,9 @@
 //! as non-deterministic diagnostics — their presence depends on session
 //! history — so [`dmc_obs`]'s deterministic trace view, the parity
 //! guarantees from the tracing/profiling PRs, and the byte-identical
-//! wrapper outputs are all preserved. Ledger attribution gains a
-//! `session` root frame only for explicitly-opened sessions, keeping the
-//! wrapper's collapsed-stack profiles unchanged.
+//! wrapper outputs are all preserved. Ledger attribution is the same
+//! for every session, the wrapper's included: the same work lands under
+//! the same context paths.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -174,21 +174,16 @@ impl SessionStats {
 /// lookups try memory first, disk hits are promoted into memory, and
 /// every new artifact is written through to both layers. All store
 /// access happens on the calling thread, so a `Session` is cheap and
-/// lock-free. For one-shot use, [`crate::compile`] opens a throwaway
-/// session internally.
+/// lock-free. For one-shot use, [`crate::compile`] opens a fresh session
+/// internally.
 #[derive(Debug, Default)]
 pub struct Session {
     mem: MemStore,
     disk: Option<Box<dyn ArtifactStore>>,
     stats: SessionStats,
-    /// Explicitly-opened sessions push a `session` ledger root frame so
-    /// profiles attribute work to the session; the [`crate::compile`]
-    /// wrapper's throwaway session does not, keeping classic profiles
-    /// byte-identical.
-    explicit: bool,
     /// The session's own observability context ([`Session::scoped`]
-    /// sessions only). `None` — the default for [`Session::new`] and the
-    /// wrapper's throwaway sessions — records into the calling thread's
+    /// sessions only). `None` — the default for [`Session::new`], which
+    /// the [`crate::compile`] wrapper uses — records into the calling thread's
     /// current context, exactly the pre-context behavior.
     obs: Option<obs::ObsContext>,
     /// Ledger scope backing per-request work accounting; created (and
@@ -203,10 +198,7 @@ pub struct Session {
 impl Session {
     /// Opens an empty session.
     pub fn new() -> Self {
-        Session {
-            explicit: true,
-            ..Session::default()
-        }
+        Session::default()
     }
 
     /// Opens a session with its own [`obs::ObsContext`]: captures started
@@ -215,18 +207,9 @@ impl Session {
     /// its own thread, with isolated traces.
     pub fn scoped() -> Self {
         Session {
-            explicit: true,
             obs: Some(obs::ObsContext::new()),
             ..Session::default()
         }
-    }
-
-    /// The internal session behind the classic [`crate::compile`] /
-    /// [`crate::build_schedule`] API: no `session` ledger frame, so the
-    /// wrapper's observable behavior matches the pre-session pipeline
-    /// exactly.
-    pub(crate) fn throwaway() -> Self {
-        Session::default()
     }
 
     /// Cumulative stage cache statistics.
@@ -485,15 +468,11 @@ impl Session {
         }
 
         // Run the jobs in textual order on this thread, whose memo caches
-        // every later job (and every later compile) then shares. Explicit
-        // sessions root the attribution under a `session` frame.
-        let outs: Vec<Result<JobOut, CompileError>> = {
-            let _sess_ctx = self.explicit.then(|| ledger::push_context("session"));
-            plans
-                .iter()
-                .map(|p| run_read_job(&input, options, &stmts, p))
-                .collect()
-        };
+        // every later job (and every later compile) then shares.
+        let outs: Vec<Result<JobOut, CompileError>> = plans
+            .iter()
+            .map(|p| run_read_job(&input, options, &stmts, p))
+            .collect();
 
         // Merge in textual order and admit the new artifacts. What a
         // lookup served is already resident in every layer.
@@ -595,10 +574,6 @@ impl Session {
 
     pub(crate) fn admit_schedule(&mut self, key: Fingerprint, value: Arc<Schedule>) {
         self.admit(StageId::Schedule, key, Artifact::Schedule(value));
-    }
-
-    pub(crate) fn is_explicit(&self) -> bool {
-        self.explicit
     }
 }
 

@@ -7,10 +7,11 @@
 //! these tests cannot import it): LU (Figure 11, 2 statements / 5 reads)
 //! and the §2.2.2 X/Y example (2 statements / 2 reads).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use dmc_core::{compile, message_stats, CompileInput, Options, Session};
 use dmc_decomp::{CompDecomp, DataDecomp, ProcGrid};
+use dmc_polyhedra::ledger;
 
 /// Figure 11's LU kernel: the paper's cyclic decomposition. 2 statements,
 /// 5 reads in total.
@@ -120,18 +121,40 @@ fn recompile_is_all_hits_and_byte_identical() {
     );
 }
 
+/// The distinct ledger context paths `f` charges work under, recorded in
+/// a ledger scope of its own.
+fn context_paths(f: impl FnOnce()) -> BTreeSet<Vec<String>> {
+    let scope = ledger::LedgerScope::new();
+    let _installed = scope.install();
+    scope.start();
+    f();
+    scope.finish().segments.into_iter().map(|s| s.ctx).collect()
+}
+
 /// The session path and the classic one-shot wrapper produce identical
-/// results, for both strategies.
+/// results, for both strategies, and charge their work under the same
+/// ledger context paths.
 #[test]
 fn session_output_matches_wrapper() {
     for options in [Options::full(), Options::location_centric()] {
-        let via_wrapper = compile(xy_input(1, 4), options).expect("wrapper");
+        let mut via_wrapper = None;
+        let wrapper_paths = context_paths(|| {
+            via_wrapper = Some(compile(xy_input(1, 4), options).expect("wrapper"));
+        });
         let mut session = Session::new();
-        let via_session = session.compile(xy_input(1, 4), options).expect("session");
-        assert_eq!(outputs(&via_wrapper), outputs(&via_session));
-        // The wrapper is itself a (throwaway) session: a fresh explicit
-        // session misses exactly where the wrapper recomputes.
+        let mut via_session = None;
+        let session_paths = context_paths(|| {
+            via_session = Some(session.compile(xy_input(1, 4), options).expect("session"));
+        });
+        assert_eq!(
+            outputs(&via_wrapper.unwrap()),
+            outputs(&via_session.unwrap())
+        );
+        // The wrapper is itself a session: a fresh one misses exactly
+        // where the wrapper recomputes, and attributes the same way.
         assert_eq!(session.stats().stage_hits, 0);
+        assert!(!wrapper_paths.is_empty());
+        assert_eq!(wrapper_paths, session_paths);
     }
 }
 

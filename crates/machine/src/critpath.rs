@@ -176,6 +176,12 @@ impl MsgBlame {
     pub fn cost_ns(&self) -> u64 {
         self.send_ns + self.wait_ns + self.recv_ns
     }
+
+    /// Whether the run sent it: a message no processor sends has no
+    /// events and charges nothing.
+    pub fn sent(&self) -> bool {
+        !self.events.is_empty()
+    }
 }
 
 /// Per-link attribution, zero-traffic links omitted.
@@ -210,7 +216,7 @@ pub enum Scenario {
 }
 
 impl Scenario {
-    /// Short lowercase name used in reports and trace events.
+    /// Short lowercase name used in reports.
     pub fn name(self) -> &'static str {
         match self {
             Scenario::Eliminate => "eliminate",
@@ -905,72 +911,13 @@ impl CritAnalysis {
         Ok(())
     }
 
-    /// Emits the analysis into the active observability capture:
-    /// `crit.summary` / `crit.proc` / `crit.msg` / `crit.whatif` instant
-    /// events in the caller's lane, plus a dedicated "critical path" sim
-    /// lane (processor index `nproc`) carrying the canonical chain as
-    /// `crit.span` records for the Chrome trace.
-    pub fn emit_events(&self) {
+    /// Draws the canonical chain into the active observability capture:
+    /// a dedicated "critical path" sim lane (processor index `nproc`)
+    /// carrying one `crit.span` record per chain event, which the Chrome
+    /// trace shows under the processors' timelines.
+    pub fn emit_chain(&self) {
         if !obs::enabled() {
             return;
-        }
-        let what_ifs = self.what_if();
-        obs::event(
-            "crit.summary",
-            vec![
-                obs::field("makespan_ns", self.makespan_ns),
-                obs::field("events", self.events.len()),
-                obs::field("critical", self.critical_events()),
-                obs::field("length", self.chain.len()),
-                obs::field("compute_ns", self.total.compute_ns),
-                obs::field("alpha_ns", self.total.alpha_ns),
-                obs::field("beta_ns", self.total.beta_ns),
-                obs::field("contention_ns", self.total.contention_ns),
-                obs::field("recv_wait_ns", self.total.recv_wait_ns),
-                obs::field("drain_ns", self.total.drain_ns),
-            ],
-        );
-        for (p, b) in self.per_proc.iter().enumerate() {
-            obs::event(
-                "crit.proc",
-                vec![
-                    obs::field("proc", p),
-                    obs::field("compute_ns", b.compute_ns),
-                    obs::field("alpha_ns", b.alpha_ns),
-                    obs::field("beta_ns", b.beta_ns),
-                    obs::field("contention_ns", b.contention_ns),
-                    obs::field("recv_wait_ns", b.recv_wait_ns),
-                    obs::field("drain_ns", b.drain_ns),
-                ],
-            );
-        }
-        for mb in &self.messages {
-            if mb.events.is_empty() {
-                continue;
-            }
-            obs::event(
-                "crit.msg",
-                vec![
-                    obs::field("msg", mb.msg),
-                    obs::field("sender", mb.sender),
-                    obs::field("nrecv", mb.fanout),
-                    obs::field("send_ns", mb.send_ns),
-                    obs::field("wait_ns", mb.wait_ns),
-                    obs::field("recv_ns", mb.recv_ns),
-                    obs::field("slack_ns", mb.slack_ns),
-                    obs::field("critical", mb.critical),
-                ],
-            );
-        }
-        for w in what_ifs.iter().take(8) {
-            obs::event(
-                "crit.whatif",
-                vec![
-                    obs::field("msg", w.msg),
-                    obs::field("scenario", w.scenario.name()),
-                    obs::field("win_ns", w.win_ns),
-                ],
-            );
         }
         // The canonical chain as a contiguous span row in the Chrome
         // trace: one pid-2 lane past the last processor, spans monotone

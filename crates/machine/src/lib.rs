@@ -29,12 +29,14 @@
 mod codec;
 mod config;
 pub mod critpath;
+mod hist;
 mod schedule;
 mod sim;
 mod stats;
 
 pub use config::{MachineConfig, MulticastModel};
 pub use critpath::{Blame, CritAnalysis, LinkBlame, MsgBlame, Overrides, Scenario, WhatIf};
+pub use hist::Log2Hist;
 pub use schedule::{stamp_of, Action, MessageSpec, PayloadItem, Schedule, Stamp};
 pub use sim::{simulate, InitialPlacement, SimError, SimResult};
 pub use stats::{ProcStats, SimStats};

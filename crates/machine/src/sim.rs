@@ -362,10 +362,9 @@ pub fn simulate(
     stats.time = secs(finish.iter().copied().max().unwrap_or(0));
 
     if record {
-        // End-of-run summaries. One `sim.proc` per processor (also
-        // materializing a lane for processors that never acted, so the
-        // exported trace always has one display thread per processor),
-        // and one `sim.link` per non-zero link in the caller's lane.
+        // One `sim.proc` per processor, also materializing a lane for
+        // processors that never acted, so the exported trace always has
+        // one display thread per processor.
         for (p, proc) in stats.per_proc.iter().enumerate() {
             let _l = obs::lane(obs::sim_lane(p), format!("sim p{p}"));
             obs::event(
@@ -379,40 +378,9 @@ pub fn simulate(
                 ],
             );
         }
-        for src in 0..nproc {
-            for dst in 0..nproc {
-                let words = stats.traffic_words[src * nproc + dst];
-                if words > 0 {
-                    obs::event(
-                        "sim.link",
-                        vec![
-                            obs::field("src", src),
-                            obs::field("dst", dst),
-                            obs::field("words", words),
-                            obs::field(
-                                "transmissions",
-                                stats.traffic_transmissions[src * nproc + dst],
-                            ),
-                        ],
-                    );
-                }
-            }
-        }
     }
 
     let memory = machine.map(Machine::merge);
-    // Per-transmission latency percentiles from the exact log2 histogram:
-    // simulated quantities, so deterministic like `simulate.done`.
-    if stats.transmissions > 0 {
-        obs::event_f("sim.latency", || {
-            vec![
-                obs::field("transmissions", stats.transmissions),
-                obs::field("p50_us", stats.latency_us_hist.p50().unwrap_or(0)),
-                obs::field("p95_us", stats.latency_us_hist.p95().unwrap_or(0)),
-                obs::field("p99_us", stats.latency_us_hist.p99().unwrap_or(0)),
-            ]
-        });
-    }
     // Simulated (not wall-clock) quantities: deterministic for a given
     // schedule, so the event is part of the trace's deterministic view.
     obs::event_f("simulate.done", || {

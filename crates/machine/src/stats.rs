@@ -1,7 +1,7 @@
 //! Simulation statistics: per-processor time breakdowns, the P×P traffic
 //! matrix, and exact log2-bucket size/latency histograms.
 
-use dmc_obs::Log2Hist;
+use crate::hist::Log2Hist;
 
 /// Per-processor time breakdown.
 #[derive(Clone, Debug, Default, PartialEq)]

@@ -41,21 +41,18 @@
 //!   `chrome://tracing` or Perfetto; one display thread per lane.
 //!   [`validate_chrome`] re-parses a document and checks it is well-formed
 //!   JSON with balanced begin/end pairs and monotonic timestamps.
-//! * [`explain_report`] — a human-readable provenance report attributing
-//!   every surviving message to the read that created it and every
-//!   eliminated communication set to the §6 pass that removed it; when
-//!   the trace carries machine telemetry (`sim.*` records), the report
-//!   gains a machine view (per-processor breakdown, top links, hot
-//!   messages joined with provenance).
+//! * [`Provenance`] — the compiler's provenance events parsed once into
+//!   typed values: which read created every surviving message, which §6
+//!   pass removed each eliminated communication set, how the stage graph
+//!   was reused and which sets were split for legality. Its
+//!   [`Provenance::markdown`] is the first half of the explain report;
+//!   `dmc explain` appends the machine sections, rendered from the
+//!   simulator's own statistics and critical-path analysis.
 //! * [`journal`] — the append-only compile journal: one deterministic
 //!   JSONL record per served compile, strictly parsed, replayable
 //!   byte-for-byte through a fresh session (`dmc journal`).
 //! * [`profile`] — the work-ledger profile ([`WorkProfile`]): charged
 //!   work per attribution context, collapsed stacks for flamegraphs.
-//!
-//! [`Log2Hist`] is the exact log2-bucket histogram the simulator fills
-//! with message sizes and transmission latencies; the explain report
-//! prints its percentiles.
 //!
 //! ## Machine lanes
 //!
@@ -70,15 +67,13 @@
 
 mod chrome;
 mod explain;
-mod hist;
 pub mod journal;
 pub mod json;
 pub mod profile;
 mod trace;
 
 pub use chrome::{chrome_trace, validate_chrome, TraceCheck};
-pub use explain::{explain_report, message_pass_counts};
-pub use hist::Log2Hist;
+pub use explain::{MessageProv, Provenance, ReadProv, Split, StageReuse};
 pub use journal::JournalRecord;
 pub use profile::{ProfileOp, WorkProfile};
 pub use trace::{

@@ -38,8 +38,9 @@ cargo fmt --check
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
 
 # Every harness battery, in one process (`dmc check`): `dmc explain
-# --check` (one capture per workload: a well-formed Chrome trace
-# attributing every message; ledger totals == PolyStats, >= 90% of work
+# --check` (one capture per workload: a well-formed Chrome trace whose
+# parsed provenance names every scheduled message with the schedule's
+# sender, receivers and words; ledger totals == PolyStats, >= 90% of work
 # attributed, a byte-identical recapture, recording that steers nothing;
 # makespan == longest path == simulator, exact blame, what-ifs == brute
 # force), `dmc session --check` (a processor-count sweep identical to the
