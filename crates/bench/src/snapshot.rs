@@ -17,8 +17,8 @@ use dmc_core::{build_schedule, compile, message_stats, run, Options, Session};
 use dmc_machine::{CritAnalysis, MachineConfig};
 use dmc_obs::json::{self, Json};
 use dmc_polyhedra::{
-    batch_feasibility, cache, ledger, lexopt, stats, Constraint, DimKind, Direction, LinExpr,
-    PolyStats, Polyhedron, Space,
+    batch_feasibility, cache, lexopt, stats, Constraint, DimKind, Direction, LinExpr, PolyStats,
+    Polyhedron, Space,
 };
 use dmc_store::DiskStore;
 
@@ -127,13 +127,18 @@ fn per_stage_disk_json(stats: &dmc_core::SessionStats) -> String {
     format!("{{{}}}", rows.join(", "))
 }
 
+/// Charged work units of `f` on this thread: its `work_units` delta.
+fn work_units(f: impl FnOnce()) -> u64 {
+    let before = stats::snapshot().work_units;
+    f();
+    stats::snapshot().work_units - before
+}
+
 /// Charged work units of one canned engine operation, run on this thread
 /// from cold caches. Pure solver work on fixed inputs: exact-gateable.
 fn charged(f: impl FnOnce()) -> u64 {
     cache::clear_thread_caches();
-    ledger::start();
-    f();
-    ledger::finish().charged_work()
+    work_units(f)
 }
 
 /// The `polyops` microbench: canned polyhedra driven through the engine's
@@ -198,19 +203,19 @@ fn polyops_json() -> String {
     )
 }
 
-/// The sweep's charged work: one untimed ledger pass over the whole
-/// session sweep. Stage hits skip the engine entirely and memo-cache
-/// hits replay their memoized charge, so the total is deterministic —
-/// and visibly *smaller* than four independent compiles.
+/// The sweep's charged work over a fresh session. Stage hits skip the
+/// engine entirely and memo-cache hits replay their memoized charge, so
+/// the total is deterministic — and visibly *smaller* than four
+/// independent compiles.
 fn sweep_work_units(nprocs: &[i128]) -> u64 {
-    ledger::start();
     let mut session = Session::new();
-    for &nproc in nprocs {
-        let _ = session
-            .compile(lu_input(nproc), Options::full())
-            .expect("sweep compiles");
-    }
-    ledger::finish().charged_work()
+    work_units(|| {
+        for &nproc in nprocs {
+            let _ = session
+                .compile(lu_input(nproc), Options::full())
+                .expect("sweep compiles");
+        }
+    })
 }
 
 /// The critical-path section of one workload: event-DAG size, canonical
@@ -282,10 +287,9 @@ pub fn document(cache_dir: &Path, log: &mut String) -> Result<String, String> {
             body.push_str(",\n");
         }
         // The work fields come from the one capture `dmc explain` takes:
-        // the ledger over compile + schedule from cold caches
-        // (`ledger::start` invalidates them, which is what makes `allocs`
-        // deterministic), and messages per §6 pass chain from the
-        // provenance events of the captured schedule.
+        // the ledger over compile + schedule from cold caches (which is
+        // what makes `allocs` deterministic), and messages per §6 pass
+        // chain from the provenance events of the captured schedule.
         let cap = explain::capture(w)?;
         let comm_passes = cap.provenance.message_pass_counts();
         let pass_total: u64 = comm_passes.iter().map(|(_, n)| n).sum();

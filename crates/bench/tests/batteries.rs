@@ -3,8 +3,8 @@
 //!
 //! * **explain** — one capture per workload: a well-formed Chrome trace
 //!   whose provenance names every scheduled message with the schedule's
-//!   sender, receivers and words, ledger totals ≡ `PolyStats` deltas for
-//!   all thirteen counters, per-context work tiling the charged total,
+//!   sender, receivers and words, the ledger's charged work ≡ the
+//!   `work_units` delta, per-context work tiling the charged total,
 //!   ≥ 90 % attribution, a byte-identical recapture, recording that never
 //!   changes a schedule or a message count, and the critical-path
 //!   invariants;
@@ -12,8 +12,8 @@
 //!   pipeline, reusing every Last Write Tree;
 //! * the `dmc explain --json` document round-trips through the obs parser.
 //!
-//! The capture and the ledger are process-wide, so every test in this
-//! file serializes on one mutex.
+//! The `dmc_obs` capture is process-wide, so every test in this file
+//! serializes on one mutex.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -49,10 +49,10 @@ fn explain_battery_names_the_invariant_it_fails() {
     let _g = serial();
     let w = &test_workloads()[1];
     let mut cap = explain::capture(w).unwrap_or_else(|e| panic!("{e}"));
-    cap.delta.fm_steps += 1;
-    let err = explain::check(w, &cap).expect_err("a PolyStats delta one off");
-    assert!(err.contains("ledger fm_steps"), "{err}");
-    cap.delta.fm_steps -= 1;
+    cap.delta.work_units += 1;
+    let err = explain::check(w, &cap).expect_err("a work_units delta one off");
+    assert!(err.contains("the work_units delta"), "{err}");
+    cap.delta.work_units -= 1;
     cap.provenance.messages[0].words += 1;
     let err = explain::check(w, &cap).expect_err("a message attributed with one word too many");
     assert!(err.contains("is not scheduled message m0"), "{err}");

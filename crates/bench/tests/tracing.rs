@@ -15,8 +15,8 @@
 //!   multicasts is pinned, and every verdict equals the set-difference
 //!   formula the subset test replaced.
 //!
-//! The capture (like the engine knobs) is process-wide, so every test in
-//! this file serializes on one mutex.
+//! The capture is process-wide, so every test in this file serializes on
+//! one mutex.
 
 use std::sync::Mutex;
 

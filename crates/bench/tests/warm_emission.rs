@@ -6,9 +6,6 @@
 //! optimum (no `scan_bounds` or `lexopt` miss), and each round's text must
 //! be the one the code emitted before those two queries were memoized
 //! (its FNV-1a fingerprint, recorded then).
-//!
-//! This file holds one test, so the process-wide counter deltas it reads
-//! are exactly its own.
 
 use dmc_bench::workloads;
 use dmc_codegen::{

@@ -64,6 +64,14 @@ pub enum CompileError {
         /// Processor dimensions it maps onto.
         rank: usize,
     },
+    /// A computation decomposition names a variable that is neither a
+    /// loop enclosing its statement nor a program parameter.
+    CompVar {
+        /// The statement (textual id).
+        stmt: usize,
+        /// The variable it names.
+        var: String,
+    },
     /// Last Write Tree analysis failed.
     Lwt(LwtError),
     /// Communication-set construction failed.
@@ -107,6 +115,11 @@ impl std::fmt::Display for CompileError {
             CompileError::GridRank { grid, of, rank } => write!(
                 f,
                 "the grid has {grid} dimension(s) but the decomposition of {of} has {rank}"
+            ),
+            CompileError::CompVar { stmt, var } => write!(
+                f,
+                "the computation decomposition of statement {stmt} names {var:?}, \
+                 which is neither a loop enclosing it nor a parameter"
             ),
             CompileError::Lwt(e) => write!(f, "dataflow analysis failed: {e}"),
             CompileError::Comm(e) => write!(f, "communication generation failed: {e}"),

@@ -80,7 +80,7 @@ use dmc_ir::fp::{skeleton_fp, Fingerprint, Fingerprintable, Fp};
 use dmc_ir::{ArrayRef, ParseError, Program, StmtInfo};
 use dmc_machine::{MachineConfig, Schedule, SimResult};
 use dmc_obs as obs;
-use dmc_polyhedra::ledger;
+use dmc_polyhedra::{ledger, stats};
 
 use crate::options::{Options, Strategy};
 use crate::passes::{optimize_sets, strategy_tag, OPT_PASSES};
@@ -186,9 +186,6 @@ pub struct Session {
     /// the [`crate::compile`] wrapper uses — records into the calling thread's
     /// current context, exactly the pre-context behavior.
     obs: Option<obs::ObsContext>,
-    /// Ledger scope backing per-request work accounting; created (and
-    /// left recording) when journaling is enabled.
-    ledger_scope: Option<ledger::LedgerScope>,
     /// Whether [`Session::serve`] appends journal records.
     journaling: bool,
     /// One record per served request, in order.
@@ -273,21 +270,12 @@ impl Session {
     }
 
     /// Turns journaling on or off. While on, every [`Session::serve`]
-    /// call appends one [`obs::JournalRecord`]; enabling also opens a
-    /// dedicated [`ledger::LedgerScope`] and leaves it recording for the
-    /// session's lifetime (one memo-epoch bump here, not one per
-    /// request), so each record's `work_units` is the request's exact
-    /// charged work.
+    /// call appends one [`obs::JournalRecord`], whose `work_units` is the
+    /// request's charged work: the calling thread's
+    /// [`PolyStats::work_units`](dmc_polyhedra::PolyStats::work_units)
+    /// delta over the request.
     pub fn set_journal(&mut self, on: bool) {
         self.journaling = on;
-        if on {
-            let scope = self
-                .ledger_scope
-                .get_or_insert_with(ledger::LedgerScope::new);
-            if !scope.is_recording() {
-                scope.start();
-            }
-        }
     }
 
     /// The journal so far: one record per served request, in order.
@@ -321,23 +309,13 @@ impl Session {
         let t0 = std::time::Instant::now();
         let hits0 = self.stats.stage_hits;
         let misses0 = self.stats.stage_misses;
-        if self.journaling {
-            if let Some(scope) = &self.ledger_scope {
-                // Discard residue so the drain below is exactly this
-                // request's work.
-                let _ = scope.drain();
-            }
-        }
+        let work0 = stats::snapshot().work_units;
         let compiled = self.compile(input, options)?;
         let schedule = self.build_schedule(&compiled, param_vals, false, limit)?;
         let (messages, transmissions, words) = crate::pipeline::schedule_message_stats(&schedule);
         if self.journaling {
             let wall_us = t0.elapsed().as_micros() as u64;
-            let work_units = self
-                .ledger_scope
-                .as_ref()
-                .map(|s| s.drain().charged_work())
-                .unwrap_or(0);
+            let work_units = stats::snapshot().work_units - work0;
             let input = &compiled.input;
             self.journal.push(obs::JournalRecord {
                 seq: self.journal.len() as u64,
@@ -399,15 +377,10 @@ impl Session {
         input: CompileInput,
         options: Options,
     ) -> Result<Compiled, CompileError> {
-        // Scoped sessions record into their own context and ledger
-        // scope: install both before anything emits. Guards are RAII,
-        // so the thread's previous context is restored on every exit.
+        // Scoped sessions record into their own context: install it
+        // before anything emits. The guard is RAII, so the thread's
+        // previous context is restored on every exit.
         let _obs_guard = self.obs.as_ref().map(|c| c.install());
-        let _ledger_guard = self
-            .ledger_scope
-            .as_ref()
-            .filter(|s| s.is_recording())
-            .map(|s| s.install());
         // Lane first so every record of this compile lands in the main
         // pipeline lane; the engine tuning is thread-local, so concurrent
         // sessions cannot race on it.
@@ -419,8 +392,20 @@ impl Session {
 
         let stmts = input.program.statements();
         for s in &stmts {
-            if !input.comps.contains_key(&s.id) {
+            let Some(comp) = input.comps.get(&s.id) else {
                 return Err(CompileError::MissingComp(s.id));
+            };
+            // A decomposition maps the statement's own iterations: it may
+            // name only the loops that enclose it and the program's
+            // parameters, the dimensions of every space it constrains.
+            let loops = s.loop_vars();
+            let params = &input.program.params;
+            let mut vars = comp.maps.iter().flat_map(|m| m.expr.vars());
+            if let Some(var) = vars.find(|v| !loops.contains(v) && !params.iter().any(|p| p == v)) {
+                return Err(CompileError::CompVar {
+                    stmt: s.id,
+                    var: var.to_owned(),
+                });
             }
         }
         // Every virtual processor is folded onto the grid dimension by
@@ -521,11 +506,6 @@ impl Session {
         limit: usize,
     ) -> Result<Schedule, CompileError> {
         let _obs_guard = self.obs.as_ref().map(|c| c.install());
-        let _ledger_guard = self
-            .ledger_scope
-            .as_ref()
-            .filter(|s| s.is_recording())
-            .map(|s| s.install());
         crate::pipeline::build_schedule_inner(compiled, param_vals, values, limit, Some(self))
     }
 

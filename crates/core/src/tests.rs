@@ -3,7 +3,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use dmc_decomp::{CompDecomp, DataDecomp, ProcGrid};
+use dmc_decomp::{owner_computes, CompDecomp, DataDecomp, ProcGrid};
 use dmc_ir::interp::{self, Memory};
 use dmc_ir::{parse, Program};
 use dmc_machine::MachineConfig;
@@ -360,6 +360,66 @@ fn grid_rank_mismatch_is_reported() {
         err.to_string(),
         "the grid has 1 dimension(s) but the decomposition of array X has 2"
     );
+}
+
+/// A computation decomposition over a loop variable that does not enclose
+/// its statement is a typed error at `compile`, through the one-shot call
+/// and through a session, not a panic while building communication sets.
+#[test]
+fn comp_over_a_foreign_loop_variable_is_reported() {
+    let program = dmc_ir::parse(
+        "param N; array X[N + 1];
+         for j = 1 to N { X[j] = X[j - 1]; }",
+    )
+    .expect("parses");
+    let input = CompileInput {
+        program,
+        comps: BTreeMap::from([(0, CompDecomp::block_1d(0, "i", 4))]),
+        initial: HashMap::new(),
+        grid: ProcGrid::line(4),
+    };
+    for attempt in [
+        compile(input.clone(), Options::full()).map(drop),
+        crate::Session::new()
+            .serve("shift", input.clone(), Options::full(), &[12], 2_000_000)
+            .map(drop),
+    ] {
+        let err = attempt.expect_err("a typed refusal");
+        assert!(
+            matches!(&err, CompileError::CompVar { stmt: 0, var } if var == "i"),
+            "{err:?}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "the computation decomposition of statement 0 names \"i\", \
+             which is neither a loop enclosing it nor a parameter"
+        );
+    }
+}
+
+/// A computation decomposition may name the program's parameters as well
+/// as its statement's loops: owner-computes on the write `X[N - i]` maps
+/// iteration `i` by `N - i`, and that compiles and computes the program.
+#[test]
+fn comp_over_a_parameter_compiles() {
+    let program = parse(
+        "param N; array X[N + 1]; array Y[N + 1];
+         for i = 0 to N { X[N - i] = Y[i] + 1.5; }",
+    )
+    .unwrap();
+    let home = DataDecomp::block_1d("X", 1, 0, 4);
+    let comp = owner_computes(&home, &program.statements()[0]).unwrap();
+    assert!(comp.maps[0].expr.vars().contains(&"N"), "{comp:?}");
+    let mut initial = HashMap::new();
+    initial.insert("X".to_string(), home);
+    initial.insert("Y".to_string(), DataDecomp::block_1d("Y", 1, 0, 4));
+    let input = CompileInput {
+        program,
+        comps: BTreeMap::from([(0, comp)]),
+        initial,
+        grid: ProcGrid::line(3),
+    };
+    check_end_to_end(input, Options::full(), &[11]);
 }
 
 /// Planning with too few or too many parameter values is a typed refusal,

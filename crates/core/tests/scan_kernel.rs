@@ -1,18 +1,12 @@
 //! The planner on the compiled scan kernel: communication sets folded
 //! onto physical receivers scan tight, and a dimension nothing bounds
 //! fails with a typed error instead of spinning.
-//!
-//! The scan statistics are process-wide, so the tests serialize on one
-//! mutex.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Mutex;
 
 use dmc_core::{build_schedule, compile, CompileError, CompileInput, Options};
 use dmc_decomp::{CompDecomp, DataDecomp, ProcGrid};
 use dmc_polyhedra::{stats, Polyhedron};
-
-static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Figure 11's LU kernel with the paper's cyclic decomposition.
 fn lu_input(nproc: i128) -> CompileInput {
@@ -49,7 +43,6 @@ fn lu_input(nproc: i128) -> CompileInput {
 /// levels' few.
 #[test]
 fn folded_sets_scan_at_most_depth_plus_two_ranges_per_point() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let compiled = compile(lu_input(16), Options::full()).expect("compiles");
     let mut folded = 0;
     for cs in &compiled.comm {
@@ -84,7 +77,6 @@ fn folded_sets_scan_at_most_depth_plus_two_ranges_per_point() {
 /// (`for v in i128::MIN..=hi`). Both enumerations now report it.
 #[test]
 fn unconstrained_processor_dimension_is_unbounded_not_a_spin() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let mut compiled = compile(lu_input(4), Options::full()).expect("compiles");
     let cs = &mut compiled.comm[0];
     let pr = cs.dims.pr[0];

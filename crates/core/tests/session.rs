@@ -121,14 +121,16 @@ fn recompile_is_all_hits_and_byte_identical() {
     );
 }
 
-/// The distinct ledger context paths `f` charges work under, recorded in
-/// a ledger scope of its own.
+/// The distinct ledger context paths `f` charges work under, recorded on
+/// this thread.
 fn context_paths(f: impl FnOnce()) -> BTreeSet<Vec<String>> {
-    let scope = ledger::LedgerScope::new();
-    let _installed = scope.install();
-    scope.start();
+    ledger::start();
     f();
-    scope.finish().segments.into_iter().map(|s| s.ctx).collect()
+    ledger::finish()
+        .segments
+        .into_iter()
+        .map(|s| s.ctx)
+        .collect()
 }
 
 /// The session path and the classic one-shot wrapper produce identical
@@ -329,4 +331,34 @@ fn session_run_matches_classic_run() {
     assert_eq!(stage(&session, "schedule"), (1, 1));
     assert_eq!(classic.stats.time, cached.stats.time);
     assert_eq!(classic.stats.messages, cached.stats.messages);
+}
+
+/// The journaled work units of one LU request (P = 4, N = 16) on a fresh
+/// thread; when `compile_between`, an unjournaled compile of the same
+/// program runs on that thread after journaling is switched on and before
+/// the request, filling the memo caches the request then hits.
+fn journaled_lu_work(compile_between: bool) -> u64 {
+    std::thread::spawn(move || {
+        let mut session = Session::new();
+        session.set_journal(true);
+        if compile_between {
+            compile(lu_input(4), Options::full()).expect("compiles");
+        }
+        session
+            .serve("lu", lu_input(4), Options::full(), &[16], 1_000_000)
+            .expect("serves");
+        session.journal()[0].work_units
+    })
+    .join()
+    .expect("request thread")
+}
+
+/// A request's journaled work is its charged work, whatever ran on the
+/// thread before it: a memo hit charges what its computation cost even
+/// when that computation ran with nothing journaling.
+#[test]
+fn journal_work_does_not_depend_on_earlier_compiles() {
+    let fresh = journaled_lu_work(false);
+    assert!(fresh > 0);
+    assert_eq!(journaled_lu_work(true), fresh);
 }

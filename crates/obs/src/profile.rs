@@ -17,8 +17,8 @@
 //!   projection blow-ups, and per-context cache effectiveness.
 //!
 //! The aggregation is order-insensitive (a `BTreeMap` keyed on the
-//! context path), so the order in which threads flushed their ledger
-//! buffers never reaches the output.
+//! context path), so the order of the ledger's segments never reaches the
+//! output.
 //!
 //! This crate stays zero-dependency: records are fed in as plain
 //! [`ProfileOp`] values rather than ledger types.

@@ -45,7 +45,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::{stats, ConstraintKind, Feasibility, PolyError, Polyhedron};
+use crate::{ledger, ConstraintKind, Feasibility, PolyError, Polyhedron};
 
 /// The dominance-comparable form of one member: equality rows in full,
 /// inequality rows reduced to the tightest constant per coefficient row
@@ -167,7 +167,7 @@ pub fn batch_feasibility(polys: &[Polyhedron]) -> Result<Vec<Feasibility>, PolyE
             for &i in &order {
                 if out[i].is_none() {
                     out[i] = Some(Feasibility::Infeasible);
-                    stats::count_batch_saved();
+                    ledger::count(|s| s.batch_saved += 1);
                 }
             }
             continue;
@@ -198,7 +198,7 @@ pub fn batch_feasibility(polys: &[Polyhedron]) -> Result<Vec<Feasibility>, PolyE
                 };
                 if propagated {
                     out[j] = Some(f);
-                    stats::count_batch_saved();
+                    ledger::count(|s| s.batch_saved += 1);
                 }
             }
         }
@@ -212,12 +212,7 @@ pub fn batch_feasibility(polys: &[Polyhedron]) -> Result<Vec<Feasibility>, PolyE
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Constraint, DimKind, LinExpr, Space};
-    use std::sync::Mutex;
-
-    /// `batch_saved` is process-global; tests that assert on its delta
-    /// serialize here so concurrent batch tests don't inflate each other.
-    static SERIAL: Mutex<()> = Mutex::new(());
+    use crate::{stats, Constraint, DimKind, LinExpr, Space};
 
     fn space(n: usize) -> Space {
         let mut s = Space::new();
@@ -247,7 +242,6 @@ mod tests {
         // Five nested boxes: [0,k] x [0,k] for k = 0..4 — the loosest
         // member doubles as the envelope (one query), then the tightest
         // member's feasibility resolves the middle of the chain.
-        let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let polys: Vec<Polyhedron> = (0..5).map(|k| shifted_box(2, &[0, 0], &[k, k])).collect();
         let before = stats::snapshot();
         let out = batch_feasibility(&polys).unwrap();
@@ -263,7 +257,6 @@ mod tests {
         // [0, hi] with hi = -3..1: hi < 0 is empty. The envelope (hi=1)
         // is feasible, so the empty members are each solved — emptiness
         // never certifies a superset.
-        let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let polys: Vec<Polyhedron> = (-3..2).map(|k| shifted_box(1, &[0], &[k])).collect();
         let out = batch_feasibility(&polys).unwrap();
         for (k, f) in (-3..2).zip(&out) {

@@ -68,11 +68,12 @@
 //!
 //! Caches are thread-local (no locks on the hot path; a compile runs on
 //! one thread, so every stage of it — and every later compile on that
-//! thread — shares them), admit systems of at least four constraints (see
-//! [`stats`]), are bounded in bytes (each map is cleared wholesale when its
+//! thread — shares them), admit systems of at least four constraints
+//! (`CACHE_MIN_CONSTRAINTS`), are bounded in bytes (each map is cleared wholesale when its
 //! keys and values pass `BUDGET_BYTES`), and are invalidated whenever the
-//! effective feasibility budget changes or the work ledger turns on (see
-//! [`stats`]'s epoch).
+//! effective feasibility budget changes (see [`stats`]'s epoch). An entry
+//! keeps the work its computation was charged, so a hit charges the same
+//! work whether or not anything records (see [`ledger`]).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -341,6 +342,26 @@ impl HeapBytes for Box<[u8]> {
 /// without guessing at an eviction order.
 const BUDGET_BYTES: usize = 24 << 20;
 
+/// Minimum constraint count for a system to be memoized; smaller ones are
+/// solved afresh (counted as
+/// [`PolyStats::cache_bypasses`](crate::PolyStats::cache_bypasses)). Set by a
+/// sweep over {1, 2, 4, 6, 8} on the repo benchmark (EXPERIMENTS.md P19):
+/// a warm `symbolic_corpus` pass takes 0.58 s at 8, 0.45 s at 6, 0.39 s at
+/// 4 and the same 0.39 s at 2 and at 1 — systems that small cost as much
+/// to encode and look up as to solve — so 4 it is, the fewest resident
+/// entries among the fastest settings.
+const CACHE_MIN_CONSTRAINTS: usize = 4;
+
+/// Whether a system of `n_constraints` is worth memoizing; counts a
+/// bypass when it is not.
+pub(crate) fn admits(n_constraints: usize) -> bool {
+    if n_constraints < CACHE_MIN_CONSTRAINTS {
+        ledger::count(|s| s.cache_bypasses += 1);
+        return false;
+    }
+    true
+}
+
 /// One exact, byte-bounded memo map and the scratch its keys are built in.
 struct Store<V, S = BuildHasherDefault<WordHasher>> {
     map: HashMap<Box<[u8]>, V, S>,
@@ -468,14 +489,6 @@ impl Query {
             Query::LexOpt => OpKind::LexOpt,
         }
     }
-
-    fn count(self, hit: bool) {
-        match self {
-            Query::Projection => stats::count_proj_cache(hit),
-            Query::Scan => stats::count_scan_cache(hit),
-            Query::LexOpt => stats::count_lex_cache(hit),
-        }
-    }
 }
 
 /// Answers `query` on `sys` and `args` from this thread's map, or runs
@@ -493,7 +506,7 @@ pub(crate) fn memoized<T, E>(
     decode: impl FnOnce(&mut Reader<'_>) -> T,
 ) -> Result<T, E> {
     let n = sys.rows.len();
-    if !stats::cache_admits(n) {
+    if !admits(n) {
         let op = ledger::op(query.kind(), n);
         let out = compute();
         op.finish();
@@ -508,13 +521,11 @@ pub(crate) fn memoized<T, E>(
     });
     let key = match looked_up {
         Ok((hit, charged)) => {
-            query.count(true);
             ledger::record_hit(query.kind(), n, charged);
             return Ok(hit);
         }
         Err(key) => key,
     };
-    query.count(false);
     let mut op = ledger::op(query.kind(), n);
     op.set_cache_miss();
     let out = compute()?;
@@ -528,8 +539,9 @@ pub(crate) fn memoized<T, E>(
     Ok(out)
 }
 
-/// Drops this thread's memo caches (counters are untouched). Mostly useful
-/// for benchmarking cold-cache behavior.
+/// Drops this thread's memo caches (counters are untouched): what a
+/// measurement that must start cold — a compile's allocations, its cache
+/// misses — calls first.
 pub fn clear_thread_caches() {
     FEAS.with(|c| c.borrow_mut().store.clear());
     PROJ.with(|c| c.borrow_mut().store.clear());
@@ -562,6 +574,14 @@ mod tests {
         let mut scratch = Scratch::default();
         scratch.encode(sys, args, order);
         scratch.key
+    }
+
+    #[test]
+    fn size_gate_counts_bypasses() {
+        let before = stats::snapshot();
+        assert!(!admits(CACHE_MIN_CONSTRAINTS - 1), "below: bypass");
+        assert!(admits(CACHE_MIN_CONSTRAINTS), "at the threshold");
+        assert_eq!(stats::snapshot().since(&before).cache_bypasses, 1);
     }
 
     fn seq_key(sys: System<'_>) -> Vec<u8> {

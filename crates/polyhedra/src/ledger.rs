@@ -1,84 +1,62 @@
-//! Work ledger: per-operation profiling records for the polyhedral engine.
+//! The engine's one work account, kept per thread.
 //!
-//! [`stats`] counts *how much* work the engine did; the
-//! ledger records *which operation* did it and *on whose behalf*. When
-//! enabled (see [`start`]) every Fourier–Motzkin step, projection,
-//! integer-feasibility query, redundancy pass, scan, parametric lexopt and
-//! lexopt case split appends a compact [`OpRecord`] — operation kind,
-//! constraint counts in and out, branch-and-bound nodes, negation tests,
-//! cache outcome, wall-clock duration — tagged with the
-//! ambient *attribution context*: a stack of frames pushed by the caller
-//! ([`push_context`], used by `dmc_core`'s pipeline) naming the
-//! statement/read/pass (or schedule phase) the engine is working for,
-//! mirroring the `dmc_obs` lane-key hierarchy
-//! (`stmt<i> → read<j> → <pass>`).
+//! Every thread that runs the polyhedral engine owns one table: its
+//! cumulative [`PolyStats`] and the stack of operations open on it. Every
+//! record site writes to that table, always. A Fourier–Motzkin step,
+//! projection, integer-feasibility query, redundancy pass, scan,
+//! parametric lexopt or lexopt case split is counted when it closes, a
+//! memo-cache hit when it is served, and the counters that are not
+//! operations (allocations, inline spills, pre-filter verdicts, cache
+//! bypasses, batch savings, scan points) where they happen.
+//! [`snapshot`] (re-exported as `stats::snapshot`, where harnesses read
+//! it) copies the calling thread's counters; a region's work is the
+//! difference of two snapshots ([`PolyStats::since`]).
+//!
+//! A compile runs on its caller's thread from start to finish and the
+//! library spawns no thread, so the thread is the isolation: compiles on
+//! two threads never see each other's counts, and nothing is shared.
 //!
 //! # Work units and charged work
 //!
-//! Each record carries two weights:
+//! Each operation carries two weights:
 //!
 //! * **self units** — work the operation itself performed: 1 per FM step /
 //!   projection / lexmax split, 1 + branch-and-bound nodes per feasibility
 //!   query, 1 + negation tests per redundancy pass, and 0 per scan or
 //!   lexopt — those two compound queries are charged exactly the
-//!   operations they run, so wrapping them in a record moves no total.
-//!   Record counts and the summed node/test fields reconcile *exactly*
-//!   against [`PolyStats`](crate::PolyStats) deltas taken over the same
-//!   region.
+//!   operations they run, so wrapping them in an operation moves no total.
 //! * **charged units** — self units plus the charged units of every
-//!   *nested* recorded operation; on a memo-cache **hit**, the charged
-//!   units the original (miss) computation accumulated. Because every
-//!   cached result is bit-identical to its uncached computation, the
-//!   charged cost is a property of the *query*, not of the cache state: a
-//!   warm cache answers instantly but still charges the logical cost.
-//!   This makes top-level charged work deterministic — identical across
-//!   runs and cache states — which is what lets collapsed stacks be
-//!   compared byte-for-byte and work totals be gated exactly.
+//!   *nested* operation; on a memo-cache **hit**, the charged units the
+//!   original (miss) computation accumulated, which the memo entry keeps.
+//!   Every cached result is bit-identical to its uncached computation, so
+//!   the charged cost is a property of the *query*, not of the cache
+//!   state: a warm cache answers instantly but still charges the logical
+//!   cost.
 //!
-//! # Overhead
+//! [`PolyStats::work_units`] sums the charged units of top-level
+//! operations (those no other operation encloses): the thread's logical
+//! work, identical across runs and cache states for a given input, which
+//! is what lets collapsed stacks be compared byte for byte and work totals
+//! be gated exactly.
 //!
-//! With the ledger off (the default) each record site costs exactly one
-//! relaxed atomic load ([`enabled`]). Enabling the ledger bumps the
-//! memo-cache epoch so every entry served under it carries a charged cost.
+//! # Records
 //!
-//! # Threading and scopes
-//!
-//! Records accumulate in thread-local buffers, segmented by attribution
-//! context; a buffer flushes into its scope's store when its thread's
-//! context stack empties (one lock per pipeline job). Records made with no
-//! context at all go straight to the store's orphan list. [`finish`]
-//! drains the store; aggregation downstream is order-insensitive, so the
-//! order in which threads sharing a scope flushed never shows.
-//!
-//! Storage is per-[`LedgerScope`]: each scope owns an enabled flag and a
-//! store, and a thread records into its *current* scope (the process
-//! default unless a [`LedgerScope::install`] guard is live). The free
-//! functions [`start`]/[`finish`] operate on the default scope, exactly
-//! as they did when the ledger was process-global; sessions that must
-//! not share a ledger (concurrent compiles) create their own scope and
-//! install it on every thread that works for them.
+//! Between [`start`] and [`finish`] the calling thread also keeps one
+//! [`OpRecord`] per operation — kind, constraint counts in and out,
+//! branch-and-bound nodes, negation tests, cache outcome, wall-clock
+//! duration — tagged with the ambient *attribution context*: a stack of
+//! frames pushed by the caller ([`push_context`], used by `dmc_core`'s
+//! pipeline) naming the statement/read/pass (or schedule phase) the engine
+//! is working for, mirroring the `dmc_obs` lane-key hierarchy
+//! (`stmt<i> → read<j> → <pass>`). [`start`] clears the thread's memo
+//! caches, so the records time computations rather than hits; beyond
+//! that, recording only adds the records and their timings: the counters
+//! and charges are the same with it on or off, so a recording's
+//! [`Ledger::charged_work`] is the `work_units` delta over the same
+//! region.
 
 use std::cell::RefCell;
-use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-
-use crate::stats;
-
-const R: Ordering = Ordering::Relaxed;
-
-/// Number of scopes currently recording, process-wide. The ledger-off
-/// fast path checks this single atomic before touching anything else.
-static ACTIVE: AtomicUsize = AtomicUsize::new(0);
-
-/// Whether the current thread's ledger scope is recording. When no scope
-/// is recording anywhere in the process this is one relaxed atomic load —
-/// the entire ledger-off cost of a record site.
-#[inline]
-pub fn enabled() -> bool {
-    ACTIVE.load(R) != 0 && with_scope(|s| s.enabled.load(R))
-}
 
 /// The kind of engine operation a record describes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -188,51 +166,15 @@ pub struct OpRecord {
 pub struct Segment {
     /// Attribution frames, e.g. `["stmt0", "read1", "opt.self_reuse"]`.
     pub ctx: Vec<String>,
-    /// The records, in thread-local program order.
+    /// The records, in the order they closed.
     pub records: Vec<OpRecord>,
 }
 
 /// Everything recorded between [`start`] and [`finish`].
 #[derive(Clone, Debug, Default)]
 pub struct Ledger {
-    /// Context-tagged record segments (cross-thread order unspecified).
+    /// Context-tagged record segments, in program order.
     pub segments: Vec<Segment>,
-}
-
-/// Per-kind totals of a [`Ledger`], shaped for exact reconciliation
-/// against a [`PolyStats`](crate::PolyStats) delta over the same region.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LedgerTotals {
-    /// FM-step records (≡ `PolyStats::fm_steps`).
-    pub fm_steps: u64,
-    /// Projection records answered uncached or by a miss.
-    pub projections: u64,
-    /// Feasibility records (≡ `PolyStats::feasibility_calls`).
-    pub feasibility_calls: u64,
-    /// Σ branch-and-bound nodes (≡ `PolyStats::bnb_nodes`).
-    pub bnb_nodes: u64,
-    /// Redundancy records (the pass is not memoized).
-    pub redundancy_passes: u64,
-    /// Σ negation tests (≡ `PolyStats::negation_tests`).
-    pub negation_tests: u64,
-    /// Lexmax-split records (≡ `PolyStats::lex_splits`).
-    pub lex_splits: u64,
-    /// Feasibility cache hits (≡ `PolyStats::feas_cache_hits`).
-    pub feas_cache_hits: u64,
-    /// Feasibility cache misses (≡ `PolyStats::feas_cache_misses`).
-    pub feas_cache_misses: u64,
-    /// Projection cache hits (≡ `PolyStats::proj_cache_hits`).
-    pub proj_cache_hits: u64,
-    /// Projection cache misses (≡ `PolyStats::proj_cache_misses`).
-    pub proj_cache_misses: u64,
-    /// Scan cache hits (≡ `PolyStats::scan_cache_hits`).
-    pub scan_cache_hits: u64,
-    /// Scan cache misses (≡ `PolyStats::scan_cache_misses`).
-    pub scan_cache_misses: u64,
-    /// Lexopt cache hits (≡ `PolyStats::lex_cache_hits`).
-    pub lex_cache_hits: u64,
-    /// Lexopt cache misses (≡ `PolyStats::lex_cache_misses`).
-    pub lex_cache_misses: u64,
 }
 
 impl Ledger {
@@ -241,292 +183,229 @@ impl Ledger {
         self.segments.iter().flat_map(|s| s.records.iter())
     }
 
-    /// Total charged units of top-level records: the run's logical work.
-    /// Deterministic for a given input — identical across runs and cache
-    /// states.
+    /// Total charged units of top-level records: the recorded region's
+    /// logical work, its `work_units` delta.
     pub fn charged_work(&self) -> u64 {
         self.records()
             .filter(|r| r.top_level)
             .map(|r| r.charged_units)
             .sum()
     }
+}
 
-    /// Per-kind totals for reconciliation against `PolyStats`.
-    pub fn totals(&self) -> LedgerTotals {
-        let mut t = LedgerTotals::default();
-        for r in self.records() {
-            match r.kind {
-                OpKind::FmStep => t.fm_steps += 1,
-                OpKind::Projection => {
-                    if r.cache != CacheOutcome::Hit {
-                        t.projections += 1;
-                    }
-                    match r.cache {
-                        CacheOutcome::Hit => t.proj_cache_hits += 1,
-                        CacheOutcome::Miss => t.proj_cache_misses += 1,
-                        CacheOutcome::Uncached => {}
-                    }
-                }
-                OpKind::Feasibility => {
-                    t.feasibility_calls += 1;
-                    t.bnb_nodes += r.bnb_nodes;
-                    match r.cache {
-                        CacheOutcome::Hit => t.feas_cache_hits += 1,
-                        CacheOutcome::Miss => t.feas_cache_misses += 1,
-                        CacheOutcome::Uncached => {}
-                    }
-                }
-                OpKind::Redundancy => {
-                    t.redundancy_passes += 1;
-                    t.negation_tests += r.negation_tests;
-                }
-                OpKind::LexSplit => t.lex_splits += 1,
-                OpKind::Scan => match r.cache {
-                    CacheOutcome::Hit => t.scan_cache_hits += 1,
-                    CacheOutcome::Miss => t.scan_cache_misses += 1,
-                    CacheOutcome::Uncached => {}
-                },
-                OpKind::LexOpt => match r.cache {
-                    CacheOutcome::Hit => t.lex_cache_hits += 1,
-                    CacheOutcome::Miss => t.lex_cache_misses += 1,
-                    CacheOutcome::Uncached => {}
-                },
-            }
+/// A snapshot of one thread's cumulative engine counters.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PolyStats {
+    /// Fourier–Motzkin single-dimension elimination steps.
+    pub fm_steps: u64,
+    /// Top-level integer-feasibility queries.
+    pub feasibility_calls: u64,
+    /// Queries that exhausted their budget and returned `Unknown`.
+    pub feasibility_unknown: u64,
+    /// Branch-and-bound nodes visited inside feasibility queries.
+    pub bnb_nodes: u64,
+    /// Feasibility memo-cache hits.
+    pub feas_cache_hits: u64,
+    /// Feasibility memo-cache misses.
+    pub feas_cache_misses: u64,
+    /// Projection (`eliminate_dims`) memo-cache hits.
+    pub proj_cache_hits: u64,
+    /// Projection memo-cache misses.
+    pub proj_cache_misses: u64,
+    /// Scan ([`scan_bounds`](crate::scan_bounds)) memo-cache hits.
+    pub scan_cache_hits: u64,
+    /// Scan memo-cache misses.
+    pub scan_cache_misses: u64,
+    /// Parametric-lexopt ([`lexopt`](crate::lexopt)) memo-cache hits.
+    pub lex_cache_hits: u64,
+    /// Parametric-lexopt memo-cache misses.
+    pub lex_cache_misses: u64,
+    /// Exact negation tests run by `remove_redundant`.
+    pub negation_tests: u64,
+    /// Constraints dropped by the cheap pre-filters (no exact test needed).
+    pub prefilter_drops: u64,
+    /// Constraints kept by a verified witness point (no exact test needed).
+    pub prefilter_keeps: u64,
+    /// Memo-cache consults skipped because the system was too small to be
+    /// worth memoizing (fewer than 4 constraints).
+    pub cache_bypasses: u64,
+    /// Parametric-lexmax case splits explored (one per non-empty piece of
+    /// [`lexopt`](crate::lexopt)'s which-bound-is-tight disjunction).
+    pub lex_splits: u64,
+    /// Heap allocations performed by the constraint storage layer: every
+    /// coefficient row that could not live in a [`LinExpr`](crate::LinExpr)
+    /// inline buffer (creation past the inline width, or cloning a
+    /// heap-backed row).
+    pub allocs: u64,
+    /// Inline-to-heap transitions: an operation on an inline coefficient
+    /// row produced one wider than the inline buffer.
+    pub inline_spills: u64,
+    /// Feasibility queries answered by subset dominance inside
+    /// [`batch_feasibility`](crate::batch_feasibility) instead of by the
+    /// solver.
+    pub batch_saved: u64,
+    /// Points emitted by the scan kernel
+    /// ([`ScanKernel::for_each`](crate::ScanKernel::for_each)).
+    pub scan_points: u64,
+    /// Level ranges the scan kernel evaluated to emit them; a ratio to
+    /// [`scan_points`](Self::scan_points) far above a nest's depth means
+    /// the nest loops over misses.
+    pub scan_range_evals: u64,
+    /// Charged units of top-level operations: the logical work, the same
+    /// for a given input whatever the memo caches hold (see the module
+    /// documentation).
+    pub work_units: u64,
+}
+
+impl PolyStats {
+    /// Counter-wise difference `self - earlier` (saturating).
+    pub fn since(&self, earlier: &PolyStats) -> PolyStats {
+        PolyStats {
+            fm_steps: self.fm_steps.saturating_sub(earlier.fm_steps),
+            feasibility_calls: self
+                .feasibility_calls
+                .saturating_sub(earlier.feasibility_calls),
+            feasibility_unknown: self
+                .feasibility_unknown
+                .saturating_sub(earlier.feasibility_unknown),
+            bnb_nodes: self.bnb_nodes.saturating_sub(earlier.bnb_nodes),
+            feas_cache_hits: self.feas_cache_hits.saturating_sub(earlier.feas_cache_hits),
+            feas_cache_misses: self
+                .feas_cache_misses
+                .saturating_sub(earlier.feas_cache_misses),
+            proj_cache_hits: self.proj_cache_hits.saturating_sub(earlier.proj_cache_hits),
+            proj_cache_misses: self
+                .proj_cache_misses
+                .saturating_sub(earlier.proj_cache_misses),
+            scan_cache_hits: self.scan_cache_hits.saturating_sub(earlier.scan_cache_hits),
+            scan_cache_misses: self
+                .scan_cache_misses
+                .saturating_sub(earlier.scan_cache_misses),
+            lex_cache_hits: self.lex_cache_hits.saturating_sub(earlier.lex_cache_hits),
+            lex_cache_misses: self
+                .lex_cache_misses
+                .saturating_sub(earlier.lex_cache_misses),
+            negation_tests: self.negation_tests.saturating_sub(earlier.negation_tests),
+            prefilter_drops: self.prefilter_drops.saturating_sub(earlier.prefilter_drops),
+            prefilter_keeps: self.prefilter_keeps.saturating_sub(earlier.prefilter_keeps),
+            cache_bypasses: self.cache_bypasses.saturating_sub(earlier.cache_bypasses),
+            lex_splits: self.lex_splits.saturating_sub(earlier.lex_splits),
+            allocs: self.allocs.saturating_sub(earlier.allocs),
+            inline_spills: self.inline_spills.saturating_sub(earlier.inline_spills),
+            batch_saved: self.batch_saved.saturating_sub(earlier.batch_saved),
+            scan_points: self.scan_points.saturating_sub(earlier.scan_points),
+            scan_range_evals: self
+                .scan_range_evals
+                .saturating_sub(earlier.scan_range_evals),
+            work_units: self.work_units.saturating_sub(earlier.work_units),
         }
-        t
     }
 }
 
 // ---------------------------------------------------------------------
-// Thread-local recording state.
+// The thread's table.
 // ---------------------------------------------------------------------
 
-/// One open (not yet closed) operation's accumulator.
-struct OpenFrame {
-    /// Σ charged units of closed children.
-    children: u64,
-}
-
 #[derive(Default)]
-struct ThreadState {
+struct Table {
+    stats: PolyStats,
+    /// Per open operation, the charged units of its closed children.
+    open: Vec<u64>,
+    /// Attribution frames, outermost first.
     ctx: Vec<String>,
-    segments: Vec<Segment>,
-    open: Vec<OpenFrame>,
+    /// The records since [`start`]; `None` when not recording.
+    segments: Option<Vec<Segment>>,
 }
 
 thread_local! {
-    static STATE: RefCell<ThreadState> = RefCell::new(ThreadState::default());
+    static TABLE: RefCell<Table> = RefCell::new(Table::default());
 }
 
-#[derive(Default)]
-struct Store {
-    segments: Vec<Segment>,
-    orphans: Vec<OpRecord>,
+fn with_table<T>(f: impl FnOnce(&mut Table) -> T) -> T {
+    TABLE.with(|t| f(&mut t.borrow_mut()))
 }
 
-/// The state behind one [`LedgerScope`] handle.
-struct ScopeInner {
-    enabled: AtomicBool,
-    store: Mutex<Store>,
-}
-
-impl ScopeInner {
-    fn new() -> Self {
-        ScopeInner {
-            enabled: AtomicBool::new(false),
-            store: Mutex::new(Store::default()),
-        }
-    }
-
-    fn store(&self) -> std::sync::MutexGuard<'_, Store> {
-        self.store.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn start(&self) {
-        {
-            let mut g = self.store();
-            g.segments.clear();
-            g.orphans.clear();
-        }
-        STATE.with(|s| {
-            let mut st = s.borrow_mut();
-            st.segments.clear();
-            st.open.clear();
-        });
-        stats::bump_epoch();
-        if !self.enabled.swap(true, R) {
-            ACTIVE.fetch_add(1, R);
-        }
-    }
-
-    /// Flushes the calling thread's buffered residue, then takes the
-    /// store contents.
-    fn take(&self) -> Ledger {
-        STATE.with(|s| {
-            let mut st = s.borrow_mut();
-            if !st.segments.is_empty() {
-                let segs = std::mem::take(&mut st.segments);
-                self.store().segments.extend(segs);
+impl Table {
+    /// Counts one closed or served operation, charges it to the enclosing
+    /// operation (or to `work_units` when none is open, which makes it
+    /// top-level), and keeps its record if the thread is recording.
+    fn account(&mut self, mut rec: OpRecord) {
+        let s = &mut self.stats;
+        match rec.kind {
+            OpKind::FmStep => s.fm_steps += 1,
+            OpKind::Feasibility => {
+                s.feasibility_calls += 1;
+                s.bnb_nodes += rec.bnb_nodes;
             }
-            st.open.clear();
-        });
-        let mut g = self.store();
-        let mut segments = std::mem::take(&mut g.segments);
-        if !g.orphans.is_empty() {
-            segments.push(Segment {
-                ctx: Vec::new(),
-                records: std::mem::take(&mut g.orphans),
-            });
+            OpKind::Redundancy => s.negation_tests += rec.negation_tests,
+            OpKind::LexSplit => s.lex_splits += 1,
+            OpKind::Projection | OpKind::Scan | OpKind::LexOpt => {}
         }
-        Ledger { segments }
-    }
-
-    fn finish(&self) -> Ledger {
-        if self.enabled.swap(false, R) {
-            ACTIVE.fetch_sub(1, R);
+        match (rec.kind, rec.cache) {
+            (OpKind::Feasibility, CacheOutcome::Hit) => s.feas_cache_hits += 1,
+            (OpKind::Feasibility, CacheOutcome::Miss) => s.feas_cache_misses += 1,
+            (OpKind::Projection, CacheOutcome::Hit) => s.proj_cache_hits += 1,
+            (OpKind::Projection, CacheOutcome::Miss) => s.proj_cache_misses += 1,
+            (OpKind::Scan, CacheOutcome::Hit) => s.scan_cache_hits += 1,
+            (OpKind::Scan, CacheOutcome::Miss) => s.scan_cache_misses += 1,
+            (OpKind::LexOpt, CacheOutcome::Hit) => s.lex_cache_hits += 1,
+            (OpKind::LexOpt, CacheOutcome::Miss) => s.lex_cache_misses += 1,
+            _ => {}
         }
-        self.take()
-    }
-}
-
-fn default_scope() -> &'static Arc<ScopeInner> {
-    static DEFAULT: OnceLock<Arc<ScopeInner>> = OnceLock::new();
-    DEFAULT.get_or_init(|| Arc::new(ScopeInner::new()))
-}
-
-thread_local! {
-    /// The scope this thread records into; `None` means the default.
-    static CURRENT: RefCell<Option<Arc<ScopeInner>>> = const { RefCell::new(None) };
-}
-
-fn with_scope<T>(f: impl FnOnce(&Arc<ScopeInner>) -> T) -> T {
-    CURRENT.with(|c| match &*c.borrow() {
-        Some(scope) => f(scope),
-        None => f(default_scope()),
-    })
-}
-
-/// An isolated ledger store. Handles are cheap to clone (an `Arc`);
-/// clones refer to the same scope. A scope only receives records from
-/// threads it is [`install`](Self::install)ed on.
-#[derive(Clone)]
-pub struct LedgerScope {
-    inner: Arc<ScopeInner>,
-}
-
-impl LedgerScope {
-    /// Creates a fresh, idle scope.
-    pub fn new() -> Self {
-        LedgerScope {
-            inner: Arc::new(ScopeInner::new()),
+        match self.open.last_mut() {
+            Some(parent) => *parent += rec.charged_units,
+            None => {
+                s.work_units += rec.charged_units;
+                rec.top_level = true;
+            }
         }
-    }
-
-    /// A handle to the process default scope — the one the free
-    /// functions [`start`]/[`finish`] operate on.
-    pub fn default_scope() -> Self {
-        LedgerScope {
-            inner: Arc::clone(default_scope()),
-        }
-    }
-
-    /// A handle to the calling thread's current scope (the default
-    /// unless an [`install`](Self::install) guard is live).
-    pub fn current() -> Self {
-        LedgerScope {
-            inner: with_scope(Arc::clone),
-        }
-    }
-
-    /// Whether two handles refer to the same scope.
-    pub fn same_scope(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
-
-    /// Starts recording into this scope: clears it, invalidates the memo
-    /// caches (entries cached while no ledger was recording carry no
-    /// charged cost — the epoch bump is process-wide), and enables the
-    /// scope's record sites.
-    pub fn start(&self) {
-        self.inner.start();
-    }
-
-    /// Whether this scope is recording.
-    pub fn is_recording(&self) -> bool {
-        self.inner.enabled.load(R)
-    }
-
-    /// Stops recording and returns everything captured since
-    /// [`start`](Self::start). The calling thread's residue is flushed
-    /// here; any other thread the scope is installed on must have
-    /// popped its attribution frames (which flushes its own) first.
-    pub fn finish(&self) -> Ledger {
-        self.inner.finish()
-    }
-
-    /// Takes everything recorded so far and leaves the scope recording —
-    /// the per-request accounting primitive: one long-lived enablement
-    /// (so memoized charges stay valid), drained once per served
-    /// compile. Flushes the calling thread's residue first, as
-    /// [`finish`](Self::finish) does.
-    pub fn drain(&self) -> Ledger {
-        self.inner.take()
-    }
-
-    /// Makes this scope the calling thread's current scope until the
-    /// guard drops (the previous scope is restored). Guards nest.
-    pub fn install(&self) -> ScopeGuard {
-        let prev = CURRENT.with(|c| c.borrow_mut().replace(Arc::clone(&self.inner)));
-        ScopeGuard {
-            prev,
-            _not_send: PhantomData,
+        let Some(segments) = &mut self.segments else {
+            return;
+        };
+        match segments.last_mut() {
+            Some(seg) if seg.ctx == self.ctx => seg.records.push(rec),
+            _ => segments.push(Segment {
+                ctx: self.ctx.clone(),
+                records: vec![rec],
+            }),
         }
     }
 }
 
-impl Default for LedgerScope {
-    fn default() -> Self {
-        LedgerScope::new()
-    }
+/// The calling thread's cumulative counters.
+pub fn snapshot() -> PolyStats {
+    with_table(|t| t.stats)
 }
 
-impl std::fmt::Debug for LedgerScope {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LedgerScope")
-            .field("recording", &self.is_recording())
-            .finish()
-    }
+/// Bumps counters of the calling thread that no operation owns.
+pub(crate) fn count(f: impl FnOnce(&mut PolyStats)) {
+    with_table(|t| f(&mut t.stats));
 }
 
-/// Restores the thread's previous scope on drop. `!Send`: the guard must
-/// drop on the thread that installed it.
-pub struct ScopeGuard {
-    prev: Option<Arc<ScopeInner>>,
-    _not_send: PhantomData<*const ()>,
+/// Whether the calling thread is recording.
+pub fn enabled() -> bool {
+    with_table(|t| t.segments.is_some())
 }
 
-impl Drop for ScopeGuard {
-    fn drop(&mut self) {
-        CURRENT.with(|c| *c.borrow_mut() = self.prev.take());
-    }
-}
-
-/// Starts recording into the *default scope*: clears any previous
-/// ledger, invalidates the memo caches (entries cached while the ledger
-/// was off carry no charged cost), and enables the record sites.
+/// Starts recording on the calling thread from cold memo caches
+/// ([`cache::clear_thread_caches`](crate::cache::clear_thread_caches)), so
+/// every record's duration and allocations are those of a computation,
+/// not of a hit; drops the records of an unfinished earlier recording.
+/// The counters and every charge are left as they are.
 pub fn start() {
-    default_scope().start();
+    crate::cache::clear_thread_caches();
+    with_table(|t| t.segments = Some(Vec::new()));
 }
 
-/// Stops the default scope's recording and returns everything captured
-/// since [`start`]. The calling thread's residue is flushed here, as in
-/// [`LedgerScope::finish`].
+/// Stops the calling thread's recording and returns everything recorded
+/// since [`start`] (nothing, if it was not recording).
 pub fn finish() -> Ledger {
-    default_scope().finish()
+    Ledger {
+        segments: with_table(|t| t.segments.take()).unwrap_or_default(),
+    }
 }
 
-/// RAII attribution frame: pops itself on drop and flushes the thread's
-/// buffered segments to the store when the context stack empties.
+/// RAII attribution frame: pops itself on drop.
 #[must_use = "the context pops when this guard drops"]
 pub struct CtxGuard {
     /// Keeps the guard thread-bound (`!Send`): contexts are thread-local.
@@ -534,10 +413,10 @@ pub struct CtxGuard {
 }
 
 /// Pushes one attribution frame for the current thread. Frames are kept
-/// even while the ledger is off, so a capture enabled mid-pipeline still
+/// even while nothing records, so a recording started mid-pipeline still
 /// attributes correctly.
 pub fn push_context(label: impl Into<String>) -> CtxGuard {
-    STATE.with(|s| s.borrow_mut().ctx.push(label.into()));
+    with_table(|t| t.ctx.push(label.into()));
     CtxGuard {
         _not_send: std::marker::PhantomData,
     }
@@ -545,29 +424,7 @@ pub fn push_context(label: impl Into<String>) -> CtxGuard {
 
 impl Drop for CtxGuard {
     fn drop(&mut self) {
-        STATE.with(|s| {
-            let mut st = s.borrow_mut();
-            st.ctx.pop();
-            if st.ctx.is_empty() && !st.segments.is_empty() {
-                let segs = std::mem::take(&mut st.segments);
-                drop(st);
-                with_scope(|sc| sc.store().segments.extend(segs));
-            }
-        });
-    }
-}
-
-fn append(st: &mut ThreadState, rec: OpRecord) {
-    if st.ctx.is_empty() {
-        with_scope(|sc| sc.store().orphans.push(rec));
-        return;
-    }
-    match st.segments.last_mut() {
-        Some(seg) if seg.ctx == st.ctx => seg.records.push(rec),
-        _ => st.segments.push(Segment {
-            ctx: st.ctx.clone(),
-            records: vec![rec],
-        }),
+        with_table(|t| t.ctx.pop());
     }
 }
 
@@ -577,35 +434,36 @@ fn append(st: &mut ThreadState, rec: OpRecord) {
 
 pub(crate) struct OpenOp {
     kind: OpKind,
-    start: Instant,
-    allocs_at_open: u64,
     cons_in: u32,
     cons_out: u32,
     bnb_nodes: u64,
     negation_tests: u64,
     cache: CacheOutcome,
+    /// The thread's allocation count when the operation opened.
+    allocs_at_open: u64,
+    /// When the operation opened, if the thread was recording.
+    start: Option<Instant>,
 }
 
-/// An in-flight recorded operation. Closes (and charges its parent) on
+/// An open operation. Closes (and charges its parent) on
 /// [`OpScope::finish`] or on drop, so early error returns stay balanced.
 pub(crate) struct OpScope(Option<OpenOp>);
 
-/// Opens an operation scope. With the ledger off this is the one relaxed
-/// atomic load and nothing else.
+/// Opens an operation on the calling thread.
 pub(crate) fn op(kind: OpKind, cons_in: usize) -> OpScope {
-    if !enabled() {
-        return OpScope(None);
-    }
-    STATE.with(|s| s.borrow_mut().open.push(OpenFrame { children: 0 }));
+    let (allocs_at_open, recording) = with_table(|t| {
+        t.open.push(0);
+        (t.stats.allocs, t.segments.is_some())
+    });
     OpScope(Some(OpenOp {
         kind,
-        start: Instant::now(),
-        allocs_at_open: stats::thread_allocs(),
         cons_in: cons_in as u32,
         cons_out: 0,
         bnb_nodes: 0,
         negation_tests: 0,
         cache: CacheOutcome::Uncached,
+        allocs_at_open,
+        start: recording.then(Instant::now),
     }))
 }
 
@@ -631,7 +489,7 @@ impl OpScope {
         }
     }
 
-    /// Closes the scope, returning its charged units (0 when disabled).
+    /// Closes the operation, returning its charged units.
     pub(crate) fn finish(mut self) -> u64 {
         self.0.take().map_or(0, close)
     }
@@ -646,66 +504,44 @@ impl Drop for OpScope {
 }
 
 fn close(o: OpenOp) -> u64 {
-    let duration_ns = o.start.elapsed().as_nanos() as u64;
-    let allocs = stats::thread_allocs().saturating_sub(o.allocs_at_open);
     let self_units = o.kind.base_units() + o.bnb_nodes + o.negation_tests;
-    STATE.with(|s| {
-        let mut st = s.borrow_mut();
-        let children = st.open.pop().map_or(0, |f| f.children);
-        let charged = self_units + children;
-        let top_level = st.open.is_empty();
-        if let Some(parent) = st.open.last_mut() {
-            parent.children += charged;
-        }
-        append(
-            &mut st,
-            OpRecord {
-                kind: o.kind,
-                cons_in: o.cons_in,
-                cons_out: o.cons_out,
-                bnb_nodes: o.bnb_nodes,
-                negation_tests: o.negation_tests,
-                cache: o.cache,
-                duration_ns,
-                allocs,
-                self_units,
-                charged_units: charged,
-                top_level,
-            },
-        );
+    with_table(|t| {
+        let charged = self_units + t.open.pop().unwrap_or(0);
+        t.account(OpRecord {
+            kind: o.kind,
+            cons_in: o.cons_in,
+            cons_out: o.cons_out,
+            bnb_nodes: o.bnb_nodes,
+            negation_tests: o.negation_tests,
+            cache: o.cache,
+            duration_ns: o.start.map_or(0, |s| s.elapsed().as_nanos() as u64),
+            allocs: t.stats.allocs - o.allocs_at_open,
+            self_units,
+            charged_units: charged,
+            top_level: false,
+        });
         charged
     })
 }
 
-/// Records a memo-cache hit: no work of its own, but the memoized charged
+/// Counts a memo-cache hit: no work of its own, but the memoized charged
 /// cost flows to the enclosing operation (and to the context's profile)
 /// exactly as if the result had been recomputed.
 pub(crate) fn record_hit(kind: OpKind, cons_in: usize, charged: u64) {
-    if !enabled() {
-        return;
-    }
-    STATE.with(|s| {
-        let mut st = s.borrow_mut();
-        let top_level = st.open.is_empty();
-        if let Some(parent) = st.open.last_mut() {
-            parent.children += charged;
-        }
-        append(
-            &mut st,
-            OpRecord {
-                kind,
-                cons_in: cons_in as u32,
-                cons_out: 0,
-                bnb_nodes: 0,
-                negation_tests: 0,
-                cache: CacheOutcome::Hit,
-                duration_ns: 0,
-                allocs: 0,
-                self_units: 0,
-                charged_units: charged,
-                top_level,
-            },
-        );
+    with_table(|t| {
+        t.account(OpRecord {
+            kind,
+            cons_in: cons_in as u32,
+            cons_out: 0,
+            bnb_nodes: 0,
+            negation_tests: 0,
+            cache: CacheOutcome::Hit,
+            duration_ns: 0,
+            allocs: 0,
+            self_units: 0,
+            charged_units: charged,
+            top_level: false,
+        });
     });
 }
 
@@ -713,15 +549,22 @@ pub(crate) fn record_hit(kind: OpKind, cons_in: usize, charged: u64) {
 mod tests {
     use super::*;
 
-    /// The ledger is process-global; tests that enable it serialize here.
-    static SERIAL: Mutex<()> = Mutex::new(());
+    #[test]
+    fn snapshot_diff() {
+        let before = snapshot();
+        count(|s| s.fm_steps += 2);
+        count(|s| s.bnb_nodes += 1);
+        let d = snapshot().since(&before);
+        assert_eq!((d.fm_steps, d.bnb_nodes), (2, 1));
+    }
 
     #[test]
     fn scopes_nest_and_charge_parents() {
-        let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        let before = snapshot();
         start();
         let _ctx = push_context("unit");
-        let outer = op(OpKind::Projection, 10);
+        let mut outer = op(OpKind::Projection, 10);
+        outer.set_cache_miss();
         let mut inner = op(OpKind::Feasibility, 4);
         inner.set_bnb_nodes(7);
         assert_eq!(inner.finish(), 8); // 1 + 7 nodes
@@ -742,21 +585,22 @@ mod tests {
         assert_eq!(recs[2].cache, CacheOutcome::Hit);
         assert_eq!(recs[2].charged_units, 9);
         assert_eq!(recs[2].self_units, 0);
-        // Totals: 2 feasibility-ish entries... shape check via totals().
-        let t = ledger.totals();
-        assert_eq!(t.feasibility_calls, 1);
-        assert_eq!(t.bnb_nodes, 7);
-        assert_eq!(t.projections, 1);
-        assert_eq!(t.proj_cache_hits, 1);
         assert_eq!(ledger.charged_work(), 18);
+        // One feasibility query of 7 nodes (no cache: neither outcome is
+        // counted); the projection missed once and was then served once.
+        let d = snapshot().since(&before);
+        assert_eq!((d.feasibility_calls, d.bnb_nodes), (1, 7));
+        assert_eq!((d.feas_cache_hits, d.feas_cache_misses), (0, 0));
+        assert_eq!((d.proj_cache_hits, d.proj_cache_misses), (1, 1));
+        assert_eq!(d.work_units, 18);
     }
 
-    /// A scan or lexopt record is charged its nested operations and no
-    /// unit of its own, so wrapping a query in one moves no total; its hit
-    /// replays that charge.
+    /// A scan or lexopt is charged its nested operations and no unit of
+    /// its own, so wrapping a query in one moves no total; its hit replays
+    /// that charge.
     #[test]
     fn compound_queries_charge_exactly_what_they_run() {
-        let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        let before = snapshot();
         start();
         let _ctx = push_context("unit");
         let mut scan = op(OpKind::Scan, 6);
@@ -777,68 +621,77 @@ mod tests {
             .collect();
         assert_eq!(scans, [(0, 4, true), (0, 4, true)]);
         assert_eq!(ledger.charged_work(), 8);
-        let t = ledger.totals();
-        assert_eq!((t.scan_cache_hits, t.scan_cache_misses), (1, 1));
+        let d = snapshot().since(&before);
+        assert_eq!((d.scan_cache_hits, d.scan_cache_misses), (1, 1));
+        assert_eq!((d.fm_steps, d.feasibility_calls, d.bnb_nodes), (1, 1, 2));
     }
 
+    /// Nothing records while the thread is not recording, but every
+    /// operation is still counted and charged.
     #[test]
-    fn disabled_sites_record_nothing() {
-        let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    fn unrecorded_operations_still_count_and_charge() {
         assert!(!enabled());
+        let before = snapshot();
         let _ctx = push_context("off");
-        let scope = op(OpKind::FmStep, 3);
-        assert_eq!(scope.finish(), 0);
+        let mut feas = op(OpKind::Feasibility, 3);
+        feas.set_bnb_nodes(4);
+        assert_eq!(feas.finish(), 5);
         record_hit(OpKind::Feasibility, 1, 99);
         drop(_ctx);
+        let d = snapshot().since(&before);
+        assert_eq!((d.feasibility_calls, d.feas_cache_hits), (2, 1));
+        assert_eq!(d.work_units, 5 + 99);
         start();
+        assert!(finish().segments.is_empty());
+    }
+
+    /// A recording's charged work is the `work_units` delta over the same
+    /// region, whatever mix of nested operations and hits it saw.
+    #[test]
+    fn charged_work_is_the_work_units_delta() {
+        let before = snapshot();
+        start();
+        let outer = op(OpKind::LexOpt, 8);
+        let mut red = op(OpKind::Redundancy, 8);
+        red.set_negation_tests(3);
+        red.finish();
+        record_hit(OpKind::Feasibility, 8, 11);
+        let charged = outer.finish();
+        op(OpKind::LexSplit, 2).finish();
+        record_hit(OpKind::LexOpt, 8, charged);
         let ledger = finish();
-        assert!(ledger.segments.is_empty());
+        let d = snapshot().since(&before);
+        assert_eq!(charged, 4 + 11);
+        assert_eq!(ledger.charged_work(), d.work_units);
+        assert_eq!(d.work_units, 15 + 1 + 15);
+        assert_eq!(d.negation_tests, 3);
     }
 
+    /// Another thread's operations show in neither this thread's counters
+    /// nor its recording.
     #[test]
-    fn scopes_isolate_and_drain_keeps_recording() {
-        let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        let scope = LedgerScope::new();
-        scope.start();
-        {
-            let _sg = scope.install();
-            let _ctx = push_context("scoped");
+    fn threads_keep_their_own_accounts() {
+        let before = snapshot();
+        start();
+        std::thread::spawn(|| {
+            assert!(!enabled(), "a recording is the thread's own");
             op(OpKind::FmStep, 3).finish();
-        }
-        // Recorded into the scope, not the default store.
-        start();
-        let default_ledger = finish();
-        assert!(
-            default_ledger.segments.is_empty(),
-            "scoped records leaked to default"
-        );
-        // drain() hands back the records and keeps the scope recording.
-        let first = scope.drain();
-        assert_eq!(first.totals().fm_steps, 1);
-        assert!(scope.is_recording());
-        {
-            let _sg = scope.install();
-            let _ctx = push_context("scoped");
-            op(OpKind::LexSplit, 2).finish();
-        }
-        let second = scope.finish();
-        assert_eq!(
-            second.totals().fm_steps,
-            0,
-            "drain must not replay old records"
-        );
-        assert_eq!(second.totals().lex_splits, 1);
-        assert!(!scope.is_recording());
+            assert_eq!(snapshot().fm_steps, 1);
+        })
+        .join()
+        .unwrap();
+        assert!(finish().segments.is_empty());
+        assert_eq!(snapshot().since(&before), PolyStats::default());
     }
 
     #[test]
-    fn uncontexted_records_become_orphans() {
-        let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    fn uncontexted_records_form_one_unattributed_segment() {
         start();
+        op(OpKind::LexSplit, 2).finish();
         op(OpKind::LexSplit, 2).finish();
         let ledger = finish();
         assert_eq!(ledger.segments.len(), 1);
         assert!(ledger.segments[0].ctx.is_empty());
-        assert_eq!(ledger.totals().lex_splits, 1);
+        assert_eq!(ledger.records().count(), 2);
     }
 }

@@ -12,7 +12,7 @@
 //! modulo constraints in last-write relations (§4.4.2).
 
 use crate::cache::{self, put_expr, put_rows, put_uint, Query, Reader};
-use crate::{ledger, stats, Constraint, DimKind, LinExpr, PolyError, Polyhedron, Space};
+use crate::{ledger, Constraint, DimKind, LinExpr, PolyError, Polyhedron, Space};
 
 /// Direction of optimization.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -346,7 +346,6 @@ fn rec(
         }
         // One case split explored per surviving piece of the
         // which-bound-is-tight disjunction.
-        stats::count_lex_split();
         let op = ledger::op(ledger::OpKind::LexSplit, piece.constraints().len());
         let (c, e) = (sides[j].c, sides[j].e.clone());
         if c == 1 {

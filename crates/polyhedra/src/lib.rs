@@ -59,12 +59,12 @@ mod space;
 
 pub use batch::batch_feasibility;
 pub use constraint::{Constraint, ConstraintKind, Normalized};
+pub use ledger::PolyStats;
 pub use lexopt::{lexopt, lexopt_uncached, Direction, LexError, LexOpt, LexPiece};
 pub use linexpr::LinExpr;
 pub use polyhedron::{Feasibility, Polyhedron};
 pub use scan::{scan_bounds, scan_bounds_uncached, Bound, ScanKernel, ScanNest, VarBounds};
 pub use space::{Dim, DimKind, Space};
-pub use stats::PolyStats;
 
 /// Errors produced by polyhedral arithmetic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -11,8 +11,8 @@
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
+use crate::ledger;
 use crate::num;
-use crate::stats;
 use crate::{PolyError, Space};
 
 /// Coefficient rows at most this wide live inline in the expression
@@ -37,7 +37,7 @@ impl Repr {
                 buf: [0; INLINE_DIMS],
             }
         } else {
-            stats::count_alloc();
+            ledger::count(|s| s.allocs += 1);
             Repr::Heap(vec![0; n])
         }
     }
@@ -65,7 +65,7 @@ impl Clone for Repr {
                 buf: *buf,
             },
             Repr::Heap(v) => {
-                stats::count_alloc();
+                ledger::count(|s| s.allocs += 1);
                 Repr::Heap(v.clone())
             }
         }
@@ -342,7 +342,7 @@ impl LinExpr {
     pub fn extend(&self, extra: usize) -> LinExpr {
         let n = self.len() + extra;
         if matches!(self.repr, Repr::Inline { .. }) && n > INLINE_DIMS {
-            stats::count_inline_spill();
+            ledger::count(|s| s.inline_spills += 1);
         }
         let mut out = LinExpr::zero(n);
         out.repr.as_mut_slice()[..self.len()].copy_from_slice(self.coeffs());
@@ -359,7 +359,7 @@ impl LinExpr {
     pub fn remap(&self, new_len: usize, map: &[usize]) -> LinExpr {
         assert!(map.len() >= self.len(), "remap table too short");
         if matches!(self.repr, Repr::Inline { .. }) && new_len > INLINE_DIMS {
-            stats::count_inline_spill();
+            ledger::count(|s| s.inline_spills += 1);
         }
         let mut out = LinExpr::zero(new_len);
         let dst = out.repr.as_mut_slice();

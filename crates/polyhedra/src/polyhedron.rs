@@ -5,6 +5,8 @@
 
 use std::fmt;
 
+use dmc_obs as obs;
+
 use crate::cache::{self, put_rows, Query};
 use crate::constraint::Normalized;
 use crate::ledger;
@@ -342,7 +344,6 @@ impl Polyhedron {
     }
 
     fn eliminate_dim_shadow(&self, dim: usize, shadow: Shadow) -> Result<Polyhedron, PolyError> {
-        stats::count_fm_step();
         let mut op = ledger::op(ledger::OpKind::FmStep, self.cons.len());
         let out = self.eliminate_dim_shadow_impl(dim, shadow)?;
         op.set_cons_out(out.cons.len());
@@ -494,7 +495,7 @@ impl Polyhedron {
     /// sequence plus `dims`), so repeated projections of the same system —
     /// ubiquitous across LWT resolution and comm-set construction — are
     /// answered without re-running the elimination. Systems of fewer than
-    /// 4 constraints skip the cache (see [`crate::stats`]'s size gate).
+    /// 4 constraints skip the cache (see [`crate::cache`]'s size gate).
     ///
     /// # Errors
     ///
@@ -658,19 +659,19 @@ impl Polyhedron {
                 }
                 match prefilter_verdict(&kept.cons, i, n) {
                     PreVerdict::Implied => {
-                        stats::count_prefilter_drop();
+                        ledger::count(|s| s.prefilter_drops += 1);
                         kept.cons.remove(i);
                         continue;
                     }
                     PreVerdict::Witnessed => {
-                        stats::count_prefilter_keep();
+                        ledger::count(|s| s.prefilter_keeps += 1);
                         i += 1;
                         continue;
                     }
                     PreVerdict::Inconclusive => {}
                 }
-                stats::count_negation_test();
                 negations += 1;
+                op.set_negation_tests(negations);
                 let probe = kept.with_row(i, kept.cons[i].negate_ge());
                 if probe.integer_feasibility()? == Feasibility::Infeasible {
                     kept.cons.remove(i);
@@ -678,7 +679,6 @@ impl Polyhedron {
                     i += 1;
                 }
             }
-            op.set_negation_tests(negations);
         }
         op.set_cons_out(kept.cons.len());
         op.finish();
@@ -724,37 +724,36 @@ impl Polyhedron {
     /// budget. Cached answers may still be returned (a definite answer is
     /// correct under any budget).
     pub fn integer_feasibility_with_budget(&self, budget: u32) -> Result<Feasibility, PolyError> {
-        stats::count_feasibility_call();
-        if !stats::cache_admits(self.cons.len()) {
+        if !cache::admits(self.cons.len()) {
             let mut op = ledger::op(ledger::OpKind::Feasibility, self.cons.len());
             let mut b = budget;
-            let f = self.integer_feasibility_budget(&mut b)?;
+            let f = self.integer_feasibility_budget(&mut b);
             // This is the sole entry to the recursion and every node shares
             // one budget, so the budget delta is exactly the nodes visited.
             op.set_bnb_nodes(u64::from(budget - b));
             op.finish();
+            let f = f?;
             if f == Feasibility::Unknown {
-                stats::count_feasibility_unknown();
+                count_unknown();
             }
             return Ok(f);
         }
         let key = match cache::feas_lookup(self.system()) {
             Ok((f, charged)) => {
-                stats::count_feas_cache(true);
                 ledger::record_hit(ledger::OpKind::Feasibility, self.cons.len(), charged);
                 return Ok(f);
             }
             Err(key) => key,
         };
-        stats::count_feas_cache(false);
         let mut op = ledger::op(ledger::OpKind::Feasibility, self.cons.len());
         op.set_cache_miss();
         let mut b = budget;
-        let f = self.integer_feasibility_budget(&mut b)?;
+        let f = self.integer_feasibility_budget(&mut b);
         op.set_bnb_nodes(u64::from(budget - b));
         let charged = op.finish();
+        let f = f?;
         if f == Feasibility::Unknown {
-            stats::count_feasibility_unknown();
+            count_unknown();
         } else {
             cache::feas_put(key, (f, charged));
         }
@@ -766,7 +765,6 @@ impl Polyhedron {
             return Ok(Feasibility::Unknown);
         }
         *budget -= 1;
-        stats::count_bnb_node();
         if self.contradiction {
             return Ok(Feasibility::Infeasible);
         }
@@ -1250,6 +1248,20 @@ impl Polyhedron {
         } else {
             Ok(None)
         }
+    }
+}
+
+/// Counts a feasibility query that exhausted its budget. Under [`dmc_obs`]
+/// tracing it is also a `poly.budget_exhausted` event (diagnostic: a warm
+/// memo cache may skip the query entirely, so its presence depends on
+/// what ran before).
+fn count_unknown() {
+    ledger::count(|s| s.feasibility_unknown += 1);
+    if obs::enabled() {
+        obs::event_nondet(
+            "poly.budget_exhausted",
+            vec![obs::field("budget", stats::feasibility_budget())],
+        );
     }
 }
 

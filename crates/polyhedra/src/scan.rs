@@ -11,7 +11,7 @@
 use std::ops::ControlFlow;
 
 use crate::cache::{self, put_expr, put_int, put_rows, put_uint, Query, Reader};
-use crate::{num, stats};
+use crate::{ledger, num};
 use crate::{LinExpr, PolyError, Polyhedron, Space};
 
 /// One bound of a scanned loop: `ceil(expr / divisor)` for lower bounds,
@@ -417,7 +417,10 @@ struct Tally {
 
 impl Drop for Tally {
     fn drop(&mut self) {
-        stats::count_scan(self.points, self.range_evals);
+        ledger::count(|s| {
+            s.scan_points += self.points;
+            s.scan_range_evals += self.range_evals;
+        });
     }
 }
 
@@ -870,8 +873,6 @@ mod tests {
         let nest = scan_bounds(&folded(16, 63), &[0, 1, 2]).unwrap();
         let kernel = nest.compile(&[0; 3]).unwrap();
         let (mut points, mut evals) = (0u64, 0u64);
-        // Count through the level ranges directly; the process-wide
-        // statistics also see the other tests' scans.
         let mut point = vec![0i128; 3];
         let (lo, hi, step) = kernel.levels[0].steps(&point).unwrap().unwrap();
         assert_eq!((lo, hi, step), (0, 63, 1));

@@ -1,8 +1,5 @@
 //! Epoch-based memo-cache invalidation: a feasibility-budget change that
 //! takes effect on a thread invalidates that thread's warm cache.
-//!
-//! This file holds one test, so the process-wide counter deltas it reads
-//! are exactly its own.
 
 use dmc_polyhedra::stats::{self, Tuning};
 use dmc_polyhedra::{cache, Constraint, DimKind, LinExpr, Polyhedron, Space};

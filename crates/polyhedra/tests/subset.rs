@@ -2,14 +2,10 @@
 //! feasibility probe per row of the complement of each row of `other` that
 //! `self` does not already hold.
 //!
-//! The `PolyStats` counters are process-wide, so every test in this file
-//! serializes on one mutex and the deltas it reads are exactly its own.
-
-use std::sync::Mutex;
+//! The `PolyStats` counters are per thread, so the deltas a test reads are
+//! exactly its own.
 
 use dmc_polyhedra::{stats, Constraint, DimKind, LinExpr, Polyhedron, Space};
-
-static SERIAL: Mutex<()> = Mutex::new(());
 
 fn space() -> Space {
     Space::from_dims([("x", DimKind::Index), ("y", DimKind::Index)])
@@ -43,7 +39,6 @@ fn subset_with_calls(sub: &Polyhedron, sup: &Polyhedron) -> (bool, u64) {
 
 #[test]
 fn an_empty_self_is_a_subset_of_anything() {
-    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let empty = Polyhedron::empty(space());
     let point = poly(&[eq([1, 0], -1), eq([0, 1], -2)]);
     assert_eq!(subset_with_calls(&empty, &point), (true, 0));
@@ -60,7 +55,6 @@ fn an_empty_self_is_a_subset_of_anything() {
 
 #[test]
 fn an_empty_other_contains_only_infeasible_systems() {
-    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let empty = Polyhedron::empty(space());
     assert!(!poly(&square()).is_subset_of(&empty).unwrap());
     assert!(!Polyhedron::universe(space()).is_subset_of(&empty).unwrap());
@@ -70,7 +64,6 @@ fn an_empty_other_contains_only_infeasible_systems() {
 
 #[test]
 fn a_row_already_in_self_costs_no_feasibility_call() {
-    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let mut rows = square();
     rows.push(ge([1, 1], -2)); // x + y >= 2
     let sub = poly(&rows);
@@ -88,7 +81,6 @@ fn a_row_already_in_self_costs_no_feasibility_call() {
 
 #[test]
 fn an_equality_row_costs_two_probes() {
-    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // x = 3 as two inequalities inside the box: neither x >= 4 nor x <= 2
     // has a point, so both probes run and the answer is `true`.
     let mut rows = square();
