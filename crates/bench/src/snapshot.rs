@@ -17,8 +17,7 @@ use dmc_core::{build_schedule, compile, message_stats, run, Options, Session};
 use dmc_machine::{CritAnalysis, MachineConfig};
 use dmc_obs::json::{self, Json};
 use dmc_polyhedra::{
-    batch_feasibility, cache, lexopt, stats, Constraint, DimKind, Direction, LinExpr, PolyStats,
-    Polyhedron, Space,
+    cache, lexopt, stats, Constraint, DimKind, Direction, LinExpr, PolyStats, Polyhedron, Space,
 };
 use dmc_store::DiskStore;
 
@@ -142,10 +141,9 @@ fn charged(f: impl FnOnce()) -> u64 {
 }
 
 /// The `polyops` microbench: canned polyhedra driven through the engine's
-/// four core operations plus a batched family query, each reported in
-/// deterministic charged work units (not wall time). These isolate the
-/// solver from the pipeline: a regression here names the operation that
-/// got more expensive.
+/// four core operations, each reported in deterministic charged work
+/// units (not wall time). These isolate the solver from the pipeline: a
+/// regression here names the operation that got more expensive.
 fn polyops_json() -> String {
     let space = Space::from_dims([
         ("i", DimKind::Index),
@@ -179,27 +177,9 @@ fn polyops_json() -> String {
     let lexmax = charged(|| {
         let _ = lexopt(&p, &[0, 1], Direction::Max).expect("polyops lexmax");
     });
-    // A uniformly-generated family: the band progressively tightened on
-    // the same coefficient row, so members nest (member s+1 ⊆ member s)
-    // and the batch answers most of them by dominance propagation.
-    let family: Vec<Polyhedron> = (0..6)
-        .map(|s| {
-            let mut m = p.clone();
-            m.add(row([0, -1, 0, 0], 20 - s)); // j <= 20 - s
-            m
-        })
-        .collect();
-    let saved0 = stats::snapshot().batch_saved;
-    let batch_family = charged(|| {
-        let _ = batch_feasibility(&family).expect("polyops batch");
-    });
-    let batch_saved = stats::snapshot().batch_saved - saved0;
     format!(
-        concat!(
-            "{{\"feasibility\": {}, \"projection\": {}, \"redundancy\": {}, ",
-            "\"lexmax\": {}, \"batch_family\": {}, \"batch_saved\": {}}}"
-        ),
-        feasibility, projection, redundancy, lexmax, batch_family, batch_saved,
+        "{{\"feasibility\": {feasibility}, \"projection\": {projection}, \
+         \"redundancy\": {redundancy}, \"lexmax\": {lexmax}}}"
     )
 }
 

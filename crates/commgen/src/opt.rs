@@ -5,9 +5,7 @@ use std::ops::Range;
 
 use dmc_decomp::{DataDecomp, ProcGrid};
 use dmc_obs as obs;
-use dmc_polyhedra::{
-    batch_feasibility, lexopt, Constraint, Direction, LexError, LinExpr, PolyError, Polyhedron,
-};
+use dmc_polyhedra::{lexopt, Constraint, Direction, LexError, LinExpr, PolyError, Polyhedron};
 
 use crate::commset::{CommSet, SenderKind};
 use crate::fold::{fold_messages, FoldSpec};
@@ -107,45 +105,10 @@ pub fn eliminate_self_reuse_from(
     if cs.dims.r_iter.len() <= keep_outer {
         return Ok(vec![cs.clone()]);
     }
-    let opt_dims: Vec<usize> = cs.dims.r_iter[keep_outer..].to_vec();
-    let solved = lexopt(&cs.poly, &opt_dims, Direction::Min)?;
     let refetch_outer = keep_outer.max(cs.refetch_outer);
-    // The pinned pieces of one lexmin split share the base system and
-    // differ in piece context / solution constants — a uniformly-generated
-    // family, answered as a batch.
-    let mut pinned = Vec::new();
-    let mut extras = Vec::new();
-    for piece in solved.pieces {
-        // Constrain the original tuple space: i_r == lexmin expression.
-        let extra = piece.context.space().len() - cs.poly.space().len();
-        let mut poly = cs
-            .poly
-            .extend_space(&tail_space(piece.context.space(), cs.poly.space().len()));
-        poly = poly.intersect(&piece.context);
-        for (k, &d) in opt_dims.iter().enumerate() {
-            let v = LinExpr::var(poly.space().len(), d);
-            poly.add(Constraint::eq_pair(&v, &piece.solution[k])?);
-        }
-        pinned.push(poly);
-        extras.push(extra);
-    }
-    let verdicts = batch_feasibility(&pinned)?;
-    let mut out = Vec::new();
-    for ((mut poly, extra), f) in pinned.into_iter().zip(extras).zip(verdicts) {
-        if !f.possibly_feasible() {
-            continue;
-        }
-        pin_free_aux(&mut poly, cs.poly.space().len());
-        let mut dims = cs.dims.clone();
-        for a in 0..extra {
-            dims.aux.push(cs.poly.space().len() + a);
-        }
-        out.push(CommSet {
-            poly,
-            dims,
-            refetch_outer,
-            ..cs.clone()
-        });
+    let mut out = pin_lexmin(cs, &cs.poly, &cs.dims.r_iter[keep_outer..])?;
+    for s in &mut out {
+        s.refetch_outer = refetch_outer;
     }
     prov_mark(&mut out, cs, "self_reuse");
     Ok(out)
@@ -181,39 +144,7 @@ pub fn unique_sender(cs: &CommSet) -> Result<Vec<CommSet>, OptError> {
     if cs.dims.ps.is_empty() || cs.sender != SenderKind::InitialOwner {
         return Ok(vec![cs.clone()]);
     }
-    let solved = lexopt(&cs.poly, &cs.dims.ps, Direction::Min)?;
-    let mut pinned = Vec::new();
-    let mut extras = Vec::new();
-    for piece in solved.pieces {
-        let extra = piece.context.space().len() - cs.poly.space().len();
-        let mut poly = cs
-            .poly
-            .extend_space(&tail_space(piece.context.space(), cs.poly.space().len()));
-        poly = poly.intersect(&piece.context);
-        for (k, &d) in cs.dims.ps.iter().enumerate() {
-            let v = LinExpr::var(poly.space().len(), d);
-            poly.add(Constraint::eq_pair(&v, &piece.solution[k])?);
-        }
-        pinned.push(poly);
-        extras.push(extra);
-    }
-    let verdicts = batch_feasibility(&pinned)?;
-    let mut out = Vec::new();
-    for ((mut poly, extra), f) in pinned.into_iter().zip(extras).zip(verdicts) {
-        if !f.possibly_feasible() {
-            continue;
-        }
-        pin_free_aux(&mut poly, cs.poly.space().len());
-        let mut dims = cs.dims.clone();
-        for a in 0..extra {
-            dims.aux.push(cs.poly.space().len() + a);
-        }
-        out.push(CommSet {
-            poly,
-            dims,
-            ..cs.clone()
-        });
-    }
+    let mut out = pin_lexmin(cs, &cs.poly, &cs.dims.ps)?;
     prov_mark(&mut out, cs, "unique_sender");
     Ok(out)
 }
@@ -275,37 +206,7 @@ pub fn fold_receivers(cs: &CommSet, extents: &[i128]) -> Result<Vec<CommSet>, Op
     for k in 0..extents.len() {
         opt_dims.push(n0 + 2 * k + 1);
     }
-    let solved = lexopt(&poly, &opt_dims, Direction::Min)?;
-    let mut candidates = Vec::new();
-    let mut extras = Vec::new();
-    for piece in solved.pieces {
-        let extra = piece.context.space().len() - poly.space().len();
-        let mut pinned = poly.extend_space(&tail_space(piece.context.space(), poly.space().len()));
-        pinned = pinned.intersect(&piece.context);
-        for (k, &d) in opt_dims.iter().enumerate() {
-            let v = LinExpr::var(pinned.space().len(), d);
-            pinned.add(Constraint::eq_pair(&v, &piece.solution[k])?);
-        }
-        candidates.push(pinned);
-        extras.push(extra);
-    }
-    let verdicts = batch_feasibility(&candidates)?;
-    let mut out = Vec::new();
-    for ((mut pinned, extra), f) in candidates.into_iter().zip(extras).zip(verdicts) {
-        if !f.possibly_feasible() {
-            continue;
-        }
-        pin_free_aux(&mut pinned, n0);
-        let mut dims = cs.dims.clone();
-        for a in 0..2 * extents.len() + extra {
-            dims.aux.push(n0 + a);
-        }
-        out.push(CommSet {
-            poly: pinned,
-            dims,
-            ..cs.clone()
-        });
-    }
+    let mut out = pin_lexmin(cs, &poly, &opt_dims)?;
     prov_mark(&mut out, cs, "fold_receivers");
     Ok(out)
 }
@@ -323,12 +224,42 @@ fn pin_free_aux(poly: &mut Polyhedron, from_dim: usize) {
     }
 }
 
-fn tail_space(full: &dmc_polyhedra::Space, from: usize) -> dmc_polyhedra::Space {
-    let mut tail = dmc_polyhedra::Space::new();
-    for d in from..full.len() {
-        tail.add_dim(full.dim(d).name().to_owned(), full.dim(d).kind());
+/// §6.1's pinning step, shared by the passes that keep one element per
+/// group: the lexicographic minimum of `base` over `opt_dims`, one set per
+/// piece that stays feasible. A piece's system is `base` extended by the
+/// piece's auxiliary dimensions, intersected with its context, with every
+/// optimized dimension pinned to the piece's solution. `base` is `cs.poly`
+/// or `cs.poly` with auxiliary dimensions appended; every dimension past
+/// `cs.poly`'s arity becomes auxiliary in the result.
+fn pin_lexmin(
+    cs: &CommSet,
+    base: &Polyhedron,
+    opt_dims: &[usize],
+) -> Result<Vec<CommSet>, OptError> {
+    let n0 = cs.poly.space().len();
+    let solved = lexopt(base, opt_dims, Direction::Min)?;
+    let mut out = Vec::new();
+    for piece in solved.pieces {
+        let mut poly = base
+            .extend_space(&piece.context.space().tail(base.space().len()))
+            .intersect(&piece.context);
+        for (&d, e) in opt_dims.iter().zip(&piece.solution) {
+            let v = LinExpr::var(poly.space().len(), d);
+            poly.add(Constraint::eq_pair(&v, e)?);
+        }
+        if !poly.integer_feasibility()?.possibly_feasible() {
+            continue;
+        }
+        pin_free_aux(&mut poly, n0);
+        let mut dims = cs.dims.clone();
+        dims.aux.extend(n0..poly.space().len());
+        out.push(CommSet {
+            poly,
+            dims,
+            ..cs.clone()
+        });
     }
-    tail
+    Ok(out)
 }
 
 /// One aggregated message (§6.2): everything a sender transmits to one
@@ -518,12 +449,9 @@ pub fn eliminate_cross_set_reuse(sets: &[CommSet]) -> Result<Vec<CommSet>, OptEr
             }
             pieces = next;
         }
-        // Subtraction residue pieces share the set's matrix with shifted
-        // cut constants: answer them as one family.
-        let verdicts = batch_feasibility(&pieces)?;
         let mut kept = Vec::new();
-        for (piece, f) in pieces.into_iter().zip(verdicts) {
-            if f.possibly_feasible() {
+        for piece in pieces {
+            if piece.integer_feasibility()?.possibly_feasible() {
                 kept.push(CommSet {
                     poly: piece,
                     ..cs.clone()

@@ -203,6 +203,61 @@ fn naive_options_still_correct() {
     assert!(naive.messages >= full.messages);
 }
 
+/// `src` with every statement on a block decomposition of its `i` loop
+/// (block `b`) over a line of `nproc` processors.
+fn blocked_on_i(src: &str, b: i128, nproc: i128) -> CompileInput {
+    let program = parse(src).unwrap();
+    let comps = (0..program.statements().len())
+        .map(|s| (s, CompDecomp::block_1d(s, "i", b)))
+        .collect();
+    CompileInput {
+        program,
+        comps,
+        initial: HashMap::new(),
+        grid: ProcGrid::line(nproc),
+    }
+}
+
+// Last Write Trees across loop nests: a later nest's own carried write is
+// newer than an earlier nest's (P1), sibling inner loops compare only
+// over the loops they share (P2), and so do nests of different depth (P3,
+// which used to panic in `compile`).
+
+#[test]
+fn values_match_when_a_later_nest_rewrites_what_it_reads() {
+    let src = "param N; array A[N + 3];
+               for i = 0 to N { A[i] = 1.0; }
+               for i = 0 to N { A[i + 2] = A[i] + 1.0; }";
+    for options in [Options::full(), Options::naive()] {
+        check_end_to_end(blocked_on_i(src, 2, 2), options, &[8]);
+    }
+}
+
+#[test]
+fn values_match_with_writers_in_sibling_inner_loops() {
+    let src = "param N; array A[N + 2];
+               for t = 1 to 2 {
+                 for i = 0 to N { A[i] = A[i] + 1.0; }
+                 for i = 0 to N { A[i + 1] = A[i] * 0.5; }
+               }";
+    for (nproc, b) in [(2, 2), (2, 3), (4, 1)] {
+        for options in [Options::full(), Options::naive()] {
+            check_end_to_end(blocked_on_i(src, b, nproc), options, &[8]);
+        }
+    }
+}
+
+#[test]
+fn values_match_with_writers_in_nests_of_different_depth() {
+    let src = "param N; array A[N + 1]; array B[N + 1];
+               for i = 0 to N { A[i] = 1.0; }
+               for i = 0 to N { for j = 0 to N { A[i] = A[i] + 1.0; } }
+               for i = 0 to N { B[i] = A[i]; }";
+    for options in [Options::full(), Options::naive()] {
+        check_end_to_end(blocked_on_i(src, 2, 2), options, &[8]);
+    }
+}
+
 /// §2.2.2's X/Y example, block size 4, with or without initial block
 /// data decompositions.
 pub(crate) fn xy_input(nproc: i128, with_initial: bool) -> CompileInput {

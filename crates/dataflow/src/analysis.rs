@@ -2,9 +2,10 @@
 //! Maydan, Amarasinghe & Lam, PoPL '93).
 //!
 //! For one read access we enumerate *candidates*: (write statement,
-//! dependence level) pairs, in decreasing lexicographic priority — the
-//! loop-independent level first, then carried levels from the innermost
-//! shared loop outwards. Each candidate's last-write relation is a
+//! dependence level) pairs, grouped newest first — a write carried at
+//! level `k` before one carried at `k - 1`, and a loop-independent write
+//! from a statement sharing `c` loops with the read between the levels
+//! `c + 1` and `c`. Each candidate's last-write relation is a
 //! parametric lexicographic maximum over the write iteration variables; the
 //! read regions it covers are subtracted from the remaining domain before
 //! lower-priority candidates are considered. What is left at the end reads
@@ -14,8 +15,7 @@ use std::cmp::Ordering;
 
 use dmc_ir::{Aff, ArrayRef, Program, StmtInfo};
 use dmc_polyhedra::{
-    batch_feasibility, lexopt, Constraint, DimKind, Direction, LexError, LinExpr, PolyError,
-    Polyhedron, Space,
+    lexopt, Constraint, DimKind, Direction, LexError, LinExpr, PolyError, Polyhedron, Space,
 };
 
 use crate::lattice::LatticePiece;
@@ -172,7 +172,7 @@ pub fn build_lwt_hull(
     build_lwt_for_access(program, &stmts, sr, read_nos[0], &hull, &extra_dims)
 }
 
-/// One candidate (write statement, level) with its precomputed priority.
+/// One candidate (write statement, level).
 struct Candidate<'a> {
     sw: &'a StmtInfo,
     level: DepLevel,
@@ -211,50 +211,33 @@ fn build_lwt_for_access(
         ));
     }
 
-    // Candidates: every statement writing this array, at every level.
-    let mut groups: Vec<(DepLevel, Vec<Candidate<'_>>)> = Vec::new();
-    let max_depth = stmts
-        .iter()
-        .filter(|s| s.stmt.write.array == array)
-        .map(|s| s.common_loops(sr))
-        .max()
-        .unwrap_or(0);
-    // Priority order: Independent, Carried(max), ..., Carried(1).
-    let mut levels: Vec<DepLevel> = vec![DepLevel::Independent];
-    for k in (1..=max_depth).rev() {
-        levels.push(DepLevel::Carried(k));
-    }
-    for level in levels {
-        let mut cands = Vec::new();
-        for sw in stmts.iter().filter(|s| s.stmt.write.array == array) {
-            let c = sw.common_loops(sr);
-            match level {
-                DepLevel::Independent => {
-                    // Same iteration of all shared loops; only possible when
-                    // the write precedes the read textually.
-                    if sw.id != sr.id && sw.textually_before(sr) {
-                        cands.push(Candidate { sw, level });
-                    }
-                }
-                DepLevel::Carried(k) => {
-                    if k <= c {
-                        cands.push(Candidate { sw, level });
-                    }
-                }
-            }
+    // Candidates: every statement writing this array, at every level, in
+    // groups of equal recency, newest first. Against the read, a write
+    // carried at level `k` is newer than one carried at a shallower level;
+    // a loop-independent write from a statement sharing `c` loops with the
+    // read (same iteration of those loops, textually earlier) is newer
+    // than any carried at `k <= c` and older than any carried at `k > c`.
+    // So Independent with `c` common loops ranks `2c + 1`, Carried(k) `2k`.
+    let mut ranked: Vec<(usize, Candidate<'_>)> = Vec::new();
+    for sw in stmts.iter().filter(|s| s.stmt.write.array == array) {
+        let c = sw.common_loops(sr);
+        if sw.id != sr.id && sw.textually_before(sr) {
+            let level = DepLevel::Independent;
+            ranked.push((2 * c + 1, Candidate { sw, level }));
         }
-        // Later textual statements win ties; process them first.
-        cands.sort_by(|a, b| b.sw.position.cmp(&a.sw.position));
-        if !cands.is_empty() {
-            groups.push((level, cands));
+        for k in 1..=c {
+            let level = DepLevel::Carried(k);
+            ranked.push((2 * k, Candidate { sw, level }));
         }
     }
+    // Later textual statements win ties; process them first.
+    ranked.sort_by(|(ra, a), (rb, b)| (rb, &b.sw.position).cmp(&(ra, &a.sw.position)));
 
     let mut remaining: Vec<LatticePiece> = vec![LatticePiece::from_poly(read_domain.clone())];
     let mut leaves: Vec<LwtLeaf> = Vec::new();
     let mut approximate = false;
 
-    for (_, cands) in &groups {
+    for group in ranked.chunk_by(|(ra, _), (rb, _)| ra == rb) {
         // Pass 1: solve every candidate in the group.
         struct Entry<'a> {
             cand: &'a Candidate<'a>,
@@ -262,7 +245,7 @@ fn build_lwt_for_access(
             order: usize,
         }
         let mut entries: Vec<Entry<'_>> = Vec::new();
-        for cand in cands {
+        for (_, cand) in group {
             let pieces = candidate_pieces(program, sr, read, &read_dims, extra_read_dims, cand)?;
             for piece in pieces {
                 let order = entries.len();
@@ -271,8 +254,9 @@ fn build_lwt_for_access(
         }
 
         // Pass 2: trim each piece's coverage to the regions where its write
-        // is the lexicographically latest among all same-level candidates
-        // (ties broken by textual position, then solve order).
+        // is the latest among all same-group candidates: lexicographically
+        // over the loops the two writers share, ties broken by textual
+        // position, then solve order.
         for p in 0..entries.len() {
             if entries[p].piece.approx_coverage {
                 approximate = true;
@@ -297,14 +281,15 @@ fn build_lwt_for_access(
                         &entries[q].piece.solution_base,
                     ) {
                         (Some(mine), Some(theirs)) => {
-                            let splits = lex_split(&overlap.poly, mine, theirs)?;
+                            let m = entries[p].cand.sw.common_loops(entries[q].cand.sw);
+                            let splits = lex_split(&overlap.poly, &mine[..m], &theirs[..m])?;
                             for (region_poly, ord) in splits {
                                 let keep = match ord {
                                     Ordering::Greater => true,
                                     Ordering::Less => false,
                                     Ordering::Equal => {
-                                        // Same write iteration from two
-                                        // statements: the textually later
+                                        // Same iteration of every shared
+                                        // loop: the textually later
                                         // assignment produces the value.
                                         (&entries[p].cand.sw.position, entries[p].order)
                                             > (&entries[q].cand.sw.position, entries[q].order)
@@ -363,7 +348,7 @@ fn build_lwt_for_access(
                     let embedded = ctx_base_poly.remap(leaf_space.clone(), &map);
                     let piece_ctx = piece
                         .context
-                        .extend_space(&space_tail(&leaf_space, piece.context.space().len()));
+                        .extend_space(&leaf_space.tail(piece.context.space().len()));
                     let ctx_full = embedded.intersect(&piece_ctx);
                     if !ctx_full.integer_feasibility()?.possibly_feasible() {
                         continue;
@@ -398,13 +383,9 @@ fn build_lwt_for_access(
         }
     }
 
-    // Whatever is left reads live-in data: the ⊥ leaves. The residue
-    // pieces descend from one read domain by repeated subtraction — a
-    // constant-offset family, answered as one feasibility batch.
-    let rem_polys: Vec<Polyhedron> = remaining.iter().map(LatticePiece::to_polyhedron).collect();
-    let verdicts = batch_feasibility(&rem_polys)?;
-    for (ctx, f) in rem_polys.into_iter().zip(verdicts) {
-        if f.possibly_feasible() {
+    // Whatever is left reads live-in data: the ⊥ leaves.
+    for ctx in remaining.iter().map(LatticePiece::to_polyhedron) {
+        if ctx.integer_feasibility()?.possibly_feasible() {
             leaves.push(LwtLeaf {
                 space: ctx.space().clone(),
                 context: ctx,
@@ -437,15 +418,6 @@ struct Piece {
     write_iter: Vec<LinExpr>,
     /// Write iteration over the base space when expressible there.
     solution_base: Option<Vec<LinExpr>>,
-}
-
-/// The tail of `space` starting at dimension `from`, as a fresh `Space`.
-fn space_tail(space: &Space, from: usize) -> Space {
-    let mut tail = Space::new();
-    for d in from..space.len() {
-        tail.add_dim(space.dim(d).name().to_owned(), space.dim(d).kind());
-    }
-    tail
 }
 
 /// Builds and solves the candidate polyhedron for (read, write stmt, level):

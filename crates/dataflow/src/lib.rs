@@ -323,6 +323,52 @@ mod tests {
     }
 
     #[test]
+    fn a_write_carried_in_the_readers_nest_is_newer_than_an_earlier_nest() {
+        // The read `A[i]` in the second nest sees the first nest's write
+        // only where the second nest has not rewritten `A[i]` already
+        // (carried at level 1 of its own loop, two iterations back).
+        let p = parse(
+            "param N; array A[N + 3];
+             for i = 0 to N { A[i] = 1.0; }
+             for i = 0 to N { A[i + 2] = A[i] + 1.0; }",
+        )
+        .unwrap();
+        let lwt = build_lwt(&p, 1, 0).unwrap();
+        assert_eq!(lwt.producer_at(&[1], &[8]), Some((0, vec![1])));
+        assert_eq!(lwt.producer_at(&[4], &[8]), Some((1, vec![2])));
+        check_against_trace(&p, &[8]);
+    }
+
+    #[test]
+    fn writers_in_different_inner_loops_compare_on_shared_loops() {
+        // Two writers of `A` in sibling `i` loops of one `t` loop: at equal
+        // `t` the textually later loop wrote last, whatever the `i`
+        // values; across nests of different depth the same rule applies.
+        let p = parse(
+            "param N; array A[N + 2];
+             for t = 1 to 2 {
+               for i = 0 to N { A[i] = A[i] + 1.0; }
+               for i = 0 to N { A[i + 1] = A[i] * 0.5; }
+             }",
+        )
+        .unwrap();
+        let lwt = build_lwt(&p, 0, 0).unwrap();
+        assert_eq!(lwt.producer_at(&[2, 3], &[8]), Some((1, vec![1, 2])));
+        assert_eq!(lwt.producer_at(&[2, 0], &[8]), Some((0, vec![1, 0])));
+        check_against_trace(&p, &[8]);
+        let p = parse(
+            "param N; array A[N + 1]; array B[N + 1];
+             for i = 0 to N { A[i] = 1.0; }
+             for i = 0 to N { for j = 0 to N { A[i] = A[i] + 1.0; } }
+             for i = 0 to N { B[i] = A[i]; }",
+        )
+        .unwrap();
+        let lwt = build_lwt(&p, 2, 0).unwrap();
+        assert_eq!(lwt.producer_at(&[3], &[8]), Some((1, vec![3, 8])));
+        check_against_trace(&p, &[8]);
+    }
+
+    #[test]
     fn no_such_read_is_reported() {
         let p = parse("param N; array A[N]; for i = 0 to N - 1 { A[i] = 1.0; }").unwrap();
         assert!(matches!(

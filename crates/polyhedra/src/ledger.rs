@@ -7,7 +7,7 @@
 //! parametric lexopt or lexopt case split is counted when it closes, a
 //! memo-cache hit when it is served, and the counters that are not
 //! operations (allocations, inline spills, pre-filter verdicts, cache
-//! bypasses, batch savings, scan points) where they happen.
+//! bypasses, scan points) where they happen.
 //! [`snapshot`] (re-exported as `stats::snapshot`, where harnesses read
 //! it) copies the calling thread's counters; a region's work is the
 //! difference of two snapshots ([`PolyStats::since`]).
@@ -240,10 +240,6 @@ pub struct PolyStats {
     /// Inline-to-heap transitions: an operation on an inline coefficient
     /// row produced one wider than the inline buffer.
     pub inline_spills: u64,
-    /// Feasibility queries answered by subset dominance inside
-    /// [`batch_feasibility`](crate::batch_feasibility) instead of by the
-    /// solver.
-    pub batch_saved: u64,
     /// Points emitted by the scan kernel
     /// ([`ScanKernel::for_each`](crate::ScanKernel::for_each)).
     pub scan_points: u64,
@@ -292,7 +288,6 @@ impl PolyStats {
             lex_splits: self.lex_splits.saturating_sub(earlier.lex_splits),
             allocs: self.allocs.saturating_sub(earlier.allocs),
             inline_spills: self.inline_spills.saturating_sub(earlier.inline_spills),
-            batch_saved: self.batch_saved.saturating_sub(earlier.batch_saved),
             scan_points: self.scan_points.saturating_sub(earlier.scan_points),
             scan_range_evals: self
                 .scan_range_evals

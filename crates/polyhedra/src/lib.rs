@@ -49,7 +49,6 @@ pub mod ledger;
 pub mod num;
 pub mod stats;
 
-mod batch;
 mod constraint;
 mod lexopt;
 mod linexpr;
@@ -57,7 +56,6 @@ mod polyhedron;
 mod scan;
 mod space;
 
-pub use batch::batch_feasibility;
 pub use constraint::{Constraint, ConstraintKind, Normalized};
 pub use ledger::PolyStats;
 pub use lexopt::{lexopt, lexopt_uncached, Direction, LexError, LexOpt, LexPiece};

@@ -689,20 +689,6 @@ impl Polyhedron {
     // Feasibility.
     // ------------------------------------------------------------------
 
-    /// Exact rational feasibility by complete Fourier–Motzkin elimination.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PolyError::Overflow`] on overflow.
-    pub fn is_rational_feasible(&self) -> Result<bool, PolyError> {
-        if self.contradiction {
-            return Ok(false);
-        }
-        let all: Vec<usize> = (0..self.space.len()).collect();
-        let p = self.eliminate_dims(&all)?;
-        Ok(!p.contradiction)
-    }
-
     /// Integer feasibility: unit-coefficient equality substitution, Pugh's
     /// exact equality elimination for the rest, then Fourier–Motzkin with the
     /// real/dark shadow pair and bounded branch-and-bound in the gray zone.

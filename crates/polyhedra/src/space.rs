@@ -209,6 +209,18 @@ impl Space {
         }
         s
     }
+
+    /// The dimensions from position `from` on, as a space of their own:
+    /// what [`Polyhedron::extend_space`](crate::Polyhedron::extend_space)
+    /// appends to a system over the first `from` dimensions to reach this
+    /// space.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from > self.len()`.
+    pub fn tail(&self, from: usize) -> Space {
+        Space::from_distinct(self.dims[from..].to_vec())
+    }
 }
 
 impl fmt::Display for Space {
@@ -266,6 +278,9 @@ mod tests {
         let c = a.product(&b);
         assert_eq!(c.len(), 2);
         assert_eq!(c.index_of("p"), Some(1));
+        // `tail` undoes it.
+        assert_eq!(c.tail(1), b);
+        assert!(c.tail(2).is_empty());
     }
 
     #[test]

@@ -54,6 +54,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
 # is printed as `path: old -> new`). Wall-clock lives in benchmark/.
 cargo run --release -p dmc-bench --bin dmc -- check
 
+# Figures regression: every figure series (Figure 14 aside) must print
+# exactly the committed figures_output.txt; any diff means the pipeline's
+# behavior moved.
+./target/release/dmc figures | diff - figures_output.txt
+
 # Repo benchmark smoke: benchmark/ is its own package, so the workspace
 # build above never compiles it and a removed `pub` item could break the
 # gated benchmark unnoticed. Build it, run every workload at its smoke
