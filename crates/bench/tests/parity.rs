@@ -359,15 +359,18 @@ fn fold_matches_the_grouping_it_replaced() {
 }
 
 /// The scan kernel visits every final communication set of LU at (N, P) =
-/// (12, 4) and of the stencil, in the order `CommSet::for_each` scans it,
-/// exactly as the dense recursion it replaced: same points, same order.
-/// LU's receiver sets carry the quotient levels the kernel assigns by exact
-/// division. `CommSet::for_each`, which stops before trailing pinned
+/// (12, 4) and (48, 16) and of the stencil, in the order
+/// `CommSet::for_each` scans it, exactly as the dense recursion it
+/// replaced: same points, same order. LU's receiver sets carry the
+/// quotient levels the kernel assigns by exact division; at P = 16 they
+/// are `fold_receivers`' stride, the sets the `lu_plan` benchmark spends
+/// its time in. `CommSet::for_each`, which stops before trailing pinned
 /// auxiliary levels, lends the same elements in the same order.
 #[test]
 fn scan_kernel_matches_dense_recursion_on_the_planner_sets() {
     let cases = [
         (lu_input(4), vec![12]),
+        (lu_input(16), vec![48]),
         (stencil_input(32, 4), vec![4, 127]),
     ];
     for (input, params) in cases {

@@ -274,9 +274,8 @@ fn lu_split_names_the_unsafe_chunk() {
         assert_eq!(uint_field(r, "split"), 1, "{r:?}");
         assert_ne!(uint_field(r, "sender"), uint_field(r, "receiver"), "{r:?}");
         let writer = &stmts[cs.write_stmt.expect("a produced set")].position;
-        let send = dmc_machine::stamp_of(writer, &iter_field(r, "last_send"));
-        let recv =
-            dmc_machine::stamp_of(&stmts[cs.read_stmt].position, &iter_field(r, "first_use"));
+        let send = dmc_machine::stamp_of(writer, iter_field(r, "last_send"));
+        let recv = dmc_machine::stamp_of(&stmts[cs.read_stmt].position, iter_field(r, "first_use"));
         assert!(send >= recv, "{r:?}: sent at {send:?}, used at {recv:?}");
     }
 }

@@ -101,19 +101,19 @@ pub struct CommElem {
 }
 
 /// One element of a communication set, borrowed from the scan: what
-/// [`CommSet::for_each`] lends its visitor.
+/// [`CommSet::for_each`] lends its visitor, in the scan kernel's `i64`.
 #[derive(Clone, Copy, Debug)]
 pub struct ElemRow<'a> {
-    s_iter: &'a [i128],
-    ps: &'a [i128],
-    r_iter: &'a [i128],
-    pr: &'a [i128],
-    arr: &'a [i128],
+    s_iter: &'a [i64],
+    ps: &'a [i64],
+    r_iter: &'a [i64],
+    pr: &'a [i64],
+    arr: &'a [i64],
 }
 
 impl<'a> ElemRow<'a> {
     /// The row of `buf` whose five groups lie at `spans`.
-    fn over(buf: &'a [i128], spans: &[std::ops::Range<usize>; 5]) -> Self {
+    fn over(buf: &'a [i64], spans: &[std::ops::Range<usize>; 5]) -> Self {
         let [s_iter, ps, r_iter, pr, arr] = spans.clone().map(|r| &buf[r]);
         ElemRow {
             s_iter,
@@ -125,38 +125,39 @@ impl<'a> ElemRow<'a> {
     }
 
     /// Producer iteration (empty for initial-owner sets).
-    pub fn s_iter(&self) -> &'a [i128] {
+    pub fn s_iter(&self) -> &'a [i64] {
         self.s_iter
     }
 
     /// Sender virtual processor.
-    pub fn ps(&self) -> &'a [i128] {
+    pub fn ps(&self) -> &'a [i64] {
         self.ps
     }
 
     /// Consumer iteration.
-    pub fn r_iter(&self) -> &'a [i128] {
+    pub fn r_iter(&self) -> &'a [i64] {
         self.r_iter
     }
 
     /// Receiver virtual processor.
-    pub fn pr(&self) -> &'a [i128] {
+    pub fn pr(&self) -> &'a [i64] {
         self.pr
     }
 
     /// Array element.
-    pub fn arr(&self) -> &'a [i128] {
+    pub fn arr(&self) -> &'a [i64] {
         self.arr
     }
 
     /// The owned form.
     pub fn to_elem(&self) -> CommElem {
+        let wide = |part: &[i64]| part.iter().map(|&v| i128::from(v)).collect();
         CommElem {
-            s_iter: self.s_iter.to_vec(),
-            ps: self.ps.to_vec(),
-            r_iter: self.r_iter.to_vec(),
-            pr: self.pr.to_vec(),
-            arr: self.arr.to_vec(),
+            s_iter: wide(self.s_iter),
+            ps: wide(self.ps),
+            r_iter: wide(self.r_iter),
+            pr: wide(self.pr),
+            arr: wide(self.arr),
         }
     }
 }
@@ -513,8 +514,10 @@ impl CommSet {
     ///
     /// # Errors
     ///
-    /// Returns [`PolyError`] (as `E`) on arithmetic overflow or an
-    /// unbounded dimension, and whatever `visit` returns.
+    /// Returns [`PolyError`] (as `E`): `Overflow` when the kernel cannot
+    /// prove the set's values within its `i64` range
+    /// ([`dmc_polyhedra::ScanNest::compile`]), `Unbounded` on an unbounded
+    /// dimension; and whatever `visit` returns.
     pub fn for_each<E: From<PolyError>>(
         &self,
         param_vals: &[i128],
@@ -548,7 +551,7 @@ impl CommSet {
             (false, first) => first.map_or(0..0, |&f| f..f + g.len()),
         });
         let source: Vec<usize> = groups.into_iter().flatten().copied().collect();
-        let mut cols = vec![0i128; if gather { source.len() } else { 0 }];
+        let mut cols = vec![0i64; if gather { source.len() } else { 0 }];
         // The scan visits each solution exactly once; no dedup needed. The
         // auxiliary dimensions are never lent out, so trailing ones pinned
         // by an equality are not assigned.

@@ -24,9 +24,9 @@ use std::ops::ControlFlow;
 
 use dmc_decomp::ProcGrid;
 use dmc_polyhedra::cache::WordHasher;
+use dmc_polyhedra::PolyError;
 
 use crate::commset::{CommSet, ElemRow};
-use crate::opt::OptError;
 
 /// How [`fold_messages`] folds a communication set.
 #[derive(Clone, Copy, Debug)]
@@ -170,20 +170,21 @@ impl CommSet {
 ///
 /// # Errors
 ///
-/// Returns [`OptError`] on arithmetic failure or an unbounded dimension.
+/// Returns [`PolyError`] as [`CommSet::for_each`] does: `Overflow` past
+/// the scan kernel's range, `Unbounded` on an unbounded dimension.
 /// Returns `Ok(None)` when the set has more than `limit` elements.
 pub fn fold_messages(
     cs: &CommSet,
     param_vals: &[i128],
     spec: &FoldSpec<'_>,
     limit: usize,
-) -> Result<Option<Vec<Folded>>, OptError> {
+) -> Result<Option<Vec<Folded>>, PolyError> {
     let mut folder = Folder::new(cs, spec);
     let mut scanned = 0usize;
     cs.for_each(param_vals, |e| {
         scanned += 1;
         if scanned > limit {
-            return Ok::<_, OptError>(ControlFlow::Break(()));
+            return Ok::<_, PolyError>(ControlFlow::Break(()));
         }
         folder.push(e);
         Ok(ControlFlow::Continue(()))
@@ -274,10 +275,10 @@ struct Folder<'a> {
     arr_at: usize,
     ks: usize,
     rd: usize,
-    block_s: Vec<i128>,
+    block_s: Vec<i64>,
     /// The send iteration of the last block that kept rows.
-    last_s: Option<Vec<i128>>,
-    rows: Vec<i128>,
+    last_s: Option<Vec<i64>>,
+    rows: Vec<i64>,
     /// The block's rows, by index, in sorted order.
     order: Vec<u32>,
     kept: Vec<u32>,
@@ -289,7 +290,7 @@ struct Folder<'a> {
     closing: Vec<u32>,
     /// The lanes seen, numbered in order of first appearance; looked up
     /// once per run.
-    lanes: HashMap<Vec<i128>, u32, BuildHasherDefault<WordHasher>>,
+    lanes: HashMap<Vec<i64>, u32, BuildHasherDefault<WordHasher>>,
     /// Per lane and depth: `(epoch, chunk)` of its open chunk.
     open: Vec<(u32, u32)>,
     depths: Vec<Depth>,
@@ -389,11 +390,11 @@ impl<'a> Folder<'a> {
         }
     }
 
-    fn row(&self, i: u32) -> &[i128] {
+    fn row(&self, i: u32) -> &[i64] {
         &self.rows[i as usize * self.width..][..self.width]
     }
 
-    fn arr(&self, i: u32) -> &[i128] {
+    fn arr(&self, i: u32) -> &[i64] {
         &self.row(i)[self.arr_at..]
     }
 
@@ -636,7 +637,7 @@ impl<'a> Folder<'a> {
             first,
             s,
         ] {
-            depth.data.extend_from_slice(part);
+            widen(&mut depth.data, part);
         }
         depth.words.push(0);
         depth.class.push(class);
@@ -649,10 +650,15 @@ impl<'a> Folder<'a> {
         let depth = &mut self.depths[d];
         let e = depth.ends;
         let rec = &mut depth.data[c as usize * e[4]..][..e[4]];
-        if first < &rec[e[2]..e[3]] {
-            rec[e[2]..e[3]].copy_from_slice(first);
+        let (first_use, last_send) = rec[e[2]..].split_at_mut(e[3] - e[2]);
+        if first
+            .iter()
+            .map(|&v| i128::from(v))
+            .lt(first_use.iter().copied())
+        {
+            overwrite(first_use, first);
         }
-        rec[e[3]..e[4]].copy_from_slice(&self.block_s);
+        overwrite(last_send, &self.block_s);
         depth.words[c as usize] += u64::from(run.to - run.from);
     }
 
@@ -661,9 +667,9 @@ impl<'a> Folder<'a> {
         let run = self.runs[r];
         let items = &mut self.classes.items[class as usize];
         for &k in &self.kept[run.from as usize..run.to as usize] {
-            items.extend_from_slice(&self.block_s);
+            widen(items, &self.block_s);
             let row = &self.rows[k as usize * self.width..][..self.width];
-            items.extend_from_slice(&row[self.arr_at..]);
+            widen(items, &row[self.arr_at..]);
         }
     }
 
@@ -740,6 +746,18 @@ impl<'a> Folder<'a> {
             .into_iter()
             .map(|depth| depth.finish(msg_key, arr_width))
             .collect()
+    }
+}
+
+/// Appends `part`, widened to the `i128` of [`Folded`].
+fn widen(out: &mut Vec<i128>, part: &[i64]) {
+    out.extend(part.iter().map(|&v| i128::from(v)));
+}
+
+/// Overwrites `out` with `part`, widened.
+fn overwrite(out: &mut [i128], part: &[i64]) {
+    for (o, &v) in out.iter_mut().zip(part) {
+        *o = v.into();
     }
 }
 

@@ -864,31 +864,33 @@ fn compute_blocks(
     let kernel = nest.compile(&fixed)?;
 
     // Visit proc dims and all loop dims except the innermost; the
-    // innermost becomes the block range.
-    let n_inner = usize::from(!loop_dims.is_empty());
-    kernel.for_each(nest.vars.len() - n_inner, |point| {
-        // Virtual processor of this block.
-        let virt: Vec<i128> = proc_dims.iter().map(|&d| point[d]).collect();
-        let rank = grid.fold_rank(&virt) as usize;
-        if loop_dims.is_empty() {
-            let anchor = dmc_machine::stamp_of(&info.position, &[]);
+    // innermost becomes the block range. The proc dims follow the loop
+    // dims in the space, so the rank is read off the point; what a block
+    // allocates is what the schedule keeps, its prefix and its anchor.
+    let procs = loop_dims.len()..loop_dims.len() + proc_dims.len();
+    let (outer, inner) = loop_dims.split_at(loop_dims.len().saturating_sub(1));
+    kernel.for_each(nest.vars.len() - inner.len(), |point| {
+        let rank = grid.fold_rank(&point[procs.clone()]) as usize;
+        if inner.is_empty() {
+            let anchor = dmc_machine::stamp_of(&info.position, std::iter::empty::<i128>());
             emit(rank, Vec::new(), None, flops_per_iter, anchor);
         } else if let Some((lo, hi)) = kernel.inner_range(point)? {
-            let prefix: Vec<i128> = loop_dims[..loop_dims.len() - 1]
-                .iter()
-                .map(|&d| point[d])
-                .collect();
-            let mut block = |prefix: Vec<i128>, lo: i128, hi: i128| {
-                let mut first = prefix.clone();
-                first.push(lo);
-                let anchor = dmc_machine::stamp_of(&info.position, &first);
-                let count = (hi - lo + 1) as f64;
-                emit(rank, prefix, Some((lo, hi)), flops_per_iter * count, anchor);
+            let iter = || outer.iter().map(|&d| i128::from(point[d]));
+            let mut block = |lo: i64, hi: i64| {
+                let anchor = dmc_machine::stamp_of(&info.position, iter().chain([lo.into()]));
+                let flops = flops_per_iter * (hi - lo + 1) as f64;
+                emit(
+                    rank,
+                    iter().collect(),
+                    Some((lo.into(), hi.into())),
+                    flops,
+                    anchor,
+                );
             };
             if batch {
-                block(prefix, lo, hi);
+                block(lo, hi);
             } else {
-                (lo..=hi).for_each(|x| block(prefix.clone(), x, x));
+                (lo..=hi).for_each(|x| block(x, x));
             }
         }
         Ok(ControlFlow::Continue(()))

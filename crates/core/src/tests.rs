@@ -7,6 +7,7 @@ use dmc_decomp::{owner_computes, CompDecomp, DataDecomp, ProcGrid};
 use dmc_ir::interp::{self, Memory};
 use dmc_ir::{parse, Program};
 use dmc_machine::MachineConfig;
+use dmc_polyhedra::PolyError;
 
 use crate::{build_schedule, compile, message_stats, run, CompileError, CompileInput, Options};
 
@@ -255,6 +256,32 @@ fn values_match_with_writers_in_nests_of_different_depth() {
                for i = 0 to N { B[i] = A[i]; }";
     for options in [Options::full(), Options::naive()] {
         check_end_to_end(blocked_on_i(src, 2, 2), options, &[8]);
+    }
+}
+
+/// The planner scans in `i64` whose range `ScanNest::compile` proves: a
+/// loop at `N .. N + 3` plans at N = 2^40, where values mode equals the
+/// interpreter, and at N = 2^62 is the typed refusal `Overflow` in both
+/// modes, not a panic (the `i128` scan planned it; the limit moved to
+/// ±2^62).
+#[test]
+fn loop_values_past_the_scan_range_are_refused() {
+    let src = "param N; array A[5];
+               for i = N to N + 3 { A[i - N + 1] = A[i - N] + 1.0; }";
+    let input = || blocked_on_i(src, 1, 4);
+    let inside = 1i128 << 40;
+    check_end_to_end(input(), Options::full(), &[inside]);
+    let compiled = compile(input(), Options::full()).unwrap();
+    let (_, _, words) = message_stats(&compiled, &[inside], 2_000_000).unwrap();
+    assert_eq!(
+        words, 3,
+        "each write after the first is read on the next processor"
+    );
+    for values in [false, true] {
+        match build_schedule(&compiled, &[1 << 62], values, 2_000_000) {
+            Err(CompileError::Poly(PolyError::Overflow)) => {}
+            other => panic!("expected the typed refusal, got {other:?}"),
+        }
     }
 }
 

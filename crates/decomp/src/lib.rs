@@ -478,10 +478,15 @@ impl ProcGrid {
     ///
     /// # Panics
     ///
-    /// Panics if any extent is `< 1`.
+    /// Panics if any extent is `< 1`, or if the grid has more processors
+    /// than `i64` counts.
     pub fn new(extents: Vec<i128>) -> Self {
         assert!(extents.iter().all(|&e| e >= 1), "grid extents must be >= 1");
         assert!(!extents.is_empty(), "grid needs at least one dimension");
+        let size = extents
+            .iter()
+            .try_fold(1i64, |n, &e| n.checked_mul(i64::try_from(e).ok()?));
+        assert!(size.is_some(), "a grid has at most i64::MAX processors");
         ProcGrid { extents }
     }
 
@@ -521,12 +526,14 @@ impl ProcGrid {
 
     /// The rank of the physical processor a virtual processor folds onto:
     /// [`ProcGrid::rank`] of [`ProcGrid::fold`], without the intermediate
-    /// coordinate vector.
-    pub fn fold_rank(&self, virt: &[i128]) -> i128 {
+    /// coordinate vector, in the `i64` of the points the planner scans.
+    pub fn fold_rank(&self, virt: &[i64]) -> i64 {
         assert_eq!(virt.len(), self.extents.len());
-        virt.iter()
-            .zip(&self.extents)
-            .fold(0, |r, (&v, &e)| r * e + dmc_polyhedra::num::mod_floor(v, e))
+        virt.iter().zip(&self.extents).fold(0, |r, (&v, &e)| {
+            // `new` keeps the grid's size, and so each extent, within i64.
+            let e = e as i64;
+            r * e + v.rem_euclid(e)
+        })
     }
 
     /// Linearizes a physical processor coordinate to a rank in
@@ -755,9 +762,28 @@ mod tests {
             assert_eq!(g.rank(&g.coords(r)), r);
         }
         assert_eq!(g.fold(&[5, -1]), vec![2, 3]);
-        for virt in [[5, -1], [0, 0], [-7, 9], [2, 3]] {
-            assert_eq!(g.fold_rank(&virt), g.rank(&g.fold(&virt)), "{virt:?}");
+        // `fold_rank` on the planner's `i64` points is the rank of the
+        // fold, negative coordinates wrapping as `rem_euclid` does (−1 on 4
+        // is 3, −7 on 3 is 2), not as `%` truncates.
+        assert_eq!(g.fold_rank(&[5, -1]), 2 * 4 + 3);
+        assert_eq!(g.fold_rank(&[-7, -9]), 2 * 4 + 3);
+        for a in -9i64..=9 {
+            for b in -9i64..=9 {
+                let wide = g.rank(&g.fold(&[i128::from(a), i128::from(b)]));
+                assert_eq!(i128::from(g.fold_rank(&[a, b])), wide, "({a}, {b})");
+            }
         }
+        let line = ProcGrid::line(16);
+        assert_eq!(line.fold_rank(&[-1]), 15);
+        assert_eq!(line.fold_rank(&[-16]), 0);
+        assert_eq!(line.fold_rank(&[i64::MIN]), 0);
+        assert_eq!(line.fold_rank(&[i64::MAX]), 15);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most i64::MAX processors")]
+    fn grid_past_i64_is_refused() {
+        ProcGrid::new(vec![1 << 32, 1 << 31]);
     }
 
     #[test]

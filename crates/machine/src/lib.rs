@@ -80,7 +80,7 @@ mod tests {
             .map(|i| PayloadItem {
                 array: "A".into(),
                 idx: vec![i],
-                stamp: stamp_of(&stmts[0].position, &[i]),
+                stamp: stamp_of(&stmts[0].position, [i]),
             })
             .collect();
         sched.messages.push(MessageSpec {

@@ -7,30 +7,35 @@
 //! and computation decompositions into this form; the simulator executes
 //! it against the cost model.
 
+use std::borrow::Borrow;
+
 /// A global sequential-order stamp: the 2d+1 interleaving of statement
 /// positions and loop index values. Lexicographic comparison of stamps
 /// gives the original program's execution order.
 pub type Stamp = Vec<i128>;
 
 /// Builds the stamp of one statement instance from its textual position
-/// vector and loop index values (`position.len() == iter.len() + 1`).
+/// vector and loop index values (one fewer than positions), given as a
+/// slice or as values, so a caller holding them elsewhere copies nothing.
 ///
 /// # Panics
 ///
 /// Panics if the lengths disagree.
-pub fn stamp_of(position: &[usize], iter: &[i128]) -> Stamp {
-    assert_eq!(
-        position.len(),
-        iter.len() + 1,
-        "position/iteration mismatch"
-    );
-    let mut out = Vec::with_capacity(position.len() + iter.len());
+pub fn stamp_of<I>(position: &[usize], iter: I) -> Stamp
+where
+    I: IntoIterator,
+    I::Item: Borrow<i128>,
+{
+    let mut iter = iter.into_iter();
+    let mut out = Vec::with_capacity((2 * position.len()).saturating_sub(1));
     for (k, &p) in position.iter().enumerate() {
         out.push(p as i128);
-        if k < iter.len() {
-            out.push(iter[k]);
+        if k + 1 < position.len() {
+            let v = iter.next().expect("position/iteration mismatch");
+            out.push(*v.borrow());
         }
     }
+    assert!(iter.next().is_none(), "position/iteration mismatch");
     out
 }
 
@@ -128,8 +133,8 @@ mod tests {
     #[test]
     fn stamps_order_like_the_program() {
         // for i { S0; for j { S1 } }  — S0 at [0, i, 0], S1 at [0, i, 1, j, 0].
-        let s0 = |i: i128| stamp_of(&[0, 0], &[i]);
-        let s1 = |i: i128, j: i128| stamp_of(&[0, 1, 0], &[i, j]);
+        let s0 = |i: i128| stamp_of(&[0, 0], [i]);
+        let s1 = |i: i128, j: i128| stamp_of(&[0, 1, 0], [i, j]);
         assert!(s0(0) < s1(0, 0));
         assert!(s1(0, 5) < s0(1));
         assert!(s1(0, 5) < s1(0, 6));
@@ -139,7 +144,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "mismatch")]
     fn stamp_length_mismatch_panics() {
-        stamp_of(&[0], &[1, 2]);
+        stamp_of(&[0], [1, 2]);
     }
 
     #[test]

@@ -624,7 +624,10 @@ impl Lowered {
             Access::new(r, array, &loops, params).map_err(|v| bad(format!("unbound parameter {v}")))
         })?;
         let mut stamp = vec![PAD; layout.width];
-        write_row(&mut stamp, &stamp_of(&info.position, &vec![0; depth]));
+        write_row(
+            &mut stamp,
+            &stamp_of(&info.position, std::iter::repeat_n(0i128, depth)),
+        );
         Ok(Lowered { code, stamp })
     }
 }

@@ -67,7 +67,9 @@ pub use space::{Dim, DimKind, Space};
 /// Errors produced by polyhedral arithmetic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PolyError {
-    /// An `i128` coefficient computation overflowed.
+    /// An `i128` coefficient computation overflowed, or a scan's values
+    /// would leave the ±2^62 range its compiled `i64` kernel is proved in
+    /// ([`ScanNest::compile`]).
     Overflow,
     /// A scan reached a level of the given dimension with no lower or no
     /// upper bound, or with a range too wide to iterate.

@@ -5,6 +5,14 @@
 //! rows together, so coefficients can grow quickly; every combination step
 //! normalizes by the gcd of the row, which keeps magnitudes small for the
 //! systems that arise from affine loop nests.
+//!
+//! The one exception is the compiled scan kernel
+//! ([`ScanKernel`](crate::ScanKernel)), which enumerates points in plain
+//! `i64`: [`ScanNest::compile`](crate::ScanNest::compile) builds its bounds
+//! with these helpers, proves by interval arithmetic that nothing the
+//! kernel computes leaves ±2^62, and refuses with
+//! [`PolyError::Overflow`] otherwise. No `i64` copy of these helpers
+//! exists; the kernel's floor and ceiling divisions are `i64::div_euclid`.
 
 use crate::PolyError;
 

@@ -7,6 +7,11 @@
 //! `k`-th variable only reference earlier variables and un-scanned
 //! dimensions (parameters), obtained by projecting the deeper variables away
 //! with Fourier–Motzkin elimination.
+//!
+//! [`ScanNest::compile`] turns a nest into the [`ScanKernel`] the planner
+//! runs point by point, in `i64` arithmetic whose range it proves first.
+
+#![warn(clippy::cast_possible_truncation)]
 
 use std::ops::ControlFlow;
 
@@ -119,7 +124,7 @@ impl ScanNest {
         let mut out = Vec::new();
         self.compile(fixed)?.for_each(self.vars.len(), |point| {
             if out.len() < limit {
-                out.push(point.to_vec());
+                out.push(point.iter().map(|&v| i128::from(v)).collect());
             }
             Ok::<_, PolyError>(if out.len() < limit {
                 ControlFlow::Continue(())
@@ -194,36 +199,43 @@ impl ScanNest {
     /// itself assigned `x = e / d` (§5.2's degenerate loop, generalized to
     /// strides).
     ///
+    /// The kernel computes in plain `i64`. Before narrowing the nest to it,
+    /// `compile` proves by signed interval arithmetic, outwards from
+    /// `fixed`, that every value the kernel can compute — each bound
+    /// numerator and its partial sums, each stride product, and each loop
+    /// value plus one step — lies strictly inside ±2^62. A level without a lower or
+    /// an upper bound ends the proof: reaching it is
+    /// [`PolyError::Unbounded`], so nothing deeper is ever computed.
+    ///
     /// # Errors
     ///
-    /// Returns [`PolyError::Overflow`] on overflow.
+    /// Returns [`PolyError::Overflow`] when the proof fails or a value does
+    /// not fit in `i64`.
     pub fn compile(&self, fixed: &[i128]) -> Result<ScanKernel, PolyError> {
         let mut level_of: Vec<Option<usize>> = vec![None; fixed.len()];
         let mut levels: Vec<Level> = Vec::with_capacity(self.vars.len());
         for (k, vb) in self.vars.iter().enumerate() {
             let sparse = |e: &LinExpr| -> Result<Affine, PolyError> {
-                let mut out = Affine {
-                    terms: Vec::new(),
-                    constant: e.constant_term(),
-                };
+                let (mut terms, mut constant) = (Vec::new(), e.constant_term());
                 for (d, &c) in e.coeffs().iter().enumerate().filter(|(_, &c)| c != 0) {
                     match level_of[d] {
-                        Some(_) => out.terms.push((d, c)),
-                        None => out.constant = num::add(out.constant, num::mul(c, fixed[d])?)?,
+                        Some(_) => terms.push((d, narrow(c)?)),
+                        None => constant = num::add(constant, num::mul(c, fixed[d])?)?,
                     }
                 }
-                Ok(out)
+                let constant = narrow(constant)?;
+                Ok(Affine { terms, constant })
             };
             // Bounds that share a divisor share one division: rounding is
             // monotone, so the tightest quotient is the quotient of the
             // tightest numerator.
-            let side = |bs: &[Bound]| -> Result<Vec<(i128, Vec<Affine>)>, PolyError> {
-                let mut by_divisor: Vec<(i128, Vec<Affine>)> = Vec::new();
+            let side = |bs: &[Bound]| -> Result<Vec<(i64, Vec<Affine>)>, PolyError> {
+                let mut by_divisor: Vec<(i64, Vec<Affine>)> = Vec::new();
                 for b in bs {
-                    let e = sparse(&b.expr)?;
-                    match by_divisor.iter_mut().find(|(d, _)| *d == b.divisor) {
+                    let (e, divisor) = (sparse(&b.expr)?, narrow(b.divisor)?);
+                    match by_divisor.iter_mut().find(|(d, _)| *d == divisor) {
                         Some((_, es)) => es.push(e),
-                        None => by_divisor.push((b.divisor, vec![e])),
+                        None => by_divisor.push((divisor, vec![e])),
                     }
                 }
                 Ok(by_divisor)
@@ -252,57 +264,61 @@ impl ScanNest {
                 // quotient meets every bound: one evaluation and one exact
                 // division, as a unit equality is one evaluation.
                 if level.exact.is_none() {
-                    level.exact = Some((rest.clone(), b.divisor));
+                    level.exact = Some((rest.clone(), narrow(b.divisor)?));
                 }
                 let pos = rest
                     .terms
                     .iter()
                     .position(|&(d, _)| d == levels[at].dim)
                     .expect("the deepest term's dimension");
-                let (_, coeff) = rest.terms.remove(pos);
+                let coeff = i128::from(rest.terms.remove(pos).1);
                 let g = num::gcd(coeff, b.divisor);
                 let modulus = b.divisor / g;
                 levels[at].stride = Some(Stride {
                     rest,
-                    gcd: g,
-                    modulus,
-                    inverse: num::mod_inverse(coeff / g, modulus),
+                    gcd: narrow(g)?,
+                    modulus: narrow(modulus)?,
+                    inverse: narrow(num::mod_inverse(coeff / g, modulus))?,
                 });
             }
             levels.push(level);
             level_of[vb.dim] = Some(k);
         }
+        prove(&levels, fixed.len())?;
+        let start = fixed
+            .iter()
+            .zip(&level_of)
+            .map(|(&v, level)| if level.is_some() { Ok(0) } else { narrow(v) })
+            .collect::<Result<_, _>>()?;
         Ok(ScanKernel {
             levels,
-            start: fixed.to_vec(),
+            start,
             guard: self.guard.contains(fixed)?,
         })
     }
 }
 
 /// The widest range one level may span before it counts as unbounded.
-const MAX_LEVEL_SPAN: i128 = 4_000_000;
+const MAX_LEVEL_SPAN: i64 = 4_000_000;
+
+/// The magnitude no value a compiled kernel computes reaches: the sum or
+/// difference of two such values, plus one, still fits in `i64`.
+const RANGE: i128 = 1 << 62;
 
 /// `constant + Σ coeff·point[dim]` over outer scanned dimensions.
 #[derive(Clone, Debug)]
 struct Affine {
-    terms: Vec<(usize, i128)>,
-    constant: i128,
+    terms: Vec<(usize, i64)>,
+    constant: i64,
 }
 
 impl Affine {
-    fn eval(&self, point: &[i128]) -> Result<i128, PolyError> {
+    fn eval(&self, point: &[i64]) -> i64 {
         let mut acc = self.constant;
         for &(d, c) in &self.terms {
-            // Loop bounds are mostly sums and differences of indices.
-            let term = match c {
-                1 => point[d],
-                -1 => point[d].checked_neg().ok_or(PolyError::Overflow)?,
-                _ => num::mul(c, point[d])?,
-            };
-            acc = num::add(acc, term)?;
+            acc += c * point[d];
         }
-        Ok(acc)
+        acc
     }
 }
 
@@ -312,9 +328,9 @@ impl Affine {
 #[derive(Clone, Debug)]
 struct Stride {
     rest: Affine,
-    gcd: i128,
-    modulus: i128,
-    inverse: i128,
+    gcd: i64,
+    modulus: i64,
+    inverse: i64,
 }
 
 #[derive(Clone, Debug)]
@@ -322,11 +338,29 @@ struct Level {
     dim: usize,
     /// `x == expr / divisor` exactly: a unit equality (divisor 1), or a
     /// non-unit one whose congruence an outer level's stride enforces.
-    exact: Option<(Affine, i128)>,
+    exact: Option<(Affine, i64)>,
     /// The bounds of each side, by divisor.
-    lowers: Vec<(i128, Vec<Affine>)>,
-    uppers: Vec<(i128, Vec<Affine>)>,
+    lowers: Vec<(i64, Vec<Affine>)>,
+    uppers: Vec<(i64, Vec<Affine>)>,
     stride: Option<Stride>,
+}
+
+/// `⌊a / d⌋` for `d >= 1`.
+fn div_floor(a: i64, d: i64) -> i64 {
+    if d == 1 {
+        a
+    } else {
+        a.div_euclid(d)
+    }
+}
+
+/// `⌈a / d⌉` for `d >= 1`.
+fn div_ceil(a: i64, d: i64) -> i64 {
+    if d == 1 {
+        a
+    } else {
+        -(-a).div_euclid(d)
+    }
 }
 
 impl Level {
@@ -337,74 +371,160 @@ impl Level {
     }
 
     /// The value of an exact level at a point fixing the outer levels.
-    fn exact_value(&self, point: &[i128]) -> Result<Option<i128>, PolyError> {
-        let Some((e, divisor)) = &self.exact else {
-            return Ok(None);
-        };
-        let v = e.eval(point)?;
-        debug_assert_eq!(
-            num::mod_floor(v, *divisor),
-            0,
-            "the outer stride makes it exact"
-        );
-        Ok(Some(num::div_floor(v, *divisor)))
+    fn exact_value(&self, point: &[i64]) -> Option<i64> {
+        let (e, divisor) = self.exact.as_ref()?;
+        let v = e.eval(point);
+        debug_assert_eq!(v.rem_euclid(*divisor), 0, "the outer stride makes it exact");
+        Some(div_floor(v, *divisor))
     }
 
     /// The level's `(lower, upper)` range at a point fixing the outer
     /// levels, before any stride.
-    fn bounds(&self, point: &[i128]) -> Result<(i128, i128), PolyError> {
-        if let Some(v) = self.exact_value(point)? {
+    fn bounds(&self, point: &[i64]) -> Result<(i64, i64), PolyError> {
+        if let Some(v) = self.exact_value(point) {
             return Ok((v, v));
         }
         if self.lowers.is_empty() || self.uppers.is_empty() {
             return Err(PolyError::Unbounded(self.dim));
         }
-        let mut lo = i128::MIN;
+        let mut lo = i64::MIN;
         for (d, es) in &self.lowers {
-            let mut tightest = i128::MIN;
-            for e in es {
-                tightest = tightest.max(e.eval(point)?);
-            }
-            lo = lo.max(num::div_ceil(tightest, *d));
+            let tightest = es.iter().fold(i64::MIN, |t, e| t.max(e.eval(point)));
+            lo = lo.max(div_ceil(tightest, *d));
         }
-        let mut hi = i128::MAX;
+        let mut hi = i64::MAX;
         for (d, es) in &self.uppers {
-            let mut tightest = i128::MAX;
-            for e in es {
-                tightest = tightest.min(e.eval(point)?);
-            }
-            hi = hi.min(num::div_floor(tightest, *d));
+            let tightest = es.iter().fold(i64::MAX, |t, e| t.min(e.eval(point)));
+            hi = hi.min(div_floor(tightest, *d));
         }
         Ok((lo, hi))
     }
 
     /// The values to iterate as `(first, last, step)`, or `None` when the
     /// level is empty at this point.
-    fn steps(&self, point: &[i128]) -> Result<Option<(i128, i128, i128)>, PolyError> {
+    fn steps(&self, point: &[i64]) -> Result<Option<(i64, i64, i64)>, PolyError> {
         let (mut lo, hi) = self.bounds(point)?;
         let mut step = 1;
         if let Some(s) = &self.stride {
-            let mut rest = s.rest.eval(point)?;
+            let mut rest = s.rest.eval(point);
             if s.gcd != 1 {
                 if rest % s.gcd != 0 {
                     return Ok(None);
                 }
                 rest /= s.gcd;
             }
-            let residue = num::mod_floor(rest, s.modulus);
-            let want = num::mul(s.modulus - residue, s.inverse)?;
-            let ahead = num::mod_floor(want.checked_sub(lo).ok_or(PolyError::Overflow)?, s.modulus);
-            lo = num::add(lo, ahead)?;
+            // The first x >= lo with x ≡ want (mod modulus).
+            let want = (s.modulus - rest.rem_euclid(s.modulus)) * s.inverse;
+            lo += (want - lo.rem_euclid(s.modulus)).rem_euclid(s.modulus);
             step = s.modulus;
         }
         if lo > hi {
             return Ok(None);
         }
-        match hi.checked_sub(lo) {
-            Some(span) if span <= MAX_LEVEL_SPAN => Ok(Some((lo, hi, step))),
-            _ => Err(PolyError::Unbounded(self.dim)),
+        if hi - lo > MAX_LEVEL_SPAN {
+            return Err(PolyError::Unbounded(self.dim));
         }
+        Ok(Some((lo, hi, step)))
     }
+}
+
+/// A signed interval `[lo, hi]`.
+type Span = (i128, i128);
+
+/// `span`, if it lies strictly within ±[`RANGE`].
+fn within(span: Span) -> Result<Span, PolyError> {
+    if -RANGE < span.0 && span.1 < RANGE {
+        Ok(span)
+    } else {
+        Err(PolyError::Overflow)
+    }
+}
+
+impl Affine {
+    /// The values [`Affine::eval`] returns where each outer dimension `d`
+    /// lies in `of[d]`, every term and partial sum on the way checked
+    /// against ±[`RANGE`].
+    fn span(&self, of: &[Span]) -> Result<Span, PolyError> {
+        let mut acc = within((self.constant.into(), self.constant.into()))?;
+        for &(d, c) in &self.terms {
+            let (a, b) = (i128::from(c) * of[d].0, i128::from(c) * of[d].1);
+            let term = within((a.min(b), a.max(b)))?;
+            acc = within((acc.0 + term.0, acc.1 + term.1))?;
+        }
+        Ok(acc)
+    }
+}
+
+/// The span of one side's bound: each numerator's span, the tightest of a
+/// divisor's numerators (rounded up for lower bounds, down for upper), and
+/// the tightest over divisors.
+fn side_span(side: &[(i64, Vec<Affine>)], of: &[Span], lower: bool) -> Result<Span, PolyError> {
+    let tighter = |a: Span, b: Span| {
+        if lower {
+            (a.0.max(b.0), a.1.max(b.1))
+        } else {
+            (a.0.min(b.0), a.1.min(b.1))
+        }
+    };
+    let loosest = if lower { i128::MIN } else { i128::MAX };
+    let mut out = (loosest, loosest);
+    for (d, es) in side {
+        let mut t = (loosest, loosest);
+        for e in es {
+            t = tighter(t, e.span(of)?);
+        }
+        let d = i128::from(*d);
+        let q = if lower {
+            (num::div_ceil(t.0, d), num::div_ceil(t.1, d))
+        } else {
+            (num::div_floor(t.0, d), num::div_floor(t.1, d))
+        };
+        out = tighter(out, q);
+    }
+    Ok(out)
+}
+
+/// Proves that a kernel over `levels`, in a space of `dims` dimensions,
+/// computes no value outside ±[`RANGE`]: per level, outermost first, the
+/// spans of its bounds over the spans of the outer levels, then its own.
+fn prove(levels: &[Level], dims: usize) -> Result<(), PolyError> {
+    let mut of: Vec<Span> = vec![(0, 0); dims];
+    for level in levels {
+        let (lo, hi) = if let Some((e, d)) = &level.exact {
+            let ((a, b), d) = (e.span(&of)?, i128::from(*d));
+            let v = (num::div_floor(a, d), num::div_floor(b, d));
+            (v, v)
+        } else if level.lowers.is_empty() || level.uppers.is_empty() {
+            // Reaching this level is `Unbounded`: nothing deeper runs.
+            return Ok(());
+        } else {
+            (
+                side_span(&level.lowers, &of, true)?,
+                side_span(&level.uppers, &of, false)?,
+            )
+        };
+        // A stride's first value lies less than its modulus above the
+        // lower bound, and the last step goes one step past the upper.
+        let (mut first, mut step) = (lo.1, 1);
+        if let Some(s) = &level.stride {
+            s.rest.span(&of)?;
+            let m = i128::from(s.modulus);
+            within((0, m * i128::from(s.inverse)))?;
+            (first, step) = (lo.1 + m - 1, m);
+        }
+        within((lo.0, first.max(hi.1 + step)))?;
+        if lo.0 > hi.1 {
+            // The level never takes a value: nothing deeper runs.
+            return Ok(());
+        }
+        of[level.dim] = (lo.0, hi.1);
+    }
+    Ok(())
+}
+
+/// `x` as `i64`.
+fn narrow(x: i128) -> Result<i64, PolyError> {
+    i64::try_from(x).map_err(|_| PolyError::Overflow)
 }
 
 /// One enumeration's counts, added to the engine statistics once, on
@@ -426,11 +546,12 @@ impl Drop for Tally {
 
 /// A [`ScanNest`] compiled for fixed parameter values
 /// ([`ScanNest::compile`]): the one enumerator behind the planner's
-/// communication-set and compute-block scans.
+/// communication-set and compute-block scans, in `i64` arithmetic whose
+/// range `compile` proved.
 #[derive(Clone, Debug)]
 pub struct ScanKernel {
     levels: Vec<Level>,
-    start: Vec<i128>,
+    start: Vec<i64>,
     guard: bool,
 }
 
@@ -443,8 +564,8 @@ impl ScanKernel {
     /// # Errors
     ///
     /// Returns [`PolyError::Unbounded`] when a level that is reached has no
-    /// lower or no upper bound or spans more than four million values,
-    /// [`PolyError::Overflow`] on overflow, and whatever `visit` returns.
+    /// lower or no upper bound or spans more than four million values, and
+    /// whatever `visit` returns.
     ///
     /// # Panics
     ///
@@ -452,7 +573,7 @@ impl ScanKernel {
     pub fn for_each<E: From<PolyError>>(
         &self,
         depth: usize,
-        mut visit: impl FnMut(&[i128]) -> Result<ControlFlow<()>, E>,
+        mut visit: impl FnMut(&[i64]) -> Result<ControlFlow<()>, E>,
     ) -> Result<(), E> {
         let levels = &self.levels[..depth];
         if !self.guard {
@@ -463,22 +584,21 @@ impl ScanKernel {
         // A level pinned by an exact equality is §5.2's assignment: it runs
         // straight-line under the looping level above it (or, ahead of the
         // first one, once), not as a one-trip loop of the state machine.
-        let assign = |run: &[Level], point: &mut [i128], tally: &mut Tally| {
+        let assign = |run: &[Level], point: &mut [i64], tally: &mut Tally| {
             for level in run {
                 tally.range_evals += 1;
-                point[level.dim] = level.exact_value(point)?.expect("a pinned level");
+                point[level.dim] = level.exact_value(point).expect("a pinned level");
             }
-            Ok::<_, PolyError>(())
         };
         let looping: Vec<usize> = (0..depth).filter(|&k| !levels[k].pinned()).collect();
         let run_end = |j: usize| looping.get(j).copied().unwrap_or(depth);
-        assign(&levels[..run_end(0)], &mut point, &mut tally)?;
+        assign(&levels[..run_end(0)], &mut point, &mut tally);
         if looping.is_empty() {
             tally.points += 1;
             return visit(&point).map(drop);
         }
         // Per looping level: the last value and the step of the running loop.
-        let mut loops = vec![(0i128, 1i128); looping.len()];
+        let mut loops = vec![(0i64, 1i64); looping.len()];
         let (mut j, mut entering) = (0, true);
         loop {
             let k = looping[j];
@@ -491,7 +611,7 @@ impl ScanKernel {
                 })
             } else {
                 let (hi, step) = loops[j];
-                point[dim].checked_add(step).filter(|&v| v <= hi)
+                Some(point[dim] + step).filter(|&v| v <= hi)
             };
             let Some(v) = next else {
                 if j == 0 {
@@ -501,7 +621,7 @@ impl ScanKernel {
                 continue;
             };
             point[dim] = v;
-            assign(&levels[k + 1..run_end(j + 1)], &mut point, &mut tally)?;
+            assign(&levels[k + 1..run_end(j + 1)], &mut point, &mut tally);
             entering = j + 1 < looping.len();
             if entering {
                 j += 1;
@@ -525,9 +645,10 @@ impl ScanKernel {
             .map_or(0, |k| k + 1)
     }
 
-    /// The `(lower, upper)` range of the innermost level at a point fixing
-    /// every outer level, `None` when empty — for consumers that take the
-    /// innermost loop as one block instead of visiting it.
+    /// The `(lower, upper)` range of the innermost level at a point
+    /// [`ScanKernel::for_each`] visited one level short of it, `None` when
+    /// empty — for consumers that take the innermost loop as one block
+    /// instead of visiting it.
     ///
     /// # Errors
     ///
@@ -536,7 +657,7 @@ impl ScanKernel {
     /// # Panics
     ///
     /// Panics if the kernel has no levels.
-    pub fn inner_range(&self, point: &[i128]) -> Result<Option<(i128, i128)>, PolyError> {
+    pub fn inner_range(&self, point: &[i64]) -> Result<Option<(i64, i64)>, PolyError> {
         let inner = self.levels.last().expect("a scanned level");
         Ok(Some(inner.bounds(point)?).filter(|(lo, hi)| lo <= hi))
     }
@@ -873,7 +994,7 @@ mod tests {
         let nest = scan_bounds(&folded(16, 63), &[0, 1, 2]).unwrap();
         let kernel = nest.compile(&[0; 3]).unwrap();
         let (mut points, mut evals) = (0u64, 0u64);
-        let mut point = vec![0i128; 3];
+        let mut point = vec![0i64; 3];
         let (lo, hi, step) = kernel.levels[0].steps(&point).unwrap().unwrap();
         assert_eq!((lo, hi, step), (0, 63, 1));
         for pr in lo..=hi {
@@ -901,13 +1022,42 @@ mod tests {
         let mut outer = Vec::new();
         kernel
             .for_each(2, |p| {
-                outer.push(p[..2].to_vec());
+                outer.push(p[..2].iter().map(|&v| i128::from(v)).collect::<Vec<_>>());
                 Ok::<_, PolyError>(ControlFlow::Continue(()))
             })
             .unwrap();
         assert_eq!(
             outer,
             all.iter().map(|p| p[..2].to_vec()).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn range_proof_stops_short_of_two_to_the_62() {
+        // N <= i <= N + 3 with N fixed: the largest value the kernel
+        // computes is the last i plus one step, N + 4; the smallest is N.
+        let mut p = Polyhedron::universe(sp(&["i", "N"]));
+        p.add(ge(vec![1, -1], 0));
+        p.add(ge(vec![-1, 1], 3));
+        let nest = scan_bounds(&p, &[0]).unwrap();
+        let (top, bottom) = ((1i128 << 62) - 5, -(1i128 << 62) + 1);
+        for n in [top, bottom] {
+            let want: Vec<Vec<i128>> = (n..=n + 3).map(|i| vec![i, n]).collect();
+            assert_eq!(nest.enumerate(&[0, n], 10), Ok(want));
+        }
+        for n in [top + 1, bottom - 1, i128::from(i64::MAX), 1 << 100] {
+            assert_eq!(nest.enumerate(&[0, n], 10), Err(PolyError::Overflow), "{n}");
+        }
+        // A level with one side ends the proof: reaching it is Unbounded,
+        // whatever deeper levels would compute.
+        let mut p = Polyhedron::universe(sp(&["p", "i", "N"]));
+        p.add(ge(vec![1, 0, 0], 0));
+        p.add(ge(vec![0, 1, -1], 0));
+        p.add(ge(vec![0, -1, 1], 3));
+        let nest = scan_bounds(&p, &[0, 1]).unwrap();
+        assert_eq!(
+            nest.enumerate(&[0, 0, 1 << 62], 10),
+            Err(PolyError::Unbounded(0))
         );
     }
 
@@ -923,7 +1073,7 @@ mod tests {
         poly.add(ge(vec![1, 0], 0));
         let nest = scan_bounds(&poly, &[0, 1]).unwrap();
         assert_eq!(nest.enumerate(&[0, 0], 10), Err(PolyError::Unbounded(0)));
-        poly.add(ge(vec![-1, 0], MAX_LEVEL_SPAN + 1));
+        poly.add(ge(vec![-1, 0], i128::from(MAX_LEVEL_SPAN) + 1));
         let nest = scan_bounds(&poly, &[0, 1]).unwrap();
         assert_eq!(nest.enumerate(&[0, 0], 10), Err(PolyError::Unbounded(0)));
         // A level that is never reached is not an error: the guard fails.
@@ -934,7 +1084,7 @@ mod tests {
         // The innermost block range has no span limit, only sidedness.
         let mut poly = Polyhedron::universe(sp(&["i"]));
         poly.add(ge(vec![1], 0));
-        poly.add(ge(vec![-1], 10 * MAX_LEVEL_SPAN));
+        poly.add(ge(vec![-1], i128::from(10 * MAX_LEVEL_SPAN)));
         let kernel = scan_bounds(&poly, &[0]).unwrap().compile(&[0]).unwrap();
         assert_eq!(kernel.inner_range(&[0]), Ok(Some((0, 10 * MAX_LEVEL_SPAN))));
     }

@@ -7,7 +7,7 @@
 
 use dmc_polyhedra::{
     cache, lexopt, lexopt_uncached, scan_bounds, scan_bounds_uncached, stats, Constraint, DimKind,
-    Direction, Feasibility, LinExpr, Polyhedron, Space,
+    Direction, Feasibility, LinExpr, PolyError, Polyhedron, Space,
 };
 
 /// xorshift64* — deterministic, seedable, good enough for test-case
@@ -269,6 +269,30 @@ fn scan_is_exact() {
     }
 }
 
+/// `p` translated by a trailing parameter `o` along the dimensions in
+/// `shift`: each row `a·x + b` becomes `a·y − (Σ_{k ∈ shift} a_k)·o + b`.
+fn translated(p: &Polyhedron, shift: &[usize]) -> Polyhedron {
+    let n = p.space().len();
+    let dims = (0..n).map(|k| (format!("x{k}"), DimKind::Index));
+    let space = Space::from_dims(dims.chain([("o".to_string(), DimKind::Param)]));
+    let mut out = Polyhedron::universe(space);
+    if p.is_obviously_empty() {
+        out.add(Constraint::ge(LinExpr::from_coeffs(vec![0; n + 1], -1)));
+    }
+    for c in p.constraints() {
+        let mut coeffs = c.expr().coeffs().to_vec();
+        let pull: i128 = shift.iter().map(|&k| coeffs[k]).sum();
+        coeffs.push(-pull);
+        let e = LinExpr::from_coeffs(coeffs, c.expr().constant_term());
+        out.add(if c.is_eq() {
+            Constraint::eq(e)
+        } else {
+            Constraint::ge(e)
+        });
+    }
+    out
+}
+
 /// The compiled kernel enumerates what the dense recursion it replaced
 /// (`ScanNest::enumerate_dense`: a level pinned by a non-unit equality
 /// loops over its misses) does — same points, same order — for random
@@ -276,10 +300,18 @@ fn scan_is_exact() {
 /// under random scan orders, so pinned dimensions land before, between and
 /// after the dimensions that pin them; and both are exact against brute
 /// force.
+///
+/// Each polyhedron is scanned again translated by a fixed offset near
+/// ±2^62 / m along random dimensions, so that some kernels sit just inside
+/// the range `ScanNest::compile` proves for its `i64` arithmetic and some
+/// past it: an accepted nest enumerates the oracle's points in its order,
+/// a refused one is `PolyError::Overflow`, and neither panics (the tests
+/// build with overflow checks, so a hole in the proof would).
 #[test]
 fn scan_kernel_matches_dense_recursion() {
     let mut rng = Rng::new(0x5CA9);
-    let mut strided = 0;
+    let mut offsets = Rng::new(0x0FF5E7);
+    let (mut strided, mut accepted, mut refused) = (0, 0, 0);
     for case in 0..96 {
         let n = rng.range(2, 4) as usize;
         let p = gen_polyhedron(&mut rng, n, 3, 3);
@@ -306,8 +338,44 @@ fn scan_kernel_matches_dense_recursion() {
         let mut sorted = scanned;
         sorted.sort();
         assert_eq!(sorted, points_of(&p, 3), "case {case}: order {order:?}");
+
+        let shift: Vec<usize> = (0..n).filter(|_| offsets.chance()).collect();
+        let m = [1, 2, 4, 16, 1 << 20][offsets.range(0, 4) as usize];
+        let sign = if offsets.chance() { 1 } else { -1 };
+        let o = sign * ((1i128 << 62) - offsets.range(0, 16)) / m;
+        let nest = scan_bounds(&translated(&p, &shift), &order).unwrap();
+        let mut fixed = vec![0i128; n + 1];
+        fixed[n] = o;
+        match nest.enumerate(&fixed, usize::MAX) {
+            Ok(scanned) => {
+                accepted += 1;
+                let dense = nest.enumerate_dense(&fixed).unwrap();
+                assert_eq!(scanned, dense, "case {case}: offset {o} on {shift:?}");
+                let mut want: Vec<Vec<i128>> = sorted
+                    .iter()
+                    .map(|pt| {
+                        let mut pt = pt.clone();
+                        shift.iter().for_each(|&k| pt[k] += o);
+                        pt.push(o);
+                        pt
+                    })
+                    .collect();
+                want.sort();
+                let mut got = scanned;
+                got.sort();
+                assert_eq!(got, want, "case {case}: offset {o} on {shift:?}");
+            }
+            Err(e) => {
+                assert_eq!(e, PolyError::Overflow, "case {case}: offset {o}");
+                refused += 1;
+            }
+        }
     }
     assert!(strided >= 8, "only {strided} cases had a strided level");
+    assert!(
+        accepted >= 8 && refused >= 8,
+        "{accepted} offset nests accepted, {refused} refused"
+    );
 }
 
 /// Parametric lexmax agrees with brute force at every context.
