@@ -1,0 +1,117 @@
+//! Hostile bytes into the artifact codecs: every registry workload is
+//! served at its test size through a store that records each artifact it
+//! is handed (all four stages), and each recorded payload is then mutated
+//! by bit flips, byte overwrites and truncations. A mutated payload must
+//! decode to an error or to an artifact that re-encodes to exactly the
+//! mutated bytes: decoding never panics, and the codec accepts one
+//! encoding per value, so a misread cannot hide behind a round trip.
+
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
+
+use dmc_bench::test_workloads;
+use dmc_core::{Artifact, ArtifactStore, CompileInput, Options, Session, StageId, StoreStats};
+use dmc_ir::fp::Fingerprint;
+
+/// Mutations per recorded payload, of each of the three kinds.
+const MUTATIONS: usize = 256;
+
+/// A stage and the payload stored for it.
+type Payload = (StageId, Vec<u8>);
+
+/// A store that serves nothing and keeps the payload of every store; the
+/// test holds one clone while the session owns another.
+#[derive(Debug, Default, Clone)]
+struct Recording(Arc<Mutex<Vec<Payload>>>);
+
+impl ArtifactStore for Recording {
+    fn load(&mut self, _: StageId, _: Fingerprint) -> Option<Artifact> {
+        None
+    }
+    fn contains(&mut self, _: StageId, _: Fingerprint) -> bool {
+        false
+    }
+    fn store(&mut self, stage: StageId, _: Fingerprint, artifact: &Artifact) {
+        let payload = artifact.encode_payload(stage);
+        self.0.lock().unwrap().push((stage, payload));
+    }
+    fn stats(&self) -> StoreStats {
+        StoreStats::default()
+    }
+}
+
+/// xorshift64* — the repo's dependency-free test PRNG.
+struct XorShift(u64);
+
+impl XorShift {
+    fn below(&mut self, n: usize) -> usize {
+        let mut x = self.0;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.0 = x;
+        (x.wrapping_mul(0x2545_F491_4F6C_DD1D) % n.max(1) as u64) as usize
+    }
+}
+
+/// The payload of every artifact the registry's test-size requests store.
+fn recorded_payloads() -> Vec<Payload> {
+    let recording = Recording::default();
+    let mut session = Session::new();
+    session.attach_store(Box::new(recording.clone()));
+    for w in test_workloads() {
+        let input = (w.input)(w.nproc);
+        let program = session
+            .parse(&input.program.to_string())
+            .unwrap_or_else(|e| panic!("{}: printed program parses: {e}", w.name));
+        let input = CompileInput { program, ..input };
+        session
+            .serve(w.name, input, Options::full(), &w.params, 50_000_000)
+            .unwrap_or_else(|e| panic!("{}: serves: {e}", w.name));
+    }
+    drop(session);
+    let payloads = std::mem::take(&mut *recording.0.lock().unwrap());
+    payloads
+}
+
+#[test]
+fn mutated_payloads_never_panic_and_decode_only_canonically() {
+    let payloads = recorded_payloads();
+    let stages: BTreeSet<u8> = payloads.iter().map(|(s, _)| s.tag()).collect();
+    assert_eq!(
+        stages,
+        StageId::ALL.map(StageId::tag).into(),
+        "every stage recorded"
+    );
+    let mut rng = XorShift(0x5EED_C0DEC);
+    let (mut decoded, mut refused) = (0, 0);
+    for (stage, bytes) in &payloads {
+        for n in 0..3 * MUTATIONS {
+            let mut m = bytes.clone();
+            let at = rng.below(m.len());
+            match n % 3 {
+                0 => m[at] ^= 1 << rng.below(8),
+                1 => m[at] = rng.below(256) as u8,
+                _ => m.truncate(at),
+            }
+            match Artifact::decode_payload(*stage, &m) {
+                Ok(artifact) => {
+                    assert!(
+                        artifact.encode_payload(*stage) == m,
+                        "{stage:?}: mutation {n} of a {}-byte payload decoded to a value \
+                         that re-encodes to other bytes",
+                        bytes.len()
+                    );
+                    decoded += 1;
+                }
+                Err(_) => refused += 1,
+            }
+        }
+    }
+    // Not vacuous: some mutations land in values and decode, most break
+    // the structure.
+    assert!(
+        decoded > 0 && refused > decoded,
+        "{decoded} decoded, {refused} refused"
+    );
+}

@@ -1,11 +1,12 @@
-//! A store directory written before the stage graph went from seven
-//! stages to four still serves the stages that remain, except the
-//! `schedule` stage, whose key changed with the planner's legality rule.
-//! Shown without a committed directory: one small request is served into
-//! an empty [`DiskStore`], and every artifact it leaves must sit under the
-//! key, and hold the payload, recorded below. An equal key means the old
-//! file is the one a lookup opens; an equal payload fingerprint means it
-//! passes the integrity check and decodes to what a recompute would store.
+//! Store keys are stable across codec versions, and payloads are pinned
+//! at the current one. Shown without a committed directory: one small
+//! request is served into an empty [`DiskStore`], and every artifact it
+//! leaves must sit under the key, and hold the payload, recorded below.
+//! An equal key means a directory written by an earlier build is looked
+//! up where it was; an equal payload fingerprint means this build writes
+//! exactly the bytes recorded for `CODEC_VERSION` 2. A directory written
+//! at an earlier codec version no longer serves: its files are found
+//! under the same keys, and each load of one is a miss that removes it.
 
 use dmc_bench::figure2_input;
 use dmc_core::{ArtifactStore, CompileInput, Options, Session};
@@ -15,33 +16,35 @@ const FIGURE2_SRC: &str = "param T, N; array X[N + 1];
 for t = 0 to T { for i = 3 to N { X[i] = X[i - 3]; } }";
 
 /// `(stage tag, key fingerprint, FNV-1a/128 of the payload)` of what this
-/// test's request stored at commit 9b36833, the last with seven stages —
-/// printed by this test body there, less the three retired tags' lines
-/// (1 `stmt-info`, 3 `commsets`, 5 `aggregate`). One row has moved since:
-/// the `schedule` key (stage 6) took a fresh outer tag when the planner
-/// began deciding aggregation legality per chunk instead of by a dry run,
-/// so no store serves a plan of the old rule. Figure 2's plan is the same
-/// under both rules, so that row's payload fingerprint is unchanged.
+/// test's request stores. The keys were recorded at commit 9b36833, the
+/// last with seven stages, less the three retired tags' lines (1
+/// `stmt-info`, 3 `commsets`, 5 `aggregate`); one has moved since: the
+/// `schedule` key (stage 6) took a fresh outer tag when the planner began
+/// deciding aggregation legality per chunk instead of by a dry run, so no
+/// store serves a plan of the old rule. Keys do not depend on the codec.
+/// The payload fingerprints are those of `CODEC_VERSION` 2 (varint
+/// integers); every one of them moved from version 1, and none moved with
+/// the planner's rule, since Figure 2's plan is the same under both.
 const SEVEN_STAGE_ARTIFACTS: [(u8, u128, u128); 4] = [
     (
         0,
         0x0840bf8585df581e69f48e49810d9057,
-        0x60dce9cc162c49cb15796ac76835713e,
+        0x98750a6a08a2ef94bc1eff7cb29dab97,
     ),
     (
         2,
         0x65c0d40bfd5d6bbfadf0a32d517f83ef,
-        0x3f5ab865982a59fc1c9b182d30635242,
+        0x91d391ebc40498f809a408aff29c1737,
     ),
     (
         4,
         0x4f0bcf57fc8685d23220ae112ad3db8b,
-        0xccbd803b360bdfb5560b50a11113d735,
+        0xf467e24a19e3acc5a039021a2b0f4ab8,
     ),
     (
         6,
         0xf3e0cc22b2f19bd5dc25e34bb206e69d,
-        0x4195daf7bb9fb4debc4b6cdb48bd0496,
+        0x80c073e21f2bb7b7620a926d924e8195,
     ),
 ];
 

@@ -21,7 +21,9 @@
 //! miss (the artifact is recomputed), never as data. Bumping
 //! [`CODEC_VERSION`] therefore invalidates every persisted artifact at
 //! once — the versioning discipline that lets the codecs evolve without
-//! risking a silent misparse of old bytes.
+//! risking a silent misparse of old bytes. (The disk store reads the
+//! version byte itself, after its integrity check, so an artifact of an
+//! older version is a plain miss there, not corruption.)
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -38,7 +40,10 @@ use crate::session::stage;
 /// The artifact payload schema version. Bumped whenever any [`Codec`]
 /// impl changes its byte layout; every persisted artifact from an older
 /// version then decodes as a clean miss.
-pub const CODEC_VERSION: u8 = 1;
+///
+/// History: 1, fixed-width integers (8-byte `u64`, 16-byte `i128`);
+/// 2, LEB128 `u64` and zigzag LEB128 `i128`.
+pub const CODEC_VERSION: u8 = 2;
 
 /// A stage in the session's compilation DAG, as a store key component.
 /// The numeric [tag](StageId::tag) is part of the persisted payload

@@ -42,6 +42,12 @@ impl Aff {
         Aff { terms, constant: 0 }
     }
 
+    /// The expression `constant + Σ terms`, taken as given: every
+    /// coefficient in `terms` must be nonzero, as every `Aff` holds them.
+    pub(crate) fn from_terms(terms: BTreeMap<String, i128>, constant: i128) -> Self {
+        Aff { terms, constant }
+    }
+
     /// The zero expression.
     pub fn zero() -> Self {
         Aff::constant(0)

@@ -2,9 +2,11 @@
 //! `parse` stage persists.
 //!
 //! See `dmc_polyhedra::codec` for the encoding discipline (fixed field
-//! order, length prefixes, fixed-width little-endian integers). Every
+//! order, length prefixes, varint integers, canonical decoding). Every
 //! impl here follows struct declaration order; enums write a `u8`
 //! discriminant first.
+
+use std::collections::BTreeMap;
 
 use dmc_polyhedra::codec::{Codec, CodecError, Dec, Enc};
 
@@ -23,15 +25,25 @@ impl Codec for Aff {
         }
         e.i128(self.constant_term());
     }
+    /// Accepts only what `encode` writes: terms in strictly increasing
+    /// name order with nonzero coefficients. Anything else would decode
+    /// to an `Aff` that re-encodes differently, or sum coefficients that
+    /// can overflow.
     fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
         let n = d.seq_len()?;
-        let mut out = Aff::zero();
+        let mut terms = BTreeMap::new();
         for _ in 0..n {
             let v = d.str()?;
             let c = d.i128()?;
-            out = out + Aff::var(v) * c;
+            if c == 0 {
+                return Err(CodecError::Invalid("zero Aff coefficient"));
+            }
+            if terms.last_key_value().is_some_and(|(last, _)| *last >= v) {
+                return Err(CodecError::Invalid("Aff terms out of name order"));
+            }
+            terms.insert(v, c);
         }
-        Ok(out + Aff::constant(d.i128()?))
+        Ok(Aff::from_terms(terms, d.i128()?))
     }
 }
 
@@ -331,6 +343,38 @@ mod tests {
                 "prefix of {cut} bytes decoded"
             );
         }
+    }
+
+    /// A term repeated, out of order or with a zero coefficient is not
+    /// what `encode` writes: the payload is refused, and a repeated term
+    /// is never summed (here the sum overflows `i128`).
+    #[test]
+    fn non_canonical_aff_terms_are_invalid() {
+        let payload = |terms: &[(&str, i128)]| {
+            let mut e = Enc::new();
+            e.usize(terms.len());
+            for &(v, c) in terms {
+                e.str(v);
+                e.i128(c);
+            }
+            e.i128(0);
+            e.into_bytes()
+        };
+        for terms in [
+            &[("x", i128::MAX), ("x", 1)][..],
+            &[("y", 1), ("x", 1)],
+            &[("x", 0)],
+        ] {
+            assert!(
+                matches!(
+                    decode_from_slice::<Aff>(&payload(terms)),
+                    Err(CodecError::Invalid(_))
+                ),
+                "{terms:?} decoded"
+            );
+        }
+        let ok: Aff = decode_from_slice(&payload(&[("x", i128::MAX), ("y", -1)])).unwrap();
+        assert_eq!(ok, Aff::var("x") * i128::MAX - Aff::var("y"));
     }
 
     /// Parsed paper programs (with their f64 literals) survive the codec

@@ -16,9 +16,19 @@
 //!   `u64` element/byte count, so truncation is always detectable (a
 //!   short payload fails with [`CodecError::Truncated`], never decodes
 //!   to a shorter value).
-//! - **Fixed-width little-endian integers.** `u64`/`i128` encode as 8/16
-//!   LE bytes; `f64` as its IEEE bit pattern (`to_bits`), so `-0.0` and
-//!   NaN payloads round-trip bit-exactly.
+//! - **Varint integers.** `u64`/`usize` (every length prefix included)
+//!   encode as unsigned LEB128: seven bits per byte, low group first, the
+//!   top bit set on every byte but the last. `i128` zigzags first
+//!   (0, -1, 1, -2, … → 0, 1, 2, 3, …), so a small coefficient of either
+//!   sign takes one byte. `f64` keeps its 8 little-endian IEEE bytes
+//!   (`to_bits`), so `-0.0` and NaN payloads round-trip bit-exactly; `u8`
+//!   and `bool` are one byte.
+//! - **Canonical decoding.** Each value has exactly one accepted
+//!   encoding: a varint with a redundant zero final byte (overlong), or
+//!   one that runs past its type's width (more than 10 bytes or a value
+//!   above `u64::MAX` for `u64`, a 19th byte above 3 for `i128`), is
+//!   [`CodecError::Invalid`]; one cut short is [`CodecError::Truncated`].
+//!   So a payload that decodes re-encodes to exactly its own bytes.
 //! - **Schema-tagged payloads.** The store layer prepends a codec
 //!   version and stage tag to every payload (see `dmc-core`'s artifact
 //!   module); a version bump invalidates every cached artifact rather
@@ -98,9 +108,18 @@ impl Enc {
         self.buf.push(v);
     }
 
-    /// Fixed-width little-endian `u64`.
+    /// Unsigned LEB128: seven bits per byte, low group first.
+    fn varint(&mut self, mut v: u128) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
+    /// A `u64` as unsigned LEB128 (1–10 bytes).
     pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.varint(u128::from(v));
     }
 
     /// A `usize`, as `u64` (the codec is host-width-independent).
@@ -108,9 +127,9 @@ impl Enc {
         self.u64(v as u64);
     }
 
-    /// Fixed-width little-endian `i128`.
+    /// An `i128` as zigzag LEB128 (1–19 bytes).
     pub fn i128(&mut self, v: i128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.varint(((v << 1) ^ (v >> 127)) as u128);
     }
 
     /// A bool as one byte (0/1).
@@ -121,7 +140,7 @@ impl Enc {
     /// An `f64` as its IEEE-754 bit pattern — bit-exact round-trips,
     /// including NaN payloads and signed zero.
     pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
+        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
     /// A UTF-8 string: `u64` byte length, then the bytes.
@@ -171,14 +190,54 @@ impl<'a> Dec<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// Fixed-width little-endian `u64`.
+    /// A canonical unsigned LEB128 of at most `BITS` bits: at most
+    /// `ceil(BITS / 7)` bytes, the last of which carries only the bits
+    /// left over, and no zero final byte after the first. A one-byte
+    /// value, most of what an artifact holds, returns without the loop.
+    #[inline]
+    fn varint<const BITS: u32>(&mut self) -> Result<u128, CodecError> {
+        match self.buf.get(self.pos) {
+            Some(&b) if b < 0x80 => {
+                self.pos += 1;
+                Ok(u128::from(b))
+            }
+            _ => self.varint_long::<BITS>(),
+        }
+    }
+
+    #[inline(never)]
+    fn varint_long<const BITS: u32>(&mut self) -> Result<u128, CodecError> {
+        let last = (BITS as usize).div_ceil(7) - 1;
+        let spare = BITS - 7 * last as u32;
+        let rest = &self.buf[self.pos..];
+        let mut v = 0u128;
+        for (i, &b) in rest.iter().take(last + 1).enumerate() {
+            if i == last && u32::from(b) >> spare != 0 {
+                return Err(CodecError::Invalid("varint overflows its type"));
+            }
+            v |= u128::from(b & 0x7F) << (7 * i);
+            if b < 0x80 {
+                if b == 0 && i > 0 {
+                    return Err(CodecError::Invalid("overlong varint"));
+                }
+                self.pos += i + 1;
+                return Ok(v);
+            }
+        }
+        Err(CodecError::Truncated {
+            need: rest.len() + 1,
+            have: rest.len(),
+        })
+    }
+
+    /// A `u64` from canonical unsigned LEB128.
     ///
     /// # Errors
     ///
-    /// [`CodecError::Truncated`] when fewer than 8 bytes remain.
+    /// [`CodecError::Truncated`] when the varint runs off the end;
+    /// [`CodecError::Invalid`] when it is overlong or exceeds `u64::MAX`.
     pub fn u64(&mut self) -> Result<u64, CodecError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
+        Ok(self.varint::<64>()? as u64)
     }
 
     /// A `usize` encoded as `u64`; rejects values beyond the host width
@@ -209,14 +268,15 @@ impl<'a> Dec<'a> {
         Ok(n)
     }
 
-    /// Fixed-width little-endian `i128`.
+    /// An `i128` from canonical zigzag LEB128.
     ///
     /// # Errors
     ///
-    /// [`CodecError::Truncated`] when fewer than 16 bytes remain.
+    /// [`CodecError::Truncated`] when the varint runs off the end;
+    /// [`CodecError::Invalid`] when it is overlong or exceeds 128 bits.
     pub fn i128(&mut self) -> Result<i128, CodecError> {
-        let b = self.take(16)?;
-        Ok(i128::from_le_bytes(b.try_into().expect("16 bytes")))
+        let z = self.varint::<128>()?;
+        Ok((z >> 1) as i128 ^ -((z & 1) as i128))
     }
 
     /// A bool byte; anything but 0/1 is invalid.
@@ -232,13 +292,15 @@ impl<'a> Dec<'a> {
         }
     }
 
-    /// An `f64` from its bit pattern.
+    /// An `f64` from its 8 little-endian IEEE bytes.
     ///
     /// # Errors
     ///
     /// [`CodecError::Truncated`] when fewer than 8 bytes remain.
     pub fn f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.u64()?))
+        let mut b = [0u8; 8];
+        b.copy_from_slice(self.take(8)?);
+        Ok(f64::from_bits(u64::from_le_bytes(b)))
     }
 
     /// A length-prefixed UTF-8 string.
@@ -685,6 +747,94 @@ mod tests {
         let mut e = Enc::new();
         e.u8(7);
         assert!(decode_from_slice::<DimKind>(&e.into_bytes()).is_err());
+    }
+
+    /// Varints round-trip at their byte-count boundaries and at the ends
+    /// of their types, in the byte counts LEB128 and zigzag give.
+    #[test]
+    fn varint_edges_round_trip() {
+        for (v, len) in [(0, 1), (1, 1), (63, 1), (64, 1), (127, 1), (128, 2)] {
+            let bytes = encode_to_vec(&(v as u64));
+            assert_eq!(bytes.len(), len, "u64 {v}");
+            assert_eq!(decode_from_slice::<u64>(&bytes), Ok(v as u64));
+        }
+        let max = encode_to_vec(&u64::MAX);
+        assert_eq!(max, [&[0xFF; 9][..], &[0x01]].concat());
+        assert_eq!(decode_from_slice::<u64>(&max), Ok(u64::MAX));
+
+        for (v, len) in [
+            (0, 1),
+            (1, 1),
+            (-1, 1),
+            (63, 1),
+            (-63, 1),
+            (64, 2),
+            (-64, 1),
+            (127, 2),
+            (128, 2),
+            (i128::MIN, 19),
+            (i128::MAX, 19),
+        ] {
+            let bytes = encode_to_vec(&v);
+            assert_eq!(bytes.len(), len, "i128 {v}");
+            assert_eq!(decode_from_slice::<i128>(&bytes), Ok(v));
+        }
+    }
+
+    /// Every value has one accepted encoding: overlong varints and ones
+    /// past their type's width are invalid; one whose continuation bit
+    /// runs off the end is truncated.
+    #[test]
+    fn non_canonical_varints_are_rejected() {
+        fn invalid<T>(r: Result<T, CodecError>) -> bool {
+            matches!(r, Err(CodecError::Invalid(_)))
+        }
+        assert!(invalid(decode_from_slice::<u64>(&[0x80, 0x00])));
+        assert!(invalid(decode_from_slice::<i128>(&[0x80, 0x00])));
+        assert!(invalid(decode_from_slice::<u64>(&[0x81, 0x80, 0x00])));
+        // 11 bytes for a u64, and 10 bytes whose value exceeds u64::MAX.
+        let eleven = [&[0xFF; 10][..], &[0x01]].concat();
+        assert!(invalid(decode_from_slice::<u64>(&eleven)));
+        let above = [&[0xFF; 9][..], &[0x02]].concat();
+        assert!(invalid(decode_from_slice::<u64>(&above)));
+        // 20 bytes for an i128, and a 19th byte above 3.
+        let twenty = [&[0xFF; 19][..], &[0x01]].concat();
+        assert!(invalid(decode_from_slice::<i128>(&twenty)));
+        let wide = [&[0xFF; 18][..], &[0x04]].concat();
+        assert!(invalid(decode_from_slice::<i128>(&wide)));
+
+        for cut in [&[0x80][..], &[0xFF, 0xFF], &[0xFF; 9]] {
+            assert!(
+                matches!(
+                    decode_from_slice::<u64>(cut),
+                    Err(CodecError::Truncated { .. })
+                ),
+                "{cut:?}"
+            );
+        }
+        assert!(matches!(
+            decode_from_slice::<i128>(&[0xFF; 18]),
+            Err(CodecError::Truncated { .. })
+        ));
+    }
+
+    /// `f64` keeps its 8 IEEE bytes: signed zero and a NaN payload come
+    /// back bit for bit.
+    #[test]
+    fn f64_keeps_its_exact_bits() {
+        for bits in [
+            (-0.0f64).to_bits(),
+            0x7FF8_0000_DEAD_BEEF,
+            0xFFF0_0000_0000_0001,
+        ] {
+            let mut e = Enc::new();
+            e.f64(f64::from_bits(bits));
+            let bytes = e.into_bytes();
+            assert_eq!(bytes, bits.to_le_bytes());
+            let mut d = Dec::new(&bytes);
+            assert_eq!(d.f64().map(f64::to_bits), Ok(bits));
+            assert_eq!(d.finish(), Ok(()));
+        }
     }
 
     /// A corrupted length prefix cannot trigger a huge allocation: it is

@@ -62,6 +62,12 @@
 //! stage. The cache can therefore *never* alter compilation output,
 //! only its speed; this is the safety argument for caching at all.
 //!
+//! A file whose frame and payload fingerprint check out but whose payload
+//! starts with another [`dmc_core::CODEC_VERSION`] is not corrupt: an
+//! earlier build wrote it. It is removed and counted as a plain miss, so
+//! a codec bump turns an existing directory into misses that the next
+//! stores refill, not into a quarantine of every entry.
+//!
 //! ## Deterministic LRU
 //!
 //! Recency is a logical sequence number carried by the log lines — never
@@ -218,6 +224,16 @@ impl Index {
         }
         (index, lines, well_formed)
     }
+}
+
+/// What reading an artifact file found, short of corruption.
+enum Found {
+    /// The artifact and its payload bytes.
+    Artifact(Artifact, u64),
+    /// No file: it vanished out from under the index.
+    Gone,
+    /// A sound payload of another codec version, an earlier build's.
+    Stale,
 }
 
 /// The persistent sharded store. See the [module docs](self) for the
@@ -409,18 +425,17 @@ impl DiskStore {
         let _ = fs::rename(path, &target);
     }
 
-    /// Reads and fully validates one artifact file. `Ok(None)` means
-    /// the file is gone (a plain miss); `Err` means the bytes are wrong
-    /// — the caller quarantines.
+    /// Reads and fully validates one artifact file. `Err` means the
+    /// bytes are wrong — the caller quarantines.
     fn read_artifact(
         &self,
         stage: StageId,
         key: Fingerprint,
         path: &Path,
-    ) -> Result<Option<(Artifact, u64)>, &'static str> {
+    ) -> Result<Found, &'static str> {
         let mut file = match fs::File::open(path) {
             Ok(f) => f,
-            Err(_) => return Ok(None),
+            Err(_) => return Ok(Found::Gone),
         };
         let mut bytes = Vec::new();
         if file.read_to_end(&mut bytes).is_err() {
@@ -455,9 +470,15 @@ impl DiskStore {
         if fnv1a128(payload) != u128::from_le_bytes(want) {
             return Err("payload fingerprint mismatch");
         }
+        if payload
+            .first()
+            .is_some_and(|&v| v != dmc_core::CODEC_VERSION)
+        {
+            return Ok(Found::Stale);
+        }
         let artifact =
             Artifact::decode_payload(stage, payload).map_err(|_| "payload decode failure")?;
-        Ok(Some((artifact, len as u64)))
+        Ok(Found::Artifact(artifact, len as u64))
     }
 
     /// Evicts lowest-sequence entries until the byte bound holds. The
@@ -491,15 +512,21 @@ impl ArtifactStore for DiskStore {
         }
         let path = self.path_of(stage, key);
         match self.read_artifact(stage, key, &path) {
-            Ok(Some((artifact, len))) => {
+            Ok(Found::Artifact(artifact, len)) => {
                 self.hits += 1;
                 self.bytes_read += len;
                 self.touch(entry);
                 Some(artifact)
             }
-            Ok(None) => {
+            Ok(Found::Gone) => {
                 // File vanished out from under the index: a plain miss.
                 self.misses += 1;
+                self.drop_entry(entry);
+                None
+            }
+            Ok(Found::Stale) => {
+                self.misses += 1;
+                let _ = fs::remove_file(&path);
                 self.drop_entry(entry);
                 None
             }
@@ -597,12 +624,13 @@ mod tests {
     }
 
     /// An empty Last Write Tree, decoded from its payload because this
-    /// crate cannot name the type: five zero `u64`s (two ids, then the
-    /// lengths of an empty array name, of no read dims and of no leaves)
-    /// and `approximate = false`.
+    /// crate cannot name the type: five zero varints of one byte each
+    /// (two ids, then the lengths of an empty array name, of no read dims
+    /// and of no leaves) and `approximate = false`.
     fn lwt_artifact() -> Artifact {
         let mut payload = vec![dmc_core::CODEC_VERSION, StageId::Lwt.tag()];
-        payload.extend([0u8; 5 * 8 + 1]);
+        payload.extend([0u8; 5]);
+        payload.push(u8::from(false));
         Artifact::decode_payload(StageId::Lwt, &payload).expect("an empty tree decodes")
     }
 
@@ -741,6 +769,32 @@ mod tests {
         // The slot is reusable and the replacement loads.
         s.store(StageId::Parse, key(5), &art);
         assert!(s.load(StageId::Parse, key(5)).is_some());
+    }
+
+    /// A sound file of an older codec version is a miss, not corruption:
+    /// removed, not quarantined, and the key stores and loads again.
+    #[test]
+    fn a_stale_codec_version_is_a_plain_miss() {
+        let dir = tmpdir("stale");
+        let art = program_artifact(2);
+        let mut s = DiskStore::open(&dir, None).unwrap();
+        s.store(StageId::Parse, key(4), &art);
+        let path = s.path_of(StageId::Parse, key(4));
+        let mut bytes = fs::read(&path).unwrap();
+        let end = bytes.len() - TRAILER_BYTES;
+        bytes[HEADER_BYTES] = 1;
+        let fp = fnv1a128(&bytes[HEADER_BYTES..end]).to_le_bytes();
+        bytes[end..].copy_from_slice(&fp);
+        fs::write(&path, &bytes).unwrap();
+
+        assert!(s.load(StageId::Parse, key(4)).is_none());
+        let st = s.stats();
+        assert_eq!((st.misses, st.corrupt, st.hits, st.entries), (1, 0, 0, 0));
+        assert!(s.quarantined().unwrap().is_empty());
+        assert!(!path.exists(), "the stale file is removed");
+        s.store(StageId::Parse, key(4), &art);
+        assert!(s.load(StageId::Parse, key(4)).is_some());
+        assert_eq!(s.stats().corrupt, 0);
     }
 
     #[test]
