@@ -12,10 +12,12 @@
 //!   carry actual values, a read of an undelivered value is a hard error,
 //!   and the merged final memory must match the sequential interpreter. A
 //!   local memory is dense: every array element has the same slot number
-//!   on every processor, and a processor holds per slot a value, a
-//!   presence mark (absent until placed, written or received) and the
-//!   write stamp of its copy as a fixed-width row, padded so that rows
-//!   compare as the stamps do. Array names, subscripts, parameters and
+//!   on every processor, and a processor holds per slot a value and one
+//!   8-byte version of its copy (absent until placed, written or
+//!   received). A version names the write that produced the copy — the
+//!   live-in value, an element of a numbered compute block, or an item of
+//!   a message — and two versions compare as the write stamps they
+//!   denote, read in place from the schedule. Array names, subscripts, parameters and
 //!   payload items are resolved to slots and coefficient rows once, on
 //!   entry — what cannot be resolved is refused there with a typed error —
 //!   so executing an element hashes, compares and allocates nothing.
@@ -450,6 +452,38 @@ mod tests {
             let why = refusal(&program, &env, &sched);
             assert!(why.contains("message 0") && why.contains("stamp"), "{why}");
         }
+    }
+
+    #[test]
+    fn block_longer_than_a_version_is_refused() {
+        let program = parse("param N; array A[N]; for i = 0 to N { A[i] = 1.0; }").unwrap();
+        let env = params(&[("N", 4)]);
+        let last = i128::from(crate::sim::FIELD_MAX);
+        let run = |inner_range| {
+            let mut sched = Schedule::new(1);
+            sched.procs[0].push(Action::Block {
+                stmt: 0,
+                prefix: vec![],
+                inner_range: Some(inner_range),
+                flops: 0.0,
+            });
+            run_values(&program, &env, &sched, &InitialPlacement::Replicated)
+        };
+        // One element past what a version counts, or a span that does not
+        // fit an `i128`: refused before any element runs.
+        for range in [(0, last + 1), (-1, last), (i128::MIN, i128::MAX)] {
+            let Err(SimError::MalformedSchedule(why)) = run(range) else {
+                panic!("{range:?} was not refused");
+            };
+            assert!(why.contains("S0") && why.contains("block 0"), "{why}");
+        }
+        // The longest block runs, and fails at its first write outside A.
+        assert!(matches!(
+            run((0, last)),
+            Err(SimError::OutOfBounds { ref idx, .. }) if idx == &[4]
+        ));
+        // An empty range has no element to version.
+        assert!(run((last + 5, 1)).is_ok());
     }
 
     #[test]

@@ -29,23 +29,27 @@
 //! A processor's memory is dense. Every declared array gets a row-major
 //! range of *slots* (the same ranges on every processor, so a slot number
 //! means the same element everywhere), and a processor holds per slot an
-//! `f64`, a presence mark and a *stamp row*. Presence is what makes the
-//! memory local: a slot is present once the initial placement, a write or
-//! a received message put a value there, and reading an absent slot is
-//! [`SimError::MissingValue`]. The footprint is
-//! `P × Σ elements × (9 + 16 · W)` bytes for rows of width `W`.
+//! `f64` and the `Version` of its copy, one 8-byte word. A slot is
+//! present once the initial placement, a write or a received message put a
+//! value there, and reading an absent slot is [`SimError::MissingValue`]:
+//! presence is what makes the memory local. The footprint is
+//! `P × Σ elements × 16` bytes, whatever the depth of the deepest nest.
 //!
-//! # Stamp rows
+//! # Versions
 //!
-//! A copy carries the [`Stamp`] of the write that produced it, and where
-//! two copies meet (a receive, the final merge) the later stamp wins.
-//! Stamps are `Vec`s of length `2 · depth + 1`; a row is the stamp padded
-//! with `i128::MIN` to `W = 2 · (deepest nest) + 1`, stored in place. No
-//! stamp component may be `i128::MIN` (positions are counts, and a payload
-//! stamp holding it is refused), so wherever one stamp ends and another
-//! goes on the padding is the smaller component: a proper prefix sorts
-//! first, exactly as it does between `Vec`s, and comparing two rows as
-//! slices is comparing the two stamps.
+//! A copy is identified by the write that produced it, and where two
+//! copies meet (a receive, the final merge) the later write wins. A
+//! version names that write without storing its [`Stamp`]: the live-in
+//! value (stamp `[-1]`), element `at` of the `block`-th compute block
+//! (blocks are numbered once, on entry; the stamp interleaves the
+//! statement's position with the block's prefix and `lo + at`), or item
+//! `item` of message `msg` (the stamp its [`MessageSpec`] carries). Two
+//! versions compare as the stamps they denote, read in place from the
+//! schedule, component by component, with no allocation: exactly the order
+//! of `Vec<i128>`, in which a proper prefix sorts first. Two elements of
+//! one block compare by `at` alone. Each field is packed with a checked
+//! conversion, and a schedule with more blocks, a longer block, more
+//! messages or a longer payload than a field holds is refused on entry.
 //!
 //! # Resolved once
 //!
@@ -53,8 +57,8 @@
 //! schedule mentions: array names to slot ranges with evaluated extents;
 //! each scheduled statement's subscripts to coefficient rows over its loop
 //! variables with the parameters folded into the constant, and its
-//! right-hand side to postfix code; each message's payload items to slots.
-//! Whatever cannot be resolved — an unbound parameter, a block whose prefix
+//! right-hand side to postfix code; each message's payload items to slots;
+//! every compute block to its number. Whatever cannot be resolved — an unbound parameter, a block whose prefix
 //! does not fit its statement, a payload item naming an undeclared array —
 //! is a [`SimError::MalformedSchedule`] here, not a panic later. A block
 //! then checks each of its accesses at the two ends of its inner range (a
@@ -66,9 +70,10 @@
 //! are [`dmc_ir::lower`], the evaluator `dmc_ir::interp::run` executes
 //! too: `a * b + c` is computed by one piece of code on both sides of the
 //! oracle. Everything a distributed run can get wrong stays here and is
-//! not shared: which processor runs a block and when, presence, stamps,
+//! not shared: which processor runs a block and when, presence, versions,
 //! what a message carries and which copy wins.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -80,7 +85,7 @@ use dmc_ir::{ArrayRef, Program, StmtInfo};
 use dmc_obs as obs;
 
 use crate::config::MachineConfig;
-use crate::schedule::{stamp_of, Action, MessageSpec, Schedule};
+use crate::schedule::{stamp_of, Action, MessageSpec, Schedule, Stamp};
 use crate::stats::SimStats;
 
 /// Rounds simulated seconds onto the integer-nanosecond grid.
@@ -346,7 +351,7 @@ pub fn simulate(
                     );
                 }
                 if let (Some(m), Some(vals)) = (&mut machine, &payloads[*msg]) {
-                    m.integrate(p, *msg, spec, vals);
+                    m.integrate(p, *msg, vals);
                 }
             }
         }
@@ -525,21 +530,181 @@ pub(crate) fn run_machine(
     }
 }
 
-/// Pads a stamp row past the end of its stamp. Smaller than every
-/// component a stamp may hold, so a stamp sorts before its extensions.
-const PAD: i128 = i128::MIN;
+/// Bits of each of a [`Version`]'s two numbers.
+const FIELD_BITS: u32 = 31;
 
-/// Writes `stamp` into `row`, padded to the row's width.
-fn write_row(row: &mut [i128], stamp: &[i128]) {
-    let (head, tail) = row.split_at_mut(stamp.len());
-    head.copy_from_slice(stamp);
-    tail.fill(PAD);
+/// The largest block, element offset, message or item number a version
+/// holds.
+pub(crate) const FIELD_MAX: u64 = (1 << FIELD_BITS) - 1;
+
+/// Where a version's two bits of kind start; the numbers sit below.
+const KIND_SHIFT: u32 = 2 * FIELD_BITS;
+
+/// Which write produced a copy, in one word: two bits of kind, then two
+/// [`FIELD_BITS`]-bit numbers. Kind 0 is no copy, so a memory starts all
+/// zero.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Version(u64);
+
+/// What a [`Version`] names.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Origin {
+    /// No copy.
+    Absent,
+    /// The live-in value, stamp `[-1]`.
+    Initial,
+    /// Element `at`, counted from the block's `lo`, of numbered block
+    /// `block`.
+    Wrote { block: usize, at: u64 },
+    /// Item `item` of message `msg`'s payload.
+    Got { msg: usize, item: usize },
 }
 
-/// Whether the stamp held in `row` is earlier than `stamp`. Where the two
-/// agree on `stamp`'s length the row is `stamp` or an extension of it.
-fn row_before(row: &[i128], stamp: &[i128]) -> bool {
-    row[..stamp.len()] < *stamp
+impl Version {
+    const ABSENT: Version = Version(0);
+    const INITIAL: Version = Version(1 << KIND_SHIFT);
+
+    /// `kind` with numbers `hi` and `lo`, if both fit a field.
+    fn pack(kind: u64, hi: usize, lo: u64) -> Option<Version> {
+        let hi = u64::try_from(hi).ok()?;
+        (hi <= FIELD_MAX && lo <= FIELD_MAX)
+            .then_some(Version((kind << KIND_SHIFT) | (hi << FIELD_BITS) | lo))
+    }
+
+    fn wrote(block: usize, at: u64) -> Option<Version> {
+        Version::pack(2, block, at)
+    }
+
+    fn got(msg: usize, item: usize) -> Option<Version> {
+        Version::pack(3, msg, u64::try_from(item).ok()?)
+    }
+
+    /// The version of the block's next element. Resolving bounds every
+    /// block's span by [`FIELD_MAX`], so each element's offset fits.
+    fn next(self) -> Version {
+        Version(self.0 + 1)
+    }
+
+    fn origin(self) -> Origin {
+        let index = |x: u64| usize::try_from(x).expect("a field fits a usize");
+        let (hi, lo) = ((self.0 >> FIELD_BITS) & FIELD_MAX, self.0 & FIELD_MAX);
+        match self.0 >> KIND_SHIFT {
+            0 => Origin::Absent,
+            1 => Origin::Initial,
+            2 => Origin::Wrote {
+                block: index(hi),
+                at: lo,
+            },
+            _ => Origin::Got {
+                msg: index(hi),
+                item: index(lo),
+            },
+        }
+    }
+}
+
+/// A stamp read in place.
+#[derive(Clone, Copy)]
+enum StampRef<'s> {
+    /// A statement instance: `template` is the statement's stamp with every
+    /// loop value 0, and the loop values are `prefix`, then `last`.
+    Instance {
+        template: &'s [i128],
+        prefix: &'s [i128],
+        last: i128,
+    },
+    /// A stamp held whole.
+    Whole(&'s [i128]),
+}
+
+impl StampRef<'_> {
+    fn len(self) -> usize {
+        match self {
+            StampRef::Instance { template, .. } => template.len(),
+            StampRef::Whole(s) => s.len(),
+        }
+    }
+
+    fn get(self, k: usize) -> i128 {
+        match self {
+            StampRef::Instance {
+                template,
+                prefix,
+                last,
+            } => match k % 2 {
+                0 => template[k],
+                _ => prefix.get(k / 2).copied().unwrap_or(last),
+            },
+            StampRef::Whole(s) => s[k],
+        }
+    }
+
+    /// `Vec<i128>` order: the first differing component decides, and a
+    /// proper prefix sorts first.
+    fn cmp(self, other: StampRef<'_>) -> Ordering {
+        let n = self.len().min(other.len());
+        (0..n)
+            .map(|k| self.get(k).cmp(&other.get(k)))
+            .find(|o| o.is_ne())
+            .unwrap_or_else(|| self.len().cmp(&other.len()))
+    }
+}
+
+/// The live-in copies' stamp.
+const INITIAL_STAMP: [i128; 1] = [-1];
+
+/// What versions denote: the schedule's numbered blocks, each statement's
+/// stamp template and the messages.
+struct Stamps<'a> {
+    /// Every `Block` action, numbered processor by processor in action
+    /// order: the order each processor runs them in.
+    blocks: Vec<&'a Action>,
+    /// Per program statement, its stamp with every loop value 0.
+    templates: Vec<Stamp>,
+    messages: &'a [MessageSpec],
+}
+
+impl Stamps<'_> {
+    /// The stamp `v` denotes; the empty stamp, earliest of all, for no copy.
+    fn stamp(&self, v: Version) -> StampRef<'_> {
+        match v.origin() {
+            Origin::Absent => StampRef::Whole(&[]),
+            Origin::Initial => StampRef::Whole(&INITIAL_STAMP),
+            Origin::Wrote { block, at } => {
+                let Action::Block {
+                    stmt,
+                    prefix,
+                    inner_range,
+                    ..
+                } = self.blocks[block]
+                else {
+                    unreachable!("only blocks are numbered")
+                };
+                // `at` is at most the block's span: `lo + at` is in range.
+                let lo = inner_range.map_or(0, |(lo, _)| lo);
+                StampRef::Instance {
+                    template: &self.templates[*stmt],
+                    prefix,
+                    last: lo + i128::from(at),
+                }
+            }
+            Origin::Got { msg, item } => {
+                let items = self.messages[msg].payload.as_deref().unwrap_or_default();
+                StampRef::Whole(&items[item].stamp)
+            }
+        }
+    }
+
+    /// Compares two copies by the writes that produced them.
+    fn cmp(&self, a: Version, b: Version) -> Ordering {
+        match (a.origin(), b.origin()) {
+            _ if a == b => Ordering::Equal,
+            (Origin::Wrote { block: x, at: i }, Origin::Wrote { block: y, at: j }) if x == y => {
+                i.cmp(&j)
+            }
+            _ => self.stamp(a).cmp(self.stamp(b)),
+        }
+    }
 }
 
 /// One declared array's place in every local memory.
@@ -555,14 +720,12 @@ struct Layout<'a> {
     arrays: Vec<ArrayLayout<'a>>,
     /// Slots of one memory: Σ elements.
     slots: usize,
-    /// Stamp row width: 2 · (deepest loop nest) + 1.
-    width: usize,
 }
 
 impl<'a> Layout<'a> {
     /// Lays the arrays of `program` out in declaration order, with the
     /// extents `global` was allocated with.
-    fn new(program: &'a Program, global: &Memory, stmts: &[StmtInfo]) -> Self {
+    fn new(program: &'a Program, global: &Memory) -> Self {
         let mut arrays: Vec<ArrayLayout<'a>> = Vec::new();
         let mut slots = 0;
         for decl in &program.arrays {
@@ -578,12 +741,7 @@ impl<'a> Layout<'a> {
             });
             slots += store.as_slice().len();
         }
-        let depth = stmts.iter().map(|s| s.loops.len()).max().unwrap_or(0);
-        Layout {
-            arrays,
-            slots,
-            width: 2 * depth + 1,
-        }
+        Layout { arrays, slots }
     }
 
     fn find(&self, name: &str) -> Option<usize> {
@@ -591,80 +749,53 @@ impl<'a> Layout<'a> {
     }
 }
 
-/// A statement as blocks execute it: its subscripts and right-hand side
-/// lowered by [`dmc_ir::lower`], the evaluator the interpreter runs too.
-struct Lowered {
-    code: LoweredStmt,
-    /// The statement's stamp row with every iteration value still 0:
-    /// positions at the even places, padding past `2 · depth`.
-    stamp: Vec<i128>,
+/// Lowers a statement as blocks execute it: its subscripts and right-hand
+/// side by [`dmc_ir::lower`], the evaluator the interpreter runs too.
+fn lower(
+    info: &StmtInfo,
+    layout: &Layout<'_>,
+    params: &HashMap<String, i128>,
+) -> Result<LoweredStmt, SimError> {
+    let loops = info.loop_vars();
+    let bad = |why: String| SimError::MalformedSchedule(format!("S{}: {why}", info.id));
+    LoweredStmt::new(&info.stmt, |r: &ArrayRef| {
+        let array = layout
+            .find(&r.array)
+            .ok_or_else(|| bad(format!("array {} is not declared", r.array)))?;
+        let dims = layout.arrays[array].extents.len();
+        if r.idx.len() != dims {
+            return Err(bad(format!(
+                "{} subscripts on {dims}-dimensional array {}",
+                r.idx.len(),
+                r.array
+            )));
+        }
+        Access::new(r, array, &loops, params).map_err(|v| bad(format!("unbound parameter {v}")))
+    })
 }
 
-impl Lowered {
-    fn new(
-        info: &StmtInfo,
-        layout: &Layout<'_>,
-        params: &HashMap<String, i128>,
-    ) -> Result<Self, SimError> {
-        let depth = info.loops.len();
-        let loops = info.loop_vars();
-        let bad = |why: String| SimError::MalformedSchedule(format!("S{}: {why}", info.id));
-        let code = LoweredStmt::new(&info.stmt, |r: &ArrayRef| {
-            let array = layout
-                .find(&r.array)
-                .ok_or_else(|| bad(format!("array {} is not declared", r.array)))?;
-            let dims = layout.arrays[array].extents.len();
-            if r.idx.len() != dims {
-                return Err(bad(format!(
-                    "{} subscripts on {dims}-dimensional array {}",
-                    r.idx.len(),
-                    r.array
-                )));
-            }
-            Access::new(r, array, &loops, params).map_err(|v| bad(format!("unbound parameter {v}")))
-        })?;
-        let mut stamp = vec![PAD; layout.width];
-        write_row(
-            &mut stamp,
-            &stamp_of(&info.position, std::iter::repeat_n(0i128, depth)),
-        );
-        Ok(Lowered { code, stamp })
-    }
-}
-
-/// One processor's memory: per slot a value, whether the processor holds
-/// it, and the stamp row of the write that produced it.
+/// One processor's memory: per slot a value and the version of the copy
+/// held, [`Version::ABSENT`] where the processor holds none.
 struct LocalMemory {
     vals: Vec<f64>,
-    present: Vec<bool>,
-    /// `width` numbers per slot.
-    stamps: Vec<i128>,
-    width: usize,
+    from: Vec<Version>,
 }
 
 impl LocalMemory {
-    fn new(slots: usize, width: usize) -> Self {
+    fn new(slots: usize) -> Self {
         LocalMemory {
             vals: vec![0.0; slots],
-            present: vec![false; slots],
-            stamps: vec![PAD; slots * width],
-            width,
+            from: vec![Version::ABSENT; slots],
         }
     }
 
     fn holds(&self, slot: usize) -> bool {
-        self.present.get(slot) == Some(&true)
+        self.from.get(slot).is_some_and(|&v| v != Version::ABSENT)
     }
 
-    fn row(&self, slot: usize) -> &[i128] {
-        &self.stamps[slot * self.width..][..self.width]
-    }
-
-    /// Marks `slot` present with `value`; returns its stamp row to fill.
-    fn put(&mut self, slot: usize, value: f64) -> &mut [i128] {
+    fn put(&mut self, slot: usize, value: f64, version: Version) {
         self.vals[slot] = value;
-        self.present[slot] = true;
-        &mut self.stamps[slot * self.width..][..self.width]
+        self.from[slot] = version;
     }
 }
 
@@ -673,9 +804,12 @@ impl LocalMemory {
 struct Machine<'a> {
     layout: Layout<'a>,
     /// Per program statement; `Some` for those the schedule runs.
-    lowered: Vec<Option<Lowered>>,
+    lowered: Vec<Option<LoweredStmt>>,
     /// Per message, the slot of each payload item.
     payload_slots: Vec<Option<Vec<usize>>>,
+    stamps: Stamps<'a>,
+    /// Per processor, the number of the next block it runs.
+    next_block: Vec<usize>,
     local: Vec<LocalMemory>,
     /// Initial contents until [`Machine::merge`] overwrites them.
     global: Memory,
@@ -690,15 +824,18 @@ impl<'a> Machine<'a> {
         params: &HashMap<String, i128>,
         grid: &ProcGrid,
         stmts: &[StmtInfo],
-        schedule: &Schedule,
+        schedule: &'a Schedule,
         initial: &InitialPlacement,
     ) -> Result<Self, SimError> {
         let global = Memory::allocate(program, params)
             .map_err(|e| SimError::MalformedSchedule(e.to_string()))?;
-        let layout = Layout::new(program, &global, stmts);
+        let layout = Layout::new(program, &global);
 
-        let mut lowered: Vec<Option<Lowered>> = stmts.iter().map(|_| None).collect();
+        let mut lowered: Vec<Option<LoweredStmt>> = stmts.iter().map(|_| None).collect();
+        let mut blocks: Vec<&'a Action> = Vec::new();
+        let mut next_block = Vec::with_capacity(schedule.procs.len());
         for (p, actions) in schedule.procs.iter().enumerate() {
+            next_block.push(blocks.len());
             for action in actions {
                 let Action::Block {
                     stmt,
@@ -717,21 +854,45 @@ impl<'a> Machine<'a> {
                         info.loops.len()
                     )));
                 }
+                // The last element's version must fit: an empty range has
+                // none.
+                let span = match inner_range {
+                    Some((lo, hi)) if lo <= hi => hi.checked_sub(*lo),
+                    _ => Some(0),
+                };
+                let last = span
+                    .and_then(|s| u64::try_from(s).ok())
+                    .and_then(|s| Version::wrote(blocks.len(), s));
+                if last.is_none() {
+                    return Err(SimError::MalformedSchedule(format!(
+                        "processor {p}: block {} of S{stmt} over {inner_range:?} \
+                         has no version: at most {} blocks of {} elements",
+                        blocks.len(),
+                        FIELD_MAX + 1,
+                        FIELD_MAX + 1
+                    )));
+                }
+                blocks.push(action);
                 if lowered[*stmt].is_none() {
-                    lowered[*stmt] = Some(Lowered::new(info, &layout, params)?);
+                    lowered[*stmt] = Some(lower(info, &layout, params)?);
                 }
             }
         }
 
+        let depth = stmts.iter().map(|s| s.loops.len()).max().unwrap_or(0);
         let payload_slots = schedule
             .messages
             .iter()
             .enumerate()
-            .map(|(id, spec)| resolve_payload(&layout, id, spec))
+            .map(|(id, spec)| resolve_payload(&layout, 2 * depth + 1, id, spec))
             .collect::<Result<_, _>>()?;
 
+        let templates = stmts
+            .iter()
+            .map(|s| stamp_of(&s.position, std::iter::repeat_n(0i128, s.loops.len())))
+            .collect();
         let mut local: Vec<LocalMemory> = (0..schedule.procs.len())
-            .map(|_| LocalMemory::new(layout.slots, layout.width))
+            .map(|_| LocalMemory::new(layout.slots))
             .collect();
         place_initial(&layout, &global, grid, initial, &mut local);
 
@@ -739,6 +900,12 @@ impl<'a> Machine<'a> {
             layout,
             lowered,
             payload_slots,
+            stamps: Stamps {
+                blocks,
+                templates,
+                messages: &schedule.messages,
+            },
+            next_block,
             local,
             global,
             cursors: Vec::new(),
@@ -746,7 +913,7 @@ impl<'a> Machine<'a> {
         })
     }
 
-    /// Executes the iterations of one block against processor `p`'s memory.
+    /// Executes processor `p`'s next block against its memory.
     fn run_block(
         &mut self,
         p: usize,
@@ -754,27 +921,45 @@ impl<'a> Machine<'a> {
         prefix: &[i128],
         inner_range: Option<(i128, i128)>,
     ) -> Result<(), SimError> {
+        let block = self.next_block[p];
+        self.next_block[p] += 1;
+        let first = Version::wrote(block, 0).expect("numbered by resolve");
+        self.run_range(p, stmt, prefix, inner_range.unwrap_or((0, 0)), first)
+    }
+
+    /// Executes elements `lo..=hi` of a block of `stmt`; element `lo`
+    /// writes version `first`, each next one the next version.
+    fn run_range(
+        &mut self,
+        p: usize,
+        stmt: usize,
+        prefix: &[i128],
+        (lo, hi): (i128, i128),
+        first: Version,
+    ) -> Result<(), SimError> {
         let s = self.lowered[stmt].as_ref().expect("lowered by resolve");
-        let (lo, hi) = inner_range.unwrap_or((0, 0));
         let arrays = &self.layout.arrays;
         let array = |a: usize| Some((&arrays[a].extents[..], arrays[a].base));
-        let inside = s.code.place(prefix, (lo, hi), array, &mut self.cursors);
+        let inside = s.place(prefix, (lo, hi), array, &mut self.cursors);
         // A range that leaves an array fails at some element; running the
         // elements one by one finds the first failure in execution order.
         if lo < hi && !inside {
+            let mut version = first;
             for x in lo..=hi {
-                self.run_block(p, stmt, prefix, Some((x, x)))?;
+                self.run_range(p, stmt, prefix, (x, x), version)?;
+                version = version.next();
             }
             return Ok(());
         }
 
         let mem = &mut self.local[p];
-        let accesses = &s.code.accesses;
-        let write = s.code.write();
+        let accesses = &s.accesses;
+        let write = s.write();
         let name = |a: &Access| arrays[a.array].name.to_owned();
+        let mut version = first;
         for x in lo..=hi {
             let cursors = &self.cursors;
-            let value = s.code.eval(&mut self.stack, |n| {
+            let value = s.eval(&mut self.stack, |n| {
                 let slot = cursors[n].slot;
                 if mem.holds(slot) {
                     Ok(mem.vals[slot])
@@ -796,12 +981,8 @@ impl<'a> Machine<'a> {
                     stmt,
                 });
             }
-            let row = mem.put(slot, value);
-            row.copy_from_slice(&s.stamp);
-            let inner = inner_range.is_some().then_some(&x);
-            for (k, &v) in prefix.iter().chain(inner).enumerate() {
-                row[2 * k + 1] = v;
-            }
+            mem.put(slot, value, version);
+            version = version.next();
             self.cursors.iter_mut().for_each(Cursor::step);
         }
         Ok(())
@@ -839,20 +1020,23 @@ impl<'a> Machine<'a> {
 
     /// Receiver `p` takes each item of message `msg` that is later than
     /// the copy it holds.
-    fn integrate(&mut self, p: usize, msg: usize, spec: &MessageSpec, vals: &[f64]) {
-        let (Some(slots), Some(items)) = (&self.payload_slots[msg], &spec.payload) else {
+    fn integrate(&mut self, p: usize, msg: usize, vals: &[f64]) {
+        let Some(slots) = &self.payload_slots[msg] else {
             return;
         };
         let mem = &mut self.local[p];
-        for ((&slot, item), &value) in slots.iter().zip(items).zip(vals) {
-            if !mem.present[slot] || row_before(mem.row(slot), &item.stamp) {
-                write_row(mem.put(slot, value), &item.stamp);
+        for (item, (&slot, &value)) in slots.iter().zip(vals).enumerate() {
+            let got = Version::got(msg, item).expect("numbered by resolve");
+            let held = mem.from[slot];
+            if held == Version::ABSENT || self.stamps.cmp(held, got).is_lt() {
+                mem.put(slot, value, got);
             }
         }
     }
 
     /// Merges the local memories into one global memory: per element, the
-    /// copy with the latest stamp among the processors that hold one.
+    /// latest copy among the processors that hold one; a tie keeps the
+    /// first processor's.
     fn merge(mut self) -> Memory {
         for array in &self.layout.arrays {
             let out = self
@@ -861,14 +1045,15 @@ impl<'a> Machine<'a> {
                 .expect("allocated from program")
                 .as_mut_slice();
             for (slot, out) in (array.base..).zip(out) {
-                let mut latest: Option<&LocalMemory> = None;
-                for m in self.local.iter().filter(|m| m.present[slot]) {
-                    if latest.is_none_or(|best| best.row(slot) < m.row(slot)) {
-                        latest = Some(m);
+                let mut latest: Option<(Version, f64)> = None;
+                for m in self.local.iter().filter(|m| m.holds(slot)) {
+                    let v = m.from[slot];
+                    if latest.is_none_or(|(best, _)| self.stamps.cmp(best, v).is_lt()) {
+                        latest = Some((v, m.vals[slot]));
                     }
                 }
-                if let Some(m) = latest {
-                    *out = m.vals[slot];
+                if let Some((_, value)) = latest {
+                    *out = value;
                 }
             }
         }
@@ -876,9 +1061,12 @@ impl<'a> Machine<'a> {
     }
 }
 
-/// The slot of each payload item of message `id`.
+/// The slot of each payload item of message `id`. A stamp wider than
+/// `widest`, the stamps of the deepest nest, or holding `i128::MIN` is no
+/// statement's and is refused.
 fn resolve_payload(
     layout: &Layout<'_>,
+    widest: usize,
     id: usize,
     spec: &MessageSpec,
 ) -> Result<Option<Vec<usize>>, SimError> {
@@ -886,6 +1074,14 @@ fn resolve_payload(
         return Ok(None);
     };
     let bad = |why: String| SimError::MalformedSchedule(format!("message {id}: {why}"));
+    if Version::got(id, items.len().saturating_sub(1)).is_none() {
+        return Err(bad(format!(
+            "{} items have no version: at most {} messages of {} items",
+            items.len(),
+            FIELD_MAX + 1,
+            FIELD_MAX + 1
+        )));
+    }
     let mut slots = Vec::with_capacity(items.len());
     for item in items {
         let array = layout
@@ -900,10 +1096,10 @@ fn resolve_payload(
                 item.array
             )));
         }
-        if item.stamp.len() > layout.width || item.stamp.contains(&PAD) {
+        if item.stamp.len() > widest || item.stamp.contains(&i128::MIN) {
             return Err(bad(format!(
-                "stamp {:?} of {}{:?} does not fit a row of {}",
-                item.stamp, item.array, item.idx, layout.width
+                "stamp {:?} of {}{:?} is no statement's: wider than {widest} or holding i128::MIN",
+                item.stamp, item.array, item.idx
             )));
         }
         let mut offset = 0;
@@ -922,7 +1118,7 @@ fn resolve_payload(
     Ok(Some(slots))
 }
 
-/// Marks the live-in copies present, with the initial stamp `[-1]`.
+/// Marks the live-in copies present, with the initial version.
 fn place_initial(
     layout: &Layout<'_>,
     global: &Memory,
@@ -939,15 +1135,12 @@ fn place_initial(
             InitialPlacement::Replicated => None,
             InitialPlacement::Owned(map) => map.get(array.name),
         };
-        let place = |m: &mut LocalMemory, slot: usize, value: f64| {
-            write_row(m.put(slot, value), &[-1]);
-        };
         let mut idx = vec![0i128; array.extents.len()];
         for (slot, &value) in (array.base..).zip(init) {
             match owner_decomp {
                 None => {
                     for m in local.iter_mut() {
-                        place(m, slot, value);
+                        m.put(slot, value, Version::INITIAL);
                     }
                 }
                 Some(d) => {
@@ -955,7 +1148,7 @@ fn place_initial(
                     // a copy; virtual owners fold onto physical ranks.
                     for v in virtual_owners(d, &idx) {
                         let rank = grid.rank(&grid.fold(&v)) as usize;
-                        place(&mut local[rank], slot, value);
+                        local[rank].put(slot, value, Version::INITIAL);
                     }
                 }
             }
@@ -1002,56 +1195,186 @@ fn virtual_owners(d: &DataDecomp, element: &[i128]) -> Vec<Vec<i128>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::PayloadItem;
 
     struct XorShift(u64);
 
     impl XorShift {
-        fn below(&mut self, n: u64) -> u64 {
+        fn below(&mut self, n: usize) -> usize {
             self.0 ^= self.0 << 13;
             self.0 ^= self.0 >> 7;
             self.0 ^= self.0 << 17;
-            self.0 % n
+            usize::try_from(self.0 % n as u64).unwrap()
         }
 
-        /// A stamp of a statement at depth 0–3 (or the initial stamp), cut
-        /// anywhere, with components close enough to tie often.
-        fn stamp(&mut self) -> Vec<i128> {
-            if self.below(8) == 0 {
-                return vec![-1];
-            }
-            let depth = self.below(4) as usize;
-            let mut s: Vec<i128> = (0..2 * depth + 1)
-                .map(|_| self.below(3) as i128 - 1)
-                .collect();
-            s.truncate(1 + self.below(s.len() as u64) as usize);
-            s
+        /// -1, 0 or 1: close enough to tie often.
+        fn small(&mut self) -> i128 {
+            self.below(3) as i128 - 1
         }
     }
 
     #[test]
-    fn rows_order_as_stamps_do() {
-        const WIDTH: usize = 7;
-        let row = |stamp: &[i128]| {
-            let mut r = [0; WIDTH];
-            write_row(&mut r, stamp);
-            r
-        };
-        assert!(row(&[0, 1]) < row(&[0, 1, 0]));
-        assert!(row(&[-1]) < row(&[0]));
+    fn versions_pack_each_field_to_its_limit() {
+        assert_eq!(std::mem::size_of::<Version>(), 8);
+        let max = usize::try_from(FIELD_MAX).unwrap();
+        let wrote = |block, at| Version::wrote(block, at).map(Version::origin);
+        let got = |msg, item| Version::got(msg, item).map(Version::origin);
+        assert_eq!(wrote(0, 0), Some(Origin::Wrote { block: 0, at: 0 }));
+        assert_eq!(
+            wrote(max, FIELD_MAX),
+            Some(Origin::Wrote {
+                block: max,
+                at: FIELD_MAX
+            })
+        );
+        assert_eq!(wrote(max + 1, 0), None);
+        assert_eq!(wrote(0, FIELD_MAX + 1), None);
+        assert_eq!(wrote(usize::MAX, 0), None);
+        assert_eq!(wrote(0, u64::MAX), None);
+        assert_eq!(got(0, 0), Some(Origin::Got { msg: 0, item: 0 }));
+        assert_eq!(
+            got(max, max),
+            Some(Origin::Got {
+                msg: max,
+                item: max
+            })
+        );
+        assert_eq!(got(max + 1, 0), None);
+        assert_eq!(got(0, max + 1), None);
+        assert_eq!(got(usize::MAX, usize::MAX), None);
+        assert_eq!(Version::ABSENT.origin(), Origin::Absent);
+        assert_eq!(Version::INITIAL.origin(), Origin::Initial);
+        // A block's next element moves the offset alone.
+        let before_last = Version::wrote(max, FIELD_MAX - 1).unwrap();
+        assert_eq!(before_last.next(), Version::wrote(max, FIELD_MAX).unwrap());
+    }
+
+    /// Random statements at depth 0–3, forty blocks of them (so several of
+    /// each, often sharing prefixes and overlapping ranges) and messages
+    /// whose payload stamps are `[-1]`, statement instances or proper
+    /// prefixes of them: two versions compare as the stamps they denote
+    /// do as `Vec`s.
+    #[test]
+    fn versions_order_as_the_stamps_they_denote() {
         let mut rng = XorShift(0x9E37_79B9_7F4A_7C15);
-        let mut prefixes = 0;
+        let positions: Vec<Vec<usize>> = (0..6)
+            .map(|_| (0..=rng.below(4)).map(|_| rng.below(2)).collect())
+            .collect();
+        let instance = |rng: &mut XorShift| {
+            let stmt = rng.below(positions.len());
+            let values: Vec<i128> = (1..positions[stmt].len()).map(|_| rng.small()).collect();
+            stamp_of(&positions[stmt], values)
+        };
+        let blocks: Vec<Action> = (0..40)
+            .map(|_| {
+                let stmt = rng.below(positions.len());
+                let depth = positions[stmt].len() - 1;
+                let inner = depth > 0 && rng.below(4) != 0;
+                let prefix = (usize::from(inner)..depth).map(|_| rng.small()).collect();
+                let inner_range = inner.then(|| {
+                    let lo = rng.small();
+                    (lo, lo + rng.below(3) as i128)
+                });
+                Action::Block {
+                    stmt,
+                    prefix,
+                    inner_range,
+                    flops: 0.0,
+                }
+            })
+            .collect();
+        let messages: Vec<MessageSpec> = (0..10)
+            .map(|_| {
+                let payload = (0..8)
+                    .map(|_| {
+                        let mut stamp = match rng.below(6) {
+                            0 => vec![-1],
+                            _ => instance(&mut rng),
+                        };
+                        if rng.below(3) == 0 {
+                            stamp.truncate(1 + rng.below(stamp.len()));
+                        }
+                        PayloadItem {
+                            array: String::new(),
+                            idx: Vec::new(),
+                            stamp,
+                        }
+                    })
+                    .collect();
+                MessageSpec {
+                    sender: 0,
+                    receivers: Vec::new(),
+                    words: 8,
+                    payload: Some(payload),
+                }
+            })
+            .collect();
+        let stamps = Stamps {
+            blocks: blocks.iter().collect(),
+            templates: positions
+                .iter()
+                .map(|p| stamp_of(p, vec![0; p.len() - 1]))
+                .collect(),
+            messages: &messages,
+        };
+
+        // A version and the stamp it denotes, built the long way. With
+        // `near`, an element of the same block.
+        let draw = |rng: &mut XorShift, near: Option<usize>| -> (Version, Vec<i128>) {
+            let kind = if near.is_some() { 1 } else { rng.below(7) };
+            match kind {
+                0 => (Version::ABSENT, Vec::new()),
+                1..=3 => {
+                    let block = near.unwrap_or_else(|| rng.below(blocks.len()));
+                    let Action::Block {
+                        stmt,
+                        prefix,
+                        inner_range,
+                        ..
+                    } = &blocks[block]
+                    else {
+                        unreachable!()
+                    };
+                    let (lo, hi) = inner_range.unwrap_or((0, 0));
+                    let at = rng.below(usize::try_from(hi - lo + 1).unwrap());
+                    let last = inner_range.map(|_| lo + at as i128);
+                    let values: Vec<i128> = prefix.iter().copied().chain(last).collect();
+                    let version = Version::wrote(block, at as u64).unwrap();
+                    (version, stamp_of(&positions[*stmt], values))
+                }
+                4 => (Version::INITIAL, vec![-1]),
+                _ => {
+                    let (msg, item) = (rng.below(messages.len()), rng.below(8));
+                    let stamp = messages[msg].payload.as_ref().unwrap()[item].stamp.clone();
+                    (Version::got(msg, item).unwrap(), stamp)
+                }
+            }
+        };
+
+        let (mut prefixes, mut same_block, mut ties) = (0, 0, 0);
         for _ in 0..20_000 {
-            let a = rng.stamp();
-            let b = if rng.below(4) == 0 {
-                a[..1 + rng.below(a.len() as u64) as usize].to_vec()
-            } else {
-                rng.stamp()
+            let (a, sa) = draw(&mut rng, None);
+            let near = match a.origin() {
+                Origin::Wrote { block, .. } if rng.below(3) == 0 => Some(block),
+                _ => None,
             };
-            prefixes += usize::from(a.len() != b.len() && a.starts_with(&b));
-            assert_eq!(row(&a).cmp(&row(&b)), a.cmp(&b), "{a:?} vs {b:?}");
-            assert_eq!(row_before(&row(&a), &b), a < b, "{a:?} vs {b:?}");
-            assert_eq!(row_before(&row(&b), &a), b < a, "{a:?} vs {b:?}");
+            let (b, sb) = draw(&mut rng, near);
+            prefixes += usize::from(sa.len() != sb.len() && sa.starts_with(&sb));
+            same_block += usize::from(near.is_some());
+            ties += usize::from(a != b && sa == sb);
+            assert_eq!(
+                stamps.cmp(a, b),
+                sa.cmp(&sb),
+                "{a:?} {sa:?} vs {b:?} {sb:?}"
+            );
+            assert_eq!(
+                stamps.cmp(b, a),
+                sb.cmp(&sa),
+                "{b:?} {sb:?} vs {a:?} {sa:?}"
+            );
         }
         assert!(prefixes > 1_000, "{prefixes} proper prefixes drawn");
+        assert!(same_block > 1_000, "{same_block} pairs of one block drawn");
+        assert!(ties > 300, "{ties} ties between distinct versions drawn");
     }
 }
