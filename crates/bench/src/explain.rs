@@ -26,8 +26,8 @@
 //!   nothing recording are the captured ones;
 //! - **critical path**: the event DAG's longest path equals its makespan
 //!   equals the simulator's finish time; zero slack iff critical; blame
-//!   tiles the makespan per processor; every incremental what-if matches
-//!   a brute-force pass; the report carries the Critical path and
+//!   tiles the makespan per processor; every what-if pruned for its slack
+//!   leaves the makespan unchanged; the report carries the Critical path and
 //!   Hotspots sections.
 
 use std::collections::BTreeMap;

@@ -24,7 +24,6 @@ use dmc_store::DiskStore;
 use crate::{explain, lu_input, workloads, Workload, LIMIT};
 
 struct Measured {
-    stats: PolyStats,
     schedule: dmc_machine::Schedule,
     messages: (u64, u64, u64),
     sim: dmc_machine::SimStats,
@@ -33,10 +32,8 @@ struct Measured {
 /// Compiles, schedules and simulates once over whatever this thread's memo
 /// caches hold.
 fn run_once(w: &Workload) -> Measured {
-    let before = stats::snapshot();
     let compiled = compile((w.input)(w.nproc), Options::full()).expect("compiles");
     let schedule = build_schedule(&compiled, &w.params, false, LIMIT).expect("schedules");
-    let delta = stats::snapshot().since(&before);
     let messages = message_stats(&compiled, &w.params, LIMIT).expect("stats");
     let sim = run(
         &compiled,
@@ -48,7 +45,6 @@ fn run_once(w: &Workload) -> Measured {
     .expect("simulates")
     .stats;
     Measured {
-        stats: delta,
         schedule,
         messages,
         sim,
@@ -126,18 +122,19 @@ fn per_stage_disk_json(stats: &dmc_core::SessionStats) -> String {
     format!("{{{}}}", rows.join(", "))
 }
 
-/// Charged work units of `f` on this thread: its `work_units` delta.
-fn work_units(f: impl FnOnce()) -> u64 {
+/// `f`'s result and its charged work units on this thread: its
+/// `work_units` delta.
+fn work_units<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = stats::snapshot().work_units;
-    f();
-    stats::snapshot().work_units - before
+    let out = f();
+    (out, stats::snapshot().work_units - before)
 }
 
 /// Charged work units of one canned engine operation, run on this thread
 /// from cold caches. Pure solver work on fixed inputs: exact-gateable.
 fn charged(f: impl FnOnce()) -> u64 {
     cache::clear_thread_caches();
-    work_units(f)
+    work_units(f).1
 }
 
 /// The `polyops` microbench: canned polyhedra driven through the engine's
@@ -181,21 +178,6 @@ fn polyops_json() -> String {
         "{{\"feasibility\": {feasibility}, \"projection\": {projection}, \
          \"redundancy\": {redundancy}, \"lexmax\": {lexmax}}}"
     )
-}
-
-/// The sweep's charged work over a fresh session. Stage hits skip the
-/// engine entirely and memo-cache hits replay their memoized charge, so
-/// the total is deterministic — and visibly *smaller* than four
-/// independent compiles.
-fn sweep_work_units(nprocs: &[i128]) -> u64 {
-    let mut session = Session::new();
-    work_units(|| {
-        for &nproc in nprocs {
-            let _ = session
-                .compile(lu_input(nproc), Options::full())
-                .expect("sweep compiles");
-        }
-    })
 }
 
 /// The critical-path section of one workload: event-DAG size, canonical
@@ -247,10 +229,13 @@ pub fn document(cache_dir: &Path, log: &mut String) -> Result<String, String> {
         "workload", "identical", "cache hits"
     );
     for (k, w) in workloads().iter().enumerate() {
-        // One run from cold caches, then the same again over the caches
-        // it warmed: a memo hit may change time, never an output.
-        cache::clear_thread_caches();
-        let cold = run_once(w);
+        // The cold run is the one capture `dmc explain` takes: the ledger
+        // over compile + schedule from cold caches (which is what makes
+        // the counters and `allocs` deterministic), and messages per §6
+        // pass chain from the provenance events of the captured schedule.
+        // Then the same again over the caches it warmed: a memo hit may
+        // change time, never an output.
+        let cold = explain::capture(w)?;
         let warm = run_once(w);
 
         let identical = cold.schedule == warm.schedule
@@ -258,7 +243,7 @@ pub fn document(cache_dir: &Path, log: &mut String) -> Result<String, String> {
             && cold.sim == warm.sim;
         all_identical &= identical;
 
-        let s = &cold.stats;
+        let s = &cold.delta;
         let hits = s.feas_cache_hits + s.proj_cache_hits + s.scan_cache_hits + s.lex_cache_hits;
         let _ = writeln!(log, "{:<10} {:>10} {:>10}", w.name, identical, hits);
 
@@ -266,12 +251,7 @@ pub fn document(cache_dir: &Path, log: &mut String) -> Result<String, String> {
         if k > 0 {
             body.push_str(",\n");
         }
-        // The work fields come from the one capture `dmc explain` takes:
-        // the ledger over compile + schedule from cold caches (which is
-        // what makes `allocs` deterministic), and messages per §6 pass
-        // chain from the provenance events of the captured schedule.
-        let cap = explain::capture(w)?;
-        let comm_passes = cap.provenance.message_pass_counts();
+        let comm_passes = cold.provenance.message_pass_counts();
         let pass_total: u64 = comm_passes.iter().map(|(_, n)| n).sum();
         ensure!(
             pass_total == cold.messages.0,
@@ -293,16 +273,16 @@ pub fn document(cache_dir: &Path, log: &mut String) -> Result<String, String> {
             w.name,
             params.join(", "),
             w.nproc,
-            stats_json(&cold.stats),
+            stats_json(&cold.delta),
             identical,
             cold.messages.0,
             cold.messages.1,
             cold.messages.2,
-            cap.ledger.charged_work(),
-            cap.delta.allocs,
+            cold.ledger.charged_work(),
+            cold.delta.allocs,
             cold.sim.time,
-            critpath_json(&cap.crit),
-            contexts_json(&cap.profile.context_totals()),
+            critpath_json(&cold.crit),
+            contexts_json(&cold.profile.context_totals()),
             contexts_json(&comm_passes),
         );
     }
@@ -313,16 +293,21 @@ pub fn document(cache_dir: &Path, log: &mut String) -> Result<String, String> {
     // Last Write Trees — only the `opt` stages re-run. Hit/miss totals are
     // deterministic fingerprint lookups; the message counts come from the
     // classic (non-session) `message_stats`, pinning the cached artifacts
-    // to the one-shot pipeline.
+    // to the one-shot pipeline. The sweep's charged work is summed over
+    // the session's compiles alone: stage hits skip the engine entirely
+    // and memo-cache hits replay their memoized charge, so the total is
+    // deterministic — and visibly *smaller* than four independent
+    // compiles.
     let sweep_nprocs: [i128; 4] = [2, 4, 8, 16];
     let sweep_params: [i128; 1] = [48];
     let mut session = Session::new();
     let mut sweep_identical = true;
     let mut sweep_messages: Vec<String> = Vec::new();
+    let mut sweep_work = 0;
     for &nproc in &sweep_nprocs {
-        let swept = session
-            .compile(lu_input(nproc), Options::full())
-            .expect("sweep compiles");
+        let (swept, units) = work_units(|| session.compile(lu_input(nproc), Options::full()));
+        sweep_work += units;
+        let swept = swept.expect("sweep compiles");
         let scratch = compile(lu_input(nproc), Options::full()).expect("sweep scratch");
         sweep_identical &= format!("{:?} {:?}", swept.lwts, swept.comm)
             == format!("{:?} {:?}", scratch.lwts, scratch.comm);
@@ -363,7 +348,7 @@ pub fn document(cache_dir: &Path, log: &mut String) -> Result<String, String> {
         sweep_hits,
         sweep_misses,
         sweep_messages.join(", "),
-        sweep_work_units(&sweep_nprocs),
+        sweep_work,
         sweep_identical,
         per_stage_json(session.stats()),
     );

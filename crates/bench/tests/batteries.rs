@@ -12,24 +12,15 @@
 //!   pipeline, reusing every Last Write Tree;
 //! * the `dmc explain --json` document round-trips through the obs parser.
 //!
-//! The `dmc_obs` capture is process-wide, so every test in this file
-//! serializes on one mutex.
-
-use std::sync::{Mutex, MutexGuard};
+//! A capture is the calling thread's, so the tests here run concurrently
+//! and serialize on nothing.
 
 use dmc_bench::{explain, session, test_workloads};
 use dmc_obs::json::Json;
 use dmc_polyhedra::ledger;
 
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 #[test]
 fn explain_battery_passes_at_test_sizes() {
-    let _g = serial();
     for w in test_workloads() {
         let cap = explain::capture(&w).unwrap_or_else(|e| panic!("{e}"));
         assert!(
@@ -46,7 +37,6 @@ fn explain_battery_passes_at_test_sizes() {
 /// a capture fails it, naming the invariant.
 #[test]
 fn explain_battery_names_the_invariant_it_fails() {
-    let _g = serial();
     let w = &test_workloads()[1];
     let mut cap = explain::capture(w).unwrap_or_else(|e| panic!("{e}"));
     cap.delta.work_units += 1;
@@ -64,7 +54,6 @@ fn explain_battery_names_the_invariant_it_fails() {
 
 #[test]
 fn session_battery_passes_at_test_sizes() {
-    let _g = serial();
     for w in test_workloads() {
         let mut sweep = session::sweep(&w, None).unwrap_or_else(|e| panic!("{e}"));
         session::check(&w, &mut sweep).unwrap_or_else(|e| panic!("{e}"));
@@ -76,7 +65,6 @@ fn session_battery_passes_at_test_sizes() {
 /// counts and the descending context order.
 #[test]
 fn profile_json_round_trips_through_the_obs_parser() {
-    let _g = serial();
     let rows: Vec<_> = test_workloads()
         .iter()
         .map(|w| {

@@ -1,9 +1,9 @@
 //! Request-scoped observability, end to end on real workloads:
 //!
-//! * **isolation** — two scoped sessions compiling concurrently on
-//!   different workloads each capture only their own pipeline, and each
-//!   trace's deterministic view is byte-identical to the same workload
-//!   compiled solo;
+//! * **isolation** — two sessions compiling concurrently on different
+//!   workloads, each under its own thread's capture, each capture only
+//!   their own pipeline, and each trace's deterministic view is
+//!   byte-identical to the same workload compiled solo;
 //! * **journal determinism** — replaying a journaling session's requests
 //!   through a fresh session reproduces every deterministic journal
 //!   field (fingerprints, stage hits/misses, work units, message
@@ -11,8 +11,8 @@
 //! * **`dmc journal`** — `--check`, `--replay` and `--diff` succeed on a
 //!   real journal (`negative_paths.rs` pins its failure paths).
 //!
-//! Scoped contexts are the whole point: unlike `tracing.rs`, the
-//! isolation tests here deliberately do NOT serialize on a mutex.
+//! A capture is the calling thread's, so the isolation tests here run
+//! concurrently and serialize on nothing.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -28,22 +28,18 @@ fn tmpdir(sub: &str) -> PathBuf {
     dir
 }
 
-/// Compiles `input` in a scoped session under that session's own capture
+/// Compiles `input` in a fresh session under the calling thread's capture
 /// and returns the trace's deterministic view.
-fn scoped_view(input: &CompileInput, params: &[i128]) -> Vec<String> {
-    let mut session = Session::scoped();
-    let ctx = session
-        .obs_context()
-        .expect("scoped session has a context")
-        .clone();
-    ctx.start_capture();
+fn thread_view(input: &CompileInput, params: &[i128]) -> Vec<String> {
+    let mut session = Session::new();
+    dmc_obs::start_capture();
     let compiled = session
         .compile(input.clone(), Options::full())
         .expect("compiles");
     let _ = session
         .build_schedule(&compiled, params, false, LIMIT)
         .expect("schedules");
-    ctx.finish_capture().deterministic_view()
+    dmc_obs::finish_capture().deterministic_view()
 }
 
 /// Two sessions tracing concurrently on different workloads: each trace
@@ -51,12 +47,12 @@ fn scoped_view(input: &CompileInput, params: &[i128]) -> Vec<String> {
 /// either direction, byte for byte.
 #[test]
 fn concurrent_scoped_sessions_capture_isolated_traces() {
-    let solo_stencil = scoped_view(&stencil_input(16, 4), &[3, 63]);
-    let solo_xy = scoped_view(&xy_input(4), &[15]);
+    let solo_stencil = thread_view(&stencil_input(16, 4), &[3, 63]);
+    let solo_xy = thread_view(&xy_input(4), &[15]);
 
     let (stencil, xy) = std::thread::scope(|s| {
-        let a = s.spawn(|| scoped_view(&stencil_input(16, 4), &[3, 63]));
-        let b = s.spawn(|| scoped_view(&xy_input(4), &[15]));
+        let a = s.spawn(|| thread_view(&stencil_input(16, 4), &[3, 63]));
+        let b = s.spawn(|| thread_view(&xy_input(4), &[15]));
         (
             a.join().expect("stencil thread"),
             b.join().expect("xy thread"),
@@ -93,7 +89,7 @@ fn journal_replays_byte_identically_through_a_fresh_session() {
         ("figure2", figure2_input(4), vec![3, 63]),
     ];
     let serve_all = || {
-        let mut session = Session::scoped();
+        let mut session = Session::new();
         session.set_journal(true);
         for (name, input, params) in &requests {
             session
@@ -161,7 +157,7 @@ fn concurrent_scoped_sessions_journal_without_leaking_rows() {
         ("lu", lu_input(4), vec![16]),
     ];
     let serve_all = |reqs: &[(&str, CompileInput, Vec<i128>)], barrier: Option<&Barrier>| {
-        let mut session = Session::scoped();
+        let mut session = Session::new();
         session.set_journal(true);
         for (name, input, params) in reqs {
             if let Some(b) = barrier {

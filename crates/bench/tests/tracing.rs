@@ -3,9 +3,6 @@
 //! * **parity** — capturing a trace changes nothing the compiler produces:
 //!   schedules, message statistics, and simulation results are identical
 //!   with tracing on and off;
-//! * **determinism** — the deterministic view of a capture is identical
-//!   for every worker count (per-read records live in textually-keyed
-//!   lanes, host-dependent records are excluded);
 //! * **well-formedness** — the Chrome export of a real capture passes the
 //!   validator (balanced name-matched begin/end pairs, monotonic
 //!   timestamps per lane);
@@ -15,10 +12,8 @@
 //!   multicasts is pinned, and every verdict equals the set-difference
 //!   formula the subset test replaced.
 //!
-//! The capture is process-wide, so every test in this file serializes on
-//! one mutex.
-
-use std::sync::Mutex;
+//! A capture is the calling thread's, so the tests here run concurrently
+//! and serialize on nothing.
 
 use dmc_bench::{figure2_input, lu_input, stencil_input, workloads, xy_input};
 use dmc_commgen::{is_multicast, CommSet};
@@ -28,8 +23,6 @@ use dmc_obs as obs;
 use dmc_polyhedra::Feasibility;
 
 const LIMIT: usize = 50_000_000;
-
-static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Everything the pipeline produces: `(schedule, message stats, sim stats)`.
 type PipelineOut = (
@@ -64,7 +57,6 @@ fn traced_outputs(
 /// are identical to the outputs without one.
 #[test]
 fn tracing_does_not_change_outputs() {
-    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     for (name, input, params) in [
         ("stencil", stencil_input(16, 4), vec![3i128, 63]),
         ("figure2", figure2_input(4), vec![3, 63]),
@@ -87,7 +79,6 @@ fn tracing_does_not_change_outputs() {
 /// the pipeline spans and one provenance event per scheduled message.
 #[test]
 fn stencil_chrome_trace_is_well_formed() {
-    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let input = stencil_input(16, 4);
     let ((schedule, _, _), trace) = traced_outputs(&input, &[3, 63], Options::full());
 
@@ -124,7 +115,6 @@ fn stencil_chrome_trace_is_well_formed() {
 /// simulated-machine process, leaving the trace well-formed.
 #[test]
 fn sim_lanes_cover_every_processor() {
-    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let input = stencil_input(16, 4);
     let nproc = input.grid.len() as usize;
     obs::start_capture();
@@ -228,7 +218,6 @@ fn set_splits(input: CompileInput, params: &[i128], options: Options) -> Vec<usi
 /// nothing else does; `naive` does not aggregate, so every chunk is safe.
 #[test]
 fn legality_splits_per_workload_are_pinned() {
-    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let got: Vec<(&str, Vec<usize>, Vec<usize>)> = workloads()
         .iter()
         .map(|w| {
@@ -255,7 +244,6 @@ fn legality_splits_per_workload_are_pinned() {
 /// first used — what the paper's level would have batched.
 #[test]
 fn lu_split_names_the_unsafe_chunk() {
-    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let compiled = compile(lu_input(4), Options::full()).expect("compiles");
     let records = schedule_records(lu_input(4), &[12], Options::full());
     let splits: Vec<&obs::Record> = records
@@ -313,7 +301,6 @@ fn multicast_by_difference(cs: &CommSet) -> bool {
 /// the set-difference formula's on the same set.
 #[test]
 fn multicast_verdicts_per_workload_are_pinned() {
-    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let got: Vec<(&str, usize, usize)> = workloads()
         .iter()
         .map(|w| {

@@ -181,11 +181,6 @@ pub struct Session {
     mem: MemStore,
     disk: Option<Box<dyn ArtifactStore>>,
     stats: SessionStats,
-    /// The session's own observability context ([`Session::scoped`]
-    /// sessions only). `None` — the default for [`Session::new`], which
-    /// the [`crate::compile`] wrapper uses — records into the calling thread's
-    /// current context, exactly the pre-context behavior.
-    obs: Option<obs::ObsContext>,
     /// Whether [`Session::serve`] appends journal records.
     journaling: bool,
     /// One record per served request, in order.
@@ -196,17 +191,6 @@ impl Session {
     /// Opens an empty session.
     pub fn new() -> Self {
         Session::default()
-    }
-
-    /// Opens a session with its own [`obs::ObsContext`]: captures started
-    /// on that context observe this session's compiles and nothing else,
-    /// so any number of scoped sessions can compile concurrently, each on
-    /// its own thread, with isolated traces.
-    pub fn scoped() -> Self {
-        Session {
-            obs: Some(obs::ObsContext::new()),
-            ..Session::default()
-        }
     }
 
     /// Cumulative stage cache statistics.
@@ -261,12 +245,6 @@ impl Session {
             disk.store(stage, key, &artifact);
         }
         self.mem.store(stage, key, &artifact);
-    }
-
-    /// The session's own observability context, if it was opened with
-    /// [`Session::scoped`].
-    pub fn obs_context(&self) -> Option<&obs::ObsContext> {
-        self.obs.as_ref()
     }
 
     /// Turns journaling on or off. While on, every [`Session::serve`]
@@ -377,10 +355,6 @@ impl Session {
         input: CompileInput,
         options: Options,
     ) -> Result<Compiled, CompileError> {
-        // Scoped sessions record into their own context: install it
-        // before anything emits. The guard is RAII, so the thread's
-        // previous context is restored on every exit.
-        let _obs_guard = self.obs.as_ref().map(|c| c.install());
         // Lane first so every record of this compile lands in the main
         // pipeline lane; the engine tuning is thread-local, so concurrent
         // sessions cannot race on it.
@@ -505,7 +479,6 @@ impl Session {
         values: bool,
         limit: usize,
     ) -> Result<Schedule, CompileError> {
-        let _obs_guard = self.obs.as_ref().map(|c| c.install());
         crate::pipeline::build_schedule_inner(compiled, param_vals, values, limit, Some(self))
     }
 
@@ -538,7 +511,6 @@ impl Session {
         values: bool,
         limit: usize,
     ) -> Result<SimResult, CompileError> {
-        let _obs_guard = self.obs.as_ref().map(|c| c.install());
         let _lane = obs::lane(obs::main_lane(), "pipeline");
         let schedule = self.build_schedule(compiled, param_vals, values, limit)?;
         crate::pipeline::simulate_schedule(compiled, param_vals, config, values, &schedule)

@@ -120,6 +120,41 @@ impl Aff {
         acc
     }
 
+    /// `self + rhs`, or `None` when a coefficient or the constant leaves
+    /// `i128`.
+    pub(crate) fn checked_add(self, rhs: &Aff) -> Option<Aff> {
+        self.checked_merge(rhs, i128::checked_add)
+    }
+
+    /// `self - rhs`, or `None` when a coefficient or the constant leaves
+    /// `i128`.
+    pub(crate) fn checked_sub(self, rhs: &Aff) -> Option<Aff> {
+        self.checked_merge(rhs, i128::checked_sub)
+    }
+
+    fn checked_merge(mut self, rhs: &Aff, op: fn(i128, i128) -> Option<i128>) -> Option<Aff> {
+        for (v, &c) in &rhs.terms {
+            let e = self.terms.entry(v.clone()).or_insert(0);
+            *e = op(*e, c)?;
+        }
+        self.terms.retain(|_, c| *c != 0);
+        self.constant = op(self.constant, rhs.constant)?;
+        Some(self)
+    }
+
+    /// `k · self`, or `None` when a coefficient or the constant leaves
+    /// `i128`.
+    pub(crate) fn checked_mul(mut self, k: i128) -> Option<Aff> {
+        if k == 0 {
+            return Some(Aff::zero());
+        }
+        for c in self.terms.values_mut() {
+            *c = c.checked_mul(k)?;
+        }
+        self.constant = self.constant.checked_mul(k)?;
+        Some(self)
+    }
+
     /// Lowers the expression into a positional [`LinExpr`] over `space`.
     ///
     /// # Panics

@@ -238,6 +238,16 @@ impl Parser {
         }
     }
 
+    /// The error for an affine operation, at `at`, whose result leaves
+    /// `i128`.
+    fn overflow(&self, (line, col): (usize, usize)) -> ParseError {
+        ParseError {
+            message: "affine expression overflows i128".to_owned(),
+            line,
+            col,
+        }
+    }
+
     fn bump(&mut self) -> Tok {
         let t = self.toks[self.pos].tok.clone();
         if self.pos + 1 < self.toks.len() {
@@ -354,29 +364,39 @@ impl Parser {
     }
 
     // ----- affine expressions -----
+    //
+    // Every sum, difference, negation and constant product is checked: a
+    // result outside `i128` is a parse error at its operator, never a
+    // different program.
 
     fn aff(&mut self) -> Result<Aff, ParseError> {
         let mut acc = self.aff_term()?;
         loop {
-            match self.peek() {
+            let at = self.here();
+            let sum = match self.peek() {
                 Tok::Sym('+') => {
                     self.bump();
-                    acc = acc + self.aff_term()?;
+                    acc.checked_add(&self.aff_term()?)
                 }
                 Tok::Sym('-') => {
                     self.bump();
-                    acc = acc - self.aff_term()?;
+                    acc.checked_sub(&self.aff_term()?)
                 }
                 _ => return Ok(acc),
-            }
+            };
+            acc = sum.ok_or_else(|| self.overflow(at))?;
         }
     }
 
     fn aff_term(&mut self) -> Result<Aff, ParseError> {
+        let at = self.here();
         match self.peek().clone() {
             Tok::Sym('-') => {
                 self.bump();
-                Ok(-self.aff_term()?)
+                let term = self.aff_term()?;
+                Aff::zero()
+                    .checked_sub(&term)
+                    .ok_or_else(|| self.overflow(at))
             }
             Tok::Sym('(') => {
                 self.bump();
@@ -389,9 +409,10 @@ impl Parser {
                 // Optional `* ident` / `* (aff)` — constant times affine —
                 // or the adjacent form `2i` the pretty-printer emits.
                 if self.peek() == &Tok::Sym('*') {
+                    let at = self.here();
                     self.bump();
                     let rhs = self.aff_term()?;
-                    return Ok(rhs * v);
+                    return rhs.checked_mul(v).ok_or_else(|| self.overflow(at));
                 }
                 if let Tok::Ident(name) = self.peek().clone() {
                     self.bump();
@@ -411,11 +432,12 @@ impl Parser {
     /// Handles `expr * int` after a variable or parenthesized group.
     fn aff_trailing_mul(&mut self, base: Aff) -> Result<Aff, ParseError> {
         if self.peek() == &Tok::Sym('*') {
+            let at = self.here();
             self.bump();
             match self.peek().clone() {
                 Tok::Int(v) => {
                     self.bump();
-                    Ok(base * v)
+                    base.checked_mul(v).ok_or_else(|| self.overflow(at))
                 }
                 _ => Err(self.err("affine multiplication requires an integer factor")),
             }
@@ -614,6 +636,45 @@ mod tests {
         env.insert("N".to_owned(), 5i128);
         let mem = crate::interp::run(&p, &env).unwrap();
         assert_eq!(mem.array("B").unwrap().get(&[4]).unwrap(), 6.0);
+    }
+
+    /// An affine constant outside `i128` is a parse error at its
+    /// operator, in both profiles: never a debug panic, never a release
+    /// wrap into a different program.
+    #[test]
+    fn overflowing_affine_expressions_are_parse_errors() {
+        let max = i128::MAX;
+        let cases = [
+            // A constant product (ROADMAP 6(a)'s input).
+            (
+                "for t = 1 to 317014118346046923*731687303715884105727".to_owned(),
+                (2, 32),
+            ),
+            // A sum, a difference and a negation past the ends.
+            (format!("for t = 1 to {max} + 1"), (2, 54)),
+            (format!("for t = 1 to N + {max} + 1"), (2, 58)),
+            (format!("for t = -{max} - 2 to 1"), (2, 50)),
+            (format!("for t = -(-{max} - 1) to 1"), (2, 9)),
+            // A coefficient, through a trailing and a parenthesized product.
+            (format!("for t = 1 to (2 * N) * {max}"), (2, 22)),
+            (format!("for t = 1 to 2 * (N * {max})"), (2, 16)),
+        ];
+        for (header, (line, col)) in cases {
+            let src = format!("param N; array A[N];\n{header} {{ A[t] = 1.0; }}");
+            let e = parse(&src).expect_err(&src);
+            assert!(e.message.contains("overflows i128"), "{src}: {e}");
+            assert_eq!((e.line, e.col), (line, col), "{src}: {e}");
+        }
+        // The ends themselves parse.
+        let p = parse(&format!(
+            "param N; array A[N];\nfor t = -{max} - 1 to {max} - 1 + 1 {{ A[t] = 1.0; }}"
+        ))
+        .unwrap();
+        let l = &p.statements()[0].loops[0];
+        assert_eq!(
+            (l.lower.clone(), l.upper.clone()),
+            (Aff::constant(i128::MIN), Aff::constant(max))
+        );
     }
 
     #[test]

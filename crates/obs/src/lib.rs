@@ -2,19 +2,18 @@
 //!
 //! Zero-dependency structured tracing for the dmc compiler pipeline:
 //! span enter/exit with monotonic timestamps, typed instant events with
-//! key/value fields, and per-thread record buffers merged
-//! deterministically. When no capture is active anywhere the overhead is
-//! a single relaxed atomic load.
+//! key/value fields, and lanes merged deterministically. When the calling
+//! thread is not capturing, the overhead is one thread-local read.
 //!
-//! ## Contexts
+//! ## One capture per thread
 //!
-//! Everything the recorder owns — the capture flag and its lane store —
-//! lives in a scoped [`ObsContext`]. The free functions
-//! [`start_capture`]/[`finish_capture`] operate on a process default
-//! context, preserving the classic global API byte-for-byte;
-//! [`ObsContext::install`] makes a context current for the calling
-//! thread — a `dmc_core::Session` compiles on its caller's thread — so
-//! sessions running on different threads trace in isolation.
+//! [`start_capture`] and [`finish_capture`] act on the calling thread,
+//! and a record is kept only if the thread that emits it is capturing —
+//! the isolation rule of the engine's work ledger. A compile runs on its
+//! caller's thread from start to finish, so a capture around it observes
+//! the whole pipeline, and captures on two threads never mix. A lane or
+//! span guard remembers the capture it was opened in: once that capture
+//! has finished or restarted, the guard writes nothing.
 //!
 //! ## Lanes: a deterministic order
 //!
@@ -24,13 +23,13 @@
 //! `read/⟨stmt⟩/⟨read⟩` for one (statement, read) analysis job of the
 //! pipeline). Within a lane, records keep the order in which the owning
 //! code emitted them; lanes are merged sorted by key, so the merged trace
-//! is the same however its emitters were spread over threads — only the
+//! does not depend on the order in which the lanes ran — only the
 //! timestamps move.
 //!
 //! Records carry a `det` flag: structural records (spans, provenance
 //! events) are deterministic and participate in
 //! [`Trace::deterministic_view`]; diagnostic records whose *presence*
-//! depends on scheduling or cache state (e.g. a feasibility-budget
+//! depends on cache state (e.g. a feasibility-budget
 //! exhaustion that a warm memo cache would have skipped) are emitted with
 //! `det = false` and excluded from cross-configuration comparisons while
 //! still appearing in the exported Chrome trace.
@@ -78,6 +77,6 @@ pub use journal::JournalRecord;
 pub use profile::{ProfileOp, WorkProfile};
 pub use trace::{
     enabled, event, event_f, event_nondet, field, finish_capture, lane, main_lane, read_lane,
-    sim_lane, span, span_f, start_capture, CtxGuard, LaneGuard, LaneKey, LaneRecords, ObsContext,
-    Phase, Record, SpanGuard, Trace, Value,
+    sim_lane, span, span_f, start_capture, LaneGuard, LaneKey, LaneRecords, Phase, Record,
+    SpanGuard, Trace, Value,
 };

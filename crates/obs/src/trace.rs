@@ -1,40 +1,32 @@
-//! The trace recorder: spans, instant events, lanes, per-thread buffers,
-//! and the deterministic merge (see the crate docs for the lane model).
+//! The trace recorder: spans, instant events and lanes, kept one capture
+//! per thread (see the crate docs for the lane model).
 //!
-//! # Capture contexts
+//! # One capture per thread
 //!
-//! All recorder state is scoped to an [`ObsContext`]: each context owns
-//! its capture flag and its lane store. A process-wide *default context*
-//! backs the classic free-function API ([`start_capture`] /
-//! [`finish_capture`] / [`lane`] / [`span`] / [`event`]), which behaves
-//! exactly as it did when the recorder was a process global. Concurrent sessions each create
-//! their own context and [`install`](ObsContext::install) it on every
-//! thread that works for them; records emitted on a thread go to that
-//! thread's current context, so two captures running at once stay fully
-//! isolated.
+//! [`start_capture`] and [`finish_capture`] act on the calling thread,
+//! and a record is kept only if the thread that emits it is capturing. A
+//! compile runs on its caller's thread from start to finish, so the
+//! thread is the isolation, as it is for the engine's work ledger: two
+//! threads capturing at once never see each other's records, and a
+//! thread that is not capturing records nothing. When the calling thread
+//! is not capturing, [`enabled`] is one thread-local read — the entire
+//! cost of the subsystem.
 //!
-//! When no capture is in progress anywhere in the process, [`enabled`]
-//! is a single relaxed atomic load — the entire cost of the subsystem.
+//! A capture keeps each lane's records in emission order; a lane appears
+//! at its first record, and records emitted outside every lane scope go
+//! to the `untracked` lane, which sorts last.
 //!
-//! # Lane lifecycle and teardown
+//! # Guards and generations
 //!
-//! A lane buffer opened by any thread is registered with its owning
-//! context. `finish_capture` first disables the context, then drains
-//! every still-registered lane buffer (in lane-key order) into the store
-//! before taking the merged trace, so records emitted by other threads
-//! that happened-before the finish are never dropped. Records emitted
-//! *after* the finish land in buffers stamped with a stale capture epoch
-//! and are discarded at flush — they can never cross-attach to the next
+//! Every start and every finish begins a new generation of the thread's
+//! capture. A [`LaneGuard`] or [`SpanGuard`] remembers the generation it
+//! was opened in; once that capture has finished or restarted, the guard
+//! writes nothing — neither into the finished trace nor into the next
 //! capture.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-
-const R: Ordering = Ordering::Relaxed;
 
 /// A typed field value attached to a record.
 #[derive(Clone, Debug, PartialEq)]
@@ -156,8 +148,8 @@ impl Record {
     }
 }
 
-/// A lane's ordering key. Lanes are merged in the natural order of their
-/// keys, independent of thread scheduling.
+/// A lane's ordering key. A trace lists its lanes in the natural order of
+/// their keys, independent of the order in which they ran.
 pub type LaneKey = Vec<u64>;
 
 /// The main lane: top-level pipeline phases recorded by the thread that
@@ -177,12 +169,6 @@ pub fn read_lane(stmt_idx: usize, read_no: usize) -> LaneKey {
 /// Gantt appears below the compiler lanes in exported traces.
 pub fn sim_lane(proc: usize) -> LaneKey {
     vec![2, proc as u64]
-}
-
-/// Records emitted outside any lane scope (e.g. from a thread the
-/// pipeline does not manage). Kept, but at the very end of the merge.
-fn orphan_lane() -> LaneKey {
-    vec![u64::MAX]
 }
 
 /// One lane of a merged trace.
@@ -249,108 +235,98 @@ impl Trace {
 }
 
 // ---------------------------------------------------------------------------
-// Capture contexts.
+// The calling thread's capture.
 
-/// Number of contexts with a capture in progress, process-wide. The
-/// tracing-off fast path checks this single atomic before touching any
-/// thread-local or per-context state.
-static ACTIVE: AtomicUsize = AtomicUsize::new(0);
-
-fn epoch() -> &'static Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    EPOCH.get_or_init(Instant::now)
+/// One thread's capture: its clock, its lanes and its open lane scopes.
+struct Capture {
+    /// The instant the capture started; record timestamps count from it.
+    origin: Instant,
+    /// Every lane that received a record, with its label and its records
+    /// in emission order.
+    lanes: BTreeMap<LaneKey, (String, Vec<Record>)>,
+    /// The open lane scopes, innermost last.
+    open: Vec<(LaneKey, String)>,
+    /// Bumped by every start and finish: a guard opened under another
+    /// generation belongs to a capture that is over, and writes nothing.
+    generation: u64,
 }
 
-type Store = BTreeMap<LaneKey, (String, Vec<Record>)>;
-
-/// One lane buffer, shared between the thread that opened it (which
-/// appends records) and the owning context (which drains it at capture
-/// teardown). The per-record lock is uncontended except at teardown.
-struct LiveLane {
-    key: LaneKey,
-    label: String,
-    /// The capture epoch the lane was opened under; flushes whose epoch
-    /// is stale (the capture has since finished or restarted) discard.
-    epoch: u64,
-    records: Mutex<Vec<Record>>,
-}
-
-/// The state behind one [`ObsContext`] handle.
-struct CtxInner {
-    enabled: AtomicBool,
-    start_ns: AtomicU64,
-    /// Capture generation. Only written while `store` is locked, so a
-    /// flush that checks it under the store lock is race-free.
-    epoch: AtomicU64,
-    store: Mutex<Store>,
-    /// Lane buffers currently open on some thread. Drained (in key
-    /// order) by `finish_capture`.
-    live: Mutex<Vec<Arc<LiveLane>>>,
-}
-
-impl CtxInner {
-    fn new() -> Self {
-        CtxInner {
-            enabled: AtomicBool::new(false),
-            start_ns: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
-            store: Mutex::new(BTreeMap::new()),
-            live: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn now_ns(&self) -> u64 {
-        (epoch().elapsed().as_nanos() as u64).saturating_sub(self.start_ns.load(R))
-    }
-
-    fn start_capture(&self) {
-        let _ = epoch();
-        {
-            let mut store = self.store.lock().unwrap_or_else(|e| e.into_inner());
-            store.clear();
-            self.epoch.fetch_add(1, R);
-        }
-        // Lanes left over from a previous capture carry a stale epoch;
-        // dropping the registry entries is enough — their flushes will
-        // discard.
-        self.live.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        self.start_ns.store(epoch().elapsed().as_nanos() as u64, R);
-        if !self.enabled.swap(true, R) {
-            ACTIVE.fetch_add(1, R);
-        }
-    }
-
-    fn finish_capture(&self) -> Trace {
-        if self.enabled.swap(false, R) {
-            ACTIVE.fetch_sub(1, R);
-        }
-        // Drain every still-open lane buffer, in key order so the drain
-        // itself is deterministic. Records are taken before the store is
-        // locked (flushing guards lock records then store; taking both
-        // here in the opposite order could deadlock).
-        let mut live = std::mem::take(&mut *self.live.lock().unwrap_or_else(|e| e.into_inner()));
-        live.sort_by(|a, b| a.key.cmp(&b.key));
-        let batches: Vec<(LaneKey, String, u64, Vec<Record>)> = live
-            .iter()
-            .map(|l| {
-                let records =
-                    std::mem::take(&mut *l.records.lock().unwrap_or_else(|e| e.into_inner()));
-                (l.key.clone(), l.label.clone(), l.epoch, records)
-            })
-            .collect();
-        let mut store = self.store.lock().unwrap_or_else(|e| e.into_inner());
-        let cur = self.epoch.load(R);
-        for (key, label, lane_epoch, records) in batches {
-            if records.is_empty() || lane_epoch != cur {
-                continue;
+impl Capture {
+    /// Appends a record, stamped now, to the innermost open lane, or to
+    /// the `untracked` lane when no lane scope is open.
+    fn push(
+        &mut self,
+        phase: Phase,
+        name: &'static str,
+        det: bool,
+        fields: Vec<(&'static str, Value)>,
+    ) {
+        let rec = Record {
+            phase,
+            name,
+            ts_ns: self.origin.elapsed().as_nanos() as u64,
+            det,
+            fields,
+        };
+        let (key, label): (&[u64], &str) = match self.open.last() {
+            Some((key, label)) => (key, label),
+            None => (UNTRACKED, "untracked"),
+        };
+        match self.lanes.get_mut(key) {
+            Some((_, records)) => records.push(rec),
+            None => {
+                self.lanes
+                    .insert(key.to_vec(), (label.to_owned(), vec![rec]));
             }
-            let entry = store.entry(key).or_insert_with(|| (label, Vec::new()));
-            entry.1.extend(records);
         }
-        // Stale the epoch so flushes racing past this point discard
-        // instead of attaching to the next capture.
-        self.epoch.fetch_add(1, R);
-        let lanes = std::mem::take(&mut *store)
+    }
+}
+
+/// The key of the lane that receives records emitted outside every lane
+/// scope. Sorts after every other lane.
+const UNTRACKED: &[u64] = &[u64::MAX];
+
+thread_local! {
+    /// Whether the calling thread is capturing: when tracing is off, the
+    /// recorder's whole cost is reading this flag.
+    static ON: Cell<bool> = const { Cell::new(false) };
+    static CAPTURE: RefCell<Capture> = RefCell::new(Capture {
+        origin: Instant::now(),
+        lanes: BTreeMap::new(),
+        open: Vec::new(),
+        generation: 0,
+    });
+}
+
+/// Whether the calling thread is capturing. When it is not, this is one
+/// thread-local read — the entire cost of the subsystem.
+pub fn enabled() -> bool {
+    ON.with(Cell::get)
+}
+
+/// Starts a capture on the calling thread: clears its lanes and
+/// re-anchors its clock. Restarting while a capture is in progress
+/// discards its records; guards opened before the restart write nothing.
+pub fn start_capture() {
+    CAPTURE.with(|c| {
+        let mut c = c.borrow_mut();
+        c.lanes.clear();
+        c.open.clear();
+        c.generation += 1;
+        c.origin = Instant::now();
+    });
+    ON.with(|on| on.set(true));
+}
+
+/// Stops the calling thread's capture and returns its trace. Guards still
+/// open write nothing afterwards, neither here nor into a later capture.
+pub fn finish_capture() -> Trace {
+    ON.with(|on| on.set(false));
+    CAPTURE.with(|c| {
+        let mut c = c.borrow_mut();
+        c.open.clear();
+        c.generation += 1;
+        let lanes = std::mem::take(&mut c.lanes)
             .into_iter()
             .map(|(key, (label, records))| LaneRecords {
                 key,
@@ -359,287 +335,61 @@ impl CtxInner {
             })
             .collect();
         Trace { lanes }
-    }
-
-    /// Merges a drained lane batch into the store if its capture is
-    /// still the current one.
-    fn flush_batch(&self, key: LaneKey, label: String, lane_epoch: u64, records: Vec<Record>) {
-        if records.is_empty() {
-            return;
-        }
-        let mut store = self.store.lock().unwrap_or_else(|e| e.into_inner());
-        if lane_epoch != self.epoch.load(R) {
-            return; // the capture finished or restarted: discard
-        }
-        let entry = store.entry(key).or_insert_with(|| (label, Vec::new()));
-        entry.1.extend(records);
-    }
-}
-
-fn default_ctx() -> &'static Arc<CtxInner> {
-    static DEFAULT: OnceLock<Arc<CtxInner>> = OnceLock::new();
-    DEFAULT.get_or_init(|| Arc::new(CtxInner::new()))
-}
-
-thread_local! {
-    /// The context records on this thread go to; `None` means the
-    /// process default context.
-    static CURRENT: RefCell<Option<Arc<CtxInner>>> = const { RefCell::new(None) };
-}
-
-fn with_current<T>(f: impl FnOnce(&Arc<CtxInner>) -> T) -> T {
-    CURRENT.with(|c| match &*c.borrow() {
-        Some(ctx) => f(ctx),
-        None => f(default_ctx()),
     })
 }
 
-/// A scoped observability context: an isolated capture store. Handles
-/// are cheap to clone (an `Arc`); clones refer to the same context.
-///
-/// A context only receives records from threads it is
-/// [`install`](Self::install)ed on. `dmc_core::Session` compiles on its
-/// caller's thread, so a context installed around a `compile` call
-/// observes the whole pipeline.
-#[derive(Clone)]
-pub struct ObsContext {
-    inner: Arc<CtxInner>,
+/// The generation of the calling thread's capture, if it is capturing.
+fn generation() -> Option<u64> {
+    if enabled() {
+        Some(CAPTURE.with(|c| c.borrow().generation))
+    } else {
+        None
+    }
 }
 
-impl ObsContext {
-    /// Creates a fresh, idle context.
-    pub fn new() -> Self {
-        ObsContext {
-            inner: Arc::new(CtxInner::new()),
+/// Runs `f` on the calling thread's capture if it is still the one of
+/// `generation`.
+fn with_capture(generation: Option<u64>, f: impl FnOnce(&mut Capture)) {
+    let Some(generation) = generation else { return };
+    CAPTURE.with(|c| {
+        let mut c = c.borrow_mut();
+        if c.generation == generation {
+            f(&mut c);
         }
-    }
-
-    /// A handle to the process default context — the one the free
-    /// functions [`start_capture`]/[`finish_capture`] operate on.
-    pub fn default_context() -> Self {
-        ObsContext {
-            inner: Arc::clone(default_ctx()),
-        }
-    }
-
-    /// A handle to the calling thread's current context (the default
-    /// context unless an [`install`](Self::install) guard is live).
-    pub fn current() -> Self {
-        ObsContext {
-            inner: with_current(Arc::clone),
-        }
-    }
-
-    /// Whether two handles refer to the same context.
-    pub fn same_context(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
-
-    /// Starts a capture in this context: clears the store and re-anchors
-    /// the clock. Restarting while a capture is in progress discards its
-    /// records.
-    pub fn start_capture(&self) {
-        self.inner.start_capture();
-    }
-
-    /// Stops the capture and returns the merged trace. Lane buffers
-    /// still open on *any* thread are drained (in lane-key order);
-    /// records emitted after this call are discarded, never attached to
-    /// a later capture.
-    pub fn finish_capture(&self) -> Trace {
-        self.inner.finish_capture()
-    }
-
-    /// Whether a capture is in progress in this context.
-    pub fn is_capturing(&self) -> bool {
-        self.inner.enabled.load(R)
-    }
-
-    /// Makes this context the calling thread's current context until the
-    /// guard drops (the previous context is restored). Guards nest.
-    pub fn install(&self) -> CtxGuard {
-        let prev = CURRENT.with(|c| c.borrow_mut().replace(Arc::clone(&self.inner)));
-        CtxGuard {
-            prev,
-            _not_send: PhantomData,
-        }
-    }
-}
-
-impl Default for ObsContext {
-    fn default() -> Self {
-        ObsContext::new()
-    }
-}
-
-impl std::fmt::Debug for ObsContext {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ObsContext")
-            .field("capturing", &self.is_capturing())
-            .finish()
-    }
-}
-
-/// Restores the thread's previous context on drop. `!Send`: the guard
-/// must drop on the thread that installed it.
-pub struct CtxGuard {
-    prev: Option<Arc<CtxInner>>,
-    _not_send: PhantomData<*const ()>,
-}
-
-impl Drop for CtxGuard {
-    fn drop(&mut self) {
-        CURRENT.with(|c| *c.borrow_mut() = self.prev.take());
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Per-thread lane stack.
-
-struct LaneFrame {
-    lane: Arc<LiveLane>,
-    ctx: Arc<CtxInner>,
-    /// Re-entry count: opening a lane scope whose key matches the current
-    /// top reuses the buffer instead of nesting, so one thread's records
-    /// for a lane always flush as a single in-order batch.
-    depth: usize,
-}
-
-thread_local! {
-    static LANES: RefCell<Vec<LaneFrame>> = const { RefCell::new(Vec::new()) };
-}
-
-fn emit(rec: Record) {
-    with_current(|ctx| {
-        LANES.with(|l| {
-            let lanes = l.borrow();
-            match lanes.last() {
-                Some(frame) if Arc::ptr_eq(&frame.ctx, ctx) => {
-                    frame
-                        .lane
-                        .records
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .push(rec);
-                }
-                // No lane open on this thread (for this context): flush
-                // straight to the store as an orphan record.
-                _ => ctx.flush_batch(
-                    orphan_lane(),
-                    "untracked".to_owned(),
-                    ctx.epoch.load(R),
-                    vec![rec],
-                ),
-            }
-        });
     });
 }
 
-/// Whether a capture is in progress in the current thread's context. When
-/// no capture is running anywhere in the process this is a single relaxed
-/// atomic load — the entire cost of the subsystem.
-pub fn enabled() -> bool {
-    ACTIVE.load(R) != 0 && with_current(|ctx| ctx.enabled.load(R))
-}
-
-/// Starts a capture in the *default context*: clears its store and
-/// re-anchors its clock. Callers that may run concurrently against the
-/// default context (tests) must serialize captures themselves; code
-/// that needs concurrent captures uses per-session [`ObsContext`]s.
-pub fn start_capture() {
-    default_ctx().start_capture();
-}
-
-/// Stops the default context's capture and returns the merged trace.
-/// Lane buffers still open on any thread are drained in lane-key order
-/// (their guards then close over empty buffers).
-pub fn finish_capture() -> Trace {
-    default_ctx().finish_capture()
-}
-
-/// Opens a lane scope on the current thread: records emitted until the
-/// guard drops belong to `key`. Re-opening the current top key reuses the
-/// buffer (see [`LaneKey`]); the buffer is flushed to the owning
-/// context's store when the outermost guard for the key drops, or at
-/// `finish_capture`, whichever comes first.
+/// Opens a lane scope on the calling thread: records emitted until the
+/// guard drops belong to `key`. Re-opening the innermost open key keeps
+/// its label, so a lane's records stay one sequence in emission order.
 pub fn lane(key: LaneKey, label: impl Into<String>) -> LaneGuard {
-    if !enabled() {
-        return LaneGuard { armed: false };
-    }
-    with_current(|ctx| {
-        LANES.with(|l| {
-            let mut lanes = l.borrow_mut();
-            let cur_epoch = ctx.epoch.load(R);
-            if let Some(top) = lanes.last_mut() {
-                if top.lane.key == key && Arc::ptr_eq(&top.ctx, ctx) && top.lane.epoch == cur_epoch
-                {
-                    top.depth += 1;
-                    return;
-                }
-            }
-            let lane = Arc::new(LiveLane {
-                key,
-                label: label.into(),
-                epoch: cur_epoch,
-                records: Mutex::new(Vec::new()),
-            });
-            ctx.live
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(Arc::clone(&lane));
-            lanes.push(LaneFrame {
-                lane,
-                ctx: Arc::clone(ctx),
-                depth: 0,
-            });
-        });
+    let generation = generation();
+    with_capture(generation, |c| {
+        let frame = match c.open.last() {
+            Some(top) if top.0 == key => top.clone(),
+            _ => (key, label.into()),
+        };
+        c.open.push(frame);
     });
-    LaneGuard { armed: true }
+    LaneGuard { generation }
 }
 
-/// Closes its lane scope on drop.
+/// Closes its lane scope on drop, if its capture is still running.
 pub struct LaneGuard {
-    armed: bool,
+    generation: Option<u64>,
 }
 
 impl Drop for LaneGuard {
     fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        let frame = LANES.with(|l| {
-            let mut lanes = l.borrow_mut();
-            if let Some(top) = lanes.last_mut() {
-                if top.depth > 0 {
-                    top.depth -= 1;
-                    return None;
-                }
-            }
-            lanes.pop()
+        with_capture(self.generation, |c| {
+            c.open.pop();
         });
-        let Some(frame) = frame else { return };
-        // Unregister from the context's live list (finish_capture may
-        // have already drained and dropped it).
-        {
-            let mut live = frame.ctx.live.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(pos) = live.iter().position(|l| Arc::ptr_eq(l, &frame.lane)) {
-                live.swap_remove(pos);
-            }
-        }
-        let records =
-            std::mem::take(&mut *frame.lane.records.lock().unwrap_or_else(|e| e.into_inner()));
-        frame.ctx.flush_batch(
-            frame.lane.key.clone(),
-            frame.lane.label.clone(),
-            frame.lane.epoch,
-            records,
-        );
     }
 }
 
 /// Begins a span; the guard emits the matching end record on drop.
 pub fn span(name: &'static str) -> SpanGuard {
-    span_with(name, Vec::new())
+    span_f(name, Vec::new)
 }
 
 /// Begins a span with fields, building them only when tracing is on.
@@ -647,94 +397,64 @@ pub fn span_f(
     name: &'static str,
     fields: impl FnOnce() -> Vec<(&'static str, Value)>,
 ) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard { name, armed: false };
+    let generation = generation();
+    if generation.is_some() {
+        record(Phase::Begin, name, true, fields());
     }
-    span_with(name, fields())
+    SpanGuard { name, generation }
 }
 
-fn span_with(name: &'static str, fields: Vec<(&'static str, Value)>) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard { name, armed: false };
-    }
-    let ts_ns = with_current(|ctx| ctx.now_ns());
-    emit(Record {
-        phase: Phase::Begin,
-        name,
-        ts_ns,
-        det: true,
-        fields,
-    });
-    SpanGuard { name, armed: true }
-}
-
-/// Ends its span on drop (balanced even on early return or panic).
+/// Ends its span on drop (balanced even on early return or panic), if
+/// its capture is still running.
 pub struct SpanGuard {
     name: &'static str,
-    armed: bool,
+    generation: Option<u64>,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if self.armed {
-            let ts_ns = with_current(|ctx| ctx.now_ns());
-            emit(Record {
-                phase: Phase::End,
-                name: self.name,
-                ts_ns,
-                det: true,
-                fields: Vec::new(),
-            });
-        }
+        with_capture(self.generation, |c| {
+            c.push(Phase::End, self.name, true, Vec::new());
+        });
     }
 }
 
-fn instant(name: &'static str, det: bool, fields: Vec<(&'static str, Value)>) {
-    let ts_ns = with_current(|ctx| ctx.now_ns());
-    emit(Record {
-        phase: Phase::Instant,
-        name,
-        ts_ns,
-        det,
-        fields,
-    });
+/// Appends one record to the calling thread's capture. Its fields are
+/// built before the capture is borrowed.
+fn record(phase: Phase, name: &'static str, det: bool, fields: Vec<(&'static str, Value)>) {
+    CAPTURE.with(|c| c.borrow_mut().push(phase, name, det, fields));
 }
 
 /// Emits a deterministic instant event.
 pub fn event(name: &'static str, fields: Vec<(&'static str, Value)>) {
     if enabled() {
-        instant(name, true, fields);
+        record(Phase::Instant, name, true, fields);
     }
 }
 
 /// Emits a deterministic instant event, building fields lazily.
 pub fn event_f(name: &'static str, fields: impl FnOnce() -> Vec<(&'static str, Value)>) {
     if enabled() {
-        instant(name, true, fields());
+        record(Phase::Instant, name, true, fields());
     }
 }
 
-/// Emits a diagnostic event whose presence may depend on scheduling or
-/// cache state; excluded from [`Trace::deterministic_view`].
+/// Emits a diagnostic event whose presence may depend on cache state;
+/// excluded from [`Trace::deterministic_view`].
 pub fn event_nondet(name: &'static str, fields: Vec<(&'static str, Value)>) {
     if enabled() {
-        instant(name, false, fields);
+        record(Phase::Instant, name, false, fields);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Captures on the default context are process-wide; serialize the
-    /// tests that use the free-function API.
-    static CAPTURE: Mutex<()> = Mutex::new(());
+    use std::sync::Barrier;
 
     #[test]
     fn disabled_recorder_is_inert() {
-        let _g = CAPTURE.lock().unwrap_or_else(|e| e.into_inner());
-        assert!(!ObsContext::default_context().is_capturing());
+        assert!(!enabled());
         let _lane = lane(main_lane(), "main");
         let _span = span("nothing");
         event("nothing", vec![field("k", 1u64)]);
@@ -746,7 +466,6 @@ mod tests {
 
     #[test]
     fn lanes_merge_sorted_and_spans_balance() {
-        let _g = CAPTURE.lock().unwrap_or_else(|e| e.into_inner());
         start_capture();
         {
             let _lane = lane(main_lane(), "main");
@@ -791,7 +510,6 @@ mod tests {
 
     #[test]
     fn same_key_lane_scopes_share_one_buffer() {
-        let _g = CAPTURE.lock().unwrap_or_else(|e| e.into_inner());
         start_capture();
         {
             let _outer = lane(main_lane(), "main");
@@ -811,99 +529,37 @@ mod tests {
         );
     }
 
+    /// Two threads capturing at once stay fully isolated, and a third
+    /// thread, not capturing, records nothing into either.
     #[test]
-    fn worker_threads_merge_deterministically() {
-        let _g = CAPTURE.lock().unwrap_or_else(|e| e.into_inner());
-        let run = |workers: usize| {
+    fn threads_isolate_concurrent_captures() {
+        let solo = |tag: u64, all: Option<&Barrier>| {
             start_capture();
             {
-                let _lane = lane(main_lane(), "main");
+                let _lane = lane(main_lane(), format!("main {tag}"));
                 let _s = span("compile");
-                let jobs: Vec<usize> = (0..6).collect();
-                if workers <= 1 {
-                    for &j in &jobs {
-                        let _rl = lane(read_lane(j, 0), format!("read {j}/0"));
-                        event("job", vec![field("j", j)]);
-                    }
-                } else {
-                    std::thread::scope(|scope| {
-                        for chunk in jobs.chunks(jobs.len().div_ceil(workers)) {
-                            scope.spawn(move || {
-                                for &j in chunk {
-                                    let _rl = lane(read_lane(j, 0), format!("read {j}/0"));
-                                    event("job", vec![field("j", j)]);
-                                }
-                            });
-                        }
-                    });
+                // Both captures are running while the bystander looks.
+                if let Some(all) = all {
+                    all.wait();
+                }
+                event("tagged", vec![field("tag", tag)]);
+                if let Some(all) = all {
+                    all.wait();
                 }
             }
             finish_capture().deterministic_view()
         };
-        assert_eq!(
-            run(1),
-            run(3),
-            "merged trace must not depend on worker count"
-        );
-    }
-
-    /// Regression test for the capture-lifecycle race: a worker thread
-    /// still holds an open lane buffer when `finish_capture` runs. The
-    /// finish must drain the worker's records (they happened-before the
-    /// finish), and records the worker emits *after* the finish must be
-    /// discarded — not attached to the next capture.
-    #[test]
-    fn finish_drains_live_worker_lanes_and_discards_late_records() {
-        let _g = CAPTURE.lock().unwrap_or_else(|e| e.into_inner());
-        use std::sync::mpsc;
-        start_capture();
-        let (ready_tx, ready_rx) = mpsc::channel::<()>();
-        let (done_tx, done_rx) = mpsc::channel::<()>();
-        let worker = std::thread::spawn(move || {
-            let _rl = lane(read_lane(0, 0), "read 0/0");
-            event("before.finish", vec![]);
-            ready_tx.send(()).unwrap();
-            // Wait until the main thread finished the capture, then emit
-            // into the still-open lane.
-            done_rx.recv().unwrap();
-            event("after.finish", vec![]);
-        });
-        ready_rx.recv().unwrap();
-        let t = finish_capture();
-        let names: Vec<&str> = t.records().map(|(_, r)| r.name).collect();
-        assert_eq!(
-            names,
-            vec!["before.finish"],
-            "live worker lane must be drained"
-        );
-        done_tx.send(()).unwrap();
-        worker.join().unwrap();
-        // The late record must not leak into a fresh capture.
-        start_capture();
-        let t2 = finish_capture();
-        assert!(t2.is_empty(), "late records must be discarded, got {t2:?}");
-    }
-
-    /// Two contexts capturing at once on different threads stay fully
-    /// isolated, and neither interferes with the default context.
-    #[test]
-    fn contexts_isolate_concurrent_captures() {
-        let solo = |tag: u64| {
-            let ctx = ObsContext::new();
-            ctx.start_capture();
-            {
-                let _g = ctx.install();
-                let _lane = lane(main_lane(), format!("main {tag}"));
-                let _s = span("compile");
-                event("tagged", vec![field("tag", tag)]);
-            }
-            ctx.finish_capture().deterministic_view()
-        };
-        let solo_a = solo(1);
-        let solo_b = solo(2);
+        let solo_a = solo(1, None);
+        let solo_b = solo(2, None);
+        let all = Barrier::new(3);
         let (view_a, view_b) = std::thread::scope(|scope| {
-            let a = scope.spawn(|| solo(1));
-            let b = scope.spawn(|| solo(2));
+            let a = scope.spawn(|| solo(1, Some(&all)));
+            let b = scope.spawn(|| solo(2, Some(&all)));
+            all.wait();
+            assert!(!enabled(), "a bystander thread must not be capturing");
+            let _lane = lane(main_lane(), "bystander");
+            event("bystander", vec![]);
+            all.wait();
             (a.join().unwrap(), b.join().unwrap())
         });
         assert_eq!(view_a, solo_a);
@@ -911,20 +567,43 @@ mod tests {
         assert_ne!(view_a, view_b);
     }
 
+    /// A guard that outlives its capture writes nothing: not into the
+    /// finished trace, and not into the next capture on the thread.
     #[test]
-    fn install_guard_restores_previous_context() {
-        let a = ObsContext::new();
-        let b = ObsContext::new();
-        assert!(ObsContext::current().same_context(&ObsContext::default_context()));
+    fn guards_outliving_their_capture_write_nothing() {
+        start_capture();
+        let old_lane = lane(main_lane(), "main");
+        let ended_between = span("ended.between");
+        let ended_after = span("ended.after");
+        let first = finish_capture();
+        drop(ended_between);
+        start_capture();
         {
-            let _ga = a.install();
-            assert!(ObsContext::current().same_context(&a));
-            {
-                let _gb = b.install();
-                assert!(ObsContext::current().same_context(&b));
-            }
-            assert!(ObsContext::current().same_context(&a));
+            let _rl = lane(read_lane(0, 0), "read 0/0");
+            // Neither may close a scope of the new capture or end a span
+            // in it.
+            drop(ended_after);
+            drop(old_lane);
+            event("fresh", vec![]);
         }
-        assert!(ObsContext::current().same_context(&ObsContext::default_context()));
+        let second = finish_capture();
+        let lanes = |t: &Trace| -> Vec<(String, Vec<(Phase, &'static str)>)> {
+            let recs = |l: &LaneRecords| l.records.iter().map(|r| (r.phase, r.name)).collect();
+            t.lanes.iter().map(|l| (l.label.clone(), recs(l))).collect()
+        };
+        assert_eq!(
+            lanes(&first),
+            vec![(
+                "main".to_owned(),
+                vec![
+                    (Phase::Begin, "ended.between"),
+                    (Phase::Begin, "ended.after")
+                ]
+            )]
+        );
+        assert_eq!(
+            lanes(&second),
+            vec![("read 0/0".to_owned(), vec![(Phase::Instant, "fresh")])]
+        );
     }
 }

@@ -16,6 +16,10 @@ cargo build --release --examples
 # The ROADMAP's tier-1 command, verbatim: the default members are every
 # crate, so this is the whole suite.
 cargo test -q
+# The IR crate again in release: the release profile has no overflow
+# checks, so this is where a silent `i128` wrap in the parser would show
+# (the debug run above catches only a panic).
+cargo test --release -q -p dmc-ir
 
 # The paper's LU end to end through the planner's fold: the values check
 # against the sequential interpreter at N = 24 and the Figure 14 series on
@@ -45,7 +49,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
 # sender, receivers and words; the ledger's charged work == the
 # work_units delta, >= 90% of work attributed, a byte-identical recapture,
 # recording that steers nothing; makespan == longest path == simulator,
-# exact blame, what-ifs == brute force), `dmc session --check` (a processor-count sweep identical to the
+# exact blame, pruned what-ifs leave the makespan unchanged), `dmc session --check` (a processor-count sweep identical to the
 # one-shot pipeline, no Last Write Tree built twice), `dmc store --check`
 # (cold/warm byte identity, one index line per disk hit, eviction under a
 # byte bound, corruption as a miss), `dmc journal --check` (round trip,
