@@ -39,15 +39,6 @@ pub fn figure2_input(nproc: i128) -> CompileInput {
     }
 }
 
-/// Figure 8's program (the uniformly generated group).
-pub fn figure8_program() -> Program {
-    dmc_ir::parse(
-        "param T, N; array X[N + 1];
-         for t = 0 to T { for i = 3 to N { X[i] = f(X[i], X[i - 1], X[i - 2], X[i - 3]); } }",
-    )
-    .expect("figure 8 parses")
-}
-
 /// Figure 11's LU decomposition kernel.
 pub fn lu_program() -> Program {
     dmc_ir::parse(

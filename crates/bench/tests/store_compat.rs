@@ -4,7 +4,7 @@
 //! leaves must sit under the key, and hold the payload, recorded below.
 //! An equal key means a directory written by an earlier build is looked
 //! up where it was; an equal payload fingerprint means this build writes
-//! exactly the bytes recorded for `CODEC_VERSION` 2. A directory written
+//! exactly the bytes recorded for `CODEC_VERSION` 3. A directory written
 //! at an earlier codec version no longer serves: its files are found
 //! under the same keys, and each load of one is a miss that removes it.
 
@@ -22,29 +22,31 @@ for t = 0 to T { for i = 3 to N { X[i] = X[i - 3]; } }";
 /// `schedule` key (stage 6) took a fresh outer tag when the planner began
 /// deciding aggregation legality per chunk instead of by a dry run, so no
 /// store serves a plan of the old rule. Keys do not depend on the codec.
-/// The payload fingerprints are those of `CODEC_VERSION` 2 (varint
-/// integers); every one of them moved from version 1, and none moved with
-/// the planner's rule, since Figure 2's plan is the same under both.
+/// The payload fingerprints are those of `CODEC_VERSION` 3 (varint
+/// integers, sparse constraint rows); every one of them moved from
+/// versions 1 and 2 — the parse payload only by its version byte — and
+/// none moved with the planner's rule, since Figure 2's plan is the same
+/// under both.
 const SEVEN_STAGE_ARTIFACTS: [(u8, u128, u128); 4] = [
     (
         0,
         0x0840bf8585df581e69f48e49810d9057,
-        0x98750a6a08a2ef94bc1eff7cb29dab97,
+        0xfe8d79ac1d8c778e23b83699774cf150,
     ),
     (
         2,
         0x65c0d40bfd5d6bbfadf0a32d517f83ef,
-        0x91d391ebc40498f809a408aff29c1737,
+        0x474f5b9bdaf00c8861d7cc46fbf3bb9d,
     ),
     (
         4,
         0x4f0bcf57fc8685d23220ae112ad3db8b,
-        0xf467e24a19e3acc5a039021a2b0f4ab8,
+        0x1335856596446a0cd19bf0070aa1ad8f,
     ),
     (
         6,
         0xf3e0cc22b2f19bd5dc25e34bb206e69d,
-        0x80c073e21f2bb7b7620a926d924e8195,
+        0x5b6dd52404fab2f7689fc61ad93c1f50,
     ),
 ];
 

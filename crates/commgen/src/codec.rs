@@ -16,7 +16,8 @@ use crate::commset::{CommDims, CommSet, SenderKind};
 
 /// The closed set of §6 pass names a provenance trail can carry, in
 /// pipeline order. Kept in sync with the pass list in `dmc-core`'s
-/// `passes` module (each pass stamps its own name via `prov_mark`).
+/// `passes` module (each pass stamps its own name via `prov_mark`); a
+/// unit test there fails when the two differ.
 pub const KNOWN_STEPS: &[&str] = &[
     "self_reuse",
     "cross_set_reuse",

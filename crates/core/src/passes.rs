@@ -217,3 +217,16 @@ pub(crate) fn optimize_sets(
     }
     Ok(cur)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::OPT_PASSES;
+
+    /// The opt codec interns provenance steps against `KNOWN_STEPS`, so a
+    /// pass missing there would leave its own artifacts undecodable.
+    #[test]
+    fn opt_passes_are_the_codecs_known_steps_in_order() {
+        let names: Vec<&str> = OPT_PASSES.iter().map(|p| p.name).collect();
+        assert_eq!(names, dmc_commgen::codec::KNOWN_STEPS);
+    }
+}

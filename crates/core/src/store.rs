@@ -42,8 +42,10 @@ use crate::session::stage;
 /// version then decodes as a clean miss.
 ///
 /// History: 1, fixed-width integers (8-byte `u64`, 16-byte `i128`);
-/// 2, LEB128 `u64` and zigzag LEB128 `i128`.
-pub const CODEC_VERSION: u8 = 2;
+/// 2, LEB128 `u64` and zigzag LEB128 `i128`; 3, sparse constraint rows
+/// (the memo caches' layout: non-zero coefficients only) and a
+/// polyhedron's contradiction flag beside its row count.
+pub const CODEC_VERSION: u8 = 3;
 
 /// A stage in the session's compilation DAG, as a store key component.
 /// The numeric [tag](StageId::tag) is part of the persisted payload

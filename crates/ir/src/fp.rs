@@ -41,8 +41,18 @@ impl fmt::Display for Fingerprint {
     }
 }
 
-const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
+/// The FNV-1a/128 offset basis: the state a hash starts from.
+pub const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 const FNV_PRIME: u128 = 0x0000000001000000000000000000013b;
+
+/// FNV-1a/128 of `bytes`, continued from `state` ([`FNV_OFFSET`] for a
+/// fresh hash): the one byte-level hash under [`Fp`]'s tagged stream and
+/// the artifact store's payload fingerprints.
+pub fn fnv1a128(state: u128, bytes: &[u8]) -> u128 {
+    bytes
+        .iter()
+        .fold(state, |h, &b| (h ^ u128::from(b)).wrapping_mul(FNV_PRIME))
+}
 
 /// The incremental fingerprint hasher (FNV-1a/128 over tagged bytes).
 #[derive(Clone, Debug)]
@@ -68,14 +78,11 @@ impl Fp {
     }
 
     fn byte(&mut self, b: u8) {
-        self.state ^= u128::from(b);
-        self.state = self.state.wrapping_mul(FNV_PRIME);
+        self.raw_bytes(&[b]);
     }
 
     fn raw_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.byte(b);
-        }
+        self.state = fnv1a128(self.state, bytes);
     }
 
     /// Hashes a type/variant tag. Use a distinct tag per enum variant or

@@ -4,7 +4,7 @@
 
 use std::fmt;
 
-use dmc_polyhedra::{Constraint, DimKind, Polyhedron, Space};
+use dmc_polyhedra::{Constraint, Polyhedron, Space};
 
 use crate::aff::Aff;
 
@@ -375,19 +375,6 @@ impl Program {
         walk(&self.body, &mut out);
         out
     }
-
-    /// Builds a `Space` containing this program's parameters (as `Param`
-    /// dimensions), preceded by the given index dimensions.
-    pub fn space_with(&self, index_dims: &[(&str, DimKind)]) -> Space {
-        let mut s = Space::new();
-        for (name, kind) in index_dims {
-            s.add_dim(*name, *kind);
-        }
-        for p in &self.params {
-            s.add_dim(p.clone(), DimKind::Param);
-        }
-        s
-    }
 }
 
 impl fmt::Display for Program {
@@ -431,6 +418,7 @@ impl fmt::Display for Program {
 mod tests {
     use super::*;
     use crate::builder::*;
+    use dmc_polyhedra::DimKind;
 
     /// The paper's Figure 2 program:
     /// `for t = 0..T { for i = 3..N { X[i] = X[i-3]; } }`
@@ -469,7 +457,12 @@ mod tests {
     fn domain_polyhedron() {
         let p = figure2();
         let stmts = p.statements();
-        let space = p.space_with(&[("t", DimKind::Index), ("i", DimKind::Index)]);
+        let space = Space::from_dims([
+            ("t", DimKind::Index),
+            ("i", DimKind::Index),
+            ("T", DimKind::Param),
+            ("N", DimKind::Param),
+        ]);
         let d = stmts[0].domain(&space, &[]);
         // point order: (t, i, T, N)
         assert!(d.contains(&[0, 3, 5, 10]).unwrap());

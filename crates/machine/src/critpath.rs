@@ -500,11 +500,6 @@ pub fn analyze(schedule: &Schedule, config: &MachineConfig) -> Result<CritAnalys
 }
 
 impl CritAnalysis {
-    /// Number of events on the canonical critical path.
-    pub fn chain_len(&self) -> usize {
-        self.chain.len()
-    }
-
     /// Number of zero-slack (critical) events.
     pub fn critical_events(&self) -> usize {
         self.events.iter().filter(|e| e.slack_ns == 0).count()

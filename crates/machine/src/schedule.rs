@@ -111,19 +111,6 @@ impl Schedule {
             messages: Vec::new(),
         }
     }
-
-    /// Total number of logical messages.
-    pub fn message_count(&self) -> usize {
-        self.messages.len()
-    }
-
-    /// Total payload words, counting one copy per receiver.
-    pub fn total_words(&self) -> u64 {
-        self.messages
-            .iter()
-            .map(|m| m.words * m.receivers.len() as u64)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -145,24 +132,5 @@ mod tests {
     #[should_panic(expected = "mismatch")]
     fn stamp_length_mismatch_panics() {
         stamp_of(&[0], [1, 2]);
-    }
-
-    #[test]
-    fn schedule_accounting() {
-        let mut s = Schedule::new(2);
-        s.messages.push(MessageSpec {
-            sender: 0,
-            receivers: vec![1],
-            words: 10,
-            payload: None,
-        });
-        s.messages.push(MessageSpec {
-            sender: 1,
-            receivers: vec![0, 1],
-            words: 4,
-            payload: None,
-        });
-        assert_eq!(s.message_count(), 2);
-        assert_eq!(s.total_words(), 10 + 8);
     }
 }

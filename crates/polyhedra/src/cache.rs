@@ -13,24 +13,24 @@
 //! # One encoding, two row orders
 //!
 //! A constraint system already *is* its key; it only needs writing down
-//! compactly. Every key is the same exact byte encoding of the queried
-//! system, a sequence of variable-length integers (LEB128, zig-zag for
-//! signed values, the full `i128` range):
+//! compactly. Every key is written by [`codec::Enc`](crate::codec::Enc),
+//! in the rows the stored artifacts use ([`crate::codec`]: varints,
+//! zig-zag for signed values, the full `i128` range; a row lists its
+//! non-zero `(dimension + 2, coefficient)` pairs, then `is_eq`, then the
+//! constant):
 //!
 //! ```text
-//! arity · (rows << 1 | contradiction) · argument count · arguments…
-//! then per row:  (dimension + 2 · coefficient)… · is_eq · constant
+//! arity · (rows << 1 | contradiction) · argument count · arguments · rows…
 //! ```
 //!
 //! The arguments are the query's own: the eliminated dimensions of a
 //! projection, the variable order of a scan, the direction (0 max, 1 min)
 //! followed by the optimized dimensions of a lexopt, nothing for
-//! feasibility. A row lists its non-zero coefficients only; `is_eq` (0 or
-//! 1, below every `dimension + 2`) ends the list. Counts precede what they
-//! count, so the encoding parses back unambiguously (`Reader`): two
-//! queries have equal keys exactly when they have the same arity, flag,
-//! arguments and row sequence. Only the order the rows are written in
-//! differs between the maps:
+//! feasibility. Counts precede what they count, so a key parses back
+//! unambiguously ([`codec::Dec`](crate::codec::Dec)): two queries have
+//! equal keys exactly when they have the same arity, flag, arguments and
+//! row sequence. Only the order the rows are written in differs between
+//! the maps:
 //!
 //! * **Feasibility** depends only on the constraint *set*, so its rows are
 //!   sorted by their encoding — differently-built but equal systems share
@@ -40,8 +40,8 @@
 //!   order. A hit returns bit-for-bit the value the uncached computation
 //!   would produce, keeping cached and uncached pipelines byte-identical.
 //!
-//! A key is built in a per-map scratch buffer that is reused from lookup to
-//! lookup and the map is probed with the borrowed bytes, so a *hit
+//! A key is built in a per-map scratch encoder that is reused from lookup
+//! to lookup and the map is probed with the borrowed bytes, so a *hit
 //! allocates nothing for its key*; only a miss boxes the bytes it is about
 //! to insert. A hit is decided by equality of the full encoding — the
 //! hash (`WordHasher`, eight bytes per step) only picks the bucket, and a
@@ -53,11 +53,10 @@
 //! hit (projection and scanning never change a space; a lexopt appends its
 //! auxiliary dimensions, which a hit names again exactly as the
 //! computation did, from the caller's names — see [`lexopt`](crate::lexopt)).
-//! Every value but feasibility's is stored in the keys' own row encoding
-//! — its charged work, then the projected rows, the nest's bounds and
-//! guard, or the pieces' contexts and solutions — and read back by the
-//! `Reader` that parses a key: a `ScanNest` kept as a clone costs ≈ 13 KB,
-//! encoded a few hundred bytes.
+//! Every value but feasibility's is written by the same `Enc` — its
+//! charged work, then the projected rows, the nest's bounds and guard, or
+//! the pieces' contexts and solutions — and read back by `Dec`: a
+//! `ScanNest` kept as a clone costs ≈ 13 KB, encoded a few hundred bytes.
 //!
 //! There is no map for redundancy removal. Its one product caller is the
 //! scan, which is now answered whole (the multicast test asks a subset
@@ -82,10 +81,11 @@ use std::mem::size_of;
 use std::ops::Range;
 use std::thread::LocalKey;
 
+use crate::codec::{CodecError, Dec, Enc};
 use crate::ledger::{self, OpKind};
 use crate::polyhedron::Feasibility;
 use crate::stats;
-use crate::{Constraint, LinExpr};
+use crate::Constraint;
 
 /// The part of a polyhedron its memoized answers depend on (dimension
 /// names are irrelevant to the arithmetic).
@@ -107,115 +107,12 @@ enum RowOrder {
 #[derive(Default)]
 struct Scratch {
     /// The finished key.
-    key: Vec<u8>,
+    key: Enc,
     /// Row encodings waiting to be sorted; per row its first eight bytes
     /// as a big-endian number — byte order on all but the longest rows, at
     /// the price of one integer comparison — and where it lies.
-    rows: Vec<u8>,
+    rows: Enc,
     spans: Vec<(u64, Range<usize>)>,
-}
-
-pub(crate) fn put_uint(buf: &mut Vec<u8>, v: u128) {
-    if v < 0x80 {
-        buf.push(v as u8);
-    } else {
-        put_uint_long(buf, v);
-    }
-}
-
-#[cold]
-fn put_uint_long(buf: &mut Vec<u8>, mut v: u128) {
-    while v >= 0x80 {
-        buf.push(v as u8 | 0x80);
-        v >>= 7;
-    }
-    buf.push(v as u8);
-}
-
-pub(crate) fn put_int(buf: &mut Vec<u8>, v: i128) {
-    // Zig-zag: small magnitudes of either sign stay short.
-    put_uint(buf, ((v << 1) ^ (v >> 127)) as u128);
-}
-
-/// One row: `e`'s non-zero `(dimension + 2, coefficient)` pairs, `tag`
-/// (0 or 1 — below every `dimension + 2`, so it ends the list), and the
-/// constant. A constraint's tag is `is_eq`.
-pub(crate) fn put_expr(buf: &mut Vec<u8>, e: &LinExpr, tag: bool) {
-    for (d, &a) in e.coeffs().iter().enumerate() {
-        if a != 0 {
-            put_uint(buf, d as u128 + 2);
-            put_int(buf, a);
-        }
-    }
-    buf.push(u8::from(tag));
-    put_int(buf, e.constant_term());
-}
-
-fn put_row(buf: &mut Vec<u8>, c: &Constraint) {
-    put_expr(buf, c.expr(), c.is_eq());
-}
-
-/// A constraint list the way a key writes it: `rows << 1 | contradiction`,
-/// then the rows in order.
-pub(crate) fn put_rows(buf: &mut Vec<u8>, rows: &[Constraint], contradiction: bool) {
-    put_uint(buf, (rows.len() as u128) << 1 | u128::from(contradiction));
-    for c in rows {
-        put_row(buf, c);
-    }
-}
-
-/// Reads back what the `put_*` functions wrote, in the same order. The
-/// bytes a reader is handed were written by this crate, so a malformed
-/// encoding is a bug and panics.
-pub(crate) struct Reader<'a>(&'a [u8]);
-
-impl Reader<'_> {
-    pub(crate) fn uint(&mut self) -> u128 {
-        let mut v = 0u128;
-        for shift in (0..).step_by(7) {
-            let (&b, rest) = self.0.split_first().expect("truncated integer");
-            self.0 = rest;
-            v |= u128::from(b & 0x7f) << shift;
-            if b < 0x80 {
-                break;
-            }
-        }
-        v
-    }
-
-    pub(crate) fn int(&mut self) -> i128 {
-        let z = self.uint();
-        (z >> 1) as i128 ^ -((z & 1) as i128)
-    }
-
-    pub(crate) fn usize(&mut self) -> usize {
-        self.uint() as usize
-    }
-
-    /// A row written by [`put_expr`], over `dims` dimensions, and its tag.
-    pub(crate) fn expr(&mut self, dims: usize) -> (LinExpr, bool) {
-        let mut e = LinExpr::zero(dims);
-        let tag = loop {
-            match self.uint() {
-                tag @ 0..=1 => break tag == 1,
-                d => e.set_coeff(d as usize - 2, self.int()),
-            }
-        };
-        e.set_constant(self.int());
-        (e, tag)
-    }
-
-    /// A list written by [`put_rows`]: the rows and the contradiction flag.
-    pub(crate) fn rows(&mut self, dims: usize) -> (Vec<Constraint>, bool) {
-        let head = self.uint();
-        let rows = (0..head >> 1)
-            .map(|_| match self.expr(dims) {
-                (e, true) => Constraint::eq(e),
-                (e, false) => Constraint::ge(e),
-            })
-            .collect();
-        (rows, head & 1 == 1)
-    }
 }
 
 impl Scratch {
@@ -223,19 +120,16 @@ impl Scratch {
     fn encode(&mut self, sys: System<'_>, args: &[usize], order: RowOrder) {
         let key = &mut self.key;
         key.clear();
-        put_uint(key, sys.dims as u128);
-        put_uint(
-            key,
-            (sys.rows.len() as u128) << 1 | u128::from(sys.contradiction),
-        );
-        put_uint(key, args.len() as u128);
+        key.usize(sys.dims);
+        key.usize(sys.rows.len() << 1 | usize::from(sys.contradiction));
+        key.usize(args.len());
         for &a in args {
-            put_uint(key, a as u128);
+            key.usize(a);
         }
         match order {
             RowOrder::Construction => {
                 for c in sys.rows {
-                    put_row(key, c);
+                    key.row(c.expr(), c.is_eq());
                 }
             }
             RowOrder::Sorted => {
@@ -243,33 +137,25 @@ impl Scratch {
                 self.spans.clear();
                 for c in sys.rows {
                     let start = self.rows.len();
-                    put_row(&mut self.rows, c);
-                    let row = &self.rows[start..];
+                    self.rows.row(c.expr(), c.is_eq());
+                    let row = &self.rows.as_bytes()[start..];
                     let mut head = [0u8; 8];
                     let n = row.len().min(8);
                     head[..n].copy_from_slice(&row[..n]);
                     self.spans
                         .push((u64::from_be_bytes(head), start..self.rows.len()));
                 }
-                let rows = &self.rows;
+                let rows = self.rows.as_bytes();
                 self.spans.sort_unstable_by(|(a, at_a), (b, at_b)| {
                     a.cmp(b)
                         .then_with(|| rows[at_a.clone()].cmp(&rows[at_b.clone()]))
                 });
                 for (_, at) in &self.spans {
-                    key.extend_from_slice(&rows[at.clone()]);
+                    key.raw(&rows[at.clone()]);
                 }
             }
         }
     }
-}
-
-/// The feasibility key of `sys` as owned bytes, for
-/// [`Polyhedron::canonical_key`](crate::Polyhedron::canonical_key).
-pub(crate) fn canonical_key(sys: System<'_>) -> Box<[u8]> {
-    let mut scratch = Scratch::default();
-    scratch.encode(sys, &[], RowOrder::Sorted);
-    scratch.key.into()
 }
 
 /// Hashes a key eight bytes at a time: one multiply per word, folded so
@@ -395,7 +281,7 @@ impl<V: HeapBytes, S: BuildHasher + Default> Store<V, S> {
         order: RowOrder,
     ) -> Result<&V, Box<[u8]>> {
         self.scratch.encode(sys, args, order);
-        let key = self.scratch.key.as_slice();
+        let key = self.scratch.key.as_bytes();
         self.map.get(key).ok_or_else(|| key.into())
     }
 
@@ -502,8 +388,8 @@ pub(crate) fn memoized<T, E>(
     sys: System<'_>,
     args: &[usize],
     compute: impl FnOnce() -> Result<T, E>,
-    encode: impl FnOnce(&T, &mut Vec<u8>),
-    decode: impl FnOnce(&mut Reader<'_>) -> T,
+    encode: impl FnOnce(&T, &mut Enc),
+    decode: impl FnOnce(&mut Dec<'_>) -> Result<T, CodecError>,
 ) -> Result<T, E> {
     let n = sys.rows.len();
     if !admits(n) {
@@ -515,9 +401,8 @@ pub(crate) fn memoized<T, E>(
     let looked_up = query.map().with(|c| {
         let mut local = c.borrow_mut();
         let value = local.current().lookup(sys, args, RowOrder::Construction)?;
-        let mut r = Reader(value);
-        let charged = r.uint() as u64;
-        Ok((decode(&mut r), charged))
+        // Written below, by this crate: failing to read it back is a bug.
+        Ok(read_value(value, decode).expect("a memo value decodes"))
     });
     let key = match looked_up {
         Ok((hit, charged)) => {
@@ -530,13 +415,26 @@ pub(crate) fn memoized<T, E>(
     op.set_cache_miss();
     let out = compute()?;
     let charged = op.finish();
-    let mut value = Vec::new();
-    put_uint(&mut value, u128::from(charged));
+    let mut value = Enc::new();
+    value.u64(charged);
     encode(&out, &mut value);
     query
         .map()
-        .with(|c| c.borrow_mut().current().put(key, value.into()));
+        .with(|c| c.borrow_mut().current().put(key, value.into_bytes().into()));
     Ok(out)
+}
+
+/// Reads back a value [`memoized`] stored: the charged work, then what
+/// `decode` reads, and nothing after it.
+fn read_value<T>(
+    value: &[u8],
+    decode: impl FnOnce(&mut Dec<'_>) -> Result<T, CodecError>,
+) -> Result<(T, u64), CodecError> {
+    let mut d = Dec::new(value);
+    let charged = d.u64()?;
+    let v = decode(&mut d)?;
+    d.finish()?;
+    Ok((v, charged))
 }
 
 /// Drops this thread's memo caches (counters are untouched): what a
@@ -573,7 +471,7 @@ mod tests {
     fn key(sys: System<'_>, args: &[usize], order: RowOrder) -> Vec<u8> {
         let mut scratch = Scratch::default();
         scratch.encode(sys, args, order);
-        scratch.key
+        scratch.key.into_bytes()
     }
 
     #[test]
@@ -590,21 +488,23 @@ mod tests {
 
     type Row = (bool, Vec<(usize, i128)>, i128);
 
-    /// Reads a key back with the values' [`Reader`]: `(arity,
-    /// contradiction, args, rows)`. That this is possible at all is what
-    /// makes key equality exact.
+    /// Reads a key back with the values' [`Dec`]: `(arity, contradiction,
+    /// args, rows)`. That this is possible at all is what makes key
+    /// equality exact.
     fn decode(key: &[u8]) -> (usize, bool, Vec<usize>, Vec<Row>) {
-        let mut r = Reader(key);
-        let dims = r.usize();
-        let head = r.uint();
-        let args = (0..r.usize()).map(|_| r.usize()).collect();
+        let mut d = Dec::new(key);
+        let dims = d.usize().unwrap();
+        let head = d.usize().unwrap();
+        let args = (0..d.usize().unwrap())
+            .map(|_| d.usize().unwrap())
+            .collect();
         let rows = (0..head >> 1)
-            .map(|_| match r.expr(dims) {
+            .map(|_| match d.row(dims).unwrap() {
                 (e, true) => sparse(&Constraint::eq(e)),
                 (e, false) => sparse(&Constraint::ge(e)),
             })
             .collect();
-        assert!(r.0.is_empty(), "trailing bytes");
+        d.finish().expect("no trailing bytes");
         (dims, head & 1 == 1, args, rows)
     }
 
@@ -675,9 +575,9 @@ mod tests {
         assert_eq!(decode(&seq_key(sys(200, &rows))).3, [sparse(&rows[0])]);
     }
 
-    /// A value is written with the keys' row encoding and read back by the
-    /// same reader: expressions, their tags, and a constraint list with its
-    /// flag come back equal, the extremes of `i128` included.
+    /// A value is written by the keys' encoder and read back by the
+    /// codec's decoder: expressions, their tags, and a constraint list
+    /// with its flag come back equal, the extremes of `i128` included.
     #[test]
     fn values_round_trip_through_the_key_encoding() {
         let rows = [
@@ -686,17 +586,18 @@ mod tests {
             ge(&[1, -1, 0], 0),
         ];
         for contradiction in [false, true] {
-            let mut buf = Vec::new();
-            put_uint(&mut buf, u128::MAX);
-            put_expr(&mut buf, rows[1].expr(), true);
-            put_int(&mut buf, i128::MIN);
-            put_rows(&mut buf, &rows, contradiction);
-            let mut r = Reader(&buf);
-            assert_eq!(r.uint(), u128::MAX);
-            assert_eq!(r.expr(3), (rows[1].expr().clone(), true));
-            assert_eq!(r.int(), i128::MIN);
-            assert_eq!(r.rows(3), (rows.to_vec(), contradiction));
-            assert!(r.0.is_empty(), "trailing bytes");
+            let mut e = Enc::new();
+            e.u64(u64::MAX);
+            e.row(rows[1].expr(), true);
+            e.i128(i128::MIN);
+            e.rows(&rows, contradiction);
+            let bytes = e.into_bytes();
+            let mut d = Dec::new(&bytes);
+            assert_eq!(d.u64(), Ok(u64::MAX));
+            assert_eq!(d.row(3), Ok((rows[1].expr().clone(), true)));
+            assert_eq!(d.i128(), Ok(i128::MIN));
+            assert_eq!(d.rows(3), Ok((rows.to_vec(), contradiction)));
+            assert_eq!(d.finish(), Ok(()), "no trailing bytes");
         }
     }
 

@@ -1,4 +1,5 @@
-//! Deterministic, versioned byte codecs for stage artifacts.
+//! Deterministic, versioned byte codecs: the one encoding of stage
+//! artifacts and of the polyhedral memo caches.
 //!
 //! The persistent artifact store (the `dmc-store` crate) keeps compilation-stage
 //! outputs on disk, keyed by the same structural fingerprints the
@@ -6,7 +7,10 @@
 //! *pure function of the value*: two equal artifacts must encode to the
 //! same bytes on every host, every run, every thread count — the store
 //! re-fingerprints payloads on load and treats any mismatch as
-//! corruption. The discipline enforced here:
+//! corruption. The memo caches ([`crate::cache`]) write their keys and
+//! values with the same [`Enc`] and read the values back with the same
+//! [`Dec`], so a constraint row has one layout wherever it is stored. The
+//! discipline enforced here:
 //!
 //! - **Fixed field order.** Every [`Codec`] impl writes struct fields in
 //!   declaration order and enum variants as a `u8` discriminant followed
@@ -23,12 +27,20 @@
 //!   sign takes one byte. `f64` keeps its 8 little-endian IEEE bytes
 //!   (`to_bits`), so `-0.0` and NaN payloads round-trip bit-exactly; `u8`
 //!   and `bool` are one byte.
+//! - **Sparse constraint rows.** A row lists its non-zero coefficients
+//!   only, as `(dimension + 2, coefficient)` pairs in increasing
+//!   dimension order, then a tag (0 or 1, below every `dimension + 2`, so
+//!   it ends the list; a constraint's tag is `is_eq`), then the constant.
+//!   A [`Polyhedron`] is its space, `rows << 1 | contradiction`, and its
+//!   rows; a standalone [`LinExpr`] is its length and one tag-0 row.
 //! - **Canonical decoding.** Each value has exactly one accepted
 //!   encoding: a varint with a redundant zero final byte (overlong), or
 //!   one that runs past its type's width (more than 10 bytes or a value
 //!   above `u64::MAX` for `u64`, a 19th byte above 3 for `i128`), is
 //!   [`CodecError::Invalid`]; one cut short is [`CodecError::Truncated`].
-//!   So a payload that decodes re-encodes to exactly its own bytes.
+//!   So is a row whose dimension is out of range or not above the one
+//!   before it, or whose coefficient is zero. So a payload that decodes
+//!   re-encodes to exactly its own bytes.
 //! - **Schema-tagged payloads.** The store layer prepends a codec
 //!   version and stage tag to every payload (see `dmc-core`'s artifact
 //!   module); a version bump invalidates every cached artifact rather
@@ -37,7 +49,7 @@
 //! Decoding is total: every error path returns [`CodecError`], never
 //! panics, because the input may be a corrupted or truncated disk file.
 
-use crate::constraint::{Constraint, ConstraintKind};
+use crate::constraint::Constraint;
 use crate::linexpr::LinExpr;
 use crate::polyhedron::Polyhedron;
 use crate::space::{Dim, DimKind, Space};
@@ -148,7 +160,50 @@ impl Enc {
         self.usize(s.len());
         self.buf.extend_from_slice(s.as_bytes());
     }
+
+    /// One constraint row: `e`'s non-zero `(dimension + 2, coefficient)`
+    /// pairs in increasing dimension order, `tag`, then the constant.
+    pub(crate) fn row(&mut self, e: &LinExpr, tag: bool) {
+        for (d, &a) in e.coeffs().iter().enumerate() {
+            if a != 0 {
+                self.usize(d + 2);
+                self.i128(a);
+            }
+        }
+        self.bool(tag);
+        self.i128(e.constant_term());
+    }
+
+    /// A constraint list: `rows << 1 | contradiction`, then the rows.
+    pub(crate) fn rows(&mut self, rows: &[Constraint], contradiction: bool) {
+        self.usize(rows.len() << 1 | usize::from(contradiction));
+        for c in rows {
+            self.row(c.expr(), c.is_eq());
+        }
+    }
+
+    /// The bytes written so far.
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Appends bytes another encoder wrote.
+    pub(crate) fn raw(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Forgets what was written, keeping the buffer for the next value.
+    pub(crate) fn clear(&mut self) {
+        self.buf.clear();
+    }
 }
+
+/// The widest standalone [`LinExpr`] a payload may declare. Its sparse
+/// row costs no byte per dimension, so the payload's length cannot bound
+/// what decoding it allocates; this does (1 MiB of coefficients). A
+/// polyhedron's rows need no such cap: their width is their decoded
+/// space's, which pays bytes for every dimension.
+const MAX_EXPR_DIMS: usize = 1 << 16;
 
 /// A byte-stream decoder over a borrowed payload. Every read is
 /// bounds-checked and returns [`CodecError`] on under- or over-run.
@@ -259,6 +314,11 @@ impl<'a> Dec<'a> {
     /// [`CodecError`] on truncation or an impossible length.
     pub fn seq_len(&mut self) -> Result<usize, CodecError> {
         let n = self.usize()?;
+        self.fits(n)
+    }
+
+    /// `n`, if `n` values of at least one byte each fit what remains.
+    fn fits(&self, n: usize) -> Result<usize, CodecError> {
         if n > self.remaining() {
             return Err(CodecError::Truncated {
                 need: n,
@@ -312,6 +372,57 @@ impl<'a> Dec<'a> {
         let n = self.seq_len()?;
         let b = self.take(n)?;
         String::from_utf8(b.to_vec()).map_err(|_| CodecError::Invalid("string is not UTF-8"))
+    }
+
+    /// A row written by [`Enc::row`] over `dims` dimensions, and its tag.
+    /// Only the canonical row is accepted: every dimension below `dims`
+    /// and above the one before it, no zero coefficient.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError`] on truncation or a non-canonical row.
+    pub(crate) fn row(&mut self, dims: usize) -> Result<(LinExpr, bool), CodecError> {
+        let mut e = LinExpr::zero(dims);
+        let mut next = 0;
+        let tag = loop {
+            match self.usize()? {
+                tag @ 0..=1 => break tag == 1,
+                d => {
+                    let d = d - 2;
+                    if d < next || d >= dims {
+                        return Err(CodecError::Invalid("row dimension out of range or order"));
+                    }
+                    let a = self.i128()?;
+                    if a == 0 {
+                        return Err(CodecError::Invalid("zero coefficient in a row"));
+                    }
+                    e.set_coeff(d, a);
+                    next = d + 1;
+                }
+            }
+        };
+        e.set_constant(self.i128()?);
+        Ok((e, tag))
+    }
+
+    /// A list written by [`Enc::rows`]: the rows over `dims` dimensions
+    /// and the contradiction flag.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError`] on truncation, an impossible count or a
+    /// non-canonical row.
+    pub(crate) fn rows(&mut self, dims: usize) -> Result<(Vec<Constraint>, bool), CodecError> {
+        let head = self.usize()?;
+        let n = self.fits(head >> 1)?;
+        let mut rows = Vec::with_capacity(n);
+        for _ in 0..n {
+            rows.push(match self.row(dims)? {
+                (e, true) => Constraint::eq(e),
+                (e, false) => Constraint::ge(e),
+            });
+        }
+        Ok((rows, head & 1 == 1))
     }
 
     /// Asserts the payload is fully consumed.
@@ -454,11 +565,12 @@ impl<A: Codec, B: Codec> Codec for (A, B) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine types. A polyhedron serializes as (space, constraints,
-// contradiction flag); constraints are stored exactly as `constraints()`
-// holds them — already normalized and deduplicated — and reassembled via
-// `Polyhedron::from_parts`, which trusts them verbatim, so the re-encoded
-// bytes are identical and no normalization pass runs on load.
+// Engine types. A polyhedron serializes as its space, then its rows and
+// contradiction flag ([`Enc::rows`]); the rows are stored exactly as
+// `constraints()` holds them — already normalized and deduplicated — and
+// reassembled via `Polyhedron::from_parts`, which trusts them verbatim, so
+// the re-encoded bytes are identical and no normalization pass runs on
+// load.
 
 impl Codec for DimKind {
     fn encode(&self, e: &mut Enc) {
@@ -521,74 +633,28 @@ impl Codec for Space {
 impl Codec for LinExpr {
     fn encode(&self, e: &mut Enc) {
         e.usize(self.len());
-        for &c in self.coeffs() {
-            e.i128(c);
+        e.row(self, false);
+    }
+    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
+        let n = d.usize()?;
+        if n > MAX_EXPR_DIMS {
+            return Err(CodecError::Invalid("expression wider than MAX_EXPR_DIMS"));
         }
-        e.i128(self.constant_term());
-    }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let n = d.seq_len()?;
-        let mut coeffs = Vec::with_capacity(n);
-        for _ in 0..n {
-            coeffs.push(d.i128()?);
+        match d.row(n)? {
+            (e, false) => Ok(e),
+            (_, true) => Err(CodecError::Invalid("expression row tagged 1")),
         }
-        let constant = d.i128()?;
-        Ok(LinExpr::from_coeffs(coeffs, constant))
-    }
-}
-
-impl Codec for ConstraintKind {
-    fn encode(&self, e: &mut Enc) {
-        e.u8(match self {
-            ConstraintKind::Eq => 0,
-            ConstraintKind::Ge => 1,
-        });
-    }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(match d.u8()? {
-            0 => ConstraintKind::Eq,
-            1 => ConstraintKind::Ge,
-            _ => return Err(CodecError::Invalid("ConstraintKind tag out of range")),
-        })
-    }
-}
-
-impl Codec for Constraint {
-    fn encode(&self, e: &mut Enc) {
-        self.kind().encode(e);
-        self.expr().encode(e);
-    }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let kind = ConstraintKind::decode(d)?;
-        let expr = LinExpr::decode(d)?;
-        Ok(match kind {
-            ConstraintKind::Eq => Constraint::eq(expr),
-            ConstraintKind::Ge => Constraint::ge(expr),
-        })
     }
 }
 
 impl Codec for Polyhedron {
     fn encode(&self, e: &mut Enc) {
         self.space().encode(e);
-        e.usize(self.constraints().len());
-        for c in self.constraints() {
-            c.encode(e);
-        }
-        e.bool(self.is_obviously_empty());
+        e.rows(self.constraints(), self.is_obviously_empty());
     }
     fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
         let space = Space::decode(d)?;
-        let n = d.seq_len()?;
-        let mut cons = Vec::with_capacity(n);
-        for _ in 0..n {
-            let c = Constraint::decode(d)?;
-            if c.expr().len() != space.len() {
-                return Err(CodecError::Invalid("constraint space mismatch"));
-            }
-            cons.push(c);
-        }
-        let contradiction = d.bool()?;
+        let (cons, contradiction) = d.rows(space.len())?;
         Ok(Polyhedron::from_parts(space, cons, contradiction))
     }
 }
@@ -816,6 +882,35 @@ mod tests {
             decode_from_slice::<i128>(&[0xFF; 18]),
             Err(CodecError::Truncated { .. })
         ));
+    }
+
+    /// A row has one accepted encoding: a dimension out of range, one not
+    /// above the one before it, or a zero coefficient is invalid, and so
+    /// is a standalone expression tagged 1 or wider than the cap.
+    #[test]
+    fn non_canonical_rows_are_rejected() {
+        fn invalid<T>(r: Result<T, CodecError>) -> bool {
+            matches!(r, Err(CodecError::Invalid(_)))
+        }
+        // `3 · x1 - x2 + 4 >= 0` over three dimensions, as a standalone
+        // expression: length, (1 + 2, 3), (2 + 2, -1), tag, constant.
+        let good = [3, 3, 6, 4, 1, 0, 8];
+        let e = decode_from_slice::<LinExpr>(&good).expect("canonical");
+        assert_eq!(e, LinExpr::from_slice(&[0, 3, -1], 4));
+        assert_eq!(encode_to_vec(&e), good);
+        for (bad, why) in [
+            ([3, 5, 6, 4, 1, 0, 8], "dimension 3 of three"),
+            ([3, 4, 6, 3, 1, 0, 8], "dimensions out of order"),
+            ([3, 3, 6, 3, 1, 0, 8], "a dimension repeated"),
+            ([3, 3, 0, 4, 1, 0, 8], "a zero coefficient"),
+            ([3, 3, 6, 4, 1, 1, 8], "tag 1"),
+        ] {
+            assert!(invalid(decode_from_slice::<LinExpr>(&bad)), "{why}");
+        }
+        let mut wide = Enc::new();
+        wide.usize(MAX_EXPR_DIMS + 1);
+        wide.row(&LinExpr::zero(0), false);
+        assert!(invalid(decode_from_slice::<LinExpr>(&wide.into_bytes())));
     }
 
     /// `f64` keeps its 8 IEEE bytes: signed zero and a NaN payload come

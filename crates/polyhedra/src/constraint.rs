@@ -70,15 +70,6 @@ impl Constraint {
         }
     }
 
-    /// Builds `lhs >= rhs` as `lhs - rhs >= 0`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PolyError::Overflow`] on overflow.
-    pub fn ge_pair(lhs: &LinExpr, rhs: &LinExpr) -> Result<Self, PolyError> {
-        Ok(Constraint::ge(lhs.sub(rhs)?))
-    }
-
     /// Builds `lhs == rhs` as `lhs - rhs == 0`.
     ///
     /// # Errors
@@ -283,13 +274,12 @@ mod tests {
     }
 
     #[test]
-    fn eq_pair_and_ge_pair() {
+    fn eq_pair_is_lhs_minus_rhs() {
         let lhs = LinExpr::from_coeffs(vec![1, 0], 0);
         let rhs = LinExpr::from_coeffs(vec![0, 1], -3);
         let c = Constraint::eq_pair(&lhs, &rhs).unwrap();
         // i == j - 3  =>  i - j + 3 == 0
         assert_eq!(c.expr(), &LinExpr::from_coeffs(vec![1, -1], 3));
-        let g = Constraint::ge_pair(&lhs, &rhs).unwrap();
-        assert!(!g.is_eq());
+        assert!(c.is_eq());
     }
 }

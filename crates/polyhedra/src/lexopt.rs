@@ -11,7 +11,8 @@
 //! (`q`, `r` with `c·q <= e <= c·q + c − 1`), exactly as the paper does for
 //! modulo constraints in last-write relations (§4.4.2).
 
-use crate::cache::{self, put_expr, put_rows, put_uint, Query, Reader};
+use crate::cache::{self, Query};
+use crate::codec::{CodecError, Dec, Enc};
 use crate::{ledger, Constraint, DimKind, LinExpr, PolyError, Polyhedron, Space};
 
 /// Direction of optimization.
@@ -51,14 +52,14 @@ impl LexOpt {
     /// Writes the optimum as its memo value: how many auxiliary dimensions
     /// it appended to the caller's `base` ones, then per piece the
     /// context's rows and the solution rows.
-    fn encode(&self, base: usize, buf: &mut Vec<u8>) {
-        put_uint(buf, (self.space.len() - base) as u128);
-        put_uint(buf, self.pieces.len() as u128);
+    fn encode(&self, base: usize, e: &mut Enc) {
+        e.usize(self.space.len() - base);
+        e.usize(self.pieces.len());
         for p in &self.pieces {
-            put_rows(buf, p.context.constraints(), p.context.is_obviously_empty());
-            put_uint(buf, p.solution.len() as u128);
-            for e in &p.solution {
-                put_expr(buf, e, false);
+            e.rows(p.context.constraints(), p.context.is_obviously_empty());
+            e.usize(p.solution.len());
+            for x in &p.solution {
+                e.row(x, false);
             }
         }
     }
@@ -66,22 +67,24 @@ impl LexOpt {
     /// Reads back what [`LexOpt::encode`] wrote for a caller over `base`.
     /// The auxiliary dimensions are named as [`add_aux`] named them: by
     /// [`Space::add_aux`], one after another, from the caller's names.
-    fn decode(r: &mut Reader<'_>, base: &Space) -> LexOpt {
+    fn decode(d: &mut Dec<'_>, base: &Space) -> Result<LexOpt, CodecError> {
         let mut space = base.clone();
-        for _ in 0..r.usize() {
+        for _ in 0..d.usize()? {
             space.add_aux();
         }
         let dims = space.len();
-        let pieces = (0..r.usize())
+        let pieces = (0..d.usize()?)
             .map(|_| {
-                let (cons, contradiction) = r.rows(dims);
-                LexPiece {
+                let (cons, contradiction) = d.rows(dims)?;
+                Ok(LexPiece {
                     context: Polyhedron::from_parts(space.clone(), cons, contradiction),
-                    solution: (0..r.usize()).map(|_| r.expr(dims).0).collect(),
-                }
+                    solution: (0..d.usize()?)
+                        .map(|_| Ok(d.row(dims)?.0))
+                        .collect::<Result<_, CodecError>>()?,
+                })
             })
-            .collect();
-        LexOpt { space, pieces }
+            .collect::<Result<_, CodecError>>()?;
+        Ok(LexOpt { space, pieces })
     }
 }
 
@@ -162,8 +165,8 @@ pub fn lexopt(poly: &Polyhedron, opt_dims: &[usize], dir: Direction) -> Result<L
         poly.system(),
         &args,
         || lexopt_uncached(poly, opt_dims, dir),
-        |opt, buf| opt.encode(base, buf),
-        |r| LexOpt::decode(r, poly.space()),
+        |opt, e| opt.encode(base, e),
+        |d| LexOpt::decode(d, poly.space()),
     )
 }
 

@@ -211,11 +211,6 @@ impl LinExpr {
         self.coeffs().iter().all(|&c| c == 0)
     }
 
-    /// True if the expression is identically zero.
-    pub fn is_zero(&self) -> bool {
-        self.constant == 0 && self.is_constant()
-    }
-
     /// Sum of two expressions over the same space.
     ///
     /// # Errors
@@ -372,22 +367,6 @@ impl LinExpr {
         out
     }
 
-    /// Removes the dimension `dim` (whose coefficient must be zero).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the coefficient of `dim` is nonzero.
-    pub fn drop_dim(&self, dim: usize) -> LinExpr {
-        assert_eq!(self.coeff(dim), 0, "dropping a referenced dimension");
-        let mut out = LinExpr::zero(self.len() - 1);
-        let dst = out.repr.as_mut_slice();
-        let src = self.coeffs();
-        dst[..dim].copy_from_slice(&src[..dim]);
-        dst[dim..].copy_from_slice(&src[dim + 1..]);
-        out.constant = self.constant;
-        out
-    }
-
     /// Gcd of all coefficients (not the constant); 0 for constant expressions.
     pub fn content(&self) -> i128 {
         self.coeffs().iter().fold(0, |g, &c| num::gcd(g, c))
@@ -463,7 +442,6 @@ mod tests {
         assert_eq!(e.eval(&[0, 0]).unwrap(), 5);
         assert!(!e.is_constant());
         assert!(LinExpr::constant(2, 7).is_constant());
-        assert!(LinExpr::zero(2).is_zero());
     }
 
     #[test]
@@ -563,10 +541,7 @@ mod tests {
         );
         assert!(d.allocs >= 1, "the spilled row lives on the heap");
 
-        let mut back = wide.clone();
-        for _ in 0..3 {
-            back = back.drop_dim(back.len() - 1);
-        }
+        let back = LinExpr::from_slice(&wide.coeffs()[..INLINE_DIMS], wide.constant_term());
         assert_eq!(back, e, "slice equality is representation-agnostic");
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};

@@ -7,7 +7,7 @@ use std::fmt;
 
 use dmc_obs as obs;
 
-use crate::cache::{self, put_rows, Query};
+use crate::cache::{self, Query};
 use crate::constraint::Normalized;
 use crate::ledger;
 use crate::num;
@@ -175,16 +175,6 @@ impl Polyhedron {
                 self.distinct = self.cons.len();
             }
         }
-    }
-
-    /// The order-insensitive exact encoding of this polyhedron's constraint
-    /// system (arity, contradiction flag, rows sorted by their encoding —
-    /// see [`crate::cache`]). Two polyhedra have equal keys exactly when
-    /// they hold the same constraint set over the same arity, whatever the
-    /// insertion order or the dimension names; the feasibility memo cache
-    /// is keyed on these bytes.
-    pub fn canonical_key(&self) -> Box<[u8]> {
-        cache::canonical_key(self.system())
     }
 
     /// What the memo caches key this polyhedron by.
@@ -506,10 +496,14 @@ impl Polyhedron {
             self.system(),
             dims,
             || self.eliminate_dims_uncached(dims),
-            |out, buf| put_rows(buf, &out.cons, out.contradiction),
-            |r| {
-                let (cons, contradiction) = r.rows(self.space.len());
-                Polyhedron::from_parts(self.space.clone(), cons, contradiction)
+            |out, e| e.rows(&out.cons, out.contradiction),
+            |d| {
+                let (cons, contradiction) = d.rows(self.space.len())?;
+                Ok(Polyhedron::from_parts(
+                    self.space.clone(),
+                    cons,
+                    contradiction,
+                ))
             },
         )
     }
@@ -696,8 +690,9 @@ impl Polyhedron {
     /// All dimensions are treated existentially. The branch-and-bound
     /// budget comes from [`stats::feasibility_budget`] (pushed per thread
     /// via [`stats::push_thread_tuning`]); definite answers are memoized
-    /// per thread, keyed on [`Polyhedron::canonical_key`], while `Unknown`
-    /// answers are never cached (they depend on the budget).
+    /// per thread, keyed on the system's rows in sorted order (see
+    /// [`crate::cache`]), while `Unknown` answers are never cached (they
+    /// depend on the budget).
     ///
     /// # Errors
     ///

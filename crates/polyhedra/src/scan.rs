@@ -15,7 +15,8 @@
 
 use std::ops::ControlFlow;
 
-use crate::cache::{self, put_expr, put_int, put_rows, put_uint, Query, Reader};
+use crate::cache::{self, Query};
+use crate::codec::{CodecError, Dec, Enc};
 use crate::{ledger, num};
 use crate::{LinExpr, PolyError, Polyhedron, Space};
 
@@ -60,53 +61,57 @@ impl ScanNest {
     /// Writes the nest as its memo value: per level the dimension, the
     /// lower and upper bounds (row, divisor) and the optional exact value,
     /// then the guard's rows.
-    fn encode(&self, buf: &mut Vec<u8>) {
-        put_uint(buf, self.vars.len() as u128);
+    fn encode(&self, e: &mut Enc) {
+        e.usize(self.vars.len());
         for vb in &self.vars {
-            put_uint(buf, vb.dim as u128);
+            e.usize(vb.dim);
             for side in [&vb.lowers, &vb.uppers] {
-                put_uint(buf, side.len() as u128);
+                e.usize(side.len());
                 for b in side {
-                    put_expr(buf, &b.expr, false);
-                    put_int(buf, b.divisor);
+                    e.row(&b.expr, false);
+                    e.i128(b.divisor);
                 }
             }
-            put_uint(buf, u128::from(vb.exact.is_some()));
-            if let Some(e) = &vb.exact {
-                put_expr(buf, e, false);
+            e.bool(vb.exact.is_some());
+            if let Some(x) = &vb.exact {
+                e.row(x, false);
             }
         }
-        put_rows(
-            buf,
-            self.guard.constraints(),
-            self.guard.is_obviously_empty(),
-        );
+        e.rows(self.guard.constraints(), self.guard.is_obviously_empty());
     }
 
     /// Reads back what [`ScanNest::encode`] wrote, over `space`.
-    fn decode(r: &mut Reader<'_>, space: &Space) -> ScanNest {
+    fn decode(d: &mut Dec<'_>, space: &Space) -> Result<ScanNest, CodecError> {
         let dims = space.len();
-        let bounds = |r: &mut Reader<'_>| -> Vec<Bound> {
-            (0..r.usize())
-                .map(|_| Bound {
-                    expr: r.expr(dims).0,
-                    divisor: r.int(),
+        let bounds = |d: &mut Dec<'_>| -> Result<Vec<Bound>, CodecError> {
+            (0..d.usize()?)
+                .map(|_| {
+                    Ok(Bound {
+                        expr: d.row(dims)?.0,
+                        divisor: d.i128()?,
+                    })
                 })
                 .collect()
         };
-        let vars = (0..r.usize())
-            .map(|_| VarBounds {
-                dim: r.usize(),
-                lowers: bounds(r),
-                uppers: bounds(r),
-                exact: (r.usize() == 1).then(|| r.expr(dims).0),
+        let vars = (0..d.usize()?)
+            .map(|_| {
+                Ok(VarBounds {
+                    dim: d.usize()?,
+                    lowers: bounds(d)?,
+                    uppers: bounds(d)?,
+                    exact: if d.bool()? {
+                        Some(d.row(dims)?.0)
+                    } else {
+                        None
+                    },
+                })
             })
-            .collect();
-        let (cons, contradiction) = r.rows(dims);
-        ScanNest {
+            .collect::<Result<_, CodecError>>()?;
+        let (cons, contradiction) = d.rows(dims)?;
+        Ok(ScanNest {
             vars,
             guard: Polyhedron::from_parts(space.clone(), cons, contradiction),
-        }
+        })
     }
 
     /// Enumerates all solutions with concrete values for the un-scanned
@@ -687,7 +692,7 @@ pub fn scan_bounds(poly: &Polyhedron, order: &[usize]) -> Result<ScanNest, PolyE
         order,
         || scan_bounds_uncached(poly, order),
         ScanNest::encode,
-        |r| ScanNest::decode(r, poly.space()),
+        |d| ScanNest::decode(d, poly.space()),
     )
 }
 

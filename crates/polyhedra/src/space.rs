@@ -190,13 +190,6 @@ impl Space {
         self.dims.iter().position(|d| d.name() == name)
     }
 
-    /// Positions of every dimension of kind `kind`, in order.
-    pub fn dims_of_kind(&self, kind: DimKind) -> Vec<usize> {
-        (0..self.len())
-            .filter(|&i| self.dims[i].kind() == kind)
-            .collect()
-    }
-
     /// Builds a new space that appends `other`'s dimensions after `self`'s.
     ///
     /// # Panics
@@ -256,19 +249,6 @@ mod tests {
         let mut s = Space::new();
         s.add_dim("i", DimKind::Index);
         s.add_dim("i", DimKind::Param);
-    }
-
-    #[test]
-    fn kinds_filter() {
-        let s = Space::from_dims([
-            ("i", DimKind::Index),
-            ("p", DimKind::Proc),
-            ("j", DimKind::Index),
-            ("N", DimKind::Param),
-        ]);
-        assert_eq!(s.dims_of_kind(DimKind::Index), vec![0, 2]);
-        assert_eq!(s.dims_of_kind(DimKind::Proc), vec![1]);
-        assert_eq!(s.dims_of_kind(DimKind::Aux), Vec::<usize>::new());
     }
 
     #[test]

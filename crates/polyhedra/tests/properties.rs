@@ -585,24 +585,40 @@ fn redundancy_removal_preserves_set() {
     }
 }
 
-/// The canonical key identifies equal systems regardless of insertion
-/// order, and separates different ones.
+/// The feasibility memo's key is canonical: an equal system built in
+/// another row order is answered by the first one's entry, and a system
+/// differing in one constant is not.
 #[test]
 fn canonical_key_is_order_insensitive() {
     let space = Space::from_dims([("x", DimKind::Index), ("y", DimKind::Index)]);
-    let c1 = Constraint::ge(LinExpr::from_coeffs(vec![1, 0], 0));
-    let c2 = Constraint::ge(LinExpr::from_coeffs(vec![0, -1], 7));
-    let mut a = Polyhedron::universe(space.clone());
-    a.add(c1.clone());
-    a.add(c2.clone());
-    let mut b = Polyhedron::universe(space.clone());
-    b.add(c2);
-    b.add(c1);
-    assert_eq!(a.canonical_key(), b.canonical_key());
+    let rows = [
+        Constraint::ge(LinExpr::from_coeffs(vec![1, 0], 0)),
+        Constraint::ge(LinExpr::from_coeffs(vec![0, -1], 7)),
+        Constraint::ge(LinExpr::from_coeffs(vec![-1, 0], 9)),
+        Constraint::ge(LinExpr::from_coeffs(vec![0, 1], 2)),
+    ];
+    let build = |rows: &mut dyn Iterator<Item = Constraint>| {
+        let mut p = Polyhedron::universe(space.clone());
+        rows.for_each(|c| p.add(c));
+        p
+    };
+    let a = build(&mut rows.iter().cloned());
+    let b = build(&mut rows.iter().rev().cloned());
+    let mut c = rows.clone();
+    c[0] = Constraint::ge(LinExpr::from_coeffs(vec![1, 0], 1));
+    let c = build(&mut c.into_iter());
+    assert_ne!(a.constraints(), b.constraints(), "built in another order");
 
-    let mut c = Polyhedron::universe(space);
-    c.add(Constraint::ge(LinExpr::from_coeffs(vec![1, 0], 1)));
-    assert_ne!(a.canonical_key(), c.canonical_key());
+    cache::clear_thread_caches();
+    let hits_and_misses = |p: &Polyhedron| {
+        let before = stats::snapshot();
+        assert_eq!(p.integer_feasibility(), Ok(Feasibility::Feasible));
+        let d = stats::snapshot().since(&before);
+        (d.feas_cache_hits, d.feas_cache_misses)
+    };
+    assert_eq!(hits_and_misses(&a), (0, 1));
+    assert_eq!(hits_and_misses(&b), (1, 0), "the permuted system hits");
+    assert_eq!(hits_and_misses(&c), (0, 1), "another constant misses");
 }
 
 /// "Keep the first occurrence; append only if new": the constraint list

@@ -49,8 +49,9 @@
 //! ```
 //!
 //! where `payload` is the session's versioned codec framing
-//! ([`Artifact::encode_payload`]) and `payload fp` is an FNV-1a/128 of
-//! the payload bytes.
+//! ([`Artifact::encode_payload`]) and `payload fp` is the FNV-1a/128 of
+//! the payload bytes ([`dmc_ir::fp::fnv1a128`], no structural tagging:
+//! the payload is already a canonical encoding).
 //!
 //! ## Corruption is a miss
 //!
@@ -100,7 +101,7 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 use dmc_core::{Artifact, ArtifactStore, StageId, StoreStats};
-use dmc_ir::fp::Fingerprint;
+use dmc_ir::fp::{fnv1a128, Fingerprint, FNV_OFFSET};
 
 /// The on-disk container format version (the outer framing, distinct
 /// from [`dmc_core::CODEC_VERSION`], which versions the payload schema).
@@ -118,20 +119,6 @@ const LOG_HEADER: &str = "dmc-store v1\n";
 /// Lines the log may hold beyond two per resident entry before it is
 /// compacted.
 const LOG_SLACK_LINES: u64 = 1024;
-
-/// FNV-1a/128 over raw bytes — the payload integrity fingerprint. Same
-/// constants as `dmc_ir::fp`, applied to the byte stream directly (no
-/// structural tagging: the payload is already a canonical encoding).
-fn fnv1a128(bytes: &[u8]) -> u128 {
-    const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-    const PRIME: u128 = 0x0000000001000000000000000000013b;
-    let mut state = OFFSET;
-    for &b in bytes {
-        state ^= u128::from(b);
-        state = state.wrapping_mul(PRIME);
-    }
-    state
-}
 
 type Key = (u8, u128);
 
@@ -467,7 +454,7 @@ impl DiskStore {
         let payload = &bytes[HEADER_BYTES..HEADER_BYTES + len];
         let mut want = [0u8; 16];
         want.copy_from_slice(&bytes[HEADER_BYTES + len..]);
-        if fnv1a128(payload) != u128::from_le_bytes(want) {
+        if fnv1a128(FNV_OFFSET, payload) != u128::from_le_bytes(want) {
             return Err("payload fingerprint mismatch");
         }
         if payload
@@ -553,7 +540,7 @@ impl ArtifactStore for DiskStore {
         bytes.extend_from_slice(&key.0.to_le_bytes());
         bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&fnv1a128(&payload).to_le_bytes());
+        bytes.extend_from_slice(&fnv1a128(FNV_OFFSET, &payload).to_le_bytes());
 
         let path = self.path_of(stage, key);
         let tmp = self
@@ -783,7 +770,7 @@ mod tests {
         let mut bytes = fs::read(&path).unwrap();
         let end = bytes.len() - TRAILER_BYTES;
         bytes[HEADER_BYTES] = 1;
-        let fp = fnv1a128(&bytes[HEADER_BYTES..end]).to_le_bytes();
+        let fp = fnv1a128(FNV_OFFSET, &bytes[HEADER_BYTES..end]).to_le_bytes();
         bytes[end..].copy_from_slice(&fp);
         fs::write(&path, &bytes).unwrap();
 

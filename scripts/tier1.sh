@@ -20,6 +20,10 @@ cargo test -q
 # checks, so this is where a silent `i128` wrap in the parser would show
 # (the debug run above catches only a panic).
 cargo test --release -q -p dmc-ir
+# The artifact fuzz in release for the same reason: the canonical varint
+# and row checks are width and shift arithmetic, which the debug run
+# checks for overflow and the release build does not.
+cargo test --release -q -p dmc-bench --test codec_fuzz
 
 # The paper's LU end to end through the planner's fold: the values check
 # against the sequential interpreter at N = 24 and the Figure 14 series on
