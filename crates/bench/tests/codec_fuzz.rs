@@ -1,6 +1,8 @@
 //! Hostile bytes into the artifact codecs: every registry workload is
 //! served at its test size through a store that records each artifact it
-//! is handed (all four stages), and each recorded payload is then mutated
+//! is handed (all four stages), its values-mode schedule is built through
+//! the same session (so payload tables are recorded too, not only the
+//! timing-mode schedules `serve` stores), and each recorded payload is then mutated
 //! by bit flips, byte overwrites and truncations. A mutated payload must
 //! decode to an error or to an artifact that re-encodes to exactly the
 //! mutated bytes: decoding never panics, and the codec accepts one
@@ -65,9 +67,12 @@ fn recorded_payloads() -> Vec<Payload> {
             .parse(&input.program.to_string())
             .unwrap_or_else(|e| panic!("{}: printed program parses: {e}", w.name));
         let input = CompileInput { program, ..input };
-        session
+        let served = session
             .serve(w.name, input, Options::full(), &w.params, 50_000_000)
             .unwrap_or_else(|e| panic!("{}: serves: {e}", w.name));
+        session
+            .build_schedule(&served.compiled, &w.params, true, 50_000_000)
+            .unwrap_or_else(|e| panic!("{}: values-mode schedule: {e}", w.name));
     }
     drop(session);
     let payloads = std::mem::take(&mut *recording.0.lock().unwrap());
@@ -82,6 +87,21 @@ fn mutated_payloads_never_panic_and_decode_only_canonically() {
         stages,
         StageId::ALL.map(StageId::tag).into(),
         "every stage recorded"
+    );
+    let tables = payloads
+        .iter()
+        .filter(|(stage, _)| *stage == StageId::Schedule)
+        .filter(
+            |(stage, bytes)| match Artifact::decode_payload(*stage, bytes) {
+                Ok(Artifact::Schedule(s)) => s.messages.iter().any(|m| m.payload.is_some()),
+                _ => false,
+            },
+        )
+        .count();
+    assert_eq!(
+        tables,
+        test_workloads().len(),
+        "a values-mode schedule per workload"
     );
     let mut rng = XorShift(0x5EED_C0DEC);
     let (mut decoded, mut refused) = (0, 0);

@@ -4,7 +4,7 @@
 //! leaves must sit under the key, and hold the payload, recorded below.
 //! An equal key means a directory written by an earlier build is looked
 //! up where it was; an equal payload fingerprint means this build writes
-//! exactly the bytes recorded for `CODEC_VERSION` 3. A directory written
+//! exactly the bytes recorded for `CODEC_VERSION` 4. A directory written
 //! at an earlier codec version no longer serves: its files are found
 //! under the same keys, and each load of one is a miss that removes it.
 
@@ -22,31 +22,32 @@ for t = 0 to T { for i = 3 to N { X[i] = X[i - 3]; } }";
 /// `schedule` key (stage 6) took a fresh outer tag when the planner began
 /// deciding aggregation legality per chunk instead of by a dry run, so no
 /// store serves a plan of the old rule. Keys do not depend on the codec.
-/// The payload fingerprints are those of `CODEC_VERSION` 3 (varint
-/// integers, sparse constraint rows); every one of them moved from
-/// versions 1 and 2 — the parse payload only by its version byte — and
-/// none moved with the planner's rule, since Figure 2's plan is the same
-/// under both.
+/// The payload fingerprints are those of `CODEC_VERSION` 4 (varint
+/// integers, sparse constraint rows, a values-mode payload as one table).
+/// All four moved from version 3 by their version byte alone: this
+/// request stores a timing-mode schedule, which carries no payload. Every
+/// one moved from versions 1 and 2, and none moved with the planner's
+/// rule, since Figure 2's plan is the same under both.
 const SEVEN_STAGE_ARTIFACTS: [(u8, u128, u128); 4] = [
     (
         0,
         0x0840bf8585df581e69f48e49810d9057,
-        0xfe8d79ac1d8c778e23b83699774cf150,
+        0x9922892eba5383df9d5e5134008792f1,
     ),
     (
         2,
         0x65c0d40bfd5d6bbfadf0a32d517f83ef,
-        0x474f5b9bdaf00c8861d7cc46fbf3bb9d,
+        0x92301259c7b6cc8dd70bb894e5ce77e8,
     ),
     (
         4,
         0x4f0bcf57fc8685d23220ae112ad3db8b,
-        0x1335856596446a0cd19bf0070aa1ad8f,
+        0xe6f1f5fae3584ee24293e19cb6a15d5a,
     ),
     (
         6,
         0xf3e0cc22b2f19bd5dc25e34bb206e69d,
-        0x5b6dd52404fab2f7689fc61ad93c1f50,
+        0x20c217c5934a18272f64e544bf74976b,
     ),
 ];
 

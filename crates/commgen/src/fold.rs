@@ -142,10 +142,26 @@ impl Folded {
 
     /// The items of payload class `p` in pack order, as `(s_iter, arr)`;
     /// empty unless [`FoldSpec::payloads`] was asked.
+    ///
+    /// # Panics
+    ///
+    /// Panics once [`Folded::take_payloads`] took the classes.
     pub fn payload(&self, p: usize) -> impl Iterator<Item = (&[i128], &[i128])> {
         self.items[p]
             .chunks_exact(self.item_width.max(1))
             .map(|it| it.split_at(self.item_split))
+    }
+
+    /// Columns of a payload item: the `s_iter`, then the `arr` ones.
+    pub fn item_width(&self) -> usize {
+        self.item_width
+    }
+
+    /// Takes every payload class's items out of the fold: per class, its
+    /// items flat in pack order, [`Folded::item_width`] columns each, as
+    /// [`Folded::payload`] splits them.
+    pub fn take_payloads(&mut self) -> Vec<Vec<i128>> {
+        std::mem::take(&mut self.items)
     }
 }
 
@@ -723,7 +739,10 @@ impl<'a> Folder<'a> {
             let class = depth.class[c] as usize;
             if classes.slot[class] == NONE {
                 classes.slot[class] = depth.items.len() as u32;
-                depth.items.push(std::mem::take(&mut classes.items[class]));
+                // Closed, the class's items grow no more.
+                let mut items = std::mem::take(&mut classes.items[class]);
+                items.shrink_to_fit();
+                depth.items.push(items);
                 self.closing.push(class as u32);
             }
             depth.class[c] = classes.slot[class];

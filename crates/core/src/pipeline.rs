@@ -1,7 +1,6 @@
 //! The compiler pipeline: program + decompositions → communication sets →
 //! optimized message plan → machine schedule.
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -11,8 +10,8 @@ use dmc_dataflow::{LastWriteTree, LwtError, LwtLeaf};
 use dmc_decomp::{CompDecomp, DataDecomp, ProcGrid};
 use dmc_ir::{Program, StmtInfo};
 use dmc_machine::{
-    simulate, Action, InitialPlacement, MachineConfig, MessageSpec, PayloadItem, Schedule,
-    SimError, SimResult, Stamp,
+    simulate, template_of, Action, InitialPlacement, MachineConfig, MessageSpec, Payload, Schedule,
+    SimError, SimResult, Stamp, StampRef,
 };
 use dmc_obs as obs;
 use dmc_polyhedra::ledger;
@@ -268,45 +267,71 @@ pub(crate) fn schedule_message_stats(schedule: &Schedule) -> (u64, u64, u64) {
     (messages, transmissions, words)
 }
 
-/// One pending schedule entry: `(anchor, phase, seq, action)`. The
-/// schedule's entries borrow the anchors of the hoisted blocks they do not
-/// split.
-type PendingAction<S = Stamp> = (S, i8, usize, Action);
+/// What a processor's actions are ordered by: anchor, phase (receives,
+/// then blocks, then sends at one anchor), sequence number. Sequence
+/// numbers are unique, so no two actions tie and an unstable sort orders
+/// them as a stable one would.
+type Key<'a> = (StampRef<'a>, i8, usize);
+
+/// A compute block's [`Key`]: its first element's stamp, phase 0.
+fn block_key<'a>(templates: &'a [Stamp], (seq, block): &'a (usize, Action)) -> Key<'a> {
+    (block.anchor(templates).expect("a block"), 0, *seq)
+}
 
 /// The legality splits [`hoist`] folds every set at, in one scan: the
 /// paper's prefix and one component deeper, the split LU's level-1 sets
 /// need. A set deepened further is folded again ([`HoistedPlan::refold`]).
 const HOISTED_SPLITS: [usize; 2] = [0, 1];
 
+/// Per payload class of one fold, its items' flat rows (values mode).
+type ClassRows = Vec<Vec<i128>>;
+
+/// Per processor, compute-block actions with their sequence numbers.
+type Blocks = Vec<Vec<(usize, Action)>>;
+
 /// Split-depth-independent planning state, computed once per
 /// [`build_schedule`] call: every set's fold at the hoisted splits, the
-/// per-set multicast verdicts and the per-processor compute-block actions,
-/// sorted. The legality check and the schedule read each set's fold at its
-/// split and merge in the blocks.
+/// per-set multicast verdicts, the statements' stamp templates and the
+/// per-processor compute-block actions, sorted. The legality check reads
+/// each set's fold at its split; the schedule takes over the blocks and
+/// the payload rows ([`Parts`]).
+#[cfg_attr(test, derive(Clone))]
 struct HoistedPlan {
     /// Per communication set: its folds, one per split folded.
     folds: Vec<Vec<Folded>>,
     /// Per communication set: may its chunks be multicast-merged?
     multicast: Vec<bool>,
-    /// Per processor: the compute-block actions (identical at any depth),
-    /// in `(anchor, phase, seq)` order.
-    blocks: Vec<Vec<PendingAction>>,
+    /// Per statement, its [`template_of`]: what every anchor reads.
+    templates: Vec<Stamp>,
+    parts: Parts,
+}
+
+/// What the schedule is assembled from and moves in rather than copies.
+#[cfg_attr(test, derive(Clone))]
+struct Parts {
+    /// Per communication set and fold (as [`HoistedPlan::folds`]): each
+    /// payload class's rows, taken out of the fold.
+    rows: Vec<Vec<ClassRows>>,
+    /// The compute-block actions (identical at any depth), in
+    /// [`block_key`] order.
+    blocks: Blocks,
     /// The sequence counter after the block actions; message actions
     /// continue from here.
     block_seq: usize,
 }
 
 impl HoistedPlan {
-    /// Set `k`'s fold at legality split `extra`.
+    /// The index among set `k`'s folds of the one at legality split
+    /// `extra`.
     ///
     /// # Panics
     ///
     /// Panics if the set was not folded at that split.
-    fn fold(&self, k: usize, cs: &CommSet, extra: usize) -> &Folded {
+    fn fold_at(folds: &[Vec<Folded>], k: usize, cs: &CommSet, extra: usize) -> usize {
         let split = cs.split_depth(extra);
-        self.folds[k]
+        folds[k]
             .iter()
-            .find(|f| f.split() == split)
+            .position(|f| f.split() == split)
             .expect("the set's split was folded")
     }
 
@@ -332,25 +357,42 @@ impl HoistedPlan {
                 self.multicast[k],
                 values,
             )?;
-            self.folds[k].extend(folded);
+            keep_folds(&mut self.folds[k], &mut self.parts.rows[k], folded);
         }
         Ok(())
     }
 }
 
+/// Appends `folded` to a set's folds, its payload rows taken out beside
+/// them.
+fn keep_folds(folds: &mut Vec<Folded>, rows: &mut Vec<ClassRows>, folded: Vec<Folded>) {
+    for mut f in folded {
+        rows.push(f.take_payloads());
+        folds.push(f);
+    }
+}
+
 /// One chunk in its processors' orders: message `msg`, sent by rank
 /// `sender` at stamp `send`, received by rank `receiver` at stamp `recv`.
+/// The stamps are read in place from the fold and the statements'
+/// templates.
 #[derive(Debug)]
-struct Anchored {
-    /// The communication set, and the chunk's index in its fold.
+struct Anchored<'f> {
+    /// The communication set, the index of its fold at the set's split,
+    /// and the chunk's index in that fold.
     set: usize,
+    fold: usize,
     chunk: usize,
     msg: usize,
     sender: usize,
-    send: Stamp,
+    send: StampRef<'f>,
     receiver: usize,
-    recv: Stamp,
+    recv: StampRef<'f>,
 }
+
+/// The send anchor of live-in data: before everything, the live-in
+/// copies' `[-1]` included.
+const LIVE_IN_SEND: [i128; 1] = [-2];
 
 /// Every chunk of every set at legality splits `splits`, in message order
 /// (one message per group of a set's fold), anchored as the schedule
@@ -359,30 +401,36 @@ struct Anchored {
 /// initial-owner data has no producer and is sent before everything. A
 /// receive goes immediately before the first use of its data (the paper's
 /// "issue the receive just before the data are used").
-fn anchored_chunks(compiled: &Compiled, plan: &HoistedPlan, splits: &[usize]) -> Vec<Anchored> {
-    let stmts = compiled.input.program.statements();
+fn anchored_chunks<'f>(
+    compiled: &Compiled,
+    folds: &'f [Vec<Folded>],
+    templates: &'f [Stamp],
+    splits: &[usize],
+) -> Vec<Anchored<'f>> {
     // Under the grid a chunk's processors are ranks.
     let rank = |cols: &[i128]| cols[0] as usize;
     let mut out = Vec::new();
     let mut msg = 0;
     for (k, cs) in compiled.comm.iter().enumerate() {
-        let fold = plan.fold(k, cs, splits[k]);
+        let at = HoistedPlan::fold_at(folds, k, cs, splits[k]);
+        let fold = &folds[k][at];
         for members in fold.groups() {
             let first = fold.chunk(members[0] as usize);
             let send = match cs.write_stmt {
-                Some(_) => producing_stamp(cs, &stmts, first.last_send),
-                None => vec![-2],
+                Some(w) => StampRef::of(&templates[w], first.last_send),
+                None => StampRef::Whole(&LIVE_IN_SEND),
             };
             for &i in members {
                 let c = fold.chunk(i as usize);
                 out.push(Anchored {
                     set: k,
+                    fold: at,
                     chunk: i as usize,
                     msg,
                     sender: rank(first.sender),
-                    send: send.clone(),
+                    send,
                     receiver: rank(c.receiver),
-                    recv: dmc_machine::stamp_of(&stmts[cs.read_stmt].position, c.first_use),
+                    recv: StampRef::of(&templates[cs.read_stmt], c.first_use),
                 });
             }
             msg += 1;
@@ -394,17 +442,21 @@ fn anchored_chunks(compiled: &Compiled, plan: &HoistedPlan, splits: &[usize]) ->
 /// Per set, its first chunk that is not *safe*: one whose sender has a
 /// receive anchored at a stamp `t` with `recv ≤ t ≤ send`. A plan whose
 /// chunks are all safe cannot deadlock (DESIGN.md "Aggregation legality").
-fn first_unsafe(nproc: usize, sets: usize, chunks: &[Anchored]) -> Vec<Option<&Anchored>> {
-    let mut recvs: Vec<Vec<&[i128]>> = vec![Vec::new(); nproc];
+fn first_unsafe<'c, 'f>(
+    nproc: usize,
+    sets: usize,
+    chunks: &'c [Anchored<'f>],
+) -> Vec<Option<&'c Anchored<'f>>> {
+    let mut recvs: Vec<Vec<StampRef<'f>>> = vec![Vec::new(); nproc];
     for c in chunks {
-        recvs[c.receiver].push(&c.recv);
+        recvs[c.receiver].push(c.recv);
     }
     recvs.iter_mut().for_each(|r| r.sort_unstable());
     let mut first = vec![None; sets];
     for c in chunks {
         let q = &recvs[c.sender];
-        let at = q.partition_point(|t| *t < &c.recv[..]);
-        if first[c.set].is_none() && q.get(at).is_some_and(|t| *t <= &c.send[..]) {
+        let at = q.partition_point(|t| *t < c.recv);
+        if first[c.set].is_none() && q.get(at).is_some_and(|t| *t <= c.send) {
             first[c.set] = Some(c);
         }
     }
@@ -440,41 +492,49 @@ fn fold_set(
     })
 }
 
-/// Per set, the legality split the plan uses, and the chunks at those
-/// splits. Every set starts at the paper's level; while some chunk is
-/// unsafe, each set that owns one goes one send-iteration component deeper
-/// and only it is folded again. A deeper split only adds receive anchors,
-/// so no set ever has to go back; at a set's full depth each chunk is one
-/// send iteration, sent before its first use and so safe, and the loop
-/// ends.
-fn legal_splits(
+/// The schedule at the legality splits, and the splits. Every set starts
+/// at the paper's level; while some chunk is unsafe, each set that owns one
+/// goes one send-iteration component deeper and only it is folded again.
+/// A deeper split only adds receive anchors, so no set ever has to go
+/// back; at a set's full depth each chunk is one send iteration, sent
+/// before its first use and so safe, and the loop ends. The chunks of the
+/// last round, all safe, are the ones the schedule is built from.
+fn schedule_at_legal_splits(
     compiled: &Compiled,
-    plan: &mut HoistedPlan,
+    mut plan: HoistedPlan,
     param_vals: &[i128],
     limit: usize,
     values: bool,
-) -> Result<(Vec<usize>, Vec<Anchored>), CompileError> {
+) -> Result<(Vec<usize>, Schedule), CompileError> {
+    let nproc = compiled.input.grid.len() as usize;
     let mut splits = vec![0; compiled.comm.len()];
-    loop {
-        let chunks = anchored_chunks(compiled, plan, &splits);
-        let unsafe_chunks = first_unsafe(compiled.input.grid.len() as usize, splits.len(), &chunks);
-        if unsafe_chunks.iter().all(Option::is_none) {
-            return Ok((splits, chunks));
-        }
-        for a in unsafe_chunks.into_iter().flatten() {
+    let chunks = loop {
+        let chunks = anchored_chunks(compiled, &plan.folds, &plan.templates, &splits);
+        let mut deepen = Vec::new();
+        for a in first_unsafe(nproc, splits.len(), &chunks)
+            .into_iter()
+            .flatten()
+        {
             let (k, cs) = (a.set, &compiled.comm[a.set]);
             if cs.split_depth(splits[k] + 1) == cs.split_depth(splits[k]) {
                 let why = format!("set {k} at full depth has an unsafe chunk: {a:?}");
                 return Err(CompileError::Sim(SimError::MalformedSchedule(why)));
             }
+            deepen.push((k, a.fold, a.chunk, a.sender, a.receiver));
+        }
+        if deepen.is_empty() {
+            break chunks;
+        }
+        for (k, fold, chunk, sender, receiver) in deepen {
+            let cs = &compiled.comm[k];
             obs::event_f("schedule.split", || {
-                let c = plan.fold(k, cs, splits[k]).chunk(a.chunk);
+                let c = plan.folds[k][fold].chunk(chunk);
                 vec![
                     obs::field("set", k),
                     obs::field("array", cs.array.as_str()),
                     obs::field("split", splits[k] + 1),
-                    obs::field("sender", a.sender),
-                    obs::field("receiver", a.receiver),
+                    obs::field("sender", sender),
+                    obs::field("receiver", receiver),
                     obs::field("last_send", format!("{:?}", c.last_send)),
                     obs::field("first_use", format!("{:?}", c.first_use)),
                 ]
@@ -482,19 +542,28 @@ fn legal_splits(
             splits[k] += 1;
             plan.refold(compiled, k, param_vals, limit, values, splits[k])?;
         }
-    }
+    };
+    let schedule = build_schedule_at(
+        compiled,
+        values,
+        chunks,
+        &plan.folds,
+        &plan.templates,
+        plan.parts,
+    );
+    Ok((splits, schedule))
 }
 
-/// Enumerates every statement's compute blocks into per-processor pending
-/// actions. Independent of the legality-split depth.
+/// Enumerates every statement's compute blocks into per-processor actions,
+/// each with its sequence number. Independent of the legality-split depth.
 fn block_actions(
     compiled: &Compiled,
     param_vals: &[i128],
-) -> Result<(Vec<Vec<PendingAction>>, usize), CompileError> {
+) -> Result<(Blocks, usize), CompileError> {
     let input = &compiled.input;
     let nproc = input.grid.len() as usize;
     let stmts = input.program.statements();
-    let mut pending: Vec<Vec<PendingAction>> = vec![Vec::new(); nproc];
+    let mut blocks: Blocks = vec![Vec::new(); nproc];
     let mut seq = 0usize;
     for info in &stmts {
         let comp = &input.comps[&info.id];
@@ -513,33 +582,19 @@ fn block_actions(
             comp,
             param_vals,
             batch,
-            &mut |proc, prefix, inner, flops, anchor| {
-                pending[proc].push((
-                    anchor,
-                    0,
-                    seq,
-                    Action::Block {
-                        stmt: info.id,
-                        prefix,
-                        inner_range: inner,
-                        flops,
-                    },
-                ));
+            &mut |proc, prefix, inner, flops| {
+                let block = Action::Block {
+                    stmt: info.id,
+                    prefix,
+                    inner_range: inner,
+                    flops,
+                };
+                blocks[proc].push((seq, block));
                 seq += 1;
             },
         )?;
     }
-    Ok((pending, seq))
-}
-
-/// The global stamp of the write at send iteration `s_iter` that produces
-/// an element of `cs` (or the initial-data stamp, which matches the
-/// simulator's initial placement).
-fn producing_stamp(cs: &CommSet, stmts: &[StmtInfo], s_iter: &[i128]) -> Stamp {
-    match cs.write_stmt {
-        Some(w) => dmc_machine::stamp_of(&stmts[w].position, s_iter),
-        None => vec![-1],
-    }
+    Ok((blocks, seq))
 }
 
 /// Builds the full machine schedule for concrete parameter values.
@@ -601,9 +656,8 @@ pub(crate) fn build_schedule_inner(
     }
     let _span = obs::span_f("schedule", || vec![obs::field("values", values)]);
     let _lctx = ledger::push_context("schedule");
-    let mut plan = hoist(compiled, param_vals, limit, values)?;
-    let (splits, chunks) = legal_splits(compiled, &mut plan, param_vals, limit, values)?;
-    let schedule = build_schedule_at(compiled, values, &splits, chunks, &plan);
+    let plan = hoist(compiled, param_vals, limit, values)?;
+    let (_, schedule) = schedule_at_legal_splits(compiled, plan, param_vals, limit, values)?;
     if let Some((s, k)) = &mut staged {
         s.admit_schedule(*k, Arc::new(schedule.clone()));
     }
@@ -634,68 +688,68 @@ fn hoist(
             vec![false; compiled.comm.len()]
         }
     };
-    let folds = {
+    let (mut folds, mut rows) = (Vec::new(), Vec::new());
+    {
         let _s = obs::span_f("aggregate", || {
             vec![obs::field("sets", compiled.comm.len())]
         });
         let _c = ledger::push_context("aggregate");
-        compiled
-            .comm
-            .iter()
-            .zip(&multicast)
-            .map(|(cs, &m)| fold_set(compiled, cs, param_vals, limit, &HOISTED_SPLITS, m, values))
-            .collect::<Result<_, _>>()?
-    };
+        for (cs, &m) in compiled.comm.iter().zip(&multicast) {
+            let folded = fold_set(compiled, cs, param_vals, limit, &HOISTED_SPLITS, m, values)?;
+            let (mut f, mut r) = (Vec::new(), Vec::new());
+            keep_folds(&mut f, &mut r, folded);
+            folds.push(f);
+            rows.push(r);
+        }
+    }
     let _s = obs::span_f("plan", || vec![obs::field("sets", compiled.comm.len())]);
     let _c = ledger::push_context("plan");
+    let stmts = compiled.input.program.statements();
+    let templates: Vec<Stamp> = stmts.iter().map(|s| template_of(&s.position)).collect();
     let (mut blocks, block_seq) = block_actions(compiled, param_vals)?;
     for acts in &mut blocks {
-        acts.sort_by(|a, b| pending_key(a).cmp(&pending_key(b)));
+        acts.sort_unstable_by(|a, b| block_key(&templates, a).cmp(&block_key(&templates, b)));
+        acts.shrink_to_fit();
     }
     Ok(HoistedPlan {
         folds,
         multicast,
-        blocks,
-        block_seq,
+        templates,
+        parts: Parts {
+            rows,
+            blocks,
+            block_seq,
+        },
     })
 }
 
-/// What a processor's pending actions are ordered by.
-fn pending_key<S: AsRef<[i128]>>(a: &PendingAction<S>) -> (&[i128], i8, usize) {
-    (a.0.as_ref(), a.1, a.2)
-}
-
-/// Whether stamp `a` sorts before every stamp `prefix ++ [x, ..]` with
-/// `x > v`.
-fn sorts_up_to(a: &[i128], prefix: &[i128], v: i128) -> bool {
-    match a.get(..prefix.len()) {
-        Some(head) if head == prefix => a.get(prefix.len()).is_none_or(|&x| x <= v),
-        _ => a < prefix,
-    }
-}
-
-/// The schedule with each set `k` folded at legality split `splits[k]`,
-/// whose chunks, anchored, are `chunks`.
+/// The schedule built from the chunks of each set at its legality split,
+/// `chunks` (anchored in `folds` and `templates`), taking over the plan's
+/// compute blocks and payload rows.
 fn build_schedule_at(
     compiled: &Compiled,
     values: bool,
-    splits: &[usize],
-    mut chunks: Vec<Anchored>,
-    plan: &HoistedPlan,
+    chunks: Vec<Anchored<'_>>,
+    folds: &[Vec<Folded>],
+    templates: &[Stamp],
+    parts: Parts,
 ) -> Schedule {
-    let input = &compiled.input;
-    let nproc = input.grid.len() as usize;
-    let stmts = input.program.statements();
+    let nproc = compiled.input.grid.len() as usize;
+    let Parts {
+        mut rows,
+        blocks,
+        block_seq,
+    } = parts;
     let mut schedule = Schedule::new(nproc);
 
     // 1. Messages, in order. Their actions continue the numbering of the
-    // hoisted compute blocks', and take over the chunks' anchors.
-    let mut pending: Vec<Vec<PendingAction<Cow<[i128]>>>> = vec![Vec::new(); nproc];
-    let mut seq = plan.block_seq;
-    for group in chunks.chunk_by_mut(|a, b| a.msg == b.msg) {
-        let send_anchor = std::mem::take(&mut group[0].send);
+    // hoisted compute blocks', and take over the chunks' anchors: per
+    // processor, its message actions with their keys.
+    let mut pending: Vec<Vec<(Key, Action)>> = (0..nproc).map(|_| Vec::new()).collect();
+    let mut seq = block_seq;
+    for group in chunks.chunk_by(|a, b| a.msg == b.msg) {
         let (head, cs) = (&group[0], &compiled.comm[group[0].set]);
-        let fold = plan.fold(head.set, cs, splits[head.set]);
+        let fold = &folds[head.set][head.fold];
         let first = fold.chunk(head.chunk);
         let (msg_id, sender, words) = (head.msg, head.sender, first.words);
         let receivers: Vec<usize> = group.iter().map(|a| a.receiver).collect();
@@ -715,24 +769,20 @@ fn build_schedule_at(
                 obs::field("steps", cs.steps.join("+")),
             ]
         });
-        // Only values mode materializes names, subscripts and stamps.
-        let payload = values.then(|| {
-            fold.payload(first.payload)
-                .map(|(s_iter, arr)| PayloadItem {
-                    array: cs.array.clone(),
-                    idx: arr.to_vec(),
-                    stamp: producing_stamp(cs, &stmts, s_iter),
-                })
-                .collect::<Vec<_>>()
+        // Only values mode carries a payload: the message's class rows,
+        // moved out of the plan (one group per class).
+        let payload = values.then(|| Payload {
+            array: cs.array.clone(),
+            writer: cs.write_stmt,
+            width: fold.item_width(),
+            rows: std::mem::take(&mut rows[head.set][head.fold][first.payload]),
         });
-        let send = Action::Send { msg: msg_id };
-        pending[sender].push((Cow::Owned(send_anchor), 1, seq, send));
+        pending[sender].push(((head.send, 1, seq), Action::Send { msg: msg_id }));
         seq += 1;
         // The scheduler splits the consuming compute block at each
         // receive's anchor.
         for a in group {
-            let (recv, anchor) = (Action::Recv { msg: msg_id }, std::mem::take(&mut a.recv));
-            pending[a.receiver].push((Cow::Owned(anchor), -1, seq, recv));
+            pending[a.receiver].push(((a.recv, -1, seq), Action::Recv { msg: msg_id }));
             seq += 1;
         }
         schedule.messages.push(MessageSpec {
@@ -742,85 +792,95 @@ fn build_schedule_at(
             payload,
         });
     }
-    drop(chunks);
 
     // 2. Per processor: the message actions, sorted, then the compute
     // blocks — split at receive anchors so each receive executes
     // immediately before the first use of its data, not before the whole
     // block (otherwise mutually-feeding processors deadlock) — merged in.
-    for (p, mut acts) in pending.into_iter().enumerate() {
-        acts.sort_by(|a, b| pending_key(a).cmp(&pending_key(b)));
-        let recv_anchors: Vec<&[i128]> = acts
+    for ((p, mut acts), blocks) in pending.into_iter().enumerate().zip(blocks) {
+        acts.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let recv_anchors: Vec<StampRef> = acts
             .iter()
-            .filter(|(_, phase, _, _)| *phase == -1)
-            .map(|(a, _, _, _)| a.as_ref())
+            .filter(|((_, phase, _), _)| *phase == -1)
+            .map(|((anchor, _, _), _)| *anchor)
             .collect();
-        let mut blocks: Vec<PendingAction<Cow<[i128]>>> =
-            Vec::with_capacity(plan.blocks[p].len() + acts.len());
-        for (anchor, phase, sq, act) in &plan.blocks[p] {
-            let (phase, sq) = (*phase, *sq);
-            match act {
+        let mut pieces: Vec<(usize, Action)> = Vec::with_capacity(blocks.len());
+        for (sq, act) in blocks {
+            let (stmt, prefix, lo, hi, flops) = match act {
                 Action::Block {
                     stmt,
                     prefix,
                     inner_range: Some((lo, hi)),
                     flops,
-                } if hi > lo => {
-                    let (stmt, lo, hi) = (*stmt, *lo, *hi);
-                    let per_iter = flops / (hi - lo + 1) as f64;
-                    // Interior split points: anchors of the shape
-                    // stamp_of(position, prefix ++ [v]) with lo < v <= hi
-                    // — those that differ from the block's own anchor in
-                    // `v` alone. In the sorted anchors, every stamp that
-                    // continues the block's up to `v` with such a value
-                    // is in one run.
-                    let k = anchor.len() - 2;
-                    let from = recv_anchors.partition_point(|a| sorts_up_to(a, &anchor[..k], lo));
-                    let to = recv_anchors.partition_point(|a| sorts_up_to(a, &anchor[..k], hi));
-                    let mut cuts: Vec<i128> = recv_anchors[from..to]
-                        .iter()
-                        .filter(|a| a.len() == anchor.len() && a[k + 1..] == anchor[k + 1..])
-                        .map(|a| a[k])
-                        .collect();
-                    cuts.dedup();
-                    let mut start = lo;
-                    for end in cuts.into_iter().map(|c| c - 1).chain([hi]) {
-                        let at = if start == lo {
-                            Cow::Borrowed(&anchor[..])
-                        } else {
-                            let mut at = anchor.clone();
-                            at[k] = start;
-                            Cow::Owned(at)
-                        };
-                        blocks.push((
-                            at,
-                            phase,
-                            sq,
-                            Action::Block {
-                                stmt,
-                                prefix: prefix.clone(),
-                                inner_range: Some((start, end)),
-                                flops: per_iter * (end - start + 1) as f64,
-                            },
-                        ));
-                        start = end + 1;
-                    }
+                } if hi > lo => (stmt, prefix, lo, hi, flops),
+                act => {
+                    pieces.push((sq, act));
+                    continue;
                 }
-                other => blocks.push((Cow::Borrowed(&anchor[..]), phase, sq, other.clone())),
+            };
+            let per_iter = flops / (hi - lo + 1) as f64;
+            let piece = |prefix, start: i128, end: i128| {
+                let flops = per_iter * (end - start + 1) as f64;
+                let inner_range = Some((start, end));
+                (
+                    sq,
+                    Action::Block {
+                        stmt,
+                        prefix,
+                        inner_range,
+                        flops,
+                    },
+                )
+            };
+            // The cuts: receives of this statement at this prefix with
+            // `lo < last ≤ hi`, consecutive among the sorted anchors in
+            // `(anchor(lo), anchor(hi)]`.
+            let template = &templates[stmt][..];
+            let at = |last| StampRef::Instance {
+                template,
+                prefix: &prefix,
+                last,
+            };
+            let from = recv_anchors.partition_point(|a| *a <= at(lo));
+            let to = recv_anchors.partition_point(|a| *a <= at(hi));
+            let mut start = lo;
+            for a in &recv_anchors[from..to] {
+                match *a {
+                    StampRef::Instance {
+                        template: t,
+                        prefix: q,
+                        last,
+                    } if t == template && q == &prefix[..] && last > start => {
+                        pieces.push(piece(prefix.clone(), start, last - 1));
+                        start = last;
+                    }
+                    _ => {}
+                }
             }
+            pieces.push(piece(prefix, start, hi));
         }
         // Two sorted runs, unless the pieces of a split block interleave
-        // with a neighbour's: the stable sort merges runs it finds sorted.
-        blocks.append(&mut acts);
-        blocks.sort_by(|a, b| pending_key(a).cmp(&pending_key(b)));
-        schedule.procs[p] = blocks.into_iter().map(|(_, _, _, a)| a).collect();
+        // with a neighbour's; merged into an exact-size action list.
+        if !pieces.is_sorted_by(|a, b| block_key(templates, a) <= block_key(templates, b)) {
+            pieces.sort_unstable_by(|a, b| block_key(templates, a).cmp(&block_key(templates, b)));
+        }
+        let out = &mut schedule.procs[p];
+        out.reserve_exact(pieces.len() + acts.len());
+        let mut acts = acts.into_iter().peekable();
+        for block in pieces {
+            while let Some((_, act)) = acts.next_if(|a| a.0 < block_key(templates, &block)) {
+                out.push(act);
+            }
+            out.push(block.1);
+        }
+        out.extend(acts.map(|(_, act)| act));
     }
     schedule
 }
 
 /// Sink for one enumerated compute block:
-/// `(processor, virtual iteration, inner range, flops, stamp)`.
-type BlockSink<'a> = dyn FnMut(usize, Vec<i128>, Option<(i128, i128)>, f64, Stamp) + 'a;
+/// `(processor, virtual iteration, inner range, flops)`.
+type BlockSink<'a> = dyn FnMut(usize, Vec<i128>, Option<(i128, i128)>, f64) + 'a;
 
 /// Enumerates the compute blocks of one statement on every processor: one
 /// per run of the innermost loop when `batch`, one per iteration otherwise.
@@ -866,26 +926,18 @@ fn compute_blocks(
     // Visit proc dims and all loop dims except the innermost; the
     // innermost becomes the block range. The proc dims follow the loop
     // dims in the space, so the rank is read off the point; what a block
-    // allocates is what the schedule keeps, its prefix and its anchor.
+    // allocates is what the schedule keeps, its prefix.
     let procs = loop_dims.len()..loop_dims.len() + proc_dims.len();
     let (outer, inner) = loop_dims.split_at(loop_dims.len().saturating_sub(1));
     kernel.for_each(nest.vars.len() - inner.len(), |point| {
         let rank = grid.fold_rank(&point[procs.clone()]) as usize;
         if inner.is_empty() {
-            let anchor = dmc_machine::stamp_of(&info.position, std::iter::empty::<i128>());
-            emit(rank, Vec::new(), None, flops_per_iter, anchor);
+            emit(rank, Vec::new(), None, flops_per_iter);
         } else if let Some((lo, hi)) = kernel.inner_range(point)? {
-            let iter = || outer.iter().map(|&d| i128::from(point[d]));
             let mut block = |lo: i64, hi: i64| {
-                let anchor = dmc_machine::stamp_of(&info.position, iter().chain([lo.into()]));
+                let prefix = outer.iter().map(|&d| i128::from(point[d])).collect();
                 let flops = flops_per_iter * (hi - lo + 1) as f64;
-                emit(
-                    rank,
-                    iter().collect(),
-                    Some((lo.into(), hi.into())),
-                    flops,
-                    anchor,
-                );
+                emit(rank, prefix, Some((lo.into(), hi.into())), flops);
             };
             if batch {
                 block(lo, hi);
@@ -979,17 +1031,26 @@ mod tests {
         splits[k] = 2;
         let mut fresh = hoist(&compiled, &[12], LIMIT, true).unwrap();
         fresh.refold(&compiled, k, &[12], LIMIT, true, 2).unwrap();
-        let at = |plan: &HoistedPlan, splits: &[usize]| {
-            let chunks = anchored_chunks(&compiled, plan, splits);
-            build_schedule_at(&compiled, true, splits, chunks, plan)
+        let at = |plan: HoistedPlan, splits: &[usize]| {
+            let chunks = anchored_chunks(&compiled, &plan.folds, &plan.templates, splits);
+            build_schedule_at(
+                &compiled,
+                true,
+                chunks,
+                &plan.folds,
+                &plan.templates,
+                plan.parts,
+            )
         };
-        assert_eq!(at(&plan, &splits), at(&fresh, &splits));
-        let (legal, _) = legal_splits(&compiled, &mut fresh, &[12], LIMIT, true).unwrap();
+        assert_eq!(at(plan.clone(), &splits), at(fresh.clone(), &splits));
+        let (legal, legalized) =
+            schedule_at_legal_splits(&compiled, fresh, &[12], LIMIT, true).unwrap();
         let mut histogram = legal.clone();
         histogram.sort_unstable();
         assert_eq!(histogram, [0, 0, 1, 1]);
         let built = build_schedule(&compiled, &[12], true, LIMIT).unwrap();
-        assert_eq!(built, at(&plan, &legal));
+        assert_eq!(built, legalized);
+        assert_eq!(built, at(plan, &legal));
     }
 
     /// Plans `input` under `options` and holds the plan to three oracles:
@@ -1003,15 +1064,21 @@ mod tests {
             Err(CompileError::MissingInitial(_)) => return,
             compiled => compiled.unwrap_or_else(|e| panic!("{what}: {e}")),
         };
+        let plan = hoist(&compiled, params, LIMIT, false).unwrap();
+        let (splits, schedule) =
+            schedule_at_legal_splits(&compiled, plan, params, LIMIT, false).unwrap();
         let mut plan = hoist(&compiled, params, LIMIT, false).unwrap();
-        let (splits, chunks) = legal_splits(&compiled, &mut plan, params, LIMIT, false).unwrap();
+        for (k, &split) in splits.iter().enumerate() {
+            plan.refold(&compiled, k, params, LIMIT, false, split)
+                .unwrap();
+        }
+        let chunks = anchored_chunks(&compiled, &plan.folds, &plan.templates, &splits);
         let nproc = compiled.input.grid.len() as usize;
         let unsafe_chunks = first_unsafe(nproc, splits.len(), &chunks);
         assert!(
             unsafe_chunks.iter().all(Option::is_none),
             "{what}: {unsafe_chunks:?}"
         );
-        let schedule = build_schedule_at(&compiled, false, &splits, chunks, &plan);
         let zero = MachineConfig::zero_comm();
         simulate_schedule(&compiled, params, &zero, false, &schedule)
             .unwrap_or_else(|e| panic!("{what}: {e}"));

@@ -44,8 +44,11 @@ use crate::session::stage;
 /// History: 1, fixed-width integers (8-byte `u64`, 16-byte `i128`);
 /// 2, LEB128 `u64` and zigzag LEB128 `i128`; 3, sparse constraint rows
 /// (the memo caches' layout: non-zero coefficients only) and a
-/// polyhedron's contradiction flag beside its row count.
-pub const CODEC_VERSION: u8 = 3;
+/// polyhedron's contradiction flag beside its row count; 4, a values-mode
+/// message's payload as one table (array, writer, row width, flat rows of
+/// writer iteration and subscripts) instead of per-item name, subscripts
+/// and stamp.
+pub const CODEC_VERSION: u8 = 4;
 
 /// A stage in the session's compilation DAG, as a store key component.
 /// The numeric [tag](StageId::tag) is part of the persisted payload

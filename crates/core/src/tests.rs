@@ -528,3 +528,83 @@ fn wrong_parameter_count_is_reported() {
         }
     }
 }
+
+/// Whether a values-mode run of `input` at `vals` differs from the
+/// sequential interpreter on some element, by the tolerance
+/// [`assert_equals_interp`] allows.
+fn differs_from_interp(input: CompileInput, options: Options, vals: &[i128]) -> bool {
+    let program = input.program.clone();
+    let compiled = compile(input, options).unwrap();
+    let result = run(&compiled, vals, &MachineConfig::ipsc860(), true, 2_000_000).unwrap();
+    let mem = result.memory.expect("values mode returns memory");
+    let seq = interp::run(&program, &params_map(&program, vals)).unwrap();
+    let differs = seq.iter().any(|(name, store)| {
+        let got = mem.array(name).unwrap().as_slice();
+        got.iter()
+            .zip(store.as_slice())
+            .any(|(x, y)| !(x == y || (x.is_nan() && y.is_nan()) || (x - y).abs() < 1e-12))
+    });
+    differs
+}
+
+/// ROADMAP item 1's family: one `t`-carried set whose chunk folds several
+/// `t`-versions of a boundary element. Aggregation legality proves
+/// deadlock freedom, not values: under `full` a chunk may be sent after
+/// its first use and carry the newest version for every item. The
+/// 84-point grid pins which configurations compute a wrong value today
+/// (none under `naive`), and P4 itself pins the wrong element.
+#[test]
+fn known_mismatch_p4_family() {
+    let grid = [(1, 2), (2, 2), (3, 2), (4, 2), (2, 4), (1, 4), (3, 3)];
+    let mut wrong = Vec::new();
+    for off in ["i + 1", "i + 2", "i - 1"] {
+        let src = format!(
+            "param N; array A[N + 3];
+             for t = 1 to 3 {{ for i = 1 to N {{ A[i] = A[{off}] + 1.0; }} }}"
+        );
+        for (b, nproc) in grid {
+            for n in [4, 6, 9, 12] {
+                let input = || blocked_on_i(&src, b, nproc);
+                assert!(
+                    !differs_from_interp(input(), Options::naive(), &[n]),
+                    "naive, {off}, b = {b}, P = {nproc}, N = {n}"
+                );
+                if differs_from_interp(input(), Options::full(), &[n]) {
+                    wrong.push((off, b, nproc, n));
+                }
+            }
+        }
+    }
+    let today = [
+        ("i + 1", 3, 2, 4),
+        ("i + 1", 3, 2, 6),
+        ("i + 1", 4, 2, 6),
+        ("i + 1", 4, 2, 9),
+        ("i + 1", 2, 4, 6),
+        ("i + 1", 2, 4, 9),
+        ("i + 1", 3, 3, 4),
+        ("i + 1", 3, 3, 6),
+        ("i + 1", 3, 3, 9),
+        ("i + 2", 4, 2, 9),
+    ];
+    assert_eq!(wrong, today, "(offset, b, P, N) wrong under full");
+    let p4 = "param N; array A[N + 2];
+              for t = 1 to 3 { for i = 0 to N { A[i] = A[i + 1] + 1.0; } }";
+    let input = blocked_on_i(p4, 4, 2);
+    let program = input.program.clone();
+    let compiled = compile(input, Options::full()).unwrap();
+    let result = run(&compiled, &[6], &MachineConfig::ipsc860(), true, 2_000_000).unwrap();
+    let got = result
+        .memory
+        .unwrap()
+        .array("A")
+        .unwrap()
+        .get(&[2])
+        .unwrap();
+    let seq = interp::run(&program, &params_map(&program, &[6])).unwrap();
+    let want = seq.array("A").unwrap().get(&[2]).unwrap();
+    assert_eq!(
+        (format!("{got:.4}"), format!("{want:.4}")),
+        ("5.2032".to_owned(), "4.2029".to_owned())
+    );
+}

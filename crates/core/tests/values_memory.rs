@@ -1,8 +1,17 @@
-//! Values mode's heap is its local memories at 16 bytes a slot plus the
-//! tables it resolves on entry: a counting global allocator measures the
-//! peak of live heap bytes inside `simulate` (values mode) on LU and on a
-//! P = 16 block stencil against a ceiling built from those sizes. It also
-//! reports how much of the schedule simulated the payload items hold.
+//! A values-mode request's heap is its tables, one allocation per table
+//! and not per row: a counting global allocator measures the peak of live
+//! heap bytes inside each phase on LU and on a P = 16 block stencil, each
+//! against a ceiling built from its tables' row sizes.
+//!
+//! - `build_schedule`: the schedule it returns (actions, block prefixes,
+//!   messages, payload rows) and at most as much again, plus a fixed
+//!   allowance for the polyhedral scans.
+//! - `simulate`: the local memories at 16 bytes a slot plus the tables it
+//!   resolves on entry.
+//! - `critpath::analyze`: one event per action and per transmission, with
+//!   its predecessors inline and the event list reserved exactly.
+//!
+//! It also reports how much of the schedule the payloads hold.
 //!
 //! The allocator counts every thread, so this file holds one test.
 
@@ -12,7 +21,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dmc_core::{build_schedule, compile, CompileInput, Options};
 use dmc_decomp::{CompDecomp, DataDecomp, ProcGrid};
-use dmc_machine::{simulate, Action, InitialPlacement, MachineConfig};
+use dmc_machine::critpath::{self, Event};
+use dmc_machine::{
+    simulate, Action, InitialPlacement, MachineConfig, MessageSpec, MsgBlame, Payload, Schedule,
+};
 
 /// `System`, counting the bytes live now and the most ever live since the
 /// last [`reset_peak`].
@@ -111,18 +123,70 @@ fn stencil_input(block: i128, nproc: i128) -> CompileInput {
 /// Bytes a local memory keeps per slot: the value and its version.
 const SLOT_BYTES: usize = 8 + 8;
 
-/// Runs `input` in values mode at `param_vals`; its arrays hold `slots`
-/// elements. Returns the peak of live heap bytes inside `simulate`, the
-/// ceiling for it, and a description of the run.
-fn measure(
-    name: &str,
-    input: CompileInput,
-    param_vals: &[i128],
-    slots: usize,
-) -> (usize, usize, String) {
+const LIMIT: usize = 50_000_000;
+
+/// The bytes of a schedule's tables, row by row: each action list and
+/// action, each block's prefix, each message with its receivers and, in
+/// values mode, its payload's name and rows.
+fn table_bytes(schedule: &Schedule) -> usize {
+    let actions: usize = schedule.procs.iter().map(Vec::len).sum();
+    let prefixes: usize = (schedule.procs.iter().flatten())
+        .map(|a| match a {
+            Action::Block { prefix, .. } => prefix.len(),
+            _ => 0,
+        })
+        .sum();
+    let messages = schedule.messages.iter().map(|m| {
+        let payload = m.payload.as_ref();
+        size_of::<MessageSpec>()
+            + m.receivers.len() * size_of::<usize>()
+            + payload.map_or(0, |p| p.array.len() + p.rows.len() * size_of::<i128>())
+    });
+    schedule.procs.len() * size_of::<Vec<Action>>()
+        + actions * size_of::<Action>()
+        + prefixes * size_of::<i128>()
+        + messages.sum::<usize>()
+}
+
+/// The bytes of an analysis's DAG, row by row: one [`Event`] per action
+/// and per transmission, its latest finish and a chain entry, and per
+/// message its attribution and the indices of its events.
+fn dag_bytes(schedule: &Schedule) -> usize {
+    let actions: usize = schedule.procs.iter().map(Vec::len).sum();
+    let transmissions: usize = schedule.messages.iter().map(|m| m.receivers.len()).sum();
+    let events = actions + transmissions;
+    events * (size_of::<Event>() + size_of::<u64>() + size_of::<u32>())
+        + schedule.messages.len() * size_of::<MsgBlame>()
+        + (schedule.messages.len() + 2 * transmissions) * size_of::<u32>()
+}
+
+/// What one values-mode request holds at its peak in each phase.
+struct Phases {
+    /// Peak live heap inside `build_schedule`, `simulate` and
+    /// `critpath::analyze`.
+    build: usize,
+    simulate: usize,
+    analyze: usize,
+    /// The ceilings for them.
+    build_ceiling: usize,
+    simulate_ceiling: usize,
+    analyze_ceiling: usize,
+    at: String,
+}
+
+/// Plans, simulates and analyses `input` in values mode at `param_vals`;
+/// its arrays hold `slots` elements.
+fn measure(name: &str, input: CompileInput, param_vals: &[i128], slots: usize) -> Phases {
     let nproc = input.grid.len() as usize;
     let compiled = compile(input, Options::full()).expect("compiles");
-    let mut schedule = build_schedule(&compiled, param_vals, true, 50_000_000).expect("schedules");
+    // A first plan warms the thread's polyhedral memo caches, whose growth
+    // is not the planner's tables.
+    drop(build_schedule(&compiled, param_vals, true, LIMIT).expect("schedules"));
+    let before = reset_peak();
+    let mut schedule = build_schedule(&compiled, param_vals, true, LIMIT).expect("schedules");
+    let build = PEAK.load(Ordering::Relaxed) - before;
+    let tables = table_bytes(&schedule);
+    let actions: usize = schedule.procs.iter().map(Vec::len).sum();
 
     let program = &compiled.input.program;
     let params: HashMap<String, i128> = program
@@ -148,9 +212,15 @@ fn measure(
         true,
     )
     .expect("simulates");
-    let peak = PEAK.load(Ordering::Relaxed) - before;
+    let simulate_peak = PEAK.load(Ordering::Relaxed) - before;
     assert!(result.memory.is_some());
     drop(result);
+
+    let before = reset_peak();
+    let analysis = critpath::analyze(&schedule, &config).expect("analyses");
+    let analyze = PEAK.load(Ordering::Relaxed) - before;
+    let events = analysis.events.len();
+    drop(analysis);
 
     // What values mode resolves and keeps beside the local memories: the
     // global memory, per payload item a slot and a gathered value, per
@@ -161,7 +231,7 @@ fn measure(
     let items: usize = schedule
         .messages
         .iter()
-        .map(|m| m.payload.as_ref().map_or(0, Vec::len))
+        .map(|m| m.payload.as_ref().map_or(0, Payload::len))
         .sum();
     let transmissions: usize = schedule.messages.iter().map(|m| m.receivers.len()).sum();
     let blocks = schedule
@@ -170,7 +240,7 @@ fn measure(
         .flatten()
         .filter(|a| matches!(a, Action::Block { .. }))
         .count();
-    let ceiling = nproc * slots * SLOT_BYTES
+    let simulate_ceiling = nproc * slots * SLOT_BYTES
         + slots * 8
         + items * 16
         + messages * 64
@@ -178,9 +248,17 @@ fn measure(
         + transmissions * 64
         + nproc * nproc * 16
         + (64 << 10);
+    // The planner: the schedule it returns and, beside it, at most as much
+    // again — the folds' chunk records and payload rows, the hoisted
+    // blocks, one processor's pieces — plus a fixed allowance for the
+    // polyhedral scans and the fold's per-block buffers, which do not
+    // grow with the tables.
+    let build_ceiling = 2 * tables + (256 << 10);
+    // The analysis: the schedule's DAG rows, and a fixed allowance for the
+    // per-processor and per-link tables.
+    let analyze_ceiling = dag_bytes(&schedule) + (64 << 10);
 
-    // The heap the schedule's payload items hold: each one `String`, one
-    // subscript `Vec` and one stamp `Vec`, in the message's item `Vec`.
+    // The heap the schedule's payloads hold: one table per message.
     let held = LIVE.load(Ordering::Relaxed);
     for m in &mut schedule.messages {
         m.payload = None;
@@ -191,18 +269,37 @@ fn measure(
 
     let kb = |b: usize| b as f64 / 1024.0;
     let at = format!(
-        "{name}: peak in simulate {:.1} KiB (ceiling {:.1} KiB, local memories {:.1} KiB); \
-         schedule {:.1} KiB, of which payload items {:.1} KiB ({items} items, \
-         {messages} messages, {blocks} blocks)",
-        kb(peak),
-        kb(ceiling),
+        "{name}: peak in build_schedule {:.1} KiB (ceiling {:.1}), in simulate {:.1} KiB \
+         (ceiling {:.1}, local memories {:.1}), in critpath::analyze {:.1} KiB \
+         (ceiling {:.1}, {events} events); schedule {:.1} KiB (tables {:.1}), of which \
+         payloads {:.1} KiB ({items} items, {messages} messages, {blocks} blocks)",
+        kb(build),
+        kb(build_ceiling),
+        kb(simulate_peak),
+        kb(simulate_ceiling),
         kb(nproc * slots * SLOT_BYTES),
+        kb(analyze),
+        kb(analyze_ceiling),
         kb(schedule_bytes),
+        kb(tables),
         kb(payload_bytes),
     );
     println!("{at}");
     assert!(items > 0 && blocks > 0, "{at}");
-    (peak, ceiling, at)
+    assert_eq!(
+        events,
+        actions + transmissions,
+        "{at}: one event per action and transmission"
+    );
+    Phases {
+        build,
+        simulate: simulate_peak,
+        analyze,
+        build_ceiling,
+        simulate_ceiling,
+        analyze_ceiling,
+        at,
+    }
 }
 
 #[test]
@@ -216,7 +313,19 @@ fn values_heap_is_sixteen_bytes_a_slot_plus_its_tables() {
             1024,
         ),
     ];
-    for (peak, ceiling, at) in runs {
-        assert!(peak <= ceiling, "{at}: over the ceiling");
+    for run in runs {
+        let at = &run.at;
+        assert!(
+            run.build <= run.build_ceiling,
+            "{at}: build_schedule over its ceiling"
+        );
+        assert!(
+            run.simulate <= run.simulate_ceiling,
+            "{at}: simulate over its ceiling"
+        );
+        assert!(
+            run.analyze <= run.analyze_ceiling,
+            "{at}: analyze over its ceiling"
+        );
     }
 }

@@ -1,24 +1,27 @@
 //! [`Codec`] impls for machine artifacts: the legality-refined
-//! [`Schedule`] (per-processor action lists plus the message table) the
-//! `schedule` stage caches. Encoding discipline as in
+//! [`Schedule`] (per-processor action lists plus the message table, with
+//! each values-mode [`Payload`] as its array, writer, width and flat rows)
+//! the `schedule` stage caches. Encoding discipline as in
 //! `dmc_polyhedra::codec`; `flops` encodes as its IEEE bit pattern, so
 //! schedules round-trip bit-exactly.
 
 use dmc_polyhedra::codec::{Codec, CodecError, Dec, Enc};
 
-use crate::schedule::{Action, MessageSpec, PayloadItem, Schedule};
+use crate::schedule::{Action, MessageSpec, Payload, Schedule};
 
-impl Codec for PayloadItem {
+impl Codec for Payload {
     fn encode(&self, e: &mut Enc) {
         e.str(&self.array);
-        self.idx.encode(e);
-        self.stamp.encode(e);
+        self.writer.encode(e);
+        e.usize(self.width);
+        self.rows.encode(e);
     }
     fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(PayloadItem {
+        Ok(Payload {
             array: d.str()?,
-            idx: Vec::<i128>::decode(d)?,
-            stamp: Vec::<i128>::decode(d)?,
+            writer: Option::<usize>::decode(d)?,
+            width: d.usize()?,
+            rows: Vec::<i128>::decode(d)?,
         })
     }
 }
@@ -35,7 +38,7 @@ impl Codec for MessageSpec {
             sender: d.usize()?,
             receivers: Vec::<usize>::decode(d)?,
             words: d.u64()?,
-            payload: Option::<Vec<PayloadItem>>::decode(d)?,
+            payload: Option::<Payload>::decode(d)?,
         })
     }
 }
@@ -120,11 +123,12 @@ mod tests {
                 sender: 0,
                 receivers: vec![1],
                 words: 32,
-                payload: Some(vec![PayloadItem {
+                payload: Some(Payload {
                     array: "X".to_owned(),
-                    idx: vec![4],
-                    stamp: vec![0, 4],
-                }]),
+                    writer: Some(0),
+                    width: 2,
+                    rows: vec![-3, 4, 7, 5],
+                }),
             }],
         };
         let bytes = encode_to_vec(&s);

@@ -86,7 +86,43 @@ pub struct Event {
     /// Predecessor event indices (always `< ` this event's own index, so
     /// index order is a topological order and the DAG is acyclic by
     /// construction).
-    pub preds: Vec<u32>,
+    pub preds: Preds,
+}
+
+/// An event's predecessors, held inline: at most two — the event before
+/// it on its processor's timeline and, for a receive, the wire that
+/// brought its message; a wire's one is its send.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Preds {
+    len: u8,
+    ids: [u32; 2],
+}
+
+impl Preds {
+    /// At most one predecessor.
+    fn of(first: Option<u32>) -> Self {
+        let mut preds = Preds::default();
+        first.into_iter().for_each(|id| preds.push(id));
+        preds
+    }
+
+    /// Adds a predecessor.
+    ///
+    /// # Panics
+    ///
+    /// Panics past two.
+    fn push(&mut self, id: u32) {
+        self.ids[usize::from(self.len)] = id;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Preds {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.ids[..usize::from(self.len)]
+    }
 }
 
 /// Blame decomposition of one processor's share of the makespan. The six
@@ -286,7 +322,16 @@ pub fn analyze(schedule: &Schedule, config: &MachineConfig) -> Result<CritAnalys
     let nproc = schedule.procs.len();
     let alpha_send_ns = ns_of(config.alpha_send);
 
-    let mut events: Vec<Event> = Vec::new();
+    // One event per action, and one more per transmission: reserved
+    // exactly, so the DAG never holds a doubled buffer.
+    let transmissions: usize = (schedule.procs.iter().flatten())
+        .map(|a| match a {
+            Action::Send { msg } => schedule.messages.get(*msg).map_or(0, |m| m.receivers.len()),
+            _ => 0,
+        })
+        .sum();
+    let actions: usize = schedule.procs.iter().map(Vec::len).sum();
+    let mut events: Vec<Event> = Vec::with_capacity(actions + transmissions);
     let mut last_event: Vec<Option<u32>> = vec![None; nproc];
     let mut per_proc = vec![Blame::default(); nproc];
     let mut link_wait: HashMap<(usize, usize), u64> = HashMap::new();
@@ -308,7 +353,8 @@ pub fn analyze(schedule: &Schedule, config: &MachineConfig) -> Result<CritAnalys
             critical: false,
             alpha_ns: alpha_send_ns,
             wire_ns: ns_of(config.wire_time(spec.words * config.word_bytes)),
-            events: Vec::new(),
+            // Its send, then a wire and a receive per receiver.
+            events: Vec::with_capacity(1 + 2 * spec.receivers.len()),
         })
         .collect();
 
@@ -328,7 +374,7 @@ pub fn analyze(schedule: &Schedule, config: &MachineConfig) -> Result<CritAnalys
             finish_ns: finish,
             dur_ns: dur,
             slack_ns: 0,
-            preds: last_event[p].into_iter().collect(),
+            preds: Preds::of(last_event[p]),
         };
         last_event[p] = Some(idx);
         match step.action {
@@ -372,7 +418,7 @@ pub fn analyze(schedule: &Schedule, config: &MachineConfig) -> Result<CritAnalys
                         finish_ns: arrival,
                         dur_ns: arrival - finish,
                         slack_ns: 0,
-                        preds: vec![idx],
+                        preds: Preds::of(Some(idx)),
                     });
                 }
             }
@@ -509,7 +555,7 @@ impl CritAnalysis {
     pub fn successors(&self) -> Vec<Vec<u32>> {
         let mut succs = vec![Vec::new(); self.events.len()];
         for (i, e) in self.events.iter().enumerate() {
-            for &p in &e.preds {
+            for &p in e.preds.iter() {
                 succs[p as usize].push(i as u32);
             }
         }
@@ -707,7 +753,7 @@ impl CritAnalysis {
         let mut max_finish = 0u64;
         for (i, e) in self.events.iter().enumerate() {
             let mut start = 0u64;
-            for &p in &e.preds {
+            for &p in e.preds.iter() {
                 if p as usize >= i {
                     return fail(format!("event {i}: predecessor {p} not earlier (cycle)"));
                 }
@@ -749,7 +795,7 @@ impl CritAnalysis {
             }
         }
         while let Some(i) = stack.pop() {
-            for &p in &self.events[i].preds {
+            for &p in self.events[i].preds.iter() {
                 let p = p as usize;
                 if !on_path[p] && self.events[p].finish_ns == self.events[i].start_ns {
                     on_path[p] = true;

@@ -39,7 +39,9 @@ mod stats;
 pub use config::{MachineConfig, MulticastModel};
 pub use critpath::{Blame, CritAnalysis, LinkBlame, MsgBlame, Overrides, Scenario, WhatIf};
 pub use hist::Log2Hist;
-pub use schedule::{stamp_of, Action, MessageSpec, PayloadItem, Schedule, Stamp};
+pub use schedule::{
+    stamp_of, template_of, Action, MessageSpec, Payload, Schedule, Stamp, StampRef,
+};
 pub use sim::{simulate, InitialPlacement, SimError, SimResult};
 pub use stats::{ProcStats, SimStats};
 
@@ -66,7 +68,6 @@ mod tests {
              for j = 0 to N - 1 { B[j] = A[j] + 1.0; }",
         )
         .unwrap();
-        let stmts = program.statements();
         let env = params(&[("N", 5)]);
         let grid = ProcGrid::line(2);
         let mut sched = Schedule::new(2);
@@ -77,14 +78,13 @@ mod tests {
             inner_range: Some((0, 4)),
             flops: 0.0,
         });
-        // p0 sends A[0..5] to p1.
-        let payload: Vec<PayloadItem> = (0..5)
-            .map(|i| PayloadItem {
-                array: "A".into(),
-                idx: vec![i],
-                stamp: stamp_of(&stmts[0].position, [i]),
-            })
-            .collect();
+        // p0 sends A[0..5], written by S0 at i = 0..5, to p1.
+        let payload = Payload {
+            array: "A".into(),
+            writer: Some(0),
+            width: 2,
+            rows: (0..5).flat_map(|i| [i, i]).collect(),
+        };
         sched.messages.push(MessageSpec {
             sender: 0,
             receivers: vec![1],
@@ -343,23 +343,26 @@ mod tests {
         }
     }
 
-    /// One message carrying `A[idx]` under `stamp`.
+    /// One message carrying `array[idx]` as written by `writer` at
+    /// iteration `iter` (live-in data for `None`).
     fn message_of(
         sender: usize,
         receiver: usize,
         array: &str,
         idx: i128,
-        stamp: &[i128],
+        writer: Option<usize>,
+        iter: &[i128],
     ) -> MessageSpec {
         MessageSpec {
             sender,
             receivers: vec![receiver],
             words: 1,
-            payload: Some(vec![PayloadItem {
+            payload: Some(Payload {
                 array: array.into(),
-                idx: vec![idx],
-                stamp: stamp.to_vec(),
-            }]),
+                writer,
+                width: iter.len() + 1,
+                rows: iter.iter().copied().chain([idx]).collect(),
+            }),
         }
     }
 
@@ -423,7 +426,7 @@ mod tests {
         let program = parse(COPY).unwrap();
         let env = params(&[("N", 3), ("M", 0)]);
         let mut sched = Schedule::new(2);
-        sched.messages.push(message_of(0, 1, "C", 0, &[-1]));
+        sched.messages.push(message_of(0, 1, "C", 0, None, &[]));
         // Refused while resolving: no action ever names the message.
         let why = refusal(&program, &env, &sched);
         assert!(why.contains("message 0") && why.contains('C'), "{why}");
@@ -434,24 +437,49 @@ mod tests {
         let program = parse(COPY).unwrap();
         let env = params(&[("N", 3), ("M", 0)]);
         let mut sched = Schedule::new(2);
-        sched.messages.push(message_of(0, 1, "A", 0, &[-1]));
-        sched.messages.push(message_of(0, 1, "A", 0, &[-1]));
-        sched.messages[1].payload.as_mut().unwrap()[0].idx = vec![0, 0];
+        sched.messages.push(message_of(0, 1, "A", 0, None, &[]));
+        // Two subscripts on the one-dimensional A.
+        sched.messages.push(message_of(0, 1, "A", 0, None, &[0]));
         let why = refusal(&program, &env, &sched);
         assert!(why.contains("message 1") && why.contains('A'), "{why}");
     }
 
+    /// A payload row's stamp is its writer's template read with the row's
+    /// iteration: a writer that is no statement, or rows that do not fit
+    /// the writer's depth plus the array's rank, name no write instance
+    /// and are refused before any action runs.
     #[test]
     fn payload_stamp_that_fits_no_row_is_refused() {
-        // The deepest nest has one loop: rows are three wide.
+        // S0 has one loop and A one dimension: rows are two wide.
         let program = parse(COPY).unwrap();
         let env = params(&[("N", 3), ("M", 0)]);
-        for stamp in [vec![0, 1, 0, 0], vec![0, i128::MIN, 0]] {
+        let mut cases = vec![
+            (
+                message_of(0, 1, "A", 0, Some(1), &[0]),
+                "writer S1 is no statement",
+            ),
+            (message_of(0, 1, "A", 0, Some(0), &[]), "rows of 1"),
+            (message_of(0, 1, "A", 0, Some(0), &[0, 0]), "rows of 3"),
+            (message_of(0, 1, "A", 0, None, &[2]), "live-in data"),
+        ];
+        // Rows that do not tile the table, and a table of width 0.
+        let mut ragged = message_of(0, 1, "A", 0, Some(0), &[0]);
+        ragged.payload.as_mut().unwrap().rows.push(1);
+        cases.push((ragged, "3 values in rows of 2"));
+        let mut empty = message_of(0, 1, "A", 0, None, &[]);
+        let payload = empty.payload.as_mut().unwrap();
+        (payload.width, payload.rows) = (0, Vec::new());
+        cases.push((empty, "rows of 0"));
+        for (message, want) in cases {
             let mut sched = Schedule::new(2);
-            sched.messages.push(message_of(0, 1, "A", 0, &stamp));
+            sched.messages.push(message);
             let why = refusal(&program, &env, &sched);
-            assert!(why.contains("message 0") && why.contains("stamp"), "{why}");
+            assert!(why.contains("message 0") && why.contains(want), "{why}");
         }
+        // The well-formed row is accepted.
+        let mut sched = Schedule::new(2);
+        sched.messages.push(message_of(0, 1, "A", 0, Some(0), &[0]));
+        assert!(run_values(&program, &env, &sched, &InitialPlacement::Replicated).is_ok());
     }
 
     #[test]
@@ -533,8 +561,8 @@ mod tests {
             dmc_decomp::DataDecomp::block_1d("A", 1, 0, 2),
         );
         let mut sched = Schedule::new(3);
-        sched.messages.push(message_of(0, 1, "A", 0, &[0, 0, 0]));
-        sched.messages.push(message_of(0, 1, "A", 2, &[0, 2, 0]));
+        sched.messages.push(message_of(0, 1, "A", 0, Some(0), &[0]));
+        sched.messages.push(message_of(0, 1, "A", 2, Some(0), &[2]));
         // p0 writes the early copies of A[0], A[2], A[5] and forwards two.
         sched.procs[0].extend([block(0, 0, 0), block(0, 2, 2), block(0, 5, 5)]);
         sched.procs[0].extend([Action::Send { msg: 0 }, Action::Send { msg: 1 }]);
@@ -586,7 +614,7 @@ mod tests {
         // that lies outside the array.
         for idx in [1, 9] {
             let mut sched = Schedule::new(2);
-            sched.messages.push(message_of(1, 0, "A", idx, &[-1]));
+            sched.messages.push(message_of(1, 0, "A", idx, None, &[]));
             sched.procs[1].push(Action::Send { msg: 0 });
             sched.procs[0].push(Action::Recv { msg: 0 });
             let want = SimError::MissingValue {
@@ -600,6 +628,33 @@ mod tests {
                 want
             );
         }
+    }
+
+    /// A payload row far outside a two-dimensional array names no slot:
+    /// forwarding it is a `MissingValue`, not an overflowing offset.
+    #[test]
+    fn payload_row_far_outside_its_array_is_missing() {
+        let square = parse("param N; array B[N][N]; for i = 0 to N - 1 { B[i][i] = 1.0; }");
+        let env = params(&[("N", 4)]);
+        let mut sched = Schedule::new(2);
+        sched
+            .messages
+            .push(message_of(1, 0, "B", i128::MAX, None, &[1]));
+        sched.procs[1].push(Action::Send { msg: 0 });
+        sched.procs[0].push(Action::Recv { msg: 0 });
+        let want = SimError::MissingValue {
+            proc: 1,
+            array: "B".into(),
+            idx: vec![1, i128::MAX],
+            stmt: usize::MAX,
+        };
+        let got = run_values(
+            &square.unwrap(),
+            &env,
+            &sched,
+            &InitialPlacement::Replicated,
+        );
+        assert_eq!(got.unwrap_err(), want);
     }
 
     #[test]

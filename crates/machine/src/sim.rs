@@ -42,11 +42,13 @@
 //! version names that write without storing its [`Stamp`]: the live-in
 //! value (stamp `[-1]`), element `at` of the `block`-th compute block
 //! (blocks are numbered once, on entry; the stamp interleaves the
-//! statement's position with the block's prefix and `lo + at`), or item
-//! `item` of message `msg` (the stamp its [`MessageSpec`] carries). Two
-//! versions compare as the stamps they denote, read in place from the
-//! schedule, component by component, with no allocation: exactly the order
-//! of `Vec<i128>`, in which a proper prefix sorts first. Two elements of
+//! statement's position with the block's prefix and `lo + at`), or row
+//! `item` of message `msg`'s [`Payload`] (the writer's template read with
+//! the row's iteration). Two versions compare as the stamps they denote,
+//! read in place from the schedule by [`StampRef`] — the comparison the
+//! planner orders actions by — component by component, with no
+//! allocation: exactly the order of `Vec<i128>`, in which a proper prefix
+//! sorts first. Two elements of
 //! one block compare by `at` alone. Each field is packed with a checked
 //! conversion, and a schedule with more blocks, a longer block, more
 //! messages or a longer payload than a field holds is refused on entry.
@@ -57,10 +59,12 @@
 //! schedule mentions: array names to slot ranges with evaluated extents;
 //! each scheduled statement's subscripts to coefficient rows over its loop
 //! variables with the parameters folded into the constant, and its
-//! right-hand side to postfix code; each message's payload items to slots;
-//! every compute block to its number. Whatever cannot be resolved — an unbound parameter, a block whose prefix
-//! does not fit its statement, a payload item naming an undeclared array —
-//! is a [`SimError::MalformedSchedule`] here, not a panic later. A block
+//! right-hand side to postfix code; each payload row to a slot; every
+//! compute block to its number. Whatever cannot be resolved — an unbound
+//! parameter, a block whose prefix does not fit its statement, a payload
+//! that names no write instance (a writer that is no statement, an
+//! undeclared array, rows of the wrong width) — is a
+//! [`SimError::MalformedSchedule`] here, not a panic later. A block
 //! then checks each of its accesses at the two ends of its inner range (a
 //! subscript is affine, hence monotone, in the innermost variable) and
 //! steps flat slot numbers by a constant stride: an element costs no
@@ -85,7 +89,7 @@ use dmc_ir::{ArrayRef, Program, StmtInfo};
 use dmc_obs as obs;
 
 use crate::config::MachineConfig;
-use crate::schedule::{stamp_of, Action, MessageSpec, Schedule, Stamp};
+use crate::schedule::{template_of, Action, MessageSpec, Payload, Schedule, Stamp, StampRef};
 use crate::stats::SimStats;
 
 /// Rounds simulated seconds onto the integer-nanosecond grid.
@@ -603,53 +607,6 @@ impl Version {
     }
 }
 
-/// A stamp read in place.
-#[derive(Clone, Copy)]
-enum StampRef<'s> {
-    /// A statement instance: `template` is the statement's stamp with every
-    /// loop value 0, and the loop values are `prefix`, then `last`.
-    Instance {
-        template: &'s [i128],
-        prefix: &'s [i128],
-        last: i128,
-    },
-    /// A stamp held whole.
-    Whole(&'s [i128]),
-}
-
-impl StampRef<'_> {
-    fn len(self) -> usize {
-        match self {
-            StampRef::Instance { template, .. } => template.len(),
-            StampRef::Whole(s) => s.len(),
-        }
-    }
-
-    fn get(self, k: usize) -> i128 {
-        match self {
-            StampRef::Instance {
-                template,
-                prefix,
-                last,
-            } => match k % 2 {
-                0 => template[k],
-                _ => prefix.get(k / 2).copied().unwrap_or(last),
-            },
-            StampRef::Whole(s) => s[k],
-        }
-    }
-
-    /// `Vec<i128>` order: the first differing component decides, and a
-    /// proper prefix sorts first.
-    fn cmp(self, other: StampRef<'_>) -> Ordering {
-        let n = self.len().min(other.len());
-        (0..n)
-            .map(|k| self.get(k).cmp(&other.get(k)))
-            .find(|o| o.is_ne())
-            .unwrap_or_else(|| self.len().cmp(&other.len()))
-    }
-}
-
 /// The live-in copies' stamp.
 const INITIAL_STAMP: [i128; 1] = [-1];
 
@@ -670,27 +627,32 @@ impl Stamps<'_> {
         match v.origin() {
             Origin::Absent => StampRef::Whole(&[]),
             Origin::Initial => StampRef::Whole(&INITIAL_STAMP),
-            Origin::Wrote { block, at } => {
-                let Action::Block {
-                    stmt,
+            // The block's anchor, `lo + at` for `lo`: `at` is at most the
+            // block's span, so the sum is in range.
+            Origin::Wrote { block, at } => match self.blocks[block].anchor(&self.templates) {
+                Some(StampRef::Instance {
+                    template,
                     prefix,
-                    inner_range,
-                    ..
-                } = self.blocks[block]
-                else {
-                    unreachable!("only blocks are numbered")
-                };
-                // `at` is at most the block's span: `lo + at` is in range.
-                let lo = inner_range.map_or(0, |(lo, _)| lo);
-                StampRef::Instance {
-                    template: &self.templates[*stmt],
+                    last,
+                }) => StampRef::Instance {
+                    template,
                     prefix,
-                    last: lo + i128::from(at),
-                }
-            }
+                    last: last + i128::from(at),
+                },
+                _ => unreachable!("only blocks are numbered"),
+            },
             Origin::Got { msg, item } => {
-                let items = self.messages[msg].payload.as_deref().unwrap_or_default();
-                StampRef::Whole(&items[item].stamp)
+                let payload = self.messages[msg].payload.as_ref().expect("resolved");
+                let row = &payload.rows[item * payload.width..][..payload.width];
+                match payload.writer {
+                    // Resolving checked the row's width: its first columns
+                    // are the writer's iteration.
+                    Some(w) => {
+                        let template = &self.templates[w];
+                        StampRef::of(template, &row[..template.len() / 2])
+                    }
+                    None => StampRef::Whole(&INITIAL_STAMP),
+                }
             }
         }
     }
@@ -702,7 +664,7 @@ impl Stamps<'_> {
             (Origin::Wrote { block: x, at: i }, Origin::Wrote { block: y, at: j }) if x == y => {
                 i.cmp(&j)
             }
-            _ => self.stamp(a).cmp(self.stamp(b)),
+            _ => self.stamp(a).cmp(&self.stamp(b)),
         }
     }
 }
@@ -879,18 +841,14 @@ impl<'a> Machine<'a> {
             }
         }
 
-        let depth = stmts.iter().map(|s| s.loops.len()).max().unwrap_or(0);
         let payload_slots = schedule
             .messages
             .iter()
             .enumerate()
-            .map(|(id, spec)| resolve_payload(&layout, 2 * depth + 1, id, spec))
+            .map(|(id, spec)| resolve_payload(&layout, stmts, id, spec))
             .collect::<Result<_, _>>()?;
 
-        let templates = stmts
-            .iter()
-            .map(|s| stamp_of(&s.position, std::iter::repeat_n(0i128, s.loops.len())))
-            .collect();
+        let templates = stmts.iter().map(|s| template_of(&s.position)).collect();
         let mut local: Vec<LocalMemory> = (0..schedule.procs.len())
             .map(|_| LocalMemory::new(layout.slots))
             .collect();
@@ -995,21 +953,24 @@ impl<'a> Machine<'a> {
         msg: usize,
         spec: &MessageSpec,
     ) -> Result<Option<Rc<[f64]>>, SimError> {
-        let (Some(slots), Some(items)) = (&self.payload_slots[msg], &spec.payload) else {
+        let (Some(slots), Some(payload)) = (&self.payload_slots[msg], &spec.payload) else {
             return Ok(None);
         };
         let mem = &self.local[p];
+        let rank = self.layout.arrays[self.layout.find(&payload.array).expect("resolved")]
+            .extents
+            .len();
         slots
             .iter()
-            .zip(items)
-            .map(|(&slot, item)| {
+            .zip(payload.rows())
+            .map(|(&slot, row)| {
                 if mem.holds(slot) {
                     Ok(mem.vals[slot])
                 } else {
                     Err(SimError::MissingValue {
                         proc: p,
-                        array: item.array.clone(),
-                        idx: item.idx.clone(),
+                        array: payload.array.clone(),
+                        idx: row[row.len() - rank..].to_vec(),
                         stmt: usize::MAX,
                     })
                 }
@@ -1061,60 +1022,83 @@ impl<'a> Machine<'a> {
     }
 }
 
-/// The slot of each payload item of message `id`. A stamp wider than
-/// `widest`, the stamps of the deepest nest, or holding `i128::MIN` is no
-/// statement's and is refused.
+/// The slot of each element of message `id`'s payload. A payload that
+/// names no write instance is refused: a writer that is no statement of
+/// the program, an undeclared array, rows whose width is not the writer's
+/// loop depth plus the array's rank (or that do not tile the table), or
+/// more rows than a [`Version`] counts.
 fn resolve_payload(
     layout: &Layout<'_>,
-    widest: usize,
+    stmts: &[StmtInfo],
     id: usize,
     spec: &MessageSpec,
 ) -> Result<Option<Vec<usize>>, SimError> {
-    let Some(items) = &spec.payload else {
+    let Some(Payload {
+        array: name,
+        writer,
+        width,
+        rows,
+    }) = &spec.payload
+    else {
         return Ok(None);
     };
     let bad = |why: String| SimError::MalformedSchedule(format!("message {id}: {why}"));
-    if Version::got(id, items.len().saturating_sub(1)).is_none() {
+    let depth = match writer {
+        None => 0,
+        Some(w) => stmts
+            .get(*w)
+            .ok_or_else(|| bad(format!("writer S{w} is no statement")))?
+            .loops
+            .len(),
+    };
+    let array = layout
+        .find(name)
+        .map(|a| &layout.arrays[a])
+        .ok_or_else(|| bad(format!("array {name} is not declared")))?;
+    let rank = array.extents.len();
+    if *width != depth + rank || *width == 0 || rows.len() % width != 0 {
+        let writer = writer.map_or("live-in data".to_owned(), |w| format!("S{w}"));
         return Err(bad(format!(
-            "{} items have no version: at most {} messages of {} items",
-            items.len(),
+            "{} values in rows of {width} name no write instance: \
+             {writer} at depth {depth} into {rank}-dimensional array {name} \
+             needs rows of {}",
+            rows.len(),
+            depth + rank
+        )));
+    }
+    let items = rows.len() / width;
+    if Version::got(id, items.saturating_sub(1)).is_none() {
+        return Err(bad(format!(
+            "{items} items have no version: at most {} messages of {} items",
             FIELD_MAX + 1,
             FIELD_MAX + 1
         )));
     }
-    let mut slots = Vec::with_capacity(items.len());
-    for item in items {
-        let array = layout
-            .find(&item.array)
-            .map(|a| &layout.arrays[a])
-            .ok_or_else(|| bad(format!("array {} is not declared", item.array)))?;
-        if item.idx.len() != array.extents.len() {
-            return Err(bad(format!(
-                "{} subscripts on {}-dimensional array {}",
-                item.idx.len(),
-                array.extents.len(),
-                item.array
-            )));
-        }
-        if item.stamp.len() > widest || item.stamp.contains(&i128::MIN) {
-            return Err(bad(format!(
-                "stamp {:?} of {}{:?} is no statement's: wider than {widest} or holding i128::MIN",
-                item.stamp, item.array, item.idx
-            )));
-        }
-        let mut offset = 0;
-        let inside = item.idx.iter().zip(&array.extents).all(|(&x, &extent)| {
-            offset = offset * extent + x;
-            (0..extent).contains(&x)
-        });
-        // No memory holds an item outside its array: sending it is a
-        // `MissingValue`.
-        slots.push(if inside {
-            array.base + offset as usize
-        } else {
-            NO_SLOT
-        });
-    }
+    let slots = rows
+        .chunks_exact(*width)
+        .map(|row| {
+            let mut offset = 0;
+            // A subscript is checked before it joins the offset, so a
+            // hostile one cannot overflow it.
+            let inside = row[depth..]
+                .iter()
+                .zip(&array.extents)
+                .all(|(&x, &extent)| {
+                    let inside = (0..extent).contains(&x);
+                    if inside {
+                        offset = offset * extent + x;
+                    }
+                    inside
+                });
+            // No memory holds an element outside its array: sending it is
+            // a `MissingValue`.
+            if inside {
+                array.base + offset as usize
+            } else {
+                NO_SLOT
+            }
+        })
+        .collect();
     Ok(Some(slots))
 }
 
@@ -1195,7 +1179,7 @@ fn virtual_owners(d: &DataDecomp, element: &[i128]) -> Vec<Vec<i128>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::PayloadItem;
+    use crate::schedule::stamp_of;
 
     struct XorShift(u64);
 
@@ -1251,20 +1235,14 @@ mod tests {
 
     /// Random statements at depth 0–3, forty blocks of them (so several of
     /// each, often sharing prefixes and overlapping ranges) and messages
-    /// whose payload stamps are `[-1]`, statement instances or proper
-    /// prefixes of them: two versions compare as the stamps they denote
-    /// do as `Vec`s.
+    /// whose payloads are live-in data or rows of one writer: two versions
+    /// compare as the stamps they denote do as `Vec`s.
     #[test]
     fn versions_order_as_the_stamps_they_denote() {
         let mut rng = XorShift(0x9E37_79B9_7F4A_7C15);
         let positions: Vec<Vec<usize>> = (0..6)
             .map(|_| (0..=rng.below(4)).map(|_| rng.below(2)).collect())
             .collect();
-        let instance = |rng: &mut XorShift| {
-            let stmt = rng.below(positions.len());
-            let values: Vec<i128> = (1..positions[stmt].len()).map(|_| rng.small()).collect();
-            stamp_of(&positions[stmt], values)
-        };
         let blocks: Vec<Action> = (0..40)
             .map(|_| {
                 let stmt = rng.below(positions.len());
@@ -1283,38 +1261,35 @@ mod tests {
                 }
             })
             .collect();
+        // Each message's rows: its writer's iteration, then one subscript.
         let messages: Vec<MessageSpec> = (0..10)
             .map(|_| {
-                let payload = (0..8)
-                    .map(|_| {
-                        let mut stamp = match rng.below(6) {
-                            0 => vec![-1],
-                            _ => instance(&mut rng),
-                        };
-                        if rng.below(3) == 0 {
-                            stamp.truncate(1 + rng.below(stamp.len()));
-                        }
-                        PayloadItem {
-                            array: String::new(),
-                            idx: Vec::new(),
-                            stamp,
-                        }
+                let writer = (rng.below(6) != 0).then(|| rng.below(positions.len()));
+                let depth = writer.map_or(0, |w| positions[w].len() - 1);
+                let rows = (0..8)
+                    .flat_map(|_| {
+                        (0..depth)
+                            .map(|_| rng.small())
+                            .chain([0])
+                            .collect::<Vec<_>>()
                     })
                     .collect();
                 MessageSpec {
                     sender: 0,
                     receivers: Vec::new(),
                     words: 8,
-                    payload: Some(payload),
+                    payload: Some(Payload {
+                        array: String::new(),
+                        writer,
+                        width: depth + 1,
+                        rows,
+                    }),
                 }
             })
             .collect();
         let stamps = Stamps {
             blocks: blocks.iter().collect(),
-            templates: positions
-                .iter()
-                .map(|p| stamp_of(p, vec![0; p.len() - 1]))
-                .collect(),
+            templates: positions.iter().map(|p| template_of(p)).collect(),
             messages: &messages,
         };
 
@@ -1345,7 +1320,12 @@ mod tests {
                 4 => (Version::INITIAL, vec![-1]),
                 _ => {
                     let (msg, item) = (rng.below(messages.len()), rng.below(8));
-                    let stamp = messages[msg].payload.as_ref().unwrap()[item].stamp.clone();
+                    let payload = messages[msg].payload.as_ref().unwrap();
+                    let row = payload.rows().nth(item).unwrap();
+                    let stamp = match payload.writer {
+                        Some(w) => stamp_of(&positions[w], &row[..row.len() - 1]),
+                        None => vec![-1],
+                    };
                     (Version::got(msg, item).unwrap(), stamp)
                 }
             }
