@@ -96,7 +96,6 @@ fn ablations() {
         ("A1: no redundancy elim.", {
             let mut o = Options::full();
             o.self_reuse = false;
-            o.cross_set_reuse = false;
             o
         }),
         ("A2: no aggregation", {

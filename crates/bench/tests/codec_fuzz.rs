@@ -6,10 +6,12 @@
 //! by bit flips, byte overwrites and truncations. A mutated payload must
 //! decode to an error or to an artifact that re-encodes to exactly the
 //! mutated bytes: decoding never panics, and the codec accepts one
-//! encoding per value, so a misread cannot hide behind a round trip.
+//! encoding per value, so a misread cannot hide behind a round trip. The
+//! same requests are journaled, and the journal text is mutated the same
+//! ways: parsing it returns records or an error, never a panic.
 
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use dmc_bench::test_workloads;
 use dmc_core::{Artifact, ArtifactStore, CompileInput, Options, Session, StageId, StoreStats};
@@ -56,11 +58,30 @@ impl XorShift {
     }
 }
 
-/// The payload of every artifact the registry's test-size requests store.
-fn recorded_payloads() -> Vec<Payload> {
+/// Mutates `bytes` in place by the `n`th of the three kinds: a bit flip,
+/// a byte overwrite or a truncation.
+fn mutate(bytes: &mut Vec<u8>, n: usize, rng: &mut XorShift) {
+    let at = rng.below(bytes.len());
+    match n % 3 {
+        0 => bytes[at] ^= 1 << rng.below(8),
+        1 => bytes[at] = rng.below(256) as u8,
+        _ => bytes.truncate(at),
+    }
+}
+
+/// What the registry's test-size requests leave: the payload of every
+/// artifact they store, and their journal's JSONL text. Recorded once and
+/// shared by the tests.
+fn recorded() -> &'static (Vec<Payload>, String) {
+    static RECORDED: OnceLock<(Vec<Payload>, String)> = OnceLock::new();
+    RECORDED.get_or_init(record)
+}
+
+fn record() -> (Vec<Payload>, String) {
     let recording = Recording::default();
     let mut session = Session::new();
     session.attach_store(Box::new(recording.clone()));
+    session.set_journal(true);
     for w in test_workloads() {
         let input = (w.input)(w.nproc);
         let program = session
@@ -74,14 +95,15 @@ fn recorded_payloads() -> Vec<Payload> {
             .build_schedule(&served.compiled, &w.params, true, 50_000_000)
             .unwrap_or_else(|e| panic!("{}: values-mode schedule: {e}", w.name));
     }
+    let journal = session.journal_text();
     drop(session);
     let payloads = std::mem::take(&mut *recording.0.lock().unwrap());
-    payloads
+    (payloads, journal)
 }
 
 #[test]
 fn mutated_payloads_never_panic_and_decode_only_canonically() {
-    let payloads = recorded_payloads();
+    let payloads = &recorded().0;
     let stages: BTreeSet<u8> = payloads.iter().map(|(s, _)| s.tag()).collect();
     assert_eq!(
         stages,
@@ -105,15 +127,10 @@ fn mutated_payloads_never_panic_and_decode_only_canonically() {
     );
     let mut rng = XorShift(0x5EED_C0DEC);
     let (mut decoded, mut refused) = (0, 0);
-    for (stage, bytes) in &payloads {
+    for (stage, bytes) in payloads {
         for n in 0..3 * MUTATIONS {
             let mut m = bytes.clone();
-            let at = rng.below(m.len());
-            match n % 3 {
-                0 => m[at] ^= 1 << rng.below(8),
-                1 => m[at] = rng.below(256) as u8,
-                _ => m.truncate(at),
-            }
+            mutate(&mut m, n, &mut rng);
             match Artifact::decode_payload(*stage, &m) {
                 Ok(artifact) => {
                     assert!(
@@ -133,5 +150,37 @@ fn mutated_payloads_never_panic_and_decode_only_canonically() {
     assert!(
         decoded > 0 && refused > decoded,
         "{decoded} decoded, {refused} refused"
+    );
+}
+
+#[test]
+fn mutated_journals_parse_or_refuse_without_panic() {
+    let journal = &recorded().1;
+    let records = dmc_obs::journal::parse_journal(journal).expect("the journal parses");
+    assert_eq!(
+        records.len(),
+        test_workloads().len(),
+        "a record per request"
+    );
+    let mut rng = XorShift(0x5EED_7047);
+    let (mut parsed, mut refused) = (0, 0);
+    for n in 0..3 * MUTATIONS {
+        let mut m = journal.clone().into_bytes();
+        mutate(&mut m, n, &mut rng);
+        // A flipped bit may leave no UTF-8; the reader of a damaged file
+        // sees it with the bad bytes replaced.
+        match dmc_obs::journal::parse_journal(&String::from_utf8_lossy(&m)) {
+            Ok(_) => parsed += 1,
+            Err(e) => {
+                assert!(e.starts_with("journal line "), "untyped error: {e}");
+                refused += 1;
+            }
+        }
+    }
+    // Not vacuous: some mutations land in values and parse, others break
+    // a line.
+    assert!(
+        parsed > 0 && refused > 0,
+        "{parsed} parsed, {refused} refused"
     );
 }

@@ -1,12 +1,15 @@
-//! Store keys are stable across codec versions, and payloads are pinned
-//! at the current one. Shown without a committed directory: one small
-//! request is served into an empty [`DiskStore`], and every artifact it
-//! leaves must sit under the key, and hold the payload, recorded below.
-//! An equal key means a directory written by an earlier build is looked
-//! up where it was; an equal payload fingerprint means this build writes
-//! exactly the bytes recorded for `CODEC_VERSION` 4. A directory written
-//! at an earlier codec version no longer serves: its files are found
-//! under the same keys, and each load of one is a miss that removes it.
+//! Store keys and payloads are pinned at this build. Shown without a
+//! committed directory: one small request is served into an empty
+//! [`DiskStore`], and every artifact it leaves must sit under the key, and
+//! hold the payload, recorded below. A key is the FNV-1a/128 of a key-kind
+//! byte and the stage's inputs in their codec encodings, so it follows the
+//! IR's encoding: a change to a `Codec` impl of the IR or of a
+//! decomposition's key bytes moves these keys, and orphans the entries of
+//! every existing store directory (a bounded store evicts them, an
+//! unbounded one keeps them until it is cleared). An equal payload
+//! fingerprint means this build writes exactly the bytes recorded for
+//! `CODEC_VERSION` 4. A directory written at an earlier codec version no
+//! longer serves: each load of one of its files is a miss that removes it.
 
 use dmc_bench::figure2_input;
 use dmc_core::{ArtifactStore, CompileInput, Options, Session};
@@ -16,37 +19,32 @@ const FIGURE2_SRC: &str = "param T, N; array X[N + 1];
 for t = 0 to T { for i = 3 to N { X[i] = X[i - 3]; } }";
 
 /// `(stage tag, key fingerprint, FNV-1a/128 of the payload)` of what this
-/// test's request stores. The keys were recorded at commit 9b36833, the
-/// last with seven stages, less the three retired tags' lines (1
-/// `stmt-info`, 3 `commsets`, 5 `aggregate`); one has moved since: the
-/// `schedule` key (stage 6) took a fresh outer tag when the planner began
-/// deciding aggregation legality per chunk instead of by a dry run, so no
-/// store serves a plan of the old rule. Keys do not depend on the codec.
-/// The payload fingerprints are those of `CODEC_VERSION` 4 (varint
-/// integers, sparse constraint rows, a values-mode payload as one table).
-/// All four moved from version 3 by their version byte alone: this
-/// request stores a timing-mode schedule, which carries no payload. Every
-/// one moved from versions 1 and 2, and none moved with the planner's
-/// rule, since Figure 2's plan is the same under both.
-const SEVEN_STAGE_ARTIFACTS: [(u8, u128, u128); 4] = [
+/// test's request stores: `parse`, `lwt`, `opt` and `schedule` (the
+/// retired tags 1, 3 and 5 are never reused). The keys were recorded when
+/// stage keys became hashes of codec bytes; each moved then from its
+/// tagged-stream value, and the `opt` and `schedule` keys lost their inner
+/// links. The payload fingerprints are those of `CODEC_VERSION` 4 (varint
+/// integers, sparse constraint rows, a values-mode payload as one table)
+/// and did not move with the keys.
+const ARTIFACTS: [(u8, u128, u128); 4] = [
     (
         0,
-        0x0840bf8585df581e69f48e49810d9057,
+        0xfe8da73796e1ff6e26fe46ff3a64f895,
         0x9922892eba5383df9d5e5134008792f1,
     ),
     (
         2,
-        0x65c0d40bfd5d6bbfadf0a32d517f83ef,
+        0x1d1f1cb3b668b8a8754bb09131ceb371,
         0x92301259c7b6cc8dd70bb894e5ce77e8,
     ),
     (
         4,
-        0x4f0bcf57fc8685d23220ae112ad3db8b,
+        0x95e9ddbe2d3e0b7d1703f8e9639ba7ff,
         0xe6f1f5fae3584ee24293e19cb6a15d5a,
     ),
     (
         6,
-        0xf3e0cc22b2f19bd5dc25e34bb206e69d,
+        0x7f73a081be068ca63bcce55349078989,
         0x20c217c5934a18272f64e544bf74976b,
     ),
 ];
@@ -78,5 +76,5 @@ fn surviving_stages_keep_their_keys_and_payloads() {
         assert!(store.load(stage, key).is_some(), "{stage:?} verifies");
         stored.push((stage.tag(), key.0, u128::from_le_bytes(fp)));
     }
-    assert_eq!(stored, SEVEN_STAGE_ARTIFACTS);
+    assert_eq!(stored, ARTIFACTS);
 }

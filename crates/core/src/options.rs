@@ -18,11 +18,10 @@ pub struct Options {
     /// Communication-generation strategy.
     pub strategy: Strategy,
     /// §6.1.1 — eliminate redundant transfers due to self reuse (each
-    /// value reaches a processor once per context).
-    pub self_reuse: bool,
-    /// Cross-context extension of self-reuse elimination (one transfer per
+    /// value reaches a processor once per context); under the
+    /// value-centric strategy, also across contexts (one transfer per
     /// value and receiver across the whole tree).
-    pub cross_set_reuse: bool,
+    pub self_reuse: bool,
     /// §6.1.3 — drop transfers whose receiver already owns a copy under
     /// the initial data decomposition.
     pub already_local: bool,
@@ -46,7 +45,6 @@ impl Default for Options {
         Options {
             strategy: Strategy::ValueCentric,
             self_reuse: true,
-            cross_set_reuse: true,
             already_local: true,
             unique_sender: true,
             aggregate: true,
@@ -67,7 +65,6 @@ impl Options {
     pub fn naive() -> Self {
         Options {
             self_reuse: false,
-            cross_set_reuse: false,
             already_local: false,
             unique_sender: false,
             aggregate: false,

@@ -21,8 +21,8 @@ use dmc_commgen::{
     CommSet,
 };
 use dmc_decomp::DataDecomp;
-use dmc_ir::fp::{Fingerprintable, Fp};
 use dmc_obs as obs;
+use dmc_polyhedra::codec::Enc;
 use dmc_polyhedra::ledger;
 
 use crate::options::{Options, Strategy};
@@ -36,11 +36,11 @@ pub(crate) struct PassDesc {
     pub span: &'static str,
     /// Whether `options` enable this pass.
     pub enabled: fn(&Options) -> bool,
-    /// Feeds everything this pass's *answer* depends on — beyond the
+    /// Writes everything this pass's *answer* depends on — beyond the
     /// incoming sets and the knobs already covered by the per-read chain
-    /// fingerprint — into a stage hasher. This is the pass's row of the
+    /// key — into the `opt` stage key. This is the pass's row of the
     /// Options→fingerprint relevance map (see `session`).
-    pub fingerprint: fn(&CompileInput, &Options, &mut Fp),
+    pub fingerprint: fn(&CompileInput, &Options, &mut Enc),
     /// Runs the pass over one tree's communication sets.
     pub run: PassFn,
 }
@@ -57,13 +57,15 @@ pub(crate) const OPT_PASSES: &[PassDesc] = &[
         // Strategy picks the algorithm (full vs. outermost-iteration-scoped
         // dedup); the written-array set it consults is covered by the
         // program-skeleton hash upstream in the chain fingerprint.
-        fingerprint: |_, o, h| h.tag(strategy_tag(o.strategy)),
+        fingerprint: |_, o, e| e.u8(strategy_tag(o.strategy)),
         run: run_self_reuse,
     },
     PassDesc {
         name: "cross_set_reuse",
         span: "opt.cross_set_reuse",
-        enabled: |o| o.cross_set_reuse && o.strategy == Strategy::ValueCentric,
+        // Rides on self-reuse elimination: it extends it across contexts,
+        // and only value-centric sets carry the contexts it merges.
+        enabled: |o| o.self_reuse && o.strategy == Strategy::ValueCentric,
         fingerprint: |_, _, _| {},
         run: |cur, _, _| Ok(eliminate_cross_set_reuse(&cur)?),
     },
@@ -89,7 +91,7 @@ pub(crate) const OPT_PASSES: &[PassDesc] = &[
         name: "fold_receivers",
         span: "opt.fold_receivers",
         enabled: |o| o.self_reuse,
-        fingerprint: |input, _, h| input.grid.fp(h),
+        fingerprint: |input, _, e| input.grid.encode(e),
         run: |cur, input, _| {
             let extents = input.grid.extents().to_vec();
             let mut next = Vec::new();
@@ -110,20 +112,12 @@ pub(crate) const OPT_PASSES: &[PassDesc] = &[
         // Consults the initial data decomposition of each surviving set's
         // array; any array can surface here, so the whole (name-sorted)
         // initial map is relevant.
-        fingerprint: |input, _, h| {
-            let mut entries: Vec<(&String, &DataDecomp)> = input.initial.iter().collect();
-            entries.sort_by_key(|(name, _)| *name);
-            h.usize(entries.len());
-            for (name, d) in entries {
-                h.str(name);
-                d.fp(h);
-            }
-        },
+        fingerprint: |input, _, e| crate::session::encode_initial(input, e),
         run: run_already_local,
     },
 ];
 
-/// A stable tag per strategy for fingerprinting.
+/// A stable tag per strategy for stage keys.
 pub(crate) fn strategy_tag(s: Strategy) -> u8 {
     match s {
         Strategy::ValueCentric => 0,

@@ -179,8 +179,9 @@ pub struct Compiled {
     /// The options compilation ran with.
     pub options: Options,
     /// One Last Write Tree per (statement, read) in textual order
-    /// (value-centric strategy only).
-    pub lwts: Vec<LastWriteTree>,
+    /// (value-centric strategy only), shared with the session's `lwt`
+    /// stage rather than copied out of it.
+    pub lwts: Vec<Arc<LastWriteTree>>,
     /// The final communication sets after optimization.
     pub comm: Vec<CommSet>,
 }

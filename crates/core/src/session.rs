@@ -8,12 +8,15 @@
 //! parse → per-read { lwt → opt } → schedule
 //! ```
 //!
-//! Every stage is keyed by a structural [`Fingerprint`] of exactly the
-//! inputs its answer depends on: the relevant IR subtree, the
-//! decompositions it reads, and the [`Options`] knobs that can change its
-//! output. Compiling the same input twice in one session re-runs nothing;
-//! compiling a *related* input (a different processor count, an edited
-//! read) re-runs only the stages whose fingerprints changed.
+//! Every stage is keyed by a [`Fingerprint`] of exactly the inputs its
+//! answer depends on: the relevant IR subtree, the decompositions it
+//! reads, and the [`Options`] knobs that can change its output. A key is
+//! FNV-1a/128 over the bytes one codec encoder wrote — a key-kind byte,
+//! then those inputs in the same encoding the store persists artifacts
+//! in — so the system is its own key here too, and a key follows the
+//! IR's encoding. Compiling the same input twice in one session re-runs
+//! nothing; compiling a *related* input (a different processor count, an
+//! edited read) re-runs only the stages whose keys changed.
 //!
 //! A stage is an artifact some later request *loads*. The pipeline has
 //! more phases than that — the per-statement contexts, each read's raw
@@ -32,23 +35,26 @@
 //! sweeps cheap. A knob is included in a stage's fingerprint iff it can
 //! change that stage's *answer*:
 //!
-//! | stage    | program inputs                                     | options          |
-//! |----------|----------------------------------------------------|------------------|
-//! | parse    | source text                                        | —                |
-//! | lwt      | program *skeleton* + the one read                  | strategy, budget |
-//! | opt      | lwt chain + comps + array's home + per-pass decls  | §6 flags, budget |
-//! | schedule | whole input + grid + params + limit + values flag  | every knob       |
+//! | stage    | program inputs                                    | options                                                    |
+//! |----------|---------------------------------------------------|------------------------------------------------------------|
+//! | parse    | source text                                       | —                                                          |
+//! | lwt      | program *skeleton* + the one read                 | strategy, budget                                           |
+//! | opt      | lwt key + comps + array's home + per-pass decls   | strategy, budget, self_reuse, already_local, unique_sender |
+//! | schedule | whole input + grid + params + limit + values flag | every knob (the above, aggregate, multicast)               |
 //!
 //! `feasibility_budget` appears everywhere because exhausting it yields a
 //! conservative `Unknown` that can change analysis results. Every field
 //! of [`Options`] is in at least one stage key: none only changes time.
+//! `tests/session.rs::option_relevance_is_reflected_in_stage_keys` holds
+//! each field to exactly its rows here.
 //!
-//! The **skeleton** hash ([`dmc_ir::fp::skeleton_fp`]) covers parameters,
-//! array declarations, loop structure, and every statement's *written*
-//! access but no right-hand side — Last Write Trees cannot see other
-//! reads, so editing one read leaves every other read's chain untouched.
-//! The grid enters only at the `opt` stage (receiver folding) and later:
-//! a processor-count sweep builds no Last Write Tree twice.
+//! The **skeleton** ([`dmc_ir::fp::skeleton`], encoded once per compile)
+//! covers parameters, array declarations, loop structure, and every
+//! statement's *written* access but no right-hand side — Last Write Trees
+//! cannot see other reads, so editing one read leaves every other read's
+//! chain untouched. The `opt` key chains on the read's `lwt` key. The grid
+//! enters only at the `opt` stage (receiver folding) and later: a
+//! processor-count sweep builds no Last Write Tree twice.
 //!
 //! ## One job per read
 //!
@@ -76,10 +82,12 @@ use std::sync::Arc;
 
 use dmc_commgen::{comm_from_initial, comm_from_leaf, CommSet};
 use dmc_dataflow::{build_lwt, LastWriteTree};
-use dmc_ir::fp::{skeleton_fp, Fingerprint, Fingerprintable, Fp};
+use dmc_decomp::DataDecomp;
+use dmc_ir::fp::{skeleton, Fingerprint};
 use dmc_ir::{ArrayRef, ParseError, Program, StmtInfo};
 use dmc_machine::{MachineConfig, Schedule, SimResult};
 use dmc_obs as obs;
+use dmc_polyhedra::codec::{Codec, Enc};
 use dmc_polyhedra::{ledger, stats};
 
 use crate::options::{Options, Strategy};
@@ -294,23 +302,24 @@ impl Session {
         if self.journaling {
             let wall_us = t0.elapsed().as_micros() as u64;
             let work_units = stats::snapshot().work_units - work0;
-            let input = &compiled.input;
+            let [program_fp, decomp_fp, grid_fp, options_fp, schedule_fp] =
+                journal_fps(&compiled.input, &options, &schedule).map(|f| f.to_string());
             self.journal.push(obs::JournalRecord {
                 seq: self.journal.len() as u64,
                 workload: workload.to_owned(),
-                nproc: input.grid.len() as u64,
+                nproc: compiled.input.grid.len() as u64,
                 params: param_vals.iter().map(|&v| v as i64).collect(),
-                program_fp: program_only_fp(&input.program).to_string(),
-                decomp_fp: decomp_only_fp(input).to_string(),
-                grid_fp: grid_only_fp(input).to_string(),
-                options_fp: options_only_fp(&options).to_string(),
+                program_fp,
+                decomp_fp,
+                grid_fp,
+                options_fp,
                 stage_hits: self.stats.stage_hits - hits0,
                 stage_misses: self.stats.stage_misses - misses0,
                 work_units,
                 messages,
                 transmissions,
                 words,
-                schedule_fp: schedule_text_fp(&schedule).to_string(),
+                schedule_fp,
                 wall_us,
             });
         }
@@ -330,10 +339,7 @@ impl Session {
     /// Returns the parser's error on malformed source (errors are not
     /// cached).
     pub fn parse(&mut self, source: &str) -> Result<Program, ParseError> {
-        let mut h = Fp::new();
-        h.tag(50);
-        h.str(source);
-        let key = h.finish();
+        let key = key(PARSE_KEY, |e| e.str(source));
         if let Some(Artifact::Program(p)) = self.lookup(StageId::Parse, key) {
             return Ok((*p).clone());
         }
@@ -402,11 +408,12 @@ impl Session {
         // Look up both stages of every (statement, read) job before
         // running any job: the lookups of one compile never see its own
         // admits.
+        let keys = ReadKeys::new(&input, &options);
         let mut plans: Vec<JobPlan> = Vec::new();
         for (si, s) in stmts.iter().enumerate() {
             for (r, read) in s.stmt.rhs.reads().into_iter().enumerate() {
-                let lwt_key = lwt_fp(&input, &options, si, r, read);
-                let opt_key = opt_fp(lwt_key, &input, &options, &read.array);
+                let lwt_key = keys.lwt(si, r, read);
+                let opt_key = keys.opt(lwt_key, input.initial.get(&read.array));
                 let lwt = match self.lookup(StageId::Lwt, lwt_key) {
                     Some(Artifact::Lwt(a)) => Some(a),
                     _ => None,
@@ -455,7 +462,7 @@ impl Session {
                 }
                 None => plan.opt.expect("opt cached or computed"),
             };
-            lwts.push((*lwt).clone());
+            lwts.push(lwt);
             comm.extend(opt.iter().cloned());
         }
         Ok(Compiled {
@@ -685,200 +692,176 @@ fn run_read_job(
 }
 
 // ---------------------------------------------------------------------------
-// Stage fingerprints.
-//
-// Tags 50–59 are reserved for stage-key discriminators so no stage key can
-// collide with a plain value fingerprint or with another stage's key.
+// Stage and journal keys. Each is FNV-1a/128 over the bytes one `Enc`
+// wrote: a key-kind byte, then the key's inputs in their codec encodings.
+// The codec is canonical and self-delimiting, so two keys are equal
+// exactly when their kinds and inputs are. A change to what a stage means
+// takes a fresh kind byte, so no store serves an artifact of the old
+// meaning.
 
-/// Feeds the analysis-relevant options: strategy and the feasibility
+/// `parse` key kind.
+const PARSE_KEY: u8 = 50;
+/// `lwt` key kind.
+const LWT_KEY: u8 = 52;
+/// `opt` key kind.
+const OPT_KEY: u8 = 54;
+/// `schedule` key kind; it names the planner's legality rule (per chunk).
+const SCHEDULE_KEY: u8 = 58;
+/// Journal key kinds, one per fingerprinted journal field: program,
+/// decompositions, grid, options, schedule.
+const JOURNAL_KEYS: [u8; 5] = [60, 61, 62, 63, 64];
+
+/// The key of `kind` over what `inputs` writes.
+fn key(kind: u8, inputs: impl FnOnce(&mut Enc)) -> Fingerprint {
+    let mut e = Enc::new();
+    e.u8(kind);
+    inputs(&mut e);
+    Fingerprint::of(e)
+}
+
+/// Writes the analysis-relevant options: strategy and the feasibility
 /// budget (an exhausted budget yields conservative `Unknown` answers that
 /// can change results).
-fn analysis_options_fp(options: &Options, h: &mut Fp) {
-    h.tag(strategy_tag(options.strategy));
-    h.u64(u64::from(options.feasibility_budget));
+fn encode_analysis_options(options: &Options, e: &mut Enc) {
+    e.u8(strategy_tag(options.strategy));
+    e.u64(u64::from(options.feasibility_budget));
 }
 
-/// The per-read `lwt` stage key: the program *skeleton* (loop structure,
-/// writes, declarations — no right-hand sides), this read's position and
-/// access, and the analysis options. Grid-free and blind to other reads.
-fn lwt_fp(
-    input: &CompileInput,
-    options: &Options,
-    si: usize,
-    r: usize,
-    read: &ArrayRef,
-) -> Fingerprint {
-    let mut h = Fp::new();
-    h.tag(52);
-    skeleton_fp(&input.program, &mut h);
-    h.usize(si);
-    h.usize(r);
-    read.fp(&mut h);
-    analysis_options_fp(options, &mut h);
-    h.finish()
-}
-
-/// Feeds every computation decomposition, keyed by statement id.
-fn comps_fp(input: &CompileInput, h: &mut Fp) {
-    h.usize(input.comps.len());
-    for (id, comp) in &input.comps {
-        h.usize(*id);
-        comp.fp(h);
-    }
-}
-
-/// Feeds every decomposition of the input: the computation ones, then
-/// the initial data ones sorted by array name.
-fn decomps_fp(input: &CompileInput, h: &mut Fp) {
-    comps_fp(input, h);
-    let mut entries: Vec<_> = input.initial.iter().collect();
-    entries.sort_by_key(|(name, _)| *name);
-    h.usize(entries.len());
-    for (name, d) in entries {
-        h.str(name);
-        d.fp(h);
-    }
-}
-
-/// Feeds the six §6 flags.
-fn opt_flags_fp(o: &Options, h: &mut Fp) {
+/// Writes every answer-relevant option: the analysis ones, then the five
+/// §6 flags.
+fn encode_options(o: &Options, e: &mut Enc) {
+    encode_analysis_options(o, e);
     for flag in [
         o.self_reuse,
-        o.cross_set_reuse,
         o.already_local,
         o.unique_sender,
         o.aggregate,
         o.multicast,
     ] {
-        h.bool(flag);
+        e.bool(flag);
     }
 }
 
-/// The per-read `opt` stage key, in two links. The inner one (tag 53) is
-/// what the communication sets are a function of: the lwt chain plus
-/// every computation decomposition (writer statements contribute theirs)
-/// and where the read array's live-in data resides (its identity is
-/// already pinned by the lwt chain) — still grid-free. The outer one adds
-/// each declared pass's enablement and self-declared fingerprint (grid
-/// extents enter here, via receiver folding).
-fn opt_fp(
-    lwt_key: Fingerprint,
-    input: &CompileInput,
-    options: &Options,
-    array: &str,
-) -> Fingerprint {
-    let mut h = Fp::new();
-    h.tag(53);
-    h.fingerprint(lwt_key);
-    comps_fp(input, &mut h);
-    match input.initial.get(array) {
-        Some(d) => {
-            h.tag(1);
-            d.fp(&mut h);
-        }
-        None => h.tag(0),
+/// Writes every computation decomposition, keyed by statement id.
+fn encode_comps(input: &CompileInput, e: &mut Enc) {
+    e.usize(input.comps.len());
+    for (id, comp) in &input.comps {
+        e.usize(*id);
+        comp.encode(e);
     }
-    let sets_key = h.finish();
-    let mut h = Fp::new();
-    h.tag(54);
-    h.fingerprint(sets_key);
-    for pass in OPT_PASSES {
-        h.str(pass.name);
-        let on = (pass.enabled)(options);
-        h.bool(on);
-        if on {
-            (pass.fingerprint)(input, options, &mut h);
-        }
-    }
-    h.finish()
 }
 
-/// The `schedule` stage key, in two links. The inner one (tag 55) is what
-/// the raw message enumeration is a function of: everything the optimized
-/// communication sets depend on (program, decompositions, grid,
-/// answer-relevant options) plus the concrete parameters and the
-/// enumeration limit. The outer one adds the payload mode; its tag names
-/// the planner's legality rule (56 was the dry run's, 58 is per chunk).
+/// Writes the initial data decompositions, sorted by array name.
+pub(crate) fn encode_initial(input: &CompileInput, e: &mut Enc) {
+    let mut entries: Vec<_> = input.initial.iter().collect();
+    entries.sort_by_key(|(name, _)| *name);
+    e.usize(entries.len());
+    for (name, d) in entries {
+        e.str(name);
+        d.encode(e);
+    }
+}
+
+/// The per-read stage keys of one compile. What the keys of all reads
+/// share is encoded once, here; each read's key appends its own inputs to
+/// a copy.
+struct ReadKeys {
+    /// The `lwt` kind, the program *skeleton* (loop structure, writes,
+    /// declarations — no right-hand sides) and the analysis options.
+    lwt: Enc,
+    /// The `opt` kind, every computation decomposition (writer statements
+    /// contribute theirs), and each declared pass's name, enablement and
+    /// self-declared inputs (grid extents enter here, via receiver
+    /// folding).
+    opt: Enc,
+}
+
+impl ReadKeys {
+    fn new(input: &CompileInput, options: &Options) -> Self {
+        let mut lwt = Enc::new();
+        lwt.u8(LWT_KEY);
+        skeleton(&input.program, &mut lwt);
+        encode_analysis_options(options, &mut lwt);
+        let mut opt = Enc::new();
+        opt.u8(OPT_KEY);
+        encode_comps(input, &mut opt);
+        for pass in OPT_PASSES {
+            opt.str(pass.name);
+            let on = (pass.enabled)(options);
+            opt.bool(on);
+            if on {
+                (pass.fingerprint)(input, options, &mut opt);
+            }
+        }
+        ReadKeys { lwt, opt }
+    }
+
+    /// The `lwt` key of read `r` of statement `si`: adds the read's
+    /// position and access. Grid-free and blind to other reads.
+    fn lwt(&self, si: usize, r: usize, read: &ArrayRef) -> Fingerprint {
+        let mut e = self.lwt.clone();
+        e.usize(si);
+        e.usize(r);
+        read.encode(&mut e);
+        Fingerprint::of(e)
+    }
+
+    /// The `opt` key of the read whose `lwt` key is `lwt`: adds that key
+    /// and where the read array's live-in data resides (its identity is
+    /// already pinned by the `lwt` key).
+    fn opt(&self, lwt: Fingerprint, home: Option<&DataDecomp>) -> Fingerprint {
+        let mut e = self.opt.clone();
+        lwt.encode(&mut e);
+        match home {
+            Some(d) => {
+                e.u8(1);
+                d.encode(&mut e);
+            }
+            None => e.u8(0),
+        }
+        Fingerprint::of(e)
+    }
+}
+
+/// The `schedule` stage key: everything the optimized communication sets
+/// depend on (program, decompositions, grid, answer-relevant options),
+/// the concrete parameters, the enumeration limit and the payload mode.
 pub(crate) fn schedule_fp(
     compiled: &Compiled,
     param_vals: &[i128],
     values: bool,
     limit: usize,
 ) -> Fingerprint {
-    let mut h = Fp::new();
-    h.tag(55);
     let input = &compiled.input;
-    input.program.fp(&mut h);
-    decomps_fp(input, &mut h);
-    input.grid.fp(&mut h);
-    analysis_options_fp(&compiled.options, &mut h);
-    opt_flags_fp(&compiled.options, &mut h);
-    h.usize(param_vals.len());
-    for &v in param_vals {
-        h.i128(v);
-    }
-    h.usize(limit);
-    let messages_key = h.finish();
-    let mut h = Fp::new();
-    h.tag(58);
-    h.fingerprint(messages_key);
-    h.bool(values);
-    h.finish()
+    key(SCHEDULE_KEY, |e| {
+        input.program.encode(e);
+        encode_comps(input, e);
+        encode_initial(input, e);
+        input.grid.encode(e);
+        encode_options(&compiled.options, e);
+        e.usize(param_vals.len());
+        for &v in param_vals {
+            e.i128(v);
+        }
+        e.usize(limit);
+        e.bool(values);
+    })
 }
 
-// ---------------------------------------------------------------------------
-// Journal fingerprints: content hashes of the *request*, one component
-// per journal field, so a journal diff names which input changed. Tag 57
-// keeps them disjoint from the stage keys above.
-
-/// Journal `program_fp`: the source program alone.
-fn program_only_fp(program: &Program) -> Fingerprint {
-    let mut h = Fp::new();
-    h.tag(57);
-    h.u64(0);
-    program.fp(&mut h);
-    h.finish()
-}
-
-/// Journal `decomp_fp`: every computation decomposition plus the initial
-/// data decompositions (sorted by array name).
-fn decomp_only_fp(input: &CompileInput) -> Fingerprint {
-    let mut h = Fp::new();
-    h.tag(57);
-    h.u64(1);
-    decomps_fp(input, &mut h);
-    h.finish()
-}
-
-/// Journal `grid_fp`: the processor grid alone.
-fn grid_only_fp(input: &CompileInput) -> Fingerprint {
-    let mut h = Fp::new();
-    h.tag(57);
-    h.u64(2);
-    input.grid.fp(&mut h);
-    h.finish()
-}
-
-/// Journal `options_fp`: every answer-relevant option (strategy, budget,
-/// §6 flags) — the same set the stage keys consume, so equal fingerprints
-/// mean the options cannot have changed any output.
-fn options_only_fp(options: &Options) -> Fingerprint {
-    let mut h = Fp::new();
-    h.tag(57);
-    h.u64(3);
-    analysis_options_fp(options, &mut h);
-    opt_flags_fp(options, &mut h);
-    h.finish()
-}
-
-/// Journal `schedule_fp`: a fingerprint of the schedule's canonical
-/// `Debug` rendering. `Schedule` holds only ordered containers, so the
-/// rendering — and therefore this fingerprint — is deterministic, and
-/// equal fingerprints mean byte-identical schedules.
-fn schedule_text_fp(schedule: &Schedule) -> Fingerprint {
-    let mut h = Fp::new();
-    h.tag(57);
-    h.u64(4);
-    h.str(&format!("{schedule:?}"));
-    h.finish()
+/// The journal's fingerprints of one request: one per input component, so
+/// a journal diff names which input changed, and the served schedule's,
+/// so equal fingerprints mean identical schedules. The options one covers
+/// every answer-relevant option, the set the stage keys consume.
+fn journal_fps(input: &CompileInput, options: &Options, schedule: &Schedule) -> [Fingerprint; 5] {
+    let [program, decomp, grid, opts, sched] = JOURNAL_KEYS;
+    [
+        key(program, |e| input.program.encode(e)),
+        key(decomp, |e| {
+            encode_comps(input, e);
+            encode_initial(input, e);
+        }),
+        key(grid, |e| input.grid.encode(e)),
+        key(opts, |e| encode_options(options, e)),
+        key(sched, |e| schedule.encode(e)),
+    ]
 }

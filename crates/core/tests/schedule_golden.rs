@@ -19,6 +19,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use dmc_core::{build_schedule, compile, CompileError, CompileInput, Compiled, Options};
 use dmc_decomp::{CompDecomp, DataDecomp, ProcGrid};
+use dmc_ir::fp::{fnv1a128, Fingerprint, FNV_OFFSET};
 use dmc_machine::{simulate, InitialPlacement, MachineConfig, Schedule};
 
 const LIMIT: usize = 50_000_000;
@@ -109,10 +110,14 @@ fn xy() -> CompileInput {
     )
 }
 
+/// FNV-1a/128 of the schedule's `Debug` text, framed as the pins were
+/// recorded: a `0x05` string marker, then the text's length as 8
+/// little-endian bytes, then the text.
 fn fingerprint(schedule: &Schedule) -> String {
-    let mut h = dmc_ir::fp::Fp::new();
-    h.str(&format!("{schedule:?}"));
-    h.finish().to_string()
+    let text = format!("{schedule:?}");
+    let h = fnv1a128(FNV_OFFSET, &[0x05]);
+    let h = fnv1a128(h, &(text.len() as u64).to_le_bytes());
+    Fingerprint(fnv1a128(h, text.as_bytes())).to_string()
 }
 
 /// Runs `schedule` in values mode and requires the merged memory to be

@@ -9,7 +9,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use dmc_core::{compile, message_stats, CompileInput, Options, Session};
+use dmc_core::{compile, message_stats, CompileInput, Options, Session, Strategy};
 use dmc_decomp::{CompDecomp, DataDecomp, ProcGrid};
 use dmc_polyhedra::ledger;
 
@@ -233,29 +233,118 @@ fn proc_count_sweep_reuses_analysis_stages() {
     assert_eq!(tiled, (s.stage_hits, s.stage_misses), "{s:?}");
 }
 
-/// Options that can change analysis answers (strategy, feasibility
-/// budget) are part of the stage keys.
+/// Each `Options` field re-keys exactly the stages the relevance map in
+/// `session.rs` names for it, and no others: after a round under the full
+/// optimizer, a round with that one field changed misses every lookup of
+/// those stages and hits every other lookup.
 #[test]
 fn option_relevance_is_reflected_in_stage_keys() {
-    let mut session = Session::new();
-    session
-        .compile(xy_input(1, 4), Options::full())
-        .expect("first");
-    let baseline = session.stats().stage_misses;
-
-    // A different feasibility budget can change answers: full re-run of
-    // the per-read chains.
-    let opts = Options {
-        feasibility_budget: 77,
-        ..Options::full()
+    // One parse, two (statement, read) jobs, one schedule.
+    const LOOKUPS: [(&str, u64); 4] = [("parse", 1), ("lwt", 2), ("opt", 2), ("schedule", 1)];
+    let round = |session: &mut Session, options: Options| {
+        let src = xy_input(1, 4).program.to_string();
+        let program = session.parse(&src).expect("parses");
+        let input = CompileInput {
+            program,
+            ..xy_input(1, 4)
+        };
+        let compiled = session.compile(input, options).expect("compiles");
+        session
+            .build_schedule(&compiled, &[12], false, 1_000_000)
+            .expect("schedules");
     };
-    session.compile(xy_input(1, 4), opts).expect("budget");
-    assert_eq!(
-        session.stats().stage_misses,
-        baseline + 4,
-        "{:?}",
-        session.stats()
-    );
+    let full = Options::full();
+    // Naming every field here makes a new one fail to compile until it
+    // has a row below.
+    let Options {
+        strategy: _,
+        self_reuse: _,
+        already_local: _,
+        unique_sender: _,
+        aggregate: _,
+        multicast: _,
+        feasibility_budget: _,
+    } = full;
+    let analysis: &[&str] = &["lwt", "opt", "schedule"];
+    let pass: &[&str] = &["opt", "schedule"];
+    let planner: &[&str] = &["schedule"];
+    let rows: [(&str, Options, &[&str]); 7] = [
+        (
+            "strategy",
+            Options {
+                strategy: Strategy::LocationCentric,
+                ..full
+            },
+            analysis,
+        ),
+        (
+            "feasibility_budget",
+            Options {
+                feasibility_budget: 77,
+                ..full
+            },
+            analysis,
+        ),
+        (
+            "self_reuse",
+            Options {
+                self_reuse: false,
+                ..full
+            },
+            pass,
+        ),
+        (
+            "already_local",
+            Options {
+                already_local: false,
+                ..full
+            },
+            pass,
+        ),
+        (
+            "unique_sender",
+            Options {
+                unique_sender: false,
+                ..full
+            },
+            pass,
+        ),
+        (
+            "aggregate",
+            Options {
+                aggregate: false,
+                ..full
+            },
+            planner,
+        ),
+        (
+            "multicast",
+            Options {
+                multicast: false,
+                ..full
+            },
+            planner,
+        ),
+    ];
+    for (field, options, rekeyed) in rows {
+        let mut session = Session::new();
+        round(&mut session, full);
+        let before: Vec<(u64, u64)> = LOOKUPS.iter().map(|(s, _)| stage(&session, s)).collect();
+        round(&mut session, options);
+        for ((name, n), (hits, misses)) in LOOKUPS.iter().zip(before) {
+            let (h, m) = stage(&session, name);
+            let want = if rekeyed.contains(name) {
+                (0, *n)
+            } else {
+                (*n, 0)
+            };
+            assert_eq!(
+                (h - hits, m - misses),
+                want,
+                "{field}: {name} (hits, misses)"
+            );
+        }
+    }
 }
 
 /// `Session::build_schedule` and `Session::message_stats` reuse the

@@ -30,8 +30,8 @@
 
 use std::fmt;
 
-use dmc_ir::fp::{Fingerprintable, Fp};
 use dmc_ir::{Aff, StmtInfo};
+use dmc_polyhedra::codec::{Codec, Enc};
 use dmc_polyhedra::{Constraint, DimKind, Polyhedron, Space};
 
 /// One (virtual) processor dimension of a decomposition.
@@ -111,15 +111,22 @@ impl DimMap {
         hi.set_constant(hi.constant_term() + self.block - 1 + self.overlap_hi);
         poly.add(Constraint::ge(hi));
     }
+
+    /// Writes the mapping into a stage key, in field order. Write-only:
+    /// nothing stores a decomposition, so none is ever decoded.
+    pub fn encode(&self, e: &mut Enc) {
+        self.expr.encode(e);
+        e.i128(self.block);
+        e.i128(self.overlap_lo);
+        e.i128(self.overlap_hi);
+    }
 }
 
-impl Fingerprintable for DimMap {
-    fn fp(&self, h: &mut Fp) {
-        h.tag(40);
-        self.expr.fp(h);
-        h.i128(self.block);
-        h.i128(self.overlap_lo);
-        h.i128(self.overlap_hi);
+/// Writes a decomposition's mappings: their count, then each in order.
+fn encode_maps(maps: &[DimMap], e: &mut Enc) {
+    e.usize(maps.len());
+    for m in maps {
+        m.encode(e);
     }
 }
 
@@ -255,14 +262,12 @@ impl DataDecomp {
         }
         true
     }
-}
 
-impl Fingerprintable for DataDecomp {
-    fn fp(&self, h: &mut Fp) {
-        h.tag(41);
-        h.str(&self.array);
-        h.usize(self.array_ndim);
-        h.seq(&self.maps);
+    /// Writes the decomposition into a stage key, in field order.
+    pub fn encode(&self, e: &mut Enc) {
+        e.str(&self.array);
+        e.usize(self.array_ndim);
+        encode_maps(&self.maps, e);
     }
 }
 
@@ -363,13 +368,11 @@ impl CompDecomp {
             })
             .collect()
     }
-}
 
-impl Fingerprintable for CompDecomp {
-    fn fp(&self, h: &mut Fp) {
-        h.tag(42);
-        h.usize(self.stmt);
-        h.seq(&self.maps);
+    /// Writes the decomposition into a stage key, in field order.
+    pub fn encode(&self, e: &mut Enc) {
+        e.usize(self.stmt);
+        encode_maps(&self.maps, e);
     }
 }
 
@@ -584,15 +587,10 @@ impl ProcGrid {
         }
         out
     }
-}
 
-impl Fingerprintable for ProcGrid {
-    fn fp(&self, h: &mut Fp) {
-        h.tag(43);
-        h.usize(self.extents.len());
-        for &e in &self.extents {
-            h.i128(e);
-        }
+    /// Writes the grid's extents into a stage key.
+    pub fn encode(&self, e: &mut Enc) {
+        self.extents.encode(e);
     }
 }
 

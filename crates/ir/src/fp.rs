@@ -1,33 +1,47 @@
-//! Stable structural fingerprints for compilation-session reuse.
+//! Stable fingerprints: FNV-1a/128 over the artifact codec's bytes.
 //!
-//! A [`Fingerprint`] is a content-addressed 128-bit hash of a value's
-//! *semantic* structure: two values that mean the same thing hash the same
-//! even when they were built differently (map insertion order, zero
-//! coefficients, capacity), and any semantic edit — a changed subscript,
-//! bound, block size, parameter name — changes the hash.
+//! A [`Fingerprint`] is the 128-bit hash of bytes a
+//! [`dmc_polyhedra::codec::Enc`] wrote. A compilation-session key writes
+//! one key-kind byte, then its inputs through their `Codec` impls (the
+//! IR's in [`crate::codec`]; [`skeleton`] for the part of a program a
+//! Last Write Tree reads), so the key of a stage is the same encoding the
+//! store persists its artifacts in. The codec writes one canonical,
+//! self-delimiting encoding per value — fixed field order, length
+//! prefixes, name-sorted affine terms without zero coefficients — so two
+//! values that mean the same thing write the same bytes however they were
+//! built, any semantic edit writes different ones, and concatenated
+//! inputs cannot run into each other (`["ab", "c"]` vs `["a", "bc"]`).
 //!
-//! The hash is a hand-rolled FNV-1a over a tagged byte stream, so it is
-//! stable across processes, hosts and Rust versions — unlike
+//! FNV-1a is hand-rolled, so a fingerprint is stable across processes,
+//! hosts and Rust versions — unlike
 //! `std::collections::hash_map::DefaultHasher`, whose output is
-//! deliberately randomized per process. Stability matters because stage
-//! fingerprints are compared across compilations (and may be persisted in
-//! reports); a per-process seed would defeat every cross-compilation
-//! lookup.
-//!
-//! Every write is prefixed with a type tag byte, and every sequence with
-//! its length, so concatenation ambiguities (`["ab", "c"]` vs
-//! `["a", "bc"]`) cannot collide structurally.
+//! deliberately randomized per process. Stage keys are compared across
+//! processes through the persistent store; a per-process seed would
+//! defeat every lookup.
 
 use std::fmt;
 
-use crate::program::{
-    ArrayDecl, ArrayRef, BinOp, Loop, LoopMeta, Node, Program, ScalarExpr, Statement, StmtInfo,
-};
-use crate::Aff;
+use dmc_polyhedra::codec::{Codec, Enc};
 
-/// A 128-bit structural hash. Displayed as 32 hex digits.
+use crate::program::{Node, Program};
+
+/// A 128-bit content hash. Displayed as 32 hex digits.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Fingerprint(pub u128);
+
+impl Fingerprint {
+    /// The fingerprint of what `e` wrote.
+    pub fn of(e: Enc) -> Self {
+        Fingerprint(fnv1a128(FNV_OFFSET, &e.into_bytes()))
+    }
+
+    /// Writes this fingerprint into a key that chains on it: its low and
+    /// high 64 bits.
+    pub fn encode(&self, e: &mut Enc) {
+        e.u64(self.0 as u64);
+        e.u64((self.0 >> 64) as u64);
+    }
+}
 
 impl fmt::Debug for Fingerprint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -46,337 +60,63 @@ pub const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 const FNV_PRIME: u128 = 0x0000000001000000000000000000013b;
 
 /// FNV-1a/128 of `bytes`, continued from `state` ([`FNV_OFFSET`] for a
-/// fresh hash): the one byte-level hash under [`Fp`]'s tagged stream and
-/// the artifact store's payload fingerprints.
+/// fresh hash): the one byte-level hash under every [`Fingerprint`], stage
+/// keys and the artifact store's payload fingerprints alike.
 pub fn fnv1a128(state: u128, bytes: &[u8]) -> u128 {
     bytes
         .iter()
         .fold(state, |h, &b| (h ^ u128::from(b)).wrapping_mul(FNV_PRIME))
 }
 
-/// The incremental fingerprint hasher (FNV-1a/128 over tagged bytes).
-#[derive(Clone, Debug)]
-pub struct Fp {
-    state: u128,
-}
-
-impl Default for Fp {
-    fn default() -> Self {
-        Fp::new()
-    }
-}
-
-impl Fp {
-    /// A fresh hasher at the FNV offset basis.
-    pub fn new() -> Self {
-        Fp { state: FNV_OFFSET }
-    }
-
-    /// Finishes the hash.
-    pub fn finish(&self) -> Fingerprint {
-        Fingerprint(self.state)
-    }
-
-    fn byte(&mut self, b: u8) {
-        self.raw_bytes(&[b]);
-    }
-
-    fn raw_bytes(&mut self, bytes: &[u8]) {
-        self.state = fnv1a128(self.state, bytes);
-    }
-
-    /// Hashes a type/variant tag. Use a distinct tag per enum variant or
-    /// struct field position so reordered streams cannot collide.
-    pub fn tag(&mut self, t: u8) {
-        self.byte(0x01);
-        self.byte(t);
-    }
-
-    /// Hashes an unsigned integer.
-    pub fn u64(&mut self, v: u64) {
-        self.byte(0x02);
-        self.raw_bytes(&v.to_le_bytes());
-    }
-
-    /// Hashes a `usize` (as u64, so 32/64-bit hosts agree).
-    pub fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    /// Hashes a signed 128-bit integer.
-    pub fn i128(&mut self, v: i128) {
-        self.byte(0x03);
-        self.raw_bytes(&v.to_le_bytes());
-    }
-
-    /// Hashes a boolean.
-    pub fn bool(&mut self, v: bool) {
-        self.byte(0x04);
-        self.byte(u8::from(v));
-    }
-
-    /// Hashes a string (length-prefixed).
-    pub fn str(&mut self, s: &str) {
-        self.byte(0x05);
-        self.raw_bytes(&(s.len() as u64).to_le_bytes());
-        self.raw_bytes(s.as_bytes());
-    }
-
-    /// Hashes an `f64` by its bit pattern (length-tagged like a scalar).
-    pub fn f64(&mut self, v: f64) {
-        self.byte(0x06);
-        self.raw_bytes(&v.to_bits().to_le_bytes());
-    }
-
-    /// Hashes a length-prefixed sequence of fingerprintable items.
-    pub fn seq<T: Fingerprintable>(&mut self, items: &[T]) {
-        self.byte(0x07);
-        self.raw_bytes(&(items.len() as u64).to_le_bytes());
-        for item in items {
-            item.fp(self);
-        }
-    }
-
-    /// Hashes another, already-finished fingerprint.
-    pub fn fingerprint(&mut self, f: Fingerprint) {
-        self.byte(0x08);
-        self.raw_bytes(&f.0.to_le_bytes());
-    }
-}
-
-/// Types with a stable structural fingerprint.
-pub trait Fingerprintable {
-    /// Feeds the value's semantic structure into the hasher.
-    fn fp(&self, h: &mut Fp);
-
-    /// The standalone fingerprint of this value.
-    fn fingerprint(&self) -> Fingerprint {
-        let mut h = Fp::new();
-        self.fp(&mut h);
-        h.finish()
-    }
-}
-
-impl<T: Fingerprintable + ?Sized> Fingerprintable for &T {
-    fn fp(&self, h: &mut Fp) {
-        (*self).fp(h);
-    }
-}
-
-impl Fingerprintable for str {
-    fn fp(&self, h: &mut Fp) {
-        h.str(self);
-    }
-}
-
-impl Fingerprintable for String {
-    fn fp(&self, h: &mut Fp) {
-        h.str(self);
-    }
-}
-
-impl Fingerprintable for i128 {
-    fn fp(&self, h: &mut Fp) {
-        h.i128(*self);
-    }
-}
-
-impl Fingerprintable for usize {
-    fn fp(&self, h: &mut Fp) {
-        h.usize(*self);
-    }
-}
-
-impl<T: Fingerprintable> Fingerprintable for Vec<T> {
-    fn fp(&self, h: &mut Fp) {
-        h.seq(self);
-    }
-}
-
-impl<T: Fingerprintable> Fingerprintable for Option<T> {
-    fn fp(&self, h: &mut Fp) {
-        match self {
-            None => h.tag(0),
-            Some(v) => {
-                h.tag(1);
-                v.fp(h);
-            }
-        }
-    }
-}
-
-impl Fingerprintable for Aff {
-    fn fp(&self, h: &mut Fp) {
-        h.tag(10);
-        h.i128(self.constant_term());
-        // Terms are already name-sorted (BTreeMap); zero coefficients are
-        // skipped so `i + 0·j` and `i` fingerprint identically.
-        let terms: Vec<(&str, i128)> = self.terms().filter(|(_, c)| *c != 0).collect();
-        h.usize(terms.len());
-        for (v, c) in terms {
-            h.str(v);
-            h.i128(c);
-        }
-    }
-}
-
-impl Fingerprintable for BinOp {
-    fn fp(&self, h: &mut Fp) {
-        h.tag(match self {
-            BinOp::Add => 11,
-            BinOp::Sub => 12,
-            BinOp::Mul => 13,
-            BinOp::Div => 14,
-        });
-    }
-}
-
-impl Fingerprintable for ArrayRef {
-    fn fp(&self, h: &mut Fp) {
-        h.tag(15);
-        h.str(&self.array);
-        h.seq(&self.idx);
-    }
-}
-
-impl Fingerprintable for ScalarExpr {
-    fn fp(&self, h: &mut Fp) {
-        match self {
-            ScalarExpr::Lit(v) => {
-                h.tag(16);
-                h.f64(*v);
-            }
-            ScalarExpr::Read(r) => {
-                h.tag(17);
-                r.fp(h);
-            }
-            ScalarExpr::Bin(op, a, b) => {
-                h.tag(18);
-                op.fp(h);
-                a.fp(h);
-                b.fp(h);
-            }
-            ScalarExpr::Neg(a) => {
-                h.tag(19);
-                a.fp(h);
-            }
-            ScalarExpr::Call(name, args) => {
-                h.tag(20);
-                h.str(name);
-                h.seq(args);
-            }
-        }
-    }
-}
-
-impl Fingerprintable for Statement {
-    fn fp(&self, h: &mut Fp) {
-        h.tag(21);
-        self.write.fp(h);
-        self.rhs.fp(h);
-    }
-}
-
-impl Fingerprintable for Loop {
-    fn fp(&self, h: &mut Fp) {
-        h.tag(22);
-        h.str(&self.var);
-        self.lower.fp(h);
-        self.upper.fp(h);
-        h.seq(&self.body);
-    }
-}
-
-impl Fingerprintable for Node {
-    fn fp(&self, h: &mut Fp) {
-        match self {
-            Node::Loop(l) => {
-                h.tag(23);
-                l.fp(h);
-            }
-            Node::Stmt(s) => {
-                h.tag(24);
-                s.fp(h);
-            }
-        }
-    }
-}
-
-impl Fingerprintable for ArrayDecl {
-    fn fp(&self, h: &mut Fp) {
-        h.tag(25);
-        h.str(&self.name);
-        h.seq(&self.extents);
-    }
-}
-
-impl Fingerprintable for Program {
-    fn fp(&self, h: &mut Fp) {
-        h.tag(26);
-        h.seq(&self.params);
-        h.seq(&self.arrays);
-        h.seq(&self.body);
-    }
-}
-
-impl Fingerprintable for LoopMeta {
-    fn fp(&self, h: &mut Fp) {
-        h.tag(27);
-        h.usize(self.id);
-        h.str(&self.var);
-        self.lower.fp(h);
-        self.upper.fp(h);
-    }
-}
-
-impl Fingerprintable for StmtInfo {
-    fn fp(&self, h: &mut Fp) {
-        h.tag(28);
-        h.usize(self.id);
-        h.seq(&self.loops);
-        h.seq(&self.position);
-        self.stmt.fp(h);
-    }
-}
-
-/// The *dataflow skeleton* of a program: everything Last Write Tree
-/// analysis depends on — parameters, array declarations, the loop
+/// Writes the *dataflow skeleton* of a program: everything Last Write
+/// Tree analysis depends on — parameters, array declarations, the loop
 /// structure (variables, bounds, textual positions) and every statement's
-/// **written** access — but *not* the statements' right-hand sides.
+/// **written** access — but *not* the statements' right-hand sides. It is
+/// [`Program`]'s encoding with each statement cut to its write.
 ///
 /// Editing one read of one statement therefore leaves the skeleton (and
-/// with it every other read's analysis fingerprint) unchanged, which is
-/// what lets a compilation session re-run only the edited read's stage
-/// chain.
-pub fn skeleton_fp(program: &Program, h: &mut Fp) {
-    h.tag(29);
-    h.seq(&program.params);
-    h.seq(&program.arrays);
-    fn walk(nodes: &[Node], h: &mut Fp) {
-        h.usize(nodes.len());
+/// with it every other read's analysis key) unchanged, which is what lets
+/// a compilation session re-run only the edited read's stage chain.
+pub fn skeleton(program: &Program, e: &mut Enc) {
+    fn body(nodes: &[Node], e: &mut Enc) {
+        e.usize(nodes.len());
         for node in nodes {
             match node {
-                Node::Stmt(s) => {
-                    h.tag(30);
-                    s.write.fp(h);
-                }
                 Node::Loop(l) => {
-                    h.tag(31);
-                    h.str(&l.var);
-                    l.lower.fp(h);
-                    l.upper.fp(h);
-                    walk(&l.body, h);
+                    e.u8(0);
+                    e.str(&l.var);
+                    l.lower.encode(e);
+                    l.upper.encode(e);
+                    body(&l.body, e);
+                }
+                Node::Stmt(s) => {
+                    e.u8(1);
+                    s.write.encode(e);
                 }
             }
         }
     }
-    walk(&program.body, h);
+    program.params.encode(e);
+    program.arrays.encode(e);
+    body(&program.body, e);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse;
+    use crate::{parse, Aff};
+
+    fn fingerprint_of<T: Codec>(v: &T) -> Fingerprint {
+        let mut e = Enc::new();
+        v.encode(&mut e);
+        Fingerprint::of(e)
+    }
+
+    fn skeleton_of(src: &str) -> Fingerprint {
+        let mut e = Enc::new();
+        skeleton(&parse(src).unwrap(), &mut e);
+        Fingerprint::of(e)
+    }
 
     fn fig2() -> Program {
         parse(
@@ -391,16 +131,15 @@ mod tests {
         // Same affine expression built in two different term orders.
         let a = Aff::var("i") + Aff::var("j") * 2;
         let b = Aff::var("j") * 2 + Aff::var("i");
-        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_eq!(fingerprint_of(&a), fingerprint_of(&b));
         // Zero coefficients are semantically absent.
         let c = Aff::var("i") + Aff::var("j") * 2 + (Aff::var("k") - Aff::var("k"));
-        assert_eq!(a.fingerprint(), c.fingerprint());
+        assert_eq!(fingerprint_of(&a), fingerprint_of(&c));
     }
 
     #[test]
     fn semantic_edits_change_the_fingerprint() {
-        let p = fig2();
-        let base = p.fingerprint();
+        let base = fingerprint_of(&fig2());
         let edited = parse(
             "param T, N; array X[N + 1];
              for t = 0 to T { for i = 3 to N { X[i] = X[i - 2]; } }",
@@ -408,7 +147,7 @@ mod tests {
         .unwrap();
         assert_ne!(
             base,
-            edited.fingerprint(),
+            fingerprint_of(&edited),
             "a changed read offset must change the hash"
         );
         let bound = parse(
@@ -418,23 +157,18 @@ mod tests {
         .unwrap();
         assert_ne!(
             base,
-            bound.fingerprint(),
+            fingerprint_of(&bound),
             "a changed loop bound must change the hash"
         );
     }
 
     #[test]
     fn skeleton_ignores_reads_but_sees_writes_and_bounds() {
-        let fp_of = |src: &str| {
-            let mut h = Fp::new();
-            skeleton_fp(&parse(src).unwrap(), &mut h);
-            h.finish()
-        };
-        let base = fp_of(
+        let base = skeleton_of(
             "param T, N; array X[N + 1];
              for t = 0 to T { for i = 3 to N { X[i] = X[i - 3]; } }",
         );
-        let read_edit = fp_of(
+        let read_edit = skeleton_of(
             "param T, N; array X[N + 1];
              for t = 0 to T { for i = 3 to N { X[i] = X[i - 2]; } }",
         );
@@ -442,12 +176,12 @@ mod tests {
             base, read_edit,
             "the skeleton must not depend on read accesses"
         );
-        let write_edit = fp_of(
+        let write_edit = skeleton_of(
             "param T, N; array X[N + 1];
              for t = 0 to T { for i = 3 to N { X[i - 1] = X[i - 3]; } }",
         );
         assert_ne!(base, write_edit, "the skeleton must see write accesses");
-        let bound_edit = fp_of(
+        let bound_edit = skeleton_of(
             "param T, N; array X[N + 1];
              for t = 0 to T { for i = 4 to N { X[i] = X[i - 3]; } }",
         );
@@ -458,12 +192,12 @@ mod tests {
     fn sequences_do_not_collide_on_concatenation() {
         let a = vec!["ab".to_string(), "c".to_string()];
         let b = vec!["a".to_string(), "bc".to_string()];
-        assert_ne!(a.fingerprint(), b.fingerprint());
+        assert_ne!(fingerprint_of(&a), fingerprint_of(&b));
     }
 
     #[test]
     fn display_is_hex() {
-        let f = fig2().fingerprint();
+        let f = fingerprint_of(&fig2());
         assert_eq!(f.to_string().len(), 32);
     }
 }

@@ -49,7 +49,7 @@ mod parser;
 mod program;
 
 pub use aff::Aff;
-pub use fp::{Fingerprint, Fingerprintable, Fp};
+pub use fp::Fingerprint;
 pub use parser::{parse, ParseError};
 pub use program::{
     ArrayDecl, ArrayRef, BinOp, Loop, LoopMeta, Node, Program, ScalarExpr, Statement, StmtInfo,

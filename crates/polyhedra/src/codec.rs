@@ -89,7 +89,7 @@ impl std::error::Error for CodecError {}
 
 /// A byte-stream encoder. Append-only; the writer discipline (field
 /// order, length prefixes) lives in the [`Codec`] impls.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct Enc {
     buf: Vec<u8>,
 }

@@ -88,7 +88,6 @@ fn main() {
             {
                 let mut o = Options::full();
                 o.self_reuse = false;
-                o.cross_set_reuse = false;
                 o
             },
             false,
