@@ -8,7 +8,11 @@
 //! mutated bytes: decoding never panics, and the codec accepts one
 //! encoding per value, so a misread cannot hide behind a round trip. The
 //! same requests are journaled, and the journal text is mutated the same
-//! ways: parsing it returns records or an error, never a panic.
+//! ways: parsing it returns records or an error, never a panic. So are
+//! the program texts — the registry's, printed, and one of each corpus
+//! family — and by token and numeral insertions besides: each mutant
+//! parses to a program that prints and re-parses to itself, or is a
+//! `ParseError`, never a panic.
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -181,6 +185,103 @@ fn mutated_journals_parse_or_refuse_without_panic() {
     // a line.
     assert!(
         parsed > 0 && refused > 0,
+        "{parsed} parsed, {refused} refused"
+    );
+}
+
+/// One program of each corpus family (`benchmark/src/corpus.rs`), with
+/// the constant the benchmark draws fixed.
+const CORPUS: [&str; 6] = [
+    "param T, N; array X[N + 1];
+for t = 0 to T { for i = 2 to N { X[i] = 0.25 * X[i - 2]; } }
+",
+    "param T, N; array X[N + 1];
+for t = 0 to T { for i = 3 to N { X[i] = 0.25 * f(X[i], X[i - 1], X[i - 2], X[i - 3]); } }
+",
+    "param T, N; array X[N + 1];
+for t = 0 to T { for i = 1 to N - 1 { X[i] = 0.25 * (X[i] + X[i - 1] + X[i + 1]); } }
+",
+    "param N; array A[N][N]; array B[N][N];
+for i = 0 to N - 1 { for j = 0 to N - 1 { B[i][j] = 0.25 * A[j][i]; } }
+",
+    "# 0.25
+param N; array X[N + 1][N + 1];
+for i1 = 0 to N {
+  for i2 = i1 + 1 to N {
+    X[i2][i1] = X[i2][i1] / X[i1][i1];
+    for i3 = i1 + 1 to N {
+      X[i2][i3] = X[i2][i3] - X[i2][i1] * X[i1][i3];
+    }
+  }
+}
+",
+    "param N; array L[N][N]; array Y[N];
+for i = 1 to N - 1 { for j = 0 to i - 1 { Y[i] = Y[i] - 0.25 * L[i][j] * Y[j]; } }
+",
+];
+
+/// What [`mutate_program`] inserts: tokens, and numerals at and past the
+/// ends of `i128` and of a finite `f64`.
+const SNIPPETS: [&str; 12] = [
+    "170141183460469231731687303715884105727",
+    "170141183460469231731687303715884105728",
+    "999999999999999999999999999999999999999999",
+    "0.",
+    "- ",
+    " * N",
+    "for i = 0 to N { ",
+    "}",
+    "[i]",
+    ";",
+    " to ",
+    "(",
+];
+
+/// Mutates a program text by the `n`th of four kinds: the three of
+/// [`mutate`], or one to three insertions from [`SNIPPETS`].
+fn mutate_program(text: &mut Vec<u8>, n: usize, rng: &mut XorShift) {
+    if n % 4 < 3 {
+        mutate(text, n, rng);
+    } else {
+        for _ in 0..=rng.below(3) {
+            let at = rng.below(text.len() + 1);
+            let snippet = SNIPPETS[rng.below(SNIPPETS.len())];
+            text.splice(at..at, snippet.bytes());
+        }
+    }
+}
+
+#[test]
+fn mutated_programs_parse_and_reprint_or_refuse_without_panic() {
+    let registry = test_workloads()
+        .into_iter()
+        .map(|w| (w.input)(w.nproc).program.to_string());
+    let texts: Vec<String> = registry.chain(CORPUS.map(str::to_owned)).collect();
+    let mut rng = XorShift(0x5EED_9A25);
+    let (mut parsed, mut refused) = (0, 0);
+    for text in &texts {
+        dmc_ir::parse(text).expect("the unmutated program parses");
+        for n in 0..4 * MUTATIONS {
+            let mut m = text.clone().into_bytes();
+            mutate_program(&mut m, n, &mut rng);
+            let m = String::from_utf8_lossy(&m);
+            match dmc_ir::parse(&m) {
+                Ok(program) => {
+                    let printed = program.to_string();
+                    let again = dmc_ir::parse(&printed).unwrap_or_else(|e| {
+                        panic!("mutant {m:?} prints as {printed:?}, which does not parse: {e}")
+                    });
+                    assert_eq!(again, program, "mutant {m:?} reprints as {printed:?}");
+                    parsed += 1;
+                }
+                Err(_) => refused += 1,
+            }
+        }
+    }
+    // Not vacuous: some mutations land in a constant, a comment or a
+    // bound and parse, most break the program.
+    assert!(
+        parsed > 0 && refused > parsed,
         "{parsed} parsed, {refused} refused"
     );
 }

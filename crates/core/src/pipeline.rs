@@ -268,16 +268,12 @@ pub(crate) fn schedule_message_stats(schedule: &Schedule) -> (u64, u64, u64) {
     (messages, transmissions, words)
 }
 
-/// What a processor's actions are ordered by: anchor, phase (receives,
-/// then blocks, then sends at one anchor), sequence number. Sequence
-/// numbers are unique, so no two actions tie and an unstable sort orders
-/// them as a stable one would.
+/// A processor's message action as it is ordered: anchor, phase (a
+/// receive -1, a send 1: at one anchor the compute block, phase 0, goes
+/// between them), message. A processor sends a message once and receives
+/// it once, so no two keys tie and an unstable sort orders them as a
+/// stable one over the message table would.
 type Key<'a> = (StampRef<'a>, i8, usize);
-
-/// A compute block's [`Key`]: its first element's stamp, phase 0.
-fn block_key<'a>(templates: &'a [Stamp], (seq, block): &'a (usize, Action)) -> Key<'a> {
-    (block.anchor(templates).expect("a block"), 0, *seq)
-}
 
 /// The legality splits [`hoist`] folds every set at, in one scan: the
 /// paper's prefix and one component deeper, the split LU's level-1 sets
@@ -287,38 +283,26 @@ const HOISTED_SPLITS: [usize; 2] = [0, 1];
 /// Per payload class of one fold, its items' flat rows (values mode).
 type ClassRows = Vec<Vec<i128>>;
 
-/// Per processor, compute-block actions with their sequence numbers.
-type Blocks = Vec<Vec<(usize, Action)>>;
+/// Per processor, per statement: the processor's compute blocks of that
+/// statement, in stamp order.
+type Runs = Vec<Vec<Vec<Action>>>;
 
 /// Split-depth-independent planning state, computed once per
 /// [`build_schedule`] call: every set's fold at the hoisted splits, the
-/// per-set multicast verdicts, the statements' stamp templates and the
-/// per-processor compute-block actions, sorted. The legality check reads
-/// each set's fold at its split; the schedule takes over the blocks and
-/// the payload rows ([`Parts`]).
+/// per-set multicast verdicts and the statements' stamp templates. The
+/// legality check reads each set's fold at its split; the schedule takes
+/// over the payload rows.
 #[cfg_attr(test, derive(Clone))]
 struct HoistedPlan {
     /// Per communication set: its folds, one per split folded.
     folds: Vec<Vec<Folded>>,
+    /// Per communication set and fold (as `folds`): each payload class's
+    /// rows, taken out of the fold, which the schedule moves in.
+    rows: Vec<Vec<ClassRows>>,
     /// Per communication set: may its chunks be multicast-merged?
     multicast: Vec<bool>,
     /// Per statement, its [`template_of`]: what every anchor reads.
     templates: Vec<Stamp>,
-    parts: Parts,
-}
-
-/// What the schedule is assembled from and moves in rather than copies.
-#[cfg_attr(test, derive(Clone))]
-struct Parts {
-    /// Per communication set and fold (as [`HoistedPlan::folds`]): each
-    /// payload class's rows, taken out of the fold.
-    rows: Vec<Vec<ClassRows>>,
-    /// The compute-block actions (identical at any depth), in
-    /// [`block_key`] order.
-    blocks: Blocks,
-    /// The sequence counter after the block actions; message actions
-    /// continue from here.
-    block_seq: usize,
 }
 
 impl HoistedPlan {
@@ -358,7 +342,7 @@ impl HoistedPlan {
                 self.multicast[k],
                 values,
             )?;
-            keep_folds(&mut self.folds[k], &mut self.parts.rows[k], folded);
+            keep_folds(&mut self.folds[k], &mut self.rows[k], folded);
         }
         Ok(())
     }
@@ -546,26 +530,35 @@ fn schedule_at_legal_splits(
     };
     let schedule = build_schedule_at(
         compiled,
+        param_vals,
         values,
         chunks,
         &plan.folds,
         &plan.templates,
-        plan.parts,
-    );
+        plan.rows,
+    )?;
     Ok((splits, schedule))
 }
 
-/// Enumerates every statement's compute blocks into per-processor actions,
-/// each with its sequence number. Independent of the legality-split depth.
-fn block_actions(
+/// Enumerates every statement's compute blocks into per-processor runs in
+/// stamp order. Independent of the legality-split depth.
+///
+/// The scan visits a block's outer loops before its processor, so each
+/// processor receives a statement's blocks in stamp order — unless the
+/// decomposition folds virtual processors onto it against iteration
+/// order (a reversed or skewed map): such a run is sorted alone, and a
+/// `schedule.resort` event names it. A statement's blocks on one processor
+/// cover disjoint iterations (each iteration runs on one virtual
+/// processor), so no two of them tie.
+fn block_runs(
     compiled: &Compiled,
     param_vals: &[i128],
-) -> Result<(Blocks, usize), CompileError> {
+    templates: &[Stamp],
+) -> Result<Runs, CompileError> {
     let input = &compiled.input;
     let nproc = input.grid.len() as usize;
     let stmts = input.program.statements();
-    let mut blocks: Blocks = vec![Vec::new(); nproc];
-    let mut seq = 0usize;
+    let mut runs: Runs = vec![vec![Vec::new(); stmts.len()]; nproc];
     for info in &stmts {
         let comp = &input.comps[&info.id];
         // A run of the innermost loop is one block only where nothing else
@@ -584,18 +577,28 @@ fn block_actions(
             param_vals,
             batch,
             &mut |proc, prefix, inner, flops| {
-                let block = Action::Block {
+                runs[proc][info.id].push(Action::Block {
                     stmt: info.id,
                     prefix,
                     inner_range: inner,
                     flops,
-                };
-                blocks[proc].push((seq, block));
-                seq += 1;
+                });
             },
         )?;
+        for (p, run) in runs.iter_mut().map(|r| &mut r[info.id]).enumerate() {
+            if !run.is_sorted_by(|a, b| a.anchor(templates) <= b.anchor(templates)) {
+                obs::event_f("schedule.resort", || {
+                    vec![
+                        obs::field("stmt", info.id),
+                        obs::field("proc", p),
+                        obs::field("blocks", run.len()),
+                    ]
+                });
+                run.sort_unstable_by(|a, b| a.anchor(templates).cmp(&b.anchor(templates)));
+            }
+        }
     }
-    Ok((blocks, seq))
+    Ok(runs)
 }
 
 /// Builds the full machine schedule for concrete parameter values.
@@ -703,51 +706,35 @@ fn hoist(
             rows.push(r);
         }
     }
-    let _s = obs::span_f("plan", || vec![obs::field("sets", compiled.comm.len())]);
-    let _c = ledger::push_context("plan");
     let stmts = compiled.input.program.statements();
     let templates: Vec<Stamp> = stmts.iter().map(|s| template_of(&s.position)).collect();
-    let (mut blocks, block_seq) = block_actions(compiled, param_vals)?;
-    for acts in &mut blocks {
-        acts.sort_unstable_by(|a, b| block_key(&templates, a).cmp(&block_key(&templates, b)));
-        acts.shrink_to_fit();
-    }
     Ok(HoistedPlan {
         folds,
+        rows,
         multicast,
         templates,
-        parts: Parts {
-            rows,
-            blocks,
-            block_seq,
-        },
     })
 }
 
 /// The schedule built from the chunks of each set at its legality split,
 /// `chunks` (anchored in `folds` and `templates`), taking over the plan's
-/// compute blocks and payload rows.
+/// payload rows; the compute blocks are enumerated here, once the splits
+/// are settled.
 fn build_schedule_at(
     compiled: &Compiled,
+    param_vals: &[i128],
     values: bool,
     chunks: Vec<Anchored<'_>>,
     folds: &[Vec<Folded>],
     templates: &[Stamp],
-    parts: Parts,
-) -> Schedule {
+    mut rows: Vec<Vec<ClassRows>>,
+) -> Result<Schedule, CompileError> {
     let nproc = compiled.input.grid.len() as usize;
-    let Parts {
-        mut rows,
-        blocks,
-        block_seq,
-    } = parts;
     let mut schedule = Schedule::new(nproc);
 
-    // 1. Messages, in order. Their actions continue the numbering of the
-    // hoisted compute blocks', and take over the chunks' anchors: per
-    // processor, its message actions with their keys.
-    let mut pending: Vec<Vec<(Key, Action)>> = (0..nproc).map(|_| Vec::new()).collect();
-    let mut seq = block_seq;
+    // 1. Messages, in order, and per processor the keys of its message
+    // actions, which take over the chunks' anchors.
+    let mut pending: Vec<Vec<Key>> = (0..nproc).map(|_| Vec::new()).collect();
     for group in chunks.chunk_by(|a, b| a.msg == b.msg) {
         let (head, cs) = (&group[0], &compiled.comm[group[0].set]);
         let fold = &folds[head.set][head.fold];
@@ -778,13 +765,9 @@ fn build_schedule_at(
             width: fold.item_width(),
             rows: std::mem::take(&mut rows[head.set][head.fold][first.payload]),
         });
-        pending[sender].push(((head.send, 1, seq), Action::Send { msg: msg_id }));
-        seq += 1;
-        // The scheduler splits the consuming compute block at each
-        // receive's anchor.
+        pending[sender].push((head.send, 1, msg_id));
         for a in group {
-            pending[a.receiver].push(((a.recv, -1, seq), Action::Recv { msg: msg_id }));
-            seq += 1;
+            pending[a.receiver].push((a.recv, -1, msg_id));
         }
         schedule.messages.push(MessageSpec {
             sender,
@@ -793,90 +776,158 @@ fn build_schedule_at(
             payload,
         });
     }
+    drop(chunks);
 
-    // 2. Per processor: the message actions, sorted, then the compute
-    // blocks — split at receive anchors so each receive executes
-    // immediately before the first use of its data, not before the whole
-    // block (otherwise mutually-feeding processors deadlock) — merged in.
-    for ((p, mut acts), blocks) in pending.into_iter().enumerate().zip(blocks) {
-        acts.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let recv_anchors: Vec<StampRef> = acts
-            .iter()
-            .filter(|((_, phase, _), _)| *phase == -1)
-            .map(|((anchor, _, _), _)| *anchor)
-            .collect();
-        let mut pieces: Vec<(usize, Action)> = Vec::with_capacity(blocks.len());
-        for (sq, act) in blocks {
-            let (stmt, prefix, lo, hi, flops) = match act {
-                Action::Block {
-                    stmt,
-                    prefix,
-                    inner_range: Some((lo, hi)),
-                    flops,
-                } if hi > lo => (stmt, prefix, lo, hi, flops),
-                act => {
-                    pieces.push((sq, act));
-                    continue;
-                }
-            };
-            let per_iter = flops / (hi - lo + 1) as f64;
-            let piece = |prefix, start: i128, end: i128| {
-                let flops = per_iter * (end - start + 1) as f64;
-                let inner_range = Some((start, end));
-                (
-                    sq,
-                    Action::Block {
-                        stmt,
-                        prefix,
-                        inner_range,
-                        flops,
-                    },
-                )
-            };
-            // The cuts: receives of this statement at this prefix with
-            // `lo < last ≤ hi`, consecutive among the sorted anchors in
-            // `(anchor(lo), anchor(hi)]`.
-            let template = &templates[stmt][..];
-            let at = |last| StampRef::Instance {
-                template,
-                prefix: &prefix,
-                last,
-            };
-            let from = recv_anchors.partition_point(|a| *a <= at(lo));
-            let to = recv_anchors.partition_point(|a| *a <= at(hi));
-            let mut start = lo;
-            for a in &recv_anchors[from..to] {
-                match *a {
-                    StampRef::Instance {
-                        template: t,
-                        prefix: q,
-                        last,
-                    } if t == template && q == &prefix[..] && last > start => {
-                        pieces.push(piece(prefix.clone(), start, last - 1));
-                        start = last;
-                    }
-                    _ => {}
-                }
-            }
-            pieces.push(piece(prefix, start, hi));
-        }
-        // Two sorted runs, unless the pieces of a split block interleave
-        // with a neighbour's; merged into an exact-size action list.
-        if !pieces.is_sorted_by(|a, b| block_key(templates, a) <= block_key(templates, b)) {
-            pieces.sort_unstable_by(|a, b| block_key(templates, a).cmp(&block_key(templates, b)));
-        }
-        let out = &mut schedule.procs[p];
-        out.reserve_exact(pieces.len() + acts.len());
-        let mut acts = acts.into_iter().peekable();
-        for block in pieces {
-            while let Some((_, act)) = acts.next_if(|a| a.0 < block_key(templates, &block)) {
-                out.push(act);
-            }
-            out.push(block.1);
-        }
-        out.extend(acts.map(|(_, act)| act));
+    // 2. The compute blocks, per processor and statement in stamp order.
+    let runs = {
+        let _s = obs::span_f("plan", || vec![obs::field("sets", compiled.comm.len())]);
+        let _c = ledger::push_context("plan");
+        block_runs(compiled, param_vals, templates)?
+    };
+
+    // 3. Per processor, one forward merge of its blocks and its sorted
+    // message actions into its action list: of its exact size unless a
+    // receive cuts a block, then shrunk to it.
+    for ((out, mut acts), runs) in schedule.procs.iter_mut().zip(pending).zip(runs) {
+        acts.sort_unstable();
+        let blocks: usize = runs.iter().map(Vec::len).sum();
+        out.reserve_exact(blocks + acts.len());
+        out.extend(ProcActions {
+            templates,
+            runs: runs.into_iter().map(Vec::into_iter).collect(),
+            head: None,
+            acts,
+            next: 0,
+            cut: 0,
+        });
+        out.shrink_to_fit();
     }
-    schedule
+    Ok(schedule)
+}
+
+/// One processor's actions in execution order, in one forward pass: its
+/// statements' block runs merged by anchor, each ranged block cut at the
+/// receives inside it — so each receive executes immediately before the
+/// first use of its data, not before the whole block (otherwise
+/// mutually-feeding processors deadlock) — and its message actions
+/// interleaved in [`Key`] order: receives, then the block, then sends at
+/// one anchor.
+struct ProcActions<'a> {
+    templates: &'a [Stamp],
+    /// Per statement, the processor's blocks in stamp order.
+    runs: Vec<std::vec::IntoIter<Action>>,
+    /// What is left of the block being emitted.
+    head: Option<Action>,
+    /// The message actions' keys, sorted.
+    acts: Vec<Key<'a>>,
+    /// The next message action to emit.
+    next: usize,
+    /// The next message action that may cut a block: a cursor over the
+    /// receive anchors, which only moves forward because the blocks come
+    /// in stamp order and cover disjoint stamp ranges.
+    cut: usize,
+}
+
+impl ProcActions<'_> {
+    /// The run head with the least anchor, taken out of its run.
+    fn next_block(&mut self) -> Option<Action> {
+        let templates = self.templates;
+        let (k, _) = self
+            .runs
+            .iter()
+            .enumerate()
+            .filter_map(|(k, run)| Some((k, run.as_slice().first()?.anchor(templates)?)))
+            .min_by(|a, b| a.1.cmp(&b.1))?;
+        self.runs[k].next()
+    }
+
+    /// The last iteration of the piece of a ranged block that starts at
+    /// `start`: one before the next receive of the same statement and
+    /// prefix anchored in `(start, hi]`, or `hi`.
+    fn piece_end(&mut self, stmt: usize, prefix: &[i128], start: i128, hi: i128) -> i128 {
+        let template = &self.templates[stmt][..];
+        let at = |last| StampRef::Instance {
+            template,
+            prefix,
+            last,
+        };
+        while let Some(&(anchor, phase, _)) = self.acts.get(self.cut) {
+            // Up to the first receive past the block, the first receive
+            // of this statement and prefix after `start` cuts; sends and
+            // earlier receives cut nothing.
+            if phase < 0 && anchor > at(hi) {
+                break;
+            }
+            self.cut += 1;
+            match anchor {
+                StampRef::Instance {
+                    template: t,
+                    prefix: q,
+                    last,
+                } if phase < 0 && t == template && q == prefix && last > start => return last - 1,
+                _ => {}
+            }
+        }
+        hi
+    }
+}
+
+impl Iterator for ProcActions<'_> {
+    type Item = Action;
+
+    fn next(&mut self) -> Option<Action> {
+        if self.head.is_none() {
+            self.head = self.next_block();
+        }
+        // A message action keyed below the block goes first; with no block
+        // left, the rest of them in order.
+        let key = self.acts.get(self.next);
+        let first = match (&self.head, key) {
+            (Some(head), Some((anchor, phase, _))) => {
+                let block = head.anchor(self.templates).expect("a block");
+                anchor.cmp(&block).then(phase.cmp(&0)).is_lt()
+            }
+            (head, _) => head.is_none(),
+        };
+        if first {
+            self.next += 1;
+            return key.map(|&(_, phase, msg)| match phase {
+                -1 => Action::Recv { msg },
+                _ => Action::Send { msg },
+            });
+        }
+        let mut head = self.head.take()?;
+        if let Action::Block {
+            stmt,
+            prefix,
+            inner_range: Some((lo, hi)),
+            flops,
+        } = &mut head
+        {
+            // A one-iteration block has nothing to cut.
+            let end = if lo < hi {
+                self.piece_end(*stmt, prefix, *lo, *hi)
+            } else {
+                *hi
+            };
+            if end < *hi {
+                // Flops are a whole number per iteration, so the split
+                // is exact.
+                let per_iter = *flops / (*hi - *lo + 1) as f64;
+                let piece = Action::Block {
+                    stmt: *stmt,
+                    prefix: prefix.clone(),
+                    inner_range: Some((*lo, end)),
+                    flops: per_iter * (end - *lo + 1) as f64,
+                };
+                *lo = end + 1;
+                *flops = per_iter * (*hi - *lo + 1) as f64;
+                self.head = Some(head);
+                return Some(piece);
+            }
+        }
+        Some(head)
+    }
 }
 
 /// Sink for one enumerated compute block:
@@ -914,9 +965,11 @@ fn compute_blocks(
 
     let flops_per_iter = info.stmt.rhs.flops() as f64;
 
-    // Scan order: proc dims outermost, then loop dims; parameters fixed.
-    let mut order = proc_dims.clone();
-    order.extend(&loop_dims);
+    // Scan order: the outer loops, then the processor, then the innermost
+    // loop; parameters fixed. A processor then meets its blocks in stamp
+    // order wherever its virtual processors follow the iterations.
+    let (outer, inner) = loop_dims.split_at(loop_dims.len().saturating_sub(1));
+    let order: Vec<usize> = [outer, &proc_dims, inner].concat();
     let nest = dmc_polyhedra::scan_bounds(&poly, &order)?;
     let mut fixed = vec![0i128; space.len()];
     for (k, &d) in param_dims.iter().enumerate() {
@@ -924,12 +977,11 @@ fn compute_blocks(
     }
     let kernel = nest.compile(&fixed)?;
 
-    // Visit proc dims and all loop dims except the innermost; the
-    // innermost becomes the block range. The proc dims follow the loop
+    // Visit the outer loops and the proc dims; the innermost loop becomes
+    // the block range. The proc dims follow the loop
     // dims in the space, so the rank is read off the point; what a block
     // allocates is what the schedule keeps, its prefix.
     let procs = loop_dims.len()..loop_dims.len() + proc_dims.len();
-    let (outer, inner) = loop_dims.split_at(loop_dims.len().saturating_sub(1));
     kernel.for_each(nest.vars.len() - inner.len(), |point| {
         let rank = grid.fold_rank(&point[procs.clone()]) as usize;
         if inner.is_empty() {
@@ -1036,12 +1088,14 @@ mod tests {
             let chunks = anchored_chunks(&compiled, &plan.folds, &plan.templates, splits);
             build_schedule_at(
                 &compiled,
+                &[12],
                 true,
                 chunks,
                 &plan.folds,
                 &plan.templates,
-                plan.parts,
+                plan.rows,
             )
+            .unwrap()
         };
         assert_eq!(at(plan.clone(), &splits), at(fresh.clone(), &splits));
         let (legal, legalized) =
@@ -1225,6 +1279,84 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// A decomposition that folds virtual processors onto a rank against
+    /// iteration order — the reversed map `p = ⌊−i / b⌋`, cyclic and in
+    /// blocks of 4, of a stencil that reads both neighbours — reaches each
+    /// processor's blocks out of stamp order: the per-run sort runs (a
+    /// `schedule.resort` event per unsorted run), every processor's
+    /// actions strictly increase in key (the key of a message action is
+    /// its chunk's anchor), the blocks of 4 are cut at receives, and values
+    /// mode computes the program.
+    #[test]
+    fn runs_folded_against_iteration_order_are_sorted_then_merged() {
+        use dmc_decomp::DimMap;
+        use dmc_ir::Aff;
+        let source = "param T, N; array X[N + 1];
+            for t = 0 to T { for i = 1 to N - 1 {
+              X[i] = 0.5 * (X[i] + X[i - 1] + X[i + 1]); } }";
+        let params = [2, 24];
+        for b in [1, 4] {
+            let reversed = DimMap::block(-Aff::var("i"), b);
+            let input = CompileInput {
+                program: dmc_ir::parse(source).unwrap(),
+                comps: BTreeMap::from([(0, CompDecomp::from_maps(0, vec![reversed]))]),
+                initial: HashMap::new(),
+                grid: ProcGrid::line(3),
+            };
+            let program = input.program.clone();
+            let compiled = compile(input, Options::full()).unwrap();
+            obs::start_capture();
+            let schedule = build_schedule(&compiled, &params, false, LIMIT).unwrap();
+            let trace = obs::finish_capture();
+            let records = trace.lanes.iter().flat_map(|l| &l.records);
+            let resorts = records.filter(|r| r.name == "schedule.resort").count();
+            assert_eq!(resorts, 3, "b = {b}: one per processor");
+
+            // The chunks at the legal splits, anchored as the schedule was.
+            let (splits, legalized) = {
+                let plan = hoist(&compiled, &params, LIMIT, false).unwrap();
+                schedule_at_legal_splits(&compiled, plan, &params, LIMIT, false).unwrap()
+            };
+            assert_eq!(legalized, schedule);
+            let mut plan = hoist(&compiled, &params, LIMIT, false).unwrap();
+            for (k, &split) in splits.iter().enumerate() {
+                plan.refold(&compiled, k, &params, LIMIT, false, split)
+                    .unwrap();
+            }
+            let chunks = anchored_chunks(&compiled, &plan.folds, &plan.templates, &splits);
+            let send = |msg: usize| chunks.iter().find(|c| c.msg == msg).unwrap().send;
+            let recv = |msg: usize, p: usize| {
+                let c = chunks.iter().find(|c| c.msg == msg && c.receiver == p);
+                c.unwrap().recv
+            };
+            for (p, acts) in schedule.procs.iter().enumerate() {
+                let keys: Vec<Key> = acts
+                    .iter()
+                    .map(|a| match a {
+                        Action::Send { msg } => (send(*msg), 1, *msg),
+                        Action::Recv { msg } => (recv(*msg, p), -1, *msg),
+                        block => (block.anchor(&plan.templates).unwrap(), 0, 0),
+                    })
+                    .collect();
+                assert!(keys.is_sorted_by(|a, b| a < b), "b = {b}: processor {p}");
+            }
+            let runs = block_runs(&compiled, &params, &plan.templates).unwrap();
+            let blocks: usize = runs.iter().flatten().map(Vec::len).sum();
+            let pieces = schedule.procs.iter().flatten();
+            let pieces = pieces.filter(|a| matches!(a, Action::Block { .. })).count();
+            assert_eq!(
+                pieces > blocks,
+                b > 1,
+                "b = {b}: {pieces} pieces of {blocks}"
+            );
+
+            let zero = MachineConfig::zero_comm();
+            let result = run(&compiled, &params, &zero, true, LIMIT).unwrap();
+            let memory = result.memory.expect("values mode returns memory");
+            assert_equals_interp(&format!("b = {b}"), &program, &params, &memory);
         }
     }
 

@@ -249,8 +249,9 @@ fn measure(name: &str, input: CompileInput, param_vals: &[i128], slots: usize) -
         + nproc * nproc * 16
         + (64 << 10);
     // The planner: the schedule it returns and, beside it, at most as much
-    // again — the folds' chunk records and payload rows, the hoisted
-    // blocks, one processor's pieces — plus a fixed allowance for the
+    // again — the folds' chunk records and payload rows, the compute-block
+    // runs enumerated after the legality loop, one processor's action list
+    // reserved for a cut per receive — plus a fixed allowance for the
     // polyhedral scans and the fold's per-block buffers, which do not
     // grow with the tables.
     let build_ceiling = 2 * tables + (256 << 10);

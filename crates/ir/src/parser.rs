@@ -178,7 +178,10 @@ impl<'a> Lexer<'a> {
                 }
             }
             let tok = if is_float {
-                Tok::Float(s.parse().map_err(|_| ParseError {
+                // Too many digits read as infinity, which no literal
+                // prints back as.
+                let v = s.parse::<f64>().ok().filter(|v| v.is_finite());
+                Tok::Float(v.ok_or_else(|| ParseError {
                     message: format!("invalid float literal {s:?}"),
                     line,
                     col,
@@ -675,6 +678,33 @@ mod tests {
             (l.lower.clone(), l.upper.clone()),
             (Aff::constant(i128::MIN), Aff::constant(max))
         );
+    }
+
+    /// A scalar literal prints as text that reads back as the same value:
+    /// a whole value past `i128` keeps its decimal point, and a literal
+    /// too long for a finite `f64` is a parse error, not an infinity that
+    /// prints as `inf`.
+    #[test]
+    fn scalar_literals_print_and_reparse_to_themselves() {
+        let nines = "9".repeat(39);
+        for lit in [
+            "0.25".to_owned(),
+            "2".to_owned(),
+            format!("{}", i128::MAX),
+            format!("{nines}0.25"),
+            format!("{}.0", i128::MAX as f64),
+        ] {
+            let src = format!("array A[4]; for i = 0 to 3 {{ A[i] = {lit} * A[i]; }}");
+            let p = parse(&src).unwrap();
+            let again = parse(&p.to_string()).unwrap_or_else(|e| panic!("{lit}: {p}: {e}"));
+            assert_eq!(again, p, "{lit}");
+        }
+        let src = format!(
+            "array A[4]; for i = 0 to 3 {{ A[i] = {}.5; }}",
+            "9".repeat(400)
+        );
+        let e = parse(&src).expect_err("an infinite literal");
+        assert!(e.message.contains("invalid float literal"), "{e}");
     }
 
     #[test]

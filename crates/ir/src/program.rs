@@ -126,6 +126,11 @@ impl ScalarExpr {
 impl fmt::Display for ScalarExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            // A whole value past `i128` keeps its point, or it would read
+            // back as an integer literal out of range.
+            ScalarExpr::Lit(v) if v.fract() == 0.0 && v.abs() >= i128::MAX as f64 => {
+                write!(f, "{v:.1}")
+            }
             ScalarExpr::Lit(v) => write!(f, "{v}"),
             ScalarExpr::Read(r) => write!(f, "{r}"),
             ScalarExpr::Bin(op, a, b) => {

@@ -78,9 +78,10 @@ pub enum StampRef<'s> {
     Instance {
         /// The statement's stamp with every loop value 0.
         template: &'s [i128],
-        /// Every loop value but the innermost.
+        /// Every loop value but the innermost, or all of them.
         prefix: &'s [i128],
-        /// The innermost loop value (unread at depth 0).
+        /// The innermost loop value (unread at depth 0, or when `prefix`
+        /// holds every loop value).
         last: i128,
     },
     /// A stamp held whole.
@@ -126,12 +127,77 @@ impl<'s> StampRef<'s> {
 
 impl Ord for StampRef<'_> {
     fn cmp(&self, other: &Self) -> Ordering {
+        if let (
+            StampRef::Instance {
+                template: ta,
+                prefix: pa,
+                last: la,
+            },
+            StampRef::Instance {
+                template: tb,
+                prefix: pb,
+                last: lb,
+            },
+        ) = (*self, *other)
+        {
+            if let Some(o) = cmp_instances((ta, pa, la), (tb, pb, lb)) {
+                return o;
+            }
+        }
         let n = self.len().min(other.len());
         (0..n)
             .map(|k| self.get(k).cmp(&other.get(k)))
             .find(|o| o.is_ne())
             .unwrap_or_else(|| self.len().cmp(&other.len()))
     }
+}
+
+/// An instance's template, prefix and last loop value.
+type Instance<'s> = (&'s [i128], &'s [i128], i128);
+
+/// Two instances' order read straight off their slices, where each stamp
+/// is `[t0, v0, t2, v1, …, t2d]`: positions from the template, loop values
+/// from the prefix and then `last`. Over the loop values both read from
+/// their prefixes the two compare as (position, value) pairs; after them
+/// come one position, each side's next value and one position more, where
+/// the side that read `last` ends. `None` only for a prefix shorter than
+/// its statement's depth less one, or an empty template, which the caller
+/// compares component by component.
+fn cmp_instances((ta, pa, la): Instance, (tb, pb, lb): Instance) -> Option<Ordering> {
+    let (da, db) = (ta.len() / 2, tb.len() / 2);
+    if std::ptr::eq(ta, tb) && pa.len() + 1 == da && pb.len() + 1 == da {
+        // One statement: the positions are equal.
+        return Some(pa.cmp(pb).then(la.cmp(&lb)));
+    }
+    let (ka, kb) = (pa.len().min(da), pb.len().min(db));
+    let m = ka.min(kb);
+    for k in 0..m {
+        let o = ta[2 * k].cmp(&tb[2 * k]).then(pa[k].cmp(&pb[k]));
+        if o.is_ne() {
+            return Some(o);
+        }
+    }
+    // Component 2m is a position of both: each depth is at least m.
+    let o = ta.get(2 * m)?.cmp(tb.get(2 * m)?);
+    if o.is_ne() {
+        return Some(o);
+    }
+    // Component 2m + 1: the value each reads there, unless its stamp ends.
+    let value = |d: usize, k: usize, p: &[i128], last: i128| {
+        (m < d).then(|| if m < k { p[m] } else { last })
+    };
+    let (Some(va), Some(vb)) = (value(da, ka, pa, la), value(db, kb, pb, lb)) else {
+        return Some(ta.len().cmp(&tb.len()));
+    };
+    let o = va.cmp(&vb);
+    if o.is_ne() {
+        return Some(o);
+    }
+    // One side read `last` at m (m is its `k`), so its depth is m + 1 and
+    // its stamp ends at component 2m + 2, unless its prefix is short.
+    let end = 2 * m + 3;
+    (ta.len() == end || tb.len() == end)
+        .then(|| ta[end - 1].cmp(&tb[end - 1]).then(ta.len().cmp(&tb.len())))
 }
 
 impl PartialOrd for StampRef<'_> {
@@ -298,6 +364,83 @@ mod tests {
         assert_eq!(format!("{:?}", r1(&[3, 4])), format!("{:?}", s1(3, 4)));
         assert!(StampRef::Whole(&[-1]) < r0(&[0]));
         assert!(StampRef::Whole(&[]) < StampRef::Whole(&[-1]));
+    }
+
+    /// xorshift64, seeded: enough to draw templates and iterations.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            usize::try_from(self.0 % n as u64).unwrap()
+        }
+    }
+
+    /// Random statements at depth 0–3 (positions 0 or 1, so one stamp is
+    /// often a proper prefix of another, and some templates are equal but
+    /// held apart), read in place in every form the planner and simulator
+    /// build — `StampRef::of`, a block anchor whose prefix holds every
+    /// loop value and `last` is junk, and `Whole` stamps and their proper
+    /// prefixes: every pair orders as the `stamp_of` vectors do.
+    #[test]
+    fn stamp_refs_order_as_the_stamps_they_denote() {
+        let mut rng = XorShift(0x2545_F491_4F6C_DD1D);
+        let mut positions: Vec<Vec<usize>> = (0..6)
+            .map(|_| (0..=rng.below(4)).map(|_| rng.below(2)).collect())
+            .collect();
+        positions.push(positions[0].clone());
+        let templates: Vec<Stamp> = positions.iter().map(|p| template_of(p)).collect();
+        // (statement, iteration, form): 0 `of`, 1 the whole iteration as
+        // the prefix, 2 the stamp held whole, 3 a proper prefix of it.
+        let drawn: Vec<(usize, Vec<i128>, usize)> = (0..400)
+            .map(|_| {
+                let s = rng.below(positions.len());
+                let iter = (1..positions[s].len())
+                    .map(|_| rng.below(3) as i128 - 1)
+                    .collect();
+                (s, iter, rng.below(4))
+            })
+            .collect();
+        let stamps: Vec<Stamp> = drawn
+            .iter()
+            .map(|(s, iter, form)| {
+                let stamp = stamp_of(&positions[*s], iter);
+                let keep = if *form == 3 {
+                    stamp.len() - 1
+                } else {
+                    stamp.len()
+                };
+                stamp[..keep].to_vec()
+            })
+            .collect();
+        let refs: Vec<StampRef> = drawn
+            .iter()
+            .zip(&stamps)
+            .map(|((s, iter, form), stamp)| match form {
+                0 => StampRef::of(&templates[*s], iter),
+                1 => StampRef::Instance {
+                    template: &templates[*s],
+                    prefix: iter,
+                    last: 7,
+                },
+                _ => StampRef::Whole(stamp),
+            })
+            .collect();
+        let (mut depth0, mut prefixes, mut ties) = (0, 0, 0);
+        for (a, sa) in refs.iter().zip(&stamps) {
+            depth0 += usize::from(sa.len() == 1);
+            for (b, sb) in refs.iter().zip(&stamps) {
+                assert_eq!(a.cmp(b), sa.cmp(sb), "{sa:?} vs {sb:?}");
+                assert_eq!(format!("{a:?}"), format!("{sa:?}"));
+                prefixes += usize::from(sa.len() < sb.len() && sb.starts_with(sa));
+                ties += usize::from(sa == sb);
+            }
+        }
+        assert!(depth0 > 10, "{depth0} depth-0 stamps drawn");
+        assert!(prefixes > 1_000, "{prefixes} proper prefixes drawn");
+        assert!(ties > 1_000, "{ties} ties drawn");
     }
 
     #[test]
