@@ -14,7 +14,9 @@ use std::convert::Infallible;
 use std::fmt;
 
 use crate::aff::Aff;
-use crate::lower::{eval_row, lower_aff, Access, Cursor, LoweredStmt, NO_ARRAY, NO_SLOT};
+use crate::lower::{
+    eval_row, lower_aff, Access, Cursor, LoweredStmt, Unlowered, NO_ARRAY, NO_SLOT,
+};
 use crate::program::{ArrayRef, Node, Program, ScalarExpr};
 
 /// Errors raised while interpreting a program.
@@ -31,6 +33,16 @@ pub enum ExecError {
     UndeclaredArray(String),
     /// A parameter was not bound to a value.
     UnboundParam(String),
+    /// A subscript or an extent of the array left the `i128` range.
+    ArrayOverflow {
+        /// Array name.
+        array: String,
+    },
+    /// A bound of the loop left the `i128` range.
+    LoopOverflow {
+        /// The loop variable.
+        var: String,
+    },
 }
 
 impl fmt::Display for ExecError {
@@ -41,6 +53,10 @@ impl fmt::Display for ExecError {
             }
             ExecError::UndeclaredArray(a) => write!(f, "array {a} was not declared"),
             ExecError::UnboundParam(p) => write!(f, "parameter {p} has no value"),
+            ExecError::ArrayOverflow { array } => {
+                write!(f, "a subscript or extent of array {array} overflows i128")
+            }
+            ExecError::LoopOverflow { var } => write!(f, "a bound of loop {var} overflows i128"),
         }
     }
 }
@@ -134,14 +150,26 @@ impl Memory {
     /// # Errors
     ///
     /// Returns [`ExecError::UnboundParam`] if an extent references an
-    /// unbound parameter.
+    /// unbound parameter, and [`ExecError::ArrayOverflow`] if an extent, or
+    /// an array's number of elements, leaves `i128` or `usize`.
     pub fn allocate(program: &Program, params: &HashMap<String, i128>) -> Result<Self, ExecError> {
         let mut mem = Memory::default();
         for a in &program.arrays {
+            let overflow = || ExecError::ArrayOverflow {
+                array: a.name.clone(),
+            };
             let mut extents = Vec::with_capacity(a.extents.len());
             for e in &a.extents {
-                extents.push(eval_aff(e, &|v| params.get(v).copied(), params)?);
+                extents.push(eval_aff(e, &|v| params.get(v).copied(), params, overflow)?);
             }
+            // A wrapped product would allocate fewer elements than the
+            // extents address.
+            extents
+                .iter()
+                .try_fold(1usize, |n, &e| {
+                    n.checked_mul(usize::try_from(e.max(0)).ok()?)
+                })
+                .ok_or_else(overflow)?;
             let name = a.name.clone();
             let store = ArrayStore::new(extents, |idx| default_init(&name, idx));
             mem.arrays.insert(name, store);
@@ -210,27 +238,33 @@ pub struct Trace {
 ///
 /// Public so that other execution engines (the distributed-machine
 /// simulator) compute bit-identical results.
-pub fn eval_intrinsic(args: &[f64]) -> f64 {
+pub fn eval_intrinsic(args: impl IntoIterator<Item = f64>) -> f64 {
     let mut acc = 0.25;
     let mut w = 0.618;
-    for &a in args {
+    for a in args {
         acc += a * w;
         w *= 0.618;
     }
     acc
 }
 
+/// The value of `e`, its names looked up in term order; a term or partial
+/// sum that leaves `i128` is `overflow()`.
 fn eval_aff(
     e: &Aff,
     lookup: &dyn Fn(&str) -> Option<i128>,
     params: &HashMap<String, i128>,
+    overflow: impl Fn() -> ExecError,
 ) -> Result<i128, ExecError> {
     let mut acc = e.constant_term();
     for (v, c) in e.terms() {
         let val = lookup(v)
             .or_else(|| params.get(v).copied())
             .ok_or_else(|| ExecError::UnboundParam(v.to_owned()))?;
-        acc += c * val;
+        acc = c
+            .checked_mul(val)
+            .and_then(|term| acc.checked_add(term))
+            .ok_or_else(&overflow)?;
     }
     Ok(acc)
 }
@@ -238,22 +272,51 @@ fn eval_aff(
 /// A statement of the lowered loop tree.
 struct StmtCode {
     code: LoweredStmt,
-    /// Per access, what evaluating it raises before any bounds check: an
-    /// unbound name in a subscript, or an undeclared array. Raised when an
-    /// instance reaches the access, so a zero-trip loop hides it.
+    /// Per access, the array's name.
+    names: Vec<String>,
+    /// Per access, what evaluating it raises once its subscripts are
+    /// evaluated: a name no subscript can be lowered with (an unbound name,
+    /// a parameter term that overflows), or an undeclared array. Raised
+    /// when an instance reaches the access, so a zero-trip loop hides it.
     faults: Vec<Option<ExecError>>,
+}
+
+impl StmtCode {
+    /// What access `n` raises at iteration `env ++ [x]` when its cursor has
+    /// no slot, in the tree walk's order: its subscripts, then its fault,
+    /// then the bounds check.
+    #[cold]
+    fn fault(&self, n: usize, env: &[i128], x: i128) -> ExecError {
+        let array = self.names[n].clone();
+        match self.code.accesses[n].subscripts(env, x) {
+            None => ExecError::ArrayOverflow { array },
+            Some(idx) => self.faults[n]
+                .clone()
+                .unwrap_or(ExecError::OutOfBounds { array, idx }),
+        }
+    }
 }
 
 /// A loop of the lowered tree: its bounds as rows over the enclosing loops.
 struct LoopCode {
-    /// `(lower, upper)`, or the unbound name evaluating them raises.
-    bounds: Result<(Vec<i128>, Vec<i128>), ExecError>,
+    var: String,
+    /// The lower and the upper bound, or what lowering each raised.
+    bounds: (Result<Vec<i128>, ExecError>, Result<Vec<i128>, ExecError>),
     body: Vec<Code>,
 }
 
 enum Code {
     Loop(LoopCode),
     Stmt(StmtCode),
+}
+
+/// What the tree walk raises where a form could not be lowered: the
+/// unbound name, or `overflow()`.
+fn raised(e: Unlowered<'_>, overflow: impl FnOnce() -> ExecError) -> ExecError {
+    match e {
+        Unlowered::Unbound(v) => ExecError::UnboundParam(v.to_owned()),
+        Unlowered::Overflow => overflow(),
+    }
 }
 
 /// Lowers `nodes`, which `loops` (outermost first) enclose; an array's
@@ -264,42 +327,57 @@ fn lower_nodes<'a>(
     arrays: &[(String, ArrayStore)],
     params: &HashMap<String, i128>,
 ) -> Vec<Code> {
-    let unbound = |v: &str| ExecError::UnboundParam(v.to_owned());
     let mut out = Vec::with_capacity(nodes.len());
     for node in nodes {
         out.push(match node {
             Node::Loop(l) => {
                 let row = |aff| {
                     let mut row = vec![0; loops.len() + 1];
-                    lower_aff(aff, loops, params, &mut row).map_err(unbound)?;
+                    lower_aff(aff, loops, params, &mut row).map_err(|e| {
+                        raised(e, || ExecError::LoopOverflow { var: l.var.clone() })
+                    })?;
                     Ok(row)
                 };
-                let bounds = row(&l.lower).and_then(|lo| Ok((lo, row(&l.upper)?)));
+                let bounds = (row(&l.lower), row(&l.upper));
                 loops.push(&l.var);
                 let body = lower_nodes(&l.body, loops, arrays, params);
                 loops.pop();
-                Code::Loop(LoopCode { bounds, body })
+                Code::Loop(LoopCode {
+                    var: l.var.clone(),
+                    bounds,
+                    body,
+                })
             }
             Node::Stmt(s) => {
-                let mut faults = Vec::new();
+                let (mut names, mut faults) = (Vec::new(), Vec::new());
                 // The tree walk evaluates the subscripts, then looks the
                 // array up: an unbound name is raised first.
                 let code = LoweredStmt::new(s, |r| {
                     let array = arrays.iter().position(|(name, _)| *name == r.array);
                     let array = array.unwrap_or(NO_ARRAY);
                     let (access, fault) = match Access::new(r, array, loops, params) {
-                        Err(v) => (Access::unresolved(loops.len()), Some(unbound(v))),
+                        Err(e) => {
+                            let overflow = || ExecError::ArrayOverflow {
+                                array: r.array.clone(),
+                            };
+                            (Access::unresolved(loops.len()), Some(raised(e, overflow)))
+                        }
                         Ok(access) if array == NO_ARRAY => {
                             let fault = ExecError::UndeclaredArray(r.array.clone());
                             (access, Some(fault))
                         }
                         Ok(access) => (access, None),
                     };
+                    names.push(r.array.clone());
                     faults.push(fault);
                     Ok::<_, Infallible>(access)
                 });
                 let Ok(code) = code;
-                Code::Stmt(StmtCode { code, faults })
+                Code::Stmt(StmtCode {
+                    code,
+                    names,
+                    faults,
+                })
             }
         });
     }
@@ -315,6 +393,8 @@ struct Exec {
     env: Vec<i128>,
     cursors: Vec<Cursor>,
     stack: Vec<f64>,
+    /// A strip's columns.
+    cols: Vec<f64>,
 }
 
 impl Exec {
@@ -323,9 +403,12 @@ impl Exec {
             match node {
                 Code::Stmt(s) => self.run_stmt(s, None)?,
                 Code::Loop(l) => {
-                    let (lower, upper) = l.bounds.as_ref().map_err(Clone::clone)?;
-                    let lo = eval_row(lower, &self.env);
-                    let hi = eval_row(upper, &self.env);
+                    let bound = |row: &Result<Vec<i128>, ExecError>| {
+                        let row = row.as_ref().map_err(Clone::clone)?;
+                        eval_row(row, &self.env)
+                            .ok_or_else(|| ExecError::LoopOverflow { var: l.var.clone() })
+                    };
+                    let (lo, hi) = (bound(&l.bounds.0)?, bound(&l.bounds.1)?);
                     if lo > hi {
                         continue;
                     }
@@ -362,18 +445,33 @@ impl Exec {
         }
         let accesses = &s.code.accesses;
         let write = s.code.write();
+        let count = hi
+            .checked_sub(lo)
+            .and_then(|d| usize::try_from(d).ok()?.checked_add(1));
+        if let Some(count) = count.filter(|&c| c > 1) {
+            let strip = s.code.strip_len(&self.cursors, count);
+            if strip > 1 {
+                for at in (0..count).step_by(strip) {
+                    let len = strip.min(count - at);
+                    let stores = &mut self.stores;
+                    let values = s.code.eval_strip(&self.cursors, len, &mut self.cols, |n| {
+                        &stores[accesses[n].array].1.data
+                    });
+                    let out = &mut stores[accesses[write].array].1.data;
+                    for (slot, &value) in self.cursors[write].slots(len).zip(values) {
+                        out[slot] = value;
+                    }
+                    self.cursors.iter_mut().for_each(|c| c.skip(len));
+                }
+                return Ok(());
+            }
+        }
         for x in lo..=hi {
             let (stores, cursors, env) = (&mut self.stores, &self.cursors, &self.env);
             // The element under cursor `n`, or what the tree walk raises
             // for that access at this instance.
             let slot = |n: usize| match cursors[n].slot {
-                NO_SLOT => Err(s.faults[n].clone().unwrap_or_else(|| {
-                    let a: &Access = &accesses[n];
-                    ExecError::OutOfBounds {
-                        array: stores[a.array].0.clone(),
-                        idx: a.subscripts(env, x),
-                    }
-                })),
+                NO_SLOT => Err(s.fault(n, env, x)),
                 slot => Ok(slot),
             };
             let value = s.code.eval(&mut self.stack, |n| {
@@ -414,6 +512,7 @@ pub fn run(program: &Program, params: &HashMap<String, i128>) -> Result<Memory, 
         env: Vec::new(),
         cursors: Vec::new(),
         stack: Vec::new(),
+        cols: Vec::new(),
     };
     exec.exec(&code)?;
     mem.arrays.extend(exec.stores);
@@ -437,9 +536,12 @@ impl Interp<'_> {
     }
 
     fn subscripts(&self, r: &ArrayRef) -> Result<Vec<i128>, ExecError> {
+        let overflow = || ExecError::ArrayOverflow {
+            array: r.array.clone(),
+        };
         r.idx
             .iter()
-            .map(|a| eval_aff(a, &|v| self.lookup(v), self.params))
+            .map(|a| eval_aff(a, &|v| self.lookup(v), self.params, overflow))
             .collect()
     }
 
@@ -499,7 +601,7 @@ impl Interp<'_> {
                 for a in args {
                     vals.push(self.eval(a, stmt, iter, read_no)?);
                 }
-                Ok(eval_intrinsic(&vals))
+                Ok(eval_intrinsic(vals))
             }
         }
     }
@@ -536,8 +638,9 @@ fn run_with_static_ids(
     for node in nodes {
         match node {
             Node::Loop(l) => {
-                let lo = eval_aff(&l.lower, &|v| interp.lookup(v), interp.params)?;
-                let hi = eval_aff(&l.upper, &|v| interp.lookup(v), interp.params)?;
+                let overflow = || ExecError::LoopOverflow { var: l.var.clone() };
+                let lo = eval_aff(&l.lower, &|v| interp.lookup(v), interp.params, overflow)?;
+                let hi = eval_aff(&l.upper, &|v| interp.lookup(v), interp.params, overflow)?;
                 let id_at_entry = *next_id;
                 let mut id_after = id_at_entry;
                 if lo > hi {
@@ -897,6 +1000,7 @@ mod tests {
                 Err(ExecError::OutOfBounds { .. }) => oob += 1,
                 Err(ExecError::UndeclaredArray(_)) => undeclared += 1,
                 Err(ExecError::UnboundParam(_)) => unbound += 1,
+                Err(e) => panic!("no value drawn overflows, but {e}"),
             }
         }
         // Every outcome is drawn often enough to mean something.
@@ -906,6 +1010,51 @@ mod tests {
         );
         assert!(oob > 300, "{oob} out of bounds");
         assert!(undeclared > 20 && unbound > 20, "{undeclared} / {unbound}");
+    }
+
+    /// Subscript, bound and extent arithmetic is checked on both sides:
+    /// `2^126 · 4` is an overflow, not a write of `A[0]`.
+    #[test]
+    fn overflowing_arithmetic_is_an_error_not_a_wrap() {
+        let big = 1i128 << 126;
+        let check = |text: &str| {
+            let text = format!("param N; array A[4]; {text}");
+            let env = params(&[("N", 4)]);
+            assert_same(&crate::parse(&text).expect("parses"), &env)
+        };
+        let array = |a: &str| {
+            Err(ExecError::ArrayOverflow {
+                array: a.to_owned(),
+            })
+        };
+        let var = |v: &str| Err(ExecError::LoopOverflow { var: v.to_owned() });
+        assert_eq!(
+            check(&format!("for i = 4 to 4 {{ A[{big} * i] = 7.0; }}")),
+            array("A")
+        );
+        // A range whose end overflows fails at its first instance outside.
+        assert_eq!(
+            check(&format!("for i = 0 to 4 {{ A[{big} * i] = 7.0; }}")),
+            Err(ExecError::OutOfBounds {
+                array: "A".to_owned(),
+                idx: vec![big],
+            })
+        );
+        assert_eq!(check(&format!("A[0] = A[{big} * N];")), array("A"));
+        assert_eq!(
+            check(&format!("for i = 0 to {big} * N {{ A[0] = 1.0; }}")),
+            var("i")
+        );
+        assert_eq!(
+            check(&format!(
+                "for i = 3 to 4 {{ for j = 0 to {big} * i {{ A[0] = 1.0; }} }}"
+            )),
+            var("j")
+        );
+        assert_eq!(check(&format!("array C[{big} * N];")), array("C"));
+        // `2^64 · 2^64` elements: the product, not an extent, overflows.
+        let side = 1i128 << 64;
+        assert_eq!(check(&format!("array C[{side}][{side}];")), array("C"));
     }
 
     #[test]

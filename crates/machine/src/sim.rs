@@ -76,6 +76,23 @@
 //! oracle. Everything a distributed run can get wrong stays here and is
 //! not shared: which processor runs a block and when, presence, versions,
 //! what a message carries and which copy wins.
+//!
+//! # Strips
+//!
+//! A block inside every array runs in strips, as the interpreter does:
+//! [`LoweredStmt::strip_len`] gives the block's flow-dependence distance
+//! (capped at [`dmc_ir::lower::STRIP_MAX`]), and each strip of that many
+//! elements is evaluated op by op over columns
+//! ([`LoweredStmt::eval_strip`]) and then written in element order, each
+//! element with its own version. Before a strip writes anything, every
+//! slot its reads touch must hold a copy; if one does not, the strip is
+//! run again element by element, which writes the elements before the
+//! first missing read and reports that read's
+//! [`SimError::MissingValue`] — the error, and the memory left behind,
+//! that running the whole block element by element gives. Distance 1 (an
+//! in-place recurrence) runs element by element throughout. The values
+//! are bit-identical either way: each element performs the same `f64`
+//! operations in the same order.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -83,7 +100,7 @@ use std::rc::Rc;
 
 use dmc_decomp::{DataDecomp, ProcGrid};
 use dmc_ir::interp::Memory;
-use dmc_ir::lower::{Access, Cursor, LoweredStmt, NO_SLOT};
+use dmc_ir::lower::{Access, Cursor, LoweredStmt, Unlowered, NO_SLOT};
 use dmc_ir::{ArrayRef, Program, StmtInfo};
 
 use dmc_obs as obs;
@@ -732,8 +749,48 @@ fn lower(
                 r.array
             )));
         }
-        Access::new(r, array, &loops, params).map_err(|v| bad(format!("unbound parameter {v}")))
+        Access::new(r, array, &loops, params).map_err(|e| match e {
+            Unlowered::Unbound(v) => bad(format!("unbound parameter {v}")),
+            Unlowered::Overflow => bad(format!("a subscript of {} overflows", r.array)),
+        })
     })
+}
+
+/// What element `x` of a block of `stmt` at `prefix` on processor `p`
+/// raises at its access `n`: a read that finds no copy is a
+/// [`SimError::MissingValue`], a write outside its array
+/// [`SimError::OutOfBounds`], and a subscript that leaves `i128` a
+/// [`SimError::MalformedSchedule`].
+#[cold]
+fn element_error(
+    arrays: &[ArrayLayout<'_>],
+    p: usize,
+    stmt: usize,
+    prefix: &[i128],
+    x: i128,
+    s: &LoweredStmt,
+    n: usize,
+) -> SimError {
+    let access = &s.accesses[n];
+    let array = arrays[access.array].name.to_owned();
+    let Some(idx) = access.subscripts(prefix, x) else {
+        return SimError::MalformedSchedule(format!("S{stmt}: a subscript of {array} overflows"));
+    };
+    if n == s.write() {
+        SimError::OutOfBounds {
+            proc: p,
+            array,
+            idx,
+            stmt,
+        }
+    } else {
+        SimError::MissingValue {
+            proc: p,
+            array,
+            idx,
+            stmt,
+        }
+    }
 }
 
 /// One processor's memory: per slot a value and the version of the copy
@@ -778,6 +835,7 @@ struct Machine<'a> {
     // Scratch of `run_block`, kept so a block allocates nothing.
     cursors: Vec<Cursor>,
     stack: Vec<f64>,
+    cols: Vec<f64>,
 }
 
 impl<'a> Machine<'a> {
@@ -868,6 +926,7 @@ impl<'a> Machine<'a> {
             global,
             cursors: Vec::new(),
             stack: Vec::new(),
+            cols: Vec::new(),
         })
     }
 
@@ -886,7 +945,11 @@ impl<'a> Machine<'a> {
     }
 
     /// Executes elements `lo..=hi` of a block of `stmt`; element `lo`
-    /// writes version `first`, each next one the next version.
+    /// writes version `first`, each next one the next version. A range
+    /// inside every array runs in strips ([`LoweredStmt::strip_len`]); a
+    /// strip any of whose reads finds no copy runs element by element, so
+    /// the first [`SimError::MissingValue`] is the one execution order
+    /// meets.
     fn run_range(
         &mut self,
         p: usize,
@@ -911,37 +974,54 @@ impl<'a> Machine<'a> {
         }
 
         let mem = &mut self.local[p];
-        let accesses = &s.accesses;
         let write = s.write();
-        let name = |a: &Access| arrays[a.array].name.to_owned();
+        // `resolve` fitted every block's span into a version.
+        let count = match hi.checked_sub(lo) {
+            Some(span) if span >= 0 => usize::try_from(span).expect("span fits a version") + 1,
+            _ => 0,
+        };
+        let strip = if count > 1 {
+            s.strip_len(&self.cursors, count)
+        } else {
+            1
+        };
+        // Distance 1 runs the whole range element by element.
+        let chunk = if strip > 1 { strip } else { count.max(1) };
         let mut version = first;
-        for x in lo..=hi {
+        for done in (0..count).step_by(chunk) {
+            let (from, len) = (lo + done as i128, chunk.min(count - done));
             let cursors = &self.cursors;
-            let value = s.eval(&mut self.stack, |n| {
-                let slot = cursors[n].slot;
-                if mem.holds(slot) {
-                    Ok(mem.vals[slot])
-                } else {
-                    Err(SimError::MissingValue {
-                        proc: p,
-                        array: name(&accesses[n]),
-                        idx: accesses[n].subscripts(prefix, x),
-                        stmt,
-                    })
+            let held =
+                strip > 1 && (0..write).all(|n| cursors[n].slots(len).all(|slot| mem.holds(slot)));
+            if held {
+                let vals = &mem.vals;
+                let values = s.eval_strip(cursors, len, &mut self.cols, |_| vals);
+                for (slot, &value) in cursors[write].slots(len).zip(values) {
+                    mem.put(slot, value, version);
+                    version = version.next();
                 }
-            })?;
-            let slot = cursors[write].slot;
-            if slot == NO_SLOT {
-                return Err(SimError::OutOfBounds {
-                    proc: p,
-                    array: name(&accesses[write]),
-                    idx: accesses[write].subscripts(prefix, x),
-                    stmt,
-                });
+                self.cursors.iter_mut().for_each(|c| c.skip(len));
+                continue;
             }
-            mem.put(slot, value, version);
-            version = version.next();
-            self.cursors.iter_mut().for_each(Cursor::step);
+            for x in from..from + len as i128 {
+                let cursors = &self.cursors;
+                let error = |n: usize| element_error(arrays, p, stmt, prefix, x, s, n);
+                let value = s.eval(&mut self.stack, |n| {
+                    let slot = cursors[n].slot;
+                    if mem.holds(slot) {
+                        Ok(mem.vals[slot])
+                    } else {
+                        Err(error(n))
+                    }
+                })?;
+                let slot = cursors[write].slot;
+                if slot == NO_SLOT {
+                    return Err(error(write));
+                }
+                mem.put(slot, value, version);
+                version = version.next();
+                self.cursors.iter_mut().for_each(Cursor::step);
+            }
         }
         Ok(())
     }

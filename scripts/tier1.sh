@@ -20,6 +20,10 @@ cargo test -q
 # checks, so this is where a silent `i128` wrap in the parser would show
 # (the debug run above catches only a panic).
 cargo test --release -q -p dmc-ir
+# The machine crate in release for the same reason: the values-mode
+# simulator's strips step slot numbers by strides, and its tests then run
+# without overflow checks too.
+cargo test --release -q -p dmc-machine
 # The artifact fuzz in release for the same reason: the canonical varint
 # and row checks are width and shift arithmetic, which the debug run
 # checks for overflow and the release build does not.
