@@ -12,14 +12,18 @@
 //! the program texts — the registry's, printed, and one of each corpus
 //! family — and by token and numeral insertions besides: each mutant
 //! parses to a program that prints and re-parses to itself, or is a
-//! `ParseError`, never a panic.
+//! `ParseError`, never a panic. And so is a populated `DiskStore`'s
+//! `index.tsv`, with its own tokens: each mutant opens (or is an I/O
+//! error), replays to the same keys when opened again, and serves every
+//! key the bytes stored under it, or a miss.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use dmc_bench::test_workloads;
 use dmc_core::{Artifact, ArtifactStore, CompileInput, Options, Session, StageId, StoreStats};
 use dmc_ir::fp::Fingerprint;
+use dmc_store::DiskStore;
 
 /// Mutations per recorded payload, of each of the three kinds.
 const MUTATIONS: usize = 256;
@@ -220,8 +224,8 @@ for i = 1 to N - 1 { for j = 0 to i - 1 { Y[i] = Y[i] - 0.25 * L[i][j] * Y[j]; }
 ",
 ];
 
-/// What [`mutate_program`] inserts: tokens, and numerals at and past the
-/// ends of `i128` and of a finite `f64`.
+/// What [`mutate_text`] inserts into a program: tokens, and numerals at
+/// and past the ends of `i128` and of a finite `f64`.
 const SNIPPETS: [&str; 12] = [
     "170141183460469231731687303715884105727",
     "170141183460469231731687303715884105728",
@@ -237,15 +241,15 @@ const SNIPPETS: [&str; 12] = [
     "(",
 ];
 
-/// Mutates a program text by the `n`th of four kinds: the three of
-/// [`mutate`], or one to three insertions from [`SNIPPETS`].
-fn mutate_program(text: &mut Vec<u8>, n: usize, rng: &mut XorShift) {
+/// Mutates a text by the `n`th of four kinds: the three of [`mutate`], or
+/// one to three insertions from `snippets`.
+fn mutate_text(text: &mut Vec<u8>, n: usize, rng: &mut XorShift, snippets: &[&str]) {
     if n % 4 < 3 {
         mutate(text, n, rng);
     } else {
         for _ in 0..=rng.below(3) {
             let at = rng.below(text.len() + 1);
-            let snippet = SNIPPETS[rng.below(SNIPPETS.len())];
+            let snippet = snippets[rng.below(snippets.len())];
             text.splice(at..at, snippet.bytes());
         }
     }
@@ -263,7 +267,7 @@ fn mutated_programs_parse_and_reprint_or_refuse_without_panic() {
         dmc_ir::parse(text).expect("the unmutated program parses");
         for n in 0..4 * MUTATIONS {
             let mut m = text.clone().into_bytes();
-            mutate_program(&mut m, n, &mut rng);
+            mutate_text(&mut m, n, &mut rng, &SNIPPETS);
             let m = String::from_utf8_lossy(&m);
             match dmc_ir::parse(&m) {
                 Ok(program) => {
@@ -284,4 +288,97 @@ fn mutated_programs_parse_and_reprint_or_refuse_without_panic() {
         parsed > 0 && refused > parsed,
         "{parsed} parsed, {refused} refused"
     );
+}
+
+/// What [`mutate_text`] inserts into a store's `index.tsv`: its
+/// separators, a tombstone, the header, and numerals at and past the ends
+/// of a sequence number (`u64`), a stage tag (`u8`) and a key (`u128`).
+const INDEX_SNIPPETS: [&str; 12] = [
+    "\t",
+    "\n",
+    "-",
+    "\t-\n",
+    "dmc-store v1\n",
+    "0",
+    "256",
+    "18446744073709551615",
+    "18446744073709551616",
+    "ffffffffffffffffffffffffffffffff",
+    "fffffffffffffffffffffffffffffffff",
+    "\r",
+];
+
+#[test]
+fn mutated_store_indexes_open_and_serve_only_stored_bytes() {
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("index-fuzz");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut session = Session::new();
+    session.attach_store(Box::new(DiskStore::open(&dir, None).expect("open store")));
+    for w in test_workloads() {
+        let input = (w.input)(w.nproc);
+        session
+            .serve(w.name, input, Options::full(), &w.params, 50_000_000)
+            .unwrap_or_else(|e| panic!("{}: serves: {e}", w.name));
+    }
+    drop(session);
+
+    // What was stored: every key's payload, read through a sound index.
+    let index = dir.join("index.tsv");
+    let log = std::fs::read(&index).expect("the index");
+    let mut store = DiskStore::open(&dir, None).expect("reopen store");
+    let stored: BTreeMap<_, _> = store
+        .keys()
+        .into_iter()
+        .map(|(stage, key)| {
+            let artifact = store.load(stage, key).expect("a stored artifact loads");
+            ((stage, key), artifact.encode_payload(stage))
+        })
+        .collect();
+    drop(store);
+    assert!(stored.len() > 8, "{} entries stored", stored.len());
+
+    let mut rng = XorShift(0x5EED_1DE7);
+    let (mut served, mut missed) = (0, 0);
+    for n in 0..4 * MUTATIONS {
+        let mut m = log.clone();
+        mutate_text(&mut m, n, &mut rng, &INDEX_SNIPPETS);
+        std::fs::write(&index, &m).expect("write the mutant");
+        let Ok(first) = DiskStore::open(&dir, None) else {
+            continue;
+        };
+        let keys = first.keys();
+        drop(first);
+        let mut store = DiskStore::open(&dir, None).expect("reopen a replayed index");
+        assert_eq!(store.keys(), keys, "mutant {n} replays to other keys");
+        let asked: BTreeSet<_> = keys.into_iter().chain(stored.keys().copied()).collect();
+        for (stage, key) in asked {
+            match store.load(stage, key) {
+                Some(artifact) => {
+                    assert!(
+                        stored.get(&(stage, key)) == Some(&artifact.encode_payload(stage)),
+                        "mutant {n}: {stage:?} {key:?} serves bytes it was not stored with"
+                    );
+                    served += 1;
+                }
+                None => missed += 1,
+            }
+        }
+    }
+    // Not vacuous: most mutants keep most entries, some lose some.
+    assert!(
+        served > missed && missed > 0,
+        "{served} served, {missed} missed"
+    );
+
+    // The artifact files are untouched: the sound index serves them all.
+    std::fs::write(&index, &log).expect("restore the index");
+    let mut store = DiskStore::open(&dir, None).expect("reopen store");
+    for ((stage, key), bytes) in &stored {
+        let artifact = store.load(*stage, *key).expect("still stored");
+        assert!(
+            artifact.encode_payload(*stage) == *bytes,
+            "{stage:?} {key:?}"
+        );
+    }
+    assert!(store.quarantined().expect("the quarantine").is_empty());
 }

@@ -427,25 +427,31 @@ fn anchored_chunks<'f>(
 /// Per set, its first chunk that is not *safe*: one whose sender has a
 /// receive anchored at a stamp `t` with `recv ≤ t ≤ send`. A plan whose
 /// chunks are all safe cannot deadlock (DESIGN.md "Aggregation legality").
+/// Also per processor the [`Key`]s of its receives, sorted: the schedule
+/// of the round whose chunks are all safe takes them over.
 fn first_unsafe<'c, 'f>(
     nproc: usize,
     sets: usize,
     chunks: &'c [Anchored<'f>],
-) -> Vec<Option<&'c Anchored<'f>>> {
-    let mut recvs: Vec<Vec<StampRef<'f>>> = vec![Vec::new(); nproc];
+) -> (Vec<Option<&'c Anchored<'f>>>, Vec<Vec<Key<'f>>>) {
+    // Exact capacities: the last round's keys outlive it, into the
+    // schedule, and growing them left holes in the heap.
+    let mut counts = vec![0; nproc];
+    chunks.iter().for_each(|c| counts[c.receiver] += 1);
+    let mut recvs: Vec<Vec<Key<'f>>> = counts.into_iter().map(Vec::with_capacity).collect();
     for c in chunks {
-        recvs[c.receiver].push(c.recv);
+        recvs[c.receiver].push((c.recv, -1, c.msg));
     }
     recvs.iter_mut().for_each(|r| r.sort_unstable());
     let mut first = vec![None; sets];
     for c in chunks {
         let q = &recvs[c.sender];
-        let at = q.partition_point(|t| *t < c.recv);
-        if first[c.set].is_none() && q.get(at).is_some_and(|t| *t <= c.send) {
+        let at = q.partition_point(|t| t.0 < c.recv);
+        if first[c.set].is_none() && q.get(at).is_some_and(|t| t.0 <= c.send) {
             first[c.set] = Some(c);
         }
     }
-    first
+    (first, recvs)
 }
 
 /// Folds one communication set at `splits` under the physical grid, with
@@ -493,13 +499,11 @@ fn schedule_at_legal_splits(
 ) -> Result<(Vec<usize>, Schedule), CompileError> {
     let nproc = compiled.input.grid.len() as usize;
     let mut splits = vec![0; compiled.comm.len()];
-    let chunks = loop {
+    let (chunks, recvs) = loop {
         let chunks = anchored_chunks(compiled, &plan.folds, &plan.templates, &splits);
+        let (unsafe_chunks, recvs) = first_unsafe(nproc, splits.len(), &chunks);
         let mut deepen = Vec::new();
-        for a in first_unsafe(nproc, splits.len(), &chunks)
-            .into_iter()
-            .flatten()
-        {
+        for a in unsafe_chunks.into_iter().flatten() {
             let (k, cs) = (a.set, &compiled.comm[a.set]);
             if cs.split_depth(splits[k] + 1) == cs.split_depth(splits[k]) {
                 let why = format!("set {k} at full depth has an unsafe chunk: {a:?}");
@@ -508,7 +512,7 @@ fn schedule_at_legal_splits(
             deepen.push((k, a.fold, a.chunk, a.sender, a.receiver));
         }
         if deepen.is_empty() {
-            break chunks;
+            break (chunks, recvs);
         }
         for (k, fold, chunk, sender, receiver) in deepen {
             let cs = &compiled.comm[k];
@@ -532,7 +536,7 @@ fn schedule_at_legal_splits(
         compiled,
         param_vals,
         values,
-        chunks,
+        (chunks, recvs),
         &plan.folds,
         &plan.templates,
         plan.rows,
@@ -717,14 +721,14 @@ fn hoist(
 }
 
 /// The schedule built from the chunks of each set at its legality split,
-/// `chunks` (anchored in `folds` and `templates`), taking over the plan's
-/// payload rows; the compute blocks are enumerated here, once the splits
-/// are settled.
-fn build_schedule_at(
+/// `chunks` (anchored in `folds` and `templates`), and each processor's
+/// sorted receive keys `recvs`, taking over the plan's payload rows; the
+/// compute blocks are enumerated here, once the splits are settled.
+fn build_schedule_at<'a>(
     compiled: &Compiled,
     param_vals: &[i128],
     values: bool,
-    chunks: Vec<Anchored<'_>>,
+    (chunks, recvs): (Vec<Anchored<'a>>, Vec<Vec<Key<'a>>>),
     folds: &[Vec<Folded>],
     templates: &[Stamp],
     mut rows: Vec<Vec<ClassRows>>,
@@ -732,9 +736,9 @@ fn build_schedule_at(
     let nproc = compiled.input.grid.len() as usize;
     let mut schedule = Schedule::new(nproc);
 
-    // 1. Messages, in order, and per processor the keys of its message
-    // actions, which take over the chunks' anchors.
-    let mut pending: Vec<Vec<Key>> = (0..nproc).map(|_| Vec::new()).collect();
+    // 1. Messages, in order, and per processor the keys of its sends,
+    // which take over the chunks' anchors.
+    let mut sends: Vec<Vec<Key>> = (0..nproc).map(|_| Vec::new()).collect();
     for group in chunks.chunk_by(|a, b| a.msg == b.msg) {
         let (head, cs) = (&group[0], &compiled.comm[group[0].set]);
         let fold = &folds[head.set][head.fold];
@@ -765,10 +769,7 @@ fn build_schedule_at(
             width: fold.item_width(),
             rows: std::mem::take(&mut rows[head.set][head.fold][first.payload]),
         });
-        pending[sender].push((head.send, 1, msg_id));
-        for a in group {
-            pending[a.receiver].push((a.recv, -1, msg_id));
-        }
+        sends[sender].push((head.send, 1, msg_id));
         schedule.messages.push(MessageSpec {
             sender,
             receivers,
@@ -785,11 +786,15 @@ fn build_schedule_at(
         block_runs(compiled, param_vals, templates)?
     };
 
-    // 3. Per processor, one forward merge of its blocks and its sorted
-    // message actions into its action list: of its exact size unless a
-    // receive cuts a block, then shrunk to it.
-    for ((out, mut acts), runs) in schedule.procs.iter_mut().zip(pending).zip(runs) {
-        acts.sort_unstable();
+    // 3. Per processor, one forward merge of its blocks and its message
+    // actions — its sends sorted, merged with its sorted receives — into
+    // its action list: of its exact size unless a receive cuts a block,
+    // then shrunk to it.
+    let acts = sends.into_iter().zip(recvs).map(|(mut sends, recvs)| {
+        sends.sort_unstable();
+        merge_keys(sends, recvs)
+    });
+    for ((out, acts), runs) in schedule.procs.iter_mut().zip(acts).zip(runs) {
         let blocks: usize = runs.iter().map(Vec::len).sum();
         out.reserve_exact(blocks + acts.len());
         out.extend(ProcActions {
@@ -803,6 +808,18 @@ fn build_schedule_at(
         out.shrink_to_fit();
     }
     Ok(schedule)
+}
+
+/// Two sorted key lists as one sorted list.
+fn merge_keys<'a>(a: Vec<Key<'a>>, b: Vec<Key<'a>>) -> Vec<Key<'a>> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
+    while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
+        let next = if x < y { a.next() } else { b.next() };
+        out.extend(next);
+    }
+    out.extend(a.chain(b));
+    out
 }
 
 /// One processor's actions in execution order, in one forward pass: its
@@ -1086,11 +1103,13 @@ mod tests {
         fresh.refold(&compiled, k, &[12], LIMIT, true, 2).unwrap();
         let at = |plan: HoistedPlan, splits: &[usize]| {
             let chunks = anchored_chunks(&compiled, &plan.folds, &plan.templates, splits);
+            let (_, recvs) =
+                first_unsafe(compiled.input.grid.len() as usize, splits.len(), &chunks);
             build_schedule_at(
                 &compiled,
                 &[12],
                 true,
-                chunks,
+                (chunks, recvs),
                 &plan.folds,
                 &plan.templates,
                 plan.rows,
@@ -1129,7 +1148,7 @@ mod tests {
         }
         let chunks = anchored_chunks(&compiled, &plan.folds, &plan.templates, &splits);
         let nproc = compiled.input.grid.len() as usize;
-        let unsafe_chunks = first_unsafe(nproc, splits.len(), &chunks);
+        let (unsafe_chunks, _) = first_unsafe(nproc, splits.len(), &chunks);
         assert!(
             unsafe_chunks.iter().all(Option::is_none),
             "{what}: {unsafe_chunks:?}"

@@ -2,10 +2,11 @@
 //! simulator run a range of instances that cannot see one another's writes
 //! in strips, op by op over columns (`dmc_ir::lower`). These checks hold the
 //! strips, bit for bit, to the tree walk of `interp::run_traced` and the
-//! values-mode run to the interpreter, on random single-statement nests and
-//! on named cases of the dependence-distance rule; and they pin the first
-//! `MissingValue` a values-mode LU run reports when a receive or a payload
-//! row is dropped.
+//! values-mode run to the interpreter, on random single-statement nests,
+//! on named cases of the strip rule and on carried reads (which a strip
+//! takes from its own values); and they pin the first `MissingValue` a
+//! values-mode LU run reports when a receive or a payload row is dropped,
+//! and a values-mode stencil run when a halo receive is dropped.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -31,9 +32,14 @@ fn bits(mem: &Memory) -> BTreeMap<String, Vec<u64>> {
 /// `run` ≡ `run_traced` on `program` at `N = n`, bit for bit; returns the
 /// memory.
 fn interpreted(what: &str, program: &Program, n: i128) -> Memory {
-    let env = HashMap::from([("N".to_owned(), n)]);
-    let run = interp::run(program, &env).unwrap_or_else(|e| panic!("{what}: {e}"));
-    let (walked, _) = interp::run_traced(program, &env).expect("the tree walk agrees");
+    interpreted_at(what, program, &HashMap::from([("N".to_owned(), n)]))
+}
+
+/// `run` ≡ `run_traced` on `program` under `env`, bit for bit; returns the
+/// memory.
+fn interpreted_at(what: &str, program: &Program, env: &HashMap<String, i128>) -> Memory {
+    let run = interp::run(program, env).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let (walked, _) = interp::run_traced(program, env).expect("the tree walk agrees");
     assert_eq!(bits(&run), bits(&walked), "{what}: run against run_traced");
     run
 }
@@ -175,6 +181,100 @@ fn the_distance_rule_cases_equal_instances() {
         let text = format!("param N; array A[120]; array B[120]; for i = 3 to 36 {{ {stmt} }}");
         let program = dmc_ir::parse(&text).unwrap_or_else(|e| panic!("{what}: {e:?}"));
         assert!(simulated(what, &program, "i", 12, 0), "{what} plans");
+    }
+}
+
+/// Carried reads — a read of the element written `d` instances earlier,
+/// which a strip takes from its own values — on `A[120]`, `B[120]` over
+/// `i = 3 … 36` (`N = 40`), each held to the tree walk and to a
+/// values-mode run with `i` in blocks of 12: the carry on either side of
+/// an operator, beside an anti-dependent read, at distance 2, at a
+/// distance that cuts the strips, twice in one product, under negation
+/// and inside `f(…)`, along a reversed subscript, and carrying NaN and
+/// −0.0.
+#[test]
+fn carried_reads_equal_instances() {
+    let cases = [
+        ("a reduction", "A[0] = A[0] + B[i];"),
+        ("the carry as the left operand", "A[i] = A[i - 1] * 0.75;"),
+        (
+            "the carry as the right operand, beside an anti-dependent read",
+            "A[i] = A[i + 1] - A[i - 1];",
+        ),
+        ("distance 2", "A[i] = A[i - 2] + A[i + 3];"),
+        ("distance 5, strips of 5", "A[i + 5] = A[i] * 0.5 + B[i];"),
+        ("distances 1 and 6", "A[i + 6] = A[i] - A[i + 5];"),
+        ("two carried reads", "A[i] = A[i - 1] * A[i - 1];"),
+        ("a carry under negation", "A[i] = -A[i - 1] + B[i];"),
+        ("a carry inside f", "A[i] = f(B[i], A[i - 1], 0.5) * 0.75;"),
+        (
+            "two carries inside f",
+            "A[i] = f(A[i - 2], B[i] - A[i - 1], A[i + 1]);",
+        ),
+        ("a reversed subscript", "A[N - i] = A[N - i + 1] + 1.0;"),
+        ("a NaN operand", "A[i] = A[i - 1] * (0.0 / 0.0) + B[i];"),
+        ("−0.0 operands", "A[i] = A[i - 1] * -0.0 + -0.0;"),
+    ];
+    for (what, stmt) in cases {
+        let text = format!("param N; array A[120]; array B[120]; for i = 3 to 36 {{ {stmt} }}");
+        let program = dmc_ir::parse(&text).unwrap_or_else(|e| panic!("{what}: {e:?}"));
+        assert!(simulated(what, &program, "i", 12, 40), "{what} plans");
+    }
+}
+
+/// The relaxation stencil `X[i] = c · (X[i] + X[i − 1] + X[i + 1])`, an
+/// in-place recurrence with a carried read, in blocks of 8 on three
+/// processors, each of which starts with its block of `X` only.
+fn stencil_input() -> CompileInput {
+    let program = dmc_ir::parse(
+        "param T, N; array X[N + 1];
+         for t = 0 to T { for i = 1 to N - 1 { X[i] = 0.25 * (X[i] + X[i - 1] + X[i + 1]); } }",
+    )
+    .expect("the stencil parses");
+    CompileInput {
+        program,
+        comps: BTreeMap::from([(0, CompDecomp::block_1d(0, "i", 8))]),
+        initial: HashMap::from([("X".to_string(), DataDecomp::block_1d("X", 1, 0, 8))]),
+        grid: ProcGrid::line(3),
+    }
+}
+
+/// A values-mode stencil run (T = 3, N = 23) missing one of processor
+/// 1's first two halo receives reports the element execution order first
+/// misses: `X[7]` at the block's first element (the carried read's first
+/// slot), `X[16]` at its last. Both errors were recorded before strips
+/// carried reads.
+#[test]
+fn a_dropped_halo_receive_misses_the_same_element() {
+    let input = stencil_input();
+    let program = input.program.clone();
+    let initial = InitialPlacement::Owned(input.initial.clone());
+    let grid = input.grid.clone();
+    let compiled = compile(input, Options::full()).expect("the stencil compiles");
+    let schedule = build_schedule(&compiled, &[3, 23], true, LIMIT).expect("the stencil plans");
+    let env = HashMap::from([("T".to_owned(), 3), ("N".to_owned(), 23)]);
+    let cfg = MachineConfig::ipsc860();
+    let full = simulate(&program, &env, &grid, &schedule, &cfg, &initial, true)
+        .expect("the whole plan runs");
+    assert_eq!(
+        bits(&full.memory.expect("values mode")),
+        bits(&interpreted_at("the stencil", &program, &env)),
+    );
+    let missing = |proc, i| SimError::MissingValue {
+        proc,
+        array: "X".into(),
+        idx: vec![i],
+        stmt: 0,
+    };
+    let recvs: Vec<usize> = (0..schedule.procs[1].len())
+        .filter(|&a| matches!(schedule.procs[1][a], Action::Recv { .. }))
+        .collect();
+    for (nth, want) in [(0, missing(1, 7)), (1, missing(1, 16))] {
+        let mut dropped = schedule.clone();
+        dropped.procs[1].remove(recvs[nth]);
+        let got = simulate(&program, &env, &grid, &dropped, &cfg, &initial, true)
+            .expect_err("a value is missing");
+        assert_eq!(got, want, "receive {nth} of processor 1 dropped");
     }
 }
 

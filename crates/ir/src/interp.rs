@@ -15,7 +15,7 @@ use std::fmt;
 
 use crate::aff::Aff;
 use crate::lower::{
-    eval_row, lower_aff, Access, Cursor, LoweredStmt, Unlowered, NO_ARRAY, NO_SLOT,
+    eval_row, lower_aff, Access, Columns, Cursor, LoweredStmt, Unlowered, NO_ARRAY, NO_SLOT,
 };
 use crate::program::{ArrayRef, Node, Program, ScalarExpr};
 
@@ -394,7 +394,7 @@ struct Exec {
     cursors: Vec<Cursor>,
     stack: Vec<f64>,
     /// A strip's columns.
-    cols: Vec<f64>,
+    cols: Columns,
 }
 
 impl Exec {
@@ -448,23 +448,26 @@ impl Exec {
         let count = hi
             .checked_sub(lo)
             .and_then(|d| usize::try_from(d).ok()?.checked_add(1));
-        if let Some(count) = count.filter(|&c| c > 1) {
-            let strip = s.code.strip_len(&self.cursors, count);
-            if strip > 1 {
-                for at in (0..count).step_by(strip) {
-                    let len = strip.min(count - at);
-                    let stores = &mut self.stores;
-                    let values = s.code.eval_strip(&self.cursors, len, &mut self.cols, |n| {
-                        &stores[accesses[n].array].1.data
-                    });
-                    let out = &mut stores[accesses[write].array].1.data;
-                    for (slot, &value) in self.cursors[write].slots(len).zip(values) {
-                        out[slot] = value;
-                    }
-                    self.cursors.iter_mut().for_each(|c| c.skip(len));
+        // A range of two or more instances (inside every array, by now)
+        // runs in strips, unless it must run instance by instance.
+        let strips = count
+            .filter(|&c| c > 1)
+            .and_then(|count| Some((count, s.code.strips(&self.cursors, count)?)));
+        if let Some((count, strips)) = strips {
+            for at in (0..count).step_by(strips.len) {
+                let len = strips.len.min(count - at);
+                let stores = &mut self.stores;
+                let memory = |n: usize| &stores[accesses[n].array].1.data[..];
+                let values = s
+                    .code
+                    .eval_strip(&self.cursors, strips, len, &mut self.cols, memory);
+                let out = &mut stores[accesses[write].array].1.data;
+                for (slot, &value) in self.cursors[write].slots(len).zip(values) {
+                    out[slot] = value;
                 }
-                return Ok(());
+                self.cursors.iter_mut().for_each(|c| c.skip(len));
             }
+            return Ok(());
         }
         for x in lo..=hi {
             let (stores, cursors, env) = (&mut self.stores, &self.cursors, &self.env);
@@ -512,7 +515,7 @@ pub fn run(program: &Program, params: &HashMap<String, i128>) -> Result<Memory, 
         env: Vec::new(),
         cursors: Vec::new(),
         stack: Vec::new(),
-        cols: Vec::new(),
+        cols: Columns::default(),
     };
     exec.exec(&code)?;
     mem.arrays.extend(exec.stores);

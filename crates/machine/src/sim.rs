@@ -80,19 +80,22 @@
 //! # Strips
 //!
 //! A block inside every array runs in strips, as the interpreter does:
-//! [`LoweredStmt::strip_len`] gives the block's flow-dependence distance
-//! (capped at [`dmc_ir::lower::STRIP_MAX`]), and each strip of that many
-//! elements is evaluated op by op over columns
-//! ([`LoweredStmt::eval_strip`]) and then written in element order, each
-//! element with its own version. Before a strip writes anything, every
-//! slot its reads touch must hold a copy; if one does not, the strip is
-//! run again element by element, which writes the elements before the
-//! first missing read and reports that read's
-//! [`SimError::MissingValue`] — the error, and the memory left behind,
-//! that running the whole block element by element gives. Distance 1 (an
-//! in-place recurrence) runs element by element throughout. The values
-//! are bit-identical either way: each element performs the same `f64`
-//! operations in the same order.
+//! [`LoweredStmt::strips`] gives the strip length (up to
+//! [`dmc_ir::lower::STRIP_MAX`]), and each strip is evaluated by
+//! [`LoweredStmt::eval_strip`] — op by op over columns, and instance by
+//! instance only downstream of a *carried* read, which takes the strip's
+//! own value `d` elements back ([`LoweredStmt::carry`]) — and then
+//! written in element order, each element with its own version. Before a
+//! strip writes anything, every slot its reads take from memory must hold
+//! a copy (a read carried at `d`: its first `d` slots; the rest are the
+//! strip's own writes); if one does not, the strip is run again element
+//! by element, which writes the elements before the first missing read
+//! and reports that read's [`SimError::MissingValue`] — the error, and the
+//! memory left behind, that running the whole block element by element
+//! gives. A read of the written array with another stride that meets the
+//! write's slots runs element by element throughout. The values are
+//! bit-identical either way: each element performs the same `f64`
+//! operations on the same operands in the same order.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -100,7 +103,7 @@ use std::rc::Rc;
 
 use dmc_decomp::{DataDecomp, ProcGrid};
 use dmc_ir::interp::Memory;
-use dmc_ir::lower::{Access, Cursor, LoweredStmt, Unlowered, NO_SLOT};
+use dmc_ir::lower::{Access, Columns, Cursor, LoweredStmt, Unlowered, NO_SLOT};
 use dmc_ir::{ArrayRef, Program, StmtInfo};
 
 use dmc_obs as obs;
@@ -835,7 +838,7 @@ struct Machine<'a> {
     // Scratch of `run_block`, kept so a block allocates nothing.
     cursors: Vec<Cursor>,
     stack: Vec<f64>,
-    cols: Vec<f64>,
+    cols: Columns,
 }
 
 impl<'a> Machine<'a> {
@@ -926,7 +929,7 @@ impl<'a> Machine<'a> {
             global,
             cursors: Vec::new(),
             stack: Vec::new(),
-            cols: Vec::new(),
+            cols: Columns::default(),
         })
     }
 
@@ -946,7 +949,7 @@ impl<'a> Machine<'a> {
 
     /// Executes elements `lo..=hi` of a block of `stmt`; element `lo`
     /// writes version `first`, each next one the next version. A range
-    /// inside every array runs in strips ([`LoweredStmt::strip_len`]); a
+    /// inside every array runs in strips ([`LoweredStmt::strips`]); a
     /// strip any of whose reads finds no copy runs element by element, so
     /// the first [`SimError::MissingValue`] is the one execution order
     /// meets.
@@ -980,22 +983,24 @@ impl<'a> Machine<'a> {
             Some(span) if span >= 0 => usize::try_from(span).expect("span fits a version") + 1,
             _ => 0,
         };
-        let strip = if count > 1 {
-            s.strip_len(&self.cursors, count)
-        } else {
-            1
-        };
-        // Distance 1 runs the whole range element by element.
-        let chunk = if strip > 1 { strip } else { count.max(1) };
+        let strips = (count > 1)
+            .then(|| s.strips(&self.cursors, count))
+            .flatten();
+        // Element by element, the whole range is one chunk.
+        let chunk = strips.map_or(count, |strips| strips.len).max(1);
         let mut version = first;
         for done in (0..count).step_by(chunk) {
             let (from, len) = (lo + done as i128, chunk.min(count - done));
             let cursors = &self.cursors;
-            let held =
-                strip > 1 && (0..write).all(|n| cursors[n].slots(len).all(|slot| mem.holds(slot)));
-            if held {
+            let held = strips.filter(|&strips| {
+                (0..write).all(|n| {
+                    let gathered = s.gathers(cursors, strips, len, n);
+                    cursors[n].slots(gathered).all(|slot| mem.holds(slot))
+                })
+            });
+            if let Some(strips) = held {
                 let vals = &mem.vals;
-                let values = s.eval_strip(cursors, len, &mut self.cols, |_| vals);
+                let values = s.eval_strip(cursors, strips, len, &mut self.cols, |_| vals);
                 for (slot, &value) in cursors[write].slots(len).zip(values) {
                     mem.put(slot, value, version);
                     version = version.next();

@@ -24,6 +24,9 @@ cargo test --release -q -p dmc-ir
 # simulator's strips step slot numbers by strides, and its tests then run
 # without overflow checks too.
 cargo test --release -q -p dmc-machine
+# The strips' oracle in release for the same reason: a carried read steps
+# output and slot indices, which only the debug run checks for overflow.
+cargo test --release -q -p dmc-core --test strips
 # The artifact fuzz in release for the same reason: the canonical varint
 # and row checks are width and shift arithmetic, which the debug run
 # checks for overflow and the release build does not.
