@@ -8,9 +8,10 @@
 //!
 //! The report is assembled here from typed parts: the trace's
 //! [`obs::Provenance`] renders the Reads, Reuse and Surviving messages
-//! sections; `machine_markdown` renders Simulation, Machine view and
-//! Critical path from the run's [`SimStats`] and [`CritAnalysis`]; the
-//! ledger's profile appends Hotspots.
+//! sections; `machine_markdown` renders Simulation from the run's
+//! [`SimStats`] totals, and Machine view and Critical path from its
+//! [`CritAnalysis`], the run's one account; the ledger's profile appends
+//! Hotspots.
 //!
 //! [`check`] is the battery. Per workload it asserts:
 //!
@@ -26,7 +27,8 @@
 //!   nothing recording are the captured ones;
 //! - **critical path**: the event DAG's longest path equals its makespan
 //!   equals the simulator's finish time; zero slack iff critical; blame
-//!   tiles the makespan per processor; every what-if pruned for its slack
+//!   tiles the makespan per processor; the links carry the simulator's
+//!   transmissions and words; every what-if pruned for its slack
 //!   leaves the makespan unchanged; the report carries the Critical path and
 //!   Hotspots sections.
 
@@ -34,7 +36,9 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use dmc_core::{build_schedule, compile, message_stats, run, Options};
-use dmc_machine::{critpath, Blame, CritAnalysis, MachineConfig, MsgBlame, Schedule, SimStats};
+use dmc_machine::{
+    critpath, Blame, CritAnalysis, LinkBlame, MachineConfig, MsgBlame, Schedule, SimStats,
+};
 use dmc_obs as obs;
 use dmc_obs::json::Json;
 use dmc_polyhedra::ledger::{self, CacheOutcome, Ledger};
@@ -146,8 +150,8 @@ fn profile_of(name: &str, ledger: &Ledger) -> obs::WorkProfile {
 }
 
 /// The report's Simulation, Machine view and Critical path sections, from
-/// the machine run's statistics and its critical-path analysis; messages
-/// are joined with their provenance by id.
+/// the machine run's totals and its critical-path analysis, which keeps
+/// the run's books; messages are joined with their provenance by id.
 fn machine_markdown(
     stats: &SimStats,
     crit: &CritAnalysis,
@@ -162,48 +166,62 @@ fn machine_markdown(
         stats.time, stats.flops, stats.messages, stats.transmissions, stats.words
     );
 
-    let ms = |v: f64| format!("{:.3} ms", v * 1e3);
+    // Through seconds, as the simulator reports time, so every printed
+    // digit is the one the simulator's seconds give.
+    let secs = |ns: u64| ns as f64 * 1e-9;
+    let ms = |ns: u64| format!("{:.3} ms", secs(ns) * 1e3);
     let _ = writeln!(out, "\n## Machine view");
     let _ = writeln!(
         out,
         "{} simulated processor(s); simulated time.",
-        stats.nproc()
+        crit.nproc
     );
-    for (p, v) in stats.per_proc.iter().enumerate() {
-        let shares = pct_shares(&[v.compute, v.comm, v.idle]);
+    for (p, b) in crit.per_proc.iter().enumerate() {
+        let comm = b.alpha_ns + b.beta_ns + b.contention_ns;
+        let shares = pct_shares(&[b.compute_ns, comm, b.recv_wait_ns].map(secs));
         let _ = writeln!(
             out,
             "- p{p}: compute {}{}, comm {}{}, idle {}{}, finish {}",
-            ms(v.compute),
+            ms(b.compute_ns),
             shares[0],
-            ms(v.comm),
+            ms(comm),
             shares[1],
-            ms(v.idle),
+            ms(b.recv_wait_ns),
             shares[2],
-            ms(v.finish)
+            ms(crit.makespan_ns - b.drain_ns)
         );
     }
-    if stats.transmissions > 0 {
-        // Bucket upper bounds from the exact log2 latency histogram (see
-        // `Log2Hist::quantile_bound`), hence the `<=`.
-        let h = &stats.latency_us_hist;
+    let mut latencies_us: Vec<u64> = (crit.latencies_ns().into_iter())
+        .map(|ns| (ns + 500) / 1000)
+        .collect();
+    if !latencies_us.is_empty() {
+        // The nearest-rank percentile, reported as the power of two at or
+        // above it, hence the `<=`.
+        latencies_us.sort_unstable();
+        let n = latencies_us.len();
+        let bound = |q: f64| {
+            let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
+            latencies_us[rank - 1].next_power_of_two()
+        };
         let _ = writeln!(
             out,
-            "- latency percentiles over {} transmission(s): \
+            "- latency percentiles over {n} transmission(s): \
              p50 <= {} us, p95 <= {} us, p99 <= {} us",
-            stats.transmissions,
-            h.p50().unwrap_or(0),
-            h.p95().unwrap_or(0),
-            h.p99().unwrap_or(0)
+            bound(0.50),
+            bound(0.95),
+            bound(0.99)
         );
     }
-    let links = stats.top_links(usize::MAX);
+    let mut links: Vec<&LinkBlame> = crit.links.iter().filter(|l| l.words > 0).collect();
+    // Stable: equal words stay in `(src, dst)` order.
+    links.sort_by_key(|l| std::cmp::Reverse(l.words));
     if !links.is_empty() {
         let _ = writeln!(out, "Top links by traffic:");
-        for (src, dst, words, transmissions) in links.iter().take(8) {
+        for l in links.iter().take(8) {
             let _ = writeln!(
                 out,
-                "- p{src} -> p{dst}: {words} word(s) in {transmissions} transmission(s)"
+                "- p{} -> p{}: {} word(s) in {} transmission(s)",
+                l.src, l.dst, l.words, l.transmissions
             );
         }
         if links.len() > 8 {

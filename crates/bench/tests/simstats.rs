@@ -1,11 +1,12 @@
-//! Simulator-telemetry invariants on the registry workloads: the traffic
-//! matrix, the size/latency histograms and the per-processor breakdowns
-//! must agree exactly with the aggregate statistics, in both timing and
-//! values mode.
+//! Simulator-telemetry invariants on the registry workloads: the
+//! critical-path analysis, which keeps the run's books, must decompose the
+//! simulator's totals exactly, and values mode must report the same
+//! totals as timing mode.
 
 use dmc_bench::{workloads, Workload};
-use dmc_core::{compile, run, Options};
-use dmc_machine::{MachineConfig, SimStats};
+use dmc_core::{build_schedule, compile, run, Options};
+use dmc_machine::critpath::{self, ns_of};
+use dmc_machine::{CritAnalysis, MachineConfig, SimStats};
 
 const LIMIT: usize = 50_000_000;
 
@@ -22,63 +23,58 @@ fn simulate(w: &Workload, values: bool) -> SimStats {
     .stats
 }
 
-/// Every simulated second lands in exactly one bucket: per processor,
-/// compute + comm + idle equals the local finish time (up to float
-/// accumulation), and no processor finishes after the reported run time.
+/// The simulator's totals of `w`'s timing-mode run, and the critical-path
+/// analysis of the same schedule.
+fn analyzed(w: &Workload) -> (SimStats, CritAnalysis) {
+    let config = MachineConfig::ipsc860();
+    let compiled = compile((w.input)(w.nproc), Options::full()).expect("compiles");
+    let schedule = build_schedule(&compiled, &w.params, false, LIMIT).expect("plans");
+    let stats = run(&compiled, &w.params, &config, false, LIMIT)
+        .expect("simulates")
+        .stats;
+    let crit = critpath::analyze(&schedule, &config).expect("analyzes");
+    (stats, crit)
+}
+
+/// Every simulated nanosecond lands in exactly one bucket: per processor,
+/// compute + comm + idle (the blame before the drain) is the local finish
+/// time, and the latest finish is the simulator's run time.
 #[test]
 fn per_proc_breakdown_sums_to_finish() {
     for w in workloads() {
-        let (name, s) = (w.name, simulate(&w, false));
-        assert_eq!(s.nproc(), w.nproc as usize, "{name}");
-        let mut max_finish: f64 = 0.0;
-        for (p, proc) in s.per_proc.iter().enumerate() {
-            let sum = proc.compute + proc.comm + proc.idle;
-            let tol = 1e-9 * proc.finish.max(1e-6);
-            assert!(
-                (sum - proc.finish).abs() <= tol,
-                "{name} p{p}: compute {} + comm {} + idle {} = {sum} != finish {}",
-                proc.compute,
-                proc.comm,
-                proc.idle,
-                proc.finish
-            );
-            max_finish = max_finish.max(proc.finish);
+        let (name, (s, crit)) = (w.name, analyzed(&w));
+        assert_eq!(crit.nproc, w.nproc as usize, "{name}");
+        assert_eq!(crit.per_proc.len(), crit.nproc, "{name}");
+        assert_eq!(crit.makespan_ns, ns_of(s.time), "{name}: makespan");
+        for (p, b) in crit.per_proc.iter().enumerate() {
+            assert_eq!(b.total(), crit.makespan_ns, "{name} p{p}: blame {b:?}");
         }
-        assert!(
-            (max_finish - s.time).abs() <= 1e-12,
-            "{name}: run time {} != max finish {max_finish}",
-            s.time
-        );
+        let last = crit.per_proc.iter().map(|b| b.drain_ns).min();
+        assert_eq!(last, Some(0), "{name}: no processor finishes last");
     }
 }
 
-/// The P×P traffic matrix and both histograms are exact decompositions of
-/// the aggregate counters.
+/// The links carry exactly the simulator's transmissions and words, none
+/// of them from a processor to itself, and every transmission has one
+/// latency.
 #[test]
-fn traffic_matrix_and_histograms_decompose_the_totals() {
+fn links_and_latencies_decompose_the_totals() {
     for w in workloads() {
-        let (name, s) = (w.name, simulate(&w, false));
+        let (name, (s, crit)) = (w.name, analyzed(&w));
         assert!(s.messages > 0, "{name}: workload should communicate");
-        assert_eq!(s.traffic_total(), s.words, "{name}: traffic matrix total");
-        assert_eq!(
-            s.traffic_transmissions.iter().sum::<u64>(),
-            s.transmissions,
-            "{name}: transmission matrix total"
-        );
-        assert_eq!(
-            s.msg_words_hist.count(),
-            s.messages,
-            "{name}: size histogram count"
-        );
-        assert_eq!(
-            s.latency_us_hist.count(),
-            s.transmissions,
-            "{name}: latency histogram count"
-        );
+        let transmissions: u64 = crit.links.iter().map(|l| l.transmissions).sum();
+        let words: u64 = crit.links.iter().map(|l| l.words).sum();
+        assert_eq!(transmissions, s.transmissions, "{name}: link transmissions");
+        assert_eq!(words, s.words, "{name}: link words");
         // No processor sends to itself: local data never becomes a message.
-        for p in 0..s.nproc() {
-            assert_eq!(s.link_words(p, p), 0, "{name}: self-loop traffic on p{p}");
+        for l in &crit.links {
+            assert_ne!(l.src, l.dst, "{name}: self-loop traffic on p{}", l.src);
         }
+        assert_eq!(
+            crit.latencies_ns().len() as u64,
+            s.transmissions,
+            "{name}: one latency per transmission"
+        );
     }
 }
 

@@ -14,8 +14,10 @@
 //!    schedule with aggregated, multicast-merged messages anchored at the
 //!    earliest-send / latest-receive points;
 //! 3. [`run`] executes the schedule on the simulated distributed-memory
-//!    machine — in values mode this *proves* the plan correct against the
-//!    sequential interpreter.
+//!    machine — in values mode, together with the comparison of its final
+//!    memory against the sequential interpreter's, this proves the plan
+//!    correct (a stale copy is read without error; only the comparison
+//!    shows it).
 //!
 //! All of this runs through a fingerprinted stage graph (see [`session`]):
 //! open a [`Session`] to compile many related inputs — parameter sweeps,
@@ -62,6 +64,4 @@ pub use pipeline::{
     build_schedule, compile, message_stats, run, CompileError, CompileInput, Compiled,
 };
 pub use session::{ServeOutcome, Session, SessionStats, StageCount};
-pub use store::{
-    Artifact, ArtifactStore, MemStore, StageId, StoreSource, StoreStats, CODEC_VERSION,
-};
+pub use store::{Artifact, ArtifactStore, StageId, StoreSource, StoreStats, CODEC_VERSION};

@@ -77,7 +77,7 @@
 //! for every session, the wrapper's included: the same work lands under
 //! the same context paths.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use dmc_commgen::{comm_from_initial, comm_from_leaf, CommSet};
@@ -93,7 +93,7 @@ use dmc_polyhedra::{ledger, stats};
 use crate::options::{Options, Strategy};
 use crate::passes::{optimize_sets, strategy_tag, OPT_PASSES};
 use crate::pipeline::{whole_domain_tree, CompileError, CompileInput, Compiled};
-use crate::store::{Artifact, ArtifactStore, MemStore, StageId, StoreSource, StoreStats};
+use crate::store::{Artifact, ArtifactStore, StageId, StoreSource, StoreStats};
 
 /// Stage names as they appear in [`SessionStats`] and `stage.*` events.
 pub mod stage {
@@ -175,18 +175,17 @@ impl SessionStats {
 /// the stage-graph driver. See the [module docs](self) for the stage
 /// DAG and fingerprint policy.
 ///
-/// Artifacts live behind the [`ArtifactStore`] abstraction. The default
-/// backend is the in-memory [`MemStore`] (kept for the session's
+/// Artifacts live in a plain in-memory map (kept for the session's
 /// lifetime, no eviction, [`Arc`]-shared loads); attaching a persistent
-/// backend with [`Session::attach_store`] layers it *under* memory —
-/// lookups try memory first, disk hits are promoted into memory, and
-/// every new artifact is written through to both layers. All store
-/// access happens on the calling thread, so a `Session` is cheap and
-/// lock-free. For one-shot use, [`crate::compile`] opens a fresh session
+/// [`ArtifactStore`] backend with [`Session::attach_store`] layers it
+/// *under* memory — lookups try memory first, disk hits are promoted into
+/// memory, and every new artifact is written through to both layers. All
+/// store access happens on the calling thread, so a `Session` is cheap
+/// and lock-free. For one-shot use, [`crate::compile`] opens a fresh session
 /// internally.
 #[derive(Debug, Default)]
 pub struct Session {
-    mem: MemStore,
+    mem: HashMap<(StageId, Fingerprint), Artifact>,
     disk: Option<Box<dyn ArtifactStore>>,
     stats: SessionStats,
     /// Whether [`Session::serve`] appends journal records.
@@ -223,14 +222,14 @@ impl Session {
     /// hit is promoted into memory). Every call is one hit or one miss of
     /// `stage` in [`SessionStats`].
     fn lookup(&mut self, stage: StageId, key: Fingerprint) -> Option<Artifact> {
-        let found = match self.mem.load(stage, key) {
-            Some(a) => Some((a, StoreSource::Memory)),
+        let found = match self.mem.get(&(stage, key)) {
+            Some(a) => Some((a.clone(), StoreSource::Memory)),
             None => self
                 .disk
                 .as_mut()
                 .and_then(|disk| disk.load(stage, key))
                 .map(|a| {
-                    self.mem.store(stage, key, &a);
+                    self.mem.insert((stage, key), a.clone());
                     (a, StoreSource::Disk)
                 }),
         };
@@ -252,7 +251,7 @@ impl Session {
         if let Some(disk) = &mut self.disk {
             disk.store(stage, key, &artifact);
         }
-        self.mem.store(stage, key, &artifact);
+        self.mem.insert((stage, key), artifact);
     }
 
     /// Turns journaling on or off. While on, every [`Session::serve`]

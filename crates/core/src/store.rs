@@ -2,10 +2,11 @@
 //!
 //! A session's stage artifacts live behind the [`ArtifactStore`] trait:
 //! a typed load/store interface keyed by ([`StageId`], [`Fingerprint`]).
-//! Two backends exist — [`MemStore`], the original in-process map the
-//! classic pipeline uses, and the `dmc-store` crate's sharded on-disk store — and
-//! a session layers them: memory first, then disk, with disk hits
-//! promoted into memory and every new artifact written through to both.
+//! The in-repo backend is the `dmc-store` crate's sharded on-disk
+//! `DiskStore`. A session keeps its own artifacts in a plain in-process
+//! map and layers an attached backend under it: memory first, then disk,
+//! with disk hits promoted into memory and every new artifact written
+//! through to both.
 //!
 //! ## Payload framing
 //!
@@ -25,7 +26,6 @@
 //! version byte itself, after its integrity check, so an artifact of an
 //! older version is a plain miss there, not corruption.)
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use dmc_commgen::CommSet;
@@ -170,7 +170,7 @@ impl Artifact {
 /// Which layer of a layered store served an artifact.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StoreSource {
-    /// The in-process [`MemStore`].
+    /// The session's own in-process map.
     Memory,
     /// An attached persistent backend.
     Disk,
@@ -200,7 +200,8 @@ pub struct StoreStats {
     pub bytes_read: u64,
 }
 
-/// A typed artifact store: the backend interface behind a session.
+/// A typed artifact store: the backend interface behind a session. The
+/// in-repo implementation is the `dmc-store` crate's `DiskStore`.
 ///
 /// Implementations must be deterministic — the same operation sequence
 /// produces the same loads, evictions and [`StoreStats`] on every run —
@@ -219,55 +220,6 @@ pub trait ArtifactStore: std::fmt::Debug + Send {
 
     /// The backend's cumulative counters.
     fn stats(&self) -> StoreStats;
-}
-
-/// The in-process backend: a plain map of [`Arc`]-shared artifacts.
-/// Never evicts; loads are clones of the stored handles, so no encoding
-/// happens and `bytes` counters stay zero.
-#[derive(Debug, Default)]
-pub struct MemStore {
-    map: HashMap<(u8, Fingerprint), Artifact>,
-    hits: u64,
-    misses: u64,
-}
-
-impl MemStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        MemStore::default()
-    }
-}
-
-impl ArtifactStore for MemStore {
-    fn load(&mut self, stage: StageId, key: Fingerprint) -> Option<Artifact> {
-        match self.map.get(&(stage.tag(), key)) {
-            Some(a) => {
-                self.hits += 1;
-                Some(a.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    fn contains(&mut self, stage: StageId, key: Fingerprint) -> bool {
-        self.map.contains_key(&(stage.tag(), key))
-    }
-
-    fn store(&mut self, stage: StageId, key: Fingerprint, artifact: &Artifact) {
-        self.map.insert((stage.tag(), key), artifact.clone());
-    }
-
-    fn stats(&self) -> StoreStats {
-        StoreStats {
-            hits: self.hits,
-            misses: self.misses,
-            entries: self.map.len() as u64,
-            ..StoreStats::default()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -308,19 +260,5 @@ mod tests {
         for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
             assert!(Artifact::decode_payload(StageId::Parse, &bytes[..cut]).is_err());
         }
-    }
-
-    #[test]
-    fn mem_store_counts_hits_and_misses() {
-        let mut m = MemStore::new();
-        let key = Fingerprint(42);
-        assert!(m.load(StageId::Parse, key).is_none());
-        let p = dmc_ir::parse("param N; array A[N]; for i = 0 to N - 1 { A[i] = 1.0; }").unwrap();
-        m.store(StageId::Parse, key, &Artifact::Program(Arc::new(p)));
-        assert!(m.contains(StageId::Parse, key));
-        assert!(!m.contains(StageId::Lwt, key));
-        assert!(m.load(StageId::Parse, key).is_some());
-        let s = m.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
     }
 }

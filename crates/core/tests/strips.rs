@@ -6,7 +6,8 @@
 //! on named cases of the strip rule and on carried reads (which a strip
 //! takes from its own values); and they pin the first `MissingValue` a
 //! values-mode LU run reports when a receive or a payload row is dropped,
-//! and a values-mode stencil run when a halo receive is dropped.
+//! and a values-mode stencil run when a halo receive is dropped, and the
+//! known gap of a stale copy that values mode reads without error.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -15,7 +16,7 @@ use dmc_decomp::{CompDecomp, DataDecomp, ProcGrid};
 use dmc_ir::builder::{assign, call, for_loop, lit};
 use dmc_ir::interp::{self, Memory};
 use dmc_ir::{Aff, ArrayRef, BinOp, Program, ScalarExpr};
-use dmc_machine::{simulate, Action, InitialPlacement, MachineConfig, SimError};
+use dmc_machine::{simulate, Action, InitialPlacement, MachineConfig, Schedule, SimError};
 
 const LIMIT: usize = 2_000_000;
 
@@ -244,38 +245,132 @@ fn stencil_input() -> CompileInput {
 /// misses: `X[7]` at the block's first element (the carried read's first
 /// slot), `X[16]` at its last. Both errors were recorded before strips
 /// carried reads.
+/// The stencil's values-mode plan at T = 3, N = 23, checked whole against
+/// the interpreter, and a values-mode run of any schedule of it.
+struct StencilRun {
+    program: Program,
+    env: HashMap<String, i128>,
+    grid: ProcGrid,
+    initial: InitialPlacement,
+    schedule: Schedule,
+    /// The interpreter's memory.
+    want: Memory,
+}
+
+impl StencilRun {
+    fn new() -> Self {
+        let input = stencil_input();
+        let program = input.program.clone();
+        let initial = InitialPlacement::Owned(input.initial.clone());
+        let grid = input.grid.clone();
+        let compiled = compile(input, Options::full()).expect("the stencil compiles");
+        let schedule = build_schedule(&compiled, &[3, 23], true, LIMIT).expect("the stencil plans");
+        let env = HashMap::from([("T".to_owned(), 3), ("N".to_owned(), 23)]);
+        let want = interpreted_at("the stencil", &program, &env);
+        let run = StencilRun {
+            program,
+            env,
+            grid,
+            initial,
+            schedule,
+            want,
+        };
+        let full = run.simulate(&run.schedule).expect("the whole plan runs");
+        assert_eq!(bits(&full), bits(&run.want));
+        run
+    }
+
+    fn simulate(&self, schedule: &Schedule) -> Result<Memory, SimError> {
+        let cfg = MachineConfig::ipsc860();
+        simulate(
+            &self.program,
+            &self.env,
+            &self.grid,
+            schedule,
+            &cfg,
+            &self.initial,
+            true,
+        )
+        .map(|r| r.memory.expect("values mode"))
+    }
+
+    /// Each receive of the plan as (processor, action index).
+    fn receives(&self) -> Vec<(usize, usize)> {
+        (self.schedule.procs.iter().enumerate())
+            .flat_map(|(p, actions)| {
+                (0..actions.len())
+                    .filter(|&a| matches!(actions[a], Action::Recv { .. }))
+                    .map(move |a| (p, a))
+            })
+            .collect()
+    }
+
+    /// The plan without the given receive.
+    fn without(&self, (p, a): (usize, usize)) -> Schedule {
+        let mut dropped = self.schedule.clone();
+        dropped.procs[p].remove(a);
+        dropped
+    }
+}
+
 #[test]
 fn a_dropped_halo_receive_misses_the_same_element() {
-    let input = stencil_input();
-    let program = input.program.clone();
-    let initial = InitialPlacement::Owned(input.initial.clone());
-    let grid = input.grid.clone();
-    let compiled = compile(input, Options::full()).expect("the stencil compiles");
-    let schedule = build_schedule(&compiled, &[3, 23], true, LIMIT).expect("the stencil plans");
-    let env = HashMap::from([("T".to_owned(), 3), ("N".to_owned(), 23)]);
-    let cfg = MachineConfig::ipsc860();
-    let full = simulate(&program, &env, &grid, &schedule, &cfg, &initial, true)
-        .expect("the whole plan runs");
-    assert_eq!(
-        bits(&full.memory.expect("values mode")),
-        bits(&interpreted_at("the stencil", &program, &env)),
-    );
+    let run = StencilRun::new();
     let missing = |proc, i| SimError::MissingValue {
         proc,
         array: "X".into(),
         idx: vec![i],
         stmt: 0,
     };
-    let recvs: Vec<usize> = (0..schedule.procs[1].len())
-        .filter(|&a| matches!(schedule.procs[1][a], Action::Recv { .. }))
+    let recvs: Vec<(usize, usize)> = (run.receives().into_iter())
+        .filter(|&(p, _)| p == 1)
         .collect();
     for (nth, want) in [(0, missing(1, 7)), (1, missing(1, 16))] {
-        let mut dropped = schedule.clone();
-        dropped.procs[1].remove(recvs[nth]);
-        let got = simulate(&program, &env, &grid, &dropped, &cfg, &initial, true)
-            .expect_err("a value is missing");
+        let got = (run.simulate(&run.without(recvs[nth]))).expect_err("a value is missing");
         assert_eq!(got, want, "receive {nth} of processor 1 dropped");
     }
+}
+
+/// A known gap: values mode refuses a read only of an element a processor
+/// holds no copy of, and reads a stale copy without error. Dropping each
+/// of the stencil plan's 16 receives in turn, 4 runs fail with
+/// `MissingValue` (processor 0's first receive, processor 1's first two,
+/// processor 2's first) and the other 12 return `Ok` with a memory that
+/// differs from the interpreter's: only that comparison shows the plan
+/// short. Without processor 1's last receive, `X[15..=22]` come out
+/// wrong. A simulator that refused stale reads would flip this test.
+#[test]
+fn known_gap_a_stale_copy_passes_values_mode() {
+    let run = StencilRun::new();
+    let want = run.want.array("X").expect("X").as_slice().to_vec();
+    let receives = run.receives();
+    let (mut refused, mut wrong) = (Vec::new(), Vec::new());
+    for &(p, a) in &receives {
+        let nth = receives.iter().filter(|r| r.0 == p && r.1 < a).count();
+        match run.simulate(&run.without((p, a))) {
+            Err(SimError::MissingValue { .. }) => refused.push((p, nth)),
+            Err(e) => panic!("receive {nth} of processor {p} dropped: {e}"),
+            Ok(got) => {
+                let got = got.array("X").expect("X").as_slice().to_vec();
+                let moved: Vec<usize> = (0..want.len())
+                    .filter(|&i| got[i].to_bits() != want[i].to_bits())
+                    .collect();
+                wrong.push(((p, nth), moved));
+            }
+        }
+    }
+    assert_eq!(receives.len(), 16);
+    assert_eq!(refused, [(0, 0), (1, 0), (1, 1), (2, 0)]);
+    assert_eq!(wrong.len(), 12);
+    assert!(
+        wrong.iter().all(|(_, moved)| !moved.is_empty()),
+        "{wrong:?}"
+    );
+    let last_of_p1 = receives.iter().filter(|r| r.0 == 1).count() - 1;
+    let (_, moved) = (wrong.iter())
+        .find(|(at, _)| *at == (1, last_of_p1))
+        .expect("processor 1's last receive runs without error");
+    assert_eq!(*moved, (15..=22).collect::<Vec<usize>>());
 }
 
 /// Figure 11's LU kernel with the paper's cyclic decomposition.

@@ -225,8 +225,8 @@ fn measure(name: &str, input: CompileInput, param_vals: &[i128], slots: usize) -
     // What values mode resolves and keeps beside the local memories: the
     // global memory, per payload item a slot and a gathered value, per
     // message its tables, per block its number, per transmission a mailbox
-    // entry, the traffic matrices and a fixed allowance for the lowered
-    // statements, the layout and the scratch.
+    // entry and a fixed allowance for the lowered statements, the layout
+    // and the scratch.
     let messages = schedule.messages.len();
     let items: usize = schedule
         .messages
@@ -246,7 +246,6 @@ fn measure(name: &str, input: CompileInput, param_vals: &[i128], slots: usize) -
         + messages * 64
         + blocks * 8
         + transmissions * 64
-        + nproc * nproc * 16
         + (64 << 10);
     // The planner: the schedule it returns and, beside it, at most as much
     // again — the folds' chunk records and payload rows, the compute-block

@@ -7,9 +7,12 @@
 //! * **values mode** — every compute block runs its iterations for real
 //!   against the processor's local memory, messages carry actual values,
 //!   and the final global memory (merged by write stamp) must equal the
-//!   sequential interpreter's result. A read of a value that no planned
-//!   message delivered is a hard error: the simulator *proves* that the
-//!   compiler's communication plan is sufficient.
+//!   sequential interpreter's result. A read of an element of which a
+//!   processor holds no copy is a hard error. A processor reads whatever
+//!   copy it holds, though, and a copy that a missing message should have
+//!   refreshed is read without error: a run proves the compiler's
+//!   communication plan sufficient only together with the comparison of
+//!   its final memory against the interpreter's.
 //! * **timing mode** — blocks only advance the clock by their flop count
 //!   and messages carry sizes; used for large problem sizes (Figure 14).
 //!   Nothing below is built: no layout, no memory, no lowered statement.
@@ -21,8 +24,10 @@
 //! runs next, blocking receives, the mailbox, deadlock, the checks on
 //! message ids and ranks, and each action's cost, rounded once to whole
 //! nanoseconds ([`ns_of`]) and added to `u64` clocks. `simulate` adds what
-//! a run computes (values mode), the [`SimStats`] — nanoseconds × 1e-9 —
-//! and the `sim.*` events; the analysis adds its event DAG.
+//! a run computes (values mode), the run's totals ([`SimStats`], its time
+//! as nanoseconds × 1e-9) and the `sim.*` events; the analysis adds the
+//! event DAG, and with it the run's one account: blame per processor,
+//! link and message, and each transmission's latency.
 //!
 //! # Local memories
 //!
@@ -213,14 +218,6 @@ pub struct SimResult {
     pub memory: Option<Memory>,
 }
 
-/// What one processor spent, in nanoseconds.
-#[derive(Clone, Copy, Default)]
-struct Spent {
-    compute: u64,
-    comm: u64,
-    idle: u64,
-}
-
 /// Nanoseconds on the machine's clock as the seconds [`SimStats`] and the
 /// `sim.*` events report.
 pub(crate) fn secs(ns: u64) -> f64 {
@@ -272,8 +269,7 @@ pub fn simulate(
     // Per message, the values its send read; one buffer shared by all
     // receivers of a multicast.
     let mut payloads: Vec<Option<Rc<[f64]>>> = vec![None; schedule.messages.len()];
-    let mut spent = vec![Spent::default(); nproc];
-    let mut stats = SimStats::new(nproc);
+    let mut stats = SimStats::default();
 
     // Event recording: one obs lane per simulated processor, events
     // stamped with *simulated* seconds (`t0`/`t1` fields). Captured once;
@@ -296,7 +292,6 @@ pub fn simulate(
                 if let Some(m) = &mut machine {
                     m.run_block(p, *stmt, prefix, *inner_range)?;
                 }
-                spent[p].compute += step.dur;
                 stats.flops += flops;
                 if record {
                     obs::event(
@@ -319,15 +314,9 @@ pub fn simulate(
                 if let Some(m) = &machine {
                     payloads[*msg] = m.gather(p, *msg, spec)?;
                 }
-                spent[p].comm += step.dur;
-                for &r in &spec.receivers {
-                    stats.traffic_words[p * nproc + r] += spec.words;
-                    stats.traffic_transmissions[p * nproc + r] += 1;
-                }
                 stats.messages += 1;
                 stats.transmissions += spec.receivers.len() as u64;
                 stats.words += spec.words * spec.receivers.len() as u64;
-                stats.msg_words_hist.observe(spec.words);
                 if record {
                     obs::event(
                         "sim.send",
@@ -345,11 +334,6 @@ pub fn simulate(
             Action::Recv { msg } => {
                 let spec = &schedule.messages[*msg];
                 let got = step.delivery.expect("a receive takes a delivery");
-                spent[p].idle += got.wait;
-                spent[p].comm += step.dur;
-                // Send start to receive completion, in rounded microseconds.
-                let latency_ns = step.start + step.dur - got.sent;
-                stats.latency_us_hist.observe((latency_ns + 500) / 1000);
                 if record {
                     if got.wait > 0 {
                         obs::event(
@@ -382,29 +366,17 @@ pub fn simulate(
         Ok(())
     })?;
 
-    for ((proc, s), &f) in stats.per_proc.iter_mut().zip(&spent).zip(&finish) {
-        proc.compute = secs(s.compute);
-        proc.comm = secs(s.comm);
-        proc.idle = secs(s.idle);
-        proc.finish = secs(f);
-    }
     stats.time = secs(finish.iter().copied().max().unwrap_or(0));
 
     if record {
-        // One `sim.proc` per processor, also materializing a lane for
-        // processors that never acted, so the exported trace always has
-        // one display thread per processor.
-        for (p, proc) in stats.per_proc.iter().enumerate() {
+        // One `sim.proc` per processor at its finish, also materializing a
+        // lane for processors that never acted, so the exported trace
+        // always has one display thread per processor.
+        for (p, &f) in finish.iter().enumerate() {
             let _l = obs::lane(obs::sim_lane(p), format!("sim p{p}"));
             obs::event(
                 "sim.proc",
-                vec![
-                    obs::field("proc", p),
-                    obs::field("compute", proc.compute),
-                    obs::field("comm", proc.comm),
-                    obs::field("idle", proc.idle),
-                    obs::field("t0", proc.finish),
-                ],
+                vec![obs::field("proc", p), obs::field("t0", secs(f))],
             );
         }
     }
@@ -443,8 +415,6 @@ pub(crate) struct Step<'a> {
 /// One transmission of a message, from its send to one receiver.
 #[derive(Clone, Copy)]
 pub(crate) struct Delivery {
-    /// When the send started.
-    pub sent: u64,
     /// The receiver's place among the message's receivers.
     pub k: usize,
     pub arrival: u64,
@@ -505,16 +475,14 @@ pub(crate) fn run_machine(
                                     "receiver {r} out of range"
                                 )));
                             }
-                            let sent = clock[p];
-                            let (arrival, wait) = (flight + k as u64, 0);
+                            let arrival = flight + k as u64;
                             arrivals.push(arrival);
                             mail.insert(
                                 (*msg, r),
                                 Delivery {
-                                    sent,
                                     k,
                                     arrival,
-                                    wait,
+                                    wait: 0,
                                 },
                             );
                         }
