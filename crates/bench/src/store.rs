@@ -19,11 +19,13 @@
 //! 3. **Eviction correctness.** Under a deliberately tiny byte bound the
 //!    store honors the bound, evicts deterministically, and a partially
 //!    warm session still compiles byte-identically.
-//! 4. **Corruption is a miss.** With every artifact file bit-flipped, a
-//!    fresh session still produces byte-identical schedules — corrupt
-//!    payloads are quarantined and recomputed, never trusted.
+//! 4. **Corruption is a miss.** With one payload byte of every resident
+//!    frame flipped in the pack, a fresh session still produces
+//!    byte-identical schedules — corrupt payloads are quarantined and
+//!    recomputed, never trusted.
 
 use std::fmt::Write as _;
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use dmc_core::{Options, Session, SessionStats, StoreStats};
@@ -66,25 +68,28 @@ fn index_lines(dir: &Path) -> Result<u64, String> {
     Ok((text.lines().count() as u64).saturating_sub(1))
 }
 
-/// Flips one payload byte in every artifact file under `shards/`.
+/// Flips one payload byte — the middle one — in every resident frame of
+/// the store at `dir`, in place in its pack.
 fn corrupt_all(dir: &Path) -> Result<usize, String> {
+    let store = open(dir, None)?;
+    let keys = store.keys();
+    let Some(&(stage, key)) = keys.first() else {
+        return Ok(0);
+    };
+    let pack = std::fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(store.path_of(stage, key))
+        .map_err(|e| format!("cannot open the pack: {e}"))?;
     let mut corrupted = 0;
-    let shards =
-        std::fs::read_dir(dir.join("shards")).map_err(|e| format!("cannot list shards: {e}"))?;
-    for shard in shards.filter_map(|e| e.ok()) {
-        let Ok(files) = std::fs::read_dir(shard.path()) else {
+    for (stage, key) in keys {
+        let Some(payload) = store.payload_range(stage, key) else {
             continue;
         };
-        for f in files.filter_map(|e| e.ok()) {
-            let path = f.path();
-            let Ok(mut bytes) = std::fs::read(&path) else {
-                continue;
-            };
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0xFF;
-            if std::fs::write(&path, &bytes).is_ok() {
-                corrupted += 1;
-            }
+        let at = payload.start + (payload.end - payload.start) / 2;
+        let mut byte = [0u8];
+        if pack.read_exact_at(&mut byte, at).is_ok() && pack.write_all_at(&[!byte[0]], at).is_ok() {
+            corrupted += 1;
         }
     }
     Ok(corrupted)
@@ -239,7 +244,7 @@ pub fn check(dir: &Path) -> Result<String, String> {
     // Pass 4: corrupt every artifact; a fresh session must quarantine,
     // recompute, and still match byte-for-byte.
     let flipped = corrupt_all(dir)?;
-    ensure!(flipped > 0, "corruption pass found no artifact files");
+    ensure!(flipped > 0, "corruption pass found no resident frames");
     let (post_schedules, post_stats, post_store) = sweep(open(dir, None)?)?;
     ensure!(
         post_schedules == cold_schedules,
@@ -247,7 +252,7 @@ pub fn check(dir: &Path) -> Result<String, String> {
     );
     ensure!(
         post_store.corrupt > 0,
-        "no corrupt loads counted after flipping {flipped} file(s)"
+        "no corrupt loads counted after flipping {flipped} frame(s)"
     );
     ensure!(
         post_stats.stage_disk_hits == 0,

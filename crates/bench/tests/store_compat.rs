@@ -9,7 +9,10 @@
 //! unbounded one keeps them until it is cleared). An equal payload
 //! fingerprint means this build writes exactly the bytes recorded for
 //! `CODEC_VERSION` 4. A directory written at an earlier codec version no
-//! longer serves: each load of one of its files is a miss that removes it.
+//! longer serves: each load of one of its frames is a miss that tombstones
+//! it.
+
+use std::os::unix::fs::FileExt;
 
 use dmc_bench::figure2_input;
 use dmc_core::{ArtifactStore, CompileInput, Options, Session};
@@ -68,11 +71,13 @@ fn surviving_stages_keep_their_keys_and_payloads() {
     let mut store = DiskStore::open(&dir, None).expect("reopen store");
     let mut stored = Vec::new();
     for (stage, key) in store.keys() {
-        // The file's last 16 bytes are the payload fingerprint; a load
+        // The 16 bytes after a frame's payload are its fingerprint; a load
         // re-derives it from the payload and rejects a mismatch.
-        let bytes = std::fs::read(store.path_of(stage, key)).expect("artifact file");
+        let payload = store.payload_range(stage, key).expect("a resident frame");
+        let pack = std::fs::File::open(store.path_of(stage, key)).expect("the pack");
         let mut fp = [0u8; 16];
-        fp.copy_from_slice(&bytes[bytes.len() - 16..]);
+        pack.read_exact_at(&mut fp, payload.end)
+            .expect("the frame's trailing fingerprint");
         assert!(store.load(stage, key).is_some(), "{stage:?} verifies");
         stored.push((stage.tag(), key.0, u128::from_le_bytes(fp)));
     }

@@ -623,19 +623,21 @@ pub fn build_schedule(
     values: bool,
     limit: usize,
 ) -> Result<Schedule, CompileError> {
-    build_schedule_inner(compiled, param_vals, values, limit, None)
+    // Without a session the plan is never shared, so this moves it out.
+    build_schedule_inner(compiled, param_vals, values, limit, None).map(Arc::unwrap_or_clone)
 }
 
 /// The planner behind [`build_schedule`] and [`Session::build_schedule`]:
 /// when a session is supplied, the final legality-refined plan
-/// (`schedule` stage) is served from and admitted to the session store.
+/// (`schedule` stage) is served from and admitted to the session store,
+/// which shares the one `Arc` with the caller.
 pub(crate) fn build_schedule_inner(
     compiled: &Compiled,
     param_vals: &[i128],
     values: bool,
     limit: usize,
     session: Option<&mut Session>,
-) -> Result<Schedule, CompileError> {
+) -> Result<Arc<Schedule>, CompileError> {
     // Scope the feasibility budget here too: scheduling re-enters the
     // polyhedral engine (enumeration, multicast checks), and `compile`'s
     // tuning has already been popped by now.
@@ -659,15 +661,16 @@ pub(crate) fn build_schedule_inner(
     let mut staged = session.map(|s| (s, schedule_fp(compiled, param_vals, values, limit)));
     if let Some((s, k)) = &mut staged {
         if let Some(cached) = s.schedule_stage(*k) {
-            return Ok((*cached).clone());
+            return Ok(cached);
         }
     }
     let _span = obs::span_f("schedule", || vec![obs::field("values", values)]);
     let _lctx = ledger::push_context("schedule");
     let plan = hoist(compiled, param_vals, limit, values)?;
     let (_, schedule) = schedule_at_legal_splits(compiled, plan, param_vals, limit, values)?;
+    let schedule = Arc::new(schedule);
     if let Some((s, k)) = &mut staged {
-        s.admit_schedule(*k, Arc::new(schedule.clone()));
+        s.admit_schedule(*k, Arc::clone(&schedule));
     }
     Ok(schedule)
 }
@@ -737,8 +740,12 @@ fn build_schedule_at<'a>(
     let mut schedule = Schedule::new(nproc);
 
     // 1. Messages, in order, and per processor the keys of its sends,
-    // which take over the chunks' anchors.
+    // which take over the chunks' anchors. The list is built at its exact
+    // size: a plan is often held long after (a session's cache, a
+    // caller's reference).
     let mut sends: Vec<Vec<Key>> = (0..nproc).map(|_| Vec::new()).collect();
+    let nmsg = chunks.chunk_by(|a, b| a.msg == b.msg).count();
+    schedule.messages.reserve_exact(nmsg);
     for group in chunks.chunk_by(|a, b| a.msg == b.msg) {
         let (head, cs) = (&group[0], &compiled.comm[group[0].set]);
         let fold = &folds[head.set][head.fold];

@@ -473,7 +473,8 @@ impl Session {
     }
 
     /// Session-aware [`crate::build_schedule`]: reuses the `schedule`
-    /// stage across calls.
+    /// stage across calls, and returns the plan the stage cache holds
+    /// rather than a copy of it.
     ///
     /// # Errors
     ///
@@ -484,7 +485,7 @@ impl Session {
         param_vals: &[i128],
         values: bool,
         limit: usize,
-    ) -> Result<Schedule, CompileError> {
+    ) -> Result<Arc<Schedule>, CompileError> {
         crate::pipeline::build_schedule_inner(compiled, param_vals, values, limit, Some(self))
     }
 
@@ -542,8 +543,9 @@ pub struct ServeOutcome {
     /// session store).
     pub compiled: Compiled,
     /// The legality-refined schedule for the request's parameters
-    /// (built without payload values).
-    pub schedule: Schedule,
+    /// (built without payload values), shared with the session's stage
+    /// cache.
+    pub schedule: Arc<Schedule>,
     /// Distinct messages in the schedule.
     pub messages: u64,
     /// Message transmissions (receiver fan-out counted).

@@ -2,7 +2,7 @@
 //!
 //! A session's stage artifacts live behind the [`ArtifactStore`] trait:
 //! a typed load/store interface keyed by ([`StageId`], [`Fingerprint`]).
-//! The in-repo backend is the `dmc-store` crate's sharded on-disk
+//! The in-repo backend is the `dmc-store` crate's log-structured on-disk
 //! `DiskStore`. A session keeps its own artifacts in a plain in-process
 //! map and layers an attached backend under it: memory first, then disk,
 //! with disk hits promoted into memory and every new artifact written
@@ -80,7 +80,7 @@ impl StageId {
         StageId::Schedule,
     ];
 
-    /// The stable numeric tag used in payload framing and shard layout.
+    /// The stable numeric tag used in payload framing and store frames.
     pub fn tag(self) -> u8 {
         match self {
             StageId::Parse => 0,

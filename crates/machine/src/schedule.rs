@@ -340,6 +340,14 @@ impl Schedule {
     }
 }
 
+/// A shared schedule (a session serves its cached plan by `Arc`) compares
+/// by value with an owned one.
+impl PartialEq<Schedule> for std::sync::Arc<Schedule> {
+    fn eq(&self, other: &Schedule) -> bool {
+        **self == *other
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -27,6 +27,10 @@ cargo test --release -q -p dmc-machine
 # The strips' oracle in release for the same reason: a carried read steps
 # output and slot indices, which only the debug run checks for overflow.
 cargo test --release -q -p dmc-core --test strips
+# The store in release for the same reason: frame offsets and lengths
+# read back from the index and the pack are checked arithmetic, which the
+# release build would otherwise let wrap silently.
+cargo test --release -q -p dmc-store
 # The artifact fuzz in release for the same reason: the canonical varint
 # and row checks are width and shift arithmetic, which the debug run
 # checks for overflow and the release build does not.
