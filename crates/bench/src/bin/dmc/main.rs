@@ -13,9 +13,8 @@
 //! | `explain` | captures each workload once and writes `trace_W.json`, `explain_W.md` and `profile_W.collapsed` ([`dmc_bench::explain`]); `--top N` lists the top contexts and what-ifs, `--diff SNAPSHOT` the per-context work against a snapshot, `--json` the profile as one document |
 //! | `session` | sweeps each workload over four processor counts in one session, optionally over a store at `--cache-dir` ([`dmc_bench::session`]) |
 //! | `store` | populates the store at `--cache-dir`, bounded by `--max-bytes` ([`dmc_bench::store`]) |
-//! | `journal` | `--check` journals the workloads; `--replay FILE` and `--diff OLD NEW` gate journals ([`dmc_bench::journal`]) |
 //! | `snapshot` | writes `BENCH_pipeline.json` (or `--out PATH`); `--check [PATH]` gates against it ([`dmc_bench::snapshot`]) |
-//! | `check` | runs `explain`, `session`, `store`, `journal` and `snapshot` with `--check`, in this process |
+//! | `check` | runs `explain`, `session`, `store` and `snapshot` with `--check`, in this process |
 //!
 //! Exit codes: **0** clean; **1** an invariant failed (one stderr line
 //! names it; drift findings follow it, one per line); **2** the command
@@ -26,8 +25,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
 
-use dmc_bench::{explain, journal, session, snapshot, store, Workload};
-use dmc_obs::journal::{diff_journals, parse_journal};
+use dmc_bench::{explain, session, snapshot, store, Workload};
 use dmc_obs::json::{self, Json};
 
 mod figures;
@@ -92,16 +90,6 @@ static CMDS: &[Cmd] = &[
         run: store,
     },
     Cmd {
-        name: "journal",
-        flags: &[
-            CHECK,
-            OUT_DIR,
-            ("--replay", &["FILE"]),
-            ("--diff", &["OLD", "NEW"]),
-        ],
-        run: journal,
-    },
-    Cmd {
         name: "snapshot",
         flags: &[("--out", &["PATH"]), ("--check", &["[PATH]"]), CACHE_DIR],
         run: snapshot,
@@ -114,7 +102,7 @@ static CMDS: &[Cmd] = &[
 ];
 
 /// The subcommands `dmc check` runs with `--check`.
-const BATTERIES: [&str; 5] = ["explain", "session", "store", "journal", "snapshot"];
+const BATTERIES: [&str; 4] = ["explain", "session", "store", "snapshot"];
 
 fn usage_line(cmd: &Cmd) -> String {
     let mut line = format!("dmc {}", cmd.name);
@@ -376,44 +364,6 @@ fn store(args: &Args) -> Result<(), Exit> {
         s.evictions,
         s.corrupt
     );
-    Ok(())
-}
-
-fn journal(args: &Args) -> Result<(), Exit> {
-    if let Some([old, new]) = args.values("--diff") {
-        let findings = diff_journals(&read(old)?, &read(new)?).map_err(Exit::Input)?;
-        if !findings.is_empty() {
-            return Err(Exit::Failed(format!(
-                "{} difference(s) between {old} and {new}:\n  - {}",
-                findings.len(),
-                findings.join("\n  - ")
-            )));
-        }
-        println!("journal diff ok: {old} vs {new}");
-        return Ok(());
-    }
-    if let Some(path) = args.value("--replay") {
-        let records = parse_journal(&read(path)?).map_err(Exit::Input)?;
-        let findings = journal::replay(&records).map_err(Exit::Input)?;
-        if !findings.is_empty() {
-            return Err(Exit::Failed(format!(
-                "replay of {} record(s) from {path} diverged ({} finding(s)):\n  - {}",
-                records.len(),
-                findings.len(),
-                findings.join("\n  - ")
-            )));
-        }
-        println!(
-            "journal replay ok: {} record(s) from {path} reproduced every deterministic field",
-            records.len()
-        );
-        return Ok(());
-    }
-    if !args.has("--check") {
-        return Err(Exit::Usage("nothing to do".into()));
-    }
-    let out_dir = args.path("--out-dir", "target/dmc-journal");
-    println!("journal check ok: {}", journal::check(&out_dir)?);
     Ok(())
 }
 

@@ -9,7 +9,6 @@
 //!   explain report (critical path, hotspots) and the collapsed stack.
 //! - [`session`]: a processor-count sweep through one session.
 //! - [`store`]: the persistent store, cold to warm, evicting, corrupted.
-//! - [`journal`]: the compile journal's round trip and replay.
 //! - [`snapshot`]: the deterministic `BENCH_pipeline.json` golden.
 
 use std::collections::{BTreeMap, HashMap};
@@ -228,7 +227,6 @@ macro_rules! ensure {
 pub(crate) const LIMIT: usize = 50_000_000;
 
 pub mod explain;
-pub mod journal;
 pub mod session;
 pub mod snapshot;
 pub mod store;

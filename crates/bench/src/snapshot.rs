@@ -2,9 +2,9 @@
 //! workloads from cold memo caches, checks that running each again over
 //! the now-warm caches produces identical schedules, message counts and
 //! simulation results, and renders the deterministic numbers — engine
-//! counters, charged work units, allocations, critical path, sweep,
-//! journal and store traffic — as the `BENCH_pipeline.json` document. No
-//! field depends on the host or on timing, so the file is an exact golden.
+//! counters, charged work units, allocations, critical path, sweep and
+//! store traffic — as the `BENCH_pipeline.json` document. No field
+//! depends on the host or on timing, so the file is an exact golden.
 //!
 //! [`check`] is the battery: it builds a fresh document and compares it
 //! with the committed one by [`dmc_obs::json::diff`]; every leaf must be
@@ -90,8 +90,8 @@ fn contexts_json(contexts: &[(String, u64)]) -> String {
 }
 
 /// The per-stage hit/miss tiling of one session, for the snapshot's
-/// `sweep`/`journal` sections: columns sum to the session's `stage_hits`
-/// and `stage_misses` exactly.
+/// `sweep` section: columns sum to the session's `stage_hits` and
+/// `stage_misses` exactly.
 fn per_stage_json(stats: &dmc_core::SessionStats) -> String {
     let rows: Vec<String> = stats
         .per_stage
@@ -353,72 +353,6 @@ pub fn document(cache_dir: &Path, log: &mut String) -> Result<String, String> {
         per_stage_json(session.stats()),
     );
 
-    // Compile journal: the four workloads served through ONE journaling
-    // session, then replayed through a fresh session. Every journal field
-    // except the wall time is deterministic (input fingerprints, stage
-    // hits/misses, charged work units, message statistics, the schedule
-    // fingerprint), so the replay must reproduce all of them.
-    let mut jsession = Session::new();
-    jsession.set_journal(true);
-    for w in &workloads() {
-        jsession
-            .serve(
-                w.name,
-                (w.input)(w.nproc),
-                Options::full(),
-                &w.params,
-                LIMIT,
-            )
-            .expect("journal serves");
-    }
-    let mut jreplay = Session::new();
-    jreplay.set_journal(true);
-    for w in &workloads() {
-        jreplay
-            .serve(
-                w.name,
-                (w.input)(w.nproc),
-                Options::full(),
-                &w.params,
-                LIMIT,
-            )
-            .expect("journal replays");
-    }
-    let jrecords = jsession.journal();
-    let replay_identical = jrecords.len() == jreplay.journal().len()
-        && jrecords
-            .iter()
-            .zip(jreplay.journal())
-            .all(|(a, b)| a.deterministic_eq(b));
-    all_identical &= replay_identical;
-    let jhits: u64 = jrecords.iter().map(|r| r.stage_hits).sum();
-    let jmisses: u64 = jrecords.iter().map(|r| r.stage_misses).sum();
-    let jwork: u64 = jrecords.iter().map(|r| r.work_units).sum();
-    let jfps: Vec<String> = jrecords
-        .iter()
-        .map(|r| format!("\"{}\"", r.schedule_fp))
-        .collect();
-    let _ = writeln!(
-        log,
-        "journal: {} request(s), {jhits} stage hit(s) / {jmisses} miss(es), \
-         {jwork} work unit(s), fresh-session replay identical: {replay_identical}",
-        jrecords.len()
-    );
-    let journal_json = format!(
-        concat!(
-            "{{\"requests\": {}, \"stage_hits\": {}, \"stage_misses\": {}, ",
-            "\"work_units\": {}, \"schedule_fps\": [{}], \"replay_identical\": {}, ",
-            "\"per_stage\": {}}}"
-        ),
-        jrecords.len(),
-        jhits,
-        jmisses,
-        jwork,
-        jfps.join(", "),
-        replay_identical,
-        per_stage_json(jsession.stats()),
-    );
-
     // Persistent store: the four workloads served through a session
     // writing through to a fresh on-disk store, then a second session
     // with COLD memory warm-starting from that store. Every gated field
@@ -516,7 +450,6 @@ pub fn document(cache_dir: &Path, log: &mut String) -> Result<String, String> {
             "  \"harness\": \"perfstats\",\n",
             "  \"workloads\": [\n{}\n  ],\n",
             "  \"sweep\": {},\n",
-            "  \"journal\": {},\n",
             "  \"store\": {},\n",
             "  \"polyops\": {},\n",
             "  \"all_identical\": {}\n",
@@ -524,7 +457,6 @@ pub fn document(cache_dir: &Path, log: &mut String) -> Result<String, String> {
         ),
         body,
         sweep_json,
-        journal_json,
         store_json,
         polyops_json(),
         all_identical,

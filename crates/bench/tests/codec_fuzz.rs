@@ -7,15 +7,13 @@
 //! decode to an error or to an artifact that re-encodes to exactly the
 //! mutated bytes: decoding never panics, and the codec accepts one
 //! encoding per value, so a misread cannot hide behind a round trip. The
-//! same requests are journaled, and the journal text is mutated the same
-//! ways: parsing it returns records or an error, never a panic. So are
-//! the program texts — the registry's, printed, and one of each corpus
-//! family — and by token and numeral insertions besides: each mutant
-//! parses to a program that prints and re-parses to itself, or is a
-//! `ParseError`, never a panic. And so is a populated `DiskStore`'s
-//! `index.tsv`, with its own tokens: each mutant opens (or is an I/O
-//! error), replays to the same keys when opened again, and serves every
-//! key the bytes stored under it, or a miss.
+//! program texts are mutated the same ways — the registry's, printed,
+//! and one of each corpus family — and by token and numeral insertions
+//! besides: each mutant parses to a program that prints and re-parses to
+//! itself, or is a `ParseError`, never a panic. And so is a populated
+//! `DiskStore`'s `index.tsv`, with its own tokens: each mutant opens (or
+//! is an I/O error), replays to the same keys when opened again, and
+//! serves every key the bytes stored under it, or a miss.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -78,18 +76,16 @@ fn mutate(bytes: &mut Vec<u8>, n: usize, rng: &mut XorShift) {
 }
 
 /// What the registry's test-size requests leave: the payload of every
-/// artifact they store, and their journal's JSONL text. Recorded once and
-/// shared by the tests.
-fn recorded() -> &'static (Vec<Payload>, String) {
-    static RECORDED: OnceLock<(Vec<Payload>, String)> = OnceLock::new();
+/// artifact they store. Recorded once and shared by the tests.
+fn recorded() -> &'static Vec<Payload> {
+    static RECORDED: OnceLock<Vec<Payload>> = OnceLock::new();
     RECORDED.get_or_init(record)
 }
 
-fn record() -> (Vec<Payload>, String) {
+fn record() -> Vec<Payload> {
     let recording = Recording::default();
     let mut session = Session::new();
     session.attach_store(Box::new(recording.clone()));
-    session.set_journal(true);
     for w in test_workloads() {
         let input = (w.input)(w.nproc);
         let program = session
@@ -103,15 +99,14 @@ fn record() -> (Vec<Payload>, String) {
             .build_schedule(&served.compiled, &w.params, true, 50_000_000)
             .unwrap_or_else(|e| panic!("{}: values-mode schedule: {e}", w.name));
     }
-    let journal = session.journal_text();
     drop(session);
     let payloads = std::mem::take(&mut *recording.0.lock().unwrap());
-    (payloads, journal)
+    payloads
 }
 
 #[test]
 fn mutated_payloads_never_panic_and_decode_only_canonically() {
-    let payloads = &recorded().0;
+    let payloads = recorded();
     let stages: BTreeSet<u8> = payloads.iter().map(|(s, _)| s.tag()).collect();
     assert_eq!(
         stages,
@@ -158,38 +153,6 @@ fn mutated_payloads_never_panic_and_decode_only_canonically() {
     assert!(
         decoded > 0 && refused > decoded,
         "{decoded} decoded, {refused} refused"
-    );
-}
-
-#[test]
-fn mutated_journals_parse_or_refuse_without_panic() {
-    let journal = &recorded().1;
-    let records = dmc_obs::journal::parse_journal(journal).expect("the journal parses");
-    assert_eq!(
-        records.len(),
-        test_workloads().len(),
-        "a record per request"
-    );
-    let mut rng = XorShift(0x5EED_7047);
-    let (mut parsed, mut refused) = (0, 0);
-    for n in 0..3 * MUTATIONS {
-        let mut m = journal.clone().into_bytes();
-        mutate(&mut m, n, &mut rng);
-        // A flipped bit may leave no UTF-8; the reader of a damaged file
-        // sees it with the bad bytes replaced.
-        match dmc_obs::journal::parse_journal(&String::from_utf8_lossy(&m)) {
-            Ok(_) => parsed += 1,
-            Err(e) => {
-                assert!(e.starts_with("journal line "), "untyped error: {e}");
-                refused += 1;
-            }
-        }
-    }
-    // Not vacuous: some mutations land in values and parse, others break
-    // a line.
-    assert!(
-        parsed > 0 && refused > 0,
-        "{parsed} parsed, {refused} refused"
     );
 }
 

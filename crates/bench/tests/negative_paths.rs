@@ -8,8 +8,8 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-const SUBCOMMANDS: [&str; 7] = [
-    "figures", "explain", "session", "store", "journal", "snapshot", "check",
+const SUBCOMMANDS: [&str; 6] = [
+    "figures", "explain", "session", "store", "snapshot", "check",
 ];
 
 fn tmpdir() -> PathBuf {
@@ -45,14 +45,20 @@ fn assert_code(out: &Output, code: i32, needle: &str, what: &str) {
 }
 
 /// `dmc` without a subcommand, or with one it does not know, exits 2 and
-/// lists every subcommand.
+/// lists every subcommand, one usage line each. The journal subcommand is
+/// gone with the compile journal: it is unknown like any other name.
 #[test]
 fn missing_or_unknown_subcommand_exits_2_listing_them() {
-    for args in [&[][..], &["bogus"], &["--check"]] {
+    let retired = "journal";
+    for args in [&[][..], &["bogus"], &["--check"], &[retired, "--check"]] {
         let out = dmc(args);
+        let what = format!("dmc {args:?}");
         for sub in SUBCOMMANDS {
-            assert_code(&out, 2, &format!("dmc {sub}"), &format!("dmc {args:?}"));
+            assert_code(&out, 2, &format!("dmc {sub}"), &what);
         }
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().count(), 1 + SUBCOMMANDS.len(), "{what}");
+        assert!(!stderr.contains(&format!("dmc {retired}")), "{what}");
     }
 }
 
@@ -78,8 +84,6 @@ fn usage_errors_exit_2() {
         (vec!["explain", "--top", "many"], ""),
         (vec!["store"], "nothing to do"),
         (vec!["store", "--cache-dir", "x", "--max-bytes", "lots"], ""),
-        (vec!["journal"], "nothing to do"),
-        (vec!["journal", "--diff", "only-one.jsonl"], ""),
         (vec!["snapshot", "--check", "--bogus"], ""),
         (vec!["snapshot", "--check", "a.json", "--out", "b.json"], ""),
         (vec!["snapshot", "--out"], ""),
@@ -104,28 +108,15 @@ fn usage_errors_exit_2() {
 }
 
 /// An input file that cannot be read or parsed exits 2 with one stderr
-/// line naming it, before anything is measured: a missing journal or
-/// snapshot, a corrupted journal line (its 1-based number), a snapshot
-/// that is not JSON.
+/// line naming it, before anything is measured: a missing snapshot, a
+/// snapshot that is not JSON.
 #[test]
 fn unreadable_inputs_exit_2() {
-    let dir = tmpdir();
-    let corrupt = dir.join("corrupt.jsonl");
-    std::fs::write(
-        &corrupt,
-        format!("{JOURNAL_LINE}\n{}\n", &JOURNAL_LINE[..60]),
-    )
-    .expect("write fixture");
-    let garbage = dir.join("garbage.json");
+    let garbage = tmpdir().join("garbage.json");
     std::fs::write(&garbage, "not json at all").expect("write fixture");
-    let (corrupt, garbage) = (corrupt.to_str().unwrap(), garbage.to_str().unwrap());
+    let garbage = garbage.to_str().unwrap();
     let garbage_why = format!("{garbage}: bad literal at line 1 column 1");
-    let cases: [(&[&str], &str); 5] = [
-        (
-            &["journal", "--replay", "/nonexistent/journal.jsonl"],
-            "read /nonexistent/journal.jsonl",
-        ),
-        (&["journal", "--replay", corrupt], "journal line 2"),
+    let cases: [(&[&str], &str); 3] = [
         (
             &["snapshot", "--check", "/nonexistent/BENCH.json"],
             "read /nonexistent/BENCH.json",
@@ -145,30 +136,12 @@ fn unreadable_inputs_exit_2() {
     }
 }
 
-/// One well-formed journal record.
-const JOURNAL_LINE: &str = concat!(
-    r#"{"seq":0,"workload":"xy","nproc":4,"params":[15],"#,
-    r#""program_fp":"0123456789abcdef0123456789abcdef","#,
-    r#""decomp_fp":"0123456789abcdef0123456789abcdef","#,
-    r#""grid_fp":"0123456789abcdef0123456789abcdef","#,
-    r#""options_fp":"0123456789abcdef0123456789abcdef","#,
-    r#""stage_hits":0,"stage_misses":9,"work_units":10,"messages":1,"#,
-    r#""transmissions":1,"words":1,"#,
-    r#""schedule_fp":"0123456789abcdef0123456789abcdef","wall_us":5}"#,
-);
-
-/// A check that runs and finds a difference exits 1 naming it: a journal
-/// with a tampered deterministic field, a store rooted at a file, a
-/// snapshot one field off (one finding, its path and both values). The
-/// same journal against itself exits 0.
+/// A check that runs and finds a difference exits 1 naming it: a store
+/// rooted at a file, a snapshot one field off (one finding, its path and
+/// both values).
 #[test]
 fn failed_invariants_exit_1() {
     let dir = tmpdir();
-    let original = dir.join("original.jsonl");
-    std::fs::write(&original, format!("{JOURNAL_LINE}\n")).expect("write fixture");
-    let tampered = dir.join("tampered.jsonl");
-    let edited = JOURNAL_LINE.replace("\"work_units\":10", "\"work_units\":11");
-    std::fs::write(&tampered, format!("{edited}\n")).expect("write fixture");
     let clash = dir.join("store-root-clash");
     std::fs::write(&clash, b"not a directory").expect("write fixture");
 
@@ -183,11 +156,6 @@ fn failed_invariants_exit_1() {
     std::fs::write(&drifted, text).expect("write fixture");
     let moved = format!("workloads[0].work_units: {} -> {units}", units + 1);
 
-    let (original, tampered) = (original.to_str().unwrap(), tampered.to_str().unwrap());
-    let out = dmc(&["journal", "--diff", original, original]);
-    assert_eq!(out.status.code(), Some(0), "self-diff must exit 0: {out:?}");
-    let out = dmc(&["journal", "--diff", original, tampered]);
-    assert_code(&out, 1, "work_units: 10 != 11", "journal diff gate");
     let out = dmc(&["store", "--cache-dir", clash.to_str().unwrap()]);
     assert_code(&out, 1, "cannot open store", "store rooted at a file");
     let out = snapshot_check(drifted.to_str().unwrap(), "drifted");

@@ -88,7 +88,7 @@ use dmc_ir::{ArrayRef, ParseError, Program, StmtInfo};
 use dmc_machine::{MachineConfig, Schedule, SimResult};
 use dmc_obs as obs;
 use dmc_polyhedra::codec::{Codec, Enc};
-use dmc_polyhedra::{ledger, stats};
+use dmc_polyhedra::ledger;
 
 use crate::options::{Options, Strategy};
 use crate::passes::{optimize_sets, strategy_tag, OPT_PASSES};
@@ -188,10 +188,6 @@ pub struct Session {
     mem: HashMap<(StageId, Fingerprint), Artifact>,
     disk: Option<Box<dyn ArtifactStore>>,
     stats: SessionStats,
-    /// Whether [`Session::serve`] appends journal records.
-    journaling: bool,
-    /// One record per served request, in order.
-    journal: Vec<obs::JournalRecord>,
 }
 
 impl Session {
@@ -254,35 +250,18 @@ impl Session {
         self.mem.insert((stage, key), artifact);
     }
 
-    /// Turns journaling on or off. While on, every [`Session::serve`]
-    /// call appends one [`obs::JournalRecord`], whose `work_units` is the
-    /// request's charged work: the calling thread's
-    /// [`PolyStats::work_units`](dmc_polyhedra::PolyStats::work_units)
-    /// delta over the request.
-    pub fn set_journal(&mut self, on: bool) {
-        self.journaling = on;
-    }
-
-    /// The journal so far: one record per served request, in order.
-    pub fn journal(&self) -> &[obs::JournalRecord] {
-        &self.journal
-    }
-
-    /// The journal as JSONL text (the `dmc journal` file format).
-    pub fn journal_text(&self) -> String {
-        obs::journal::render_journal(&self.journal)
-    }
-
     /// Serves one compile request end-to-end: compiles `input` through
     /// the stage graph, builds the schedule for `param_vals` (without
     /// payload values), and returns it with its message statistics.
-    /// With journaling on (see [`Session::set_journal`]), appends one
-    /// deterministic [`obs::JournalRecord`] describing the request.
+    /// `workload` names the request in its `serve` span. What the request
+    /// cost is read around the call: its stage hits and misses from
+    /// [`Session::stats`], its charged work from the calling thread's
+    /// [`PolyStats::work_units`](dmc_polyhedra::PolyStats::work_units)
+    /// delta.
     ///
     /// # Errors
     ///
-    /// As [`Session::compile`] and [`Session::build_schedule`]; failed
-    /// requests append nothing.
+    /// As [`Session::compile`] and [`Session::build_schedule`].
     pub fn serve(
         &mut self,
         workload: &str,
@@ -291,37 +270,11 @@ impl Session {
         param_vals: &[i128],
         limit: usize,
     ) -> Result<ServeOutcome, CompileError> {
-        let t0 = std::time::Instant::now();
-        let hits0 = self.stats.stage_hits;
-        let misses0 = self.stats.stage_misses;
-        let work0 = stats::snapshot().work_units;
+        let _lane = obs::lane(obs::main_lane(), "pipeline");
+        let _span = obs::span_f("serve", || vec![obs::field("workload", workload)]);
         let compiled = self.compile(input, options)?;
         let schedule = self.build_schedule(&compiled, param_vals, false, limit)?;
         let (messages, transmissions, words) = crate::pipeline::schedule_message_stats(&schedule);
-        if self.journaling {
-            let wall_us = t0.elapsed().as_micros() as u64;
-            let work_units = stats::snapshot().work_units - work0;
-            let [program_fp, decomp_fp, grid_fp, options_fp, schedule_fp] =
-                journal_fps(&compiled.input, &options, &schedule).map(|f| f.to_string());
-            self.journal.push(obs::JournalRecord {
-                seq: self.journal.len() as u64,
-                workload: workload.to_owned(),
-                nproc: compiled.input.grid.len() as u64,
-                params: param_vals.iter().map(|&v| v as i64).collect(),
-                program_fp,
-                decomp_fp,
-                grid_fp,
-                options_fp,
-                stage_hits: self.stats.stage_hits - hits0,
-                stage_misses: self.stats.stage_misses - misses0,
-                work_units,
-                messages,
-                transmissions,
-                words,
-                schedule_fp,
-                wall_us,
-            });
-        }
         Ok(ServeOutcome {
             compiled,
             schedule,
@@ -693,7 +646,7 @@ fn run_read_job(
 }
 
 // ---------------------------------------------------------------------------
-// Stage and journal keys. Each is FNV-1a/128 over the bytes one `Enc`
+// Stage keys. Each is FNV-1a/128 over the bytes one `Enc`
 // wrote: a key-kind byte, then the key's inputs in their codec encodings.
 // The codec is canonical and self-delimiting, so two keys are equal
 // exactly when their kinds and inputs are. A change to what a stage means
@@ -708,9 +661,6 @@ const LWT_KEY: u8 = 52;
 const OPT_KEY: u8 = 54;
 /// `schedule` key kind; it names the planner's legality rule (per chunk).
 const SCHEDULE_KEY: u8 = 58;
-/// Journal key kinds, one per fingerprinted journal field: program,
-/// decompositions, grid, options, schedule.
-const JOURNAL_KEYS: [u8; 5] = [60, 61, 62, 63, 64];
 
 /// The key of `kind` over what `inputs` writes.
 fn key(kind: u8, inputs: impl FnOnce(&mut Enc)) -> Fingerprint {
@@ -847,22 +797,4 @@ pub(crate) fn schedule_fp(
         e.usize(limit);
         e.bool(values);
     })
-}
-
-/// The journal's fingerprints of one request: one per input component, so
-/// a journal diff names which input changed, and the served schedule's,
-/// so equal fingerprints mean identical schedules. The options one covers
-/// every answer-relevant option, the set the stage keys consume.
-fn journal_fps(input: &CompileInput, options: &Options, schedule: &Schedule) -> [Fingerprint; 5] {
-    let [program, decomp, grid, opts, sched] = JOURNAL_KEYS;
-    [
-        key(program, |e| input.program.encode(e)),
-        key(decomp, |e| {
-            encode_comps(input, e);
-            encode_initial(input, e);
-        }),
-        key(grid, |e| input.grid.encode(e)),
-        key(opts, |e| encode_options(options, e)),
-        key(sched, |e| schedule.encode(e)),
-    ]
 }

@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use dmc_core::{compile, message_stats, CompileInput, Options, Session, Strategy};
 use dmc_decomp::{CompDecomp, DataDecomp, ProcGrid};
-use dmc_polyhedra::ledger;
+use dmc_polyhedra::{ledger, stats};
 
 /// Figure 11's LU kernel: the paper's cyclic decomposition. 2 statements,
 /// 5 reads in total.
@@ -422,32 +422,32 @@ fn session_run_matches_classic_run() {
     assert_eq!(classic.stats.messages, cached.stats.messages);
 }
 
-/// The journaled work units of one LU request (P = 4, N = 16) on a fresh
-/// thread; when `compile_between`, an unjournaled compile of the same
-/// program runs on that thread after journaling is switched on and before
-/// the request, filling the memo caches the request then hits.
-fn journaled_lu_work(compile_between: bool) -> u64 {
+/// The charged work of one LU request (P = 4, N = 16) served on a fresh
+/// thread: the thread's `work_units` delta around `serve`. When
+/// `compile_between`, a compile of the same program runs on that thread
+/// first, filling the memo caches the request then hits.
+fn served_lu_work(compile_between: bool) -> u64 {
     std::thread::spawn(move || {
         let mut session = Session::new();
-        session.set_journal(true);
         if compile_between {
             compile(lu_input(4), Options::full()).expect("compiles");
         }
+        let work0 = stats::snapshot().work_units;
         session
             .serve("lu", lu_input(4), Options::full(), &[16], 1_000_000)
             .expect("serves");
-        session.journal()[0].work_units
+        stats::snapshot().work_units - work0
     })
     .join()
     .expect("request thread")
 }
 
-/// A request's journaled work is its charged work, whatever ran on the
-/// thread before it: a memo hit charges what its computation cost even
-/// when that computation ran with nothing journaling.
+/// A request's work is its charged work, whatever ran on the thread
+/// before it: a memo hit charges what its computation cost even when that
+/// computation ran outside the request.
 #[test]
-fn journal_work_does_not_depend_on_earlier_compiles() {
-    let fresh = journaled_lu_work(false);
+fn served_work_does_not_depend_on_earlier_compiles() {
+    let fresh = served_lu_work(false);
     assert!(fresh > 0);
-    assert_eq!(journaled_lu_work(true), fresh);
+    assert_eq!(served_lu_work(true), fresh);
 }

@@ -47,9 +47,6 @@
 //!   [`Provenance::markdown`] is the first half of the explain report;
 //!   `dmc explain` appends the machine sections, rendered from the
 //!   simulator's own statistics and critical-path analysis.
-//! * [`journal`] — the append-only compile journal: one deterministic
-//!   JSONL record per served compile, strictly parsed, replayable
-//!   byte-for-byte through a fresh session (`dmc journal`).
 //! * [`profile`] — the work-ledger profile ([`WorkProfile`]): charged
 //!   work per attribution context, collapsed stacks for flamegraphs.
 //!
@@ -66,14 +63,12 @@
 
 mod chrome;
 mod explain;
-pub mod journal;
 pub mod json;
 pub mod profile;
 mod trace;
 
 pub use chrome::{chrome_trace, validate_chrome, TraceCheck};
 pub use explain::{MessageProv, Provenance, ReadProv, Split, StageReuse};
-pub use journal::JournalRecord;
 pub use profile::{ProfileOp, WorkProfile};
 pub use trace::{
     enabled, event, event_f, event_nondet, field, finish_capture, lane, main_lane, read_lane,

@@ -67,10 +67,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
 # exact blame, pruned what-ifs leave the makespan unchanged), `dmc session --check` (a processor-count sweep identical to the
 # one-shot pipeline, no Last Write Tree built twice), `dmc store --check`
 # (cold/warm byte identity, one index line per disk hit, eviction under a
-# byte bound, corruption as a miss), `dmc journal --check` (round trip,
-# self-diff, fresh-session replay) and `dmc snapshot --check` (every field
-# of the committed BENCH_pipeline.json reproduced exactly; a moved field
-# is printed as `path: old -> new`). Wall-clock lives in benchmark/.
+# byte bound, corruption as a miss) and `dmc snapshot --check` (every
+# field of the committed BENCH_pipeline.json reproduced exactly; a moved
+# field is printed as `path: old -> new`). Wall-clock lives in benchmark/.
 cargo run --release -p dmc-bench --bin dmc -- check
 
 # Figures regression: every figure series (Figure 14 aside) must print
@@ -96,6 +95,9 @@ bash benchmark/run.sh --workload verify_values --small --seed 1 --trace 1
 # is_multicast directly on every final communication set, and the ledger
 # pass re-plans LU under the span-tiling check.
 bash benchmark/run.sh --workload lu_plan --small --seed 1 --trace 1
+# And the store's: `Session::serve` over a populated DiskStore under the
+# obs capture and the ledger, plus the memory-only recompute pass.
+bash benchmark/run.sh --workload store_warm --small --seed 1 --trace 1
 # A fault must still fail: a corrupted store entry, and an interpreter
 # result one element off the simulator's merged memory.
 for workload in store_warm verify_values; do
