@@ -3,7 +3,7 @@
 //! `cargo run --release --example lu`.
 
 use dmc_bench::{figure2_input, lu_input, xy_input};
-use dmc_core::{compile, message_stats, run, Options};
+use dmc_core::{build_schedule, compile, simulate, Options};
 use dmc_machine::MachineConfig;
 
 /// Prints the series of Figures 3, 5 and 10, §2.2 and the ablations.
@@ -56,7 +56,8 @@ fn fig10_aggregation() {
         let mut o = Options::full();
         o.aggregate = aggregate;
         let compiled = compile(figure2_input(4), o).expect("compiles");
-        let (m, _, w) = message_stats(&compiled, &[3, 127], 1_000_000).expect("stats");
+        let plan = build_schedule(&compiled, &[3, 127], false, 1_000_000).expect("plans");
+        let (m, _, w) = plan.message_stats();
         println!("{name:<26} {m:>10} {w:>10} {:>14.1}", w as f64 / m as f64);
     }
     println!();
@@ -74,8 +75,11 @@ fn sec22_value_vs_location() {
     for n in [11i128, 23, 47, 95] {
         let vc = compile(xy_input(4), Options::full()).expect("compiles");
         let lc = compile(xy_input(4), Options::location_centric()).expect("compiles");
-        let (_, _, w_vc) = message_stats(&vc, &[n], 10_000_000).expect("stats");
-        let (_, _, w_lc) = message_stats(&lc, &[n], 10_000_000).expect("stats");
+        let words = |c| {
+            let plan = build_schedule(c, &[n], false, 10_000_000).expect("plans");
+            plan.message_stats().2
+        };
+        let (w_vc, w_lc) = (words(&vc), words(&lc));
         println!("{n:>6} {w_vc:>22} {w_lc:>22}");
     }
     println!("(value-centric is O(1) per crossing value; location-centric grows with N)\n");
@@ -112,15 +116,10 @@ fn ablations() {
     ];
     for (name, o) in cases {
         let compiled = compile(lu_input(8), o).expect("compiles");
-        let (m, t, w) = message_stats(&compiled, &[48], 50_000_000).expect("stats");
-        let sim = run(
-            &compiled,
-            &[48],
-            &MachineConfig::ipsc860(),
-            false,
-            50_000_000,
-        )
-        .expect("simulates");
+        let plan = build_schedule(&compiled, &[48], false, 50_000_000).expect("plans");
+        let (m, t, w) = plan.message_stats();
+        let config = MachineConfig::ipsc860();
+        let sim = simulate(&compiled, &[48], &config, false, &plan).expect("simulates");
         println!("{name:<30} {m:>9} {t:>14} {w:>9} {:>12.4}", sim.stats.time);
     }
     println!();

@@ -10,11 +10,10 @@
 //! | subcommand | what it does; `--check` runs its battery |
 //! |---|---|
 //! | `figures` | prints the figure series of EXPERIMENTS.md |
-//! | `explain` | captures each workload once and writes `trace_W.json`, `explain_W.md` and `profile_W.collapsed` ([`dmc_bench::explain`]); `--top N` lists the top contexts and what-ifs, `--diff SNAPSHOT` the per-context work against a snapshot, `--json` the profile as one document |
-//! | `session` | sweeps each workload over four processor counts in one session, optionally over a store at `--cache-dir` ([`dmc_bench::session`]) |
+//! | `explain` | captures each workload once and writes `trace_W.json`, `explain_W.md` and `profile_W.collapsed` ([`dmc_bench::explain`]); `--top N` lists the top contexts and what-ifs |
 //! | `store` | populates the store at `--cache-dir`, bounded by `--max-bytes` ([`dmc_bench::store`]) |
 //! | `snapshot` | writes `BENCH_pipeline.json` (or `--out PATH`); `--check [PATH]` gates against it ([`dmc_bench::snapshot`]) |
-//! | `check` | runs `explain`, `session`, `store` and `snapshot` with `--check`, in this process |
+//! | `check` | runs `explain`, `store` and `snapshot` with `--check`, in this process |
 //!
 //! Exit codes: **0** clean; **1** an invariant failed (one stderr line
 //! names it; drift findings follow it, one per line); **2** the command
@@ -25,7 +24,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
 
-use dmc_bench::{explain, session, snapshot, store, Workload};
+use dmc_bench::{explain, snapshot, store, Workload};
 use dmc_obs::json::{self, Json};
 
 mod figures;
@@ -56,8 +55,6 @@ struct Cmd {
     run: fn(&Args) -> Result<(), Exit>,
 }
 
-const WORKLOAD: Flag = ("--workload", &["NAME|all"]);
-const OUT_DIR: Flag = ("--out-dir", &["PATH"]);
 const CACHE_DIR: Flag = ("--cache-dir", &["PATH"]);
 const CHECK: Flag = ("--check", &[]);
 
@@ -70,19 +67,12 @@ static CMDS: &[Cmd] = &[
     Cmd {
         name: "explain",
         flags: &[
-            WORKLOAD,
-            OUT_DIR,
+            ("--workload", &["NAME|all"]),
+            ("--out-dir", &["PATH"]),
             CHECK,
             ("--top", &["N"]),
-            ("--diff", &["SNAPSHOT"]),
-            ("--json", &[]),
         ],
         run: explain,
-    },
-    Cmd {
-        name: "session",
-        flags: &[WORKLOAD, OUT_DIR, CACHE_DIR, CHECK],
-        run: session,
     },
     Cmd {
         name: "store",
@@ -102,7 +92,7 @@ static CMDS: &[Cmd] = &[
 ];
 
 /// The subcommands `dmc check` runs with `--check`.
-const BATTERIES: [&str; 4] = ["explain", "session", "store", "snapshot"];
+const BATTERIES: [&str; 3] = ["explain", "store", "snapshot"];
 
 fn usage_line(cmd: &Cmd) -> String {
     let mut line = format!("dmc {}", cmd.name);
@@ -235,9 +225,6 @@ fn explain(args: &Args) -> Result<(), Exit> {
     let selected = args.workloads()?;
     let out_dir = args.out_dir("target/dmc-explain")?;
     let top: Option<usize> = args.number("--top")?;
-    let snapshot = args.value("--diff").map(read_json).transpose()?;
-    let as_json = args.has("--json");
-    let mut profiles = Vec::new();
     for w in &selected {
         let cap = explain::capture(w)?;
         let name = w.name;
@@ -253,23 +240,18 @@ fn explain(args: &Args) -> Result<(), Exit> {
         if let Some(n) = top {
             print!("{}", explain::top_text(name, &cap, n));
         }
-        if let Some(doc) = &snapshot {
-            print!("{}", explain::diff_text(name, &cap.profile, doc));
-        }
-        if !as_json {
-            // A ratio far above the nests' depth means some nest loops
-            // over misses (a level the kernel could not make tight).
-            let d = &cap.delta;
-            println!(
-                "{name:<10} scan: {} points from {} range evaluations ({:.2} per point)",
-                d.scan_points,
-                d.scan_range_evals,
-                d.scan_range_evals as f64 / d.scan_points.max(1) as f64
-            );
-        }
+        // A ratio far above the nests' depth means some nest loops over
+        // misses (a level the kernel could not make tight).
+        let d = &cap.delta;
+        println!(
+            "{name:<10} scan: {} points from {} range evaluations ({:.2} per point)",
+            d.scan_points,
+            d.scan_range_evals,
+            d.scan_range_evals as f64 / d.scan_points.max(1) as f64
+        );
         if args.has("--check") {
             println!("{}", explain::check(w, &cap)?);
-        } else if !as_json {
+        } else {
             let crit = &cap.crit;
             let cats = crit.total.categories();
             let total: u64 = cats.iter().map(|(_, v)| v).sum();
@@ -288,51 +270,6 @@ fn explain(args: &Args) -> Result<(), Exit> {
                 cap.profile.total_work(),
                 out_dir.display(),
             );
-        }
-        if as_json {
-            profiles.push((name, cap.profile));
-        }
-    }
-    if as_json {
-        print!("{}", explain::profile_json(&profiles));
-    }
-    Ok(())
-}
-
-fn session(args: &Args) -> Result<(), Exit> {
-    let selected = args.workloads()?;
-    let out_dir = args.out_dir("target/dmc-session")?;
-    let cache_dir = args.value("--cache-dir").map(Path::new);
-    for w in &selected {
-        let mut sweep = session::sweep(w, cache_dir)?;
-        write(
-            &out_dir.join(format!("session_{}.md", w.name)),
-            &sweep.report,
-        )?;
-        let stats = &sweep.stats;
-        println!(
-            "{:<10} {} procs: {} hit(s) ({} from disk) / {} miss(es) ({:.0}% reused), \
-             identical: {}",
-            w.name,
-            session::NPROCS.len(),
-            stats.stage_hits,
-            stats.stage_disk_hits,
-            stats.stage_misses,
-            session::reused_pct(stats),
-            sweep.identical
-        );
-        for (stage, c) in &stats.per_stage {
-            println!(
-                "  {:<10} {:>4} hit(s) ({:>4} memory, {:>4} disk) {:>4} miss(es)",
-                stage,
-                c.hits,
-                c.hits - c.disk_hits,
-                c.disk_hits,
-                c.misses
-            );
-        }
-        if args.has("--check") {
-            println!("{}", session::check(w, &mut sweep)?);
         }
     }
     Ok(())

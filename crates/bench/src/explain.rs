@@ -1,5 +1,5 @@
-//! `dmc explain`: each workload is captured **once** — compile,
-//! `build_schedule`, `message_stats`, the machine run and its
+//! `dmc explain`: each workload is captured **once** — compile through a
+//! [`Session`], one `build_schedule`, the machine run of that plan and its
 //! critical-path analysis under the tracer, with the work ledger on over
 //! compile + `build_schedule` only (exactly the region of the snapshot's
 //! `work_contexts`) — and that one capture feeds every view of it: the
@@ -7,24 +7,25 @@
 //! the critical-path numbers.
 //!
 //! The report is assembled here from typed parts: the trace's
-//! [`obs::Provenance`] renders the Reads, Reuse and Surviving messages
-//! sections; `machine_markdown` renders Simulation from the run's
-//! [`SimStats`] totals, and Machine view and Critical path from its
-//! [`CritAnalysis`], the run's one account; the ledger's profile appends
-//! Hotspots.
+//! [`obs::Provenance`] renders the Reads and Surviving messages sections;
+//! `reuse_markdown` renders Reuse from the session's [`SessionStats`];
+//! `machine_markdown` renders Simulation from the run's [`SimStats`]
+//! totals, and Machine view and Critical path from its [`CritAnalysis`],
+//! the run's one account; the ledger's profile appends Hotspots.
 //!
 //! [`check`] is the battery. Per workload it asserts:
 //!
 //! - **trace**: the Chrome export is well formed (balanced, name-matched
-//!   begin/end pairs, monotonic per-lane timestamps); the provenance
-//!   names every message of the final schedule, by id in order, with the
-//!   schedule's sender, receivers and words; there is one sim lane per
-//!   simulated processor plus the critical-path lane;
+//!   begin/end pairs, monotonic per-lane timestamps) with exactly one
+//!   `schedule` span; the provenance names every message of the schedule,
+//!   by id in order, with the schedule's sender, receivers and words;
+//!   there is one sim lane per simulated processor plus the critical-path
+//!   lane;
 //! - **ledger**: its charged work is the `work_units` delta of the same
 //!   region; the per-context work tiles the charged total; at least 90 %
 //!   of the charged work carries a context; a second capture collapses to
-//!   the same bytes; the schedule and message statistics compiled with
-//!   nothing recording are the captured ones;
+//!   the same bytes; the schedule compiled with nothing recording is the
+//!   captured one;
 //! - **critical path**: the event DAG's longest path equals its makespan
 //!   equals the simulator's finish time; zero slack iff critical; blame
 //!   tiles the makespan per processor; the links carry the simulator's
@@ -35,12 +36,11 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use dmc_core::{build_schedule, compile, message_stats, run, Options};
+use dmc_core::{build_schedule, compile, simulate, Options, Session, SessionStats};
 use dmc_machine::{
     critpath, Blame, CritAnalysis, LinkBlame, MachineConfig, MsgBlame, Schedule, SimStats,
 };
 use dmc_obs as obs;
-use dmc_obs::json::Json;
 use dmc_polyhedra::ledger::{self, CacheOutcome, Ledger};
 use dmc_polyhedra::{stats, PolyStats};
 
@@ -48,8 +48,8 @@ use crate::{Workload, LIMIT};
 
 /// Everything one capture of a workload produced, and its views.
 pub struct Capture {
-    /// The trace of compile, schedule, message statistics, machine run and
-    /// the critical path's lane.
+    /// The trace of compile, schedule, machine run and the critical
+    /// path's lane.
     pub trace: obs::Trace,
     /// The compiler's provenance, parsed from `trace`.
     pub provenance: obs::Provenance,
@@ -59,8 +59,6 @@ pub struct Capture {
     pub delta: PolyStats,
     /// The schedule `build_schedule` returned.
     pub schedule: Schedule,
-    /// `message_stats`: messages, transmissions, words.
-    pub messages: (u64, u64, u64),
     /// The machine run's statistics.
     pub sim: SimStats,
     /// The critical-path analysis of `schedule`.
@@ -77,33 +75,39 @@ pub struct Capture {
 /// allocations are the same on every capture. See the module
 /// documentation for what the tracer and the ledger each cover.
 pub fn capture(w: &Workload) -> Result<Capture, String> {
+    // `compile` is exactly this: a fresh session's compile. Holding the
+    // session gives the Reuse section its stage counts.
+    let mut session = Session::new();
     ledger::start();
     let before = stats::snapshot();
     obs::start_capture();
-    let planned = compile((w.input)(w.nproc), Options::full()).and_then(|compiled| {
-        build_schedule(&compiled, &w.params, false, LIMIT).map(|s| (compiled, s))
-    });
+    let planned = session
+        .compile((w.input)(w.nproc), Options::full())
+        .and_then(|compiled| {
+            build_schedule(&compiled, &w.params, false, LIMIT).map(|s| (compiled, s))
+        });
     let delta = stats::snapshot().since(&before);
     let ledger = ledger::finish();
     let config = MachineConfig::ipsc860();
     let ran = planned
         .map_err(|e| e.to_string())
         .and_then(|(compiled, schedule)| {
-            let messages = message_stats(&compiled, &w.params, LIMIT).map_err(|e| e.to_string())?;
-            let sim = run(&compiled, &w.params, &config, false, LIMIT)
+            let sim = simulate(&compiled, &w.params, &config, false, &schedule)
                 .map_err(|e| e.to_string())?
                 .stats;
             let crit = critpath::analyze(&schedule, &config)
                 .map_err(|e| format!("critical-path analysis failed: {e:?}"))?;
             crit.emit_chain();
-            Ok((schedule, messages, sim, crit))
+            Ok((schedule, sim, crit))
         });
     let trace = obs::finish_capture();
-    let (schedule, messages, sim, crit) = ran.map_err(|e| format!("{}: {e}", w.name))?;
+    let (schedule, sim, crit) = ran.map_err(|e| format!("{}: {e}", w.name))?;
     let profile = profile_of(w.name, &ledger);
     let chrome = obs::chrome_trace(&trace);
     let provenance = obs::Provenance::parse(&trace);
-    let mut report = provenance.markdown(w.name);
+    let mut report = provenance.reads_markdown(w.name);
+    report.push_str(&reuse_markdown(session.stats()));
+    report.push_str(&provenance.messages_markdown());
     report.push_str(&machine_markdown(&sim, &crit, &provenance.messages));
     report.push('\n');
     report.push_str(&profile.hotspots_markdown());
@@ -113,7 +117,6 @@ pub fn capture(w: &Workload) -> Result<Capture, String> {
         ledger,
         delta,
         schedule,
-        messages,
         sim,
         crit,
         profile,
@@ -147,6 +150,28 @@ fn profile_of(name: &str, ledger: &Ledger) -> obs::WorkProfile {
         }
     }
     p
+}
+
+/// The report's Reuse section: how many of the session's stage lookups
+/// were served from its store, in total and per stage. Empty when the
+/// session looked nothing up. A capture compiles through a fresh session,
+/// so its report truthfully shows zero hits.
+fn reuse_markdown(stats: &SessionStats) -> String {
+    let mut out = String::new();
+    if stats.per_stage.is_empty() {
+        return out;
+    }
+    let (hits, misses) = (stats.stage_hits, stats.stage_misses);
+    let reused = 100.0 * hits as f64 / (hits + misses) as f64;
+    let _ = writeln!(out, "\n## Reuse");
+    let _ = writeln!(
+        out,
+        "Stage graph: {hits} hit(s), {misses} miss(es) ({reused:.0}% reused)."
+    );
+    for (stage, c) in &stats.per_stage {
+        let _ = writeln!(out, "- {stage}: {} hit(s), {} miss(es)", c.hits, c.misses);
+    }
+    out
 }
 
 /// The report's Simulation, Machine view and Critical path sections, from
@@ -388,6 +413,14 @@ pub fn check(w: &Workload, cap: &Capture) -> Result<String, String> {
 
     let c = obs::validate_chrome(&cap.chrome)
         .map_err(|e| format!("{name}: invalid Chrome trace: {e}"))?;
+    // The capture plans once: counting and simulating reuse that plan.
+    let plans = (cap.trace.lanes.iter().flat_map(|l| &l.records))
+        .filter(|r| r.phase == obs::Phase::Begin && r.name == "schedule")
+        .count();
+    ensure!(
+        plans == 1,
+        "{name}: the capture holds {plans} schedule span(s), not one"
+    );
     let n_messages = cap.schedule.messages.len();
     let provenance = &cap.provenance.messages;
     ensure!(
@@ -457,9 +490,8 @@ pub fn check(w: &Workload, cap: &Capture) -> Result<String, String> {
     // Recording observes, never steers.
     let compiled = compile((w.input)(w.nproc), Options::full()).map_err(|e| e.to_string())?;
     let plain = build_schedule(&compiled, &w.params, false, LIMIT).map_err(|e| e.to_string())?;
-    let plain_messages = message_stats(&compiled, &w.params, LIMIT).map_err(|e| e.to_string())?;
     ensure!(
-        plain == cap.schedule && plain_messages == cap.messages,
+        plain == cap.schedule,
         "{name}: recording changed the compiled schedule"
     );
 
@@ -537,89 +569,35 @@ pub fn top_text(name: &str, cap: &Capture, n: usize) -> String {
     out
 }
 
-/// Per-context work-unit deltas of `profile` against the workload's
-/// `work_contexts` section in a `BENCH_pipeline.json` snapshot, and its
-/// total against the snapshot's `work_units`.
-pub fn diff_text(name: &str, profile: &obs::WorkProfile, snapshot: &Json) -> String {
-    let entry = snapshot
-        .get("workloads")
-        .and_then(Json::as_arr)
-        .and_then(|ws| {
-            ws.iter()
-                .find(|w| w.get("name").and_then(Json::as_str) == Some(name))
-        });
-    let Some(entry) = entry else {
-        return format!("{name}: not present in snapshot — nothing to diff\n");
-    };
-    let num = |v: Option<&Json>| v.and_then(Json::as_num).unwrap_or(0.0) as i128;
-    let old_total = num(entry.get("work_units"));
-    let new_total = i128::from(profile.total_work());
-    let mut out = format!(
-        "{name}: work_units {old_total} -> {new_total} ({:+})\n",
-        new_total - old_total
-    );
-    let Some(Json::Obj(old_ctx)) = entry.get("work_contexts") else {
-        out.push_str("  (snapshot has no work_contexts section; totals only)\n");
-        return out;
-    };
-    // Union of old and new context paths, new totals first.
-    let new_ctx = profile.context_totals();
-    let mut rows: Vec<(String, i128, i128)> = Vec::new();
-    for (ctx, units) in &new_ctx {
-        let old = num(old_ctx.iter().find(|(k, _)| k == ctx).map(|(_, v)| v));
-        rows.push((ctx.clone(), old, i128::from(*units)));
-    }
-    for (k, v) in old_ctx {
-        if !new_ctx.iter().any(|(c, _)| c == k) {
-            rows.push((k.clone(), num(Some(v)), 0));
-        }
-    }
-    rows.sort_by(|a, b| {
-        let (da, db) = ((a.2 - a.1).abs(), (b.2 - b.1).abs());
-        db.cmp(&da).then(a.0.cmp(&b.0))
-    });
-    let _ = writeln!(out, "{:>10} {:>10} {:>8}  context", "old", "new", "delta");
-    for (ctx, old, new) in rows {
-        if old != new {
-            let _ = writeln!(out, "{old:>10} {new:>10} {:>+8}  {ctx}", new - old);
-        }
-    }
-    out
-}
-
-/// Renders the `dmc explain --json` document: one object per workload
-/// with its exact work-unit total and per-context charged work, in the
-/// same descending order as the text report. The document round-trips
-/// through `dmc_obs::json::parse`.
-pub fn profile_json(profiles: &[(&str, obs::WorkProfile)]) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    }
-    let rows: Vec<String> = profiles
-        .iter()
-        .map(|(name, p)| {
-            let contexts: Vec<String> = p
-                .context_totals()
-                .iter()
-                .map(|(c, u)| format!("\"{}\": {u}", esc(c)))
-                .collect();
-            format!(
-                "    {{\"name\": \"{}\", \"work_units\": {}, \"contexts\": {{{}}}}}",
-                esc(name),
-                p.total_work(),
-                contexts.join(", ")
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"harness\": \"dmc explain\",\n  \"workloads\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    )
-}
-
 #[cfg(test)]
 mod tests {
-    use super::pct_shares;
+    use dmc_core::{SessionStats, StageCount};
+
+    use super::{pct_shares, reuse_markdown};
+
+    #[test]
+    fn reuse_section_summarizes_stage_cache() {
+        let count = |hits, misses| StageCount {
+            hits,
+            disk_hits: 0,
+            misses,
+        };
+        let stats = SessionStats {
+            stage_hits: 3,
+            stage_disk_hits: 0,
+            stage_misses: 2,
+            per_stage: [("lwt", count(3, 1)), ("opt", count(0, 1))].into(),
+        };
+        assert_eq!(
+            reuse_markdown(&stats),
+            "\n## Reuse\n\
+             Stage graph: 3 hit(s), 2 miss(es) (60% reused).\n\
+             - lwt: 3 hit(s), 1 miss(es)\n\
+             - opt: 0 hit(s), 1 miss(es)\n"
+        );
+        // A session that looked nothing up renders no Reuse section.
+        assert_eq!(reuse_markdown(&SessionStats::default()), "");
+    }
 
     #[test]
     fn machine_view_percentages_sum_to_exactly_100() {

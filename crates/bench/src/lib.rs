@@ -7,9 +7,9 @@
 //!
 //! - [`explain`]: one capture per workload feeds the Chrome trace, the
 //!   explain report (critical path, hotspots) and the collapsed stack.
-//! - [`session`]: a processor-count sweep through one session.
 //! - [`store`]: the persistent store, cold to warm, evicting, corrupted.
-//! - [`snapshot`]: the deterministic `BENCH_pipeline.json` golden.
+//! - [`snapshot`]: the deterministic `BENCH_pipeline.json` golden,
+//!   including a processor-count sweep through one session.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -227,6 +227,5 @@ macro_rules! ensure {
 pub(crate) const LIMIT: usize = 50_000_000;
 
 pub mod explain;
-pub mod session;
 pub mod snapshot;
 pub mod store;

@@ -13,7 +13,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use dmc_core::{build_schedule, compile, message_stats, run, Options, Session};
+use dmc_core::{build_schedule, compile, simulate, Options, Session};
 use dmc_machine::{CritAnalysis, MachineConfig};
 use dmc_obs::json::{self, Json};
 use dmc_polyhedra::{
@@ -25,30 +25,19 @@ use crate::{explain, lu_input, workloads, Workload, LIMIT};
 
 struct Measured {
     schedule: dmc_machine::Schedule,
-    messages: (u64, u64, u64),
     sim: dmc_machine::SimStats,
 }
 
-/// Compiles, schedules and simulates once over whatever this thread's memo
-/// caches hold.
+/// Compiles, schedules and simulates that schedule once over whatever
+/// this thread's memo caches hold.
 fn run_once(w: &Workload) -> Measured {
     let compiled = compile((w.input)(w.nproc), Options::full()).expect("compiles");
     let schedule = build_schedule(&compiled, &w.params, false, LIMIT).expect("schedules");
-    let messages = message_stats(&compiled, &w.params, LIMIT).expect("stats");
-    let sim = run(
-        &compiled,
-        &w.params,
-        &MachineConfig::ipsc860(),
-        false,
-        LIMIT,
-    )
-    .expect("simulates")
-    .stats;
-    Measured {
-        schedule,
-        messages,
-        sim,
-    }
+    let config = MachineConfig::ipsc860();
+    let sim = simulate(&compiled, &w.params, &config, false, &schedule)
+        .expect("simulates")
+        .stats;
+    Measured { schedule, sim }
 }
 
 fn stats_json(s: &PolyStats) -> String {
@@ -238,9 +227,9 @@ pub fn document(cache_dir: &Path, log: &mut String) -> Result<String, String> {
         let cold = explain::capture(w)?;
         let warm = run_once(w);
 
-        let identical = cold.schedule == warm.schedule
-            && cold.messages == warm.messages
-            && cold.sim == warm.sim;
+        // The message counts are the schedule's, so equal schedules carry
+        // equal counts.
+        let identical = cold.schedule == warm.schedule && cold.sim == warm.sim;
         all_identical &= identical;
 
         let s = &cold.delta;
@@ -251,10 +240,11 @@ pub fn document(cache_dir: &Path, log: &mut String) -> Result<String, String> {
         if k > 0 {
             body.push_str(",\n");
         }
+        let (messages, transmissions, words) = cold.schedule.message_stats();
         let comm_passes = cold.provenance.message_pass_counts();
         let pass_total: u64 = comm_passes.iter().map(|(_, n)| n).sum();
         ensure!(
-            pass_total == cold.messages.0,
+            pass_total == messages,
             "{}: per-pass message counts must tile the message total",
             w.name
         );
@@ -275,9 +265,9 @@ pub fn document(cache_dir: &Path, log: &mut String) -> Result<String, String> {
             w.nproc,
             stats_json(&cold.delta),
             identical,
-            cold.messages.0,
-            cold.messages.1,
-            cold.messages.2,
+            messages,
+            transmissions,
+            words,
             cold.ledger.charged_work(),
             cold.delta.allocs,
             cold.sim.time,
@@ -292,7 +282,7 @@ pub fn document(cache_dir: &Path, log: &mut String) -> Result<String, String> {
     // folding), so every step after the first reuses all five per-read
     // Last Write Trees — only the `opt` stages re-run. Hit/miss totals are
     // deterministic fingerprint lookups; the message counts come from the
-    // classic (non-session) `message_stats`, pinning the cached artifacts
+    // classic (non-session) `build_schedule`, pinning the cached artifacts
     // to the one-shot pipeline. The sweep's charged work is summed over
     // the session's compiles alone: stage hits skip the engine entirely
     // and memo-cache hits replay their memoized charge, so the total is
@@ -311,8 +301,8 @@ pub fn document(cache_dir: &Path, log: &mut String) -> Result<String, String> {
         let scratch = compile(lu_input(nproc), Options::full()).expect("sweep scratch");
         sweep_identical &= format!("{:?} {:?}", swept.lwts, swept.comm)
             == format!("{:?} {:?}", scratch.lwts, scratch.comm);
-        let (msgs, _, _) = message_stats(&swept, &sweep_params, LIMIT).expect("sweep stats");
-        sweep_messages.push(msgs.to_string());
+        let plan = build_schedule(&swept, &sweep_params, false, LIMIT).expect("sweep plans");
+        sweep_messages.push(plan.message_stats().0.to_string());
     }
     all_identical &= sweep_identical;
     let (sweep_hits, sweep_misses) = (session.stats().stage_hits, session.stats().stage_misses);

@@ -1,5 +1,6 @@
 //! The batteries `dmc check` runs in release at full size, run here at
-//! test sizes ([`dmc_bench::test_workloads`]):
+//! test sizes ([`dmc_bench::test_workloads`]), and the session sweep the
+//! snapshot's `sweep` section gates at full size:
 //!
 //! * **explain** — one capture per workload: a well-formed Chrome trace
 //!   whose provenance names every scheduled message with the schedule's
@@ -8,16 +9,18 @@
 //!   ≥ 90 % attribution, a byte-identical recapture, recording that never
 //!   changes a schedule or a message count, and the critical-path
 //!   invariants;
-//! * **session** — a four-count sweep identical to the one-shot
-//!   pipeline, reusing every Last Write Tree;
-//! * the `dmc explain --json` document round-trips through the obs parser.
+//! * **session** — a four-count sweep through one plain `Session`,
+//!   identical to the one-shot pipeline, reusing every Last Write Tree.
 //!
 //! A capture is the calling thread's, so the tests here run concurrently
 //! and serialize on nothing.
 
-use dmc_bench::{explain, session, test_workloads};
-use dmc_obs::json::Json;
+use dmc_bench::{explain, test_workloads};
+use dmc_core::{compile, Compiled, Options, Session};
 use dmc_polyhedra::ledger;
+
+/// The processor counts of the session sweep.
+const NPROCS: [i128; 4] = [2, 4, 8, 16];
 
 #[test]
 fn explain_battery_passes_at_test_sizes() {
@@ -43,6 +46,19 @@ fn explain_battery_names_the_invariant_it_fails() {
     let err = explain::check(w, &cap).expect_err("a work_units delta one off");
     assert!(err.contains("the work_units delta"), "{err}");
     cap.delta.work_units -= 1;
+    // A second plan in the capture: counting or simulating re-planned.
+    let main = (cap.trace.lanes.iter())
+        .position(|l| l.key == dmc_obs::main_lane())
+        .expect("a main lane");
+    let records = &mut cap.trace.lanes[main].records;
+    let plan = records
+        .iter()
+        .position(|r| r.name == "schedule")
+        .expect("a plan");
+    records.insert(plan, records[plan].clone());
+    let err = explain::check(w, &cap).expect_err("a capture that planned twice");
+    assert!(err.contains("2 schedule span(s)"), "{err}");
+    cap.trace.lanes[main].records.remove(plan);
     cap.provenance.messages[0].words += 1;
     let err = explain::check(w, &cap).expect_err("a message attributed with one word too many");
     assert!(err.contains("is not scheduled message m0"), "{err}");
@@ -52,51 +68,37 @@ fn explain_battery_names_the_invariant_it_fails() {
     assert!(err.contains("Hotspots"), "{err}");
 }
 
+/// A processor-count sweep through one plain [`Session`]: every compile
+/// equals the one-shot pipeline's, the grid enters no `lwt` key so no
+/// Last Write Tree is built twice, and compiling the last input again
+/// re-runs nothing.
 #[test]
-fn session_battery_passes_at_test_sizes() {
+fn session_sweep_reuses_trees_and_matches_one_shot() {
+    let outputs = |c: &Compiled| format!("{:?} {:?}", c.lwts, c.comm);
     for w in test_workloads() {
-        let mut sweep = session::sweep(&w, None).unwrap_or_else(|e| panic!("{e}"));
-        session::check(&w, &mut sweep).unwrap_or_else(|e| panic!("{e}"));
-    }
-}
-
-/// The `--json` document round-trips through the repo's own JSON parser
-/// and reproduces the profile exactly: per-workload totals, context
-/// counts and the descending context order.
-#[test]
-fn profile_json_round_trips_through_the_obs_parser() {
-    let rows: Vec<_> = test_workloads()
-        .iter()
-        .map(|w| {
-            let cap = explain::capture(w).unwrap_or_else(|e| panic!("{e}"));
-            (w.name, cap.profile)
-        })
-        .collect();
-
-    let doc = explain::profile_json(&rows);
-    let parsed = dmc_obs::json::parse(&doc).expect("document parses");
-    let wls = parsed
-        .get("workloads")
-        .and_then(Json::as_arr)
-        .expect("workloads array");
-    assert_eq!(wls.len(), rows.len());
-    for (w, (name, profile)) in wls.iter().zip(&rows) {
-        let units = profile.total_work();
-        let contexts = profile.context_totals();
-        assert_eq!(w.get("name").and_then(Json::as_str), Some(*name));
-        assert_eq!(
-            w.get("work_units").and_then(Json::as_num),
-            Some(units as f64),
-            "{name}: work_units survives the round trip"
-        );
-        let Some(Json::Obj(ctx)) = w.get("contexts") else {
-            panic!("{name}: contexts must parse as an object");
-        };
-        assert_eq!(ctx.len(), contexts.len(), "{name}: all contexts present");
-        for ((got_k, got_v), (want_k, want_v)) in ctx.iter().zip(&contexts) {
-            assert_eq!(got_k, want_k, "{name}: context order preserved");
-            assert_eq!(got_v.as_num(), Some(*want_v as f64), "{name}: {want_k}");
+        let name = w.name;
+        let mut session = Session::new();
+        for nproc in NPROCS {
+            let swept = session
+                .compile((w.input)(nproc), Options::full())
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let one_shot = compile((w.input)(nproc), Options::full()).expect("compiles");
+            assert_eq!(outputs(&swept), outputs(&one_shot), "{name} at {nproc}");
         }
-        assert!(units > 0, "{name}: the pipeline must do some work");
+        let lwt = session.stats().per_stage["lwt"];
+        assert!(
+            lwt.hits >= 3 * lwt.misses,
+            "{name}: a Last Write Tree was built twice: {lwt:?}"
+        );
+        let misses = session.stats().stage_misses;
+        let last = NPROCS[NPROCS.len() - 1];
+        session
+            .compile((w.input)(last), Options::full())
+            .expect("recompiles");
+        assert_eq!(
+            session.stats().stage_misses,
+            misses,
+            "{name}: recompiling an identical input re-ran a stage"
+        );
     }
 }

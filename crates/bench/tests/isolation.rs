@@ -74,12 +74,12 @@ fn concurrent_scoped_sessions_capture_isolated_traces() {
 /// One request: a workload name, its input and its parameters.
 type Request = (&'static str, CompileInput, Vec<i128>);
 
-/// What serving one request added: its schedule and message statistics,
-/// each stage's hits and misses, and the work it charged.
+/// What serving one request added: its schedule (whose traffic is
+/// `Schedule::message_stats`), each stage's hits and misses, and the work
+/// it charged.
 #[derive(Debug, PartialEq)]
 struct Served {
     schedule: Arc<Schedule>,
-    messages: [u64; 3],
     stages: BTreeMap<&'static str, (u64, u64)>,
     work_units: u64,
 }
@@ -102,7 +102,6 @@ fn serve(session: &mut Session, (name, input, params): &Request) -> Served {
         .collect();
     Served {
         schedule: out.schedule,
-        messages: [out.messages, out.transmissions, out.words],
         stages,
         work_units,
     }
@@ -138,7 +137,6 @@ fn repeated_request_is_all_stage_hits_and_charges_no_work() {
     assert!(first.work_units > 0, "{first:?}");
     assert!(first.stages.values().any(|&(_, misses)| misses > 0));
     assert_eq!(repeat.schedule, first.schedule);
-    assert_eq!(repeat.messages, first.messages);
     assert!(
         repeat.stages.values().any(|&(hits, _)| hits > 0),
         "{repeat:?}"
@@ -152,7 +150,7 @@ fn repeated_request_is_all_stage_hits_and_charges_no_work() {
 
 /// Two sessions serving concurrently, their `serve` calls forced to
 /// interleave request by request with a barrier: each request's
-/// schedule, message statistics, stage hits and misses and charged work
+/// schedule, stage hits and misses and charged work
 /// are those of the same requests served solo.
 #[test]
 fn concurrent_sessions_serve_what_solo_sessions_serve() {

@@ -8,9 +8,7 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-const SUBCOMMANDS: [&str; 6] = [
-    "figures", "explain", "session", "store", "snapshot", "check",
-];
+const SUBCOMMANDS: [&str; 5] = ["figures", "explain", "store", "snapshot", "check"];
 
 fn tmpdir() -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("negative-paths");
@@ -46,11 +44,19 @@ fn assert_code(out: &Output, code: i32, needle: &str, what: &str) {
 
 /// `dmc` without a subcommand, or with one it does not know, exits 2 and
 /// lists every subcommand, one usage line each. The journal subcommand is
-/// gone with the compile journal: it is unknown like any other name.
+/// gone with the compile journal, and the session subcommand with its
+/// sweep (the snapshot's `sweep` section): each is unknown like any other
+/// name.
 #[test]
 fn missing_or_unknown_subcommand_exits_2_listing_them() {
-    let retired = "journal";
-    for args in [&[][..], &["bogus"], &["--check"], &[retired, "--check"]] {
+    let retired = ["journal", "session"];
+    for args in [
+        &[][..],
+        &["bogus"],
+        &["--check"],
+        &[retired[0], "--check"],
+        &[retired[1], "--workload", "xy"],
+    ] {
         let out = dmc(args);
         let what = format!("dmc {args:?}");
         for sub in SUBCOMMANDS {
@@ -58,7 +64,9 @@ fn missing_or_unknown_subcommand_exits_2_listing_them() {
         }
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(stderr.lines().count(), 1 + SUBCOMMANDS.len(), "{what}");
-        assert!(!stderr.contains(&format!("dmc {retired}")), "{what}");
+        for name in retired {
+            assert!(!stderr.contains(&format!("dmc {name}")), "{what}");
+        }
     }
 }
 
@@ -75,13 +83,18 @@ fn usage_errors_exit_2() {
     for sub in SUBCOMMANDS {
         cases.push((vec![sub, "--bogus"], ""));
     }
-    for sub in ["explain", "session"] {
-        cases.push((vec![sub, "--out-dir"], ""));
-        cases.push((vec![sub, "--workload", "stencil", retired_flag, "4"], ""));
-        cases.push((vec![sub, "--workload", "nope"], "no such workload"));
-    }
     cases.extend([
+        (vec!["explain", "--out-dir"], ""),
+        (
+            vec!["explain", "--workload", "stencil", retired_flag, "4"],
+            "",
+        ),
+        (vec!["explain", "--workload", "nope"], "no such workload"),
         (vec!["explain", "--top", "many"], ""),
+        // The snapshot's own check prints per-context work moves, and no
+        // reader of a profile document remains: both flags are gone.
+        (vec!["explain", "--diff", "BENCH_pipeline.json"], ""),
+        (vec!["explain", "--json"], ""),
         (vec!["store"], "nothing to do"),
         (vec!["store", "--cache-dir", "x", "--max-bytes", "lots"], ""),
         (vec!["snapshot", "--check", "--bogus"], ""),
@@ -116,16 +129,12 @@ fn unreadable_inputs_exit_2() {
     std::fs::write(&garbage, "not json at all").expect("write fixture");
     let garbage = garbage.to_str().unwrap();
     let garbage_why = format!("{garbage}: bad literal at line 1 column 1");
-    let cases: [(&[&str], &str); 3] = [
+    let cases: [(&[&str], &str); 2] = [
         (
             &["snapshot", "--check", "/nonexistent/BENCH.json"],
             "read /nonexistent/BENCH.json",
         ),
         (&["snapshot", "--check", garbage], &garbage_why),
-        (
-            &["explain", "--diff", "/nonexistent/BENCH.json"],
-            "read /nonexistent/BENCH.json",
-        ),
     ];
     for (args, why) in cases {
         let out = dmc(args);

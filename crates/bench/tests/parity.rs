@@ -9,7 +9,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 
 use dmc_bench::{figure2_input, lu_input, stencil_input, xy_input};
 use dmc_commgen::{aggregate_messages, fold_messages, CommElem, CommSet, FoldSpec};
-use dmc_core::{build_schedule, compile, message_stats, run, CompileInput, Options};
+use dmc_core::{build_schedule, compile, simulate, CompileInput, Options};
 use dmc_decomp::{CompDecomp, DataDecomp, DimMap, ProcGrid};
 use dmc_ir::Aff;
 use dmc_machine::MachineConfig;
@@ -27,10 +27,16 @@ fn outputs(
 ) {
     let compiled = compile(input.clone(), options).expect("compiles");
     let schedule = build_schedule(&compiled, params, false, LIMIT).expect("schedules");
-    let stats = message_stats(&compiled, params, LIMIT).expect("stats");
-    let sim = run(&compiled, params, &MachineConfig::ipsc860(), false, LIMIT)
-        .expect("simulates")
-        .stats;
+    let stats = schedule.message_stats();
+    let sim = simulate(
+        &compiled,
+        params,
+        &MachineConfig::ipsc860(),
+        false,
+        &schedule,
+    )
+    .expect("simulates")
+    .stats;
     (schedule, stats, sim)
 }
 

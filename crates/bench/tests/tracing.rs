@@ -17,7 +17,7 @@
 
 use dmc_bench::{figure2_input, lu_input, stencil_input, workloads, xy_input};
 use dmc_commgen::{is_multicast, CommSet};
-use dmc_core::{build_schedule, compile, message_stats, run, CompileInput, Options};
+use dmc_core::{build_schedule, compile, simulate, CompileInput, Options};
 use dmc_machine::{critpath, MachineConfig};
 use dmc_obs as obs;
 use dmc_polyhedra::Feasibility;
@@ -34,10 +34,16 @@ type PipelineOut = (
 fn outputs(input: &CompileInput, params: &[i128], options: Options) -> PipelineOut {
     let compiled = compile(input.clone(), options).expect("compiles");
     let schedule = build_schedule(&compiled, params, false, LIMIT).expect("schedules");
-    let stats = message_stats(&compiled, params, LIMIT).expect("stats");
-    let sim = run(&compiled, params, &MachineConfig::ipsc860(), false, LIMIT)
-        .expect("simulates")
-        .stats;
+    let stats = schedule.message_stats();
+    let sim = simulate(
+        &compiled,
+        params,
+        &MachineConfig::ipsc860(),
+        false,
+        &schedule,
+    )
+    .expect("simulates")
+    .stats;
     (schedule, stats, sim)
 }
 
@@ -91,7 +97,7 @@ fn stencil_chrome_trace_is_well_formed() {
     assert!(check.spans > 0 && check.events > 0, "{check:?}");
 
     // Every message of the final schedule is attributed by provenance:
-    // the last schedule's `prov.message` events name each `MessageSpec`,
+    // the schedule's `prov.message` events name each `MessageSpec`,
     // by id in order, with its sender, receivers and words.
     let prov = obs::Provenance::parse(&trace);
     assert_eq!(prov.messages.len(), schedule.messages.len());

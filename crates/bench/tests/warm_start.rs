@@ -1,77 +1,66 @@
 //! Two-process warm start: the persistent artifact store must carry a
-//! session's artifacts across process boundaries. The first `dmc session`
-//! process populates a cache directory; a second process with cold memory
-//! must serve at least half of its stage lookups from disk, recompute
-//! nothing, load every artifact the first one computed, and still match
-//! the one-shot pipeline byte for byte (`--check` enforces the identity
-//! oracle in both runs).
+//! session's artifacts across process boundaries. The first `dmc store`
+//! process serves every registry workload into an empty cache directory;
+//! a second process with cold memory must serve at least half of its
+//! stage lookups from disk, recompute nothing and load every artifact the
+//! first one computed. The schedules left in the store are then the
+//! one-shot plans of the same requests.
 
-use std::path::PathBuf;
-use std::process::Output;
+use std::path::{Path, PathBuf};
+
+use dmc_core::{build_schedule, compile, Artifact, ArtifactStore, Options, StageId};
+use dmc_store::DiskStore;
+
+/// The element limit the harness plans under.
+const LIMIT: usize = 50_000_000;
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create tmpdir");
     dir
 }
 
-fn run_session(out_dir: &std::path::Path, cache_dir: &std::path::Path) -> Output {
-    std::process::Command::new(env!("CARGO_BIN_EXE_dmc"))
-        .args([
-            "session",
-            "--workload",
-            "xy",
-            "--out-dir",
-            out_dir.to_str().unwrap(),
-            "--cache-dir",
-            cache_dir.to_str().unwrap(),
-            "--check",
-        ])
+/// Runs `dmc store` over the store at `cache_dir` and returns its stdout.
+fn run_store(cache_dir: &Path) -> String {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_dmc"))
+        .args(["store", "--cache-dir", cache_dir.to_str().unwrap()])
         .output()
-        .expect("dmc session runs")
+        .expect("dmc store runs");
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(
+        out.status.success(),
+        "dmc store failed:\nstdout: {stdout}\nstderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    stdout
 }
 
-/// Parses `N hit(s) (M from disk) / K miss(es)` from the summary line.
+/// `(hits, disk hits, misses)` from the summary line
+/// `served N workload(s): H stage hit(s) (D from disk), M miss(es)`.
 fn summary_counts(stdout: &str) -> (u64, u64, u64) {
     let line = stdout
         .lines()
-        .find(|l| l.contains("from disk"))
+        .find(|l| l.starts_with("served "))
         .unwrap_or_else(|| panic!("no summary line in:\n{stdout}"));
-    // The count is the run of digits immediately before each marker.
+    // The count is the word immediately before each marker.
     let grab = |marker: &str| -> u64 {
         let end = line
             .find(marker)
             .unwrap_or_else(|| panic!("bad summary line: {line}"));
-        let digits: String = line[..end]
-            .chars()
-            .rev()
-            .take_while(char::is_ascii_digit)
-            .collect();
-        let digits: String = digits.chars().rev().collect();
-        digits
-            .parse()
+        let word = line[..end].rsplit([' ', '(']).next().unwrap_or_default();
+        word.parse()
             .unwrap_or_else(|_| panic!("bad summary line: {line}"))
     };
-    (grab(" hit(s)"), grab(" from disk"), grab(" miss(es)"))
+    (grab(" stage hit(s)"), grab(" from disk"), grab(" miss(es)"))
 }
 
 #[test]
 fn second_process_serves_from_disk_byte_identically() {
     let cache = tmpdir("warm-start-cache");
-    let out1 = tmpdir("warm-start-out1");
-    let out2 = tmpdir("warm-start-out2");
 
     // Process 1: cold store. Everything computed is written through; no
     // disk hits are possible.
-    let cold = run_session(&out1, &cache);
-    assert!(
-        cold.status.success(),
-        "cold run failed:\nstdout: {}\nstderr: {}",
-        String::from_utf8_lossy(&cold.stdout),
-        String::from_utf8_lossy(&cold.stderr)
-    );
-    let cold_out = String::from_utf8_lossy(&cold.stdout).into_owned();
+    let cold_out = run_store(&cache);
     let (_, cold_disk, cold_misses) = summary_counts(&cold_out);
     assert_eq!(
         cold_disk, 0,
@@ -83,16 +72,8 @@ fn second_process_serves_from_disk_byte_identically() {
     );
 
     // Process 2: cold memory, warm store. At least half of all stage
-    // lookups must be served from disk and nothing recomputed; --check
-    // already asserted byte identity against the one-shot pipeline.
-    let warm = run_session(&out2, &cache);
-    assert!(
-        warm.status.success(),
-        "warm run failed:\nstdout: {}\nstderr: {}",
-        String::from_utf8_lossy(&warm.stdout),
-        String::from_utf8_lossy(&warm.stderr)
-    );
-    let warm_out = String::from_utf8_lossy(&warm.stdout).into_owned();
+    // lookups must be served from disk and nothing recomputed.
+    let warm_out = run_store(&cache);
     let (warm_hits, warm_disk, warm_misses) = summary_counts(&warm_out);
     assert_eq!(
         warm_misses, 0,
@@ -112,17 +93,27 @@ fn second_process_serves_from_disk_byte_identically() {
          stored:\n{warm_out}"
     );
 
-    // Both processes compiled the same inputs identically, so the traced
-    // explain reports agree except for reuse provenance: the warm one
-    // must carry the Persistent reuse subsection, the cold one must not.
-    let cold_report = std::fs::read_to_string(out1.join("session_xy.md")).expect("cold report");
-    let warm_report = std::fs::read_to_string(out2.join("session_xy.md")).expect("warm report");
-    assert!(
-        !cold_report.contains("### Persistent reuse"),
-        "{cold_report}"
-    );
-    assert!(
-        warm_report.contains("### Persistent reuse"),
-        "{warm_report}"
-    );
+    // What both processes served is what the one-shot pipeline plans: the
+    // store holds one schedule per workload, each equal to its plan.
+    let mut store = DiskStore::open(&cache, None).expect("reopen the store");
+    let mut stored: Vec<_> = store
+        .keys()
+        .into_iter()
+        .filter(|&(stage, _)| stage == StageId::Schedule)
+        .map(|(stage, key)| match store.load(stage, key) {
+            Some(Artifact::Schedule(s)) => s,
+            other => panic!("schedule key {key} holds {other:?}"),
+        })
+        .collect();
+    let workloads = dmc_bench::workloads();
+    assert_eq!(stored.len(), workloads.len(), "one schedule per workload");
+    for w in &workloads {
+        let compiled = compile((w.input)(w.nproc), Options::full()).expect("compiles");
+        let plan = build_schedule(&compiled, &w.params, false, LIMIT).expect("plans");
+        let at = stored
+            .iter()
+            .position(|s| *s == plan)
+            .unwrap_or_else(|| panic!("{}: no stored schedule equals its plan", w.name));
+        stored.swap_remove(at);
+    }
 }

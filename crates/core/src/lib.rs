@@ -17,7 +17,9 @@
 //!    machine — in values mode, together with the comparison of its final
 //!    memory against the sequential interpreter's, this proves the plan
 //!    correct (a stale copy is read without error; only the comparison
-//!    shows it).
+//!    shows it). A caller that already holds the plan counts its traffic
+//!    with [`Schedule::message_stats`](dmc_machine::Schedule::message_stats)
+//!    and runs it with [`simulate`], planning once.
 //!
 //! All of this runs through a fingerprinted stage graph (see [`session`]):
 //! open a [`Session`] to compile many related inputs — parameter sweeps,
@@ -60,8 +62,6 @@ pub mod store;
 mod tests;
 
 pub use options::{Options, ScopedTuning, Strategy};
-pub use pipeline::{
-    build_schedule, compile, message_stats, run, CompileError, CompileInput, Compiled,
-};
+pub use pipeline::{build_schedule, compile, run, simulate, CompileError, CompileInput, Compiled};
 pub use session::{ServeOutcome, Session, SessionStats, StageCount};
 pub use store::{Artifact, ArtifactStore, StageId, StoreSource, StoreStats, CODEC_VERSION};

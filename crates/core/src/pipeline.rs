@@ -10,8 +10,8 @@ use dmc_dataflow::{LastWriteTree, LwtError, LwtLeaf};
 use dmc_decomp::{CompDecomp, DataDecomp, ProcGrid};
 use dmc_ir::{Program, StmtInfo};
 use dmc_machine::{
-    simulate, template_of, Action, InitialPlacement, MachineConfig, MessageSpec, Payload, Schedule,
-    SimError, SimResult, Stamp, StampRef,
+    template_of, Action, InitialPlacement, MachineConfig, MessageSpec, Payload, Schedule, SimError,
+    SimResult, Stamp, StampRef,
 };
 use dmc_obs as obs;
 use dmc_polyhedra::ledger;
@@ -235,37 +235,6 @@ pub(crate) fn whole_domain_tree(
         }],
         approximate: false,
     }
-}
-
-/// Static communication statistics for concrete parameter values:
-/// `(messages, transmissions, words)` after aggregation/multicast per the
-/// compiled options. Uses the same (legality-refined) plan the simulator
-/// executes.
-///
-/// # Errors
-///
-/// Returns [`CompileError`] on arithmetic failure or when enumeration
-/// exceeds `limit` elements per set.
-pub fn message_stats(
-    compiled: &Compiled,
-    param_vals: &[i128],
-    limit: usize,
-) -> Result<(u64, u64, u64), CompileError> {
-    let schedule = build_schedule(compiled, param_vals, false, limit)?;
-    Ok(schedule_message_stats(&schedule))
-}
-
-/// `(messages, transmissions, words)` of an already-built schedule.
-pub(crate) fn schedule_message_stats(schedule: &Schedule) -> (u64, u64, u64) {
-    let mut messages = 0u64;
-    let mut transmissions = 0u64;
-    let mut words = 0u64;
-    for m in &schedule.messages {
-        messages += 1;
-        transmissions += m.receivers.len() as u64;
-        words += m.words * m.receivers.len() as u64;
-    }
-    (messages, transmissions, words)
 }
 
 /// A processor's message action as it is ordered: anchor, phase (a
@@ -1026,7 +995,7 @@ fn compute_blocks(
     })
 }
 
-/// Compiles, plans, and simulates in one call.
+/// Plans and simulates in one call: [`build_schedule`], then [`simulate`].
 ///
 /// # Errors
 ///
@@ -1038,19 +1007,25 @@ pub fn run(
     values: bool,
     limit: usize,
 ) -> Result<SimResult, CompileError> {
-    let _lane = obs::lane(obs::main_lane(), "pipeline");
     let schedule = build_schedule(compiled, param_vals, values, limit)?;
-    simulate_schedule(compiled, param_vals, config, values, &schedule)
+    simulate(compiled, param_vals, config, values, &schedule)
 }
 
-/// Simulates an already-built schedule under the input's initial placement.
-pub(crate) fn simulate_schedule(
+/// Simulates an already-built `schedule` of `compiled` under the input's
+/// initial placement: [`run`] without planning again, for a caller that
+/// already holds the plan. `values` must be the mode the plan was built in.
+///
+/// # Errors
+///
+/// Returns [`CompileError`] when the simulator rejects the schedule.
+pub fn simulate(
     compiled: &Compiled,
     param_vals: &[i128],
     config: &MachineConfig,
     values: bool,
     schedule: &Schedule,
 ) -> Result<SimResult, CompileError> {
+    let _lane = obs::lane(obs::main_lane(), "pipeline");
     let params: HashMap<String, i128> = compiled
         .input
         .program
@@ -1064,7 +1039,7 @@ pub(crate) fn simulate_schedule(
     } else {
         InitialPlacement::Owned(compiled.input.initial.clone())
     };
-    simulate(
+    dmc_machine::simulate(
         &compiled.input.program,
         &params,
         &compiled.input.grid,
@@ -1161,7 +1136,7 @@ mod tests {
             "{what}: {unsafe_chunks:?}"
         );
         let zero = MachineConfig::zero_comm();
-        simulate_schedule(&compiled, params, &zero, false, &schedule)
+        simulate(&compiled, params, &zero, false, &schedule)
             .unwrap_or_else(|e| panic!("{what}: {e}"));
         match run(&compiled, params, &zero, true, LIMIT) {
             Ok(result) => {
@@ -1394,9 +1369,7 @@ mod tests {
         let (input, params) = family_input(&families()[0], Some(16), 2);
         assert_eq!(params, [19]);
         let compiled = compile(input, Options::full()).unwrap();
-        assert_eq!(
-            message_stats(&compiled, &params, LIMIT).unwrap(),
-            (6, 6, 200)
-        );
+        let schedule = build_schedule(&compiled, &params, false, LIMIT).unwrap();
+        assert_eq!(schedule.message_stats(), (6, 6, 200));
     }
 }

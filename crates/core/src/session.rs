@@ -69,11 +69,9 @@
 //! job's two stages are looked up first, the misses then run in textual
 //! order, and their artifacts are admitted in that order afterwards, so
 //! hit counts and store traffic are deterministic and the store needs no
-//! locks. Cache events (`stage.hit` / `stage.miss`) are emitted
-//! as non-deterministic diagnostics — their presence depends on session
-//! history — so [`dmc_obs`]'s deterministic trace view, the parity
-//! guarantees from the tracing/profiling PRs, and the byte-identical
-//! wrapper outputs are all preserved. Ledger attribution is the same
+//! locks. Hits and misses are counted in [`SessionStats`] alone, never
+//! traced: what a stage lookup found depends on session history, and a
+//! trace of the same compile must not. Ledger attribution is the same
 //! for every session, the wrapper's included: the same work lands under
 //! the same context paths.
 
@@ -95,7 +93,7 @@ use crate::passes::{optimize_sets, strategy_tag, OPT_PASSES};
 use crate::pipeline::{whole_domain_tree, CompileError, CompileInput, Compiled};
 use crate::store::{Artifact, ArtifactStore, StageId, StoreSource, StoreStats};
 
-/// Stage names as they appear in [`SessionStats`] and `stage.*` events.
+/// Stage names as they appear in [`SessionStats`].
 pub mod stage {
     /// Source text → [`dmc_ir::Program`].
     pub const PARSE: &str = "parse";
@@ -133,41 +131,19 @@ pub struct SessionStats {
 }
 
 impl SessionStats {
-    fn hit(&mut self, stage: &'static str, key: Fingerprint, src: StoreSource) {
+    fn hit(&mut self, stage: &'static str, src: StoreSource) {
         self.stage_hits += 1;
         let count = self.per_stage.entry(stage).or_default();
         count.hits += 1;
-        let event = match src {
-            StoreSource::Memory => "stage.hit",
-            StoreSource::Disk => {
-                self.stage_disk_hits += 1;
-                count.disk_hits += 1;
-                "stage.disk_hit"
-            }
-        };
-        if obs::enabled() {
-            obs::event_nondet(
-                event,
-                vec![
-                    obs::field("stage", stage),
-                    obs::field("key", key.to_string()),
-                ],
-            );
+        if src == StoreSource::Disk {
+            self.stage_disk_hits += 1;
+            count.disk_hits += 1;
         }
     }
 
-    fn miss(&mut self, stage: &'static str, key: Fingerprint) {
+    fn miss(&mut self, stage: &'static str) {
         self.stage_misses += 1;
         self.per_stage.entry(stage).or_default().misses += 1;
-        if obs::enabled() {
-            obs::event_nondet(
-                "stage.miss",
-                vec![
-                    obs::field("stage", stage),
-                    obs::field("key", key.to_string()),
-                ],
-            );
-        }
     }
 }
 
@@ -231,11 +207,11 @@ impl Session {
         };
         match found {
             Some((a, src)) => {
-                self.stats.hit(stage.name(), key, src);
+                self.stats.hit(stage.name(), src);
                 Some(a)
             }
             None => {
-                self.stats.miss(stage.name(), key);
+                self.stats.miss(stage.name());
                 None
             }
         }
@@ -252,7 +228,7 @@ impl Session {
 
     /// Serves one compile request end-to-end: compiles `input` through
     /// the stage graph, builds the schedule for `param_vals` (without
-    /// payload values), and returns it with its message statistics.
+    /// payload values), and returns both.
     /// `workload` names the request in its `serve` span. What the request
     /// cost is read around the call: its stage hits and misses from
     /// [`Session::stats`], its charged work from the calling thread's
@@ -274,14 +250,7 @@ impl Session {
         let _span = obs::span_f("serve", || vec![obs::field("workload", workload)]);
         let compiled = self.compile(input, options)?;
         let schedule = self.build_schedule(&compiled, param_vals, false, limit)?;
-        let (messages, transmissions, words) = crate::pipeline::schedule_message_stats(&schedule);
-        Ok(ServeOutcome {
-            compiled,
-            schedule,
-            messages,
-            transmissions,
-            words,
-        })
+        Ok(ServeOutcome { compiled, schedule })
     }
 
     /// The `parse` stage: source text → [`Program`], keyed by the text.
@@ -442,21 +411,6 @@ impl Session {
         crate::pipeline::build_schedule_inner(compiled, param_vals, values, limit, Some(self))
     }
 
-    /// Session-aware [`crate::message_stats`].
-    ///
-    /// # Errors
-    ///
-    /// As [`crate::message_stats`].
-    pub fn message_stats(
-        &mut self,
-        compiled: &Compiled,
-        param_vals: &[i128],
-        limit: usize,
-    ) -> Result<(u64, u64, u64), CompileError> {
-        let schedule = self.build_schedule(compiled, param_vals, false, limit)?;
-        Ok(crate::pipeline::schedule_message_stats(&schedule))
-    }
-
     /// Session-aware [`crate::run`]: plans through the session's stage
     /// store, then simulates.
     ///
@@ -471,9 +425,8 @@ impl Session {
         values: bool,
         limit: usize,
     ) -> Result<SimResult, CompileError> {
-        let _lane = obs::lane(obs::main_lane(), "pipeline");
         let schedule = self.build_schedule(compiled, param_vals, values, limit)?;
-        crate::pipeline::simulate_schedule(compiled, param_vals, config, values, &schedule)
+        crate::simulate(compiled, param_vals, config, values, &schedule)
     }
 
     /// Looks up the `schedule` stage, counting a hit or miss.
@@ -497,14 +450,8 @@ pub struct ServeOutcome {
     pub compiled: Compiled,
     /// The legality-refined schedule for the request's parameters
     /// (built without payload values), shared with the session's stage
-    /// cache.
+    /// cache. Its traffic is [`Schedule::message_stats`].
     pub schedule: Arc<Schedule>,
-    /// Distinct messages in the schedule.
-    pub messages: u64,
-    /// Message transmissions (receiver fan-out counted).
-    pub transmissions: u64,
-    /// Words moved across all transmissions.
-    pub words: u64,
 }
 
 /// One (statement, read) job: its two stage keys and what the store

@@ -9,7 +9,7 @@ use dmc_ir::{parse, Program};
 use dmc_machine::MachineConfig;
 use dmc_polyhedra::PolyError;
 
-use crate::{build_schedule, compile, message_stats, run, CompileError, CompileInput, Options};
+use crate::{build_schedule, compile, run, CompileError, CompileInput, Options};
 
 fn params_map(program: &Program, vals: &[i128]) -> HashMap<String, i128> {
     program
@@ -140,8 +140,12 @@ fn lu_multicast_reduces_messages() {
     let mut no_mc = Options::full();
     no_mc.multicast = false;
     let compiled_no = compile(lu_input(4), no_mc).unwrap();
-    let (m_mc, t_mc, _) = message_stats(&compiled_mc, &[12], 1_000_000).unwrap();
-    let (m_no, t_no, _) = message_stats(&compiled_no, &[12], 1_000_000).unwrap();
+    let traffic = |c: &crate::Compiled| {
+        build_schedule(c, &[12], false, 1_000_000)
+            .unwrap()
+            .message_stats()
+    };
+    let ((m_mc, t_mc, _), (m_no, t_no, _)) = (traffic(&compiled_mc), traffic(&compiled_no));
     assert!(
         m_mc < m_no,
         "multicast should reduce logical messages: {m_mc} vs {m_no}"
@@ -272,7 +276,8 @@ fn loop_values_past_the_scan_range_are_refused() {
     let inside = 1i128 << 40;
     check_end_to_end(input(), Options::full(), &[inside]);
     let compiled = compile(input(), Options::full()).unwrap();
-    let (_, _, words) = message_stats(&compiled, &[inside], 2_000_000).unwrap();
+    let schedule = build_schedule(&compiled, &[inside], false, 2_000_000).unwrap();
+    let (_, _, words) = schedule.message_stats();
     assert_eq!(
         words, 3,
         "each write after the first is read on the next processor"
@@ -320,8 +325,13 @@ fn location_centric_counts_more_traffic() {
     // outer iteration; the value-centric plan moves each value once.
     let vc = compile(xy_input(4, true), Options::full()).unwrap();
     let lc = compile(xy_input(4, true), Options::location_centric()).unwrap();
-    let (_, _, w_vc) = message_stats(&vc, &[11], 1_000_000).unwrap();
-    let (_, _, w_lc) = message_stats(&lc, &[11], 1_000_000).unwrap();
+    let words = |c: &crate::Compiled| {
+        build_schedule(c, &[11], false, 1_000_000)
+            .unwrap()
+            .message_stats()
+            .2
+    };
+    let (w_vc, w_lc) = (words(&vc), words(&lc));
     assert!(
         w_vc < w_lc,
         "value-centric must move less data: {w_vc} vs {w_lc} words"
@@ -366,7 +376,6 @@ fn known_mismatch_lu_location_centric() {
         }
     }
     build_schedule(&compiled, &[12], false, 2_000_000).expect("timing mode is untouched");
-    message_stats(&compiled, &[12], 2_000_000).expect("traffic is still counted");
 
     // The preset alone is not refused: a transpose only reads what it
     // fetches, and its location-centric run equals the interpreter.

@@ -9,7 +9,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use dmc_core::{compile, message_stats, CompileInput, Options, Session, Strategy};
+use dmc_core::{build_schedule, compile, CompileInput, Options, Session, Strategy};
 use dmc_decomp::{CompDecomp, DataDecomp, ProcGrid};
 use dmc_polyhedra::{ledger, stats};
 
@@ -347,30 +347,30 @@ fn option_relevance_is_reflected_in_stage_keys() {
     }
 }
 
-/// `Session::build_schedule` and `Session::message_stats` reuse the
-/// schedule stage — and agree with the classic functions.
+/// `Session::build_schedule` reuses the schedule stage — and agrees with
+/// the classic function.
 #[test]
 fn schedule_stages_are_cached_and_equivalent() {
     let input = lu_input(4);
     let compiled = compile(input, Options::full()).expect("compile");
-    let classic = message_stats(&compiled, &[10], 1_000_000).expect("classic stats");
+    let classic = build_schedule(&compiled, &[10], false, 1_000_000).expect("classic");
 
     let mut session = Session::new();
     let first = session
-        .message_stats(&compiled, &[10], 1_000_000)
-        .expect("session stats");
+        .build_schedule(&compiled, &[10], false, 1_000_000)
+        .expect("session schedule");
     assert_eq!(first, classic);
     assert_eq!(stage(&session, "schedule"), (0, 1));
 
     let second = session
-        .message_stats(&compiled, &[10], 1_000_000)
-        .expect("cached stats");
+        .build_schedule(&compiled, &[10], false, 1_000_000)
+        .expect("cached schedule");
     assert_eq!(second, classic);
     assert_eq!(stage(&session, "schedule"), (1, 1));
 
     // Different parameter values are a different schedule.
     session
-        .message_stats(&compiled, &[12], 1_000_000)
+        .build_schedule(&compiled, &[12], false, 1_000_000)
         .expect("new params");
     assert_eq!(stage(&session, "schedule"), (1, 2));
 
@@ -379,8 +379,7 @@ fn schedule_stages_are_cached_and_equivalent() {
         .build_schedule(&compiled, &[12], true, 1_000_000)
         .expect("values");
     assert_eq!(stage(&session, "schedule"), (1, 3));
-    let classic_sched =
-        dmc_core::build_schedule(&compiled, &[12], true, 1_000_000).expect("classic");
+    let classic_sched = build_schedule(&compiled, &[12], true, 1_000_000).expect("classic");
     assert_eq!(sched, classic_sched);
 }
 

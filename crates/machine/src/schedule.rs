@@ -338,6 +338,18 @@ impl Schedule {
             messages: Vec::new(),
         }
     }
+
+    /// The plan's traffic: `(messages, transmissions, words)`. A message
+    /// counts one transmission, and its words once, per receiver.
+    pub fn message_stats(&self) -> (u64, u64, u64) {
+        let mut transmissions = 0u64;
+        let mut words = 0u64;
+        for m in &self.messages {
+            transmissions += m.receivers.len() as u64;
+            words += m.words * m.receivers.len() as u64;
+        }
+        (self.messages.len() as u64, transmissions, words)
+    }
 }
 
 /// A shared schedule (a session serves its cached plan by `Arc`) compares

@@ -1,8 +1,8 @@
 //! Message provenance, parsed once from a capture: which read created each
-//! communication set, which §6 pass eliminated or merged what, how the
-//! session's stage graph was reused, which sets were split deeper for
-//! legality, and where every message of the final schedule came from.
-//! [`Provenance::markdown`] renders it as the Reads / Reuse / Surviving
+//! communication set, which §6 pass eliminated or merged what, which sets
+//! were split deeper for legality, and where every message of the
+//! schedule came from. [`Provenance::reads_markdown`] and
+//! [`Provenance::messages_markdown`] render it as the Reads and Surviving
 //! messages sections of the explain report.
 
 use std::collections::BTreeMap;
@@ -48,17 +48,6 @@ pub struct ReadProv {
     pub passes: Vec<(String, u64, u64)>,
     /// `(pass, array)` per communication set a pass eliminated.
     pub eliminated: Vec<(String, String)>,
-}
-
-/// One stage's lookups in the session's stage graph.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StageReuse {
-    /// Lookups served from a store, memory or disk.
-    pub hits: u64,
-    /// Lookups that ran the stage.
-    pub misses: u64,
-    /// The hits served by the persistent layer.
-    pub disk_hits: u64,
 }
 
 /// A communication set planned deeper than §6.2's level because one of
@@ -118,18 +107,15 @@ impl MessageProv {
 
 /// Everything a capture says about where the compiler's messages came
 /// from. Reads come from the per-read lane spans; messages and legality
-/// splits come from the **last** schedule built in the capture (a new
-/// `schedule` span discards the earlier ones, e.g. the one inside
-/// `message_stats`).
+/// splits from the `schedule` span, which a capture holds once: it plans
+/// once, then counts and simulates that plan.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Provenance {
     /// Per `(statement, read)` analysis job.
     pub reads: BTreeMap<(usize, usize), ReadProv>,
-    /// Per stage name.
-    pub stages: BTreeMap<String, StageReuse>,
-    /// The last schedule's legality splits, in order.
+    /// The schedule's legality splits, in order.
     pub splits: Vec<Split>,
-    /// The last schedule's messages, in id order.
+    /// The schedule's messages, in id order.
     pub messages: Vec<MessageProv>,
 }
 
@@ -176,18 +162,6 @@ impl Provenance {
                         .or_default()
                         .eliminated
                         .push((text(r, "pass"), text(r, "array"))),
-                    (Phase::Instant, "stage.hit") => p.stage(r).hits += 1,
-                    (Phase::Instant, "stage.disk_hit") => {
-                        // A hit served by the persistent layer.
-                        let s = p.stage(r);
-                        s.hits += 1;
-                        s.disk_hits += 1;
-                    }
-                    (Phase::Instant, "stage.miss") => p.stage(r).misses += 1,
-                    (Phase::Begin, "schedule") => {
-                        p.messages.clear();
-                        p.splits.clear();
-                    }
                     (Phase::Instant, "schedule.split") => p.splits.push(Split {
                         set: uint(r, "set").unwrap_or(0),
                         array: text(r, "array"),
@@ -225,11 +199,7 @@ impl Provenance {
         p
     }
 
-    fn stage(&mut self, r: &Record) -> &mut StageReuse {
-        self.stages.entry(text(r, "stage")).or_default()
-    }
-
-    /// Message counts of the last schedule, grouped by the §6 pass chain
+    /// Message counts of the schedule, grouped by the §6 pass chain
     /// their communication set survived ([`MessageProv::chain`];
     /// `"(none)"` for a set no pass touched). The groups partition the
     /// schedule's messages, so the counts sum exactly to its total
@@ -245,9 +215,8 @@ impl Provenance {
         counts.into_iter().collect()
     }
 
-    /// The report's title and its Reads analyzed, Reuse (when the
-    /// capture looked up any stage) and Surviving messages sections.
-    pub fn markdown(&self, title: &str) -> String {
+    /// The report's title and its Reads analyzed section.
+    pub fn reads_markdown(&self, title: &str) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "# dmc explain — {title}\n");
 
@@ -279,41 +248,13 @@ impl Provenance {
                 let _ = writeln!(out, "    - {array} set eliminated by {pass}");
             }
         }
+        out
+    }
 
-        if !self.stages.is_empty() {
-            // Session stage-graph reuse: every compilation stage is looked
-            // up in the session's content-addressed store before it runs.
-            // The classic one-shot API compiles through a fresh session,
-            // so its report truthfully shows zero hits.
-            let (hits, misses, disk) = self.stages.values().fold((0, 0, 0), |(h, m, d), s| {
-                (h + s.hits, m + s.misses, d + s.disk_hits)
-            });
-            let total = hits + misses;
-            let pct = if total > 0 {
-                format!(" ({:.0}% reused)", 100.0 * hits as f64 / total as f64)
-            } else {
-                String::new()
-            };
-            let _ = writeln!(out, "\n## Reuse");
-            let _ = writeln!(out, "Stage graph: {hits} hit(s), {misses} miss(es){pct}.");
-            for (stage, s) in &self.stages {
-                let _ = writeln!(out, "- {stage}: {} hit(s), {} miss(es)", s.hits, s.misses);
-            }
-            if disk > 0 {
-                // Hits served by the persistent (on-disk) layer rather
-                // than the in-memory map: artifacts that survived from an
-                // earlier process via the artifact store.
-                let _ = writeln!(out, "\n### Persistent reuse");
-                let _ = writeln!(
-                    out,
-                    "{disk} of {hits} hit(s) were served from the on-disk artifact store."
-                );
-                for (stage, s) in self.stages.iter().filter(|(_, s)| s.disk_hits > 0) {
-                    let _ = writeln!(out, "- {stage}: {} disk hit(s)", s.disk_hits);
-                }
-            }
-        }
-
+    /// The report's Surviving messages section: the schedule's legality
+    /// splits, then each message with the read it serves.
+    pub fn messages_markdown(&self) -> String {
+        let mut out = String::new();
         let _ = writeln!(out, "\n## Surviving messages (final schedule)");
         for s in &self.splits {
             let _ = writeln!(
@@ -378,15 +319,6 @@ mod tests {
                     key: vec![0],
                     label: "main".to_owned(),
                     records: vec![
-                        // An earlier schedule (e.g. `message_stats`'):
-                        // superseded by the next `schedule` span.
-                        rec(Phase::Begin, "schedule", vec![]),
-                        rec(
-                            Phase::Instant,
-                            "prov.message",
-                            vec![field("msg", 0u64), field("steps", "")],
-                        ),
-                        rec(Phase::End, "schedule", vec![]),
                         rec(Phase::Begin, "schedule", vec![]),
                         rec(
                             Phase::Instant,
@@ -460,7 +392,7 @@ mod tests {
             prov.message_pass_counts(),
             vec![("self_reuse, fold_receivers".to_owned(), 1)]
         );
-        let report = prov.markdown("unit");
+        let report = prov.reads_markdown("unit") + &prov.messages_markdown();
         assert!(report.contains("S0 read#0 `X[i - 3]`"), "{report}");
         assert!(report.contains("m0: X p1 -> p2, 3 word(s)"), "{report}");
         assert!(
@@ -475,99 +407,5 @@ mod tests {
             ),
             "{report}"
         );
-    }
-
-    #[test]
-    fn reuse_section_summarizes_stage_cache() {
-        let trace = Trace {
-            lanes: vec![LaneRecords {
-                key: vec![0],
-                label: "main".to_owned(),
-                records: vec![
-                    rec(
-                        Phase::Instant,
-                        "stage.hit",
-                        vec![field("stage", "lwt"), field("key", "a")],
-                    ),
-                    rec(
-                        Phase::Instant,
-                        "stage.hit",
-                        vec![field("stage", "lwt"), field("key", "b")],
-                    ),
-                    rec(
-                        Phase::Instant,
-                        "stage.miss",
-                        vec![field("stage", "opt"), field("key", "c")],
-                    ),
-                    rec(
-                        Phase::Instant,
-                        "stage.miss",
-                        vec![field("stage", "opt"), field("key", "d")],
-                    ),
-                ],
-            }],
-        };
-        let report = Provenance::parse(&trace).markdown("unit");
-        assert!(report.contains("## Reuse"), "{report}");
-        assert!(
-            report.contains("Stage graph: 2 hit(s), 2 miss(es) (50% reused)."),
-            "{report}"
-        );
-        assert!(report.contains("- lwt: 2 hit(s), 0 miss(es)"), "{report}");
-        assert!(report.contains("- opt: 0 hit(s), 2 miss(es)"), "{report}");
-        // Without disk hits there is no Persistent reuse subsection.
-        assert!(!report.contains("### Persistent reuse"), "{report}");
-        // A trace with no stage events renders no Reuse section at all.
-        let empty = Provenance::parse(&Trace { lanes: vec![] }).markdown("unit");
-        assert!(!empty.contains("## Reuse"), "{empty}");
-    }
-
-    #[test]
-    fn persistent_reuse_subsection_splits_disk_hits() {
-        let trace = Trace {
-            lanes: vec![LaneRecords {
-                key: vec![0],
-                label: "main".to_owned(),
-                records: vec![
-                    rec(
-                        Phase::Instant,
-                        "stage.hit",
-                        vec![field("stage", "lwt"), field("key", "a")],
-                    ),
-                    rec(
-                        Phase::Instant,
-                        "stage.disk_hit",
-                        vec![field("stage", "lwt"), field("key", "b")],
-                    ),
-                    rec(
-                        Phase::Instant,
-                        "stage.disk_hit",
-                        vec![field("stage", "schedule"), field("key", "c")],
-                    ),
-                    rec(
-                        Phase::Instant,
-                        "stage.miss",
-                        vec![field("stage", "opt"), field("key", "d")],
-                    ),
-                ],
-            }],
-        };
-        let report = Provenance::parse(&trace).markdown("unit");
-        // Disk hits count as hits in the stage-graph totals...
-        assert!(
-            report.contains("Stage graph: 3 hit(s), 1 miss(es) (75% reused)."),
-            "{report}"
-        );
-        assert!(report.contains("- lwt: 2 hit(s), 0 miss(es)"), "{report}");
-        // ...and are itemized separately under Persistent reuse.
-        assert!(report.contains("### Persistent reuse"), "{report}");
-        assert!(
-            report.contains("2 of 3 hit(s) were served from the on-disk artifact store."),
-            "{report}"
-        );
-        let tail = report.split("### Persistent reuse").nth(1).unwrap();
-        assert!(tail.contains("- lwt: 1 disk hit(s)"), "{report}");
-        assert!(tail.contains("- schedule: 1 disk hit(s)"), "{report}");
-        assert!(!tail.contains("- opt:"), "{report}");
     }
 }

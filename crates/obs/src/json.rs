@@ -46,22 +46,6 @@ impl Json {
             _ => None,
         }
     }
-
-    /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The fields, if this is an object.
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(v) => Some(v),
-            _ => None,
-        }
-    }
 }
 
 /// Compact JSON text: no whitespace, numbers in their shortest
@@ -168,8 +152,8 @@ fn pos_at(b: &[u8], pos: usize) -> String {
 /// Parses a complete JSON document; trailing non-whitespace is an error.
 ///
 /// Object fields keep insertion order; on duplicate keys every field is
-/// retained (visible through [`Json::as_obj`]) and [`Json::get`] returns
-/// the **first** occurrence.
+/// retained in [`Json::Obj`] and [`Json::get`] returns the **first**
+/// occurrence.
 ///
 /// # Errors
 ///
@@ -386,7 +370,10 @@ mod tests {
         let doc = format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
         let mut v = parse(&doc).unwrap();
         for _ in 0..depth {
-            v = v.as_arr().expect("array")[0].clone();
+            let Json::Arr(items) = v else {
+                panic!("an array at every level")
+            };
+            v = items[0].clone();
         }
         assert_eq!(v, Json::Num(1.0));
         // One bracket short / one too many both fail.
@@ -400,7 +387,9 @@ mod tests {
     fn duplicate_keys_keep_first_for_get() {
         let v = parse(r#"{"k": 1, "other": 2, "k": 3}"#).unwrap();
         assert_eq!(v.get("k").and_then(Json::as_num), Some(1.0));
-        let fields = v.as_obj().unwrap();
+        let Json::Obj(fields) = v else {
+            panic!("an object")
+        };
         assert_eq!(fields.len(), 3, "duplicates are not silently dropped");
         assert_eq!(fields[0], ("k".to_owned(), Json::Num(1.0)));
         assert_eq!(fields[2], ("k".to_owned(), Json::Num(3.0)));

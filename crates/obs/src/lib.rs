@@ -42,10 +42,10 @@
 //!   JSON with balanced begin/end pairs and monotonic timestamps.
 //! * [`Provenance`] — the compiler's provenance events parsed once into
 //!   typed values: which read created every surviving message, which §6
-//!   pass removed each eliminated communication set, how the stage graph
-//!   was reused and which sets were split for legality. Its
-//!   [`Provenance::markdown`] is the first half of the explain report;
-//!   `dmc explain` appends the machine sections, rendered from the
+//!   pass removed each eliminated communication set and which sets were
+//!   split for legality. It renders the explain report's Reads and
+//!   Surviving messages sections; `dmc explain` adds the Reuse section
+//!   from its session's stage counts and the machine sections from the
 //!   simulator's own statistics and critical-path analysis.
 //! * [`profile`] — the work-ledger profile ([`WorkProfile`]): charged
 //!   work per attribution context, collapsed stacks for flamegraphs.
@@ -68,7 +68,7 @@ pub mod profile;
 mod trace;
 
 pub use chrome::{chrome_trace, validate_chrome, TraceCheck};
-pub use explain::{MessageProv, Provenance, ReadProv, Split, StageReuse};
+pub use explain::{MessageProv, Provenance, ReadProv, Split};
 pub use profile::{ProfileOp, WorkProfile};
 pub use trace::{
     enabled, event, event_f, event_nondet, field, finish_capture, lane, main_lane, read_lane,

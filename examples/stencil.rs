@@ -8,7 +8,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use dmc_core::{compile, message_stats, run, CompileInput, Options};
+use dmc_core::{build_schedule, compile, run, CompileInput, Options};
 use dmc_decomp::{CompDecomp, DataDecomp, DimMap, ProcGrid};
 use dmc_ir::Aff;
 use dmc_machine::MachineConfig;
@@ -105,7 +105,8 @@ fn main() {
     ];
     for (name, options, overlap) in cases {
         let compiled = compile(input(32, 8, overlap), options).expect("compiles");
-        let (msgs, _, words) = message_stats(&compiled, &[t, n], 10_000_000).expect("stats");
+        let plan = build_schedule(&compiled, &[t, n], false, 10_000_000).expect("plans");
+        let (msgs, _, words) = plan.message_stats();
         println!("{name:<44} {msgs:>10} {words:>10}");
     }
     println!("\nEvery border value flows exactly once per sweep in all configurations —");

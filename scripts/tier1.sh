@@ -58,18 +58,19 @@ cargo fmt --check
 # would otherwise both write `dmc/index.html`.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
 
-# Every harness battery, in one process (`dmc check`): `dmc explain
-# --check` (one capture per workload: a well-formed Chrome trace whose
-# parsed provenance names every scheduled message with the schedule's
-# sender, receivers and words; the ledger's charged work == the
-# work_units delta, >= 90% of work attributed, a byte-identical recapture,
-# recording that steers nothing; makespan == longest path == simulator,
-# exact blame, pruned what-ifs leave the makespan unchanged), `dmc session --check` (a processor-count sweep identical to the
-# one-shot pipeline, no Last Write Tree built twice), `dmc store --check`
-# (cold/warm byte identity, one index line per disk hit, eviction under a
-# byte bound, corruption as a miss) and `dmc snapshot --check` (every
-# field of the committed BENCH_pipeline.json reproduced exactly; a moved
-# field is printed as `path: old -> new`). Wall-clock lives in benchmark/.
+# The three harness batteries, in one process (`dmc check`): `dmc explain
+# --check` (one capture per workload: a well-formed Chrome trace with one
+# `schedule` span, whose parsed provenance names every scheduled message
+# with the schedule's sender, receivers and words; the ledger's charged
+# work == the work_units delta, >= 90% of work attributed, a
+# byte-identical recapture, recording that steers nothing; makespan ==
+# longest path == simulator, exact blame, pruned what-ifs leave the
+# makespan unchanged), `dmc store --check` (cold/warm byte identity, one
+# index line per disk hit, eviction under a byte bound, corruption as a
+# miss) and `dmc snapshot --check` (every field of the committed
+# BENCH_pipeline.json reproduced exactly, the processor-count `sweep`
+# section included; a moved field is printed as `path: old -> new`).
+# Wall-clock lives in benchmark/.
 cargo run --release -p dmc-bench --bin dmc -- check
 
 # Figures regression: every figure series (Figure 14 aside) must print
@@ -114,5 +115,8 @@ scripts/flamegraph.sh stencil
 if [[ "${1:-}" == "--bench" ]]; then
     cargo run --release -p dmc-bench --bin dmc -- snapshot
 fi
+
+# The library's size, so each change's log shows what it added or removed.
+echo "non-test library lines: $(scripts/loc.sh)"
 
 echo "tier-1 OK"

@@ -3,7 +3,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use dmc_core::{compile, message_stats, run, CompileInput, Options};
+use dmc_core::{build_schedule, compile, run, CompileInput, Options};
 use dmc_dataflow::{build_lwt, build_lwt_hull, DepLevel};
 use dmc_decomp::{owner_computes, CompDecomp, DataDecomp, ProcGrid};
 use dmc_machine::MachineConfig;
@@ -155,8 +155,12 @@ fn fig10_aggregation() {
     let mut no = Options::full();
     no.aggregate = false;
     let unagg = compile(mk(), no).unwrap();
-    let (m_agg, _, w_agg) = message_stats(&agg, &[3, 127], 100_000).unwrap();
-    let (m_un, _, w_un) = message_stats(&unagg, &[3, 127], 100_000).unwrap();
+    let traffic = |c| {
+        build_schedule(c, &[3, 127], false, 100_000)
+            .unwrap()
+            .message_stats()
+    };
+    let ((m_agg, _, w_agg), (m_un, _, w_un)) = (traffic(&agg), traffic(&unagg));
     assert_eq!(w_agg, w_un, "aggregation moves the same data");
     assert_eq!(m_un, 3 * m_agg, "3 items per aggregated message");
 }
@@ -267,8 +271,13 @@ fn sec22_comparisons() {
     let n = 11i128;
     let vc = compile(mk(), Options::full()).unwrap();
     let lc = compile(mk(), Options::location_centric()).unwrap();
-    let (_, _, w_vc) = message_stats(&vc, &[n], 1_000_000).unwrap();
-    let (_, _, w_lc) = message_stats(&lc, &[n], 1_000_000).unwrap();
+    let words = |c| {
+        build_schedule(c, &[n], false, 1_000_000)
+            .unwrap()
+            .message_stats()
+            .2
+    };
+    let (w_vc, w_lc) = (words(&vc), words(&lc));
     // Value-centric: each crossing value moves O(1) times; location-centric
     // re-fetches it every outer iteration (O(N)).
     assert!(w_vc * 2 <= w_lc, "vc {w_vc} vs lc {w_lc}");
@@ -322,7 +331,8 @@ fn sec223_no_regular_section_blowup() {
         grid: ProcGrid::line(4),
     };
     let compiled = compile(input, Options::full()).unwrap();
-    let (_, _, words) = message_stats(&compiled, &[4], 1_000_000).unwrap();
+    let schedule = build_schedule(&compiled, &[4], false, 1_000_000).unwrap();
+    let (_, _, words) = schedule.message_stats();
     // Touched elements that cross processors: at most the number of written
     // elements (sum over i0 of 101 - i0), never the 1000-wide row span.
     let touched: u64 = (1..=4u64).map(|i| 101 - i).sum();
