@@ -241,7 +241,9 @@ fn explain(args: &Args) -> Result<(), Exit> {
             print!("{}", explain::top_text(name, &cap, n));
         }
         // A ratio far above the nests' depth means some nest loops over
-        // misses (a level the kernel could not make tight).
+        // misses (a level the kernel could not make tight). Below one
+        // evaluation per point is expected: the planner's counted sets
+        // come as runs, each one evaluation for many points.
         let d = &cap.delta;
         println!(
             "{name:<10} scan: {} points from {} range evaluations ({:.2} per point)",

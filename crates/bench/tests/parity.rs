@@ -234,6 +234,29 @@ fn transpose_2d_input() -> CompileInput {
     }
 }
 
+/// A read that runs against its producer: `B[t][j]` reads the `A[t - 1]`
+/// row backwards, so along the producer's `i` the first use falls. Both
+/// statements go cyclic by `t`, so the row moves to the next processor.
+fn reversed_input() -> CompileInput {
+    let program = dmc_ir::parse(
+        "param T, N; array A[T + 1][N + 1]; array B[T + 1][N + 1];
+         for t = 1 to T {
+           for i = 0 to N { A[t][i] = B[t - 1][i] + 1.0; }
+           for j = 0 to N { B[t][j] = A[t - 1][N - j]; }
+         }",
+    )
+    .unwrap();
+    CompileInput {
+        program,
+        comps: BTreeMap::from([
+            (0, CompDecomp::cyclic_1d(0, "t")),
+            (1, CompDecomp::cyclic_1d(1, "t")),
+        ]),
+        initial: HashMap::new(),
+        grid: ProcGrid::line(4),
+    }
+}
+
 /// The fold gives the reference's chunks — sender, key, receiver, words,
 /// first use and last send, and in values mode the items — at legality
 /// splits 0 to 3, folded one at a time and all in one pass (one at a time
@@ -242,31 +265,48 @@ fn transpose_2d_input() -> CompileInput {
 /// classes folded for every set agreeing with the `arr`-column merge; and
 /// `aggregate_messages` gives the reference's messages with `limit`
 /// counting scanned elements: served at the count, refused one below. On
-/// the registry and on LU, stencil, transpose and X/Y under cyclic, block,
-/// block-cyclic and 2-D decompositions, value- and location-centric,
-/// naive and full, with and without a grid.
+/// the registry and on LU, stencil, transpose, X/Y and a reversed read under
+/// cyclic, block, block-cyclic and 2-D decompositions, value- and
+/// location-centric, naive and full, with and without a grid.
+///
+/// The fold takes a set's last send-iteration level as runs wherever it
+/// can, and points elsewhere: LU's largest set goes by runs at splits 0 and
+/// 1 under the grid, some sets go by points, and a fold of several splits
+/// can take the other path than one of a single split — so the payload
+/// classes must be numbered the same way on both.
 #[test]
 fn fold_matches_the_grouping_it_replaced() {
-    let mut cases: Vec<(CompileInput, Options, Vec<i128>)> = dmc_bench::workloads()
+    let mut cases: Vec<(&str, CompileInput, Options, Vec<i128>)> = dmc_bench::workloads()
         .into_iter()
-        .map(|w| ((w.input)(w.nproc), Options::full(), w.params))
+        .map(|w| (w.name, (w.input)(w.nproc), Options::full(), w.params))
         .collect();
     cases.extend([
-        (lu_input(3), Options::naive(), vec![13]),
-        (lu_input(4), Options::location_centric(), vec![12]),
-        (xy_input(2), Options::location_centric(), vec![15]),
-        (stencil_input(8, 3), Options::full(), vec![2, 63]),
-        (transpose_2d_input(), Options::full(), vec![15]),
-        (transpose_2d_input(), Options::location_centric(), vec![15]),
+        ("lu naive", lu_input(3), Options::naive(), vec![13]),
+        ("lu lc", lu_input(4), Options::location_centric(), vec![12]),
+        ("xy lc", xy_input(2), Options::location_centric(), vec![15]),
+        ("stencil", stencil_input(8, 3), Options::full(), vec![2, 63]),
+        ("transpose", transpose_2d_input(), Options::full(), vec![15]),
+        (
+            "transpose lc",
+            transpose_2d_input(),
+            Options::location_centric(),
+            vec![15],
+        ),
+        ("reversed", reversed_input(), Options::full(), vec![6, 9]),
     ]);
     const EXTRAS: [usize; 4] = [0, 1, 2, 3];
     let (mut refetched, mut repeats, mut two_d, mut merged) = (0, 0, 0, 0);
-    for (input, options, params) in cases {
+    let (mut lu_by_runs, mut by_points) = (0, 0);
+    for (name, input, options, params) in cases {
         let compiled = compile(input, options).expect("compiles");
         assert!(!compiled.comm.is_empty());
         let stmts = compiled.input.program.statements();
-        for cs in &compiled.comm {
-            let count = cs.enumerate(&params, usize::MAX).unwrap().unwrap().len();
+        let count = |cs: &CommSet| cs.enumerate(&params, usize::MAX).unwrap().unwrap().len();
+        let largest = (compiled.comm.iter().map(count).enumerate())
+            .max_by_key(|&(_, n)| n)
+            .map(|(k, _)| k);
+        for (k, cs) in compiled.comm.iter().enumerate() {
+            let count = count(cs);
             let read_depth = stmts[cs.read_stmt].loops.len();
             for grid in [None, Some(&compiled.input.grid)] {
                 let want = reference_messages(cs, &params, grid);
@@ -309,6 +349,12 @@ fn fold_matches_the_grouping_it_replaced() {
                         assert_eq!(one.split(), cs.split_depth(extra));
                         let in_all = all.iter().find(|f| f.split() == one.split());
                         assert_eq!(in_all, Some(&one), "split {extra} alone and with the rest");
+                        let planner = aggregate && grid.is_some();
+                        if name == "lu" && largest == Some(k) && planner && extra < 2 {
+                            assert!(one.counted(), "LU's largest set at split {extra}");
+                            lu_by_runs += 1;
+                        }
+                        by_points += usize::from(aggregate && extra == 0 && !one.counted());
                         let chunks = reference_chunks(cs, &want, extra, aggregate);
                         assert_eq!(one.len(), chunks.len(), "{} split {extra}", cs.array);
                         for (c, r) in one.chunks().zip(&chunks) {
@@ -362,15 +408,17 @@ fn fold_matches_the_grouping_it_replaced() {
     assert!(repeats > 0, "no set exercised dedup or \u{a7}6.1.3");
     assert!(two_d > 0, "no 2-D grid was aggregated");
     assert!(merged > 0, "no payloads were merged into a multicast");
+    assert!(lu_by_runs > 0, "LU is not in the registry");
+    assert!(by_points > 0, "no set fell back to the point fold");
 }
 
 /// The scan kernel visits every final communication set of LU at (N, P) =
 /// (12, 4) and (48, 16) and of the stencil, in the order
-/// `CommSet::for_each` scans it, exactly as the dense recursion it
+/// `CommScan::for_each` scans it, exactly as the dense recursion it
 /// replaced: same points, same order. LU's receiver sets carry the
 /// quotient levels the kernel assigns by exact division; at P = 16 they
 /// are `fold_receivers`' stride, the sets the `lu_plan` benchmark spends
-/// its time in. `CommSet::for_each`, which stops before trailing pinned
+/// its time in. `CommScan::for_each`, which stops before trailing pinned
 /// auxiliary levels, lends the same elements in the same order.
 #[test]
 fn scan_kernel_matches_dense_recursion_on_the_planner_sets() {

@@ -7,12 +7,12 @@
 //! [`CommDims`]; the `p_s ≠ p_r` condition is split into lexicographically
 //! disjoint convex pieces.
 
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 
 use dmc_dataflow::{DepLevel, LastWriteTree, LwtLeaf};
 use dmc_decomp::{CompDecomp, DataDecomp};
 use dmc_ir::{Program, StmtInfo};
-use dmc_polyhedra::{Constraint, DimKind, LinExpr, PolyError, Polyhedron, Space};
+use dmc_polyhedra::{Constraint, DimKind, LinExpr, PolyError, Polyhedron, ScanKernel, Space};
 
 /// Dimension groups of a communication-set polyhedron, as positions into
 /// its space. Order in the space is always
@@ -85,7 +85,7 @@ pub struct CommSet {
 
 /// One concrete element of a communication set, owned — what
 /// [`CommSet::enumerate`] hands to tests and figures. The planner folds
-/// the borrowed [`ElemRow`]s [`CommSet::for_each`] lends instead.
+/// the borrowed [`ElemRow`]s [`CommScan::for_each`] lends instead.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CommElem {
     /// Producer iteration (empty for initial-owner sets).
@@ -101,7 +101,7 @@ pub struct CommElem {
 }
 
 /// One element of a communication set, borrowed from the scan: what
-/// [`CommSet::for_each`] lends its visitor, in the scan kernel's `i64`.
+/// [`CommScan`] lends its visitor, in the scan kernel's `i64`.
 #[derive(Clone, Copy, Debug)]
 pub struct ElemRow<'a> {
     s_iter: &'a [i64],
@@ -171,6 +171,14 @@ pub enum CommError {
     MissingDecomp(usize),
     /// Processor-space ranks of the read and write decompositions differ.
     ProcRankMismatch,
+    /// A set was scanned with a number of parameter values other than the
+    /// number of its parameters.
+    ParamCount {
+        /// Parameters the set has.
+        want: usize,
+        /// Values supplied.
+        got: usize,
+    },
 }
 
 impl From<PolyError> for CommError {
@@ -189,6 +197,10 @@ impl std::fmt::Display for CommError {
             CommError::ProcRankMismatch => {
                 write!(f, "read and write processor spaces have different ranks")
             }
+            CommError::ParamCount { want, got } => write!(
+                f,
+                "the set has {want} parameter(s) but {got} value(s) were given"
+            ),
         }
     }
 }
@@ -500,31 +512,31 @@ fn split_ne(poly: &Polyhedron, dims: &CommDims) -> Result<Vec<Polyhedron>, PolyE
 }
 
 impl CommSet {
-    /// Visits every element of the set for concrete parameter values, in
-    /// scan order: `s_iter`, `ps`, `pr`, `r_iter`, `a`, then the auxiliary
+    /// Compiles the set's scan for concrete parameter values, to visit its
+    /// elements ([`CommScan::for_each`]) or its runs
+    /// ([`CommScan::for_each_run`]). The polyhedron is scanned in the
+    /// order `s_iter`, `ps`, `pr`, `r_iter`, `a`, then the auxiliary
     /// dimensions in the order [`CommDims::aux`] lists them (the order the
-    /// §6 passes appended them), outer to inner. The polyhedron is scanned
-    /// with derived loop bounds on the compiled kernel
-    /// ([`dmc_polyhedra::ScanKernel`]): cost proportional to the number of
-    /// elements, not to any bounding box, and an auxiliary pinned by an
-    /// equality — unit or strided — costs an assignment, not a loop, or
-    /// nothing when only pinned levels follow it.
-    /// `visit` is lent each element, borrowed from the scan's point, and
-    /// returns [`ControlFlow::Break`] to stop early.
+    /// §6 passes appended them), outer to inner, with derived loop bounds
+    /// on the compiled kernel ([`dmc_polyhedra::ScanKernel`]): cost
+    /// proportional to the number of elements, not to any bounding box, and
+    /// an auxiliary pinned by an equality — unit or strided — costs an
+    /// assignment, not a loop, or nothing when only pinned levels follow it.
     ///
     /// # Errors
     ///
-    /// Returns [`PolyError`] (as `E`): `Overflow` when the kernel cannot
-    /// prove the set's values within its `i64` range
-    /// ([`dmc_polyhedra::ScanNest::compile`]), `Unbounded` on an unbounded
-    /// dimension; and whatever `visit` returns.
-    pub fn for_each<E: From<PolyError>>(
-        &self,
-        param_vals: &[i128],
-        mut visit: impl FnMut(ElemRow<'_>) -> Result<ControlFlow<()>, E>,
-    ) -> Result<(), E> {
-        assert_eq!(param_vals.len(), self.dims.params.len());
+    /// Returns [`CommError::ParamCount`] when `param_vals` does not give
+    /// one value per parameter, and [`CommError::Poly`]: `Overflow` when
+    /// the kernel cannot prove the set's values within its `i64` range
+    /// ([`dmc_polyhedra::ScanNest::compile`]).
+    pub fn scan(&self, param_vals: &[i128]) -> Result<CommScan, CommError> {
         let d = &self.dims;
+        if param_vals.len() != d.params.len() {
+            return Err(CommError::ParamCount {
+                want: d.params.len(),
+                got: param_vals.len(),
+            });
+        }
         let order: Vec<usize> = [&d.s_iter, &d.ps, &d.pr, &d.r_iter, &d.arr, &d.aux]
             .into_iter()
             .flatten()
@@ -550,45 +562,130 @@ impl CommSet {
             }
             (false, first) => first.map_or(0..0, |&f| f..f + g.len()),
         });
-        let source: Vec<usize> = groups.into_iter().flatten().copied().collect();
-        let mut cols = vec![0i64; if gather { source.len() } else { 0 }];
+        let source = gather.then(|| groups.into_iter().flatten().copied().collect());
         // The scan visits each solution exactly once; no dedup needed. The
         // auxiliary dimensions are never lent out, so trailing ones pinned
         // by an equality are not assigned.
         let kernel = nest.compile(&fixed)?;
         let depth = kernel.looping_depth().max(order.len() - d.aux.len());
-        kernel.for_each(depth, |pt| {
-            if !gather {
-                return visit(ElemRow::over(pt, &spans));
-            }
-            for (c, &x) in cols.iter_mut().zip(&source) {
-                *c = pt[x];
-            }
-            visit(ElemRow::over(&cols, &spans))
+        // A run moves the last send iteration; the lane must stay put.
+        let lane: Vec<usize> = [
+            &d.ps[..],
+            &d.pr,
+            &d.r_iter[..self.refetch_outer.min(d.r_iter.len())],
+        ]
+        .concat();
+        let runs = d.s_iter.len().checked_sub(1).filter(|&level| {
+            kernel
+                .run_dims(depth, level)
+                .is_some_and(|moving| moving.iter().all(|m| !lane.contains(m)))
+        });
+        Ok(CommScan {
+            kernel,
+            depth,
+            spans,
+            source,
+            runs,
         })
     }
 
-    /// Collects [`CommSet::for_each`] into a vector. Returns `None` only
+    /// Collects [`CommScan::for_each`] into a vector. Returns `None` only
     /// if the set has more than `limit` elements.
     ///
     /// # Errors
     ///
-    /// As [`CommSet::for_each`].
+    /// As [`CommSet::scan`] and [`CommScan::for_each`].
     pub fn enumerate(
         &self,
         param_vals: &[i128],
         limit: usize,
-    ) -> Result<Option<Vec<CommElem>>, PolyError> {
+    ) -> Result<Option<Vec<CommElem>>, CommError> {
         let mut out = Vec::new();
-        self.for_each(param_vals, |e| {
+        self.scan(param_vals)?.for_each(|e| {
             out.push(e.to_elem());
-            Ok::<_, PolyError>(if out.len() > limit {
+            Ok::<_, CommError>(if out.len() > limit {
                 ControlFlow::Break(())
             } else {
                 ControlFlow::Continue(())
             })
         })?;
         Ok((out.len() <= limit).then_some(out))
+    }
+}
+
+/// A communication set's scan compiled for concrete parameter values
+/// ([`CommSet::scan`]).
+#[derive(Clone, Debug)]
+pub struct CommScan {
+    kernel: ScanKernel,
+    /// Levels the kernel runs: every one that loops, and every one an
+    /// element lends.
+    depth: usize,
+    /// Where each group of an [`ElemRow`] lies in the point, or in the
+    /// gathered buffer when `source` names the columns to gather.
+    spans: [Range<usize>; 5],
+    source: Option<Vec<usize>>,
+    /// The level [`CommScan::for_each_run`] counts, when it can.
+    runs: Option<usize>,
+}
+
+impl CommScan {
+    /// The element of a point: borrowed from it, or gathered into `cols`.
+    fn row<'a>(&'a self, point: &'a [i64], cols: &'a mut Vec<i64>) -> ElemRow<'a> {
+        match &self.source {
+            None => ElemRow::over(point, &self.spans),
+            Some(source) => {
+                cols.clear();
+                cols.extend(source.iter().map(|&x| point[x]));
+                ElemRow::over(cols, &self.spans)
+            }
+        }
+    }
+
+    /// Visits every element of the set, in scan order, lent as an
+    /// [`ElemRow`] borrowed from the scan's point; `visit` returns
+    /// [`ControlFlow::Break`] to stop early.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PolyError`] (as `E`): `Unbounded` on an unbounded
+    /// dimension; and whatever `visit` returns.
+    pub fn for_each<E: From<PolyError>>(
+        &self,
+        mut visit: impl FnMut(ElemRow<'_>) -> Result<ControlFlow<()>, E>,
+    ) -> Result<(), E> {
+        let mut cols = Vec::new();
+        self.kernel
+            .for_each(self.depth, |pt| visit(self.row(pt, &mut cols)))
+    }
+
+    /// Visits the set as runs along its last send-iteration level, when the
+    /// kernel can count that level ([`dmc_polyhedra::ScanKernel::run_dims`])
+    /// and the lane — sender, receiver and re-fetch prefix — does not move
+    /// along it. `visit` gets, per point of the other levels, the elements
+    /// at the run's two ends and the number of elements the run stands
+    /// for: they share the lane, and their consuming iterations and array
+    /// elements are affine in their send iterations. Returns `Ok(false)`,
+    /// visiting nothing, when the set cannot be counted that way.
+    ///
+    /// # Errors
+    ///
+    /// As [`CommScan::for_each`].
+    pub fn for_each_run<E: From<PolyError>>(
+        &self,
+        mut visit: impl FnMut(ElemRow<'_>, ElemRow<'_>, u64) -> Result<ControlFlow<()>, E>,
+    ) -> Result<bool, E> {
+        let Some(level) = self.runs else {
+            return Ok(false);
+        };
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        self.kernel.for_each_run(self.depth, level, |run| {
+            visit(
+                self.row(run.first, &mut a),
+                self.row(run.last, &mut b),
+                run.len,
+            )
+        })
     }
 }
 
@@ -649,6 +746,29 @@ mod tests {
             .filter(|e| e.r_iter[0] == 0 && e.pr[0] == 1)
             .collect();
         assert_eq!(per_t_pr1.len(), 3);
+    }
+
+    #[test]
+    fn a_wrong_parameter_count_is_a_typed_error() {
+        let (p, lwt, comp) = figure2_setup();
+        let stmts = p.statements();
+        let leaf = lwt.source_leaves().next().unwrap();
+        let sets = comm_from_leaf(&p, &lwt, leaf, &stmts[0], &stmts[0], &comp, &comp).unwrap();
+        let cs = &sets[0];
+        let wrong = |got| Some(CommError::ParamCount { want: 2, got });
+        assert_eq!(cs.scan(&[]).err(), wrong(0));
+        assert_eq!(cs.enumerate(&[1, 66, 0], 10).err(), wrong(3));
+        assert_eq!(crate::aggregate_messages(cs, &[], None, 10).err(), wrong(0));
+        let spec = crate::FoldSpec {
+            grid: None,
+            splits: &[0],
+            read_depth: 2,
+            aggregate: true,
+            multicast: true,
+            payloads: true,
+        };
+        assert_eq!(crate::fold_messages(cs, &[1], &spec, 10).err(), wrong(1));
+        assert!(crate::fold_messages(cs, &[1, 66], &spec, 100).is_ok());
     }
 
     #[test]

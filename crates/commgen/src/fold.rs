@@ -14,6 +14,22 @@
 //! chunks' classes and the closed chunks' summaries — and, in values mode,
 //! one item list per class.
 //!
+//! A set's last send-iteration level is *counted* instead of iterated when
+//! no split folded keys a chunk by it and the scan can hand it out as
+//! kernel runs ([`CommScan::for_each_run`](crate::CommScan::for_each_run)):
+//! the lane does not move along it, and the consuming iteration and the
+//! array element move affinely. A kernel run is then one row per send
+//! iteration of one lane, where §6.1.3's dedup cannot fire, so the runs of
+//! one send-iteration prefix, a *band*, stand for its blocks whenever each
+//! lane has at most one run in it: a run adds its length to its chunk's
+//! words, its last value is the chunk's last send, the lexicographic
+//! minimum of its two ends is its first use (each component is affine, so
+//! monotone, along it), and two runs carry the same payload when their
+//! values and their array elements at both ends agree. A band where a lane
+//! repeats hands the whole set to the point fold, which every other set
+//! takes too; payload classes are numbered in message order, so both paths
+//! give the same [`Folded`].
+//!
 //! A set whose data has no producer has no send iteration: it is one
 //! block, and its points are held whole while it is folded. That is every
 //! initial-owner set, so every set of a location-centric compile.
@@ -24,9 +40,8 @@ use std::ops::ControlFlow;
 
 use dmc_decomp::ProcGrid;
 use dmc_polyhedra::cache::WordHasher;
-use dmc_polyhedra::PolyError;
 
-use crate::commset::{CommSet, ElemRow};
+use crate::commset::{CommError, CommSet, ElemRow};
 
 /// How [`fold_messages`] folds a communication set.
 #[derive(Clone, Copy, Debug)]
@@ -77,7 +92,7 @@ pub struct Chunk<'a> {
 /// One communication set folded at one legality split: its chunks in
 /// message order — `(sender, aggregation and re-fetch key, receiver)`, then
 /// send iteration — their multicast groups and, in values mode, the items
-/// of each payload class.
+/// of each payload class, numbered in the order of their first chunks.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Folded {
     split: usize,
@@ -94,12 +109,30 @@ pub struct Folded {
     item_width: usize,
     /// Per payload class, its items (values mode; empty otherwise).
     items: Vec<Vec<i128>>,
+    counted: Counted,
+}
+
+/// Whether a fold counted its set's runs: both paths fold a set to the
+/// same chunks, so folds compare equal whichever path took them.
+#[derive(Clone, Copy, Debug, Eq)]
+struct Counted(bool);
+
+impl PartialEq for Counted {
+    fn eq(&self, _: &Counted) -> bool {
+        true
+    }
 }
 
 impl Folded {
     /// The legality split folded ([`FoldSpec::splits`], capped).
     pub fn split(&self) -> usize {
         self.split
+    }
+
+    /// Whether the fold counted the set's last send-iteration level
+    /// instead of visiting its points (the module documentation's runs).
+    pub fn counted(&self) -> bool {
+        self.counted.0
     }
 
     /// Number of chunks.
@@ -186,21 +219,50 @@ impl CommSet {
 ///
 /// # Errors
 ///
-/// Returns [`PolyError`] as [`CommSet::for_each`] does: `Overflow` past
-/// the scan kernel's range, `Unbounded` on an unbounded dimension.
-/// Returns `Ok(None)` when the set has more than `limit` elements.
+/// Returns [`CommError`] as [`CommSet::scan`] and
+/// [`CommScan::for_each`](crate::CommScan::for_each) do: `ParamCount` on a wrong number of parameter values, `Poly` with
+/// `Overflow` past the scan kernel's range or `Unbounded` on an unbounded
+/// dimension. Returns `Ok(None)` when the set has more than `limit`
+/// elements.
 pub fn fold_messages(
     cs: &CommSet,
     param_vals: &[i128],
     spec: &FoldSpec<'_>,
     limit: usize,
-) -> Result<Option<Vec<Folded>>, PolyError> {
-    let mut folder = Folder::new(cs, spec);
+) -> Result<Option<Vec<Folded>>, CommError> {
+    let scan = cs.scan(param_vals)?;
+    // A kernel run moves the last send iteration: no chunk may be keyed
+    // by it.
+    let ns = cs.dims.s_iter.len();
+    let keyed = spec
+        .splits
+        .iter()
+        .any(|&extra| cs.prefix_len.min(ns) + cs.split_depth(extra) >= ns);
+    if spec.aggregate && !keyed {
+        let mut folder = Folder::new(cs, spec, true);
+        let (mut scanned, mut clash) = (0u64, false);
+        let counted = scan.for_each_run(|first, last, len| {
+            scanned += len;
+            clash = scanned <= limit as u64 && !folder.push_run(first, last, len);
+            Ok::<_, CommError>(if scanned > limit as u64 || clash {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            })
+        })?;
+        if scanned > limit as u64 {
+            return Ok(None);
+        }
+        if counted && !clash {
+            return Ok(Some(folder.finish()));
+        }
+    }
+    let mut folder = Folder::new(cs, spec, false);
     let mut scanned = 0usize;
-    cs.for_each(param_vals, |e| {
+    scan.for_each(|e| {
         scanned += 1;
         if scanned > limit {
-            return Ok::<_, PolyError>(ControlFlow::Break(()));
+            return Ok::<_, CommError>(ControlFlow::Break(()));
         }
         folder.push(e);
         Ok(ControlFlow::Continue(()))
@@ -211,8 +273,8 @@ pub fn fold_messages(
 /// A class slot with no payload id, and a run with no lane.
 const NONE: u32 = u32::MAX;
 
-/// One run of a block: the kept rows of one lane (or, without aggregation,
-/// one kept row).
+/// One run of a block — the kept rows of one lane or, without aggregation,
+/// one kept row — or of a band: one kernel run, a row of its own.
 #[derive(Clone, Copy, Debug)]
 struct Run {
     lane: u32,
@@ -280,17 +342,26 @@ struct Folder<'a> {
     aggregate: bool,
     multicast: bool,
     payloads: bool,
+    /// Whether the set comes as kernel runs, one band at a time.
+    counted: bool,
     /// Block row: `sender | key_r | receiver | ps | r_iter | pr | arr`.
+    /// Band row: `sender | key_r | receiver | first use | first value,
+    /// last value, length | arr at the first | arr at the last`.
     width: usize,
     /// Columns of the sender, and of the re-fetch prefix.
     ws: usize,
     kr: usize,
     /// Columns of the lane (`sender | key_r | receiver`).
     lane: usize,
+    /// Where a row's consuming iteration, its run's values (band rows)
+    /// and its array element start.
     r_at: usize,
+    x_at: usize,
     arr_at: usize,
     ks: usize,
     rd: usize,
+    /// The block's send iteration; in a band, its prefix, then the value
+    /// of the run being folded.
     block_s: Vec<i64>,
     /// The send iteration of the last block that kept rows.
     last_s: Option<Vec<i64>>,
@@ -309,12 +380,17 @@ struct Folder<'a> {
     lanes: HashMap<Vec<i64>, u32, BuildHasherDefault<WordHasher>>,
     /// Per lane and depth: `(epoch, chunk)` of its open chunk.
     open: Vec<(u32, u32)>,
+    /// Bands read; per lane, the last band that had a run of it; per band
+    /// row, its lane.
+    band: u32,
+    seen: Vec<u32>,
+    row_lane: Vec<u32>,
     depths: Vec<Depth>,
     classes: Classes,
 }
 
 impl<'a> Folder<'a> {
-    fn new(cs: &CommSet, spec: &FoldSpec<'a>) -> Self {
+    fn new(cs: &CommSet, spec: &FoldSpec<'a>, counted: bool) -> Self {
         let d = &cs.dims;
         let (q, nr, na, ns) = (d.ps.len(), d.r_iter.len(), d.arr.len(), d.s_iter.len());
         let ws = if spec.grid.is_some() { 1 } else { q };
@@ -343,17 +419,25 @@ impl<'a> Folder<'a> {
                 items: Vec::new(),
             });
         }
+        let (r_at, x_at, arr_at) = if counted {
+            let x_at = lane + spec.read_depth;
+            (lane, x_at, x_at + 3)
+        } else {
+            (lane + q, 0, lane + 2 * q + nr)
+        };
         Folder {
             grid: spec.grid,
             aggregate: spec.aggregate,
             multicast: spec.multicast && spec.aggregate,
             payloads: spec.payloads,
-            width: lane + 2 * q + nr + na,
+            counted,
+            width: arr_at + if counted { 2 * na } else { na },
             ws,
             kr,
             lane,
-            r_at: lane + q,
-            arr_at: lane + 2 * q + nr,
+            r_at,
+            x_at,
+            arr_at,
             ks,
             rd: spec.read_depth,
             block_s: Vec::new(),
@@ -368,9 +452,39 @@ impl<'a> Folder<'a> {
             closing: Vec::new(),
             lanes: HashMap::default(),
             open: Vec::new(),
+            band: 0,
+            seen: Vec::new(),
+            row_lane: Vec::new(),
             depths,
             classes: Classes::default(),
         }
+    }
+
+    /// Appends an element's lane columns — sender, re-fetch prefix,
+    /// receiver — to the rows, or returns `false` for a local copy, which
+    /// is dropped.
+    fn lane_of(&mut self, e: ElemRow<'_>) -> bool {
+        let key_r = &e.r_iter()[..self.kr];
+        match self.grid {
+            Some(g) => {
+                let (s, r) = (g.fold_rank(e.ps()), g.fold_rank(e.pr()));
+                if s == r {
+                    return false;
+                }
+                self.rows.push(s);
+                self.rows.extend_from_slice(key_r);
+                self.rows.push(r);
+            }
+            None => {
+                if e.ps() == e.pr() {
+                    return false;
+                }
+                self.rows.extend_from_slice(e.ps());
+                self.rows.extend_from_slice(key_r);
+                self.rows.extend_from_slice(e.pr());
+            }
+        }
+        true
     }
 
     /// Takes one scanned element: a local copy is dropped, anything else
@@ -381,29 +495,41 @@ impl<'a> Folder<'a> {
             self.block_s.clear();
             self.block_s.extend_from_slice(e.s_iter());
         }
-        let key_r = &e.r_iter()[..self.kr];
-        match self.grid {
-            Some(g) => {
-                let (s, r) = (g.fold_rank(e.ps()), g.fold_rank(e.pr()));
-                if s == r {
-                    return;
-                }
-                self.rows.push(s);
-                self.rows.extend_from_slice(key_r);
-                self.rows.push(r);
-            }
-            None => {
-                if e.ps() == e.pr() {
-                    return;
-                }
-                self.rows.extend_from_slice(e.ps());
-                self.rows.extend_from_slice(key_r);
-                self.rows.extend_from_slice(e.pr());
+        if self.lane_of(e) {
+            for part in [e.ps(), e.r_iter(), e.pr(), e.arr()] {
+                self.rows.extend_from_slice(part);
             }
         }
-        for part in [e.ps(), e.r_iter(), e.pr(), e.arr()] {
-            self.rows.extend_from_slice(part);
+    }
+
+    /// Takes one kernel run of `len` elements from `first` to `last`: a
+    /// local copy is dropped, anything else joins its band. Returns `false`
+    /// when the run's lane already has one in the band.
+    fn push_run(&mut self, first: ElemRow<'_>, last: ElemRow<'_>, len: u64) -> bool {
+        let (s, n) = (first.s_iter(), first.s_iter().len() - 1);
+        if self.block_s.get(..n) != Some(&s[..n]) {
+            self.block();
+            self.block_s.clear();
+            self.block_s.extend_from_slice(s);
+            self.band += 1;
         }
+        let row = (self.rows.len() / self.width) as u32;
+        if !self.lane_of(first) {
+            return true;
+        }
+        let lane = self.lane_id(row);
+        if std::mem::replace(&mut self.seen[lane as usize], self.band) == self.band {
+            return false;
+        }
+        self.row_lane.push(lane);
+        let rd = self.rd;
+        let first_use = std::cmp::min(&first.r_iter()[..rd], &last.r_iter()[..rd]);
+        self.rows.extend_from_slice(first_use);
+        self.rows
+            .extend_from_slice(&[s[n], last.s_iter()[n], len as i64]);
+        self.rows.extend_from_slice(first.arr());
+        self.rows.extend_from_slice(last.arr());
+        true
     }
 
     fn row(&self, i: u32) -> &[i64] {
@@ -434,7 +560,11 @@ impl<'a> Folder<'a> {
             Some(last) => last.clone_from(&self.block_s),
             None => self.last_s = Some(self.block_s.clone()),
         }
-        self.form_runs();
+        if self.counted {
+            self.form_band();
+        } else {
+            self.form_runs();
+        }
         if self.multicast {
             self.match_payloads();
         }
@@ -442,17 +572,46 @@ impl<'a> Folder<'a> {
             self.fold_runs(d);
         }
         self.rows.clear();
+        self.row_lane.clear();
     }
 
-    /// Sorts the block's rows by `(lane, ps, r_iter, pr, arr)` and cuts
-    /// them into deduplicated runs.
-    fn form_runs(&mut self) {
+    /// The rows of the block or band, by index, sorted.
+    fn sorted_rows(&mut self) -> Vec<u32> {
         let mut order = std::mem::take(&mut self.order);
         order.clear();
         order.extend(0..(self.rows.len() / self.width) as u32);
         order.sort_unstable_by(|&a, &b| self.row(a).cmp(self.row(b)));
         self.kept.clear();
         self.runs.clear();
+        order
+    }
+
+    /// The group of a run whose first kept row is `row`, following the
+    /// runs cut so far: the last one's, or the next when the sender or the
+    /// re-fetch prefix moved.
+    fn group_of(&self, row: u32) -> u32 {
+        self.runs.last().map_or(0, |prev| {
+            let sender = |k: u32| &self.row(k)[..self.ws + self.kr];
+            let moved = sender(self.kept[prev.from as usize]) != sender(row);
+            prev.group + u32::from(moved)
+        })
+    }
+
+    /// Sorts the band's rows by lane: each is a run of its own.
+    fn form_band(&mut self) {
+        let order = self.sorted_rows();
+        for (k, &row) in order.iter().enumerate() {
+            let group = self.group_of(row);
+            self.kept.push(row);
+            self.keep_run(self.row_lane[row as usize], group, k, k + 1);
+        }
+        self.order = order;
+    }
+
+    /// Sorts the block's rows by `(lane, ps, r_iter, pr, arr)` and cuts
+    /// them into deduplicated runs.
+    fn form_runs(&mut self) {
+        let order = self.sorted_rows();
         let mut i = 0;
         while i < order.len() {
             let first = order[i];
@@ -466,14 +625,7 @@ impl<'a> Folder<'a> {
             } else {
                 NONE
             };
-            let group = match self.runs.last() {
-                Some(prev) => {
-                    let sender = |k: u32| &self.row(k)[..self.ws + self.kr];
-                    let moved = sender(self.kept[prev.from as usize]) != sender(first);
-                    prev.group + u32::from(moved)
-                }
-                None => 0,
-            };
+            let group = self.group_of(first);
             let from = self.kept.len();
             if j - i == 1 {
                 self.kept.push(first);
@@ -482,9 +634,9 @@ impl<'a> Folder<'a> {
             }
             let to = self.kept.len();
             if self.aggregate {
-                self.push_run(lane, group, from, to);
+                self.keep_run(lane, group, from, to);
             } else {
-                (from..to).for_each(|k| self.push_run(lane, group, k, k + 1));
+                (from..to).for_each(|k| self.keep_run(lane, group, k, k + 1));
             }
             i = j;
         }
@@ -530,10 +682,11 @@ impl<'a> Folder<'a> {
         self.lanes.insert(cols.to_vec(), id);
         self.open
             .extend(std::iter::repeat_n((0, 0), self.depths.len()));
+        self.seen.push(0);
         id
     }
 
-    fn push_run(&mut self, lane: u32, group: u32, from: usize, to: usize) {
+    fn keep_run(&mut self, lane: u32, group: u32, from: usize, to: usize) {
         let first_use = |k: u32| &self.row(k)[self.r_at..][..self.rd];
         let kept = &self.kept[from..to];
         let min = kept[1..].iter().fold(
@@ -550,8 +703,14 @@ impl<'a> Folder<'a> {
         });
     }
 
-    /// Whether runs `a` and `b` carry the same array elements, in order.
+    /// Whether runs `a` and `b` carry the same array elements, in order:
+    /// for band rows, whether their values and their array elements at
+    /// both ends agree — the elements are affine in the values.
     fn same_items(&self, a: Run, b: Run) -> bool {
+        if self.counted {
+            let sig = |r: Run| &self.row(self.kept[r.from as usize])[self.x_at..];
+            return sig(a) == sig(b);
+        }
         let (a, b) = (
             &self.kept[a.from as usize..a.to as usize],
             &self.kept[b.from as usize..b.to as usize],
@@ -662,6 +821,13 @@ impl<'a> Folder<'a> {
 
     /// Adds a run's words and anchors to chunk `c` of depth `d`.
     fn add_run(&mut self, d: usize, c: u32, run: Run) {
+        let mut words = u64::from(run.to - run.from);
+        if self.counted {
+            let x = &self.row(self.kept[run.from as usize])[self.x_at..];
+            let (last, len, n) = (x[1], x[2], self.block_s.len() - 1);
+            self.block_s[n] = last;
+            words = len as u64;
+        }
         let first = &self.rows[run.min as usize * self.width + self.r_at..][..self.rd];
         let depth = &mut self.depths[d];
         let e = depth.ends;
@@ -675,13 +841,28 @@ impl<'a> Folder<'a> {
             overwrite(first_use, first);
         }
         overwrite(last_send, &self.block_s);
-        depth.words[c as usize] += u64::from(run.to - run.from);
+        depth.words[c as usize] += words;
     }
 
-    /// Appends run `r`'s items to class `class` (values mode).
+    /// Appends run `r`'s items to class `class` (values mode); a band
+    /// row's, each value with the array element at it.
     fn append_items(&mut self, class: u32, r: usize) {
         let run = self.runs[r];
         let items = &mut self.classes.items[class as usize];
+        if self.counted {
+            let row =
+                &self.rows[self.kept[run.from as usize] as usize * self.width..][..self.width];
+            let (x, arr) = (&row[self.x_at..self.arr_at], &row[self.arr_at..]);
+            let (at_first, at_last) = arr.split_at(arr.len() / 2);
+            let n = self.block_s.len() - 1;
+            for i in 0..x[2] {
+                widen(items, &self.block_s[..n]);
+                items.push(along(x[0], x[1], x[2], i));
+                let arr = at_first.iter().zip(at_last);
+                items.extend(arr.map(|(&a, &b)| along(a, b, x[2], i)));
+            }
+            return;
+        }
         for &k in &self.kept[run.from as usize..run.to as usize] {
             widen(items, &self.block_s);
             let row = &self.rows[k as usize * self.width..][..self.width];
@@ -760,10 +941,11 @@ impl<'a> Folder<'a> {
         for d in 0..self.depths.len() {
             self.close(d);
         }
-        let (msg_key, arr_width) = (self.ks + self.kr, self.width - self.arr_at);
+        let ends = if self.counted { 2 } else { 1 };
+        let (msg_key, arr_width) = (self.ks + self.kr, (self.width - self.arr_at) / ends);
         self.depths
             .into_iter()
-            .map(|depth| depth.finish(msg_key, arr_width))
+            .map(|depth| depth.finish(msg_key, arr_width, self.counted))
             .collect()
     }
 }
@@ -771,6 +953,17 @@ impl<'a> Folder<'a> {
 /// Appends `part`, widened to the `i128` of [`Folded`].
 fn widen(out: &mut Vec<i128>, part: &[i64]) {
     out.extend(part.iter().map(|&v| i128::from(v)));
+}
+
+/// The `i`-th of `len` values from `first` to `last`, all steps equal.
+fn along(first: i64, last: i64, len: i64, i: i64) -> i128 {
+    let (first, last) = (i128::from(first), i128::from(last));
+    if len == 1 {
+        return first;
+    }
+    let step = (last - first) / i128::from(len - 1);
+    debug_assert_eq!(step * i128::from(len - 1), last - first, "an affine value");
+    first + step * i128::from(i)
 }
 
 /// Overwrites `out` with `part`, widened.
@@ -781,8 +974,10 @@ fn overwrite(out: &mut [i128], part: &[i64]) {
 }
 
 impl Depth {
-    /// Puts the chunks in message order and forms the groups.
-    fn finish(self, msg_key: usize, arr_width: usize) -> Folded {
+    /// Puts the chunks in message order, numbers the payload classes in
+    /// the order of their first chunks — whichever order the fold opened
+    /// them in — and forms the groups, one per class.
+    fn finish(mut self, msg_key: usize, arr_width: usize, counted: bool) -> Folded {
         let (e, n) = (self.ends, self.words.len());
         let item_split = e[4] - e[3];
         let rec = |i: u32| &self.data[i as usize * e[4]..][..e[4]];
@@ -795,21 +990,19 @@ impl Depth {
         order.sort_by(|&a, &b| message(a).cmp(&message(b)));
         let mut data = Vec::with_capacity(self.data.len());
         let (mut words, mut payload) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let mut id = vec![NONE; self.items.len()];
+        let (mut groups, mut items): (Vec<Vec<u32>>, _) = (Vec::new(), Vec::new());
         for &i in &order {
             data.extend_from_slice(rec(i));
             words.push(self.words[i as usize]);
-            payload.push(self.class[i as usize]);
-        }
-        // A group per payload, in the order of its first chunk.
-        let mut group_of = vec![NONE; self.items.len()];
-        let mut groups: Vec<Vec<u32>> = Vec::new();
-        for (i, &p) in payload.iter().enumerate() {
-            let g = &mut group_of[p as usize];
-            if *g == NONE {
-                *g = groups.len() as u32;
+            let class = self.class[i as usize] as usize;
+            if id[class] == NONE {
+                id[class] = groups.len() as u32;
                 groups.push(Vec::new());
+                items.push(std::mem::take(&mut self.items[class]));
             }
-            groups[*g as usize].push(i as u32);
+            groups[id[class] as usize].push(payload.len() as u32);
+            payload.push(id[class]);
         }
         Folded {
             split: self.split,
@@ -820,7 +1013,8 @@ impl Depth {
             groups,
             item_split,
             item_width: item_split + arr_width,
-            items: self.items,
+            items,
+            counted: Counted(counted),
         }
     }
 }

@@ -29,7 +29,8 @@ mod fold;
 mod opt;
 
 pub use commset::{
-    comm_from_initial, comm_from_leaf, CommDims, CommElem, CommError, CommSet, ElemRow, SenderKind,
+    comm_from_initial, comm_from_leaf, CommDims, CommElem, CommError, CommScan, CommSet, ElemRow,
+    SenderKind,
 };
 pub use fold::{fold_messages, Chunk, FoldSpec, Folded};
 pub use opt::{

@@ -7,7 +7,7 @@ use dmc_decomp::{DataDecomp, ProcGrid};
 use dmc_obs as obs;
 use dmc_polyhedra::{lexopt, Constraint, Direction, LexError, LinExpr, PolyError, Polyhedron};
 
-use crate::commset::{CommSet, SenderKind};
+use crate::commset::{CommError, CommSet, SenderKind};
 use crate::fold::{fold_messages, FoldSpec};
 
 /// Records the outcome of one §6 pass on one input set: appends the pass
@@ -316,14 +316,16 @@ impl Messages {
 ///
 /// # Errors
 ///
-/// Returns [`OptError`] on arithmetic failure or an unbounded dimension.
-/// Returns `Ok(None)` for sets whose enumeration exceeds `limit`.
+/// As [`fold_messages`]: [`CommError::ParamCount`] on a wrong number of
+/// parameter values, [`CommError::Poly`] on arithmetic failure or an
+/// unbounded dimension. Returns `Ok(None)` for sets whose enumeration
+/// exceeds `limit`.
 pub fn aggregate_messages(
     cs: &CommSet,
     param_vals: &[i128],
     grid: Option<&ProcGrid>,
     limit: usize,
-) -> Result<Option<Messages>, OptError> {
+) -> Result<Option<Messages>, CommError> {
     let spec = FoldSpec {
         grid,
         splits: &[0],

@@ -444,7 +444,14 @@ fn fold_set(
         multicast,
         payloads: values,
     };
-    fold_messages(cs, param_vals, &spec, limit)?.ok_or_else(|| {
+    // A scan's arithmetic failure reports as the planner's own
+    // (`CompileError::Poly` or `Unbounded`); the parameter count was
+    // checked on entry.
+    let folded = fold_messages(cs, param_vals, &spec, limit).map_err(|e| match e {
+        CommError::Poly(p) => CompileError::from(p),
+        e => e.into(),
+    })?;
+    folded.ok_or_else(|| {
         CompileError::TooLarge(format!(
             "communication set for {} exceeds {limit} elements",
             cs.array

@@ -241,11 +241,13 @@ pub struct PolyStats {
     /// row produced one wider than the inline buffer.
     pub inline_spills: u64,
     /// Points emitted by the scan kernel
-    /// ([`ScanKernel::for_each`](crate::ScanKernel::for_each)).
+    /// ([`ScanKernel::for_each`](crate::ScanKernel::for_each)), a run
+    /// ([`ScanKernel::for_each_run`](crate::ScanKernel::for_each_run))
+    /// counting the points it stands for.
     pub scan_points: u64,
     /// Level ranges the scan kernel evaluated to emit them; a ratio to
     /// [`scan_points`](Self::scan_points) far above a nest's depth means
-    /// the nest loops over misses.
+    /// the nest loops over misses, one below 1 that it was counted in runs.
     pub scan_range_evals: u64,
     /// Charged units of top-level operations: the logical work, the same
     /// for a given input whatever the memo caches hold (see the module

@@ -61,7 +61,9 @@ pub use ledger::PolyStats;
 pub use lexopt::{lexopt, lexopt_uncached, Direction, LexError, LexOpt, LexPiece};
 pub use linexpr::LinExpr;
 pub use polyhedron::{Feasibility, Polyhedron};
-pub use scan::{scan_bounds, scan_bounds_uncached, Bound, ScanKernel, ScanNest, VarBounds};
+pub use scan::{
+    scan_bounds, scan_bounds_uncached, Bound, ScanKernel, ScanNest, ScanRun, VarBounds,
+};
 pub use space::{Dim, DimKind, Space};
 
 /// Errors produced by polyhedral arithmetic.

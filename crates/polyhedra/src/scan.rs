@@ -375,6 +375,24 @@ impl Level {
         self.exact.is_some() && self.stride.is_none()
     }
 
+    /// Whether what the kernel evaluates for this level — its exact value
+    /// or its bounds, and its stride's rest — reads any of `dims`.
+    fn reads(&self, dims: &[usize]) -> bool {
+        let mut exprs: Vec<&Affine> = match &self.exact {
+            Some((e, _)) => vec![e],
+            None => self
+                .lowers
+                .iter()
+                .chain(&self.uppers)
+                .flat_map(|(_, es)| es)
+                .collect(),
+        };
+        exprs.extend(self.stride.as_ref().map(|s| &s.rest));
+        exprs
+            .iter()
+            .any(|e| e.terms.iter().any(|(d, _)| dims.contains(d)))
+    }
+
     /// The value of an exact level at a point fixing the outer levels.
     fn exact_value(&self, point: &[i64]) -> Option<i64> {
         let (e, divisor) = self.exact.as_ref()?;
@@ -549,6 +567,22 @@ impl Drop for Tally {
     }
 }
 
+/// One run of a counted level ([`ScanKernel::for_each_run`]): `len` points
+/// that differ only in the counted level, which goes from `first` to `last`
+/// by `step` (1 when `len` is 1), and in the pinned levels that read it,
+/// each affine in it. `first` and `last` are the run's two end points.
+#[derive(Clone, Copy, Debug)]
+pub struct ScanRun<'a> {
+    /// The point at the run's first value.
+    pub first: &'a [i64],
+    /// The point at the run's last value.
+    pub last: &'a [i64],
+    /// The counted level's step.
+    pub step: i64,
+    /// The points the run stands for.
+    pub len: u64,
+}
+
 /// A [`ScanNest`] compiled for fixed parameter values
 /// ([`ScanNest::compile`]): the one enumerator behind the planner's
 /// communication-set and compute-block scans, in `i64` arithmetic whose
@@ -580,6 +614,24 @@ impl ScanKernel {
         depth: usize,
         mut visit: impl FnMut(&[i64]) -> Result<ControlFlow<()>, E>,
     ) -> Result<(), E> {
+        self.walk(depth, None, |point, tally, _| {
+            tally.points += 1;
+            visit(point)
+        })
+    }
+
+    /// The loop behind [`ScanKernel::for_each`] and
+    /// [`ScanKernel::for_each_run`]: calls `leaf` at every point of the
+    /// outermost `depth` levels with the enumeration's tally, and with the
+    /// last value and the step of the `counted` level, which is entered
+    /// once per point of the levels outside it and then left: it stays at
+    /// its first value.
+    fn walk<E: From<PolyError>>(
+        &self,
+        depth: usize,
+        counted: Option<usize>,
+        mut leaf: impl FnMut(&[i64], &mut Tally, (i64, i64)) -> Result<ControlFlow<()>, E>,
+    ) -> Result<(), E> {
         let levels = &self.levels[..depth];
         if !self.guard {
             return Ok(());
@@ -599,11 +651,12 @@ impl ScanKernel {
         let run_end = |j: usize| looping.get(j).copied().unwrap_or(depth);
         assign(&levels[..run_end(0)], &mut point, &mut tally);
         if looping.is_empty() {
-            tally.points += 1;
-            return visit(&point).map(drop);
+            return leaf(&point, &mut tally, (0, 1)).map(drop);
         }
-        // Per looping level: the last value and the step of the running loop.
+        // Per looping level: the last value and the step of the running
+        // loop; the counted level's, its first value, so it never steps.
         let mut loops = vec![(0i64, 1i64); looping.len()];
+        let mut run = (0, 1);
         let (mut j, mut entering) = (0, true);
         loop {
             let k = looping[j];
@@ -612,6 +665,10 @@ impl ScanKernel {
                 tally.range_evals += 1;
                 levels[k].steps(&point)?.map(|(lo, hi, step)| {
                     loops[j] = (hi, step);
+                    if counted == Some(k) {
+                        run = (lo + (hi - lo) / step * step, step);
+                        loops[j].0 = lo;
+                    }
                     lo
                 })
             } else {
@@ -630,11 +687,8 @@ impl ScanKernel {
             entering = j + 1 < looping.len();
             if entering {
                 j += 1;
-            } else {
-                tally.points += 1;
-                if visit(&point)?.is_break() {
-                    return Ok(());
-                }
+            } else if leaf(&point, &mut tally, run)?.is_break() {
+                return Ok(());
             }
         }
     }
@@ -648,6 +702,82 @@ impl ScanKernel {
             .iter()
             .rposition(|l| !l.pinned())
             .map_or(0, |k| k + 1)
+    }
+
+    /// The dimensions whose values move along a run of level `level`
+    /// ([`ScanKernel::for_each_run`]) when the kernel runs `depth` levels:
+    /// the level's own, then those of the pinned levels that read it,
+    /// directly or through one another, in scan order. `None` when the
+    /// level cannot be counted: it is pinned, it is not among the first
+    /// `depth`, a deeper looping level reads it (through its bounds, its
+    /// exact value or a stride's rest, directly or through pinned levels),
+    /// or a pinned level that reads it is not a unit equality. So the
+    /// moving values of a counted level are affine in its own, with integer
+    /// coefficients.
+    pub fn run_dims(&self, depth: usize, level: usize) -> Option<Vec<usize>> {
+        let levels = self.levels.get(..depth)?;
+        let counted = levels.get(level).filter(|l| !l.pinned())?;
+        let mut moving = vec![counted.dim];
+        for l in &levels[level + 1..] {
+            if l.reads(&moving) {
+                match l.exact {
+                    Some((_, 1)) if l.pinned() => moving.push(l.dim),
+                    _ => return None,
+                }
+            }
+        }
+        Some(moving)
+    }
+
+    /// Calls `visit` with every solution of the outermost `depth` levels,
+    /// as [`ScanKernel::for_each`] does, except that level `level` is
+    /// counted instead of iterated: each point of the deeper levels comes
+    /// once, as a [`ScanRun`] over the counted level's values. The deeper
+    /// looping levels do not read the counted one, so the points are
+    /// those of `for_each`, each run standing for `len` of them; they come
+    /// in scan order with the counted level moved innermost. Returns
+    /// `Ok(false)`, visiting nothing, when [`ScanKernel::run_dims`] refuses
+    /// the level.
+    ///
+    /// # Errors
+    ///
+    /// As [`ScanKernel::for_each`].
+    pub fn for_each_run<E: From<PolyError>>(
+        &self,
+        depth: usize,
+        level: usize,
+        mut visit: impl FnMut(ScanRun<'_>) -> Result<ControlFlow<()>, E>,
+    ) -> Result<bool, E> {
+        let Some(moving) = self.run_dims(depth, level) else {
+            return Ok(false);
+        };
+        // The moving pinned levels are unit equalities: one evaluation each.
+        let pinned: Vec<(usize, &Affine)> = self.levels[level + 1..depth]
+            .iter()
+            .filter(|l| moving[1..].contains(&l.dim))
+            .filter_map(|l| Some((l.dim, &l.exact.as_ref()?.0)))
+            .collect();
+        let (dim, mut last) = (moving[0], Vec::new());
+        self.walk(depth, Some(level), |first, tally, (end, step)| {
+            last.clear();
+            last.extend_from_slice(first);
+            last[dim] = end;
+            for &(d, e) in &pinned {
+                tally.range_evals += 1;
+                last[d] = e.eval(&last);
+            }
+            // The range proof bounds both ends, so this cannot overflow.
+            let len = ((end - first[dim]) / step + 1) as u64;
+            tally.points += len;
+            let step = if len == 1 { 1 } else { step };
+            visit(ScanRun {
+                first,
+                last: &last,
+                step,
+                len,
+            })
+        })?;
+        Ok(true)
     }
 
     /// The `(lower, upper)` range of the innermost level at a point
@@ -1035,6 +1165,53 @@ mod tests {
             outer,
             all.iter().map(|p| p[..2].to_vec()).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn a_level_no_deeper_loop_reads_is_counted() {
+        // 0 <= s <= 5, 0 <= p <= 2, a == s + 3, scanned (s, p, a): p does
+        // not read s, and a moves along it by a unit equality.
+        let mut p = Polyhedron::universe(sp(&["s", "p", "a"]));
+        p.add(ge(vec![1, 0, 0], 0));
+        p.add(ge(vec![-1, 0, 0], 5));
+        p.add(ge(vec![0, 1, 0], 0));
+        p.add(ge(vec![0, -1, 0], 2));
+        p.add(Constraint::eq(LinExpr::from_coeffs(vec![1, 0, -1], 3)));
+        let kernel = scan_bounds(&p, &[0, 1, 2])
+            .unwrap()
+            .compile(&[0; 3])
+            .unwrap();
+        assert_eq!(kernel.run_dims(3, 0), Some(vec![0, 2]));
+        assert_eq!(kernel.run_dims(3, 2), None, "a pinned level");
+        let before = crate::stats::snapshot();
+        let mut runs = Vec::new();
+        let counted = kernel.for_each_run(3, 0, |run| {
+            runs.push((run.first.to_vec(), run.last.to_vec(), run.step, run.len));
+            Ok::<_, PolyError>(ControlFlow::Continue(()))
+        });
+        let tally = crate::stats::snapshot().since(&before);
+        assert_eq!(counted, Ok(true));
+        let run = |p| (vec![0, p, 3], vec![5, p, 8], 1, 6);
+        assert_eq!(runs, [run(0), run(1), run(2)]);
+        assert_eq!(tally.scan_points, 18);
+        assert!(tally.scan_range_evals < tally.scan_points, "{tally:?}");
+        // Once p <= s, the loop over p reads s: s is iterated.
+        p.add(ge(vec![1, -1, 0], 0));
+        let kernel = scan_bounds(&p, &[0, 1, 2])
+            .unwrap()
+            .compile(&[0; 3])
+            .unwrap();
+        assert_eq!(kernel.run_dims(3, 0), None);
+        let none = kernel.for_each_run(3, 0, |_| Ok::<_, PolyError>(ControlFlow::Break(())));
+        assert_eq!(none, Ok(false));
+        // A level pinned by the non-unit 2b == s reads s: only unit
+        // equalities move along a run.
+        let mut p = Polyhedron::universe(sp(&["s", "b"]));
+        p.add(ge(vec![1, 0], 0));
+        p.add(ge(vec![-1, 0], 5));
+        p.add(Constraint::eq(LinExpr::from_coeffs(vec![1, -2], 0)));
+        let kernel = scan_bounds(&p, &[0, 1]).unwrap().compile(&[0; 2]).unwrap();
+        assert_eq!(kernel.run_dims(2, 0), None);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use dmc_polyhedra::{
     cache, lexopt, lexopt_uncached, scan_bounds, scan_bounds_uncached, stats, Constraint, DimKind,
-    Direction, Feasibility, LinExpr, PolyError, Polyhedron, Space,
+    Direction, Feasibility, LinExpr, PolyError, Polyhedron, ScanNest, Space,
 };
 
 /// xorshift64* — deterministic, seedable, good enough for test-case
@@ -293,6 +293,70 @@ fn translated(p: &Polyhedron, shift: &[usize]) -> Polyhedron {
     out
 }
 
+/// Every level of `nest`'s kernel at `fixed`, counted: the kernel refuses
+/// it, or its runs, expanded, are `for_each`'s points as a multiset, and
+/// the dense oracle's. A level whose bounds a deeper level without an
+/// equality reads — a level the kernel always loops — is refused. Returns
+/// the levels counted, those of them that move a pinned level along, and
+/// the levels refused.
+fn check_runs(nest: &ScanNest, fixed: &[i128], at: &str) -> [usize; 3] {
+    use std::ops::ControlFlow::Continue;
+    let n = nest.vars.len();
+    let kernel = nest.compile(fixed).unwrap();
+    let mut points: Vec<Vec<i64>> = Vec::new();
+    kernel
+        .for_each(n, |p| {
+            points.push(p.to_vec());
+            Ok::<_, PolyError>(Continue(()))
+        })
+        .unwrap();
+    points.sort();
+    let mut dense: Vec<Vec<i64>> = (nest.enumerate_dense(fixed).unwrap().into_iter())
+        .map(|p| p.into_iter().map(|v| i64::try_from(v).unwrap()).collect())
+        .collect();
+    dense.sort();
+    assert_eq!(points, dense, "{at}");
+    let mut tally = [0; 3];
+    for (k, vb) in nest.vars.iter().enumerate() {
+        let equality = |v: &dmc_polyhedra::VarBounds| {
+            v.exact.is_some() || v.lowers.iter().any(|b| v.uppers.contains(b))
+        };
+        let read = nest.vars[k + 1..].iter().any(|v| {
+            !equality(v) && (v.lowers.iter().chain(&v.uppers)).any(|b| b.expr.coeff(vb.dim) != 0)
+        });
+        let mut runs: Vec<Vec<i64>> = Vec::new();
+        let ok = kernel
+            .for_each_run(n, k, |run| {
+                assert_eq!(
+                    (run.last[vb.dim] - run.first[vb.dim]) / run.step + 1,
+                    run.len as i64,
+                    "{at}: level {k}"
+                );
+                for i in 0..run.len as i64 {
+                    let along = |(&a, &b): (&i64, &i64)| match run.len {
+                        1 => a,
+                        len => a + (b - a) / (len as i64 - 1) * i,
+                    };
+                    runs.push(run.first.iter().zip(run.last).map(along).collect());
+                }
+                Ok::<_, PolyError>(Continue(()))
+            })
+            .unwrap();
+        let moving = kernel.run_dims(n, k);
+        assert_eq!(ok, moving.is_some(), "{at}: level {k}");
+        if ok {
+            assert!(!read, "{at}: level {k} is read by a deeper loop");
+            runs.sort();
+            assert_eq!(runs, points, "{at}: level {k} counted");
+            tally[0] += 1;
+            tally[1] += usize::from(moving.is_some_and(|m| m.len() > 1));
+        } else {
+            tally[2] += 1;
+        }
+    }
+    tally
+}
+
 /// The compiled kernel enumerates what the dense recursion it replaced
 /// (`ScanNest::enumerate_dense`: a level pinned by a non-unit equality
 /// loops over its misses) does — same points, same order — for random
@@ -306,12 +370,16 @@ fn translated(p: &Polyhedron, shift: &[usize]) -> Polyhedron {
 /// the range `ScanNest::compile` proves for its `i64` arithmetic and some
 /// past it: an accepted nest enumerates the oracle's points in its order,
 /// a refused one is `PolyError::Overflow`, and neither panics (the tests
-/// build with overflow checks, so a hole in the proof would).
+/// build with overflow checks, so a hole in the proof would). Every level
+/// of every nest, translated or not, is also counted ([`check_runs`]): a
+/// run's length and its two ends are `i64` arithmetic the proof covers.
 #[test]
 fn scan_kernel_matches_dense_recursion() {
     let mut rng = Rng::new(0x5CA9);
     let mut offsets = Rng::new(0x0FF5E7);
     let (mut strided, mut accepted, mut refused) = (0, 0, 0);
+    let mut levels = [0; 3];
+    let mut count = |t: [usize; 3]| (0..3).for_each(|i| levels[i] += t[i]);
     for case in 0..96 {
         let n = rng.range(2, 4) as usize;
         let p = gen_polyhedron(&mut rng, n, 3, 3);
@@ -338,6 +406,7 @@ fn scan_kernel_matches_dense_recursion() {
         let mut sorted = scanned;
         sorted.sort();
         assert_eq!(sorted, points_of(&p, 3), "case {case}: order {order:?}");
+        count(check_runs(&nest, &fixed, &format!("case {case}")));
 
         let shift: Vec<usize> = (0..n).filter(|_| offsets.chance()).collect();
         let m = [1, 2, 4, 16, 1 << 20][offsets.range(0, 4) as usize];
@@ -364,6 +433,11 @@ fn scan_kernel_matches_dense_recursion() {
                 let mut got = scanned;
                 got.sort();
                 assert_eq!(got, want, "case {case}: offset {o} on {shift:?}");
+                count(check_runs(
+                    &nest,
+                    &fixed,
+                    &format!("case {case}: offset {o}"),
+                ));
             }
             Err(e) => {
                 assert_eq!(e, PolyError::Overflow, "case {case}: offset {o}");
@@ -375,6 +449,11 @@ fn scan_kernel_matches_dense_recursion() {
     assert!(
         accepted >= 8 && refused >= 8,
         "{accepted} offset nests accepted, {refused} refused"
+    );
+    let [counted, moving, refused] = levels;
+    assert!(
+        counted >= 32 && moving >= 8 && refused >= 32,
+        "{counted} levels counted ({moving} moving a pinned level), {refused} refused"
     );
 }
 

@@ -31,6 +31,12 @@ cargo test --release -q -p dmc-core --test strips
 # read back from the index and the pack are checked arithmetic, which the
 # release build would otherwise let wrap silently.
 cargo test --release -q -p dmc-store
+# The scan kernel's properties and the planner's fold parity in release for
+# the same reason: a run's length and its two ends are `i64` arithmetic
+# the kernel's range proof must cover, and only the debug run traps a
+# hole in it; here a wrap would show as a wrong run against the oracles.
+cargo test --release -q -p dmc-polyhedra --test properties
+cargo test --release -q -p dmc-bench --test parity
 # The artifact fuzz in release for the same reason: the canonical varint
 # and row checks are width and shift arithmetic, which the debug run
 # checks for overflow and the release build does not.
