@@ -1,17 +1,20 @@
 //! The compiler pipeline: program + decompositions → communication sets →
 //! optimized message plan → machine schedule.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
-use dmc_commgen::{fold_messages, is_multicast, CommError, CommSet, FoldSpec, Folded, OptError};
+use dmc_commgen::{
+    fold_messages, is_multicast, Chunk, CommError, CommSet, FoldSpec, Folded, OptError,
+};
 use dmc_dataflow::{LastWriteTree, LwtError, LwtLeaf};
 use dmc_decomp::{CompDecomp, DataDecomp, ProcGrid};
 use dmc_ir::{Program, StmtInfo};
 use dmc_machine::{
-    template_of, Action, InitialPlacement, MachineConfig, MessageSpec, Payload, Schedule, SimError,
-    SimResult, Stamp, StampRef,
+    key_component, template_of, Action, InitialPlacement, MachineConfig, MessageSpec, Payload,
+    Schedule, SimError, SimResult, Stamp, StampRef,
 };
 use dmc_obs as obs;
 use dmc_polyhedra::ledger;
@@ -237,12 +240,84 @@ pub(crate) fn whole_domain_tree(
     }
 }
 
-/// A processor's message action as it is ordered: anchor, phase (a
-/// receive -1, a send 1: at one anchor the compute block, phase 0, goes
-/// between them), message. A processor sends a message once and receives
-/// it once, so no two keys tie and an unstable sort orders them as a
-/// stable one over the message table would.
-type Key<'a> = (StampRef<'a>, i8, usize);
+/// A processor's message action as it is ordered ([`Keys::cmp`]): its
+/// anchor's row among the round's [`Keys`], phase (a receive -1, a send
+/// 1: at one anchor the compute block, phase 0, goes between them),
+/// message. A processor sends a message once and receives it once, so no
+/// two keys tie and an unstable sort orders them as a stable one over the
+/// message table would. Rows and messages are numbered in `u32`
+/// ([`key_index`]): a plan holds one key per chunk until it is built.
+#[derive(Clone, Copy, Debug)]
+struct Key {
+    row: u32,
+    msg: u32,
+    phase: i8,
+}
+
+/// A row or message number as a [`Key`] holds it.
+fn key_index(n: usize) -> Result<u32, CompileError> {
+    u32::try_from(n)
+        .map_err(|_| CompileError::TooLarge(format!("more than {} anchors in one plan", u32::MAX)))
+}
+
+/// The anchors one round of the planner orders, each read once into a
+/// flat integer key ([`StampRef::write_key`]): a row of `width` `i64`s,
+/// the plan's longest template, padded with [`dmc_machine::KEY_PAD`].
+/// Rows compare as slices exactly as the stamps they denote, so every
+/// ordering the planner makes compares integers, and `StampRef` stays the
+/// definition they are tested against.
+#[derive(Debug)]
+struct Keys {
+    width: usize,
+    rows: Vec<i64>,
+}
+
+impl Keys {
+    /// No rows yet, room for `n`.
+    fn with_capacity(width: usize, n: usize) -> Self {
+        Keys {
+            width,
+            rows: Vec::with_capacity(width * n),
+        }
+    }
+
+    /// Appends `stamp`'s key; its row.
+    fn push(&mut self, stamp: StampRef) -> Result<u32, CompileError> {
+        let at = self.rows.len();
+        self.rows.resize(at + self.width, 0);
+        write_key(stamp, &mut self.rows[at..])?;
+        key_index(at / self.width)
+    }
+
+    fn row(&self, row: u32) -> &[i64] {
+        &self.rows[row as usize * self.width..][..self.width]
+    }
+
+    /// Two message actions in processor order: by anchor, then phase,
+    /// then message.
+    fn cmp(&self, a: &Key, b: &Key) -> Ordering {
+        (self.row(a.row).cmp(self.row(b.row)))
+            .then(a.phase.cmp(&b.phase))
+            .then(a.msg.cmp(&b.msg))
+    }
+}
+
+/// Writes `stamp`'s key into `row`. Every component is a template
+/// position, a live-in sentinel or a loop value the scan kernel proved
+/// strictly inside ±2^62, so each fits; one that does not is refused
+/// rather than wrapped.
+fn write_key(stamp: StampRef, row: &mut [i64]) -> Result<(), CompileError> {
+    stamp.write_key(row).map_err(outside_keys)
+}
+
+/// A loop value as a key column holds it, refused as [`write_key`] does.
+fn component(x: i128) -> Result<i64, CompileError> {
+    key_component(x).map_err(outside_keys)
+}
+
+fn outside_keys(x: i128) -> CompileError {
+    CompileError::TooLarge(format!("stamp component {x} is outside the planner's keys"))
+}
 
 /// The legality splits [`hoist`] folds every set at, in one scan: the
 /// paper's prefix and one component deeper, the split LU's level-1 sets
@@ -327,96 +402,130 @@ fn keep_folds(folds: &mut Vec<Folded>, rows: &mut Vec<ClassRows>, folded: Vec<Fo
 }
 
 /// One chunk in its processors' orders: message `msg`, sent by rank
-/// `sender` at stamp `send`, received by rank `receiver` at stamp `recv`.
-/// The stamps are read in place from the fold and the statements'
-/// templates.
+/// `sender` at the stamp keyed in row `send`, received by rank `receiver`
+/// at the stamp keyed in row `recv` of the round's [`Keys`].
 #[derive(Debug)]
-struct Anchored<'f> {
+struct Anchored {
     /// The communication set, the index of its fold at the set's split,
     /// and the chunk's index in that fold.
     set: usize,
     fold: usize,
     chunk: usize,
-    msg: usize,
+    msg: u32,
     sender: usize,
-    send: StampRef<'f>,
+    send: u32,
     receiver: usize,
-    recv: StampRef<'f>,
+    recv: u32,
 }
 
 /// The send anchor of live-in data: before everything, the live-in
 /// copies' `[-1]` included.
 const LIVE_IN_SEND: [i128; 1] = [-2];
 
+/// The send anchor of a message whose first chunk is `first`: after the
+/// last producing write of its data (one statement's stamps order like
+/// its iterations); initial-owner data has no producer and is sent before
+/// everything.
+fn send_anchor<'f>(cs: &CommSet, templates: &'f [Stamp], first: &Chunk<'f>) -> StampRef<'f> {
+    match cs.write_stmt {
+        Some(w) => StampRef::of(&templates[w], first.last_send),
+        None => StampRef::Whole(&LIVE_IN_SEND),
+    }
+}
+
+/// The receive anchor of chunk `c`: immediately before the first use of
+/// its data (the paper's "issue the receive just before the data are
+/// used").
+fn recv_anchor<'f>(cs: &CommSet, templates: &'f [Stamp], c: &Chunk<'f>) -> StampRef<'f> {
+    StampRef::of(&templates[cs.read_stmt], c.first_use)
+}
+
 /// Every chunk of every set at legality splits `splits`, in message order
 /// (one message per group of a set's fold), anchored as the schedule
-/// places it. A send goes after the last producing write of the message's
-/// first chunk (one statement's stamps order like its iterations);
-/// initial-owner data has no producer and is sent before everything. A
-/// receive goes immediately before the first use of its data (the paper's
-/// "issue the receive just before the data are used").
-fn anchored_chunks<'f>(
+/// places it ([`send_anchor`], [`recv_anchor`]), and the anchors' keys:
+/// one row per message's send, then one per chunk's receive.
+fn anchored_chunks(
     compiled: &Compiled,
-    folds: &'f [Vec<Folded>],
-    templates: &'f [Stamp],
+    plan: &HoistedPlan,
     splits: &[usize],
-) -> Vec<Anchored<'f>> {
+) -> Result<(Vec<Anchored>, Keys), CompileError> {
+    let (folds, templates) = (&plan.folds, &plan.templates[..]);
+    let at: Vec<usize> = (compiled.comm.iter().enumerate())
+        .map(|(k, cs)| HoistedPlan::fold_at(folds, k, cs, splits[k]))
+        .collect();
+    // Exact capacities: the last round's chunks and keys outlive it, into
+    // the schedule, and growing them left holes in the heap.
+    let (mut messages, mut chunks) = (0, 0);
+    for (k, &at) in at.iter().enumerate() {
+        for members in folds[k][at].groups() {
+            messages += 1;
+            chunks += members.len();
+        }
+    }
+    // Every key is as wide as the longest template; the live-in anchor
+    // `[-2]` is one component long.
+    let width = templates.iter().map(Vec::len).max().unwrap_or(1);
+    let mut keys = Keys::with_capacity(width, messages + chunks);
     // Under the grid a chunk's processors are ranks.
     let rank = |cols: &[i128]| cols[0] as usize;
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(chunks);
     let mut msg = 0;
-    for (k, cs) in compiled.comm.iter().enumerate() {
-        let at = HoistedPlan::fold_at(folds, k, cs, splits[k]);
+    for ((k, cs), &at) in compiled.comm.iter().enumerate().zip(&at) {
         let fold = &folds[k][at];
         for members in fold.groups() {
             let first = fold.chunk(members[0] as usize);
-            let send = match cs.write_stmt {
-                Some(w) => StampRef::of(&templates[w], first.last_send),
-                None => StampRef::Whole(&LIVE_IN_SEND),
-            };
+            let send = keys.push(send_anchor(cs, templates, &first))?;
             for &i in members {
                 let c = fold.chunk(i as usize);
                 out.push(Anchored {
                     set: k,
                     fold: at,
                     chunk: i as usize,
-                    msg,
+                    msg: key_index(msg)?,
                     sender: rank(first.sender),
                     send,
                     receiver: rank(c.receiver),
-                    recv: StampRef::of(&templates[cs.read_stmt], c.first_use),
+                    recv: keys.push(recv_anchor(cs, templates, &c))?,
                 });
             }
             msg += 1;
         }
     }
-    out
+    Ok((out, keys))
 }
 
 /// Per set, its first chunk that is not *safe*: one whose sender has a
 /// receive anchored at a stamp `t` with `recv ≤ t ≤ send`. A plan whose
 /// chunks are all safe cannot deadlock (DESIGN.md "Aggregation legality").
 /// Also per processor the [`Key`]s of its receives, sorted: the schedule
-/// of the round whose chunks are all safe takes them over.
-fn first_unsafe<'c, 'f>(
+/// of the round whose chunks are all safe takes them over. The anchors
+/// are compared by their `keys`.
+fn first_unsafe<'c>(
     nproc: usize,
     sets: usize,
-    chunks: &'c [Anchored<'f>],
-) -> (Vec<Option<&'c Anchored<'f>>>, Vec<Vec<Key<'f>>>) {
+    chunks: &'c [Anchored],
+    keys: &Keys,
+) -> (Vec<Option<&'c Anchored>>, Vec<Vec<Key>>) {
     // Exact capacities: the last round's keys outlive it, into the
     // schedule, and growing them left holes in the heap.
     let mut counts = vec![0; nproc];
     chunks.iter().for_each(|c| counts[c.receiver] += 1);
-    let mut recvs: Vec<Vec<Key<'f>>> = counts.into_iter().map(Vec::with_capacity).collect();
+    let mut recvs: Vec<Vec<Key>> = counts.into_iter().map(Vec::with_capacity).collect();
     for c in chunks {
-        recvs[c.receiver].push((c.recv, -1, c.msg));
+        recvs[c.receiver].push(Key {
+            row: c.recv,
+            msg: c.msg,
+            phase: -1,
+        });
     }
-    recvs.iter_mut().for_each(|r| r.sort_unstable());
+    recvs
+        .iter_mut()
+        .for_each(|r| r.sort_unstable_by(|a, b| keys.cmp(a, b)));
     let mut first = vec![None; sets];
     for c in chunks {
-        let q = &recvs[c.sender];
-        let at = q.partition_point(|t| t.0 < c.recv);
-        if first[c.set].is_none() && q.get(at).is_some_and(|t| t.0 <= c.send) {
+        let (q, recv, send) = (&recvs[c.sender], keys.row(c.recv), keys.row(c.send));
+        let at = q.partition_point(|t| keys.row(t.row) < recv);
+        if first[c.set].is_none() && q.get(at).is_some_and(|t| keys.row(t.row) <= send) {
             first[c.set] = Some(c);
         }
     }
@@ -475,20 +584,25 @@ fn schedule_at_legal_splits(
 ) -> Result<(Vec<usize>, Schedule), CompileError> {
     let nproc = compiled.input.grid.len() as usize;
     let mut splits = vec![0; compiled.comm.len()];
-    let (chunks, recvs) = loop {
-        let chunks = anchored_chunks(compiled, &plan.folds, &plan.templates, &splits);
-        let (unsafe_chunks, recvs) = first_unsafe(nproc, splits.len(), &chunks);
+    let (chunks, keys, recvs) = loop {
+        let (chunks, keys) = anchored_chunks(compiled, &plan, &splits)?;
+        let (unsafe_chunks, recvs) = first_unsafe(nproc, splits.len(), &chunks, &keys);
         let mut deepen = Vec::new();
         for a in unsafe_chunks.into_iter().flatten() {
             let (k, cs) = (a.set, &compiled.comm[a.set]);
             if cs.split_depth(splits[k] + 1) == cs.split_depth(splits[k]) {
-                let why = format!("set {k} at full depth has an unsafe chunk: {a:?}");
+                let c = plan.folds[k][a.fold].chunk(a.chunk);
+                let why = format!(
+                    "set {k} at full depth has an unsafe chunk {} from {} to {}: \
+                     last send {:?}, first use {:?}",
+                    a.chunk, a.sender, a.receiver, c.last_send, c.first_use
+                );
                 return Err(CompileError::Sim(SimError::MalformedSchedule(why)));
             }
             deepen.push((k, a.fold, a.chunk, a.sender, a.receiver));
         }
         if deepen.is_empty() {
-            break (chunks, recvs);
+            break (chunks, keys, recvs);
         }
         for (k, fold, chunk, sender, receiver) in deepen {
             let cs = &compiled.comm[k];
@@ -508,15 +622,7 @@ fn schedule_at_legal_splits(
             plan.refold(compiled, k, param_vals, limit, values, splits[k])?;
         }
     };
-    let schedule = build_schedule_at(
-        compiled,
-        param_vals,
-        values,
-        (chunks, recvs),
-        &plan.folds,
-        &plan.templates,
-        plan.rows,
-    )?;
+    let schedule = build_schedule_at(compiled, param_vals, values, (chunks, keys, recvs), plan)?;
     Ok((splits, schedule))
 }
 
@@ -529,12 +635,10 @@ fn schedule_at_legal_splits(
 /// order (a reversed or skewed map): such a run is sorted alone, and a
 /// `schedule.resort` event names it. A statement's blocks on one processor
 /// cover disjoint iterations (each iteration runs on one virtual
-/// processor), so no two of them tie.
-fn block_runs(
-    compiled: &Compiled,
-    param_vals: &[i128],
-    templates: &[Stamp],
-) -> Result<Runs, CompileError> {
+/// processor), so no two of them tie. A run's blocks share their
+/// statement's positions, so they order by their loop values alone
+/// ([`iteration`]), which the check and the sort compare.
+fn block_runs(compiled: &Compiled, param_vals: &[i128]) -> Result<Runs, CompileError> {
     let input = &compiled.input;
     let nproc = input.grid.len() as usize;
     let stmts = input.program.statements();
@@ -566,7 +670,7 @@ fn block_runs(
             },
         )?;
         for (p, run) in runs.iter_mut().map(|r| &mut r[info.id]).enumerate() {
-            if !run.is_sorted_by(|a, b| a.anchor(templates) <= b.anchor(templates)) {
+            if !run.is_sorted_by(|a, b| iteration(a) <= iteration(b)) {
                 obs::event_f("schedule.resort", || {
                     vec![
                         obs::field("stmt", info.id),
@@ -574,11 +678,25 @@ fn block_runs(
                         obs::field("blocks", run.len()),
                     ]
                 });
-                run.sort_unstable_by(|a, b| a.anchor(templates).cmp(&b.anchor(templates)));
+                run.sort_unstable_by(|a, b| iteration(a).cmp(&iteration(b)));
             }
         }
     }
     Ok(runs)
+}
+
+/// A block's loop values: its prefix, then `lo`. Two blocks of one
+/// statement order by them as by their stamps, or their keys, which
+/// differ only there.
+fn iteration(block: &Action) -> (&[i128], Option<i128>) {
+    match block {
+        Action::Block {
+            prefix,
+            inner_range,
+            ..
+        } => (prefix, inner_range.map(|(lo, _)| lo)),
+        _ => unreachable!("a run holds blocks"),
+    }
 }
 
 /// Builds the full machine schedule for concrete parameter values.
@@ -700,19 +818,24 @@ fn hoist(
 }
 
 /// The schedule built from the chunks of each set at its legality split,
-/// `chunks` (anchored in `folds` and `templates`), and each processor's
-/// sorted receive keys `recvs`, taking over the plan's payload rows; the
-/// compute blocks are enumerated here, once the splits are settled.
-fn build_schedule_at<'a>(
+/// `chunks` (anchored in the plan's folds, their anchors' rows in `keys`),
+/// and each processor's sorted receive keys `recvs`, taking over the
+/// plan's payload rows; the compute blocks are enumerated here, once the
+/// splits are settled and the folds freed.
+fn build_schedule_at(
     compiled: &Compiled,
     param_vals: &[i128],
     values: bool,
-    (chunks, recvs): (Vec<Anchored<'a>>, Vec<Vec<Key<'a>>>),
-    folds: &[Vec<Folded>],
-    templates: &[Stamp],
-    mut rows: Vec<Vec<ClassRows>>,
+    (chunks, keys, recvs): (Vec<Anchored>, Keys, Vec<Vec<Key>>),
+    plan: HoistedPlan,
 ) -> Result<Schedule, CompileError> {
     let nproc = compiled.input.grid.len() as usize;
+    let HoistedPlan {
+        folds,
+        mut rows,
+        templates,
+        ..
+    } = plan;
     let mut schedule = Schedule::new(nproc);
 
     // 1. Messages, in order, and per processor the keys of its sends,
@@ -752,7 +875,11 @@ fn build_schedule_at<'a>(
             width: fold.item_width(),
             rows: std::mem::take(&mut rows[head.set][head.fold][first.payload]),
         });
-        sends[sender].push((head.send, 1, msg_id));
+        sends[sender].push(Key {
+            row: head.send,
+            msg: msg_id,
+            phase: 1,
+        });
         schedule.messages.push(MessageSpec {
             sender,
             receivers,
@@ -760,13 +887,14 @@ fn build_schedule_at<'a>(
             payload,
         });
     }
-    drop(chunks);
+    // The folds are read: free them before the blocks are enumerated.
+    drop((chunks, folds, rows));
 
     // 2. The compute blocks, per processor and statement in stamp order.
     let runs = {
         let _s = obs::span_f("plan", || vec![obs::field("sets", compiled.comm.len())]);
         let _c = ledger::push_context("plan");
-        block_runs(compiled, param_vals, templates)?
+        block_runs(compiled, param_vals)?
     };
 
     // 3. Per processor, one forward merge of its blocks and its message
@@ -774,31 +902,30 @@ fn build_schedule_at<'a>(
     // its action list: of its exact size unless a receive cuts a block,
     // then shrunk to it.
     let acts = sends.into_iter().zip(recvs).map(|(mut sends, recvs)| {
-        sends.sort_unstable();
-        merge_keys(sends, recvs)
+        sends.sort_unstable_by(|a, b| keys.cmp(a, b));
+        merge_keys(&keys, sends, recvs)
     });
     for ((out, acts), runs) in schedule.procs.iter_mut().zip(acts).zip(runs) {
         let blocks: usize = runs.iter().map(Vec::len).sum();
         out.reserve_exact(blocks + acts.len());
-        out.extend(ProcActions {
-            templates,
-            runs: runs.into_iter().map(Vec::into_iter).collect(),
-            head: None,
-            acts,
-            next: 0,
-            cut: 0,
-        });
+        for action in ProcActions::new(&keys, &templates, runs, acts)? {
+            out.push(action?);
+        }
         out.shrink_to_fit();
     }
     Ok(schedule)
 }
 
-/// Two sorted key lists as one sorted list.
-fn merge_keys<'a>(a: Vec<Key<'a>>, b: Vec<Key<'a>>) -> Vec<Key<'a>> {
+/// Two key lists, each sorted by `keys`, as one sorted list.
+fn merge_keys(keys: &Keys, a: Vec<Key>, b: Vec<Key>) -> Vec<Key> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
     while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
-        let next = if x < y { a.next() } else { b.next() };
+        let next = if keys.cmp(x, y).is_lt() {
+            a.next()
+        } else {
+            b.next()
+        };
         out.extend(next);
     }
     out.extend(a.chain(b));
@@ -811,15 +938,25 @@ fn merge_keys<'a>(a: Vec<Key<'a>>, b: Vec<Key<'a>>) -> Vec<Key<'a>> {
 /// first use of its data, not before the whole block (otherwise
 /// mutually-feeding processors deadlock) — and its message actions
 /// interleaved in [`Key`] order: receives, then the block, then sends at
-/// one anchor.
+/// one anchor. Every anchor is compared by its key: a message action's
+/// row in `keys`, and each block's key, written once when it heads its
+/// run; the block's last iteration, and what is left of it after a cut,
+/// differ from it only in the innermost loop value's column.
 struct ProcActions<'a> {
+    keys: &'a Keys,
     templates: &'a [Stamp],
     /// Per statement, the processor's blocks in stamp order.
     runs: Vec<std::vec::IntoIter<Action>>,
-    /// What is left of the block being emitted.
+    /// Per statement, the key of its run's head: `keys.width` columns
+    /// each, unread once the run is empty.
+    heads: Vec<i64>,
+    /// What is left of the block being emitted, and its key.
     head: Option<Action>,
+    head_key: Vec<i64>,
+    /// The key of the last iteration of a block being cut.
+    end_key: Vec<i64>,
     /// The message actions' keys, sorted.
-    acts: Vec<Key<'a>>,
+    acts: Vec<Key>,
     /// The next message action to emit.
     next: usize,
     /// The next message action that may cut a block: a cursor over the
@@ -828,75 +965,114 @@ struct ProcActions<'a> {
     cut: usize,
 }
 
-impl ProcActions<'_> {
-    /// The run head with the least anchor, taken out of its run.
-    fn next_block(&mut self) -> Option<Action> {
-        let templates = self.templates;
-        let (k, _) = self
-            .runs
-            .iter()
-            .enumerate()
-            .filter_map(|(k, run)| Some((k, run.as_slice().first()?.anchor(templates)?)))
-            .min_by(|a, b| a.1.cmp(&b.1))?;
-        self.runs[k].next()
+impl<'a> ProcActions<'a> {
+    fn new(
+        keys: &'a Keys,
+        templates: &'a [Stamp],
+        runs: Vec<Vec<Action>>,
+        acts: Vec<Key>,
+    ) -> Result<Self, CompileError> {
+        let width = keys.width;
+        let mut heads = vec![0; runs.len() * width];
+        for (run, key) in runs.iter().zip(heads.chunks_exact_mut(width)) {
+            if let Some(first) = run.first() {
+                write_key(first.anchor(templates).expect("a block"), key)?;
+            }
+        }
+        Ok(ProcActions {
+            keys,
+            templates,
+            runs: runs.into_iter().map(Vec::into_iter).collect(),
+            heads,
+            head: None,
+            head_key: vec![0; width],
+            end_key: vec![0; width],
+            acts,
+            next: 0,
+            cut: 0,
+        })
     }
 
-    /// The last iteration of the piece of a ranged block that starts at
-    /// `start`: one before the next receive of the same statement and
-    /// prefix anchored in `(start, hi]`, or `hi`.
-    fn piece_end(&mut self, stmt: usize, prefix: &[i128], start: i128, hi: i128) -> i128 {
-        let template = &self.templates[stmt][..];
-        let at = |last| StampRef::Instance {
-            template,
-            prefix,
-            last,
+    fn head_of(&self, run: usize) -> &[i64] {
+        &self.heads[run * self.keys.width..][..self.keys.width]
+    }
+
+    /// The run head with the least anchor, taken out of its run, its key
+    /// in `head_key`; the run's next block keyed in its place.
+    fn next_block(&mut self) -> Result<Option<Action>, CompileError> {
+        let least = (0..self.runs.len())
+            .filter(|&k| !self.runs[k].as_slice().is_empty())
+            .min_by(|&a, &b| self.head_of(a).cmp(self.head_of(b)));
+        let Some(k) = least else {
+            return Ok(None);
         };
-        while let Some(&(anchor, phase, _)) = self.acts.get(self.cut) {
+        let block = self.runs[k].next();
+        let width = self.keys.width;
+        let key = &mut self.heads[k * width..][..width];
+        self.head_key.copy_from_slice(key);
+        if let Some(next) = self.runs[k].as_slice().first() {
+            write_key(next.anchor(self.templates).expect("a block"), key)?;
+        }
+        Ok(block)
+    }
+
+    /// The last iteration of the piece of a ranged block of `stmt` that
+    /// starts at `start`, the head: one before the next receive of the same
+    /// statement and prefix anchored in `(start, hi]`, or `hi`.
+    fn piece_end(&mut self, stmt: usize, start: i128, hi: i128) -> Result<i128, CompileError> {
+        // The block's last iteration keys as its first does but for the
+        // innermost loop value, in column `last`; so does a receive of
+        // this statement and prefix.
+        let last = self.templates[stmt].len() - 2;
+        self.end_key.copy_from_slice(&self.head_key);
+        self.end_key[last] = component(hi)?;
+        let end = &self.end_key[..];
+        while let Some(&Key { row, phase, .. }) = self.acts.get(self.cut) {
+            let anchor = self.keys.row(row);
             // Up to the first receive past the block, the first receive
             // of this statement and prefix after `start` cuts; sends and
             // earlier receives cut nothing.
-            if phase < 0 && anchor > at(hi) {
+            if phase < 0 && anchor > end {
                 break;
             }
             self.cut += 1;
-            match anchor {
-                StampRef::Instance {
-                    template: t,
-                    prefix: q,
-                    last,
-                } if phase < 0 && t == template && q == prefix && last > start => return last - 1,
-                _ => {}
+            let ours = anchor[..last] == end[..last] && anchor[last + 1..] == end[last + 1..];
+            if phase < 0 && ours && i128::from(anchor[last]) > start {
+                return Ok(i128::from(anchor[last]) - 1);
             }
         }
-        hi
+        Ok(hi)
     }
-}
 
-impl Iterator for ProcActions<'_> {
-    type Item = Action;
-
-    fn next(&mut self) -> Option<Action> {
+    /// The next action, or `None` once every block and message action is
+    /// out.
+    fn step(&mut self) -> Result<Option<Action>, CompileError> {
         if self.head.is_none() {
-            self.head = self.next_block();
+            self.head = self.next_block()?;
         }
         // A message action keyed below the block goes first; with no block
         // left, the rest of them in order.
         let key = self.acts.get(self.next);
         let first = match (&self.head, key) {
-            (Some(head), Some((anchor, phase, _))) => {
-                let block = head.anchor(self.templates).expect("a block");
-                anchor.cmp(&block).then(phase.cmp(&0)).is_lt()
+            (Some(_), Some(k)) => {
+                let anchor = self.keys.row(k.row);
+                anchor.cmp(&self.head_key).then(k.phase.cmp(&0)).is_lt()
             }
             (head, _) => head.is_none(),
         };
         if first {
             self.next += 1;
-            return key.map(|&(_, phase, msg)| match phase {
-                -1 => Action::Recv { msg },
-                _ => Action::Send { msg },
-            });
+            return Ok(key.map(|&Key { msg, phase, .. }| {
+                let msg = msg as usize;
+                match phase {
+                    -1 => Action::Recv { msg },
+                    _ => Action::Send { msg },
+                }
+            }));
         }
-        let mut head = self.head.take()?;
+        let Some(mut head) = self.head.take() else {
+            return Ok(None);
+        };
         if let Action::Block {
             stmt,
             prefix,
@@ -906,7 +1082,7 @@ impl Iterator for ProcActions<'_> {
         {
             // A one-iteration block has nothing to cut.
             let end = if lo < hi {
-                self.piece_end(*stmt, prefix, *lo, *hi)
+                self.piece_end(*stmt, *lo, *hi)?
             } else {
                 *hi
             };
@@ -922,11 +1098,22 @@ impl Iterator for ProcActions<'_> {
                 };
                 *lo = end + 1;
                 *flops = per_iter * (*hi - *lo + 1) as f64;
+                // The rest keys as the piece did but for its first
+                // innermost loop value.
+                self.head_key[self.templates[*stmt].len() - 2] = component(*lo)?;
                 self.head = Some(head);
-                return Some(piece);
+                return Ok(Some(piece));
             }
         }
-        Some(head)
+        Ok(Some(head))
+    }
+}
+
+impl Iterator for ProcActions<'_> {
+    type Item = Result<Action, CompileError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.step().transpose()
     }
 }
 
@@ -1062,6 +1249,7 @@ pub fn simulate(
 mod tests {
     use super::*;
     use crate::tests::{assert_equals_interp, figure2_input, lu_input, xy_input};
+    use dmc_machine::KEY_PAD;
 
     const LIMIT: usize = 2_000_000;
 
@@ -1091,19 +1279,10 @@ mod tests {
         let mut fresh = hoist(&compiled, &[12], LIMIT, true).unwrap();
         fresh.refold(&compiled, k, &[12], LIMIT, true, 2).unwrap();
         let at = |plan: HoistedPlan, splits: &[usize]| {
-            let chunks = anchored_chunks(&compiled, &plan.folds, &plan.templates, splits);
-            let (_, recvs) =
-                first_unsafe(compiled.input.grid.len() as usize, splits.len(), &chunks);
-            build_schedule_at(
-                &compiled,
-                &[12],
-                true,
-                (chunks, recvs),
-                &plan.folds,
-                &plan.templates,
-                plan.rows,
-            )
-            .unwrap()
+            let (chunks, keys) = anchored_chunks(&compiled, &plan, splits).unwrap();
+            let nproc = compiled.input.grid.len() as usize;
+            let (_, recvs) = first_unsafe(nproc, splits.len(), &chunks, &keys);
+            build_schedule_at(&compiled, &[12], true, (chunks, keys, recvs), plan).unwrap()
         };
         assert_eq!(at(plan.clone(), &splits), at(fresh.clone(), &splits));
         let (legal, legalized) =
@@ -1135,9 +1314,9 @@ mod tests {
             plan.refold(&compiled, k, params, LIMIT, false, split)
                 .unwrap();
         }
-        let chunks = anchored_chunks(&compiled, &plan.folds, &plan.templates, &splits);
+        let (chunks, keys) = anchored_chunks(&compiled, &plan, &splits).unwrap();
         let nproc = compiled.input.grid.len() as usize;
-        let (unsafe_chunks, _) = first_unsafe(nproc, splits.len(), &chunks);
+        let (unsafe_chunks, _) = first_unsafe(nproc, splits.len(), &chunks, &keys);
         assert!(
             unsafe_chunks.iter().all(Option::is_none),
             "{what}: {unsafe_chunks:?}"
@@ -1334,14 +1513,25 @@ mod tests {
                 plan.refold(&compiled, k, &params, LIMIT, false, split)
                     .unwrap();
             }
-            let chunks = anchored_chunks(&compiled, &plan.folds, &plan.templates, &splits);
-            let send = |msg: usize| chunks.iter().find(|c| c.msg == msg).unwrap().send;
+            // The anchors as stamps, the order keys stand for.
+            let (chunks, _) = anchored_chunks(&compiled, &plan, &splits).unwrap();
+            let chunk = |c: &Anchored| {
+                let cs = &compiled.comm[c.set];
+                (cs, plan.folds[c.set][c.fold].chunk(c.chunk))
+            };
+            let send = |msg: usize| {
+                let (cs, first) = chunk(chunks.iter().find(|c| c.msg as usize == msg).unwrap());
+                send_anchor(cs, &plan.templates, &first)
+            };
             let recv = |msg: usize, p: usize| {
-                let c = chunks.iter().find(|c| c.msg == msg && c.receiver == p);
-                c.unwrap().recv
+                let c = chunks
+                    .iter()
+                    .find(|c| c.msg as usize == msg && c.receiver == p);
+                let (cs, c) = chunk(c.unwrap());
+                recv_anchor(cs, &plan.templates, &c)
             };
             for (p, acts) in schedule.procs.iter().enumerate() {
-                let keys: Vec<Key> = acts
+                let keys: Vec<(StampRef, i8, usize)> = acts
                     .iter()
                     .map(|a| match a {
                         Action::Send { msg } => (send(*msg), 1, *msg),
@@ -1351,7 +1541,7 @@ mod tests {
                     .collect();
                 assert!(keys.is_sorted_by(|a, b| a < b), "b = {b}: processor {p}");
             }
-            let runs = block_runs(&compiled, &params, &plan.templates).unwrap();
+            let runs = block_runs(&compiled, &params).unwrap();
             let blocks: usize = runs.iter().flatten().map(Vec::len).sum();
             let pieces = schedule.procs.iter().flatten();
             let pieces = pieces.filter(|a| matches!(a, Action::Block { .. })).count();
@@ -1366,6 +1556,24 @@ mod tests {
             let memory = result.memory.expect("values mode returns memory");
             assert_equals_interp(&format!("b = {b}"), &program, &params, &memory);
         }
+    }
+
+    /// A stamp component no key holds — the pad, or past `i64` — is a
+    /// typed refusal, never a wrapped key; the extremes of the scan
+    /// kernel's range are keyed.
+    #[test]
+    fn a_component_outside_the_keys_is_refused() {
+        let mut row = [0; 2];
+        for x in [i128::from(i64::MIN), i128::from(i64::MAX) + 1] {
+            let err = write_key(StampRef::Whole(&[0, x]), &mut row).unwrap_err();
+            assert!(
+                matches!(&err, CompileError::TooLarge(why) if why.contains(&x.to_string())),
+                "{err}"
+            );
+        }
+        let edge = (1i128 << 62) - 1;
+        write_key(StampRef::Whole(&[-edge]), &mut row).unwrap();
+        assert_eq!(row, [-(1 << 62) + 1, KEY_PAD]);
     }
 
     /// The case the plain order test (send stamp below receive stamp)

@@ -340,7 +340,19 @@ pub fn analyze(schedule: &Schedule, config: &MachineConfig) -> Result<CritAnalys
     let mut events: Vec<Event> = Vec::with_capacity(actions + transmissions);
     let mut last_event: Vec<Option<u32>> = vec![None; nproc];
     let mut per_proc = vec![Blame::default(); nproc];
-    let mut link_wait: HashMap<(usize, usize), u64> = HashMap::new();
+    // Per link, `src * nproc + dst`: its account, the waits filled in
+    // during the replay and the rest from the wire events after it.
+    let mut links: Vec<LinkBlame> = (0..nproc * nproc)
+        .map(|l| LinkBlame {
+            src: l / nproc,
+            dst: l % nproc,
+            transmissions: 0,
+            words: 0,
+            wire_ns: 0,
+            wait_ns: 0,
+            critical: false,
+        })
+        .collect();
     // Per message, the event of its latest send's first wire.
     let mut first_wire = vec![0u32; schedule.messages.len()];
 
@@ -433,7 +445,7 @@ pub fn analyze(schedule: &Schedule, config: &MachineConfig) -> Result<CritAnalys
                 let mb = &mut messages[*msg];
                 per_proc[p].recv_wait_ns += got.wait;
                 per_proc[p].alpha_ns += dur;
-                *link_wait.entry((mb.sender, p)).or_insert(0) += got.wait;
+                links[mb.sender * nproc + p].wait_ns += got.wait;
                 mb.wait_ns += got.wait;
                 mb.recv_ns += dur;
                 event.preds.push(first_wire[*msg] + got.k as u32);
@@ -508,9 +520,9 @@ pub fn analyze(schedule: &Schedule, config: &MachineConfig) -> Result<CritAnalys
         mb.critical = !mb.events.is_empty() && mb.slack_ns == 0;
     }
 
-    // Per-link rollup from the wire events plus the waits recorded
-    // during the replay.
-    let mut link_map: HashMap<(usize, usize), LinkBlame> = HashMap::new();
+    // Per-link rollup from the wire events, beside the waits recorded
+    // during the replay; the links that carried nothing go, and the rest
+    // stay in `(src, dst)` order.
     for e in &events {
         if e.kind != EventKind::Wire {
             continue;
@@ -518,28 +530,14 @@ pub fn analyze(schedule: &Schedule, config: &MachineConfig) -> Result<CritAnalys
         let (Some(dst), Some(msg)) = (e.dst, e.msg) else {
             continue;
         };
-        let src = messages[msg].sender;
-        let l = link_map.entry((src, dst)).or_insert(LinkBlame {
-            src,
-            dst,
-            transmissions: 0,
-            words: 0,
-            wire_ns: 0,
-            wait_ns: 0,
-            critical: false,
-        });
+        let l = &mut links[messages[msg].sender * nproc + dst];
         l.transmissions += 1;
         l.words += schedule.messages[msg].words;
         l.wire_ns += e.dur_ns;
         l.critical |= e.slack_ns == 0;
     }
-    for ((src, dst), wait) in link_wait {
-        if let Some(l) = link_map.get_mut(&(src, dst)) {
-            l.wait_ns += wait;
-        }
-    }
-    let mut links: Vec<LinkBlame> = link_map.into_values().collect();
-    links.sort_by_key(|l| (l.src, l.dst));
+    links.retain(|l| l.transmissions > 0);
+    links.shrink_to_fit();
 
     Ok(CritAnalysis {
         nproc,
@@ -1131,7 +1129,10 @@ mod tests {
     }
 
     /// Every error the machine loop raises comes out of `simulate` (both
-    /// modes) and `analyze` alike.
+    /// modes) and `analyze` alike. A receive the mailbox holds nothing for
+    /// — a message past the table, one the processor does not receive,
+    /// one it already took — blocks, and the run ends in a deadlock; a
+    /// message naming one receiver twice is refused before anything runs.
     #[test]
     fn deadlock_matches_simulator() {
         // Two processors, one message from p0 to p1 unless `receivers`
@@ -1159,6 +1160,34 @@ mod tests {
             (
                 schedule(vec![1, 2], vec![Action::Send { msg: 0 }], vec![]),
                 SimError::MalformedSchedule("receiver 2 out of range".into()),
+            ),
+            (
+                schedule(vec![1, 1], vec![Action::Send { msg: 0 }], vec![]),
+                SimError::MalformedSchedule("message 0 names receiver 1 twice".into()),
+            ),
+            (
+                schedule(
+                    vec![1],
+                    vec![Action::Send { msg: 0 }],
+                    vec![Action::Recv { msg: 0 }, Action::Recv { msg: 1 }],
+                ),
+                SimError::Deadlock { blocked: vec![1] },
+            ),
+            (
+                schedule(
+                    vec![1],
+                    vec![Action::Send { msg: 0 }, Action::Recv { msg: 0 }],
+                    vec![Action::Recv { msg: 0 }],
+                ),
+                SimError::Deadlock { blocked: vec![0] },
+            ),
+            (
+                schedule(
+                    vec![1],
+                    vec![Action::Send { msg: 0 }],
+                    vec![Action::Recv { msg: 0 }, Action::Recv { msg: 0 }],
+                ),
+                SimError::Deadlock { blocked: vec![1] },
             ),
             (
                 // p0 waits for p1's message before sending its own, and p1

@@ -41,7 +41,8 @@ mod stats;
 pub use config::{MachineConfig, MulticastModel};
 pub use critpath::{Blame, CritAnalysis, LinkBlame, MsgBlame, Overrides, Scenario, WhatIf};
 pub use schedule::{
-    stamp_of, template_of, Action, MessageSpec, Payload, Schedule, Stamp, StampRef,
+    key_component, stamp_of, template_of, Action, MessageSpec, Payload, Schedule, Stamp, StampRef,
+    KEY_PAD,
 };
 pub use sim::{simulate, InitialPlacement, SimError, SimResult};
 pub use stats::SimStats;

@@ -15,9 +15,10 @@
 //! ([`StampRef`]) from the statement's *template* ([`template_of`], its
 //! stamp with every loop value 0) and an iteration the caller already
 //! holds — a block's prefix and `lo`, a chunk's first use, a payload row.
-//! The planner orders actions and decides legality splits by this one
-//! comparison, and the simulator decides which copy of an element wins by
-//! it too.
+//! It is the definition of program order: the simulator decides which copy
+//! of an element wins by it, and the planner, which orders the same
+//! anchors many times, first reads each into a flat integer *key*
+//! ([`StampRef::write_key`]) that orders exactly as the stamp does.
 //!
 //! # Payloads
 //!
@@ -69,6 +70,16 @@ pub fn template_of(position: &[usize]) -> Stamp {
     )
 }
 
+/// What pads a key ([`StampRef::write_key`]) past its stamp's end: less
+/// than every component a key holds.
+pub const KEY_PAD: i64 = i64::MIN;
+
+/// One stamp component as a key holds it, or the component back when it
+/// is no `i64` or is [`KEY_PAD`] itself.
+pub fn key_component(x: i128) -> Result<i64, i128> {
+    i64::try_from(x).ok().filter(|&x| x != KEY_PAD).ok_or(x)
+}
+
 /// A stamp read in place, compared as the `Vec<i128>` it denotes: the
 /// first differing component decides, and a proper prefix sorts first.
 #[derive(Clone, Copy)]
@@ -101,6 +112,41 @@ impl<'s> StampRef<'s> {
             prefix,
             last,
         }
+    }
+
+    /// Writes the stamp into `row` as a key: its components as `i64`, then
+    /// [`KEY_PAD`] to the end of the row. Keys of one width compare as
+    /// slices exactly as their stamps do, because the pad is below every
+    /// component: where one stamp is a proper prefix of the other, the
+    /// shorter key has the pad where the longer has a component. A
+    /// component that is no `i64`, or is the pad itself, is returned as
+    /// the error, and `row` is then unspecified.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stamp is longer than `row`.
+    pub fn write_key(self, row: &mut [i64]) -> Result<(), i128> {
+        let (stamp, pad) = row.split_at_mut(self.len());
+        match self {
+            StampRef::Instance {
+                template,
+                prefix,
+                last,
+            } => {
+                // Positions at even components, loop values at odd ones.
+                for (k, (out, &t)) in stamp.iter_mut().zip(template).enumerate() {
+                    let v = || prefix.get(k / 2).copied().unwrap_or(last);
+                    *out = key_component(if k % 2 == 0 { t } else { v() })?;
+                }
+            }
+            StampRef::Whole(s) => {
+                for (out, &x) in stamp.iter_mut().zip(s) {
+                    *out = key_component(x)?;
+                }
+            }
+        }
+        pad.fill(KEY_PAD);
+        Ok(())
     }
 
     fn len(self) -> usize {
@@ -461,6 +507,98 @@ mod tests {
         assert!(depth0 > 10, "{depth0} depth-0 stamps drawn");
         assert!(prefixes > 1_000, "{prefixes} proper prefixes drawn");
         assert!(ties > 1_000, "{ties} ties drawn");
+    }
+
+    /// Keys of one width order every drawn pair as their `StampRef`s and
+    /// their `stamp_of` vectors do: random statements at depth 0–3 (some
+    /// with equal templates held apart) at loop values up to ±(2^62 − 1),
+    /// the scan kernel's range, read as `StampRef::of`, as a block anchor
+    /// whose prefix holds every loop value, and held whole, beside the
+    /// live-in stamps `[-2]` and `[-1]`. A component the key cannot hold
+    /// is returned, not wrapped.
+    #[test]
+    fn keys_order_as_the_stamps_they_denote() {
+        const EDGE: i128 = (1 << 62) - 1;
+        let mut rng = XorShift(0x5851_F42D_4C95_7F2D);
+        let mut positions: Vec<Vec<usize>> = (0..6)
+            .map(|_| (0..=rng.below(4)).map(|_| rng.below(2)).collect())
+            .collect();
+        positions.push(vec![0]);
+        positions.push(positions[0].clone());
+        let templates: Vec<Stamp> = positions.iter().map(|p| template_of(p)).collect();
+        let width = templates.iter().map(Vec::len).max().unwrap();
+        let values = [-EDGE, -EDGE + 1, -1, 0, 1, EDGE - 1, EDGE];
+        // (statement, iteration, form): 0 `of`, 1 the whole iteration as
+        // the prefix, 2 the stamp held whole, 3 `[-2]`, 4 `[-1]`.
+        let drawn: Vec<(usize, Vec<i128>, usize)> = (0..400)
+            .map(|_| {
+                let s = rng.below(positions.len());
+                let iter = (1..positions[s].len())
+                    .map(|_| values[rng.below(values.len())])
+                    .collect();
+                (s, iter, rng.below(5))
+            })
+            .collect();
+        let stamps: Vec<Stamp> = drawn
+            .iter()
+            .map(|(s, iter, form)| match form {
+                3 => vec![-2],
+                4 => vec![-1],
+                _ => stamp_of(&positions[*s], iter),
+            })
+            .collect();
+        let refs: Vec<StampRef> = drawn
+            .iter()
+            .zip(&stamps)
+            .map(|((s, iter, form), stamp)| match form {
+                0 => StampRef::of(&templates[*s], iter),
+                1 => StampRef::Instance {
+                    template: &templates[*s],
+                    prefix: iter,
+                    last: i128::MAX,
+                },
+                _ => StampRef::Whole(stamp),
+            })
+            .collect();
+        let keys: Vec<Vec<i64>> = refs
+            .iter()
+            .map(|r| {
+                let mut row = vec![0; width];
+                r.write_key(&mut row).unwrap();
+                row
+            })
+            .collect();
+        let (mut depth0, mut edges, mut ties, mut twins) = (0, 0, 0, 0);
+        for ((a, sa), ka) in refs.iter().zip(&stamps).zip(&keys) {
+            depth0 += usize::from(sa.len() == 1);
+            edges += usize::from(sa.iter().any(|x| x.abs() == EDGE));
+            for ((b, sb), kb) in refs.iter().zip(&stamps).zip(&keys) {
+                assert_eq!(ka.cmp(kb), sa.cmp(sb), "{sa:?} vs {sb:?}");
+                assert_eq!(a.cmp(b), sa.cmp(sb), "{sa:?} vs {sb:?}");
+                ties += usize::from(sa == sb);
+            }
+        }
+        for (s, _, _) in &drawn {
+            twins += usize::from(*s == 0 || *s == positions.len() - 1);
+        }
+        assert!(depth0 > 40, "{depth0} depth-0 stamps drawn");
+        assert!(edges > 40, "{edges} stamps at ±(2^62 − 1) drawn");
+        assert!(ties > 1_000, "{ties} ties drawn");
+        assert!(twins > 40, "{twins} stamps of the twin templates drawn");
+
+        // The pad, and what no `i64` holds, are refused.
+        let mut row = [0; 3];
+        for x in [i128::from(i64::MIN), i128::from(i64::MAX) + 1, i128::MIN] {
+            assert_eq!(StampRef::Whole(&[0, x]).write_key(&mut row), Err(x));
+        }
+        let t = template_of(&[1, 0]);
+        let last = [i128::from(i64::MIN) - 1];
+        let at = StampRef::of(&t, &last);
+        assert_eq!(at.write_key(&mut row), Err(last[0]));
+        StampRef::of(&t, &[i128::from(i64::MAX)])
+            .write_key(&mut row)
+            .unwrap();
+        assert_eq!(row, [1, i64::MAX, 0]);
     }
 
     #[test]

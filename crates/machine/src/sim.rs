@@ -23,11 +23,26 @@
 //! [`crate::critpath::analyze`] drive it: the processors and what each
 //! runs next, blocking receives, the mailbox, deadlock, the checks on
 //! message ids and ranks, and each action's cost, rounded once to whole
-//! nanoseconds ([`ns_of`]) and added to `u64` clocks. `simulate` adds what
-//! a run computes (values mode), the run's totals ([`SimStats`], its time
-//! as nanoseconds × 1e-9) and the `sim.*` events; the analysis adds the
-//! event DAG, and with it the run's one account: blame per processor,
-//! link and message, and each transmission's latency.
+//! nanoseconds ([`ns_of`]) and added to `u64` clocks.
+//!
+//! The mailbox hashes nothing. It is one slot per (message, receiver
+//! position), laid out message by message behind a table of each
+//! message's first slot that is built once on entry (a message naming a
+//! rank out of range, or one rank twice, is refused there), and one
+//! arrival time per message. A send marks its message's slots and sets
+//! the arrival; a receive finds its slot by its place `k` among the
+//! message's receivers, clears it, and takes the arrival plus `k` (the
+//! k-th receiver of a multicast is served k ns after the first). A
+//! receive of a message past the table, of one its processor does not
+//! receive, or of one already taken finds no slot marked and blocks, like
+//! a receive of a message not yet sent, so such a schedule ends in
+//! [`SimError::Deadlock`].
+//!
+//! `simulate` adds what a run computes (values mode), the run's totals
+//! ([`SimStats`], its time as nanoseconds × 1e-9) and the `sim.*` events;
+//! the analysis adds the event DAG, and with it the run's one account:
+//! blame per processor, link and message, and each transmission's
+//! latency.
 //!
 //! # Local memories
 //!
@@ -65,11 +80,14 @@
 //! each scheduled statement's subscripts to coefficient rows over its loop
 //! variables with the parameters folded into the constant, and its
 //! right-hand side to postfix code; each payload row to a slot; every
-//! compute block to its number. Whatever cannot be resolved — an unbound
-//! parameter, a block whose prefix does not fit its statement, a payload
-//! that names no write instance (a writer that is no statement, an
-//! undeclared array, rows of the wrong width) — is a
-//! [`SimError::MalformedSchedule`] here, not a panic later. A block
+//! compute block to its number; each owned array's data decomposition to
+//! coefficient rows over its subscripts, which place the live-in copies.
+//! Whatever cannot be resolved — an unbound parameter, a block whose
+//! prefix does not fit its statement, a payload that names no write
+//! instance (a writer that is no statement, an undeclared array, rows of
+//! the wrong width), a decomposition map that names anything but the
+//! array's subscripts — is a [`SimError::MalformedSchedule`] here, not a
+//! panic later. A block
 //! then checks each of its accesses at the two ends of its inner range (a
 //! subscript is affine, hence monotone, in the innermost variable) and
 //! steps flat slot numbers by a constant stride: an element costs no
@@ -412,13 +430,13 @@ pub(crate) struct Step<'a> {
     pub delivery: Option<Delivery>,
 }
 
-/// One transmission of a message, from its send to one receiver.
+/// One transmission of a message, from its send to one receiver, as the
+/// receiver took it.
 #[derive(Clone, Copy)]
 pub(crate) struct Delivery {
     /// The receiver's place among the message's receivers.
     pub k: usize,
-    pub arrival: u64,
-    /// How long the receiver waited for it; 0 until it is received.
+    /// How long the receiver waited for it.
     pub wait: u64,
 }
 
@@ -431,7 +449,9 @@ pub(crate) struct Delivery {
 /// rounded once to whole nanoseconds and clocks are `u64`, so a time does
 /// not depend on the visiting order: a receive starts at its processor's
 /// clock or its message's arrival, whichever is later. `on_step` sees
-/// every action in the order it runs, and its error stops the run.
+/// every action in the order it runs, and its error stops the run. A
+/// message whose receivers name a rank out of range, or one rank twice,
+/// is refused before anything runs.
 pub(crate) fn run_machine(
     schedule: &Schedule,
     config: &MachineConfig,
@@ -441,8 +461,29 @@ pub(crate) fn run_machine(
     let alpha_recv = ns_of(config.alpha_recv);
     let mut clock = vec![0u64; nproc];
     let mut next = vec![0usize; nproc];
-    // Per (message, receiver) the transmission in flight.
-    let mut mail: HashMap<(usize, usize), Delivery> = HashMap::new();
+    // The mailbox: per message one slot per receiver, in receiver order,
+    // marked while a transmission to that receiver waits to be received.
+    // Message `m`'s slots are `first_slot[m]..first_slot[m + 1]`, and its
+    // k-th receiver's transmission lands at `flight[m] + k`.
+    let mut first_slot = Vec::with_capacity(schedule.messages.len() + 1);
+    let mut seen = vec![usize::MAX; nproc];
+    first_slot.push(0);
+    for (id, spec) in schedule.messages.iter().enumerate() {
+        for &r in &spec.receivers {
+            let bad = match seen.get_mut(r) {
+                None => format!("receiver {r} out of range"),
+                Some(last) if *last == id => format!("message {id} names receiver {r} twice"),
+                Some(last) => {
+                    *last = id;
+                    continue;
+                }
+            };
+            return Err(SimError::MalformedSchedule(bad));
+        }
+        first_slot.push(first_slot[id] + spec.receivers.len());
+    }
+    let mut waiting = vec![false; first_slot[schedule.messages.len()]];
+    let mut flight = vec![0u64; schedule.messages.len()];
     let mut arrivals: Vec<u64> = Vec::new();
     loop {
         let mut progressed = false;
@@ -468,32 +509,24 @@ pub(crate) fn run_machine(
                         let busy = ns_of(config.send_busy_time(bytes, spec.receivers.len()));
                         // The k-th receiver of a multicast is served k ns
                         // after the first.
-                        let flight = clock[p] + busy + ns_of(config.wire_time(bytes));
-                        for (k, &r) in spec.receivers.iter().enumerate() {
-                            if r >= nproc {
-                                return Err(SimError::MalformedSchedule(format!(
-                                    "receiver {r} out of range"
-                                )));
-                            }
-                            let arrival = flight + k as u64;
-                            arrivals.push(arrival);
-                            mail.insert(
-                                (*msg, r),
-                                Delivery {
-                                    k,
-                                    arrival,
-                                    wait: 0,
-                                },
-                            );
-                        }
+                        flight[*msg] = clock[p] + busy + ns_of(config.wire_time(bytes));
+                        waiting[first_slot[*msg]..first_slot[*msg + 1]].fill(true);
+                        let receivers = 0..spec.receivers.len() as u64;
+                        arrivals.extend(receivers.map(|k| flight[*msg] + k));
                         (busy, None)
                     }
                     Action::Recv { msg } => {
-                        let Some(got) = mail.remove(&(*msg, p)) else {
+                        // A message past the table, or one `p` does not
+                        // receive, never arrives: `p` blocks, as it does on
+                        // a message not yet sent or already received.
+                        let k = (schedule.messages.get(*msg))
+                            .and_then(|spec| spec.receivers.iter().position(|&r| r == p));
+                        let Some(k) = k.filter(|&k| waiting[first_slot[*msg] + k]) else {
                             break; // Blocked: try another processor.
                         };
-                        let wait = got.arrival.saturating_sub(clock[p]);
-                        (alpha_recv, Some(Delivery { wait, ..got }))
+                        waiting[first_slot[*msg] + k] = false;
+                        let wait = (flight[*msg] + k as u64).saturating_sub(clock[p]);
+                        (alpha_recv, Some(Delivery { k, wait }))
                     }
                 };
                 let start = clock[p] + delivery.map_or(0, |d| d.wait);
@@ -881,7 +914,7 @@ impl<'a> Machine<'a> {
         let mut local: Vec<LocalMemory> = (0..schedule.procs.len())
             .map(|_| LocalMemory::new(layout.slots))
             .collect();
-        place_initial(&layout, &global, grid, initial, &mut local);
+        place_initial(&layout, &global, grid, initial, &mut local)?;
 
         Ok(Machine {
             layout,
@@ -1155,39 +1188,44 @@ fn resolve_payload(
     Ok(Some(slots))
 }
 
-/// Marks the live-in copies present, with the initial version.
+/// Marks the live-in copies present, with the initial version. An owned
+/// array's decomposition is resolved once ([`Owners::resolve`]), and
+/// each element then goes to the ranks of its owners.
 fn place_initial(
     layout: &Layout<'_>,
     global: &Memory,
     grid: &ProcGrid,
     initial: &InitialPlacement,
     local: &mut [LocalMemory],
-) {
+) -> Result<(), SimError> {
     for array in &layout.arrays {
         let init = global
             .array(array.name)
             .expect("allocated from program")
             .as_slice();
-        let owner_decomp = match initial {
+        let mut owners = match initial {
+            InitialPlacement::Owned(map) => map
+                .get(array.name)
+                .map(|d| Owners::resolve(d, array.extents.len(), grid))
+                .transpose()?,
             InitialPlacement::Replicated => None,
-            InitialPlacement::Owned(map) => map.get(array.name),
         };
         let mut idx = vec![0i128; array.extents.len()];
         for (slot, &value) in (array.base..).zip(init) {
-            match owner_decomp {
+            match &mut owners {
                 None => {
                     for m in local.iter_mut() {
                         m.put(slot, value, Version::INITIAL);
                     }
                 }
-                Some(d) => {
-                    // Every physical processor holding a virtual owner gets
-                    // a copy; virtual owners fold onto physical ranks.
-                    for v in virtual_owners(d, &idx) {
-                        let rank = grid.rank(&grid.fold(&v)) as usize;
-                        local[rank].put(slot, value, Version::INITIAL);
-                    }
-                }
+                Some(owners) => owners
+                    .each_rank(&idx, |rank| local[rank].put(slot, value, Version::INITIAL))
+                    .ok_or_else(|| {
+                        SimError::MalformedSchedule(format!(
+                            "the owners of {}{idx:?} overflow",
+                            array.name
+                        ))
+                    })?,
             }
             for d in (0..idx.len()).rev() {
                 idx[d] += 1;
@@ -1198,35 +1236,137 @@ fn place_initial(
             }
         }
     }
+    Ok(())
 }
 
-/// The virtual processors owning `element` under `d` (a finite set: one
-/// block owner plus overlap neighbours per dimension).
-fn virtual_owners(d: &DataDecomp, element: &[i128]) -> Vec<Vec<i128>> {
-    let mut out: Vec<Vec<i128>> = vec![Vec::new()];
-    for m in &d.maps {
-        let e = m.expr.eval(&|v| {
-            let k: usize = v
-                .strip_prefix('a')
-                .and_then(|s| s.parse().ok())
-                .expect("data decomposition variable");
-            element[k]
-        });
-        // b·p - d_l <= e <= b·(p+1) - 1 + d_h
-        //  => (e + 1 - b - d_h)/b <= p <= (e + d_l)/b.
-        let lo = dmc_polyhedra::num::div_ceil(e + 1 - m.block - m.overlap_hi, m.block);
-        let hi = dmc_polyhedra::num::div_floor(e + m.overlap_lo, m.block);
-        let mut next = Vec::new();
-        for prefix in out {
-            for p in lo..=hi {
-                let mut item = prefix.clone();
-                item.push(p);
-                next.push(item);
+/// One map of a data decomposition over an array's subscripts: the
+/// virtual processor coordinate `p` owns the elements whose
+/// `e = constant + Σ coef[k]·a_k` satisfies
+/// `b·p − overlap_lo ≤ e ≤ b·(p + 1) − 1 + overlap_hi`.
+struct OwnerMap {
+    coef: Vec<i128>,
+    constant: i128,
+    block: i128,
+    overlap_lo: i128,
+    overlap_hi: i128,
+}
+
+/// A data decomposition resolved against its array's rank and the grid,
+/// with the scratch its owner enumeration reuses.
+struct Owners {
+    /// One per virtual processor dimension; none for a replicated array.
+    maps: Vec<OwnerMap>,
+    /// The grid's extents, which fold each coordinate onto a rank.
+    extents: Vec<i128>,
+    /// Per map, the range of owning coordinates of the element at hand.
+    ranges: Vec<(i128, i128)>,
+    /// The owner at hand.
+    at: Vec<i128>,
+}
+
+impl Owners {
+    /// Resolves `d` for an array of `rank` dimensions on `grid`: each map's
+    /// subscript variables (`a0`, `a1`, …) to a coefficient row. A map that
+    /// names anything else, a block below 1, or a number of maps other
+    /// than the grid's rank (an empty list, which replicates, aside) is a
+    /// [`SimError::MalformedSchedule`].
+    fn resolve(d: &DataDecomp, rank: usize, grid: &ProcGrid) -> Result<Self, SimError> {
+        let bad = |why: String| {
+            SimError::MalformedSchedule(format!("data decomposition of {}: {why}", d.array))
+        };
+        if !d.maps.is_empty() && d.maps.len() != grid.ndim() {
+            return Err(bad(format!(
+                "{} maps onto a {}-dimensional grid",
+                d.maps.len(),
+                grid.ndim()
+            )));
+        }
+        let maps = d
+            .maps
+            .iter()
+            .map(|m| {
+                if m.block < 1 {
+                    return Err(bad(format!("block {}", m.block)));
+                }
+                let mut coef = vec![0; rank];
+                for (v, c) in m.expr.terms() {
+                    let k = v.strip_prefix('a').and_then(|k| k.parse::<usize>().ok());
+                    match k {
+                        Some(k) if k < rank && v == format!("a{k}") => coef[k] = c,
+                        _ => {
+                            return Err(bad(format!("{v} is no subscript of a rank-{rank} array")))
+                        }
+                    }
+                }
+                Ok(OwnerMap {
+                    coef,
+                    constant: m.expr.constant_term(),
+                    block: m.block,
+                    overlap_lo: m.overlap_lo,
+                    overlap_hi: m.overlap_hi,
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Owners {
+            maps,
+            extents: grid.extents().to_vec(),
+            ranges: Vec::new(),
+            at: Vec::new(),
+        })
+    }
+
+    /// Calls `put` with the rank of every processor holding a copy of
+    /// `element`: every virtual owner — one block owner plus overlap
+    /// neighbours per dimension — folded onto the grid, a rank once per
+    /// owner that folds onto it, and every rank for a replicated array.
+    /// `None` when the owners' arithmetic leaves `i128`.
+    fn each_rank(&mut self, element: &[i128], mut put: impl FnMut(usize)) -> Option<()> {
+        if self.maps.is_empty() {
+            let nproc: i128 = self.extents.iter().product();
+            (0..nproc).for_each(|r| put(r as usize));
+            return Some(());
+        }
+        self.ranges.clear();
+        for (m, &extent) in self.maps.iter().zip(&self.extents) {
+            let e = (m.coef.iter().zip(element))
+                .try_fold(m.constant, |e, (&c, &x)| e.checked_add(c.checked_mul(x)?))?;
+            // b·p − d_l ≤ e ≤ b·(p + 1) − 1 + d_h
+            //   ⇔ ⌈(e + 1 − b − d_h) / b⌉ ≤ p ≤ ⌊(e + d_l) / b⌋.
+            let lo = e
+                .checked_add(1)?
+                .checked_sub(m.block)?
+                .checked_sub(m.overlap_hi)?;
+            let lo = dmc_polyhedra::num::div_ceil(lo, m.block);
+            let hi = dmc_polyhedra::num::div_floor(e.checked_add(m.overlap_lo)?, m.block);
+            if lo > hi {
+                return Some(());
+            }
+            // A whole cycle of coordinates already reaches every rank of
+            // the dimension.
+            self.ranges
+                .push((lo, hi.min(lo.saturating_add(extent - 1))));
+        }
+        self.at.clear();
+        self.at.extend(self.ranges.iter().map(|&(lo, _)| lo));
+        loop {
+            let rank = (self.at.iter().zip(&self.extents))
+                .fold(0, |r, (&v, &e)| r * e + dmc_polyhedra::num::mod_floor(v, e));
+            put(rank as usize);
+            // The next owner, the last coordinate fastest.
+            let mut k = self.at.len();
+            loop {
+                if k == 0 {
+                    return Some(());
+                }
+                k -= 1;
+                if self.at[k] < self.ranges[k].1 {
+                    self.at[k] += 1;
+                    break;
+                }
+                self.at[k] = self.ranges[k].0;
             }
         }
-        out = next;
     }
-    out
 }
 
 #[cfg(test)]
@@ -1248,6 +1388,74 @@ mod tests {
         fn small(&mut self) -> i128 {
             self.below(3) as i128 - 1
         }
+    }
+
+    /// A 2-D decomposition with overlap on a 2 × 3 grid: rows in blocks
+    /// of 2 with one row of high overlap, columns in blocks of 2 with one
+    /// column of low overlap. Each element's ranks are pinned where an
+    /// element has one, two and four holders, and every element's equal
+    /// the definition read straight off the maps over a wide window of
+    /// virtual processors. A map naming anything but a subscript, or a
+    /// map count other than the grid's rank, is refused.
+    #[test]
+    fn owners_of_an_overlapping_2d_decomposition() {
+        use dmc_decomp::DimMap;
+        use dmc_ir::Aff;
+        use std::collections::BTreeSet;
+        let maps = vec![
+            DimMap::block(Aff::var("a0"), 2).with_overlap(0, 1),
+            DimMap::block(Aff::var("a1"), 2).with_overlap(1, 0),
+        ];
+        let d = DataDecomp::from_maps("A", 2, maps.clone());
+        let grid = ProcGrid::new(vec![2, 3]);
+        let mut owners = Owners::resolve(&d, 2, &grid).unwrap();
+        let mut ranks = |e: [i128; 2]| {
+            let mut out = BTreeSet::new();
+            owners.each_rank(&e, |r| {
+                out.insert(r);
+            });
+            out.into_iter().collect::<Vec<_>>()
+        };
+        // Row 0 is also the high overlap of virtual row −1, which folds
+        // onto grid row 1; column 5 the low overlap of virtual column 3,
+        // which folds onto grid column 0.
+        assert_eq!(ranks([1, 0]), [0]);
+        assert_eq!(ranks([3, 4]), [5]);
+        assert_eq!(ranks([1, 3]), [1, 2]);
+        assert_eq!(ranks([2, 3]), [1, 2, 4, 5]);
+        assert_eq!(ranks([0, 5]), [0, 2, 3, 5]);
+        for e in (0..4).flat_map(|x| (0..6).map(move |y| [x, y])) {
+            let mut want = BTreeSet::new();
+            for (p, q) in (-8..8).flat_map(|p| (-8..8).map(move |q| (p, q))) {
+                let holds = |m: &DimMap, v: i128, x: i128| {
+                    m.block * v - m.overlap_lo <= x && x < m.block * (v + 1) + m.overlap_hi
+                };
+                if holds(&maps[0], p, e[0]) && holds(&maps[1], q, e[1]) {
+                    want.insert((p.rem_euclid(2) * 3 + q.rem_euclid(3)) as usize);
+                }
+            }
+            assert_eq!(ranks(e), want.into_iter().collect::<Vec<_>>(), "{e:?}");
+        }
+
+        let refused = |maps: Vec<DimMap>, grid: &ProcGrid| {
+            let d = DataDecomp::from_maps("A", 2, maps);
+            match Owners::resolve(&d, 2, grid) {
+                Err(SimError::MalformedSchedule(why)) => why,
+                Ok(_) => panic!("{d:?} was resolved"),
+                Err(e) => panic!("{e}"),
+            }
+        };
+        for v in ["i", "a2", "a01", "b0"] {
+            let why = refused(vec![DimMap::block(Aff::var(v), 2)], &ProcGrid::line(2));
+            assert!(why.contains(v) && why.contains('A'), "{why}");
+        }
+        let why = refused(maps, &ProcGrid::line(2));
+        assert!(why.contains("2 maps onto a 1-dimensional grid"), "{why}");
+        // No map replicates the array on every rank.
+        let mut all = Owners::resolve(&DataDecomp::replicated("A", 2), 2, &grid).unwrap();
+        let mut got = Vec::new();
+        all.each_rank(&[0, 0], |r| got.push(r));
+        assert_eq!(got, [0, 1, 2, 3, 4, 5]);
     }
 
     #[test]

@@ -27,6 +27,11 @@ cargo test --release -q -p dmc-machine
 # The strips' oracle in release for the same reason: a carried read steps
 # output and slot indices, which only the debug run checks for overflow.
 cargo test --release -q -p dmc-core --test strips
+# The planner's unit tests and the plan goldens in release for the same
+# reason: each anchor is read into an `i64` key, and a conversion that
+# wrapped there would order actions differently, which shows as a moved
+# schedule fingerprint.
+cargo test --release -q -p dmc-core --lib --test schedule_golden
 # The store in release for the same reason: frame offsets and lengths
 # read back from the index and the pack are checked arithmetic, which the
 # release build would otherwise let wrap silently.
