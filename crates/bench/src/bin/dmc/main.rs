@@ -10,7 +10,7 @@
 //! | subcommand | what it does; `--check` runs its battery |
 //! |---|---|
 //! | `figures` | prints the figure series of EXPERIMENTS.md |
-//! | `explain` | captures each workload once and writes `trace_W.json`, `explain_W.md` and `profile_W.collapsed` ([`dmc_bench::explain`]); `--top N` lists the top contexts and what-ifs |
+//! | `explain` | captures each workload once and writes `trace_W.json`, `explain_W.md` and `profile_W.collapsed` ([`dmc_bench::explain`]) |
 //! | `store` | populates the store at `--cache-dir`, bounded by `--max-bytes` ([`dmc_bench::store`]) |
 //! | `snapshot` | writes `BENCH_pipeline.json` (or `--out PATH`); `--check [PATH]` gates against it ([`dmc_bench::snapshot`]) |
 //! | `check` | runs `explain`, `store` and `snapshot` with `--check`, in this process |
@@ -70,7 +70,6 @@ static CMDS: &[Cmd] = &[
             ("--workload", &["NAME|all"]),
             ("--out-dir", &["PATH"]),
             CHECK,
-            ("--top", &["N"]),
         ],
         run: explain,
     },
@@ -224,7 +223,6 @@ fn figures(_: &Args) -> Result<(), Exit> {
 fn explain(args: &Args) -> Result<(), Exit> {
     let selected = args.workloads()?;
     let out_dir = args.out_dir("target/dmc-explain")?;
-    let top: Option<usize> = args.number("--top")?;
     for w in &selected {
         let cap = explain::capture(w)?;
         let name = w.name;
@@ -235,10 +233,6 @@ fn explain(args: &Args) -> Result<(), Exit> {
             (format!("profile_{name}.collapsed"), &collapsed),
         ] {
             write(&out_dir.join(file), text)?;
-        }
-
-        if let Some(n) = top {
-            print!("{}", explain::top_text(name, &cap, n));
         }
         // A ratio far above the nests' depth means some nest loops over
         // misses (a level the kernel could not make tight). Below one

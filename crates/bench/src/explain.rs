@@ -11,7 +11,9 @@
 //! `reuse_markdown` renders Reuse from the session's [`SessionStats`];
 //! `machine_markdown` renders Simulation from the run's [`SimStats`]
 //! totals, and Machine view and Critical path from its [`CritAnalysis`],
-//! the run's one account; the ledger's profile appends Hotspots.
+//! the run's one account; the ledger's [`WorkProfile`] appends Hotspots.
+//! The sim lanes of the trace are the analysis's too: it draws them from
+//! its own events into the capture.
 //!
 //! [`check`] is the battery. Per workload it asserts:
 //!
@@ -41,15 +43,16 @@ use dmc_machine::{
     critpath, Blame, CritAnalysis, LinkBlame, MachineConfig, MsgBlame, Schedule, SimStats,
 };
 use dmc_obs as obs;
-use dmc_polyhedra::ledger::{self, CacheOutcome, Ledger};
+use dmc_polyhedra::ledger::{self, Ledger};
 use dmc_polyhedra::{stats, PolyStats};
 
+use crate::profile::WorkProfile;
 use crate::{Workload, LIMIT};
 
 /// Everything one capture of a workload produced, and its views.
 pub struct Capture {
-    /// The trace of compile, schedule, machine run and the critical
-    /// path's lane.
+    /// The trace of compile, schedule, machine run and its critical-path
+    /// analysis, which draws the sim lanes.
     pub trace: obs::Trace,
     /// The compiler's provenance, parsed from `trace`.
     pub provenance: obs::Provenance,
@@ -64,7 +67,7 @@ pub struct Capture {
     /// The critical-path analysis of `schedule`.
     pub crit: CritAnalysis,
     /// The ledger folded per attribution context.
-    pub profile: obs::WorkProfile,
+    pub profile: WorkProfile,
     /// The Chrome `trace_events` document of `trace`.
     pub chrome: String,
     /// The explain report with its Hotspots section appended.
@@ -97,12 +100,11 @@ pub fn capture(w: &Workload) -> Result<Capture, String> {
                 .stats;
             let crit = critpath::analyze(&schedule, &config)
                 .map_err(|e| format!("critical-path analysis failed: {e:?}"))?;
-            crit.emit_chain();
             Ok((schedule, sim, crit))
         });
     let trace = obs::finish_capture();
     let (schedule, sim, crit) = ran.map_err(|e| format!("{}: {e}", w.name))?;
-    let profile = profile_of(w.name, &ledger);
+    let profile = WorkProfile::of(w.name, &ledger);
     let chrome = obs::chrome_trace(&trace);
     let provenance = obs::Provenance::parse(&trace);
     let mut report = provenance.reads_markdown(w.name);
@@ -123,33 +125,6 @@ pub fn capture(w: &Workload) -> Result<Capture, String> {
         chrome,
         report,
     })
-}
-
-/// Folds a ledger into the deterministic per-context profile.
-fn profile_of(name: &str, ledger: &Ledger) -> obs::WorkProfile {
-    let mut p = obs::WorkProfile::new(name);
-    for seg in &ledger.segments {
-        for r in &seg.records {
-            p.add_op(
-                &seg.ctx,
-                &obs::ProfileOp {
-                    kind: r.kind.name(),
-                    cons_in: u64::from(r.cons_in),
-                    cons_out: u64::from(r.cons_out),
-                    self_units: r.self_units,
-                    charged_units: r.charged_units,
-                    top_level: r.top_level,
-                    cache_hit: match r.cache {
-                        CacheOutcome::Uncached => None,
-                        CacheOutcome::Hit => Some(true),
-                        CacheOutcome::Miss => Some(false),
-                    },
-                    duration_ns: r.duration_ns,
-                },
-            );
-        }
-    }
-    p
 }
 
 /// The report's Reuse section: how many of the session's stage lookups
@@ -526,47 +501,6 @@ pub fn check(w: &Workload, cap: &Capture) -> Result<String, String> {
         cap.crit.makespan_ns,
         cap.crit.nproc
     ))
-}
-
-/// The top-`n` contexts by charged work units with each one's share of
-/// the workload total, then the engine counters of the ledgered region.
-pub fn top_text(name: &str, cap: &Capture, n: usize) -> String {
-    let totals = cap.profile.context_totals();
-    let total = cap.profile.total_work();
-    let mut out = format!(
-        "{name}: top {} contexts of {} ({total} work units total)\n{:>10} {:>7}  context\n",
-        n.min(totals.len()),
-        totals.len(),
-        "units",
-        "share"
-    );
-    for (ctx, units) in totals.iter().take(n) {
-        let pct = *units as f64 / total.max(1) as f64 * 100.0;
-        let _ = writeln!(out, "{units:>10} {pct:>6.1}%  {ctx}");
-    }
-    let d = &cap.delta;
-    let _ = writeln!(
-        out,
-        "  engine: {} fm steps, {} feasibility calls, {} bnb nodes, \
-         {} negation tests, {} prefilter keeps, {} prefilter drops, {} lex splits",
-        d.fm_steps,
-        d.feasibility_calls,
-        d.bnb_nodes,
-        d.negation_tests,
-        d.prefilter_keeps,
-        d.prefilter_drops,
-        d.lex_splits
-    );
-    for wi in cap.crit.what_if().iter().take(n) {
-        let _ = writeln!(
-            out,
-            "  what-if {} m{}: makespan -{:.3} ms",
-            wi.scenario.name(),
-            wi.msg,
-            wi.win_ns as f64 / 1e6
-        );
-    }
-    out
 }
 
 #[cfg(test)]

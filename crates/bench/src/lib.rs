@@ -7,6 +7,8 @@
 //!
 //! - [`explain`]: one capture per workload feeds the Chrome trace, the
 //!   explain report (critical path, hotspots) and the collapsed stack.
+//! - [`profile`]: the engine's work ledger folded per attribution context
+//!   into the Hotspots section and the collapsed stack.
 //! - [`store`]: the persistent store, cold to warm, evicting, corrupted.
 //! - [`snapshot`]: the deterministic `BENCH_pipeline.json` golden,
 //!   including a processor-count sweep through one session.
@@ -227,5 +229,6 @@ macro_rules! ensure {
 pub(crate) const LIMIT: usize = 50_000_000;
 
 pub mod explain;
+pub mod profile;
 pub mod snapshot;
 pub mod store;

@@ -90,9 +90,11 @@ fn usage_errors_exit_2() {
             "",
         ),
         (vec!["explain", "--workload", "nope"], "no such workload"),
+        // Retired flags. The Hotspots and What-if sections of
+        // `explain_W.md` list the top contexts and what-ifs, the
+        // snapshot's own check prints per-context work moves, and no
+        // reader of a profile document remains.
         (vec!["explain", "--top", "many"], ""),
-        // The snapshot's own check prints per-context work moves, and no
-        // reader of a profile document remains: both flags are gone.
         (vec!["explain", "--diff", "BENCH_pipeline.json"], ""),
         (vec!["explain", "--json"], ""),
         (vec!["store"], "nothing to do"),

@@ -6,6 +6,8 @@
 //! * **well-formedness** — the Chrome export of a real capture passes the
 //!   validator (balanced name-matched begin/end pairs, monotonic
 //!   timestamps per lane);
+//! * **machine lanes** — the critical-path analysis draws each processor's
+//!   actions in machine order, timed as its events; `simulate` draws none;
 //! * **legality splits** — the split each registry set is planned at is
 //!   pinned, and a `schedule.split` names the unsafe chunk that forced it;
 //! * **multicast verdicts** — how many final sets each registry workload
@@ -18,7 +20,7 @@
 use dmc_bench::{figure2_input, lu_input, stencil_input, workloads, xy_input};
 use dmc_commgen::{is_multicast, CommSet};
 use dmc_core::{build_schedule, compile, simulate, CompileInput, Options};
-use dmc_machine::{critpath, MachineConfig};
+use dmc_machine::{critpath, Action, MachineConfig};
 use dmc_obs as obs;
 use dmc_polyhedra::Feasibility;
 
@@ -115,19 +117,17 @@ fn stencil_chrome_trace_is_well_formed() {
     );
 }
 
-/// The machine run materializes one sim lane per simulated processor —
-/// including idle ones — and the critical-path analysis draws its chain
-/// in one more; they export as Chrome complete events on the
-/// simulated-machine process, leaving the trace well-formed.
+/// The critical-path analysis draws one sim lane per simulated processor
+/// — including idle ones — and its chain in one more; they export as
+/// Chrome complete events on the simulated-machine process, leaving the
+/// trace well-formed.
 #[test]
 fn sim_lanes_cover_every_processor() {
     let input = stencil_input(16, 4);
     let nproc = input.grid.len() as usize;
     obs::start_capture();
     let (schedule, _, _) = outputs(&input, &[3, 63], Options::full());
-    critpath::analyze(&schedule, &MachineConfig::ipsc860())
-        .expect("analyzes")
-        .emit_chain();
+    critpath::analyze(&schedule, &MachineConfig::ipsc860()).expect("analyzes");
     let trace = obs::finish_capture();
 
     let sim_lanes: Vec<_> = trace
@@ -154,17 +154,6 @@ fn sim_lanes_cover_every_processor() {
             lane.label
         );
     }
-    // Planning simulates nothing: only the machine run's send events
-    // appear, so each sim.send corresponds to a scheduled message.
-    let sends: usize = sim_lanes
-        .iter()
-        .map(|l| l.records.iter().filter(|r| r.name == "sim.send").count())
-        .sum();
-    assert_eq!(
-        sends,
-        schedule.messages.len(),
-        "one sim.send per scheduled message"
-    );
 
     let doc = obs::chrome_trace(&trace);
     let check = obs::validate_chrome(&doc).expect("valid Chrome trace with sim lanes");
@@ -172,6 +161,111 @@ fn sim_lanes_cover_every_processor() {
         check.lanes >= 2 + nproc,
         "compiler lanes plus {nproc} sim lanes: {check:?}"
     );
+}
+
+/// A simulated time field of a sim-lane record, in seconds.
+fn secs_field(r: &obs::Record, name: &str) -> f64 {
+    match r.get(name) {
+        Some(obs::Value::F64(t)) => *t,
+        other => panic!("{}: {name} is {other:?}", r.name),
+    }
+}
+
+/// On every registry workload, each processor's sim lane is its actions in
+/// machine order, as the critical-path events time them: a `sim.compute`
+/// per block naming its statement, a `sim.send` per send and a `sim.recv`
+/// per receive naming the message, a `sim.recv.wait` exactly where the
+/// receive waited (the waits adding up to the processor's receive-wait
+/// blame), and one `sim.proc` at the processor's finish. A capture of
+/// `simulate` alone, in either mode, holds no sim lane: the machine
+/// records no timeline of its own.
+#[test]
+fn sim_lanes_are_each_processors_actions_in_machine_order() {
+    let config = MachineConfig::ipsc860();
+    let secs = |ns: u64| ns as f64 * 1e-9;
+    for w in workloads() {
+        let compiled = compile((w.input)(w.nproc), Options::full()).expect("compiles");
+        let schedule = build_schedule(&compiled, &w.params, false, LIMIT).expect("schedules");
+        obs::start_capture();
+        let crit = critpath::analyze(&schedule, &config).expect("analyzes");
+        let trace = obs::finish_capture();
+        for (p, actions) in schedule.procs.iter().enumerate() {
+            let name = format!("{} p{p}", w.name);
+            let lane = (trace.lanes.iter())
+                .find(|l| l.key == obs::sim_lane(p))
+                .unwrap_or_else(|| panic!("{name}: no sim lane"));
+            let events: Vec<&critpath::Event> = (crit.events.iter())
+                .filter(|e| e.proc == p && e.kind != critpath::EventKind::Wire)
+                .collect();
+            assert_eq!(events.len(), actions.len(), "{name}: one event per action");
+            let mut records = lane.records.iter();
+            let mut next = |want: &str| {
+                let r = records
+                    .next()
+                    .unwrap_or_else(|| panic!("{name}: no {want}"));
+                assert_eq!(r.name, want, "{name}: {r:?}");
+                assert_eq!(uint_field(r, "proc"), p, "{name}: {r:?}");
+                r
+            };
+            let (mut free, mut waited) = (0, 0);
+            for (action, e) in actions.iter().zip(events) {
+                let r = match action {
+                    Action::Block { stmt, .. } => {
+                        let r = next("sim.compute");
+                        assert_eq!(uint_field(r, "stmt"), *stmt, "{name}: {r:?}");
+                        r
+                    }
+                    Action::Send { msg } => {
+                        let r = next("sim.send");
+                        assert_eq!(uint_field(r, "msg"), *msg, "{name}: {r:?}");
+                        r
+                    }
+                    Action::Recv { msg } => {
+                        if e.start_ns > free {
+                            let r = next("sim.recv.wait");
+                            assert_eq!(uint_field(r, "msg"), *msg, "{name}: {r:?}");
+                            assert_eq!(
+                                (secs_field(r, "t0"), secs_field(r, "t1")),
+                                (secs(free), secs(e.start_ns)),
+                                "{name}: {r:?}"
+                            );
+                            waited += e.start_ns - free;
+                        }
+                        let r = next("sim.recv");
+                        assert_eq!(uint_field(r, "msg"), *msg, "{name}: {r:?}");
+                        r
+                    }
+                };
+                assert_eq!(
+                    (secs_field(r, "t0"), secs_field(r, "t1")),
+                    (secs(e.start_ns), secs(e.finish_ns)),
+                    "{name}: {r:?}"
+                );
+                free = e.finish_ns;
+            }
+            let blame = &crit.per_proc[p];
+            assert_eq!(waited, blame.recv_wait_ns, "{name}: waits");
+            let r = next("sim.proc");
+            let finish = crit.makespan_ns - blame.drain_ns;
+            assert_eq!(secs_field(r, "t0"), secs(finish), "{name}: {r:?}");
+            assert!(records.next().is_none(), "{name}: records past sim.proc");
+        }
+
+        for values in [false, true] {
+            let schedule = build_schedule(&compiled, &w.params, values, LIMIT).expect("schedules");
+            obs::start_capture();
+            simulate(&compiled, &w.params, &config, values, &schedule).expect("simulates");
+            let trace = obs::finish_capture();
+            let sim_lanes = (trace.lanes.iter())
+                .filter(|l| l.key.first() == Some(&2))
+                .count();
+            assert_eq!(
+                sim_lanes, 0,
+                "{}: simulate (values {values}) drew lanes",
+                w.name
+            );
+        }
+    }
 }
 
 /// The records of one timing-mode `build_schedule` of `input`, captured

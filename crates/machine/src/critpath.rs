@@ -13,6 +13,15 @@
 //! traffic per link, each transmission's latency
 //! ([`CritAnalysis::latencies_ns`]) — is read from here.
 //!
+//! ## The machine's lanes
+//!
+//! When the calling thread is capturing a trace (`dmc_obs`), [`analyze`]
+//! also draws the run from its events: one sim lane per processor, idle
+//! ones included, each holding that processor's actions in machine order
+//! with their simulated `t0`/`t1` seconds, then the critical-path lane.
+//! The simulator records no timeline of its own, so a capture of
+//! [`crate::simulate`] alone holds no sim lane.
+//!
 //! ## Exactness: the nanosecond grid
 //!
 //! The events are the steps of the simulator's own machine loop, which
@@ -318,7 +327,8 @@ pub struct CritAnalysis {
 ///
 /// The events are the steps of the simulator's own machine loop, in the
 /// order it runs them, so a schedule the simulator rejects errors here
-/// identically.
+/// identically. A capturing thread also gets the run's sim lanes (see the
+/// module docs).
 ///
 /// # Errors
 ///
@@ -539,7 +549,7 @@ pub fn analyze(schedule: &Schedule, config: &MachineConfig) -> Result<CritAnalys
     links.retain(|l| l.transmissions > 0);
     links.shrink_to_fit();
 
-    Ok(CritAnalysis {
+    let analysis = CritAnalysis {
         nproc,
         makespan_ns,
         events,
@@ -548,7 +558,11 @@ pub fn analyze(schedule: &Schedule, config: &MachineConfig) -> Result<CritAnalys
         total,
         messages,
         links,
-    })
+    };
+    if obs::enabled() {
+        analysis.draw(schedule);
+    }
+    Ok(analysis)
 }
 
 impl CritAnalysis {
@@ -907,20 +921,65 @@ impl CritAnalysis {
         Ok(())
     }
 
-    /// Draws the canonical chain into the active observability capture:
-    /// a dedicated "critical path" sim lane (processor index `nproc`)
-    /// carrying one `crit.span` record per chain event, which the Chrome
+    /// Draws the run into the calling thread's capture, stamped with
+    /// *simulated* seconds (`t0`/`t1` fields): one sim lane per processor,
+    /// idle ones included, holding its actions in machine order — a
+    /// `sim.compute` per block, a `sim.send` per send, a `sim.recv.wait`
+    /// wherever a receive started after the processor's previous finish,
+    /// a `sim.recv` per receive, and a `sim.proc` at its finish — then a
+    /// "critical path" lane (processor index `nproc`) carrying one
+    /// `crit.span` per chain event of nonzero duration, which the Chrome
     /// trace shows under the processors' timelines.
-    pub fn emit_chain(&self) {
-        if !obs::enabled() {
-            return;
+    fn draw(&self, schedule: &Schedule) {
+        let mut free = vec![0u64; self.nproc];
+        for e in self.events.iter().filter(|e| e.kind != EventKind::Wire) {
+            let p = e.proc;
+            let _lane = obs::lane(obs::sim_lane(p), format!("sim p{p}"));
+            let mut fields = vec![obs::field("proc", p)];
+            fields.extend(e.stmt.map(|s| obs::field("stmt", s)));
+            fields.extend(e.msg.map(|m| obs::field("msg", m)));
+            let name = match (e.kind, e.msg) {
+                (EventKind::SendBusy, Some(msg)) => {
+                    let spec = &schedule.messages[msg];
+                    fields.push(obs::field("words", spec.words));
+                    fields.push(obs::field("nrecv", spec.receivers.len()));
+                    "sim.send"
+                }
+                (EventKind::Recv, Some(msg)) => {
+                    let spec = &schedule.messages[msg];
+                    if e.start_ns > free[p] {
+                        obs::event(
+                            "sim.recv.wait",
+                            vec![
+                                obs::field("proc", p),
+                                obs::field("msg", msg),
+                                obs::field("t0", secs(free[p])),
+                                obs::field("t1", secs(e.start_ns)),
+                            ],
+                        );
+                    }
+                    fields.push(obs::field("from", spec.sender));
+                    fields.push(obs::field("words", spec.words));
+                    "sim.recv"
+                }
+                _ => "sim.compute",
+            };
+            fields.push(obs::field("t0", secs(e.start_ns)));
+            fields.push(obs::field("t1", secs(e.finish_ns)));
+            obs::event(name, fields);
+            free[p] = e.finish_ns;
         }
-        // The canonical chain as a contiguous span row in the Chrome
-        // trace: one pid-2 lane past the last processor, spans monotone
-        // by construction (the chain is gapless in time).
-        let _l = obs::lane(obs::sim_lane(self.nproc), "critical path");
-        for &c in &self.chain {
-            let e = &self.events[c as usize];
+        for (p, &f) in free.iter().enumerate() {
+            let _lane = obs::lane(obs::sim_lane(p), format!("sim p{p}"));
+            obs::event(
+                "sim.proc",
+                vec![obs::field("proc", p), obs::field("t0", secs(f))],
+            );
+        }
+        // The chain is gapless in time, so its spans form one contiguous
+        // row.
+        let _lane = obs::lane(obs::sim_lane(self.nproc), "critical path");
+        for e in self.chain.iter().map(|&c| &self.events[c as usize]) {
             if e.dur_ns == 0 {
                 continue;
             }

@@ -38,11 +38,12 @@
 //! a receive of a message not yet sent, so such a schedule ends in
 //! [`SimError::Deadlock`].
 //!
-//! `simulate` adds what a run computes (values mode), the run's totals
-//! ([`SimStats`], its time as nanoseconds × 1e-9) and the `sim.*` events;
-//! the analysis adds the event DAG, and with it the run's one account:
-//! blame per processor, link and message, and each transmission's
-//! latency.
+//! `simulate` adds what a run computes (values mode) and the run's totals
+//! ([`SimStats`], its time as nanoseconds × 1e-9), and records nothing
+//! into a trace but its `simulate` span. The analysis adds the event DAG,
+//! and with it the run's one account: blame per processor, link and
+//! message, each transmission's latency and, when the calling thread is
+//! capturing, the machine's Gantt lanes.
 //!
 //! # Local memories
 //!
@@ -237,7 +238,7 @@ pub struct SimResult {
 }
 
 /// Nanoseconds on the machine's clock as the seconds [`SimStats`] and the
-/// `sim.*` events report.
+/// sim lanes report.
 pub(crate) fn secs(ns: u64) -> f64 {
     ns as f64 * 1e-9
 }
@@ -289,16 +290,8 @@ pub fn simulate(
     let mut payloads: Vec<Option<Rc<[f64]>>> = vec![None; schedule.messages.len()];
     let mut stats = SimStats::default();
 
-    // Event recording: one obs lane per simulated processor, events
-    // stamped with *simulated* seconds (`t0`/`t1` fields). Captured once;
-    // a capture cannot start mid-simulation (the pipeline serializes
-    // captures).
-    let record = obs::enabled();
-
     let finish = run_machine(schedule, config, |step| {
         let p = step.proc;
-        let (t0, t1) = (secs(step.start), secs(step.start + step.dur));
-        let _lane = record.then(|| obs::lane(obs::sim_lane(p), format!("sim p{p}")));
         match step.action {
             Action::Block {
                 stmt,
@@ -311,18 +304,6 @@ pub fn simulate(
                     m.run_block(p, *stmt, prefix, *inner_range)?;
                 }
                 stats.flops += flops;
-                if record {
-                    obs::event(
-                        "sim.compute",
-                        vec![
-                            obs::field("proc", p),
-                            obs::field("stmt", *stmt),
-                            obs::field("flops", *flops),
-                            obs::field("t0", t0),
-                            obs::field("t1", t1),
-                        ],
-                    );
-                }
             }
             Action::Send { msg } => {
                 let spec = &schedule.messages[*msg];
@@ -335,47 +316,8 @@ pub fn simulate(
                 stats.messages += 1;
                 stats.transmissions += spec.receivers.len() as u64;
                 stats.words += spec.words * spec.receivers.len() as u64;
-                if record {
-                    obs::event(
-                        "sim.send",
-                        vec![
-                            obs::field("proc", p),
-                            obs::field("msg", *msg),
-                            obs::field("words", spec.words),
-                            obs::field("nrecv", spec.receivers.len()),
-                            obs::field("t0", t0),
-                            obs::field("t1", t1),
-                        ],
-                    );
-                }
             }
             Action::Recv { msg } => {
-                let spec = &schedule.messages[*msg];
-                let got = step.delivery.expect("a receive takes a delivery");
-                if record {
-                    if got.wait > 0 {
-                        obs::event(
-                            "sim.recv.wait",
-                            vec![
-                                obs::field("proc", p),
-                                obs::field("msg", *msg),
-                                obs::field("t0", secs(step.start - got.wait)),
-                                obs::field("t1", t0),
-                            ],
-                        );
-                    }
-                    obs::event(
-                        "sim.recv",
-                        vec![
-                            obs::field("proc", p),
-                            obs::field("msg", *msg),
-                            obs::field("from", spec.sender),
-                            obs::field("words", spec.words),
-                            obs::field("t0", t0),
-                            obs::field("t1", t1),
-                        ],
-                    );
-                }
                 if let (Some(m), Some(vals)) = (&mut machine, &payloads[*msg]) {
                     m.integrate(p, *msg, vals);
                 }
@@ -385,33 +327,7 @@ pub fn simulate(
     })?;
 
     stats.time = secs(finish.iter().copied().max().unwrap_or(0));
-
-    if record {
-        // One `sim.proc` per processor at its finish, also materializing a
-        // lane for processors that never acted, so the exported trace
-        // always has one display thread per processor.
-        for (p, &f) in finish.iter().enumerate() {
-            let _l = obs::lane(obs::sim_lane(p), format!("sim p{p}"));
-            obs::event(
-                "sim.proc",
-                vec![obs::field("proc", p), obs::field("t0", secs(f))],
-            );
-        }
-    }
-
     let memory = machine.map(Machine::merge);
-    // Simulated (not wall-clock) quantities: deterministic for a given
-    // schedule, so the event is part of the trace's deterministic view.
-    obs::event_f("simulate.done", || {
-        vec![
-            obs::field("values", values),
-            obs::field("time", stats.time),
-            obs::field("flops", stats.flops),
-            obs::field("messages", stats.messages),
-            obs::field("transmissions", stats.transmissions),
-            obs::field("words", stats.words),
-        ]
-    });
     Ok(SimResult { stats, memory })
 }
 

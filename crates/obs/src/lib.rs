@@ -45,31 +45,32 @@
 //!   pass removed each eliminated communication set and which sets were
 //!   split for legality. It renders the explain report's Reads and
 //!   Surviving messages sections; `dmc explain` adds the Reuse section
-//!   from its session's stage counts and the machine sections from the
-//!   simulator's own statistics and critical-path analysis.
-//! * [`profile`] — the work-ledger profile ([`WorkProfile`]): charged
-//!   work per attribution context, collapsed stacks for flamegraphs.
+//!   from its session's stage counts, the machine sections from the
+//!   simulator's own statistics and critical-path analysis, and the
+//!   Hotspots section from the engine's work ledger.
+//! * [`json`] — the JSON values, parser and tree diff the harness's
+//!   documents are written and compared with.
 //!
 //! ## Machine lanes
 //!
-//! The simulator records per-processor timelines into **sim lanes**
-//! ([`sim_lane`]), one per simulated processor. Their records carry `t0`
-//! (and for intervals `t1`) fields holding *simulated* seconds; the Chrome
-//! exporter renders them as complete events on a second process, so a
-//! trace opens as the compiler's wall-clock lanes plus a
-//! one-row-per-processor Gantt chart of the simulated machine.
+//! The critical-path analysis (`dmc_machine::critpath::analyze`) draws a
+//! run's per-processor timelines into **sim lanes** ([`sim_lane`]), one
+//! per simulated processor plus one for the critical path; the simulator
+//! itself records none. Their records carry `t0` (and for intervals `t1`)
+//! fields holding *simulated* seconds; the Chrome exporter renders them
+//! as complete events on a second process, so a trace opens as the
+//! compiler's wall-clock lanes plus a one-row-per-processor Gantt chart
+//! of the simulated machine.
 
 #![warn(missing_docs)]
 
 mod chrome;
 mod explain;
 pub mod json;
-pub mod profile;
 mod trace;
 
 pub use chrome::{chrome_trace, validate_chrome, TraceCheck};
 pub use explain::{MessageProv, Provenance, ReadProv, Split};
-pub use profile::{ProfileOp, WorkProfile};
 pub use trace::{
     enabled, event, event_f, event_nondet, field, finish_capture, lane, main_lane, read_lane,
     sim_lane, span, span_f, start_capture, LaneGuard, LaneKey, LaneRecords, Phase, Record,

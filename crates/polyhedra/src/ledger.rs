@@ -144,12 +144,6 @@ pub struct OpRecord {
     /// Wall-clock duration. Diagnostic only: durations are scheduling
     /// noise and never enter deterministic artifacts or gates.
     pub duration_ns: u64,
-    /// `LinExpr` heap allocations made on this thread while the operation
-    /// was open (inclusive of nested operations; 0 on cache hits).
-    /// Diagnostic only: raw allocation counts depend on cache state and
-    /// work partitioning, so — like `duration_ns` — they never enter
-    /// deterministic artifacts or gates.
-    pub allocs: u64,
     /// Work this operation itself performed (0 for cache hits).
     pub self_units: u64,
     /// Self units plus nested charged work; memoized logical cost on hits.
@@ -386,9 +380,9 @@ pub fn enabled() -> bool {
 
 /// Starts recording on the calling thread from cold memo caches
 /// ([`cache::clear_thread_caches`](crate::cache::clear_thread_caches)), so
-/// every record's duration and allocations are those of a computation,
-/// not of a hit; drops the records of an unfinished earlier recording.
-/// The counters and every charge are left as they are.
+/// every record's duration is that of a computation, not of a hit; drops
+/// the records of an unfinished earlier recording. The counters and every
+/// charge are left as they are.
 pub fn start() {
     crate::cache::clear_thread_caches();
     with_table(|t| t.segments = Some(Vec::new()));
@@ -436,8 +430,6 @@ pub(crate) struct OpenOp {
     bnb_nodes: u64,
     negation_tests: u64,
     cache: CacheOutcome,
-    /// The thread's allocation count when the operation opened.
-    allocs_at_open: u64,
     /// When the operation opened, if the thread was recording.
     start: Option<Instant>,
 }
@@ -448,9 +440,9 @@ pub(crate) struct OpScope(Option<OpenOp>);
 
 /// Opens an operation on the calling thread.
 pub(crate) fn op(kind: OpKind, cons_in: usize) -> OpScope {
-    let (allocs_at_open, recording) = with_table(|t| {
+    let recording = with_table(|t| {
         t.open.push(0);
-        (t.stats.allocs, t.segments.is_some())
+        t.segments.is_some()
     });
     OpScope(Some(OpenOp {
         kind,
@@ -459,7 +451,6 @@ pub(crate) fn op(kind: OpKind, cons_in: usize) -> OpScope {
         bnb_nodes: 0,
         negation_tests: 0,
         cache: CacheOutcome::Uncached,
-        allocs_at_open,
         start: recording.then(Instant::now),
     }))
 }
@@ -512,7 +503,6 @@ fn close(o: OpenOp) -> u64 {
             negation_tests: o.negation_tests,
             cache: o.cache,
             duration_ns: o.start.map_or(0, |s| s.elapsed().as_nanos() as u64),
-            allocs: t.stats.allocs - o.allocs_at_open,
             self_units,
             charged_units: charged,
             top_level: false,
@@ -534,7 +524,6 @@ pub(crate) fn record_hit(kind: OpKind, cons_in: usize, charged: u64) {
             negation_tests: 0,
             cache: CacheOutcome::Hit,
             duration_ns: 0,
-            allocs: 0,
             self_units: 0,
             charged_units: charged,
             top_level: false,

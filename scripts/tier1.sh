@@ -127,7 +127,10 @@ if [[ "${1:-}" == "--bench" ]]; then
     cargo run --release -p dmc-bench --bin dmc -- snapshot
 fi
 
-# The library's size, so each change's log shows what it added or removed.
+# The library's size, per crate and in total, so each change's log shows
+# what it added or removed, and where.
+echo "non-test library lines per crate:"
+scripts/loc.sh --crates | sed '$d'
 echo "non-test library lines: $(scripts/loc.sh)"
 
 echo "tier-1 OK"
