@@ -783,7 +783,7 @@ mod tests {
         let mut expected = Vec::new();
         for t in 0..=tval {
             for i in 3..=nval {
-                if let Some((_, w)) = lwt.producer_at(&[t, i], &[tval, nval]) {
+                if let Some((_, w)) = lwt.producer_at(&[t, i], &[tval, nval]).unwrap() {
                     let pr = comp.processor_of(&[t, i], &["t", "i"]);
                     let ps = comp.processor_of(&w, &["t", "i"]);
                     if pr != ps {

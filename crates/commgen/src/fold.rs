@@ -325,8 +325,8 @@ struct Depth {
     key_len: usize,
     ends: [usize; 5],
     /// Bumped when the open window closes; an open-chunk slot of an older
-    /// epoch is stale.
-    epoch: u32,
+    /// generation is stale.
+    generation: u32,
     /// First chunk of the open window.
     window: usize,
     data: Vec<i128>,
@@ -378,7 +378,7 @@ struct Folder<'a> {
     /// The lanes seen, numbered in order of first appearance; looked up
     /// once per run.
     lanes: HashMap<Vec<i64>, u32, BuildHasherDefault<WordHasher>>,
-    /// Per lane and depth: `(epoch, chunk)` of its open chunk.
+    /// Per lane and depth: `(generation, chunk)` of its open chunk.
     open: Vec<(u32, u32)>,
     /// Bands read; per lane, the last band that had a run of it; per band
     /// row, its lane.
@@ -411,7 +411,7 @@ impl<'a> Folder<'a> {
                 split,
                 key_len: ks + split,
                 ends,
-                epoch: 1,
+                generation: 1,
                 window: 0,
                 data: Vec::new(),
                 words: Vec::new(),
@@ -762,7 +762,7 @@ impl<'a> Folder<'a> {
                 let run = self.runs[r];
                 let slot = run.lane as usize * self.depths.len() + d;
                 let depth = &self.depths[d];
-                let open = self.aggregate && self.open[slot].0 == depth.epoch;
+                let open = self.aggregate && self.open[slot].0 == depth.generation;
                 let c = if open {
                     self.open[slot].1
                 } else {
@@ -777,7 +777,7 @@ impl<'a> Folder<'a> {
                     self.classes.count[class as usize] += 1;
                     let c = self.open_chunk(d, run, class);
                     if self.aggregate {
-                        self.open[slot] = (self.depths[d].epoch, c);
+                        self.open[slot] = (self.depths[d].generation, c);
                     }
                     c
                 };
@@ -932,7 +932,7 @@ impl<'a> Folder<'a> {
             classes.slot[class as usize] = NONE;
             classes.release(class);
         }
-        depth.epoch += 1;
+        depth.generation += 1;
         depth.window = depth.words.len();
     }
 

@@ -61,7 +61,7 @@ pub mod store;
 #[cfg(test)]
 mod tests;
 
-pub use options::{Options, ScopedTuning, Strategy};
+pub use options::{Options, Strategy};
 pub use pipeline::{build_schedule, compile, run, simulate, CompileError, CompileInput, Compiled};
 pub use session::{ServeOutcome, Session, SessionStats, StageCount};
 pub use store::{Artifact, ArtifactStore, StageId, StoreSource, StoreStats, CODEC_VERSION};

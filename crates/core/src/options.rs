@@ -12,7 +12,10 @@ pub enum Strategy {
     LocationCentric,
 }
 
-/// Optimization toggles (paper §6). Everything defaults to on.
+/// The communication-generation strategy and the five optimization toggles
+/// of paper §6, nothing else: what the §6 ablations vary. Every toggle
+/// defaults to on. The polyhedral engine's feasibility budget is not an
+/// option but a constant ([`dmc_polyhedra::stats::FEASIBILITY_BUDGET`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Options {
     /// Communication-generation strategy.
@@ -34,10 +37,6 @@ pub struct Options {
     /// §6.2.1 — merge identical payloads to different receivers into
     /// multicasts.
     pub multicast: bool,
-    /// Branch-and-bound budget for integer-feasibility queries in the
-    /// polyhedral engine. Exhausting it yields a conservative `Unknown`
-    /// answer (counted in [`dmc_polyhedra::PolyStats`]).
-    pub feasibility_budget: u32,
 }
 
 impl Default for Options {
@@ -49,7 +48,6 @@ impl Default for Options {
             unique_sender: true,
             aggregate: true,
             multicast: true,
-            feasibility_budget: dmc_polyhedra::stats::DEFAULT_FEASIBILITY_BUDGET,
         }
     }
 }
@@ -80,26 +78,7 @@ impl Options {
             ..Options::default()
         }
     }
-
-    /// Installs the feasibility budget as a *thread-local* tuning of the
-    /// polyhedral engine for the returned guard's lifetime. This is how
-    /// [`compile`] and [`build_schedule`] scope it: nothing process-wide
-    /// changes, so compilations that overlap in one process under
-    /// different options cannot observe each other's budget.
-    ///
-    /// [`compile`]: crate::compile
-    /// [`build_schedule`]: crate::build_schedule
-    #[must_use = "the tuning is uninstalled when the guard drops"]
-    pub fn push_tuning_scoped(&self) -> ScopedTuning {
-        dmc_polyhedra::stats::push_thread_tuning(dmc_polyhedra::stats::Tuning {
-            feasibility_budget: self.feasibility_budget,
-        })
-    }
 }
-
-/// The thread-local engine tuning of one compile, restored when the guard
-/// drops (`!Send`).
-pub type ScopedTuning = dmc_polyhedra::stats::ThreadTuningGuard;
 
 #[cfg(test)]
 mod tests {
@@ -112,10 +91,6 @@ mod tests {
         assert_eq!(
             Options::location_centric().strategy,
             Strategy::LocationCentric
-        );
-        assert_eq!(
-            Options::default().feasibility_budget,
-            dmc_polyhedra::stats::DEFAULT_FEASIBILITY_BUDGET
         );
     }
 }

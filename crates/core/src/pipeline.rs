@@ -750,7 +750,6 @@ pub(crate) fn build_schedule_inner(
             return Err(CompileError::LocationCentricValues(cs.array.clone()));
         }
     }
-    let _tuning = compiled.options.push_tuning_scoped();
     // The stage key covers everything the plan is a function of.
     let mut staged = session.map(|s| (s, schedule_fp(compiled, param_vals, values, limit)));
     if let Some((s, k)) = &mut staged {

@@ -42,9 +42,12 @@
 //! | opt      | lwt key + comps + array's home + per-pass decls   | strategy, budget, self_reuse, already_local, unique_sender |
 //! | schedule | whole input + grid + params + limit + values flag | every knob (the above, aggregate, multicast)               |
 //!
-//! `feasibility_budget` appears everywhere because exhausting it yields a
-//! conservative `Unknown` that can change analysis results. Every field
-//! of [`Options`] is in at least one stage key: none only changes time.
+//! The budget is no knob: it is the engine's constant
+//! [`FEASIBILITY_BUDGET`], which every analysis key carries because
+//! exhausting it yields a conservative `Unknown` that can change analysis
+//! results (a build with another constant misses rather than serving
+//! them). Every field of [`Options`] is in at least one stage key: none
+//! only changes time.
 //! `tests/session.rs::option_relevance_is_reflected_in_stage_keys` holds
 //! each field to exactly its rows here.
 //!
@@ -87,6 +90,7 @@ use dmc_machine::{MachineConfig, Schedule, SimResult};
 use dmc_obs as obs;
 use dmc_polyhedra::codec::{Codec, Enc};
 use dmc_polyhedra::ledger;
+use dmc_polyhedra::stats::FEASIBILITY_BUDGET;
 
 use crate::options::{Options, Strategy};
 use crate::passes::{optimize_sets, strategy_tag, OPT_PASSES};
@@ -283,10 +287,8 @@ impl Session {
         options: Options,
     ) -> Result<Compiled, CompileError> {
         // Lane first so every record of this compile lands in the main
-        // pipeline lane; the engine tuning is thread-local, so concurrent
-        // sessions cannot race on it.
+        // pipeline lane.
         let _lane = obs::lane(obs::main_lane(), "pipeline");
-        let _tuning = options.push_tuning_scoped();
         let _span = obs::span_f("compile", || {
             vec![obs::field("strategy", format!("{:?}", options.strategy))]
         });
@@ -617,12 +619,14 @@ fn key(kind: u8, inputs: impl FnOnce(&mut Enc)) -> Fingerprint {
     Fingerprint::of(e)
 }
 
-/// Writes the analysis-relevant options: strategy and the feasibility
-/// budget (an exhausted budget yields conservative `Unknown` answers that
-/// can change results).
+/// Writes the analysis-relevant inputs: the strategy and the engine's
+/// feasibility budget. The budget is a constant, but an exhausted budget
+/// yields conservative `Unknown` answers that can change results, so every
+/// analysis key carries it: a build with another constant misses instead
+/// of serving answers the old budget decided.
 fn encode_analysis_options(options: &Options, e: &mut Enc) {
     e.u8(strategy_tag(options.strategy));
-    e.u64(u64::from(options.feasibility_budget));
+    e.u64(u64::from(FEASIBILITY_BUDGET));
 }
 
 /// Writes every answer-relevant option: the analysis ones, then the five

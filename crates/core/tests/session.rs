@@ -263,24 +263,15 @@ fn option_relevance_is_reflected_in_stage_keys() {
         unique_sender: _,
         aggregate: _,
         multicast: _,
-        feasibility_budget: _,
     } = full;
     let analysis: &[&str] = &["lwt", "opt", "schedule"];
     let pass: &[&str] = &["opt", "schedule"];
     let planner: &[&str] = &["schedule"];
-    let rows: [(&str, Options, &[&str]); 7] = [
+    let rows: [(&str, Options, &[&str]); 6] = [
         (
             "strategy",
             Options {
                 strategy: Strategy::LocationCentric,
-                ..full
-            },
-            analysis,
-        ),
-        (
-            "feasibility_budget",
-            Options {
-                feasibility_budget: 77,
                 ..full
             },
             analysis,

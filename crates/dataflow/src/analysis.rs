@@ -34,6 +34,25 @@ pub enum LwtError {
     /// A group of reads passed to the hull constructor is not uniformly
     /// generated (their subscripts differ in more than constant terms).
     NotUniformlyGenerated,
+    /// [`LastWriteTree::producer_at`] was asked about a point outside the
+    /// read domain: no leaf covers it.
+    Uncovered {
+        /// The reading statement.
+        stmt: usize,
+        /// The read within it.
+        read: usize,
+        /// The read iteration, then the parameter values.
+        point: Vec<i128>,
+    },
+    /// [`LastWriteTree::producer_at`] overflowed `i128` at a point.
+    Overflow {
+        /// The reading statement.
+        stmt: usize,
+        /// The read within it.
+        read: usize,
+        /// The read iteration, then the parameter values.
+        point: Vec<i128>,
+    },
     /// Polyhedral arithmetic failed.
     Poly(PolyError),
     /// Parametric lexicographic optimization failed.
@@ -59,11 +78,16 @@ impl std::fmt::Display for LwtError {
                 write!(f, "statement {stmt} has no read #{read_no}")
             }
             LwtError::NotUniformlyGenerated => {
-                write!(
-                    f,
-                    "reads are not uniformly generated (non-constant differences)"
-                )
+                f.write_str("reads are not uniformly generated (non-constant differences)")
             }
+            LwtError::Uncovered { stmt, read, point } => write!(
+                f,
+                "no leaf of the tree of statement {stmt} read #{read} covers {point:?}"
+            ),
+            LwtError::Overflow { stmt, read, point } => write!(
+                f,
+                "the tree of statement {stmt} read #{read} overflows i128 at {point:?}"
+            ),
             LwtError::Poly(e) => write!(f, "polyhedral arithmetic failed: {e}"),
             LwtError::Lex(e) => write!(f, "lexicographic optimization failed: {e}"),
         }
@@ -93,11 +117,10 @@ pub fn build_lwt(
         .get(stmt)
         .ok_or(LwtError::NoSuchRead { stmt, read_no })?;
     let reads = sr.stmt.rhs.reads();
-    let read = *reads
+    let read = reads
         .get(read_no)
         .ok_or(LwtError::NoSuchRead { stmt, read_no })?;
-    let read = read.clone();
-    build_lwt_for_access(program, &stmts, sr, read_no, &read, &[])
+    build_lwt_for_access(program, &stmts, sr, read_no, read, &[])
 }
 
 /// Builds a single LWT for a *uniformly generated group* of reads of the
@@ -193,23 +216,11 @@ fn build_lwt_for_access(
     }
 
     // Base space: read dims, then params.
-    let mut base_space = Space::new();
-    for v in &read_dims {
-        base_space.add_dim(v.clone(), DimKind::Index);
-    }
-    for p in &program.params {
-        base_space.add_dim(p.clone(), DimKind::Param);
-    }
+    let index = read_dims.iter().map(|v| (v.as_str(), DimKind::Index));
+    let params = program.params.iter().map(|p| (p.as_str(), DimKind::Param));
+    let base_space = Space::from_dims(index.chain(params));
     let mut read_domain = sr.domain(&base_space, &[]);
-    for (u, lo, hi) in extra_read_dims {
-        let v = Aff::var(u.clone());
-        read_domain.add(Constraint::ge(
-            (v.clone() - Aff::constant(*lo)).to_linexpr(&base_space),
-        ));
-        read_domain.add(Constraint::ge(
-            (Aff::constant(*hi) - v).to_linexpr(&base_space),
-        ));
-    }
+    add_offset_bounds(&mut read_domain, &base_space, extra_read_dims);
 
     // Candidates: every statement writing this array, at every level, in
     // groups of equal recency, newest first. Against the read, a write
@@ -337,10 +348,7 @@ fn build_lwt_for_access(
                     // the base+divaux polyhedron by remapping.
                     let mut leaf_space = piece.context.space().clone();
                     let base_len = ctx_base.poly.space().len();
-                    let mut map = Vec::with_capacity(ctx_base_poly.space().len());
-                    for d in 0..base_len {
-                        map.push(d);
-                    }
+                    let mut map: Vec<usize> = (0..base_len).collect();
                     for d in 0..n_div_aux {
                         let name = ctx_base_poly.space().dim(base_len + d).name().to_owned();
                         map.push(leaf_space.add_dim(name, dmc_polyhedra::DimKind::Aux));
@@ -404,6 +412,17 @@ fn build_lwt_for_access(
     })
 }
 
+/// Bounds each hull offset dimension `(u, lo, hi)` to `lo <= u <= hi`.
+fn add_offset_bounds(poly: &mut Polyhedron, space: &Space, offsets: &[(String, i128, i128)]) {
+    for (u, lo, hi) in offsets {
+        let v = Aff::var(u.clone());
+        poly.add(Constraint::ge(
+            (v.clone() - Aff::constant(*lo)).to_linexpr(space),
+        ));
+        poly.add(Constraint::ge((Aff::constant(*hi) - v).to_linexpr(space)));
+    }
+}
+
 /// One solved piece of a candidate's last-write relation.
 struct Piece {
     /// Context over base space + aux dims (write dims projected away).
@@ -445,26 +464,16 @@ fn candidate_pieces(
         .collect();
 
     // Space: read dims, write dims, params.
-    let mut space = Space::new();
-    for v in read_dims {
-        space.add_dim(v.clone(), DimKind::Index);
-    }
-    let mut wdims = Vec::with_capacity(wvars.len());
-    for w in &wvars {
-        wdims.push(space.add_dim(w.clone(), DimKind::Index));
-    }
-    for p in &program.params {
-        space.add_dim(p.clone(), DimKind::Param);
-    }
+    let index = read_dims
+        .iter()
+        .chain(&wvars)
+        .map(|v| (v.as_str(), DimKind::Index));
+    let params = program.params.iter().map(|p| (p.as_str(), DimKind::Param));
+    let space = Space::from_dims(index.chain(params));
+    let wdims: Vec<usize> = (read_dims.len()..read_dims.len() + wvars.len()).collect();
 
     let mut poly = sr.domain(&space, &[]);
-    for (u, lo, hi) in extra_read_dims {
-        let v = Aff::var(u.clone());
-        poly.add(Constraint::ge(
-            (v.clone() - Aff::constant(*lo)).to_linexpr(&space),
-        ));
-        poly.add(Constraint::ge((Aff::constant(*hi) - v).to_linexpr(&space)));
-    }
+    add_offset_bounds(&mut poly, &space, extra_read_dims);
     poly = poly.intersect(&sw.domain(&space, &renames));
 
     // Access equality: f_w(i_w) == f_r(i_r) per array dimension.
@@ -475,29 +484,20 @@ fn candidate_pieces(
         poly.add(Constraint::eq_pair(&we, &re)?);
     }
 
-    // Ordering constraints for the level.
-    let shared = sw.common_loops(sr);
-    match cand.level {
-        DepLevel::Independent => {
-            for (j, wvar) in wvars.iter().enumerate().take(shared) {
-                let rv = LinExpr::var(space.len(), space.index_of(&sr.loops[j].var).unwrap());
-                let wv = LinExpr::var(space.len(), space.index_of(wvar).unwrap());
-                poly.add(Constraint::eq_pair(&wv, &rv)?);
-            }
-        }
-        DepLevel::Carried(k) => {
-            for (j, wvar) in wvars.iter().enumerate().take(k - 1) {
-                let rv = LinExpr::var(space.len(), space.index_of(&sr.loops[j].var).unwrap());
-                let wv = LinExpr::var(space.len(), space.index_of(wvar).unwrap());
-                poly.add(Constraint::eq_pair(&wv, &rv)?);
-            }
-            // w_{k-1} <= r_{k-1} - 1.
-            let rv = LinExpr::var(space.len(), space.index_of(&sr.loops[k - 1].var).unwrap());
-            let wv = LinExpr::var(space.len(), space.index_of(&wvars[k - 1]).unwrap());
-            let mut diff = rv.sub(&wv)?;
-            diff.set_constant(diff.constant_term() - 1);
-            poly.add(Constraint::ge(diff));
-        }
+    // Ordering constraints for the level: equal iterations of the loops
+    // outside it, then for a carried level w_{k-1} <= r_{k-1} - 1.
+    let var = |name: &str| LinExpr::var(space.len(), space.index_of(name).unwrap());
+    let equal = match cand.level {
+        DepLevel::Independent => sw.common_loops(sr),
+        DepLevel::Carried(k) => k - 1,
+    };
+    for (j, wvar) in wvars.iter().enumerate().take(equal) {
+        poly.add(Constraint::eq_pair(&var(wvar), &var(&sr.loops[j].var))?);
+    }
+    if let DepLevel::Carried(k) = cand.level {
+        let mut diff = var(&sr.loops[k - 1].var).sub(&var(&wvars[k - 1]))?;
+        diff.set_constant(diff.constant_term() - 1);
+        poly.add(Constraint::ge(diff));
     }
 
     if poly.is_obviously_empty() || !poly.integer_feasibility()?.possibly_feasible() {
@@ -554,11 +554,7 @@ fn candidate_pieces(
                 }
             };
 
-        let solution_base = if has_aux {
-            None
-        } else {
-            Some(write_iter.clone())
-        };
+        let solution_base = (!has_aux).then(|| write_iter.clone());
 
         pieces.push(Piece {
             context,
@@ -582,24 +578,18 @@ fn lex_split(
     let mut out = Vec::new();
     let mut prefix = region.clone();
     for (ea, eb) in a.iter().zip(b) {
-        // a > b at this component.
-        let mut gt = prefix.clone();
-        let mut diff = ea.sub(eb)?;
-        diff.set_constant(diff.constant_term() - 1);
-        gt.add(dmc_polyhedra::Constraint::ge(diff));
-        if gt.integer_feasibility()?.possibly_feasible() {
-            out.push((gt, Ordering::Greater));
-        }
-        // a < b at this component.
-        let mut lt = prefix.clone();
-        let mut diff = eb.sub(ea)?;
-        diff.set_constant(diff.constant_term() - 1);
-        lt.add(dmc_polyhedra::Constraint::ge(diff));
-        if lt.integer_feasibility()?.possibly_feasible() {
-            out.push((lt, Ordering::Less));
+        // a > b, then a < b, at this component.
+        for (x, y, ord) in [(ea, eb, Ordering::Greater), (eb, ea, Ordering::Less)] {
+            let mut strict = prefix.clone();
+            let mut diff = x.sub(y)?;
+            diff.set_constant(diff.constant_term() - 1);
+            strict.add(Constraint::ge(diff));
+            if strict.integer_feasibility()?.possibly_feasible() {
+                out.push((strict, ord));
+            }
         }
         // Continue with a == b.
-        prefix.add(dmc_polyhedra::Constraint::eq_pair(ea, eb)?);
+        prefix.add(Constraint::eq_pair(ea, eb)?);
         if prefix.is_obviously_empty() {
             return Ok(out);
         }

@@ -22,9 +22,9 @@
 //!      for t = 0 to T { for i = 3 to N { X[i] = X[i - 3]; } }").unwrap();
 //! let lwt = dmc_dataflow::build_lwt(&p, 0, 0).unwrap();
 //! // Read at (t=2, i=9) with T=5, N=20: producer is (t=2, i=6).
-//! assert_eq!(lwt.producer_at(&[2, 9], &[5, 20]), Some((0, vec![2, 6])));
+//! assert_eq!(lwt.producer_at(&[2, 9], &[5, 20]), Ok(Some((0, vec![2, 6]))));
 //! // Read at (t=0, i=4): X[1] is never written -> live-in.
-//! assert_eq!(lwt.producer_at(&[0, 4], &[5, 20]), None);
+//! assert_eq!(lwt.producer_at(&[0, 4], &[5, 20]), Ok(None));
 //! ```
 
 #![warn(missing_docs)]
@@ -71,7 +71,9 @@ mod tests {
         let pvals: Vec<i128> = vals.to_vec();
         for ev in &trace.reads {
             let tree = &trees[&(ev.stmt, ev.read_no)];
-            let got = tree.producer_at(&ev.iter, &pvals);
+            let got = tree
+                .producer_at(&ev.iter, &pvals)
+                .expect("a read point is covered");
             assert_eq!(
                 got, ev.writer,
                 "stmt {} read {} at {:?}: LWT says {:?}, trace says {:?}",
@@ -134,7 +136,10 @@ mod tests {
         assert!(lwt.source_leaves().count() >= 1);
         // At (i1=2, i2=4, i3=5) with N=6: the last write to X[2][5] before
         // iteration (2,4,5) is S2 at (i1'=1, i2'=2, i3'=5).
-        assert_eq!(lwt.producer_at(&[2, 4, 5], &[6]), Some((1, vec![1, 2, 5])));
+        assert_eq!(
+            lwt.producer_at(&[2, 4, 5], &[6]),
+            Ok(Some((1, vec![1, 2, 5])))
+        );
     }
 
     #[test]
@@ -187,7 +192,7 @@ mod tests {
         let lwt = build_lwt(&p, 2, 0).unwrap();
         // Every read must resolve to statement 1 (the second write).
         for j in 0..6 {
-            assert_eq!(lwt.producer_at(&[j], &[6]), Some((1, vec![j])));
+            assert_eq!(lwt.producer_at(&[j], &[6]), Ok(Some((1, vec![j]))));
         }
     }
 
@@ -229,8 +234,8 @@ mod tests {
         let lwt = build_lwt(&p, 0, 0).unwrap();
         // Reading X[i][0]: for j == 1 it is live-in, otherwise the previous
         // j iteration wrote it (level 2).
-        assert_eq!(lwt.producer_at(&[3, 1], &[5]), None);
-        assert_eq!(lwt.producer_at(&[3, 4], &[5]), Some((0, vec![3, 3])));
+        assert_eq!(lwt.producer_at(&[3, 1], &[5]), Ok(None));
+        assert_eq!(lwt.producer_at(&[3, 4], &[5]), Ok(Some((0, vec![3, 3]))));
     }
 
     #[test]
@@ -278,12 +283,18 @@ mod tests {
         // the equivalent X[i - u], 0 <= u <= 3). Validate points against
         // first principles (T=4, N=9):
         //  (t=1, i=7, u=-3): reads X[4]; last write before (1,7) is (1,4).
-        assert_eq!(lwt.producer_at(&[1, 7, -3], &[4, 9]), Some((0, vec![1, 4])));
+        assert_eq!(
+            lwt.producer_at(&[1, 7, -3], &[4, 9]),
+            Ok(Some((0, vec![1, 4])))
+        );
         //  (t=1, i=7, u=0): reads X[7]; last write of X[7] before (1,7) was
         //  in the previous sweep: (0,7).
-        assert_eq!(lwt.producer_at(&[1, 7, 0], &[4, 9]), Some((0, vec![0, 7])));
+        assert_eq!(
+            lwt.producer_at(&[1, 7, 0], &[4, 9]),
+            Ok(Some((0, vec![0, 7])))
+        );
         //  (t=0, i=3, u=-1): reads X[2], never written -> live-in.
-        assert_eq!(lwt.producer_at(&[0, 3, -1], &[4, 9]), None);
+        assert_eq!(lwt.producer_at(&[0, 3, -1], &[4, 9]), Ok(None));
     }
 
     #[test]
@@ -313,13 +324,48 @@ mod tests {
             for i in 3..=nv {
                 let mut hits = 0;
                 for leaf in &lwt.leaves {
-                    if leaf.covers(&[t, i, tv, nv]).is_some() {
+                    if leaf.covers(&[t, i, tv, nv]).unwrap().is_some() {
                         hits += 1;
                     }
                 }
                 assert_eq!(hits, 1, "point (t={t}, i={i}) covered {hits} times");
             }
         }
+    }
+
+    #[test]
+    fn a_point_no_leaf_covers_is_an_error_not_a_panic() {
+        let p = parse(
+            "param T, N; array X[N + 1];
+             for t = 0 to T { for i = 3 to N { X[i] = X[i - 3]; } }",
+        )
+        .unwrap();
+        let mut lwt = build_lwt(&p, 0, 0).unwrap();
+        assert_eq!(
+            lwt.producer_at(&[2, 9], &[5, 20]),
+            Ok(Some((0, vec![2, 6])))
+        );
+        // A value of `i` whose negation overflows fixes no context.
+        assert_eq!(
+            lwt.producer_at(&[0, i128::MIN], &[5, 20]),
+            Err(LwtError::Overflow {
+                stmt: 0,
+                read: 0,
+                point: vec![0, i128::MIN, 5, 20],
+            })
+        );
+        // Without its source leaf the tree covers (2, 9) no more; the ⊥
+        // leaf still answers its own points.
+        lwt.leaves.retain(|leaf| leaf.source.is_none());
+        assert_eq!(
+            lwt.producer_at(&[2, 9], &[5, 20]),
+            Err(LwtError::Uncovered {
+                stmt: 0,
+                read: 0,
+                point: vec![2, 9, 5, 20],
+            })
+        );
+        assert_eq!(lwt.producer_at(&[0, 4], &[5, 20]), Ok(None));
     }
 
     #[test]
@@ -334,8 +380,8 @@ mod tests {
         )
         .unwrap();
         let lwt = build_lwt(&p, 1, 0).unwrap();
-        assert_eq!(lwt.producer_at(&[1], &[8]), Some((0, vec![1])));
-        assert_eq!(lwt.producer_at(&[4], &[8]), Some((1, vec![2])));
+        assert_eq!(lwt.producer_at(&[1], &[8]), Ok(Some((0, vec![1]))));
+        assert_eq!(lwt.producer_at(&[4], &[8]), Ok(Some((1, vec![2]))));
         check_against_trace(&p, &[8]);
     }
 
@@ -353,8 +399,8 @@ mod tests {
         )
         .unwrap();
         let lwt = build_lwt(&p, 0, 0).unwrap();
-        assert_eq!(lwt.producer_at(&[2, 3], &[8]), Some((1, vec![1, 2])));
-        assert_eq!(lwt.producer_at(&[2, 0], &[8]), Some((0, vec![1, 0])));
+        assert_eq!(lwt.producer_at(&[2, 3], &[8]), Ok(Some((1, vec![1, 2]))));
+        assert_eq!(lwt.producer_at(&[2, 0], &[8]), Ok(Some((0, vec![1, 0]))));
         check_against_trace(&p, &[8]);
         let p = parse(
             "param N; array A[N + 1]; array B[N + 1];
@@ -364,7 +410,7 @@ mod tests {
         )
         .unwrap();
         let lwt = build_lwt(&p, 2, 0).unwrap();
-        assert_eq!(lwt.producer_at(&[3], &[8]), Some((1, vec![3, 8])));
+        assert_eq!(lwt.producer_at(&[3], &[8]), Ok(Some((1, vec![3, 8]))));
         check_against_trace(&p, &[8]);
     }
 

@@ -10,7 +10,9 @@
 
 use std::fmt;
 
-use dmc_polyhedra::{LinExpr, Polyhedron, Space};
+use dmc_polyhedra::{LinExpr, PolyError, Polyhedron, Space};
+
+use crate::analysis::LwtError;
 
 /// The dependence level of a last-write relation.
 ///
@@ -65,39 +67,29 @@ impl LwtLeaf {
     /// Resolves this leaf at a concrete read iteration and parameter
     /// binding: returns `Some(aux_values)` if the context covers the point
     /// (searching small integer values for auxiliary dimensions), `None`
-    /// otherwise.
+    /// otherwise. An engine error (an `i128` overflow) is returned, not
+    /// taken for "not covered".
     ///
     /// `point` must provide values for the read and parameter dimensions in
     /// leaf-space order; auxiliary entries are ignored.
-    pub fn covers(&self, point: &[i128]) -> Option<Vec<i128>> {
+    pub fn covers(&self, point: &[i128]) -> Result<Option<Vec<i128>>, PolyError> {
         let n = self.space.len();
         let mut fixed = self.context.clone();
         let n_known = point.len().min(n);
         for (d, &val) in point.iter().enumerate().take(n_known) {
-            fixed = fixed.substitute_dim(d, &LinExpr::constant(n, val)).ok()?;
+            fixed = fixed.substitute_dim(d, &LinExpr::constant(n, val))?;
         }
         if n_known == n {
-            return fixed.contains(point).ok()?.then(Vec::new);
+            return Ok(fixed.contains(point)?.then(Vec::new));
         }
         // Enumerate the aux dims (they are pinned by equalities in
         // practice, so the search space is tiny). Project onto the aux
         // dimensions first; the substituted dimensions are unconstrained.
         let aux: Vec<usize> = (n_known..n).collect();
-        let aux_only = fixed.project_onto(&aux).ok()?;
-        let pts = aux_only.enumerate_points(4).ok()??;
-        pts.first().cloned()
-    }
-
-    /// Evaluates the write iteration at a concrete point (read dims +
-    /// params + aux values as returned by [`LwtLeaf::covers`]).
-    pub fn write_iter_at(&self, point: &[i128], aux: &[i128]) -> Option<Vec<i128>> {
-        let src = self.source.as_ref()?;
-        let n = self.space.len();
-        let mut full = point.to_vec();
-        full.truncate(n - aux.len());
-        full.extend_from_slice(aux);
-        debug_assert_eq!(full.len(), n);
-        src.write_iter.iter().map(|e| e.eval(&full).ok()).collect()
+        let aux_only = fixed.project_onto(&aux)?;
+        Ok(aux_only
+            .enumerate_points(4)?
+            .and_then(|pts| pts.first().cloned()))
     }
 }
 
@@ -134,30 +126,45 @@ impl LastWriteTree {
     /// `params` are the parameter values in `read_dims`-trailing order (the
     /// order parameters appear in each leaf's space).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if no leaf covers the point (the leaves must partition the
-    /// read domain) — this indicates an analysis bug and is asserted by the
-    /// test suite.
-    pub fn producer_at(&self, read_iter: &[i128], params: &[i128]) -> Option<(usize, Vec<i128>)> {
-        let mut point = read_iter.to_vec();
-        point.extend_from_slice(params);
+    /// [`LwtError::Uncovered`] when no leaf covers the point (the leaves
+    /// of a built tree partition the read domain), [`LwtError::Overflow`]
+    /// when resolving a leaf there overflows `i128`.
+    pub fn producer_at(
+        &self,
+        read_iter: &[i128],
+        params: &[i128],
+    ) -> Result<Option<(usize, Vec<i128>)>, LwtError> {
+        let point = [read_iter, params].concat();
+        let failed = |e| match e {
+            PolyError::Overflow => LwtError::Overflow {
+                stmt: self.read_stmt,
+                read: self.read_no,
+                point: point.clone(),
+            },
+            e => LwtError::Poly(e),
+        };
         for leaf in &self.leaves {
-            if let Some(aux) = leaf.covers(&point) {
-                return leaf.source.as_ref().map(|src| {
-                    (
-                        src.write_stmt,
-                        leaf.write_iter_at(&point, &aux)
-                            .expect("write iteration evaluation failed"),
-                    )
-                });
+            if let Some(aux) = leaf.covers(&point).map_err(failed)? {
+                let Some(src) = &leaf.source else {
+                    return Ok(None);
+                };
+                // The read and parameter values, then the aux values.
+                let mut full = point[..leaf.space.len() - aux.len()].to_vec();
+                full.extend_from_slice(&aux);
+                let write = src.write_iter.iter().map(|e| e.eval(&full));
+                return Ok(Some((
+                    src.write_stmt,
+                    write.collect::<Result<_, _>>().map_err(failed)?,
+                )));
             }
         }
-        panic!(
-            "no LWT leaf covers read iteration {read_iter:?} (params {params:?}) for \
-             stmt {} read {} of {}",
-            self.read_stmt, self.read_no, self.array
-        );
+        Err(LwtError::Uncovered {
+            stmt: self.read_stmt,
+            read: self.read_no,
+            point,
+        })
     }
 
     /// Leaves that read values produced inside the program.

@@ -74,14 +74,11 @@ pub fn chrome_trace(trace: &Trace) -> String {
     for (tid, lane) in trace.lanes.iter().enumerate() {
         let sim = is_sim_lane(lane);
         for r in &lane.records {
-            let mut args: Vec<String> = r
+            let args: Vec<String> = r
                 .fields
                 .iter()
                 .map(|(k, v)| format!("{}: {}", json::quote(k), v.to_json()))
                 .collect();
-            if !r.det {
-                args.push("\"det\": false".to_owned());
-            }
             if let Some((ts_us, dur_us)) = if sim { sim_times_us(r) } else { None } {
                 // Simulated-time record on the machine process.
                 // Critical-path records get their own category so they
@@ -247,7 +244,6 @@ mod tests {
             phase,
             name,
             ts_ns,
-            det: true,
             fields: Vec::new(),
         }
     }
@@ -264,7 +260,6 @@ mod tests {
                         phase: Phase::Instant,
                         name: "prov.message",
                         ts_ns: 150,
-                        det: true,
                         fields: vec![
                             ("array", Value::Str("X".to_owned())),
                             ("words", Value::UInt(3)),
@@ -301,7 +296,6 @@ mod tests {
             phase: Phase::Instant,
             name,
             ts_ns: 0,
-            det: true,
             fields,
         };
         let trace = Trace {
@@ -363,7 +357,6 @@ mod tests {
                     phase: Phase::Instant,
                     name: "crit.span",
                     ts_ns: 0,
-                    det: true,
                     fields: vec![
                         ("kind", Value::Str("compute".to_owned())),
                         ("t0", Value::F64(0.0)),

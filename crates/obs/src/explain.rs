@@ -306,7 +306,6 @@ mod tests {
             phase,
             name,
             ts_ns: 0,
-            det: true,
             fields,
         }
     }

@@ -26,13 +26,13 @@
 //! does not depend on the order in which the lanes ran — only the
 //! timestamps move.
 //!
-//! Records carry a `det` flag: structural records (spans, provenance
-//! events) are deterministic and participate in
-//! [`Trace::deterministic_view`]; diagnostic records whose *presence*
-//! depends on cache state (e.g. a feasibility-budget
-//! exhaustion that a warm memo cache would have skipped) are emitted with
-//! `det = false` and excluded from cross-configuration comparisons while
-//! still appearing in the exported Chrome trace.
+//! Every record is structural: a span, a provenance event or a sim-lane
+//! step is emitted by the same code whatever the memo caches hold, so
+//! [`Trace::deterministic_view`] — the records with their timestamps
+//! stripped — is equal across cache states and hosts. Nothing whose
+//! *presence* depends on what ran before is traced; the engine counts
+//! such facts (an exhausted feasibility budget, a cache hit) in its work
+//! ledger instead.
 //!
 //! ## Sinks
 //!
@@ -72,7 +72,6 @@ mod trace;
 pub use chrome::{chrome_trace, validate_chrome, TraceCheck};
 pub use explain::{MessageProv, Provenance, ReadProv, Split};
 pub use trace::{
-    enabled, event, event_f, event_nondet, field, finish_capture, lane, main_lane, read_lane,
-    sim_lane, span, span_f, start_capture, LaneGuard, LaneKey, LaneRecords, Phase, Record,
-    SpanGuard, Trace, Value,
+    enabled, event, event_f, field, finish_capture, lane, main_lane, read_lane, sim_lane, span,
+    span_f, start_capture, LaneGuard, LaneKey, LaneRecords, Phase, Record, SpanGuard, Trace, Value,
 };

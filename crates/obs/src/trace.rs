@@ -132,11 +132,6 @@ pub struct Record {
     pub name: &'static str,
     /// Nanoseconds since the capture started (monotonic clock).
     pub ts_ns: u64,
-    /// Whether the record is part of the deterministic trace structure
-    /// (identical across hosts and cache states). Diagnostic
-    /// records set this to `false` and are excluded from
-    /// [`Trace::deterministic_view`].
-    pub det: bool,
     /// Key/value payload.
     pub fields: Vec<(&'static str, Value)>,
 }
@@ -192,13 +187,13 @@ pub struct Trace {
 
 impl Trace {
     /// The deterministic skeleton of the trace: one rendered line per
-    /// deterministic record, timestamps stripped. Two captures of the
-    /// same compilation — regardless of memo-cache state or wall-clock
-    /// speed — produce equal views.
+    /// record, timestamps stripped. Two captures of the same compilation —
+    /// regardless of memo-cache state or wall-clock speed — produce equal
+    /// views.
     pub fn deterministic_view(&self) -> Vec<String> {
         let mut out = Vec::new();
         for lane in &self.lanes {
-            for r in lane.records.iter().filter(|r| r.det) {
+            for r in &lane.records {
                 let fields: Vec<String> = r
                     .fields
                     .iter()
@@ -254,18 +249,11 @@ struct Capture {
 impl Capture {
     /// Appends a record, stamped now, to the innermost open lane, or to
     /// the `untracked` lane when no lane scope is open.
-    fn push(
-        &mut self,
-        phase: Phase,
-        name: &'static str,
-        det: bool,
-        fields: Vec<(&'static str, Value)>,
-    ) {
+    fn push(&mut self, phase: Phase, name: &'static str, fields: Vec<(&'static str, Value)>) {
         let rec = Record {
             phase,
             name,
             ts_ns: self.origin.elapsed().as_nanos() as u64,
-            det,
             fields,
         };
         let (key, label): (&[u64], &str) = match self.open.last() {
@@ -399,7 +387,7 @@ pub fn span_f(
 ) -> SpanGuard {
     let generation = generation();
     if generation.is_some() {
-        record(Phase::Begin, name, true, fields());
+        record(Phase::Begin, name, fields());
     }
     SpanGuard { name, generation }
 }
@@ -414,36 +402,28 @@ pub struct SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         with_capture(self.generation, |c| {
-            c.push(Phase::End, self.name, true, Vec::new());
+            c.push(Phase::End, self.name, Vec::new());
         });
     }
 }
 
 /// Appends one record to the calling thread's capture. Its fields are
 /// built before the capture is borrowed.
-fn record(phase: Phase, name: &'static str, det: bool, fields: Vec<(&'static str, Value)>) {
-    CAPTURE.with(|c| c.borrow_mut().push(phase, name, det, fields));
+fn record(phase: Phase, name: &'static str, fields: Vec<(&'static str, Value)>) {
+    CAPTURE.with(|c| c.borrow_mut().push(phase, name, fields));
 }
 
-/// Emits a deterministic instant event.
+/// Emits an instant event.
 pub fn event(name: &'static str, fields: Vec<(&'static str, Value)>) {
     if enabled() {
-        record(Phase::Instant, name, true, fields);
+        record(Phase::Instant, name, fields);
     }
 }
 
-/// Emits a deterministic instant event, building fields lazily.
+/// Emits an instant event, building fields lazily.
 pub fn event_f(name: &'static str, fields: impl FnOnce() -> Vec<(&'static str, Value)>) {
     if enabled() {
-        record(Phase::Instant, name, true, fields());
-    }
-}
-
-/// Emits a diagnostic event whose presence may depend on cache state;
-/// excluded from [`Trace::deterministic_view`].
-pub fn event_nondet(name: &'static str, fields: Vec<(&'static str, Value)>) {
-    if enabled() {
-        record(Phase::Instant, name, false, fields);
+        record(Phase::Instant, name, fields());
     }
 }
 
@@ -479,7 +459,7 @@ mod tests {
                 let _rl = lane(read_lane(0, 0), "read 0/0");
                 let _rs = span("read");
             }
-            event_nondet("compile.workers", vec![field("workers", 4u64)]);
+            event("compile.workers", vec![field("workers", 4u64)]);
         }
         let t = finish_capture();
         // Lanes sorted by key: main [0] first, then read lanes in textual
@@ -499,10 +479,11 @@ mod tests {
             }
             assert_eq!(depth, 0, "unbalanced in {}", lane.label);
         }
-        // The nondet event is excluded from the deterministic view.
+        // The view renders every record, timestamps stripped.
         let view = t.deterministic_view();
+        assert_eq!(view.len(), t.len());
         assert!(
-            view.iter().all(|l| !l.contains("compile.workers")),
+            view.contains(&"main|Instant|compile.workers|workers=4".to_owned()),
             "{view:?}"
         );
         assert!(view.iter().any(|l| l.contains("pass=self_reuse")));

@@ -69,10 +69,13 @@
 //! one thread, so every stage of it — and every later compile on that
 //! thread — shares them), admit systems of at least four constraints
 //! (`CACHE_MIN_CONSTRAINTS`), are bounded in bytes (each map is cleared wholesale when its
-//! keys and values pass `BUDGET_BYTES`), and are invalidated whenever the
-//! effective feasibility budget changes (see [`stats`]'s epoch). An entry
-//! keeps the work its computation was charged, so a hit charges the same
-//! work whether or not anything records (see [`ledger`]).
+//! keys and values pass `BUDGET_BYTES`), and are never invalidated
+//! otherwise: the feasibility budget is one constant
+//! ([`FEASIBILITY_BUDGET`](crate::stats::FEASIBILITY_BUDGET)) and an
+//! `Unknown` answer is never stored, so every entry was computed under the
+//! budget that reads it. An entry keeps the work its computation was
+//! charged, so a hit charges the same work whether or not anything records
+//! (see [`ledger`]).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -84,7 +87,6 @@ use std::thread::LocalKey;
 use crate::codec::{CodecError, Dec, Enc};
 use crate::ledger::{self, OpKind};
 use crate::polyhedron::Feasibility;
-use crate::stats;
 use crate::Constraint;
 
 /// The part of a polyhedron its memoized answers depend on (dimension
@@ -299,51 +301,21 @@ impl<V: HeapBytes, S: BuildHasher + Default> Store<V, S> {
     }
 }
 
-/// A thread's [`Store`], emptied whenever [`stats::epoch`] has moved since
-/// it was last used.
-struct Local<V> {
-    epoch: u64,
-    store: Store<V>,
-}
-
-impl<V: HeapBytes> Local<V> {
-    fn new() -> RefCell<Self> {
-        RefCell::new(Local {
-            epoch: stats::epoch(),
-            store: Store::new(BUDGET_BYTES),
-        })
-    }
-
-    fn current(&mut self) -> &mut Store<V> {
-        let e = stats::epoch();
-        if self.epoch != e {
-            self.epoch = e;
-            self.store.clear();
-        }
-        &mut self.store
-    }
-}
-
-type Map<V> = RefCell<Local<V>>;
+type Map<V> = RefCell<Store<V>>;
 
 thread_local! {
-    static FEAS: Map<(Feasibility, u64)> = Local::new();
-    static PROJ: Map<Box<[u8]>> = Local::new();
-    static SCAN: Map<Box<[u8]>> = Local::new();
-    static LEX: Map<Box<[u8]>> = Local::new();
+    static FEAS: Map<(Feasibility, u64)> = RefCell::new(Store::new(BUDGET_BYTES));
+    static PROJ: Map<Box<[u8]>> = RefCell::new(Store::new(BUDGET_BYTES));
+    static SCAN: Map<Box<[u8]>> = RefCell::new(Store::new(BUDGET_BYTES));
+    static LEX: Map<Box<[u8]>> = RefCell::new(Store::new(BUDGET_BYTES));
 }
 
 pub(crate) fn feas_lookup(sys: System<'_>) -> Result<(Feasibility, u64), Box<[u8]>> {
-    FEAS.with(|c| {
-        c.borrow_mut()
-            .current()
-            .lookup(sys, &[], RowOrder::Sorted)
-            .copied()
-    })
+    FEAS.with(|c| c.borrow_mut().lookup(sys, &[], RowOrder::Sorted).copied())
 }
 
 pub(crate) fn feas_put(key: Box<[u8]>, v: (Feasibility, u64)) {
-    FEAS.with(|c| c.borrow_mut().current().put(key, v));
+    FEAS.with(|c| c.borrow_mut().put(key, v));
 }
 
 /// A query whose answer is stored encoded, with the work it was charged.
@@ -399,8 +371,8 @@ pub(crate) fn memoized<T, E>(
         return out;
     }
     let looked_up = query.map().with(|c| {
-        let mut local = c.borrow_mut();
-        let value = local.current().lookup(sys, args, RowOrder::Construction)?;
+        let mut store = c.borrow_mut();
+        let value = store.lookup(sys, args, RowOrder::Construction)?;
         // Written below, by this crate: failing to read it back is a bug.
         Ok(read_value(value, decode).expect("a memo value decodes"))
     });
@@ -420,7 +392,7 @@ pub(crate) fn memoized<T, E>(
     encode(&out, &mut value);
     query
         .map()
-        .with(|c| c.borrow_mut().current().put(key, value.into_bytes().into()));
+        .with(|c| c.borrow_mut().put(key, value.into_bytes().into()));
     Ok(out)
 }
 
@@ -441,15 +413,16 @@ fn read_value<T>(
 /// measurement that must start cold — a compile's allocations, its cache
 /// misses — calls first.
 pub fn clear_thread_caches() {
-    FEAS.with(|c| c.borrow_mut().store.clear());
-    PROJ.with(|c| c.borrow_mut().store.clear());
-    SCAN.with(|c| c.borrow_mut().store.clear());
-    LEX.with(|c| c.borrow_mut().store.clear());
+    FEAS.with(|c| c.borrow_mut().clear());
+    PROJ.with(|c| c.borrow_mut().clear());
+    SCAN.with(|c| c.borrow_mut().clear());
+    LEX.with(|c| c.borrow_mut().clear());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats;
     use crate::LinExpr;
 
     fn ge(coeffs: &[i128], c: i128) -> Constraint {

@@ -5,8 +5,6 @@
 
 use std::fmt;
 
-use dmc_obs as obs;
-
 use crate::cache::{self, Query};
 use crate::constraint::Normalized;
 use crate::ledger;
@@ -688,17 +686,16 @@ impl Polyhedron {
     /// real/dark shadow pair and bounded branch-and-bound in the gray zone.
     ///
     /// All dimensions are treated existentially. The branch-and-bound
-    /// budget comes from [`stats::feasibility_budget`] (pushed per thread
-    /// via [`stats::push_thread_tuning`]); definite answers are memoized
-    /// per thread, keyed on the system's rows in sorted order (see
-    /// [`crate::cache`]), while `Unknown` answers are never cached (they
-    /// depend on the budget).
+    /// budget is the engine's constant [`stats::FEASIBILITY_BUDGET`];
+    /// definite answers are memoized per thread, keyed on the system's rows
+    /// in sorted order (see [`crate::cache`]), while `Unknown` answers are
+    /// never cached (they depend on the budget).
     ///
     /// # Errors
     ///
     /// Returns [`PolyError::Overflow`] on overflow.
     pub fn integer_feasibility(&self) -> Result<Feasibility, PolyError> {
-        self.integer_feasibility_with_budget(stats::feasibility_budget())
+        self.integer_feasibility_with_budget(stats::FEASIBILITY_BUDGET)
     }
 
     /// [`Polyhedron::integer_feasibility`] with an explicit branch-and-bound
@@ -1232,18 +1229,9 @@ impl Polyhedron {
     }
 }
 
-/// Counts a feasibility query that exhausted its budget. Under [`dmc_obs`]
-/// tracing it is also a `poly.budget_exhausted` event (diagnostic: a warm
-/// memo cache may skip the query entirely, so its presence depends on
-/// what ran before).
+/// Counts a feasibility query that exhausted its budget.
 fn count_unknown() {
     ledger::count(|s| s.feasibility_unknown += 1);
-    if obs::enabled() {
-        obs::event_nondet(
-            "poly.budget_exhausted",
-            vec![obs::field("budget", stats::feasibility_budget())],
-        );
-    }
 }
 
 /// The rows whose disjunction is the integer complement of `c`: `−e − 1 ≥ 0`
@@ -1794,7 +1782,7 @@ mod tests {
     }
 
     fn feasibility_uncached(p: &Polyhedron) -> Feasibility {
-        let mut budget = stats::DEFAULT_FEASIBILITY_BUDGET;
+        let mut budget = stats::FEASIBILITY_BUDGET;
         p.integer_feasibility_budget(&mut budget).unwrap()
     }
 

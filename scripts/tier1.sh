@@ -64,6 +64,16 @@ fi
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 
+# The engine and the tracer are the two crates every other crate builds on.
+for leaf in dmc-polyhedra dmc-obs; do
+    deps=$(cargo tree --offline --locked -q -e normal --depth 1 -p "$leaf" | tail -n +2)
+    if [[ -n "$deps" ]]; then
+        echo "tier-1: $leaf must stay a leaf crate; it depends on:" >&2
+        echo "$deps" >&2
+        exit 1
+    fi
+done
+
 # Doc gate: a dangling or private intra-doc link is a failure. `--lib`
 # because the root `dmc` library and the `dmc` binary in crates/bench
 # would otherwise both write `dmc/index.html`.

@@ -34,7 +34,7 @@ fn fig3_lwt() {
     assert_eq!(src.level, DepLevel::Carried(2));
     // M1 covers exactly i_r in 3..=5; M2 the rest.
     for i in 3..=20i128 {
-        let producer = lwt.producer_at(&[1, i], &[2, 20]);
+        let producer = lwt.producer_at(&[1, i], &[2, 20]).unwrap();
         if i <= 5 {
             assert_eq!(producer, None, "i={i} reads live-in X[{}]", i - 3);
         } else {
@@ -129,10 +129,13 @@ fn fig9_group_lwt() {
     let lwt = build_lwt_hull(&p, 0, &[0, 1, 2, 3]).unwrap();
     assert!(lwt.read_dims.contains(&"$u0".to_string()));
     // The hull covers all four offsets: u in [-3, 0] around X[i + u].
-    assert_eq!(lwt.producer_at(&[2, 8, 0], &[4, 12]), Some((0, vec![1, 8])));
+    assert_eq!(
+        lwt.producer_at(&[2, 8, 0], &[4, 12]),
+        Ok(Some((0, vec![1, 8])))
+    );
     assert_eq!(
         lwt.producer_at(&[2, 8, -1], &[4, 12]),
-        Some((0, vec![2, 7]))
+        Ok(Some((0, vec![2, 7])))
     );
 }
 
